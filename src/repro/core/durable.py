@@ -48,7 +48,7 @@ from repro.core.bloom import BloomFilter
 from repro.core.config import CLAMConfig, MemoryCostModel
 from repro.core.errors import ConfigurationError, TornPageError
 from repro.core.incarnation import IncarnationHandle
-from repro.core.storage import IncarnationStore
+from repro.core.storage import CircularLogAllocator, IncarnationStore
 from repro.core.supertable import SuperTable
 from repro.flashsim.persistent import FlashPartition, PageState, PersistentFlashDevice
 
@@ -128,10 +128,8 @@ class DurableLogStore(IncarnationStore):
         self._start = self.partition.start_page(geometry)
         self._num_pages = self.partition.num_pages(geometry)
         self._end = self._start + self._num_pages
-        self._head = self._start
-        self._wraps = 0
-        # header page -> whole record span in pages (header + data).
-        self._live: Dict[int, int] = {}
+        # Live regions map header page -> whole record span (header + data).
+        self._log = CircularLogAllocator(self._start, self._end)
         self._released_pages: set[int] = set()
         # owner (super table id) -> next incarnation id, mirroring each
         # SuperTable's counter so record headers carry the real id.
@@ -146,7 +144,7 @@ class DurableLogStore(IncarnationStore):
 
     @property
     def wrap_count(self) -> int:
-        return self._wraps
+        return self._log.wraps
 
     @property
     def next_sequence(self) -> int:
@@ -156,41 +154,7 @@ class DurableLogStore(IncarnationStore):
     @property
     def live_records(self) -> Dict[int, int]:
         """Header page -> record span, for live records (copy)."""
-        return dict(self._live)
-
-    # -- Allocation ------------------------------------------------------------
-
-    def _region_is_free(self, start: int, num_pages: int) -> bool:
-        for address, length in self._live.items():
-            if start < address + length and address < start + num_pages:
-                return False
-        return True
-
-    def _advance_head(self, num_pages: int) -> int:
-        if num_pages > self._num_pages:
-            raise ConfigurationError(
-                f"record of {num_pages} pages exceeds log partition capacity "
-                f"{self._num_pages} pages"
-            )
-        attempts = 0
-        while attempts < self._num_pages:
-            if self._head + num_pages > self._end:
-                self._head = self._start
-                self._wraps += 1
-            start = self._head
-            if self._region_is_free(start, num_pages):
-                self._head = start + num_pages
-                return start
-            blocking_end = start + 1
-            for address, length in self._live.items():
-                if address <= start < address + length:
-                    blocking_end = max(blocking_end, address + length)
-            attempts += blocking_end - self._head
-            self._head = blocking_end
-        raise ConfigurationError(
-            "incarnation log is full: no released space to reuse; "
-            "the log partition is too small for the configured incarnations"
-        )
+        return dict(self._log.live)
 
     # -- IncarnationStore API --------------------------------------------------
 
@@ -199,7 +163,17 @@ class DurableLogStore(IncarnationStore):
         if not pages:
             raise ValueError("pages must be non-empty")
         span = len(pages) + 1
-        header_page = self._advance_head(span)
+        if span > self._num_pages:
+            raise ConfigurationError(
+                f"record of {span} pages exceeds log partition capacity "
+                f"{self._num_pages} pages"
+            )
+        header_page = self._log.advance(span)
+        if header_page is None:
+            raise ConfigurationError(
+                "incarnation log is full: no released space to reuse; "
+                "the log partition is too small for the configured incarnations"
+            )
         incarnation_id = self._owner_next_id.get(owner_id, 0)
         sequence = self._next_seq
         header = RECORD_HEADER.pack(
@@ -210,7 +184,7 @@ class DurableLogStore(IncarnationStore):
         # out of write_range; the reopened store rebuilds state from media).
         self._owner_next_id[owner_id] = incarnation_id + 1
         self._next_seq = sequence + 1
-        self._live[header_page] = span
+        self._log.mark_live(header_page, span)
         for page in range(header_page, header_page + span):
             self._released_pages.discard(page)
         return header_page + 1, latency
@@ -226,7 +200,7 @@ class DurableLogStore(IncarnationStore):
 
     def release(self, address: int, num_pages: int) -> None:
         header_page = address - 1
-        span = self._live.pop(header_page, num_pages + 1)
+        span = self._log.release(header_page) or num_pages + 1
         for page in range(header_page, header_page + span):
             self._released_pages.add(page)
         self._erase_reclaimable_blocks(header_page, span)
@@ -241,7 +215,7 @@ class DurableLogStore(IncarnationStore):
             block_end = block_start + pages_per_block
             if block_start < self._start or block_end > self._end:
                 continue
-            if not self._region_is_free(block_start, pages_per_block):
+            if not self._log.is_free(block_start, pages_per_block):
                 continue
             if not any(
                 page in self._released_pages for page in range(block_start, block_end)
@@ -264,11 +238,9 @@ class DurableLogStore(IncarnationStore):
         self._next_seq = max(self._next_seq, next_seq)
         if not self._start <= head <= self._end:
             head = self._start
-        self._head = head
-        self._wraps = wraps
         for owner, next_id in owner_next_ids.items():
             self._owner_next_id[owner] = max(self._owner_next_id.get(owner, 0), next_id)
-        self._live = dict(live)
+        self._log.restore(head, wraps, live)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +306,7 @@ def serialize_checkpoint(store: DurableLogStore, tables: List[SuperTable]) -> by
     """
     writer = _Writer()
     writer.u64(store.next_sequence)
-    writer.u64(store._head)
+    writer.u64(store._log.head)
     writer.u32(store.wrap_count)
     owners = sorted(store._owner_next_id.items())
     writer.u32(len(owners))

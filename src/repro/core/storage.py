@@ -17,7 +17,8 @@ interface used by :class:`~repro.core.supertable.SuperTable`.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Set, Tuple
+from bisect import bisect_left, bisect_right, insort
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.flashsim.device import StorageDevice
@@ -48,6 +49,82 @@ class IncarnationStore(abc.ABC):
         """Mark an incarnation's space as reclaimable."""
 
 
+class CircularLogAllocator:
+    """Head, wrap count and live regions of one circular page log over ``[low, high)``.
+
+    The allocation state shared by :class:`WholeDeviceLogStore` and
+    :class:`~repro.core.durable.DurableLogStore`.  Live regions never
+    overlap, so with their start pages kept sorted only the predecessor and
+    the successor of a position can block it: a free-space check is two
+    bisect probes however many incarnations are live.
+    """
+
+    def __init__(self, low: int, high: int) -> None:
+        self.low = low
+        self.high = high
+        self.head = low
+        self.wraps = 0
+        # start page -> number of pages, for regions that are currently live.
+        self.live: Dict[int, int] = {}
+        self._starts: List[int] = []
+
+    def restore(self, head: int, wraps: int, live: Dict[int, int]) -> None:
+        """Install state rebuilt by crash recovery."""
+        self.head = head
+        self.wraps = wraps
+        self.live = dict(live)
+        self._starts = sorted(self.live)
+
+    def _blocker_end(self, start: int, num_pages: int) -> int:
+        """0 when ``[start, start + num_pages)`` is free; otherwise where to
+        resume the search (past the live region covering ``start``, or one
+        page on when only a later region is in the way)."""
+        starts = self._starts
+        after = bisect_right(starts, start)
+        covering_end = 0
+        if after:
+            address = starts[after - 1]
+            covering_end = address + self.live[address]
+        if covering_end <= start and (after == len(starts) or starts[after] >= start + num_pages):
+            return 0
+        return max(start + 1, covering_end)
+
+    def is_free(self, start: int, num_pages: int) -> bool:
+        return not self._blocker_end(start, num_pages)
+
+    def advance(self, num_pages: int) -> Optional[int]:
+        """Move the head past the next ``num_pages`` of free, contiguous space.
+
+        Returns the start of that space (the caller marks it live once its
+        write survived), or ``None`` when a whole lap found nothing free.
+        """
+        attempts = 0
+        while attempts < self.high - self.low:
+            if self.head + num_pages > self.high:
+                self.head = self.low
+                self.wraps += 1
+            start = self.head
+            blocking_end = self._blocker_end(start, num_pages)
+            if not blocking_end:
+                self.head = start + num_pages
+                return start
+            attempts += blocking_end - self.head
+            self.head = blocking_end
+        return None
+
+    def mark_live(self, address: int, num_pages: int) -> None:
+        if address not in self.live:
+            insort(self._starts, address)
+        self.live[address] = num_pages
+
+    def release(self, address: int) -> Optional[int]:
+        """Forget a live region; returns its length (``None`` if unknown)."""
+        num_pages = self.live.pop(address, None)
+        if num_pages is not None:
+            del self._starts[bisect_left(self._starts, address)]
+        return num_pages
+
+
 class WholeDeviceLogStore(IncarnationStore):
     """Single circular log across the whole device (the SSD/disk layout).
 
@@ -65,11 +142,7 @@ class WholeDeviceLogStore(IncarnationStore):
         self._total_pages = int(device.geometry.total_pages * (1.0 - reserve_fraction))
         if self._total_pages <= 0:
             raise ConfigurationError("device has no usable pages")
-        self._head = 0
-        self._wraps = 0
-        # address -> number of pages, for regions that are currently live.
-        self._live: Dict[int, int] = {}
-        self._released: Set[int] = set()
+        self._log = CircularLogAllocator(0, self._total_pages)
 
     @property
     def capacity_pages(self) -> int:
@@ -79,49 +152,24 @@ class WholeDeviceLogStore(IncarnationStore):
     @property
     def wrap_count(self) -> int:
         """How many times the log head has wrapped around the device."""
-        return self._wraps
-
-    def _region_is_free(self, start: int, num_pages: int) -> bool:
-        for address, length in self._live.items():
-            if start < address + length and address < start + num_pages:
-                return False
-        return True
-
-    def _advance_head(self, num_pages: int) -> int:
-        """Find the next position with ``num_pages`` of free, contiguous space."""
-        if num_pages > self._total_pages:
-            raise ConfigurationError(
-                f"incarnation of {num_pages} pages exceeds device capacity "
-                f"{self._total_pages} pages"
-            )
-        attempts = 0
-        while attempts < self._total_pages:
-            if self._head + num_pages > self._total_pages:
-                self._head = 0
-                self._wraps += 1
-            start = self._head
-            if self._region_is_free(start, num_pages):
-                self._head = start + num_pages
-                return start
-            # Skip past the blocking live region.
-            blocking_end = start + 1
-            for address, length in self._live.items():
-                if address <= start < address + length:
-                    blocking_end = max(blocking_end, address + length)
-            attempts += blocking_end - self._head
-            self._head = blocking_end
-        raise ConfigurationError(
-            "incarnation store is full: no released space to reuse; "
-            "the flash is too small for the configured number of incarnations"
-        )
+        return self._log.wraps
 
     def write_incarnation(self, pages: List[bytes]) -> Tuple[int, float]:
         if not pages:
             raise ValueError("pages must be non-empty")
-        address = self._advance_head(len(pages))
+        if len(pages) > self._total_pages:
+            raise ConfigurationError(
+                f"incarnation of {len(pages)} pages exceeds device capacity "
+                f"{self._total_pages} pages"
+            )
+        address = self._log.advance(len(pages))
+        if address is None:
+            raise ConfigurationError(
+                "incarnation store is full: no released space to reuse; "
+                "the flash is too small for the configured number of incarnations"
+            )
         latency = self.device.write_range(address, pages)
-        self._live[address] = len(pages)
-        self._released.discard(address)
+        self._log.mark_live(address, len(pages))
         return address, latency
 
     def read_page(self, address: int, page_offset: int) -> Tuple[bytes, float]:
@@ -131,8 +179,7 @@ class WholeDeviceLogStore(IncarnationStore):
         return self.device.read_range(address, num_pages)
 
     def release(self, address: int, num_pages: int) -> None:
-        self._live.pop(address, None)
-        self._released.add(address)
+        self._log.release(address)
 
 
 class PartitionedDeviceStore(IncarnationStore):

@@ -48,7 +48,7 @@ from repro.service.batch import (
 )
 from repro.service.chaos import CHAOS_FAULTS, ChaosSchedule, ChaosTransport, derive_seed
 from repro.service.cluster import ClusterService, ClusterStats
-from repro.service.parallel import ParallelBatchExecutor, ParallelClusterService, RemoteShard
+from repro.service.parallel import ParallelClusterService, RemoteShard
 from repro.service.rebalance import (
     ArcState,
     AutoscaleConfig,
@@ -62,6 +62,7 @@ from repro.service.rebalance import (
 )
 from repro.service.recovery import RecoveryCoordinator, RecoveryReport
 from repro.service.router import RING_SPACE, HandoffStats, ShardRouter
+from repro.service.shard import LocalShard
 from repro.service.simulator import (
     ClientReport,
     FailureEvent,
@@ -78,8 +79,8 @@ __all__ = [
     "DEFAULT_ROUTING_COST_MS",
     "ClusterService",
     "ClusterStats",
-    "ParallelBatchExecutor",
     "ParallelClusterService",
+    "LocalShard",
     "RemoteShard",
     "CHAOS_FAULTS",
     "ChaosSchedule",

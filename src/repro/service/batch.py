@@ -2,56 +2,42 @@
 
 Client-facing services rarely dispatch one index operation at a time: they
 collect a batch, route it, and hand each shard its sub-batch in one dispatch.
-:class:`BatchExecutor` models exactly that.  Per-operation *results* are
-identical to issuing the same operations one by one (grouping by shard
-preserves per-key order, and each shard's simulated device is deterministic),
-but the *accounting* differs: the fixed dispatch overhead is paid once per
-shard sub-batch instead of once per operation, and the batch completes when
-the slowest shard finishes — shards run in parallel on independent clocks.
+:class:`BatchExecutor` models exactly that, and it is the *only* path by
+which a :class:`~repro.service.cluster.ClusterService` reads or writes on
+behalf of a client — a single ``insert``/``lookup`` is a batch of one.
+Grouping by shard preserves per-key order and each shard's simulated device
+is deterministic, so batching changes the *accounting*, not the results: the
+fixed dispatch overhead is paid once per shard sub-batch instead of once per
+operation, and the batch completes when the slowest shard finishes — shards
+run in parallel on independent clocks.
 
-The executor works against any mapping of shard id to an object satisfying
-:class:`repro.workloads.runner.HashIndex`; in practice that is the
-:class:`~repro.service.cluster.ClusterService`'s fleet of CLAMs.  The
-multi-branch WAN optimizer is the canonical client: each branch office's
+The multi-branch WAN optimizer is the canonical client: each branch office's
 compression engine sends one ``lookup_batch`` and one ``insert_batch`` round
-trip per object (:meth:`ClusterService.lookup_batch` builds the operation
-lists), so a whole object's fingerprints cost one dispatch per touched shard
-rather than one per chunk, and the branch's wait is the
+trip per object, so a whole object's fingerprints cost one dispatch per
+touched shard rather than one per chunk, and the branch's wait is the
 :attr:`BatchResult.makespan_ms` across parallel shards rather than the
 serial sum.
 
-Two operating modes
--------------------
-*Stand-alone* (no ``is_live`` hook): the original single-copy behaviour —
-each operation goes to the ring owner, a router/instance desync raises
-:class:`~repro.core.errors.ConfigurationError`, and device failures
-propagate to the caller.
-
-*Managed* (``is_live``/``on_shard_error`` wired up by a
-:class:`~repro.service.cluster.ClusterService`): replication-aware and
-failure-tolerant.  Writes fan out to every live shard of the key's
-preference list, lookups go to the first live replica, a shard that raises
-:class:`~repro.core.errors.DeviceFailedError` mid-batch is reported through
-``on_shard_error`` and its unfinished operations are re-dispatched to the
-next live replica; only an operation with no live replica left raises the
-typed :class:`~repro.core.errors.ShardUnavailableError` (never a bare
-``KeyError``).
+Shards are reached through the interface of :mod:`repro.service.shard`
+only, so the same scatter/gather loop drives in-process shards and worker
+processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.errors import (
     ConfigurationError,
     DeviceFailedError,
     ShardUnavailableError,
+    WireProtocolError,
+    WorkerStalledError,
 )
 from repro.core.hashing import KeyLike, canonical_key
-from repro.service.router import ShardRouter
+from repro.service import wire
 from repro.telemetry import trace as _trace
-from repro.workloads.runner import apply_operation
 from repro.workloads.workload import Operation, OpKind
 
 #: Simulated cost of handing one sub-batch (or one stand-alone operation) to a
@@ -128,6 +114,8 @@ class BatchResult:
         return self.dispatch_ms_unbatched - self.dispatch_ms
 
 
+
+
 @dataclass
 class _Slot:
     """One (operation, replica) execution unit inside a batch."""
@@ -135,112 +123,104 @@ class _Slot:
     index: int
     operation: Operation
     key: KeyLike
+    #: The operation's placement, in preference order (fixed for the batch).
+    replicas: Tuple[str, ...]
+    #: Writes only: this replica's record is the one returned when it ran.
     primary: bool
     attempted: Set[str] = field(default_factory=set)
+    #: Lookups only: live replicas that answered "not found" (repair targets).
+    missed: List[str] = field(default_factory=list)
+    #: Left behind by a failed (or hedged-around) shard in the last round.
+    failed: bool = False
 
 
 class BatchExecutor:
-    """Routes a batch by shard and executes per-shard sub-batches.
+    """Routes a batch by shard and runs the per-shard sub-batches of one cluster.
+
+    Replica semantics — stated here once, because every client read and write
+    of the cluster (single operations included) goes through this class:
+
+    * Placement is ``cluster._op_replicas(key, kind)``: the key's preference
+      list, or the old-then-new owner union while a migration is moving its
+      arc.  Only shards the cluster's live view (``cluster.is_live``) admits
+      are dispatched to.
+    * A **write** goes to every live replica.  The record returned is the
+      primary's, or the first surviving replica's when the primary failed.
+      Every replica that was down, or failed before applying the write, gets
+      a hinted-handoff entry (``cluster._record_hint``).
+    * A **lookup** is answered by the first live replica that hits, in
+      preference order.  Earlier live replicas that missed are repaired — the
+      value is re-inserted once the round's answers are all in — and counted
+      in ``cluster.read_repairs``.  A miss is returned (the first replica's
+      record) only when every live replica missed.  With one replica, and on
+      a clean hit, no extra probe is made.  Repair work is charged to the
+      repaired shard's clock but not to the batch's makespan.  (A read-through
+      probe runs after the round that missed, so it sees the writes that
+      round applied to the key on the next replica.)
+    * A shard that raises :class:`~repro.core.errors.DeviceFailedError`
+      (a dead worker included) is reported through
+      ``cluster.record_shard_error`` and the operations it left behind move
+      to the next live replica not yet tried; a write some replica already
+      applied is not retried.  Only an operation with no live replica left
+      raises :class:`~repro.core.errors.ShardUnavailableError`.
 
     Parameters
     ----------
-    router:
-        The consistent-hash router deciding key placement.
-    shards:
-        Mapping of shard id to index instance.  Looked up live on every batch,
-        so shards added to or removed from the mapping (and the router) after
-        construction are picked up automatically.
+    cluster:
+        The :class:`~repro.service.cluster.ClusterService` whose shards, live
+        view, placement, hints and health counters the batch runs against.
+        ``cluster.shards`` is looked up live on every batch.
     dispatch_overhead_ms / routing_cost_ms:
-        Fixed simulated costs; see module docstring.
-    hash_once:
-        When True (default) each operation's key is canonicalised into one
-        :class:`~repro.core.hashing.KeyDigest` that serves both the routing
-        hash and the shard-side operation, so a batched key's bytes are
-        hashed at most once end to end.  Disable to reproduce the original
-        route-then-rehash behaviour (measurement ablation).
-    replication_factor:
-        Copies of every write, placed on the key's preference list.
-    is_live / on_shard_error / on_missed_write:
-        The cluster's live view, failure-reporting and hinted-handoff hooks;
-        providing ``is_live`` switches the executor into managed mode (see
-        module docstring).  ``on_missed_write(shard_id, key)`` fires for
-        every write copy a down or failing replica did not receive.
-    targets_for:
-        Optional replica-placement override: ``targets_for(key, kind)``
-        returns the shards one operation must consult instead of the router's
-        raw preference list.  The cluster wires this to its migration-aware
-        placement (:meth:`ClusterService._op_replicas`), so an in-flight
-        rebalance can double-read and dual-write the arcs being moved while
-        batches keep flowing; without it the executor routes exactly as
-        before.
+        Fixed simulated costs, charged to each touched shard's clock so every
+        duration in the system derives from the same time line.
+    hedge_delay_ms:
+        With ``replication_factor >= 2``, an all-lookup sub-batch of a
+        multi-operation batch waits only this long for its shard; on a miss
+        the shard is abandoned *without* being marked failed (slow is not
+        dead) and the lookups move to the next replica, the late answer being
+        discarded by sequence number.  Only sub-batches whose every lookup
+        has such a replica are hedged.  A one-operation batch always takes the
+        full deadline path, which is what detects a stalled worker.  In-process
+        shards never stall, so the window only matters to worker processes.
     """
 
     def __init__(
         self,
-        router: ShardRouter,
-        shards: Mapping[str, object],
+        cluster,
         dispatch_overhead_ms: float = DEFAULT_DISPATCH_OVERHEAD_MS,
         routing_cost_ms: float = DEFAULT_ROUTING_COST_MS,
-        hash_once: bool = True,
-        replication_factor: int = 1,
-        is_live: Optional[Callable[[str], bool]] = None,
-        on_shard_error: Optional[Callable[[str], bool]] = None,
-        on_missed_write: Optional[Callable[[str, KeyLike], None]] = None,
-        targets_for: Optional[Callable[[KeyLike, OpKind], Tuple[str, ...]]] = None,
+        hedge_delay_ms: Optional[float] = None,
     ) -> None:
         if dispatch_overhead_ms < 0 or routing_cost_ms < 0:
             raise ConfigurationError("overhead costs must be non-negative")
-        if replication_factor < 1:
-            raise ConfigurationError("replication_factor must be at least 1")
-        self.router = router
-        self.shards = shards
+        if hedge_delay_ms is not None and hedge_delay_ms <= 0:
+            raise ConfigurationError("hedge_delay_ms must be positive (or None to disable)")
+        self.cluster = cluster
         self.dispatch_overhead_ms = dispatch_overhead_ms
         self.routing_cost_ms = routing_cost_ms
-        self.hash_once = hash_once
-        self.replication_factor = replication_factor
-        self._is_live = is_live
-        self._on_shard_error = on_shard_error
-        self._on_missed_write = on_missed_write
-        self._targets_for = targets_for
+        self.hedge_delay_ms = hedge_delay_ms
 
-    @property
-    def managed(self) -> bool:
-        """Whether a cluster's live view drives failure handling."""
-        return self._is_live is not None
+    def _targets(
+        self, key: KeyLike, kind: OpKind, replicas: Tuple[str, ...], attempted
+    ) -> List[str]:
+        """Live replicas one operation has not tried yet, in preference order.
 
-    def _notify_failure(self, shard_id: str) -> None:
-        if self._on_shard_error is not None:
-            self._on_shard_error(shard_id)
-
-    def _targets(self, key: KeyLike, kind: OpKind, attempted: Set[str]) -> Tuple[str, ...]:
-        """Replica shards one operation dispatches to.
-
-        Stand-alone mode routes to the raw preference list (a missing
-        instance is a configuration bug, caught at sub-batch time).  Managed
-        mode filters through the cluster's live view — the fix for the old
-        behaviour where a shard removed mid-flight surfaced as a bare
-        ``KeyError`` — and raises :class:`ShardUnavailableError` when nothing
-        is left.
+        Hints every unavailable replica of a write, and raises
+        :class:`ShardUnavailableError` (never a bare ``KeyError`` for a shard
+        removed mid-flight) when nothing is left.
         """
-        if self._targets_for is not None:
-            replicas = self._targets_for(key, kind)
-        else:
-            replicas = self.router.preference_list(key, self.replication_factor)
-        if self._is_live is not None:
-            live = tuple(s for s in replicas if s not in attempted and self._is_live(s))
-            if kind is not OpKind.LOOKUP and self._on_missed_write is not None:
-                for shard_id in replicas:
-                    if shard_id not in live and shard_id not in attempted:
-                        self._on_missed_write(shard_id, key)
-            if not live:
-                raise ShardUnavailableError(
-                    f"no live replica remains for a {kind.value} operation "
-                    f"(replication_factor={self.replication_factor})"
-                )
-            replicas = live
-        if kind is OpKind.LOOKUP:
-            return replicas[:1]
-        return replicas
+        is_live = self.cluster.is_live
+        live = [s for s in replicas if s not in attempted and is_live(s)]
+        if kind is not OpKind.LOOKUP:
+            for shard_id in replicas:
+                if shard_id not in live and shard_id not in attempted:
+                    self.cluster._record_hint(shard_id, key)
+        if not live:
+            raise ShardUnavailableError(
+                f"no live replica remains for a {kind.value} operation "
+                f"(placement {replicas!r}, down {self.cluster.down_shard_ids!r})"
+            )
+        return live
 
     def execute(self, operations: Iterable[Operation]) -> BatchResult:
         """Execute ``operations`` as one batch and return the breakdown."""
@@ -253,14 +233,20 @@ class BatchExecutor:
         # each shard (same key -> same replica set, so per-key order is
         # preserved).  The key digest computed for routing rides along with
         # the operation so the shard reuses it instead of re-hashing.
-        hash_once = self.hash_once
+        cluster = self.cluster
+        hash_once = cluster.config.use_hash_once
         try:
             groups: Dict[str, List[_Slot]] = {}
             for index, operation in enumerate(submitted):
+                kind = operation.kind
                 key = canonical_key(operation.key, hash_once)
-                for role, shard_id in enumerate(self._targets(key, operation.kind, set())):
+                replicas = cluster._op_replicas(key, kind)
+                targets = self._targets(key, kind, replicas, ())
+                if kind is OpKind.LOOKUP:
+                    del targets[1:]
+                for role, shard_id in enumerate(targets):
                     groups.setdefault(shard_id, []).append(
-                        _Slot(index=index, operation=operation, key=key, primary=role == 0)
+                        _Slot(index, operation, key, replicas, primary=role == 0)
                     )
 
             while groups:
@@ -278,48 +264,165 @@ class BatchExecutor:
         )
         return batch
 
-    def _dispatch_round(
-        self, groups: Dict[str, List[_Slot]], batch: BatchResult
-    ) -> List[_Slot]:
-        """Execute one round of per-shard sub-batches; returns the failed slots.
+    def _dispatch_round(self, groups: Dict[str, List[_Slot]], batch: BatchResult) -> List[_Slot]:
+        """One scatter/gather round; returns the slots that need another replica.
 
-        The base implementation runs sub-batches serially on the caller's
-        thread — the deterministic single-process path.  The process-per-shard
-        deployment overrides exactly this hook with a scatter/gather over
-        worker sockets (:class:`repro.service.parallel.ParallelBatchExecutor`)
-        while reusing all the routing, retry and accounting machinery around
-        it, which is what keeps the two modes' results bit-identical.
+        Every sub-batch is sent before any answer is read, so worker processes
+        execute concurrently and a round's wall-clock cost is the slowest
+        shard, not the sum (an in-process shard runs its sub-batch when its
+        answer is gathered).  Read repairs wait until the whole round is in:
+        a repair is a directed operation on a shard that may still have this
+        round's frame in flight.
         """
-        failed_slots: List[_Slot] = []
+        shards = self.cluster.shards
+        again: List[_Slot] = []
+        in_flight = []
         for shard_id, slots in groups.items():
-            stats, leftover = self._execute_sub_batch(shard_id, slots, batch.results)
-            if stats is not None:
-                self._merge_shard_stats(batch, stats)
-            if leftover:
-                if shard_id not in batch.failed_shards:
-                    batch.failed_shards.append(shard_id)
-                failed_slots.extend(leftover)
-        return failed_slots
-
-    def _reroute(self, failed_slots: List[_Slot], batch: BatchResult) -> Dict[str, List[_Slot]]:
-        """Re-dispatch the operations a failed shard left behind.
-
-        A write whose record was already produced by a surviving replica
-        needs no retry (the lost copy is the recovery coordinator's job, not
-        the batch's); everything else moves to the next live replica that has
-        not been attempted yet.
-        """
-        groups: Dict[str, List[_Slot]] = {}
-        for slot in sorted(failed_slots, key=lambda s: s.index):
-            if (
-                slot.operation.kind is not OpKind.LOOKUP
-                and batch.results[slot.index] is not None
-            ):
+            for slot in slots:
+                slot.attempted.add(shard_id)
+            stats = ShardBatchStats(
+                shard_id=shard_id,
+                dispatch_ms=self.dispatch_overhead_ms,
+                routing_ms=self.routing_cost_ms * len(slots),
+            )
+            shard = shards.get(shard_id)  # None: removed between routing and now
+            try:
+                if shard is None:
+                    raise DeviceFailedError(f"shard {shard_id!r} has no instance")
+                shard.send_batch(
+                    [(slot.operation.kind, slot.key, slot.operation.value) for slot in slots],
+                    stats.dispatch_ms + stats.routing_ms,
+                )
+            except DeviceFailedError:
+                self._fail(shard_id, slots, batch, again)
                 continue
-            targets = self._targets(slot.key, slot.operation.kind, slot.attempted)
-            batch.retried_operations += 1
-            slot.primary = True
-            groups.setdefault(targets[0], []).append(slot)
+            in_flight.append((shard_id, shard, slots, stats))
+
+        repairs: List[Tuple[str, KeyLike, bytes]] = []
+        for shard_id, shard, slots, stats in in_flight:
+            tracer = _trace.ACTIVE
+            span = (
+                tracer.begin("shard.batch", shard.clock, shard=shard_id, operations=len(slots))
+                if tracer is not None
+                else None
+            )
+            completed = None
+            try:
+                completed = self._gather(shard_id, shard, slots, stats, batch, again, repairs)
+            finally:
+                # The span must close on *every* exit, or every span the next
+                # operation opens would be parented under a dead branch.
+                if span is not None:
+                    if completed != len(slots):
+                        span.attributes["failed"] = True
+                        if completed is not None:
+                            span.attributes["operations_completed"] = completed
+                    tracer.end(span, shard.clock)
+        for shard_id, key, value in repairs:
+            self.cluster._read_repair(shard_id, key, value)
+        return again
+
+    def _gather(
+        self,
+        shard_id: str,
+        shard,
+        slots: List[_Slot],
+        stats: ShardBatchStats,
+        batch: BatchResult,
+        again: List[_Slot],
+        repairs: List[Tuple[str, KeyLike, bytes]],
+    ) -> int:
+        """Fold one shard's answer into the batch; returns how many slots ran."""
+        hedge_ms = self._hedge_window(slots, batch)
+        try:
+            results, error_code, message, busy_ms = shard.recv_batch(hedge_ms)
+        except DeviceFailedError as error:
+            if hedge_ms is not None and isinstance(error, WorkerStalledError):
+                # Slow, not dead: abandon the shard without marking it failed.
+                self.cluster._record_rpc_event("hedge_fired", shard=shard_id, operations=len(slots))
+                for slot in slots:
+                    slot.failed = True
+                again.extend(slots)
+            else:  # died mid-batch: no answer, so none of its slots ran
+                self._fail(shard_id, slots, batch, again)
+            return 0
+        if error_code == wire.ERR_UNEXPECTED:
+            raise WireProtocolError(f"shard {shard_id}: {message}")
+        stats.busy_ms = busy_ms
+        stats.operations = len(results)
+        for slot, result in zip(slots, results):
+            kind = slot.operation.kind
+            _count(stats, kind, result)
+            if kind is not OpKind.LOOKUP:
+                # A replica's record stands in for a failed primary's.
+                if slot.primary or batch.results[slot.index] is None:
+                    batch.results[slot.index] = result
+            elif result.found:
+                batch.results[slot.index] = result
+                for stale in slot.missed:
+                    repairs.append((stale, slot.key, result.value))
+            else:
+                if batch.results[slot.index] is None:
+                    batch.results[slot.index] = result
+                slot.missed.append(shard_id)
+                if len(slot.attempted) < len(slot.replicas):
+                    again.append(slot)  # another replica may still hold it
+        if error_code == wire.ERR_DEVICE_FAILED or len(results) < len(slots):
+            self._fail(shard_id, slots[len(results) :], batch, again)
+        self._merge_shard_stats(batch, stats)
+        return len(results)
+
+    def _hedge_window(self, slots: List[_Slot], batch: BatchResult) -> Optional[float]:
+        """The hedge window for one sub-batch, or None when it is not hedged
+        (see ``hedge_delay_ms`` in the class docstring for the rule)."""
+        cluster = self.cluster
+        if self.hedge_delay_ms is None or cluster.replication_factor < 2 or batch.operations < 2:
+            return None
+        for slot in slots:
+            if slot.operation.kind is not OpKind.LOOKUP or not any(
+                replica not in slot.attempted and cluster.is_live(replica)
+                for replica in slot.replicas
+            ):
+                return None
+        return self.hedge_delay_ms
+
+    def _fail(
+        self, shard_id: str, slots: List[_Slot], batch: BatchResult, again: List[_Slot]
+    ) -> None:
+        """A shard failed with ``slots`` not run: count it, hint the writes."""
+        self.cluster.record_shard_error(shard_id)
+        for slot in slots:
+            slot.failed = True
+            # This shard's copy of each unfinished write is lost until a heal
+            # replays it or recovery re-replicates the key.
+            if slot.operation.kind is not OpKind.LOOKUP:
+                self.cluster._record_hint(shard_id, slot.key)
+        if shard_id not in batch.failed_shards:
+            batch.failed_shards.append(shard_id)
+        again.extend(slots)
+
+    def _reroute(self, slots: List[_Slot], batch: BatchResult) -> Dict[str, List[_Slot]]:
+        """Move left-behind operations and missed lookups to their next replica."""
+        is_live = self.cluster.is_live
+        groups: Dict[str, List[_Slot]] = {}
+        for slot in sorted(slots, key=lambda s: s.index):
+            kind = slot.operation.kind
+            if batch.results[slot.index] is None:
+                target = self._targets(slot.key, kind, slot.replicas, slot.attempted)[0]
+            elif kind is not OpKind.LOOKUP:
+                continue  # a surviving replica applied the write; the lost copy is hinted
+            else:
+                # Holding a miss: read through to the next live replica, and
+                # let the miss stand when there is none.
+                target = next(
+                    (s for s in slot.replicas if s not in slot.attempted and is_live(s)), None
+                )
+                if target is None:
+                    continue
+            if slot.failed:
+                slot.failed = False
+                batch.retried_operations += 1
+            groups.setdefault(target, []).append(slot)
         return groups
 
     def _merge_shard_stats(self, batch: BatchResult, stats: ShardBatchStats) -> None:
@@ -345,92 +448,6 @@ class BatchExecutor:
         batch.busy_ms += stats.busy_ms
         batch.dispatch_ms += stats.dispatch_ms
         batch.routing_ms += stats.routing_ms
-
-    def _execute_sub_batch(
-        self,
-        shard_id: str,
-        slots: List[_Slot],
-        results: List[object],
-    ) -> Tuple[Optional[ShardBatchStats], List[_Slot]]:
-        """Run one shard's slots; returns (stats, slots left behind by a failure)."""
-        try:
-            shard = self.shards[shard_id]
-        except KeyError:
-            if self._is_live is None:
-                raise ConfigurationError(
-                    f"router targets shard {shard_id!r} but no such instance exists"
-                ) from None
-            # Managed mode: the instance vanished between routing and
-            # execution (removed mid-flight) — report it and let the live
-            # view re-route the whole group.
-            self._notify_failure(shard_id)
-            for slot in slots:
-                slot.attempted.add(shard_id)
-            return None, slots
-        stats = ShardBatchStats(shard_id=shard_id)
-        stats.dispatch_ms = self.dispatch_overhead_ms
-        stats.routing_ms = self.routing_cost_ms * len(slots)
-        clock = getattr(shard, "clock", None)
-        if clock is not None:
-            # Charge routing + dispatch to the owning shard's clock so that
-            # every duration in the system derives from the same time line.
-            clock.advance(stats.dispatch_ms + stats.routing_ms)
-        tracer = _trace.ACTIVE
-        span = (
-            tracer.begin("shard.batch", clock, shard=shard_id, operations=len(slots))
-            if tracer is not None
-            else None
-        )
-        started_ms = clock.now_ms if clock is not None else 0.0
-        fallback_busy_ms = 0.0
-        leftover: List[_Slot] = []
-        completed = False
-        try:
-            for position, slot in enumerate(slots):
-                slot.attempted.add(shard_id)
-                try:
-                    result = apply_operation(shard, slot.operation, key=slot.key)
-                except DeviceFailedError:
-                    if self._is_live is None:
-                        raise
-                    self._notify_failure(shard_id)
-                    leftover = slots[position:]
-                    for pending in leftover:
-                        pending.attempted.add(shard_id)
-                        # This shard's copy of each unfinished write is lost until
-                        # a heal replays it or recovery re-replicates the key.
-                        if (
-                            pending.operation.kind is not OpKind.LOOKUP
-                            and self._on_missed_write is not None
-                        ):
-                            self._on_missed_write(shard_id, pending.key)
-                    break
-                if slot.primary:
-                    results[slot.index] = result
-                elif results[slot.index] is None:
-                    # A replica's record stands in for a failed primary's.
-                    results[slot.index] = result
-                stats.operations += 1
-                _count(stats, slot.operation.kind, result)
-                fallback_busy_ms += getattr(result, "latency_ms", 0.0)
-            completed = True
-        finally:
-            # The span must close on *every* exit — a DeviceFailedError that
-            # propagates in stand-alone mode, but also any unexpected
-            # exception from a shard operation; leaving it open would
-            # mis-parent (or, before Tracer.end grew its stack guard, orphan)
-            # every span the next operation opens.
-            if clock is not None:
-                stats.busy_ms = clock.now_ms - started_ms
-            else:
-                stats.busy_ms = fallback_busy_ms
-            if span is not None:
-                if leftover or not completed:
-                    span.attributes["failed"] = True
-                if leftover:
-                    span.attributes["operations_completed"] = stats.operations
-                tracer.end(span, clock)
-        return stats, leftover
 
 
 def _count(stats: ShardBatchStats, kind: OpKind, result) -> None:

@@ -6,15 +6,18 @@ instances — each with its own simulated device and clock — behind the exact
 (:class:`repro.workloads.runner.HashIndex`), so every existing driver (the
 workload runner, the baselines harness, the benchmarks) can operate a whole
 cluster unchanged.  Keys are placed by a consistent-hash
-:class:`~repro.service.router.ShardRouter`; batches go through a
-:class:`~repro.service.batch.BatchExecutor`; cluster time is the
+:class:`~repro.service.router.ShardRouter`; every client read and write — a
+single operation is a batch of one — goes through the
+:class:`~repro.service.batch.BatchExecutor`, which reaches each shard through
+the interface of :mod:`repro.service.shard`; cluster time is the
 :class:`~repro.flashsim.clock.ClockEnsemble` view over the shard clocks
 (parallel shards: elapsed time is the slowest member).
 
 With ``replication_factor=N`` the cluster tolerates shard failures: every
 write lands on the key's N-shard preference list
 (:meth:`~repro.service.router.ShardRouter.preference_list`), reads are served
-by the first live replica with read-repair of stale ones, shards that throw
+by the first live replica that hits, with read-repair of those that missed
+(the executor's docstring states the replica semantics), shards that throw
 :class:`~repro.core.errors.DeviceFailedError` (see
 :mod:`repro.flashsim.faults`) are marked down after ``failure_threshold``
 errors and routed around, and the
@@ -31,10 +34,9 @@ imbalance factor) and the fleet's failure/recovery health
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.clam import CLAM
-from repro.core.recovery import CrashRecoveryReport, DurableCLAM
+from repro.core.recovery import CrashRecoveryReport
 from repro.core.config import CLAMConfig
 from repro.core.errors import (
     ClusterCloseError,
@@ -45,7 +47,7 @@ from repro.core.errors import (
 from repro.core.eviction import EvictionPolicy
 from repro.core.hashing import KeyLike, canonical_key, key_data
 from repro.core.results import DeleteResult, InsertResult, LookupResult
-from repro.flashsim.clock import ClockEnsemble, SimulationClock
+from repro.flashsim.clock import ClockEnsemble
 from repro.service.batch import (
     DEFAULT_DISPATCH_OVERHEAD_MS,
     DEFAULT_ROUTING_COST_MS,
@@ -53,6 +55,7 @@ from repro.service.batch import (
     BatchResult,
 )
 from repro.service.router import HandoffStats, ShardRouter
+from repro.service.shard import LocalShard
 from repro.telemetry import trace as _trace
 from repro.telemetry.events import EventLog
 from repro.telemetry.export import build_snapshot
@@ -63,10 +66,6 @@ from repro.workloads.workload import (
     insert_operations,
     lookup_operations,
 )
-
-
-#: Operation kinds the write fan-out path dispatches, by method name.
-_WRITE_KINDS = {"insert": OpKind.INSERT, "update": OpKind.UPDATE, "delete": OpKind.DELETE}
 
 
 def imbalance_factor(loads: Iterable[float]) -> float:
@@ -81,13 +80,15 @@ def imbalance_factor(loads: Iterable[float]) -> float:
 class ClusterStats:
     """Merged statistics over every shard of a :class:`ClusterService`."""
 
-    def __init__(self, shards: Dict[str, CLAM], service: Optional["ClusterService"] = None) -> None:
+    def __init__(
+        self, shards: Dict[str, LocalShard], service: Optional["ClusterService"] = None
+    ) -> None:
         self._shards = shards
         self._service = service
 
     def per_shard(self) -> Dict[str, Dict[str, float]]:
         """Each shard's cheap counter snapshot (see :meth:`CLAM.counters`)."""
-        return {shard_id: clam.counters() for shard_id, clam in self._shards.items()}
+        return {shard_id: shard.counters() for shard_id, shard in self._shards.items()}
 
     def combined(self, per_shard: Optional[Dict[str, Dict[str, float]]] = None) -> Dict[str, float]:
         """Counter snapshot summed across shards.
@@ -215,6 +216,10 @@ class ClusterService:
         shard's keys.  Defaults to on whenever ``replication_factor > 1``.
     """
 
+    #: Hedged-read window handed to the executor.  Only the process-per-shard
+    #: deployment sets it: an in-process shard's answer never stalls.
+    hedge_delay_ms: Optional[float] = None
+
     def __init__(
         self,
         num_shards: int = 4,
@@ -263,13 +268,14 @@ class ClusterService:
         self._keep_latency_samples = keep_latency_samples
         self.replication_factor = replication_factor
         self.failure_threshold = failure_threshold
-        self.shards: Dict[str, CLAM] = {}
+        #: Shard id -> shard, each satisfying :mod:`repro.service.shard`.
+        self.shards: Dict[str, LocalShard] = {}
         self.clock = ClockEnsemble()
         #: Structured record of membership/failure/recovery transitions,
         #: stamped on the cluster clock.  Always on — these events are rare.
         self.events = EventLog(clock=self.clock)
         #: Cluster-level metrics (request counters, liveness gauges); the
-        #: per-shard registries live on the CLAMs themselves.  ``None`` when
+        #: per-shard registries live with the shards.  ``None`` when
         #: ``config.telemetry_enabled`` is off.
         self.telemetry: Optional[MetricsRegistry] = (
             MetricsRegistry() if self.config.telemetry_enabled else None
@@ -309,27 +315,10 @@ class ClusterService:
         for name in names:
             self._build_shard(name)
         self.router = ShardRouter(names, virtual_nodes=virtual_nodes)
-        self.executor = self._build_executor(dispatch_overhead_ms, routing_cost_ms)
-        self.stats = ClusterStats(self.shards, service=self)
-
-    def _build_executor(
-        self, dispatch_overhead_ms: float, routing_cost_ms: float
-    ) -> BatchExecutor:
-        """Construct the batch executor; the process-per-shard deployment
-        overrides this to install its scatter/gather executor with the same
-        hooks (same routing, failover and accounting — the results contract)."""
-        return BatchExecutor(
-            self.router,
-            self.shards,
-            dispatch_overhead_ms=dispatch_overhead_ms,
-            routing_cost_ms=routing_cost_ms,
-            hash_once=self.config.use_hash_once,
-            replication_factor=self.replication_factor,
-            is_live=self.is_live,
-            on_shard_error=self.record_shard_error,
-            on_missed_write=self._record_hint,
-            targets_for=self._op_replicas,
+        self.executor = BatchExecutor(
+            self, dispatch_overhead_ms, routing_cost_ms, hedge_delay_ms=self.hedge_delay_ms
         )
+        self.stats = ClusterStats(self.shards, service=self)
 
     def shard_path(self, shard_id: str) -> str:
         """Backing file of a persistent shard."""
@@ -337,33 +326,40 @@ class ClusterService:
             raise ConfigurationError("cluster has no data_dir (not persistent storage)")
         return os.path.join(self.data_dir, f"{shard_id}.clam")
 
-    def _build_shard(self, shard_id: str) -> CLAM:
+    def _make_shard(self, shard_id: str) -> LocalShard:
+        """How a shard is built — the one thing a deployment overrides (the
+        process-per-shard cluster returns a worker proxy instead)."""
+        return LocalShard(shard_id, *self._shard_spec(shard_id))
+
+    def _shard_spec(self, shard_id: str) -> tuple:
+        """What a :class:`LocalShard` is built from, here or in a worker."""
+        data_path = self.shard_path(shard_id) if self.storage == "persistent" else None
+        return (
+            self.config,
+            self.storage,
+            data_path,
+            self._eviction_policy,
+            self._keep_latency_samples,
+        )
+
+    def _build_shard(self, shard_id: str) -> LocalShard:
         if shard_id in self.shards:
             raise ConfigurationError(f"shard {shard_id!r} already exists")
-        if self.storage == "persistent":
-            # Reopening an existing file recovers it (cluster restart); the
-            # stored superblock config wins over self.config in that case.
-            path = self.shard_path(shard_id)
-            existing = os.path.exists(path) and os.path.getsize(path) > 0
-            clam: CLAM = DurableCLAM(
-                path,
-                config=None if existing else self.config,
-                clock=SimulationClock(),
-                eviction_policy=self._eviction_policy,
-                keep_latency_samples=self._keep_latency_samples,
-                name=shard_id,
-            )
-        else:
-            clam = CLAM(
-                self.config,
-                storage=self.storage,
-                clock=SimulationClock(),
-                eviction_policy=self._eviction_policy,
-                keep_latency_samples=self._keep_latency_samples,
-            )
-        self.shards[shard_id] = clam
-        self.clock.add(clam.clock)
-        return clam
+        shard = self._make_shard(shard_id)
+        self.shards[shard_id] = shard
+        self.clock.add(shard.clock)
+        return shard
+
+    def _replace_shard(self, shard_id: str, retire: Callable[[LocalShard], None]) -> LocalShard:
+        """Retire one shard instance (``retire`` closes or kills it) and
+        build its successor with a clean error record."""
+        old = self.shards.pop(shard_id)
+        self.clock.remove(old.clock)
+        retire(old)
+        shard = self._build_shard(shard_id)
+        self._errors.pop(shard_id, None)
+        self._down.discard(shard_id)
+        return shard
 
     # -- Liveness and failure accounting ------------------------------------------------
 
@@ -416,23 +412,8 @@ class ClusterService:
         """
         if shard_id not in self.shards:
             raise ConfigurationError(f"shard {shard_id!r} not present")
-        self._inject_fault(shard_id, mode, fault_kwargs)
+        self.shards[shard_id].inject_fault(mode, fault_kwargs)
         self.events.record("failure_injected", shard=shard_id, mode=mode)
-
-    def _inject_fault(self, shard_id: str, mode: str, fault_kwargs: Dict[str, object]) -> None:
-        """Plant one fault mode on every device of a shard (overridable: the
-        process-per-shard deployment relays this to the worker instead)."""
-        for device in self.shards[shard_id].devices:
-            if mode == "crash":
-                device.faults.crash()
-            elif mode == "io-errors":
-                device.faults.inject_errors(**fault_kwargs)
-            elif mode == "degraded":
-                device.faults.degrade(**fault_kwargs)
-            elif mode == "power-cut":
-                device.faults.crash_after_n_ios(fault_kwargs.get("after_n_ios", 1))
-            else:
-                raise ConfigurationError(f"unknown fault mode {mode!r}")
 
     def heal_shard(self, shard_id: str) -> None:
         """Clear faults and error state; the shard resumes serving.
@@ -448,17 +429,11 @@ class ClusterService:
         if shard_id not in self.shards:
             raise ConfigurationError(f"shard {shard_id!r} not present")
         was_down = shard_id in self._down
-        self._heal_devices(shard_id)
+        self.shards[shard_id].heal()
         self._errors.pop(shard_id, None)
         self._down.discard(shard_id)
         self.events.record("shard_healed", shard=shard_id, was_down=was_down)
         self._replay_hints_for(shard_id)
-
-    def _heal_devices(self, shard_id: str) -> None:
-        """Clear every device fault on one shard (overridable, like
-        :meth:`_inject_fault`)."""
-        for device in self.shards[shard_id].devices:
-            device.faults.heal()
 
     def _replay_hints_for(self, shard_id: str) -> int:
         """Replay the hinted-handoff log onto a shard that just rejoined.
@@ -496,14 +471,9 @@ class ClusterService:
         if shard_id not in self.shards:
             raise ConfigurationError(f"shard {shard_id!r} not present")
         self.events.record("crash_recovery_started", shard=shard_id)
-        old = self.shards.pop(shard_id)
-        self.clock.remove(old.clock)
-        old.close()  # releases the mapping; skips flushing on a dead device
-        clam = self._build_shard(shard_id)
-        report = clam.recovery_report
+        # close() releases the mapping; it skips flushing on a dead device.
+        report = self._replace_shard(shard_id, lambda old: old.close()).recovery_report
         assert isinstance(report, CrashRecoveryReport)  # the file existed
-        self._errors.pop(shard_id, None)
-        self._down.discard(shard_id)
         self.events.record(
             "crash_recovery_completed",
             shard=shard_id,
@@ -595,27 +565,13 @@ class ClusterService:
             return migration.replicas_for(key, kind)
         return self.router.preference_list(key, self.replication_factor)
 
-    def _live_replicas(self, key: KeyLike) -> Tuple[str, ...]:
-        """The key's serving replicas filtered through the live view.
-
-        Raises the typed :class:`ShardUnavailableError` (never a bare
-        ``KeyError``) when nothing is left to serve the key.
-        """
-        replicas = self._op_replicas(key, OpKind.LOOKUP)
-        live = tuple(s for s in replicas if self.is_live(s))
-        if not live:
-            raise ShardUnavailableError(
-                f"no live replica for key (preference list {replicas!r}, "
-                f"down {self.down_shard_ids!r})"
-            )
-        return live
-
     def _shard_op(self, shard_id: str, op_name: str, *args):
-        """One dispatched operation against one shard; None if the shard fails.
+        """One *directed* operation against one shard; None if the shard fails.
 
-        Charges the stand-alone dispatch + routing overhead to the shard's
-        clock (batches amortise the dispatch share instead, see
-        :class:`BatchExecutor`) and folds any
+        The primitive under hint replay, read repair, recovery and migration
+        — work aimed at a specific shard rather than at a key's replicas
+        (client reads and writes go through :meth:`execute_batch`).  Charges
+        one dispatch + routing overhead to the shard's clock and folds any
         :class:`DeviceFailedError` into the error counters.
         """
         shard = self.shards[shard_id]
@@ -642,77 +598,33 @@ class ClusterService:
         if self.migration is not None:
             self.migration.note_write(data, alive)
 
-    def _write_all(self, op_name: str, key: KeyLike, *args):
-        """Run a write on every live replica; the primary's result is returned.
+    def _read_repair(self, shard_id: str, key: KeyLike, value: bytes) -> bool:
+        """Re-insert a value on a replica found to be missing it."""
+        repaired = self._shard_op(shard_id, "insert", key, value) is not None
+        if repaired:
+            self.read_repairs += 1
+        return repaired
 
-        Replicas that are down (or fail mid-write) get a hinted-handoff entry
-        so :meth:`heal_shard` can replay what they missed.
-        """
-        key = self._canonical(key)
-        replicas = self._op_replicas(key, _WRITE_KINDS[op_name])
-        primary_result = None
-        for shard_id in replicas:
-            if not self.is_live(shard_id):
-                self._record_hint(shard_id, key)
-                continue
-            result = self._shard_op(shard_id, op_name, key, *args)
-            if result is None:
-                self._record_hint(shard_id, key)
-            elif primary_result is None:
-                primary_result = result
-        if primary_result is None:
-            raise ShardUnavailableError(
-                f"no live replica executed {op_name} (preference list {replicas!r}, "
-                f"down {self.down_shard_ids!r})"
-            )
-        return primary_result
+    def _one(self, kind: OpKind, key: KeyLike, value: bytes = b""):
+        """A single operation is a batch of one: same replica semantics, same
+        clock charges (see :class:`~repro.service.batch.BatchExecutor`)."""
+        return self.execute_batch((Operation(kind, key, value),)).results[0]
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a (key, value) pair on every live replica."""
-        result = self._write_all("insert", key, value)
-        self._track(result.key, alive=True)
-        return result
+        return self._one(OpKind.INSERT, key, value)
 
     def update(self, key: KeyLike, value: bytes) -> InsertResult:
         """Lazy update (alias of insert), written to every live replica."""
-        result = self._write_all("update", key, value)
-        self._track(result.key, alive=True)
-        return result
+        return self._one(OpKind.UPDATE, key, value)
 
     def lookup(self, key: KeyLike) -> LookupResult:
-        """Look up a key on the first live replica, with read-repair.
-
-        Replicas are tried in preference-list order.  A replica that answers
-        with a hit wins; any earlier live replica that *missed* (it was down
-        or behind when the value was written) is repaired by re-inserting the
-        value.  A replica that raises :class:`DeviceFailedError` is counted
-        against its error threshold and skipped.  Only when every live
-        replica misses is the miss returned.
-        """
-        key = self._canonical(key)
-        misses: List[str] = []
-        first_miss: Optional[LookupResult] = None
-        for shard_id in self._live_replicas(key):
-            result = self._shard_op(shard_id, "lookup", key)
-            if result is None:
-                continue
-            if result.found:
-                for stale in misses:
-                    if self._shard_op(stale, "insert", key, result.value) is not None:
-                        self.read_repairs += 1
-                return result
-            misses.append(shard_id)
-            if first_miss is None:
-                first_miss = result
-        if first_miss is None:
-            raise ShardUnavailableError("every live replica failed while executing lookup")
-        return first_miss
+        """Look up a key on its replicas, with read-through and read-repair."""
+        return self._one(OpKind.LOOKUP, key)
 
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete a key on every live replica."""
-        result = self._write_all("delete", key)
-        self._track(result.key, alive=False)
-        return result
+        return self._one(OpKind.DELETE, key)
 
     def get(self, key: KeyLike) -> Optional[bytes]:
         """Convenience accessor returning just the value (or ``None``)."""
@@ -838,9 +750,9 @@ class ClusterService:
             raise ConfigurationError(
                 f"shard {shard_id!r} is still on the ring; remove it from the router first"
             )
-        clam = self.shards.pop(shard_id)
-        self._close_shard(clam)
-        self.clock.remove(clam.clock)
+        shard = self.shards.pop(shard_id)
+        shard.close()
+        self.clock.remove(shard.clock)
         self._errors.pop(shard_id, None)
         self._down.discard(shard_id)
         self._hints.pop(shard_id, None)
@@ -862,13 +774,6 @@ class ClusterService:
                 "key migration is in flight (drain or abort it first)"
             )
 
-    def _close_shard(self, clam: CLAM) -> None:
-        """Release one shard instance (flush + checkpoint + unmap when
-        persistent; no-op otherwise).  The process-per-shard deployment
-        overrides this to shut the worker process down instead."""
-        if isinstance(clam, DurableCLAM):
-            clam.close()
-
     def close(self) -> None:
         """Cleanly close every shard (flush, checkpoint, unmap when persistent).
 
@@ -880,9 +785,9 @@ class ClusterService:
         benchmarks on ``storage="persistent"`` never leak file handles.
         """
         failures: List[Tuple[str, Exception]] = []
-        for shard_id, clam in self.shards.items():
+        for shard_id, shard in self.shards.items():
             try:
-                self._close_shard(clam)
+                shard.close()
             except Exception as error:
                 failures.append((shard_id, error))
         if failures:
@@ -909,28 +814,44 @@ class ClusterService:
         if self.telemetry is not None:
             self.telemetry.gauge("live_shards").set(len(self.live_shard_ids))
             self.telemetry.gauge("down_shards").set(len(self.down_shard_ids))
-        per_shard = self._shard_registries()
         return build_snapshot(
-            per_shard=per_shard,
+            per_shard=self.shard_registries(),
             events=self.events,
             tracer=tracer,
             include_buckets=include_buckets,
             extra_registry=self.telemetry,
         )
 
-    def _shard_registries(self) -> Dict[str, MetricsRegistry]:
-        """Per-shard metrics registries for the telemetry envelope.
+    def shard_registries(self) -> Dict[str, MetricsRegistry]:
+        """Each shard's metrics registry, read through the shard interface.
 
-        In-process shards expose their registry objects directly; the
-        process-per-shard deployment overrides this to fetch each worker's
-        snapshot over the wire and rebuild mergeable registries from it
-        (:meth:`~repro.telemetry.registry.MetricsRegistry.from_snapshot`).
+        An in-process shard hands back its live registry; a worker's is
+        fetched over the wire and rebuilt mergeable (bucket-preserving, so
+        merges stay bit-exact).  Shards without telemetry and dead workers —
+        whose samples died with them, like a crashed server's scrape target —
+        are left out.
         """
-        return {
-            shard_id: clam.telemetry
-            for shard_id, clam in self.shards.items()
-            if clam.telemetry is not None
-        }
+        registries: Dict[str, MetricsRegistry] = {}
+        for shard_id, shard in self.shards.items():
+            try:
+                registry = shard.telemetry_registry()
+            except DeviceFailedError:
+                continue
+            if registry is not None:
+                registries[shard_id] = registry
+        return registries
+
+    def _record_rpc_event(self, kind: str, shard: str, **attributes) -> None:
+        """One RPC-resilience event (``chaos_injected`` / ``rpc_timeout`` /
+        ``rpc_retry`` / ``hedge_fired`` / ``worker_stalled``): logged to the
+        EventLog and counted per shard.  Counters are created lazily, so a
+        fault-free run registers nothing — keeping the chaos-off telemetry
+        snapshot of a process-per-shard cluster bit-identical to this one's.
+        """
+        self.events.record(kind, shard=shard, **attributes)
+        if self.telemetry is not None:
+            self.telemetry.counter(f"rpc.{kind}").inc()
+            self.telemetry.counter(f"rpc.{kind}.{shard}").inc()
 
     def throughput_ops_per_second(self, combined: Optional[Dict[str, float]] = None) -> float:
         """Cluster-wide hash operations per simulated (parallel) second.

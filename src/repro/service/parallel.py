@@ -12,13 +12,15 @@ chews on its sub-batch concurrently while the parent waits.
 The bit-identical results contract
 ----------------------------------
 The in-process :class:`~repro.service.cluster.ClusterService` stays the
-default deterministic test path.  The parallel deployment reuses its exact
-routing, replication, hint and retry machinery — only the innermost dispatch
-hop (:meth:`~repro.service.batch.BatchExecutor._dispatch_round`) is replaced
-— and each worker runs the same deterministic CLAM on the same kind of
-private :class:`~repro.flashsim.clock.SimulationClock`, advanced by exactly
-the amounts the in-process executor would have advanced it (the parent
-mirrors each worker clock and ships accrued advances inside batch frames).
+default deterministic test path.  The parallel deployment runs the same
+cluster code and the same :class:`~repro.service.batch.BatchExecutor` —
+only *how a shard is built* differs: a :class:`RemoteShard` proxy instead of
+a :class:`~repro.service.shard.LocalShard`.  Each worker is itself a
+``LocalShard`` served by the shared :func:`~repro.service.shard.apply_batch`
+loop on the same kind of private
+:class:`~repro.flashsim.clock.SimulationClock`, advanced by exactly the
+amounts an in-process shard's would be (the parent mirrors each worker clock
+and ships accrued advances inside batch frames).
 Operation results, per-shard counters and simulated clocks are therefore
 **bit-identical** between the two modes; ``tests/test_parallel_cluster.py``
 enforces the contract and ``benchmarks/bench_parallel_cluster.py`` ratchets
@@ -53,7 +55,6 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.clam import CLAM
 from repro.core.config import CLAMConfig
 from repro.core.errors import (
     BufferHashError,
@@ -63,23 +64,20 @@ from repro.core.errors import (
     WorkerDiedError,
     WorkerStalledError,
 )
-from repro.core.recovery import CrashRecoveryReport, DurableCLAM
-from repro.flashsim.clock import SimulationClock
+from repro.core.recovery import CrashRecoveryReport
 from repro.service import wire
-from repro.service.batch import BatchExecutor, BatchResult, ShardBatchStats, _count, _Slot
 from repro.service.chaos import ChaosSchedule, ChaosTransport, derive_seed
 from repro.service.cluster import ClusterService
+from repro.service.shard import BatchAnswer, LocalShard, apply_batch
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
-from repro.workloads.runner import apply_operation
-from repro.workloads.workload import Operation, OpKind
+from repro.workloads.workload import OpKind
 
 __all__ = [
     "DEFAULT_REQUEST_DEADLINE_MS",
     "DEFAULT_RETRY_BACKOFF_CAP_MS",
     "DEFAULT_RETRY_BACKOFF_MS",
     "DEFAULT_RETRY_LIMIT",
-    "ParallelBatchExecutor",
     "ParallelClusterService",
     "RemoteShard",
 ]
@@ -155,73 +153,43 @@ class _MirrorClock:
 # -- Worker process -----------------------------------------------------------------
 
 
-def _apply_fault(clam: CLAM, mode: str, fault_kwargs: Dict[str, object]) -> None:
-    """Worker-side twin of ``ClusterService._inject_fault``."""
-    for device in clam.devices:
-        if mode == "crash":
-            device.faults.crash()
-        elif mode == "io-errors":
-            device.faults.inject_errors(**fault_kwargs)
-        elif mode == "degraded":
-            device.faults.degrade(**fault_kwargs)
-        elif mode == "power-cut":
-            device.faults.crash_after_n_ios(int(fault_kwargs.get("after_n_ios", 1)))
-        else:
-            raise ConfigurationError(f"unknown fault mode {mode!r}")
-
-
-def _handle_batch(clam: CLAM, hash_once: bool, payload: bytes) -> bytes:
-    """Execute one batch frame against the worker's CLAM."""
+def _handle_batch(shard: LocalShard, hash_once: bool, payload: bytes) -> bytes:
+    """Execute one batch frame against the worker's shard."""
     advance_ms, operations = wire.decode_batch_request(payload)
-    if advance_ms:
-        clam.clock.advance(advance_ms)
-    started_ms = clam.clock.now_ms
-    results: List[object] = []
-    error_code = wire.ERR_NONE
-    message = ""
-    for kind, digest, value in operations:
-        key = digest if hash_once else digest.data
-        operation = Operation(kind, digest.data, value)
-        try:
-            results.append(apply_operation(clam, operation, key=key))
-        except DeviceFailedError as error:
-            error_code = wire.ERR_DEVICE_FAILED
-            message = f"{type(error).__name__}: {error}"
-            break
-        except Exception as error:  # surfaced to the parent as a typed code
-            error_code = wire.ERR_UNEXPECTED
-            message = f"{type(error).__name__}: {error}"
-            break
-    busy_ms = clam.clock.now_ms - started_ms
-    return wire.encode_batch_response(results, error_code, message, clam.clock.now_ms, busy_ms)
+    if not hash_once:
+        operations = [(kind, digest.data, value) for kind, digest, value in operations]
+    try:
+        results, error_code, message, busy_ms = apply_batch(shard, advance_ms, operations)
+    except Exception as error:  # surfaced to the parent as a typed code
+        results, error_code, busy_ms = [], wire.ERR_UNEXPECTED, 0.0
+        message = f"{type(error).__name__}: {error}"
+    return wire.encode_batch_response(results, error_code, message, shard.clock.now_ms, busy_ms)
 
 
-def _handle_control(clam: CLAM, request: Dict[str, object]) -> Dict[str, object]:
+def _handle_control(shard: LocalShard, request: Dict[str, object]) -> Dict[str, object]:
     """Low-rate management requests (everything except batches and close)."""
     op = request.get("op")
     if op == "ping":
         return {"ok": True, "pid": os.getpid()}
     if op == "counters":
-        return {"ok": True, "counters": clam.counters()}
+        return {"ok": True, "counters": shard.counters()}
     if op == "telemetry":
-        snapshot = (
-            clam.telemetry.snapshot(include_buckets=True) if clam.telemetry is not None else None
-        )
+        registry = shard.telemetry_registry()
+        snapshot = registry.snapshot(include_buckets=True) if registry is not None else None
         return {"ok": True, "telemetry": snapshot}
     if op == "cpu_time":
         return {"ok": True, "cpu_s": time.process_time()}
     if op == "fault":
         try:
-            _apply_fault(clam, str(request.get("mode")), dict(request.get("kwargs") or {}))
+            shard.inject_fault(str(request.get("mode")), dict(request.get("kwargs") or {}))
         except BufferHashError as error:
             return {"ok": False, "error": str(error)}
         return {"ok": True}
     if op == "heal":
-        for device in clam.devices:
-            device.faults.heal()
+        shard.heal()
         return {"ok": True}
     if op == "recovery_report":
-        report = getattr(clam, "recovery_report", None)
+        report = shard.recovery_report
         return {"ok": True, "report": report.to_dict() if report is not None else None}
     return {"ok": False, "error": f"unknown control op {op!r}"}
 
@@ -249,10 +217,10 @@ def _worker_main(
     eviction_policy,
     keep_latency_samples: bool,
 ) -> None:
-    """Entry point of one shard worker: build the CLAM, serve frames, exit.
+    """Entry point of one shard worker: a :class:`LocalShard` behind a socket.
 
-    The worker owns a private :class:`SimulationClock` and (forked) copies of
-    the config and eviction policy; nothing is shared with the parent except
+    The worker owns a private simulated clock and (forked) copies of the
+    config and eviction policy; nothing is shared with the parent except
     the socket.  The loop exits on a clean ``close`` control frame or when
     the parent hangs up (EOF), and a persistent CLAM is always closed on the
     way out so an orphaned worker still checkpoints its file.
@@ -266,28 +234,13 @@ def _worker_main(
     of masquerading as a clean parent hang-up.
     """
     _trace.ACTIVE = None  # the parent's tracer must not leak across the fork
-    clam: Optional[CLAM] = None
+    shard: Optional[LocalShard] = None
     exit_code = 0
     try:
         try:
-            if storage == "persistent":
-                existing = data_path and os.path.exists(data_path) and os.path.getsize(data_path)
-                clam = DurableCLAM(
-                    data_path,
-                    config=None if existing else config,
-                    clock=SimulationClock(),
-                    eviction_policy=eviction_policy,
-                    keep_latency_samples=keep_latency_samples,
-                    name=shard_id,
-                )
-            else:
-                clam = CLAM(
-                    config,
-                    storage=storage,
-                    clock=SimulationClock(),
-                    eviction_policy=eviction_policy,
-                    keep_latency_samples=keep_latency_samples,
-                )
+            shard = LocalShard(
+                shard_id, config, storage, data_path, eviction_policy, keep_latency_samples
+            )
         except Exception as error:  # tell the parent why the build failed
             hello = {"ok": False, "error": f"{type(error).__name__}: {error}"}
             wire.send_frame(conn, wire.FRAME_CONTROL_RESPONSE, wire.encode_control(hello))
@@ -297,7 +250,7 @@ def _worker_main(
             wire.FRAME_CONTROL_RESPONSE,
             wire.encode_control({"ok": True, "pid": os.getpid()}),
         )
-        hash_once = clam.config.use_hash_once
+        hash_once = shard.clam.config.use_hash_once
         while True:
             try:
                 frame_type, seq, payload = wire.recv_frame(conn)
@@ -322,25 +275,21 @@ def _worker_main(
                 break
             try:
                 if frame_type == wire.FRAME_BATCH_REQUEST:
-                    response = _handle_batch(clam, hash_once, payload)
+                    response = _handle_batch(shard, hash_once, payload)
                     wire.send_frame(conn, wire.FRAME_BATCH_RESPONSE, response, seq=seq)
                 elif frame_type == wire.FRAME_CONTROL_REQUEST:
                     request = wire.decode_control(payload)
                     if request.get("op") == "close":
                         reply: Dict[str, object] = {"ok": True}
-                        if isinstance(clam, DurableCLAM):
-                            try:
-                                clam.close()
-                            except Exception as error:
-                                reply = {
-                                    "ok": False,
-                                    "error": f"{type(error).__name__}: {error}",
-                                }
+                        try:
+                            shard.close()
+                        except Exception as error:
+                            reply = {"ok": False, "error": f"{type(error).__name__}: {error}"}
                         wire.send_frame(
                             conn, wire.FRAME_CONTROL_RESPONSE, wire.encode_control(reply), seq=seq
                         )
                         break
-                    reply = _handle_control(clam, request)
+                    reply = _handle_control(shard, request)
                     wire.send_frame(
                         conn, wire.FRAME_CONTROL_RESPONSE, wire.encode_control(reply), seq=seq
                     )
@@ -353,9 +302,9 @@ def _worker_main(
             conn.close()
         except OSError:  # pragma: no cover - best-effort cleanup
             pass
-        if isinstance(clam, DurableCLAM) and not clam.closed:
+        if shard is not None:
             try:
-                clam.close()
+                shard.close()
             except Exception:  # pragma: no cover - dead device at exit
                 pass
     if exit_code:
@@ -368,12 +317,12 @@ def _worker_main(
 class RemoteShard:
     """Parent-side proxy for one shard worker process.
 
-    Satisfies everything :class:`~repro.service.cluster.ClusterService`
-    needs from a shard — the ``HashIndex`` methods (as one-operation batch
-    frames, so single ops and batches share one code path and one clock
-    policy), ``counters()``, a ``clock`` for the cluster ensemble, and
-    ``close()`` — plus the batch scatter/gather halves used by
-    :class:`ParallelBatchExecutor` and the fault/telemetry controls.
+    Implements the shard interface of :mod:`repro.service.shard` over the
+    wire: batches as one frame each way (the ``HashIndex`` methods are
+    one-operation batch frames, so they share that path and its clock
+    policy), everything else as control frames.  On top of the interface it
+    exposes what only a process has: ``pid``, ``alive``, ``kill()``,
+    ``cpu_seconds()``.
 
     Transport failures (EOF, broken pipe) mark the proxy dead and raise
     :class:`~repro.core.errors.WorkerDiedError` so callers handle a dead
@@ -420,11 +369,6 @@ class RemoteShard:
         #: cluster wires it to its EventLog and per-shard counters.
         self.on_event = on_event
         self.clock = _MirrorClock()
-        #: Always ``None``: the worker's registry lives in the worker; fetch a
-        #: mergeable copy with :meth:`telemetry_registry`.  The attribute keeps
-        #: in-process consumers (stats, autoscaler) working via their existing
-        #: ``telemetry is None`` guards.
-        self.telemetry = None
         self._ctx = ctx
         self._eviction_policy = eviction_policy
         self._keep_latency_samples = keep_latency_samples
@@ -647,34 +591,27 @@ class RemoteShard:
         self._inflight = (seq, wire.FRAME_BATCH_REQUEST, payload)
         self._send(wire.FRAME_BATCH_REQUEST, payload, seq)
 
-    def recv_batch(
-        self,
-        probe_timeout_ms: Optional[float] = None,
-        probe: bool = False,
-    ) -> Tuple[List[object], int, str, float]:
+    def recv_batch(self, probe_timeout_ms: Optional[float] = None) -> BatchAnswer:
         """Gather half: returns ``(results, error_code, message, busy_ms)``.
 
-        ``probe=True`` is the hedged-read mode: one attempt with
-        ``probe_timeout_ms`` as the deadline, no retries, no circuit-opening
-        — a miss raises :class:`~repro.core.errors.WorkerStalledError` while
-        leaving the worker marked alive, and the executor reroutes the
-        lookups to another replica (the abandoned response is discarded by
-        sequence number on the next exchange).
+        A ``probe_timeout_ms`` is the hedged-read mode: one attempt with that
+        deadline, no retries, no circuit-opening — a miss raises
+        :class:`~repro.core.errors.WorkerStalledError` while leaving the
+        worker marked alive, and the executor reroutes the lookups to
+        another replica (the abandoned response is discarded by sequence
+        number on the next exchange).
         """
         if self._inflight is None:
             raise WireProtocolError(f"no batch in flight for shard {self.shard_id!r}")
         seq, frame_type, payload = self._inflight
-        if probe:
-            timeout_ms = (
-                probe_timeout_ms if probe_timeout_ms is not None else self.request_deadline_ms
-            )
+        if probe_timeout_ms is not None:
             try:
                 response = self._recv_matching(
-                    wire.FRAME_BATCH_RESPONSE, seq, timeout_ms / 1000.0
+                    wire.FRAME_BATCH_RESPONSE, seq, probe_timeout_ms / 1000.0
                 )
             except TimeoutError as error:
                 raise WorkerStalledError(
-                    f"shard {self.shard_id!r} missed the {timeout_ms:g} ms hedge window"
+                    f"shard {self.shard_id!r} missed the {probe_timeout_ms:g} ms hedge window"
                 ) from error
             except wire.CorruptFrameError as error:
                 raise WorkerStalledError(
@@ -816,189 +753,8 @@ class RemoteShard:
             raise failure
 
     def close(self) -> None:
-        """Alias for :meth:`shutdown` (the shard-side close interface)."""
+        """Alias for :meth:`shutdown` (the shard-interface name)."""
         self.shutdown()
-
-
-# -- Scatter/gather executor --------------------------------------------------------
-
-
-class ParallelBatchExecutor(BatchExecutor):
-    """The batch executor's per-shard fanout as a true scatter/gather.
-
-    Only :meth:`_dispatch_round` changes relative to the base class: every
-    shard's sub-batch frame is sent before any response is read, so the
-    worker processes execute concurrently and a round's wall-clock cost is
-    the *slowest* worker rather than the sum.  Routing, replica failover,
-    retry and accounting are inherited unchanged — the same slots, the same
-    hooks, the same stats — which is what keeps process-mode results
-    bit-identical to the in-process executor's.
-
-    Managed mode is required (a live view must drive failover): a worker
-    death has to be survivable, and only the managed re-route machinery can
-    move its slots to another replica.
-
-    With ``hedge_delay_ms`` set and ``replication_factor >= 2``, all-lookup
-    sub-batches are *hedged*: the gather half waits only the hedge window
-    for the primary's response, and on a miss abandons it (without marking
-    the shard failed — slow is not dead) and re-dispatches the lookups to
-    the next untried live replica through the normal re-route machinery.
-    The abandoned response is discarded by sequence number when it finally
-    arrives.  Only groups where every slot has such an alternative are
-    hedged, so a hedge can never manufacture a
-    :class:`~repro.core.errors.ShardUnavailableError`.
-    """
-
-    def __init__(
-        self,
-        *args,
-        hedge_delay_ms: Optional[float] = None,
-        on_rpc_event: Optional[Callable[..., None]] = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        if not self.managed:
-            raise ConfigurationError(
-                "ParallelBatchExecutor requires managed mode (an is_live hook); "
-                "stand-alone batches belong on the in-process BatchExecutor"
-            )
-        if hedge_delay_ms is not None and hedge_delay_ms <= 0:
-            raise ConfigurationError("hedge_delay_ms must be positive (or None to disable)")
-        self.hedge_delay_ms = hedge_delay_ms
-        self._on_rpc_event = on_rpc_event
-
-    def _rpc_event(self, kind: str, **attributes) -> None:
-        if self._on_rpc_event is not None:
-            self._on_rpc_event(kind, **attributes)
-
-    def _hedgeable(self, slots: List[_Slot]) -> bool:
-        """Whether one sub-batch qualifies for a hedged read.
-
-        Requires: hedging enabled, RF >= 2, every slot a lookup (writes are
-        never hedged — a duplicated write still lands, but hedging buys
-        nothing and doubles device work), and every slot having at least one
-        live, untried replica to fail over to.
-        """
-        if self.hedge_delay_ms is None or self.replication_factor < 2:
-            return False
-        for slot in slots:
-            if slot.operation.kind is not OpKind.LOOKUP:
-                return False
-            if self._targets_for is not None:
-                replicas = self._targets_for(slot.key, slot.operation.kind)
-            else:
-                replicas = self.router.preference_list(slot.key, self.replication_factor)
-            if not any(
-                replica not in slot.attempted
-                and replica in self.shards
-                and self._is_live(replica)
-                for replica in replicas
-            ):
-                return False
-        return True
-
-    def _dispatch_round(
-        self, groups: Dict[str, List[_Slot]], batch: BatchResult
-    ) -> List[_Slot]:
-        failed_slots: List[_Slot] = []
-        in_flight: List[Tuple[str, RemoteShard, List[_Slot], ShardBatchStats, float]] = []
-
-        # Scatter: one frame per shard, no waiting in between.
-        for shard_id, slots in groups.items():
-            shard = self.shards.get(shard_id)
-            for slot in slots:
-                slot.attempted.add(shard_id)
-            if shard is None:
-                # Removed between routing and execution; managed mode re-routes.
-                self._fail_group(shard_id, slots, batch, failed_slots, missed_writes=False)
-                continue
-            stats = ShardBatchStats(shard_id=shard_id)
-            stats.dispatch_ms = self.dispatch_overhead_ms
-            stats.routing_ms = self.routing_cost_ms * len(slots)
-            operations = [(slot.operation.kind, slot.key, slot.operation.value) for slot in slots]
-            try:
-                shard.send_batch(operations, extra_advance_ms=stats.dispatch_ms + stats.routing_ms)
-            except DeviceFailedError:
-                self._fail_group(shard_id, slots, batch, failed_slots, missed_writes=True)
-                continue
-            in_flight.append((shard_id, shard, slots, stats, shard.clock.now_ms))
-
-        # Gather: read responses in dispatch order.  Workers kept computing
-        # while we were still scattering and while earlier responses were
-        # being folded in — that overlap is the whole point.
-        for shard_id, shard, slots, stats, started_ms in in_flight:
-            try:
-                if self._hedgeable(slots):
-                    try:
-                        results, error_code, message, busy_ms = shard.recv_batch(
-                            probe_timeout_ms=self.hedge_delay_ms, probe=True
-                        )
-                    except WorkerStalledError:
-                        # Slow, not dead: abandon the primary without marking
-                        # it failed and reroute the lookups to a replica.
-                        self._rpc_event("hedge_fired", shard=shard_id, operations=len(slots))
-                        failed_slots.extend(slots)
-                        continue
-                else:
-                    results, error_code, message, busy_ms = shard.recv_batch()
-            except DeviceFailedError:
-                # Killed mid-batch: no response, so none of its slots ran.
-                self._fail_group(shard_id, slots, batch, failed_slots, missed_writes=True)
-                continue
-            if error_code == wire.ERR_UNEXPECTED:
-                raise WireProtocolError(f"shard {shard_id}: {message}")
-            tracer = _trace.ACTIVE
-            span = None
-            if tracer is not None:
-                span = tracer.begin(
-                    "shard.batch", shard.clock, shard=shard_id, operations=len(slots)
-                )
-                span.start_ms = started_ms  # the frame was sent back then
-            stats.busy_ms = busy_ms
-            for slot, result in zip(slots, results):
-                if slot.primary:
-                    batch.results[slot.index] = result
-                elif batch.results[slot.index] is None:
-                    batch.results[slot.index] = result
-                stats.operations += 1
-                _count(stats, slot.operation.kind, result)
-            leftover = slots[len(results) :]
-            if error_code == wire.ERR_DEVICE_FAILED or leftover:
-                self._notify_failure(shard_id)
-                for pending in leftover:
-                    if (
-                        pending.operation.kind is not OpKind.LOOKUP
-                        and self._on_missed_write is not None
-                    ):
-                        self._on_missed_write(shard_id, pending.key)
-                if shard_id not in batch.failed_shards:
-                    batch.failed_shards.append(shard_id)
-                failed_slots.extend(leftover)
-            if span is not None:
-                if leftover:
-                    span.attributes["failed"] = True
-                    span.attributes["operations_completed"] = stats.operations
-                tracer.end(span, shard.clock)
-            self._merge_shard_stats(batch, stats)
-        return failed_slots
-
-    def _fail_group(
-        self,
-        shard_id: str,
-        slots: List[_Slot],
-        batch: BatchResult,
-        failed_slots: List[_Slot],
-        missed_writes: bool,
-    ) -> None:
-        """One shard's whole sub-batch failed before (or without) a response."""
-        self._notify_failure(shard_id)
-        if missed_writes and self._on_missed_write is not None:
-            for slot in slots:
-                if slot.operation.kind is not OpKind.LOOKUP:
-                    self._on_missed_write(shard_id, slot.key)
-        if shard_id not in batch.failed_shards:
-            batch.failed_shards.append(shard_id)
-        failed_slots.extend(slots)
 
 
 # -- The process-per-shard cluster --------------------------------------------------
@@ -1019,7 +775,6 @@ class ParallelClusterService(ClusterService):
     def __init__(
         self,
         *args,
-        start_method: str = "fork",
         request_deadline_ms: float = DEFAULT_REQUEST_DEADLINE_MS,
         retry_limit: int = DEFAULT_RETRY_LIMIT,
         retry_backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS,
@@ -1027,18 +782,14 @@ class ParallelClusterService(ClusterService):
         hedge_delay_ms: Optional[float] = None,
         **kwargs,
     ) -> None:
-        if start_method != "fork":
-            raise ConfigurationError(
-                "process-per-shard workers require the fork start method "
-                "(sockets, configs and eviction policies are inherited, not pickled)"
-            )
-        if "fork" not in multiprocessing.get_all_start_methods():
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:
             raise ConfigurationError(
                 "this platform cannot fork; use the in-process ClusterService"
-            )
-        self._ctx = multiprocessing.get_context("fork")
-        # RPC-resilience knobs, consumed by _build_shard/_build_executor —
-        # which run during super().__init__, so they must be set first.
+            ) from None
+        # RPC-resilience knobs, consumed while super().__init__ builds the
+        # shards and the executor, so they must be set first.
         self.request_deadline_ms = float(request_deadline_ms)
         self.retry_limit = int(retry_limit)
         self.retry_backoff_ms = float(retry_backoff_ms)
@@ -1047,67 +798,23 @@ class ParallelClusterService(ClusterService):
         self._chaos: Optional[Tuple[ChaosSchedule, int]] = None
         super().__init__(*args, **kwargs)
 
-    # -- Hook overrides ----------------------------------------------------------------
+    def _make_shard(self, shard_id: str) -> RemoteShard:
+        def on_event(kind: str, **attributes) -> None:
+            self._record_rpc_event(kind, shard=shard_id, **attributes)
 
-    def _build_shard(self, shard_id: str) -> RemoteShard:
-        if shard_id in self.shards:
-            raise ConfigurationError(f"shard {shard_id!r} already exists")
-        data_path = self.shard_path(shard_id) if self.storage == "persistent" else None
         shard = RemoteShard(
             shard_id,
             self._ctx,
-            self.config,
-            self.storage,
-            data_path=data_path,
-            eviction_policy=self._eviction_policy,
-            keep_latency_samples=self._keep_latency_samples,
+            *self._shard_spec(shard_id),
             request_deadline_ms=self.request_deadline_ms,
             retry_limit=self.retry_limit,
             retry_backoff_ms=self.retry_backoff_ms,
             retry_backoff_cap_ms=self.retry_backoff_cap_ms,
+            on_event=on_event,
         )
-        shard.on_event = self._shard_event_hook(shard_id)
         if self._chaos is not None:
             self._wrap_with_chaos(shard_id, shard)
-        self.shards[shard_id] = shard
-        self.clock.add(shard.clock)
         return shard
-
-    def _build_executor(self, dispatch_overhead_ms: float, routing_cost_ms: float):
-        return ParallelBatchExecutor(
-            self.router,
-            self.shards,
-            dispatch_overhead_ms=dispatch_overhead_ms,
-            routing_cost_ms=routing_cost_ms,
-            hash_once=self.config.use_hash_once,
-            replication_factor=self.replication_factor,
-            is_live=self.is_live,
-            on_shard_error=self.record_shard_error,
-            on_missed_write=self._record_hint,
-            targets_for=self._op_replicas,
-            hedge_delay_ms=self.hedge_delay_ms,
-            on_rpc_event=self._record_rpc_event,
-        )
-
-    # -- RPC-resilience events ---------------------------------------------------------
-
-    def _shard_event_hook(self, shard_id: str) -> Callable[..., None]:
-        def hook(kind: str, **attributes) -> None:
-            self._record_rpc_event(kind, shard=shard_id, **attributes)
-
-        return hook
-
-    def _record_rpc_event(self, kind: str, shard: str, **attributes) -> None:
-        """One RPC-resilience event (``chaos_injected`` / ``rpc_timeout`` /
-        ``rpc_retry`` / ``hedge_fired`` / ``worker_stalled``): logged to the
-        EventLog and counted per shard.  Counters are created lazily, so a
-        fault-free run registers nothing — keeping the chaos-off telemetry
-        snapshot bit-identical to the in-process cluster's.
-        """
-        self.events.record(kind, shard=shard, **attributes)
-        if self.telemetry is not None:
-            self.telemetry.counter(f"rpc.{kind}").inc()
-            self.telemetry.counter(f"rpc.{kind}.{shard}").inc()
 
     # -- Chaos injection ---------------------------------------------------------------
 
@@ -1144,34 +851,6 @@ class ParallelClusterService(ClusterService):
         for shard in self.shards.values():
             if isinstance(shard._sock, ChaosTransport):
                 shard._sock = shard._sock.raw
-
-    def _inject_fault(self, shard_id: str, mode: str, fault_kwargs: Dict[str, object]) -> None:
-        self.shards[shard_id].inject_fault(mode, fault_kwargs)
-
-    def _heal_devices(self, shard_id: str) -> None:
-        self.shards[shard_id].heal()
-
-    def _close_shard(self, shard: RemoteShard) -> None:
-        shard.shutdown()
-
-    def _shard_registries(self) -> Dict[str, MetricsRegistry]:
-        """Per-worker registries, fetched over the wire and rebuilt mergeable.
-
-        Dead workers are skipped (their samples died with them — exactly like
-        a crashed server's scrape target going away); everything that answers
-        merges bit-exactly thanks to the bucket-preserving snapshots.
-        """
-        registries: Dict[str, MetricsRegistry] = {}
-        for shard_id, shard in self.shards.items():
-            if not shard.alive:
-                continue
-            try:
-                registry = shard.telemetry_registry()
-            except DeviceFailedError:
-                continue
-            if registry is not None:
-                registries[shard_id] = registry
-        return registries
 
     # -- Supervisor --------------------------------------------------------------------
 
@@ -1220,15 +899,9 @@ class ParallelClusterService(ClusterService):
         read-repair and the hinted-handoff replay below restore its keys
         lazily, exactly like :meth:`heal_shard` after a device crash.
         """
-        shard = self.shards.get(shard_id)
-        if shard is None:
+        if shard_id not in self.shards:
             raise ConfigurationError(f"shard {shard_id!r} not present")
-        shard.kill()
-        self.clock.remove(shard.clock)
-        del self.shards[shard_id]
-        replacement = self._build_shard(shard_id)
-        self._errors.pop(shard_id, None)
-        self._down.discard(shard_id)
+        replacement = self._replace_shard(shard_id, RemoteShard.kill)
         report = replacement.recovery_report if self.storage == "persistent" else None
         self.events.record(
             "worker_restarted",

@@ -525,8 +525,7 @@ class KeyMigrator:
                 if result.found:
                     placed = True
                     break
-                if cluster._shard_op(survivor, "insert", key, value) is not None:
-                    cluster.read_repairs += 1
+                if cluster._read_repair(survivor, key, value):
                     placed = True
                     break
         return placed
@@ -719,19 +718,16 @@ class AutoscalePolicy:
 
     def _ops_per_shard(self) -> Dict[str, float]:
         return {
-            shard_id: clam.telemetry.counter("operations").value
-            for shard_id, clam in self.cluster.shards.items()
-            if clam.telemetry is not None
+            shard_id: registry.counter("operations").value
+            for shard_id, registry in self.cluster.shard_registries().items()
         }
 
     def fleet_p99_ms(self) -> float:
         """Worst per-shard p99 over lookup and insert latency histograms."""
         worst = 0.0
-        for clam in self.cluster.shards.values():
-            if clam.telemetry is None:
-                continue
+        for registry in self.cluster.shard_registries().values():
             for name in ("lookup_latency_ms", "insert_latency_ms"):
-                worst = max(worst, clam.telemetry.histogram(name).percentile(0.99))
+                worst = max(worst, registry.histogram(name).percentile(0.99))
         return worst
 
     def tick(self, at_request: int) -> Optional[AutoscaleDecision]:

@@ -473,9 +473,8 @@ class TrafficSimulator:
         if self.cluster.telemetry is None:
             return {}
         return {
-            shard_id: clam.telemetry.counter("operations").value
-            for shard_id, clam in self.cluster.shards.items()
-            if clam.telemetry is not None
+            shard_id: registry.counter("operations").value
+            for shard_id, registry in self.cluster.shard_registries().items()
         }
 
     def _detect_hot_shards(self, report: TrafficReport) -> List[str]:

@@ -21,7 +21,7 @@ from repro.core.errors import (
     ShardUnavailableError,
     WorkerDiedError,
 )
-from repro.service import ClusterService, ParallelClusterService
+from repro.service import AutoscalePolicy, ClusterService, KeyMigrator, ParallelClusterService
 from repro.telemetry.schema import validate_snapshot
 from repro.workloads.workload import Operation, OpKind
 
@@ -220,12 +220,6 @@ class TestWorkerFailure:
                 num_shards=2, config=cluster_config, storage="no-such-profile"
             )
 
-    def test_spawn_start_method_rejected(self, cluster_config):
-        with pytest.raises(ConfigurationError, match="fork"):
-            ParallelClusterService(
-                num_shards=2, config=cluster_config, start_method="spawn"
-            )
-
 
 class TestPersistentWorkers:
     def test_clean_close_and_reopen(self, cluster_config, tmp_path):
@@ -291,6 +285,20 @@ class TestTelemetryAndLifecycle:
             expected = reference.telemetry_snapshot()
             assert snapshot["per_shard"] == expected["per_shard"]
             assert snapshot["registry"] == expected["registry"]
+
+    def test_autoscaler_sees_worker_load(self, telemetry_config):
+        """Regression: the load signals were read off ``shard.telemetry``,
+        which a worker proxy never had, so a parallel cluster looked idle."""
+        with ParallelClusterService(num_shards=2, config=telemetry_config) as cluster:
+            policy = AutoscalePolicy(cluster, KeyMigrator(cluster))
+            baseline = policy._ops_per_shard()
+            assert sorted(baseline) == ["shard-0", "shard-1"]
+            cluster.insert_batch([(b"key-%d" % i, b"val") for i in range(120)])
+            cluster.lookup_batch([b"key-%d" % i for i in range(120)])
+            loads = policy._ops_per_shard()
+            assert all(loads[shard] - baseline[shard] > 0 for shard in baseline)
+            assert sum(loads.values()) - sum(baseline.values()) == 240
+            assert policy.fleet_p99_ms() > 0
 
     def test_snapshot_skips_dead_workers(self, telemetry_config):
         with ParallelClusterService(

@@ -5,7 +5,7 @@ import pytest
 from repro.core import CLAMConfig
 from repro.core.errors import ConfigurationError
 from repro.core.results import DeleteResult, InsertResult, LookupResult
-from repro.service import BatchExecutor, ClusterService, ShardRouter
+from repro.service import ClusterService, ParallelClusterService
 from repro.workloads import (
     Operation,
     OpKind,
@@ -16,11 +16,16 @@ from repro.workloads import (
 )
 
 
-def small_cluster(**overrides):
+def small_cluster(deployment=ClusterService, **overrides):
     config = CLAMConfig.scaled(
         num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
     )
-    return ClusterService(num_shards=4, config=config, **overrides)
+    return deployment(num_shards=4, config=config, **overrides)
+
+
+def probes(cluster):
+    """Lookups the shards have served, fleet-wide."""
+    return cluster.stats.combined()["lookups"]
 
 
 class TestBatchEquivalence:
@@ -92,6 +97,72 @@ class TestBatchEquivalence:
         assert not second_lookup.found
 
 
+class TestReplicaSemantics:
+    """What a replicated read returns (the BatchExecutor docstring), tested
+    where it is implemented: once, for every entry point and deployment."""
+
+    @pytest.mark.parametrize("deployment", [ClusterService, ParallelClusterService])
+    def test_lookup_batch_reads_through_and_repairs(self, deployment):
+        """Regression: batches used to return the first replica's miss."""
+        with small_cluster(deployment, replication_factor=2) as cluster:
+            keys = [fingerprint_for(i, namespace=b"read-through") for i in range(120)]
+            cluster.insert_batch([(key, b"v-" + key) for key in keys])
+            primary = cluster.shard_for(keys[0])
+            dropped = [key for key in keys if cluster.shard_for(key) == primary]
+            # Lose the primary's copies behind the cluster's back.
+            if deployment is ClusterService:
+                for key in dropped:
+                    cluster.shards[primary].delete(key)
+            else:
+                cluster.restart_worker(primary)  # a volatile shard comes back empty
+            assert not any(cluster.shards[primary].lookup(key).found for key in dropped)
+
+            results = cluster.lookup_batch(keys)
+            assert [result.value for result in results] == [b"v-" + key for key in keys]
+            assert cluster.read_repairs == len(dropped)
+            assert all(cluster.shards[primary].lookup(key).found for key in dropped)
+            # Repaired: the next pass is clean hits, one probe per key.
+            before = probes(cluster)
+            assert all(result.found for result in cluster.lookup_batch(keys))
+            assert probes(cluster) - before == len(keys)
+            assert cluster.read_repairs == len(dropped)
+
+    def test_a_miss_is_every_live_replicas_miss(self):
+        cluster = small_cluster(replication_factor=2)
+        cluster.insert(b"present", b"v")
+        before = probes(cluster)
+        assert cluster.lookup(b"present").found
+        assert probes(cluster) - before == 1  # clean hit: no extra probe
+        assert not cluster.lookup(b"absent").found
+        assert probes(cluster) - before == 3  # both replicas had to say no
+        # With one replica down the survivor's miss is the answer.
+        primary, secondary = cluster.replicas_for(b"absent")
+        cluster.fail_shard(secondary)
+        cluster.record_shard_error(secondary)
+        miss = cluster.lookup_batch([b"absent"])[0]
+        assert not miss.found and probes(cluster) - before == 4
+        assert cluster.read_repairs == 0
+
+    def test_single_replica_never_probes_twice(self):
+        cluster = small_cluster()
+        before = probes(cluster)
+        assert not cluster.lookup(b"absent").found
+        assert not cluster.lookup_batch([b"absent"])[0].found
+        assert probes(cluster) - before == 2
+
+    def test_first_hit_in_preference_order_wins_and_repairs_earlier_misses(self):
+        cluster = small_cluster(replication_factor=3)
+        key = fingerprint_for(7, namespace=b"third-replica")
+        first, second, third = cluster.replicas_for(key)
+        cluster.insert(key, b"v")
+        cluster.shards[first].delete(key)
+        cluster.shards[second].delete(key)
+        assert cluster.lookup(key).value == b"v"  # served by the third replica
+        assert cluster.read_repairs == 2
+        assert cluster.shards[first].lookup(key).found
+        assert cluster.shards[second].lookup(key).found
+
+
 class TestBatchAccounting:
     def test_empty_batch(self):
         batch = small_cluster().execute_batch([])
@@ -108,9 +179,7 @@ class TestBatchAccounting:
         assert sum(s.lookups for s in batch.per_shard.values()) == sum(
             1 for op in operations if op.kind is OpKind.LOOKUP
         )
-        assert batch.busy_ms == pytest.approx(
-            sum(s.busy_ms for s in batch.per_shard.values())
-        )
+        assert batch.busy_ms == pytest.approx(sum(s.busy_ms for s in batch.per_shard.values()))
         assert batch.dispatch_ms == pytest.approx(
             sum(s.dispatch_ms for s in batch.per_shard.values())
         )
@@ -125,17 +194,13 @@ class TestBatchAccounting:
         slowest = max(s.total_ms for s in batch.per_shard.values())
         assert batch.makespan_ms == pytest.approx(slowest)
         # Routing is charged per-operation on the owning shard.
-        assert batch.routing_ms == pytest.approx(
-            cluster.executor.routing_cost_ms * len(operations)
-        )
+        assert batch.routing_ms == pytest.approx(cluster.executor.routing_cost_ms * len(operations))
         # Parallel shards: completing when the slowest finishes beats summing.
         assert batch.makespan_ms < batch.busy_ms + batch.dispatch_ms + batch.routing_ms
 
     def test_dispatch_amortisation(self):
         cluster = small_cluster()
-        operations = [
-            Operation(OpKind.INSERT, fingerprint_for(i), b"v") for i in range(64)
-        ]
+        operations = [Operation(OpKind.INSERT, fingerprint_for(i), b"v") for i in range(64)]
         batch = cluster.execute_batch(operations)
         # Dispatch paid once per shard touched, not once per operation.
         assert batch.shards_touched <= cluster.num_shards
@@ -157,16 +222,8 @@ class TestBatchAccounting:
             elapsed = cluster.shards[shard_id].clock.now_ms - before[shard_id]
             assert elapsed == pytest.approx(stats.total_ms)
 
-    def test_unknown_shard_instance_rejected(self):
-        router = ShardRouter(["a", "b"])
-        executor = BatchExecutor(router, {"a": small_cluster().shards["shard-0"]})
-        operations = [
-            Operation(OpKind.INSERT, fingerprint_for(i), b"v") for i in range(50)
-        ]
-        with pytest.raises(ConfigurationError):
-            executor.execute(operations)
-
     def test_negative_overheads_rejected(self):
-        router = ShardRouter(["a"])
         with pytest.raises(ConfigurationError):
-            BatchExecutor(router, {}, dispatch_overhead_ms=-1.0)
+            small_cluster(dispatch_overhead_ms=-1.0)
+        with pytest.raises(ConfigurationError):
+            small_cluster(routing_cost_ms=-1.0)

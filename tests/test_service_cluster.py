@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core import CLAM, CLAMConfig
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, ShardUnavailableError
 from repro.service import ClusterService
 from repro.workloads import (
+    Operation,
     OpKind,
     WorkloadRunner,
     WorkloadSpec,
@@ -16,9 +17,7 @@ from repro.workloads import (
 
 @pytest.fixture
 def cluster_config() -> CLAMConfig:
-    return CLAMConfig.scaled(
-        num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
-    )
+    return CLAMConfig.scaled(num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4)
 
 
 @pytest.fixture
@@ -38,21 +37,66 @@ class TestHashIndexInterface:
         cluster.delete(b"key-1")
         assert b"key-1" not in cluster
 
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    def test_single_ops_are_batches_of_one(self, cluster_config, replication_factor):
+        """One stream as single operations and as one-operation batches: same
+        records, counters, hints, repairs, health and ensemble clock — through
+        a silent replica divergence and a mid-stream shard crash."""
+        keys = [fingerprint_for(i, namespace=b"ones") for i in range(60)]
+        kinds = (OpKind.LOOKUP, OpKind.UPDATE, OpKind.LOOKUP, OpKind.DELETE, OpKind.INSERT)
+        stream = [Operation(OpKind.INSERT, key, b"first") for key in keys]
+        stream.extend(Operation(kinds[i % 5], keys[i % 60], b"value-%d" % i) for i in range(150))
+        stream.extend(Operation(OpKind.LOOKUP, key) for key in keys)
+
+        def single(cluster, op):
+            if op.kind in (OpKind.LOOKUP, OpKind.DELETE):
+                return getattr(cluster, op.kind.value)(op.key)
+            return getattr(cluster, op.kind.value)(op.key, op.value)
+
+        def batch_of_one(cluster, op):
+            return cluster.execute_batch([op]).results[0]
+
+        def drive(issue):
+            cluster = ClusterService(
+                num_shards=3, config=cluster_config, replication_factor=replication_factor
+            )
+            records = []
+            for position, op in enumerate(stream):
+                if position == 60:  # silent divergence on this lookup's primary
+                    cluster.shards[cluster.shard_for(op.key)].delete(op.key)
+                if position == 120:
+                    cluster.fail_shard("shard-1")  # crashed, detected by the traffic
+                try:
+                    records.append(issue(cluster, op))
+                except ShardUnavailableError:
+                    records.append("unavailable")
+            return cluster, records
+
+        singles, single_records = drive(single)
+        batched, batch_records = drive(batch_of_one)
+        assert single_records == batch_records
+        assert singles.stats.combined() == batched.stats.combined()
+        assert singles._hints == batched._hints
+        assert singles.read_repairs == batched.read_repairs
+        assert singles.down_shard_ids == batched.down_shard_ids
+        assert singles.clock.now_ms == batched.clock.now_ms
+        if replication_factor == 2:
+            assert singles.read_repairs == 1 and "unavailable" not in single_records
+            assert singles._hints["shard-1"]
+        else:
+            assert "unavailable" in single_records
+
     def test_runner_drives_cluster_end_to_end(self, cluster: ClusterService):
         """The acceptance-criteria path: existing runner, 4-shard cluster."""
         operations = build_mixed_workload(WorkloadSpec(num_keys=800, seed=21))
         report = WorkloadRunner(cluster).run(operations)
         assert report.operations == len(operations)
-        assert report.lookups == sum(
-            1 for op in operations if op.kind is OpKind.LOOKUP
-        )
+        assert report.lookups == sum(1 for op in operations if op.kind is OpKind.LOOKUP)
         assert report.simulated_duration_ms > 0
         assert report.mean_lookup_latency_ms > 0
         # Every shard took part.
         assert set(cluster.stats.operations_per_shard()) == set(cluster.shard_ids)
-        assert all(
-            ops > 0 for ops in cluster.stats.operations_per_shard().values()
-        )
+        assert all(ops > 0 for ops in cluster.stats.operations_per_shard().values())
 
     def test_cluster_matches_single_clam_results(self):
         """Sharding must not change answers, only placement/timing.
@@ -82,9 +126,7 @@ class TestHashIndexInterface:
         assert batched.lookups == sequential.lookups
         assert batched.lookup_hits == sequential.lookup_hits
         assert batched.inserts == sequential.inserts
-        assert batched.lookup_latencies_ms == pytest.approx(
-            sequential.lookup_latencies_ms
-        )
+        assert batched.lookup_latencies_ms == pytest.approx(sequential.lookup_latencies_ms)
         # Batching amortises per-op dispatch, so the cluster finishes sooner.
         assert batched.simulated_duration_ms < sequential.simulated_duration_ms
 

@@ -4,7 +4,7 @@ typed unavailability errors and shard health tracking."""
 import pytest
 
 from repro.core.errors import ConfigurationError, ShardUnavailableError
-from repro.service import ClusterService, ShardRouter
+from repro.service import ClusterService
 from repro.workloads import fingerprint_for
 from repro.workloads.workload import Operation, OpKind
 
@@ -228,19 +228,6 @@ class TestTypedUnavailability:
         del cluster.shards[victim]  # vanished mid-flight, but RF=2 covers it
         batch = cluster.execute_batch([Operation(OpKind.LOOKUP, key) for key in keys])
         assert all(result is not None and result.found for result in batch.results)
-
-    def test_standalone_executor_keeps_configuration_error(self):
-        # Without a cluster's live view the old contract stands: a router /
-        # instance desync is a configuration bug.
-        from repro.service import BatchExecutor
-
-        router = ShardRouter(["a", "b"])
-        donor = ClusterService(num_shards=1)
-        executor = BatchExecutor(router, {"a": donor.shards["shard-0"]})
-        with pytest.raises(ConfigurationError):
-            executor.execute(
-                [Operation(OpKind.INSERT, key, b"v") for key in sample_keys(50)]
-            )
 
 
 class TestHealthReporting:
