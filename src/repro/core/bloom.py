@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from repro.core.hashing import KeyLike, double_hashes
+from repro.core.hashing import KeyDigest, KeyLike, double_hashes
 
 
 def optimal_num_hashes(bits_per_item: float) -> int:
@@ -80,7 +80,11 @@ class BloomFilter:
     def add(self, key: KeyLike) -> None:
         """Insert a key into the filter."""
         bits = self._bits
-        for position in double_hashes(key, self.num_hashes, self.num_bits):
+        if type(key) is KeyDigest:  # once per insert: straight to the digest's memo
+            positions = key.bloom_positions(self.num_hashes, self.num_bits)
+        else:
+            positions = double_hashes(key, self.num_hashes, self.num_bits)
+        for position in positions:
             bits[position >> 3] |= 1 << (position & 7)
         self._count += 1
 

@@ -17,7 +17,15 @@ from repro.core.hashing import KeyLike
 
 
 class Buffer:
-    """Bounded in-memory staging area for one super table."""
+    """Bounded in-memory staging area for one super table.
+
+    ``get(key)`` returns the value stored for ``key`` (or ``None``) and
+    ``delete(key)`` removes it, returning whether it was present (its Bloom
+    bits stay set; they only cause a harmless false positive).  Both are the
+    cuckoo table's own bound methods — the buffer adds nothing to them, and a
+    buffer probe sits on every lookup — so they are bound in ``__init__``
+    rather than wrapped.
+    """
 
     def __init__(
         self,
@@ -38,6 +46,8 @@ class Buffer:
         self.bloom_hashes = bloom_hashes
         self._table = CuckooHashTable(num_slots)
         self._bloom = BloomFilter(bloom_bits, bloom_hashes)
+        self.get = self._table.get
+        self.delete = self._table.delete
 
     # -- Introspection ------------------------------------------------------------
 
@@ -60,10 +70,6 @@ class Buffer:
 
     # -- Operations ----------------------------------------------------------------
 
-    def get(self, key: KeyLike) -> Optional[bytes]:
-        """Value stored for ``key`` in the buffer, or ``None``."""
-        return self._table.get(key)
-
     def put(self, key: KeyLike, value: bytes) -> bool:
         """Insert or update ``key``.
 
@@ -71,19 +77,15 @@ class Buffer:
         the item (either it is at capacity or the cuckoo path cycled); the
         caller should flush and retry.
         """
-        if self.is_full and self._table.get(key) is None:
+        table = self._table
+        if len(table) >= self.capacity_items and table.get(key) is None:
             return False
         try:
-            self._table.put(key, value)
+            table.put(key, value)
         except CapacityError:
             return False
         self._bloom.add(key)
         return True
-
-    def delete(self, key: KeyLike) -> bool:
-        """Remove ``key`` from the buffer (Bloom bits are left set; they only
-        cause a harmless false positive)."""
-        return self._table.delete(key)
 
     def drain(self) -> Tuple[Dict[bytes, bytes], BloomFilter]:
         """Return the buffer contents and frozen Bloom filter, then reset.

@@ -8,12 +8,12 @@ are short, blocking lookups rarely wait behind them and evictions stay cheap.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError
 from repro.core.eviction import EvictionPolicy, make_policy
-from repro.core.hashing import PARTITION_SEED, KeyLike, canonical_key, hash_key
+from repro.core.hashing import PARTITION_SEED, KeyDigest, KeyLike, canonical_key, hash_key
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.core.storage import (
     IncarnationStore,
@@ -151,30 +151,38 @@ class BufferHash:
 
     # -- Partitioning -------------------------------------------------------------------
 
-    def _canonical(self, key: KeyLike) -> KeyLike:
-        """Canonicalise ``key`` exactly once at this API boundary.
+    def _route(self, key: KeyLike) -> Tuple[KeyLike, SuperTable]:
+        """Canonicalise ``key`` at this API boundary and partition it.
 
-        Hash-once mode wraps the key in a (cached) KeyDigest that every layer
-        below reuses; the ablation mode reproduces the original per-layer
-        re-hashing by passing plain canonical bytes through (shared policy:
-        :func:`repro.core.hashing.canonical_key`).
+        Returns the canonical key — a (cached) KeyDigest that every layer
+        below reuses, or plain canonical bytes in the ``use_hash_once=False``
+        ablation, which reproduces the original per-layer re-hashing (shared
+        policy: :func:`repro.core.hashing.canonical_key`) — and the super
+        table owning it (first k1 hash bits in the paper).  A digest handed
+        down by :class:`~repro.core.clam.CLAM` or the service router is
+        already canonical and, once warm, partitions from its seed memo.
         """
-        return canonical_key(key, self.config.use_hash_once)
-
-    def _table_for_canonical(self, key: KeyLike) -> SuperTable:
-        """Partition an already-canonicalised key (first k1 hash bits)."""
-        return self.tables[hash_key(key, seed=PARTITION_SEED) % len(self.tables)]
+        hash_once = self.config.use_hash_once
+        if hash_once and type(key) is KeyDigest:
+            partition = key._seeded.get(PARTITION_SEED)
+            if partition is None:
+                partition = key.digest(PARTITION_SEED)
+        else:
+            key = canonical_key(key, hash_once)
+            partition = hash_key(key, seed=PARTITION_SEED)
+        tables = self.tables
+        return key, tables[partition % len(tables)]
 
     def table_for(self, key: KeyLike) -> SuperTable:
-        """The super table owning ``key`` (first k1 hash bits in the paper)."""
-        return self._table_for_canonical(self._canonical(key))
+        """The super table owning ``key``."""
+        return self._route(key)[1]
 
     # -- Hash-table operations ------------------------------------------------------------
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a key."""
-        key = self._canonical(key)
-        return self._table_for_canonical(key).insert(key, bytes(value))
+        key, table = self._route(key)
+        return table.insert(key, bytes(value))
 
     def update(self, key: KeyLike, value: bytes) -> InsertResult:
         """Lazy update (alias of insert)."""
@@ -182,13 +190,13 @@ class BufferHash:
 
     def lookup(self, key: KeyLike) -> LookupResult:
         """Return the most recent value for a key."""
-        key = self._canonical(key)
-        return self._table_for_canonical(key).lookup(key)
+        key, table = self._route(key)
+        return table.lookup(key)
 
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete a key lazily."""
-        key = self._canonical(key)
-        return self._table_for_canonical(key).delete(key)
+        key, table = self._route(key)
+        return table.delete(key)
 
     def get(self, key: KeyLike) -> Optional[bytes]:
         """Convenience accessor returning just the value (or ``None``)."""

@@ -42,9 +42,13 @@ from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
 from repro.flashsim.disk import MAGNETIC_DISK_PROFILE, MagneticDisk
 from repro.flashsim.dram import DRAMDevice
+from repro.flashsim.faults import FaultMode
 from repro.flashsim.flash_chip import FlashChip, GENERIC_FLASH_CHIP_PROFILE
 from repro.flashsim.ssd import INTEL_SSD_PROFILE, SSD, TRANSCEND_SSD_PROFILE
 from repro.flashsim.stats import IOKind
+
+# Bound once: enum member access goes through the metaclass on every read.
+_HEALTHY = FaultMode.HEALTHY
 
 #: Storage names accepted by :func:`build_device` and :class:`CLAM`.
 STORAGE_PROFILES = ("intel-ssd", "transcend-ssd", "disk", "flash-chip", "dram")
@@ -165,6 +169,16 @@ class CLAM:
                 self._unbuffered_bloom = BloomFilter.for_capacity(
                     max(1024, total_items), bits_per_item=self.config.bloom_bits_per_entry
                 )
+        # The index behind the hash-table API, chosen once: BufferHash, or
+        # the unbuffered ablation's handlers below.
+        if self.bufferhash is not None:
+            self._index_insert = self.bufferhash.insert
+            self._index_lookup = self.bufferhash.lookup
+            self._index_delete = self.bufferhash.delete
+        else:
+            self._index_insert = self._unbuffered_insert
+            self._index_lookup = self._unbuffered_lookup
+            self._index_delete = self._unbuffered_delete
 
     # -- Hash-table API -----------------------------------------------------------------
 
@@ -178,40 +192,31 @@ class CLAM:
         are *not* gated here; they surface through the device I/O path only.
         """
         for device in self.devices:
-            if device.faults.is_crashed:
+            faults = device.faults
+            if faults.mode is not _HEALTHY and faults.is_crashed:
                 raise DeviceFailedError(
                     f"CLAM refusing operation: device {device.name!r} has crash-stopped"
                 )
 
-    def _canonical(self, key: KeyLike) -> KeyLike:
-        """Canonicalise ``key`` exactly once at the public API boundary.
-
-        Hash-once mode wraps the key in a (cached)
-        :class:`~repro.core.hashing.KeyDigest` that every layer below —
-        partitioning, cuckoo buffer, Bloom filters, incarnation pages —
-        reuses; the ``use_hash_once=False`` ablation reproduces the original
-        per-layer re-hashing by passing plain canonical bytes (the policy is
-        :func:`repro.core.hashing.canonical_key`, shared by every boundary).
-        """
-        return canonical_key(key, self.config.use_hash_once)
+    # Every operation canonicalises its key exactly once, here at the public
+    # API boundary (the policy is :func:`repro.core.hashing.canonical_key`,
+    # shared by every boundary): hash-once mode wraps the key in a (cached)
+    # :class:`~repro.core.hashing.KeyDigest` that every layer below —
+    # partitioning, cuckoo buffer, Bloom filters, incarnation pages — reuses;
+    # the ``use_hash_once=False`` ablation reproduces the original per-layer
+    # re-hashing by passing plain canonical bytes.
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a (key, value) pair."""
         self._check_available()
-        key = self._canonical(key)
+        key = canonical_key(key, self.config.use_hash_once)
         tracer = _trace.ACTIVE
         if tracer is None:
-            if self.bufferhash is not None:
-                result = self.bufferhash.insert(key, value)
-            else:
-                result = self._unbuffered_insert(key, value)
+            result = self._index_insert(key, value)
         else:
             span = tracer.begin("clam.insert", self.clock)
             try:
-                if self.bufferhash is not None:
-                    result = self.bufferhash.insert(key, value)
-                else:
-                    result = self._unbuffered_insert(key, value)
+                result = self._index_insert(key, value)
             finally:
                 tracer.end(span, self.clock)
         self.stats.record_insert(result)
@@ -227,20 +232,14 @@ class CLAM:
     def lookup(self, key: KeyLike) -> LookupResult:
         """Look up the most recent value for a key."""
         self._check_available()
-        key = self._canonical(key)
+        key = canonical_key(key, self.config.use_hash_once)
         tracer = _trace.ACTIVE
         if tracer is None:
-            if self.bufferhash is not None:
-                result = self.bufferhash.lookup(key)
-            else:
-                result = self._unbuffered_lookup(key)
+            result = self._index_lookup(key)
         else:
             span = tracer.begin("clam.lookup", self.clock)
             try:
-                if self.bufferhash is not None:
-                    result = self.bufferhash.lookup(key)
-                else:
-                    result = self._unbuffered_lookup(key)
+                result = self._index_lookup(key)
             finally:
                 tracer.end(span, self.clock)
             span.attributes["served_from"] = result.served_from.value
@@ -253,11 +252,8 @@ class CLAM:
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete a key."""
         self._check_available()
-        key = self._canonical(key)
-        if self.bufferhash is not None:
-            result = self.bufferhash.delete(key)
-        else:
-            result = self._unbuffered_delete(key)
+        key = canonical_key(key, self.config.use_hash_once)
+        result = self._index_delete(key)
         self.stats.deletes += 1
         if self._tel_ops is not None:
             self._tel_ops.inc()
@@ -287,9 +283,9 @@ class CLAM:
 
     # -- Unbuffered (ablation) mode -------------------------------------------------------
     #
-    # Keys arrive already canonicalised by ``_canonical`` (the public API
-    # boundary), so these handlers never re-run ``to_key_bytes``; ``key_data``
-    # just unwraps the canonical bytes from a digest.
+    # Keys arrive already canonicalised by the public API boundary above, so
+    # these handlers never re-run ``to_key_bytes``; ``key_data`` just unwraps
+    # the canonical bytes from a digest.
 
     def _unbuffered_page_for(self, key: KeyLike) -> int:
         return hash_key(key, seed=UNBUFFERED_PAGE_SEED) % self.device.geometry.total_pages

@@ -12,23 +12,21 @@ that the same as "full" and triggers a flush.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.errors import CapacityError
 from repro.core.hashing import (
     CUCKOO_SEED_FIRST,
     CUCKOO_SEED_SECOND,
+    KeyDigest,
     KeyLike,
     hash_key,
     key_data,
 )
 
-
-@dataclass
-class _Entry:
-    key: bytes
-    value: bytes
+# An occupied slot is a two-element list ``[key, value]`` (updated in place
+# on overwrite); an empty slot is ``None``.
+_Slot = Optional[list]
 
 
 class CuckooHashTable:
@@ -49,8 +47,7 @@ class CuckooHashTable:
             raise ValueError("num_slots must be positive")
         self.num_buckets = max(2, -(-num_slots // self.SLOTS_PER_BUCKET))
         self.num_slots = self.num_buckets * self.SLOTS_PER_BUCKET
-        # Fixed-size buckets: a slot is either an _Entry or None.
-        self._buckets: List[List[Optional[_Entry]]] = [
+        self._buckets: List[List[_Slot]] = [
             [None] * self.SLOTS_PER_BUCKET for _ in range(self.num_buckets)
         ]
         self._size = 0
@@ -58,10 +55,23 @@ class CuckooHashTable:
     # -- Hashing ---------------------------------------------------------------
 
     def _buckets_for(self, key: KeyLike) -> Tuple[int, int]:
-        first = hash_key(key, seed=CUCKOO_SEED_FIRST) % self.num_buckets
-        second = hash_key(key, seed=CUCKOO_SEED_SECOND) % self.num_buckets
+        if type(key) is KeyDigest:
+            # Warm keys answer from the digest's seed memo without a call.
+            seeded = key._seeded
+            first = seeded.get(CUCKOO_SEED_FIRST)
+            if first is None:
+                first = key.digest(CUCKOO_SEED_FIRST)
+            second = seeded.get(CUCKOO_SEED_SECOND)
+            if second is None:
+                second = key.digest(CUCKOO_SEED_SECOND)
+        else:
+            first = hash_key(key, seed=CUCKOO_SEED_FIRST)
+            second = hash_key(key, seed=CUCKOO_SEED_SECOND)
+        num_buckets = self.num_buckets
+        first %= num_buckets
+        second %= num_buckets
         if second == first:
-            second = (second + 1) % self.num_buckets
+            second = (second + 1) % num_buckets
         return first, second
 
     # -- Read operations ---------------------------------------------------------
@@ -74,12 +84,12 @@ class CuckooHashTable:
 
     def get(self, key: KeyLike) -> Optional[bytes]:
         """Value stored for ``key``, or ``None`` if absent."""
-        data = key_data(key)
+        data = key.data if type(key) is KeyDigest else key_data(key)
         buckets = self._buckets
         for bucket_index in self._buckets_for(key):
             for entry in buckets[bucket_index]:
-                if entry is not None and entry.key == data:
-                    return entry.value
+                if entry is not None and entry[0] == data:
+                    return entry[1]
         return None
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
@@ -87,7 +97,7 @@ class CuckooHashTable:
         for bucket in self._buckets:
             for entry in bucket:
                 if entry is not None:
-                    yield entry.key, entry.value
+                    yield entry[0], entry[1]
 
     def load_factor(self) -> float:
         """Fraction of slots occupied."""
@@ -105,60 +115,55 @@ class CuckooHashTable:
             table is left exactly as it was and the caller should flush and
             retry.
         """
-        data = key_data(key)
+        data = key.data if type(key) is KeyDigest else key_data(key)
         first, second = self._buckets_for(key)
+        buckets = self._buckets
         # In-place update if the key already exists.
         for bucket_index in (first, second):
-            for entry in self._buckets[bucket_index]:
-                if entry is not None and entry.key == data:
-                    entry.value = value
+            for entry in buckets[bucket_index]:
+                if entry is not None and entry[0] == data:
+                    entry[1] = value
                     return
         # Plain insertion into a bucket with a free slot.
         for bucket_index in (first, second):
-            slot = self._free_slot(bucket_index)
-            if slot is not None:
-                self._buckets[bucket_index][slot] = _Entry(data, value)
+            bucket = buckets[bucket_index]
+            if None in bucket:
+                bucket[bucket.index(None)] = [data, value]
                 self._size += 1
                 return
         # Both buckets full: displace entries along a bounded path.  Every
         # write is recorded as (bucket, slot, previous occupant) so the whole
         # chain can be undone if it never terminates.
-        carried = _Entry(data, value)
+        carried = [data, value]
         bucket_index = first
-        history: List[Tuple[int, int, Optional[_Entry]]] = []
+        history: List[Tuple[int, int, _Slot]] = []
         for step in range(self.MAX_DISPLACEMENTS):
-            free = self._free_slot(bucket_index)
-            if free is not None:
-                self._buckets[bucket_index][free] = carried
+            bucket = buckets[bucket_index]
+            if None in bucket:
+                bucket[bucket.index(None)] = carried
                 self._size += 1
                 return
             victim_slot = step % self.SLOTS_PER_BUCKET
-            victim = self._buckets[bucket_index][victim_slot]
+            victim = bucket[victim_slot]
             history.append((bucket_index, victim_slot, victim))
-            self._buckets[bucket_index][victim_slot] = carried
-            carried = victim  # type: ignore[assignment]  # victim is not None: bucket was full
-            alt_first, alt_second = self._buckets_for(carried.key)
+            bucket[victim_slot] = carried
+            carried = victim  # not None: the bucket was full
+            alt_first, alt_second = self._buckets_for(carried[0])
             bucket_index = alt_second if bucket_index == alt_first else alt_first
         for bucket_idx, slot_idx, previous in reversed(history):
-            self._buckets[bucket_idx][slot_idx] = previous
+            buckets[bucket_idx][slot_idx] = previous
         raise CapacityError(
             f"cuckoo displacement path exceeded {self.MAX_DISPLACEMENTS} steps "
             f"at load factor {self.load_factor():.2f}"
         )
 
-    def _free_slot(self, bucket_index: int) -> Optional[int]:
-        for slot, entry in enumerate(self._buckets[bucket_index]):
-            if entry is None:
-                return slot
-        return None
-
     def delete(self, key: KeyLike) -> bool:
         """Remove ``key``; returns whether it was present."""
-        data = key_data(key)
+        data = key.data if type(key) is KeyDigest else key_data(key)
         for bucket_index in self._buckets_for(key):
             bucket = self._buckets[bucket_index]
             for slot, entry in enumerate(bucket):
-                if entry is not None and entry.key == data:
+                if entry is not None and entry[0] == data:
                     bucket[slot] = None
                     self._size -= 1
                     return True

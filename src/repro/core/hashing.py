@@ -16,12 +16,16 @@ position (:data:`RING_SEED`).  Naively each layer re-hashes the full key
 bytes, so one lookup pays 6-10+ FNV passes.  :class:`KeyDigest` is the
 hash-once fix: the key is canonicalised to bytes once at the public API
 boundary, each seeded 64-bit digest is computed lazily *at most once* and
-memoised, and derived values (bucket pairs, Bloom positions) are memoised per
+memoised, and the Kirsch-Mitzenmacher Bloom positions are memoised per filter
 geometry — all **bit-identical** to hashing the key bytes directly with the
-same seed, so the on-flash layout does not change.  A small FIFO-bounded
-digest cache (:func:`as_digest`) additionally reuses digests across
-operations on the same key, which is the common case for fingerprint indexes
-(a lookup is usually followed by an insert of the same fingerprint).
+same seed, so the on-flash layout does not change.  Values that are one
+modulo away from a memoised digest (the super-table partition, the cuckoo
+bucket pair, the incarnation page) are *not* memoised: the per-operation
+layers of :mod:`repro.core` read the seed memo directly and reduce it
+themselves, which costs less than a second memo would.  A FIFO-bounded digest
+cache (:func:`as_digest`, O(1) per eviction) additionally reuses digests
+across operations on the same key, which is the common case for fingerprint
+indexes (a lookup is usually followed by an insert of the same fingerprint).
 
 For measurement, :func:`count_hash_calls` records every full-key FNV pass by
 seed (and every digest construction) so tests and ``benchmarks/
@@ -32,8 +36,9 @@ operation.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Tuple, Union
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -216,6 +221,12 @@ class KeyDigest:
     Every derived value is bit-identical to calling :func:`hash_key` /
     :func:`double_hashes` on the raw key with the same arguments; the class
     changes only how often the bytes are traversed, never what is computed.
+
+    The per-operation layers of :mod:`repro.core` (partitioning, the cuckoo
+    buffer, the incarnation probe) read the ``_seeded`` memo directly and
+    fall back to :meth:`digest` on a miss, which keeps a warm key's operation
+    free of hashing call frames; only :meth:`digest` and :meth:`from_wire`
+    write to it.
     """
 
     __slots__ = ("data", "_seeded", "_positions")
@@ -297,8 +308,16 @@ KeyLike = Union[bytes, bytearray, memoryview, str, int, KeyDigest]
 # chunks), so digests are also reused *across* operations through a small
 # FIFO-bounded cache.  The cache is value-pure — a digest depends only on the
 # key bytes — so hits can never change behaviour, only skip recomputation.
+#
+# Eviction is FIFO by first insertion and O(1): ``_DIGEST_RING`` holds the
+# cached keys oldest-first beside the map.  (Popping the first key of the
+# dict itself — ``next(iter(cache))`` — rescans the tombstones that earlier
+# evictions left at the head of its entry table: ~30 us per eviction at the
+# default capacity, paid on every new key once the cache is full.)  The two
+# structures always hold the same keys; only the functions below touch them.
 
 _DIGEST_CACHE: Dict[bytes, KeyDigest] = {}
+_DIGEST_RING: Deque[bytes] = deque()
 _digest_cache_capacity = 1 << 16
 
 
@@ -307,7 +326,8 @@ def as_digest(key: KeyLike) -> KeyDigest:
 
     Called once per operation at each public API boundary; passing an
     existing digest through is a no-op, so nested boundaries (service router
-    -> CLAM -> BufferHash) share one digest per operation.
+    -> CLAM -> BufferHash) share one digest per operation.  A cache hit does
+    not refresh the entry's position: the oldest-inserted key leaves first.
     """
     if type(key) is KeyDigest:
         return key
@@ -316,34 +336,37 @@ def as_digest(key: KeyLike) -> KeyDigest:
     if digest is None:
         digest = KeyDigest(data)
         if _digest_cache_capacity > 0:
-            cache = _DIGEST_CACHE
-            if len(cache) >= _digest_cache_capacity:
-                del cache[next(iter(cache))]  # FIFO: dicts preserve insertion order
-            cache[data] = digest
+            ring = _DIGEST_RING
+            if len(ring) >= _digest_cache_capacity:
+                del _DIGEST_CACHE[ring.popleft()]
+            ring.append(data)
+            _DIGEST_CACHE[data] = digest
     return digest
 
 
 def clear_digest_cache() -> None:
     """Drop every cached digest (tests and memory-sensitive callers)."""
     _DIGEST_CACHE.clear()
+    _DIGEST_RING.clear()
 
 
 def set_digest_cache_capacity(capacity: int) -> None:
-    """Bound the cross-operation digest cache (0 disables caching)."""
+    """Bound the cross-operation digest cache (0 disables and empties it).
+
+    Shrinking evicts oldest-first, one O(1) pop per removed entry.
+    """
     global _digest_cache_capacity
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
     _digest_cache_capacity = capacity
-    if capacity == 0:
-        _DIGEST_CACHE.clear()
-    else:
-        while len(_DIGEST_CACHE) > capacity:
-            del _DIGEST_CACHE[next(iter(_DIGEST_CACHE))]
+    ring = _DIGEST_RING
+    while len(ring) > capacity:
+        del _DIGEST_CACHE[ring.popleft()]
 
 
 def digest_cache_info() -> Dict[str, int]:
     """Current size and capacity of the digest cache."""
-    return {"size": len(_DIGEST_CACHE), "capacity": _digest_cache_capacity}
+    return {"size": len(_DIGEST_RING), "capacity": _digest_cache_capacity}
 
 
 def canonical_key(key: KeyLike, hash_once: bool) -> KeyLike:
@@ -356,7 +379,7 @@ def canonical_key(key: KeyLike, hash_once: bool) -> KeyLike:
     BufferHash) canonicalise in O(1) after the first.
     """
     if hash_once:
-        return as_digest(key)
+        return key if type(key) is KeyDigest else as_digest(key)
     return key_data(key)
 
 

@@ -103,7 +103,7 @@ class OperationStats:
         self.lookup_latency_total_ms += result.latency_ms
         if result.latency_ms > self.lookup_latency_max_ms:
             self.lookup_latency_max_ms = result.latency_ms
-        if result.found:
+        if result.value is not None:
             self.lookup_hits += 1
         self.flash_reads += result.flash_reads
         self.false_positive_reads += result.false_positive_reads

@@ -20,7 +20,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.core.bloom import BloomFilter
-from repro.core.hashing import KeyLike, double_hashes
+from repro.core.hashing import KeyDigest, KeyLike, double_hashes
 
 
 class BitSlicedBloomArray:
@@ -148,18 +148,19 @@ class BitSlicedBloomArray:
         """Incarnation identifiers that may contain ``key``, newest first."""
         if not self._columns:
             return []
+        if type(key) is KeyDigest:  # once per lookup: straight to the digest's memo
+            positions = key.bloom_positions(self.num_hashes, self.num_bits)
+        else:
+            positions = double_hashes(key, self.num_hashes, self.num_bits)
         slices = self._slices
         combined = self._live_mask
-        for position in double_hashes(key, self.num_hashes, self.num_bits):
+        for position in positions:
             combined &= slices[position]
             if combined == 0:
                 return []
-        matches = []
         # Newest-first so the caller sees the most recent value for a key.
-        for column in reversed(self._columns):
-            if (combined >> column) & 1:
-                matches.append(self._column_owner[column])
-        return matches
+        owner = self._column_owner
+        return [owner[column] for column in reversed(self._columns) if (combined >> column) & 1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,12 +24,11 @@ from repro.core.buffer import Buffer
 from repro.core.config import MemoryCostModel
 from repro.core.errors import ConfigurationError
 from repro.core.eviction import EvictionContext, EvictionPolicy, FIFOEviction
-from repro.core.hashing import KeyLike, key_data
+from repro.core.hashing import PAGE_SEED, KeyDigest, KeyLike, hash_key, key_data
 from repro.core.incarnation import (
     IncarnationHandle,
     build_pages,
     iter_page_entries,
-    page_index_for_key,
     required_pages,
     search_page,
 )
@@ -43,6 +42,13 @@ from repro.core.results import (
 from repro.core.sliced_bloom import BitSlicedBloomArray
 from repro.core.storage import IncarnationStore
 from repro.flashsim.clock import SimulationClock
+
+# Bound once: enum member access goes through the metaclass on every read,
+# and every lookup names one of these.
+_BUFFER = ServedFrom.BUFFER
+_INCARNATION = ServedFrom.INCARNATION
+_DELETED = ServedFrom.DELETED
+_MISSING = ServedFrom.MISSING
 
 
 class SuperTable:
@@ -88,11 +94,10 @@ class SuperTable:
         )
         # Incarnations ordered oldest -> newest.
         self._incarnations: List[IncarnationHandle] = []
-        # incarnation_id -> handle, kept in sync with _incarnations so the
-        # bit-sliced candidate path resolves ids without a per-lookup rebuild.
-        self._by_id: Dict[int, IncarnationHandle] = {}
         # Per-incarnation Bloom filters (same order as _incarnations).
         self._filters: Dict[int, BloomFilter] = {}
+        # The same filters bit-sliced; each column is owned by its handle, so
+        # a query yields candidate handles directly.
         self._sliced = BitSlicedBloomArray(
             num_bits=self.buffer.bloom_bits,
             num_hashes=self.buffer.bloom_hashes,
@@ -117,10 +122,6 @@ class SuperTable:
     def delete_list_size(self) -> int:
         """Entries currently on the in-memory delete list."""
         return len(self._delete_list)
-
-    def _charge_memory(self, cost_ms: float) -> float:
-        self.clock.advance(cost_ms)
-        return cost_ms
 
     def _write_incarnation_pages(self, pages: List[bytes]) -> Tuple[int, float]:
         # Stores that place data per super table (chip partitions, multi-SSD
@@ -150,9 +151,7 @@ class SuperTable:
             bit_sliced=self.use_bit_slicing,
         )
         if self.use_bit_slicing:
-            ids = self._sliced.candidates(key)
-            by_id = self._by_id
-            return [by_id[i] for i in ids if i in by_id], cost
+            return self._sliced.candidates(key), cost
         candidates = [
             handle
             for handle in reversed(self._incarnations)
@@ -163,115 +162,101 @@ class SuperTable:
     # -- Lookup -----------------------------------------------------------------------
 
     def lookup(self, key: KeyLike) -> LookupResult:
-        """Find the most recent value for ``key`` (bytes or a KeyDigest)."""
-        data = key_data(key)
-        latency = self._charge_memory(self.memory_cost.delete_list_probe_ms)
+        """Find the most recent value for ``key`` (bytes or a KeyDigest).
+
+        Every DRAM-side step charges the clock as it happens (delete list,
+        buffer probe, Bloom query, one page scan per page read), so simulated
+        time interleaves with the device's own charges exactly as the steps
+        do; ``latency`` accumulates the same amounts in the same order.
+        Results are built positionally — ``(key, value, latency_ms,
+        served_from, flash_reads, incarnations_checked,
+        false_positive_reads)`` — which costs half of what seven keyword
+        arguments do, once per lookup.
+        """
+        digest = key if type(key) is KeyDigest else None
+        data = key.data if digest is not None else key_data(key)
+        cost = self.memory_cost
+        advance = self.clock.advance
+        latency = cost.delete_list_probe_ms
+        advance(latency)
         if data in self._delete_list:
-            return LookupResult(
-                key=data,
-                value=None,
-                latency_ms=latency,
-                served_from=ServedFrom.DELETED,
-            )
-        latency += self._charge_memory(self.memory_cost.buffer_op_ms)
+            return LookupResult(data, None, latency, _DELETED)
+        advance(cost.buffer_op_ms)
+        latency += cost.buffer_op_ms
         value = self.buffer.get(key)
         if value is not None:
-            return LookupResult(
-                key=data,
-                value=value,
-                latency_ms=latency,
-                served_from=ServedFrom.BUFFER,
-            )
+            return LookupResult(data, value, latency, _BUFFER)
 
         candidates, bloom_cost = self._candidate_incarnations(key)
-        latency += self._charge_memory(bloom_cost)
+        advance(bloom_cost)
+        latency += bloom_cost
         flash_reads = 0
         false_positive_reads = 0
+        read_page = self.store.read_page
         for handle in candidates:
-            value, reads = self._search_incarnation(handle, key, data)
+            # The key's page within this incarnation: warm digests answer from
+            # their seed memo; plain bytes (the re-hashing ablation) hash again
+            # for every incarnation probed.
+            if digest is not None:
+                page_hash = digest._seeded.get(PAGE_SEED)
+                if page_hash is None:
+                    page_hash = digest.digest(PAGE_SEED)
+            else:
+                page_hash = hash_key(key, seed=PAGE_SEED)
+            num_pages = handle.num_pages
+            page = page_hash % num_pages
+            # Read the home page, then follow overflow flags (wrapping) until
+            # the key turns up or a page says nothing spilled past it.
+            reads = 0
+            flash_latency = 0.0
+            for probe in range(num_pages):
+                image, read_latency = read_page(handle.address, (page + probe) % num_pages)
+                flash_latency += read_latency
+                reads += 1
+                value, overflowed = search_page(image, data)
+                if value is not None or not overflowed:
+                    break
             flash_reads += reads
-            latency += self._last_flash_latency
-            latency += self._charge_memory(self.memory_cost.page_scan_ms * reads)
+            latency += flash_latency
+            scan_cost = cost.page_scan_ms * reads
+            advance(scan_cost)
+            latency += scan_cost
             if value is not None:
                 result = LookupResult(
-                    key=data,
-                    value=value,
-                    latency_ms=latency,
-                    served_from=ServedFrom.INCARNATION,
-                    flash_reads=flash_reads,
-                    incarnations_checked=len(candidates),
-                    false_positive_reads=false_positive_reads,
-                )
-                self._maybe_reinsert_on_use(key, value)
+                    data, value, latency, _INCARNATION,
+                    flash_reads, len(candidates), false_positive_reads,
+                )  # fmt: skip
+                if self.eviction_policy.reinsert_on_use:
+                    # LRU emulation: an item found on flash goes back into the
+                    # buffer.  The paper does this asynchronously, off the
+                    # lookup's critical path, so its latency is tracked apart.
+                    self.reinsert_latency_total_ms += self.insert(key, value).latency_ms
                 return result
             false_positive_reads += reads
         return LookupResult(
-            key=data,
-            value=None,
-            latency_ms=latency,
-            served_from=ServedFrom.MISSING,
-            flash_reads=flash_reads,
-            incarnations_checked=len(candidates),
-            false_positive_reads=false_positive_reads,
-        )
-
-    _last_flash_latency: float = 0.0
-
-    def _search_incarnation(
-        self, handle: IncarnationHandle, key: KeyLike, data: bytes
-    ) -> Tuple[Optional[bytes], int]:
-        """Search one incarnation for ``key``; reads at most a few pages.
-
-        ``key`` addresses the page (digest-aware hash), ``data`` is the
-        canonical bytes compared against page entries.
-        """
-        self._last_flash_latency = 0.0
-        page = page_index_for_key(key, handle.num_pages)
-        reads = 0
-        for probe in range(handle.num_pages):
-            target = (page + probe) % handle.num_pages
-            image, read_latency = self.store.read_page(handle.address, target)
-            self._last_flash_latency += read_latency
-            reads += 1
-            value, overflowed = search_page(image, data)
-            if value is not None:
-                return value, reads
-            if not overflowed:
-                return None, reads
-        return None, reads
-
-    def _maybe_reinsert_on_use(self, key: KeyLike, value: bytes) -> None:
-        """LRU emulation: items found on flash are re-inserted into the buffer.
-
-        The re-insertion happens off the lookup's critical path (the paper
-        performs it asynchronously), so its latency is tracked separately.
-        """
-        if not self.eviction_policy.reinsert_on_use:
-            return
-        result = self.insert(key, value)
-        self.reinsert_latency_total_ms += result.latency_ms
+            data, None, latency, _MISSING,
+            flash_reads, len(candidates), false_positive_reads,
+        )  # fmt: skip
 
     # -- Insert / update / delete -------------------------------------------------------
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or (lazily) update ``key`` (bytes or a KeyDigest)."""
-        data = key_data(key)
-        latency = self._charge_memory(
-            self.memory_cost.buffer_op_ms + self.memory_cost.bloom_update_ms
-        )
+        data = key.data if type(key) is KeyDigest else key_data(key)
+        cost = self.memory_cost
+        latency = cost.buffer_op_ms + cost.bloom_update_ms
+        self.clock.advance(latency)
         self._delete_list.discard(data)
-        flushed = False
-        flush_result = FlushResult()
-        if not self.buffer.put(key, value):
-            flush_result = self.flush()
-            flushed = True
-            latency += flush_result.latency_ms
-            if not self.buffer.put(key, value):  # pragma: no cover - flush always makes room
-                raise ConfigurationError("buffer rejected an insert immediately after flush")
+        if self.buffer.put(key, value):
+            return InsertResult(data, latency)
+        flush_result = self.flush()
+        latency += flush_result.latency_ms
+        if not self.buffer.put(key, value):  # pragma: no cover - flush always makes room
+            raise ConfigurationError("buffer rejected an insert immediately after flush")
         return InsertResult(
             key=data,
             latency_ms=latency,
-            flushed=flushed,
+            flushed=True,
             flush_latency_ms=flush_result.latency_ms,
             incarnations_tried=flush_result.incarnations_tried,
             flash_writes=flush_result.flash_writes,
@@ -285,9 +270,8 @@ class SuperTable:
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete ``key`` lazily via the in-memory delete list."""
         data = key_data(key)
-        latency = self._charge_memory(
-            self.memory_cost.buffer_op_ms + self.memory_cost.delete_list_probe_ms
-        )
+        latency = self.memory_cost.buffer_op_ms + self.memory_cost.delete_list_probe_ms
+        self.clock.advance(latency)
         removed = self.buffer.delete(key)
         # Older copies may still exist on flash, so the delete list entry is
         # needed even when the buffer held the key.
@@ -345,7 +329,8 @@ class SuperTable:
                         self.memory_cost.buffer_op_ms + self.memory_cost.bloom_update_ms
                     )
                 if reinsert_cost:
-                    result.latency_ms += self._charge_memory(reinsert_cost)
+                    self.clock.advance(reinsert_cost)
+                    result.latency_ms += reinsert_cost
                 result.items_retained += len(retained)
                 pending = None
 
@@ -374,18 +359,16 @@ class SuperTable:
         )
         self._next_incarnation_id += 1
         self._incarnations.append(handle)
-        self._by_id[handle.incarnation_id] = handle
         if frozen_filter is None:
             frozen_filter = BloomFilter(self.buffer.bloom_bits, self.buffer.bloom_hashes)
             frozen_filter.update(items.keys())
         self._filters[handle.incarnation_id] = frozen_filter
-        self._sliced.append_filter(frozen_filter, handle.incarnation_id)
+        self._sliced.append_filter(frozen_filter, handle)
         return latency, len(pages)
 
     def _evict_oldest(self, force_full_discard: bool) -> Tuple[Dict[bytes, bytes], float, int]:
         """Evict the oldest incarnation; returns (retained items, latency, flash reads)."""
         handle = self._incarnations.pop(0)
-        self._by_id.pop(handle.incarnation_id, None)
         self.eviction_count += 1
         latency = 0.0
         flash_reads = 0
@@ -399,7 +382,9 @@ class SuperTable:
             for image in pages:
                 for key, value in iter_page_entries(image):
                     items[key] = value
-            latency += self._charge_memory(self.memory_cost.page_scan_ms * len(pages))
+            scan_cost = self.memory_cost.page_scan_ms * len(pages)
+            self.clock.advance(scan_cost)
+            latency += scan_cost
             context = EvictionContext(
                 incarnation_id=handle.incarnation_id,
                 is_deleted=self._delete_list.__contains__,
@@ -484,9 +469,8 @@ class SuperTable:
                 f"cannot restore more than max_incarnations={self.max_incarnations}"
             )
         self._incarnations.append(handle)
-        self._by_id[handle.incarnation_id] = handle
         self._filters[handle.incarnation_id] = bloom
-        self._sliced.append_filter(bloom, handle.incarnation_id)
+        self._sliced.append_filter(bloom, handle)
         self._next_incarnation_id = max(self._next_incarnation_id, handle.incarnation_id + 1)
 
     def restore_delete_list(self, keys: Iterable[bytes]) -> None:

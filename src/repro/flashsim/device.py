@@ -16,9 +16,15 @@ from typing import Optional
 
 from repro.core.errors import PowerLossError
 from repro.flashsim.clock import SimulationClock
-from repro.flashsim.faults import FaultInjector
-from repro.flashsim.stats import IOEvent, IOKind, IOStats
+from repro.flashsim.faults import FaultInjector, FaultMode
+from repro.flashsim.stats import IOKind, IOStats
 from repro.telemetry import trace as _trace
+
+# Bound once: enum member access goes through the metaclass on every read,
+# and these are tested on every simulated I/O.
+_HEALTHY = FaultMode.HEALTHY
+_READ = IOKind.READ
+_WRITE = IOKind.WRITE
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,9 @@ class StorageDevice(abc.ABC):
         name: str = "device",
     ) -> None:
         self.geometry = geometry
+        # The geometry is immutable; its derived sizes are read on every I/O.
+        self._page_size = geometry.page_size
+        self._total_pages = geometry.total_pages
         self.clock = clock if clock is not None else SimulationClock()
         self.stats = IOStats(keep_events=keep_events)
         self.name = name
@@ -96,17 +105,17 @@ class StorageDevice(abc.ABC):
     # -- Payload handling ------------------------------------------------------
 
     def _check_page(self, page_index: int) -> None:
-        if not 0 <= page_index < self.geometry.total_pages:
+        if not 0 <= page_index < self._total_pages:
             raise IndexError(
                 f"page {page_index} out of range for {self.name} "
-                f"(total pages {self.geometry.total_pages})"
+                f"(total pages {self._total_pages})"
             )
 
     def _store_page(self, page_index: int, data: bytes) -> None:
-        if len(data) > self.geometry.page_size:
+        if len(data) > self._page_size:
             raise ValueError(
                 f"payload of {len(data)} bytes exceeds page size "
-                f"{self.geometry.page_size}"
+                f"{self._page_size}"
             )
         self._pages[page_index] = bytes(data)
 
@@ -162,16 +171,9 @@ class StorageDevice(abc.ABC):
     # -- Recording helpers -----------------------------------------------------
 
     def _record(self, kind: IOKind, nbytes: int, latency_ms: float, sequential: bool) -> None:
-        self.clock.advance(latency_ms)
-        self.stats.record(
-            IOEvent(
-                kind=kind,
-                nbytes=nbytes,
-                latency_ms=latency_ms,
-                sequential=sequential,
-                timestamp_ms=self.clock.now_ms,
-            )
-        )
+        """Charge one completed I/O to the clock, the statistics and the tracer."""
+        now_ms = self.clock.advance(latency_ms)
+        self.stats.add(kind, nbytes, latency_ms, sequential, now_ms)
         tracer = _trace.ACTIVE
         if tracer is not None:
             # The clock already advanced past this I/O, so the event window is
@@ -188,15 +190,28 @@ class StorageDevice(abc.ABC):
     # -- Public API ------------------------------------------------------------
 
     def read_page(self, page_index: int) -> tuple[bytes, float]:
-        """Read one page; returns ``(payload, latency_ms)``."""
-        self._check_page(page_index)
-        sequential = self._is_sequential(page_index)
-        latency = self.faults.check(self._read_latency(self.geometry.page_size, sequential))
-        if self._power_cut(1, "read") is not None:
+        """Read one page; returns ``(payload, latency_ms)``.
+
+        One page read is the unit of work of a CLAM lookup, so the bounds
+        check, the sequentiality heuristic and the healthy / no-countdown
+        fast paths of the fault gate are tested inline; the slow paths go
+        through the same helpers the other operations use.
+        """
+        if not 0 <= page_index < self._total_pages:
+            self._check_page(page_index)
+        previous = self._last_accessed_page
+        self._last_accessed_page = page_index
+        sequential = previous is not None and page_index == previous + 1
+        page_size = self._page_size
+        latency = self._read_latency(page_size, sequential)
+        faults = self.faults
+        if faults.mode is not _HEALTHY:
+            latency = faults.check(latency)
+        if faults._power_countdown is not None and faults.consume_io_units(1, "read") is not None:
             raise PowerLossError(
                 f"power lost during read of page {page_index} on device {self.name!r}"
             )
-        self._record(IOKind.READ, self.geometry.page_size, latency, sequential)
+        self._record(_READ, page_size, latency, sequential)
         return self._load_page(page_index), latency
 
     def write_page(self, page_index: int, data: bytes, sequential: Optional[bool] = None) -> float:
@@ -211,13 +226,13 @@ class StorageDevice(abc.ABC):
             sequential = self._is_sequential(page_index)
         else:
             self._last_accessed_page = page_index
-        latency = self.faults.check(self._write_latency(self.geometry.page_size, sequential))
+        latency = self.faults.check(self._write_latency(self._page_size, sequential))
         if self._power_cut(1, "write") is not None:
             self._apply_torn_write(page_index, bytes(data))
             raise PowerLossError(
                 f"power lost mid-write of page {page_index} on device {self.name!r}"
             )
-        self._record(IOKind.WRITE, self.geometry.page_size, latency, sequential)
+        self._record(_WRITE, self._page_size, latency, sequential)
         self._store_page(page_index, data)
         return latency
 
@@ -227,14 +242,14 @@ class StorageDevice(abc.ABC):
             raise ValueError("num_pages must be positive")
         self._check_page(start_page)
         self._check_page(start_page + num_pages - 1)
-        nbytes = num_pages * self.geometry.page_size
+        nbytes = num_pages * self._page_size
         latency = self.faults.check(self._read_latency(nbytes, sequential=True))
         if self._power_cut(num_pages, "read") is not None:
             raise PowerLossError(
                 f"power lost during streaming read at page {start_page} "
                 f"on device {self.name!r}"
             )
-        self._record(IOKind.READ, nbytes, latency, sequential=True)
+        self._record(_READ, nbytes, latency, sequential=True)
         self._last_accessed_page = start_page + num_pages - 1
         return [self._load_page(start_page + i) for i in range(num_pages)], latency
 
@@ -244,7 +259,7 @@ class StorageDevice(abc.ABC):
             raise ValueError("pages must be non-empty")
         self._check_page(start_page)
         self._check_page(start_page + len(pages) - 1)
-        nbytes = len(pages) * self.geometry.page_size
+        nbytes = len(pages) * self._page_size
         latency = self.faults.check(self._write_latency(nbytes, sequential=True))
         cut = self._power_cut(len(pages), "write")
         if cut is not None:
@@ -257,7 +272,7 @@ class StorageDevice(abc.ABC):
                 f"power lost mid-write of page {start_page + cut} "
                 f"(streaming write at page {start_page}) on device {self.name!r}"
             )
-        self._record(IOKind.WRITE, nbytes, latency, sequential=True)
+        self._record(_WRITE, nbytes, latency, sequential=True)
         for offset, data in enumerate(pages):
             self._store_page(start_page + offset, data)
         self._last_accessed_page = start_page + len(pages) - 1

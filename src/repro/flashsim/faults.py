@@ -57,6 +57,14 @@ class FaultMode(enum.Enum):
     #: Power was cut between I/Os (or during a read, which has no side effect).
     POWER_LOST = "power-lost"
 
+    # Identity hash (members are singletons): ``Enum.__hash__`` is a
+    # Python-level function, and ``is_crashed`` runs once per CLAM operation.
+    __hash__ = object.__hash__
+
+
+#: Bound once: enum member access goes through the metaclass on every read,
+#: and the healthy test below runs once per simulated I/O.
+_HEALTHY = FaultMode.HEALTHY
 
 #: Modes in which the device refuses every I/O until healed/reopened.
 _DEAD_MODES = frozenset(
@@ -88,7 +96,8 @@ class FaultInjector:
         self.faulted_ios = 0
         #: I/Os that went through while the device was degraded.
         self.degraded_ios = 0
-        #: Remaining I/O units until the armed power cut fires (None = unarmed).
+        #: Remaining I/O units until the armed power cut fires (None = unarmed);
+        #: ``StorageDevice.read_page`` tests it inline, once per page read.
         self._power_countdown: Optional[int] = None
 
     # -- State transitions -----------------------------------------------------
@@ -178,7 +187,7 @@ class FaultInjector:
     @property
     def is_healthy(self) -> bool:
         """Whether I/Os currently pass through unharmed."""
-        return self.mode is FaultMode.HEALTHY
+        return self.mode is _HEALTHY
 
     @property
     def is_crashed(self) -> bool:
@@ -199,7 +208,7 @@ class FaultInjector:
         Called by :class:`~repro.flashsim.device.StorageDevice` with the
         fault-free latency of the operation about to run.
         """
-        if self.mode is FaultMode.HEALTHY:
+        if self.mode is _HEALTHY:
             return latency_ms
         if self.mode in _DEAD_MODES:
             self.faulted_ios += 1

@@ -130,7 +130,8 @@ class SSD(StorageDevice):
         )
         self.profile = profile
         self._cost_model = profile.cost_model
-        self._clean_credit_bytes = float(profile.clean_pool_bytes)
+        self._pool_bytes = float(profile.clean_pool_bytes)
+        self._clean_credit_bytes = self._pool_bytes
         self._last_replenish_ms = self.clock.now_ms
         self.gc_stall_count = 0
         # Hysteresis: once the clean pool drops below the low watermark the
@@ -147,7 +148,7 @@ class SSD(StorageDevice):
         elapsed = now - self._last_replenish_ms
         if elapsed > 0:
             self._clean_credit_bytes = min(
-                float(self.profile.clean_pool_bytes),
+                self._pool_bytes,
                 self._clean_credit_bytes + elapsed * self.profile.gc_replenish_bytes_per_ms,
             )
             self._last_replenish_ms = now
@@ -172,8 +173,7 @@ class SSD(StorageDevice):
 
     def _update_gc_mode(self) -> None:
         """Enter GC mode below the low watermark; leave above the high watermark."""
-        pool = float(self.profile.clean_pool_bytes)
-        fraction = self._clean_credit_bytes / pool
+        fraction = self._clean_credit_bytes / self._pool_bytes
         if not self._gc_mode and fraction <= self.profile.gc_read_threshold_fraction:
             self._gc_mode = True
         elif self._gc_mode and fraction >= self._gc_high_watermark_fraction:
@@ -190,14 +190,15 @@ class SSD(StorageDevice):
     def clean_pool_fraction(self) -> float:
         """Remaining clean-pool credit as a fraction of the full pool."""
         self._replenish_credit()
-        return self._clean_credit_bytes / float(self.profile.clean_pool_bytes)
+        return self._clean_credit_bytes / self._pool_bytes
 
     # -- Latency hooks -----------------------------------------------------------
 
     def _read_latency(self, nbytes: int, sequential: bool) -> float:
         self._replenish_credit()
         self._update_gc_mode()
-        base = self._cost_model.read_cost(nbytes, sequential=sequential)
+        model = self._cost_model
+        base = (model.sequential_read if sequential else model.random_read).cost(nbytes)
         # Reads issued while the device is GC-starved also suffer: the flash
         # channels are busy relocating data.
         if self._gc_mode:

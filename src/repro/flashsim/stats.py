@@ -22,6 +22,11 @@ class IOKind(enum.Enum):
     WRITE = "write"
     ERASE = "erase"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # equivalent to ``Enum.__hash__`` — which is a Python-level function and
+    # would put one interpreter frame under every per-kind dict access below.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class IOEvent:
@@ -51,20 +56,27 @@ class IOStats:
     latency_max_ms: Dict[IOKind, float] = field(default_factory=dict)
     sequential_counts: Dict[IOKind, int] = field(default_factory=dict)
 
-    def record(self, event: IOEvent) -> None:
-        """Fold one operation into the aggregates (and event log if enabled)."""
-        kind = event.kind
+    def add(
+        self, kind: IOKind, nbytes: int, latency_ms: float, sequential: bool, timestamp_ms: float
+    ) -> None:
+        """Fold one operation into the aggregates.
+
+        This is what devices call per I/O; the :class:`IOEvent` is only built
+        when the event log is kept.
+        """
         self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
-        self.byte_counts[kind] = self.byte_counts.get(kind, 0) + event.nbytes
-        self.latency_totals_ms[kind] = (
-            self.latency_totals_ms.get(kind, 0.0) + event.latency_ms
-        )
-        if event.latency_ms > self.latency_max_ms.get(kind, 0.0):
-            self.latency_max_ms[kind] = event.latency_ms
-        if event.sequential:
+        self.byte_counts[kind] = self.byte_counts.get(kind, 0) + nbytes
+        self.latency_totals_ms[kind] = self.latency_totals_ms.get(kind, 0.0) + latency_ms
+        if latency_ms > self.latency_max_ms.get(kind, 0.0):
+            self.latency_max_ms[kind] = latency_ms
+        if sequential:
             self.sequential_counts[kind] = self.sequential_counts.get(kind, 0) + 1
         if self.keep_events:
-            self.events.append(event)
+            self.events.append(IOEvent(kind, nbytes, latency_ms, sequential, timestamp_ms))
+
+    def record(self, event: IOEvent) -> None:
+        """Fold an already-built event (:meth:`add` of its fields)."""
+        self.add(event.kind, event.nbytes, event.latency_ms, event.sequential, event.timestamp_ms)
 
     # -- Convenience accessors -------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for the deterministic hashing helpers and the KeyDigest pipeline."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -288,6 +290,83 @@ class TestDigestCache:
         as_digest(b"x")
         clear_digest_cache()
         assert digest_cache_info()["size"] == 0
+
+    def test_eviction_is_fifo_by_first_insertion(self):
+        set_digest_cache_capacity(4)
+        first = [as_digest(b"fifo-%d" % i) for i in range(4)]
+        assert as_digest(b"fifo-0") is first[0]  # a hit must not refresh its position
+        as_digest(b"fifo-4")  # full: the oldest-inserted key (fifo-0) leaves
+        assert digest_cache_info()["size"] == 4
+        for i in (1, 2, 3):  # hits insert nothing, so these checks evict nothing
+            assert as_digest(b"fifo-%d" % i) is first[i]
+        again = as_digest(b"fifo-0")  # a miss: fresh digest, and fifo-1 leaves
+        assert again is not first[0]
+        assert again.data == first[0].data
+        for seed in LAYOUT_SEEDS:
+            assert again.digest(seed) == first[0].digest(seed)
+        assert again.bloom_positions(7, 1024) == first[0].bloom_positions(7, 1024)
+        assert as_digest(b"fifo-2") is first[2]
+        assert as_digest(b"fifo-1") is not first[1]
+
+    def test_shrinking_keeps_the_newest_entries(self):
+        digests = [as_digest(b"shrink-%d" % i) for i in range(10)]
+        set_digest_cache_capacity(3)
+        assert digest_cache_info() == {"size": 3, "capacity": 3}
+        for i in (7, 8, 9):
+            assert as_digest(b"shrink-%d" % i) is digests[i]
+        as_digest(b"shrink-new")  # evicts exactly one entry: shrink-7
+        assert digest_cache_info()["size"] == 3
+        assert as_digest(b"shrink-8") is digests[8]
+        assert as_digest(b"shrink-9") is digests[9]
+
+    def test_zero_capacity_empties_the_cache(self):
+        kept = as_digest(b"kept")
+        set_digest_cache_capacity(0)
+        assert digest_cache_info() == {"size": 0, "capacity": 0}
+        assert as_digest(b"kept") is not kept
+        assert digest_cache_info()["size"] == 0
+
+    def test_cache_refills_to_capacity_after_clear_and_after_resize(self):
+        """Eviction order and membership are one state: whatever emptied or
+        shrank the cache, the next ``capacity`` distinct keys all stay."""
+        set_digest_cache_capacity(8)
+        for i in range(20):
+            as_digest(b"churn-%d" % i)
+        clear_digest_cache()
+        refill = [as_digest(b"refill-%d" % i) for i in range(8)]
+        assert digest_cache_info()["size"] == 8
+        assert all(as_digest(b"refill-%d" % i) is refill[i] for i in range(8))
+        set_digest_cache_capacity(0)
+        set_digest_cache_capacity(4)
+        again = [as_digest(b"again-%d" % i) for i in range(4)]
+        assert all(as_digest(b"again-%d" % i) is again[i] for i in range(4))
+
+    def test_eviction_cost_does_not_grow_with_capacity(self):
+        """An evicting ``as_digest`` costs the same at the default capacity as
+        at a tiny one.  Both are timed in this run, so host speed cancels: the
+        ratio was 15 or more when eviction popped the first key of a plain dict
+        (which rescans the tombstones at the head of its entry table)."""
+
+        def evicting_call_seconds(capacity: int) -> float:
+            set_digest_cache_capacity(capacity)
+            clear_digest_cache()
+            for i in range(capacity):
+                as_digest(b"fill-%d" % i)
+            best = float("inf")
+            for attempt in range(3):
+                # Long enough for a dict to go through a whole cycle of
+                # accumulating and compacting its deleted entries.
+                keys = [b"evict-%d-%d" % (attempt, i) for i in range(1 << 16)]
+                started = time.perf_counter()
+                for key in keys:
+                    as_digest(key)
+                best = min(best, (time.perf_counter() - started) / len(keys))
+            assert digest_cache_info()["size"] == capacity
+            return best
+
+        small = evicting_call_seconds(256)
+        large = evicting_call_seconds(1 << 16)
+        assert large / small < 5.0, f"{large * 1e6:.2f} us vs {small * 1e6:.2f} us per eviction"
 
 
 class TestHashCallCounting:

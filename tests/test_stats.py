@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.flashsim import IOEvent, IOKind, IOStats
+from repro.flashsim import SSD, IOEvent, IOKind, IOStats
 from repro.flashsim.stats import percentile
+from repro.telemetry.trace import Tracer, tracing
 
 
 def _event(kind=IOKind.READ, nbytes=512, latency=1.0, sequential=False, ts=0.0):
@@ -69,6 +70,75 @@ class TestIOStats:
         assert snap["read_ops"] == 1.0
         assert snap["total_ops"] == 1.0
         assert "write_mean_ms" in snap
+
+    def test_add_folds_without_an_event_and_record_is_add_of_its_fields(self):
+        added, recorded = IOStats(keep_events=True), IOStats(keep_events=True)
+        added.add(IOKind.WRITE, 4096, 0.25, True, 7.5)
+        recorded.record(_event(IOKind.WRITE, nbytes=4096, latency=0.25, sequential=True, ts=7.5))
+        assert added == recorded
+        assert added.events == [_event(IOKind.WRITE, 4096, 0.25, True, 7.5)]
+
+
+def _drive(device):
+    """A fixed mix of page and streaming I/O; returns what each call reported."""
+    observed = []  # (kind, nbytes, latency_ms, clock reading after the I/O)
+    page = device.geometry.page_size
+    for start in (0, 64, 65, 4000):
+        latency = device.write_range(start, [b"a", b"b", b"c"])
+        observed.append((IOKind.WRITE, 3 * page, latency, device.clock.now_ms))
+        device.clock.advance(0.004)
+    for index in (0, 1, 2, 64, 4001, 9, 10):
+        _payload, latency = device.read_page(index)
+        observed.append((IOKind.READ, page, latency, device.clock.now_ms))
+        device.clock.advance(0.0002)
+    latency = device.write_page(77, b"x")
+    observed.append((IOKind.WRITE, page, latency, device.clock.now_ms))
+    _pages, latency = device.read_range(64, 2)
+    observed.append((IOKind.READ, 2 * page, latency, device.clock.now_ms))
+    return observed
+
+
+class TestDeviceAccounting:
+    """What a device records per I/O does not depend on who is listening."""
+
+    def test_aggregates_do_not_depend_on_keeping_events(self):
+        quiet, logged = SSD(), SSD(keep_events=True)
+        assert _drive(quiet) == _drive(logged)
+        assert quiet.stats.events == []
+        assert quiet.stats.snapshot() == logged.stats.snapshot()
+        for name in (
+            "op_counts",
+            "byte_counts",
+            "latency_totals_ms",
+            "latency_max_ms",
+            "sequential_counts",
+        ):
+            assert getattr(quiet.stats, name) == getattr(logged.stats, name)
+        assert quiet.clock.now_ms == logged.clock.now_ms
+
+    def test_kept_events_carry_every_io_with_its_completion_time(self):
+        device = SSD(keep_events=True)
+        observed = _drive(device)
+        events = device.stats.events
+        assert [(e.kind, e.nbytes, e.latency_ms, e.timestamp_ms) for e in events] == observed
+        assert [e.sequential for e in events[:4]] == [True] * 4  # streaming writes
+        assert [e.sequential for e in events[4:11]] == [False, True, True, False, False, False, True]
+
+    def test_tracer_sees_one_device_event_per_io(self):
+        device = SSD(keep_events=True, name="traced-ssd")
+        tracer = Tracer()
+        with tracing(tracer):
+            _drive(device)
+        assert len(tracer.spans) == len(device.stats.events)
+        for span, event in zip(tracer.spans, device.stats.events):
+            assert span.name == "device." + event.kind.value
+            assert span.end_ms == event.timestamp_ms
+            assert span.start_ms == event.timestamp_ms - event.latency_ms
+            assert span.attributes == {
+                "device": "traced-ssd",
+                "nbytes": event.nbytes,
+                "sequential": event.sequential,
+            }
 
 
 class TestPercentile:
