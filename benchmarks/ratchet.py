@@ -177,6 +177,14 @@ REGISTRY: Dict[str, RatchetSpec] = {
             Metric("cache_overflow.evicting_over_filling", "min-fraction", 0.7),
             Metric("cache_overflow.overflow_over_hotpath", "min-fraction", 0.6),
             Metric("cache_overflow.digest_cache_capacity", "exact"),
+            # Same-run again: six single-seed FNV passes over one fused
+            # traversal of the same keys (3.5-4.5 here; 1.0 would mean the
+            # CLAM words stopped sharing a traversal), and key traversals per
+            # operation when a worker is sent a frame it has already served
+            # (0: decoding interns keys in the worker's digest cache).
+            Metric("hash_once.cold_key_fused_speedup", "min-value", 1.5),
+            Metric("hash_once.wire_repeat_traversals_per_op", "exact"),
+            Metric("hash_once.wire_repeat_traversals_per_op", "max-value", 0),
         ),
     ),
     "rebalance": RatchetSpec(

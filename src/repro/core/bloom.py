@@ -95,7 +95,11 @@ class BloomFilter:
 
     def __contains__(self, key: KeyLike) -> bool:
         bits = self._bits
-        for position in double_hashes(key, self.num_hashes, self.num_bits):
+        if type(key) is KeyDigest:  # once per filter probed: no copy of the memo
+            positions = key.bloom_positions(self.num_hashes, self.num_bits)
+        else:
+            positions = double_hashes(key, self.num_hashes, self.num_bits)
+        for position in positions:
             if not bits[position >> 3] & (1 << (position & 7)):
                 return False
         return True

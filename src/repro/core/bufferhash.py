@@ -13,7 +13,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError
 from repro.core.eviction import EvictionPolicy, make_policy
-from repro.core.hashing import PARTITION_SEED, KeyDigest, KeyLike, canonical_key, hash_key
+from repro.core.hashing import (
+    PARTITION_SEED,
+    PARTITION_WORD,
+    KeyDigest,
+    KeyLike,
+    canonical_key,
+    hash_key,
+)
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.core.storage import (
     IncarnationStore,
@@ -160,13 +167,11 @@ class BufferHash:
         policy: :func:`repro.core.hashing.canonical_key`) — and the super
         table owning it (first k1 hash bits in the paper).  A digest handed
         down by :class:`~repro.core.clam.CLAM` or the service router is
-        already canonical and, once warm, partitions from its seed memo.
+        already canonical and, once warm, partitions from its words.
         """
         hash_once = self.config.use_hash_once
         if hash_once and type(key) is KeyDigest:
-            partition = key._seeded.get(PARTITION_SEED)
-            if partition is None:
-                partition = key.digest(PARTITION_SEED)
+            partition = (key.words or key.clam_words())[PARTITION_WORD]
         else:
             key = canonical_key(key, hash_once)
             partition = hash_key(key, seed=PARTITION_SEED)

@@ -16,6 +16,8 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.core.errors import CapacityError
 from repro.core.hashing import (
+    CUCKOO_FIRST_WORD,
+    CUCKOO_SECOND_WORD,
     CUCKOO_SEED_FIRST,
     CUCKOO_SEED_SECOND,
     KeyDigest,
@@ -56,14 +58,10 @@ class CuckooHashTable:
 
     def _buckets_for(self, key: KeyLike) -> Tuple[int, int]:
         if type(key) is KeyDigest:
-            # Warm keys answer from the digest's seed memo without a call.
-            seeded = key._seeded
-            first = seeded.get(CUCKOO_SEED_FIRST)
-            if first is None:
-                first = key.digest(CUCKOO_SEED_FIRST)
-            second = seeded.get(CUCKOO_SEED_SECOND)
-            if second is None:
-                second = key.digest(CUCKOO_SEED_SECOND)
+            # Warm keys answer from the digest's words without a call.
+            words = key.words or key.clam_words()
+            first = words[CUCKOO_FIRST_WORD]
+            second = words[CUCKOO_SECOND_WORD]
         else:
             first = hash_key(key, seed=CUCKOO_SEED_FIRST)
             second = hash_key(key, seed=CUCKOO_SEED_SECOND)

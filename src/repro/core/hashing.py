@@ -14,31 +14,47 @@ BufferHash derives *several* values from one key: the super-table partition
 (:data:`PAGE_SEED`) and, in the service layer, the consistent-hash ring
 position (:data:`RING_SEED`).  Naively each layer re-hashes the full key
 bytes, so one lookup pays 6-10+ FNV passes.  :class:`KeyDigest` is the
-hash-once fix: the key is canonicalised to bytes once at the public API
-boundary, each seeded 64-bit digest is computed lazily *at most once* and
-memoised, and the Kirsch-Mitzenmacher Bloom positions are memoised per filter
-geometry — all **bit-identical** to hashing the key bytes directly with the
-same seed, so the on-flash layout does not change.  Values that are one
-modulo away from a memoised digest (the super-table partition, the cuckoo
-bucket pair, the incarnation page) are *not* memoised: the per-operation
-layers of :mod:`repro.core` read the seed memo directly and reduce it
-themselves, which costs less than a second memo would.  A FIFO-bounded digest
-cache (:func:`as_digest`, O(1) per eviction) additionally reuses digests
-across operations on the same key, which is the common case for fingerprint
-indexes (a lookup is usually followed by an insert of the same fingerprint).
+hash-once fix, and "once" is literal: the key is canonicalised to bytes once
+at the public API boundary, and the first layer of a CLAM that needs any of
+the six CLAM words gets all six from **one traversal** of the key bytes
+(:func:`clam_words`: FNV-1a's ``v = ((v ^ byte) * prime) mod 2^64`` runs
+lane-wise on one Python integer, one 128-bit lane per seed, so a byte costs
+one ``xor``/``mul``/``and`` for all six seeds) — **bit-identical** to six
+:func:`fnv1a_64` calls, so the on-flash layout does not change.  The ring
+word is all a routing parent ever needs, so it keeps its own single-seed
+pass, as do the baseline and ablation seeds.
 
-For measurement, :func:`count_hash_calls` records every full-key FNV pass by
-seed (and every digest construction) so tests and ``benchmarks/
-bench_hotpath.py`` can assert that each layer hashes a key at most once per
-operation.
+A :class:`KeyDigest` is flat: the key bytes, the tuple of six CLAM words
+(``words``, indexed by :data:`PARTITION_WORD` ... :data:`PAGE_WORD`), the
+ring word, and the Kirsch-Mitzenmacher Bloom positions of the one filter
+geometry the key last met, packed in an ``array``.  Values that are one
+modulo away from a word (the partition, the cuckoo bucket pair, the
+incarnation page) are not memoised: the per-operation layers of
+:mod:`repro.core` index ``words`` and reduce it themselves.  A cached digest
+owns no ``dict`` and no ``list`` — about 0.5 KB fully warmed (11 Bloom
+positions), where the dict-per-memo layout it replaces took 1.4 KB — which is
+what lets a FIFO-bounded digest cache (:func:`as_digest`, O(1) per eviction) hold one
+digest per recently used key in *every* process: the cache reuses digests
+across operations on the same key (a lookup is usually followed by an insert
+of the same fingerprint), and a shard worker interns the keys it decodes from
+the wire in it (:meth:`KeyDigest.from_wire`), so a key is hashed once per
+residency in a process's cache, not once per operation that crosses a
+process boundary.
+
+For measurement, :func:`count_hash_calls` records every traversal of a key's
+bytes — a single-seed :func:`fnv1a_64` pass under its seed, a fused
+:func:`clam_words` traversal once under :data:`CLAM_WORDS_SEED` — and every
+digest construction, so tests and ``benchmarks/bench_hotpath.py`` can assert
+that a cold CLAM operation walks its key exactly once and a warm one never.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from collections import deque
 from contextlib import contextmanager
-from typing import Deque, Dict, Iterator, List, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -73,8 +89,29 @@ FLASH_BASELINE_SEED = 0xF1A5
 #: Bucket assignment of the BerkeleyDB-style disk-hash baseline.
 DISK_BASELINE_SEED = 0xBDB
 
+#: The seeds of the six CLAM words, in the order of :attr:`KeyDigest.words`.
+CLAM_SEEDS = (
+    PARTITION_SEED,
+    CUCKOO_SEED_FIRST,
+    CUCKOO_SEED_SECOND,
+    BLOOM_SEED_H1,
+    BLOOM_SEED_H2,
+    PAGE_SEED,
+)
+#: Indexes into :attr:`KeyDigest.words` (and the result of :func:`clam_words`).
+PARTITION_WORD = 0
+CUCKOO_FIRST_WORD = 1
+CUCKOO_SECOND_WORD = 2
+BLOOM_H1_WORD = 3
+BLOOM_H2_WORD = 4
+PAGE_WORD = 5
+#: Not a seed: the key under which hash-call accounting logs one fused
+#: traversal that yields all six CLAM words (:func:`clam_words`).
+CLAM_WORDS_SEED = -1
+
 #: Seed -> human-readable layer name, used by hash-call accounting.
 SEED_LAYERS: Dict[int, str] = {
+    CLAM_WORDS_SEED: "clam_words",
     PARTITION_SEED: "partition",
     CUCKOO_SEED_FIRST: "cuckoo_first",
     CUCKOO_SEED_SECOND: "cuckoo_second",
@@ -122,13 +159,18 @@ def to_key_bytes(key: "KeyLike") -> bytes:
 
 # -- Hash-call accounting -----------------------------------------------------------
 
-#: When True, :func:`fnv1a_64` records each full-key pass into the active log.
+#: When True, every traversal of a key's bytes is recorded into the active log.
 _counting = False
 _active_log: "HashCallLog" = None  # type: ignore[assignment]
 
 
 class HashCallLog:
-    """Counts of full-key hash passes (by seed) and digest constructions."""
+    """Counts of key-byte traversals (by seed) and digest constructions.
+
+    A single-seed :func:`fnv1a_64` pass is counted under its seed; a fused
+    :func:`clam_words` traversal is counted once, under
+    :data:`CLAM_WORDS_SEED`, whatever number of words it yields.
+    """
 
     __slots__ = ("by_seed", "digest_builds")
 
@@ -138,11 +180,11 @@ class HashCallLog:
 
     @property
     def total(self) -> int:
-        """Total full-key FNV passes recorded."""
+        """Number of times the bytes of a key were walked."""
         return sum(self.by_seed.values())
 
     def by_layer(self) -> Dict[str, int]:
-        """Pass counts keyed by layer name (unknown seeds keyed by hex)."""
+        """Traversal counts keyed by layer name (unknown seeds keyed by hex)."""
         out: Dict[str, int] = {}
         for seed, count in self.by_seed.items():
             layer = SEED_LAYERS.get(seed, hex(seed))
@@ -159,7 +201,7 @@ class HashCallLog:
 
 @contextmanager
 def count_hash_calls() -> Iterator[HashCallLog]:
-    """Record every full-key FNV pass (by seed) and digest build in a block.
+    """Record every key-byte traversal (by seed) and digest build in a block.
 
     Nested use is not supported; the counter adds one branch to the hash hot
     path, so it stays disabled outside the ``with`` block.
@@ -177,8 +219,9 @@ def count_hash_calls() -> Iterator[HashCallLog]:
 def fnv1a_64(data: bytes, seed: int = 0) -> int:
     """64-bit FNV-1a hash of ``data``, mixed with ``seed`` and finalised.
 
-    This is the only function that traverses the full key bytes; everything
-    else derives from its output.
+    The reference every derived value is defined by: this and
+    :func:`clam_words` (the same arithmetic for six seeds at once) are the
+    only functions that traverse the full key bytes.
 
     The finalising mix (MurmurHash3 fmix64, inlined below — one call frame
     per pass matters when keys are hashed millions of times) spreads entropy
@@ -206,96 +249,229 @@ def fnv1a_64(data: bytes, seed: int = 0) -> int:
     return value ^ (value >> 33)
 
 
+# Lane packing for :func:`clam_words`: lane ``i`` (bits ``128 * i`` and up)
+# carries the FNV state of ``CLAM_SEEDS[i]`` in its low 64 bits.  The widest
+# factor is a 64-bit fmix64 constant, so a lane's product stays below 2^128
+# and never reaches its neighbour; the FNV prime itself is below 2^41.
+_LANE_BITS = 128
+_LANE_ONES = sum(1 << (_LANE_BITS * lane) for lane in range(len(CLAM_SEEDS)))
+_LANE_MASK = _MASK64 * _LANE_ONES
+_LANE_OFFSETS = sum(
+    ((_FNV64_OFFSET ^ (seed * _GOLDEN64)) & _MASK64) << (_LANE_BITS * lane)
+    for lane, seed in enumerate(CLAM_SEEDS)
+)
+#: ``_LANE_BYTES[b]`` is byte ``b`` repeated in every lane.
+_LANE_BYTES = [byte * _LANE_ONES for byte in range(256)]
+_LANE_STATE_SIZE = _LANE_BITS * len(CLAM_SEEDS) // 8
+_unpack_lanes = struct.Struct("<" + "Q8x" * len(CLAM_SEEDS)).unpack
+
+
+def clam_words(data: bytes) -> Tuple[int, ...]:
+    """``fnv1a_64(data, seed)`` for every seed of :data:`CLAM_SEEDS`, in one
+    traversal of ``data``.
+
+    Each step of :func:`fnv1a_64` — xor a byte in, multiply, reduce modulo
+    2^64, and the shifts and multiplications of the finaliser — is applied to
+    all six states at once, as one operation on a 768-bit integer.
+    """
+    if _counting:
+        counts = _active_log.by_seed
+        counts[CLAM_WORDS_SEED] = counts.get(CLAM_WORDS_SEED, 0) + 1
+    prime = _FNV64_PRIME
+    mask = _LANE_MASK
+    lane_bytes = _LANE_BYTES
+    state = _LANE_OFFSETS
+    for byte in data:
+        state = ((state ^ lane_bytes[byte]) * prime) & mask
+    # A lane's high half is zero here, so the shift pulls nothing in from the
+    # lane above that the mask does not drop again.
+    state ^= (state >> 33) & mask
+    state = (state * 0xFF51AFD7ED558CCD) & mask
+    state ^= (state >> 33) & mask
+    state = (state * 0xC4CEB9FE1A85EC53) & mask
+    state ^= (state >> 33) & mask
+    return _unpack_lanes(state.to_bytes(_LANE_STATE_SIZE, "little"))
+
+
+_CLAM_WORD_INDEX = {seed: index for index, seed in enumerate(CLAM_SEEDS)}
+_WIRE_HEAD = struct.Struct("<IB")
+_WIRE_PAIR = struct.Struct("<QQ")
+
+
 class KeyDigest:
     """Hash-once handle for one key: canonical bytes plus memoised digests.
 
     A digest is built from a key's canonical bytes exactly once and then
     threaded through every layer in place of the raw key (it is itself a
-    :data:`KeyLike`, accepted anywhere a key is).  Each seeded 64-bit digest
-    is computed lazily on first use and memoised, as are the derived
-    Kirsch-Mitzenmacher Bloom positions per ``(count, modulus)`` geometry, so
-    a lookup that consults the partition map, the cuckoo buffer, several
-    incarnations' Bloom filters and the incarnation page hashes the key bytes
-    at most once per seed — instead of once per layer *use*.
+    :data:`KeyLike`, accepted anywhere a key is).  What it memoises:
+
+    ``words``
+        the six CLAM words in :data:`CLAM_SEEDS` order, or ``None`` until
+        the first CLAM layer asks; filled all at once by one
+        :func:`clam_words` traversal.  The per-operation layers of
+        :mod:`repro.core` read ``digest.words or digest.clam_words()`` and
+        index it (:data:`PARTITION_WORD` ... :data:`PAGE_WORD`), which keeps
+        a warm key's operation free of hashing call frames.
+    ``ring``
+        the consistent-hash ring word, from its own :func:`fnv1a_64` pass:
+        all a process that only routes ever computes.
+    one Bloom geometry
+        the Kirsch-Mitzenmacher positions for the ``(count, modulus)`` the
+        key last met (every filter of one CLAM shares a geometry), packed in
+        an ``array``.
+    any other seed
+        in a dict that exists only once one was asked for (the baselines
+        and ablations).
 
     Every derived value is bit-identical to calling :func:`hash_key` /
     :func:`double_hashes` on the raw key with the same arguments; the class
     changes only how often the bytes are traversed, never what is computed.
-
-    The per-operation layers of :mod:`repro.core` (partitioning, the cuckoo
-    buffer, the incarnation probe) read the ``_seeded`` memo directly and
-    fall back to :meth:`digest` on a miss, which keeps a warm key's operation
-    free of hashing call frames; only :meth:`digest` and :meth:`from_wire`
-    write to it.
     """
 
-    __slots__ = ("data", "_seeded", "_positions")
+    __slots__ = (
+        "data",
+        "words",
+        "ring",
+        "_bloom_count",
+        "_bloom_modulus",
+        "_bloom_positions",
+        "_other",
+    )
 
     def __init__(self, key: "KeyLike") -> None:
         self.data = key if type(key) is bytes else to_key_bytes(key)
-        self._seeded: Dict[int, int] = {}
-        self._positions: Dict[Tuple[int, int], List[int]] = {}
+        self.words: Optional[Tuple[int, ...]] = None
+        self.ring: Optional[int] = None
+        self._bloom_count = 0
+        self._bloom_modulus = 0
+        self._bloom_positions: Optional[Sequence[int]] = None
+        self._other: Optional[Dict[int, int]] = None
         if _counting:
             _active_log.digest_builds += 1
 
+    def clam_words(self) -> Tuple[int, ...]:
+        """The six CLAM words, hashing the key (once, for all six) if needed."""
+        words = self.words
+        if words is None:
+            words = self.words = clam_words(self.data)
+        return words
+
     def digest(self, seed: int = 0) -> int:
         """The 64-bit seeded digest, computed on first use and memoised."""
-        value = self._seeded.get(seed)
+        if seed == RING_SEED:
+            value = self.ring
+            if value is None:
+                value = self.ring = fnv1a_64(self.data, seed)
+            return value
+        index = _CLAM_WORD_INDEX.get(seed)
+        if index is not None:
+            return (self.words or self.clam_words())[index]
+        other = self._other
+        if other is None:
+            other = self._other = {}
+        value = other.get(seed)
         if value is None:
-            value = fnv1a_64(self.data, seed)
-            self._seeded[seed] = value
+            value = other[seed] = fnv1a_64(self.data, seed)
         return value
 
-    def bloom_positions(self, count: int, modulus: int) -> List[int]:
-        """Kirsch-Mitzenmacher positions, memoised per (count, modulus)."""
-        key = (count, modulus)
-        positions = self._positions.get(key)
-        if positions is None:
-            h1 = self.digest(BLOOM_SEED_H1)
-            h2 = self.digest(BLOOM_SEED_H2) | 1  # odd: coprime with 2^k moduli
-            positions = [((h1 + i * h2) & _MASK64) % modulus for i in range(count)]
-            self._positions[key] = positions
+    def bloom_positions(self, count: int, modulus: int) -> Sequence[int]:
+        """Kirsch-Mitzenmacher positions, memoised for the last geometry asked.
+
+        Equal to :func:`double_hashes` of the key bytes, element for element.
+        The result is the digest's own memo: read it, do not change it.
+        """
+        if modulus == self._bloom_modulus and count == self._bloom_count:
+            return self._bloom_positions
+        words = self.words or self.clam_words()
+        h1 = words[BLOOM_H1_WORD]
+        h2 = words[BLOOM_H2_WORD] | 1  # odd: coprime with 2^k moduli
+        if modulus & (modulus - 1) == 0 and modulus <= _MASK64:
+            # ``x mod 2^64 mod 2^k`` only has the low k bits of x, and those
+            # depend only on the low k bits of h1 and h2: same values, from
+            # machine-word arithmetic instead of 65-bit intermediates.
+            low = modulus - 1
+            h1 &= low
+            h2 &= low
+            values = [(h1 + i * h2) & low for i in range(count)]
+        else:
+            values = [((h1 + i * h2) & _MASK64) % modulus for i in range(count)]
+        positions = array("H" if modulus <= 0x10000 else "Q", values)
+        self._bloom_count = count
+        self._bloom_modulus = modulus
+        self._bloom_positions = positions
         return positions
+
+    def memoised(self) -> Dict[int, int]:
+        """Seed -> digest for every seed this handle has hashed (or was handed
+        by :meth:`from_wire`) so far; a copy, for tests and debugging."""
+        out = dict(self._other) if self._other else {}
+        if self.words is not None:
+            out.update(zip(CLAM_SEEDS, self.words))
+        if self.ring is not None:
+            out[RING_SEED] = self.ring
+        return out
 
     def to_wire(self) -> bytes:
         """Serialise for the shard wire protocol (:mod:`repro.service.wire`).
 
-        Carries the canonical key bytes plus every seeded digest memoised so
-        far, so a worker process that receives the key resumes with the hash
-        work the client side already paid for.  Derived Bloom positions are
+        Carries the canonical key bytes plus the seeded digests memoised so
+        far — except the ring word, which only the routing side uses — so a
+        worker process that has not met the key resumes with the hash work
+        the sender already paid for.  Derived Bloom positions are
         geometry-dependent and cheap to re-derive from the digests, so they
         do not travel.  The format is little-endian: a 4-byte key length, the
         key bytes, a 1-byte memo count, then ``(seed, digest)`` pairs of 8
         bytes each, in ascending seed order (deterministic framing).
         """
-        seeded = self._seeded
-        if len(seeded) > 255:  # pragma: no cover - ~10 seeds exist in the codebase
-            seeded = dict(sorted(seeded.items())[:255])
-        parts = [struct.pack("<IB", len(self.data), len(seeded)), self.data]
-        for seed, value in sorted(seeded.items()):
-            parts.append(struct.pack("<QQ", seed, value))
+        data = self.data
+        if self.words is None and not self._other:  # all a routing parent has
+            return _WIRE_HEAD.pack(len(data), 0) + data
+        seeded = self.memoised()
+        seeded.pop(RING_SEED, None)
+        pairs = sorted(seeded.items())[:255]
+        parts = [_WIRE_HEAD.pack(len(data), len(pairs)), data]
+        parts.extend(_WIRE_PAIR.pack(seed, value) for seed, value in pairs)
         return b"".join(parts)
 
     @classmethod
     def from_wire(cls, payload: bytes, offset: int = 0) -> Tuple["KeyDigest", int]:
         """Inverse of :meth:`to_wire`; returns the digest and the next offset.
 
-        The memoised seeds are restored verbatim.  Digests are value-pure
-        (a seeded digest depends only on the key bytes), so a restored memo
-        can never change behaviour — only skip recomputation on the worker.
+        The key is resolved through :func:`as_digest`, so the receiving
+        process hashes it once per residency in its digest cache, not once
+        per operation received.  Pairs from the wire fill only what the
+        digest has not computed itself: digests are value-pure (a seeded
+        digest depends only on the key bytes), so whichever writer was first
+        holds the same value, and a restored memo can never change behaviour
+        — only skip recomputation.  The six CLAM words are restored together
+        or not at all; a partial group is dropped and recomputed on use.
         """
-        key_len, seed_count = struct.unpack_from("<IB", payload, offset)
-        offset += 5
-        digest = cls(bytes(payload[offset : offset + key_len]))
+        key_len, seed_count = _WIRE_HEAD.unpack_from(payload, offset)
+        offset += _WIRE_HEAD.size
+        digest = as_digest(bytes(payload[offset : offset + key_len]))
         offset += key_len
-        for _ in range(seed_count):
-            seed, value = struct.unpack_from("<QQ", payload, offset)
-            digest._seeded[seed] = value
-            offset += 16
+        if seed_count:
+            end = offset + _WIRE_PAIR.size * seed_count
+            digest._restore(dict(_WIRE_PAIR.iter_unpack(payload[offset:end])))
+            offset = end
         return digest, offset
 
+    def _restore(self, seeded: Dict[int, int]) -> None:
+        """Adopt wire-delivered digests for whatever is still unset."""
+        ring = seeded.pop(RING_SEED, None)
+        if self.ring is None:
+            self.ring = ring
+        group = [seeded.pop(seed, None) for seed in CLAM_SEEDS]
+        if self.words is None and None not in group:
+            self.words = tuple(group)
+        if seeded:
+            if self._other is None:
+                self._other = {}
+            for seed, value in seeded.items():
+                self._other.setdefault(seed, value)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KeyDigest({self.data!r}, seeds={sorted(self._seeded)})"
+        return f"KeyDigest({self.data!r}, seeds={sorted(self.memoised())})"
 
 
 KeyLike = Union[bytes, bytearray, memoryview, str, int, KeyDigest]
@@ -419,7 +595,7 @@ def double_hashes(key: KeyLike, count: int, modulus: int) -> List[int]:
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     if type(key) is KeyDigest:
-        return key.bloom_positions(count, modulus)
+        return list(key.bloom_positions(count, modulus))
     data = key if type(key) is bytes else to_key_bytes(key)
     h1 = fnv1a_64(data, seed=BLOOM_SEED_H1)
     h2 = fnv1a_64(data, seed=BLOOM_SEED_H2) | 1  # odd: coprime with 2^k moduli

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import KeyTooLargeError
-from repro.core.hashing import PAGE_SEED, KeyLike, canonical_key, hash_key
+from repro.core.hashing import PAGE_SEED, PAGE_WORD, KeyLike, as_digest, fnv1a_64, hash_key
 
 _PAGE_HEADER = struct.Struct("<HB")  # entry count, overflow flag
 _ENTRY_HEADER = struct.Struct("<HH")  # key length, value length
@@ -85,10 +85,10 @@ def build_pages(
     page that pushed entries onward has its overflow flag set so lookups know
     to continue.
 
-    ``hash_once`` routes each key's page hash through the digest cache:
-    flushed keys are the workload's hot keys, so this reuses page digests
-    already computed by lookups and primes the cache for the lookups that
-    follow the flush.  It is off by default so the ``use_hash_once=False``
+    ``hash_once`` reads each key's page word from the digest cache: flushed
+    keys were inserted a buffer's worth of operations ago, so their digests
+    are almost always still cached with every word filled, and the flush
+    hashes nothing.  It is off by default so the ``use_hash_once=False``
     ablation (and stand-alone callers) stay free of digest machinery; page
     assignment is bit-identical either way.
     """
@@ -97,48 +97,49 @@ def build_pages(
     if page_size <= _PAGE_HEADER.size + _ENTRY_HEADER.size:
         raise ValueError("page_size too small to hold any entry")
 
-    buckets: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(num_pages)]
+    # Each entry is encoded once and grouped under its home page.
+    page_capacity = page_size - _PAGE_HEADER.size
+    buckets: List[List[bytes]] = [[] for _ in range(num_pages)]
     for key, value in items.items():
         entry_size = _entry_size(key, value)
-        if entry_size + _PAGE_HEADER.size > page_size:
+        if entry_size > page_capacity:
             raise KeyTooLargeError(
                 f"entry of {entry_size} bytes cannot fit in a {page_size}-byte page"
             )
-        buckets[page_index_for_key(canonical_key(key, hash_once), num_pages)].append(
-            (key, value)
-        )
+        if hash_once:
+            digest = as_digest(key)
+            page_hash = (digest.words or digest.clam_words())[PAGE_WORD]
+        else:
+            page_hash = fnv1a_64(key, PAGE_SEED)
+        buckets[page_hash % num_pages].append(_encode_entry(key, value))
 
-    # Assign entries to physical pages with wrap-around overflow.
-    page_entries: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(num_pages)]
-    page_space = [page_size - _PAGE_HEADER.size] * num_pages
+    # Assign entries to physical pages, home page by home page, with
+    # wrap-around overflow.
+    page_entries: List[List[bytes]] = [[] for _ in range(num_pages)]
+    page_space = [page_capacity] * num_pages
     overflowed = [False] * num_pages
-
-    for bucket_index, bucket in enumerate(buckets):
-        for key, value in bucket:
-            entry_size = _entry_size(key, value)
-            placed = False
+    for home, bucket in enumerate(buckets):
+        for entry in bucket:
+            entry_size = len(entry)
             for probe in range(num_pages):
-                target = (bucket_index + probe) % num_pages
+                target = (home + probe) % num_pages
                 if page_space[target] >= entry_size:
-                    page_entries[target].append((key, value))
+                    page_entries[target].append(entry)
                     page_space[target] -= entry_size
-                    placed = True
                     # Every page between the home page and the landing page
                     # (exclusive) must signal overflow so lookups keep probing.
                     for passed in range(probe):
-                        overflowed[(bucket_index + passed) % num_pages] = True
+                        overflowed[(home + passed) % num_pages] = True
                     break
-            if not placed:
+            else:
                 raise KeyTooLargeError(
                     "incarnation overflow: items do not fit in the configured pages; "
                     "reduce buffer utilisation or increase page count"
                 )
 
     pages: List[bytes] = []
-    for index in range(num_pages):
-        body = b"".join(_encode_entry(key, value) for key, value in page_entries[index])
-        header = _PAGE_HEADER.pack(len(page_entries[index]), 1 if overflowed[index] else 0)
-        image = header + body
+    for entries, flag in zip(page_entries, overflowed):
+        image = _PAGE_HEADER.pack(len(entries), 1 if flag else 0) + b"".join(entries)
         if len(image) > page_size:  # pragma: no cover - guarded by space accounting
             raise KeyTooLargeError("serialised page exceeded page_size")
         pages.append(image)

@@ -24,7 +24,7 @@ from repro.core.buffer import Buffer
 from repro.core.config import MemoryCostModel
 from repro.core.errors import ConfigurationError
 from repro.core.eviction import EvictionContext, EvictionPolicy, FIFOEviction
-from repro.core.hashing import PAGE_SEED, KeyDigest, KeyLike, hash_key, key_data
+from repro.core.hashing import PAGE_SEED, PAGE_WORD, KeyDigest, KeyLike, hash_key, key_data
 from repro.core.incarnation import (
     IncarnationHandle,
     build_pages,
@@ -194,13 +194,11 @@ class SuperTable:
         false_positive_reads = 0
         read_page = self.store.read_page
         for handle in candidates:
-            # The key's page within this incarnation: warm digests answer from
-            # their seed memo; plain bytes (the re-hashing ablation) hash again
-            # for every incarnation probed.
+            # The key's page within this incarnation: a digest answers from
+            # its words; plain bytes (the re-hashing ablation) hash again for
+            # every incarnation probed.
             if digest is not None:
-                page_hash = digest._seeded.get(PAGE_SEED)
-                if page_hash is None:
-                    page_hash = digest.digest(PAGE_SEED)
+                page_hash = (digest.words or digest.clam_words())[PAGE_WORD]
             else:
                 page_hash = hash_key(key, seed=PAGE_SEED)
             num_pages = handle.num_pages

@@ -22,8 +22,11 @@ Frame types:
 ``BATCH_REQUEST``
     A clock advance (the dispatch/routing cost the parent accrued against the
     shard's mirrored clock) plus an ordered list of operations.  Keys travel
-    as :meth:`repro.core.hashing.KeyDigest.to_wire` payloads, carrying any
-    seeded digests the client side already memoised.
+    as :meth:`repro.core.hashing.KeyDigest.to_wire` payloads: the key bytes
+    plus any CLAM words the sender already computed (never the ring word,
+    which only the routing side uses).  The receiver resolves each key
+    through its own digest cache, so it hashes a key once per residency
+    there, however many operations on it arrive.
 ``BATCH_RESPONSE``
     The per-operation result records (in request order, possibly truncated if
     the shard's device failed mid-batch), a typed error code for the first

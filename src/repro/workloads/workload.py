@@ -29,6 +29,11 @@ class OpKind(enum.Enum):
     UPDATE = "update"
     DELETE = "delete"
 
+    # Identity hash (members are singletons): ``Enum.__hash__`` is a
+    # Python-level function, and the wire codec keys a dict by kind once per
+    # encoded operation.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Operation:

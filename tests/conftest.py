@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import CLAM, CLAMConfig
@@ -13,6 +15,7 @@ from repro.flashsim import (
     INTEL_SSD_PROFILE,
     TRANSCEND_SSD_PROFILE,
 )
+from repro.flashsim.device import DeviceGeometry
 
 
 @pytest.fixture
@@ -25,6 +28,15 @@ def clock() -> SimulationClock:
 def intel_ssd(clock: SimulationClock) -> SSD:
     """An Intel-profile SSD sharing the test clock."""
     return SSD(profile=INTEL_SSD_PROFILE, clock=clock)
+
+
+@pytest.fixture
+def small_ssd(clock: SimulationClock) -> SSD:
+    """An Intel-profile SSD of 4,096 pages, for tests that fill or wrap a
+    whole device: doing that to the default 2M-page geometry takes millions
+    of page writes and exercises nothing more."""
+    geometry = DeviceGeometry(page_size=512, pages_per_block=64, num_blocks=64)
+    return SSD(profile=replace(INTEL_SSD_PROFILE, geometry=geometry), clock=clock)
 
 
 @pytest.fixture

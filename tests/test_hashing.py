@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from repro.core.hashing import (
     BLOOM_SEED_H1,
     BLOOM_SEED_H2,
+    CLAM_SEEDS,
+    CLAM_WORDS_SEED,
     CUCKOO_SEED_FIRST,
     CUCKOO_SEED_SECOND,
     PAGE_SEED,
@@ -15,6 +17,7 @@ from repro.core.hashing import (
     RING_SEED,
     KeyDigest,
     as_digest,
+    clam_words,
     clear_digest_cache,
     count_hash_calls,
     digest_cache_info,
@@ -167,8 +170,8 @@ class TestKeyDigest:
     @given(st.binary(min_size=1, max_size=32), st.integers(1, 12), st.integers(8, 4096))
     def test_bloom_positions_equal_double_hashes(self, data, count, modulus):
         digest = KeyDigest(data)
-        assert digest.bloom_positions(count, modulus) == double_hashes(data, count, modulus)
-        # Memoised: the same list object answers repeated queries.
+        assert list(digest.bloom_positions(count, modulus)) == double_hashes(data, count, modulus)
+        # Memoised: the same object answers repeated queries.
         assert digest.bloom_positions(count, modulus) is digest.bloom_positions(count, modulus)
 
     @given(st.binary(min_size=1, max_size=32), st.integers(2, 1 << 20))
@@ -177,6 +180,34 @@ class TestKeyDigest:
         assert digest.digest(PARTITION_SEED) % modulus == hash_key(data, PARTITION_SEED) % modulus
         assert digest.digest(PAGE_SEED) % modulus == hash_key(data, PAGE_SEED) % modulus
         assert digest.digest(RING_SEED) == hash_key(data, RING_SEED)
+
+    @given(st.binary(min_size=0, max_size=512))
+    def test_fused_traversal_equals_six_single_seed_passes(self, data):
+        """The lane-packed traversal is FNV-1a + fmix64 for all six seeds at
+        once: every word equals the single-seed reference, at any length."""
+        assert clam_words(data) == tuple(fnv1a_64(data, seed) for seed in CLAM_SEEDS)
+
+    @given(
+        st.binary(min_size=1, max_size=32),
+        st.integers(1, 12),
+        st.one_of(
+            st.integers(1, 1 << 20),
+            st.integers(0, 66).map(lambda k: 1 << k),  # powers of two, past 2^64 too
+            st.sampled_from([0xFFFF, 0x10000, 0x10001, (1 << 64) - 1, (1 << 64) + 1]),
+        ),
+    )
+    def test_bloom_positions_for_any_modulus(self, data, count, modulus):
+        """Packed storage and the power-of-two shortcut change no value."""
+        positions = KeyDigest(data).bloom_positions(count, modulus)
+        assert list(positions) == double_hashes(data, count, modulus)
+
+    def test_one_bloom_geometry_is_memoised_at_a_time(self):
+        digest = KeyDigest(b"two-geometries")
+        first = digest.bloom_positions(7, 512)
+        assert digest.bloom_positions(7, 512) is first
+        other = digest.bloom_positions(7, 1024)
+        assert list(other) == double_hashes(b"two-geometries", 7, 1024)
+        assert list(digest.bloom_positions(7, 512)) == list(first)
 
     def test_digest_is_accepted_as_a_key(self):
         digest = KeyDigest(b"some-key")
@@ -200,8 +231,10 @@ class TestKeyDigest:
                 digest.digest(PARTITION_SEED)
                 digest.bloom_positions(7, 512)
                 digest.bloom_positions(7, 1024)
-        # One pass for the partition seed, one each for the two Bloom seeds.
-        assert log.by_seed == {PARTITION_SEED: 1, BLOOM_SEED_H1: 1, BLOOM_SEED_H2: 1}
+        # One traversal yields the partition word and both Bloom words.
+        assert log.by_seed == {CLAM_WORDS_SEED: 1}
+        assert log.total == 1
+        assert sorted(digest.memoised()) == sorted(CLAM_SEEDS)
 
 
 class TestGoldenValues:
@@ -231,6 +264,8 @@ class TestGoldenValues:
         for (data, seed), expected in self.GOLDEN.items():
             assert fnv1a_64(data, seed) == expected
             assert KeyDigest(data).digest(seed) == expected
+            if seed in CLAM_SEEDS:  # the fused traversal, asked directly
+                assert clam_words(data)[CLAM_SEEDS.index(seed)] == expected
 
     def test_golden_string_and_int_keys(self):
         assert hash_key("héllo", PARTITION_SEED) == 0xFD6DF457A0561E22
@@ -240,6 +275,8 @@ class TestGoldenValues:
     def test_golden_double_hashes(self):
         assert double_hashes(b"golden-key", 5, 1024) == [937, 254, 595, 936, 253]
         assert double_hashes("héllo", 3, 509) == [294, 435, 67]
+        assert list(KeyDigest(b"golden-key").bloom_positions(5, 1024)) == [937, 254, 595, 936, 253]
+        assert list(KeyDigest("héllo").bloom_positions(3, 509)) == [294, 435, 67]
 
     def test_golden_empty_key(self):
         assert fnv1a_64(b"") == 0xEFD01F60BA992926
@@ -378,6 +415,15 @@ class TestHashCallCounting:
         assert log.by_seed == {PARTITION_SEED: 2, BLOOM_SEED_H1: 1}
         assert log.by_layer() == {"partition": 2, "bloom_h1": 1}
         assert log.total == 3
+
+    def test_fused_traversal_is_counted_once(self):
+        with count_hash_calls() as log:
+            clam_words(b"abc")
+            KeyDigest(b"abc").digest(PAGE_SEED)
+        assert log.by_seed == {CLAM_WORDS_SEED: 2}
+        assert log.by_layer() == {"clam_words": 2}
+        assert log.total == 2
+        assert log.snapshot()["fnv_clam_words"] == 2.0
 
     def test_digest_builds_counted(self):
         clear_digest_cache()

@@ -1,9 +1,13 @@
 """Tests for incarnation page layout (serialisation, page-addressed lookup)."""
 
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import KeyTooLargeError, build_pages, search_page
+from repro.core.hashing import clear_digest_cache
 from repro.core.incarnation import (
     IncarnationHandle,
     iter_page_entries,
@@ -109,6 +113,116 @@ class TestBuildAndSearchPages:
         pages = build_pages(items, num_pages=num_pages, page_size=2048)
         for key, value in items.items():
             assert self._probe(pages, key) == value
+
+
+def _reference_build_pages(items, num_pages, page_size):
+    """``build_pages`` as it was before it became one pass over the items
+    (three passes: bucket by hash-assigned page, place with wrap-around
+    overflow, encode).  Kept as the layout's reference: the page images on
+    flash must not move."""
+    page_header = struct.Struct("<HB")
+    entry_header = struct.Struct("<HH")
+
+    def entry_size(key, value):
+        return entry_header.size + len(key) + len(value)
+
+    def encode_entry(key, value):
+        if len(key) > 0xFFFF or len(value) > 0xFFFF:
+            raise KeyTooLargeError("keys and values must fit in 16-bit length fields")
+        return entry_header.pack(len(key), len(value)) + key + value
+
+    if num_pages <= 0:
+        raise ValueError("num_pages must be positive")
+    if page_size <= page_header.size + entry_header.size:
+        raise ValueError("page_size too small to hold any entry")
+    buckets = [[] for _ in range(num_pages)]
+    for key, value in items.items():
+        size = entry_size(key, value)
+        if size + page_header.size > page_size:
+            raise KeyTooLargeError(
+                f"entry of {size} bytes cannot fit in a {page_size}-byte page"
+            )
+        buckets[page_index_for_key(key, num_pages)].append((key, value))
+    page_entries = [[] for _ in range(num_pages)]
+    page_space = [page_size - page_header.size] * num_pages
+    overflowed = [False] * num_pages
+    for bucket_index, bucket in enumerate(buckets):
+        for key, value in bucket:
+            size = entry_size(key, value)
+            placed = False
+            for probe in range(num_pages):
+                target = (bucket_index + probe) % num_pages
+                if page_space[target] >= size:
+                    page_entries[target].append((key, value))
+                    page_space[target] -= size
+                    placed = True
+                    for passed in range(probe):
+                        overflowed[(bucket_index + passed) % num_pages] = True
+                    break
+            if not placed:
+                raise KeyTooLargeError(
+                    "incarnation overflow: items do not fit in the configured pages; "
+                    "reduce buffer utilisation or increase page count"
+                )
+    pages = []
+    for index in range(num_pages):
+        body = b"".join(encode_entry(key, value) for key, value in page_entries[index])
+        pages.append(
+            page_header.pack(len(page_entries[index]), 1 if overflowed[index] else 0) + body
+        )
+    return pages
+
+
+@pytest.mark.parametrize("hash_once", [False, True])
+class TestBuildPagesMatchesReference:
+    """The one-pass ``build_pages`` writes the images the three-pass one did."""
+
+    def _outcome(self, build, *args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except KeyTooLargeError as error:
+            return ("KeyTooLargeError", str(error))
+
+    def test_random_item_sets_including_wrap_around_overflow(self, hash_once):
+        rng = random.Random(20100428)
+        wrapped = spilled = rejected = 0
+        for _ in range(300):
+            clear_digest_cache()
+            num_pages = rng.randint(1, 12)
+            page_size = rng.choice([64, 96, 128, 256, 512])
+            # From nearly empty to just past full, so that entries spill to the
+            # next page, wrap past the last page, and sometimes do not fit.
+            fill = rng.uniform(0.05, 1.1)
+            items = {}
+            used = 0
+            while used < fill * num_pages * (page_size - 3):
+                key = rng.randbytes(rng.randint(1, 24))
+                value = rng.randbytes(rng.randint(0, 40))
+                items[key] = value
+                used += 4 + len(key) + len(value)
+            expected = self._outcome(_reference_build_pages, items, num_pages, page_size)
+            actual = self._outcome(build_pages, items, num_pages, page_size, hash_once=hash_once)
+            assert actual == expected
+            if isinstance(expected, tuple):
+                rejected += 1
+            else:
+                spilled += any(page_overflowed(page) for page in expected)
+                wrapped += num_pages > 1 and page_overflowed(expected[-1])
+        # The generator reaches every branch it is meant to.
+        assert spilled > 50 and wrapped > 10 and rejected > 10
+
+    def test_entry_larger_than_a_page(self, hash_once):
+        items = {b"small": b"v", b"big": b"x" * 600}
+        expected = self._outcome(_reference_build_pages, items, 4, 512)
+        assert expected[0] == "KeyTooLargeError" and "cannot fit" in expected[1]
+        assert self._outcome(build_pages, items, 4, 512, hash_once=hash_once) == expected
+
+    @pytest.mark.parametrize("items", [{b"k" * 0x10000: b"v"}, {b"k": b"v" * 0x10000}])
+    def test_length_beyond_sixteen_bits(self, hash_once, items):
+        page_size = 1 << 17  # large enough that only the length fields object
+        expected = self._outcome(_reference_build_pages, items, 2, page_size)
+        assert expected[0] == "KeyTooLargeError" and "16-bit" in expected[1]
+        assert self._outcome(build_pages, items, 2, page_size, hash_once=hash_once) == expected
 
 
 class TestIncarnationHandle:

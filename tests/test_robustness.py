@@ -7,7 +7,7 @@ from repro.analysis import INTEL_SSD_COSTS, required_bloom_bits
 from repro.analysis.cost_model import expected_lookup_io_cost_ms
 from repro.core import CLAM, CLAMConfig, WholeDeviceLogStore
 from repro.core.incarnation import required_pages
-from repro.flashsim import FlashChip, SSD, SimulationClock
+from repro.flashsim import FlashChip, SimulationClock
 from repro.flashsim.device import DeviceGeometry
 from repro.flashsim.flash_chip import FlashChipProfile, GENERIC_FLASH_CHIP_PROFILE
 from repro.workloads import WorkloadRunner, WorkloadSpec, build_lookup_then_insert_workload
@@ -16,12 +16,10 @@ GB = 1024**3
 
 
 class TestLogStoreSkipsLiveRegions:
-    def test_wrap_around_live_region_preserves_data(self):
+    def test_wrap_around_live_region_preserves_data(self, small_ssd):
         """When the circular log wraps onto a region that is still live, it must
         skip it rather than overwrite it."""
-        clock = SimulationClock()
-        ssd = SSD(clock=clock)
-        store = WholeDeviceLogStore(ssd)
+        store = WholeDeviceLogStore(small_ssd)
         pages_per_incarnation = store.capacity_pages // 8
 
         # One long-lived incarnation near the start of the device.

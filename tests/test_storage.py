@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ConfigurationError, PartitionedChipStore, WholeDeviceLogStore
-from repro.flashsim import FlashChip, SSD, SimulationClock
+from repro.flashsim import FlashChip, SimulationClock
 from repro.flashsim.device import DeviceGeometry
 from repro.flashsim.flash_chip import FlashChipProfile, GENERIC_FLASH_CHIP_PROFILE
 
@@ -32,10 +32,8 @@ class TestWholeDeviceLogStore:
         pages, _latency = store.read_incarnation(address, 3)
         assert pages == [b"a", b"b", b"c"]
 
-    def test_wraps_and_reuses_released_space(self):
-        clock = SimulationClock()
-        ssd = SSD(clock=clock)
-        store = WholeDeviceLogStore(ssd)
+    def test_wraps_and_reuses_released_space(self, small_ssd):
+        store = WholeDeviceLogStore(small_ssd)
         incarnation_pages = 64
         capacity = store.capacity_pages // incarnation_pages
         live = []
@@ -49,10 +47,8 @@ class TestWholeDeviceLogStore:
             live.append((address, incarnation_pages))
         assert store.wrap_count >= 1
 
-    def test_exhaustion_without_release_raises(self):
-        clock = SimulationClock()
-        ssd = SSD(clock=clock)
-        store = WholeDeviceLogStore(ssd)
+    def test_exhaustion_without_release_raises(self, small_ssd):
+        store = WholeDeviceLogStore(small_ssd)
         incarnation_pages = store.capacity_pages // 4
         for _ in range(4):
             store.write_incarnation(_pages(incarnation_pages))

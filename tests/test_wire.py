@@ -13,7 +13,7 @@ from repro.core.errors import (
     ShardUnavailableError,
     WireProtocolError,
 )
-from repro.core.hashing import KeyDigest
+from repro.core.hashing import KeyDigest, clear_digest_cache
 from repro.core.results import DeleteResult, InsertResult, LookupResult, ServedFrom
 from repro.service import wire
 from repro.workloads.workload import OpKind
@@ -301,6 +301,7 @@ class TestErrorCodes:
 
 class TestBatchRequest:
     def test_roundtrip_preserves_ops_keys_and_memoised_digests(self):
+        clear_digest_cache()  # decoding interns keys in this process's cache
         digest = KeyDigest(b"fingerprint-1")
         digest.digest(7)
         digest.digest(1234567)
@@ -321,7 +322,8 @@ class TestBatchRequest:
         ]
         # The memoised seeded digests ride along bit-exactly (hash-once
         # across the process boundary).
-        assert decoded[0][1]._seeded == digest._seeded
+        assert sorted(digest.memoised()) == [7, 1234567]
+        assert decoded[0][1].memoised() == digest.memoised()
 
     def test_unknown_op_code_rejected(self):
         payload = struct.pack("<dI", 0.0, 1) + struct.pack("<B", 200)
@@ -417,12 +419,14 @@ class TestControlFrames:
 
 class TestKeyDigestWire:
     def test_digest_without_seeds(self):
+        clear_digest_cache()
         digest, offset = KeyDigest.from_wire(KeyDigest(b"abc").to_wire())
         assert digest.data == b"abc"
-        assert digest._seeded == {}
+        assert digest.memoised() == {}
         assert offset == 5 + 3
 
     def test_consecutive_digests_share_buffer(self):
+        clear_digest_cache()
         first = KeyDigest(b"one")
         first.digest(1)
         second = KeyDigest(b"two")
@@ -430,5 +434,5 @@ class TestKeyDigestWire:
         a, offset = KeyDigest.from_wire(payload)
         b, end = KeyDigest.from_wire(payload, offset)
         assert (a.data, b.data) == (b"one", b"two")
-        assert a._seeded == first._seeded
+        assert a.memoised() == first.memoised() == {1: first.digest(1)}
         assert end == len(payload)
