@@ -323,9 +323,8 @@ def main() -> None:
         ],
     )
 
-    name = "chaos_quick" if args.quick else "chaos"
     path = write_bench_json(
-        name,
+        "chaos",
         {
             "spec": {
                 "shards": SHARDS,
@@ -345,6 +344,7 @@ def main() -> None:
             "stall": stall,
             "parity": parity,
         },
+        quick=args.quick,
         telemetry=telemetry,
     )
     print(f"wrote {path}")

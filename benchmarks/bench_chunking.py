@@ -270,12 +270,9 @@ def main() -> None:
         "ratchet": ratchet,
     }
     check_invariants(payload)
-    # Quick runs write under a distinct name: BENCH_chunking.json is the
-    # committed ratchet baseline, and the CI smoke (or a developer running
-    # it locally) must not clobber the full-run numbers with reduced
-    # quick-mode data.
-    name = "chunking_quick" if args.quick else "chunking"
-    path = write_bench_json(name, payload, elapsed_seconds=time.perf_counter() - started)
+    path = write_bench_json(
+        "chunking", payload, quick=args.quick, elapsed_seconds=time.perf_counter() - started
+    )
     print(f"wrote {path}")
     dump_telemetry(args.telemetry_out, _END_TO_END_SNAPSHOT)
 

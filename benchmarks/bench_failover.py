@@ -145,7 +145,7 @@ def check_invariants(outcomes, snapshots=None) -> None:
     assert seqs == sorted(seqs), seqs
 
 
-def emit_json(outcomes, telemetry=None) -> None:
+def emit_json(outcomes, quick, telemetry=None) -> None:
     """Machine-readable counterpart of the stdout table (BENCH_failover.json)."""
     path = write_bench_json(
         "failover",
@@ -167,6 +167,7 @@ def emit_json(outcomes, telemetry=None) -> None:
             },
             "runs": {str(rf): outcome for rf, outcome in outcomes.items()},
         },
+        quick=quick,
         telemetry=telemetry,
     )
     print(f"wrote {path}")
@@ -233,7 +234,9 @@ def main() -> None:
     # Committed BENCH file carries the compact RF=2 snapshot (no bucket
     # arrays); --telemetry-out gets the full-fidelity one.
     check_invariants(outcomes, {rf: c.telemetry_snapshot() for rf, c in clusters.items()})
-    emit_json(outcomes, telemetry=clusters[2].telemetry_snapshot(include_buckets=False))
+    emit_json(
+        outcomes, args.quick, telemetry=clusters[2].telemetry_snapshot(include_buckets=False)
+    )
     dump_telemetry(args.telemetry_out, clusters[2].telemetry_snapshot())
 
 

@@ -127,6 +127,7 @@ def main() -> None:
             "chip": results["chip"],
             "ssd": results["ssd"],
         },
+        quick=args.quick,
     )
     print(f"wrote {path}")
     if args.telemetry_out is not None:

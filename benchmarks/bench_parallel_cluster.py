@@ -323,9 +323,8 @@ def main() -> None:
         ],
     )
 
-    name = "parallel_cluster_quick" if args.quick else "parallel_cluster"
     path = write_bench_json(
-        name,
+        "parallel_cluster",
         {
             "spec": {
                 "worker_counts": list(WORKER_COUNTS),
@@ -344,6 +343,7 @@ def main() -> None:
             "parity": parity,
             "drill": drill,
         },
+        quick=args.quick,
         telemetry=telemetry,
     )
     print(f"wrote {path}")

@@ -231,9 +231,9 @@ def check_invariants(churn, autoscale, drill, snapshot) -> None:
     assert seqs == sorted(seqs), seqs
 
 
-def emit_json(name, churn, autoscale, drill, telemetry=None):
+def emit_json(quick, churn, autoscale, drill, telemetry=None):
     path = write_bench_json(
-        name,
+        "rebalance",
         {
             "spec": {
                 "num_shards": NUM_SHARDS,
@@ -252,6 +252,7 @@ def emit_json(name, churn, autoscale, drill, telemetry=None):
             "autoscale": autoscale,
             "kill_joining_drill": drill,
         },
+        quick=quick,
         telemetry=telemetry,
     )
     print(f"wrote {path}")
@@ -323,9 +324,8 @@ def main() -> None:
     drill = run_kill_joining_drill()
     print_outcomes(churn, autoscale, drill)
     check_invariants(churn, autoscale, drill, cluster.telemetry_snapshot())
-    name = "rebalance_quick" if args.quick else "rebalance"
     emit_json(
-        name,
+        args.quick,
         churn,
         autoscale,
         drill,

@@ -355,6 +355,7 @@ def main() -> None:
             "cold_vs_checkpoint": cold_vs_ckpt,
             "cluster_reopen": cluster_outcome,
         },
+        quick=args.quick,
         elapsed_seconds=elapsed,
         telemetry=snapshot,
     )

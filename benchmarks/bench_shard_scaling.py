@@ -57,7 +57,7 @@ def run_shard_scaling(telemetry: bool = False, clusters_out=None):
     return results
 
 
-def emit_json(results) -> None:
+def emit_json(results, quick: bool = False) -> None:
     """Machine-readable counterpart of the stdout table (BENCH_shard_scaling.json)."""
     per_cluster = {}
     for num_shards, report in results.items():
@@ -86,6 +86,7 @@ def emit_json(results) -> None:
             },
             "clusters": per_cluster,
         },
+        quick=quick,
     )
     print(f"wrote {path}")
 
@@ -184,7 +185,7 @@ def main() -> None:
         ["shards", "ops", "throughput ops/s", "req p50 ms", "req p99 ms", "imbalance"],
         rows,
     )
-    emit_json(results)
+    emit_json(results, quick=args.quick)
     if args.telemetry_out is not None:
         widest = clusters[max(clusters)]
         dump_telemetry(args.telemetry_out, widest.telemetry_snapshot())

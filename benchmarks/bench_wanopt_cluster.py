@@ -532,6 +532,7 @@ def main() -> None:
     path = write_bench_json(
         "wanopt_cluster",
         payload,
+        quick=args.quick,
         elapsed_seconds=elapsed,
         telemetry=drill_topology.cluster.telemetry_snapshot(include_buckets=False),
     )

@@ -30,17 +30,23 @@ _IMPORT_MONOTONIC = time.monotonic()
 def write_bench_json(
     name: str,
     payload: Dict,
+    quick: bool = False,
     directory: Optional[Path] = None,
     elapsed_seconds: Optional[float] = None,
     telemetry: Optional[Dict] = None,
 ) -> Path:
-    """Write ``BENCH_<name>.json`` and return its path.
+    """Write ``BENCH_<name>.json`` — ``BENCH_<name>_quick.json`` for a
+    ``--quick`` run — and return its path.
 
     The machine-readable counterpart of :func:`print_table`: each benchmark
     dumps its headline numbers into a stable envelope (benchmark name, schema
     version, interpreter version, then the benchmark's own payload) at the
     repository root, so successive PRs accumulate a perf trajectory that
-    tooling can diff without scraping stdout.
+    tooling can diff without scraping stdout.  ``BENCH_<name>.json`` is
+    committed evidence (and, for the ratcheted benchmarks, the baseline
+    ``benchmarks/ratchet.py`` compares against), so a benchmark passes its
+    ``--quick`` flag through and a reduced smoke run lands in the gitignored
+    ``_quick`` file beside it instead of overwriting the full-run numbers.
 
     The envelope records how long the run took — ``elapsed_seconds`` (pass
     the benchmark's own measurement, or let it default to time since this
@@ -58,6 +64,8 @@ def write_bench_json(
     the long bucket arrays (those go to ``--telemetry-out``).
     """
     root = Path(directory) if directory is not None else REPO_ROOT
+    if quick:
+        name += "_quick"
     path = root / f"BENCH_{name}.json"
     now = time.monotonic()
     record = {

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.hashing import KeyLike, hash_key, to_key_bytes
+from repro.core.hashing import DISK_BASELINE_SEED, KeyLike, hash_key, to_key_bytes
 from repro.core.results import (
     DeleteResult,
     InsertResult,
@@ -85,7 +85,7 @@ class ExternalHashIndex:
     # -- Helpers -----------------------------------------------------------------
 
     def _bucket_for(self, key: bytes) -> int:
-        return hash_key(key, seed=0xBDB) % self.num_buckets
+        return hash_key(key, seed=DISK_BASELINE_SEED) % self.num_buckets
 
     def _charge_memory(self) -> float:
         self.clock.advance(self.MEMORY_COST_MS)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.bloom import BloomFilter
-from repro.core.hashing import KeyLike, hash_key, to_key_bytes
+from repro.core.hashing import FLASH_BASELINE_SEED, KeyLike, hash_key, to_key_bytes
 from repro.core.results import (
     DeleteResult,
     InsertResult,
@@ -49,7 +49,7 @@ class ConventionalFlashHash:
         )
 
     def _page_for(self, key: bytes) -> int:
-        return hash_key(key, seed=0xF1A5) % self.device.geometry.total_pages
+        return hash_key(key, seed=FLASH_BASELINE_SEED) % self.device.geometry.total_pages
 
     def _charge_memory(self) -> float:
         self.clock.advance(self.MEMORY_COST_MS)

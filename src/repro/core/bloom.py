@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from repro.core.hashing import KeyDigest, KeyLike, double_hashes
+from repro.core.hashing import KeyDigest, KeyLike, as_digest
 
 
 def optimal_num_hashes(bits_per_item: float) -> int:
@@ -37,6 +37,10 @@ def false_positive_rate(num_bits: int, num_items: int, num_hashes: int) -> float
 
 class BloomFilter:
     """A fixed-size Bloom filter over arbitrary keys.
+
+    A key's bit positions are its digest's Kirsch-Mitzenmacher positions for
+    this filter's geometry (:meth:`~repro.core.hashing.KeyDigest.bloom_positions`),
+    so every filter of one geometry a key meets shares one computation.
 
     The bit array is a mutable ``bytearray`` (padded to whole 64-bit words),
     so ``add`` flips bits in place in O(1) per hash instead of rebuilding an
@@ -75,16 +79,14 @@ class BloomFilter:
 
     def bit_positions(self, key: KeyLike) -> list[int]:
         """The bit indices this key maps to."""
-        return double_hashes(key, self.num_hashes, self.num_bits)
+        digest = key if type(key) is KeyDigest else as_digest(key)
+        return list(digest.bloom_positions(self.num_hashes, self.num_bits))
 
     def add(self, key: KeyLike) -> None:
         """Insert a key into the filter."""
         bits = self._bits
-        if type(key) is KeyDigest:  # once per insert: straight to the digest's memo
-            positions = key.bloom_positions(self.num_hashes, self.num_bits)
-        else:
-            positions = double_hashes(key, self.num_hashes, self.num_bits)
-        for position in positions:
+        digest = key if type(key) is KeyDigest else as_digest(key)
+        for position in digest.bloom_positions(self.num_hashes, self.num_bits):
             bits[position >> 3] |= 1 << (position & 7)
         self._count += 1
 
@@ -95,11 +97,8 @@ class BloomFilter:
 
     def __contains__(self, key: KeyLike) -> bool:
         bits = self._bits
-        if type(key) is KeyDigest:  # once per filter probed: no copy of the memo
-            positions = key.bloom_positions(self.num_hashes, self.num_bits)
-        else:
-            positions = double_hashes(key, self.num_hashes, self.num_bits)
-        for position in positions:
+        digest = key if type(key) is KeyDigest else as_digest(key)
+        for position in digest.bloom_positions(self.num_hashes, self.num_bits):
             if not bits[position >> 3] & (1 << (position & 7)):
                 return False
         return True
@@ -112,9 +111,7 @@ class BloomFilter:
         """Indices of set bits in increasing order.
 
         The bit-sliced array (:mod:`repro.core.sliced_bloom`) transposes a
-        frozen filter through this, so alternative bit-storage
-        implementations (e.g. the legacy big-int used as the benchmark
-        baseline) only need to provide this one accessor.
+        frozen filter through this, so it never reads the bit storage itself.
         """
         for byte_index, byte in enumerate(self._bits):
             if byte:

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.bloom import BloomFilter, optimal_num_hashes
 from repro.core.cuckoo import CuckooHashTable
 from repro.core.errors import CapacityError
-from repro.core.hashing import KeyLike
+from repro.core.hashing import KeyDigest, KeyLike, as_digest
 
 
 class Buffer:
@@ -77,6 +77,7 @@ class Buffer:
         the item (either it is at capacity or the cuckoo path cycled); the
         caller should flush and retry.
         """
+        key = key if type(key) is KeyDigest else as_digest(key)
         table = self._table
         if len(table) >= self.capacity_items and table.get(key) is None:
             return False

@@ -13,14 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError
 from repro.core.eviction import EvictionPolicy, make_policy
-from repro.core.hashing import (
-    PARTITION_SEED,
-    PARTITION_WORD,
-    KeyDigest,
-    KeyLike,
-    canonical_key,
-    hash_key,
-)
+from repro.core.hashing import PARTITION_WORD, KeyDigest, KeyLike, as_digest
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.core.storage import (
     IncarnationStore,
@@ -32,9 +25,6 @@ from repro.core.supertable import SuperTable
 from repro.flashsim.clock import SimulationClock
 from repro.flashsim.device import StorageDevice
 from repro.flashsim.flash_chip import FlashChip
-
-#: Backwards-compatible alias; the canonical seed lives in repro.core.hashing.
-_PARTITION_SEED = PARTITION_SEED
 
 
 class BufferHash:
@@ -107,7 +97,6 @@ class BufferHash:
                 eviction_policy=eviction_policy,
                 use_bloom_filters=config.use_bloom_filters,
                 use_bit_slicing=config.use_bit_slicing,
-                use_hash_once=config.use_hash_once,
             )
             for index in range(config.num_super_tables)
         ]
@@ -158,23 +147,17 @@ class BufferHash:
 
     # -- Partitioning -------------------------------------------------------------------
 
-    def _route(self, key: KeyLike) -> Tuple[KeyLike, SuperTable]:
-        """Canonicalise ``key`` at this API boundary and partition it.
+    def _route(self, key: KeyLike) -> Tuple[KeyDigest, SuperTable]:
+        """The key's digest and the super table owning it (the paper's first
+        k1 hash bits).
 
-        Returns the canonical key — a (cached) KeyDigest that every layer
-        below reuses, or plain canonical bytes in the ``use_hash_once=False``
-        ablation, which reproduces the original per-layer re-hashing (shared
-        policy: :func:`repro.core.hashing.canonical_key`) — and the super
-        table owning it (first k1 hash bits in the paper).  A digest handed
-        down by :class:`~repro.core.clam.CLAM` or the service router is
-        already canonical and, once warm, partitions from its words.
+        A digest handed down by :class:`~repro.core.clam.CLAM` or the service
+        router passes through and, once warm, partitions from its words;
+        anything else becomes a (cached) digest here, and every layer below
+        reuses it.
         """
-        hash_once = self.config.use_hash_once
-        if hash_once and type(key) is KeyDigest:
-            partition = (key.words or key.clam_words())[PARTITION_WORD]
-        else:
-            key = canonical_key(key, hash_once)
-            partition = hash_key(key, seed=PARTITION_SEED)
+        key = key if type(key) is KeyDigest else as_digest(key)
+        partition = (key.words or key.clam_words())[PARTITION_WORD]
         tables = self.tables
         return key, tables[partition % len(tables)]
 

@@ -22,13 +22,7 @@ from repro.core.bufferhash import BufferHash
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError, DeviceFailedError
 from repro.core.eviction import EvictionPolicy
-from repro.core.hashing import (
-    UNBUFFERED_PAGE_SEED,
-    KeyLike,
-    canonical_key,
-    hash_key,
-    key_data,
-)
+from repro.core.hashing import UNBUFFERED_PAGE_SEED, KeyDigest, KeyLike, as_digest
 from repro.core.results import (
     DeleteResult,
     InsertResult,
@@ -198,18 +192,15 @@ class CLAM:
                     f"CLAM refusing operation: device {device.name!r} has crash-stopped"
                 )
 
-    # Every operation canonicalises its key exactly once, here at the public
-    # API boundary (the policy is :func:`repro.core.hashing.canonical_key`,
-    # shared by every boundary): hash-once mode wraps the key in a (cached)
-    # :class:`~repro.core.hashing.KeyDigest` that every layer below —
-    # partitioning, cuckoo buffer, Bloom filters, incarnation pages — reuses;
-    # the ``use_hash_once=False`` ablation reproduces the original per-layer
-    # re-hashing by passing plain canonical bytes.
+    # Every operation resolves its key to a (cached)
+    # :class:`~repro.core.hashing.KeyDigest` here at the public API boundary,
+    # with the line every boundary uses; each layer below — partitioning,
+    # cuckoo buffer, Bloom filters, incarnation pages — reads that digest.
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a (key, value) pair."""
         self._check_available()
-        key = canonical_key(key, self.config.use_hash_once)
+        key = key if type(key) is KeyDigest else as_digest(key)
         tracer = _trace.ACTIVE
         if tracer is None:
             result = self._index_insert(key, value)
@@ -232,7 +223,7 @@ class CLAM:
     def lookup(self, key: KeyLike) -> LookupResult:
         """Look up the most recent value for a key."""
         self._check_available()
-        key = canonical_key(key, self.config.use_hash_once)
+        key = key if type(key) is KeyDigest else as_digest(key)
         tracer = _trace.ACTIVE
         if tracer is None:
             result = self._index_lookup(key)
@@ -252,7 +243,7 @@ class CLAM:
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete a key."""
         self._check_available()
-        key = canonical_key(key, self.config.use_hash_once)
+        key = key if type(key) is KeyDigest else as_digest(key)
         result = self._index_delete(key)
         self.stats.deletes += 1
         if self._tel_ops is not None:
@@ -283,15 +274,13 @@ class CLAM:
 
     # -- Unbuffered (ablation) mode -------------------------------------------------------
     #
-    # Keys arrive already canonicalised by the public API boundary above, so
-    # these handlers never re-run ``to_key_bytes``; ``key_data`` just unwraps
-    # the canonical bytes from a digest.
+    # Keys arrive as digests from the public API boundary above.
 
-    def _unbuffered_page_for(self, key: KeyLike) -> int:
-        return hash_key(key, seed=UNBUFFERED_PAGE_SEED) % self.device.geometry.total_pages
+    def _unbuffered_page_for(self, key: KeyDigest) -> int:
+        return key.digest(UNBUFFERED_PAGE_SEED) % self.device.geometry.total_pages
 
-    def _unbuffered_insert(self, key: KeyLike, value: bytes) -> InsertResult:
-        data = key_data(key)
+    def _unbuffered_insert(self, key: KeyDigest, value: bytes) -> InsertResult:
+        data = key.data
         page = self._unbuffered_page_for(key)
         memory_cost = self.config.memory_cost.buffer_op_ms
         self.clock.advance(memory_cost)
@@ -301,8 +290,8 @@ class CLAM:
             self._unbuffered_bloom.add(key)
         return InsertResult(key=data, latency_ms=latency, flash_writes=1)
 
-    def _unbuffered_lookup(self, key: KeyLike) -> LookupResult:
-        data = key_data(key)
+    def _unbuffered_lookup(self, key: KeyDigest) -> LookupResult:
+        data = key.data
         memory_cost = self.config.memory_cost.buffer_op_ms
         self.clock.advance(memory_cost)
         latency = memory_cost
@@ -325,8 +314,8 @@ class CLAM:
             flash_reads=flash_reads,
         )
 
-    def _unbuffered_delete(self, key: KeyLike) -> DeleteResult:
-        data = key_data(key)
+    def _unbuffered_delete(self, key: KeyDigest) -> DeleteResult:
+        data = key.data
         memory_cost = self.config.memory_cost.buffer_op_ms
         self.clock.advance(memory_cost)
         removed = self._unbuffered_data.pop(data, None) is not None

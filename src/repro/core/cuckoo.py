@@ -18,12 +18,9 @@ from repro.core.errors import CapacityError
 from repro.core.hashing import (
     CUCKOO_FIRST_WORD,
     CUCKOO_SECOND_WORD,
-    CUCKOO_SEED_FIRST,
-    CUCKOO_SEED_SECOND,
     KeyDigest,
     KeyLike,
-    hash_key,
-    key_data,
+    as_digest,
 )
 
 # An occupied slot is a two-element list ``[key, value]`` (updated in place
@@ -34,9 +31,10 @@ _Slot = Optional[list]
 class CuckooHashTable:
     """Fixed-capacity cuckoo hash table mapping ``bytes`` keys to ``bytes`` values.
 
-    Keys may be handed in as :class:`~repro.core.hashing.KeyDigest` objects;
-    bucket hashing then reuses the digest's memoised values while entries
-    still store (and :meth:`items` still yields) the canonical key bytes.
+    Every operation resolves its key to a :class:`~repro.core.hashing.KeyDigest`
+    (handed in, or looked up in the digest cache) and takes the bucket pair
+    from the digest's words; entries store, and :meth:`items` yields, the
+    canonical key bytes.
     """
 
     #: Slots per bucket (standard bucketised cuckoo hashing).
@@ -56,18 +54,12 @@ class CuckooHashTable:
 
     # -- Hashing ---------------------------------------------------------------
 
-    def _buckets_for(self, key: KeyLike) -> Tuple[int, int]:
-        if type(key) is KeyDigest:
-            # Warm keys answer from the digest's words without a call.
-            words = key.words or key.clam_words()
-            first = words[CUCKOO_FIRST_WORD]
-            second = words[CUCKOO_SECOND_WORD]
-        else:
-            first = hash_key(key, seed=CUCKOO_SEED_FIRST)
-            second = hash_key(key, seed=CUCKOO_SEED_SECOND)
+    def _buckets_for(self, digest: KeyDigest) -> Tuple[int, int]:
+        # Warm keys answer from the digest's words without a call.
+        words = digest.words or digest.clam_words()
         num_buckets = self.num_buckets
-        first %= num_buckets
-        second %= num_buckets
+        first = words[CUCKOO_FIRST_WORD] % num_buckets
+        second = words[CUCKOO_SECOND_WORD] % num_buckets
         if second == first:
             second = (second + 1) % num_buckets
         return first, second
@@ -82,9 +74,10 @@ class CuckooHashTable:
 
     def get(self, key: KeyLike) -> Optional[bytes]:
         """Value stored for ``key``, or ``None`` if absent."""
-        data = key.data if type(key) is KeyDigest else key_data(key)
+        digest = key if type(key) is KeyDigest else as_digest(key)
+        data = digest.data
         buckets = self._buckets
-        for bucket_index in self._buckets_for(key):
+        for bucket_index in self._buckets_for(digest):
             for entry in buckets[bucket_index]:
                 if entry is not None and entry[0] == data:
                     return entry[1]
@@ -113,8 +106,9 @@ class CuckooHashTable:
             table is left exactly as it was and the caller should flush and
             retry.
         """
-        data = key.data if type(key) is KeyDigest else key_data(key)
-        first, second = self._buckets_for(key)
+        digest = key if type(key) is KeyDigest else as_digest(key)
+        data = digest.data
+        first, second = self._buckets_for(digest)
         buckets = self._buckets
         # In-place update if the key already exists.
         for bucket_index in (first, second):
@@ -146,7 +140,9 @@ class CuckooHashTable:
             history.append((bucket_index, victim_slot, victim))
             bucket[victim_slot] = carried
             carried = victim  # not None: the bucket was full
-            alt_first, alt_second = self._buckets_for(carried[0])
+            # The victim was inserted a moment ago (buffers are small), so
+            # its digest is almost always still cached: no re-hash.
+            alt_first, alt_second = self._buckets_for(as_digest(carried[0]))
             bucket_index = alt_second if bucket_index == alt_first else alt_first
         for bucket_idx, slot_idx, previous in reversed(history):
             buckets[bucket_idx][slot_idx] = previous
@@ -157,8 +153,9 @@ class CuckooHashTable:
 
     def delete(self, key: KeyLike) -> bool:
         """Remove ``key``; returns whether it was present."""
-        data = key.data if type(key) is KeyDigest else key_data(key)
-        for bucket_index in self._buckets_for(key):
+        digest = key if type(key) is KeyDigest else as_digest(key)
+        data = digest.data
+        for bucket_index in self._buckets_for(digest):
             bucket = self._buckets[bucket_index]
             for slot, entry in enumerate(bucket):
                 if entry is not None and entry[0] == data:

@@ -102,6 +102,9 @@ def read_superblock(device: PersistentFlashDevice) -> Tuple[CLAMConfig, float]:
         )
     fields = json.loads(payload[len(SUPERBLOCK_MAGIC) :].decode("utf-8"))
     memory_cost = MemoryCostModel(**fields.pop("memory_cost"))
+    # Files written before the re-hash ablation was deleted record its switch;
+    # both of its settings produced this layout, so the value carries nothing.
+    fields.pop("use_hash_once", None)
     return CLAMConfig(memory_cost=memory_cost, **fields), latency
 
 

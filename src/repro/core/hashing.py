@@ -12,17 +12,24 @@ BufferHash derives *several* values from one key: the super-table partition
 :data:`CUCKOO_SEED_SECOND`), the two Kirsch-Mitzenmacher Bloom base hashes
 (:data:`BLOOM_SEED_H1` / :data:`BLOOM_SEED_H2`), the incarnation page
 (:data:`PAGE_SEED`) and, in the service layer, the consistent-hash ring
-position (:data:`RING_SEED`).  Naively each layer re-hashes the full key
-bytes, so one lookup pays 6-10+ FNV passes.  :class:`KeyDigest` is the
-hash-once fix, and "once" is literal: the key is canonicalised to bytes once
-at the public API boundary, and the first layer of a CLAM that needs any of
+position (:data:`RING_SEED`).  This module is the only one that knows how key
+bytes become those words.  Every public boundary and every stand-alone data
+structure normalises the key it is handed with one line — ``key if type(key)
+is KeyDigest else as_digest(key)`` — and below that line a key *is* a
+:class:`KeyDigest`: layers index ``digest.words``, ask for
+``digest.bloom_positions(...)`` or call :func:`ring_position`, and never see
+a seed.  "Hash once" is literal: the first layer of a CLAM that needs any of
 the six CLAM words gets all six from **one traversal** of the key bytes
 (:func:`clam_words`: FNV-1a's ``v = ((v ^ byte) * prime) mod 2^64`` runs
 lane-wise on one Python integer, one 128-bit lane per seed, so a byte costs
 one ``xor``/``mul``/``and`` for all six seeds) — **bit-identical** to six
-:func:`fnv1a_64` calls, so the on-flash layout does not change.  The ring
+:func:`fnv1a_64` calls, which is what fixes the on-flash layout.  The ring
 word is all a routing parent ever needs, so it keeps its own single-seed
-pass, as do the baseline and ablation seeds.
+pass, as do the baseline and ablation seeds.  :func:`fnv1a_64`,
+:func:`hash_key` and :func:`double_hashes` on raw bytes are the reference
+definitions of every derived value (tests compare the pipeline against them)
+and the hash of things that are not CLAM keys, such as a router's virtual
+nodes.
 
 A :class:`KeyDigest` is flat: the key bytes, the tuple of six CLAM words
 (``words``, indexed by :data:`PARTITION_WORD` ... :data:`PAGE_WORD`), the
@@ -359,10 +366,7 @@ class KeyDigest:
     def digest(self, seed: int = 0) -> int:
         """The 64-bit seeded digest, computed on first use and memoised."""
         if seed == RING_SEED:
-            value = self.ring
-            if value is None:
-                value = self.ring = fnv1a_64(self.data, seed)
-            return value
+            return ring_position(self)
         index = _CLAM_WORD_INDEX.get(seed)
         if index is not None:
             return (self.words or self.clam_words())[index]
@@ -500,10 +504,12 @@ _digest_cache_capacity = 1 << 16
 def as_digest(key: KeyLike) -> KeyDigest:
     """The :class:`KeyDigest` for ``key``, reusing a cached digest if present.
 
-    Called once per operation at each public API boundary; passing an
-    existing digest through is a no-op, so nested boundaries (service router
-    -> CLAM -> BufferHash) share one digest per operation.  A cache hit does
-    not refresh the entry's position: the oldest-inserted key leaves first.
+    The one way a key that is not yet a digest becomes one.  Boundaries test
+    ``type(key) is KeyDigest`` inline before calling, so a digest handed down
+    (service router -> CLAM -> BufferHash -> super table) costs no call; that
+    a digest passes through unchanged here too keeps the function total.  A
+    cache hit does not refresh the entry's position: the oldest-inserted key
+    leaves first.
     """
     if type(key) is KeyDigest:
         return key
@@ -545,18 +551,15 @@ def digest_cache_info() -> Dict[str, int]:
     return {"size": len(_DIGEST_RING), "capacity": _digest_cache_capacity}
 
 
-def canonical_key(key: KeyLike, hash_once: bool) -> KeyLike:
-    """The one canonicalisation policy used at every public API boundary.
-
-    Hash-once mode wraps the key in a (cached) :class:`KeyDigest` that every
-    layer below reuses; the ablation mode passes canonical bytes through so
-    each layer re-hashes exactly as the pre-digest implementation did.  Both
-    are idempotent, so nested boundaries (service router -> CLAM ->
-    BufferHash) canonicalise in O(1) after the first.
-    """
-    if hash_once:
-        return key if type(key) is KeyDigest else as_digest(key)
-    return key_data(key)
+def ring_position(key: KeyLike) -> int:
+    """Where ``key`` sits on the consistent-hash ring of
+    :mod:`repro.service.router`: its :data:`RING_SEED` word, hashed on first
+    use and kept on the key's (cached) digest."""
+    digest = key if type(key) is KeyDigest else as_digest(key)
+    value = digest.ring
+    if value is None:
+        value = digest.ring = fnv1a_64(digest.data, RING_SEED)
+    return value
 
 
 def key_data(key: KeyLike) -> bytes:
@@ -571,9 +574,12 @@ def key_data(key: KeyLike) -> bytes:
 def hash_key(key: KeyLike, seed: int = 0) -> int:
     """64-bit hash of an arbitrary key with the given seed.
 
-    Digest-aware: a :class:`KeyDigest` answers from (or fills) its memo, any
-    other key type is canonicalised and hashed directly.  Both paths return
-    the same value for the same key bytes.
+    The reference definition of a seeded key hash (raw bytes in, one
+    :func:`fnv1a_64` pass) and the hash the baselines use; the CLAM layers do
+    not call it, they read a digest's words.  Digest-aware: a
+    :class:`KeyDigest` answers from (or fills) its memo, any other key type
+    is canonicalised and hashed directly.  Both paths return the same value
+    for the same key bytes.
     """
     if type(key) is KeyDigest:
         return key.digest(seed)
@@ -586,9 +592,11 @@ def double_hashes(key: KeyLike, count: int, modulus: int) -> List[int]:
     Classic Kirsch-Mitzenmacher construction: two independent base hashes
     (:data:`BLOOM_SEED_H1` / :data:`BLOOM_SEED_H2`) combine linearly to
     simulate ``count`` independent hash functions, which is what Bloom
-    filters need.  Digest-aware like :func:`hash_key`; with a
-    :class:`KeyDigest` the positions for one filter geometry are computed
-    once and shared by every Bloom filter of that geometry the key meets.
+    filters need.  On raw bytes this is the reference definition of a key's
+    Bloom positions; the filters themselves read
+    :meth:`KeyDigest.bloom_positions`, which computes the positions for one
+    filter geometry once and shares them with every filter of that geometry
+    the key meets (and is what a :class:`KeyDigest` passed here answers from).
     """
     if count <= 0:
         raise ValueError("count must be positive")

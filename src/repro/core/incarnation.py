@@ -21,22 +21,18 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import KeyTooLargeError
-from repro.core.hashing import PAGE_SEED, PAGE_WORD, KeyLike, as_digest, fnv1a_64, hash_key
+from repro.core.hashing import PAGE_SEED, PAGE_WORD, KeyLike, as_digest, hash_key
 
 _PAGE_HEADER = struct.Struct("<HB")  # entry count, overflow flag
 _ENTRY_HEADER = struct.Struct("<HH")  # key length, value length
-
-#: Hash seed used for assigning keys to incarnation pages (re-exported for
-#: backwards compatibility; the canonical definition lives in
-#: :mod:`repro.core.hashing` next to the other per-layer seeds).
-_PAGE_SEED = PAGE_SEED
 
 
 def page_index_for_key(key: KeyLike, num_pages: int) -> int:
     """The page a key hashes to within an incarnation of ``num_pages`` pages.
 
-    Digest-aware: a :class:`~repro.core.hashing.KeyDigest` reuses its
-    memoised page digest across the incarnations a lookup probes.
+    The reference definition of page placement — ``fnv1a_64(key bytes,
+    PAGE_SEED) % num_pages`` — that :func:`build_pages` and the super table's
+    lookup, which read the same word from the key's digest, are tested against.
     """
     if num_pages <= 0:
         raise ValueError("num_pages must be positive")
@@ -72,12 +68,7 @@ def required_pages(
     return max(1, math.ceil(total / usable_per_page))
 
 
-def build_pages(
-    items: Dict[bytes, bytes],
-    num_pages: int,
-    page_size: int,
-    hash_once: bool = False,
-) -> List[bytes]:
+def build_pages(items: Dict[bytes, bytes], num_pages: int, page_size: int) -> List[bytes]:
     """Serialise ``items`` into ``num_pages`` page images of at most ``page_size`` bytes.
 
     Keys are placed on their hash-assigned page; when a page is full the
@@ -85,12 +76,9 @@ def build_pages(
     page that pushed entries onward has its overflow flag set so lookups know
     to continue.
 
-    ``hash_once`` reads each key's page word from the digest cache: flushed
-    keys were inserted a buffer's worth of operations ago, so their digests
-    are almost always still cached with every word filled, and the flush
-    hashes nothing.  It is off by default so the ``use_hash_once=False``
-    ablation (and stand-alone callers) stay free of digest machinery; page
-    assignment is bit-identical either way.
+    Each key's page word is read from the digest cache: flushed keys were
+    inserted a buffer's worth of operations ago, so their digests are almost
+    always still cached with every word filled, and the flush hashes nothing.
     """
     if num_pages <= 0:
         raise ValueError("num_pages must be positive")
@@ -106,11 +94,8 @@ def build_pages(
             raise KeyTooLargeError(
                 f"entry of {entry_size} bytes cannot fit in a {page_size}-byte page"
             )
-        if hash_once:
-            digest = as_digest(key)
-            page_hash = (digest.words or digest.clam_words())[PAGE_WORD]
-        else:
-            page_hash = fnv1a_64(key, PAGE_SEED)
+        digest = as_digest(key)
+        page_hash = (digest.words or digest.clam_words())[PAGE_WORD]
         buckets[page_hash % num_pages].append(_encode_entry(key, value))
 
     # Assign entries to physical pages, home page by home page, with

@@ -20,7 +20,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.core.bloom import BloomFilter
-from repro.core.hashing import KeyDigest, KeyLike, double_hashes
+from repro.core.hashing import KeyDigest, KeyLike, as_digest
 
 
 class BitSlicedBloomArray:
@@ -148,13 +148,10 @@ class BitSlicedBloomArray:
         """Incarnation identifiers that may contain ``key``, newest first."""
         if not self._columns:
             return []
-        if type(key) is KeyDigest:  # once per lookup: straight to the digest's memo
-            positions = key.bloom_positions(self.num_hashes, self.num_bits)
-        else:
-            positions = double_hashes(key, self.num_hashes, self.num_bits)
+        digest = key if type(key) is KeyDigest else as_digest(key)
         slices = self._slices
         combined = self._live_mask
-        for position in positions:
+        for position in digest.bloom_positions(self.num_hashes, self.num_bits):
             combined &= slices[position]
             if combined == 0:
                 return []

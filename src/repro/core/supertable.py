@@ -24,7 +24,7 @@ from repro.core.buffer import Buffer
 from repro.core.config import MemoryCostModel
 from repro.core.errors import ConfigurationError
 from repro.core.eviction import EvictionContext, EvictionPolicy, FIFOEviction
-from repro.core.hashing import PAGE_SEED, PAGE_WORD, KeyDigest, KeyLike, hash_key, key_data
+from repro.core.hashing import PAGE_WORD, KeyDigest, KeyLike, as_digest
 from repro.core.incarnation import (
     IncarnationHandle,
     build_pages,
@@ -69,7 +69,6 @@ class SuperTable:
         eviction_policy: Optional[EvictionPolicy] = None,
         use_bloom_filters: bool = True,
         use_bit_slicing: bool = True,
-        use_hash_once: bool = True,
     ) -> None:
         if max_incarnations <= 0:
             raise ConfigurationError("max_incarnations must be positive")
@@ -85,7 +84,6 @@ class SuperTable:
         self.eviction_policy = eviction_policy if eviction_policy is not None else FIFOEviction()
         self.use_bloom_filters = use_bloom_filters
         self.use_bit_slicing = use_bit_slicing
-        self.use_hash_once = use_hash_once
 
         self.buffer = Buffer(
             capacity_items=buffer_capacity_items,
@@ -134,12 +132,11 @@ class SuperTable:
 
     # -- Candidate selection ---------------------------------------------------------
 
-    def _candidate_incarnations(self, key: KeyLike) -> Tuple[List[IncarnationHandle], float]:
+    def _candidate_incarnations(self, key: KeyDigest) -> Tuple[List[IncarnationHandle], float]:
         """Incarnations that may hold ``key`` (newest first) and the DRAM cost.
 
-        ``key`` may be a :class:`~repro.core.hashing.KeyDigest`; the Bloom
-        probes below then reuse its memoised positions instead of re-hashing
-        the key bytes per incarnation.
+        Every Bloom probe below reads the digest's memoised positions, however
+        many incarnations there are.
         """
         if not self._incarnations:
             return [], 0.0
@@ -173,8 +170,8 @@ class SuperTable:
         false_positive_reads)`` — which costs half of what seven keyword
         arguments do, once per lookup.
         """
-        digest = key if type(key) is KeyDigest else None
-        data = key.data if digest is not None else key_data(key)
+        key = key if type(key) is KeyDigest else as_digest(key)
+        data = key.data
         cost = self.memory_cost
         advance = self.clock.advance
         latency = cost.delete_list_probe_ms
@@ -194,15 +191,8 @@ class SuperTable:
         false_positive_reads = 0
         read_page = self.store.read_page
         for handle in candidates:
-            # The key's page within this incarnation: a digest answers from
-            # its words; plain bytes (the re-hashing ablation) hash again for
-            # every incarnation probed.
-            if digest is not None:
-                page_hash = (digest.words or digest.clam_words())[PAGE_WORD]
-            else:
-                page_hash = hash_key(key, seed=PAGE_SEED)
             num_pages = handle.num_pages
-            page = page_hash % num_pages
+            page = (key.words or key.clam_words())[PAGE_WORD] % num_pages
             # Read the home page, then follow overflow flags (wrapping) until
             # the key turns up or a page says nothing spilled past it.
             reads = 0
@@ -240,7 +230,8 @@ class SuperTable:
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or (lazily) update ``key`` (bytes or a KeyDigest)."""
-        data = key.data if type(key) is KeyDigest else key_data(key)
+        key = key if type(key) is KeyDigest else as_digest(key)
+        data = key.data
         cost = self.memory_cost
         latency = cost.buffer_op_ms + cost.bloom_update_ms
         self.clock.advance(latency)
@@ -267,7 +258,8 @@ class SuperTable:
 
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete ``key`` lazily via the in-memory delete list."""
-        data = key_data(key)
+        key = key if type(key) is KeyDigest else as_digest(key)
+        data = key.data
         latency = self.memory_cost.buffer_op_ms + self.memory_cost.delete_list_probe_ms
         self.clock.advance(latency)
         removed = self.buffer.delete(key)
@@ -347,7 +339,7 @@ class SuperTable:
         # entry size; when actual entries are larger (long keys or values),
         # grow this incarnation rather than failing the flush.
         num_pages = max(self.pages_per_incarnation, required_pages(items, self.page_size))
-        pages = build_pages(items, num_pages, self.page_size, hash_once=self.use_hash_once)
+        pages = build_pages(items, num_pages, self.page_size)
         address, latency = self._write_incarnation_pages(pages)
         handle = IncarnationHandle(
             incarnation_id=self._next_incarnation_id,
@@ -406,13 +398,14 @@ class SuperTable:
         specifies; Bloom false positives can very occasionally discard a live
         item, which footnote 2 of §5.1.2 explicitly accepts.
         """
-        if self.buffer.get(key) is not None:
+        digest = as_digest(key)
+        if self.buffer.get(digest) is not None:
             return True
         for handle in self._incarnations:
             if handle.incarnation_id <= evicted.incarnation_id:
                 continue
             bloom = self._filters.get(handle.incarnation_id)
-            if bloom is not None and key in bloom:
+            if bloom is not None and digest in bloom:
                 return True
         return False
 

@@ -35,7 +35,7 @@ from repro.core.errors import (
     WireProtocolError,
     WorkerStalledError,
 )
-from repro.core.hashing import KeyLike, canonical_key
+from repro.core.hashing import KeyDigest, KeyLike, as_digest
 from repro.service import wire
 from repro.telemetry import trace as _trace
 from repro.workloads.workload import Operation, OpKind
@@ -234,12 +234,12 @@ class BatchExecutor:
         # preserved).  The key digest computed for routing rides along with
         # the operation so the shard reuses it instead of re-hashing.
         cluster = self.cluster
-        hash_once = cluster.config.use_hash_once
         try:
             groups: Dict[str, List[_Slot]] = {}
             for index, operation in enumerate(submitted):
                 kind = operation.kind
-                key = canonical_key(operation.key, hash_once)
+                key = operation.key
+                key = key if type(key) is KeyDigest else as_digest(key)
                 replicas = cluster._op_replicas(key, kind)
                 targets = self._targets(key, kind, replicas, ())
                 if kind is OpKind.LOOKUP:

@@ -45,7 +45,7 @@ from repro.core.errors import (
     ShardUnavailableError,
 )
 from repro.core.eviction import EvictionPolicy
-from repro.core.hashing import KeyLike, canonical_key, key_data
+from repro.core.hashing import KeyLike, key_data
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.flashsim.clock import ClockEnsemble
 from repro.service.batch import (
@@ -533,22 +533,11 @@ class ClusterService:
 
     def shard_for(self, key: KeyLike) -> str:
         """Shard id that owns ``key`` (the primary replica)."""
-        return self.router.route(self._canonical(key))
+        return self.router.route(key)
 
     def replicas_for(self, key: KeyLike) -> Tuple[str, ...]:
         """The key's full preference list (length ``replication_factor``)."""
-        return self.router.preference_list(self._canonical(key), self.replication_factor)
-
-    def _canonical(self, key: KeyLike) -> KeyLike:
-        """Hash the key once for routing *and* the shard-side operation.
-
-        The digest computed for the ring position travels into the owning
-        CLAM, whose boundary recognises it and reuses it; the
-        ``use_hash_once=False`` ablation passes canonical bytes through so
-        shards re-hash exactly as they originally did (shared policy:
-        :func:`repro.core.hashing.canonical_key`).
-        """
-        return canonical_key(key, self.config.use_hash_once)
+        return self.router.preference_list(key, self.replication_factor)
 
     def _op_replicas(self, key: KeyLike, kind: OpKind) -> Tuple[str, ...]:
         """The shards one operation must consult, migration-aware.

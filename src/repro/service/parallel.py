@@ -153,11 +153,9 @@ class _MirrorClock:
 # -- Worker process -----------------------------------------------------------------
 
 
-def _handle_batch(shard: LocalShard, hash_once: bool, payload: bytes) -> bytes:
+def _handle_batch(shard: LocalShard, payload: bytes) -> bytes:
     """Execute one batch frame against the worker's shard."""
     advance_ms, operations = wire.decode_batch_request(payload)
-    if not hash_once:
-        operations = [(kind, digest.data, value) for kind, digest, value in operations]
     try:
         results, error_code, message, busy_ms = apply_batch(shard, advance_ms, operations)
     except Exception as error:  # surfaced to the parent as a typed code
@@ -250,7 +248,6 @@ def _worker_main(
             wire.FRAME_CONTROL_RESPONSE,
             wire.encode_control({"ok": True, "pid": os.getpid()}),
         )
-        hash_once = shard.clam.config.use_hash_once
         while True:
             try:
                 frame_type, seq, payload = wire.recv_frame(conn)
@@ -275,7 +272,7 @@ def _worker_main(
                 break
             try:
                 if frame_type == wire.FRAME_BATCH_REQUEST:
-                    response = _handle_batch(shard, hash_once, payload)
+                    response = _handle_batch(shard, payload)
                     wire.send_frame(conn, wire.FRAME_BATCH_RESPONSE, response, seq=seq)
                 elif frame_type == wire.FRAME_CONTROL_REQUEST:
                     request = wire.decode_control(payload)

@@ -40,7 +40,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import ConfigurationError, ShardUnavailableError
-from repro.core.hashing import RING_SEED, KeyLike, hash_key
+from repro.core.hashing import KeyLike, ring_position
 from repro.service.cluster import ClusterService, imbalance_factor
 from repro.service.router import RING_SPACE, HandoffStats, ShardRouter
 from repro.workloads.workload import OpKind
@@ -193,7 +193,7 @@ class MigrationState:
         placement (reads so they never miss, writes so the new owners stay
         current for the cut-over).
         """
-        arc = self.arc_for_hash(hash_key(key, seed=RING_SEED))
+        arc = self.arc_for_hash(ring_position(key))
         if arc is None:
             return self._router.preference_list(key, self._replication_factor)
         if arc.state is ArcState.MIGRATING:
@@ -211,7 +211,7 @@ class MigrationState:
         queue instead.  Deletes leave both sets — there is nothing to move or
         retire any more.
         """
-        arc = self.arc_for_hash(hash_key(key_bytes, seed=RING_SEED))
+        arc = self.arc_for_hash(ring_position(key_bytes))
         if arc is None or arc.state is ArcState.DONE:
             return
         if alive:
@@ -373,7 +373,7 @@ class KeyMigrator:
         state = MigrationState(arcs, cluster.router, cluster.replication_factor)
         seeded = 0
         for key in cluster.tracked_keys:
-            arc = state.arc_for_hash(hash_key(key, seed=RING_SEED))
+            arc = state.arc_for_hash(ring_position(key))
             if arc is not None:
                 arc.keys.add(key)
                 arc.pending.add(key)

@@ -22,14 +22,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.hashing import RING_SEED, KeyLike, hash_key, to_key_bytes
+from repro.core.hashing import RING_SEED, KeyLike, fnv1a_64, ring_position, to_key_bytes
 
 #: Size of the hash ring (64-bit hash space).
 RING_SPACE = 1 << 64
-
-#: Seed separating ring-point hashing from every other hash use in the repo
-#: (canonically defined in :mod:`repro.core.hashing`).
-_RING_SEED = RING_SEED
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class HandoffStats:
 
 
 def _ring_point(shard_id: str, vnode: int) -> int:
-    return hash_key(to_key_bytes(shard_id) + b"#%d" % vnode, seed=_RING_SEED)
+    return fnv1a_64(to_key_bytes(shard_id) + b"#%d" % vnode, RING_SEED)
 
 
 class ShardRouter:
@@ -152,11 +148,11 @@ class ShardRouter:
     def route(self, key: KeyLike) -> str:
         """Shard owning ``key``: first ring point at or after the key's hash.
 
-        Digest-aware: routing a :class:`~repro.core.hashing.KeyDigest` reuses
-        its memoised ring digest, so the shard that then executes the
-        operation never re-hashes the key bytes the router already hashed.
+        The ring word is memoised on the key's digest
+        (:func:`~repro.core.hashing.ring_position`), so the shard that then
+        executes the operation is handed the digest the router already built.
         """
-        position = bisect_left(self._points, hash_key(key, seed=RING_SEED))
+        position = bisect_left(self._points, ring_position(key))
         if position == len(self._points):
             position = 0
         return self._owners[self._points[position]]
@@ -179,7 +175,7 @@ class ShardRouter:
         ``n`` is clamped to the number of shards, so a 2-shard ring answers a
         request for 3 replicas with both shards.
         """
-        return self.preference_at(hash_key(key, seed=RING_SEED), n)
+        return self.preference_at(ring_position(key), n)
 
     def preference_at(self, position: int, n: int) -> Tuple[str, ...]:
         """First ``n`` distinct shards on the ring at or after ``position``.

@@ -60,7 +60,7 @@ import zlib
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import DeviceFailedError, ShardUnavailableError, WireProtocolError
-from repro.core.hashing import KeyDigest
+from repro.core.hashing import KeyDigest, as_digest
 from repro.core.results import DeleteResult, InsertResult, LookupResult, ServedFrom
 from repro.workloads.workload import OpKind
 
@@ -263,10 +263,8 @@ _BATCH_RESP_HEAD = struct.Struct("<ddBII")
 
 
 def _encode_key(key) -> bytes:
-    """Key bytes or a :class:`KeyDigest` as a digest wire payload."""
-    if type(key) is KeyDigest:
-        return key.to_wire()
-    return KeyDigest(bytes(key)).to_wire()
+    """Any key as a digest wire payload."""
+    return (key if type(key) is KeyDigest else as_digest(key)).to_wire()
 
 
 def encode_batch_request(advance_ms: float, operations: Sequence[Tuple[OpKind, object, bytes]]):

@@ -20,11 +20,13 @@ import os
 import pytest
 
 from repro.core import CLAMConfig, DurableCLAM, PowerLossError
+from repro.core.durable import SUPERBLOCK_MAGIC
 from repro.core.errors import ConfigurationError, DeviceFailedError
 from repro.core.hashing import key_data
 from repro.core.incarnation import iter_page_entries
 from repro.flashsim.device import DeviceGeometry
 from repro.flashsim.faults import FaultMode
+from repro.flashsim.persistent import PersistentFlashDevice
 from repro.service.cluster import ClusterService
 from repro.service.recovery import RecoveryCoordinator
 
@@ -43,6 +45,19 @@ COLD_CFG = CLAMConfig(
     incarnations_per_table=2,
 )
 N_OPS = 260
+
+#: The superblock payload of ``CFG`` exactly as the commit before the re-hash
+#: ablation was deleted wrote it (``json.dumps(asdict(config), sort_keys=True,
+#: separators=(",", ":"))``); ``%s`` is the ablation switch, ``true``/``false``.
+PARENT_SUPERBLOCK_JSON = (
+    b'{"bloom_bits_per_entry":16.0,"buffer_capacity_items":8,"buffer_utilization":0.5,'
+    b'"checkpoint_interval_flushes":4,"entry_size_bytes":16,"eviction_policy_name":"fifo",'
+    b'"incarnations_per_table":2,"memory_cost":{"bloom_probe_per_incarnation_ms":0.0004,'
+    b'"bloom_sliced_query_ms":0.002,"bloom_update_ms":0.0005,"buffer_op_ms":0.004,'
+    b'"delete_list_probe_ms":0.0002,"page_scan_ms":0.002},"num_super_tables":2,'
+    b'"page_size_bytes":null,"telemetry_enabled":false,"use_bit_slicing":true,'
+    b'"use_bloom_filters":true,"use_buffering":true,"use_hash_once":%s}'
+)
 
 
 def key(i):
@@ -255,6 +270,33 @@ class TestDurableCLAM:
             DurableCLAM(path, config=COLD_CFG, geometry=GEOM)
         with DurableCLAM(path, geometry=GEOM) as clam:  # adopt stored config
             assert clam.config == CFG
+
+    @pytest.mark.parametrize("stored_flag", [b"true", b"false"])
+    def test_superblock_written_before_the_rehash_switch_was_deleted_still_opens(
+        self, tmp_path, stored_flag
+    ):
+        path = tmp_path / "old.clam"
+        device = PersistentFlashDevice(path, geometry=GEOM)
+        superblock_page = device.layout.partition("superblock").start_page(GEOM)
+        device.write_page(superblock_page, SUPERBLOCK_MAGIC + PARENT_SUPERBLOCK_JSON % stored_flag)
+        device.close()
+        with DurableCLAM(path, geometry=GEOM) as clam:  # adopts the stored config
+            assert clam.config == CFG
+            for i in range(20):  # flushes, and fits the retention window
+                clam.insert(key(i), value(i))
+        # The same config passed explicitly is no "configuration mismatch".
+        with DurableCLAM(path, config=CFG, geometry=GEOM) as clam:
+            assert clam.recovery_report.clean_shutdown
+            assert clam.bufferhash.total_incarnations > 0
+            assert all(clam.get(key(i)) == value(i) for i in range(20))
+
+    def test_superblock_records_no_rehash_switch(self, tmp_path):
+        path = tmp_path / "new.clam"
+        with DurableCLAM(path, config=CFG, geometry=GEOM) as clam:
+            device = clam.persistent_device
+            image = device.peek_page(device.layout.partition("superblock").start_page(GEOM))
+        assert image.startswith(SUPERBLOCK_MAGIC + b'{"bloom_bits_per_entry"')
+        assert b"use_hash_once" not in image
 
     def test_unbuffered_config_rejected(self, tmp_path):
         config = CLAMConfig(use_buffering=False)

@@ -1,15 +1,17 @@
 """End-to-end guarantees of the hash-once KeyDigest pipeline.
 
-Three claims, each enforced here:
+There is one key pipeline — below every API boundary a key is a
+:class:`~repro.core.hashing.KeyDigest` — and each claim about it is enforced
+here:
 
-1. **Equivalence** — with ``use_hash_once`` on or off, every operation
-   returns identical results and drives the simulated devices identically
-   (same flushes, incarnations, latencies).  The digest pipeline is a pure
-   performance change.
+1. **Equivalence** — wherever a layer places a key (super-table partition,
+   cuckoo bucket pair, Bloom bit positions, incarnation page) is where the
+   reference expressions on the raw key bytes put it, whether the key arrives
+   as bytes or as a digest.  The digest pipeline decides how often key bytes
+   are walked, never what is computed.
 2. **Hash-once** — one operation builds at most one digest and traverses the
-   key bytes at most once, for every layer together; probing several
-   incarnations reuses the Bloom/page hashes that the legacy path recomputed
-   per incarnation.
+   key bytes at most once, for every layer together, however many
+   incarnations it probes.
 3. **Service reuse** — a digest built for consistent-hash routing is the
    digest the owning CLAM uses, end to end through the batch executor.
 4. **Process boundary** — a shard worker resolves the keys it decodes from
@@ -20,14 +22,20 @@ Three claims, each enforced here:
 
 from __future__ import annotations
 
+import functools
 import gc
 import struct
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import CLAM, CLAMConfig
+from repro.core import CLAM, CLAMConfig, build_pages, search_page
+from repro.core.bloom import BloomFilter
+from repro.core.cuckoo import CuckooHashTable
 from repro.core.hashing import (
     CLAM_SEEDS,
+    CUCKOO_SEED_FIRST,
+    CUCKOO_SEED_SECOND,
+    PARTITION_SEED,
     RING_SEED,
     KeyDigest,
     as_digest,
@@ -35,85 +43,142 @@ from repro.core.hashing import (
     clear_digest_cache,
     count_hash_calls,
     digest_cache_info,
+    double_hashes,
     fnv1a_64,
     set_digest_cache_capacity,
 )
+from repro.core.incarnation import page_index_for_key
+from repro.core.results import ServedFrom
+from repro.core.sliced_bloom import BitSlicedBloomArray
 from repro.service import ClusterService, wire
 from repro.service.shard import apply_batch
 from repro.workloads.workload import Operation, OpKind
 
 
-def _config(hash_once: bool, **overrides) -> CLAMConfig:
+def _config(**overrides) -> CLAMConfig:
     return CLAMConfig.scaled(
-        num_super_tables=4,
-        buffer_capacity_items=32,
-        incarnations_per_table=4,
-        use_hash_once=hash_once,
-        **overrides,
+        num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4, **overrides
     )
 
 
-def _drive(clam: CLAM, operations):
-    results = []
-    for kind, key in operations:
-        if kind == "insert":
-            results.append(clam.insert(key, b"value-of-%r" % key))
-        elif kind == "lookup":
-            results.append(clam.lookup(key))
-        else:
-            results.append(clam.delete(key))
-    return results
+_KEY_BYTES = st.binary(min_size=1, max_size=40)
 
 
-def _mixed_workload():
-    operations = []
-    for i in range(600):
-        operations.append(("insert", b"wk-%04d" % (i % 250)))
-        if i % 3 == 0:
-            operations.append(("lookup", b"wk-%04d" % ((i * 7) % 250)))
-        if i % 11 == 0:
-            operations.append(("delete", b"wk-%04d" % ((i * 5) % 250)))
-        if i % 17 == 0:
-            operations.append(("lookup", b"absent-%04d" % i))
-    return operations
+def _both_forms(data: bytes):
+    """The key as a caller may hand it to any layer: raw bytes the process
+    has not met, and a digest."""
+    clear_digest_cache()
+    return data, KeyDigest(data)
+
+
+@functools.lru_cache(maxsize=None)
+def _bufferhash(num_super_tables: int):
+    config = CLAMConfig.scaled(
+        num_super_tables=num_super_tables, buffer_capacity_items=8, incarnations_per_table=2
+    )
+    return CLAM(config, storage="dram").bufferhash
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("bit_slicing", [True, False])
-    def test_hash_once_and_legacy_paths_behave_identically(self, bit_slicing):
-        clear_digest_cache()
-        fast = CLAM(_config(True, use_bit_slicing=bit_slicing), storage="intel-ssd")
-        slow = CLAM(_config(False, use_bit_slicing=bit_slicing), storage="intel-ssd")
-        workload = _mixed_workload()
-        for fast_result, slow_result in zip(_drive(fast, workload), _drive(slow, workload)):
-            assert type(fast_result) is type(slow_result)
-            assert fast_result.key == slow_result.key
-            assert getattr(fast_result, "value", None) == getattr(slow_result, "value", None)
-            assert fast_result.latency_ms == slow_result.latency_ms
-        assert fast.bufferhash.total_flushes == slow.bufferhash.total_flushes
-        assert fast.bufferhash.total_incarnations == slow.bufferhash.total_incarnations
-        assert fast.clock.now_ms == slow.clock.now_ms
-        assert fast.bufferhash.snapshot_items() == slow.bufferhash.snapshot_items()
+    """The placement oracle: every layer against the reference expression on
+    raw key bytes (``fnv1a_64(data, SEED) % n``, ``double_hashes``,
+    ``page_index_for_key``)."""
 
-    def test_legacy_mode_builds_no_digests(self):
-        """The ablation must be pure: with ``use_hash_once=False`` nothing in
-        the stack (including flush-time page placement) touches the digest
-        machinery or the global digest cache."""
-        from repro.core.hashing import digest_cache_info
+    @given(data=_KEY_BYTES, num_super_tables=st.sampled_from([1, 3, 4, 16]))
+    def test_partition(self, data, num_super_tables):
+        expected = fnv1a_64(data, PARTITION_SEED) % num_super_tables
+        for key in _both_forms(data):
+            assert _bufferhash(num_super_tables).table_for(key).table_id == expected
 
+    @given(data=_KEY_BYTES, num_slots=st.integers(min_value=1, max_value=200))
+    def test_cuckoo_bucket_pair(self, data, num_slots):
+        num_buckets = CuckooHashTable(num_slots).num_buckets
+        first = fnv1a_64(data, CUCKOO_SEED_FIRST) % num_buckets
+        second = fnv1a_64(data, CUCKOO_SEED_SECOND) % num_buckets
+        if second == first:
+            second = (second + 1) % num_buckets
+        for key in _both_forms(data):
+            table = CuckooHashTable(num_slots)
+            assert table._buckets_for(as_digest(key)) == (first, second)
+            table.put(key, b"v")  # an empty table takes the key in its first bucket
+            assert [index for index, bucket in enumerate(table._buckets) if any(bucket)] == [first]
+            assert table.get(data) == table.get(KeyDigest(data)) == b"v"
+
+    @settings(max_examples=50)
+    @given(
+        data=_KEY_BYTES,
+        num_bits=st.integers(min_value=8, max_value=300),
+        num_hashes=st.integers(min_value=1, max_value=8),
+    )
+    def test_bloom_positions(self, data, num_bits, num_hashes):
+        """A filter holding exactly the reference bits accepts the key; one
+        holding every bit but a single reference bit rejects it — so each
+        position a filter (plain or bit-sliced) probes is a reference one."""
+        expected = double_hashes(data, num_hashes, num_bits)
+        assert all(0 <= position < num_bits for position in expected)
+
+        def filter_with(positions) -> BloomFilter:
+            bits = bytearray(BloomFilter(num_bits, num_hashes).to_bytes())  # empty
+            for position in positions:
+                bits[position >> 3] |= 1 << (position & 7)
+            return BloomFilter.from_bytes(num_bits, num_hashes, bytes(bits))
+
+        def candidates(bloom, key):
+            sliced = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=2)
+            sliced.append_filter(bloom, "owner")
+            return sliced.candidates(key)
+
+        exact = filter_with(expected)
+        holed = [filter_with(set(range(num_bits)) - {position}) for position in set(expected)]
+        for key in _both_forms(data):
+            assert BloomFilter(num_bits, num_hashes).bit_positions(key) == expected
+            assert key in exact and candidates(exact, key) == ["owner"]
+            for bloom in holed:
+                assert key not in bloom and candidates(bloom, key) == []
+        added = BloomFilter(num_bits, num_hashes)
+        added.add(data)
+        assert added.to_bytes() == exact.to_bytes()
+
+    @given(
+        items=st.dictionaries(_KEY_BYTES, st.binary(max_size=8), min_size=1, max_size=12),
+        num_pages=st.integers(min_value=1, max_value=16),
+    )
+    def test_incarnation_page_written(self, items, num_pages):
         clear_digest_cache()
-        clam = CLAM(_config(False), storage="intel-ssd")
-        with count_hash_calls() as log:
-            for i in range(300):  # enough to force flushes
-                clam.insert(b"pure-%04d" % i, b"v")
-            for i in range(300):
-                clam.lookup(b"pure-%04d" % i)
-        assert clam.bufferhash.total_flushes > 0
-        assert log.digest_builds == 0
-        assert digest_cache_info()["size"] == 0
+        pages = build_pages(items, num_pages, page_size=2048)  # roomy: nothing spills
+        for data, value in items.items():
+            assert search_page(pages[page_index_for_key(data, num_pages)], data)[0] == value
+
+    def test_incarnation_page_read(self):
+        """A flash-served lookup reads the key's reference page first."""
+        clam = CLAM(_config(page_size_bytes=128), storage="intel-ssd")  # 8 pages an incarnation
+        keys = [b"page-%04d" % i for i in range(400)]
+        for key in keys:
+            clam.insert(key, b"v")
+        store = clam.bufferhash.store
+        reads = []
+        read_page = store.read_page
+
+        def recording_read_page(address, page):
+            reads.append((address, page))
+            return read_page(address, page)
+
+        store.read_page = recording_read_page
+        served = 0
+        for data in keys:
+            for key in _both_forms(data):
+                del reads[:]
+                result = clam.lookup(key)
+                if result.served_from is not ServedFrom.INCARNATION or result.false_positive_reads:
+                    continue
+                handles = clam.bufferhash.table_for(data).incarnation_handles
+                (num_pages,) = {h.num_pages for h in handles if h.address == reads[0][0]}
+                assert reads[0][1] == page_index_for_key(data, num_pages)
+                served += 1
+        assert served > 200
 
     def test_mixed_key_types_roundtrip_through_digests(self):
-        clam = CLAM(_config(True), storage="intel-ssd")
+        clam = CLAM(_config(), storage="intel-ssd")
         clam.insert("string-key", b"sv")
         clam.insert(12345, b"iv")
         clam.insert(memoryview(b"mv-key"), b"mv")
@@ -125,9 +190,9 @@ class TestEquivalence:
 class TestHashOnceCounting:
     """The headline claim: per-operation key-hash invocations drop to one."""
 
-    def _flash_resident_clam(self, hash_once: bool, bit_slicing: bool) -> CLAM:
+    def _flash_resident_clam(self, bit_slicing: bool) -> CLAM:
         clam = CLAM(
-            _config(hash_once, use_bit_slicing=bit_slicing),
+            _config(use_bit_slicing=bit_slicing),
             storage="intel-ssd",
             keep_latency_samples=False,
         )
@@ -137,8 +202,6 @@ class TestHashOnceCounting:
 
     @staticmethod
     def _flash_served_key(clam: CLAM) -> bytes:
-        from repro.core.results import ServedFrom
-
         for i in reversed(range(800)):
             key = b"cnt-%04d" % i
             if clam.lookup(key).served_from is ServedFrom.INCARNATION:
@@ -146,7 +209,7 @@ class TestHashOnceCounting:
         raise AssertionError("no flash-resident key found")
 
     def test_lookup_hashes_each_layer_at_most_once(self):
-        clam = self._flash_resident_clam(hash_once=True, bit_slicing=True)
+        clam = self._flash_resident_clam(bit_slicing=True)
         probe = self._flash_served_key(clam)
         clear_digest_cache()
         with count_hash_calls() as log:
@@ -156,7 +219,7 @@ class TestHashOnceCounting:
         assert log.by_layer() == {"clam_words": 1}  # and are walked once, for every layer
 
     def test_cached_key_is_never_rehashed(self):
-        clam = self._flash_resident_clam(hash_once=True, bit_slicing=True)
+        clam = self._flash_resident_clam(bit_slicing=True)
         probe = b"cnt-0042"
         clam.lookup(probe)  # populate the digest cache
         with count_hash_calls() as log:
@@ -166,33 +229,25 @@ class TestHashOnceCounting:
         assert log.digest_builds == 0
 
     def test_legacy_path_rehashes_bloom_per_incarnation(self):
-        """Without bit slicing, the legacy path pays two Bloom passes per
-        incarnation probed; the digest path walks the key once for every
-        word, the two Bloom base hashes included."""
-        legacy = self._flash_resident_clam(hash_once=False, bit_slicing=False)
-        digest = self._flash_resident_clam(hash_once=True, bit_slicing=False)
+        """Without bit slicing a lookup probes one filter per incarnation (the
+        re-hashing pipeline this replaced paid two Bloom passes for each);
+        the key is still walked once, for every word and every filter."""
+        clam = self._flash_resident_clam(bit_slicing=False)
         probe = b"cnt-0042"
-        table = legacy.bufferhash.table_for(probe)
+        table = clam.bufferhash.table_for(probe)
         assert table.incarnation_count > 1  # the probe sees several filters
 
-        with count_hash_calls() as legacy_log:
-            legacy.lookup(probe)
         clear_digest_cache()
-        with count_hash_calls() as digest_log:
-            digest.lookup(probe)
-
-        legacy_layers = legacy_log.by_layer()
-        digest_layers = digest_log.by_layer()
-        assert legacy_layers["bloom_h1"] > 1  # one pass per incarnation's filter
-        assert legacy_layers["bloom_h2"] == legacy_layers["bloom_h1"]
-        assert digest_layers == {"clam_words": 1}
-        assert digest_log.total == digest_log.digest_builds == 1
+        with count_hash_calls() as log:
+            clam.lookup(probe)
+        assert log.by_layer() == {"clam_words": 1}
+        assert log.total == log.digest_builds == 1
 
 
 class TestServiceReuse:
     def test_routing_digest_reaches_the_shard(self):
         """The batch executor routes and executes with one digest per key."""
-        cluster = ClusterService(num_shards=3, config=_config(True), storage="dram")
+        cluster = ClusterService(num_shards=3, config=_config(), storage="dram")
         keys = [b"svc-%03d" % i for i in range(60)]
         cluster.execute_batch([Operation(OpKind.INSERT, key, b"v") for key in keys])
         clear_digest_cache()
@@ -205,8 +260,8 @@ class TestServiceReuse:
             assert count <= len(keys), f"{layer} hashed {count}x for {len(keys)} keys"
 
     def test_single_op_dispatch_matches_batch_results(self):
-        sequential = ClusterService(num_shards=2, config=_config(True), storage="dram")
-        batched = ClusterService(num_shards=2, config=_config(True), storage="dram")
+        sequential = ClusterService(num_shards=2, config=_config(), storage="dram")
+        batched = ClusterService(num_shards=2, config=_config(), storage="dram")
         keys = [b"one-%03d" % i for i in range(40)]
         for key in keys:
             sequential.insert(key, b"v")
@@ -228,7 +283,7 @@ class TestProcessBoundary:
 
     @staticmethod
     def _worker_clam() -> CLAM:
-        clam = CLAM(_config(True), storage="intel-ssd", keep_latency_samples=False)
+        clam = CLAM(_config(), storage="intel-ssd", keep_latency_samples=False)
         for i in range(800):  # several incarnations per table
             clam.insert(b"wrk-%04d" % i, b"v")
         return clam
@@ -332,7 +387,7 @@ class TestMemoryShape:
         """The digest cache holds one digest per recently used key in every
         process; a per-digest dict or list is what made that cost 1 KB a key."""
         clear_digest_cache()
-        clam = CLAM(_config(True), storage="intel-ssd", keep_latency_samples=False)
+        clam = CLAM(_config(), storage="intel-ssd", keep_latency_samples=False)
         keys = [b"shape-%04d" % i for i in range(400)]
         for key in keys:
             clam.lookup(key)

@@ -20,6 +20,7 @@ import random
 import pytest
 
 from repro.core import CLAM, CLAMConfig
+from repro.core.hashing import clear_digest_cache, count_hash_calls
 from repro.core.results import ServedFrom
 from repro.telemetry.trace import Tracer, tracing
 
@@ -128,7 +129,6 @@ CASES = {
     # The switches that select a different branch of the per-operation path.
     "intel-ssd/per-incarnation-bloom": ("intel-ssd", 6_000, {"use_bit_slicing": False}),
     "intel-ssd/no-bloom": ("intel-ssd", 6_000, {"use_bloom_filters": False}),
-    "intel-ssd/rehash-per-layer": ("intel-ssd", 6_000, {"use_hash_once": False}),
     "intel-ssd/lru": ("intel-ssd", 6_000, {"eviction_policy_name": "lru"}),
     "intel-ssd/update-eviction": ("intel-ssd", 6_000, {"eviction_policy_name": "update"}),
     "intel-ssd/telemetry": ("intel-ssd", 6_000, {"telemetry_enabled": True}),
@@ -174,10 +174,6 @@ GOLDEN = {
         "5824b7730792dd106161d666fb8deb2a", "0x1.cc45cdd2f1429p+9", "a38d6bc5b763c1cc113e3e3259850bfb",
         61, 45, 6725, 5216, 91,
     ),
-    "intel-ssd/rehash-per-layer": _golden(
-        "3246c48118b524b726f1f25989f28045", "0x1.749b958106554p+8", "3d3174ec6cffc2f065fc20a4bef40cb5",
-        61, 45, 2407, 898, 91,
-    ),
     "intel-ssd/lru": _golden(
         "5ce555fda237a9184591184033d66f1b", "0x1.70be77a96650fp+8", "731568ea0754f60a4cc45cd945ef46d9",
         102, 86, 2283, 977, 70,
@@ -209,6 +205,22 @@ def test_stream_reaches_every_branch_it_claims():
         assert golden["evictions"] > 100
         assert golden["false_positive_reads"] > 50
         assert golden["overflow_probes"] > 0
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lru", "update"])
+def test_stream_walks_each_key_once_under_every_eviction_policy(policy):
+    """There is one key pipeline: whatever an operation sets off — a flush, a
+    cuckoo displacement, LRU re-insertion, the partial-discard scan of an
+    evicted incarnation and the cascade it can start — nothing below the API
+    boundary hashes key bytes on its own.  The stream's keys all fit the
+    digest cache, so each is digested once and walked once."""
+    distinct = len({key for _kind, key, _value in _stream(6_000, _SEED)})
+    clear_digest_cache()
+    with count_hash_calls() as log:
+        run_case("intel-ssd", 6_000, eviction_policy_name=policy)
+    assert log.digest_builds == distinct
+    assert log.total == log.digest_builds
+    assert log.by_layer() == {"clam_words": distinct}
 
 
 def traced_span_digest(operations: int = 3_000) -> tuple:

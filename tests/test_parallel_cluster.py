@@ -21,7 +21,9 @@ from repro.core.errors import (
     ShardUnavailableError,
     WorkerDiedError,
 )
+from repro.core.hashing import to_key_bytes
 from repro.service import AutoscalePolicy, ClusterService, KeyMigrator, ParallelClusterService
+from repro.service.shard import LocalShard
 from repro.telemetry.schema import validate_snapshot
 from repro.workloads.workload import Operation, OpKind
 
@@ -105,6 +107,26 @@ class TestBitIdenticalParity:
                 r.found for r in reference.lookup_batch(keys)
             ]
             assert parallel.stats.combined() == reference.stats.combined()
+
+
+    def test_remote_shard_single_ops_answer_what_a_local_shard_does(self, cluster_config):
+        """Directed one-shard operations (hint replay, recovery, migration)
+        take keys of any supported type on both sides of the process
+        boundary and mean the same key by them."""
+        keys = [5, 0x0102, "abc", memoryview(b"mv-key"), bytearray(b"ba-key"), b"plain"]
+        local = LocalShard("shard-0", cluster_config, "intel-ssd")
+        with ParallelClusterService(num_shards=1, config=cluster_config) as parallel:
+            (remote,) = parallel.shards.values()
+            for shard in (local, remote):
+                for key in keys:
+                    shard.insert(key, b"value-of-%r" % to_key_bytes(key))
+            for key in keys:
+                got, want = remote.lookup(key), local.lookup(key)
+                assert got == want
+                assert got.key == to_key_bytes(key)
+                assert got.value == b"value-of-%r" % to_key_bytes(key)
+            assert remote.delete(keys[0]) == local.delete(keys[0])
+            assert remote.lookup(keys[0]) == local.lookup(keys[0])
 
 
 class TestWorkerFailure:

@@ -13,7 +13,7 @@ from repro.core.errors import (
     ShardUnavailableError,
     WireProtocolError,
 )
-from repro.core.hashing import KeyDigest, clear_digest_cache
+from repro.core.hashing import KeyDigest, clear_digest_cache, to_key_bytes
 from repro.core.results import DeleteResult, InsertResult, LookupResult, ServedFrom
 from repro.service import wire
 from repro.workloads.workload import OpKind
@@ -324,6 +324,16 @@ class TestBatchRequest:
         # across the process boundary).
         assert sorted(digest.memoised()) == [7, 1234567]
         assert decoded[0][1].memoised() == digest.memoised()
+
+    @pytest.mark.parametrize(
+        "key", [5, 0x0102, "abc", "héllo", memoryview(b"mv-key"), bytearray(b"ba-key")]
+    )
+    def test_any_key_type_travels_as_its_canonical_bytes(self, key):
+        """Regression: ``bytes(5)`` is five NUL bytes and ``bytes("abc")``
+        raises; the wire must carry what every other boundary looks up."""
+        payload = wire.encode_batch_request(0.0, [(OpKind.LOOKUP, key, b"")])
+        ((_kind, decoded, _value),) = wire.decode_batch_request(payload)[1]
+        assert decoded.data == to_key_bytes(key)
 
     def test_unknown_op_code_rejected(self):
         payload = struct.pack("<dI", 0.0, 1) + struct.pack("<B", 200)
