@@ -124,26 +124,22 @@ class DurableLogStore(IncarnationStore):
     real erase traffic and interrupted-erase states).
     """
 
-    def __init__(self, device: PersistentFlashDevice, partition_name: str = "log") -> None:
+    def __init__(self, device: PersistentFlashDevice) -> None:
         self.device = device
-        self.partition: FlashPartition = device.layout.partition(partition_name)
+        self.partition: FlashPartition = device.layout.partition("log")
         geometry = device.geometry
         self._start = self.partition.start_page(geometry)
-        self._num_pages = self.partition.num_pages(geometry)
-        self._end = self._start + self._num_pages
+        #: Number of pages in the log partition.
+        self.capacity_pages = self.partition.num_pages(geometry)
+        self._end = self._start + self.capacity_pages
         # Live regions map header page -> whole record span (header + data).
         self._log = CircularLogAllocator(self._start, self._end)
-        self._released_pages: set[int] = set()
         # owner (super table id) -> next incarnation id, mirroring each
         # SuperTable's counter so record headers carry the real id.
         self._owner_next_id: Dict[int, int] = {}
         self._next_seq = 1
 
     # -- Introspection ---------------------------------------------------------
-
-    @property
-    def capacity_pages(self) -> int:
-        return self._num_pages
 
     @property
     def wrap_count(self) -> int:
@@ -161,15 +157,15 @@ class DurableLogStore(IncarnationStore):
 
     # -- IncarnationStore API --------------------------------------------------
 
-    def write_incarnation_for(self, owner_id: int, pages: List[bytes]) -> Tuple[int, float]:
+    def write_incarnation(self, owner_id: int, pages: List[bytes]) -> Tuple[int, float]:
         """Append one record for ``owner_id``; returns (data address, latency)."""
         if not pages:
             raise ValueError("pages must be non-empty")
         span = len(pages) + 1
-        if span > self._num_pages:
+        if span > self.capacity_pages:
             raise ConfigurationError(
                 f"record of {span} pages exceeds log partition capacity "
-                f"{self._num_pages} pages"
+                f"{self.capacity_pages} pages"
             )
         header_page = self._log.advance(span)
         if header_page is None:
@@ -188,24 +184,11 @@ class DurableLogStore(IncarnationStore):
         self._owner_next_id[owner_id] = incarnation_id + 1
         self._next_seq = sequence + 1
         self._log.mark_live(header_page, span)
-        for page in range(header_page, header_page + span):
-            self._released_pages.discard(page)
         return header_page + 1, latency
-
-    def write_incarnation(self, pages: List[bytes]) -> Tuple[int, float]:
-        return self.write_incarnation_for(0, pages)
-
-    def read_page(self, address: int, page_offset: int) -> Tuple[bytes, float]:
-        return self.device.read_page(address + page_offset)
-
-    def read_incarnation(self, address: int, num_pages: int) -> Tuple[List[bytes], float]:
-        return self.device.read_range(address, num_pages)
 
     def release(self, address: int, num_pages: int) -> None:
         header_page = address - 1
         span = self._log.release(header_page) or num_pages + 1
-        for page in range(header_page, header_page + span):
-            self._released_pages.add(page)
         self._erase_reclaimable_blocks(header_page, span)
 
     def _erase_reclaimable_blocks(self, start: int, span: int) -> None:
@@ -220,12 +203,7 @@ class DurableLogStore(IncarnationStore):
                 continue
             if not self._log.is_free(block_start, pages_per_block):
                 continue
-            if not any(
-                page in self._released_pages for page in range(block_start, block_end)
-            ):
-                continue
             self.device.erase_block(block)
-            self._released_pages.difference_update(range(block_start, block_end))
 
     # -- Recovery hooks --------------------------------------------------------
 
@@ -437,9 +415,9 @@ class CheckpointRegion:
     checkpoint in the other slot stays intact and recovery falls back to it.
     """
 
-    def __init__(self, device: PersistentFlashDevice, partition_name: str = "checkpoint") -> None:
+    def __init__(self, device: PersistentFlashDevice) -> None:
         self.device = device
-        self.partition = device.layout.partition(partition_name)
+        self.partition = device.layout.partition("checkpoint")
         geometry = device.geometry
         start = self.partition.start_page(geometry)
         total = self.partition.num_pages(geometry)

@@ -1,17 +1,24 @@
 """Placement of incarnations on storage devices.
 
-Section 5.2 of the paper describes two layouts:
+Section 5.2 of the paper makes one placement decision per kind of device:
 
-* on a raw **flash chip**, the chip is statically partitioned, one partition
-  per super table, and each super table writes its incarnations circularly
-  within its partition, erasing blocks as it wraps;
-* on an **SSD**, interleaved writes to per-partition regions defeat the FTL,
-  so BufferHash instead treats the whole device as a single circular log and
-  appends incarnations from *all* super tables in flush order, remembering
-  each incarnation's device address alongside its Bloom filter.
+* a raw **flash chip** is statically partitioned, one partition per super
+  table, and each super table writes its incarnations circularly within its
+  partition, erasing blocks as it wraps (:class:`PartitionedChipStore`);
+* on an **SSD**, interleaved writes to per-partition regions defeat the FTL
+  (:class:`PartitionedDeviceStore`, kept for the ablation), so BufferHash
+  instead treats the whole device as a single circular log and appends
+  incarnations from *all* super tables in flush order, remembering each
+  incarnation's device address alongside its Bloom filter
+  (:class:`WholeDeviceLogStore`);
+* several SSDs take the super tables round robin, each device running its
+  own log (:class:`MultiDeviceLogStore`).
 
-Both layouts are implemented here behind the common :class:`IncarnationStore`
-interface used by :class:`~repro.core.supertable.SuperTable`.
+All of them, and the crash-safe log of :mod:`repro.core.durable`, implement
+:class:`IncarnationStore`, whose one abstract method is handed the owning
+super table; what each class adds is its write pattern.  There are two
+allocation policies, each written once: :class:`CircularLogAllocator` for the
+logs and the fixed slot ring of the partitioned layouts.
 """
 
 from __future__ import annotations
@@ -26,27 +33,34 @@ from repro.flashsim.flash_chip import FlashChip
 
 
 class IncarnationStore(abc.ABC):
-    """Writes incarnation page images to a device and reads them back."""
+    """Writes incarnation page images to a device and reads them back.
+
+    Reads are served from ``self.device``; a layout that spans several
+    devices overrides the two read methods.
+    """
 
     @abc.abstractmethod
-    def write_incarnation(self, pages: List[bytes]) -> Tuple[int, float]:
-        """Append an incarnation; returns ``(address, latency_ms)``.
+    def write_incarnation(self, owner_id: int, pages: List[bytes]) -> Tuple[int, float]:
+        """Write super table ``owner_id``'s next incarnation; returns ``(address, latency_ms)``.
 
         ``address`` is the device page index of the incarnation's first page
-        and remains valid until :meth:`release` is called for it.
+        and remains valid until :meth:`release` is called for it.  A layout
+        shared by every super table ignores the owner; the others place by it.
         """
 
-    @abc.abstractmethod
     def read_page(self, address: int, page_offset: int) -> Tuple[bytes, float]:
         """Read one page of a previously written incarnation."""
+        return self.device.read_page(address + page_offset)
 
-    @abc.abstractmethod
     def read_incarnation(self, address: int, num_pages: int) -> Tuple[List[bytes], float]:
         """Read all pages of an incarnation (used by partial-discard eviction)."""
+        return self.device.read_range(address, num_pages)
 
-    @abc.abstractmethod
     def release(self, address: int, num_pages: int) -> None:
-        """Mark an incarnation's space as reclaimable."""
+        """Mark an incarnation's space as reclaimable.
+
+        Nothing to do for layouts that overwrite fixed slots in place.
+        """
 
 
 class CircularLogAllocator:
@@ -135,32 +149,24 @@ class WholeDeviceLogStore(IncarnationStore):
     skipped space becomes reusable as soon as its owner evicts).
     """
 
-    def __init__(self, device: StorageDevice, reserve_fraction: float = 0.0) -> None:
-        if not 0.0 <= reserve_fraction < 1.0:
-            raise ValueError("reserve_fraction must be in [0, 1)")
+    def __init__(self, device: StorageDevice) -> None:
         self.device = device
-        self._total_pages = int(device.geometry.total_pages * (1.0 - reserve_fraction))
-        if self._total_pages <= 0:
-            raise ConfigurationError("device has no usable pages")
-        self._log = CircularLogAllocator(0, self._total_pages)
-
-    @property
-    def capacity_pages(self) -> int:
-        """Number of device pages the log may use."""
-        return self._total_pages
+        #: Number of device pages the log may use.
+        self.capacity_pages = device.geometry.total_pages
+        self._log = CircularLogAllocator(0, self.capacity_pages)
 
     @property
     def wrap_count(self) -> int:
         """How many times the log head has wrapped around the device."""
         return self._log.wraps
 
-    def write_incarnation(self, pages: List[bytes]) -> Tuple[int, float]:
+    def write_incarnation(self, owner_id: int, pages: List[bytes]) -> Tuple[int, float]:
         if not pages:
             raise ValueError("pages must be non-empty")
-        if len(pages) > self._total_pages:
+        if len(pages) > self.capacity_pages:
             raise ConfigurationError(
                 f"incarnation of {len(pages)} pages exceeds device capacity "
-                f"{self._total_pages} pages"
+                f"{self.capacity_pages} pages"
             )
         address = self._log.advance(len(pages))
         if address is None:
@@ -172,90 +178,8 @@ class WholeDeviceLogStore(IncarnationStore):
         self._log.mark_live(address, len(pages))
         return address, latency
 
-    def read_page(self, address: int, page_offset: int) -> Tuple[bytes, float]:
-        return self.device.read_page(address + page_offset)
-
-    def read_incarnation(self, address: int, num_pages: int) -> Tuple[List[bytes], float]:
-        return self.device.read_range(address, num_pages)
-
     def release(self, address: int, num_pages: int) -> None:
         self._log.release(address)
-
-
-class PartitionedDeviceStore(IncarnationStore):
-    """Per-super-table partitions on a single SSD/disk — the layout §5.2 rejects.
-
-    Each super table owns a statically assigned region of the device and
-    writes its incarnations circularly within it.  Although every partition
-    is written sequentially *from its own point of view*, consecutive flushes
-    come from different super tables, so the device sees writes jumping
-    between far-apart regions — which defeats the FTL's sequential-write
-    optimisation exactly as the paper describes ("writes from different super
-    tables to different partitions may be interleaved, resulting in a
-    performance worse than a single sequential write").
-
-    Provided for the layout ablation benchmark; production use should prefer
-    :class:`WholeDeviceLogStore`.
-    """
-
-    def __init__(self, device: StorageDevice, num_partitions: int, pages_per_incarnation: int) -> None:
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        if pages_per_incarnation <= 0:
-            raise ValueError("pages_per_incarnation must be positive")
-        total_pages = device.geometry.total_pages
-        partition_pages = total_pages // num_partitions
-        if partition_pages < pages_per_incarnation:
-            raise ConfigurationError(
-                "each partition must hold at least one incarnation: "
-                f"partition_pages={partition_pages}, needed={pages_per_incarnation}"
-            )
-        self.device = device
-        self.num_partitions = num_partitions
-        self.pages_per_incarnation = pages_per_incarnation
-        self.partition_pages = partition_pages
-        self.slots_per_partition = partition_pages // pages_per_incarnation
-        self._next_slot: Dict[int, int] = {}
-        self._partition_of_owner: Dict[int, int] = {}
-        self._next_partition = 0
-
-    def _partition_for(self, owner_id: int) -> int:
-        if owner_id not in self._partition_of_owner:
-            if self._next_partition >= self.num_partitions:
-                raise ConfigurationError("more super tables than partitions")
-            self._partition_of_owner[owner_id] = self._next_partition
-            self._next_partition += 1
-        return self._partition_of_owner[owner_id]
-
-    def write_incarnation_for(self, owner_id: int, pages: List[bytes]) -> Tuple[int, float]:
-        """Write an incarnation into ``owner_id``'s partition slot ring."""
-        if len(pages) > self.pages_per_incarnation:
-            raise ConfigurationError(
-                f"incarnation has {len(pages)} pages but slots hold {self.pages_per_incarnation}"
-            )
-        partition = self._partition_for(owner_id)
-        slot = self._next_slot.get(partition, 0)
-        address = partition * self.partition_pages + slot * self.pages_per_incarnation
-        # Writing page-by-page (each partition maintains its own write point)
-        # prevents the device from recognising one long sequential stream.
-        latency = 0.0
-        for offset, image in enumerate(pages):
-            latency += self.device.write_page(address + offset, image)
-        self._next_slot[partition] = (slot + 1) % self.slots_per_partition
-        return address, latency
-
-    def write_incarnation(self, pages: List[bytes]) -> Tuple[int, float]:
-        return self.write_incarnation_for(0, pages)
-
-    def read_page(self, address: int, page_offset: int) -> Tuple[bytes, float]:
-        return self.device.read_page(address + page_offset)
-
-    def read_incarnation(self, address: int, num_pages: int) -> Tuple[List[bytes], float]:
-        return self.device.read_range(address, num_pages)
-
-    def release(self, address: int, num_pages: int) -> None:
-        # Slots are reused in place when the partition ring wraps.
-        return None
 
 
 class MultiDeviceLogStore(IncarnationStore):
@@ -271,7 +195,7 @@ class MultiDeviceLogStore(IncarnationStore):
     index is encoded in the high part of the address.
     """
 
-    def __init__(self, devices: List[StorageDevice], reserve_fraction: float = 0.0) -> None:
+    def __init__(self, devices: List[StorageDevice]) -> None:
         if not devices:
             raise ConfigurationError("at least one device is required")
         clock = devices[0].clock
@@ -279,138 +203,147 @@ class MultiDeviceLogStore(IncarnationStore):
             if device.clock is not clock:
                 raise ConfigurationError("all devices must share one simulation clock")
         self.devices = list(devices)
-        self._stores = [WholeDeviceLogStore(device, reserve_fraction) for device in devices]
+        self._stores = [WholeDeviceLogStore(device) for device in devices]
         # Address stride large enough to keep per-device page indexes disjoint.
         self._stride = max(device.geometry.total_pages for device in devices)
 
-    def _device_index_for_owner(self, owner_id: int) -> int:
-        return owner_id % len(self._stores)
-
-    def _encode(self, device_index: int, address: int) -> int:
-        return device_index * self._stride + address
-
-    def _decode(self, address: int) -> Tuple[int, int]:
-        return address // self._stride, address % self._stride
-
-    def write_incarnation_for(self, owner_id: int, pages: List[bytes]) -> Tuple[int, float]:
-        """Append an incarnation to the device owning ``owner_id``'s partition."""
-        device_index = self._device_index_for_owner(owner_id)
-        address, latency = self._stores[device_index].write_incarnation(pages)
-        return self._encode(device_index, address), latency
-
-    def write_incarnation(self, pages: List[bytes]) -> Tuple[int, float]:
-        return self.write_incarnation_for(0, pages)
+    def write_incarnation(self, owner_id: int, pages: List[bytes]) -> Tuple[int, float]:
+        index = owner_id % len(self._stores)
+        address, latency = self._stores[index].write_incarnation(owner_id, pages)
+        return index * self._stride + address, latency
 
     def read_page(self, address: int, page_offset: int) -> Tuple[bytes, float]:
-        device_index, local = self._decode(address)
-        return self._stores[device_index].read_page(local, page_offset)
+        index, local = divmod(address, self._stride)
+        return self._stores[index].read_page(local, page_offset)
 
     def read_incarnation(self, address: int, num_pages: int) -> Tuple[List[bytes], float]:
-        device_index, local = self._decode(address)
-        return self._stores[device_index].read_incarnation(local, num_pages)
+        index, local = divmod(address, self._stride)
+        return self._stores[index].read_incarnation(local, num_pages)
 
     def release(self, address: int, num_pages: int) -> None:
-        device_index, local = self._decode(address)
-        self._stores[device_index].release(local, num_pages)
+        index, local = divmod(address, self._stride)
+        self._stores[index].release(local, num_pages)
 
 
-class PartitionedChipStore(IncarnationStore):
-    """Per-partition circular layout on a raw flash chip.
+class _SlotRingStore(IncarnationStore):
+    """Equal per-super-table partitions, each a ring of fixed-size slots.
 
-    The chip is divided into equal partitions, one per super table.  Each
-    partition is written circularly; before reusing a slot the store erases
-    the blocks that slot occupies (the erase-before-write constraint of raw
-    NAND).  Partition boundaries and incarnation sizes must be block aligned
-    so that erasing one slot never destroys a neighbouring incarnation.
+    The allocation policy of both partitioned layouts: an owner gets the next
+    unassigned partition when it first flushes and then fills that
+    partition's slots in turn, overwriting the oldest in place once the ring
+    wraps — so there is nothing to release.  A subclass says only how one
+    slot is written.
     """
 
-    def __init__(self, chip: FlashChip, num_partitions: int, pages_per_incarnation: int) -> None:
+    def __init__(
+        self, device: StorageDevice, num_partitions: int, pages_per_incarnation: int, align: int = 1
+    ) -> None:
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
         if pages_per_incarnation <= 0:
             raise ValueError("pages_per_incarnation must be positive")
-        geometry = chip.geometry
-        pages_per_block = geometry.pages_per_block
-        if pages_per_incarnation % pages_per_block != 0 and pages_per_block % pages_per_incarnation != 0:
+        # On a device with erase blocks (``align`` pages each) slots and
+        # partitions must be block aligned, so that erasing one slot never
+        # destroys a neighbouring incarnation.
+        if pages_per_incarnation % align != 0 and align % pages_per_incarnation != 0:
             raise ConfigurationError(
                 "pages_per_incarnation must align with the flash block size "
-                f"(pages_per_block={pages_per_block})"
+                f"(pages_per_block={align})"
             )
-        total_pages = geometry.total_pages
-        partition_pages = total_pages // num_partitions
-        # Round partitions down to a whole number of blocks.
-        partition_pages -= partition_pages % pages_per_block
+        partition_pages = device.geometry.total_pages // num_partitions
+        partition_pages -= partition_pages % align
         if partition_pages < pages_per_incarnation:
             raise ConfigurationError(
                 "each partition must hold at least one incarnation: "
                 f"partition_pages={partition_pages}, needed={pages_per_incarnation}"
             )
-        self.chip = chip
+        self.device = device
         self.num_partitions = num_partitions
         self.pages_per_incarnation = pages_per_incarnation
         self.partition_pages = partition_pages
         self.slots_per_partition = partition_pages // pages_per_incarnation
         self._next_slot: List[int] = [0] * num_partitions
-        self._next_partition_to_assign = 0
         # Super tables are assigned partitions lazily, in the order they first flush.
         self._partition_of_owner: Dict[int, int] = {}
 
     def partition_for_owner(self, owner_id: int) -> int:
         """Partition index assigned to ``owner_id`` (a super table index)."""
-        if owner_id not in self._partition_of_owner:
-            if self._next_partition_to_assign >= self.num_partitions:
-                raise ConfigurationError("more super tables than chip partitions")
-            self._partition_of_owner[owner_id] = self._next_partition_to_assign
-            self._next_partition_to_assign += 1
-        return self._partition_of_owner[owner_id]
+        partition = self._partition_of_owner.get(owner_id)
+        if partition is None:
+            partition = len(self._partition_of_owner)
+            if partition >= self.num_partitions:
+                raise ConfigurationError("more super tables than partitions")
+            self._partition_of_owner[owner_id] = partition
+        return partition
 
-    def _slot_address(self, partition: int, slot: int) -> int:
-        return partition * self.partition_pages + slot * self.pages_per_incarnation
-
-    def _erase_slot(self, address: int) -> float:
-        """Erase every block overlapping the slot, if any of its pages are dirty."""
-        pages_per_block = self.chip.geometry.pages_per_block
-        first_block = address // pages_per_block
-        last_block = (address + self.pages_per_incarnation - 1) // pages_per_block
-        latency = 0.0
-        for block in range(first_block, last_block + 1):
-            block_start = block * pages_per_block
-            dirty = any(
-                self.chip.is_dirty(page)
-                for page in range(block_start, block_start + pages_per_block)
-            )
-            if dirty:
-                latency += self.chip.erase_block(block)
-        return latency
-
-    def write_incarnation_for(self, owner_id: int, pages: List[bytes]) -> Tuple[int, float]:
-        """Write an incarnation inside ``owner_id``'s partition."""
+    def write_incarnation(self, owner_id: int, pages: List[bytes]) -> Tuple[int, float]:
         if len(pages) > self.pages_per_incarnation:
             raise ConfigurationError(
                 f"incarnation has {len(pages)} pages but slots hold {self.pages_per_incarnation}"
             )
         partition = self.partition_for_owner(owner_id)
         slot = self._next_slot[partition]
-        address = self._slot_address(partition, slot)
-        latency = self._erase_slot(address)
-        # Pad to the slot size so the layout stays block aligned.
-        padded = list(pages) + [b""] * (self.pages_per_incarnation - len(pages))
-        latency += self.chip.write_range(address, padded)
+        address = partition * self.partition_pages + slot * self.pages_per_incarnation
+        latency = self._write_slot(address, pages)
         self._next_slot[partition] = (slot + 1) % self.slots_per_partition
         return address, latency
 
-    # The generic interface routes through owner 0; BufferHash uses
-    # write_incarnation_for() directly so each super table stays in its partition.
-    def write_incarnation(self, pages: List[bytes]) -> Tuple[int, float]:
-        return self.write_incarnation_for(0, pages)
+    @abc.abstractmethod
+    def _write_slot(self, address: int, pages: List[bytes]) -> float:
+        """Write ``pages`` into the slot starting at ``address``; returns the latency."""
 
-    def read_page(self, address: int, page_offset: int) -> Tuple[bytes, float]:
-        return self.chip.read_page(address + page_offset)
 
-    def read_incarnation(self, address: int, num_pages: int) -> Tuple[List[bytes], float]:
-        return self.chip.read_range(address, num_pages)
+class PartitionedDeviceStore(_SlotRingStore):
+    """Per-super-table partitions on a single SSD/disk — the layout §5.2 rejects.
 
-    def release(self, address: int, num_pages: int) -> None:
-        # Space is reclaimed by the erase that precedes the slot's reuse;
-        # nothing to do eagerly.
-        return None
+    Each super table owns a statically assigned region of the device and
+    writes its incarnations circularly within it.  Although every partition
+    is written sequentially *from its own point of view*, consecutive flushes
+    come from different super tables, so the device sees writes jumping
+    between far-apart regions — which defeats the FTL's sequential-write
+    optimisation exactly as the paper describes ("writes from different super
+    tables to different partitions may be interleaved, resulting in a
+    performance worse than a single sequential write").
+
+    Provided for the layout ablation benchmark; production use should prefer
+    :class:`WholeDeviceLogStore`.
+    """
+
+    def _write_slot(self, address: int, pages: List[bytes]) -> float:
+        # Writing page-by-page (each partition maintains its own write point)
+        # prevents the device from recognising one long sequential stream.
+        latency = 0.0
+        for offset, image in enumerate(pages):
+            latency += self.device.write_page(address + offset, image)
+        return latency
+
+
+class PartitionedChipStore(_SlotRingStore):
+    """Per-partition circular layout on a raw flash chip.
+
+    The chip is divided into equal partitions, one per super table.  Each
+    partition is written circularly; before reusing a slot the store erases
+    the blocks that slot occupies (the erase-before-write constraint of raw
+    NAND) — that erase is what reclaims space, so nothing happens eagerly on
+    release.  Partition boundaries and incarnation sizes are block aligned.
+    """
+
+    def __init__(self, chip: FlashChip, num_partitions: int, pages_per_incarnation: int) -> None:
+        super().__init__(chip, num_partitions, pages_per_incarnation, chip.geometry.pages_per_block)
+
+    def _write_slot(self, address: int, pages: List[bytes]) -> float:
+        chip = self.device
+        pages_per_block = chip.geometry.pages_per_block
+        latency = 0.0
+        # Erase every block overlapping the slot that has a dirty page.
+        first_block = address // pages_per_block
+        last_block = (address + self.pages_per_incarnation - 1) // pages_per_block
+        for block in range(first_block, last_block + 1):
+            block_start = block * pages_per_block
+            if any(
+                chip.is_dirty(page) for page in range(block_start, block_start + pages_per_block)
+            ):
+                latency += chip.erase_block(block)
+        # Pad to the slot size so the layout stays block aligned.
+        padded = list(pages) + [b""] * (self.pages_per_incarnation - len(pages))
+        return latency + chip.write_range(address, padded)

@@ -121,15 +121,6 @@ class SuperTable:
         """Entries currently on the in-memory delete list."""
         return len(self._delete_list)
 
-    def _write_incarnation_pages(self, pages: List[bytes]) -> Tuple[int, float]:
-        # Stores that place data per super table (chip partitions, multi-SSD
-        # distribution) receive the table id; the single shared log does not
-        # care which table a flush came from.
-        writer = getattr(self.store, "write_incarnation_for", None)
-        if writer is not None:
-            return writer(self.table_id, pages)
-        return self.store.write_incarnation(pages)
-
     # -- Candidate selection ---------------------------------------------------------
 
     def _candidate_incarnations(self, key: KeyDigest) -> Tuple[List[IncarnationHandle], float]:
@@ -340,7 +331,9 @@ class SuperTable:
         # grow this incarnation rather than failing the flush.
         num_pages = max(self.pages_per_incarnation, required_pages(items, self.page_size))
         pages = build_pages(items, num_pages, self.page_size)
-        address, latency = self._write_incarnation_pages(pages)
+        # Every layout is told which super table flushed: the partitioned and
+        # multi-SSD ones place by it, the durable log stamps it on the record.
+        address, latency = self.store.write_incarnation(self.table_id, pages)
         handle = IncarnationHandle(
             incarnation_id=self._next_incarnation_id,
             address=address,

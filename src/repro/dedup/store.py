@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.flashsim.device import StorageDevice
+from repro.flashsim.device import StorageDevice, page_images
 
 
 class ChunkStore:
@@ -19,33 +19,22 @@ class ChunkStore:
     def __init__(self, device: StorageDevice) -> None:
         self.device = device
         self._next_page = 0
-        self._sizes: Dict[int, int] = {}
+        # address -> (number of pages, length in bytes)
+        self._chunks: Dict[int, Tuple[int, int]] = {}
         self.unique_chunks = 0
         self.unique_bytes = 0
         self.duplicate_chunks = 0
         self.duplicate_bytes = 0
 
-    def _pages_for(self, nbytes: int) -> int:
-        page_size = self.device.geometry.page_size
-        return max(1, -(-nbytes // page_size))
-
     def append(self, size: int, payload: Optional[bytes] = None) -> Tuple[int, float]:
         """Store one unique chunk; returns ``(address, latency_ms)``."""
-        pages = self._pages_for(size)
-        total_pages = self.device.geometry.total_pages
-        if self._next_page + pages > total_pages:
+        images = page_images(self.device.geometry.page_size, size, payload)
+        if self._next_page + len(images) > self.device.geometry.total_pages:
             self._next_page = 0
         address = self._next_page
-        page_size = self.device.geometry.page_size
-        images = []
-        for offset in range(pages):
-            if payload is None:
-                images.append(b"")
-            else:
-                images.append(payload[offset * page_size : (offset + 1) * page_size])
         latency = self.device.write_range(address, images)
-        self._next_page += pages
-        self._sizes[address] = size
+        self._next_page += len(images)
+        self._chunks[address] = (len(images), size)
         self.unique_chunks += 1
         self.unique_bytes += size
         return address, latency
@@ -57,10 +46,10 @@ class ChunkStore:
 
     def read(self, address: int) -> Tuple[bytes, float]:
         """Read a stored chunk back."""
-        size = self._sizes.get(address)
-        if size is None:
+        if address not in self._chunks:
             raise KeyError(f"no chunk stored at address {address}")
-        pages, latency = self.device.read_range(address, self._pages_for(size))
+        num_pages, size = self._chunks[address]
+        pages, latency = self.device.read_range(address, num_pages)
         return b"".join(pages)[:size], latency
 
     @property

@@ -307,3 +307,19 @@ class StorageDevice(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         gib = self.geometry.capacity_bytes / float(1 << 30)
         return f"{type(self).__name__}(name={self.name!r}, capacity={gib:.2f} GiB)"
+
+
+def page_images(
+    page_size: int, size: int, payload: Optional[bytes | bytearray | memoryview] = None
+) -> list:
+    """Page images for one ``size``-byte chunk: always at least one page.
+
+    With a ``payload`` the images are zero-copy ``memoryview`` slices of it
+    (the device copies each image it stores, as a real one would); without
+    one, only the footprint is modelled and the images are empty.
+    """
+    count = max(1, -(-size // page_size))
+    if payload is None:
+        return [b""] * count
+    view = memoryview(payload)
+    return [view[start : start + page_size] for start in range(0, count * page_size, page_size)]

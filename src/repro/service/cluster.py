@@ -505,19 +505,13 @@ class ClusterService:
         replicas = self.router.preference_list(key, self.replication_factor)
         if shard_id not in replicas:
             return  # the ring changed; the healed shard no longer hosts this key
-        answered = False
-        for other_id in replicas:
-            if other_id == shard_id or not self.is_live(other_id):
-                continue
-            result = self._shard_op(other_id, "lookup", key)
-            if result is None:
-                continue
-            answered = True
-            if result.found:
-                if self._shard_op(shard_id, "insert", key, result.value) is not None:
-                    self.hinted_handoffs += 1
-                return
-        if answered:
+        answered, value = self._first_live_copy(
+            key, [other_id for other_id in replicas if other_id != shard_id]
+        )
+        if value is not None:
+            if self._shard_op(shard_id, "insert", key, value) is not None:
+                self.hinted_handoffs += 1
+        elif answered:
             # Every live replica misses: apply the delete this shard missed.
             if self._shard_op(shard_id, "delete", key) is not None:
                 self.hinted_handoffs += 1
@@ -572,6 +566,28 @@ class ClusterService:
         except DeviceFailedError:
             self.record_shard_error(shard_id)
             return None
+
+    def _first_live_copy(
+        self, key: KeyLike, shard_ids: Iterable[str]
+    ) -> Tuple[bool, Optional[bytes]]:
+        """Ask ``shard_ids`` in order for ``key``: ``(answered, value)``.
+
+        The replica walk under hint replay, recovery and migration: down
+        shards are skipped, one that fails mid-lookup is counted and skipped,
+        and the walk stops at the first copy found.  ``answered`` tells a
+        miss every asked shard agreed on from nobody having replied at all.
+        """
+        answered = False
+        for shard_id in shard_ids:
+            if not self.is_live(shard_id):
+                continue
+            result = self._shard_op(shard_id, "lookup", key)
+            if result is None:
+                continue
+            if result.found:
+                return True, result.value
+            answered = True
+        return answered, None
 
     def _track(self, key: KeyLike, alive: bool) -> None:
         if self._tracked is None:
@@ -695,10 +711,10 @@ class ClusterService:
         """Provision a new shard and return the key-range handoff it causes.
 
         The handoff stats describe the fraction of the key space whose owner
-        changed; data migration itself is left to a future rebalancing layer,
-        so keys already resident on other shards keep serving from there only
-        if re-inserted (consistent hashing keeps that moved fraction near
-        ``1/(N+1)`` rather than re-shuffling everything).
+        changed (near ``1/(N+1)`` under consistent hashing).  No data moves:
+        keys in those arcs stay on their old shards until re-inserted.  To
+        join a shard *and* stream its key ranges onto it under live traffic,
+        use :meth:`repro.service.rebalance.KeyMigrator.start_add` instead.
         """
         self._check_membership_frozen("add_shard")
         if shard_id is None:

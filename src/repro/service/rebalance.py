@@ -482,18 +482,7 @@ class KeyMigrator:
         shard killed mid-migration catches up on heal instead of losing keys.
         """
         cluster = self.cluster
-        answered = False
-        value: Optional[bytes] = None
-        for shard_id in arc.old_replicas:
-            if not cluster.is_live(shard_id):
-                continue
-            result = cluster._shard_op(shard_id, "lookup", key)
-            if result is None:
-                continue
-            answered = True
-            if result.found:
-                value = result.value
-                break
+        answered, value = cluster._first_live_copy(key, arc.old_replicas)
         if not answered:
             return False
         if value is None:

@@ -147,7 +147,9 @@ class RecoveryCoordinator:
         # next distinct successors — precisely the shards that must receive
         # a copy.
         for key, old_replicas in affected:
-            value = self._read_surviving_copy(key, old_replicas, failed_set)
+            # The failed shards just left ``cluster.shards``, so the walk
+            # skips them like any other shard that is not live.
+            _answered, value = cluster._first_live_copy(key, old_replicas)
             if value is None:
                 report.keys_lost += 1
                 continue
@@ -202,24 +204,6 @@ class RecoveryCoordinator:
         return reports
 
     # -- Shard-level plumbing ------------------------------------------------------------
-
-    def _read_surviving_copy(
-        self, key: bytes, old_replicas: Tuple[str, ...], failed_set: set
-    ) -> Optional[bytes]:
-        """The key's value from the first surviving replica that holds it.
-
-        Dispatch accounting and failure counting go through the cluster's
-        :meth:`~repro.service.cluster.ClusterService._shard_op`, the same
-        plumbing every other dispatched operation uses.
-        """
-        cluster = self.cluster
-        for shard_id in old_replicas:
-            if shard_id in failed_set or not cluster.is_live(shard_id):
-                continue
-            result = cluster._shard_op(shard_id, "lookup", key)
-            if result is not None and result.found:
-                return result.value
-        return None
 
     def _write_copy(self, shard_id: str, key: bytes, value: bytes) -> bool:
         """Install one replica copy; False if the target failed mid-write."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.flashsim.device import StorageDevice
+from repro.flashsim.device import StorageDevice, page_images
 from repro.wanopt.fingerprint import BytesLike
 
 
@@ -22,8 +22,11 @@ class ContentCache:
     def __init__(self, device: StorageDevice) -> None:
         self.device = device
         self._next_page = 0
-        # fingerprint -> (start page, length in bytes)
-        self._directory: Dict[bytes, Tuple[int, int]] = {}
+        # fingerprint -> (start page, number of pages, length in bytes)
+        self._directory: Dict[bytes, Tuple[int, int, int]] = {}
+        # start page -> fingerprint: the directory seen from the device, so a
+        # write can find the chunks it lands on.
+        self._chunk_at: Dict[int, bytes] = {}
         self.bytes_stored = 0
         self.chunks_stored = 0
 
@@ -32,40 +35,40 @@ class ContentCache:
         """Raw capacity of the backing device."""
         return self.device.geometry.capacity_bytes
 
-    def _pages_for(self, nbytes: int) -> int:
-        page_size = self.device.geometry.page_size
-        return max(1, -(-nbytes // page_size))
-
     def store(
         self, fingerprint: bytes, size: int, payload: Optional[BytesLike] = None
     ) -> Tuple[int, float]:
         """Append a chunk; returns ``(address, latency_ms)``.
 
         The cache wraps around when full (oldest content is overwritten),
-        mirroring the FIFO behaviour of commercial WAN optimizer stores.
-        ``payload`` may be any bytes-like buffer; page images are cut as
-        zero-copy ``memoryview`` slices (no intermediate per-page ``bytes``
-        here — the simulated device still copies each page image into its
-        own page store, as a real device would).
+        mirroring the FIFO behaviour of commercial WAN optimizer stores; a
+        chunk whose pages this write lands on leaves the directory.
+        ``payload`` may be any bytes-like buffer (see
+        :func:`~repro.flashsim.device.page_images`).
         """
-        pages_needed = self._pages_for(size)
-        total_pages = self.device.geometry.total_pages
-        if pages_needed > total_pages:
+        if size > self.capacity_bytes:
             raise ValueError("chunk larger than the entire content cache")
-        if self._next_page + pages_needed > total_pages:
+        images = page_images(self.device.geometry.page_size, size, payload)
+        pages_needed = len(images)
+        if self._next_page + pages_needed > self.device.geometry.total_pages:
             self._next_page = 0
         address = self._next_page
-        page_size = self.device.geometry.page_size
-        images = []
-        if payload is None:
-            images = [b""] * pages_needed
-        else:
-            view = payload if isinstance(payload, memoryview) else memoryview(payload)
-            for page_offset in range(pages_needed):
-                images.append(view[page_offset * page_size : (page_offset + 1) * page_size])
+        # Appends are contiguous from page 0 on every lap, so an older chunk
+        # overlapping this write either starts inside it or was already
+        # dropped by the write just before.
+        for page in range(address, address + pages_needed):
+            overwritten = self._chunk_at.pop(page, None)
+            if overwritten is not None:
+                del self._directory[overwritten]
         latency = self.device.write_range(address, images)
         self._next_page += pages_needed
-        self._directory[fingerprint] = (address, size)
+        # A fingerprint stored again points at its newest copy only, which
+        # keeps the two maps one-to-one.
+        previous = self._directory.get(fingerprint)
+        if previous is not None:
+            del self._chunk_at[previous[0]]
+        self._directory[fingerprint] = (address, pages_needed, size)
+        self._chunk_at[address] = fingerprint
         self.bytes_stored += size
         self.chunks_stored += 1
         return address, latency
@@ -79,8 +82,8 @@ class ContentCache:
         entry = self._directory.get(fingerprint)
         if entry is None:
             return None, 0.0
-        address, size = entry
-        pages, latency = self.device.read_range(address, self._pages_for(size))
+        address, num_pages, size = entry
+        pages, latency = self.device.read_range(address, num_pages)
         payload = b"".join(pages)[:size]
         return payload, latency
 

@@ -272,8 +272,14 @@ class MultiBranchTopology:
         fault (detection happens when operations start failing), ``heal``
         clears it and replays hinted writes, ``recover`` runs a
         :class:`RecoveryCoordinator` pass over whatever the error counters
-        marked down.
+        marked down.  ``scale-out`` / ``scale-in`` are rejected: they need a
+        :class:`~repro.service.rebalance.KeyMigrator` stepped between
+        requests, which only the traffic simulator drives.
         """
+        if event.action not in ("fail", "heal", "recover"):
+            raise ConfigurationError(
+                f"the multi-branch topology cannot perform a {event.action!r} event"
+            )
         cluster = self.cluster
         cluster.events.record(
             "schedule_fired",

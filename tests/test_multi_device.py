@@ -15,16 +15,16 @@ class TestMultiDeviceLogStore:
     def test_round_trip_across_devices(self):
         devices, _clock = _two_ssds()
         store = MultiDeviceLogStore(devices)
-        address_a, _ = store.write_incarnation_for(0, [b"on-device-0"])
-        address_b, _ = store.write_incarnation_for(1, [b"on-device-1"])
+        address_a, _ = store.write_incarnation(0, [b"on-device-0"])
+        address_b, _ = store.write_incarnation(1, [b"on-device-1"])
         assert store.read_page(address_a, 0)[0] == b"on-device-0"
         assert store.read_page(address_b, 0)[0] == b"on-device-1"
 
     def test_owners_map_to_distinct_devices(self):
         devices, _clock = _two_ssds()
         store = MultiDeviceLogStore(devices)
-        store.write_incarnation_for(0, [b"a"])
-        store.write_incarnation_for(1, [b"b"])
+        store.write_incarnation(0, [b"a"])
+        store.write_incarnation(1, [b"b"])
         # Each device received exactly one incarnation write.
         assert devices[0].stats.count() > 0
         assert devices[1].stats.count() > 0
@@ -32,10 +32,10 @@ class TestMultiDeviceLogStore:
     def test_release_and_reuse(self):
         devices, _clock = _two_ssds()
         store = MultiDeviceLogStore(devices)
-        address, _ = store.write_incarnation_for(0, [b"x", b"y"])
+        address, _ = store.write_incarnation(0, [b"x", b"y"])
         store.release(address, 2)
         # Releasing must not break subsequent writes or reads on that device.
-        new_address, _ = store.write_incarnation_for(0, [b"z"])
+        new_address, _ = store.write_incarnation(0, [b"z"])
         assert store.read_page(new_address, 0)[0] == b"z"
 
     def test_requires_shared_clock(self):

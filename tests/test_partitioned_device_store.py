@@ -14,7 +14,7 @@ def _store(num_partitions=4, pages_per_incarnation=8):
 class TestPartitionedDeviceStore:
     def test_round_trip(self):
         store, _ssd = _store()
-        address, latency = store.write_incarnation_for(0, [b"a", b"b"])
+        address, latency = store.write_incarnation(0, [b"a", b"b"])
         assert latency > 0
         assert store.read_page(address, 0)[0] == b"a"
         assert store.read_page(address, 1)[0] == b"b"
@@ -23,8 +23,8 @@ class TestPartitionedDeviceStore:
 
     def test_partitions_do_not_overlap(self):
         store, _ssd = _store()
-        address_a, _ = store.write_incarnation_for(0, [b"from-0"])
-        address_b, _ = store.write_incarnation_for(1, [b"from-1"])
+        address_a, _ = store.write_incarnation(0, [b"from-0"])
+        address_b, _ = store.write_incarnation(1, [b"from-1"])
         assert abs(address_a - address_b) >= store.partition_pages
         assert store.read_page(address_a, 0)[0] == b"from-0"
         assert store.read_page(address_b, 0)[0] == b"from-1"
@@ -32,7 +32,7 @@ class TestPartitionedDeviceStore:
     def test_slots_wrap_within_partition(self):
         store, _ssd = _store(num_partitions=4, pages_per_incarnation=8)
         addresses = [
-            store.write_incarnation_for(0, [b"x"])[0] for _ in range(store.slots_per_partition + 1)
+            store.write_incarnation(0, [b"x"])[0] for _ in range(store.slots_per_partition + 1)
         ]
         assert addresses[0] == addresses[-1]
         assert all(addr < store.partition_pages for addr in addresses)
@@ -40,14 +40,14 @@ class TestPartitionedDeviceStore:
     def test_oversized_incarnation_rejected(self):
         store, _ssd = _store(pages_per_incarnation=2)
         with pytest.raises(ConfigurationError):
-            store.write_incarnation_for(0, [b"a", b"b", b"c"])
+            store.write_incarnation(0, [b"a", b"b", b"c"])
 
     def test_too_many_owners_rejected(self):
         store, _ssd = _store(num_partitions=2)
-        store.write_incarnation_for(0, [b"a"])
-        store.write_incarnation_for(1, [b"b"])
+        store.write_incarnation(0, [b"a"])
+        store.write_incarnation(1, [b"b"])
         with pytest.raises(ConfigurationError):
-            store.write_incarnation_for(2, [b"c"])
+            store.write_incarnation(2, [b"c"])
 
     def test_invalid_construction(self):
         ssd = SSD(clock=SimulationClock())

@@ -23,14 +23,14 @@ class TestLogStoreSkipsLiveRegions:
         pages_per_incarnation = store.capacity_pages // 8
 
         # One long-lived incarnation near the start of the device.
-        keeper_address, _ = store.write_incarnation([b"keeper"] + [b""] * (pages_per_incarnation - 1))
+        keeper_address, _ = store.write_incarnation(0, [b"keeper"] + [b""] * (pages_per_incarnation - 1))
         # Churn through many short-lived incarnations, releasing each
         # immediately, so the head wraps repeatedly past the keeper.
         previous = None
         for i in range(30):
             if previous is not None:
                 store.release(*previous)
-            address, _ = store.write_incarnation([b"churn-%d" % i] * pages_per_incarnation)
+            address, _ = store.write_incarnation(0, [b"churn-%d" % i] * pages_per_incarnation)
             previous = (address, pages_per_incarnation)
         assert store.wrap_count >= 1
         assert store.read_page(keeper_address, 0)[0] == b"keeper"

@@ -1,10 +1,19 @@
 """Tests for the WAN optimizer: traces, cache, link, engine and end-to-end scenarios."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import ExternalHashIndex
 from repro.core import CLAM, CLAMConfig
-from repro.flashsim import MagneticDisk, SSD, SimulationClock, TRANSCEND_SSD_PROFILE
+from repro.flashsim import (
+    MAGNETIC_DISK_PROFILE,
+    MagneticDisk,
+    SSD,
+    SimulationClock,
+    TRANSCEND_SSD_PROFILE,
+)
+from repro.flashsim.device import DeviceGeometry
 from repro.wanopt import (
     CompressionEngine,
     ContentCache,
@@ -90,6 +99,26 @@ class TestContentCache:
         for i in range(10):
             cache.store(b"fp-%d" % i, size=chunk_size)
         assert cache.chunks_stored == 10
+
+    def test_overwritten_chunks_leave_the_directory(self):
+        geometry = DeviceGeometry(page_size=512, pages_per_block=4, num_blocks=4)
+        disk = MagneticDisk(replace(MAGNETIC_DISK_PROFILE, geometry=geometry), SimulationClock())
+        cache = ContentCache(disk)
+        for name in (b"A", b"B", b"C", b"D", b"E"):  # E wraps onto A's four pages
+            cache.store(name, size=2048, payload=name.lower() * 2048)
+        assert not cache.contains(b"A")
+        assert cache.read(b"A") == (None, 0.0)
+        assert cache.address_of(b"A") is None
+        assert cache.read(b"E")[0] == b"e" * 2048
+        assert cache.read(b"B")[0] == b"b" * 2048
+        # A shorter chunk landing on part of B's pages drops B too, and a
+        # fingerprint stored twice is listed once: the directory never
+        # outgrows what the device holds.
+        cache.store(b"F", size=512, payload=b"f" * 512)
+        cache.store(b"F", size=512, payload=b"f" * 512)
+        assert not cache.contains(b"B")
+        assert cache.address_of(b"F") == 5
+        assert len(cache._directory) == len(cache._chunk_at) == 4  # C, D, E, F
 
 
 class TestLink:

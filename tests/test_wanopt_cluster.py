@@ -227,6 +227,24 @@ class TestFaultInjection:
         assert result.objects_compressed > 4
         assert result.reconstruction_exact
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            FailureEvent(at_request=2, action="scale-out"),
+            FailureEvent(at_request=2, action="scale-in", shard_id="shard-1"),
+        ],
+    )
+    def test_membership_events_are_rejected_not_run_as_recovery(self, event):
+        """The topology has no migrator to step; a recovery pass is not a scale event."""
+        topology = MultiBranchTopology(
+            num_branches=2, num_shards=3, config=small_config(), with_content_cache=False
+        )
+        with pytest.raises(ConfigurationError):
+            topology.fire_event(event)
+        assert topology.recovery_reports == []
+        assert topology.cluster.events.events("schedule_fired") == []  # rejected up front
+        assert topology.cluster.num_shards == 3
+
 
 class _CrashBetweenRoundTrips:
     """Index wrapper crash-stopping a shard between an object's two round trips.
