@@ -6,13 +6,22 @@ process behind the length-prefixed wire protocol.  This benchmark enforces
 the deployment's three contracts end to end:
 
 * **Scaling** — the Zipf and WAN-optimizer-style batched workloads at 1, 2
-  and 4 worker processes.  Two throughput numbers are reported honestly:
-  ``wall_ops_per_sec`` (bounded by ``cores_available`` on the runner — a
-  one-core CI box cannot show wall-clock speedup) and
-  ``aggregate_ops_per_sec`` — total operations divided by the **busiest
-  worker's CPU seconds**, i.e. the rate the fleet sustains when every worker
-  has a core of its own.  The full run asserts the 4-worker aggregate beats
-  the 1-worker aggregate by at least 2x on the same workload.
+  and 4 worker processes.  Every row says what it measured.  Observed:
+  ``wall_ops_per_sec`` and the CPU the batch loop cost on each side of the
+  socket — ``parent_cpu_us_per_op`` (``time.process_time()`` around the
+  loop), ``worker_cpu_us_per_op`` (all workers) and ``parent_share`` = parent
+  / (parent + workers), a ratio of two CPU times of one run that runner
+  speed cannot move.  ``basis`` is ``"observed"`` when the host had a core
+  for every worker beside the parent's (``cores_available > workers``), so
+  the wall rate saw the deployment, else ``"modelled"``: the wall rate is
+  then bounded by the cores and only the two figures derived from CPU time
+  describe N workers.  Those are never observed throughput:
+  ``aggregate_ops_per_sec`` is operations / the **busiest worker's CPU
+  seconds**, the bound the workers alone would set with a core each and a
+  free parent, and ``closed_loop_model_ops_per_sec`` is
+  1e6 / (``parent + worker/N``) from the same row, which also charges the
+  parent's serial share.  The full run asserts the first, as the modelled
+  bound it is: >= 2x at 4 workers against 1.
 * **Parity** — the bit-identical results contract: the same deterministic
   mixed workload (single ops + batches at RF=2) through both deployments
   must produce exactly equal result records, merged counters and ensemble
@@ -121,17 +130,20 @@ def wanopt_batches(rounds: int):
 
 
 def run_scaling_workload(name: str, batches, worker_counts=WORKER_COUNTS):
-    """Drive the same batch stream at each worker count; measure both rates."""
+    """Drive the same batch stream at each worker count; see the module
+    docstring for which figures of a row are observed and which modelled."""
     rows = []
     total_ops = sum(len(batch) for batch in batches)
     for workers in worker_counts:
         cluster = build_parallel(num_shards=workers)
         try:
             cpu_before = cluster.worker_cpu_seconds()
+            parent_before = time.process_time()
             wall_start = time.monotonic()
             for batch in batches:
                 cluster.execute_batch(batch)
             wall_seconds = time.monotonic() - wall_start
+            parent_cpu = time.process_time() - parent_before
             cpu_after = cluster.worker_cpu_seconds()
         finally:
             cluster.close()
@@ -140,23 +152,33 @@ def run_scaling_workload(name: str, batches, worker_counts=WORKER_COUNTS):
             for shard_id in cpu_after
         }
         busiest_cpu = max(worker_cpu.values())
+        workers_cpu = sum(worker_cpu.values())
+        parent_us = parent_cpu * 1e6 / total_ops
+        worker_us = workers_cpu * 1e6 / total_ops
         rows.append(
             {
                 "workers": workers,
+                "basis": "observed" if (os.cpu_count() or 1) > workers else "modelled",
                 "operations": total_ops,
                 "wall_seconds": round(wall_seconds, 4),
                 "wall_ops_per_sec": round(total_ops / wall_seconds, 1),
+                "parent_cpu_seconds": round(parent_cpu, 4),
                 "worker_cpu_seconds": {
                     shard_id: round(seconds, 4)
                     for shard_id, seconds in sorted(worker_cpu.items())
                 },
+                "parent_cpu_us_per_op": round(parent_us, 3),
+                "worker_cpu_us_per_op": round(worker_us, 3),
+                "parent_share": round(parent_cpu / (parent_cpu + workers_cpu), 4),
                 "busiest_worker_cpu_seconds": round(busiest_cpu, 4),
                 "aggregate_ops_per_sec": round(total_ops / busiest_cpu, 1),
+                "closed_loop_model_ops_per_sec": round(1e6 / (parent_us + worker_us / workers), 1),
             }
         )
-    base = rows[0]["aggregate_ops_per_sec"]
-    for row in rows:
-        row["aggregate_speedup_vs_1"] = round(row["aggregate_ops_per_sec"] / base, 3)
+    for column in ("aggregate", "closed_loop_model"):
+        base = rows[0][f"{column}_ops_per_sec"]
+        for row in rows:
+            row[f"{column}_speedup_vs_1"] = round(row[f"{column}_ops_per_sec"] / base, 3)
     return {"workload": name, "rows": rows}
 
 
@@ -266,7 +288,10 @@ def check_invariants(parity, drill, scaling, quick: bool) -> None:
     assert drill["worker_restarted"] == 1, drill
     assert drill["events_seen"] == 1, drill
     if not quick:
-        # The acceptance bar: >= 2x aggregate ops/sec at 4 workers vs 1.
+        # A modelled bound, not an observation: the busiest worker's CPU at 4
+        # workers must be under half of the lone worker's.  What a closed
+        # loop would see is the same row's ``closed_loop_model_speedup_vs_1``
+        # (``parent + worker/N``), recorded beside it and not asserted.
         for workload in scaling:
             four = next(r for r in workload["rows"] if r["workers"] == 4)
             assert four["aggregate_speedup_vs_1"] >= 2.0, (
@@ -298,15 +323,30 @@ def main() -> None:
     for workload in scaling:
         print_table(
             f"Process-per-shard scaling: {workload['workload']} workload",
-            ["workers", "ops", "wall ops/s", "busiest cpu s", "aggregate ops/s", "speedup"],
+            [
+                "workers",
+                "basis",
+                "wall ops/s",
+                "parent us/op",
+                "workers us/op",
+                "parent share",
+                "busiest-worker bound ops/s (modelled)",
+                "x vs 1",
+                "parent + worker/N ops/s (modelled)",
+                "x vs 1",
+            ],
             [
                 (
                     row["workers"],
-                    row["operations"],
+                    row["basis"],
                     row["wall_ops_per_sec"],
-                    row["busiest_worker_cpu_seconds"],
+                    row["parent_cpu_us_per_op"],
+                    row["worker_cpu_us_per_op"],
+                    row["parent_share"],
                     row["aggregate_ops_per_sec"],
                     row["aggregate_speedup_vs_1"],
+                    row["closed_loop_model_ops_per_sec"],
+                    row["closed_loop_model_speedup_vs_1"],
                 )
                 for row in workload["rows"]
             ],

@@ -44,9 +44,10 @@ what lets a FIFO-bounded digest cache (:func:`as_digest`, O(1) per eviction) hol
 digest per recently used key in *every* process: the cache reuses digests
 across operations on the same key (a lookup is usually followed by an insert
 of the same fingerprint), and a shard worker interns the keys it decodes from
-the wire in it (:meth:`KeyDigest.from_wire`), so a key is hashed once per
-residency in a process's cache, not once per operation that crosses a
-process boundary.
+the wire in it (:func:`repro.service.wire.decode_batch_request`), so a key is
+hashed once per residency in a process's cache, not once per operation that
+crosses a process boundary.  Only the canonical bytes cross it: shipping
+memoised words would cost a packing pass to save the receiver one traversal.
 
 For measurement, :func:`count_hash_calls` records every traversal of a key's
 bytes — a single-seed :func:`fnv1a_64` pass under its seed, a fused
@@ -301,8 +302,6 @@ def clam_words(data: bytes) -> Tuple[int, ...]:
 
 
 _CLAM_WORD_INDEX = {seed: index for index, seed in enumerate(CLAM_SEEDS)}
-_WIRE_HEAD = struct.Struct("<IB")
-_WIRE_PAIR = struct.Struct("<QQ")
 
 
 class KeyDigest:
@@ -406,73 +405,14 @@ class KeyDigest:
         return positions
 
     def memoised(self) -> Dict[int, int]:
-        """Seed -> digest for every seed this handle has hashed (or was handed
-        by :meth:`from_wire`) so far; a copy, for tests and debugging."""
+        """Seed -> digest for every seed this handle has hashed so far; a
+        copy, for tests and debugging."""
         out = dict(self._other) if self._other else {}
         if self.words is not None:
             out.update(zip(CLAM_SEEDS, self.words))
         if self.ring is not None:
             out[RING_SEED] = self.ring
         return out
-
-    def to_wire(self) -> bytes:
-        """Serialise for the shard wire protocol (:mod:`repro.service.wire`).
-
-        Carries the canonical key bytes plus the seeded digests memoised so
-        far — except the ring word, which only the routing side uses — so a
-        worker process that has not met the key resumes with the hash work
-        the sender already paid for.  Derived Bloom positions are
-        geometry-dependent and cheap to re-derive from the digests, so they
-        do not travel.  The format is little-endian: a 4-byte key length, the
-        key bytes, a 1-byte memo count, then ``(seed, digest)`` pairs of 8
-        bytes each, in ascending seed order (deterministic framing).
-        """
-        data = self.data
-        if self.words is None and not self._other:  # all a routing parent has
-            return _WIRE_HEAD.pack(len(data), 0) + data
-        seeded = self.memoised()
-        seeded.pop(RING_SEED, None)
-        pairs = sorted(seeded.items())[:255]
-        parts = [_WIRE_HEAD.pack(len(data), len(pairs)), data]
-        parts.extend(_WIRE_PAIR.pack(seed, value) for seed, value in pairs)
-        return b"".join(parts)
-
-    @classmethod
-    def from_wire(cls, payload: bytes, offset: int = 0) -> Tuple["KeyDigest", int]:
-        """Inverse of :meth:`to_wire`; returns the digest and the next offset.
-
-        The key is resolved through :func:`as_digest`, so the receiving
-        process hashes it once per residency in its digest cache, not once
-        per operation received.  Pairs from the wire fill only what the
-        digest has not computed itself: digests are value-pure (a seeded
-        digest depends only on the key bytes), so whichever writer was first
-        holds the same value, and a restored memo can never change behaviour
-        — only skip recomputation.  The six CLAM words are restored together
-        or not at all; a partial group is dropped and recomputed on use.
-        """
-        key_len, seed_count = _WIRE_HEAD.unpack_from(payload, offset)
-        offset += _WIRE_HEAD.size
-        digest = as_digest(bytes(payload[offset : offset + key_len]))
-        offset += key_len
-        if seed_count:
-            end = offset + _WIRE_PAIR.size * seed_count
-            digest._restore(dict(_WIRE_PAIR.iter_unpack(payload[offset:end])))
-            offset = end
-        return digest, offset
-
-    def _restore(self, seeded: Dict[int, int]) -> None:
-        """Adopt wire-delivered digests for whatever is still unset."""
-        ring = seeded.pop(RING_SEED, None)
-        if self.ring is None:
-            self.ring = ring
-        group = [seeded.pop(seed, None) for seed in CLAM_SEEDS]
-        if self.words is None and None not in group:
-            self.words = tuple(group)
-        if seeded:
-            if self._other is None:
-                self._other = {}
-            for seed, value in seeded.items():
-                self._other.setdefault(seed, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KeyDigest({self.data!r}, seeds={sorted(self.memoised())})"

@@ -27,11 +27,19 @@ class ChunkStore:
         self.duplicate_bytes = 0
 
     def append(self, size: int, payload: Optional[bytes] = None) -> Tuple[int, float]:
-        """Store one unique chunk; returns ``(address, latency_ms)``."""
+        """Store one unique chunk; returns ``(address, latency_ms)``.
+
+        The store wraps to page 0 when full; a chunk whose pages a write
+        lands on is forgotten, so :meth:`read` never returns torn bytes."""
         images = page_images(self.device.geometry.page_size, size, payload)
         if self._next_page + len(images) > self.device.geometry.total_pages:
             self._next_page = 0
         address = self._next_page
+        # Appends are contiguous from page 0 on every lap, so an older chunk
+        # overlapping this write either starts inside it or was already
+        # dropped by the write just before.
+        for page in range(address, address + len(images)):
+            self._chunks.pop(page, None)
         latency = self.device.write_range(address, images)
         self._next_page += len(images)
         self._chunks[address] = (len(images), size)

@@ -25,8 +25,9 @@ processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import (
     ConfigurationError,
@@ -35,7 +36,7 @@ from repro.core.errors import (
     WireProtocolError,
     WorkerStalledError,
 )
-from repro.core.hashing import KeyDigest, KeyLike, as_digest
+from repro.core.hashing import KeyDigest, KeyLike, as_digest, ring_position
 from repro.service import wire
 from repro.telemetry import trace as _trace
 from repro.workloads.workload import Operation, OpKind
@@ -47,6 +48,10 @@ DEFAULT_DISPATCH_OVERHEAD_MS = 0.02
 
 #: Simulated front-end cost of routing a single key (one ring lookup).
 DEFAULT_ROUTING_COST_MS = 0.0002
+
+#: Bound once: a member read off the enum class resolves through its
+#: metaclass, and the routing and gather loops compare kinds once per key.
+_LOOKUP, _INSERT, _DELETE = OpKind.LOOKUP, OpKind.INSERT, OpKind.DELETE
 
 
 @dataclass
@@ -114,24 +119,75 @@ class BatchResult:
         return self.dispatch_ms_unbatched - self.dispatch_ms
 
 
+#: The fields of :class:`ShardBatchStats` that add up when one shard serves
+#: two sub-batches of a batch (all of them but the name).
+_SUMMED_FIELDS = tuple(f.name for f in fields(ShardBatchStats) if f.name != "shard_id")
 
 
-@dataclass
-class _Slot:
-    """One (operation, replica) execution unit inside a batch."""
+def batch_columns(operations: Iterable[Operation]) -> Tuple[list, list, list]:
+    """A batch of operations as the parallel columns the executor holds it
+    in: kinds, keys, values."""
+    submitted = list(operations)
+    return (
+        [operation.kind for operation in submitted],
+        [operation.key for operation in submitted],
+        [operation.value for operation in submitted],
+    )
 
-    index: int
-    operation: Operation
-    key: KeyLike
-    #: The operation's placement, in preference order (fixed for the batch).
+
+class _Placement(NamedTuple):
+    """How every operation of one batch with the same replicas (and the same
+    side of lookup/write) is dispatched in its first round — decided once."""
+
+    #: The placement, in preference order (fixed for the batch).
     replicas: Tuple[str, ...]
-    #: Writes only: this replica's record is the one returned when it ran.
-    primary: bool
-    attempted: Set[str] = field(default_factory=set)
-    #: Lookups only: live replicas that answered "not found" (repair targets).
-    missed: List[str] = field(default_factory=list)
-    #: Left behind by a failed (or hedged-around) shard in the last round.
-    failed: bool = False
+    #: The first live replica: a lookup is sent to it alone, a write to every
+    #: live replica, and its record is the one the write returns.
+    primary: str
+    #: The sub-batch (batch positions, in submission order) of each replica
+    #: dispatched to.
+    members: List[List[int]]
+    #: Writes only: unavailable replicas, hinted for every key.
+    down: Sequence[str]
+
+
+class _Retry:
+    """Retry state of one (operation, replica) unit a round left behind: by a
+    miss on ``shard_id``, or (``failed``) by ``shard_id`` not running it."""
+
+    __slots__ = ("index", "attempted", "missed", "failed", "primary")
+
+    def __init__(self, index: int, shard_id: str, primary: bool, failed: bool) -> None:
+        self.index = index
+        self.attempted: Set[str] = {shard_id}
+        #: Lookups only: live replicas that answered "not found" (repair targets).
+        self.missed: List[str] = [] if failed else [shard_id]
+        #: Left behind by a failed (or hedged-around) shard in the last round.
+        self.failed = failed
+        #: Writes only: this unit's record is the one returned when it ran.
+        self.primary = primary
+
+
+#: What one shard is sent in one round: batch positions, and the retry state
+#: each carries — ``None`` in the first round, when no unit has any.
+_SubBatch = Tuple[List[int], Optional[List[_Retry]]]
+_NO_RETRIES = repeat(None)
+
+
+class _Run:
+    """One batch while it executes: a column per field with an entry per
+    operation, and what the round in progress has set aside so far."""
+
+    __slots__ = ("kinds", "keys", "values", "placement", "batch", "again", "repairs")
+
+    def __init__(self, kinds, keys: List[KeyDigest], values, batch: BatchResult) -> None:
+        self.kinds, self.keys, self.values, self.batch = kinds, keys, values, batch
+        #: Filled by routing; fixed for the batch.
+        self.placement: List[_Placement] = []
+        #: Units the round left behind, in the order it did.
+        self.again: List[_Retry] = []
+        #: ``(shard, key, value)`` read repairs owed once the round is in.
+        self.repairs: List[Tuple[str, KeyDigest, bytes]] = []
 
 
 class BatchExecutor:
@@ -140,10 +196,10 @@ class BatchExecutor:
     Replica semantics — stated here once, because every client read and write
     of the cluster (single operations included) goes through this class:
 
-    * Placement is ``cluster._op_replicas(key, kind)``: the key's preference
-      list, or the old-then-new owner union while a migration is moving its
-      arc.  Only shards the cluster's live view (``cluster.is_live``) admits
-      are dispatched to.
+    * Placement is the key's preference list, or — while a migration is
+      moving its arc — the old-then-new owner union ``cluster.migration``
+      answers with.  Only shards the cluster's live view (``cluster.is_live``)
+      admits are dispatched to.
     * A **write** goes to every live replica.  The record returned is the
       primary's, or the first surviving replica's when the primary failed.
       Every replica that was down, or failed before applying the write, gets
@@ -163,6 +219,16 @@ class BatchExecutor:
       to the next live replica not yet tried; a write some replica already
       applied is not retried.  Only an operation with no live replica left
       raises :class:`~repro.core.errors.ShardUnavailableError`.
+
+    A batch is held as columns (kinds, key digests, values, placement) and a
+    sub-batch is a list of positions in them: an (operation, replica) unit
+    that completes on the first shard it is sent to — nearly all of them —
+    never has an object of its own.  Retry state (:class:`_Retry`: replicas
+    tried, replicas that missed, whether a shard left it behind, whether its
+    record is the primary's) comes into being at the moment a unit is left
+    behind — a miss with another replica to try, a shard that failed or
+    truncated its answer, a fired hedge — with the values it would have
+    accumulated by then, and later rounds carry it beside the position.
 
     Parameters
     ----------
@@ -211,7 +277,7 @@ class BatchExecutor:
         """
         is_live = self.cluster.is_live
         live = [s for s in replicas if s not in attempted and is_live(s)]
-        if kind is not OpKind.LOOKUP:
+        if kind is not _LOOKUP:
             for shard_id in replicas:
                 if shard_id not in live and shard_id not in attempted:
                     self.cluster._record_hint(shard_id, key)
@@ -224,33 +290,24 @@ class BatchExecutor:
 
     def execute(self, operations: Iterable[Operation]) -> BatchResult:
         """Execute ``operations`` as one batch and return the breakdown."""
-        submitted = list(operations)
-        batch = BatchResult(results=[None] * len(submitted))
-        if not submitted:
+        return self.execute_columns(*batch_columns(operations))
+
+    def execute_columns(
+        self, kinds: Sequence[OpKind], keys: Sequence[KeyLike], values: Sequence[bytes]
+    ) -> BatchResult:
+        """:meth:`execute` for a batch already held as parallel columns."""
+        batch = BatchResult(results=[None] * len(kinds))
+        if not kinds:
             return batch
-
-        # Route the whole batch up front, preserving submission order within
-        # each shard (same key -> same replica set, so per-key order is
-        # preserved).  The key digest computed for routing rides along with
-        # the operation so the shard reuses it instead of re-hashing.
-        cluster = self.cluster
+        # The key digest computed for routing rides along with the operation
+        # so the shard reuses it instead of re-hashing.
+        digests = [key if type(key) is KeyDigest else as_digest(key) for key in keys]
+        run = _Run(kinds, digests, values, batch)
         try:
-            groups: Dict[str, List[_Slot]] = {}
-            for index, operation in enumerate(submitted):
-                kind = operation.kind
-                key = operation.key
-                key = key if type(key) is KeyDigest else as_digest(key)
-                replicas = cluster._op_replicas(key, kind)
-                targets = self._targets(key, kind, replicas, ())
-                if kind is OpKind.LOOKUP:
-                    del targets[1:]
-                for role, shard_id in enumerate(targets):
-                    groups.setdefault(shard_id, []).append(
-                        _Slot(index, operation, key, replicas, primary=role == 0)
-                    )
-
+            groups = self._route(run)
             while groups:
-                groups = self._reroute(self._dispatch_round(groups, batch), batch)
+                self._dispatch_round(groups, run)
+                groups = self._reroute(run)
         except ShardUnavailableError as error:
             # Operations the batch already applied are on shards; hand their
             # result records to the caller (the cluster's key catalog must
@@ -258,14 +315,59 @@ class BatchExecutor:
             error.partial_results = batch.results
             raise
 
-        batch.dispatch_ms_unbatched = self.dispatch_overhead_ms * len(submitted)
+        batch.dispatch_ms_unbatched = self.dispatch_overhead_ms * len(kinds)
         batch.makespan_ms = max(
             (stats.total_ms for stats in batch.per_shard.values()), default=0.0
         )
         return batch
 
-    def _dispatch_round(self, groups: Dict[str, List[_Slot]], batch: BatchResult) -> List[_Slot]:
-        """One scatter/gather round; returns the slots that need another replica.
+    def _route(self, run: _Run) -> Dict[str, _SubBatch]:
+        """Route the whole batch up front: the first round's sub-batches.
+
+        Submission order is preserved within each shard (same key -> same
+        replica set, so per-key order is preserved).  Nothing is dispatched
+        while routing, so neither the live view nor a migration's arc states
+        can change under it: what to do with a replica tuple is decided at
+        its first operation and reused for the rest of the batch.
+        """
+        cluster = self.cluster
+        migration = cluster.migration
+        preference_at = cluster.router.preference_at
+        copies = cluster.replication_factor
+        place = run.placement.append
+        groups: Dict[str, _SubBatch] = {}
+        lookup_plans: Dict[Tuple[str, ...], _Placement] = {}
+        write_plans: Dict[Tuple[str, ...], _Placement] = {}
+        for index, (kind, key) in enumerate(zip(run.kinds, run.keys)):
+            if migration is not None:
+                replicas = migration.replicas_for(key, kind)
+            else:
+                position = key.ring
+                if position is None:
+                    position = ring_position(key)
+                replicas = preference_at(position, copies)
+            plans = lookup_plans if kind is _LOOKUP else write_plans
+            plan = plans.get(replicas)
+            if plan is None:
+                targets = self._targets(key, kind, replicas, ())
+                down: Sequence[str] = ()
+                if kind is _LOOKUP:
+                    del targets[1:]
+                else:
+                    down = [shard_id for shard_id in replicas if shard_id not in targets]
+                members = [groups.setdefault(shard_id, ([], None))[0] for shard_id in targets]
+                plan = plans[replicas] = _Placement(replicas, targets[0], members, down)
+            else:
+                for shard_id in plan.down:
+                    cluster._record_hint(shard_id, key)
+            place(plan)
+            for positions in plan.members:
+                positions.append(index)
+        return groups
+
+    def _dispatch_round(self, groups: Dict[str, _SubBatch], run: _Run) -> None:
+        """One scatter/gather round; ``run.again`` is left holding the units
+        that need another replica.
 
         Every sub-batch is sent before any answer is read, so worker processes
         execute concurrently and a round's wall-clock cost is the slowest
@@ -275,154 +377,196 @@ class BatchExecutor:
         round's frame in flight.
         """
         shards = self.cluster.shards
-        again: List[_Slot] = []
+        kinds, keys, values = run.kinds, run.keys, run.values
+        run.again, run.repairs = [], []
         in_flight = []
-        for shard_id, slots in groups.items():
-            for slot in slots:
-                slot.attempted.add(shard_id)
+        for shard_id, sub_batch in groups.items():
+            positions, retries = sub_batch
+            for retry in retries or ():
+                retry.attempted.add(shard_id)
             stats = ShardBatchStats(
                 shard_id=shard_id,
                 dispatch_ms=self.dispatch_overhead_ms,
-                routing_ms=self.routing_cost_ms * len(slots),
+                routing_ms=self.routing_cost_ms * len(positions),
             )
             shard = shards.get(shard_id)  # None: removed between routing and now
             try:
                 if shard is None:
                     raise DeviceFailedError(f"shard {shard_id!r} has no instance")
                 shard.send_batch(
-                    [(slot.operation.kind, slot.key, slot.operation.value) for slot in slots],
+                    [(kinds[index], keys[index], values[index]) for index in positions],
                     stats.dispatch_ms + stats.routing_ms,
                 )
             except DeviceFailedError:
-                self._fail(shard_id, slots, batch, again)
+                self._leave_behind(shard_id, sub_batch, 0, run, shard_failed=True)
                 continue
-            in_flight.append((shard_id, shard, slots, stats))
+            in_flight.append((shard_id, shard, sub_batch, stats))
 
-        repairs: List[Tuple[str, KeyLike, bytes]] = []
-        for shard_id, shard, slots, stats in in_flight:
+        for shard_id, shard, sub_batch, stats in in_flight:
+            size = len(sub_batch[0])
             tracer = _trace.ACTIVE
             span = (
-                tracer.begin("shard.batch", shard.clock, shard=shard_id, operations=len(slots))
+                tracer.begin("shard.batch", shard.clock, shard=shard_id, operations=size)
                 if tracer is not None
                 else None
             )
             completed = None
             try:
-                completed = self._gather(shard_id, shard, slots, stats, batch, again, repairs)
+                completed = self._gather(shard_id, shard, sub_batch, stats, run)
             finally:
                 # The span must close on *every* exit, or every span the next
                 # operation opens would be parented under a dead branch.
                 if span is not None:
-                    if completed != len(slots):
+                    if completed != size:
                         span.attributes["failed"] = True
                         if completed is not None:
                             span.attributes["operations_completed"] = completed
                     tracer.end(span, shard.clock)
-        for shard_id, key, value in repairs:
+        for shard_id, key, value in run.repairs:
             self.cluster._read_repair(shard_id, key, value)
-        return again
 
-    def _gather(
-        self,
-        shard_id: str,
-        shard,
-        slots: List[_Slot],
-        stats: ShardBatchStats,
-        batch: BatchResult,
-        again: List[_Slot],
-        repairs: List[Tuple[str, KeyLike, bytes]],
-    ) -> int:
-        """Fold one shard's answer into the batch; returns how many slots ran."""
-        hedge_ms = self._hedge_window(slots, batch)
+    def _gather(self, shard_id: str, shard, sub_batch: _SubBatch, stats, run: _Run) -> int:
+        """Fold one shard's answer into the batch; returns how many units ran."""
+        positions, retries = sub_batch
+        hedge_ms = self._hedge_window(shard_id, sub_batch, run)
         try:
-            results, error_code, message, busy_ms = shard.recv_batch(hedge_ms)
+            answers, error_code, message, busy_ms = shard.recv_batch(hedge_ms)
         except DeviceFailedError as error:
-            if hedge_ms is not None and isinstance(error, WorkerStalledError):
-                # Slow, not dead: abandon the shard without marking it failed.
-                self.cluster._record_rpc_event("hedge_fired", shard=shard_id, operations=len(slots))
-                for slot in slots:
-                    slot.failed = True
-                again.extend(slots)
-            else:  # died mid-batch: no answer, so none of its slots ran
-                self._fail(shard_id, slots, batch, again)
+            # Missing the hedge window is slow, not dead: the shard is
+            # abandoned without being marked failed.  Anything else died
+            # mid-batch.  Either way there is no answer: none of its units ran.
+            hedged = hedge_ms is not None and isinstance(error, WorkerStalledError)
+            if hedged:
+                size = len(positions)
+                self.cluster._record_rpc_event("hedge_fired", shard=shard_id, operations=size)
+            self._leave_behind(shard_id, sub_batch, 0, run, shard_failed=not hedged)
             return 0
         if error_code == wire.ERR_UNEXPECTED:
             raise WireProtocolError(f"shard {shard_id}: {message}")
-        stats.busy_ms = busy_ms
-        stats.operations = len(results)
-        for slot, result in zip(slots, results):
-            kind = slot.operation.kind
-            _count(stats, kind, result)
-            if kind is not OpKind.LOOKUP:
-                # A replica's record stands in for a failed primary's.
-                if slot.primary or batch.results[slot.index] is None:
-                    batch.results[slot.index] = result
-            elif result.found:
-                batch.results[slot.index] = result
-                for stale in slot.missed:
-                    repairs.append((stale, slot.key, result.value))
+        kinds, placement, results, again = run.kinds, run.placement, run.batch.results, run.again
+        lookups = hits = inserts = updates = deletes = flash_reads = flash_writes = 0
+        for index, retry, result in zip(positions, retries or _NO_RETRIES, answers):
+            kind = kinds[index]
+            if kind is _LOOKUP:
+                lookups += 1
+                flash_reads += result.flash_reads
+                if result.value is not None:
+                    hits += 1
+                    results[index] = result
+                    for stale in retry.missed if retry is not None else ():
+                        run.repairs.append((stale, run.keys[index], result.value))
+                    continue
+                if results[index] is None:
+                    results[index] = result
+                # A miss with another replica to try is left behind for it.
+                if retry is None:
+                    if len(placement[index].replicas) > 1:
+                        again.append(_Retry(index, shard_id, primary=True, failed=False))
+                else:
+                    retry.missed.append(shard_id)
+                    if len(retry.attempted) < len(placement[index].replicas):
+                        again.append(retry)
+                continue
+            if kind is _DELETE:
+                deletes += 1
             else:
-                if batch.results[slot.index] is None:
-                    batch.results[slot.index] = result
-                slot.missed.append(shard_id)
-                if len(slot.attempted) < len(slot.replicas):
-                    again.append(slot)  # another replica may still hold it
-        if error_code == wire.ERR_DEVICE_FAILED or len(results) < len(slots):
-            self._fail(shard_id, slots[len(results) :], batch, again)
-        self._merge_shard_stats(batch, stats)
-        return len(results)
+                if kind is _INSERT:
+                    inserts += 1
+                else:
+                    updates += 1
+                flash_reads += result.flash_reads
+                flash_writes += result.flash_writes
+            # A replica's record stands in for a failed primary's.
+            primary = placement[index].primary == shard_id if retry is None else retry.primary
+            if primary or results[index] is None:
+                results[index] = result
+        stats.busy_ms = busy_ms
+        stats.operations = len(answers)
+        stats.lookups, stats.lookup_hits = lookups, hits
+        stats.inserts, stats.updates, stats.deletes = inserts, updates, deletes
+        stats.flash_reads, stats.flash_writes = flash_reads, flash_writes
+        if error_code == wire.ERR_DEVICE_FAILED or len(answers) < len(positions):
+            self._leave_behind(shard_id, sub_batch, len(answers), run, shard_failed=True)
+        self._merge_shard_stats(run.batch, stats)
+        return len(answers)
 
-    def _hedge_window(self, slots: List[_Slot], batch: BatchResult) -> Optional[float]:
+    def _hedge_window(self, shard_id: str, sub_batch: _SubBatch, run: _Run) -> Optional[float]:
         """The hedge window for one sub-batch, or None when it is not hedged
         (see ``hedge_delay_ms`` in the class docstring for the rule)."""
         cluster = self.cluster
-        if self.hedge_delay_ms is None or cluster.replication_factor < 2 or batch.operations < 2:
+        if (
+            self.hedge_delay_ms is None
+            or cluster.replication_factor < 2
+            or run.batch.operations < 2
+        ):
             return None
-        for slot in slots:
-            if slot.operation.kind is not OpKind.LOOKUP or not any(
-                replica not in slot.attempted and cluster.is_live(replica)
-                for replica in slot.replicas
+        positions, retries = sub_batch
+        for index, retry in zip(positions, retries or _NO_RETRIES):
+            attempted = (shard_id,) if retry is None else retry.attempted
+            if run.kinds[index] is not _LOOKUP or not any(
+                replica not in attempted and cluster.is_live(replica)
+                for replica in run.placement[index].replicas
             ):
                 return None
         return self.hedge_delay_ms
 
-    def _fail(
-        self, shard_id: str, slots: List[_Slot], batch: BatchResult, again: List[_Slot]
+    def _leave_behind(
+        self, shard_id: str, sub_batch: _SubBatch, start: int, run: _Run, shard_failed: bool
     ) -> None:
-        """A shard failed with ``slots`` not run: count it, hint the writes."""
-        self.cluster.record_shard_error(shard_id)
-        for slot in slots:
-            slot.failed = True
-            # This shard's copy of each unfinished write is lost until a heal
-            # replays it or recovery re-replicates the key.
-            if slot.operation.kind is not OpKind.LOOKUP:
-                self.cluster._record_hint(shard_id, slot.key)
-        if shard_id not in batch.failed_shards:
-            batch.failed_shards.append(shard_id)
-        again.extend(slots)
+        """``shard_id`` did not run its units from ``start`` on: mark their
+        retry state failed — creating it for a first-round sub-batch, whose
+        units carried none until now — and, when the shard failed rather than
+        was hedged around, count the error and hint the writes."""
+        positions, retries = sub_batch
+        if retries is None:
+            placement = run.placement
+            left = [
+                _Retry(index, shard_id, placement[index].primary == shard_id, failed=True)
+                for index in positions[start:]
+            ]
+        else:
+            left = retries[start:]
+            for retry in left:
+                retry.failed = True
+        if shard_failed:
+            cluster = self.cluster
+            cluster.record_shard_error(shard_id)
+            for retry in left:
+                # This shard's copy of each unfinished write is lost until a
+                # heal replays it or recovery re-replicates the key.
+                if run.kinds[retry.index] is not _LOOKUP:
+                    cluster._record_hint(shard_id, run.keys[retry.index])
+            if shard_id not in run.batch.failed_shards:
+                run.batch.failed_shards.append(shard_id)
+        run.again.extend(left)
 
-    def _reroute(self, slots: List[_Slot], batch: BatchResult) -> Dict[str, List[_Slot]]:
+    def _reroute(self, run: _Run) -> Dict[str, _SubBatch]:
         """Move left-behind operations and missed lookups to their next replica."""
         is_live = self.cluster.is_live
-        groups: Dict[str, List[_Slot]] = {}
-        for slot in sorted(slots, key=lambda s: s.index):
-            kind = slot.operation.kind
-            if batch.results[slot.index] is None:
-                target = self._targets(slot.key, kind, slot.replicas, slot.attempted)[0]
-            elif kind is not OpKind.LOOKUP:
+        batch = run.batch
+        groups: Dict[str, _SubBatch] = {}
+        for retry in sorted(run.again, key=lambda r: r.index):
+            index = retry.index
+            kind = run.kinds[index]
+            replicas = run.placement[index].replicas
+            if batch.results[index] is None:
+                target = self._targets(run.keys[index], kind, replicas, retry.attempted)[0]
+            elif kind is not _LOOKUP:
                 continue  # a surviving replica applied the write; the lost copy is hinted
             else:
                 # Holding a miss: read through to the next live replica, and
                 # let the miss stand when there is none.
                 target = next(
-                    (s for s in slot.replicas if s not in slot.attempted and is_live(s)), None
+                    (s for s in replicas if s not in retry.attempted and is_live(s)), None
                 )
                 if target is None:
                     continue
-            if slot.failed:
-                slot.failed = False
+            if retry.failed:
+                retry.failed = False
                 batch.retried_operations += 1
-            groups.setdefault(target, []).append(slot)
+            positions, retries = groups.setdefault(target, ([], []))
+            positions.append(index)
+            retries.append(retry)
         return groups
 
     def _merge_shard_stats(self, batch: BatchResult, stats: ShardBatchStats) -> None:
@@ -430,38 +574,8 @@ class BatchExecutor:
         if existing is None:
             batch.per_shard[stats.shard_id] = stats
         else:
-            for field_name in (
-                "operations",
-                "lookups",
-                "inserts",
-                "updates",
-                "deletes",
-                "lookup_hits",
-                "busy_ms",
-                "dispatch_ms",
-                "routing_ms",
-                "flash_reads",
-                "flash_writes",
-            ):
-                merged = getattr(existing, field_name) + getattr(stats, field_name)
-                setattr(existing, field_name, merged)
+            for name in _SUMMED_FIELDS:
+                setattr(existing, name, getattr(existing, name) + getattr(stats, name))
         batch.busy_ms += stats.busy_ms
         batch.dispatch_ms += stats.dispatch_ms
         batch.routing_ms += stats.routing_ms
-
-
-def _count(stats: ShardBatchStats, kind: OpKind, result) -> None:
-    if kind is OpKind.LOOKUP:
-        stats.lookups += 1
-        if result.found:
-            stats.lookup_hits += 1
-    elif kind is OpKind.INSERT:
-        stats.inserts += 1
-    elif kind is OpKind.UPDATE:
-        stats.updates += 1
-    elif kind is OpKind.DELETE:
-        stats.deletes += 1
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown operation kind {kind!r}")
-    stats.flash_reads += getattr(result, "flash_reads", 0)
-    stats.flash_writes += getattr(result, "flash_writes", 0)

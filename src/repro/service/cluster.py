@@ -53,6 +53,7 @@ from repro.service.batch import (
     DEFAULT_ROUTING_COST_MS,
     BatchExecutor,
     BatchResult,
+    batch_columns,
 )
 from repro.service.router import HandoffStats, ShardRouter
 from repro.service.shard import LocalShard
@@ -60,12 +61,7 @@ from repro.telemetry import trace as _trace
 from repro.telemetry.events import EventLog
 from repro.telemetry.export import build_snapshot
 from repro.telemetry.registry import MetricsRegistry
-from repro.workloads.workload import (
-    Operation,
-    OpKind,
-    insert_operations,
-    lookup_operations,
-)
+from repro.workloads.workload import Operation, OpKind
 
 
 def imbalance_factor(loads: Iterable[float]) -> float:
@@ -299,10 +295,10 @@ class ClusterService:
         self.recoveries = 0
         #: In-flight :class:`~repro.service.rebalance.MigrationState`, installed
         #: by a :class:`~repro.service.rebalance.KeyMigrator` while an online
-        #: scale-out/scale-in is moving key-range arcs.  While set, every
-        #: read/write consults :meth:`_op_replicas` so arcs being moved are
-        #: double-read (old owners first) and dual-written; ``None`` costs one
-        #: attribute check per operation.
+        #: scale-out/scale-in is moving key-range arcs.  While set, the
+        #: executor places every read/write by its ``replicas_for`` so arcs
+        #: being moved are double-read (old owners first) and dual-written;
+        #: ``None`` costs one attribute check per batch.
         self.migration = None
         #: Most recent :class:`~repro.service.recovery.RecoveryReport`.
         self.last_recovery = None
@@ -533,21 +529,6 @@ class ClusterService:
         """The key's full preference list (length ``replication_factor``)."""
         return self.router.preference_list(key, self.replication_factor)
 
-    def _op_replicas(self, key: KeyLike, kind: OpKind) -> Tuple[str, ...]:
-        """The shards one operation must consult, migration-aware.
-
-        Without a migration in flight this is exactly the key's preference
-        list.  While a :class:`~repro.service.rebalance.KeyMigrator` is moving
-        arcs, keys inside an arc being migrated are answered from the union
-        of old and new owners — old owners first, so lookups never miss
-        mid-move (the *double-read window*) and writes reach both sides (the
-        *write-forwarding* that lets the arc cut over without a quiesce).
-        """
-        migration = self.migration
-        if migration is not None:
-            return migration.replicas_for(key, kind)
-        return self.router.preference_list(key, self.replication_factor)
-
     def _shard_op(self, shard_id: str, op_name: str, *args):
         """One *directed* operation against one shard; None if the shard fails.
 
@@ -613,7 +594,7 @@ class ClusterService:
     def _one(self, kind: OpKind, key: KeyLike, value: bytes = b""):
         """A single operation is a batch of one: same replica semantics, same
         clock charges (see :class:`~repro.service.batch.BatchExecutor`)."""
-        return self.execute_batch((Operation(kind, key, value),)).results[0]
+        return self._execute_columns([kind], [key], [value]).results[0]
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a (key, value) pair on every live replica."""
@@ -642,26 +623,29 @@ class ClusterService:
 
     def execute_batch(self, operations: Iterable[Operation]) -> BatchResult:
         """Execute a batch of operations grouped by shard (see BatchExecutor)."""
-        submitted = list(operations)
+        return self._execute_columns(*batch_columns(operations))
+
+    def _execute_columns(self, kinds, keys, values) -> BatchResult:
+        """One batch, as parallel columns, through the executor and the key catalog."""
         tracer = _trace.ACTIVE
         span = (
-            tracer.begin("cluster.batch", self.clock, operations=len(submitted))
+            tracer.begin("cluster.batch", self.clock, operations=len(kinds))
             if tracer is not None
             else None
         )
         try:
-            batch = self.executor.execute(submitted)
+            batch = self.executor.execute_columns(kinds, keys, values)
         except ShardUnavailableError as error:
             # Writes the batch applied before the failing operation are on
             # shards and must reach the key catalog anyway, or recovery would
             # never re-replicate them; the executor attaches the partial
             # per-op results to the error for exactly this purpose.
-            self._track_batch(submitted, getattr(error, "partial_results", None))
+            self._track_batch(kinds, keys, getattr(error, "partial_results", None))
             raise
         finally:
             if span is not None:
                 tracer.end(span, self.clock)
-        self._track_batch(submitted, batch.results)
+        self._track_batch(kinds, keys, batch.results)
         self.last_batch = batch
         if span is not None:
             span.attributes["retried_operations"] = batch.retried_operations
@@ -677,23 +661,27 @@ class ClusterService:
         submission order.  The underlying :class:`BatchResult` — including
         the parallel-shard makespan — is left in :attr:`last_batch`.
         """
-        return list(self.execute_batch(lookup_operations(keys)).results)
+        keys = list(keys)
+        kinds, values = [OpKind.LOOKUP] * len(keys), [b""] * len(keys)
+        return list(self._execute_columns(kinds, keys, values).results)
 
     def insert_batch(self, items: Iterable[Tuple[KeyLike, bytes]]) -> List[InsertResult]:
         """Insert every ``(key, value)`` pair in one fanned-out batch."""
-        return list(self.execute_batch(insert_operations(items)).results)
+        items = list(items)
+        keys, values = [key for key, _ in items], [value for _, value in items]
+        return list(self._execute_columns([OpKind.INSERT] * len(items), keys, values).results)
 
-    def _track_batch(self, submitted: List[Operation], results: Optional[List[object]]) -> None:
+    def _track_batch(self, kinds, keys, results: Optional[List[object]]) -> None:
         """Fold a batch's applied writes into the key catalog."""
         if self._tracked is None or results is None:
             return
-        for operation, result in zip(submitted, results):
+        for kind, key, result in zip(kinds, keys, results):
             if result is None:
                 continue
-            if operation.kind in (OpKind.INSERT, OpKind.UPDATE):
-                self._track(operation.key, alive=True)
-            elif operation.kind is OpKind.DELETE:
-                self._track(operation.key, alive=False)
+            if kind is OpKind.INSERT or kind is OpKind.UPDATE:
+                self._track(key, alive=True)
+            elif kind is OpKind.DELETE:
+                self._track(key, alive=False)
 
     # -- Membership ---------------------------------------------------------------------
 

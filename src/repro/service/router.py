@@ -97,6 +97,35 @@ class ShardRouter:
 
     def _rebuild_index(self) -> None:
         self._points = sorted(self._owners)
+        #: n -> the preference tuple of every ring point (see
+        #: :meth:`_preference_table`).  Every ring mutation ends here, so a
+        #: table never outlives the ring it was built from.
+        self._preferences: Dict[int, List[Tuple[str, ...]]] = {}
+
+    def _preference_table(self, n: int) -> List[Tuple[str, ...]]:
+        """First ``n`` distinct owners at or after each ring point, in ring
+        order, then the first point's again (a position past the last point
+        wraps to it), so a bisect result indexes the table as it is.
+
+        The chain at a point is its owner followed by the next point's chain
+        without that owner, so one walk from the first point seeds the table
+        and the rest fills backwards round the ring.
+        """
+        limit = min(n, len(self._shards))
+        owners = [self._owners[point] for point in self._points]
+        first: List[str] = []
+        for owner in owners:
+            if owner not in first:
+                first.append(owner)
+                if len(first) == limit:
+                    break
+        table = [tuple(first)] * (len(owners) + 1)
+        for index in range(len(owners) - 1, 0, -1):
+            owner, successor = owners[index], table[index + 1]
+            if successor[0] != owner:
+                successor = (owner, *[s for s in successor if s != owner][: limit - 1])
+            table[index] = successor
+        return table
 
     def _rebuild_owners(self) -> None:
         self._owners = {}
@@ -185,24 +214,16 @@ class ShardRouter:
         ring points, calling this at an arc's inclusive end point yields the
         preference list shared by *every* key hashing into that arc — the
         exactness the rebalancing layer's migration-arc computation relies
-        on (see :func:`repro.service.rebalance.changed_arcs`).
+        on (see :func:`repro.service.rebalance.changed_arcs`).  For the same
+        reason the answer is a table read: one bisect finds the arc, and the
+        arc's tuple was computed when ``n`` was first asked for on this ring.
         """
-        if n <= 0:
-            raise ConfigurationError("preference list size must be positive")
-        limit = min(n, len(self._shards))
-        index = bisect_left(self._points, position)
-        if index == len(self._points):
-            index = 0
-        preference: List[str] = []
-        seen = set()
-        for offset in range(len(self._points)):
-            owner = self._owners[self._points[(index + offset) % len(self._points)]]
-            if owner not in seen:
-                seen.add(owner)
-                preference.append(owner)
-                if len(preference) == limit:
-                    break
-        return tuple(preference)
+        table = self._preferences.get(n)
+        if table is None:  # first use of this n since the ring last changed
+            if n <= 0:
+                raise ConfigurationError("preference list size must be positive")
+            table = self._preferences[n] = self._preference_table(n)
+        return table[bisect_left(self._points, position)]
 
     # -- Membership changes -------------------------------------------------------------
 

@@ -64,15 +64,17 @@ def apply_batch(
     results: List[object] = []
     error_code = wire.ERR_NONE
     message = ""
+    # Bound once: a member read off the enum class resolves through its metaclass.
+    lookup, insert, update, delete = OpKind.LOOKUP, OpKind.INSERT, OpKind.UPDATE, OpKind.DELETE
     try:
         for kind, key, value in operations:
-            if kind is OpKind.LOOKUP:
+            if kind is lookup:
                 results.append(index.lookup(key))
-            elif kind is OpKind.INSERT:
+            elif kind is insert:
                 results.append(index.insert(key, value))
-            elif kind is OpKind.UPDATE:
+            elif kind is update:
                 results.append(index.update(key, value))
-            elif kind is OpKind.DELETE:
+            elif kind is delete:
                 results.append(index.delete(key))
             else:
                 raise ValueError(f"unknown operation kind {kind!r}")

@@ -19,18 +19,34 @@ without desynchronising the stream.
 
 Frame types:
 
-``BATCH_REQUEST``
-    A clock advance (the dispatch/routing cost the parent accrued against the
-    shard's mirrored clock) plus an ordered list of operations.  Keys travel
-    as :meth:`repro.core.hashing.KeyDigest.to_wire` payloads: the key bytes
-    plus any CLAM words the sender already computed (never the ring word,
-    which only the routing side uses).  The receiver resolves each key
-    through its own digest cache, so it hashes a key once per residency
-    there, however many operations on it arrive.
-``BATCH_RESPONSE``
-    The per-operation result records (in request order, possibly truncated if
-    the shard's device failed mid-batch), a typed error code for the first
-    failure, and the worker clock's reading plus the batch's busy time.
+``BATCH_REQUEST`` / ``BATCH_RESPONSE``
+    One sub-batch and its answer, columnar since v3 — a field of every
+    operation travels together, so either side packs and unpacks a column
+    with one call instead of a record with several::
+
+        request   head         <d advance_ms> <u32 count>
+                  op codes     column: count x u8
+                  lengths      column: count x u32 key lengths, then as many value lengths
+                  keys         block: canonical key bytes, concatenated
+                  values       block: value bytes, concatenated
+        response  head         <d clock_ms> <d busy_ms> <u8 error> <u32 message len> <u32 count>
+                  message      UTF-8, the first failure's
+                  result rows  column: count x 39-byte fixed-width rows (``_RESULT_ROW``)
+                  bytes        block: each row's key, then its value if it has one
+
+    ``advance_ms`` is the dispatch/routing cost the parent accrued against
+    the shard's mirrored clock; results come back in request order, possibly
+    truncated if the shard's device failed mid-batch, with the worker clock's
+    reading and the batch's busy time.  What stopped travelling in v3 is the
+    ``(seed, digest)`` pairs a key used to carry: the receiver resolves every
+    key through its own digest cache (:func:`decode_batch_request`), so it
+    hashes a key once per residency there however many operations on it
+    arrive; a routing parent never had CLAM words to send, and a sender that
+    has them would pay a packing pass to save the receiver one traversal.
+    The public codecs are :func:`encode_batch_request` ``(advance_ms,
+    [(kind, key, value), ...])``, :func:`decode_batch_request` ``(payload)``,
+    :func:`encode_batch_response` ``(results, error_code, error_message,
+    clock_ms, busy_ms)`` and :func:`decode_batch_response` ``(payload)``.
 ``CONTROL_REQUEST`` / ``CONTROL_RESPONSE``
     Low-rate management traffic (counters, telemetry snapshots, fault
     injection, clean shutdown) as a JSON object — none of it is hot-path.
@@ -60,7 +76,7 @@ import zlib
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import DeviceFailedError, ShardUnavailableError, WireProtocolError
-from repro.core.hashing import KeyDigest, as_digest
+from repro.core.hashing import KeyDigest, as_digest, key_data
 from repro.core.results import DeleteResult, InsertResult, LookupResult, ServedFrom
 from repro.workloads.workload import OpKind
 
@@ -90,8 +106,9 @@ __all__ = [
 ]
 
 #: Protocol version carried in every frame; bumped on any layout change.
-#: v2 added the CRC-32 checksum and the per-frame sequence number.
-WIRE_VERSION = 2
+#: v2 added the CRC-32 checksum and the per-frame sequence number; v3 made
+#: batch payloads columnar and stopped shipping key digests.
+WIRE_VERSION = 3
 
 #: Hard ceiling on one frame's body.  Generously above any real batch (the
 #: executor sub-batches per shard) while small enough that a corrupt length
@@ -250,126 +267,66 @@ def _take(payload: bytes, offset: int, size: int) -> Tuple[bytes, int]:
 
 
 _BATCH_REQ_HEAD = struct.Struct("<dI")
-_OP_CODE = struct.Struct("<B")
-_VALUE_LEN = struct.Struct("<I")
-_RESULT_HEAD = struct.Struct("<BI")
-_LOOKUP_TAIL = struct.Struct("<BIdBIII")
-_INSERT_TAIL = struct.Struct("<dBdIII")
-_DELETE_TAIL = struct.Struct("<dB")
 _BATCH_RESP_HEAD = struct.Struct("<ddBII")
+#: One result of any type: record type, served-from code (lookups), a flag
+#: (lookup: its value follows its key in the byte block; insert: flushed;
+#: delete: removed from the buffer), key length, value length, ``latency_ms``,
+#: ``flush_latency_ms`` (inserts), then three counters — ``flash_reads``,
+#: ``incarnations_checked``, ``false_positive_reads`` of a lookup;
+#: ``incarnations_tried``, ``flash_writes``, ``flash_reads`` of an insert.
+_RESULT_ROW = struct.Struct("<BBBIIddIII")
 
 
 # -- Batch requests -----------------------------------------------------------------
 
 
-def _encode_key(key) -> bytes:
-    """Any key as a digest wire payload."""
-    return (key if type(key) is KeyDigest else as_digest(key)).to_wire()
-
-
 def encode_batch_request(advance_ms: float, operations: Sequence[Tuple[OpKind, object, bytes]]):
     """Encode ``(kind, key, value)`` triples plus the pending clock advance."""
-    parts = [_BATCH_REQ_HEAD.pack(advance_ms, len(operations))]
+    codes = bytearray()
+    keys: List[bytes] = []
+    values: List[bytes] = []
     for kind, key, value in operations:
-        value_bytes = bytes(value)
-        parts.append(_OP_CODE.pack(_OP_CODES[kind]))
-        parts.append(_encode_key(key))
-        parts.append(_VALUE_LEN.pack(len(value_bytes)))
-        parts.append(value_bytes)
-    return b"".join(parts)
+        codes.append(_OP_CODES[kind])
+        keys.append(key.data if type(key) is KeyDigest else key_data(key))
+        values.append(value if type(value) is bytes else bytes(value))
+    lengths = struct.pack("<%dI" % (2 * len(keys)), *map(len, keys), *map(len, values))
+    return b"".join([_BATCH_REQ_HEAD.pack(advance_ms, len(keys)), codes, lengths, *keys, *values])
 
 
 def decode_batch_request(payload: bytes) -> Tuple[float, List[Tuple[OpKind, KeyDigest, bytes]]]:
-    """Inverse of :func:`encode_batch_request`."""
+    """Inverse of :func:`encode_batch_request`.
+
+    Every key is resolved through :func:`~repro.core.hashing.as_digest`, so
+    the receiving process hashes it once per residency in its digest cache,
+    not once per operation received.
+    """
     advance_ms, count = _unpack(_BATCH_REQ_HEAD, payload, 0)
-    offset = _BATCH_REQ_HEAD.size
-    operations: List[Tuple[OpKind, KeyDigest, bytes]] = []
-    for _ in range(count):
-        (op_code,) = _unpack(_OP_CODE, payload, offset)
-        kind = _CODE_OPS.get(op_code)
-        if kind is None:
-            raise WireProtocolError(f"unknown operation code {op_code}")
-        try:
-            digest, offset = KeyDigest.from_wire(payload, offset + 1)
-        except (struct.error, ValueError) as error:
-            raise WireProtocolError(f"malformed key digest: {error}") from error
-        (value_len,) = _unpack(_VALUE_LEN, payload, offset)
-        value, offset = _take(payload, offset + _VALUE_LEN.size, value_len)
-        operations.append((kind, digest, value))
-    return advance_ms, operations
+    lengths_at = _BATCH_REQ_HEAD.size + count
+    offset = lengths_at + 8 * count  # two u32 lengths per operation
+    if offset > len(payload):
+        raise WireProtocolError(
+            f"frame payload truncated: {count} operations announced in {len(payload)} bytes"
+        )
+    codes = payload[_BATCH_REQ_HEAD.size : lengths_at]
+    kinds = [*map(_CODE_OPS.get, codes)]
+    if None in kinds:
+        raise WireProtocolError(f"unknown operation code {codes[kinds.index(None)]}")
+    pieces: List[bytes] = []  # every key, then every value
+    for size in struct.unpack_from("<%dI" % (2 * count), payload, lengths_at):
+        end = offset + size
+        pieces.append(payload[offset:end])
+        offset = end
+    # Slices past the end come back short instead of raising, so one check
+    # after the walk covers every key and value.
+    if offset != len(payload):
+        raise WireProtocolError(
+            f"frame payload truncated or overlong: the length column ends the blocks at "
+            f"offset {offset}, have {len(payload)} total"
+        )
+    return advance_ms, [*zip(kinds, map(as_digest, pieces[:count]), pieces[count:])]
 
 
 # -- Batch responses ----------------------------------------------------------------
-
-
-def _encode_result(result: ResultRecord) -> bytes:
-    if isinstance(result, LookupResult):
-        value = result.value
-        head = _RESULT_HEAD.pack(_RESULT_LOOKUP, len(result.key)) + result.key
-        tail = _LOOKUP_TAIL.pack(
-            1 if value is not None else 0,
-            len(value) if value is not None else 0,
-            result.latency_ms,
-            _SERVED_CODES[result.served_from],
-            result.flash_reads,
-            result.incarnations_checked,
-            result.false_positive_reads,
-        )
-        return head + tail + (value if value is not None else b"")
-    if isinstance(result, InsertResult):
-        return (
-            _RESULT_HEAD.pack(_RESULT_INSERT, len(result.key))
-            + result.key
-            + _INSERT_TAIL.pack(
-                result.latency_ms,
-                1 if result.flushed else 0,
-                result.flush_latency_ms,
-                result.incarnations_tried,
-                result.flash_writes,
-                result.flash_reads,
-            )
-        )
-    if isinstance(result, DeleteResult):
-        return (
-            _RESULT_HEAD.pack(_RESULT_DELETE, len(result.key))
-            + result.key
-            + _DELETE_TAIL.pack(result.latency_ms, 1 if result.removed_from_buffer else 0)
-        )
-    raise WireProtocolError(f"cannot serialise result type {type(result).__name__}")
-
-
-def _decode_result(payload: bytes, offset: int) -> Tuple[ResultRecord, int]:
-    record_type, key_len = _unpack(_RESULT_HEAD, payload, offset)
-    key, offset = _take(payload, offset + _RESULT_HEAD.size, key_len)
-    if record_type == _RESULT_LOOKUP:
-        has_value, value_len, latency_ms, served_code, flash_reads, incarnations, fp_reads = (
-            _unpack(_LOOKUP_TAIL, payload, offset)
-        )
-        offset += _LOOKUP_TAIL.size
-        value: Optional[bytes] = None
-        if has_value:
-            value, offset = _take(payload, offset, value_len)
-        served = _CODE_SERVED.get(served_code)
-        if served is None:
-            raise WireProtocolError(f"unknown served-from code {served_code}")
-        return (
-            LookupResult(key, value, latency_ms, served, flash_reads, incarnations, fp_reads),
-            offset,
-        )
-    if record_type == _RESULT_INSERT:
-        latency_ms, flushed, flush_latency_ms, tried, writes, reads = _unpack(
-            _INSERT_TAIL, payload, offset
-        )
-        offset += _INSERT_TAIL.size
-        return (
-            InsertResult(key, latency_ms, bool(flushed), flush_latency_ms, tried, writes, reads),
-            offset,
-        )
-    if record_type == _RESULT_DELETE:
-        latency_ms, removed = _unpack(_DELETE_TAIL, payload, offset)
-        offset += _DELETE_TAIL.size
-        return DeleteResult(key, latency_ms, bool(removed)), offset
-    raise WireProtocolError(f"unknown result record type {record_type}")
 
 
 def encode_batch_response(
@@ -381,13 +338,37 @@ def encode_batch_response(
 ) -> bytes:
     """Encode results (request order, truncated at the first failure) + status."""
     message_bytes = error_message.encode("utf-8")
-    parts = [
-        _BATCH_RESP_HEAD.pack(clock_ms, busy_ms, error_code, len(message_bytes), len(results)),
-        message_bytes,
-    ]
+    pack = _RESULT_ROW.pack
+    rows: List[bytes] = []
+    block: List[bytes] = []
     for result in results:
-        parts.append(_encode_result(result))
-    return b"".join(parts)
+        record = type(result)
+        key = result.key
+        block.append(key)
+        size = len(key)
+        latency_ms = result.latency_ms
+        if record is LookupResult:
+            value = result.value
+            found = value is not None
+            if found:
+                block.append(value)
+            served = _SERVED_CODES[result.served_from]
+            checked = result.incarnations_checked
+            counters = (result.flash_reads, checked, result.false_positive_reads)
+            value_len = len(value) if found else 0
+            row = pack(_RESULT_LOOKUP, served, found, size, value_len, latency_ms, 0.0, *counters)
+        elif record is InsertResult:
+            counters = (result.incarnations_tried, result.flash_writes, result.flash_reads)
+            flush_ms = result.flush_latency_ms
+            row = pack(_RESULT_INSERT, 0, result.flushed, size, 0, latency_ms, flush_ms, *counters)
+        elif record is DeleteResult:
+            removed = result.removed_from_buffer
+            row = pack(_RESULT_DELETE, 0, removed, size, 0, latency_ms, 0.0, 0, 0, 0)
+        else:
+            raise WireProtocolError(f"cannot serialise result type {record.__name__}")
+        rows.append(row)
+    head = _BATCH_RESP_HEAD.pack(clock_ms, busy_ms, error_code, len(message_bytes), len(rows))
+    return b"".join([head, message_bytes, *rows, *block])
 
 
 def decode_batch_response(payload: bytes) -> Tuple[List[ResultRecord], int, str, float, float]:
@@ -398,15 +379,55 @@ def decode_batch_response(payload: bytes) -> Tuple[List[ResultRecord], int, str,
     clock_ms, busy_ms, error_code, message_len, result_count = _unpack(
         _BATCH_RESP_HEAD, payload, 0
     )
-    message_bytes, offset = _take(payload, _BATCH_RESP_HEAD.size, message_len)
+    message_bytes, rows_at = _take(payload, _BATCH_RESP_HEAD.size, message_len)
     try:
         message = message_bytes.decode("utf-8")
     except UnicodeDecodeError as error:
         raise WireProtocolError(f"malformed error message: {error}") from error
+    offset = rows_at + _RESULT_ROW.size * result_count
+    if offset > len(payload):
+        raise WireProtocolError(
+            f"frame payload truncated: {result_count} results announced in {len(payload)} bytes"
+        )
     results: List[ResultRecord] = []
-    for _ in range(result_count):
-        result, offset = _decode_result(payload, offset)
-        results.append(result)
+    append = results.append
+    for (
+        record_type,
+        served_code,
+        flag,
+        key_len,
+        value_len,
+        latency_ms,
+        flush_ms,
+        first,
+        second,
+        third,
+    ) in _RESULT_ROW.iter_unpack(payload[rows_at:offset]):
+        end = offset + key_len
+        key = payload[offset:end]
+        offset = end
+        if record_type == _RESULT_LOOKUP:
+            value: Optional[bytes] = None
+            if flag:
+                offset = end + value_len
+                value = payload[end:offset]
+            served = _CODE_SERVED.get(served_code)
+            if served is None:
+                raise WireProtocolError(f"unknown served-from code {served_code}")
+            append(LookupResult(key, value, latency_ms, served, first, second, third))
+        elif record_type == _RESULT_INSERT:
+            append(InsertResult(key, latency_ms, bool(flag), flush_ms, first, second, third))
+        elif record_type == _RESULT_DELETE:
+            append(DeleteResult(key, latency_ms, bool(flag)))
+        else:
+            raise WireProtocolError(f"unknown result record type {record_type}")
+    # Slices past the end come back short instead of raising, so one check
+    # after the walk covers every row's key and value.
+    if offset != len(payload):
+        raise WireProtocolError(
+            f"frame payload truncated or overlong: the result rows end the byte block at "
+            f"offset {offset}, have {len(payload)} total"
+        )
     return results, error_code, message, clock_ms, busy_ms
 
 

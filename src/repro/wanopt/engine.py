@@ -207,62 +207,63 @@ class CompressionEngine:
         return result
 
     def _process_object_batched(self, obj: TraceObject, clock=None) -> ObjectCompressionResult:
+        # ``Chunk.fingerprint`` and ``Chunk.size`` are properties: each is
+        # read once per chunk, here, and the loops below run over the lists.
+        chunks = obj.chunks
+        fingerprints = [chunk.fingerprint for chunk in chunks]
+        sizes = [chunk.size for chunk in chunks]
         result = ObjectCompressionResult(
             object_id=obj.object_id,
-            original_bytes=obj.size_bytes,
+            original_bytes=sum(sizes),
             compressed_bytes=0,
-            chunks_total=obj.num_chunks,
+            chunks_total=len(chunks),
             chunks_matched=0,
         )
         index_clock = getattr(self.index, "clock", None)
         tick = clock if clock is not None else index_clock
         advance = getattr(tick, "advance", None)
 
-        fingerprint_ms = self.fingerprint_cost_ms * obj.num_chunks
+        fingerprint_ms = self.fingerprint_cost_ms * len(chunks)
         result.fingerprint_time_ms = fingerprint_ms
         if advance is not None and fingerprint_ms:
             advance(fingerprint_ms)
 
         # Round trip 1: look up each distinct fingerprint once.
-        unique: List[bytes] = []
-        seen: set = set()
-        for chunk in obj.chunks:
-            if chunk.fingerprint not in seen:
-                seen.add(chunk.fingerprint)
-                unique.append(chunk.fingerprint)
+        unique = list(dict.fromkeys(fingerprints))
         lookups = self.index.lookup_batch(unique)
         result.lookup_time_ms = self._round_trip_ms(lookups)
         if advance is not None and tick is not index_clock and result.lookup_time_ms:
             advance(result.lookup_time_ms)
-        found = {fp: lookup.found for fp, lookup in zip(unique, lookups)}
+        # Fingerprints the far side holds: found by the lookup, or (added in
+        # the pass below) sent as a literal earlier in this object.
+        known = {fp: lookup.value is not None for fp, lookup in zip(unique, lookups)}
 
         # Local pass: decide reference vs literal, store literals in the cache.
-        inserted_here: set = set()
         to_insert: List[Tuple[bytes, bytes]] = []
         matched_flags: List[bool] = []
+        content_cache = self.content_cache
         cache_clock = (
-            getattr(self.content_cache.device, "clock", None)
-            if self.content_cache is not None
-            else None
+            getattr(content_cache.device, "clock", None) if content_cache is not None else None
         )
-        for chunk in obj.chunks:
-            if found[chunk.fingerprint] or chunk.fingerprint in inserted_here:
-                result.chunks_matched += 1
-                result.compressed_bytes += min(self.reference_size, chunk.size)
+        reference_size = self.reference_size
+        compressed_bytes = 0
+        for chunk, fingerprint, size in zip(chunks, fingerprints, sizes):
+            if known[fingerprint]:
+                compressed_bytes += min(reference_size, size)
                 matched_flags.append(True)
                 continue
             matched_flags.append(False)
-            result.compressed_bytes += chunk.size
+            compressed_bytes += size
             cache_address = 0
-            if self.content_cache is not None:
-                cache_address, cache_latency = self.content_cache.store(
-                    chunk.fingerprint, chunk.size, chunk.raw
-                )
+            if content_cache is not None:
+                cache_address, cache_latency = content_cache.store(fingerprint, size, chunk.raw)
                 result.cache_write_time_ms += cache_latency
                 if advance is not None and tick is not cache_clock and cache_latency:
                     advance(cache_latency)
-            inserted_here.add(chunk.fingerprint)
-            to_insert.append((chunk.fingerprint, cache_address.to_bytes(8, "big")))
+            known[fingerprint] = True
+            to_insert.append((fingerprint, cache_address.to_bytes(8, "big")))
+        result.compressed_bytes = compressed_bytes
+        result.chunks_matched = sum(matched_flags)
         result.matched_flags = tuple(matched_flags)
 
         # Round trip 2: install the new fingerprints in one batch.

@@ -28,8 +28,6 @@ from repro.workloads.workload import (
     build_lookup_then_insert_workload,
     build_mixed_workload,
     build_update_workload,
-    insert_operations,
-    lookup_operations,
     preload_keys_for,
 )
 from repro.workloads.metrics import LatencySummary, summarize_latencies, cdf_points, ccdf_points
@@ -54,8 +52,6 @@ __all__ = [
     "build_mixed_workload",
     "build_update_workload",
     "preload_keys_for",
-    "lookup_operations",
-    "insert_operations",
     "LatencySummary",
     "summarize_latencies",
     "cdf_points",

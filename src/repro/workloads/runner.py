@@ -49,8 +49,8 @@ def apply_operation(index: HashIndex, operation: Operation, key=None):
     """Dispatch one workload operation to ``index`` and return its result record.
 
     The dispatch switch shared by the sequential runner and the service
-    layer's batch executor.  Accounting switches (``_record`` here,
-    ``_count`` in :mod:`repro.service.batch`) fold results into different
+    layer's batch executor.  Accounting switches (``_record`` here, the
+    gather loop of :mod:`repro.service.batch`) fold results into different
     report shapes and must also learn about any future operation kind.
 
     ``key`` lets a caller that already canonicalised the operation's key —

@@ -16,7 +16,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, List, Optional
 
 from repro.workloads.keygen import fingerprint_for
 
@@ -104,22 +104,6 @@ def _value_for(key: bytes, size: int) -> bytes:
         return b""
     repeated = (key * ((size // max(1, len(key))) + 1))[:size]
     return repeated
-
-
-def lookup_operations(keys: Iterable[bytes]) -> List[Operation]:
-    """One :class:`Operation` batch looking up every key, in order.
-
-    Builders for the per-object round trips of the batched WAN-optimizer
-    path (:meth:`repro.wanopt.engine.CompressionEngine.process_object_batched`
-    via :meth:`repro.service.cluster.ClusterService.lookup_batch`) and for
-    any driver that wants to feed plain key sequences to ``execute_batch``.
-    """
-    return [Operation(OpKind.LOOKUP, key) for key in keys]
-
-
-def insert_operations(items: Iterable[tuple]) -> List[Operation]:
-    """One :class:`Operation` batch inserting every ``(key, value)``, in order."""
-    return [Operation(OpKind.INSERT, key, value) for key, value in items]
 
 
 class _RecentKeys:

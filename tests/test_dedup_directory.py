@@ -1,5 +1,7 @@
 """Tests for the deduplication pipeline and the content-name directory."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import DRAMHashIndex, ExternalHashIndex
@@ -7,7 +9,8 @@ from repro.core import CLAM, CLAMConfig
 from repro.dedup import ChunkStore, DedupIndex, merge_indexes
 from repro.dedup.merge import scale_merge_time
 from repro.directory import ContentDirectory
-from repro.flashsim import MagneticDisk, SSD, SimulationClock
+from repro.flashsim import INTEL_SSD_PROFILE, MagneticDisk, SSD, SimulationClock
+from repro.flashsim.device import DeviceGeometry
 from repro.wanopt.fingerprint import Chunk, fingerprint_bytes
 
 
@@ -25,6 +28,23 @@ class TestChunkStore:
         assert latency > 0
         payload, _read_latency = store.read(address)
         assert payload == b"z" * 1000
+
+    def test_overwritten_chunk_is_forgotten_after_the_store_wraps(self):
+        """Regression: the wrap to page 0 used to leave every overwritten
+        address in the table, so reading one stitched two chunks together."""
+        geometry = DeviceGeometry(page_size=512, pages_per_block=4, num_blocks=4)
+        device = SSD(profile=replace(INTEL_SSD_PROFILE, geometry=geometry), clock=SimulationClock())
+        store = ChunkStore(device)
+        for expected, fill in zip((0, 4, 8), (b"a", b"b", b"c")):
+            assert store.append(2048, fill * 2048)[0] == expected
+        assert store.append(3072, b"d" * 3072)[0] == 0  # 12 + 6 > 16 pages: wraps
+        assert store.read(0)[0] == b"d" * 3072
+        assert store.read(8)[0] == b"c" * 2048  # not reached yet
+        with pytest.raises(KeyError):
+            store.read(4)  # b"dddd...bbbb" before: pages 4-5 are d's
+        for _ in range(40):
+            store.append(2048)
+        assert len(store._chunks) <= 4  # bounded by what the device holds
 
     def test_unknown_address_rejected(self):
         store = ChunkStore(MagneticDisk(clock=SimulationClock()))

@@ -32,14 +32,12 @@ from repro.core import CLAM, CLAMConfig, build_pages, search_page
 from repro.core.bloom import BloomFilter
 from repro.core.cuckoo import CuckooHashTable
 from repro.core.hashing import (
-    CLAM_SEEDS,
     CUCKOO_SEED_FIRST,
     CUCKOO_SEED_SECOND,
     PARTITION_SEED,
     RING_SEED,
     KeyDigest,
     as_digest,
-    clam_words,
     clear_digest_cache,
     count_hash_calls,
     digest_cache_info,
@@ -297,8 +295,8 @@ class TestProcessBoundary:
 
     @staticmethod
     def _frame(keys) -> bytes:
-        """A lookup frame as a routing parent sends it: the parent's digests
-        carry a ring word and nothing else."""
+        """A lookup frame as a routing parent sends it (the parent's digests
+        carry a ring word and nothing else; only the key bytes travel)."""
         digests = [KeyDigest(key) for key in keys]
         for digest in digests:
             digest.digest(RING_SEED)
@@ -332,54 +330,21 @@ class TestProcessBoundary:
         assert as_digest(keys[-1]).words == words_before[keys[-1]]
 
     def test_ring_word_does_not_travel(self):
+        """Nothing a digest has memoised travels — ring word, CLAM words or
+        any other seed: a frame is its head, one op code, two lengths and
+        the canonical key bytes, whatever the sender had computed."""
         digest = KeyDigest(b"routed")
+        bare = wire.encode_batch_request(0.0, [(OpKind.LOOKUP, digest, b"")])
+        assert bare == struct.pack("<dIBII", 0.0, 1, 0, 6, 0) + b"routed"
         digest.digest(RING_SEED)
-        assert digest.to_wire() == struct.pack("<IB", 6, 0) + b"routed"
         digest.clam_words()
-        payload = digest.to_wire()
-        assert len(payload) == 5 + 6 + 16 * len(CLAM_SEEDS)
-        decoded, _ = KeyDigest.from_wire(payload)
-        assert decoded.memoised() == dict(zip(CLAM_SEEDS, clam_words(b"routed")))
-
-    def test_ring_pair_from_an_older_sender_still_decodes(self):
-        ring = fnv1a_64(b"old-frame", RING_SEED)
-        payload = struct.pack("<IB", 9, 1) + b"old-frame" + struct.pack("<QQ", RING_SEED, ring)
+        digest.digest(7)
+        assert wire.encode_batch_request(0.0, [(OpKind.LOOKUP, digest, b"")]) == bare
         with count_hash_calls() as log:
-            decoded, offset = KeyDigest.from_wire(payload)
-            assert decoded.digest(RING_SEED) == ring
-        assert offset == len(payload)
-        assert log.total == 0
-
-    def test_wire_words_never_replace_computed_ones(self):
-        """First writer wins: what the receiver computed itself stays, and a
-        full group is adopted only where nothing was computed yet."""
-        true_words = clam_words(b"contested")
-        mine = as_digest(b"contested")
-        mine.clam_words()
-        forged = KeyDigest(b"contested")
-        forged.words = tuple(word ^ 1 for word in true_words)
-        decoded, _ = KeyDigest.from_wire(forged.to_wire())
-        assert decoded is mine
-        assert decoded.words == true_words
-
-        sender = KeyDigest(b"uncontested")
-        sender.clam_words()
-        with count_hash_calls() as log:
-            adopted, _ = KeyDigest.from_wire(sender.to_wire())
-            assert adopted.words == sender.words
-        assert log.total == 0  # resumed with the sender's work
-
-    def test_partial_clam_group_is_dropped_and_recomputed(self):
-        true_words = clam_words(b"partial")
-        pairs = sorted(zip(CLAM_SEEDS, (word ^ 1 for word in true_words)))[:3]
-        payload = struct.pack("<IB", 7, 3) + b"partial"
-        payload += b"".join(struct.pack("<QQ", seed, value) for seed, value in pairs)
-        decoded, offset = KeyDigest.from_wire(payload)
-        assert offset == len(payload)
-        assert decoded.memoised() == {}
-        with count_hash_calls() as log:
-            assert decoded.clam_words() == true_words
-        assert log.by_layer() == {"clam_words": 1}
+            ((_kind, decoded, _value),) = wire.decode_batch_request(bare)[1]
+        assert decoded is as_digest(b"routed")
+        assert decoded.memoised() == {}  # the receiver hashes what it needs, when it needs it
+        assert (log.total, log.digest_builds) == (0, 1)
 
 
 class TestMemoryShape:

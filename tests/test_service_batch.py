@@ -1,11 +1,16 @@
 """Tests for batched execution: result equivalence and latency accounting."""
 
+import sys
+
 import pytest
 
 from repro.core import CLAMConfig
 from repro.core.errors import ConfigurationError
+from repro.core.hashing import clear_digest_cache
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.service import ClusterService, ParallelClusterService
+from repro.service import batch as batch_module
+from repro.service.shard import apply_batch
 from repro.workloads import (
     Operation,
     OpKind,
@@ -227,3 +232,118 @@ class TestBatchAccounting:
             small_cluster(dispatch_overhead_ms=-1.0)
         with pytest.raises(ConfigurationError):
             small_cluster(routing_cost_ms=-1.0)
+
+
+class TestRetryState:
+    """Retry state exists only from the moment a unit is left behind (the
+    ``BatchExecutor`` docstring says when)."""
+
+    @pytest.fixture
+    def created(self, monkeypatch):
+        made = []
+
+        class Counted(batch_module._Retry):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(batch_module, "_Retry", Counted)
+        return made
+
+    @staticmethod
+    def seeded_cluster():
+        cluster = small_cluster(replication_factor=2)
+        keys = [fingerprint_for(i, namespace=b"retry-state") for i in range(60)]
+        cluster.insert_batch([(key, b"v") for key in keys])
+        return cluster, keys
+
+    def test_none_while_every_unit_completes_on_its_first_shard(self, created):
+        cluster, keys = self.seeded_cluster()
+        cluster.execute_batch(
+            [Operation(OpKind.UPDATE, key, b"w") for key in keys[:20]]
+            + [Operation(OpKind.DELETE, key) for key in keys[20:30]]
+            + [Operation(OpKind.LOOKUP, key) for key in keys[30:]]
+        )
+        assert all(result.found for result in cluster.lookup_batch(keys[:20] + keys[30:]))
+        assert cluster.lookup(keys[0]).value == b"w"
+        assert created == []
+
+    def test_one_miss_at_two_replicas_creates_exactly_one(self, created):
+        cluster, keys = self.seeded_cluster()
+        results = cluster.lookup_batch(keys + [b"absent"])
+        assert [result.found for result in results] == [True] * 60 + [False]
+        (retry,) = created
+        first, second = cluster.replicas_for(b"absent")
+        assert retry.index == 60 and retry.primary and not retry.failed
+        assert retry.attempted == {first, second}
+        assert retry.missed == [first, second]
+        assert cluster.last_batch.retried_operations == 0  # read through, not failed over
+
+    def test_a_failed_shard_leaves_one_per_unit_it_did_not_run(self, created):
+        cluster, keys = self.seeded_cluster()
+        victim = cluster.shard_for(keys[0])
+        served = [key for key in keys if cluster.shard_for(key) == victim]
+        cluster.fail_shard(victim)  # crash-stop: its sub-batch fails at the first unit
+        assert all(result.found for result in cluster.lookup_batch(keys))
+        assert sorted(retry.index for retry in created) == [keys.index(key) for key in served]
+        assert all(retry.failed is False and retry.attempted > {victim} for retry in created)
+        assert cluster.last_batch.retried_operations == len(served)
+        assert cluster.last_batch.failed_shards == [victim]
+
+
+def python_frames_outside_shards(call) -> int:
+    """Exact number of Python frames ``call`` enters, the shards' own work
+    (everything below ``apply_batch``) excluded."""
+    boundary = apply_batch.__code__
+    frames = 0
+    below = 0  # depth under (and including) an apply_batch frame
+
+    def profiler(frame, event, _arg):
+        nonlocal frames, below
+        if event == "call":
+            if below:
+                below += 1
+            else:
+                frames += 1
+                if frame.f_code is boundary:
+                    below = 1
+        elif event == "return" and below:
+            below -= 1
+
+    sys.setprofile(profiler)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+class TestCallBudget:
+    """The service layer in front of the shards costs a bounded number of
+    Python frames per key: a per-key object or helper call creeping back
+    into the routing, dispatch or gather loop shows here as an exact count
+    (13.2 and 16.3 frames per key before the batch became columnar)."""
+
+    @staticmethod
+    def cluster(**overrides):
+        config = CLAMConfig.scaled(
+            num_super_tables=4, buffer_capacity_items=64, incarnations_per_table=4
+        )
+        return ClusterService(num_shards=2, config=config, **overrides)
+
+    def test_warm_lookup_batch_at_most_four_frames_per_key(self):
+        clear_digest_cache()
+        cluster = self.cluster()
+        keys = [fingerprint_for(i, namespace=b"budget") for i in range(128)]
+        cluster.insert_batch([(key, b"v") for key in keys[::2]])
+        cluster.lookup_batch(keys)  # warm: digests cached, ring words and the table in place
+        frames = python_frames_outside_shards(lambda: cluster.lookup_batch(keys))
+        assert frames / len(keys) <= 4, frames
+
+    def test_insert_batch_at_two_replicas_at_most_seven_frames_per_key(self):
+        clear_digest_cache()
+        cluster = self.cluster(replication_factor=2)
+        items = [(fingerprint_for(i, namespace=b"budget"), b"value") for i in range(128)]
+        cluster.insert_batch(items)
+        frames = python_frames_outside_shards(lambda: cluster.insert_batch(items))
+        assert frames / len(items) <= 7, frames

@@ -1,6 +1,10 @@
 """Tests for consistent-hash shard routing and handoff accounting."""
 
+from bisect import bisect_left
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.service import RING_SPACE, ShardRouter
@@ -254,3 +258,66 @@ class TestPreferenceList:
         assert sum(handoff.gained_fraction.values()) == pytest.approx(
             handoff.moved_fraction
         )
+
+
+def walked_preference(router: ShardRouter, position: int, n: int):
+    """The ring walk ``preference_at`` was before it became a table read,
+    kept as the reference: first ``n`` distinct owners at or after
+    ``position``, wrapping past the last point."""
+    limit = min(n, len(router._shards))
+    points = router._points
+    index = bisect_left(points, position)
+    preference = []
+    for offset in range(len(points)):
+        owner = router._owners[points[(index + offset) % len(points)]]
+        if owner not in preference:
+            preference.append(owner)
+            if len(preference) == limit:
+                break
+    return tuple(preference)
+
+
+class TestPreferenceTable:
+    """``preference_at`` is one bisect plus one read of a per-``n`` table
+    built on first use; the walk above is its oracle."""
+
+    @staticmethod
+    def assert_matches_walk(router, positions):
+        edges = [0, RING_SPACE - 1]
+        for point in router.boundary_points():
+            edges += [point, point + 1]  # an arc's inclusive end, the next arc's first position
+        for position in edges + positions:
+            for n in range(1, len(router) + 2):
+                assert router.preference_at(position, n) == walked_preference(router, position, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shards=st.integers(min_value=1, max_value=8),
+        virtual_nodes=st.integers(min_value=1, max_value=32),
+        mutations=st.lists(st.integers(min_value=0, max_value=2**32), max_size=3),
+        positions=st.lists(st.integers(min_value=0, max_value=RING_SPACE - 1), max_size=8),
+    )
+    def test_equals_the_walk_and_never_serves_a_stale_table(
+        self, shards, virtual_nodes, mutations, positions
+    ):
+        router = ShardRouter([f"s{i}" for i in range(shards)], virtual_nodes=virtual_nodes)
+        self.assert_matches_walk(router, positions)
+        for round_number, draw in enumerate(mutations):
+            # Every table is warm here, so a mutation that kept one would
+            # answer the next round from the ring as it was.
+            present = sorted(router.shard_ids)
+            if draw % 2 and len(present) > 1:
+                router.remove_shard(present[draw % len(present)])
+            else:
+                router.add_shard(f"joined-{round_number}")
+            self.assert_matches_walk(router, positions)
+
+    def test_arcs_share_one_tuple_per_table(self):
+        """A position is answered with the table's own entry, not a copy."""
+        router = ShardRouter(["a", "b", "c"], virtual_nodes=8)
+        point = router.boundary_points()[3]
+        assert router.preference_at(point, 2) is router.preference_at(point - 1, 2)
+        with pytest.raises(ConfigurationError):
+            router.preference_at(point, 0)
+        with pytest.raises(ConfigurationError):
+            router.preference_at(point, -1)

@@ -13,7 +13,7 @@ from repro.core.errors import (
     ShardUnavailableError,
     WireProtocolError,
 )
-from repro.core.hashing import KeyDigest, clear_digest_cache, to_key_bytes
+from repro.core.hashing import CLAM_SEEDS, KeyDigest, as_digest, clear_digest_cache, to_key_bytes
 from repro.core.results import DeleteResult, InsertResult, LookupResult, ServedFrom
 from repro.service import wire
 from repro.workloads.workload import OpKind
@@ -28,7 +28,7 @@ def pair():
 
 
 def craft_frame(version: int, frame_type: int, seq: int, payload: bytes) -> bytes:
-    """A raw v2 frame with a *valid* CRC, for byte-level tampering tests."""
+    """A raw frame with a *valid* CRC, for byte-level tampering tests."""
     covered = struct.pack("<BBI", version, frame_type, seq) + payload
     return struct.pack("<I", len(covered) + 4) + struct.pack("<I", zlib.crc32(covered)) + covered
 
@@ -302,9 +302,10 @@ class TestErrorCodes:
 class TestBatchRequest:
     def test_roundtrip_preserves_ops_keys_and_memoised_digests(self):
         clear_digest_cache()  # decoding interns keys in this process's cache
+        mine = as_digest(b"fingerprint-1")
+        words = mine.clam_words()
         digest = KeyDigest(b"fingerprint-1")
         digest.digest(7)
-        digest.digest(1234567)
         operations = [
             (OpKind.INSERT, digest, b"value-bytes"),
             (OpKind.LOOKUP, b"plain-key", b""),
@@ -320,10 +321,17 @@ class TestBatchRequest:
             (OpKind.DELETE, b"dead", b""),
             (OpKind.UPDATE, b"k2", b"\x00\xff" * 8),
         ]
-        # The memoised seeded digests ride along bit-exactly (hash-once
-        # across the process boundary).
-        assert sorted(digest.memoised()) == [7, 1234567]
-        assert decoded[0][1].memoised() == digest.memoised()
+        # Only the canonical bytes travel: what the receiver has memoised for
+        # a key is its own cached digest's, the sender's memo stays behind.
+        assert decoded[0][1] is mine
+        assert mine.memoised() == dict(zip(CLAM_SEEDS, words))
+        assert decoded[1][1] is as_digest(b"plain-key")
+        assert len(payload) == 12 + 4 + 8 * 4 + (13 + 9 + 4 + 2) + (11 + 16)
+
+    def test_empty_batch_roundtrip(self):
+        payload = wire.encode_batch_request(0.5, [])
+        assert payload == struct.pack("<dI", 0.5, 0)
+        assert wire.decode_batch_request(payload) == (0.5, [])
 
     @pytest.mark.parametrize(
         "key", [5, 0x0102, "abc", "héllo", memoryview(b"mv-key"), bytearray(b"ba-key")]
@@ -336,14 +344,31 @@ class TestBatchRequest:
         assert decoded.data == to_key_bytes(key)
 
     def test_unknown_op_code_rejected(self):
-        payload = struct.pack("<dI", 0.0, 1) + struct.pack("<B", 200)
-        with pytest.raises(WireProtocolError, match="operation code"):
+        payload = struct.pack("<dI", 0.0, 1) + struct.pack("<B", 200) + struct.pack("<II", 0, 0)
+        with pytest.raises(WireProtocolError, match="operation code 200"):
             wire.decode_batch_request(payload)
 
     def test_truncated_value_rejected(self):
         payload = wire.encode_batch_request(0.0, [(OpKind.INSERT, b"key", b"value")])
         with pytest.raises(WireProtocolError, match="truncated"):
             wire.decode_batch_request(payload[:-2])
+
+    def test_announced_count_larger_than_the_payload_rejected(self):
+        """A corrupt count must fail on arithmetic, before any allocation."""
+        payload = wire.encode_batch_request(0.0, [(OpKind.INSERT, b"key", b"value")])
+        for count in (2, 1000, 2**32 - 1):
+            broken = struct.pack("<dI", 0.0, count) + payload[12:]
+            with pytest.raises(WireProtocolError, match="announced"):
+                wire.decode_batch_request(broken)
+
+    def test_length_column_that_overruns_the_blocks_rejected(self):
+        payload = bytearray(wire.encode_batch_request(0.0, [(OpKind.INSERT, b"key", b"value")]))
+        assert struct.unpack_from("<II", payload, 13) == (3, 5)
+        for offset, length in ((13, 4), (17, 6), (17, 2**32 - 1), (13, 2)):
+            broken = bytearray(payload)
+            struct.pack_into("<I", broken, offset, length)
+            with pytest.raises(WireProtocolError, match="length column"):
+                wire.decode_batch_request(bytes(broken))
 
 
 class TestBatchResponse:
@@ -394,17 +419,41 @@ class TestBatchResponse:
         assert message == "DeviceFailedError: dead"
 
     def test_unknown_result_record_rejected(self):
-        payload = wire.encode_batch_response([], wire.ERR_NONE, "", 0.0, 0.0)
-        payload += struct.pack("<BI", 77, 0)
+        payload = wire.encode_batch_response([DeleteResult(b"k", 0.5)], wire.ERR_NONE, "", 0.0, 0.0)
         header = struct.calcsize("<ddBII")
-        broken = payload[:header].replace(
-            struct.pack("<I", 0), struct.pack("<I", 1), 1
-        )
-        # Rebuild with result_count=1 pointing at the bogus record.
-        clock_ms, busy_ms, code, msg_len, _ = struct.unpack_from("<ddBII", payload)
-        broken = struct.pack("<ddBII", clock_ms, busy_ms, code, msg_len, 1) + payload[header:]
-        with pytest.raises(WireProtocolError, match="record type"):
+        assert payload[header] == 2  # the row's record type
+        broken = payload[:header] + bytes([77]) + payload[header + 1 :]
+        with pytest.raises(WireProtocolError, match="record type 77"):
             wire.decode_batch_response(broken)
+
+    def test_unknown_served_from_code_rejected(self):
+        payload = wire.encode_batch_response(
+            [LookupResult(b"k", None, 0.5, ServedFrom.MISSING)], wire.ERR_NONE, "", 0.0, 0.0
+        )
+        header = struct.calcsize("<ddBII")
+        broken = payload[: header + 1] + bytes([9]) + payload[header + 2 :]
+        with pytest.raises(WireProtocolError, match="served-from code 9"):
+            wire.decode_batch_response(broken)
+
+    def test_announced_result_count_larger_than_the_payload_rejected(self):
+        payload = wire.encode_batch_response([DeleteResult(b"k", 0.5)], wire.ERR_NONE, "", 0.0, 0.0)
+        clock_ms, busy_ms, code, msg_len, _ = struct.unpack_from("<ddBII", payload)
+        for count in (2, 2**32 - 1):
+            head = struct.pack("<ddBII", clock_ms, busy_ms, code, msg_len, count)
+            with pytest.raises(WireProtocolError, match="announced"):
+                wire.decode_batch_response(head + payload[len(head) :])
+
+    def test_row_lengths_that_overrun_the_byte_block_rejected(self):
+        payload = wire.encode_batch_response(
+            [LookupResult(b"key", b"value", 0.5, ServedFrom.BUFFER)], wire.ERR_NONE, "", 0.0, 0.0
+        )
+        header = struct.calcsize("<ddBII")
+        assert struct.unpack_from("<II", payload, header + 3) == (3, 5)
+        for offset, length in ((3, 4), (7, 6), (7, 2**32 - 1), (3, 2)):
+            broken = bytearray(payload)
+            struct.pack_into("<I", broken, header + offset, length)
+            with pytest.raises(WireProtocolError, match="byte block"):
+                wire.decode_batch_response(bytes(broken))
 
     def test_invalid_utf8_message_rejected(self):
         payload = wire.encode_batch_response([], wire.ERR_UNEXPECTED, "abc", 0.0, 0.0)
@@ -427,22 +476,62 @@ class TestControlFrames:
             wire.decode_control(b"[1, 2, 3]")
 
 
-class TestKeyDigestWire:
-    def test_digest_without_seeds(self):
-        clear_digest_cache()
-        digest, offset = KeyDigest.from_wire(KeyDigest(b"abc").to_wire())
-        assert digest.data == b"abc"
-        assert digest.memoised() == {}
-        assert offset == 5 + 3
+class TestGoldenFrames:
+    """Byte-level layout of wire v3, frozen: a change here is a version bump."""
 
-    def test_consecutive_digests_share_buffer(self):
-        clear_digest_cache()
-        first = KeyDigest(b"one")
-        first.digest(1)
-        second = KeyDigest(b"two")
-        payload = first.to_wire() + second.to_wire()
-        a, offset = KeyDigest.from_wire(payload)
-        b, end = KeyDigest.from_wire(payload, offset)
-        assert (a.data, b.data) == (b"one", b"two")
-        assert a.memoised() == first.memoised() == {1: first.digest(1)}
-        assert end == len(payload)
+    def test_request_frame_with_all_four_operation_kinds(self):
+        payload = wire.encode_batch_request(
+            0.5,
+            [
+                (OpKind.LOOKUP, b"look", b""),
+                (OpKind.INSERT, KeyDigest(b"ins"), b"v1"),
+                (OpKind.UPDATE, "up", b"value-2"),
+                (OpKind.DELETE, 0x64656C, b""),
+            ],
+        )
+        assert payload == (
+            struct.pack("<dI", 0.5, 4)  # head: clock advance, operation count
+            + bytes([0, 1, 2, 3])  # op-code column
+            + struct.pack("<8I", 4, 3, 2, 3, 0, 2, 7, 0)  # key lengths, then value lengths
+            + b"lookinsupdel"  # key block: canonical bytes, no digests
+            + b"v1value-2"  # value block
+        )
+        assert [(k, d.data, v) for k, d, v in wire.decode_batch_request(payload)[1]] == [
+            (OpKind.LOOKUP, b"look", b""),
+            (OpKind.INSERT, b"ins", b"v1"),
+            (OpKind.UPDATE, b"up", b"value-2"),
+            (OpKind.DELETE, b"del", b""),
+        ]
+
+    def test_response_frame_with_every_record_type_and_served_from(self):
+        results = [
+            LookupResult(b"k0", b"val", 0.25, ServedFrom.BUFFER),
+            LookupResult(b"k1", b"", 1.5, ServedFrom.INCARNATION, 3, 2, 1),
+            LookupResult(b"k2", None, 0.125, ServedFrom.DELETED),
+            LookupResult(b"k3", None, 0.75, ServedFrom.MISSING, 4, 5, 6),
+            InsertResult(b"k4", 2.5, True, 7.5, 2, 5, 3),
+            DeleteResult(b"k5", 0.5, True),
+        ]
+        payload = wire.encode_batch_response(results, wire.ERR_DEVICE_FAILED, "boom", 12.5, 3.25)
+        row = "<BBBIIddIII"  # type, served, flag, key len, value len, 2 doubles, 3 counters
+        assert payload == (
+            struct.pack("<ddBII", 12.5, 3.25, wire.ERR_DEVICE_FAILED, 4, 6)
+            + b"boom"
+            + struct.pack(row, 0, 0, 1, 2, 3, 0.25, 0.0, 0, 0, 0)
+            + struct.pack(row, 0, 1, 1, 2, 0, 1.5, 0.0, 3, 2, 1)  # found, empty value
+            + struct.pack(row, 0, 2, 0, 2, 0, 0.125, 0.0, 0, 0, 0)
+            + struct.pack(row, 0, 3, 0, 2, 0, 0.75, 0.0, 4, 5, 6)
+            + struct.pack(row, 1, 0, 1, 2, 0, 2.5, 7.5, 2, 5, 3)
+            + struct.pack(row, 2, 0, 1, 2, 0, 0.5, 0.0, 0, 0, 0)
+            + b"k0valk1k2k3k4k5"  # byte block: each key, then its value if it has one
+        )
+        decoded = wire.decode_batch_response(payload)
+        assert decoded == (results, wire.ERR_DEVICE_FAILED, "boom", 12.5, 3.25)
+
+    def test_a_v2_frame_is_refused_by_version(self, pair):
+        left, right = pair
+        assert wire.WIRE_VERSION == 3
+        v2_lookup = struct.pack("<dI", 0.0, 1) + struct.pack("<BIB", 0, 3, 0) + b"key" + bytes(4)
+        left.sendall(craft_frame(2, wire.FRAME_BATCH_REQUEST, 1, v2_lookup))
+        with pytest.raises(WireProtocolError, match="unsupported wire version 2"):
+            wire.recv_frame(right)
