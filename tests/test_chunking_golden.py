@@ -23,10 +23,15 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
+from repro.wanopt import chunking
 from repro.wanopt.chunking import HAVE_NUMPY, RabinChunker
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="the vectorised path needs numpy")
 
 # (case id) -> (payload seed, payload size, chunker kwargs, sha256 of the
 # JSON boundary list, number of chunks, first boundaries, last boundary).
@@ -104,6 +109,17 @@ GOLDEN = {
         [(0, 2226), (2226, 3072)],
         (2226, 3072),
     ),
+    # The end-to-end benchmark's object shape (32 tiles of the vectorised
+    # scan); digest taken from ``reference_boundaries``.
+    "512k_avg8192_default": (
+        112,
+        512 * 1024,
+        dict(average_size=8192),
+        "006f056856092cfc9fabe13df5e6c40c8540ca4ebf8c3d32b09bed87d58e76c2",
+        61,
+        [(0, 17228), (17228, 24333), (24333, 26768)],
+        (521637, 524288),
+    ),
 }
 
 MODES = [None, False] + ([True] if HAVE_NUMPY else [])
@@ -151,6 +167,16 @@ def test_all_paths_agree_on_memoryview_and_bytearray_input():
     for view in (memoryview(data), bytearray(data)):
         for vectorized in MODES:
             assert RabinChunker(average_size=1024, vectorized=vectorized).boundaries(view) == want
+    # A strided view and a view of wider items chunk as the bytes they hold.
+    strided = memoryview(data)[::2]
+    words = memoryview(array("I", data))
+    for view in (strided, words):
+        want = chunker.boundaries(view.tobytes())
+        assert want[-1].end == view.nbytes
+        for vectorized in MODES:
+            other = RabinChunker(average_size=1024, vectorized=vectorized)
+            assert other.boundaries(view) == want
+            assert b"".join(other.split(view)) == view.tobytes()
 
 
 def test_split_yields_zero_copy_views_tiling_the_input():
@@ -183,3 +209,48 @@ def test_skip_per_chunk_matches_min_size_geometry():
     assert RabinChunker(average_size=4096).skip_per_chunk == 1024 - 48
     assert RabinChunker(average_size=256, min_size=16).skip_per_chunk == 0
     assert RabinChunker(average_size=4096, min_size=48).skip_per_chunk == 0
+
+
+# -- The tiled scan: seams, sizes and scratch ---------------------------------------------
+
+
+#: Empty, one byte, and lengths ending just before, on and after each of the
+#: first seams of the shipped tile (``min_size == WINDOW`` below puts the
+#: first window at byte 0, so a tile ends at ``k * _TILE + 47``).
+SEAM_SIZES = [0, 1]
+SEAM_SIZES += [k * chunking._TILE + offset for k in (0, 1, 2) for offset in (47, 48, 49)]
+
+
+@needs_numpy
+@pytest.mark.parametrize("size", SEAM_SIZES)
+def test_vectorised_equals_scalar_around_tile_seams(size):
+    data = random.Random(113).randbytes(size)
+    kwargs = dict(average_size=256, min_size=RabinChunker.WINDOW_SIZE)
+    want = RabinChunker(**kwargs, vectorized=False).boundaries(data)
+    assert RabinChunker(**kwargs, vectorized=True).boundaries(data) == want
+
+
+@needs_numpy
+def test_vectorised_equals_scalar_beyond_four_mebibytes():
+    data = random.Random(114).randbytes(5 * 1024 * 1024 + 123)
+    want = RabinChunker(average_size=8192, vectorized=False).boundaries(data)
+    assert RabinChunker(average_size=8192, vectorized=True).boundaries(data) == want
+
+
+@needs_numpy
+def test_scan_scratch_is_tile_sized_and_power_tables_are_shared():
+    data = random.Random(115).randbytes(8 * 1024 * 1024)
+    tracemalloc.start()
+    try:
+        chunker = RabinChunker(average_size=8192, vectorized=True)
+        # The wan_rpc_2w pipeline constructs a chunker and never scans:
+        # construction allocates nothing array-sized.
+        assert tracemalloc.get_traced_memory()[1] < 4096
+        chunker.boundaries(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1024 * 1024, peak  # the 8 MiB input predates the trace
+    tables = chunking._TILE_POWERS
+    RabinChunker(average_size=1024, vectorized=True).boundaries(data[:65536])
+    assert chunking._TILE_POWERS is tables

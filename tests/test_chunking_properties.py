@@ -54,10 +54,7 @@ def chunks_of(chunker: RabinChunker, data: bytes) -> list:
 
 def common_suffix_length(first: list, second: list) -> int:
     length = 0
-    while (
-        length < min(len(first), len(second))
-        and first[-1 - length] == second[-1 - length]
-    ):
+    while length < min(len(first), len(second)) and first[-1 - length] == second[-1 - length]:
         length += 1
     return length
 
@@ -202,11 +199,28 @@ def test_optimized_paths_match_reference_on_arbitrary_bytes(data: bytes, average
     min_size=st.sampled_from([1, 16, 47, 48, 49, 300]),
 )
 @settings(max_examples=60, **COMMON)
-def test_optimized_paths_match_reference_across_min_sizes(
-    data: bytes, average: int, min_size: int
-):
+def test_optimized_paths_match_reference_across_min_sizes(data: bytes, average: int, min_size: int):
     max_size = max(min_size, average * 4)
     assert_paths_match_reference(data, average, min_size, max_size)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the vectorised path needs numpy")
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(48, 20_000),
+    average=st.sampled_from([64, 100, 256, 1024]),
+    tile=st.sampled_from([49, 64, 257, 1000]),
+)
+@settings(max_examples=60, **COMMON)
+def test_tiled_scan_matches_reference_at_any_tile_size(seed, size, average, tile):
+    """Tiles far smaller than the shipped one put a seam every few windows,
+    so first-in-tile, last-in-tile and straddling windows all carry cuts.
+    Seeded streams, not ``st.binary``: hypothesis keeps arbitrary byte
+    strings far shorter than one rolling window."""
+    data = random.Random(seed).randbytes(size)
+    chunker = RabinChunker(average_size=average, min_size=RabinChunker.WINDOW_SIZE)
+    reference = [(b.start, b.end) for b in chunker.reference_boundaries(data)]
+    assert chunker._boundaries_vectorized(data, tile) == reference
 
 
 @pytest.mark.slow
