@@ -38,6 +38,21 @@ device model) and counts how often key bytes are walked:
   exact counts are the rot detector: they hold on any host, and any layer
   that starts hashing key bytes on its own breaks them.
 
+* ``call_budget`` — exact ``sys.setprofile`` counts of the Python frames and
+  C calls between entering and leaving ``CLAM.lookup`` / ``CLAM.insert`` (that
+  frame included, the key handed in as ``bytes``) on the standard CLAM (the
+  end-to-end benchmark's 16 x 128 x 8 on the Intel SSD), by outcome class:
+  served by one or by two page reads, a buffer hit, a Bloom-negative cold
+  miss, an insert of a known key, an insert that flushes — and allocated
+  blocks per kept ``LookupResult``.  Same sizes in ``--quick`` and full runs,
+  and exact: ``benchmarks/ratchet.py`` holds each against the committed count
+  as a ceiling and ``tests/test_core_call_budget.py`` against the budget.
+
+* ``flush`` — wall-clock microseconds of one buffer flush of the same CLAM
+  under a stream of new keys, and the shares of it spent draining the buffer,
+  building page images, writing them to the device and transposing the Bloom
+  filter into the bit-sliced array.
+
 * ``telemetry_ablation`` — every ``hotpath`` pass has three arms (the
   baseline, telemetry off spelled out, telemetry on) that take turns one
   sweep of the key set at a time; the two floors (off within 5 % of the
@@ -63,13 +78,24 @@ or through pytest-benchmark::
 from __future__ import annotations
 
 import argparse
+import gc
+import sys
 import time
+from contextlib import contextmanager
 from statistics import median
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from benchmarks.common import add_telemetry_arg, dump_telemetry, print_table, write_bench_json
+from benchmarks.common import (
+    add_telemetry_arg,
+    count_calls,
+    dump_telemetry,
+    print_table,
+    standard_clam,
+    write_bench_json,
+)
 from benchmarks.ratchet import assert_fraction
-from repro.core import CLAM, CLAMConfig
+from repro.core import CLAM, CLAMConfig, supertable
+from repro.core.buffer import Buffer
 from repro.core.hashing import (
     CLAM_SEEDS,
     KeyDigest,
@@ -79,6 +105,9 @@ from repro.core.hashing import (
     digest_cache_info,
     fnv1a_64,
 )
+from repro.core.results import ServedFrom
+from repro.core.sliced_bloom import BitSlicedBloomArray
+from repro.flashsim.device import StorageDevice
 from repro.service import wire
 from repro.service.shard import apply_batch
 from repro.telemetry import build_snapshot
@@ -86,8 +115,19 @@ from repro.workloads.keygen import fingerprint_for
 from repro.workloads.workload import OpKind
 
 #: Workload sizes: full run and --quick (CI smoke) variants.
-FULL = {"hot_keys": 4000, "steady_keys": 16000, "steady_ops": 16000}
-QUICK = {"hot_keys": 1500, "steady_keys": 6000, "steady_ops": 6000}
+FULL = {"hot_keys": 4000, "steady_keys": 16000, "steady_ops": 16000, "flush_keys": 48000}
+QUICK = {"hot_keys": 1500, "steady_keys": 6000, "steady_ops": 6000, "flush_keys": 16000}
+
+#: Ceilings on the mean Python frames of ``call_budget``'s outcome classes (in
+#: the comment, what each read when the budget was set, at ``604ebec``).
+CALL_BUDGET = {
+    "lookup_one_read": 21,  # 31
+    "lookup_two_reads": 28,  # 43.1
+    "lookup_buffer_hit": 9,  # 12
+    "lookup_cold_miss": 17,  # 21
+    "insert": 14,  # 15.0
+    "insert_flush": 1000,  # 1,863
+}
 
 #: ``hotpath`` is timed as this many passes of at least this long each, in
 #: ``--quick`` and full runs alike: a 15 ms timed loop reads 25 % off on a
@@ -198,6 +238,165 @@ def run_hotpath_passes(sizes: Dict[str, int]):
     }
     hotpath = round(median(baseline for baseline, _, _ in passes), 1)
     return hotpath, ablation, build_snapshot(per_shard={"clam": clams[-1].telemetry})
+
+
+def blocks_ceiling(kept_results: int) -> int:
+    """Allocated blocks ``kept_results`` kept ``LookupResult`` may cost: three
+    each — the record, its latency float, its value bytes; a ``__dict__`` made
+    it four — and a constant handful for the measuring loop itself."""
+    return 3 * kept_results + 16
+
+
+def measure_call_budget() -> Dict[str, Dict[str, float]]:
+    """Exact frames and C calls per CLAM operation, by outcome class.
+
+    One seeded script on :func:`standard_clam`: 12,000 new fingerprints go in
+    (``insert_new_key``; those that flush a buffer are ``insert_flush``), the
+    newest 2,000 go in again (``insert``: the digest is cached), then every third
+    key is looked up (``lookup_buffer_hit``, ``lookup_one_read``,
+    ``lookup_two_reads``) and 2,000 absent ones after them
+    (``lookup_cold_miss``: the digest is built, the Bloom filters say no).
+    The lookups start right after a flush, so the first few find the SSD's
+    clean pool still refilling and take :meth:`SSD._read_latency`'s full route
+    — ``lookup_one_read_pool_refilling``, three frames dearer, shown so that
+    route stays in sight; the budget is on the steady state.
+
+    Per class: ``samples``, the mean ``python_frames`` and ``c_calls`` (exact
+    too: the script is seeded) and the fewest and most frames any sample took
+    — equal for a class with one code path; an insert that displaces a cuckoo
+    entry, or a second read that is an overflow probe and not a second
+    candidate, is a frame or two off its class's usual.
+    """
+    clear_digest_cache()
+    clam = standard_clam()
+    device = clam.device
+    keys = [fingerprint_for(i, namespace=b"budget") for i in range(12_000)]
+    seen: Dict[str, List[Tuple[int, int]]] = {}
+
+    def insert(key: bytes, known: bool) -> None:
+        frames, c_calls, result = count_calls(clam.insert, key, VALUE)
+        name = "insert_flush" if result.flushed else "insert" if known else "insert_new_key"
+        seen.setdefault(name, []).append((frames, c_calls))
+
+    def lookup(key: bytes) -> None:
+        pool_full = device.clean_pool_fraction == 1.0 and not device.in_gc_mode
+        frames, c_calls, result = count_calls(clam.lookup, key)
+        reads = result.flash_reads
+        if result.served_from is ServedFrom.BUFFER:
+            name = "lookup_buffer_hit"
+        elif result.served_from is ServedFrom.MISSING:
+            name = "lookup_cold_miss" if reads == 0 else "lookup_cold_miss_false_positive"
+        elif reads == 1:
+            name = "lookup_one_read" if pool_full else "lookup_one_read_pool_refilling"
+        else:
+            name = "lookup_two_reads" if reads == 2 else "lookup_three_reads"
+        seen.setdefault(name, []).append((frames, c_calls))
+
+    for key in keys:
+        insert(key, known=False)
+    for key in keys[-2000:]:
+        insert(key, known=True)
+    filler = 0
+    while not clam.insert(b"budget-filler-%d" % filler, VALUE).flushed:
+        filler += 1
+    for key in keys[::3]:
+        lookup(key)
+    for number in range(2000):
+        lookup(fingerprint_for(number, namespace=b"absent"))
+
+    warm = keys[:3000:3]  # all flash-resident, digests cached
+    for key in warm:
+        clam.lookup(key)
+    kept: List[object] = [None] * len(warm)
+    gc.collect()
+    gc.disable()  # whatever else the process holds stays out of the count
+    try:
+        blocks = sys.getallocatedblocks()
+        for index, key in enumerate(warm):
+            kept[index] = clam.lookup(key)
+        blocks = sys.getallocatedblocks() - blocks
+    finally:
+        gc.enable()
+    clear_digest_cache()
+
+    budget: Dict[str, Dict[str, float]] = {
+        name: {
+            "samples": len(rows),
+            "python_frames": round(sum(frames for frames, _ in rows) / len(rows), 2),
+            "python_frames_min": min(frames for frames, _ in rows),
+            "python_frames_max": max(frames for frames, _ in rows),
+            "c_calls": round(sum(c_calls for _, c_calls in rows) / len(rows), 2),
+        }
+        for name, rows in sorted(seen.items())
+    }
+    budget["kept_lookup_results"] = {
+        "samples": len(kept),
+        "allocated_blocks": blocks,
+        "blocks_per_result": round(blocks / len(kept), 3),
+    }
+    return budget
+
+
+@contextmanager
+def stage_timers(**stages: Tuple[object, str]) -> Iterator[Dict[str, float]]:
+    """Time ``owner.name`` (a method of a class, a function of a module) for
+    the length of the block; yields the seconds spent per stage label."""
+    spent = dict.fromkeys(stages, 0.0)
+    originals = [(owner, name, getattr(owner, name)) for owner, name in stages.values()]
+
+    def timed(label: str, original):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                spent[label] += time.perf_counter() - start
+
+        return wrapper
+
+    for label, (owner, name, original) in zip(stages, originals):
+        setattr(owner, name, timed(label, original))
+    try:
+        yield spent
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
+def run_flush(sizes: Dict[str, int]) -> Dict[str, float]:
+    """Microseconds per buffer flush under a stream of new keys, by stage.
+
+    The standard CLAM takes ``flush_keys`` new fingerprints (one flush per 128
+    of them, every flush past the first 128 evicting an incarnation too).  A
+    flush's stages are timed from outside, by wrapping the four calls for the
+    length of the run: draining the buffer, ``build_pages``, the device's
+    streaming write, and ``append_filter``'s transposition; ``other`` is the
+    rest of ``SuperTable.flush`` (sizing, eviction, the log allocator).
+    """
+    clear_digest_cache()
+    clam = standard_clam()
+    keys = [fingerprint_for(i, namespace=b"flush") for i in range(sizes["flush_keys"])]
+    with stage_timers(
+        flush=(supertable.SuperTable, "flush"),
+        drain=(Buffer, "drain"),
+        build_pages=(supertable, "build_pages"),
+        device_write=(StorageDevice, "write_range"),
+        append_filter=(BitSlicedBloomArray, "append_filter"),
+    ) as spent:
+        for key in keys:
+            clam.insert(key, VALUE)
+    clear_digest_cache()
+    flushes = clam.bufferhash.total_flushes
+    total = spent.pop("flush")
+    shares = {f"{stage}_share": round(seconds / total, 3) for stage, seconds in spent.items()}
+    shares["other_share"] = round(1.0 - sum(spent.values()) / total, 3)
+    return {
+        "keys": len(keys),
+        "flushes": flushes,
+        "live_incarnations": clam.bufferhash.total_incarnations,
+        "us_per_flush": round(total / flushes * 1e6, 1),
+        **shares,
+    }
 
 
 def run_cache_overflow() -> Dict[str, float]:
@@ -371,6 +570,32 @@ def report(results: Dict, sizes: Dict[str, int], json_path: Optional[str]) -> No
             for layer in sorted(set().union(*calls.values()))
         ],
     )
+    budget = results["call_budget"]
+    print_table(
+        "Call budget: exact Python frames and C calls per CLAM operation",
+        ["outcome", "samples", "frames", "min-max", "budget", "C calls"],
+        [
+            (
+                name,
+                row["samples"],
+                row["python_frames"],
+                f"{row['python_frames_min']}-{row['python_frames_max']}",
+                CALL_BUDGET.get(name, "-"),
+                row["c_calls"],
+            )
+            for name, row in budget.items()
+            if "python_frames" in row
+        ],
+    )
+    kept = budget["kept_lookup_results"]
+    flush = results["flush"]
+    print(
+        f"{kept['allocated_blocks']} blocks allocated for {kept['samples']} kept lookup results "
+        f"({kept['blocks_per_result']:.3f} each); a flush costs {flush['us_per_flush']:.1f} us "
+        f"over {flush['flushes']} flushes: build_pages {flush['build_pages_share']:.0%}, "
+        f"append_filter {flush['append_filter_share']:.0%}, drain {flush['drain_share']:.0%}, "
+        f"device write {flush['device_write_share']:.0%}, other {flush['other_share']:.0%}"
+    )
     overflow = results["cache_overflow"]
     print(
         f"cache overflow ({overflow['distinct_keys']} distinct keys, digest cache "
@@ -400,7 +625,7 @@ def report(results: Dict, sizes: Dict[str, int], json_path: Optional[str]) -> No
         "description": (
             "Wall-clock ops/sec of the CLAM insert/lookup hot path (hash-once "
             "KeyDigest pipeline, bytearray bitset Bloom) and exact counts of "
-            "key-byte traversals per operation."
+            "key-byte traversals, Python frames and C calls per operation."
         ),
         "workloads": {**sizes, "hot_passes": PASSES, "hot_pass_seconds": PASS_SECONDS},
         "quick": quick,
@@ -450,6 +675,13 @@ def check_invariants(results: Dict) -> None:
     assert results["hash_once"]["wire_first_traversals_per_op"] == 1.0
     assert results["hash_once"]["wire_repeat_traversals_per_op"] == 0.0
     assert results["hash_once"]["cold_key_fused_speedup"] >= 1.5
+    # The per-operation budgets: a helper call or a per-key object that creeps
+    # back onto a CLAM operation's path shows here as a whole number.
+    budget = results["call_budget"]
+    for name, ceiling in CALL_BUDGET.items():
+        assert budget[name]["python_frames"] <= ceiling, f"{name}: {budget[name]}"
+    kept = budget["kept_lookup_results"]
+    assert kept["allocated_blocks"] <= blocks_ceiling(kept["samples"]), kept
     # Telemetry: disabled it must not tax the hot path, enabled it may cost
     # real Python time (two histogram observations per operation) but is
     # priced in, not hidden.  Both are medians of same-run paired ratios (see
@@ -475,8 +707,14 @@ def run_bench(
     telemetry_out: Optional[str] = None,
 ) -> Dict:
     sizes = QUICK if quick else FULL
+    # The two sections that time nothing against the others go first, so the
+    # flush's stage wrappers are long gone when the telemetry A/B runs.
+    call_budget = measure_call_budget()
+    flush = run_flush(sizes)
     hotpath, ablation, snapshot = run_hotpath_passes(sizes)
     results = {
+        "call_budget": call_budget,
+        "flush": flush,
         "hotpath_ops_per_sec": hotpath,
         "steady_ops_per_sec": round(run_steady_state(sizes), 1),
         "hash_calls_per_op": measure_hash_calls(),

@@ -4,11 +4,13 @@ standard setups, telemetry dumps)."""
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
+import sys
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core import CLAM, CLAMConfig
 from repro.service import ClusterService
@@ -84,6 +86,43 @@ def write_bench_json(
         record["telemetry"] = telemetry
     path.write_text(json.dumps(record, indent=2) + "\n")
     return path
+
+
+def count_calls(call, *args, stop_below=None) -> Tuple[int, int, object]:
+    """``(Python frames entered, C functions called, result)`` of ``call(*args)``.
+
+    Counted with ``sys.setprofile``: exact, so a slow or noisy host cannot
+    move them, and a helper call or per-key object creeping back into a hot
+    loop shows as a whole number.  ``call``'s own frame is the first one
+    counted (when it is a Python function).  With ``stop_below`` (a code
+    object) a frame running that code is counted and nothing beneath it is.
+    """
+    frames = c_calls = below = 0
+
+    def profiler(frame, event, _arg):
+        nonlocal frames, c_calls, below
+        if below:  # depth under (and including) a stop_below frame
+            if event == "call":
+                below += 1
+            elif event == "return":
+                below -= 1
+        elif event == "call":
+            frames += 1
+            if frame.f_code is stop_below:
+                below = 1
+        elif event == "c_call":
+            c_calls += 1
+
+    collecting = gc.isenabled()
+    gc.disable()  # a collection's finalizers would run, and be counted, inside the call
+    sys.setprofile(profiler)
+    try:
+        result = call(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return frames, c_calls - 1, result  # less the closing sys.setprofile itself
 
 
 def add_telemetry_arg(parser: argparse.ArgumentParser) -> None:

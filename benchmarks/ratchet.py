@@ -185,6 +185,18 @@ REGISTRY: Dict[str, RatchetSpec] = {
             Metric("hash_once.cold_key_fused_speedup", "min-value", 1.5),
             Metric("hash_once.wire_repeat_traversals_per_op", "exact"),
             Metric("hash_once.wire_repeat_traversals_per_op", "max-value", 0),
+            # Exact sys.setprofile counts of one seeded script (same in quick
+            # and full runs): the committed mean Python frames per CLAM
+            # operation of each outcome class is a ceiling, and the blocks
+            # 1,000 kept lookup results allocate may not grow by a block per
+            # hundred results.
+            Metric("call_budget.lookup_one_read.python_frames", "max-fraction"),
+            Metric("call_budget.lookup_two_reads.python_frames", "max-fraction"),
+            Metric("call_budget.lookup_buffer_hit.python_frames", "max-fraction"),
+            Metric("call_budget.lookup_cold_miss.python_frames", "max-fraction"),
+            Metric("call_budget.insert.python_frames", "max-fraction"),
+            Metric("call_budget.insert_flush.python_frames", "max-fraction"),
+            Metric("call_budget.kept_lookup_results.allocated_blocks", "max-fraction", 1.003),
         ),
     ),
     "rebalance": RatchetSpec(

@@ -9,7 +9,7 @@ new incarnation and is retained in DRAM until that incarnation is evicted.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable, List
 
 from repro.core.hashing import KeyDigest, KeyLike, as_digest
 
@@ -33,6 +33,10 @@ def false_positive_rate(num_bits: int, num_items: int, num_hashes: int) -> float
         return 0.0
     fill = 1.0 - math.exp(-num_hashes * num_items / num_bits)
     return fill ** num_hashes
+
+
+#: The set bits of every byte value, lowest first.
+_SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
 
 
 class BloomFilter:
@@ -107,19 +111,22 @@ class BloomFilter:
         """Alias of ``key in filter`` for readability at call sites."""
         return key in self
 
-    def iter_set_bits(self) -> Iterator[int]:
+    def set_bits(self) -> List[int]:
         """Indices of set bits in increasing order.
 
         The bit-sliced array (:mod:`repro.core.sliced_bloom`) transposes a
         frozen filter through this, so it never reads the bit storage itself.
+        A byte's bits come from a 256-entry table: a flushed filter is half
+        full, and a generator resumed once per set bit was a third of a flush.
         """
+        positions: List[int] = []
+        append = positions.append
         for byte_index, byte in enumerate(self._bits):
             if byte:
                 base = byte_index << 3
-                while byte:
-                    low = byte & -byte
-                    yield base + low.bit_length() - 1
-                    byte ^= low
+                for bit in _SET_BITS[byte]:
+                    append(base + bit)
+        return positions
 
     def expected_false_positive_rate(self) -> float:
         """Theoretical false-positive rate at the current fill level."""

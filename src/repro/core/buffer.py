@@ -93,8 +93,6 @@ class Buffer:
 
         Called by the super table when it flushes the buffer to flash.
         """
-        items = dict(self._table.items())
         frozen = self._bloom.copy()
-        self._table.clear()
         self._bloom.clear()
-        return items, frozen
+        return self._table.drain(), frozen

@@ -8,7 +8,7 @@ are short, blocking lookups rarely wait behind them and evictions stay cheap.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError
@@ -147,29 +147,25 @@ class BufferHash:
 
     # -- Partitioning -------------------------------------------------------------------
 
-    def _route(self, key: KeyLike) -> Tuple[KeyDigest, SuperTable]:
-        """The key's digest and the super table owning it (the paper's first
-        k1 hash bits).
-
-        A digest handed down by :class:`~repro.core.clam.CLAM` or the service
-        router passes through and, once warm, partitions from its words;
-        anything else becomes a (cached) digest here, and every layer below
-        reuses it.
-        """
-        key = key if type(key) is KeyDigest else as_digest(key)
-        partition = (key.words or key.clam_words())[PARTITION_WORD]
-        tables = self.tables
-        return key, tables[partition % len(tables)]
+    # The paper's first k1 hash bits pick the super table.  A digest handed
+    # down by :class:`~repro.core.clam.CLAM` or the service router passes
+    # through and, once warm, partitions from its words; anything else becomes
+    # a (cached) digest here, and every layer below reuses it.  Each operation
+    # partitions in its own frame.
 
     def table_for(self, key: KeyLike) -> SuperTable:
         """The super table owning ``key``."""
-        return self._route(key)[1]
+        key = key if type(key) is KeyDigest else as_digest(key)
+        tables = self.tables
+        return tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
 
     # -- Hash-table operations ------------------------------------------------------------
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a key."""
-        key, table = self._route(key)
+        key = key if type(key) is KeyDigest else as_digest(key)
+        tables = self.tables
+        table = tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
         return table.insert(key, bytes(value))
 
     def update(self, key: KeyLike, value: bytes) -> InsertResult:
@@ -178,12 +174,16 @@ class BufferHash:
 
     def lookup(self, key: KeyLike) -> LookupResult:
         """Return the most recent value for a key."""
-        key, table = self._route(key)
+        key = key if type(key) is KeyDigest else as_digest(key)
+        tables = self.tables
+        table = tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
         return table.lookup(key)
 
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete a key lazily."""
-        key, table = self._route(key)
+        key = key if type(key) is KeyDigest else as_digest(key)
+        tables = self.tables
+        table = tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
         return table.delete(key)
 
     def get(self, key: KeyLike) -> Optional[bytes]:

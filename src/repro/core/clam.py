@@ -184,10 +184,10 @@ class CLAM:
         buffer are refused — without this gate a dead shard would keep
         answering from memory.  Intermittent-error and degraded fault modes
         are *not* gated here; they surface through the device I/O path only.
+        Operations come here only once they have seen a device that is not healthy.
         """
         for device in self.devices:
-            faults = device.faults
-            if faults.mode is not _HEALTHY and faults.is_crashed:
+            if device.faults.is_crashed:
                 raise DeviceFailedError(
                     f"CLAM refusing operation: device {device.name!r} has crash-stopped"
                 )
@@ -199,7 +199,9 @@ class CLAM:
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a (key, value) pair."""
-        self._check_available()
+        for device in self.devices:
+            if device.faults.mode is not _HEALTHY:
+                self._check_available()
         key = key if type(key) is KeyDigest else as_digest(key)
         tracer = _trace.ACTIVE
         if tracer is None:
@@ -222,7 +224,9 @@ class CLAM:
 
     def lookup(self, key: KeyLike) -> LookupResult:
         """Look up the most recent value for a key."""
-        self._check_available()
+        for device in self.devices:
+            if device.faults.mode is not _HEALTHY:
+                self._check_available()
         key = key if type(key) is KeyDigest else as_digest(key)
         tracer = _trace.ACTIVE
         if tracer is None:
@@ -242,7 +246,9 @@ class CLAM:
 
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete a key."""
-        self._check_available()
+        for device in self.devices:
+            if device.faults.mode is not _HEALTHY:
+                self._check_available()
         key = key if type(key) is KeyDigest else as_digest(key)
         result = self._index_delete(key)
         self.stats.deletes += 1

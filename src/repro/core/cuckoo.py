@@ -12,7 +12,7 @@ that the same as "full" and triggers a flush.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import CapacityError
 from repro.core.hashing import (
@@ -76,11 +76,19 @@ class CuckooHashTable:
         """Value stored for ``key``, or ``None`` if absent."""
         digest = key if type(key) is KeyDigest else as_digest(key)
         data = digest.data
-        buckets = self._buckets
-        for bucket_index in self._buckets_for(digest):
-            for entry in buckets[bucket_index]:
-                if entry is not None and entry[0] == data:
-                    return entry[1]
+        # _buckets_for, unrolled: a first-bucket hit never computes the second.
+        words = digest.words or digest.clam_words()
+        num_buckets = self.num_buckets
+        first = words[CUCKOO_FIRST_WORD] % num_buckets
+        for entry in self._buckets[first]:
+            if entry is not None and entry[0] == data:
+                return entry[1]
+        second = words[CUCKOO_SECOND_WORD] % num_buckets
+        if second == first:
+            second = (second + 1) % num_buckets
+        for entry in self._buckets[second]:
+            if entry is not None and entry[0] == data:
+                return entry[1]
         return None
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
@@ -164,9 +172,15 @@ class CuckooHashTable:
                     return True
         return False
 
-    def clear(self) -> None:
-        """Remove every entry."""
-        self._buckets = [
-            [None] * self.SLOTS_PER_BUCKET for _ in range(self.num_buckets)
-        ]
+    def drain(self) -> Dict[bytes, bytes]:
+        """Remove every entry, emptying the slots where they stand; returns the
+        entries in :meth:`items` (bucket) order.  This is the buffer's flush."""
+        drained: Dict[bytes, bytes] = {}
+        empty = [None] * self.SLOTS_PER_BUCKET
+        for bucket in self._buckets:
+            for entry in bucket:
+                if entry is not None:
+                    drained[entry[0]] = entry[1]
+            bucket[:] = empty
         self._size = 0
+        return drained

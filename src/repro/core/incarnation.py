@@ -39,16 +39,6 @@ def page_index_for_key(key: KeyLike, num_pages: int) -> int:
     return hash_key(key, seed=PAGE_SEED) % num_pages
 
 
-def _encode_entry(key: bytes, value: bytes) -> bytes:
-    if len(key) > 0xFFFF or len(value) > 0xFFFF:
-        raise KeyTooLargeError("keys and values must fit in 16-bit length fields")
-    return _ENTRY_HEADER.pack(len(key), len(value)) + key + value
-
-
-def _entry_size(key: bytes, value: bytes) -> int:
-    return _ENTRY_HEADER.size + len(key) + len(value)
-
-
 def required_pages(
     items: Dict[bytes, bytes], page_size: int, fill_factor: float = 0.7
 ) -> int:
@@ -63,7 +53,9 @@ def required_pages(
         raise ValueError("page_size too small to hold any entry")
     if not 0.0 < fill_factor <= 1.0:
         raise ValueError("fill_factor must be in (0, 1]")
-    total = sum(_entry_size(key, value) for key, value in items.items())
+    total = (
+        _ENTRY_HEADER.size * len(items) + sum(map(len, items)) + sum(map(len, items.values()))
+    )
     usable_per_page = (page_size - _PAGE_HEADER.size) * fill_factor
     return max(1, math.ceil(total / usable_per_page))
 
@@ -85,18 +77,28 @@ def build_pages(items: Dict[bytes, bytes], num_pages: int, page_size: int) -> Li
     if page_size <= _PAGE_HEADER.size + _ENTRY_HEADER.size:
         raise ValueError("page_size too small to hold any entry")
 
-    # Each entry is encoded once and grouped under its home page.
+    # Each entry is sized and encoded once and grouped under its home page.
     page_capacity = page_size - _PAGE_HEADER.size
+    header_size = _ENTRY_HEADER.size
+    pack = _ENTRY_HEADER.pack
     buckets: List[List[bytes]] = [[] for _ in range(num_pages)]
     for key, value in items.items():
-        entry_size = _entry_size(key, value)
-        if entry_size > page_capacity:
+        key_len = len(key)
+        value_len = len(value)
+        if header_size + key_len + value_len > page_capacity:
             raise KeyTooLargeError(
-                f"entry of {entry_size} bytes cannot fit in a {page_size}-byte page"
+                f"entry of {header_size + key_len + value_len} bytes "
+                f"cannot fit in a {page_size}-byte page"
             )
+        try:
+            entry = pack(key_len, value_len) + key + value
+        except struct.error:
+            raise KeyTooLargeError(
+                "keys and values must fit in 16-bit length fields"
+            ) from None
         digest = as_digest(key)
         page_hash = (digest.words or digest.clam_words())[PAGE_WORD]
-        buckets[page_hash % num_pages].append(_encode_entry(key, value))
+        buckets[page_hash % num_pages].append(entry)
 
     # Assign entries to physical pages, home page by home page, with
     # wrap-around overflow.
@@ -106,21 +108,21 @@ def build_pages(items: Dict[bytes, bytes], num_pages: int, page_size: int) -> Li
     for home, bucket in enumerate(buckets):
         for entry in bucket:
             entry_size = len(entry)
-            for probe in range(num_pages):
-                target = (home + probe) % num_pages
-                if page_space[target] >= entry_size:
-                    page_entries[target].append(entry)
-                    page_space[target] -= entry_size
-                    # Every page between the home page and the landing page
-                    # (exclusive) must signal overflow so lookups keep probing.
-                    for passed in range(probe):
-                        overflowed[(home + passed) % num_pages] = True
-                    break
-            else:
-                raise KeyTooLargeError(
-                    "incarnation overflow: items do not fit in the configured pages; "
-                    "reduce buffer utilisation or increase page count"
-                )
+            target = home
+            passed = 0
+            while page_space[target] < entry_size:
+                passed += 1
+                if passed == num_pages:
+                    raise KeyTooLargeError(
+                        "incarnation overflow: items do not fit in the configured pages; "
+                        "reduce buffer utilisation or increase page count"
+                    )
+                # Every page between the home page and the landing page
+                # (exclusive) must signal overflow so lookups keep probing.
+                overflowed[target] = True
+                target = (home + passed) % num_pages
+            page_entries[target].append(entry)
+            page_space[target] -= entry_size
 
     pages: List[bytes] = []
     for entries, flag in zip(page_entries, overflowed):

@@ -4,6 +4,10 @@ Every operation reports the simulated latency it incurred and how it was
 served, so experiments can build the latency CDFs (Figures 6-8), the flash
 I/O distribution (Table 2) and the per-operation breakdowns (§7.3) without
 instrumenting the data structure from outside.
+
+The records are ``@dataclass(slots=True)``: one is built per operation and kept
+per key by batch callers, and without a ``__dict__`` it is one allocation, not
+two.  The fields are fixed: nothing can hang an ad-hoc attribute on a result.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ class ServedFrom(enum.Enum):
     MISSING = "missing"
 
 
-@dataclass
+@dataclass(slots=True)
 class LookupResult:
     """Outcome of one lookup."""
 
@@ -40,7 +44,7 @@ class LookupResult:
         return self.value is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class InsertResult:
     """Outcome of one insert (or update)."""
 
@@ -53,7 +57,7 @@ class InsertResult:
     flash_reads: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class DeleteResult:
     """Outcome of one delete."""
 
@@ -62,7 +66,7 @@ class DeleteResult:
     removed_from_buffer: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class FlushResult:
     """Outcome of flushing a buffer to flash."""
 
@@ -76,7 +80,7 @@ class FlushResult:
     forced_full_discard: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class OperationStats:
     """Running aggregates over many operations (maintained by CLAM)."""
 

@@ -16,8 +16,7 @@ are cleared lazily a whole word at a time, so eviction does not touch all
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.bloom import BloomFilter
 from repro.core.hashing import KeyDigest, KeyLike, as_digest
@@ -65,10 +64,10 @@ class BitSlicedBloomArray:
         # One integer per bit position; bit j of _slices[i] is bit i of the
         # Bloom filter whose incarnation occupies column j.
         self._slices: List[int] = [0] * num_bits
-        # Columns occupied by live incarnations, oldest first.
-        self._columns: Deque[int] = deque()
-        # Column -> caller-supplied incarnation identifier.
-        self._column_owner: Dict[int, object] = {}
+        # (column bit, caller-supplied incarnation identifier) of the live
+        # incarnations, newest first: a query walks it as it is.  The window is
+        # small and moves once per flush, so it is a tuple rebuilt on the move.
+        self._window: Tuple[Tuple[int, object], ...] = ()
         # OR of the live columns' bits, maintained incrementally so lookups
         # do not rebuild it per query.
         self._live_mask = 0
@@ -81,13 +80,13 @@ class BitSlicedBloomArray:
     @property
     def live_count(self) -> int:
         """Number of incarnations currently represented."""
-        return len(self._columns)
+        return len(self._window)
 
     def append_filter(self, bloom: BloomFilter, incarnation_id: object) -> None:
         """Install the (frozen) buffer filter as the newest incarnation's filter."""
         if bloom.num_bits != self.num_bits or bloom.num_hashes != self.num_hashes:
             raise ValueError("Bloom filter geometry does not match the sliced array")
-        if len(self._columns) >= self.max_incarnations:
+        if len(self._window) >= self.max_incarnations:
             raise RuntimeError(
                 "sliced array is full; evict the oldest incarnation before appending"
             )
@@ -95,22 +94,21 @@ class BitSlicedBloomArray:
         column_bit = 1 << column
         slices = self._slices
         # Walk only the set bits of the source filter.
-        for position in bloom.iter_set_bits():
+        for position in bloom.set_bits():
             slices[position] |= column_bit
-        self._columns.append(column)
-        self._column_owner[column] = incarnation_id
+        self._window = ((column_bit, incarnation_id),) + self._window
         self._live_mask |= column_bit
 
     def evict_oldest(self) -> Optional[object]:
         """Slide the window past the oldest incarnation; returns its identifier."""
-        if not self._columns:
+        if not self._window:
             return None
-        column = self._columns.popleft()
-        owner = self._column_owner.pop(column)
-        self._live_mask &= ~(1 << column)
+        column_bit, owner = self._window[-1]
+        self._window = self._window[:-1]
+        self._live_mask &= ~column_bit
         # The paper's lazy clearing: vacated columns keep their stale bits
         # until a whole word's worth has accumulated, then are cleared at once.
-        self._vacated_columns.append(column)
+        self._vacated_columns.append(column_bit.bit_length() - 1)
         if len(self._vacated_columns) >= self.spare_bits:
             self._clear_vacated()
         return owner
@@ -120,7 +118,7 @@ class BitSlicedBloomArray:
         for _ in range(self.total_columns):
             column = self._next_column
             self._next_column = (self._next_column + 1) % self.total_columns
-            if column not in self._column_owner and column not in self._vacated_columns:
+            if not self._live_mask >> column & 1 and column not in self._vacated_columns:
                 return column
         # All columns either live or awaiting lazy clearing: force a clear.
         self._clear_vacated()
@@ -146,7 +144,7 @@ class BitSlicedBloomArray:
 
     def candidates(self, key: KeyLike) -> List[object]:
         """Incarnation identifiers that may contain ``key``, newest first."""
-        if not self._columns:
+        if not self._window:
             return []
         digest = key if type(key) is KeyDigest else as_digest(key)
         slices = self._slices
@@ -155,9 +153,13 @@ class BitSlicedBloomArray:
             combined &= slices[position]
             if combined == 0:
                 return []
-        # Newest-first so the caller sees the most recent value for a key.
-        owner = self._column_owner
-        return [owner[column] for column in reversed(self._columns) if (combined >> column) & 1]
+        # Newest-first so the caller sees the most recent value for a key.  A
+        # plain loop: a comprehension is one more frame for the usual one hit.
+        found = []
+        for column_bit, owner in self._window:
+            if combined & column_bit:
+                found.append(owner)
+        return found
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

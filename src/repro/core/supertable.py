@@ -134,17 +134,15 @@ class SuperTable:
         if not self.use_bloom_filters:
             # Ablation: every incarnation is a candidate, newest first.
             return list(reversed(self._incarnations)), 0.0
-        cost = self.memory_cost.bloom_query_cost(
-            num_incarnations=len(self._incarnations),
-            bit_sliced=self.use_bit_slicing,
-        )
         if self.use_bit_slicing:
-            return self._sliced.candidates(key), cost
+            # bloom_query_cost(n > 0, bit_sliced=True), without the call.
+            return self._sliced.candidates(key), self.memory_cost.bloom_sliced_query_ms
         candidates = [
             handle
             for handle in reversed(self._incarnations)
             if key in self._filters[handle.incarnation_id]
         ]
+        cost = self.memory_cost.bloom_query_cost(len(self._incarnations), bit_sliced=False)
         return candidates, cost
 
     # -- Lookup -----------------------------------------------------------------------

@@ -92,6 +92,8 @@ class StorageDevice(abc.ABC):
         self._total_pages = geometry.total_pages
         self.clock = clock if clock is not None else SimulationClock()
         self.stats = IOStats(keep_events=keep_events)
+        # read_page folds into this record itself; IOStats.reset zeroes it in place.
+        self._read_totals = self.stats.totals[_READ]
         self.name = name
         #: Fault-injection hook gating every I/O (healthy by default); see
         #: :mod:`repro.flashsim.faults` and the :meth:`fail`/:meth:`heal`
@@ -193,9 +195,10 @@ class StorageDevice(abc.ABC):
         """Read one page; returns ``(payload, latency_ms)``.
 
         One page read is the unit of work of a CLAM lookup, so the bounds
-        check, the sequentiality heuristic and the healthy / no-countdown
-        fast paths of the fault gate are tested inline; the slow paths go
-        through the same helpers the other operations use.
+        check, the sequentiality heuristic, the healthy / no-countdown fast
+        paths of the fault gate and, while neither the event log nor a tracer
+        listens, the accounting (:meth:`_record`'s, over the same totals) are
+        done inline; the slow paths go through the helpers every operation uses.
         """
         if not 0 <= page_index < self._total_pages:
             self._check_page(page_index)
@@ -211,7 +214,18 @@ class StorageDevice(abc.ABC):
             raise PowerLossError(
                 f"power lost during read of page {page_index} on device {self.name!r}"
             )
-        self._record(_READ, page_size, latency, sequential)
+        if self.stats.keep_events or _trace.ACTIVE is not None:
+            self._record(_READ, page_size, latency, sequential)
+        else:
+            self.clock.advance(latency)
+            totals = self._read_totals
+            totals.ops += 1
+            totals.nbytes += page_size
+            totals.latency_ms += latency
+            if latency > totals.max_latency_ms:
+                totals.max_latency_ms = latency
+            if sequential:
+                totals.sequential += 1
         return self._load_page(page_index), latency
 
     def write_page(self, page_index: int, data: bytes, sequential: Optional[bool] = None) -> float:

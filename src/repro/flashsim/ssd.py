@@ -139,6 +139,13 @@ class SSD(StorageDevice):
         # has rebuilt the pool to the high watermark, as real SSD firmware does.
         self._gc_mode = False
         self._gc_high_watermark_fraction = 0.5
+        if profile.gc_read_threshold_fraction >= self._gc_high_watermark_fraction:
+            raise ValueError("the GC low watermark must sit below the high watermark")
+        # (random, sequential) cost of reading one page, indexed by the flag.
+        model = profile.cost_model
+        self._page_read_costs = tuple(
+            cost.cost(self._page_size) for cost in (model.random_read, model.sequential_read)
+        )
 
     # -- Clean-pool bookkeeping --------------------------------------------------
 
@@ -195,10 +202,18 @@ class SSD(StorageDevice):
     # -- Latency hooks -----------------------------------------------------------
 
     def _read_latency(self, nbytes: int, sequential: bool) -> float:
-        self._replenish_credit()
-        self._update_gc_mode()
-        model = self._cost_model
-        base = (model.sequential_read if sequential else model.random_read).cost(nbytes)
+        # With the pool full and the drive out of GC mode (a CLAM's reads
+        # between flushes) both calls change nothing: min(pool, pool + x) is
+        # the pool, full is above both watermarks, and the next write
+        # replenishes full to full and stamps _last_replenish_ms itself.
+        if self._gc_mode or self._clean_credit_bytes != self._pool_bytes:
+            self._replenish_credit()
+            self._update_gc_mode()
+        if nbytes == self._page_size:
+            base = self._page_read_costs[sequential]
+        else:
+            model = self._cost_model
+            base = (model.sequential_read if sequential else model.random_read).cost(nbytes)
         # Reads issued while the device is GC-starved also suffer: the flash
         # channels are busy relocating data.
         if self._gc_mode:

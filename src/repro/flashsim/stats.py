@@ -39,22 +39,37 @@ class IOEvent:
     timestamp_ms: float
 
 
-@dataclass
+@dataclass(slots=True)
+class KindTotals:
+    """Running totals of one :class:`IOKind` on one device."""
+
+    ops: int = 0
+    nbytes: int = 0
+    latency_ms: float = 0.0
+    max_latency_ms: float = 0.0
+    sequential: int = 0
+
+
+@dataclass(slots=True)
 class IOStats:
     """Aggregated I/O statistics for one device.
 
     The full event log can optionally be retained (``keep_events=True``) for
     CDF-style analyses; aggregate counters are always maintained so that the
     common case stays cheap.
+
+    The aggregates are one slotted :class:`KindTotals` per kind, never
+    replaced: a device binds the record of its page reads at construction and
+    folds each read into it in its own frame (five per-kind dicts cost ten
+    ``dict.get``/set per I/O, two calls down).  ``op_counts`` ...
+    ``sequential_counts`` are read-only dict views of the records.
     """
 
     keep_events: bool = False
     events: List[IOEvent] = field(default_factory=list)
-    op_counts: Dict[IOKind, int] = field(default_factory=dict)
-    byte_counts: Dict[IOKind, int] = field(default_factory=dict)
-    latency_totals_ms: Dict[IOKind, float] = field(default_factory=dict)
-    latency_max_ms: Dict[IOKind, float] = field(default_factory=dict)
-    sequential_counts: Dict[IOKind, int] = field(default_factory=dict)
+    totals: Dict[IOKind, KindTotals] = field(
+        default_factory=lambda: {kind: KindTotals() for kind in IOKind}
+    )
 
     def add(
         self, kind: IOKind, nbytes: int, latency_ms: float, sequential: bool, timestamp_ms: float
@@ -64,13 +79,14 @@ class IOStats:
         This is what devices call per I/O; the :class:`IOEvent` is only built
         when the event log is kept.
         """
-        self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
-        self.byte_counts[kind] = self.byte_counts.get(kind, 0) + nbytes
-        self.latency_totals_ms[kind] = self.latency_totals_ms.get(kind, 0.0) + latency_ms
-        if latency_ms > self.latency_max_ms.get(kind, 0.0):
-            self.latency_max_ms[kind] = latency_ms
+        totals = self.totals[kind]
+        totals.ops += 1
+        totals.nbytes += nbytes
+        totals.latency_ms += latency_ms
+        if latency_ms > totals.max_latency_ms:
+            totals.max_latency_ms = latency_ms
         if sequential:
-            self.sequential_counts[kind] = self.sequential_counts.get(kind, 0) + 1
+            totals.sequential += 1
         if self.keep_events:
             self.events.append(IOEvent(kind, nbytes, latency_ms, sequential, timestamp_ms))
 
@@ -78,45 +94,57 @@ class IOStats:
         """Fold an already-built event (:meth:`add` of its fields)."""
         self.add(event.kind, event.nbytes, event.latency_ms, event.sequential, event.timestamp_ms)
 
+    # -- Per-kind views ----------------------------------------------------------
+
+    def _view(self, name: str, shown: str = "ops") -> dict:
+        """``{kind: total}`` over the kinds with something to show, as the dict
+        this replaced held it: any operation, or for the maximum a positive
+        latency and for the sequential count a sequential operation."""
+        return {k: getattr(t, name) for k, t in self.totals.items() if getattr(t, shown)}
+
+    op_counts = property(lambda self: self._view("ops"))
+    byte_counts = property(lambda self: self._view("nbytes"))
+    latency_totals_ms = property(lambda self: self._view("latency_ms"))
+    latency_max_ms = property(lambda self: self._view("max_latency_ms", "max_latency_ms"))
+    sequential_counts = property(lambda self: self._view("sequential", "sequential"))
+
     # -- Convenience accessors -------------------------------------------------
 
     def count(self, kind: Optional[IOKind] = None) -> int:
         """Number of operations of ``kind`` (or all kinds when omitted)."""
         if kind is None:
-            return sum(self.op_counts.values())
-        return self.op_counts.get(kind, 0)
+            return sum(totals.ops for totals in self.totals.values())
+        return self.totals[kind].ops
 
     def bytes_moved(self, kind: Optional[IOKind] = None) -> int:
         """Bytes transferred by operations of ``kind`` (or all kinds)."""
         if kind is None:
-            return sum(self.byte_counts.values())
-        return self.byte_counts.get(kind, 0)
+            return sum(totals.nbytes for totals in self.totals.values())
+        return self.totals[kind].nbytes
 
     def total_latency_ms(self, kind: Optional[IOKind] = None) -> float:
         """Accumulated latency of operations of ``kind`` (or all kinds)."""
         if kind is None:
-            return sum(self.latency_totals_ms.values())
-        return self.latency_totals_ms.get(kind, 0.0)
+            return sum(totals.latency_ms for totals in self.totals.values())
+        return self.totals[kind].latency_ms
 
     def mean_latency_ms(self, kind: IOKind) -> float:
         """Mean latency of operations of ``kind`` (0 when none were recorded)."""
-        n = self.op_counts.get(kind, 0)
-        if n == 0:
-            return 0.0
-        return self.latency_totals_ms.get(kind, 0.0) / n
+        totals = self.totals[kind]
+        return totals.latency_ms / totals.ops if totals.ops else 0.0
 
     def max_latency_ms(self, kind: IOKind) -> float:
         """Worst observed latency of operations of ``kind``."""
-        return self.latency_max_ms.get(kind, 0.0)
+        return self.totals[kind].max_latency_ms
 
     def reset(self) -> None:
-        """Forget all recorded operations."""
+        """Forget all recorded operations.
+
+        Zeroes the per-kind records in place: devices hold them bound.
+        """
         self.events.clear()
-        self.op_counts.clear()
-        self.byte_counts.clear()
-        self.latency_totals_ms.clear()
-        self.latency_max_ms.clear()
-        self.sequential_counts.clear()
+        for totals in self.totals.values():
+            totals.__init__()
 
     def snapshot(self) -> Dict[str, float]:
         """A flat dictionary summary, convenient for printing bench tables."""

@@ -114,15 +114,15 @@ class TestBitsetStorage:
             key = b"bit-%d" % i
             expected.update(bloom.bit_positions(key))
             bloom.add(key)
-        assert set(bloom.iter_set_bits()) == expected
+        assert bloom.set_bits() == sorted(expected)
 
     def test_iter_set_bits_empty(self):
-        assert list(BloomFilter(64, 2).iter_set_bits()) == []
+        assert BloomFilter(64, 2).set_bits() == []
 
     def test_fill_fraction_is_exact_popcount(self):
         bloom = BloomFilter(num_bits=100, num_hashes=3)
         bloom.update(b"fill-%d" % i for i in range(40))
-        ones = len(set(bloom.iter_set_bits()))
+        ones = len(set(bloom.set_bits()))
         assert bloom.fill_fraction() == ones / 100
 
     def test_bit_storage_padded_to_whole_words(self):
@@ -131,7 +131,7 @@ class TestBitsetStorage:
             assert len(bloom._bits) % 8 == 0
             assert len(bloom._bits) * 8 >= num_bits
             bloom.add(b"x")
-            assert all(pos < num_bits for pos in bloom.iter_set_bits())
+            assert all(pos < num_bits for pos in bloom.set_bits())
 
     def test_digest_keys_equal_byte_keys(self):
         from repro.core.hashing import KeyDigest

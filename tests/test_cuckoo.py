@@ -48,7 +48,7 @@ class TestCuckooBasics:
     def test_clear(self):
         table = CuckooHashTable(64)
         table.put(b"key", b"value")
-        table.clear()
+        table.drain()
         assert len(table) == 0
         assert table.get(b"key") is None
 

@@ -1,8 +1,13 @@
 """Tests for operation result records and aggregated statistics."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core import InsertResult, LookupResult, OperationStats, ServedFrom
+from repro.core.results import DeleteResult, FlushResult
 
 
 class TestLookupResult:
@@ -65,3 +70,47 @@ class TestOperationStats:
         )
         assert stats.false_positive_reads == 2
         assert stats.flash_reads == 2
+
+
+RECORDS = [
+    LookupResult(b"k", b"v", 0.25, ServedFrom.INCARNATION, 2, 3, 1),
+    InsertResult(b"k", 1.5, True, 1.25, 2, 16, 8),
+    DeleteResult(b"k", 0.004, True),
+    FlushResult(2.5, 1, 1, 1, 7, 16, 16, True),
+    OperationStats(lookups=3, lookup_latencies_ms=[0.1, 0.2, 0.3], keep_samples=False),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+class TestRecordsAreSlotted:
+    """One is built per operation and kept per key by batch callers, so none
+    owns a ``__dict__`` — and everything a plain dataclass could do still works."""
+
+    def test_no_dict_and_no_ad_hoc_attribute(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.annotation = "ad hoc"
+
+    def test_field_names_and_positions_are_the_constructor(self, record):
+        names = [field.name for field in dataclasses.fields(record)]
+        assert list(type(record).__slots__) == names
+        values = [getattr(record, name) for name in names]
+        assert type(record)(*values) == record
+
+    def test_copy_replace_asdict_and_pickle_round_trip(self, record):
+        assert copy.copy(record) == record and copy.copy(record) is not record
+        assert copy.deepcopy(record) == record
+        assert type(record)(**dataclasses.asdict(record)) == record
+        first = dataclasses.fields(record)[0].name
+        changed = dataclasses.replace(record, **{first: getattr(record, first) * 2})
+        assert changed != record and getattr(changed, first) == getattr(record, first) * 2
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record
+
+
+def test_operation_stats_sample_lists_are_per_instance():
+    one, other = OperationStats(), OperationStats()
+    one.record_lookup(LookupResult(b"a", None, 1.0, ServedFrom.MISSING))
+    one.record_insert(InsertResult(b"a", 2.0))
+    assert (one.lookup_latencies_ms, one.insert_latencies_ms) == ([1.0], [2.0])
+    assert (other.lookup_latencies_ms, other.insert_latencies_ms) == ([], [])

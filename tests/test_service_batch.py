@@ -1,9 +1,8 @@
 """Tests for batched execution: result equivalence and latency accounting."""
 
-import sys
-
 import pytest
 
+from benchmarks.common import count_calls
 from repro.core import CLAMConfig
 from repro.core.errors import ConfigurationError
 from repro.core.hashing import clear_digest_cache
@@ -291,31 +290,10 @@ class TestRetryState:
         assert cluster.last_batch.failed_shards == [victim]
 
 
-def python_frames_outside_shards(call) -> int:
-    """Exact number of Python frames ``call`` enters, the shards' own work
-    (everything below ``apply_batch``) excluded."""
-    boundary = apply_batch.__code__
-    frames = 0
-    below = 0  # depth under (and including) an apply_batch frame
-
-    def profiler(frame, event, _arg):
-        nonlocal frames, below
-        if event == "call":
-            if below:
-                below += 1
-            else:
-                frames += 1
-                if frame.f_code is boundary:
-                    below = 1
-        elif event == "return" and below:
-            below -= 1
-
-    sys.setprofile(profiler)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-    return frames
+def python_frames_outside_shards(call, *args) -> int:
+    """Exact number of Python frames ``call(*args)`` enters, the shards' own
+    work (everything below ``apply_batch``) excluded."""
+    return count_calls(call, *args, stop_below=apply_batch.__code__)[0]
 
 
 class TestCallBudget:
@@ -337,7 +315,7 @@ class TestCallBudget:
         keys = [fingerprint_for(i, namespace=b"budget") for i in range(128)]
         cluster.insert_batch([(key, b"v") for key in keys[::2]])
         cluster.lookup_batch(keys)  # warm: digests cached, ring words and the table in place
-        frames = python_frames_outside_shards(lambda: cluster.lookup_batch(keys))
+        frames = python_frames_outside_shards(cluster.lookup_batch, keys)
         assert frames / len(keys) <= 4, frames
 
     def test_insert_batch_at_two_replicas_at_most_seven_frames_per_key(self):
@@ -345,5 +323,5 @@ class TestCallBudget:
         cluster = self.cluster(replication_factor=2)
         items = [(fingerprint_for(i, namespace=b"budget"), b"value") for i in range(128)]
         cluster.insert_batch(items)
-        frames = python_frames_outside_shards(lambda: cluster.insert_batch(items))
+        frames = python_frames_outside_shards(cluster.insert_batch, items)
         assert frames / len(items) <= 7, frames

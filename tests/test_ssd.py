@@ -5,7 +5,13 @@ random writes degrade the whole device, while BufferHash's occasional large
 sequential flushes leave it healthy.
 """
 
+import random
+from collections import Counter
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.flashsim import (
     SSD,
@@ -85,3 +91,121 @@ class TestSSDGarbageCollection:
             intel_ssd.write_page((i * 37) % intel_ssd.geometry.total_pages, b"x", sequential=False)
             clock.advance(10.0)  # 10 ms of idle time between writes
         assert not intel_ssd.in_gc_mode
+
+
+class ReplenishingSSD(SSD):
+    """The read route as it was before the shortcut: background GC credited
+    and the GC mode re-evaluated before every read, the cost taken from the
+    model per call."""
+
+    def _read_latency(self, nbytes, sequential):
+        self._replenish_credit()
+        self._update_gc_mode()
+        model = self._cost_model
+        base = (model.sequential_read if sequential else model.random_read).cost(nbytes)
+        if self._gc_mode:
+            base += self.profile.gc_penalty_ms
+        return base
+
+
+def _drive_both(profile, seed, length):
+    """One seeded stream of page reads, page writes (single and in pool-draining
+    bursts), range writes and idle time against an :class:`SSD` and a
+    :class:`ReplenishingSSD`; returns what the stream reached.
+
+    Latency, ``gc_stall_count`` and the clock are compared after every I/O.
+    ``clean_pool_fraction`` and ``in_gc_mode`` credit background GC when read,
+    which would do on the device under test exactly what its read skipped, so
+    each is compared after one step in four (and the last) — separately: a
+    pool read back full while the GC flag is still up is a state of its own —
+    and the raw GC flag after every step.
+    """
+    rng = random.Random(seed)
+    fast, reference = SSD(profile=profile), ReplenishingSSD(profile=profile)
+    pages = fast.geometry.total_pages
+    payload = b"p" * 64
+    # Random page writes that would empty a full pool if none of it came back
+    # meanwhile (a write in GC mode lasts long enough to win back most of its own).
+    drain = int(profile.clean_pool_bytes / (512 * profile.random_write_amplification))
+    reach = Counter()
+    drained = False  # did the previous step's writes take the pool under the low watermark?
+
+    def same(fast_latency, reference_latency):
+        assert fast_latency == reference_latency
+        assert fast.clock.now_ms.hex() == reference.clock.now_ms.hex()
+        assert fast.gc_stall_count == reference.gc_stall_count
+
+    def write(page):
+        same(fast.write_page(page, payload), reference.write_page(page, payload))
+
+    for step in range(length):
+        was_in_gc = fast._gc_mode
+        kind = rng.random()
+        if kind < 0.50:
+            page = rng.randrange(pages)
+            if rng.random() < 0.3:
+                page = (fast._last_accessed_page or 0) + 1  # sequential
+            shortcut = not fast._gc_mode and fast._clean_credit_bytes == fast._pool_bytes
+            reach["shortcut" if shortcut else "full_route"] += 1
+            reach["read_after_draining_write"] += drained
+            (_data, fast_latency), (_data, reference_latency) = (
+                fast.read_page(page % pages),
+                reference.read_page(page % pages),
+            )
+            same(fast_latency, reference_latency)
+            reach["read_in_gc_mode"] += fast_latency > profile.gc_penalty_ms
+        elif kind < 0.60:
+            write(rng.randrange(pages))
+        elif kind < 0.68:
+            for _ in range(rng.randint(1, 3 * drain)):
+                write(rng.randrange(pages))
+        elif kind < 0.80:
+            start, images = rng.randrange(pages - 64), [payload] * rng.randint(4, 64)
+            same(fast.write_range(start, images), reference.write_range(start, images))
+        else:
+            idle_ms = rng.choice([0.01, 5.0, 400.0, 3000.0, 3000.0])
+            fast.clock.advance(idle_ms)
+            reference.clock.advance(idle_ms)
+        if rng.random() < 0.25 or step == length - 1:
+            assert fast.clean_pool_fraction == reference.clean_pool_fraction
+        if rng.random() < 0.25 or step == length - 1:
+            assert fast.in_gc_mode == reference.in_gc_mode
+        assert fast._gc_mode == reference._gc_mode
+        drained = fast._gc_mode and not was_in_gc
+        reach["gc_entered"] += drained
+        reach["gc_left"] += was_in_gc and not fast._gc_mode
+    return reach
+
+
+@pytest.mark.parametrize(
+    "profile", [INTEL_SSD_PROFILE, TRANSCEND_SSD_PROFILE], ids=lambda profile: profile.name
+)
+def test_read_shortcut_is_indistinguishable_from_replenishing_before_every_read(profile):
+    """``SSD._read_latency`` skips ``_replenish_credit`` + ``_update_gc_mode``
+    when the clean pool is full and the drive is out of GC mode.  Every
+    latency, stall count, pool fraction, GC-mode reading and clock reading of
+    seeded I/O streams equals, bit for bit, that of a device which never
+    skips — and the streams provably visit both routes on both sides of GC."""
+    reach = Counter()
+
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(40, 300))
+    @settings(
+        max_examples=15,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def streams(seed, length):
+        reach.update(_drive_both(profile, seed, length))
+
+    streams()
+    assert reach["shortcut"] >= 100 and reach["full_route"] >= 100, reach
+    assert reach["gc_entered"] >= 1 and reach["gc_left"] >= 1, reach
+    assert reach["read_in_gc_mode"] >= 1, reach
+    assert reach["read_after_draining_write"] >= 1, reach
+
+
+def test_gc_low_watermark_must_sit_below_the_high_one():
+    """A full pool is above both watermarks: what the read shortcut relies on."""
+    with pytest.raises(ValueError, match="watermark"):
+        SSD(profile=replace(INTEL_SSD_PROFILE, gc_read_threshold_fraction=0.5))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flashsim import SSD, IOEvent, IOKind, IOStats
+from repro.flashsim import SSD, FlashChip, IOEvent, IOKind, IOStats
 from repro.flashsim.stats import percentile
 from repro.telemetry.trace import Tracer, tracing
 
@@ -139,6 +139,86 @@ class TestDeviceAccounting:
                 "nbytes": event.nbytes,
                 "sequential": event.sequential,
             }
+
+
+    def test_tracer_alone_sees_the_same_events_as_the_event_log(self):
+        """A page read calls out when either listener is on, not only both."""
+        logged, traced = SSD(keep_events=True, name="ssd"), SSD(name="ssd")
+        _drive(logged)
+        tracer = Tracer()
+        with tracing(tracer):
+            observed = _drive(traced)
+        assert traced.stats.events == []
+        seen = [(span.name, span.start_ms, span.end_ms, span.attributes) for span in tracer.spans]
+        assert seen == [
+            (
+                "device." + event.kind.value,
+                event.timestamp_ms - event.latency_ms,
+                event.timestamp_ms,
+                {"device": "ssd", "nbytes": event.nbytes, "sequential": event.sequential},
+            )
+            for event in logged.stats.events
+        ]
+        assert sum(kind is IOKind.READ and nbytes == 512 for kind, nbytes, *_ in observed) == 7
+        assert traced.stats.totals == logged.stats.totals
+
+    def test_a_read_after_reset_is_counted(self):
+        """The device folds page reads into a totals record it bound at
+        construction; ``reset`` must zero that record, not replace it."""
+        device = SSD()
+        device.write_page(3, b"x")
+        device.read_page(3)
+        device.stats.reset()
+        assert device.stats.count() == 0 and device.stats.op_counts == {}
+        assert device.stats.snapshot()["read_max_ms"] == 0.0
+        _payload, latency = device.read_page(3)
+        assert device.stats.count(IOKind.READ) == 1
+        assert device.stats.bytes_moved(IOKind.READ) == 512
+        assert device.stats.total_latency_ms(IOKind.READ) == latency
+        assert device.stats.op_counts == {IOKind.READ: 1}
+
+    def test_dict_views_hold_what_the_per_kind_dicts_held(self):
+        """``op_counts`` ... ``sequential_counts`` against the five dicts the
+        old ``add`` maintained, rebuilt here from the kept events."""
+        chip = FlashChip(keep_events=True)
+        chip.write_range(0, [b"a", b"b", b"c"])
+        chip.read_page(0)
+        chip.read_page(1)  # sequential
+        chip.read_page(40)
+        chip.erase_block(0)
+        chip.write_page(2, b"again")
+        assert {event.kind for event in chip.stats.events} == set(IOKind)
+        ssd = SSD(keep_events=True)
+        ssd.read_page(7)
+        ssd.read_page(9)  # reads only, none sequential
+        for device in (chip, ssd):
+            counts, nbytes, totals, maxima, sequential = {}, {}, {}, {}, {}
+            for event in device.stats.events:
+                kind = event.kind
+                counts[kind] = counts.get(kind, 0) + 1
+                nbytes[kind] = nbytes.get(kind, 0) + event.nbytes
+                totals[kind] = totals.get(kind, 0.0) + event.latency_ms
+                if event.latency_ms > maxima.get(kind, 0.0):
+                    maxima[kind] = event.latency_ms
+                if event.sequential:
+                    sequential[kind] = sequential.get(kind, 0) + 1
+            assert device.stats.op_counts == counts
+            assert device.stats.byte_counts == nbytes
+            assert device.stats.latency_totals_ms == totals
+            assert device.stats.latency_max_ms == maxima
+            assert device.stats.sequential_counts == sequential
+        assert list(ssd.stats.op_counts) == [IOKind.READ]
+        assert ssd.stats.sequential_counts == {}
+
+    def test_stats_compare_by_value(self):
+        one, other = SSD(), SSD()
+        assert one.stats == other.stats
+        one.read_page(5)
+        assert one.stats != other.stats
+        other.read_page(5)
+        assert one.stats == other.stats
+        assert one.stats != SSD(keep_events=True).stats
+        assert one.stats != object()
 
 
 class TestPercentile:
