@@ -48,6 +48,14 @@ device model) and counts how often key bytes are walked:
   and exact: ``benchmarks/ratchet.py`` holds each against the committed count
   as a ceiling and ``tests/test_core_call_budget.py`` against the budget.
 
+* ``page_search`` — microseconds and C calls of one ``search_page`` over a
+  page image of 8, 16, 64 and 128 uniform entries (20-byte keys, 8-byte
+  values: 16 per 512-byte page up to the paper's 4 KB pages) and of 16 entries
+  of mixed lengths, for a key that is there and one that is not.  Same sizes
+  in ``--quick`` and full runs.  The invariant is the point of the columnar
+  page: a hit among 128 entries costs the C calls of a hit among 8 and at
+  most twice its time.
+
 * ``flush`` — wall-clock microseconds of one buffer flush of the same CLAM
   under a stream of new keys, and the shares of it spent draining the buffer,
   building page images, writing them to the device and transposing the Bloom
@@ -79,6 +87,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import random
 import sys
 import time
 from contextlib import contextmanager
@@ -105,6 +114,7 @@ from repro.core.hashing import (
     digest_cache_info,
     fnv1a_64,
 )
+from repro.core.incarnation import build_pages, search_page
 from repro.core.results import ServedFrom
 from repro.core.sliced_bloom import BitSlicedBloomArray
 from repro.flashsim.device import StorageDevice
@@ -119,15 +129,28 @@ FULL = {"hot_keys": 4000, "steady_keys": 16000, "steady_ops": 16000, "flush_keys
 QUICK = {"hot_keys": 1500, "steady_keys": 6000, "steady_ops": 6000, "flush_keys": 16000}
 
 #: Ceilings on the mean Python frames of ``call_budget``'s outcome classes (in
-#: the comment, what each read when the budget was set, at ``604ebec``).
+#: the comment, what each read at ``604ebec``, before the budget was first set).
 CALL_BUDGET = {
-    "lookup_one_read": 21,  # 31
-    "lookup_two_reads": 28,  # 43.1
+    "lookup_one_read": 19,  # 31
+    "lookup_two_reads": 26,  # 43.1
     "lookup_buffer_hit": 9,  # 12
-    "lookup_cold_miss": 17,  # 21
+    "lookup_cold_miss": 16,  # 21
     "insert": 14,  # 15.0
-    "insert_flush": 1000,  # 1,863
+    "insert_flush": 196,  # 1,863
 }
+
+#: Ceilings on the mean C calls of the classes whose C calls once grew with the
+#: entries on a page (in the comment, what each read at ``837f393``, when
+#: ``search_page`` walked a row-wise page entry by entry).
+C_CALL_BUDGET = {
+    "lookup_one_read": 8,  # 20.57
+    "lookup_two_reads": 12,  # 47.42
+    "insert_flush": 1700,  # 2,029.2
+}
+
+#: ``page_search`` page shapes: uniform entry counts, and the mixed page's.
+PAGE_SEARCH_UNIFORM = (8, 16, 64, 128)
+PAGE_SEARCH_MIXED = 16
 
 #: ``hotpath`` is timed as this many passes of at least this long each, in
 #: ``--quick`` and full runs alike: a 15 ms timed loop reads 25 % off on a
@@ -335,6 +358,54 @@ def measure_call_budget() -> Dict[str, Dict[str, float]]:
         "blocks_per_result": round(blocks / len(kept), 3),
     }
     return budget
+
+
+def run_page_search() -> Dict[str, Dict[str, float]]:
+    """Microseconds and C calls of one ``search_page``, by page shape.
+
+    Each page is built by ``build_pages`` as the one page of an incarnation
+    sized to hold exactly its entries.  ``hit_us`` is the mean over every key
+    of the page (so over every position), ``miss_us`` is for an absent key of
+    the usual length; both are the best of five timed loops.
+    """
+    rng = random.Random(23)
+    shapes = {
+        f"uniform_{count}": [(rng.randbytes(20), rng.randbytes(8)) for _ in range(count)]
+        for count in PAGE_SEARCH_UNIFORM
+    }
+    shapes[f"mixed_{PAGE_SEARCH_MIXED}"] = [
+        (rng.randbytes(rng.choice((16, 20, 24))), rng.randbytes(rng.choice((4, 8))))
+        for _ in range(PAGE_SEARCH_MIXED)
+    ]
+
+    def best_us(keys: Sequence[bytes], page: bytes) -> float:
+        sweeps = 20_000 // len(keys)
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            for _ in range(sweeps):
+                for key in keys:
+                    search_page(page, key)
+            best = min(best, time.perf_counter() - start)
+        return round(best / (sweeps * len(keys)) * 1e6, 3)
+
+    out: Dict[str, Dict[str, float]] = {}
+    for name, entries in shapes.items():
+        items = dict(entries)
+        size = 3 + sum(4 + len(key) + len(value) for key, value in entries)
+        (page,) = build_pages(items, 1, size)
+        absent = rng.randbytes(20)
+        assert len(page) == size and all(search_page(page, key)[0] == items[key] for key in items)
+        assert search_page(page, absent) == (None, False)
+        out[name] = {
+            "entries": len(entries),
+            "page_bytes": size,
+            "hit_us": best_us(list(items), page),
+            "miss_us": best_us([absent] * 8, page),
+            "hit_c_calls": max(count_calls(search_page, page, key)[1] for key in items),
+            "miss_c_calls": count_calls(search_page, page, absent)[1],
+        }
+    return out
 
 
 @contextmanager
@@ -573,7 +644,7 @@ def report(results: Dict, sizes: Dict[str, int], json_path: Optional[str]) -> No
     budget = results["call_budget"]
     print_table(
         "Call budget: exact Python frames and C calls per CLAM operation",
-        ["outcome", "samples", "frames", "min-max", "budget", "C calls"],
+        ["outcome", "samples", "frames", "min-max", "budget", "C calls", "budget"],
         [
             (
                 name,
@@ -582,9 +653,21 @@ def report(results: Dict, sizes: Dict[str, int], json_path: Optional[str]) -> No
                 f"{row['python_frames_min']}-{row['python_frames_max']}",
                 CALL_BUDGET.get(name, "-"),
                 row["c_calls"],
+                C_CALL_BUDGET.get(name, "-"),
             )
             for name, row in budget.items()
             if "python_frames" in row
+        ],
+    )
+    print_table(
+        "search_page: one page image, a key that is there and one that is not",
+        ["page", "bytes", "hit us", "miss us", "hit C calls", "miss C calls"],
+        [
+            (
+                name, row["page_bytes"], row["hit_us"], row["miss_us"],
+                row["hit_c_calls"], row["miss_c_calls"],
+            )  # fmt: skip
+            for name, row in results["page_search"].items()
         ],
     )
     kept = budget["kept_lookup_results"]
@@ -680,6 +763,15 @@ def check_invariants(results: Dict) -> None:
     budget = results["call_budget"]
     for name, ceiling in CALL_BUDGET.items():
         assert budget[name]["python_frames"] <= ceiling, f"{name}: {budget[name]}"
+    for name, ceiling in C_CALL_BUDGET.items():
+        assert budget[name]["c_calls"] <= ceiling, f"{name}: {budget[name]}"
+    # A uniform page is searched with one find: the C calls of a hit do not
+    # grow with the entries on the page, and its time at most doubles from 8
+    # entries to 128 (a per-entry walk took eleven times as long).
+    pages = results["page_search"]
+    uniform = [pages[f"uniform_{count}"] for count in PAGE_SEARCH_UNIFORM]
+    assert len({row["hit_c_calls"] for row in uniform}) == 1, pages
+    assert uniform[-1]["hit_us"] <= 2 * uniform[0]["hit_us"], pages
     kept = budget["kept_lookup_results"]
     assert kept["allocated_blocks"] <= blocks_ceiling(kept["samples"]), kept
     # Telemetry: disabled it must not tax the hot path, enabled it may cost
@@ -710,10 +802,12 @@ def run_bench(
     # The two sections that time nothing against the others go first, so the
     # flush's stage wrappers are long gone when the telemetry A/B runs.
     call_budget = measure_call_budget()
+    page_search = run_page_search()
     flush = run_flush(sizes)
     hotpath, ablation, snapshot = run_hotpath_passes(sizes)
     results = {
         "call_budget": call_budget,
+        "page_search": page_search,
         "flush": flush,
         "hotpath_ops_per_sec": hotpath,
         "steady_ops_per_sec": round(run_steady_state(sizes), 1),

@@ -197,6 +197,14 @@ REGISTRY: Dict[str, RatchetSpec] = {
             Metric("call_budget.insert.python_frames", "max-fraction"),
             Metric("call_budget.insert_flush.python_frames", "max-fraction"),
             Metric("call_budget.kept_lookup_results.allocated_blocks", "max-fraction", 1.003),
+            # The same script's C calls where they used to grow with the
+            # entries on a page, and what one search of a uniform page makes
+            # at 8 entries and at 128 (len and one find: the same two).
+            Metric("call_budget.lookup_one_read.c_calls", "max-fraction"),
+            Metric("call_budget.lookup_two_reads.c_calls", "max-fraction"),
+            Metric("call_budget.insert_flush.c_calls", "max-fraction"),
+            Metric("page_search.uniform_8.hit_c_calls", "max-fraction"),
+            Metric("page_search.uniform_128.hit_c_calls", "max-fraction"),
         ),
     ),
     "rebalance": RatchetSpec(

@@ -31,6 +31,7 @@ from repro.core.errors import (
     ClusterCloseError,
     ConfigurationError,
     KeyTooLargeError,
+    PageFormatError,
     PowerLossError,
     TornPageError,
     WireProtocolError,
@@ -96,6 +97,7 @@ __all__ = [
     "ClusterCloseError",
     "ConfigurationError",
     "KeyTooLargeError",
+    "PageFormatError",
     "PowerLossError",
     "TornPageError",
     "WireProtocolError",

@@ -7,7 +7,9 @@ of its :class:`~repro.flashsim.persistent.FlashLayout`:
 ``superblock``
     One JSON-encoded page recording the :class:`~repro.core.config.CLAMConfig`
     the CLAM was created with, so a bare ``DurableCLAM(path)`` reopens with
-    identical structural parameters.
+    identical structural parameters, and the ``page_format`` of the
+    incarnation pages in the log, so a file in a layout this build does not
+    read is refused at open, before a page is parsed.
 
 ``log``
     The incarnation log, managed by :class:`DurableLogStore`.  Each buffer
@@ -47,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.bloom import BloomFilter
 from repro.core.config import CLAMConfig, MemoryCostModel
 from repro.core.errors import ConfigurationError, TornPageError
-from repro.core.incarnation import IncarnationHandle
+from repro.core.incarnation import PAGE_FORMAT, IncarnationHandle
 from repro.core.storage import CircularLogAllocator, IncarnationStore
 from repro.core.supertable import SuperTable
 from repro.flashsim.persistent import FlashPartition, PageState, PersistentFlashDevice
@@ -80,8 +82,10 @@ _U64 = struct.Struct("<Q")
 def write_superblock(device: PersistentFlashDevice, config: CLAMConfig) -> float:
     """Write ``config`` to the first page of the superblock partition."""
     partition = device.layout.partition("superblock")
+    fields = dataclasses.asdict(config)
+    fields["page_format"] = PAGE_FORMAT
     payload = SUPERBLOCK_MAGIC + json.dumps(
-        dataclasses.asdict(config), sort_keys=True, separators=(",", ":")
+        fields, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     if len(payload) > device.geometry.page_size:
         raise ConfigurationError(
@@ -101,10 +105,15 @@ def read_superblock(device: PersistentFlashDevice) -> Tuple[CLAMConfig, float]:
             "was it created by DurableCLAM?"
         )
     fields = json.loads(payload[len(SUPERBLOCK_MAGIC) :].decode("utf-8"))
+    # Files written before the columnar page layout record no format: they
+    # hold format 1, which has no reader any more.
+    page_format = fields.pop("page_format", 1)
+    if page_format != PAGE_FORMAT:
+        raise ConfigurationError(
+            f"device {device.name!r} holds incarnation pages in page_format "
+            f"{page_format}; this build reads and writes page_format {PAGE_FORMAT} only"
+        )
     memory_cost = MemoryCostModel(**fields.pop("memory_cost"))
-    # Files written before the re-hash ablation was deleted record its switch;
-    # both of its settings produced this layout, so the value carries nothing.
-    fields.pop("use_hash_once", None)
     return CLAMConfig(memory_cost=memory_cost, **fields), latency
 
 

@@ -21,6 +21,13 @@ class KeyTooLargeError(BufferHashError):
     """Raised when a key or value does not fit in an incarnation page slot."""
 
 
+class PageFormatError(BufferHashError):
+    """Raised when an incarnation page image is not in the layout this build
+    reads (see :mod:`repro.core.incarnation`) — in practice a page written in
+    the row-wise format 1.  A durable file of another format is refused
+    earlier, when its superblock is read."""
+
+
 class DeviceFailedError(BufferHashError):
     """Raised when an I/O reaches a simulated device that has crash-stopped or
     is deterministically injecting errors (see :mod:`repro.flashsim.faults`)."""

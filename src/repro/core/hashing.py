@@ -59,9 +59,11 @@ that a cold CLAM operation walks its key exactly once and a warm one never.
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 from collections import deque
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 _FNV64_OFFSET = 0xCBF29CE484222325
@@ -304,6 +306,31 @@ def clam_words(data: bytes) -> Tuple[int, ...]:
 _CLAM_WORD_INDEX = {seed: index for index, seed in enumerate(CLAM_SEEDS)}
 
 
+@lru_cache(maxsize=64)
+def _position_lanes(count: int, modulus: int) -> Optional[Tuple[int, int, int, int, str]]:
+    """What :meth:`KeyDigest.bloom_positions` needs to compute ``count``
+    positions modulo a power of two in one integer expression.
+
+    ``(ones, ramp, mask, size, typecode)``: lane ``i`` of ``ones`` is 1, of
+    ``ramp`` is ``i`` and of ``mask`` is ``modulus - 1``, in lanes the width
+    of an ``array(typecode)`` item, ``size`` bytes in all.  The narrowest
+    lane that ``count * modulus`` fits is chosen, so no ``h1 + i * h2`` (each
+    term below ``modulus``) carries into its neighbour; ``None`` when even 64
+    bits are too few.
+    """
+    for typecode in "HIQ":
+        bits = 8 * array(typecode).itemsize
+        if count * modulus <= 1 << bits:
+            break
+    else:
+        return None
+    ones = ramp = 0
+    for i in range(count):
+        ones |= 1 << bits * i
+        ramp |= i << bits * i
+    return ones, ramp, (modulus - 1) * ones, count * bits // 8, typecode
+
+
 class KeyDigest:
     """Hash-once handle for one key: canonical bytes plus memoised digests.
 
@@ -388,17 +415,21 @@ class KeyDigest:
         words = self.words or self.clam_words()
         h1 = words[BLOOM_H1_WORD]
         h2 = words[BLOOM_H2_WORD] | 1  # odd: coprime with 2^k moduli
-        if modulus & (modulus - 1) == 0 and modulus <= _MASK64:
+        lanes = _position_lanes(count, modulus) if modulus & (modulus - 1) == 0 else None
+        if lanes is not None:
             # ``x mod 2^64 mod 2^k`` only has the low k bits of x, and those
-            # depend only on the low k bits of h1 and h2: same values, from
-            # machine-word arithmetic instead of 65-bit intermediates.
+            # depend only on the low k bits of h1 and h2: lane i of the sum
+            # below holds ``h1 + i * h2`` — every position from one multiply
+            # each, and in the bytes an array of the lane's width reads.
+            ones, ramp, mask, size, typecode = lanes
             low = modulus - 1
-            h1 &= low
-            h2 &= low
-            values = [(h1 + i * h2) & low for i in range(count)]
+            packed = (h1 & low) * ones + (h2 & low) * ramp & mask
+            positions = array(typecode, packed.to_bytes(size, "little"))
+            if sys.byteorder == "big":
+                positions.byteswap()
         else:
             values = [((h1 + i * h2) & _MASK64) % modulus for i in range(count)]
-        positions = array("H" if modulus <= 0x10000 else "Q", values)
+            positions = array("H" if modulus <= 0x10000 else "Q", values)
         self._bloom_count = count
         self._bloom_modulus = modulus
         self._bloom_positions = positions

@@ -16,7 +16,7 @@ are cleared lazily a whole word at a time, so eviction does not touch all
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.bloom import BloomFilter
 from repro.core.hashing import KeyDigest, KeyLike, as_digest
@@ -68,6 +68,10 @@ class BitSlicedBloomArray:
         # incarnations, newest first: a query walks it as it is.  The window is
         # small and moves once per flush, so it is a tuple rebuilt on the move.
         self._window: Tuple[Tuple[int, object], ...] = ()
+        # The same pairs as a map, kept in step with the window: a query that
+        # leaves one column standing (the usual hit) names its owner without
+        # the walk.
+        self._owner_of: Dict[int, object] = {}
         # OR of the live columns' bits, maintained incrementally so lookups
         # do not rebuild it per query.
         self._live_mask = 0
@@ -97,6 +101,7 @@ class BitSlicedBloomArray:
         for position in bloom.set_bits():
             slices[position] |= column_bit
         self._window = ((column_bit, incarnation_id),) + self._window
+        self._owner_of[column_bit] = incarnation_id
         self._live_mask |= column_bit
 
     def evict_oldest(self) -> Optional[object]:
@@ -105,6 +110,7 @@ class BitSlicedBloomArray:
             return None
         column_bit, owner = self._window[-1]
         self._window = self._window[:-1]
+        del self._owner_of[column_bit]
         self._live_mask &= ~column_bit
         # The paper's lazy clearing: vacated columns keep their stale bits
         # until a whole word's worth has accumulated, then are cleared at once.
@@ -153,8 +159,10 @@ class BitSlicedBloomArray:
             combined &= slices[position]
             if combined == 0:
                 return []
+        if not combined & (combined - 1):  # one column survived
+            return [self._owner_of[combined]]
         # Newest-first so the caller sees the most recent value for a key.  A
-        # plain loop: a comprehension is one more frame for the usual one hit.
+        # plain loop: a comprehension is one more frame.
         found = []
         for column_bit, owner in self._window:
             if combined & column_bit:

@@ -84,6 +84,9 @@ class SuperTable:
         self.eviction_policy = eviction_policy if eviction_policy is not None else FIFOEviction()
         self.use_bloom_filters = use_bloom_filters
         self.use_bit_slicing = use_bit_slicing
+        # The standard organisation, decided once: lookup queries the sliced
+        # array itself; the two ablations go through _candidate_incarnations.
+        self._query_sliced = use_bloom_filters and use_bit_slicing
 
         self.buffer = Buffer(
             capacity_items=buffer_capacity_items,
@@ -124,7 +127,8 @@ class SuperTable:
     # -- Candidate selection ---------------------------------------------------------
 
     def _candidate_incarnations(self, key: KeyDigest) -> Tuple[List[IncarnationHandle], float]:
-        """Incarnations that may hold ``key`` (newest first) and the DRAM cost.
+        """Incarnations that may hold ``key`` (newest first) and the DRAM cost,
+        for the two ablations: no Bloom filters, or one filter per incarnation.
 
         Every Bloom probe below reads the digest's memoised positions, however
         many incarnations there are.
@@ -134,9 +138,6 @@ class SuperTable:
         if not self.use_bloom_filters:
             # Ablation: every incarnation is a candidate, newest first.
             return list(reversed(self._incarnations)), 0.0
-        if self.use_bit_slicing:
-            # bloom_query_cost(n > 0, bit_sliced=True), without the call.
-            return self._sliced.candidates(key), self.memory_cost.bloom_sliced_query_ms
         candidates = [
             handle
             for handle in reversed(self._incarnations)
@@ -173,7 +174,12 @@ class SuperTable:
         if value is not None:
             return LookupResult(data, value, latency, _BUFFER)
 
-        candidates, bloom_cost = self._candidate_incarnations(key)
+        if self._query_sliced:
+            # bloom_query_cost(n, bit_sliced=True), without the call.
+            candidates = self._sliced.candidates(key)
+            bloom_cost = cost.bloom_sliced_query_ms if self._incarnations else 0.0
+        else:
+            candidates, bloom_cost = self._candidate_incarnations(key)
         advance(bloom_cost)
         latency += bloom_cost
         flash_reads = 0
@@ -182,17 +188,21 @@ class SuperTable:
         for handle in candidates:
             num_pages = handle.num_pages
             page = (key.words or key.clam_words())[PAGE_WORD] % num_pages
-            # Read the home page, then follow overflow flags (wrapping) until
-            # the key turns up or a page says nothing spilled past it.
-            reads = 0
-            flash_latency = 0.0
-            for probe in range(num_pages):
-                image, read_latency = read_page(handle.address, (page + probe) % num_pages)
-                flash_latency += read_latency
-                reads += 1
-                value, overflowed = search_page(image, data)
-                if value is not None or not overflowed:
-                    break
+            address = handle.address
+            image, flash_latency = read_page(address, page)
+            reads = 1
+            value, overflowed = search_page(image, data)
+            if value is None and overflowed:
+                # Entries spilled past the home page: follow the overflow
+                # flags (wrapping) until the key turns up or a page says
+                # nothing went further.
+                for probe in range(1, num_pages):
+                    image, read_latency = read_page(address, (page + probe) % num_pages)
+                    flash_latency += read_latency
+                    reads += 1
+                    value, overflowed = search_page(image, data)
+                    if value is not None or not overflowed:
+                        break
             flash_reads += reads
             latency += flash_latency
             scan_cost = cost.page_scan_ms * reads

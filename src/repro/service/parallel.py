@@ -206,6 +206,21 @@ def _send_fatal(conn: socket.socket, error: Exception) -> None:
         pass
 
 
+def _build_worker_shard(
+    shard_id: str, config: CLAMConfig, storage: str, data_path: Optional[str], eviction_policy
+) -> LocalShard:
+    """The shard a worker process hosts.
+
+    Its CLAM keeps no per-operation latency samples, whatever the cluster was
+    asked to keep: no control operation returns a sample list and
+    ``counters()`` copies none, so in a worker they would be one float per
+    operation, for the life of the process, that nobody can read.
+    """
+    return LocalShard(
+        shard_id, config, storage, data_path, eviction_policy, keep_latency_samples=False
+    )
+
+
 def _worker_main(
     conn: socket.socket,
     shard_id: str,
@@ -213,7 +228,6 @@ def _worker_main(
     storage: str,
     data_path: Optional[str],
     eviction_policy,
-    keep_latency_samples: bool,
 ) -> None:
     """Entry point of one shard worker: a :class:`LocalShard` behind a socket.
 
@@ -236,9 +250,7 @@ def _worker_main(
     exit_code = 0
     try:
         try:
-            shard = LocalShard(
-                shard_id, config, storage, data_path, eviction_policy, keep_latency_samples
-            )
+            shard = _build_worker_shard(shard_id, config, storage, data_path, eviction_policy)
         except Exception as error:  # tell the parent why the build failed
             hello = {"ok": False, "error": f"{type(error).__name__}: {error}"}
             wire.send_frame(conn, wire.FRAME_CONTROL_RESPONSE, wire.encode_control(hello))
@@ -332,6 +344,10 @@ class RemoteShard:
     exhausted the proxy opens its circuit — marks itself dead and raises
     :class:`~repro.core.errors.WorkerStalledError` — so a hung worker feeds
     the exact same supervisor/replication machinery as a dead one.
+
+    ``keep_latency_samples`` is taken so that a proxy is built from the same
+    ``_shard_spec`` as a :class:`LocalShard`; a worker keeps no samples
+    (see :func:`_build_worker_shard`).
     """
 
     def __init__(
@@ -368,7 +384,6 @@ class RemoteShard:
         self.clock = _MirrorClock()
         self._ctx = ctx
         self._eviction_policy = eviction_policy
-        self._keep_latency_samples = keep_latency_samples
         self._sock: Optional[socket.socket] = None
         self.process = None
         self._dead = False
@@ -388,7 +403,6 @@ class RemoteShard:
                 self.storage,
                 self.data_path,
                 self._eviction_policy,
-                self._keep_latency_samples,
             ),
             name=f"clam-worker-{self.shard_id}",
             daemon=True,

@@ -16,7 +16,12 @@ device overrides.
 
 import pytest
 
-from benchmarks.bench_hotpath import CALL_BUDGET, blocks_ceiling, measure_call_budget
+from benchmarks.bench_hotpath import (
+    C_CALL_BUDGET,
+    CALL_BUDGET,
+    blocks_ceiling,
+    measure_call_budget,
+)
 from benchmarks.common import count_calls, standard_clam
 from repro.core.errors import DeviceFailedError, PowerLossError, TornPageError
 from repro.core.hashing import clear_digest_cache
@@ -36,6 +41,12 @@ class TestCallBudget:
     @pytest.mark.parametrize("outcome", sorted(CALL_BUDGET))
     def test_mean_python_frames_within_the_budget(self, budget, outcome):
         assert budget[outcome]["python_frames"] <= CALL_BUDGET[outcome], budget[outcome]
+
+    @pytest.mark.parametrize("outcome", sorted(C_CALL_BUDGET))
+    def test_mean_c_calls_within_the_budget(self, budget, outcome):
+        # What a page read spends in C no longer depends on how many entries
+        # the page holds: a per-entry call in search_page would show here.
+        assert budget[outcome]["c_calls"] <= C_CALL_BUDGET[outcome], budget[outcome]
 
     @pytest.mark.parametrize(
         "outcome", ["lookup_one_read", "lookup_buffer_hit", "lookup_cold_miss"]

@@ -49,6 +49,8 @@ N_OPS = 260
 #: The superblock payload of ``CFG`` exactly as the commit before the re-hash
 #: ablation was deleted wrote it (``json.dumps(asdict(config), sort_keys=True,
 #: separators=(",", ":"))``); ``%s`` is the ablation switch, ``true``/``false``.
+#: Like every file older than the columnar page layout it names no
+#: ``page_format``: its incarnation pages are format 1.
 PARENT_SUPERBLOCK_JSON = (
     b'{"bloom_bits_per_entry":16.0,"buffer_capacity_items":8,"buffer_utilization":0.5,'
     b'"checkpoint_interval_flushes":4,"entry_size_bytes":16,"eviction_policy_name":"fifo",'
@@ -271,24 +273,41 @@ class TestDurableCLAM:
         with DurableCLAM(path, geometry=GEOM) as clam:  # adopt stored config
             assert clam.config == CFG
 
-    @pytest.mark.parametrize("stored_flag", [b"true", b"false"])
-    def test_superblock_written_before_the_rehash_switch_was_deleted_still_opens(
-        self, tmp_path, stored_flag
-    ):
-        path = tmp_path / "old.clam"
+    @staticmethod
+    def _device_with_superblock(path, payload):
         device = PersistentFlashDevice(path, geometry=GEOM)
         superblock_page = device.layout.partition("superblock").start_page(GEOM)
-        device.write_page(superblock_page, SUPERBLOCK_MAGIC + PARENT_SUPERBLOCK_JSON % stored_flag)
+        device.write_page(superblock_page, SUPERBLOCK_MAGIC + payload)
         device.close()
-        with DurableCLAM(path, geometry=GEOM) as clam:  # adopts the stored config
-            assert clam.config == CFG
-            for i in range(20):  # flushes, and fits the retention window
-                clam.insert(key(i), value(i))
-        # The same config passed explicitly is no "configuration mismatch".
+
+    @pytest.mark.parametrize("stored_flag", [b"true", b"false"])
+    def test_superblock_written_before_the_rehash_switch_was_deleted_is_refused_at_open(
+        self, tmp_path, stored_flag
+    ):
+        # No page_format means format 1, which has no reader: the file is
+        # refused by name before a page of it is parsed, not misread later.
+        path = tmp_path / "old.clam"
+        self._device_with_superblock(path, PARENT_SUPERBLOCK_JSON % stored_flag)
+        with pytest.raises(ConfigurationError, match="page_format 1; .* page_format 2 only"):
+            DurableCLAM(path, geometry=GEOM)
+        with pytest.raises(ConfigurationError, match="page_format"):
+            DurableCLAM(path, config=CFG, geometry=GEOM)
+
+    def test_superblock_of_a_page_format_from_the_future_is_refused_at_open(self, tmp_path):
+        path = tmp_path / "new.clam"
         with DurableCLAM(path, config=CFG, geometry=GEOM) as clam:
-            assert clam.recovery_report.clean_shutdown
-            assert clam.bufferhash.total_incarnations > 0
-            assert all(clam.get(key(i)) == value(i) for i in range(20))
+            device = clam.persistent_device
+            image = device.peek_page(device.layout.partition("superblock").start_page(GEOM))
+        stamped = image[len(SUPERBLOCK_MAGIC) :]
+        assert b'"page_format":2' in stamped
+        os.remove(path)
+        self._device_with_superblock(path, stamped.replace(b'"page_format":2', b'"page_format":3'))
+        with pytest.raises(ConfigurationError, match="page_format 3; .* page_format 2 only"):
+            DurableCLAM(path, geometry=GEOM)
+        os.remove(path)
+        self._device_with_superblock(path, stamped)  # the stamp itself is what opens
+        with DurableCLAM(path, geometry=GEOM) as clam:
+            assert clam.config == CFG
 
     def test_superblock_records_no_rehash_switch(self, tmp_path):
         path = tmp_path / "new.clam"

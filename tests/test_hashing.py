@@ -201,6 +201,27 @@ class TestKeyDigest:
         positions = KeyDigest(data).bloom_positions(count, modulus)
         assert list(positions) == double_hashes(data, count, modulus)
 
+    def test_power_of_two_positions_in_every_lane_width(self):
+        """Positions modulo 2^k come out of one lane-packed expression; the
+        lane is the narrowest array item ``count * modulus`` fits, so each
+        width, the carry-free edge of each, and the fallback past 64 bits are
+        named here with the item type they must produce."""
+        expected_typecodes = {
+            (1, 1): "H", (1, 2): "H", (32, 2): "H", (1, 1 << 16): "H", (11, 1 << 11): "H",
+            (32, 1 << 11): "H",  # 2^16 exactly: the last carry-free fit of 16 bits
+            (2, 1 << 16): "I", (32, 1 << 16): "I", (32, 1 << 17): "I", (32, 1 << 27): "I",
+            (32, 1 << 28): "Q", (1, 1 << 40): "Q", (32, 1 << 59): "Q", (1, 1 << 64): "Q",
+            # No lane holds these without a carry: computed position by position.
+            (32, 1 << 60): "Q", (2, 1 << 64): "Q", (3, 1 << 66): "Q",
+        }  # fmt: skip
+        keys = [b"", b"k", b"golden-key", bytes(range(256))]
+        keys += [fingerprint.to_bytes(20, "big") for fingerprint in (1, 2**159 + 12345, 2**160 - 1)]
+        for (count, modulus), typecode in expected_typecodes.items():
+            for key in keys:
+                positions = KeyDigest(key).bloom_positions(count, modulus)
+                assert positions.typecode == typecode, (count, modulus)
+                assert list(positions) == double_hashes(key, count, modulus), (count, modulus)
+
     def test_one_bloom_geometry_is_memoised_at_a_time(self):
         digest = KeyDigest(b"two-geometries")
         first = digest.bloom_positions(7, 512)

@@ -2,11 +2,11 @@
 
 import random
 import struct
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core import KeyTooLargeError, build_pages, search_page
+from repro.core import KeyTooLargeError, PageFormatError, build_pages, search_page
 from repro.core.hashing import as_digest, clear_digest_cache
 from repro.core.incarnation import (
     IncarnationHandle,
@@ -14,6 +14,10 @@ from repro.core.incarnation import (
     page_index_for_key,
     page_overflowed,
 )
+
+PAGE_HEADER = struct.Struct("<HB")  # count, flags — both formats
+ENTRY_HEADER = struct.Struct("<HH")  # key length, value length — both formats
+OVERFLOW, UNIFORM, COLUMNAR = 0x01, 0x02, 0x80
 
 
 class TestPageIndexForKey:
@@ -99,37 +103,198 @@ class TestBuildAndSearchPages:
         assert value is None
         assert overflowed is False
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.dictionaries(
-            st.binary(min_size=1, max_size=20),
-            st.binary(min_size=0, max_size=20),
-            min_size=0,
-            max_size=60,
-        ),
-        st.integers(min_value=1, max_value=16),
-    )
-    def test_property_round_trip(self, items, num_pages):
-        pages = build_pages(items, num_pages=num_pages, page_size=2048)
+    def test_search_refuses_to_guess_at_a_straddling_match(self):
+        """On a uniform page the key column is one byte string, so two
+        neighbours can spell a third key across their seam: the match must
+        start on a cell boundary to count."""
+        items = {b"aabb": b"one", b"aaxx": b"two", b"bbaa": b"six"}
+        (page,) = build_pages(items, num_pages=1, page_size=256)
+        assert page[2] == COLUMNAR | UNIFORM
+        keys_start = 3 + 4 * len(items)
+        assert page[keys_start : keys_start + 12] == b"aabbaaxxbbaa"  # insertion order
+        # b"bbaa" is found first at +2 (aabb|aaxx), then where it is stored.
+        assert page.find(b"bbaa", keys_start) == keys_start + 2
+        assert search_page(page, b"bbaa") == (b"six", False)
+        # Without its entry, b"bbaa" exists only across the seam: a miss.
+        del items[b"bbaa"]
+        (page,) = build_pages(items, num_pages=1, page_size=256)
+        assert page.find(b"bbaa", 3 + 4 * len(items)) > 0
+        assert search_page(page, b"bbaa") == (None, False)
+        # A prefix, a suffix and an over-long superstring of stored keys miss.
+        for absent in (b"aab", b"abb", b"aabba", b"aabbaaxx", b""):
+            assert search_page(page, absent) == (None, False)
+
+    def test_the_empty_key_and_empty_values(self):
+        alone = build_pages({b"": b"nothing"}, num_pages=1, page_size=64)[0]
+        assert alone[2] == COLUMNAR | UNIFORM
+        assert search_page(alone, b"") == (b"nothing", False)
+        assert search_page(alone, b"x") == (None, False)
+        both_empty = build_pages({b"": b""}, num_pages=1, page_size=64)[0]
+        assert search_page(both_empty, b"") == (b"", False)
+        mixed = build_pages({b"ab": b"", b"": b"v", b"abc": b""}, num_pages=1, page_size=64)[0]
+        assert mixed[2] == COLUMNAR
+        assert search_page(mixed, b"") == (b"v", False)
+        assert search_page(mixed, b"ab") == (b"", False)
+        assert search_page(mixed, b"abc") == (b"", False)
+        assert search_page(mixed, b"a") == (None, False)
+        assert list(iter_page_entries(mixed)) == [(b"ab", b""), (b"", b"v"), (b"abc", b"")]
+
+    def test_property_round_trip(self):
+        """Seeded ``(seed, entries, key_len, value mode)`` draws, and what they
+        reached: every count below is exact, so a generator that stops
+        producing a regime fails here instead of passing quietly."""
+        reached = Counter()
+        for seed in range(4):
+            for entries in (1, 9, 40, 150):
+                for key_len in (None, 1, 8, 20):  # None: 0-24 bytes, mixed
+                    for value_mode in ("fixed", "empty", "mixed"):
+                        self._round_trip(seed, entries, key_len, value_mode, reached)
+        assert reached == {
+            "cases": 192,
+            "rejected": 32,  # fragmentation: just enough bytes is not always enough pages
+            "pages": 2067,
+            "uniform_pages": 1521,
+            "mixed_pages": 450,
+            "empty_pages": 96,
+            "overflowed_pages": 1175,
+            "pages_full_to_the_last_byte": 1014,
+            "entries": 6758,
+            "entries_spilled": 1843,
+            "entries_wrapped_past_the_last_page": 130,
+            "entries_wrapped_two_pages_or_more": 115,
+            "empty_keys": 14,
+            "empty_values": 2791,
+            "absent_of_the_page_length_on_uniform": 1520,
+            "absent_of_another_length_on_uniform": 1521,
+            "absent_on_mixed": 450,
+        }
+
+    def _round_trip(self, seed, entries, key_len, value_mode, reached):
+        rng = random.Random(f"{seed}/{entries}/{key_len}/{value_mode}")
+        items = {}
+        while len(items) < (min(entries, 120) if key_len == 1 else entries):
+            key = rng.randbytes(rng.randint(0, 24) if key_len is None else key_len)
+            if value_mode == "fixed":
+                items[key] = rng.randbytes(8)
+            elif value_mode == "empty":
+                items[key] = b""
+            else:
+                items[key] = rng.randbytes(rng.randint(0, 20))
+        # Half the cases get a page that holds a whole number of the first
+        # entry and just enough of them: full pages, long spills, wrap-around.
+        sizes = [4 + len(key) + len(value) for key, value in items.items()]
+        total = sum(sizes)
+        if seed % 2:
+            per_page = max(rng.randint(1, 6), -(-max(sizes) // sizes[0]))
+            page_size = 3 + per_page * sizes[0]
+            num_pages = -(-total // (page_size - 3))
+        else:
+            page_size = rng.choice([64, 128, 512, 2048])
+            num_pages = max(1, round(total / (page_size - 3) / rng.uniform(0.3, 0.95)))
+        reached["cases"] += 1
+        try:
+            pages = build_pages(items, num_pages=num_pages, page_size=page_size)
+        except KeyTooLargeError:
+            reached["rejected"] += 1
+            return
+        assert len(pages) == num_pages
+        landed = {}
+        for index, page in enumerate(pages):
+            assert len(page) <= page_size
+            count, flags = PAGE_HEADER.unpack_from(page)
+            assert flags & COLUMNAR and page_overflowed(page) == bool(flags & OVERFLOW)
+            stored = list(iter_page_entries(page))
+            assert len(stored) == count
+            shapes = {(len(key), len(value)) for key, value in stored}
+            assert bool(flags & UNIFORM) == (len(shapes) == 1)
+            reached["pages"] += 1
+            kind = "uniform" if flags & UNIFORM else "mixed" if count else "empty"
+            reached[kind + "_pages"] += 1
+            reached["overflowed_pages"] += page_overflowed(page)
+            reached["pages_full_to_the_last_byte"] += len(page) == page_size
+            for key, value in stored:
+                assert key not in landed
+                landed[key] = index
+                assert search_page(page, key) == (value, page_overflowed(page))
+            miss = (None, page_overflowed(page))
+            if flags & UNIFORM:
+                ((width, _),) = shapes
+                assert search_page(page, rng.randbytes(width + 1)) == miss
+                reached["absent_of_another_length_on_uniform"] += 1
+                if width:
+                    absent = rng.randbytes(width)
+                    while absent in items:
+                        absent = rng.randbytes(width)
+                    assert search_page(page, absent) == miss
+                    reached["absent_of_the_page_length_on_uniform"] += 1
+            elif count:
+                assert search_page(page, rng.randbytes(25)) == miss
+                reached["absent_on_mixed"] += 1
+        assert len(landed) == len(items)
         for key, value in items.items():
             assert self._probe(pages, key) == value
+            home = page_index_for_key(key, num_pages)
+            distance = (landed[key] - home) % num_pages
+            reached["entries"] += 1
+            reached["entries_spilled"] += distance > 0
+            reached["entries_wrapped_past_the_last_page"] += landed[key] < home
+            reached["entries_wrapped_two_pages_or_more"] += landed[key] < home and distance >= 2
+            reached["empty_keys"] += key == b""
+            reached["empty_values"] += value == b""
 
 
-def _reference_build_pages(items, num_pages, page_size):
+def _entry_lengths(key, value):
+    if len(key) > 0xFFFF or len(value) > 0xFFFF:
+        raise KeyTooLargeError("keys and values must fit in 16-bit length fields")
+    return ENTRY_HEADER.pack(len(key), len(value))
+
+
+def _encode_page_v1(entries, overflowed):
+    """The row-wise image of format 1: ``[header][<HH lengths, key, value] ...``."""
+    body = b"".join(_entry_lengths(key, value) + key + value for key, value in entries)
+    return PAGE_HEADER.pack(len(entries), 1 if overflowed else 0) + body
+
+
+def _decode_page_v1(image):
+    count, flag = PAGE_HEADER.unpack_from(image, 0)
+    offset = PAGE_HEADER.size
+    entries = []
+    for _ in range(count):
+        key_len, value_len = ENTRY_HEADER.unpack_from(image, offset)
+        offset += ENTRY_HEADER.size
+        key_end = offset + key_len
+        entries.append((image[offset:key_end], image[key_end : key_end + value_len]))
+        offset = key_end + value_len
+    assert offset == len(image)
+    return entries, bool(flag)
+
+
+def _encode_page_v2(entries, overflowed):
+    """The columnar image of format 2, one field at a time."""
+    flags = COLUMNAR | (OVERFLOW if overflowed else 0)
+    if len({(len(key), len(value)) for key, value in entries}) == 1:
+        flags |= UNIFORM
+    image = PAGE_HEADER.pack(len(entries), flags)
+    for key, value in entries:
+        image += _entry_lengths(key, value)
+    for key, _value in entries:
+        image += key
+    for _key, value in entries:
+        image += value
+    return image
+
+
+def _reference_build_pages(items, num_pages, page_size, encode_page=_encode_page_v2):
     """``build_pages`` as it was before it became one pass over the items
     (three passes: bucket by hash-assigned page, place with wrap-around
-    overflow, encode).  Kept as the layout's reference: the page images on
-    flash must not move."""
+    overflow, encode).  Kept as the layout's reference: the first two passes
+    are those of format 1 verbatim — which page holds which entry must not
+    move — and the third encodes a placed page in either format."""
     page_header = struct.Struct("<HB")
     entry_header = struct.Struct("<HH")
 
     def entry_size(key, value):
         return entry_header.size + len(key) + len(value)
-
-    def encode_entry(key, value):
-        if len(key) > 0xFFFF or len(value) > 0xFFFF:
-            raise KeyTooLargeError("keys and values must fit in 16-bit length fields")
-        return entry_header.pack(len(key), len(value)) + key + value
 
     if num_pages <= 0:
         raise ValueError("num_pages must be positive")
@@ -139,9 +304,7 @@ def _reference_build_pages(items, num_pages, page_size):
     for key, value in items.items():
         size = entry_size(key, value)
         if size + page_header.size > page_size:
-            raise KeyTooLargeError(
-                f"entry of {size} bytes cannot fit in a {page_size}-byte page"
-            )
+            raise KeyTooLargeError(f"entry of {size} bytes cannot fit in a {page_size}-byte page")
         buckets[page_index_for_key(key, num_pages)].append((key, value))
     page_entries = [[] for _ in range(num_pages)]
     page_space = [page_size - page_header.size] * num_pages
@@ -164,19 +327,71 @@ def _reference_build_pages(items, num_pages, page_size):
                     "incarnation overflow: items do not fit in the configured pages; "
                     "reduce buffer utilisation or increase page count"
                 )
-    pages = []
-    for index in range(num_pages):
-        body = b"".join(encode_entry(key, value) for key, value in page_entries[index])
-        pages.append(
-            page_header.pack(len(page_entries[index]), 1 if overflowed[index] else 0) + body
-        )
-    return pages
+    return [encode_page(page_entries[index], overflowed[index]) for index in range(num_pages)]
+
+
+def _seeded_item_sets(count=300):
+    """``(items, num_pages, page_size)`` from nearly empty to just past full,
+    so that entries spill to the next page, wrap past the last page, and
+    sometimes do not fit."""
+    rng = random.Random(20100428)
+    for _ in range(count):
+        num_pages = rng.randint(1, 12)
+        page_size = rng.choice([64, 96, 128, 256, 512])
+        fill = rng.uniform(0.05, 1.1)
+        items = {}
+        used = 0
+        while used < fill * num_pages * (page_size - 3):
+            key = rng.randbytes(rng.randint(1, 24))
+            value = rng.randbytes(rng.randint(0, 40))
+            items[key] = value
+            used += 4 + len(key) + len(value)
+        yield items, num_pages, page_size
+
+
+class TestFormatTwoMovesNothingSimulated:
+    """Page ``p`` of a format 2 incarnation holds the entries, in the order,
+    with the overflow flag and in the number of bytes that format 1 gave page
+    ``p``: the page count, the page a lookup reads and the bytes a flush
+    writes — everything the simulated device charges for — are unchanged."""
+
+    def test_same_entries_flag_and_byte_length_page_by_page(self):
+        compared = spilled = rejected = 0
+        for items, num_pages, page_size in _seeded_item_sets():
+            try:
+                row_wise = _reference_build_pages(items, num_pages, page_size, _encode_page_v1)
+            except KeyTooLargeError as error:
+                with pytest.raises(KeyTooLargeError, match=str(error)[:30]):
+                    build_pages(items, num_pages, page_size)
+                rejected += 1
+                continue
+            columnar = build_pages(items, num_pages, page_size)
+            assert len(columnar) == len(row_wise) == num_pages
+            for old, new in zip(row_wise, columnar):
+                entries, overflowed = _decode_page_v1(old)
+                assert list(iter_page_entries(new)) == entries
+                assert page_overflowed(new) == overflowed
+                assert len(new) == len(old)
+                compared += 1
+                spilled += overflowed
+        assert (compared, spilled, rejected) == (1502, 364, 64)
+
+    def test_a_row_wise_image_is_refused_not_misread(self):
+        entries = [(b"key-one", b"1"), (b"key-two", b"2")]
+        for overflowed in (False, True):
+            image = _encode_page_v1(entries, overflowed)
+            with pytest.raises(PageFormatError, match="not columnar"):
+                search_page(image, b"key-one")
+            with pytest.raises(PageFormatError, match="page format 2"):
+                list(iter_page_entries(image))
+            with pytest.raises(PageFormatError):
+                page_overflowed(image)
 
 
 @pytest.mark.parametrize("warm", [False, True])
 class TestBuildPagesMatchesReference:
     """The one-pass ``build_pages``, which reads each key's page word from the
-    digest cache, writes the images the three-pass one did by hashing raw
+    digest cache, writes the images the three-pass one does by hashing raw
     bytes — whether the cache has never met the keys (``warm=False``) or
     already holds their digests with every word filled, as it does for a
     buffer flushed in production (``warm=True``)."""
@@ -195,21 +410,8 @@ class TestBuildPagesMatchesReference:
         return self._outcome(build_pages, items, num_pages, page_size)
 
     def test_random_item_sets_including_wrap_around_overflow(self, warm):
-        rng = random.Random(20100428)
         wrapped = spilled = rejected = 0
-        for _ in range(300):
-            num_pages = rng.randint(1, 12)
-            page_size = rng.choice([64, 96, 128, 256, 512])
-            # From nearly empty to just past full, so that entries spill to the
-            # next page, wrap past the last page, and sometimes do not fit.
-            fill = rng.uniform(0.05, 1.1)
-            items = {}
-            used = 0
-            while used < fill * num_pages * (page_size - 3):
-                key = rng.randbytes(rng.randint(1, 24))
-                value = rng.randbytes(rng.randint(0, 40))
-                items[key] = value
-                used += 4 + len(key) + len(value)
+        for items, num_pages, page_size in _seeded_item_sets():
             expected = self._outcome(_reference_build_pages, items, num_pages, page_size)
             assert self._build_pages(warm, items, num_pages, page_size) == expected
             if isinstance(expected, tuple):
