@@ -38,6 +38,7 @@ from benchmarks.common import (
     dump_telemetry,
     print_table,
     standard_config,
+    without_event_log,
     write_bench_json,
 )
 from benchmarks.ratchet import REGISTRY, check_spec
@@ -323,6 +324,7 @@ def main() -> None:
         ],
     )
 
+    embedded, log_counts = without_event_log(telemetry)
     path = write_bench_json(
         "chaos",
         {
@@ -343,9 +345,10 @@ def main() -> None:
             "chaos": chaos,
             "stall": stall,
             "parity": parity,
+            "event_counts": log_counts,
         },
         quick=args.quick,
-        telemetry=telemetry,
+        telemetry=embedded,
     )
     print(f"wrote {path}")
     dump_telemetry(args.telemetry_out, telemetry)

@@ -35,6 +35,7 @@ from benchmarks.common import (
     dump_telemetry,
     print_table,
     standard_config,
+    without_event_log,
     write_bench_json,
 )
 from benchmarks.ratchet import REGISTRY, check_spec
@@ -231,7 +232,8 @@ def check_invariants(churn, autoscale, drill, snapshot) -> None:
     assert seqs == sorted(seqs), seqs
 
 
-def emit_json(quick, churn, autoscale, drill, telemetry=None):
+def emit_json(quick, churn, autoscale, drill, telemetry):
+    embedded, log_counts = without_event_log(telemetry)
     path = write_bench_json(
         "rebalance",
         {
@@ -251,9 +253,10 @@ def emit_json(quick, churn, autoscale, drill, telemetry=None):
             "churn": churn,
             "autoscale": autoscale,
             "kill_joining_drill": drill,
+            "event_counts": log_counts,
         },
         quick=quick,
-        telemetry=telemetry,
+        telemetry=embedded,
     )
     print(f"wrote {path}")
 

@@ -9,6 +9,7 @@ import json
 import platform
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -137,6 +138,17 @@ def add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
             "as JSON to PATH, alongside the BENCH_*.json output"
         ),
     )
+
+
+def without_event_log(snapshot: Dict) -> Tuple[Dict, Dict[str, int]]:
+    """``(snapshot with an empty event log, the log's event counts by kind)``.
+
+    What a bench whose event log runs to hundreds of entries embeds in its
+    committed BENCH file: the snapshot stays schema-valid, the payload carries
+    the counts as ``event_counts``, the full log goes to ``--telemetry-out``.
+    """
+    counts = Counter(event["kind"] for event in snapshot["events"])
+    return {**snapshot, "events": []}, dict(sorted(counts.items()))
 
 
 def dump_telemetry(path: Optional[str], snapshot: Optional[Dict]) -> Optional[Path]:

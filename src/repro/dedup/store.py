@@ -8,19 +8,17 @@ paper's point.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.flashsim.device import StorageDevice, page_images
+from repro.flashsim.device import OverwritingPageLog, StorageDevice
 
 
 class ChunkStore:
-    """Append-only store of unique chunks on a simulated device."""
+    """An overwriting page log of unique chunks plus the dedup counters."""
 
     def __init__(self, device: StorageDevice) -> None:
         self.device = device
-        self._next_page = 0
-        # address -> (number of pages, length in bytes)
-        self._chunks: Dict[int, Tuple[int, int]] = {}
+        self._log = OverwritingPageLog(device)
         self.unique_chunks = 0
         self.unique_bytes = 0
         self.duplicate_chunks = 0
@@ -31,18 +29,7 @@ class ChunkStore:
 
         The store wraps to page 0 when full; a chunk whose pages a write
         lands on is forgotten, so :meth:`read` never returns torn bytes."""
-        images = page_images(self.device.geometry.page_size, size, payload)
-        if self._next_page + len(images) > self.device.geometry.total_pages:
-            self._next_page = 0
-        address = self._next_page
-        # Appends are contiguous from page 0 on every lap, so an older chunk
-        # overlapping this write either starts inside it or was already
-        # dropped by the write just before.
-        for page in range(address, address + len(images)):
-            self._chunks.pop(page, None)
-        latency = self.device.write_range(address, images)
-        self._next_page += len(images)
-        self._chunks[address] = (len(images), size)
+        address, latency, _evicted = self._log.append(size, payload)
         self.unique_chunks += 1
         self.unique_bytes += size
         return address, latency
@@ -53,12 +40,8 @@ class ChunkStore:
         self.duplicate_bytes += size
 
     def read(self, address: int) -> Tuple[bytes, float]:
-        """Read a stored chunk back."""
-        if address not in self._chunks:
-            raise KeyError(f"no chunk stored at address {address}")
-        num_pages, size = self._chunks[address]
-        pages, latency = self.device.read_range(address, num_pages)
-        return b"".join(pages)[:size], latency
+        """Read a stored chunk back; ``KeyError`` for an address holding none."""
+        return self._log.read(address)
 
     @property
     def dedup_ratio(self) -> float:

@@ -18,7 +18,8 @@ Public entry points
     slowest member, total work = the sum); used by :mod:`repro.service`.
 :class:`FlashChip`
     A raw NAND flash chip with pages, erase blocks and an erase-before-write
-    constraint.
+    constraint; its erase sequence (``flash_chip._NandDevice``) is also the
+    file-backed :class:`PersistentFlashDevice`'s.
 :class:`SSD`
     A flash translation layer (FTL) over one or more flash chips, exposing
     sector reads/writes; includes background garbage collection pressure.

@@ -337,3 +337,50 @@ def page_images(
         return [b""] * count
     view = memoryview(payload)
     return [view[start : start + page_size] for start in range(0, count * page_size, page_size)]
+
+
+class OverwritingPageLog:
+    """Regions appended at a head that wraps to page 0, each write evicting what it lands on.
+
+    The FIFO space policy of the content cache and the dedup chunk store.  Not
+    :class:`repro.core.storage.CircularLogAllocator`, which skips live regions
+    and fails when a lap finds nothing free.
+    """
+
+    def __init__(self, device: StorageDevice) -> None:
+        self.device = device
+        self._head = 0
+        # start page -> (number of pages, length in bytes, tag) of each live region
+        self._live: dict[int, tuple[int, int, object]] = {}
+
+    def append(self, size: int, payload=None, tag=None) -> tuple[int, float, list]:
+        """Write one region; returns ``(address, latency_ms, tags of the regions evicted)``."""
+        geometry = self.device.geometry
+        if size > geometry.capacity_bytes:
+            raise ValueError(f"chunk larger than the entire device {self.device.name!r}")
+        images = page_images(geometry.page_size, size, payload)
+        address = self._head if self._head + len(images) <= geometry.total_pages else 0
+        # Appends are contiguous from page 0 on every lap, so an older region
+        # overlapping this write either starts inside it or was already
+        # dropped by the write just before.
+        evicted = []
+        for page in range(address, address + len(images)):
+            if page in self._live:
+                evicted.append(self._live.pop(page)[2])
+        latency = self.device.write_range(address, images)
+        # The head moves only now: a write the device refused changed no address.
+        self._head = address + len(images)
+        self._live[address] = (len(images), size, tag)
+        return address, latency, evicted
+
+    def forget(self, address: int) -> None:
+        """Drop the live region at ``address`` (the caller holds a newer copy of it)."""
+        del self._live[address]
+
+    def read(self, address: int) -> tuple[bytes, float]:
+        """Read a live region back; ``KeyError`` when none starts at ``address``."""
+        if address not in self._live:
+            raise KeyError(f"no chunk stored at address {address}")
+        num_pages, size, _tag = self._live[address]
+        pages, latency = self.device.read_range(address, num_pages)
+        return b"".join(pages)[:size], latency

@@ -19,6 +19,7 @@ series in Figure 4 of the paper.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,7 +65,62 @@ GENERIC_FLASH_CHIP_PROFILE = FlashChipProfile(
 )
 
 
-class FlashChip(StorageDevice):
+class _NandDevice(StorageDevice):
+    """The NAND cost model and the block-erase sequence, power cut included, that a
+    raw chip and the file-backed device share; they differ in :meth:`_clear_block`."""
+
+    def __init__(self, cost_model: LinearCostModel, **storage_device) -> None:
+        super().__init__(**storage_device)
+        self._cost_model = cost_model
+        self.erase_count_per_block: dict[int, int] = {}
+
+    def block_of(self, page_index: int) -> int:
+        """Erase-block index containing ``page_index``."""
+        self._check_page(page_index)
+        return page_index // self.geometry.pages_per_block
+
+    def erase_block(self, block_index: int) -> float:
+        """Erase one block, clearing all of its pages; returns the latency."""
+        if not 0 <= block_index < self.geometry.num_blocks:
+            raise IndexError(
+                f"block {block_index} out of range (num_blocks={self.geometry.num_blocks})"
+            )
+        latency = self.faults.check(self._cost_model.erase_cost(self.geometry.block_size))
+        start = block_index * self.geometry.pages_per_block
+        pages = range(start, start + self.geometry.pages_per_block)
+        if self._power_cut(1, "erase") is not None:
+            self._apply_interrupted_erase(pages)
+            raise PowerLossError(
+                f"power lost mid-erase of block {block_index} on device {self.name!r}"
+            )
+        self._record(IOKind.ERASE, self.geometry.block_size, latency, sequential=False)
+        self._clear_block(pages)
+        self.erase_count_per_block[block_index] = (
+            self.erase_count_per_block.get(block_index, 0) + 1
+        )
+        return latency
+
+    @abc.abstractmethod
+    def _clear_block(self, pages: range) -> None:
+        """Return the block's ``pages`` to the erased state."""
+
+    def _apply_interrupted_erase(self, pages: range) -> None:
+        """Durable side effect of an erase interrupted mid-block.
+
+        The in-memory chip has no durable media: the block simply keeps its
+        pre-erase contents (and stays dirty, so the erase must be retried
+        after :meth:`heal`).  File-backed devices override this to mark every
+        frame in the block erased-dirty so reopen sees the half-erased state.
+        """
+
+    def _read_latency(self, nbytes: int, sequential: bool) -> float:
+        return self._cost_model.read_cost(nbytes, sequential=sequential)
+
+    def _write_latency(self, nbytes: int, sequential: bool) -> float:
+        return self._cost_model.write_cost(nbytes, sequential=sequential)
+
+
+class FlashChip(_NandDevice):
     """A raw flash chip with erase-before-write semantics.
 
     The chip tracks a per-page clean/dirty bit.  Writing a dirty page raises
@@ -80,58 +136,26 @@ class FlashChip(StorageDevice):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(
+            profile.cost_model,
             geometry=profile.geometry,
             clock=clock,
             keep_events=keep_events,
             name=name or profile.name,
         )
         self.profile = profile
-        self._cost_model = profile.cost_model
         self._dirty: set[int] = set()
-        self.erase_count_per_block: dict[int, int] = {}
 
     # -- Flash-specific operations ---------------------------------------------
-
-    def block_of(self, page_index: int) -> int:
-        """Erase-block index containing ``page_index``."""
-        self._check_page(page_index)
-        return page_index // self.geometry.pages_per_block
 
     def is_dirty(self, page_index: int) -> bool:
         """Whether ``page_index`` has been programmed since its last erase."""
         self._check_page(page_index)
         return page_index in self._dirty
 
-    def erase_block(self, block_index: int) -> float:
-        """Erase one block, clearing all of its pages; returns the latency."""
-        if not 0 <= block_index < self.geometry.num_blocks:
-            raise IndexError(
-                f"block {block_index} out of range (num_blocks={self.geometry.num_blocks})"
-            )
-        latency = self.faults.check(self._cost_model.erase_cost(self.geometry.block_size))
-        if self._power_cut(1, "erase") is not None:
-            self._apply_interrupted_erase(block_index)
-            raise PowerLossError(
-                f"power lost mid-erase of block {block_index} on device {self.name!r}"
-            )
-        self._record(IOKind.ERASE, self.geometry.block_size, latency, sequential=False)
-        start = block_index * self.geometry.pages_per_block
-        for page in range(start, start + self.geometry.pages_per_block):
+    def _clear_block(self, pages: range) -> None:
+        for page in pages:
             self._dirty.discard(page)
             self._pages.pop(page, None)
-        self.erase_count_per_block[block_index] = (
-            self.erase_count_per_block.get(block_index, 0) + 1
-        )
-        return latency
-
-    def _apply_interrupted_erase(self, block_index: int) -> None:
-        """Durable side effect of an erase interrupted mid-block.
-
-        The in-memory chip has no durable media: the block simply keeps its
-        pre-erase contents (and stays dirty, so the erase must be retried
-        after :meth:`heal`).  File-backed devices override this to mark every
-        frame in the block erased-dirty so reopen sees the half-erased state.
-        """
 
     def write_page(self, page_index: int, data: bytes, sequential: Optional[bool] = None) -> float:
         """Program one page; the page must be clean (erased)."""
@@ -155,11 +179,3 @@ class FlashChip(StorageDevice):
         for offset in range(len(pages)):
             self._dirty.add(start_page + offset)
         return latency
-
-    # -- Latency hooks ---------------------------------------------------------
-
-    def _read_latency(self, nbytes: int, sequential: bool) -> float:
-        return self._cost_model.read_cost(nbytes, sequential=sequential)
-
-    def _write_latency(self, nbytes: int, sequential: bool) -> float:
-        return self._cost_model.write_cost(nbytes, sequential=sequential)

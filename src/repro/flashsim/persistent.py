@@ -45,12 +45,11 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.errors import PowerLossError, TornPageError
+from repro.core.errors import TornPageError
 from repro.flashsim.clock import SimulationClock
-from repro.flashsim.device import DeviceGeometry, StorageDevice
-from repro.flashsim.flash_chip import GENERIC_FLASH_CHIP_PROFILE
+from repro.flashsim.device import DeviceGeometry
+from repro.flashsim.flash_chip import GENERIC_FLASH_CHIP_PROFILE, _NandDevice
 from repro.flashsim.latency import LinearCostModel
-from repro.flashsim.stats import IOKind
 
 #: File magic: "RFLASH" + format version 1 + a zero pad byte.
 FILE_MAGIC = b"RFLASH\x01\x00"
@@ -195,13 +194,14 @@ class FlashLayout:
 PERSISTENT_GEOMETRY = DeviceGeometry(page_size=2048, pages_per_block=64, num_blocks=256)
 
 
-class PersistentFlashDevice(StorageDevice):
+class PersistentFlashDevice(_NandDevice):
     """An mmap/file-backed :class:`StorageDevice` with CRC-framed pages.
 
     Overwrites are allowed (the device behaves like an SSD exposing a flash
     translation layer) but :meth:`erase_block` is supported so log-structured
     owners can reclaim space block-at-a-time — and so interrupted erases are
-    a reachable power-loss state.
+    a reachable power-loss state.  The erase sequence itself is the chip's
+    (``flash_chip._NandDevice``); here is only what it does to the frames on file.
 
     Latency modelling reuses the generic NAND cost model, so figure-series
     numbers are comparable between the in-memory and persistent backends;
@@ -231,6 +231,7 @@ class PersistentFlashDevice(StorageDevice):
         elif geometry is None:
             geometry = PERSISTENT_GEOMETRY
         super().__init__(
+            cost_model if cost_model is not None else GENERIC_FLASH_CHIP_PROFILE.cost_model,
             geometry=geometry,
             clock=clock,
             keep_events=keep_events,
@@ -238,12 +239,8 @@ class PersistentFlashDevice(StorageDevice):
         )
         self.layout = layout if layout is not None else FlashLayout.default(geometry)
         self.layout.validate(geometry)
-        self._cost_model = (
-            cost_model if cost_model is not None else GENERIC_FLASH_CHIP_PROFILE.cost_model
-        )
         self._frame_stride = geometry.page_size + _FRAME.size
         self._file_size = FILE_HEADER_SIZE + geometry.total_pages * self._frame_stride
-        self.erase_count_per_block: dict[int, int] = {}
         self._closed = False
         self._open_backing(create=not existing)
         # Decoded-state cache: page index -> PageState.  Payload bytes are
@@ -374,45 +371,19 @@ class PersistentFlashDevice(StorageDevice):
         self._pages.pop(page_index, None)
         self._states[page_index] = PageState.TORN
 
-    def _apply_interrupted_erase(self, block_index: int) -> None:
-        start = block_index * self.geometry.pages_per_block
-        for page in range(start, start + self.geometry.pages_per_block):
-            offset = self._frame_offset(page)
-            self._mm[offset] = _STATUS_ERASED_DIRTY
+    def _apply_interrupted_erase(self, pages: range) -> None:
+        for page in pages:
+            self._mm[self._frame_offset(page)] = _STATUS_ERASED_DIRTY
             self._pages.pop(page, None)
             self._states[page] = PageState.ERASED_DIRTY
 
-    # -- Erase support ---------------------------------------------------------
-
-    def erase_block(self, block_index: int) -> float:
-        """Erase one block; all of its pages return to :attr:`PageState.ERASED`."""
-        if not 0 <= block_index < self.geometry.num_blocks:
-            raise IndexError(
-                f"block {block_index} out of range (num_blocks={self.geometry.num_blocks})"
-            )
-        latency = self.faults.check(self._cost_model.erase_cost(self.geometry.block_size))
-        if self._power_cut(1, "erase") is not None:
-            self._apply_interrupted_erase(block_index)
-            raise PowerLossError(
-                f"power lost mid-erase of block {block_index} on device {self.name!r}"
-            )
-        self._record(IOKind.ERASE, self.geometry.block_size, latency, sequential=False)
-        start = block_index * self.geometry.pages_per_block
-        begin = self._frame_offset(start)
-        end = begin + self.geometry.pages_per_block * self._frame_stride
+    def _clear_block(self, pages: range) -> None:
+        begin = self._frame_offset(pages.start)
+        end = self._frame_offset(pages.stop)
         self._mm[begin:end] = bytes(end - begin)
-        for page in range(start, start + self.geometry.pages_per_block):
+        for page in pages:
             self._pages.pop(page, None)
             self._states[page] = PageState.ERASED
-        self.erase_count_per_block[block_index] = (
-            self.erase_count_per_block.get(block_index, 0) + 1
-        )
-        return latency
-
-    def block_of(self, page_index: int) -> int:
-        """Erase-block index containing ``page_index``."""
-        self._check_page(page_index)
-        return page_index // self.geometry.pages_per_block
 
     # -- Lifecycle -------------------------------------------------------------
 
@@ -435,14 +406,6 @@ class PersistentFlashDevice(StorageDevice):
     @property
     def closed(self) -> bool:
         return self._closed
-
-    # -- Latency hooks ---------------------------------------------------------
-
-    def _read_latency(self, nbytes: int, sequential: bool) -> float:
-        return self._cost_model.read_cost(nbytes, sequential=sequential)
-
-    def _write_latency(self, nbytes: int, sequential: bool) -> float:
-        return self._cost_model.write_cost(nbytes, sequential=sequential)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -30,7 +30,9 @@ Everything is deterministic given the spec's seed.
 from __future__ import annotations
 
 import heapq
+import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -162,6 +164,61 @@ class FailureEvent:
             )
         if self.action in ("fail", "heal", "scale-in") and self.shard_id is None:
             raise ConfigurationError(f"{self.action!r} events need a shard_id")
+
+
+def fire_failure_event(
+    event: FailureEvent,
+    cluster: ClusterService,
+    recovery: RecoveryCoordinator,
+    migrator: Optional[KeyMigrator] = None,
+) -> Optional[RecoveryReport]:
+    """Apply one scheduled event to ``cluster``; a ``recover`` returns its report.
+
+    A driver that steps no :class:`KeyMigrator` passes none, and a membership
+    event is then refused before anything is recorded, not run as a recovery pass.
+    """
+    scaling = event.action in ("scale-out", "scale-in")
+    if scaling and migrator is None:
+        raise ConfigurationError(f"no KeyMigrator here to perform a {event.action!r} event")
+    cluster.events.record(
+        "schedule_fired",
+        action=event.action,
+        shard=event.shard_id,
+        at_request=event.at_request,
+    )
+    if event.action == "fail":
+        cluster.fail_shard(event.shard_id, mode=event.mode)
+    elif event.action == "heal":
+        cluster.heal_shard(event.shard_id)
+    elif scaling:
+        # One membership change at a time: a still-running migration is
+        # drained before the next scheduled one starts.
+        if cluster.migration is not None:
+            migrator.run_to_completion()
+        if event.action == "scale-out":
+            migrator.start_add(event.shard_id)
+        else:
+            migrator.start_remove(event.shard_id)
+    else:  # "recover"
+        return recovery.recover()
+    return None
+
+
+def fire_due_events(pending: deque[FailureEvent], dispatched: float, fire, outcome) -> None:
+    """Fire, in order, the events scheduled at or before request number ``dispatched``.
+
+    ``pending`` is what is left of a schedule, sorted by ``at_request``.  A
+    driver calls this before every dispatch and once more, with ``math.inf``,
+    after the last: a trailing ``recover`` must not be lost just because the
+    workload finished first.  ``fire`` applies one event; ``outcome`` (the
+    run's report) gains a ``fired_events`` row for it and any recovery report.
+    """
+    while pending and pending[0].at_request <= dispatched:
+        event = pending.popleft()
+        report = fire(event)
+        outcome.fired_events.append((event.at_request, event.action, event.shard_id))
+        if report is not None:
+            outcome.recovery_reports.append(report)
 
 
 @dataclass
@@ -367,16 +424,13 @@ class TrafficSimulator:
         self._ops_baseline = self._registry_ops_per_shard()
 
         issued = 0
-        next_event = 0
+        pending = deque(self.schedule)
+
+        def fire(event: FailureEvent) -> Optional[RecoveryReport]:
+            return fire_failure_event(event, self.cluster, self.recovery, self.migrator)
+
         while ready:
-            # Fire every schedule event due at this point in the request
-            # stream, before the next request is dispatched.
-            while next_event < len(self.schedule):
-                event = self.schedule[next_event]
-                if event.at_request > issued:
-                    break
-                next_event += 1
-                self._fire_event(event, report)
+            fire_due_events(pending, issued, fire, report)
             if self.autoscaler is not None:
                 decision = self.autoscaler.tick(issued)
                 if decision is not None:
@@ -424,12 +478,7 @@ class TrafficSimulator:
                     (client_report.finish_time_ms + spec.think_time_ms, client_id),
                 )
 
-        # Events scheduled at or beyond the final request count still fire
-        # (in order) at end of run — a trailing "recover" must not be lost
-        # just because the workload finished first.
-        while next_event < len(self.schedule):
-            self._fire_event(self.schedule[next_event], report)
-            next_event += 1
+        fire_due_events(pending, math.inf, fire, report)
 
         # A migration still in flight when the workload ends is drained: the
         # run's contract is that every started membership change completes
@@ -442,31 +491,6 @@ class TrafficSimulator:
         report.duration_ms = max((c.finish_time_ms for c in reports), default=0.0)
         report.hot_shards = self._detect_hot_shards(report)
         return report
-
-    def _fire_event(self, event: FailureEvent, report: TrafficReport) -> None:
-        """Apply one scheduled fault action and record it in the report."""
-        self.cluster.events.record(
-            "schedule_fired",
-            action=event.action,
-            shard=event.shard_id,
-            at_request=event.at_request,
-        )
-        if event.action == "fail":
-            self.cluster.fail_shard(event.shard_id, mode=event.mode)
-        elif event.action == "heal":
-            self.cluster.heal_shard(event.shard_id)
-        elif event.action in ("scale-out", "scale-in"):
-            # One membership change at a time: a still-running migration is
-            # drained before the next scheduled one starts.
-            if self.cluster.migration is not None:
-                self.migrator.run_to_completion()
-            if event.action == "scale-out":
-                self.migrator.start_add(event.shard_id)
-            else:
-                self.migrator.start_remove(event.shard_id)
-        else:  # "recover"
-            report.recovery_reports.append(self.recovery.recover())
-        report.fired_events.append((event.at_request, event.action, event.shard_id))
 
     def _registry_ops_per_shard(self) -> Dict[str, float]:
         """Each shard's registry operation counter (empty without telemetry)."""

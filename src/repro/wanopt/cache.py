@@ -12,21 +12,18 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.flashsim.device import StorageDevice, page_images
+from repro.flashsim.device import OverwritingPageLog, StorageDevice
 from repro.wanopt.fingerprint import BytesLike
 
 
 class ContentCache:
-    """Append-only chunk store on a simulated disk (or any storage device)."""
+    """Fingerprint directory over a page log on a simulated disk (or any storage device)."""
 
     def __init__(self, device: StorageDevice) -> None:
         self.device = device
-        self._next_page = 0
-        # fingerprint -> (start page, number of pages, length in bytes)
-        self._directory: Dict[bytes, Tuple[int, int, int]] = {}
-        # start page -> fingerprint: the directory seen from the device, so a
-        # write can find the chunks it lands on.
-        self._chunk_at: Dict[int, bytes] = {}
+        self._log = OverwritingPageLog(device)
+        # fingerprint -> address of its newest copy in the log
+        self._directory: Dict[bytes, int] = {}
         self.bytes_stored = 0
         self.chunks_stored = 0
 
@@ -46,29 +43,15 @@ class ContentCache:
         ``payload`` may be any bytes-like buffer (see
         :func:`~repro.flashsim.device.page_images`).
         """
-        if size > self.capacity_bytes:
-            raise ValueError("chunk larger than the entire content cache")
-        images = page_images(self.device.geometry.page_size, size, payload)
-        pages_needed = len(images)
-        if self._next_page + pages_needed > self.device.geometry.total_pages:
-            self._next_page = 0
-        address = self._next_page
-        # Appends are contiguous from page 0 on every lap, so an older chunk
-        # overlapping this write either starts inside it or was already
-        # dropped by the write just before.
-        for page in range(address, address + pages_needed):
-            overwritten = self._chunk_at.pop(page, None)
-            if overwritten is not None:
-                del self._directory[overwritten]
-        latency = self.device.write_range(address, images)
-        self._next_page += pages_needed
+        address, latency, evicted = self._log.append(size, payload, tag=fingerprint)
+        for overwritten in evicted:
+            del self._directory[overwritten]
         # A fingerprint stored again points at its newest copy only, which
-        # keeps the two maps one-to-one.
+        # keeps the directory and the log's live regions one-to-one.
         previous = self._directory.get(fingerprint)
         if previous is not None:
-            del self._chunk_at[previous[0]]
-        self._directory[fingerprint] = (address, pages_needed, size)
-        self._chunk_at[address] = fingerprint
+            self._log.forget(previous)
+        self._directory[fingerprint] = address
         self.bytes_stored += size
         self.chunks_stored += 1
         return address, latency
@@ -79,15 +62,11 @@ class ContentCache:
 
     def read(self, fingerprint: bytes) -> Tuple[Optional[bytes], float]:
         """Read a chunk back; returns ``(payload or None, latency_ms)``."""
-        entry = self._directory.get(fingerprint)
-        if entry is None:
+        address = self._directory.get(fingerprint)
+        if address is None:
             return None, 0.0
-        address, num_pages, size = entry
-        pages, latency = self.device.read_range(address, num_pages)
-        payload = b"".join(pages)[:size]
-        return payload, latency
+        return self._log.read(address)
 
     def address_of(self, fingerprint: bytes) -> Optional[int]:
         """Cache address of a chunk (what the fingerprint index stores)."""
-        entry = self._directory.get(fingerprint)
-        return entry[0] if entry is not None else None
+        return self._directory.get(fingerprint)

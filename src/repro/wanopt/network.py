@@ -32,6 +32,8 @@ class Link:
         self.clock = clock
         self.bytes_sent = 0
         self.busy_ms = 0.0
+        #: When the link has sent everything :meth:`send_overlapped` queued on it.
+        self.drained_at_ms = clock.now_ms
 
     def serialization_delay_ms(self, nbytes: int) -> float:
         """Time to clock ``nbytes`` onto the wire."""
@@ -49,6 +51,23 @@ class Link:
         return TransmissionResult(
             bytes_sent=nbytes, duration_ms=delay, completed_at_ms=self.clock.now_ms
         )
+
+    def start_idle(self) -> None:
+        """Start a pipelined run with nothing queued: the link is free from now."""
+        self.drained_at_ms = self.clock.now_ms
+
+    def send_overlapped(self, nbytes: int) -> float:
+        """Queue ``nbytes`` that are ready now; returns their serialisation delay.
+
+        Scenario 1 (Figure 9): the link works while the engine moves on, so the
+        clock does not advance; the bytes start once the link has drained what
+        was queued before, and a run ends at ``max(clock.now_ms, drained_at_ms)``.
+        """
+        delay = self.serialization_delay_ms(nbytes)
+        self.drained_at_ms = max(self.clock.now_ms, self.drained_at_ms) + delay
+        self.bytes_sent += nbytes
+        self.busy_ms += delay
+        return delay
 
     def utilization(self, observation_window_ms: float) -> float:
         """Fraction of an observation window the link spent transmitting."""

@@ -20,12 +20,14 @@ side's reconstruction verdict.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.flashsim.clock import SimulationClock
 from repro.service.recovery import RecoveryReport
-from repro.service.simulator import FailureEvent
+from repro.service.simulator import FailureEvent, fire_due_events
 from repro.wanopt.engine import CompressionEngine
 from repro.wanopt.network import Link
 from repro.wanopt.topology import BranchOffice, MultiBranchTopology
@@ -141,23 +143,15 @@ class WANOptimizer:
         transmit_ms = 0.0
         total_original = 0
         total_compressed = 0
-        link_free_at_ms = start_ms
+        self.link.start_idle()
         for obj in objects:
             before = self.clock.now_ms
             result = self.engine.process_object(obj)
             processing_ms += self.clock.now_ms - before
-            # The compressed object starts transmitting as soon as both it is
-            # ready (now) and the link has drained the previous object.
-            serialization = self.link.serialization_delay_ms(result.compressed_bytes)
-            transmit_start = max(self.clock.now_ms, link_free_at_ms)
-            link_free_at_ms = transmit_start + serialization
-            transmit_ms += serialization
-            self.link.bytes_sent += result.compressed_bytes
-            self.link.busy_ms += serialization
+            transmit_ms += self.link.send_overlapped(result.compressed_bytes)
             total_original += result.original_bytes
             total_compressed += result.compressed_bytes
-        finish_ms = max(self.clock.now_ms, link_free_at_ms)
-        time_with = finish_ms - start_ms
+        time_with = max(self.clock.now_ms, self.link.drained_at_ms) - start_ms
         time_without = self.link.serialization_delay_ms(total_original)
         return ThroughputTestResult(
             link_mbps=self.link.bandwidth_mbps,
@@ -301,7 +295,8 @@ class MultiBranchThroughputTest:
     its own clock, with every fingerprint lookup/insert flowing to the
     shared data-center index as one batched round trip per object.
     ``schedule`` events fire just before the Nth object (globally) is
-    dispatched, exactly like the traffic simulator's request counter.
+    dispatched and whatever is left after the last one: the traffic
+    simulator's rule (:func:`~repro.service.simulator.fire_due_events`).
     """
 
     def __init__(self, topology: MultiBranchTopology) -> None:
@@ -319,10 +314,9 @@ class MultiBranchThroughputTest:
                 f"{len(branch_objects)} object streams for "
                 f"{len(topology.branches)} branches"
             )
-        pending = sorted(schedule, key=lambda event: event.at_request)
-        next_event = 0
         dispatched = 0
         result = MultiBranchThroughputResult()
+        pending = deque(sorted(schedule, key=lambda event: event.at_request))
 
         accumulators = [
             _BranchAccumulator(branch, objects)
@@ -333,15 +327,10 @@ class MultiBranchThroughputTest:
             for accumulator in accumulators:
                 if position >= len(accumulator.objects):
                     continue
-                while next_event < len(pending) and pending[next_event].at_request <= dispatched:
-                    event = pending[next_event]
-                    report = topology.fire_event(event)
-                    result.fired_events.append((dispatched, event.action, event.shard_id))
-                    if report is not None:
-                        result.recovery_reports.append(report)
-                    next_event += 1
+                fire_due_events(pending, dispatched, topology.fire_event, result)
                 accumulator.process(topology, accumulator.objects[position])
                 dispatched += 1
+        fire_due_events(pending, math.inf, topology.fire_event, result)
 
         for accumulator in accumulators:
             result.branches.append(accumulator.finish())
@@ -371,7 +360,7 @@ class _BranchAccumulator:
         self.chunks_matched = 0
         self.cross_branch_matched = 0
         self.pass_through = 0
-        branch.link_free_at_ms = self.start_ms
+        branch.link.start_idle()
 
     def process(self, topology: MultiBranchTopology, obj: TraceObject) -> None:
         branch = self.branch
@@ -386,19 +375,12 @@ class _BranchAccumulator:
             self.pass_through += 1
         else:
             self.chunks_matched += outcome.result.chunks_matched
-        # The (compressed or raw) object starts transmitting once it is ready
-        # and the branch link has drained the previous one — same pipeline as
-        # the single-box throughput test.
-        serialization = branch.link.serialization_delay_ms(outcome.wire_bytes)
-        transmit_start = max(branch.clock.now_ms, branch.link_free_at_ms)
-        branch.link_free_at_ms = transmit_start + serialization
-        self.transmit_ms += serialization
-        branch.link.bytes_sent += outcome.wire_bytes
-        branch.link.busy_ms += serialization
+        # Compressed or raw, the object goes out as the engine moves on.
+        self.transmit_ms += branch.link.send_overlapped(outcome.wire_bytes)
 
     def finish(self) -> BranchThroughputResult:
         branch = self.branch
-        finish_ms = max(branch.clock.now_ms, branch.link_free_at_ms)
+        finish_ms = max(branch.clock.now_ms, branch.link.drained_at_ms)
         return BranchThroughputResult(
             branch_id=branch.branch_id,
             link_mbps=branch.link.bandwidth_mbps,

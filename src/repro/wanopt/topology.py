@@ -45,7 +45,7 @@ from repro.flashsim.clock import SimulationClock
 from repro.flashsim.disk import MagneticDisk
 from repro.service.cluster import ClusterService
 from repro.service.recovery import RecoveryCoordinator, RecoveryReport
-from repro.service.simulator import FailureEvent
+from repro.service.simulator import FailureEvent, fire_failure_event
 from repro.telemetry import trace as _trace
 from repro.wanopt.cache import ContentCache
 from repro.wanopt.engine import (
@@ -71,8 +71,6 @@ class BranchOffice:
     clock: SimulationClock
     link: Link
     engine: CompressionEngine
-    #: When the branch's WAN link drains its current object (pipeline state).
-    link_free_at_ms: float = 0.0
     objects_processed: int = 0
     pass_through_objects: int = 0
 
@@ -247,6 +245,9 @@ class MultiBranchTopology:
             )
         #: Which branch first uploaded each fingerprint's literal bytes.
         self._first_uploader: Dict[bytes, str] = {}
+        #: Coordinator shared by every scheduled ``recover`` event; reached only
+        #: through :meth:`fire_event`, which refuses an index that is no cluster.
+        self._recovery = RecoveryCoordinator(index)
         self.recovery_reports: List[RecoveryReport] = []
         self.objects_total = 0
         self.objects_compressed = 0
@@ -268,33 +269,14 @@ class MultiBranchTopology:
     def fire_event(self, event: FailureEvent) -> Optional[RecoveryReport]:
         """Apply one scheduled fault action to the shared cluster.
 
-        Mirrors the traffic simulator's semantics: ``fail`` injects the
-        fault (detection happens when operations start failing), ``heal``
-        clears it and replays hinted writes, ``recover`` runs a
-        :class:`RecoveryCoordinator` pass over whatever the error counters
-        marked down.  ``scale-out`` / ``scale-in`` are rejected: they need a
+        :func:`~repro.service.simulator.fire_failure_event` without a migrator:
+        ``scale-out`` / ``scale-in`` are rejected, because they need a
         :class:`~repro.service.rebalance.KeyMigrator` stepped between
         requests, which only the traffic simulator drives.
         """
-        if event.action not in ("fail", "heal", "recover"):
-            raise ConfigurationError(
-                f"the multi-branch topology cannot perform a {event.action!r} event"
-            )
-        cluster = self.cluster
-        cluster.events.record(
-            "schedule_fired",
-            action=event.action,
-            shard=event.shard_id,
-            at_request=event.at_request,
-        )
-        if event.action == "fail":
-            cluster.fail_shard(event.shard_id, mode=event.mode)
-            return None
-        if event.action == "heal":
-            cluster.heal_shard(event.shard_id)
-            return None
-        report = RecoveryCoordinator(cluster).recover()
-        self.recovery_reports.append(report)
+        report = fire_failure_event(event, self.cluster, self._recovery)
+        if report is not None:
+            self.recovery_reports.append(report)
         return report
 
     # -- Object processing --------------------------------------------------------------

@@ -9,7 +9,14 @@ from repro.core import CLAM, CLAMConfig
 from repro.dedup import ChunkStore, DedupIndex, merge_indexes
 from repro.dedup.merge import scale_merge_time
 from repro.directory import ContentDirectory
-from repro.flashsim import INTEL_SSD_PROFILE, MagneticDisk, SSD, SimulationClock
+from repro.flashsim import (
+    INTEL_SSD_PROFILE,
+    MAGNETIC_DISK_PROFILE,
+    SSD,
+    IOKind,
+    MagneticDisk,
+    SimulationClock,
+)
 from repro.flashsim.device import DeviceGeometry
 from repro.wanopt.fingerprint import Chunk, fingerprint_bytes
 
@@ -42,9 +49,28 @@ class TestChunkStore:
         assert store.read(8)[0] == b"c" * 2048  # not reached yet
         with pytest.raises(KeyError):
             store.read(4)  # b"dddd...bbbb" before: pages 4-5 are d's
-        for _ in range(40):
-            store.append(2048)
-        assert len(store._chunks) <= 4  # bounded by what the device holds
+        assert {store.append(2048)[0] for _ in range(40)} == {0, 4, 6, 8, 10, 12}
+        for overwritten in (6, 10):  # what is readable is bounded by what the device holds
+            with pytest.raises(KeyError):
+                store.read(overwritten)
+        for live in (0, 4, 8, 12):
+            store.read(live)
+
+    def test_oversize_chunk_is_refused_before_anything_is_forgotten(self):
+        """Regression: a chunk larger than the device wrapped the head to 0,
+        dropped every stored chunk and only then failed inside ``write_range``."""
+        geometry = DeviceGeometry(page_size=512, pages_per_block=4, num_blocks=4)
+        disk = MagneticDisk(replace(MAGNETIC_DISK_PROFILE, geometry=geometry), SimulationClock())
+        store = ChunkStore(disk)
+        assert store.append(1024, b"A" * 1024)[0] == 0
+        assert store.append(1024, b"B" * 1024)[0] == 2
+        with pytest.raises(ValueError, match="chunk larger than"):
+            store.append(17 * 512, b"C" * (17 * 512))
+        assert (store.unique_chunks, store.unique_bytes) == (2, 2048)
+        assert store.read(0)[0] == b"A" * 1024
+        assert store.read(2)[0] == b"B" * 1024
+        assert store.append(512, b"D" * 512)[0] == 4  # where it would have landed anyway
+        assert disk.stats.count(IOKind.WRITE) == 3
 
     def test_unknown_address_rejected(self):
         store = ChunkStore(MagneticDisk(clock=SimulationClock()))

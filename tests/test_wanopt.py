@@ -118,7 +118,10 @@ class TestContentCache:
         cache.store(b"F", size=512, payload=b"f" * 512)
         assert not cache.contains(b"B")
         assert cache.address_of(b"F") == 5
-        assert len(cache._directory) == len(cache._chunk_at) == 4  # C, D, E, F
+        held = [name for name in (b"A", b"B", b"C", b"D", b"E", b"F") if cache.contains(name)]
+        assert held == [b"C", b"D", b"E", b"F"]
+        assert [cache.address_of(name) for name in held] == [8, 12, 0, 5]
+        assert cache.read(b"F")[0] == b"f" * 512
 
 
 class TestLink:

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import CLAM, CLAMConfig
 from repro.core.errors import ConfigurationError
-from repro.service import ClusterService, FailureEvent
+from repro.service import ClusterService, FailureEvent, TrafficSimulator, TrafficSpec
 from repro.wanopt import (
     BranchTraceGenerator,
     CompressionEngine,
@@ -226,6 +226,55 @@ class TestFaultInjection:
         # cannot be all pass-through.
         assert result.objects_compressed > 4
         assert result.reconstruction_exact
+
+    def test_event_scheduled_at_the_end_of_the_run_still_fires(self):
+        """Regression: an event at or after the last object was silently dropped,
+        so a drill's trailing ``recover`` never ran and the shard stayed down."""
+        topology, result = self._run(
+            replication_factor=2,
+            schedule=[
+                FailureEvent(at_request=5, action="fail", shard_id="shard-1"),
+                FailureEvent(at_request=20, action="recover"),
+            ],
+        )
+        assert result.objects_total == 20
+        assert result.fired_events == [(5, "fail", "shard-1"), (20, "recover", None)]
+        assert len(result.recovery_reports) == 1
+        assert result.recovery_reports[0].failed_shards == ("shard-1",)
+        assert result.recovery_reports[0].keys_lost == 0
+        assert topology.recovery_reports == result.recovery_reports
+        assert topology.cluster.down_shard_ids == ()
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            # Given out of order; the recover is due exactly at the final count.
+            [("recover", None, 20), ("fail", "shard-1", 5)],
+            # Everything after the first event lies beyond the end of the run.
+            [("fail", "shard-2", 19), ("heal", "shard-2", 25), ("recover", None, 1000)],
+            [("fail", "shard-0", 0), ("heal", "shard-0", 0), ("recover", None, 3)],
+        ],
+    )
+    def test_both_drivers_fire_one_schedule_the_same_way(self, schedule):
+        """The multi-branch harness and the traffic simulator play a schedule
+        through one cursor: same events, same order, over 20 dispatches each."""
+        events = [
+            FailureEvent(at_request=at, action=action, shard_id=shard)
+            for action, shard, at in schedule
+        ]
+        _topology, result = self._run(replication_factor=2, schedule=events)
+        simulator = TrafficSimulator(
+            ClusterService(num_shards=3, config=small_config(), replication_factor=2),
+            TrafficSpec(num_clients=2, requests_per_client=10, batch_size=4, key_space=200),
+            schedule=events,
+        )
+        report = simulator.run()
+        assert report.requests + report.failed_requests == result.objects_total == 20
+        expected = sorted(
+            ((at, action, shard) for action, shard, at in schedule), key=lambda fired: fired[0]
+        )
+        assert result.fired_events == report.fired_events == expected
+        assert len(result.recovery_reports) == len(report.recovery_reports) == 1
 
     @pytest.mark.parametrize(
         "event",
