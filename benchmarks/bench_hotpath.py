@@ -190,7 +190,7 @@ def hotpath_clam(telemetry: bool = False) -> CLAM:
         incarnations_per_table=2,
         telemetry_enabled=telemetry,
     )
-    return CLAM(config, storage="intel-ssd", keep_latency_samples=False)
+    return CLAM(config, storage="intel-ssd")
 
 
 def steady_clam() -> CLAM:
@@ -198,7 +198,7 @@ def steady_clam() -> CLAM:
     config = CLAMConfig.scaled(
         num_super_tables=16, buffer_capacity_items=128, incarnations_per_table=8
     )
-    return CLAM(config, storage="intel-ssd", keep_latency_samples=False)
+    return CLAM(config, storage="intel-ssd")
 
 
 def sweep_seconds(clam: CLAM, keys) -> float:

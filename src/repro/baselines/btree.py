@@ -51,14 +51,13 @@ class ExternalBTreeIndex:
         self,
         device: StorageDevice,
         leaf_capacity: int = 24,
-        keep_latency_samples: bool = True,
     ) -> None:
         if leaf_capacity < 4:
             raise ValueError("leaf_capacity must be at least 4")
         self.device = device
         self.clock = device.clock
         self.leaf_capacity = leaf_capacity
-        self.stats = OperationStats(keep_samples=keep_latency_samples)
+        self.stats = OperationStats()
         self._next_page = 0
         first_leaf = _Leaf(self._allocate_page())
         # Sorted separators and child leaves (a two-level tree is enough for

@@ -60,7 +60,6 @@ class ExternalHashIndex:
         cache_pages: int = 64,
         in_memory_filter: bool = False,
         entries_per_page: int = 24,
-        keep_latency_samples: bool = True,
     ) -> None:
         self.device = device
         self.clock: SimulationClock = device.clock
@@ -72,7 +71,7 @@ class ExternalHashIndex:
         self.num_buckets = min(num_buckets, max(16, total_pages // 2))
         self.entries_per_page = entries_per_page
         self.cache_pages = cache_pages
-        self.stats = OperationStats(keep_samples=keep_latency_samples)
+        self.stats = OperationStats()
 
         # Bucket page contents are mirrored in memory for correctness checking;
         # every access still pays device I/O unless the page is cached.

@@ -30,13 +30,12 @@ class DRAMHashIndex:
         device: Optional[DRAMDevice] = None,
         clock: Optional[SimulationClock] = None,
         profile: DRAMProfile = DRAM_PROFILE,
-        keep_latency_samples: bool = True,
     ) -> None:
         if device is None:
             device = DRAMDevice(profile=profile, clock=clock)
         self.device = device
         self.clock = device.clock
-        self.stats = OperationStats(keep_samples=keep_latency_samples)
+        self.stats = OperationStats()
         self._data: Dict[bytes, bytes] = {}
 
     def _access(self, nbytes: int) -> float:

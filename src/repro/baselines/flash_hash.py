@@ -38,11 +38,10 @@ class ConventionalFlashHash:
         device: StorageDevice,
         use_bloom_filter: bool = False,
         bloom_capacity: int = 1 << 16,
-        keep_latency_samples: bool = True,
     ) -> None:
         self.device = device
         self.clock = device.clock
-        self.stats = OperationStats(keep_samples=keep_latency_samples)
+        self.stats = OperationStats()
         self._data: Dict[bytes, bytes] = {}
         self._bloom: Optional[BloomFilter] = (
             BloomFilter.for_capacity(bloom_capacity) if use_bloom_filter else None

@@ -88,9 +88,6 @@ class CLAM:
     eviction_policy:
         Optional explicit policy instance (e.g. a configured
         :class:`~repro.core.eviction.PriorityBasedEviction`).
-    keep_latency_samples:
-        Whether to retain every operation latency for CDF plots (Figures 6-8);
-        disable for very long runs to save memory.
     """
 
     def __init__(
@@ -99,7 +96,6 @@ class CLAM:
         storage: Union[str, StorageDevice, list, tuple] = "intel-ssd",
         clock: Optional[SimulationClock] = None,
         eviction_policy: Optional[EvictionPolicy] = None,
-        keep_latency_samples: bool = True,
         store=None,
     ) -> None:
         self.config = config if config is not None else CLAMConfig.scaled()
@@ -128,7 +124,7 @@ class CLAM:
             self.clock = clock if clock is not None else SimulationClock()
             self.device = build_device(storage, clock=self.clock)
             self.devices = [self.device]
-        self.stats = OperationStats(keep_samples=keep_latency_samples)
+        self.stats = OperationStats()
 
         # Telemetry: the histogram/counter objects are resolved once here so
         # the per-operation cost is a single cached ``is None`` check when

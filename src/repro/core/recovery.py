@@ -195,7 +195,6 @@ class DurableCLAM(CLAM):
         layout: Optional[FlashLayout] = None,
         clock: Optional[SimulationClock] = None,
         eviction_policy: Optional[EvictionPolicy] = None,
-        keep_latency_samples: bool = True,
         events: Optional[EventLog] = None,
         name: Optional[str] = None,
     ) -> None:
@@ -230,7 +229,6 @@ class DurableCLAM(CLAM):
             config=config,
             storage=device,
             eviction_policy=eviction_policy,
-            keep_latency_samples=keep_latency_samples,
             store=store,
         )
         self.log_store = store

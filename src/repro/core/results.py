@@ -13,7 +13,7 @@ two.  The fields are fixed: nothing can hang an ad-hoc attribute on a result.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -82,7 +82,12 @@ class FlushResult:
 
 @dataclass(slots=True)
 class OperationStats:
-    """Running aggregates over many operations (maintained by CLAM)."""
+    """Running aggregates over many operations (maintained by CLAM).
+
+    Counts, totals and maxima only: the state is O(1) however many operations
+    an index serves.  A caller that wants per-operation latency samples keeps
+    them itself, as :class:`~repro.workloads.runner.WorkloadRunner` does.
+    """
 
     lookups: int = 0
     lookup_latency_total_ms: float = 0.0
@@ -98,9 +103,6 @@ class OperationStats:
     flash_writes: int = 0
     false_positive_reads: int = 0
     reinsert_latency_total_ms: float = 0.0
-    lookup_latencies_ms: list = field(default_factory=list)
-    insert_latencies_ms: list = field(default_factory=list)
-    keep_samples: bool = True
 
     def record_lookup(self, result: LookupResult) -> None:
         self.lookups += 1
@@ -111,8 +113,6 @@ class OperationStats:
             self.lookup_hits += 1
         self.flash_reads += result.flash_reads
         self.false_positive_reads += result.false_positive_reads
-        if self.keep_samples:
-            self.lookup_latencies_ms.append(result.latency_ms)
 
     def record_insert(self, result: InsertResult) -> None:
         self.inserts += 1
@@ -123,8 +123,6 @@ class OperationStats:
             self.flushes += 1
         self.flash_writes += result.flash_writes
         self.flash_reads += result.flash_reads
-        if self.keep_samples:
-            self.insert_latencies_ms.append(result.latency_ms)
 
     @property
     def mean_lookup_latency_ms(self) -> float:
@@ -142,7 +140,7 @@ class OperationStats:
         return self.lookup_hits / self.lookups if self.lookups else 0.0
 
     def counters(self) -> dict:
-        """Cheap flat snapshot of the aggregate counters (no sample lists).
+        """Cheap flat snapshot of the aggregate counters.
 
         This is the per-instance stats hook the service layer merges across
         shards; it deliberately copies only O(1) scalars so polling a large

@@ -84,11 +84,6 @@ class MagneticDisk(StorageDevice):
         rotational = self.profile.rotation_ms / 2.0
         return seek + rotational
 
-    def _is_near_head(self, sequential: bool) -> bool:
-        if self._last_accessed_page is None:
-            return False
-        return sequential
-
     def _read_latency(self, nbytes: int, sequential: bool) -> float:
         transfer = nbytes * self.profile.per_byte_ms
         return self._positioning_latency(sequential) + transfer

@@ -74,11 +74,6 @@ class PageMappingFTL:
 
     # -- Introspection ---------------------------------------------------------
 
-    @property
-    def clean_block_count(self) -> int:
-        """Number of fully erased blocks available for new writes."""
-        return len(self._clean_blocks) + (1 if self._active_block is not None else 0)
-
     def physical_page_of(self, logical_page: int) -> Optional[int]:
         """Physical location of ``logical_page``, or ``None`` if never written."""
         return self._l2p.get(logical_page)

@@ -180,7 +180,7 @@ class ClusterService:
     Parameters
     ----------
     num_shards:
-        Number of shards to create (ignored when ``shard_ids`` is given).
+        Number of shards to create, named ``shard-0`` .. ``shard-{N-1}``.
     config:
         Per-shard :class:`CLAMConfig` (each shard gets the full config; size
         the buffers accordingly).  Defaults to :meth:`CLAMConfig.scaled`.
@@ -222,9 +222,7 @@ class ClusterService:
         config: Optional[CLAMConfig] = None,
         storage: str = "intel-ssd",
         virtual_nodes: int = 64,
-        shard_ids: Optional[Iterable[str]] = None,
         eviction_policy: Optional[EvictionPolicy] = None,
-        keep_latency_samples: bool = True,
         dispatch_overhead_ms: float = DEFAULT_DISPATCH_OVERHEAD_MS,
         routing_cost_ms: float = DEFAULT_ROUTING_COST_MS,
         replication_factor: int = 1,
@@ -232,12 +230,9 @@ class ClusterService:
         track_keys: Optional[bool] = None,
         data_dir: Optional[str] = None,
     ) -> None:
-        if shard_ids is not None:
-            names = list(shard_ids)
-        else:
-            if num_shards <= 0:
-                raise ConfigurationError("num_shards must be positive")
-            names = [f"shard-{index}" for index in range(num_shards)]
+        if num_shards <= 0:
+            raise ConfigurationError("num_shards must be positive")
+        names = [f"shard-{index}" for index in range(num_shards)]
         if replication_factor < 1:
             raise ConfigurationError("replication_factor must be at least 1")
         if replication_factor > len(names):
@@ -261,7 +256,6 @@ class ClusterService:
             )
         self.data_dir = data_dir
         self._eviction_policy = eviction_policy
-        self._keep_latency_samples = keep_latency_samples
         self.replication_factor = replication_factor
         self.failure_threshold = failure_threshold
         #: Shard id -> shard, each satisfying :mod:`repro.service.shard`.
@@ -330,13 +324,7 @@ class ClusterService:
     def _shard_spec(self, shard_id: str) -> tuple:
         """What a :class:`LocalShard` is built from, here or in a worker."""
         data_path = self.shard_path(shard_id) if self.storage == "persistent" else None
-        return (
-            self.config,
-            self.storage,
-            data_path,
-            self._eviction_policy,
-            self._keep_latency_samples,
-        )
+        return (self.config, self.storage, data_path, self._eviction_policy)
 
     def _build_shard(self, shard_id: str) -> LocalShard:
         if shard_id in self.shards:

@@ -206,30 +206,11 @@ def _send_fatal(conn: socket.socket, error: Exception) -> None:
         pass
 
 
-def _build_worker_shard(
-    shard_id: str, config: CLAMConfig, storage: str, data_path: Optional[str], eviction_policy
-) -> LocalShard:
-    """The shard a worker process hosts.
-
-    Its CLAM keeps no per-operation latency samples, whatever the cluster was
-    asked to keep: no control operation returns a sample list and
-    ``counters()`` copies none, so in a worker they would be one float per
-    operation, for the life of the process, that nobody can read.
-    """
-    return LocalShard(
-        shard_id, config, storage, data_path, eviction_policy, keep_latency_samples=False
-    )
-
-
-def _worker_main(
-    conn: socket.socket,
-    shard_id: str,
-    config: CLAMConfig,
-    storage: str,
-    data_path: Optional[str],
-    eviction_policy,
-) -> None:
+def _worker_main(conn: socket.socket, shard_id: str, *spec) -> None:
     """Entry point of one shard worker: a :class:`LocalShard` behind a socket.
+
+    ``spec`` is the cluster's ``_shard_spec``, so the worker builds exactly
+    the shard the in-process deployment would.
 
     The worker owns a private simulated clock and (forked) copies of the
     config and eviction policy; nothing is shared with the parent except
@@ -250,7 +231,7 @@ def _worker_main(
     exit_code = 0
     try:
         try:
-            shard = _build_worker_shard(shard_id, config, storage, data_path, eviction_policy)
+            shard = LocalShard(shard_id, *spec)
         except Exception as error:  # tell the parent why the build failed
             hello = {"ok": False, "error": f"{type(error).__name__}: {error}"}
             wire.send_frame(conn, wire.FRAME_CONTROL_RESPONSE, wire.encode_control(hello))
@@ -344,10 +325,6 @@ class RemoteShard:
     exhausted the proxy opens its circuit — marks itself dead and raises
     :class:`~repro.core.errors.WorkerStalledError` — so a hung worker feeds
     the exact same supervisor/replication machinery as a dead one.
-
-    ``keep_latency_samples`` is taken so that a proxy is built from the same
-    ``_shard_spec`` as a :class:`LocalShard`; a worker keeps no samples
-    (see :func:`_build_worker_shard`).
     """
 
     def __init__(
@@ -358,11 +335,9 @@ class RemoteShard:
         storage: str,
         data_path: Optional[str] = None,
         eviction_policy=None,
-        keep_latency_samples: bool = True,
         request_deadline_ms: float = DEFAULT_REQUEST_DEADLINE_MS,
         retry_limit: int = DEFAULT_RETRY_LIMIT,
         retry_backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS,
-        retry_backoff_cap_ms: float = DEFAULT_RETRY_BACKOFF_CAP_MS,
         on_event: Optional[Callable[..., None]] = None,
     ) -> None:
         if request_deadline_ms <= 0:
@@ -370,20 +345,17 @@ class RemoteShard:
         if retry_limit < 0:
             raise ConfigurationError("retry_limit must be non-negative")
         self.shard_id = shard_id
-        self.config = config
-        self.storage = storage
-        self.data_path = data_path
         self.request_deadline_ms = float(request_deadline_ms)
         self.retry_limit = int(retry_limit)
         self.retry_backoff_ms = float(retry_backoff_ms)
-        self.retry_backoff_cap_ms = float(retry_backoff_cap_ms)
         #: RPC-resilience event hook: ``on_event(kind, **attributes)`` fires
         #: for ``rpc_timeout`` / ``rpc_retry`` / ``worker_stalled``.  The
         #: cluster wires it to its EventLog and per-shard counters.
         self.on_event = on_event
         self.clock = _MirrorClock()
         self._ctx = ctx
-        self._eviction_policy = eviction_policy
+        #: What the worker builds its :class:`LocalShard` from (every respawn).
+        self._spec = (config, storage, data_path, eviction_policy)
         self._sock: Optional[socket.socket] = None
         self.process = None
         self._dead = False
@@ -396,14 +368,7 @@ class RemoteShard:
         parent_sock, child_sock = socket.socketpair()
         self.process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                child_sock,
-                self.shard_id,
-                self.config,
-                self.storage,
-                self.data_path,
-                self._eviction_policy,
-            ),
+            args=(child_sock, self.shard_id, *self._spec),
             name=f"clam-worker-{self.shard_id}",
             daemon=True,
         )
@@ -558,7 +523,7 @@ class RemoteShard:
         timeout_s = self.request_deadline_ms / 1000.0 if timeout_s is None else timeout_s
         attempts = self.retry_limit + 1 if attempts is None else attempts
         backoff_s = self.retry_backoff_ms / 1000.0
-        cap_s = self.retry_backoff_cap_ms / 1000.0
+        cap_s = DEFAULT_RETRY_BACKOFF_CAP_MS / 1000.0
         last_error: Optional[Exception] = None
         reason = ""
         for attempt in range(attempts):
@@ -789,7 +754,6 @@ class ParallelClusterService(ClusterService):
         request_deadline_ms: float = DEFAULT_REQUEST_DEADLINE_MS,
         retry_limit: int = DEFAULT_RETRY_LIMIT,
         retry_backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS,
-        retry_backoff_cap_ms: float = DEFAULT_RETRY_BACKOFF_CAP_MS,
         hedge_delay_ms: Optional[float] = None,
         **kwargs,
     ) -> None:
@@ -804,7 +768,6 @@ class ParallelClusterService(ClusterService):
         self.request_deadline_ms = float(request_deadline_ms)
         self.retry_limit = int(retry_limit)
         self.retry_backoff_ms = float(retry_backoff_ms)
-        self.retry_backoff_cap_ms = float(retry_backoff_cap_ms)
         self.hedge_delay_ms = hedge_delay_ms
         self._chaos: Optional[Tuple[ChaosSchedule, int]] = None
         super().__init__(*args, **kwargs)
@@ -820,7 +783,6 @@ class ParallelClusterService(ClusterService):
             request_deadline_ms=self.request_deadline_ms,
             retry_limit=self.retry_limit,
             retry_backoff_ms=self.retry_backoff_ms,
-            retry_backoff_cap_ms=self.retry_backoff_cap_ms,
             on_event=on_event,
         )
         if self._chaos is not None:

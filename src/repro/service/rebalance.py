@@ -224,16 +224,6 @@ class MigrationState:
             arc.keys.discard(key_bytes)
             arc.pending.discard(key_bytes)
 
-    @property
-    def keys_pending(self) -> int:
-        """Keys still awaiting a confirmed copy, across every arc."""
-        return sum(len(arc.pending) for arc in self.arcs)
-
-    @property
-    def arcs_done(self) -> int:
-        """Arcs already cut over."""
-        return sum(1 for arc in self.arcs if arc.state is ArcState.DONE)
-
 
 @dataclass(frozen=True)
 class MigrationReport:

@@ -99,7 +99,6 @@ class LocalShard:
         storage: str,
         data_path: Optional[str] = None,
         eviction_policy=None,
-        keep_latency_samples: bool = True,
     ) -> None:
         if storage == "persistent":
             # Reopening an existing file recovers it; the stored superblock
@@ -110,7 +109,6 @@ class LocalShard:
                 config=None if existing else config,
                 clock=SimulationClock(),
                 eviction_policy=eviction_policy,
-                keep_latency_samples=keep_latency_samples,
                 name=shard_id,
             )
         else:
@@ -119,7 +117,6 @@ class LocalShard:
                 storage=storage,
                 clock=SimulationClock(),
                 eviction_policy=eviction_policy,
-                keep_latency_samples=keep_latency_samples,
             )
         self.shard_id = shard_id
         self.clock = self.clam.clock

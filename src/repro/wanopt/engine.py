@@ -86,18 +86,6 @@ class ObjectCompressionResult:
             + self.fingerprint_time_ms
         )
 
-    @property
-    def compression_ratio(self) -> float:
-        """original / compressed size (>= 1 when compression helps)."""
-        if self.compressed_bytes <= 0:
-            return float("inf")
-        return self.original_bytes / self.compressed_bytes
-
-    @property
-    def bytes_saved(self) -> int:
-        """Bytes removed from the wire by redundancy elimination."""
-        return self.original_bytes - self.compressed_bytes
-
 
 @dataclass
 class CompressionEngine:

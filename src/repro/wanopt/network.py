@@ -68,9 +68,3 @@ class Link:
         self.bytes_sent += nbytes
         self.busy_ms += delay
         return delay
-
-    def utilization(self, observation_window_ms: float) -> float:
-        """Fraction of an observation window the link spent transmitting."""
-        if observation_window_ms <= 0:
-            raise ValueError("observation_window_ms must be positive")
-        return min(1.0, self.busy_ms / observation_window_ms)

@@ -74,13 +74,6 @@ class TestCLAMBasics:
             small_clam.insert(b"key-%d" % i, b"v")
         assert small_clam.throughput_ops_per_second() > 0
 
-    def test_latency_samples_optional(self, small_config):
-        clam = CLAM(small_config, storage="intel-ssd", keep_latency_samples=False)
-        for i in range(20):
-            clam.insert(b"key-%d" % i, b"v")
-        assert clam.stats.insert_latencies_ms == []
-        assert clam.stats.inserts == 20
-
 
 class TestCLAMOnDifferentMedia:
     def test_clam_on_ssd_faster_than_on_disk(self, small_config):

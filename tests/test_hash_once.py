@@ -192,7 +192,6 @@ class TestHashOnceCounting:
         clam = CLAM(
             _config(use_bit_slicing=bit_slicing),
             storage="intel-ssd",
-            keep_latency_samples=False,
         )
         for i in range(800):  # enough to fill several incarnations per table
             clam.insert(b"cnt-%04d" % i, b"v")
@@ -281,7 +280,7 @@ class TestProcessBoundary:
 
     @staticmethod
     def _worker_clam() -> CLAM:
-        clam = CLAM(_config(), storage="intel-ssd", keep_latency_samples=False)
+        clam = CLAM(_config(), storage="intel-ssd")
         for i in range(800):  # several incarnations per table
             clam.insert(b"wrk-%04d" % i, b"v")
         return clam
@@ -352,7 +351,7 @@ class TestMemoryShape:
         """The digest cache holds one digest per recently used key in every
         process; a per-digest dict or list is what made that cost 1 KB a key."""
         clear_digest_cache()
-        clam = CLAM(_config(), storage="intel-ssd", keep_latency_samples=False)
+        clam = CLAM(_config(), storage="intel-ssd")
         keys = [b"shape-%04d" % i for i in range(400)]
         for key in keys:
             clam.lookup(key)

@@ -72,7 +72,7 @@ def run_case(storage: str, operations: int = _OPERATIONS, **overrides) -> dict:
         bloom_bits_per_entry=4.0,
         **overrides,
     )
-    clam = CLAM(config, storage=storage, keep_latency_samples=False)
+    clam = CLAM(config, storage=storage)
     records = hashlib.sha256()
     false_positives = 0
     overflow_probes = 0
@@ -230,7 +230,7 @@ def traced_span_digest(operations: int = 3_000) -> tuple:
     config = CLAMConfig.scaled(
         num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
     )
-    clam = CLAM(config, storage="intel-ssd", keep_latency_samples=False)
+    clam = CLAM(config, storage="intel-ssd")
     tracer = Tracer()
     with tracing(tracer):
         for kind, key, value in _stream(operations, _SEED):

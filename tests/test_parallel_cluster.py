@@ -23,7 +23,6 @@ from repro.core.errors import (
 )
 from repro.core.hashing import to_key_bytes
 from repro.service import AutoscalePolicy, ClusterService, KeyMigrator, ParallelClusterService
-from repro.service.parallel import _build_worker_shard
 from repro.service.shard import LocalShard
 from repro.telemetry.schema import validate_snapshot
 from repro.workloads.workload import Operation, OpKind
@@ -130,22 +129,19 @@ class TestBitIdenticalParity:
             assert remote.lookup(keys[0]) == local.lookup(keys[0])
 
 
-    def test_a_worker_keeps_no_latency_samples(self, cluster_config):
-        """Nothing a worker answers carries a sample list, so whatever the
-        cluster keeps in process, a worker's CLAM keeps none — and the merged
-        counters (checked against the in-process twin above) need none."""
+    def test_a_worker_builds_its_shard_from_the_in_process_spec(self, cluster_config):
+        """A worker and the in-process cluster build one :class:`LocalShard`
+        from one ``_shard_spec``: the worker's, reached over the wire,
+        reports the counters the in-process one does."""
         spec = ClusterService(num_shards=1, config=cluster_config)._shard_spec("shard-0")
-        assert spec[-1] is True  # the in-process default: samples kept
         in_process = LocalShard("shard-0", *spec)
-        in_worker = _build_worker_shard("shard-0", *spec[:-1])
-        for shard in (in_process, in_worker):
-            shard.insert(b"key", b"value")
-            shard.lookup(b"key")
-        assert in_process.clam.stats.keep_samples is True
-        assert in_worker.clam.stats.keep_samples is False
-        assert in_worker.clam.stats.lookup_latencies_ms == []
-        assert in_worker.clam.stats.insert_latencies_ms == []
-        assert in_worker.clam.stats.counters() == in_process.clam.stats.counters()
+        with ParallelClusterService(num_shards=1, config=cluster_config) as parallel:
+            (in_worker,) = parallel.shards.values()
+            assert in_worker._spec == spec
+            for shard in (in_process, in_worker):
+                shard.insert(b"key", b"value")
+                shard.lookup(b"key")
+            assert in_worker.counters() == in_process.counters()
 
 
 class TestWorkerFailure:

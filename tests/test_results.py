@@ -48,14 +48,6 @@ class TestOperationStats:
         assert stats.mean_insert_latency_ms == 0.0
         assert stats.lookup_success_rate == 0.0
 
-    def test_samples_not_kept_when_disabled(self):
-        stats = OperationStats(keep_samples=False)
-        stats.record_lookup(
-            LookupResult(key=b"a", value=None, latency_ms=1.0, served_from=ServedFrom.MISSING)
-        )
-        assert stats.lookup_latencies_ms == []
-        assert stats.lookups == 1
-
     def test_false_positive_reads_accumulate(self):
         stats = OperationStats()
         stats.record_lookup(
@@ -77,7 +69,7 @@ RECORDS = [
     InsertResult(b"k", 1.5, True, 1.25, 2, 16, 8),
     DeleteResult(b"k", 0.004, True),
     FlushResult(2.5, 1, 1, 1, 7, 16, 16, True),
-    OperationStats(lookups=3, lookup_latencies_ms=[0.1, 0.2, 0.3], keep_samples=False),
+    OperationStats(lookups=3),
 ]
 
 
@@ -106,11 +98,3 @@ class TestRecordsAreSlotted:
         assert changed != record and getattr(changed, first) == getattr(record, first) * 2
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(record, protocol)) == record
-
-
-def test_operation_stats_sample_lists_are_per_instance():
-    one, other = OperationStats(), OperationStats()
-    one.record_lookup(LookupResult(b"a", None, 1.0, ServedFrom.MISSING))
-    one.record_insert(InsertResult(b"a", 2.0))
-    assert (one.lookup_latencies_ms, one.insert_latencies_ms) == ([1.0], [2.0])
-    assert (other.lookup_latencies_ms, other.insert_latencies_ms) == ([], [])

@@ -236,7 +236,6 @@ def run_case(
         replication_factor=replication_factor,
         failure_threshold=failure_threshold,
         track_keys=True,
-        keep_latency_samples=False,
     ) as cluster:
         return _run_script(cluster, replication_factor)
 

@@ -31,11 +31,26 @@ EXTRA_PATHS = (
     "tests/test_format_proxy.py",
     "tests/test_rules_golden.py",
     "tests/test_wanopt_cluster.py",
+    "tests/test_clam.py",
+    "tests/test_per_operation_state.py",
+    "tests/test_results.py",
+    "tests/test_service_golden.py",
     "benchmarks/common.py",
+    "benchmarks/bench_hotpath.py",
+    "src/repro/baselines/btree.py",
+    "src/repro/baselines/disk_hash.py",
+    "src/repro/baselines/dram_hash.py",
+    "src/repro/baselines/flash_hash.py",
+    "src/repro/core/clam.py",
+    "src/repro/core/recovery.py",
+    "src/repro/core/results.py",
     "src/repro/flashsim/device.py",
+    "src/repro/flashsim/disk.py",
     "src/repro/flashsim/flash_chip.py",
+    "src/repro/flashsim/ftl.py",
     "src/repro/flashsim/persistent.py",
     "src/repro/wanopt/cache.py",
+    "src/repro/wanopt/engine.py",
     "src/repro/wanopt/network.py",
     "src/repro/wanopt/optimizer.py",
     "src/repro/dedup/store.py",
