@@ -10,12 +10,24 @@ to the setuptools develop path.
 The library itself is dependency-free (pure standard library); ``pytest`` and
 ``pytest-benchmark`` are only needed for the test suite and the benchmarks
 (``pip install -e .[dev]``).
+
+The version is declared once, as ``repro.__version__``; it is read from the
+source here rather than imported, so packaging never imports the package.
 """
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
 
 setup(
     name="repro-bufferhash",
-    version="1.7.0",
+    version=VERSION,
     description=(
         "Reproduction of 'Cheap and Large CAMs for High Performance "
         "Data-Intensive Networked Systems' (BufferHash/CLAM, NSDI 2010) "

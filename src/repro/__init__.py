@@ -8,7 +8,7 @@ Subpackages
 ``repro.flashsim``
     Simulated flash chips, SSDs, magnetic disks and DRAM.
 ``repro.baselines``
-    Berkeley-DB-style external hash/B-tree indexes and other comparison points.
+    The Berkeley-DB-style external hash index and the all-DRAM hash table.
 ``repro.analysis``
     The paper's §6 analytical cost models and parameter tuning.
 ``repro.workloads``
@@ -42,7 +42,7 @@ from repro import (
     workloads,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "__version__",

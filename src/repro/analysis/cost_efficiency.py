@@ -11,7 +11,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,6 @@ class DevicePricing:
     name: str
     cost_dollars: float
     power_watts: float = 0.0
-    capacity_gb: float = 0.0
 
     def __post_init__(self) -> None:
         if self.cost_dollars <= 0:
@@ -30,11 +29,11 @@ class DevicePricing:
 
 #: Device prices quoted in the paper (2009/2010 dollars).
 PAPER_PRICING: Dict[str, DevicePricing] = {
-    "clam-intel": DevicePricing("CLAM (4GB DRAM + 80GB Intel SSD)", 400.0, 10.0, 80.0),
-    "clam-transcend": DevicePricing("CLAM (4GB DRAM + 32GB Transcend SSD)", 250.0, 8.0, 32.0),
-    "ramsan-dram-ssd": DevicePricing("RamSan-400 DRAM-SSD", 120_000.0, 650.0, 128.0),
-    "violin-dram": DevicePricing("Violin Memory DRAM appliance", 50_000.0, 400.0, 128.0),
-    "disk-bdb": DevicePricing("Commodity server disk (BDB)", 100.0, 10.0, 500.0),
+    "clam-intel": DevicePricing("CLAM (4GB DRAM + 80GB Intel SSD)", 400.0, 10.0),
+    "clam-transcend": DevicePricing("CLAM (4GB DRAM + 32GB Transcend SSD)", 250.0, 8.0),
+    "ramsan-dram-ssd": DevicePricing("RamSan-400 DRAM-SSD", 120_000.0, 650.0),
+    "violin-dram": DevicePricing("Violin Memory DRAM appliance", 50_000.0, 400.0),
+    "disk-bdb": DevicePricing("Commodity server disk (BDB)", 100.0, 10.0),
 }
 
 
@@ -101,13 +100,3 @@ def cost_efficiency_table(
             )
     entries.sort(key=lambda entry: entry.ops_per_second_per_dollar, reverse=True)
     return entries
-
-
-def improvement_factor(entries: Iterable[CostEfficiencyEntry], better: str, worse: str) -> float:
-    """Ratio of ops/s/$ between two named platforms (e.g. CLAM vs RamSan)."""
-    by_name = {entry.platform: entry for entry in entries}
-    if better not in by_name or worse not in by_name:
-        raise KeyError("both platforms must be present in the entries")
-    return (
-        by_name[better].ops_per_second_per_dollar / by_name[worse].ops_per_second_per_dollar
-    )

@@ -195,27 +195,6 @@ def expected_lookup_io_cost_ms(
     return incarnations * probability * params.page_read_cost_ms()
 
 
-def lookup_cost_vs_buffer_split(
-    params: FlashCostParameters,
-    flash_bytes: float,
-    memory_bytes: float,
-    buffer_bytes: float,
-    entry_size_bytes: float = 16.0,
-) -> float:
-    """Expected lookup cost when ``buffer_bytes`` of ``memory_bytes`` go to buffers.
-
-    The remaining memory is given to Bloom filters; this is the quantity
-    minimised in §6.4 ("Optimal buffer size") and measured empirically in
-    Figure 5.
-    """
-    if not 0 < buffer_bytes < memory_bytes:
-        raise ValueError("buffer_bytes must be between 0 and memory_bytes (exclusive)")
-    bloom_bytes = memory_bytes - buffer_bytes
-    return expected_lookup_io_cost_ms(
-        params, flash_bytes, buffer_bytes, bloom_bytes, entry_size_bytes
-    )
-
-
 def optimal_buffer_bytes_analytical(flash_bytes: float, entry_size_bytes: float = 16.0) -> float:
     """The paper's closed form for the optimal total buffer size (§6.4).
 

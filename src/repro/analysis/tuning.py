@@ -102,21 +102,6 @@ class TuningReport:
     amortized_insert_ms: float
     worst_case_insert_ms: float
 
-    def as_dict(self) -> dict:
-        """Plain-dict view for printing in benchmarks and examples."""
-        return {
-            "flash_bytes": self.flash_bytes,
-            "memory_bytes": self.memory_bytes,
-            "buffer_total_bytes": self.buffer_total_bytes,
-            "bloom_total_bytes": self.bloom_total_bytes,
-            "per_buffer_bytes": self.per_buffer_bytes,
-            "num_super_tables": self.num_super_tables,
-            "incarnations_per_table": self.incarnations_per_table,
-            "expected_lookup_io_ms": self.expected_lookup_io_ms,
-            "amortized_insert_ms": self.amortized_insert_ms,
-            "worst_case_insert_ms": self.worst_case_insert_ms,
-        }
-
 
 def tune(
     params: FlashCostParameters,

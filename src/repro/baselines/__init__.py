@@ -3,26 +3,20 @@
 * :class:`ExternalHashIndex` — a Berkeley-DB-style hash index kept on disk or
   SSD: one random page read per lookup, one random page write per
   insert/update.  This is the ``DB+SSD`` / ``DB+Disk`` baseline of §7.2.2.
-* :class:`ExternalBTreeIndex` — a B-tree variant of the same (the paper notes
-  it performed worse than the hash index).
-* :class:`ConventionalFlashHash` — a hash table written directly to flash
-  with no buffering, used in the §7.3.1 ablation.
 * :class:`DRAMHashIndex` — an all-DRAM hash table (the RamSan-style
   comparison point for ops/s/$).
 
-All baselines expose the same ``insert`` / ``lookup`` / ``delete`` API and
-result records as :class:`repro.core.CLAM`, so the workload runner and the
-WAN optimizer can swap them in without special cases.
+The §7.3.1 "no buffering" arm is not a baseline class: it is
+``CLAM(use_buffering=False)``.  Both baselines expose the same ``insert`` /
+``lookup`` / ``delete`` API and result records as :class:`repro.core.CLAM`, so
+the workload runner and the WAN optimizer can swap them in without special
+cases.
 """
 
 from repro.baselines.disk_hash import ExternalHashIndex
-from repro.baselines.btree import ExternalBTreeIndex
-from repro.baselines.flash_hash import ConventionalFlashHash
 from repro.baselines.dram_hash import DRAMHashIndex
 
 __all__ = [
     "ExternalHashIndex",
-    "ExternalBTreeIndex",
-    "ConventionalFlashHash",
     "DRAMHashIndex",
 ]

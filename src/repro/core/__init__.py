@@ -11,7 +11,7 @@ Quick start::
     print(result.latency_ms, "simulated ms")
 """
 
-from repro.core.bloom import BloomFilter, false_positive_rate, optimal_num_hashes
+from repro.core.bloom import BloomFilter, optimal_num_hashes
 from repro.core.bufferhash import BufferHash
 from repro.core.buffer import Buffer
 from repro.core.clam import CLAM, build_device, STORAGE_PROFILES
@@ -76,7 +76,6 @@ from repro.core.supertable import SuperTable
 
 __all__ = [
     "BloomFilter",
-    "false_positive_rate",
     "optimal_num_hashes",
     "BufferHash",
     "Buffer",

@@ -21,20 +21,6 @@ def optimal_num_hashes(bits_per_item: float) -> int:
     return max(1, round(bits_per_item * math.log(2)))
 
 
-def false_positive_rate(num_bits: int, num_items: int, num_hashes: int) -> float:
-    """Theoretical false-positive probability of a Bloom filter."""
-    if num_bits <= 0:
-        raise ValueError("num_bits must be positive")
-    if num_items < 0:
-        raise ValueError("num_items must be non-negative")
-    if num_hashes <= 0:
-        raise ValueError("num_hashes must be positive")
-    if num_items == 0:
-        return 0.0
-    fill = 1.0 - math.exp(-num_hashes * num_items / num_bits)
-    return fill ** num_hashes
-
-
 #: The set bits of every byte value, lowest first.
 _SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
 
@@ -107,10 +93,6 @@ class BloomFilter:
                 return False
         return True
 
-    def may_contain(self, key: KeyLike) -> bool:
-        """Alias of ``key in filter`` for readability at call sites."""
-        return key in self
-
     def set_bits(self) -> List[int]:
         """Indices of set bits in increasing order.
 
@@ -127,10 +109,6 @@ class BloomFilter:
                 for bit in _SET_BITS[byte]:
                     append(base + bit)
         return positions
-
-    def expected_false_positive_rate(self) -> float:
-        """Theoretical false-positive rate at the current fill level."""
-        return false_positive_rate(self.num_bits, self._count, self.num_hashes)
 
     def fill_fraction(self) -> float:
         """Fraction of bits set, popcounted a 64-bit word at a time."""

@@ -54,16 +54,6 @@ class Buffer:
     def __len__(self) -> int:
         return len(self._table)
 
-    @property
-    def is_full(self) -> bool:
-        """Whether the buffer has reached its flush threshold."""
-        return len(self._table) >= self.capacity_items
-
-    @property
-    def bloom_filter(self) -> BloomFilter:
-        """The filter accumulating this buffer's keys (frozen at flush time)."""
-        return self._bloom
-
     def items(self) -> Dict[bytes, bytes]:
         """Snapshot of the buffer's contents."""
         return dict(self._table.items())

@@ -94,8 +94,6 @@ PAGE_SEED = 0x17CA
 RING_SEED = 0x5A4D
 #: Page assignment of the unbuffered-ablation CLAM (``use_buffering=False``).
 UNBUFFERED_PAGE_SEED = 0xFAB
-#: Page assignment of the naive flash-hash baseline.
-FLASH_BASELINE_SEED = 0xF1A5
 #: Bucket assignment of the BerkeleyDB-style disk-hash baseline.
 DISK_BASELINE_SEED = 0xBDB
 
@@ -130,7 +128,6 @@ SEED_LAYERS: Dict[int, str] = {
     PAGE_SEED: "incarnation_page",
     RING_SEED: "shard_ring",
     UNBUFFERED_PAGE_SEED: "unbuffered_page",
-    FLASH_BASELINE_SEED: "flash_baseline",
     DISK_BASELINE_SEED: "disk_baseline",
 }
 

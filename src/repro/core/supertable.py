@@ -119,11 +119,6 @@ class SuperTable:
         """Number of on-flash incarnations currently live."""
         return len(self._incarnations)
 
-    @property
-    def delete_list_size(self) -> int:
-        """Entries currently on the in-memory delete list."""
-        return len(self._delete_list)
-
     # -- Candidate selection ---------------------------------------------------------
 
     def _candidate_incarnations(self, key: KeyDigest) -> Tuple[List[IncarnationHandle], float]:

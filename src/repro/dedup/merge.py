@@ -30,11 +30,6 @@ class MergeReport:
         """Total simulated time the merge took."""
         return self.lookup_time_ms + self.insert_time_ms
 
-    @property
-    def total_time_minutes(self) -> float:
-        """Total merge time in simulated minutes (the unit the paper quotes)."""
-        return self.total_time_ms / 60_000.0
-
 
 def merge_indexes(
     larger_index,

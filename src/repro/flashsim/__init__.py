@@ -21,8 +21,9 @@ Public entry points
     constraint; its erase sequence (``flash_chip._NandDevice``) is also the
     file-backed :class:`PersistentFlashDevice`'s.
 :class:`SSD`
-    A flash translation layer (FTL) over one or more flash chips, exposing
-    sector reads/writes; includes background garbage collection pressure.
+    Sector reads/writes whose garbage-collection pressure is a clean-pool
+    credit model: random writes drain the pool, idle time refills it, and an
+    empty pool stalls every operation (the §7.2.2 slowdown).
 :class:`MagneticDisk`
     Seek + rotational latency model of a hard disk.
 :class:`DRAMDevice`
@@ -42,7 +43,6 @@ from repro.flashsim.latency import LinearCostModel, IOCost
 from repro.flashsim.stats import IOStats, IOEvent, IOKind
 from repro.flashsim.device import StorageDevice, DeviceGeometry
 from repro.flashsim.flash_chip import FlashChip, FlashChipError
-from repro.flashsim.ftl import PageMappingFTL
 from repro.flashsim.ssd import SSD, SSDProfile, INTEL_SSD_PROFILE, TRANSCEND_SSD_PROFILE
 from repro.flashsim.flash_chip import GENERIC_FLASH_CHIP_PROFILE, FlashChipProfile
 from repro.flashsim.disk import MagneticDisk, DiskProfile, MAGNETIC_DISK_PROFILE
@@ -71,7 +71,6 @@ __all__ = [
     "FlashChipError",
     "FlashChipProfile",
     "GENERIC_FLASH_CHIP_PROFILE",
-    "PageMappingFTL",
     "SSD",
     "SSDProfile",
     "INTEL_SSD_PROFILE",

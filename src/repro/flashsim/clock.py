@@ -44,10 +44,6 @@ class SimulationClock:
         self._now_ms += delta_ms
         return self._now_ms
 
-    def advance_seconds(self, delta_s: float) -> float:
-        """Advance the clock by ``delta_s`` seconds and return the new time in ms."""
-        return self.advance(delta_s * 1000.0)
-
     def reset(self, to_ms: float = 0.0) -> None:
         """Reset the clock, typically between independent experiment runs."""
         if to_ms < 0:
@@ -111,10 +107,6 @@ class ClockEnsemble:
             return 0.0
         times = [clock.now_ms for clock in self._clocks]
         return max(times) - min(times)
-
-    def member_times_ms(self) -> tuple:
-        """Per-member current times, in membership order."""
-        return tuple(clock.now_ms for clock in self._clocks)
 
     def add(self, clock: SimulationClock) -> None:
         """Start aggregating one more clock (e.g. a newly added shard).

@@ -303,11 +303,6 @@ class StorageDevice(abc.ABC):
         """Clear any injected fault and resume healthy operation."""
         self.faults.heal()
 
-    @property
-    def is_failed(self) -> bool:
-        """Whether the device is currently crash-stopped."""
-        return self.faults.is_crashed
-
     # -- Latency hooks ---------------------------------------------------------
 
     @abc.abstractmethod

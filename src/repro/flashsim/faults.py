@@ -185,11 +185,6 @@ class FaultInjector:
     # -- Introspection ---------------------------------------------------------
 
     @property
-    def is_healthy(self) -> bool:
-        """Whether I/Os currently pass through unharmed."""
-        return self.mode is _HEALTHY
-
-    @property
     def is_crashed(self) -> bool:
         """Whether the device is dead (crash-stopped or powered off).
 

@@ -124,8 +124,8 @@ class FlashChip(_NandDevice):
     """A raw flash chip with erase-before-write semantics.
 
     The chip tracks a per-page clean/dirty bit.  Writing a dirty page raises
-    :class:`FlashChipError`; callers (an FTL or a BufferHash partition writing
-    its incarnations circularly) must erase the containing block first.
+    :class:`FlashChipError`; callers (a BufferHash partition writing its
+    incarnations circularly) must erase the containing block first.
     """
 
     def __init__(

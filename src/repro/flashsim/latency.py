@@ -74,14 +74,3 @@ class LinearCostModel:
     def erase_cost(self, nbytes: int) -> float:
         """Latency of erasing ``nbytes`` (flash only; zero-cost models allowed)."""
         return self.erase.cost(nbytes)
-
-
-def scale_cost(cost: IOCost, factor: float) -> IOCost:
-    """Return a copy of ``cost`` with both components scaled by ``factor``.
-
-    Useful for deriving degraded-mode costs (e.g. garbage-collection
-    interference multiplies effective write latency).
-    """
-    if factor < 0:
-        raise ValueError("factor must be non-negative")
-    return IOCost(fixed_ms=cost.fixed_ms * factor, per_byte_ms=cost.per_byte_ms * factor)

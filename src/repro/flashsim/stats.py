@@ -61,7 +61,7 @@ class IOStats:
     The aggregates are one slotted :class:`KindTotals` per kind, never
     replaced: a device binds the record of its page reads at construction and
     folds each read into it in its own frame (five per-kind dicts cost ten
-    ``dict.get``/set per I/O, two calls down).  ``op_counts`` ...
+    ``dict.get``/set per I/O, two calls down).  ``op_counts`` and
     ``sequential_counts`` are read-only dict views of the records.
     """
 
@@ -103,9 +103,6 @@ class IOStats:
         return {k: getattr(t, name) for k, t in self.totals.items() if getattr(t, shown)}
 
     op_counts = property(lambda self: self._view("ops"))
-    byte_counts = property(lambda self: self._view("nbytes"))
-    latency_totals_ms = property(lambda self: self._view("latency_ms"))
-    latency_max_ms = property(lambda self: self._view("max_latency_ms", "max_latency_ms"))
     sequential_counts = property(lambda self: self._view("sequential", "sequential"))
 
     # -- Convenience accessors -------------------------------------------------

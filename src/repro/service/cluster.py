@@ -116,14 +116,6 @@ class ClusterStats:
             for shard_id, counters in per_shard.items()
         }
 
-    def hottest_shard(self) -> Tuple[str, float]:
-        """(shard id, operation count) of the most loaded shard."""
-        loads = self.operations_per_shard()
-        if not loads:
-            raise ConfigurationError("cluster has no shards")
-        shard_id = max(loads, key=lambda s: (loads[s], s))
-        return shard_id, loads[shard_id]
-
     def imbalance_factor(
         self, per_shard: Optional[Dict[str, Dict[str, float]]] = None
     ) -> float:

@@ -231,13 +231,6 @@ class ClientReport:
     finish_time_ms: float = 0.0
     request_latencies_ms: List[float] = field(default_factory=list)
 
-    @property
-    def mean_request_latency_ms(self) -> float:
-        """Mean end-to-end latency of this client's requests."""
-        if not self.request_latencies_ms:
-            return 0.0
-        return sum(self.request_latencies_ms) / len(self.request_latencies_ms)
-
 
 @dataclass
 class TrafficReport:

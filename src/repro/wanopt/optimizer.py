@@ -98,10 +98,6 @@ class HighLoadResult:
             return 0.0
         return sum(obj.throughput_improvement for obj in self.objects) / len(self.objects)
 
-    def improvements_by_size(self) -> List[tuple]:
-        """(object size, improvement factor) pairs, as plotted in Figure 10."""
-        return [(obj.size_bytes, obj.throughput_improvement) for obj in self.objects]
-
     def fraction_worse_than(self, factor: float) -> float:
         """Fraction of objects whose throughput *dropped* below ``factor``×."""
         if not self.objects:
@@ -279,11 +275,6 @@ class MultiBranchThroughputResult:
     def cross_branch_hit_rate(self) -> float:
         """Fraction of all chunks matched against another branch's uploads."""
         return self.cross_branch_matched / self.chunks_total if self.chunks_total else 0.0
-
-    @property
-    def reconstruction_exact(self) -> bool:
-        """Whether every object reassembled byte-exactly on the far side."""
-        return self.objects_reconstructed_exactly == self.objects_total
 
 
 class MultiBranchThroughputTest:

@@ -16,8 +16,6 @@ executes a workload against any index exposing the common
 
 from repro.workloads.keygen import (
     KeyGenerator,
-    RandomKeyGenerator,
-    SequentialKeyGenerator,
     ZipfKeyGenerator,
     fingerprint_for,
 )
@@ -41,8 +39,6 @@ from repro.workloads.runner import (
 
 __all__ = [
     "KeyGenerator",
-    "RandomKeyGenerator",
-    "SequentialKeyGenerator",
     "ZipfKeyGenerator",
     "fingerprint_for",
     "Operation",

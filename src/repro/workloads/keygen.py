@@ -39,36 +39,6 @@ class KeyGenerator(abc.ABC):
             yield self.next_key()
 
 
-class SequentialKeyGenerator(KeyGenerator):
-    """Fingerprints of 0, 1, 2, ... — every key is new (0 % natural hit rate)."""
-
-    def __init__(self, seed: int = 0, key_length: int = 20, start: int = 0) -> None:
-        super().__init__(seed=seed, key_length=key_length)
-        self._next_id = start
-
-    def next_key(self) -> bytes:
-        key = fingerprint_for(self._next_id, self.key_length)
-        self._next_id += 1
-        return key
-
-
-class RandomKeyGenerator(KeyGenerator):
-    """Fingerprints of identifiers drawn uniformly from ``[0, key_space)``.
-
-    A small key space relative to the number of operations produces repeated
-    keys (and therefore lookup hits); a large one produces mostly unique keys.
-    """
-
-    def __init__(self, key_space: int, seed: int = 0, key_length: int = 20) -> None:
-        if key_space <= 0:
-            raise ValueError("key_space must be positive")
-        super().__init__(seed=seed, key_length=key_length)
-        self.key_space = key_space
-
-    def next_key(self) -> bytes:
-        return fingerprint_for(self._rng.randrange(self.key_space), self.key_length)
-
-
 class ZipfKeyGenerator(KeyGenerator):
     """Zipf-distributed identifiers: a few hot keys, a long cold tail.
 

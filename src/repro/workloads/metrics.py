@@ -27,19 +27,6 @@ class LatencySummary:
     max_ms: float
     min_ms: float
 
-    def as_dict(self) -> dict:
-        """Plain-dict view for table printing."""
-        return {
-            "count": self.count,
-            "mean_ms": self.mean_ms,
-            "median_ms": self.median_ms,
-            "p90_ms": self.p90_ms,
-            "p99_ms": self.p99_ms,
-            "p999_ms": self.p999_ms,
-            "max_ms": self.max_ms,
-            "min_ms": self.min_ms,
-        }
-
 
 def summarize_latencies(samples: Iterable[float]) -> LatencySummary:
     """Build a :class:`LatencySummary` from raw latency samples."""

@@ -1,21 +1,17 @@
-"""Tests for the baseline indexes (BDB-style hash, B-tree, flash hash, DRAM hash)."""
+"""Tests for the baseline indexes (BDB-style hash, DRAM hash) and the §7.3.1
+unbuffered CLAM, which share their hash-table API."""
 
 import pytest
 
-from repro.baselines import (
-    ConventionalFlashHash,
-    DRAMHashIndex,
-    ExternalBTreeIndex,
-    ExternalHashIndex,
-)
+from repro.baselines import DRAMHashIndex, ExternalHashIndex
+from repro.core import CLAM, CLAMConfig
 from repro.flashsim import MagneticDisk, SSD, SimulationClock
 
 
 def _all_baselines():
     return [
         ExternalHashIndex(SSD(clock=SimulationClock())),
-        ExternalBTreeIndex(SSD(clock=SimulationClock())),
-        ConventionalFlashHash(SSD(clock=SimulationClock())),
+        CLAM(CLAMConfig.scaled(use_buffering=False), storage="intel-ssd"),
         DRAMHashIndex(),
     ]
 
@@ -127,53 +123,9 @@ class TestExternalHashIndex:
         assert index.items() == {b"a": b"1", b"b": b"2"}
 
 
-class TestExternalBTreeIndex:
-    def test_leaf_splits_preserve_data(self):
-        index = ExternalBTreeIndex(SSD(clock=SimulationClock()), leaf_capacity=8)
-        keys = {b"key-%03d" % i: b"v%d" % i for i in range(200)}
-        for key, value in keys.items():
-            index.insert(key, value)
-        for key, value in keys.items():
-            assert index.lookup(key).value == value
-
-    def test_items_sorted_by_key(self):
-        index = ExternalBTreeIndex(SSD(clock=SimulationClock()), leaf_capacity=8)
-        for i in (5, 1, 9, 3):
-            index.insert(b"key-%d" % i, b"v")
-        assert list(index.items().keys()) == sorted(index.items().keys())
-
-    def test_invalid_leaf_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ExternalBTreeIndex(SSD(clock=SimulationClock()), leaf_capacity=2)
-
-
-class TestConventionalFlashHash:
-    def test_bloom_filter_short_circuits_misses(self):
-        with_filter = ConventionalFlashHash(SSD(clock=SimulationClock()), use_bloom_filter=True)
-        without_filter = ConventionalFlashHash(SSD(clock=SimulationClock()), use_bloom_filter=False)
-        with_filter.insert(b"key", b"v")
-        without_filter.insert(b"key", b"v")
-        assert with_filter.lookup(b"absent").flash_reads == 0
-        assert without_filter.lookup(b"absent").flash_reads == 1
-
-    def test_update_costs_read_plus_write(self):
-        index = ConventionalFlashHash(SSD(clock=SimulationClock()))
-        index.insert(b"key", b"v1")
-        result = index.update(b"key", b"v2")
-        assert result.flash_reads == 1
-        assert result.flash_writes == 1
-
-
 class TestDRAMHashIndex:
     def test_operations_are_fast(self):
         index = DRAMHashIndex()
         index.insert(b"key", b"value")
         result = index.lookup(b"key")
         assert result.latency_ms < 0.05
-
-    def test_much_faster_than_flash_baseline(self):
-        dram = DRAMHashIndex()
-        flash = ConventionalFlashHash(SSD(clock=SimulationClock()))
-        dram_latency = dram.insert(b"key", b"v").latency_ms
-        flash_latency = flash.insert(b"key", b"v").latency_ms
-        assert dram_latency * 10 < flash_latency

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BloomFilter, false_positive_rate, optimal_num_hashes
+from repro.core import BloomFilter, optimal_num_hashes
 
 
 class TestHelpers:
@@ -15,22 +15,6 @@ class TestHelpers:
     def test_optimal_num_hashes_rejects_non_positive(self):
         with pytest.raises(ValueError):
             optimal_num_hashes(0)
-
-    def test_false_positive_rate_monotone_in_items(self):
-        sparse = false_positive_rate(num_bits=1024, num_items=10, num_hashes=7)
-        dense = false_positive_rate(num_bits=1024, num_items=500, num_hashes=7)
-        assert sparse < dense
-
-    def test_false_positive_rate_empty_filter_is_zero(self):
-        assert false_positive_rate(1024, 0, 7) == 0.0
-
-    def test_false_positive_rate_validation(self):
-        with pytest.raises(ValueError):
-            false_positive_rate(0, 1, 1)
-        with pytest.raises(ValueError):
-            false_positive_rate(10, -1, 1)
-        with pytest.raises(ValueError):
-            false_positive_rate(10, 1, 0)
 
 
 class TestBloomFilter:
@@ -77,12 +61,6 @@ class TestBloomFilter:
         bloom.update(b"k-%d" % i for i in range(100))
         assert bloom.fill_fraction() > before
 
-    def test_expected_false_positive_rate_tracks_fill(self):
-        bloom = BloomFilter.for_capacity(100, bits_per_item=16)
-        assert bloom.expected_false_positive_rate() == 0.0
-        bloom.update(b"k-%d" % i for i in range(100))
-        assert 0.0 < bloom.expected_false_positive_rate() < 0.01
-
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
             BloomFilter(num_bits=0, num_hashes=3)
@@ -90,11 +68,6 @@ class TestBloomFilter:
             BloomFilter(num_bits=8, num_hashes=0)
         with pytest.raises(ValueError):
             BloomFilter.for_capacity(0)
-
-    def test_may_contain_alias(self):
-        bloom = BloomFilter.for_capacity(10)
-        bloom.add(b"z")
-        assert bloom.may_contain(b"z")
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.binary(min_size=1, max_size=16), min_size=1, max_size=64, unique=True))

@@ -19,7 +19,7 @@ class TestBuffer:
         buffer = _buffer(capacity=4)
         for i in range(4):
             assert buffer.put(b"k%d" % i, b"v") is True
-        assert buffer.is_full
+        assert len(buffer) == buffer.capacity_items
 
     def test_put_refused_when_full(self):
         buffer = _buffer(capacity=4)
@@ -37,7 +37,8 @@ class TestBuffer:
     def test_bloom_filter_tracks_inserted_keys(self):
         buffer = _buffer()
         buffer.put(b"key", b"value")
-        assert b"key" in buffer.bloom_filter
+        _items, frozen = buffer.drain()
+        assert b"key" in frozen
 
     def test_delete(self):
         buffer = _buffer()
@@ -54,7 +55,7 @@ class TestBuffer:
         assert all(b"k%d" % i in frozen for i in range(5))
         # After draining, the buffer is empty and its live filter reset.
         assert len(buffer) == 0
-        assert b"k0" not in buffer.bloom_filter
+        assert b"k0" not in buffer.drain()[1]
 
     def test_drain_of_empty_buffer(self):
         items, frozen = _buffer().drain()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import DRAMHashIndex
 from repro.core import CLAM, CLAMConfig, ConfigurationError, build_device
 from repro.flashsim import DRAMDevice, FlashChip, MagneticDisk, SSD, SimulationClock
 
@@ -111,6 +112,21 @@ class TestAblationModes:
         assert clam.get(b"key") == b"value"
         clam.delete(b"key")
         assert clam.get(b"key") is None
+
+    def test_unbuffered_bloom_filter_short_circuits_misses(self):
+        with_filter = CLAM(CLAMConfig.scaled(use_buffering=False), storage="intel-ssd")
+        without_filter = CLAM(
+            CLAMConfig.scaled(use_buffering=False, use_bloom_filters=False), storage="intel-ssd"
+        )
+        with_filter.insert(b"key", b"v")
+        without_filter.insert(b"key", b"v")
+        assert with_filter.lookup(b"absent").flash_reads == 0
+        assert without_filter.lookup(b"absent").flash_reads == 1
+
+    def test_dram_index_inserts_much_faster_than_unbuffered(self):
+        dram = DRAMHashIndex()
+        flash = CLAM(CLAMConfig.scaled(use_buffering=False), storage="intel-ssd")
+        assert dram.insert(b"key", b"v").latency_ms * 10 < flash.insert(b"key", b"v").latency_ms
 
     def test_unbuffered_inserts_much_slower_under_load(self, small_config):
         """The §7.3.1 buffering ablation: without buffering every insert is a

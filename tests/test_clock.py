@@ -41,11 +41,6 @@ class TestSimulationClock:
         clock.advance(2500.0)
         assert clock.now_s == pytest.approx(2.5)
 
-    def test_advance_seconds(self):
-        clock = SimulationClock()
-        clock.advance_seconds(0.25)
-        assert clock.now_ms == pytest.approx(250.0)
-
     def test_reset(self):
         clock = SimulationClock()
         clock.advance(100.0)
@@ -93,7 +88,6 @@ class TestClockEnsemble:
         a.advance(3.0)
         b.advance(10.0)
         assert ensemble.skew_ms == pytest.approx(7.0)
-        assert ensemble.member_times_ms() == (3.0, 10.0)
 
     def test_add_and_remove_members(self):
         a = SimulationClock()

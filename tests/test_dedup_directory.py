@@ -143,7 +143,7 @@ class TestIndexMerge:
         entries = [(fingerprint_bytes(b"x-%d" % i), b"v") for i in range(100)]
         report = merge_indexes(larger, entries)
         scaled = scale_merge_time(report, measured_fingerprints=100, target_fingerprints=10_000)
-        assert scaled == pytest.approx(report.total_time_minutes * 100, rel=0.01)
+        assert scaled == pytest.approx(report.total_time_ms / 60_000 * 100, rel=0.01)
         with pytest.raises(ValueError):
             scale_merge_time(report, 0, 10)
 

@@ -15,7 +15,7 @@ def make_device(storage="intel-ssd"):
 class TestFaultInjector:
     def test_healthy_is_a_no_op(self):
         injector = FaultInjector()
-        assert injector.is_healthy
+        assert injector.mode is FaultMode.HEALTHY
         assert injector.check(1.5) == 1.5
         assert injector.faulted_ios == 0
 
@@ -29,7 +29,7 @@ class TestFaultInjector:
             injector.check(1.0)
         assert injector.faulted_ios == 2
         injector.heal()
-        assert injector.is_healthy
+        assert injector.mode is FaultMode.HEALTHY
         assert injector.check(1.0) == 1.0
 
     def test_io_errors_are_deterministic_under_seed(self):
@@ -80,7 +80,7 @@ class TestDeviceFaults:
         before_ms = device.clock.now_ms
         before_ops = device.stats.count()
         device.fail()
-        assert device.is_failed
+        assert device.faults.is_crashed
         with pytest.raises(DeviceFailedError):
             device.read_page(0)
         with pytest.raises(DeviceFailedError):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.flashsim import IOCost, LinearCostModel
-from repro.flashsim.latency import scale_cost
 
 
 class TestIOCost:
@@ -51,15 +50,3 @@ class TestLinearCostModel:
         one_big = model.write_cost(64 * 512, sequential=True)
         many_small = 64 * model.write_cost(512, sequential=True)
         assert one_big < many_small
-
-
-class TestScaleCost:
-    def test_scaling(self):
-        cost = IOCost(1.0, 0.5)
-        doubled = scale_cost(cost, 2.0)
-        assert doubled.fixed_ms == pytest.approx(2.0)
-        assert doubled.per_byte_ms == pytest.approx(1.0)
-
-    def test_negative_factor_rejected(self):
-        with pytest.raises(ValueError):
-            scale_cost(IOCost(1.0, 0.5), -1.0)

@@ -23,9 +23,6 @@ class TestSummarizeLatencies:
         with pytest.raises(ValueError):
             summarize_latencies([])
 
-    def test_as_dict(self):
-        assert "p99_ms" in summarize_latencies([1.0]).as_dict()
-
 
 class TestCDF:
     def test_cdf_monotone(self):

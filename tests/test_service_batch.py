@@ -166,6 +166,40 @@ class TestReplicaSemantics:
         assert cluster.shards[first].lookup(key).found
         assert cluster.shards[second].lookup(key).found
 
+    def test_single_and_batch_lookups_repair_alike(self):
+        """One key at a time and one ``lookup_batch`` over the same divergence:
+        the same values, the same repairs, and every shard left holding the
+        same contents, whichever replicas silently lost a copy."""
+        config = CLAMConfig.scaled(
+            num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
+        )
+        keys = [fingerprint_for(i, namespace=b"repair-parity") for i in range(300)]
+
+        def diverged():
+            cluster = ClusterService(num_shards=5, config=config, replication_factor=3)
+            cluster.insert_batch([(key, b"v-" + key) for key in keys])
+            for i, key in enumerate(keys):
+                replicas = cluster.replicas_for(key)
+                # First replica, second replica, every replica, or none.
+                for shard_id in (replicas[:1], replicas[1:2], replicas, ())[i % 4]:
+                    cluster.shards[shard_id].delete(key)
+            return cluster
+
+        def contents(cluster):
+            return {
+                shard_id: shard.clam.bufferhash.snapshot_items()
+                for shard_id, shard in cluster.shards.items()
+            }
+
+        singles, batched = diverged(), diverged()
+        single_values = [singles.lookup(key).value for key in keys]
+        batch_values = [result.value for result in batched.lookup_batch(keys)]
+        assert single_values == batch_values
+        assert single_values == [None if i % 4 == 2 else b"v-" + key for i, key in enumerate(keys)]
+        # Only a first-replica loss is repaired: a later replica's is never read.
+        assert singles.read_repairs == batched.read_repairs == len(keys) // 4
+        assert contents(singles) == contents(batched)
+
 
 class TestBatchAccounting:
     def test_empty_batch(self):

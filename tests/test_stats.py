@@ -106,13 +106,7 @@ class TestDeviceAccounting:
         assert _drive(quiet) == _drive(logged)
         assert quiet.stats.events == []
         assert quiet.stats.snapshot() == logged.stats.snapshot()
-        for name in (
-            "op_counts",
-            "byte_counts",
-            "latency_totals_ms",
-            "latency_max_ms",
-            "sequential_counts",
-        ):
+        for name in ("op_counts", "sequential_counts"):
             assert getattr(quiet.stats, name) == getattr(logged.stats, name)
         assert quiet.clock.now_ms == logged.clock.now_ms
 
@@ -178,8 +172,9 @@ class TestDeviceAccounting:
         assert device.stats.op_counts == {IOKind.READ: 1}
 
     def test_dict_views_hold_what_the_per_kind_dicts_held(self):
-        """``op_counts`` ... ``sequential_counts`` against the five dicts the
-        old ``add`` maintained, rebuilt here from the kept events."""
+        """``op_counts``, ``sequential_counts`` and the per-kind byte and latency
+        accessors against the five dicts the old ``add`` maintained, rebuilt
+        here from the kept events."""
         chip = FlashChip(keep_events=True)
         chip.write_range(0, [b"a", b"b", b"c"])
         chip.read_page(0)
@@ -203,10 +198,11 @@ class TestDeviceAccounting:
                 if event.sequential:
                     sequential[kind] = sequential.get(kind, 0) + 1
             assert device.stats.op_counts == counts
-            assert device.stats.byte_counts == nbytes
-            assert device.stats.latency_totals_ms == totals
-            assert device.stats.latency_max_ms == maxima
             assert device.stats.sequential_counts == sequential
+            for kind in IOKind:
+                assert device.stats.bytes_moved(kind) == nbytes.get(kind, 0)
+                assert device.stats.total_latency_ms(kind) == totals.get(kind, 0.0)
+                assert device.stats.max_latency_ms(kind) == maxima.get(kind, 0.0)
         assert list(ssd.stats.op_counts) == [IOKind.READ]
         assert ssd.stats.sequential_counts == {}
 

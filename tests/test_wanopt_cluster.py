@@ -191,7 +191,7 @@ class TestFaultInjection:
         assert result.objects_pass_through == 0
         # No silent chunk loss: every reference resolved on the far side.
         assert result.chunks_lost == 0
-        assert result.reconstruction_exact
+        assert result.objects_reconstructed_exactly == result.objects_total
         # The kill really happened and recovery really ran.
         assert "shard-1" not in topology.cluster.shard_ids
         assert len(result.recovery_reports) == 1
@@ -210,7 +210,7 @@ class TestFaultInjection:
         assert result.availability < 1.0
         # Pass-through always reconstructs: degraded, never corrupted.
         assert result.chunks_lost == 0
-        assert result.reconstruction_exact
+        assert result.objects_reconstructed_exactly == result.objects_total
         assert result.aggregate_bandwidth_improvement > 0
 
     def test_heal_restores_compression(self):
@@ -225,7 +225,7 @@ class TestFaultInjection:
         # After the heal the optimizer compresses again: the tail of the run
         # cannot be all pass-through.
         assert result.objects_compressed > 4
-        assert result.reconstruction_exact
+        assert result.objects_reconstructed_exactly == result.objects_total
 
     def test_event_scheduled_at_the_end_of_the_run_still_fires(self):
         """Regression: an event at or after the last object was silently dropped,
@@ -398,7 +398,7 @@ class TestByteExactReconstruction:
             schedule=[FailureEvent(at_request=3, action="fail", shard_id="shard-0")],
         )
         # Payload-bearing chunks force the receiver to diff actual bytes.
-        assert result.reconstruction_exact
+        assert result.objects_reconstructed_exactly == result.objects_total
         assert result.chunks_lost == 0
         assert result.availability == 1.0
         assert topology.receiver.objects_checked == len(objects)
@@ -439,7 +439,7 @@ class TestConnectionManagerFeeds:
         assert all(obj.object_id < 1_000_000 for obj in streams[0])
         # The shared prefix dedups across branches, byte-exactly.
         assert result.cross_branch_matched > 0
-        assert result.reconstruction_exact
+        assert result.objects_reconstructed_exactly == result.objects_total
         assert result.chunks_lost == 0
 
 

@@ -6,8 +6,6 @@ from repro.baselines import DRAMHashIndex
 from repro.core import CLAM, CLAMConfig
 from repro.workloads import (
     OpKind,
-    RandomKeyGenerator,
-    SequentialKeyGenerator,
     WorkloadRunner,
     WorkloadSpec,
     ZipfKeyGenerator,
@@ -28,21 +26,6 @@ class TestKeyGenerators:
         with pytest.raises(ValueError):
             fingerprint_for(1, length=0)
 
-    def test_sequential_generator_unique(self):
-        generator = SequentialKeyGenerator()
-        keys = list(generator.keys(100))
-        assert len(set(keys)) == 100
-
-    def test_random_generator_repeats_within_small_space(self):
-        generator = RandomKeyGenerator(key_space=10, seed=1)
-        keys = list(generator.keys(200))
-        assert len(set(keys)) <= 10
-
-    def test_random_generator_reproducible(self):
-        first = list(RandomKeyGenerator(key_space=1000, seed=5).keys(50))
-        second = list(RandomKeyGenerator(key_space=1000, seed=5).keys(50))
-        assert first == second
-
     def test_zipf_generator_skews_towards_hot_keys(self):
         generator = ZipfKeyGenerator(key_space=1000, skew=1.2, seed=3)
         keys = list(generator.keys(2000))
@@ -53,8 +36,6 @@ class TestKeyGenerators:
         assert most_common > len(keys) / 100  # hot key far above uniform share
 
     def test_invalid_generators_rejected(self):
-        with pytest.raises(ValueError):
-            RandomKeyGenerator(key_space=0)
         with pytest.raises(ValueError):
             ZipfKeyGenerator(key_space=10, skew=0)
 

@@ -35,25 +35,45 @@ EXTRA_PATHS = (
     "tests/test_per_operation_state.py",
     "tests/test_results.py",
     "tests/test_service_golden.py",
+    "tests/test_baselines.py",
+    "tests/test_bloom.py",
+    "tests/test_buffer.py",
+    "tests/test_clock.py",
+    "tests/test_latency.py",
+    "tests/test_service_simulator.py",
+    "tests/test_supertable.py",
     "benchmarks/common.py",
     "benchmarks/bench_hotpath.py",
-    "src/repro/baselines/btree.py",
     "src/repro/baselines/disk_hash.py",
     "src/repro/baselines/dram_hash.py",
-    "src/repro/baselines/flash_hash.py",
     "src/repro/core/clam.py",
     "src/repro/core/recovery.py",
     "src/repro/core/results.py",
     "src/repro/flashsim/device.py",
     "src/repro/flashsim/disk.py",
     "src/repro/flashsim/flash_chip.py",
-    "src/repro/flashsim/ftl.py",
     "src/repro/flashsim/persistent.py",
     "src/repro/wanopt/cache.py",
     "src/repro/wanopt/engine.py",
     "src/repro/wanopt/network.py",
     "src/repro/wanopt/optimizer.py",
     "src/repro/dedup/store.py",
+    "src/repro/__init__.py",
+    "src/repro/analysis/cost_efficiency.py",
+    "src/repro/analysis/tuning.py",
+    "src/repro/baselines/__init__.py",
+    "src/repro/core/__init__.py",
+    "src/repro/core/bloom.py",
+    "src/repro/core/buffer.py",
+    "src/repro/core/supertable.py",
+    "src/repro/dedup/merge.py",
+    "src/repro/flashsim/__init__.py",
+    "src/repro/flashsim/clock.py",
+    "src/repro/flashsim/latency.py",
+    "src/repro/flashsim/stats.py",
+    "src/repro/workloads/__init__.py",
+    "src/repro/workloads/keygen.py",
+    "setup.py",
 )
 
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
