@@ -32,6 +32,7 @@ from benchmarks.common import (
     dump_telemetry,
     print_table,
     standard_replicated_cluster,
+    without_event_log,
     write_bench_json,
 )
 from repro.service import FailureEvent, TrafficSimulator, TrafficSpec
@@ -145,8 +146,13 @@ def check_invariants(outcomes, snapshots=None) -> None:
     assert seqs == sorted(seqs), seqs
 
 
-def emit_json(outcomes, quick, telemetry=None) -> None:
-    """Machine-readable counterpart of the stdout table (BENCH_failover.json)."""
+def emit_json(outcomes, quick, telemetry) -> None:
+    """Machine-readable counterpart of the stdout table (BENCH_failover.json).
+
+    The recovery pass logs one ``arc_cut_over`` per arc it moves, so the
+    embedded snapshot carries the event log as counts only.
+    """
+    embedded, log_counts = without_event_log(telemetry)
     path = write_bench_json(
         "failover",
         {
@@ -166,9 +172,10 @@ def emit_json(outcomes, quick, telemetry=None) -> None:
                 "seed": SPEC.seed,
             },
             "runs": {str(rf): outcome for rf, outcome in outcomes.items()},
+            "event_counts": log_counts,
         },
         quick=quick,
-        telemetry=telemetry,
+        telemetry=embedded,
     )
     print(f"wrote {path}")
 

@@ -48,24 +48,20 @@ _HEALTHY = FaultMode.HEALTHY
 STORAGE_PROFILES = ("intel-ssd", "transcend-ssd", "disk", "flash-chip", "dram")
 
 
-def build_device(
-    storage: str,
-    clock: Optional[SimulationClock] = None,
-    keep_events: bool = False,
-) -> StorageDevice:
+def build_device(storage: str, clock: Optional[SimulationClock] = None) -> StorageDevice:
     """Create a simulated storage device by profile name."""
     clock = clock if clock is not None else SimulationClock()
     name = storage.lower()
     if name in ("intel-ssd", "intel"):
-        return SSD(profile=INTEL_SSD_PROFILE, clock=clock, keep_events=keep_events)
+        return SSD(profile=INTEL_SSD_PROFILE, clock=clock)
     if name in ("transcend-ssd", "transcend"):
-        return SSD(profile=TRANSCEND_SSD_PROFILE, clock=clock, keep_events=keep_events)
+        return SSD(profile=TRANSCEND_SSD_PROFILE, clock=clock)
     if name in ("disk", "magnetic-disk", "hdd"):
-        return MagneticDisk(profile=MAGNETIC_DISK_PROFILE, clock=clock, keep_events=keep_events)
+        return MagneticDisk(profile=MAGNETIC_DISK_PROFILE, clock=clock)
     if name in ("flash-chip", "chip", "nand"):
-        return FlashChip(profile=GENERIC_FLASH_CHIP_PROFILE, clock=clock, keep_events=keep_events)
+        return FlashChip(profile=GENERIC_FLASH_CHIP_PROFILE, clock=clock)
     if name == "dram":
-        return DRAMDevice(clock=clock, keep_events=keep_events)
+        return DRAMDevice(clock=clock)
     raise ConfigurationError(
         f"unknown storage profile {storage!r}; expected one of {STORAGE_PROFILES}"
     )

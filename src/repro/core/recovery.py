@@ -61,16 +61,11 @@ from repro.core.durable import (
     write_superblock,
 )
 from repro.core.errors import ConfigurationError
-from repro.core.eviction import EvictionPolicy
 from repro.core.incarnation import IncarnationHandle, iter_page_entries
 from repro.core.results import InsertResult
 from repro.core.supertable import SuperTable
 from repro.flashsim.clock import SimulationClock
-from repro.flashsim.persistent import (
-    FlashLayout,
-    PageState,
-    PersistentFlashDevice,
-)
+from repro.flashsim.persistent import PageState, PersistentFlashDevice
 from repro.flashsim.device import DeviceGeometry
 from repro.telemetry.events import EventLog
 
@@ -192,17 +187,12 @@ class DurableCLAM(CLAM):
         path: Union[str, os.PathLike],
         config: Optional[CLAMConfig] = None,
         geometry: Optional[DeviceGeometry] = None,
-        layout: Optional[FlashLayout] = None,
         clock: Optional[SimulationClock] = None,
-        eviction_policy: Optional[EvictionPolicy] = None,
-        events: Optional[EventLog] = None,
         name: Optional[str] = None,
     ) -> None:
         self.path = os.fspath(path)
         existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        device = PersistentFlashDevice(
-            self.path, geometry=geometry, layout=layout, clock=clock, name=name
-        )
+        device = PersistentFlashDevice(self.path, geometry=geometry, clock=clock, name=name)
         try:
             if existing:
                 stored_config, _latency = read_superblock(device)
@@ -225,15 +215,10 @@ class DurableCLAM(CLAM):
             device.close()
             raise
         store = DurableLogStore(device)
-        super().__init__(
-            config=config,
-            storage=device,
-            eviction_policy=eviction_policy,
-            store=store,
-        )
+        super().__init__(config=config, storage=device, store=store)
         self.log_store = store
         self.checkpoints = CheckpointRegion(device)
-        self.events = events if events is not None else EventLog(clock=self.clock)
+        self.events = EventLog(clock=self.clock)
         self._checkpoint_every = config.checkpoint_interval_flushes
         self._flushes_since_checkpoint = 0
         self._closed = False

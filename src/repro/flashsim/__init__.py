@@ -40,7 +40,7 @@ Public entry points
 from repro.flashsim.clock import ClockEnsemble, SimulationClock
 from repro.flashsim.faults import FaultInjector, FaultMode
 from repro.flashsim.latency import LinearCostModel, IOCost
-from repro.flashsim.stats import IOStats, IOEvent, IOKind
+from repro.flashsim.stats import IOStats, IOKind
 from repro.flashsim.device import StorageDevice, DeviceGeometry
 from repro.flashsim.flash_chip import FlashChip, FlashChipError
 from repro.flashsim.ssd import SSD, SSDProfile, INTEL_SSD_PROFILE, TRANSCEND_SSD_PROFILE
@@ -63,7 +63,6 @@ __all__ = [
     "LinearCostModel",
     "IOCost",
     "IOStats",
-    "IOEvent",
     "IOKind",
     "StorageDevice",
     "DeviceGeometry",

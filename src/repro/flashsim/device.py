@@ -83,7 +83,6 @@ class StorageDevice(abc.ABC):
         self,
         geometry: DeviceGeometry,
         clock: Optional[SimulationClock] = None,
-        keep_events: bool = False,
         name: str = "device",
     ) -> None:
         self.geometry = geometry
@@ -91,7 +90,7 @@ class StorageDevice(abc.ABC):
         self._page_size = geometry.page_size
         self._total_pages = geometry.total_pages
         self.clock = clock if clock is not None else SimulationClock()
-        self.stats = IOStats(keep_events=keep_events)
+        self.stats = IOStats()
         # read_page folds into this record itself; IOStats.reset zeroes it in place.
         self._read_totals = self.stats.totals[_READ]
         self.name = name
@@ -174,8 +173,8 @@ class StorageDevice(abc.ABC):
 
     def _record(self, kind: IOKind, nbytes: int, latency_ms: float, sequential: bool) -> None:
         """Charge one completed I/O to the clock, the statistics and the tracer."""
-        now_ms = self.clock.advance(latency_ms)
-        self.stats.add(kind, nbytes, latency_ms, sequential, now_ms)
+        self.clock.advance(latency_ms)
+        self.stats.add(kind, nbytes, latency_ms, sequential)
         tracer = _trace.ACTIVE
         if tracer is not None:
             # The clock already advanced past this I/O, so the event window is
@@ -196,9 +195,9 @@ class StorageDevice(abc.ABC):
 
         One page read is the unit of work of a CLAM lookup, so the bounds
         check, the sequentiality heuristic, the healthy / no-countdown fast
-        paths of the fault gate and, while neither the event log nor a tracer
-        listens, the accounting (:meth:`_record`'s, over the same totals) are
-        done inline; the slow paths go through the helpers every operation uses.
+        paths of the fault gate and, while no tracer listens, the accounting
+        (:meth:`_record`'s, over the same totals) are done inline; the slow
+        paths go through the helpers every operation uses.
         """
         if not 0 <= page_index < self._total_pages:
             self._check_page(page_index)
@@ -214,7 +213,7 @@ class StorageDevice(abc.ABC):
             raise PowerLossError(
                 f"power lost during read of page {page_index} on device {self.name!r}"
             )
-        if self.stats.keep_events or _trace.ACTIVE is not None:
+        if _trace.ACTIVE is not None:
             self._record(_READ, page_size, latency, sequential)
         else:
             self.clock.advance(latency)

@@ -62,14 +62,12 @@ class MagneticDisk(StorageDevice):
         self,
         profile: DiskProfile = MAGNETIC_DISK_PROFILE,
         clock: Optional[SimulationClock] = None,
-        keep_events: bool = False,
         name: Optional[str] = None,
         seed: int = 0x5EED,
     ) -> None:
         super().__init__(
             geometry=profile.geometry,
             clock=clock,
-            keep_events=keep_events,
             name=name or profile.name,
         )
         self.profile = profile

@@ -49,13 +49,11 @@ class DRAMDevice(StorageDevice):
         self,
         profile: DRAMProfile = DRAM_PROFILE,
         clock: Optional[SimulationClock] = None,
-        keep_events: bool = False,
         name: Optional[str] = None,
     ) -> None:
         super().__init__(
             geometry=profile.geometry,
             clock=clock,
-            keep_events=keep_events,
             name=name or profile.name,
         )
         self.profile = profile

@@ -132,14 +132,12 @@ class FlashChip(_NandDevice):
         self,
         profile: FlashChipProfile = GENERIC_FLASH_CHIP_PROFILE,
         clock: Optional[SimulationClock] = None,
-        keep_events: bool = False,
         name: Optional[str] = None,
     ) -> None:
         super().__init__(
             profile.cost_model,
             geometry=profile.geometry,
             clock=clock,
-            keep_events=keep_events,
             name=name or profile.name,
         )
         self.profile = profile

@@ -214,7 +214,6 @@ class PersistentFlashDevice(_NandDevice):
         geometry: Optional[DeviceGeometry] = None,
         layout: Optional[FlashLayout] = None,
         clock: Optional[SimulationClock] = None,
-        keep_events: bool = False,
         name: Optional[str] = None,
         cost_model: Optional[LinearCostModel] = None,
     ) -> None:
@@ -234,7 +233,6 @@ class PersistentFlashDevice(_NandDevice):
             cost_model if cost_model is not None else GENERIC_FLASH_CHIP_PROFILE.cost_model,
             geometry=geometry,
             clock=clock,
-            keep_events=keep_events,
             name=name or os.path.basename(self.path),
         )
         self.layout = layout if layout is not None else FlashLayout.default(geometry)

@@ -1,10 +1,11 @@
 """I/O accounting shared by every simulated storage device.
 
-Each device records every operation it performs (kind, size, latency,
-whether it was sequential) so experiments can report both latency
-distributions and I/O counts — e.g. Table 2 of the paper reports the number
-of flash reads per lookup, and §7.3.1 attributes latency to specific I/O
-classes.
+Each device folds every operation it performs (kind, size, latency, whether
+it was sequential) into per-kind totals so experiments can report I/O counts
+and latencies — e.g. Table 2 of the paper reports the number of flash reads
+per lookup, and §7.3.1 attributes latency to specific I/O classes.  A
+per-operation record is the tracer's ``device.*`` event (see
+:mod:`repro.telemetry.trace`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 
 class IOKind(enum.Enum):
@@ -26,17 +27,6 @@ class IOKind(enum.Enum):
     # equivalent to ``Enum.__hash__`` — which is a Python-level function and
     # would put one interpreter frame under every per-kind dict access below.
     __hash__ = object.__hash__
-
-
-@dataclass(frozen=True)
-class IOEvent:
-    """One recorded device operation."""
-
-    kind: IOKind
-    nbytes: int
-    latency_ms: float
-    sequential: bool
-    timestamp_ms: float
 
 
 @dataclass(slots=True)
@@ -54,10 +44,6 @@ class KindTotals:
 class IOStats:
     """Aggregated I/O statistics for one device.
 
-    The full event log can optionally be retained (``keep_events=True``) for
-    CDF-style analyses; aggregate counters are always maintained so that the
-    common case stays cheap.
-
     The aggregates are one slotted :class:`KindTotals` per kind, never
     replaced: a device binds the record of its page reads at construction and
     folds each read into it in its own frame (five per-kind dicts cost ten
@@ -65,20 +51,12 @@ class IOStats:
     ``sequential_counts`` are read-only dict views of the records.
     """
 
-    keep_events: bool = False
-    events: List[IOEvent] = field(default_factory=list)
     totals: Dict[IOKind, KindTotals] = field(
         default_factory=lambda: {kind: KindTotals() for kind in IOKind}
     )
 
-    def add(
-        self, kind: IOKind, nbytes: int, latency_ms: float, sequential: bool, timestamp_ms: float
-    ) -> None:
-        """Fold one operation into the aggregates.
-
-        This is what devices call per I/O; the :class:`IOEvent` is only built
-        when the event log is kept.
-        """
+    def add(self, kind: IOKind, nbytes: int, latency_ms: float, sequential: bool) -> None:
+        """Fold one operation into the aggregates (what devices call per I/O)."""
         totals = self.totals[kind]
         totals.ops += 1
         totals.nbytes += nbytes
@@ -87,12 +65,6 @@ class IOStats:
             totals.max_latency_ms = latency_ms
         if sequential:
             totals.sequential += 1
-        if self.keep_events:
-            self.events.append(IOEvent(kind, nbytes, latency_ms, sequential, timestamp_ms))
-
-    def record(self, event: IOEvent) -> None:
-        """Fold an already-built event (:meth:`add` of its fields)."""
-        self.add(event.kind, event.nbytes, event.latency_ms, event.sequential, event.timestamp_ms)
 
     # -- Per-kind views ----------------------------------------------------------
 
@@ -139,7 +111,6 @@ class IOStats:
 
         Zeroes the per-kind records in place: devices hold them bound.
         """
-        self.events.clear()
         for totals in self.totals.values():
             totals.__init__()
 

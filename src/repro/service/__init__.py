@@ -11,7 +11,8 @@ With ``replication_factor=N`` the cluster survives shard failures: writes
 fan out to each key's N-shard preference list, reads fail over (with
 read-repair) to surviving replicas, and a
 :class:`~repro.service.recovery.RecoveryCoordinator` re-replicates a dead
-shard's key ranges onto the survivors along the router's exact handoff arcs.
+shard's key ranges onto the survivors through the same :class:`KeyMigrator`
+that moves arcs for a scale-out or scale-in.
 The cluster also scales *online*: a :class:`KeyMigrator` streams the exact
 key-range arcs a membership change moves while traffic continues (double-read
 during the move, atomic per-arc cut-over), and an :class:`AutoscalePolicy`

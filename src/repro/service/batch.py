@@ -236,9 +236,6 @@ class BatchExecutor:
         The :class:`~repro.service.cluster.ClusterService` whose shards, live
         view, placement, hints and health counters the batch runs against.
         ``cluster.shards`` is looked up live on every batch.
-    dispatch_overhead_ms / routing_cost_ms:
-        Fixed simulated costs, charged to each touched shard's clock so every
-        duration in the system derives from the same time line.
     hedge_delay_ms:
         With ``replication_factor >= 2``, an all-lookup sub-batch of a
         multi-operation batch waits only this long for its shard; on a miss
@@ -250,20 +247,10 @@ class BatchExecutor:
         shards never stall, so the window only matters to worker processes.
     """
 
-    def __init__(
-        self,
-        cluster,
-        dispatch_overhead_ms: float = DEFAULT_DISPATCH_OVERHEAD_MS,
-        routing_cost_ms: float = DEFAULT_ROUTING_COST_MS,
-        hedge_delay_ms: Optional[float] = None,
-    ) -> None:
-        if dispatch_overhead_ms < 0 or routing_cost_ms < 0:
-            raise ConfigurationError("overhead costs must be non-negative")
+    def __init__(self, cluster, hedge_delay_ms: Optional[float] = None) -> None:
         if hedge_delay_ms is not None and hedge_delay_ms <= 0:
             raise ConfigurationError("hedge_delay_ms must be positive (or None to disable)")
         self.cluster = cluster
-        self.dispatch_overhead_ms = dispatch_overhead_ms
-        self.routing_cost_ms = routing_cost_ms
         self.hedge_delay_ms = hedge_delay_ms
 
     def _targets(
@@ -315,7 +302,7 @@ class BatchExecutor:
             error.partial_results = batch.results
             raise
 
-        batch.dispatch_ms_unbatched = self.dispatch_overhead_ms * len(kinds)
+        batch.dispatch_ms_unbatched = DEFAULT_DISPATCH_OVERHEAD_MS * len(kinds)
         batch.makespan_ms = max(
             (stats.total_ms for stats in batch.per_shard.values()), default=0.0
         )
@@ -386,8 +373,8 @@ class BatchExecutor:
                 retry.attempted.add(shard_id)
             stats = ShardBatchStats(
                 shard_id=shard_id,
-                dispatch_ms=self.dispatch_overhead_ms,
-                routing_ms=self.routing_cost_ms * len(positions),
+                dispatch_ms=DEFAULT_DISPATCH_OVERHEAD_MS,
+                routing_ms=DEFAULT_ROUTING_COST_MS * len(positions),
             )
             shard = shards.get(shard_id)  # None: removed between routing and now
             try:

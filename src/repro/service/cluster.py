@@ -21,8 +21,9 @@ by the first live replica that hits, with read-repair of those that missed
 :class:`~repro.core.errors.DeviceFailedError` (see
 :mod:`repro.flashsim.faults`) are marked down after ``failure_threshold``
 errors and routed around, and the
-:class:`~repro.service.recovery.RecoveryCoordinator` re-replicates what a
-dead shard owned onto the survivors along the router's exact handoff arcs.
+:class:`~repro.service.recovery.RecoveryCoordinator` takes dead shards out of
+the cluster and re-replicates what they owned onto the survivors, as a
+:class:`~repro.service.rebalance.KeyMigrator` migration.
 
 :class:`ClusterStats` merges the cheap per-instance counters
 (:meth:`repro.core.clam.CLAM.counters`) across the fleet: flash/DRAM I/O,
@@ -44,7 +45,6 @@ from repro.core.errors import (
     DeviceFailedError,
     ShardUnavailableError,
 )
-from repro.core.eviction import EvictionPolicy
 from repro.core.hashing import KeyLike, key_data
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.flashsim.clock import ClockEnsemble
@@ -188,8 +188,6 @@ class ClusterService:
         (created if missing; required for that storage, rejected otherwise).
     virtual_nodes:
         Consistent-hash virtual nodes per shard.
-    dispatch_overhead_ms / routing_cost_ms:
-        Service-layer simulated costs; see :mod:`repro.service.batch`.
     replication_factor:
         Copies of every key, placed on the key's preference list
         (:meth:`ShardRouter.preference_list`).  With 1 (the default) the
@@ -214,9 +212,6 @@ class ClusterService:
         config: Optional[CLAMConfig] = None,
         storage: str = "intel-ssd",
         virtual_nodes: int = 64,
-        eviction_policy: Optional[EvictionPolicy] = None,
-        dispatch_overhead_ms: float = DEFAULT_DISPATCH_OVERHEAD_MS,
-        routing_cost_ms: float = DEFAULT_ROUTING_COST_MS,
         replication_factor: int = 1,
         failure_threshold: int = 1,
         track_keys: Optional[bool] = None,
@@ -247,7 +242,6 @@ class ClusterService:
                 f'data_dir is only meaningful with storage="persistent", not {storage!r}'
             )
         self.data_dir = data_dir
-        self._eviction_policy = eviction_policy
         self.replication_factor = replication_factor
         self.failure_threshold = failure_threshold
         #: Shard id -> shard, each satisfying :mod:`repro.service.shard`.
@@ -297,9 +291,7 @@ class ClusterService:
         for name in names:
             self._build_shard(name)
         self.router = ShardRouter(names, virtual_nodes=virtual_nodes)
-        self.executor = BatchExecutor(
-            self, dispatch_overhead_ms, routing_cost_ms, hedge_delay_ms=self.hedge_delay_ms
-        )
+        self.executor = BatchExecutor(self, hedge_delay_ms=self.hedge_delay_ms)
         self.stats = ClusterStats(self.shards, service=self)
 
     def shard_path(self, shard_id: str) -> str:
@@ -316,7 +308,7 @@ class ClusterService:
     def _shard_spec(self, shard_id: str) -> tuple:
         """What a :class:`LocalShard` is built from, here or in a worker."""
         data_path = self.shard_path(shard_id) if self.storage == "persistent" else None
-        return (self.config, self.storage, data_path, self._eviction_policy)
+        return (self.config, self.storage, data_path)
 
     def _build_shard(self, shard_id: str) -> LocalShard:
         if shard_id in self.shards:
@@ -512,16 +504,14 @@ class ClusterService:
     def _shard_op(self, shard_id: str, op_name: str, *args):
         """One *directed* operation against one shard; None if the shard fails.
 
-        The primitive under hint replay, read repair, recovery and migration
-        — work aimed at a specific shard rather than at a key's replicas
+        The primitive under hint replay, read repair and migration (recovery
+        included) — work aimed at a specific shard rather than at a key's replicas
         (client reads and writes go through :meth:`execute_batch`).  Charges
         one dispatch + routing overhead to the shard's clock and folds any
         :class:`DeviceFailedError` into the error counters.
         """
         shard = self.shards[shard_id]
-        shard.clock.advance(
-            self.executor.dispatch_overhead_ms + self.executor.routing_cost_ms
-        )
+        shard.clock.advance(DEFAULT_DISPATCH_OVERHEAD_MS + DEFAULT_ROUTING_COST_MS)
         try:
             return getattr(shard, op_name)(*args)
         except DeviceFailedError:
@@ -533,7 +523,7 @@ class ClusterService:
     ) -> Tuple[bool, Optional[bytes]]:
         """Ask ``shard_ids`` in order for ``key``: ``(answered, value)``.
 
-        The replica walk under hint replay, recovery and migration: down
+        The replica walk under hint replay and migration: down
         shards are skipped, one that fails mid-lookup is counted and skipped,
         and the walk stops at the first copy found.  ``answered`` tells a
         miss every asked shard agreed on from nobody having replied at all.
@@ -698,9 +688,9 @@ class ClusterService:
     def remove_shard(self, shard_id: str) -> HandoffStats:
         """Decommission a shard and return the key-range handoff it causes.
 
-        Used both for planned decommissions and by the
-        :class:`~repro.service.recovery.RecoveryCoordinator` to take a dead
-        shard off the ring before re-replicating its key ranges.  For a
+        Used both for planned decommissions and by
+        :meth:`repro.service.rebalance.KeyMigrator.start_recovery` to take a
+        dead shard out before re-replicating its key ranges.  For a
         *graceful* decommission that streams the shard's data off first, use
         :meth:`repro.service.rebalance.KeyMigrator.start_remove` instead.
         """

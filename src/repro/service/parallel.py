@@ -40,8 +40,8 @@ supervisor half (:meth:`ParallelClusterService.check_workers` /
 them into that same health machinery and respawns them; a persistent shard's
 replacement worker reopens the backing file and runs CLAM crash recovery.
 
-Workers are forked, not spawned: sockets, configs and eviction policies are
-inherited instead of pickled, and a fork start is ~10x cheaper.  This is a
+Workers are forked, not spawned: sockets and configs are inherited instead
+of pickled, and a fork start is ~10x cheaper.  This is a
 POSIX-only deployment mode — the deterministic in-process cluster remains
 the portable default.
 """
@@ -212,11 +212,11 @@ def _worker_main(conn: socket.socket, shard_id: str, *spec) -> None:
     ``spec`` is the cluster's ``_shard_spec``, so the worker builds exactly
     the shard the in-process deployment would.
 
-    The worker owns a private simulated clock and (forked) copies of the
-    config and eviction policy; nothing is shared with the parent except
-    the socket.  The loop exits on a clean ``close`` control frame or when
-    the parent hangs up (EOF), and a persistent CLAM is always closed on the
-    way out so an orphaned worker still checkpoints its file.
+    The worker owns a private simulated clock and a (forked) copy of the
+    config; nothing is shared with the parent except the socket.  The loop
+    exits on a clean ``close`` control frame or when the parent hangs up
+    (EOF), and a persistent CLAM is always closed on the way out so an
+    orphaned worker still checkpoints its file.
 
     Malformed traffic is survived or reported, never amplified: a frame that
     fails its CRC is discarded (framing is intact — the parent's deadline and
@@ -334,7 +334,6 @@ class RemoteShard:
         config: CLAMConfig,
         storage: str,
         data_path: Optional[str] = None,
-        eviction_policy=None,
         request_deadline_ms: float = DEFAULT_REQUEST_DEADLINE_MS,
         retry_limit: int = DEFAULT_RETRY_LIMIT,
         retry_backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS,
@@ -355,7 +354,7 @@ class RemoteShard:
         self.clock = _MirrorClock()
         self._ctx = ctx
         #: What the worker builds its :class:`LocalShard` from (every respawn).
-        self._spec = (config, storage, data_path, eviction_policy)
+        self._spec = (config, storage, data_path)
         self._sock: Optional[socket.socket] = None
         self.process = None
         self._dead = False

@@ -1,7 +1,10 @@
 """Online elastic rebalancing: streaming key-range migration under live traffic.
 
 The rebalancing layer turns a membership change — a shard joining or leaving
-the ring — into a *migration* the cluster can perform while it keeps serving:
+the ring, or dead shards leaving the cluster — into a *migration* the cluster
+can perform while it keeps serving.  It is the one way keys move between
+replica sets: scale-out, scale-in and failure recovery
+(:class:`~repro.service.recovery.RecoveryCoordinator`) all stream arcs here.
 
 * :func:`changed_arcs` computes the **exact** set of key-range arcs whose
   preference list changes between two rings.  Preference lists are piecewise
@@ -18,13 +21,17 @@ the ring — into a *migration* the cluster can perform while it keeps serving:
   only.
 * :class:`KeyMigrator` drives the move: it snapshots the old ring, applies the
   membership change, seeds each arc's copy queue from the cluster's key
-  catalog, then streams keys in bounded :meth:`~KeyMigrator.step` batches
-  interleaved with live traffic.  An arc whose queue drains is **cut over**
-  atomically (one state flip) and the copies on owners that left its
-  preference list are retired.  A key counts as copied only once at least one
-  *live* new-ring replica is confirmed to hold it, so killing the joining
-  shard mid-migration at ``replication_factor >= 2`` degrades to hinted
-  handoff instead of data loss.
+  catalog, then streams keys — in key order, so the copy sequence depends on
+  the keys alone — in bounded :meth:`~KeyMigrator.step` batches interleaved
+  with live traffic.  An arc whose queue drains is **cut over** atomically
+  (one state flip) and the copies on owners that left its preference list are
+  retired.  A key counts as copied only once at least one *live* new-ring
+  replica is confirmed to hold it, so killing the joining shard mid-migration
+  at ``replication_factor >= 2`` degrades to hinted handoff instead of data
+  loss.  A key is given up as lost only when every one of its old owners has
+  left the cluster, which only a recovery's membership change does: a planned
+  scale-out or scale-in keeps the leaving shard instantiated until its last
+  arc cuts over, so it stalls instead of losing keys.
 * :class:`AutoscalePolicy` layers elasticity on top: driven by per-shard
   operation deltas (the hot-shard signal) and per-shard p99 latency from the
   telemetry registry, it starts a scale-out or scale-in migration during a
@@ -34,10 +41,11 @@ the ring — into a *migration* the cluster can perform while it keeps serving:
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import ConfigurationError, ShardUnavailableError
 from repro.core.hashing import KeyLike, ring_position
@@ -244,9 +252,10 @@ class MigrationReport:
 class KeyMigrator:
     """Streams a membership change's key-range arcs while traffic continues.
 
-    One migration at a time: :meth:`start_add` / :meth:`start_remove` snapshot
-    the old ring, apply the membership change, seed the arc queues from the
-    cluster's key catalog and install the :class:`MigrationState` overlay.
+    One migration at a time: :meth:`start_add` / :meth:`start_remove` /
+    :meth:`start_recovery` snapshot the old ring, apply the membership change,
+    seed the arc queues from the cluster's key catalog and install the
+    :class:`MigrationState` overlay.
     :meth:`step` then copies a bounded batch of keys (call it from the traffic
     loop to interleave with requests), cutting arcs over as their queues
     drain; :meth:`run_to_completion` drains everything, raising if the
@@ -286,10 +295,17 @@ class KeyMigrator:
         self.reports: List[MigrationReport] = []
         #: Consecutive steps that confirmed zero keys while some were blocked.
         self.stalled_steps = 0
+        #: Copies the current (or last) migration wrote, per new owner.
+        self.keys_gained: Dict[str, int] = {}
+        #: Seeded keys the current (or last) migration found no value for:
+        #: every old owner had left the cluster (the key is dropped from its
+        #: queue), or each one that answered missed it (nothing to move, so
+        #: the key also counts as copied).
+        self.keys_lost = 0
         self._state: Optional[MigrationState] = None
         self._direction = ""
         self._subject = ""
-        self._handoff: Optional[HandoffStats] = None
+        self._moved_fraction = 0.0
         self._steps = 0
         self._blocked_retries = 0
         self._keys_copied = 0
@@ -328,7 +344,7 @@ class KeyMigrator:
         old_router = self._snapshot_router()
         handoff = self.cluster.add_shard(shard_id)
         subject = handoff.added[0]
-        self._install("scale-out", subject, old_router, handoff)
+        self._install("scale-out", subject, old_router, handoff.moved_fraction)
         return subject
 
     def start_remove(self, shard_id: str) -> str:
@@ -348,15 +364,30 @@ class KeyMigrator:
                 f"replication_factor={self.cluster.replication_factor}"
             )
         handoff = router.remove_shard(shard_id)
-        self._install("scale-in", shard_id, old_router, handoff)
+        self._install("scale-in", shard_id, old_router, handoff.moved_fraction)
         return shard_id
+
+    def start_recovery(self, shard_ids: Sequence[str]) -> List[HandoffStats]:
+        """Take dead shards out of the cluster and start re-replicating their arcs.
+
+        One membership change: every shard leaves the ring and
+        ``cluster.shards`` (:meth:`ClusterService.remove_shard`) before any
+        key moves, so each changed arc is streamed from its surviving old
+        owners, and a key none of them is left to answer for is lost.
+        Returns each removal's handoff.
+        """
+        old_router = self._snapshot_router()
+        handoffs = [self.cluster.remove_shard(shard_id) for shard_id in shard_ids]
+        moved = sum(handoff.moved_fraction for handoff in handoffs)
+        self._install("recovery", ",".join(shard_ids), old_router, moved)
+        return handoffs
 
     def _install(
         self,
         direction: str,
         subject: str,
         old_router: ShardRouter,
-        handoff: HandoffStats,
+        moved_fraction: float,
     ) -> None:
         cluster = self.cluster
         arcs = changed_arcs(old_router, cluster.router, cluster.replication_factor)
@@ -371,12 +402,14 @@ class KeyMigrator:
         self._state = state
         self._direction = direction
         self._subject = subject
-        self._handoff = handoff
+        self._moved_fraction = moved_fraction
         self._steps = 0
         self._blocked_retries = 0
         self._keys_copied = 0
         self._keys_retired = 0
         self._keys_seeded = seeded
+        self.keys_gained = {}
+        self.keys_lost = 0
         self.stalled_steps = 0
         self._started_ms = cluster.clock.now_ms
         cluster.migration = state
@@ -386,7 +419,7 @@ class KeyMigrator:
             shard=subject,
             arcs=len(arcs),
             keys=seeded,
-            moved_fraction=handoff.moved_fraction,
+            moved_fraction=moved_fraction,
         )
         if cluster.telemetry is not None:
             cluster.telemetry.counter("migrations_started").inc()
@@ -396,9 +429,11 @@ class KeyMigrator:
     def step(self, budget: Optional[int] = None) -> int:
         """Attempt up to ``budget`` key copies; returns the keys confirmed.
 
-        Keys whose copy cannot be confirmed (no reachable old replica, or no
-        live new-ring replica to hold the value) are requeued for the next
-        step rather than dropped; an arc cuts over the moment its queue
+        Each migrating arc's queue is drained smallest key first.  Keys whose
+        copy cannot be confirmed (no reachable old replica, or no live
+        new-ring replica to hold the value) stay queued for the next step
+        rather than dropped — unless every old owner has left the cluster, in
+        which case the key is lost; an arc cuts over the moment its queue
         drains; the migration completes — and on scale-in decommissions the
         leaving shard — once every arc is done.
         """
@@ -408,23 +443,24 @@ class KeyMigrator:
             raise ConfigurationError("budget must be positive")
         self._steps += 1
         self._promote_arcs(state)
+        shards = self.cluster.shards
         attempts = 0
         copied = 0
         blocked = 0
         for arc in state.arcs:
             if arc.state is not ArcState.MIGRATING:
                 continue
-            requeue: List[bytes] = []
-            while arc.pending and attempts < budget:
+            for key in heapq.nsmallest(budget - attempts, arc.pending):
                 attempts += 1
-                key = arc.pending.pop()
                 if self._copy_key(arc, key):
+                    arc.pending.discard(key)
                     arc.copied += 1
                     copied += 1
+                elif shards.keys().isdisjoint(arc.old_replicas):
+                    arc.pending.discard(key)
+                    self.keys_lost += 1
                 else:
-                    requeue.append(key)
                     blocked += 1
-            arc.pending.update(requeue)
             if not arc.pending:
                 self._cut_over(arc)
             if attempts >= budget:
@@ -478,6 +514,7 @@ class KeyMigrator:
         if value is None:
             # Deleted while queued (or never fully replicated): nothing to move.
             arc.keys.discard(key)
+            self.keys_lost += 1
             return True
         placed = False
         for target in arc.new_replicas:
@@ -488,6 +525,7 @@ class KeyMigrator:
                 and cluster._shard_op(target, "insert", key, value) is not None
             ):
                 placed = True
+                self.keys_gained[target] = self.keys_gained.get(target, 0) + 1
             else:
                 cluster._record_hint(target, key)
         if not placed:
@@ -548,7 +586,7 @@ class KeyMigrator:
             direction=self._direction,
             subject=self._subject,
             arcs=len(state.arcs),
-            moved_fraction=self._handoff.moved_fraction,
+            moved_fraction=self._moved_fraction,
             keys_seeded=self._keys_seeded,
             keys_copied=self._keys_copied,
             keys_retired=self._keys_retired,
@@ -581,9 +619,12 @@ class KeyMigrator:
         scale-out cannot resurrect deleted keys later), restores the old ring
         and, for a scale-out, decommissions the half-joined shard.  Once an
         arc has cut over its old copies are gone — the migration can only be
-        drained forward from there.
+        drained forward from there.  A recovery is never undone: its shards
+        have already left the cluster.
         """
         state = self._require_active()
+        if self._direction == "recovery":
+            raise ConfigurationError("cannot abort a recovery; drain it with run_to_completion")
         if any(arc.state is ArcState.DONE for arc in state.arcs):
             raise ConfigurationError(
                 "cannot abort: an arc already cut over (its old copies are "

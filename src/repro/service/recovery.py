@@ -10,15 +10,15 @@ one copy fewer than ``replication_factor`` demands.  The
 1. **Detect** — shards whose :class:`~repro.core.errors.DeviceFailedError`
    counters crossed the cluster's ``failure_threshold`` are reported down
    (:meth:`ClusterService.down_shard_ids`).
-2. **Route around** — the dead shard is removed from the ring
-   (:meth:`ShardRouter.remove_shard`), which yields the *exact* handoff arcs:
-   every arc the dead shard owned is gained by a ring successor, so the set
-   of keys that need work is precisely the set whose preference list
-   contained the dead shard (the preference list is a prefix-stable chain;
-   see :meth:`ShardRouter.preference_list`).
-3. **Re-replicate** — for each affected key the coordinator reads the value
-   from a surviving replica and writes it to the shards that newly joined
-   the key's preference list, restoring full replication on the survivors.
+2. **Route around** — every dead shard leaves the ring and the cluster in one
+   membership change (:meth:`KeyMigrator.start_recovery`).  The preference
+   list is a prefix-stable chain (see :meth:`ShardRouter.preference_list`), so
+   the arcs whose list changed are exactly those that contained a dead shard,
+   and each gains the next distinct successors.
+3. **Re-replicate** — the removal is a migration like any scale-in
+   (:mod:`repro.service.rebalance`): each changed arc is streamed from its
+   surviving old owners to the shards that newly joined its preference list,
+   with hinted handoff for a new owner that cannot take its copy.
 
 Progress and outcome are captured in a :class:`RecoveryReport` and surfaced
 through :meth:`~repro.service.cluster.ClusterStats.health`.  A key is *lost*
@@ -31,11 +31,11 @@ asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.errors import ConfigurationError
 from repro.core.recovery import CrashRecoveryReport
 from repro.service.cluster import ClusterService
+from repro.service.rebalance import KeyMigrator
 from repro.service.router import HandoffStats
 
 
@@ -61,8 +61,8 @@ class RecoveryReport:
     keys_re_replicated: int = 0
     #: Individual (key, shard) copies written while re-replicating.
     copies_written: int = 0
-    #: Affected keys no surviving replica held (0 whenever the replication
-    #: factor exceeded the number of simultaneous failures).
+    #: Affected keys no surviving replica returned a value for (0 whenever
+    #: the replication factor exceeded the number of simultaneous failures).
     keys_lost: int = 0
     #: Exact ring handoff recorded when each failed shard was removed.
     handoffs: List[HandoffStats] = field(default_factory=list)
@@ -78,15 +78,18 @@ class RecoveryReport:
 class RecoveryCoordinator:
     """Detects failed shards and restores replication on the survivors.
 
-    The coordinator is deliberately stateless between passes apart from the
-    report log: detection reads the cluster's error counters, and recovery
-    drives the cluster's own membership and shard APIs, so it can be created
-    on demand (the traffic simulator does exactly that for scheduled
+    Detection reads the cluster's error counters and recovery drives the
+    cluster's membership through :attr:`migrator`, so a coordinator can be
+    created on demand (the traffic simulator does exactly that for scheduled
     ``recover`` events).
     """
 
     def __init__(self, cluster: ClusterService) -> None:
         self.cluster = cluster
+        #: The migrator each pass streams through.  A pass whose surviving
+        #: owner stops answering stalls with its migration installed; once
+        #: that shard heals, ``migrator.run_to_completion()`` finishes it.
+        self.migrator = KeyMigrator(cluster)
         #: Every report produced by this coordinator, oldest first.
         self.reports: List[RecoveryReport] = []
 
@@ -94,104 +97,51 @@ class RecoveryCoordinator:
         """Shards whose error counters crossed the failure threshold."""
         return self.cluster.down_shard_ids
 
-    def recover(self, shard_ids: Optional[Iterable[str]] = None) -> RecoveryReport:
-        """Take failed shards off the ring and re-replicate what they owned.
+    def recover(self) -> RecoveryReport:
+        """Take :meth:`detect`'s shards off the ring and re-replicate what they owned.
 
-        ``shard_ids`` defaults to :meth:`detect`'s findings.  Returns the
-        :class:`RecoveryReport`; also records it on the coordinator and as
-        the cluster's ``last_recovery``.
+        Returns the :class:`RecoveryReport`; also records it on the
+        coordinator and as the cluster's ``last_recovery``.
         """
         cluster = self.cluster
-        failed = tuple(shard_ids) if shard_ids is not None else self.detect()
+        migrator = self.migrator
+        failed = self.detect()
         report = RecoveryReport(
             failed_shards=failed,
             replication_factor=cluster.replication_factor,
             started_ms=cluster.clock.now_ms,
         )
         started_busy_ms = cluster.clock.busy_ms
-        if not failed:
-            self._log(report)
-            return report
-        for shard_id in failed:
-            if shard_id not in cluster.shards:
-                raise ConfigurationError(f"shard {shard_id!r} not present")
-        tracked = cluster.tracked_keys
-        if tracked is None:
-            raise ConfigurationError(
-                "recovery needs the cluster's key catalog; construct the "
-                "ClusterService with track_keys=True (on by default when "
-                "replication_factor > 1)"
-            )
-
-        # Snapshot each tracked key's replica set *before* the ring changes:
-        # the keys needing work are exactly those whose preference list
-        # contained a failed shard.
-        failed_set = set(failed)
-        rf = cluster.replication_factor
-        affected: List[Tuple[bytes, Tuple[str, ...]]] = []
-        for key in sorted(tracked):
-            report.keys_scanned += 1
-            old_replicas = cluster.router.preference_list(key, rf)
-            if failed_set.intersection(old_replicas):
-                affected.append((key, old_replicas))
-        report.keys_affected = len(affected)
-
-        # Route around the dead shards: removing them from the ring hands
-        # their arcs to ring successors, with the exact moved fractions
-        # recorded per removal.
-        for shard_id in failed:
-            report.handoffs.append(cluster.remove_shard(shard_id))
-
-        # Re-replicate: the preference list is a prefix-stable chain, so the
-        # post-removal list is the old one minus the dead shards plus the
-        # next distinct successors — precisely the shards that must receive
-        # a copy.
-        for key, old_replicas in affected:
-            # The failed shards just left ``cluster.shards``, so the walk
-            # skips them like any other shard that is not live.
-            _answered, value = cluster._first_live_copy(key, old_replicas)
-            if value is None:
-                report.keys_lost += 1
-                continue
-            new_members = [
-                shard_id
-                for shard_id in cluster.router.preference_list(key, rf)
-                if shard_id not in old_replicas and cluster.is_live(shard_id)
-            ]
-            copied = 0
-            for shard_id in new_members:
-                if self._write_copy(shard_id, key, value):
-                    copied += 1
-                    report.keys_gained[shard_id] = report.keys_gained.get(shard_id, 0) + 1
-            report.copies_written += copied
-            report.keys_re_replicated += 1
-
+        if failed:
+            report.handoffs = migrator.start_recovery(failed)
+            report.keys_scanned = len(cluster.tracked_keys)
+            report.keys_affected = migrator.run_to_completion().keys_seeded
+            report.keys_lost = migrator.keys_lost
+            report.keys_re_replicated = report.keys_affected - report.keys_lost
+            report.keys_gained = dict(migrator.keys_gained)
+            report.copies_written = sum(report.keys_gained.values())
         report.duration_ms = cluster.clock.now_ms - report.started_ms
         report.work_ms = cluster.clock.busy_ms - started_busy_ms
         self._log(report)
         return report
 
-    def reopen_and_rejoin(
-        self, shard_ids: Optional[Iterable[str]] = None
-    ) -> Dict[str, CrashRecoveryReport]:
+    def reopen_and_rejoin(self) -> Dict[str, CrashRecoveryReport]:
         """Recover power-cut persistent shards *in place* instead of removing them.
 
         The cheap path for a cluster on ``storage="persistent"``: a shard
         that lost power still has every acknowledged write on its backing
         file, so instead of taking it off the ring and re-replicating its
-        whole key range (:meth:`recover`), each failed shard is reopened —
-        running the CLAM crash-recovery scan — and rejoins at its old ring
-        position, with only the writes it missed while down replayed from the
-        hinted-handoff log.  Replication of DRAM-buffered writes lost in the
-        cut is restored lazily by read-repair.
+        whole key range (:meth:`recover`), each of :meth:`detect`'s shards is
+        reopened — running the CLAM crash-recovery scan — and rejoins at its
+        old ring position, with only the writes it missed while down replayed
+        from the hinted-handoff log.  Replication of DRAM-buffered writes lost
+        in the cut is restored lazily by read-repair.
 
-        ``shard_ids`` defaults to :meth:`detect`'s findings.  Returns each
-        shard's :class:`~repro.core.recovery.CrashRecoveryReport`.
+        Returns each shard's :class:`~repro.core.recovery.CrashRecoveryReport`.
         """
         cluster = self.cluster
-        failed = tuple(shard_ids) if shard_ids is not None else self.detect()
         reports: Dict[str, CrashRecoveryReport] = {}
-        for shard_id in failed:
+        for shard_id in self.detect():
             reports[shard_id] = cluster.reopen_shard(shard_id)
         if reports:
             cluster.recoveries += 1
@@ -202,12 +152,6 @@ class RecoveryCoordinator:
                 log_records_replayed=sum(r.log_records_replayed for r in reports.values()),
             )
         return reports
-
-    # -- Shard-level plumbing ------------------------------------------------------------
-
-    def _write_copy(self, shard_id: str, key: bytes, value: bytes) -> bool:
-        """Install one replica copy; False if the target failed mid-write."""
-        return self.cluster._shard_op(shard_id, "insert", key, value) is not None
 
     def _log(self, report: RecoveryReport) -> None:
         self.reports.append(report)

@@ -11,7 +11,7 @@ whichever side of a process boundary it lives on:
     ``(results, error_code, message, busy_ms)``;
 ``lookup`` / ``insert`` / ``update`` / ``delete``
     the :class:`~repro.workloads.runner.HashIndex` operations, for directed
-    one-shard work (hint replay, recovery, migration);
+    one-shard work (hint replay, read repair, migration);
 ``counters()``, ``telemetry_registry()``, ``recovery_report``
     reporting;
 ``inject_fault(mode, fault_kwargs)``, ``heal()``, ``close()``
@@ -98,7 +98,6 @@ class LocalShard:
         config: CLAMConfig,
         storage: str,
         data_path: Optional[str] = None,
-        eviction_policy=None,
     ) -> None:
         if storage == "persistent":
             # Reopening an existing file recovers it; the stored superblock
@@ -108,16 +107,10 @@ class LocalShard:
                 data_path,
                 config=None if existing else config,
                 clock=SimulationClock(),
-                eviction_policy=eviction_policy,
                 name=shard_id,
             )
         else:
-            self.clam = CLAM(
-                config,
-                storage=storage,
-                clock=SimulationClock(),
-                eviction_policy=eviction_policy,
-            )
+            self.clam = CLAM(config, storage=storage, clock=SimulationClock())
         self.shard_id = shard_id
         self.clock = self.clam.clock
         self.lookup = self.clam.lookup

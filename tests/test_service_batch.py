@@ -4,7 +4,6 @@ import pytest
 
 from benchmarks.common import count_calls
 from repro.core import CLAMConfig
-from repro.core.errors import ConfigurationError
 from repro.core.hashing import clear_digest_cache
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.service import ClusterService, ParallelClusterService
@@ -232,7 +231,9 @@ class TestBatchAccounting:
         slowest = max(s.total_ms for s in batch.per_shard.values())
         assert batch.makespan_ms == pytest.approx(slowest)
         # Routing is charged per-operation on the owning shard.
-        assert batch.routing_ms == pytest.approx(cluster.executor.routing_cost_ms * len(operations))
+        assert batch.routing_ms == pytest.approx(
+            batch_module.DEFAULT_ROUTING_COST_MS * len(operations)
+        )
         # Parallel shards: completing when the slowest finishes beats summing.
         assert batch.makespan_ms < batch.busy_ms + batch.dispatch_ms + batch.routing_ms
 
@@ -243,10 +244,10 @@ class TestBatchAccounting:
         # Dispatch paid once per shard touched, not once per operation.
         assert batch.shards_touched <= cluster.num_shards
         assert batch.dispatch_ms == pytest.approx(
-            batch.shards_touched * cluster.executor.dispatch_overhead_ms
+            batch.shards_touched * batch_module.DEFAULT_DISPATCH_OVERHEAD_MS
         )
         assert batch.dispatch_ms_unbatched == pytest.approx(
-            len(operations) * cluster.executor.dispatch_overhead_ms
+            len(operations) * batch_module.DEFAULT_DISPATCH_OVERHEAD_MS
         )
         assert batch.dispatch_saved_ms > 0
 
@@ -259,12 +260,6 @@ class TestBatchAccounting:
         for shard_id, stats in batch.per_shard.items():
             elapsed = cluster.shards[shard_id].clock.now_ms - before[shard_id]
             assert elapsed == pytest.approx(stats.total_ms)
-
-    def test_negative_overheads_rejected(self):
-        with pytest.raises(ConfigurationError):
-            small_cluster(dispatch_overhead_ms=-1.0)
-        with pytest.raises(ConfigurationError):
-            small_cluster(routing_cost_ms=-1.0)
 
 
 class TestRetryState:

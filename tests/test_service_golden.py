@@ -21,7 +21,12 @@ regenerated by a change that *means* to alter simulated behaviour.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,18 +189,6 @@ class _Keys:
         return items
 
 
-class _MinPopSet(set):
-    """``set`` whose ``pop`` is its minimum: the migrator drains an arc's
-    pending keys with ``set.pop``, whose order follows the interpreter's
-    per-process string-hash seed; this makes the copy order a property of
-    the keys alone."""
-
-    def pop(self):
-        item = min(self)
-        self.remove(item)
-        return item
-
-
 def _traffic(cluster, keys: _Keys, recorder: _Recorder, rounds: int) -> None:
     """``rounds`` x (one mixed batch, one lookup_batch, one insert_batch),
     each allowed to end in ``ShardUnavailableError``."""
@@ -310,8 +303,6 @@ def _run_script(cluster: ClusterService, replication_factor: int) -> dict:
     # ``migration.replicas_for`` while arcs are pending, migrating and done.
     migrator = KeyMigrator(cluster, batch_size=24, max_active_arcs=2)
     migrator.start_add()
-    for arc in cluster.migration.arcs:
-        arc.pending = _MinPopSet(arc.pending)
     steps = 0
     while cluster.migration is not None:
         _traffic(cluster, keys, recorder, rounds=1)
@@ -423,6 +414,24 @@ def test_worker_processes_reproduce_the_same_golden(case):
     """The in-process <-> process parity contract, against the frozen values
     rather than against the other deployment."""
     assert run_case(*CASES[case], deployment=ParallelClusterService) == GOLDEN[case]
+
+
+def test_migration_order_does_not_follow_the_string_hash_seed():
+    """The migrator drains each arc's queue in key order, so interpreters with
+    different ``PYTHONHASHSEED`` values copy the same keys in the same order."""
+    here = Path(__file__).resolve().parent
+    script = "import json; from test_service_golden import run_case; print(json.dumps(run_case(2)))"
+    for seed in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join((str(here.parent / "src"), str(here))),
+        }
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == GOLDEN["rf2"], seed
 
 
 def test_script_reaches_every_branch_it_claims():

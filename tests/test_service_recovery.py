@@ -130,10 +130,49 @@ class TestRecovery:
         with pytest.raises(ConfigurationError):
             RecoveryCoordinator(cluster).recover()
 
-    def test_recovery_of_unknown_shard_rejected(self):
-        cluster, _ = populated_cluster()
+    def test_new_owner_that_cannot_take_its_copy_is_hinted(self):
+        """A new owner still in the live view whose copy writes fail catches
+        up by hinted handoff when it heals.  The owner is crash-stopped under
+        a high threshold: io-errors fail only flash I/O, so a failed write
+        would be a failed flush, which drops the shard's whole buffer.  RF=3
+        keeps a third replica for the keys both failed shards hold."""
+        cluster, keys = populated_cluster(
+            num_shards=5, replication_factor=3, failure_threshold=1_000
+        )
+        cluster.fail_shard("shard-1")
+        while "shard-1" not in cluster.down_shard_ids:
+            cluster.record_shard_error("shard-1")
+        cluster.fail_shard("shard-2")
+        report = RecoveryCoordinator(cluster).recover()
+        assert report.failed_shards == ("shard-1",)
+        assert report.keys_lost == 0
+        assert "shard-2" in cluster.live_shard_ids and "shard-2" not in report.keys_gained
+        cluster.heal_shard("shard-2")
+        hosted = [key for key in keys if "shard-2" in cluster.replicas_for(key)]
+        assert hosted
+        for key in hosted:
+            assert cluster.shards["shard-2"].lookup(key).found
+
+    def test_a_stalled_pass_is_drained_not_aborted(self):
+        """A survivor that stops answering mid-pass (still instantiated, so its
+        keys are not lost) stalls the pass; once it heals, the coordinator's
+        migrator finishes the move."""
+        cluster, keys = populated_cluster(failure_threshold=1_000)
+        cluster.fail_shard("shard-1")
+        while "shard-1" not in cluster.down_shard_ids:
+            cluster.record_shard_error("shard-1")
+        cluster.fail_shard("shard-2")
+        coordinator = RecoveryCoordinator(cluster)
+        with pytest.raises(ShardUnavailableError):
+            coordinator.recover()
         with pytest.raises(ConfigurationError):
-            RecoveryCoordinator(cluster).recover(["never-existed"])
+            coordinator.migrator.abort()
+        cluster.heal_shard("shard-2")
+        coordinator.migrator.run_to_completion()
+        assert coordinator.migrator.keys_lost == 0
+        for key in keys:
+            for shard_id in cluster.replicas_for(key):
+                assert cluster.shards[shard_id].lookup(key).found
 
     def test_recovered_cluster_keeps_serving_writes(self):
         cluster, _ = populated_cluster()
