@@ -11,9 +11,11 @@ contract end to end:
   the cluster from 4 to 6 shards and then drains it down to 3, one online
   migration at a time.  Zero seeded keys may be lost and availability must
   stay at or above 0.99 through all five migrations.
-* **Autoscale** — the same traffic with an :class:`AutoscalePolicy` wired to
-  the hot-shard and per-shard p99 telemetry signals; the policy must take at
-  least one scale-out decision on its own and, again, lose nothing.
+* **Autoscale** — the same traffic with an :class:`AutoscalePolicy` reading
+  each shard's operation counters; the policy must take at least one
+  scale-out decision on its own and, again, lose nothing.  It runs twice, with
+  telemetry on and off, and must decide the same at the same request counts:
+  the counters it reads are always on.
 * **Kill-the-joining-shard** — a scale-out whose joining shard crash-stops
   mid-migration at RF=2.  The migration must still complete (surviving
   old owners confirm every key; the dead shard accumulates hinted
@@ -91,10 +93,10 @@ DRILL_KEYS = 400
 DRILL_STEPS_BEFORE_KILL = 2
 
 
-def build_cluster(num_shards: int = NUM_SHARDS) -> ClusterService:
+def build_cluster(num_shards: int = NUM_SHARDS, telemetry: bool = True) -> ClusterService:
     return ClusterService(
         num_shards=num_shards,
-        config=standard_config(telemetry_enabled=True),
+        config=standard_config(telemetry_enabled=telemetry),
         replication_factor=REPLICATION_FACTOR,
         virtual_nodes=VIRTUAL_NODES,
         track_keys=True,
@@ -145,9 +147,9 @@ def run_churn():
     return report, outcome, cluster
 
 
-def run_autoscale():
+def run_autoscale(telemetry: bool = True):
     """Policy-driven elasticity: the autoscaler must act on the Zipf skew."""
-    cluster = build_cluster(num_shards=3)
+    cluster = build_cluster(num_shards=3, telemetry=telemetry)
     migrator = KeyMigrator(cluster, batch_size=48)
     policy = AutoscalePolicy(cluster, migrator, AUTOSCALE)
     simulator = TrafficSimulator(cluster, SPEC, autoscaler=policy)
@@ -323,7 +325,12 @@ def main() -> None:
             (85, "scale-in", "shard-2"),
         )
     _, churn, cluster = run_churn()
-    _, autoscale, _ = run_autoscale()
+    report, autoscale, _ = run_autoscale()
+    untraced, _, _ = run_autoscale(telemetry=False)
+    decisions = [(d.action, d.shard, d.at_request) for d in report.autoscale_decisions]
+    assert decisions == [
+        (d.action, d.shard, d.at_request) for d in untraced.autoscale_decisions
+    ], "the autoscaler decided differently with telemetry off"
     drill = run_kill_joining_drill()
     print_outcomes(churn, autoscale, drill)
     check_invariants(churn, autoscale, drill, cluster.telemetry_snapshot())

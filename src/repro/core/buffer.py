@@ -8,7 +8,7 @@ configured capacity (§5.1, "Buffer").
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.bloom import BloomFilter, optimal_num_hashes
 from repro.core.cuckoo import CuckooHashTable
@@ -27,13 +27,7 @@ class Buffer:
     rather than wrapped.
     """
 
-    def __init__(
-        self,
-        capacity_items: int,
-        num_slots: int,
-        bloom_bits: int,
-        bloom_hashes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, capacity_items: int, num_slots: int, bloom_bits: int) -> None:
         if capacity_items <= 0:
             raise ValueError("capacity_items must be positive")
         if num_slots < capacity_items:
@@ -41,11 +35,9 @@ class Buffer:
         self.capacity_items = capacity_items
         self.num_slots = num_slots
         self.bloom_bits = bloom_bits
-        if bloom_hashes is None:
-            bloom_hashes = optimal_num_hashes(bloom_bits / max(1, capacity_items))
-        self.bloom_hashes = bloom_hashes
+        self.bloom_hashes = optimal_num_hashes(bloom_bits / max(1, capacity_items))
         self._table = CuckooHashTable(num_slots)
-        self._bloom = BloomFilter(bloom_bits, bloom_hashes)
+        self._bloom = BloomFilter(bloom_bits, self.bloom_hashes)
         self.get = self._table.get
         self.delete = self._table.delete
 

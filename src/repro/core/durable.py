@@ -264,20 +264,19 @@ class _Reader:
         self._data = data
         self._offset = 0
 
-    def u16(self) -> int:
-        (value,) = _U16.unpack_from(self._data, self._offset)
-        self._offset += _U16.size
+    def _take(self, field: struct.Struct) -> int:
+        (value,) = field.unpack_from(self._data, self._offset)
+        self._offset += field.size
         return value
+
+    def u16(self) -> int:
+        return self._take(_U16)
 
     def u32(self) -> int:
-        (value,) = _U32.unpack_from(self._data, self._offset)
-        self._offset += _U32.size
-        return value
+        return self._take(_U32)
 
     def u64(self) -> int:
-        (value,) = _U64.unpack_from(self._data, self._offset)
-        self._offset += _U64.size
-        return value
+        return self._take(_U64)
 
     def blob(self) -> bytes:
         length = self.u32()

@@ -547,7 +547,7 @@ class DurableCLAM(CLAM):
                 flushed += 1
         return flushed
 
-    def close(self, flush_buffers: bool = True) -> None:
+    def close(self) -> None:
         """Flush, write a final clean checkpoint and release the device.
 
         Idempotent.  When the device is dead (crash-stopped or power-cut) the
@@ -560,8 +560,7 @@ class DurableCLAM(CLAM):
         device = self.persistent_device
         try:
             if not device.closed and not device.faults.is_crashed:
-                if flush_buffers:
-                    self.flush_buffers()
+                self.flush_buffers()
                 self.checkpoint(clean=True)
                 device.flush()
         finally:

@@ -21,6 +21,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.bloom import BloomFilter
 from repro.core.hashing import KeyDigest, KeyLike, as_digest
 
+#: ``w``, the spare columns appended to every slice so vacated columns can be
+#: cleared lazily in word-sized batches.
+SPARE_BITS = 64
+
 
 class BitSlicedBloomArray:
     """Bloom filters for the incarnations of one super table, stored bit-sliced.
@@ -35,31 +39,19 @@ class BitSlicedBloomArray:
         organisations give identical answers.
     max_incarnations:
         Window size ``k`` — the number of live incarnations.
-    spare_bits:
-        ``w``, the number of spare columns appended to every slice so vacated
-        columns can be cleared lazily in word-sized batches.
     """
 
-    def __init__(
-        self,
-        num_bits: int,
-        num_hashes: int,
-        max_incarnations: int,
-        spare_bits: int = 64,
-    ) -> None:
+    def __init__(self, num_bits: int, num_hashes: int, max_incarnations: int) -> None:
         if num_bits <= 0:
             raise ValueError("num_bits must be positive")
         if num_hashes <= 0:
             raise ValueError("num_hashes must be positive")
         if max_incarnations <= 0:
             raise ValueError("max_incarnations must be positive")
-        if spare_bits <= 0:
-            raise ValueError("spare_bits must be positive")
         self.num_bits = num_bits
         self.num_hashes = num_hashes
         self.max_incarnations = max_incarnations
-        self.spare_bits = spare_bits
-        self.total_columns = max_incarnations + spare_bits
+        self.total_columns = max_incarnations + SPARE_BITS
 
         # One integer per bit position; bit j of _slices[i] is bit i of the
         # Bloom filter whose incarnation occupies column j.
@@ -115,7 +107,7 @@ class BitSlicedBloomArray:
         # The paper's lazy clearing: vacated columns keep their stale bits
         # until a whole word's worth has accumulated, then are cleared at once.
         self._vacated_columns.append(column_bit.bit_length() - 1)
-        if len(self._vacated_columns) >= self.spare_bits:
+        if len(self._vacated_columns) >= SPARE_BITS:
             self._clear_vacated()
         return owner
 

@@ -20,6 +20,9 @@ from typing import List
 _COUNT = struct.Struct("<H")
 _ENTRY_LEN = struct.Struct("<H")
 
+#: Hosts kept per content name: a publish past it drops the oldest host.
+MAX_HOSTS_PER_NAME = 16
+
 
 def _encode_hosts(hosts: List[str]) -> bytes:
     if len(hosts) > 0xFFFF:
@@ -75,11 +78,8 @@ class ResolutionResult:
 class ContentDirectory:
     """Publish / withdraw / resolve API over a pluggable hash index."""
 
-    def __init__(self, index, max_hosts_per_name: int = 16) -> None:
-        if max_hosts_per_name <= 0:
-            raise ValueError("max_hosts_per_name must be positive")
+    def __init__(self, index) -> None:
         self.index = index
-        self.max_hosts_per_name = max_hosts_per_name
         self.publishes = 0
         self.withdrawals = 0
         self.resolutions = 0
@@ -92,8 +92,8 @@ class ContentDirectory:
         latency = lookup.latency_ms
         if host not in hosts:
             hosts.append(host)
-            if len(hosts) > self.max_hosts_per_name:
-                hosts = hosts[-self.max_hosts_per_name :]
+            if len(hosts) > MAX_HOSTS_PER_NAME:
+                hosts = hosts[-MAX_HOSTS_PER_NAME:]
         insert = self.index.insert(name, _encode_hosts(hosts))
         latency += insert.latency_ms
         return Registration(name=name, host=host, hosts_now=len(hosts), latency_ms=latency)

@@ -73,10 +73,8 @@ class ClockEnsemble:
 
     __slots__ = ("_clocks", "_retired")
 
-    def __init__(self, clocks=()) -> None:
-        self._clocks = list(clocks)
-        if any(not hasattr(clock, "now_ms") for clock in self._clocks):
-            raise TypeError("ClockEnsemble members must expose now_ms")
+    def __init__(self) -> None:
+        self._clocks = []
         self._retired = []
 
     @property

@@ -212,7 +212,6 @@ class PersistentFlashDevice(_NandDevice):
         self,
         path: str | os.PathLike[str],
         geometry: Optional[DeviceGeometry] = None,
-        layout: Optional[FlashLayout] = None,
         clock: Optional[SimulationClock] = None,
         name: Optional[str] = None,
         cost_model: Optional[LinearCostModel] = None,
@@ -235,7 +234,7 @@ class PersistentFlashDevice(_NandDevice):
             clock=clock,
             name=name or os.path.basename(self.path),
         )
-        self.layout = layout if layout is not None else FlashLayout.default(geometry)
+        self.layout = FlashLayout.default(geometry)
         self.layout.validate(geometry)
         self._frame_stride = geometry.page_size + _FRAME.size
         self._file_size = FILE_HEADER_SIZE + geometry.total_pages * self._frame_stride

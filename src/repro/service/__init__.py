@@ -16,7 +16,7 @@ that moves arcs for a scale-out or scale-in.
 The cluster also scales *online*: a :class:`KeyMigrator` streams the exact
 key-range arcs a membership change moves while traffic continues (double-read
 during the move, atomic per-arc cut-over), and an :class:`AutoscalePolicy`
-can drive those migrations from live hot-shard and p99 signals.
+can drive those migrations from each shard's live operation counts.
 Faults are injected deterministically at the device layer
 (:mod:`repro.flashsim.faults`), either directly or on a request-count
 schedule (:class:`FailureEvent`) inside the traffic simulator.

@@ -83,8 +83,19 @@ class ClusterStats:
         self._service = service
 
     def per_shard(self) -> Dict[str, Dict[str, float]]:
-        """Each shard's cheap counter snapshot (see :meth:`CLAM.counters`)."""
-        return {shard_id: shard.counters() for shard_id, shard in self._shards.items()}
+        """Each shard's cheap counter snapshot (see :meth:`CLAM.counters`).
+
+        A shard whose counters cannot be read — a dead worker, whose counts
+        died with it — is left out, as :meth:`ClusterService.shard_registries`
+        leaves out its registry.
+        """
+        snapshots: Dict[str, Dict[str, float]] = {}
+        for shard_id, shard in self._shards.items():
+            try:
+                snapshots[shard_id] = shard.counters()
+            except DeviceFailedError:
+                continue
+        return snapshots
 
     def combined(self, per_shard: Optional[Dict[str, Dict[str, float]]] = None) -> Dict[str, float]:
         """Counter snapshot summed across shards.
@@ -108,7 +119,8 @@ class ClusterStats:
     def operations_per_shard(
         self, per_shard: Optional[Dict[str, Dict[str, float]]] = None
     ) -> Dict[str, float]:
-        """Hash operations each shard has served."""
+        """Hash operations each shard has served: every lookup, insert and
+        delete its CLAM ran, client, repair, hint and migration work alike."""
         if per_shard is None:
             per_shard = self.per_shard()
         return {

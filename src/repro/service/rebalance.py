@@ -33,8 +33,8 @@ replica sets: scale-out, scale-in and failure recovery
   scale-out or scale-in keeps the leaving shard instantiated until its last
   arc cuts over, so it stalls instead of losing keys.
 * :class:`AutoscalePolicy` layers elasticity on top: driven by per-shard
-  operation deltas (the hot-shard signal) and per-shard p99 latency from the
-  telemetry registry, it starts a scale-out or scale-in migration during a
+  operation deltas (the hot-shard signal), read off each shard's always-on
+  counters, it starts a scale-out or scale-in migration during a
   :class:`~repro.service.simulator.TrafficSimulator` run, with cooldown and
   one-membership-change-at-a-time discipline.
 """
@@ -53,6 +53,10 @@ from repro.service.cluster import ClusterService, imbalance_factor
 from repro.service.router import RING_SPACE, HandoffStats, ShardRouter
 from repro.workloads.workload import OpKind
 
+#: Consecutive zero-progress steps after which
+#: :meth:`KeyMigrator.run_to_completion` gives up on a stalled migration.
+STALL_LIMIT = 3
+
 
 class ArcState(Enum):
     """Lifecycle of one migration arc."""
@@ -69,18 +73,19 @@ class MigrationArc:
     ``start`` is exclusive and ``end`` inclusive, matching the router's arc
     convention; an arc may wrap through 0.  ``keys`` is every catalogued key
     hashing into the arc (kept current by :meth:`MigrationState.note_write`),
-    ``pending`` the subset still awaiting a confirmed copy.
+    ``pending`` the subset still awaiting a confirmed copy.  The fields after
+    the replica lists are the arc's progress, which only the migration moves.
     """
 
     start: int
     end: int
     old_replicas: Tuple[str, ...]
     new_replicas: Tuple[str, ...]
-    state: ArcState = ArcState.PENDING
-    keys: Set[bytes] = field(default_factory=set)
-    pending: Set[bytes] = field(default_factory=set)
-    copied: int = 0
-    retired: int = 0
+    state: ArcState = field(default=ArcState.PENDING, init=False)
+    keys: Set[bytes] = field(default_factory=set, init=False)
+    pending: Set[bytes] = field(default_factory=set, init=False)
+    copied: int = field(default=0, init=False)
+    retired: int = field(default=0, init=False)
 
     @property
     def length(self) -> int:
@@ -258,8 +263,9 @@ class KeyMigrator:
     :class:`MigrationState` overlay.
     :meth:`step` then copies a bounded batch of keys (call it from the traffic
     loop to interleave with requests), cutting arcs over as their queues
-    drain; :meth:`run_to_completion` drains everything, raising if the
-    migration stalls with no live replica to copy from or confirm on.
+    drain; :meth:`run_to_completion` drains everything, raising once
+    :data:`STALL_LIMIT` consecutive steps made no progress because no live
+    replica was left to copy from or confirm on.
 
     Parameters
     ----------
@@ -269,9 +275,6 @@ class KeyMigrator:
     max_active_arcs:
         Arcs in the migrating (double-read) state at once; the rest stay
         pending — and cheaply routed to their old owners — until a slot frees.
-    stall_limit:
-        Consecutive zero-progress steps after which
-        :meth:`run_to_completion` gives up.
     """
 
     def __init__(
@@ -279,18 +282,14 @@ class KeyMigrator:
         cluster: ClusterService,
         batch_size: int = 64,
         max_active_arcs: int = 4,
-        stall_limit: int = 3,
     ) -> None:
         if batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
         if max_active_arcs <= 0:
             raise ConfigurationError("max_active_arcs must be positive")
-        if stall_limit <= 0:
-            raise ConfigurationError("stall_limit must be positive")
         self.cluster = cluster
         self.batch_size = batch_size
         self.max_active_arcs = max_active_arcs
-        self.stall_limit = stall_limit
         #: Reports of completed migrations, in completion order.
         self.reports: List[MigrationReport] = []
         #: Consecutive steps that confirmed zero keys while some were blocked.
@@ -481,7 +480,7 @@ class KeyMigrator:
         self._require_active()
         while self.cluster.migration is not None:
             self.step(budget)
-            if self.stalled_steps >= self.stall_limit:
+            if self.stalled_steps >= STALL_LIMIT:
                 raise ShardUnavailableError(
                     f"migration of {self._subject!r} stalled: {self.stalled_steps} "
                     "consecutive steps with every pending key blocked (no live "
@@ -659,20 +658,17 @@ class AutoscaleConfig:
     """Thresholds and pacing for :class:`AutoscalePolicy`.
 
     Scale-out triggers when any shard's operation share since the last
-    evaluation exceeds ``hot_shard_threshold`` times the mean *and* the worst
-    per-shard p99 is at least ``p99_scale_out_ms``.  Scale-in triggers when no
-    shard is hot, the worst p99 is at most ``p99_scale_in_ms`` and the load
-    imbalance is at most ``scale_in_imbalance`` — the fleet is provably
-    over-provisioned.  ``cooldown`` requests must pass after a decision before
-    the next one, and decisions are only evaluated every ``evaluate_every``
-    requests (and never while a migration is still in flight).
+    evaluation exceeds ``hot_shard_threshold`` times the mean.  Scale-in
+    triggers when no shard is hot and the load imbalance is at most
+    ``scale_in_imbalance`` — the fleet is provably over-provisioned.
+    ``cooldown`` requests must pass after a decision before the next one, and
+    decisions are only evaluated every ``evaluate_every`` requests (and never
+    while a migration is still in flight).
     """
 
     min_shards: int = 2
     max_shards: int = 12
     hot_shard_threshold: float = 1.5
-    p99_scale_out_ms: float = 0.0
-    p99_scale_in_ms: float = float("inf")
     scale_in_imbalance: float = 1.2
     evaluate_every: int = 50
     cooldown: int = 200
@@ -684,8 +680,6 @@ class AutoscaleConfig:
             raise ConfigurationError("max_shards must be at least min_shards")
         if self.hot_shard_threshold < 1.0:
             raise ConfigurationError("hot_shard_threshold must be at least 1")
-        if self.p99_scale_out_ms < 0 or self.p99_scale_in_ms < 0:
-            raise ConfigurationError("p99 thresholds must be non-negative")
         if self.scale_in_imbalance < 1.0:
             raise ConfigurationError("scale_in_imbalance must be at least 1")
         if self.evaluate_every <= 0:
@@ -702,18 +696,17 @@ class AutoscaleDecision:
     shard: str
     at_request: int
     reason: str
-    p99_ms: float
     hot_shards: Tuple[str, ...] = ()
 
 
 class AutoscalePolicy:
-    """Decides shard membership from live load and latency signals.
+    """Decides shard membership from live load.
 
-    Reads each shard's registry ``operations`` counter (deltas between
-    evaluations — the same signal the simulator's hot-shard detector uses)
-    and the per-shard ``lookup_latency_ms`` / ``insert_latency_ms`` p99s, and
-    starts migrations through a :class:`KeyMigrator`.  Requires a
-    telemetry-enabled cluster.
+    Reads the operations each shard has served
+    (:meth:`ClusterStats.operations_per_shard`, deltas between evaluations —
+    the same signal the simulator's hot-shard detector uses) and starts
+    migrations through a :class:`KeyMigrator`.  The counters are always on, so
+    the policy acts the same with telemetry on or off.
     """
 
     def __init__(
@@ -722,36 +715,17 @@ class AutoscalePolicy:
         migrator: KeyMigrator,
         config: Optional[AutoscaleConfig] = None,
     ) -> None:
-        if cluster.telemetry is None:
-            raise ConfigurationError(
-                "AutoscalePolicy needs a telemetry-enabled cluster "
-                "(config.telemetry_enabled=True) for its load and p99 signals"
-            )
         self.cluster = cluster
         self.migrator = migrator
         self.config = config if config is not None else AutoscaleConfig()
         #: Decisions taken, in order.
         self.decisions: List[AutoscaleDecision] = []
-        self._baseline = self._ops_per_shard()
+        self._baseline = cluster.stats.operations_per_shard()
         self._last_eval = 0
         self._last_action: Optional[int] = None
 
-    def _ops_per_shard(self) -> Dict[str, float]:
-        return {
-            shard_id: registry.counter("operations").value
-            for shard_id, registry in self.cluster.shard_registries().items()
-        }
-
-    def fleet_p99_ms(self) -> float:
-        """Worst per-shard p99 over lookup and insert latency histograms."""
-        worst = 0.0
-        for registry in self.cluster.shard_registries().values():
-            for name in ("lookup_latency_ms", "insert_latency_ms"):
-                worst = max(worst, registry.histogram(name).percentile(0.99))
-        return worst
-
     def tick(self, at_request: int) -> Optional[AutoscaleDecision]:
-        """Evaluate the signals at the given request count; maybe act.
+        """Evaluate the load at the given request count; maybe act.
 
         Returns the decision taken this tick, or None.  Call it once per
         dispatched request (the :class:`TrafficSimulator` does); evaluation
@@ -761,7 +735,7 @@ class AutoscalePolicy:
         if at_request - self._last_eval < config.evaluate_every:
             return None
         self._last_eval = at_request
-        current = self._ops_per_shard()
+        current = self.cluster.stats.operations_per_shard()
         loads = {
             shard_id: value - self._baseline.get(shard_id, 0.0)
             for shard_id, value in current.items()
@@ -784,24 +758,18 @@ class AutoscalePolicy:
             for shard_id, load in live_loads.items()
             if load > config.hot_shard_threshold * mean
         )
-        p99 = self.fleet_p99_ms()
         num_shards = len(self.cluster.router)
         decision: Optional[AutoscaleDecision] = None
-        if hot and p99 >= config.p99_scale_out_ms and num_shards < config.max_shards:
+        if hot and num_shards < config.max_shards:
             subject = self.migrator.start_add()
             decision = AutoscaleDecision(
                 action="scale-out",
                 shard=subject,
                 at_request=at_request,
-                reason=f"hot shards {hot} with fleet p99 {p99:.3f} ms",
-                p99_ms=p99,
+                reason=f"hot shards {hot}",
                 hot_shards=tuple(hot),
             )
-        elif (
-            not hot
-            and p99 <= config.p99_scale_in_ms
-            and num_shards > max(config.min_shards, self.cluster.replication_factor)
-        ):
+        elif not hot and num_shards > max(config.min_shards, self.cluster.replication_factor):
             imbalance = imbalance_factor(live_loads.values())
             if imbalance <= config.scale_in_imbalance:
                 victim = min(live_loads, key=lambda shard_id: (live_loads[shard_id], shard_id))
@@ -810,11 +778,7 @@ class AutoscalePolicy:
                     action="scale-in",
                     shard=victim,
                     at_request=at_request,
-                    reason=(
-                        f"balanced fleet (imbalance {imbalance:.2f}) "
-                        f"with fleet p99 {p99:.3f} ms"
-                    ),
-                    p99_ms=p99,
+                    reason=f"balanced fleet (imbalance {imbalance:.2f})",
                 )
         if decision is not None:
             self._last_action = at_request

@@ -44,6 +44,14 @@ from repro.workloads.keygen import ZipfKeyGenerator, fingerprint_for
 from repro.workloads.metrics import LatencySummary, summarize_latencies
 from repro.workloads.workload import Operation, OpKind
 
+#: Size in bytes of every value a client writes.
+VALUE_SIZE = 8
+
+#: Simulated time a client loses on a request that fails with
+#: :class:`~repro.core.errors.ShardUnavailableError` (its timeout before
+#: giving up on the batch).
+FAILURE_TIMEOUT_MS = 1.0
+
 
 @dataclass(frozen=True)
 class TrafficSpec:
@@ -57,23 +65,17 @@ class TrafficSpec:
         Batched requests each client issues over the run.
     batch_size:
         Operations per request batch (1 = unbatched single operations).
-    lookup_fraction / update_fraction / delete_fraction:
+    lookup_fraction / update_fraction:
         Operation mix; the remainder are inserts of new keys.
     key_space:
         Distinct keys the Zipf generator draws from.
     zipf_skew:
         Zipf exponent; higher values concentrate traffic on fewer keys.
-    value_size:
-        Size of generated values in bytes.
     think_time_ms:
         Simulated client-side pause between a response and the next request.
     hot_shard_threshold:
         A shard is flagged hot when its operation share exceeds this multiple
         of the mean per-shard share.
-    failure_timeout_ms:
-        Simulated time a client loses on a request that fails with
-        :class:`~repro.core.errors.ShardUnavailableError` (its timeout before
-        giving up on the batch).
     seed:
         Master seed; each client derives an independent substream.
     """
@@ -83,13 +85,10 @@ class TrafficSpec:
     batch_size: int = 8
     lookup_fraction: float = 0.5
     update_fraction: float = 0.1
-    delete_fraction: float = 0.0
     key_space: int = 5_000
     zipf_skew: float = 1.1
-    value_size: int = 8
     think_time_ms: float = 0.0
     hot_shard_threshold: float = 1.5
-    failure_timeout_ms: float = 1.0
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -99,24 +98,20 @@ class TrafficSpec:
             raise ValueError("requests_per_client must be positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        for name in ("lookup_fraction", "update_fraction", "delete_fraction"):
+        for name in ("lookup_fraction", "update_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.lookup_fraction + self.update_fraction + self.delete_fraction > 1.0:
+        if self.lookup_fraction + self.update_fraction > 1.0:
             raise ValueError("operation fractions must sum to at most 1")
         if self.key_space <= 0:
             raise ValueError("key_space must be positive")
         if self.zipf_skew <= 0:
             raise ValueError("zipf_skew must be positive")
-        if self.value_size < 0:
-            raise ValueError("value_size must be non-negative")
         if self.think_time_ms < 0:
             raise ValueError("think_time_ms must be non-negative")
         if self.hot_shard_threshold < 1.0:
             raise ValueError("hot_shard_threshold must be at least 1")
-        if self.failure_timeout_ms < 0:
-            raise ValueError("failure_timeout_ms must be non-negative")
 
 
 #: Actions a :class:`FailureEvent` may take.
@@ -291,11 +286,9 @@ class TrafficReport:
         return summarize_latencies(samples)
 
 
-def _value_for(key: bytes, size: int) -> bytes:
-    """A deterministic ``size``-byte value derived from the key."""
-    if size == 0:
-        return b""
-    return (key * (size // max(1, len(key)) + 1))[:size]
+def _value_for(key: bytes) -> bytes:
+    """A deterministic :data:`VALUE_SIZE`-byte value derived from the key."""
+    return (key * (VALUE_SIZE // max(1, len(key)) + 1))[:VALUE_SIZE]
 
 
 class _Client:
@@ -321,20 +314,15 @@ class _Client:
                 operations.append(Operation(OpKind.LOOKUP, self._keys.next_key()))
             elif draw < spec.lookup_fraction + spec.update_fraction:
                 key = self._keys.next_key()
-                operations.append(Operation(OpKind.UPDATE, key, self._value_for(key)))
-            elif draw < spec.lookup_fraction + spec.update_fraction + spec.delete_fraction:
-                operations.append(Operation(OpKind.DELETE, self._keys.next_key()))
+                operations.append(Operation(OpKind.UPDATE, key, _value_for(key)))
             else:
                 key = fingerprint_for(
                     self._next_fresh,
                     namespace=b"client-%d-%d" % (self.client_id, spec.seed),
                 )
                 self._next_fresh += 1
-                operations.append(Operation(OpKind.INSERT, key, self._value_for(key)))
+                operations.append(Operation(OpKind.INSERT, key, _value_for(key)))
         return operations
-
-    def _value_for(self, key: bytes) -> bytes:
-        return _value_for(key, self._spec.value_size)
 
 
 class TrafficSimulator:
@@ -387,7 +375,7 @@ class TrafficSimulator:
         operations = []
         for identifier in range(count):
             key = fingerprint_for(identifier)
-            operations.append(Operation(OpKind.INSERT, key, _value_for(key, spec.value_size)))
+            operations.append(Operation(OpKind.INSERT, key, _value_for(key)))
         self.cluster.execute_batch(operations)
         return count
 
@@ -408,13 +396,14 @@ class TrafficSimulator:
         report.ops_per_shard = {shard_id: 0 for shard_id in self.cluster.shard_ids}
         report.busy_ms_per_shard = {shard_id: 0.0 for shard_id in self.cluster.shard_ids}
 
-        # Telemetry (when the cluster has it enabled): request metrics go to
-        # the cluster-level registry, and a baseline of each shard's registry
-        # operation counter lets hot-shard detection read per-run deltas from
-        # the registry instead of the report's private accounting.
+        # Request metrics go to the cluster-level registry when telemetry is
+        # on.  Hot shards are judged on what each shard served during the run,
+        # read off its always-on counters: the baseline subtracts warmup and
+        # earlier runs, and the counters also see the read-repair, hint and
+        # migration work the report's batch accounting never does.
         registry = self.cluster.telemetry
         request_hist = registry.histogram("request_latency_ms") if registry is not None else None
-        self._ops_baseline = self._registry_ops_per_shard()
+        ops_baseline = self.cluster.stats.operations_per_shard()
 
         issued = 0
         pending = deque(self.schedule)
@@ -439,7 +428,7 @@ class TrafficSimulator:
                 # An outage window with too few live replicas: the request
                 # times out; the client retires it and moves on.
                 report.failed_requests += 1
-                client_report.finish_time_ms = client_time + spec.failure_timeout_ms
+                client_report.finish_time_ms = client_time + FAILURE_TIMEOUT_MS
                 if registry is not None:
                     registry.counter("requests_failed").inc()
             else:
@@ -482,33 +471,19 @@ class TrafficSimulator:
 
         report.clients = reports
         report.duration_ms = max((c.finish_time_ms for c in reports), default=0.0)
-        report.hot_shards = self._detect_hot_shards(report)
+        report.hot_shards = self._detect_hot_shards(ops_baseline)
         return report
 
-    def _registry_ops_per_shard(self) -> Dict[str, float]:
-        """Each shard's registry operation counter (empty without telemetry)."""
-        if self.cluster.telemetry is None:
-            return {}
-        return {
-            shard_id: registry.counter("operations").value
-            for shard_id, registry in self.cluster.shard_registries().items()
-        }
+    def _detect_hot_shards(self, baseline: Dict[str, float]) -> List[str]:
+        """Shards whose operations since ``baseline`` exceed the threshold.
 
-    def _detect_hot_shards(self, report: TrafficReport) -> List[str]:
-        if self.cluster.telemetry is not None:
-            # Telemetry-enabled clusters are judged on what each shard's own
-            # registry served during the run (the baseline subtracts warmup
-            # and earlier runs); this also counts read-repair and handoff
-            # work the report's batch accounting never sees.
-            baseline = getattr(self, "_ops_baseline", {})
-            loads = {
-                shard_id: operations - baseline.get(shard_id, 0.0)
-                for shard_id, operations in self._registry_ops_per_shard().items()
-            }
-        else:
-            # run() pre-seeds ops_per_shard with every serving shard, so the
-            # mean already reflects the whole fleet, idle shards included.
-            loads = report.ops_per_shard
+        Every shard the cluster serves counts toward the mean, idle ones
+        included: an idle shard is the strongest signal of imbalance.
+        """
+        loads = {
+            shard_id: operations - baseline.get(shard_id, 0.0)
+            for shard_id, operations in self.cluster.stats.operations_per_shard().items()
+        }
         if not loads:
             return []
         mean = sum(loads.values()) / len(loads)

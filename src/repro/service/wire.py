@@ -54,9 +54,7 @@ Frame types:
 Error codes map worker-side exceptions back onto the service layer's typed
 errors: ``ERR_DEVICE_FAILED`` re-raises as
 :class:`~repro.core.errors.DeviceFailedError` (feeding replica failover and
-hinted handoff exactly like an in-process device crash) and
-``ERR_SHARD_UNAVAILABLE`` as
-:class:`~repro.core.errors.ShardUnavailableError`.  Malformed frames raise
+hinted handoff exactly like an in-process device crash).  Malformed frames raise
 :class:`~repro.core.errors.WireProtocolError` subclasses:
 :class:`TruncatedFrameError` when the peer hangs up mid-frame (how a killed
 worker announces itself), :class:`OversizedFrameError` when a length prefix
@@ -75,7 +73,7 @@ import struct
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.errors import DeviceFailedError, ShardUnavailableError, WireProtocolError
+from repro.core.errors import DeviceFailedError, WireProtocolError
 from repro.core.hashing import KeyDigest, as_digest, key_data
 from repro.core.results import DeleteResult, InsertResult, LookupResult, ServedFrom
 from repro.workloads.workload import OpKind
@@ -83,7 +81,6 @@ from repro.workloads.workload import OpKind
 __all__ = [
     "ERR_DEVICE_FAILED",
     "ERR_NONE",
-    "ERR_SHARD_UNAVAILABLE",
     "ERR_UNEXPECTED",
     "FRAME_BATCH_REQUEST",
     "FRAME_BATCH_RESPONSE",
@@ -127,10 +124,9 @@ _FRAME_TYPES = (
     FRAME_CONTROL_RESPONSE,
 )
 
-#: Typed error codes carried in batch responses.
+#: Typed error codes carried in batch responses (wire values: never renumbered).
 ERR_NONE = 0
 ERR_DEVICE_FAILED = 1
-ERR_SHARD_UNAVAILABLE = 2
 ERR_UNEXPECTED = 3
 
 _OP_CODES: Dict[OpKind, int] = {
@@ -183,8 +179,6 @@ def raise_for_code(code: int, message: str):
         return
     if code == ERR_DEVICE_FAILED:
         raise DeviceFailedError(message)
-    if code == ERR_SHARD_UNAVAILABLE:
-        raise ShardUnavailableError(message)
     raise WireProtocolError(message or f"worker reported error code {code}")
 
 

@@ -51,20 +51,15 @@ REPORTED_PERCENTILES: Tuple[Tuple[str, float], ...] = (
 )
 
 
-def default_latency_buckets(
-    low_ms: float = 1e-4, high_ms: float = 1e4, per_decade: int = 10
-) -> Tuple[float, ...]:
-    """Log-spaced bucket upper edges covering ``[low_ms, high_ms]``.
+def default_latency_buckets() -> Tuple[float, ...]:
+    """Log-spaced bucket upper edges covering ``[1e-4, 1e4]`` ms.
 
     The simulated latencies span DRAM probes (~1e-3 ms) to multi-object WAN
     round trips (~1e3 ms); ten buckets per decade keeps the relative error of
     any bucket-edge percentile under ~26% (one bucket width, 10^0.1).
     """
-    if low_ms <= 0 or high_ms <= low_ms:
-        raise ValueError("need 0 < low_ms < high_ms")
-    decades = math.log10(high_ms / low_ms)
-    steps = int(round(decades * per_decade))
-    edges = [low_ms * 10 ** (i / per_decade) for i in range(steps + 1)]
+    low_ms, decades, per_decade = 1e-4, 8, 10
+    edges = [low_ms * 10 ** (i / per_decade) for i in range(decades * per_decade + 1)]
     # Round away float-noise so independently built boundary tuples compare equal.
     return tuple(float(f"{edge:.6g}") for edge in edges)
 

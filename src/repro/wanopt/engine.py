@@ -111,7 +111,8 @@ class CompressionEngine:
     content_cache: Optional[ContentCache] = None
     reference_size: int = 40
     fingerprint_cost_ms: float = 0.002
-    results: List[ObjectCompressionResult] = field(default_factory=list)
+    #: One record per processed object, in processing order.
+    results: List[ObjectCompressionResult] = field(default_factory=list, init=False)
 
     def process_object(self, obj: TraceObject) -> ObjectCompressionResult:
         """Compress one object and update the index/cache (one op per chunk)."""

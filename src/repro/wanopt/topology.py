@@ -189,10 +189,9 @@ class MultiBranchTopology:
         deployment the equivalence tests compare against.
     num_shards / replication_factor / config / storage:
         Cluster construction knobs (ignored when ``index`` is given).
-    cache_device:
-        Device for the shared data-center content cache; defaults to a
-        magnetic disk on the data-center clock.  ``with_content_cache=False``
-        drops the cache entirely (index-only studies).
+    with_content_cache:
+        Keep the shared data-center content cache, a magnetic disk on the
+        data-center clock; ``False`` drops it (index-only studies).
     reference_size / fingerprint_cost_ms:
         Per-branch engine knobs (see :class:`CompressionEngine`).
     """
@@ -206,7 +205,6 @@ class MultiBranchTopology:
         replication_factor: int = 2,
         config=None,
         storage: str = "intel-ssd",
-        cache_device=None,
         with_content_cache: bool = True,
         reference_size: int = 40,
         fingerprint_cost_ms: float = 0.002,
@@ -224,8 +222,7 @@ class MultiBranchTopology:
         self.dc_clock = SimulationClock()
         self.content_cache: Optional[ContentCache] = None
         if with_content_cache:
-            device = cache_device if cache_device is not None else MagneticDisk(clock=self.dc_clock)
-            self.content_cache = ContentCache(device)
+            self.content_cache = ContentCache(MagneticDisk(clock=self.dc_clock))
         self.receiver = DedupReceiver()
         self.branches: List[BranchOffice] = []
         for branch_index in range(num_branches):

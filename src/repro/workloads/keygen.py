@@ -11,7 +11,11 @@ from __future__ import annotations
 import abc
 import hashlib
 import random
-from typing import Iterator, Optional
+from typing import Iterator
+
+#: Most distinct identifiers a :class:`ZipfKeyGenerator` draws from, whatever
+#: its key space: the cumulative weight table holds one float per identifier.
+MAX_UNIVERSE = 100_000
 
 
 def fingerprint_for(identifier: int, length: int = 20, namespace: bytes = b"repro") -> bytes:
@@ -52,7 +56,6 @@ class ZipfKeyGenerator(KeyGenerator):
         skew: float = 1.1,
         seed: int = 0,
         key_length: int = 20,
-        max_universe: Optional[int] = None,
     ) -> None:
         if key_space <= 0:
             raise ValueError("key_space must be positive")
@@ -61,7 +64,7 @@ class ZipfKeyGenerator(KeyGenerator):
         super().__init__(seed=seed, key_length=key_length)
         self.key_space = key_space
         self.skew = skew
-        universe = min(key_space, max_universe or key_space, 100_000)
+        universe = min(key_space, MAX_UNIVERSE)
         weights = [1.0 / ((rank + 1) ** skew) for rank in range(universe)]
         total = sum(weights)
         self._cumulative = []

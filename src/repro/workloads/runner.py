@@ -150,7 +150,6 @@ class WorkloadRunner:
     def run(
         self,
         operations: Iterable[Operation],
-        keep_samples: bool = True,
         max_operations: Optional[int] = None,
         before_operation: Optional[Callable[[int, Operation], None]] = None,
     ) -> RunReport:
@@ -171,7 +170,7 @@ class WorkloadRunner:
             if before_operation is not None:
                 before_operation(index, operation)
             result = apply_operation(self.index, operation)
-            _record(report, operation, result, keep_samples)
+            _record(report, operation, result)
         if self.clock is not None:
             report.simulated_duration_ms = self.clock.now_ms - start_ms
         return report
@@ -180,7 +179,6 @@ class WorkloadRunner:
         self,
         operations: Iterable[Operation],
         batch_size: int = 64,
-        keep_samples: bool = True,
         max_operations: Optional[int] = None,
         before_batch: Optional[Callable[[int, List[Operation]], None]] = None,
     ) -> RunReport:
@@ -211,15 +209,11 @@ class WorkloadRunner:
                 break
             pending.append(operation)
             if len(pending) >= batch_size:
-                self._flush_batch(
-                    execute_batch, pending, report, keep_samples, before_batch, batch_index
-                )
+                self._flush_batch(execute_batch, pending, report, before_batch, batch_index)
                 batch_index += 1
                 pending = []
         if pending:
-            self._flush_batch(
-                execute_batch, pending, report, keep_samples, before_batch, batch_index
-            )
+            self._flush_batch(execute_batch, pending, report, before_batch, batch_index)
         if self.clock is not None:
             report.simulated_duration_ms = self.clock.now_ms - start_ms
         return report
@@ -229,7 +223,6 @@ class WorkloadRunner:
         execute_batch,
         pending: List[Operation],
         report: RunReport,
-        keep_samples: bool,
         before_batch: Optional[Callable[[int, List[Operation]], None]] = None,
         batch_index: int = 0,
     ) -> None:
@@ -237,27 +230,24 @@ class WorkloadRunner:
             before_batch(batch_index, pending)
         batch = execute_batch(pending)
         for operation, result in zip(pending, batch.results):
-            _record(report, operation, result, keep_samples)
+            _record(report, operation, result)
 
 
-def _record(report: RunReport, operation: Operation, result, keep_samples: bool) -> None:
+def _record(report: RunReport, operation: Operation, result) -> None:
     """Fold one operation's result record into the report."""
     report.operations += 1
     if operation.kind is OpKind.LOOKUP:
         report.lookups += 1
         if result.found:
             report.lookup_hits += 1
-        if keep_samples:
-            report.lookup_latencies_ms.append(result.latency_ms)
-            report.lookup_flash_reads.append(result.flash_reads)
+        report.lookup_latencies_ms.append(result.latency_ms)
+        report.lookup_flash_reads.append(result.flash_reads)
     elif operation.kind is OpKind.INSERT:
         report.inserts += 1
-        if keep_samples:
-            report.insert_latencies_ms.append(result.latency_ms)
+        report.insert_latencies_ms.append(result.latency_ms)
     elif operation.kind is OpKind.UPDATE:
         report.updates += 1
-        if keep_samples:
-            report.insert_latencies_ms.append(result.latency_ms)
+        report.insert_latencies_ms.append(result.latency_ms)
     elif operation.kind is OpKind.DELETE:
         report.deletes += 1
     else:  # pragma: no cover - defensive

@@ -9,6 +9,7 @@ from repro.core import CLAM, CLAMConfig
 from repro.dedup import ChunkStore, DedupIndex, merge_indexes
 from repro.dedup.merge import scale_merge_time
 from repro.directory import ContentDirectory
+from repro.directory.resolver import MAX_HOSTS_PER_NAME
 from repro.flashsim import (
     INTEL_SSD_PROFILE,
     MAGNETIC_DISK_PROFILE,
@@ -177,11 +178,12 @@ class TestContentDirectory:
         assert not directory.resolve(fingerprint_bytes(b"unknown")).found
 
     def test_host_list_capped(self):
-        directory = ContentDirectory(DRAMHashIndex(), max_hosts_per_name=4)
+        directory = ContentDirectory(DRAMHashIndex())
         name = fingerprint_bytes(b"popular")
-        for i in range(10):
+        for i in range(MAX_HOSTS_PER_NAME + 6):
             directory.publish(name, "host-%d" % i)
-        assert len(directory.resolve(name).hosts) == 4
+        hosts = directory.resolve(name).hosts
+        assert hosts == ["host-%d" % i for i in range(6, MAX_HOSTS_PER_NAME + 6)]
 
     def test_works_on_clam_backend(self):
         directory = ContentDirectory(

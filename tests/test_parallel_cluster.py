@@ -22,7 +22,13 @@ from repro.core.errors import (
     WorkerDiedError,
 )
 from repro.core.hashing import to_key_bytes
-from repro.service import AutoscalePolicy, ClusterService, KeyMigrator, ParallelClusterService
+from repro.service import (
+    AutoscaleConfig,
+    AutoscalePolicy,
+    ClusterService,
+    KeyMigrator,
+    ParallelClusterService,
+)
 from repro.service.shard import LocalShard
 from repro.telemetry.schema import validate_snapshot
 from repro.workloads.workload import Operation, OpKind
@@ -323,19 +329,42 @@ class TestTelemetryAndLifecycle:
             assert snapshot["per_shard"] == expected["per_shard"]
             assert snapshot["registry"] == expected["registry"]
 
-    def test_autoscaler_sees_worker_load(self, telemetry_config):
-        """Regression: the load signals were read off ``shard.telemetry``,
-        which a worker proxy never had, so a parallel cluster looked idle."""
-        with ParallelClusterService(num_shards=2, config=telemetry_config) as cluster:
-            policy = AutoscalePolicy(cluster, KeyMigrator(cluster))
-            baseline = policy._ops_per_shard()
+    def test_autoscaler_sees_worker_load(self, cluster_config):
+        """Regression: the load signal was read off ``shard.telemetry``,
+        which a worker proxy never had, so a parallel cluster looked idle.
+        It is each worker's operation counters now, telemetry on or off."""
+        with ParallelClusterService(
+            num_shards=2, config=cluster_config, track_keys=True
+        ) as cluster:
+            migrator = KeyMigrator(cluster)
+            config = AutoscaleConfig(evaluate_every=1, cooldown=0, hot_shard_threshold=1.01)
+            policy = AutoscalePolicy(cluster, migrator, config)
+            baseline = cluster.stats.operations_per_shard()
             assert sorted(baseline) == ["shard-0", "shard-1"]
             cluster.insert_batch([(b"key-%d" % i, b"val") for i in range(120)])
             cluster.lookup_batch([b"key-%d" % i for i in range(120)])
-            loads = policy._ops_per_shard()
+            loads = cluster.stats.operations_per_shard()
             assert all(loads[shard] - baseline[shard] > 0 for shard in baseline)
             assert sum(loads.values()) - sum(baseline.values()) == 240
-            assert policy.fleet_p99_ms() > 0
+            hottest = max(loads, key=lambda shard: loads[shard] - baseline[shard])
+            decision = policy.tick(1)
+            assert decision.action == "scale-out" and decision.hot_shards == (hottest,)
+            migrator.run_to_completion()
+            assert len(cluster.shards) == 3
+
+    def test_stats_skip_dead_workers(self, cluster_config):
+        with ParallelClusterService(
+            num_shards=3, config=cluster_config, replication_factor=2
+        ) as cluster:
+            cluster.insert_batch([(b"key-%d" % i, b"val") for i in range(30)])
+            cluster.kill_worker("shard-1")
+            per_shard = cluster.stats.per_shard()
+            assert sorted(per_shard) == ["shard-0", "shard-2"]
+            combined = cluster.stats.combined()
+            assert combined["inserts"] == sum(c["inserts"] for c in per_shard.values())
+            summary = cluster.describe()
+            assert summary["inserts"] == combined["inserts"]
+            assert summary["shards"] == 3.0
 
     def test_snapshot_skips_dead_workers(self, telemetry_config):
         with ParallelClusterService(

@@ -257,7 +257,7 @@ class TestKillJoiningShard:
         cluster, _ = populated_cluster(
             num_shards=3, replication_factor=1, failure_threshold=1
         )
-        migrator = KeyMigrator(cluster, batch_size=30, stall_limit=2)
+        migrator = KeyMigrator(cluster, batch_size=30)
         joining = migrator.start_add()
         cluster.fail_shard(joining)
         cluster.record_shard_error(joining)
@@ -308,11 +308,6 @@ class TestAbort:
 
 
 class TestAutoscale:
-    def test_policy_requires_telemetry(self):
-        cluster, _ = populated_cluster(keys=10)
-        with pytest.raises(ConfigurationError, match="telemetry"):
-            AutoscalePolicy(cluster, KeyMigrator(cluster))
-
     def test_scale_out_on_hot_shard(self):
         cluster = telemetry_cluster()
         migrator = KeyMigrator(cluster, batch_size=64)

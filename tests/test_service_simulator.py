@@ -30,11 +30,9 @@ class TestTrafficSpec:
         with pytest.raises(ValueError):
             TrafficSpec(lookup_fraction=1.5)
         with pytest.raises(ValueError):
-            TrafficSpec(lookup_fraction=0.6, update_fraction=0.3, delete_fraction=0.2)
+            TrafficSpec(lookup_fraction=0.8, update_fraction=0.3)
         with pytest.raises(ValueError):
             TrafficSpec(think_time_ms=-1)
-        with pytest.raises(ValueError):
-            TrafficSpec(value_size=-5)
         with pytest.raises(ValueError):
             TrafficSpec(hot_shard_threshold=0.5)
 
@@ -137,11 +135,42 @@ class TestHotShardDetection:
 
 
 class TestFailureSchedule:
-    def replicated_cluster(self):
+    def replicated_cluster(self, telemetry_enabled=False):
         config = CLAMConfig.scaled(
-            num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
+            num_super_tables=4,
+            buffer_capacity_items=32,
+            incarnations_per_table=4,
+            telemetry_enabled=telemetry_enabled,
         )
         return ClusterService(num_shards=4, config=config, replication_factor=2)
+
+    def test_hot_shards_do_not_depend_on_telemetry(self):
+        """Hot shards are read off every shard's always-on counters, which
+        also count the hint replays of the heal below, telemetry on or off."""
+        from repro.service import FailureEvent
+
+        def run(telemetry_enabled):
+            cluster = self.replicated_cluster(telemetry_enabled)
+            simulator = TrafficSimulator(
+                cluster,
+                small_spec(
+                    requests_per_client=20,
+                    zipf_skew=0.01,
+                    lookup_fraction=0.2,
+                    update_fraction=0.6,
+                    hot_shard_threshold=1.05,
+                ),
+                schedule=[
+                    FailureEvent(at_request=5, action="fail", shard_id="shard-0"),
+                    FailureEvent(at_request=60, action="heal", shard_id="shard-0"),
+                ],
+            )
+            simulator.warmup(200)
+            return simulator.run().hot_shards, cluster.hinted_handoffs
+
+        (hot_on, replays_on), (hot_off, replays_off) = run(True), run(False)
+        assert replays_on == replays_off > 0
+        assert hot_on == hot_off == ["shard-1", "shard-3"]
 
     def test_event_validation(self):
         from repro.core.errors import ConfigurationError

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BitSlicedBloomArray, BloomFilter
+from repro.core.sliced_bloom import SPARE_BITS
 
 
 def _filter_with(keys, num_bits=256, num_hashes=4):
@@ -69,10 +70,8 @@ class TestBitSlicedBloomArray:
 
     def test_window_wraps_and_lazily_clears(self):
         """Cycling far more incarnations than the window holds must stay correct."""
-        sliced = BitSlicedBloomArray(
-            num_bits=512, num_hashes=4, max_incarnations=4, spare_bits=8
-        )
-        for generation in range(40):
+        sliced = BitSlicedBloomArray(num_bits=512, num_hashes=4, max_incarnations=4)
+        for generation in range(SPARE_BITS + 40):
             if sliced.live_count >= 4:
                 sliced.evict_oldest()
             keys = [b"gen%d-%d" % (generation, i) for i in range(20)]

@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.errors import (
-    DeviceFailedError,
-    ShardUnavailableError,
-    WireProtocolError,
-)
+from repro.core.errors import DeviceFailedError, WireProtocolError
 from repro.core.hashing import CLAM_SEEDS, KeyDigest, as_digest, clear_digest_cache, to_key_bytes
 from repro.core.results import DeleteResult, InsertResult, LookupResult, ServedFrom
 from repro.service import wire
@@ -289,10 +285,6 @@ class TestErrorCodes:
     def test_device_failed(self):
         with pytest.raises(DeviceFailedError, match="boom"):
             wire.raise_for_code(wire.ERR_DEVICE_FAILED, "boom")
-
-    def test_shard_unavailable(self):
-        with pytest.raises(ShardUnavailableError, match="gone"):
-            wire.raise_for_code(wire.ERR_SHARD_UNAVAILABLE, "gone")
 
     def test_unexpected_maps_to_wire_protocol_error(self):
         with pytest.raises(WireProtocolError):
