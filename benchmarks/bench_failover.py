@@ -16,7 +16,8 @@ Headline numbers (``BENCH_failover.json``):
   shard is still on the ring.
 * **lost keys** — seeded keys unreadable after recovery completes.  With
   RF>=2 this must be exactly 0; with RF=1 the dead shard's key range is
-  gone, which is the motivation for replication.
+  gone, which is the motivation for replication, and the recovery report's
+  ``lost_fraction`` names the share of the key space it covered.
 * **recovery time** — simulated duration and total shard-side work of the
   re-replication pass, plus how many keys/copies it moved.
 * **post-recovery imbalance** — operation imbalance across the surviving
@@ -110,6 +111,7 @@ def run_failover(replication_factor: int):
         "recovery_keys_re_replicated": recovery.keys_re_replicated if recovery else 0,
         "recovery_copies_written": recovery.copies_written if recovery else 0,
         "recovery_keys_lost": recovery.keys_lost if recovery else 0,
+        "recovery_lost_fraction": recovery.lost_fraction if recovery else 0.0,
         "post_recovery_imbalance": cluster.stats.imbalance_factor(),
         "post_recovery_live_shards": list(cluster.live_shard_ids),
         "healed_shards": cluster.stats.health()["healed_shards"],
@@ -125,10 +127,13 @@ def check_invariants(outcomes, snapshots=None) -> None:
     # RF=2: one shard death mid-workload loses nothing and masks the outage.
     assert replicated["lost_keys"] == 0, replicated
     assert replicated["recovery_keys_lost"] == 0, replicated
+    assert replicated["recovery_lost_fraction"] == 0, replicated
     assert replicated["availability"] == 1.0, replicated
     assert replicated["recovery_keys_re_replicated"] > 0, replicated
-    # RF=1 is the cautionary tale: the dead shard's key range is gone.
+    # RF=1 is the cautionary tale: the dead shard's key range is gone, and
+    # recovery says so as the share of the key space nobody was left to scan.
     assert unreplicated["lost_keys"] > 0, unreplicated
+    assert unreplicated["recovery_lost_fraction"] > 0, unreplicated
     assert unreplicated["availability"] < 1.0, unreplicated
     if snapshots is None:
         return

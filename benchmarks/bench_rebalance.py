@@ -99,7 +99,6 @@ def build_cluster(num_shards: int = NUM_SHARDS, telemetry: bool = True) -> Clust
         config=standard_config(telemetry_enabled=telemetry),
         replication_factor=REPLICATION_FACTOR,
         virtual_nodes=VIRTUAL_NODES,
-        track_keys=True,
     )
 
 

@@ -22,6 +22,11 @@ This benchmark exercises the contract three ways (``BENCH_recovery.json``):
   power-cuts one shard mid-traffic, reopens it in place (no re-replication
   of its key range) and replays only the hinted-handoff keys it missed;
   zero keys may be lost cluster-wide.
+* **parent restart** — a persistent RF=2 cluster is written, closed and
+  reopened by a fresh parent, which then crashes ``shard-0``, recovers and
+  crashes ``shard-1``.  Recovery seeds its arcs by scanning the surviving
+  shards, so the restart forgets nothing: ``keys_affected`` must be nonzero
+  and every acknowledged key must still read back after the second crash.
 """
 
 from __future__ import annotations
@@ -68,6 +73,10 @@ CLUSTER_CFG = CLAMConfig(
 N_OPS = 1_500
 NUM_CUTS = 12
 CLUSTER_KEYS = 400
+RESTART_CFG = CLAMConfig.scaled(
+    num_super_tables=4, buffer_capacity_items=64, incarnations_per_table=8
+)
+RESTART_KEYS = 300
 
 
 def key(i: int) -> bytes:
@@ -271,7 +280,36 @@ def run_cluster_reopen(workdir):
     return outcome, snapshot
 
 
-def print_outcomes(matrix, cold_vs_ckpt, cluster_outcome) -> None:
+def run_parent_restart(workdir):
+    """Write, restart the parent, crash shard-0, recover, crash shard-1."""
+    spec = dict(
+        num_shards=4,
+        replication_factor=2,
+        config=RESTART_CFG,
+        storage="persistent",
+        data_dir=str(workdir / "restart"),
+    )
+    with ClusterService(**spec) as cluster:
+        cluster.insert_batch([(key(i), value(i)) for i in range(RESTART_KEYS)])
+    with ClusterService(**spec) as cluster:
+        cluster.fail_shard("shard-0")
+        cluster.record_shard_error("shard-0")  # detected: one error marks it down
+        report = RecoveryCoordinator(cluster).recover()
+        cluster.fail_shard("shard-1")
+        cluster.record_shard_error("shard-1")
+        unreadable = sum(1 for i in range(RESTART_KEYS) if cluster.get(key(i)) != value(i))
+    assert report.keys_affected > 0, "recovery found nothing to re-replicate"
+    assert unreadable == 0, f"{unreadable} acked keys unreadable after the second crash"
+    return {
+        "keys_written": RESTART_KEYS,
+        "keys_affected": report.keys_affected,
+        "keys_lost": report.keys_lost,
+        "lost_fraction": report.lost_fraction,
+        "unreadable_after_second_crash": unreadable,
+    }
+
+
+def print_outcomes(matrix, cold_vs_ckpt, cluster_outcome, restart) -> None:
     print_table(
         f"Crash matrix: {len(matrix['cuts'])} randomized power cuts over "
         f"{matrix['total_io_units']} I/O units",
@@ -314,6 +352,18 @@ def print_outcomes(matrix, cold_vs_ckpt, cluster_outcome) -> None:
             )
         ],
     )
+    print_table(
+        "Parent restart, then crash shard-0, recover, crash shard-1",
+        ["keys written", "keys affected", "lost fraction", "unreadable after"],
+        [
+            (
+                restart["keys_written"],
+                restart["keys_affected"],
+                restart["lost_fraction"],
+                restart["unreadable_after_second_crash"],
+            )
+        ],
+    )
 
 
 def main() -> None:
@@ -335,9 +385,10 @@ def main() -> None:
         matrix = run_crash_matrix(workdir)
         cold_vs_ckpt = run_cold_vs_checkpoint(workdir)
         cluster_outcome, snapshot = run_cluster_reopen(workdir)
+        restart = run_parent_restart(workdir)
     elapsed = time.perf_counter() - started
 
-    print_outcomes(matrix, cold_vs_ckpt, cluster_outcome)
+    print_outcomes(matrix, cold_vs_ckpt, cluster_outcome, restart)
     path = write_bench_json(
         "recovery",
         {
@@ -354,6 +405,7 @@ def main() -> None:
             "crash_matrix": matrix,
             "cold_vs_checkpoint": cold_vs_ckpt,
             "cluster_reopen": cluster_outcome,
+            "parent_restart": restart,
         },
         quick=args.quick,
         elapsed_seconds=elapsed,

@@ -225,13 +225,12 @@ def standard_replicated_cluster(
     storage: str = "intel-ssd",
     **config_overrides,
 ) -> ClusterService:
-    """A replicated cluster (key tracking on) for the failover experiments."""
+    """A replicated cluster for the failover experiments."""
     return ClusterService(
         num_shards=num_shards,
         config=standard_config(**config_overrides),
         storage=storage,
         replication_factor=replication_factor,
-        track_keys=True,
     )
 
 

@@ -228,6 +228,25 @@ REGISTRY: Dict[str, RatchetSpec] = {
             Metric("churn.migration_steps", "min-value", 1),
         ),
     ),
+    "recovery": RatchetSpec(
+        name="recovery",
+        fresh="recovery_quick",
+        committed="recovery",
+        metrics=(
+            # The durability contract: no acknowledged write lost to a power
+            # cut, to a shard reopened in place, or to a parent restarted
+            # before a failure (recovery scans the survivors, not a list the
+            # parent kept).  Zero is the contract, not a tolerance.
+            Metric("crash_matrix.acked_keys_lost", "max-value", 0),
+            Metric("crash_matrix.acked_keys_lost", "exact"),
+            Metric("cluster_reopen.keys_lost", "max-value", 0),
+            Metric("cluster_reopen.keys_lost", "exact"),
+            Metric("parent_restart.unreadable_after_second_crash", "max-value", 0),
+            Metric("parent_restart.unreadable_after_second_crash", "exact"),
+            # A restarted parent still finds the dead shard's keys to move.
+            Metric("parent_restart.keys_affected", "min-value", 1),
+        ),
+    ),
     "parallel_cluster": RatchetSpec(
         name="parallel_cluster",
         fresh="parallel_cluster_quick",

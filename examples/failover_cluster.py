@@ -71,12 +71,14 @@ def recover(cluster: ClusterService, victim: str) -> None:
     print(f"detected failed shards: {coordinator.detect()}")
     report = coordinator.recover()
     print(
-        "re-replicated %d of %d affected keys (%d copies, %d lost) in %.2f ms of work"
+        "re-replicated %d of %d affected keys (%d copies, %d lost, %.1f%% of the key"
+        " space with no surviving owner) in %.2f ms of work"
         % (
             report.keys_re_replicated,
             report.keys_affected,
             report.copies_written,
             report.keys_lost,
+            100 * report.lost_fraction,
             report.work_ms,
         )
     )

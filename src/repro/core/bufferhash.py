@@ -219,7 +219,7 @@ class BufferHash:
         return merged
 
     def snapshot_items(self) -> Dict[bytes, bytes]:
-        """All live items across every super table (offline/test helper)."""
+        """All live items across every super table (see :meth:`SuperTable.snapshot_items`)."""
         merged: Dict[bytes, bytes] = {}
         for table in self.tables:
             merged.update(table.snapshot_items())

@@ -464,13 +464,13 @@ class SuperTable:
         """Reload the lazy delete list from a checkpoint."""
         self._delete_list.update(bytes(key) for key in keys)
 
-    # -- Bulk iteration (used by dedup merge and tests) -------------------------------------
+    # -- Bulk iteration (a migration's key scan, ``LocalShard.live_keys``) ------------------
 
     def snapshot_items(self) -> Dict[bytes, bytes]:
-        """All live (key, value) pairs, newest value per key, ignoring deletes.
+        """All live (key, value) pairs, newest value per key, deletes applied.
 
-        Reads every incarnation; intended for tests and offline jobs such as
-        the deduplication index merge, not for the fast path.
+        Reads every incarnation once, sequentially, through the store (so the
+        device charges the reads); never on the per-operation path.
         """
         merged: Dict[bytes, bytes] = {}
         for handle in self._incarnations:  # oldest first so newer overwrite older

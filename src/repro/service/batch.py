@@ -297,8 +297,8 @@ class BatchExecutor:
                 groups = self._reroute(run)
         except ShardUnavailableError as error:
             # Operations the batch already applied are on shards; hand their
-            # result records to the caller (the cluster's key catalog must
-            # learn about applied writes even when the batch fails).
+            # result records to the caller (an in-flight migration must queue
+            # applied writes even when the batch fails).
             error.partial_results = batch.results
             raise
 
@@ -327,7 +327,7 @@ class BatchExecutor:
         write_plans: Dict[Tuple[str, ...], _Placement] = {}
         for index, (kind, key) in enumerate(zip(run.kinds, run.keys)):
             if migration is not None:
-                replicas = migration.replicas_for(key, kind)
+                replicas = migration.replicas_for(key)
             else:
                 position = key.ring
                 if position is None:

@@ -209,9 +209,6 @@ class ClusterService:
     failure_threshold:
         :class:`~repro.core.errors.DeviceFailedError` count at which a shard
         is marked down and routed around.
-    track_keys:
-        Maintain the key catalog recovery needs to re-replicate a dead
-        shard's keys.  Defaults to on whenever ``replication_factor > 1``.
     """
 
     #: Hedged-read window handed to the executor.  Only the process-per-shard
@@ -226,7 +223,6 @@ class ClusterService:
         virtual_nodes: int = 64,
         replication_factor: int = 1,
         failure_threshold: int = 1,
-        track_keys: Optional[bool] = None,
         data_dir: Optional[str] = None,
     ) -> None:
         if num_shards <= 0:
@@ -273,9 +269,6 @@ class ClusterService:
         # recovery decommissions or a heal revives them).
         self._errors: Dict[str, int] = {}
         self._down: Set[str] = set()
-        self._tracked: Optional[Set[bytes]] = (
-            set() if (track_keys if track_keys is not None else replication_factor > 1) else None
-        )
         # Hinted handoff: keys each unavailable replica missed a write or
         # delete for, replayed (from the live replicas' current state) when
         # the shard is healed.  Without this, a replica that sits *after* the
@@ -330,16 +323,13 @@ class ClusterService:
         self.clock.add(shard.clock)
         return shard
 
-    def _replace_shard(self, shard_id: str, retire: Callable[[LocalShard], None]) -> LocalShard:
-        """Retire one shard instance (``retire`` closes or kills it) and
-        build its successor with a clean error record."""
+    def _retire_shard(self, shard_id: str, retire: Callable[[LocalShard], None]) -> None:
+        """Drop one shard instance (``retire`` closes or kills it) and its errors."""
         old = self.shards.pop(shard_id)
         self.clock.remove(old.clock)
         retire(old)
-        shard = self._build_shard(shard_id)
         self._errors.pop(shard_id, None)
         self._down.discard(shard_id)
-        return shard
 
     # -- Liveness and failure accounting ------------------------------------------------
 
@@ -452,7 +442,8 @@ class ClusterService:
             raise ConfigurationError(f"shard {shard_id!r} not present")
         self.events.record("crash_recovery_started", shard=shard_id)
         # close() releases the mapping; it skips flushing on a dead device.
-        report = self._replace_shard(shard_id, lambda old: old.close()).recovery_report
+        self._retire_shard(shard_id, lambda old: old.close())
+        report = self._build_shard(shard_id).recovery_report
         assert isinstance(report, CrashRecoveryReport)  # the file existed
         self.events.record(
             "crash_recovery_completed",
@@ -498,11 +489,6 @@ class ClusterService:
         else:
             self._hints.setdefault(shard_id, set()).add(key)
 
-    @property
-    def tracked_keys(self) -> Optional[frozenset]:
-        """Live keys (canonical bytes) when key tracking is enabled, else None."""
-        return frozenset(self._tracked) if self._tracked is not None else None
-
     # -- HashIndex interface ------------------------------------------------------------
 
     def shard_for(self, key: KeyLike) -> str:
@@ -517,7 +503,7 @@ class ClusterService:
         """One *directed* operation against one shard; None if the shard fails.
 
         The primitive under hint replay, read repair and migration (recovery
-        included) — work aimed at a specific shard rather than at a key's replicas
+        and key scans included) — work aimed at a specific shard rather than at a key's replicas
         (client reads and writes go through :meth:`execute_batch`).  Charges
         one dispatch + routing overhead to the shard's clock and folds any
         :class:`DeviceFailedError` into the error counters.
@@ -551,20 +537,6 @@ class ClusterService:
                 return True, result.value
             answered = True
         return answered, None
-
-    def _track(self, key: KeyLike, alive: bool) -> None:
-        if self._tracked is None:
-            return
-        data = key_data(key)
-        if alive:
-            self._tracked.add(data)
-        else:
-            self._tracked.discard(data)
-        # An in-flight migration keeps per-arc copy queues: a write landing in
-        # an arc that has not started moving yet must join that arc's queue
-        # (arcs already moving are covered by the dual-write path instead).
-        if self.migration is not None:
-            self.migration.note_write(data, alive)
 
     def _read_repair(self, shard_id: str, key: KeyLike, value: bytes) -> bool:
         """Re-insert a value on a replica found to be missing it."""
@@ -608,7 +580,7 @@ class ClusterService:
         return self._execute_columns(*batch_columns(operations))
 
     def _execute_columns(self, kinds, keys, values) -> BatchResult:
-        """One batch, as parallel columns, through the executor and the key catalog."""
+        """One batch, as parallel columns, through the executor."""
         tracer = _trace.ACTIVE
         span = (
             tracer.begin("cluster.batch", self.clock, operations=len(kinds))
@@ -618,16 +590,14 @@ class ClusterService:
         try:
             batch = self.executor.execute_columns(kinds, keys, values)
         except ShardUnavailableError as error:
-            # Writes the batch applied before the failing operation are on
-            # shards and must reach the key catalog anyway, or recovery would
-            # never re-replicate them; the executor attaches the partial
-            # per-op results to the error for exactly this purpose.
-            self._track_batch(kinds, keys, getattr(error, "partial_results", None))
+            # Writes applied before the failing operation are on shards: an
+            # in-flight migration must queue them (the executor attaches them).
+            self._note_writes(kinds, keys, error.partial_results)
             raise
         finally:
             if span is not None:
                 tracer.end(span, self.clock)
-        self._track_batch(kinds, keys, batch.results)
+        self._note_writes(kinds, keys, batch.results)
         self.last_batch = batch
         if span is not None:
             span.attributes["retried_operations"] = batch.retried_operations
@@ -653,17 +623,13 @@ class ClusterService:
         keys, values = [key for key, _ in items], [value for _, value in items]
         return list(self._execute_columns([OpKind.INSERT] * len(items), keys, values).results)
 
-    def _track_batch(self, kinds, keys, results: Optional[List[object]]) -> None:
-        """Fold a batch's applied writes into the key catalog."""
-        if self._tracked is None or results is None:
+    def _note_writes(self, kinds, keys, results: List[object]) -> None:
+        """Queue a batch's applied writes on an in-flight migration's arcs."""
+        if self.migration is None:
             return
         for kind, key, result in zip(kinds, keys, results):
-            if result is None:
-                continue
-            if kind is OpKind.INSERT or kind is OpKind.UPDATE:
-                self._track(key, alive=True)
-            elif kind is OpKind.DELETE:
-                self._track(key, alive=False)
+            if result is not None and kind is not OpKind.LOOKUP:
+                self.migration.note_write(key_data(key), kind is not OpKind.DELETE)
 
     # -- Membership ---------------------------------------------------------------------
 
@@ -725,11 +691,7 @@ class ClusterService:
             raise ConfigurationError(
                 f"shard {shard_id!r} is still on the ring; remove it from the router first"
             )
-        shard = self.shards.pop(shard_id)
-        shard.close()
-        self.clock.remove(shard.clock)
-        self._errors.pop(shard_id, None)
-        self._down.discard(shard_id)
+        self._retire_shard(shard_id, lambda shard: shard.close())
         self._hints.pop(shard_id, None)
         self.events.record("shard_removed", shard=shard_id)
 

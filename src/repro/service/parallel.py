@@ -189,6 +189,15 @@ def _handle_control(shard: LocalShard, request: Dict[str, object]) -> Dict[str, 
     if op == "recovery_report":
         report = shard.recovery_report
         return {"ok": True, "report": report.to_dict() if report is not None else None}
+    if op == "live_keys":  # directed work: the parent's advances first, its clock back
+        shard.clock.advance(request["advance_ms"])
+        try:
+            keys, code, message = [key.hex() for key in shard.live_keys()], wire.ERR_NONE, ""
+        except DeviceFailedError as error:
+            keys, code, message = [], wire.ERR_DEVICE_FAILED, f"{type(error).__name__}: {error}"
+        return {
+            "ok": True, "keys": keys, "code": code, "error": message, "clock": shard.clock.now_ms
+        }
     return {"ok": False, "error": f"unknown control op {op!r}"}
 
 
@@ -239,7 +248,8 @@ def _worker_main(conn: socket.socket, shard_id: str, *spec) -> None:
         wire.send_frame(
             conn,
             wire.FRAME_CONTROL_RESPONSE,
-            wire.encode_control({"ok": True, "pid": os.getpid()}),
+            # A reopened persistent CLAM has charged its recovery scan already.
+            wire.encode_control({"ok": True, "pid": os.getpid(), "clock": shard.clock.now_ms}),
         )
         while True:
             try:
@@ -384,6 +394,7 @@ class RemoteShard:
             raise ConfigurationError(
                 f"worker for shard {self.shard_id!r} failed to start: {hello.get('error')}"
             )
+        self.clock.sync(hello["clock"])
 
     # -- Liveness ----------------------------------------------------------------------
 
@@ -618,6 +629,13 @@ class RemoteShard:
 
     def delete(self, key):
         return self._one(OpKind.DELETE, key, b"")
+
+    def live_keys(self) -> List[bytes]:
+        """The worker's key scan: one control request, clocked like a batch."""
+        reply = self._control({"op": "live_keys", "advance_ms": self.clock.consume_pending_ms()})
+        self.clock.sync(reply["clock"])
+        wire.raise_for_code(reply["code"], f"shard {self.shard_id}: {reply['error']}")
+        return [bytes.fromhex(key) for key in reply["keys"]]
 
     # -- Controls ----------------------------------------------------------------------
 
@@ -873,7 +891,8 @@ class ParallelClusterService(ClusterService):
         """
         if shard_id not in self.shards:
             raise ConfigurationError(f"shard {shard_id!r} not present")
-        replacement = self._replace_shard(shard_id, RemoteShard.kill)
+        self._retire_shard(shard_id, RemoteShard.kill)
+        replacement = self._build_shard(shard_id)
         report = replacement.recovery_report if self.storage == "persistent" else None
         self.events.record(
             "worker_restarted",

@@ -20,15 +20,15 @@ replica sets: scale-out, scale-in and failure recovery
   that keeps the new owners current; a **done** arc routes to its new owners
   only.
 * :class:`KeyMigrator` drives the move: it snapshots the old ring, applies the
-  membership change, seeds each arc's copy queue from the cluster's key
-  catalog, then streams keys — in key order, so the copy sequence depends on
-  the keys alone — in bounded :meth:`~KeyMigrator.step` batches interleaved
-  with live traffic.  An arc whose queue drains is **cut over** atomically
-  (one state flip) and the copies on owners that left its preference list are
+  membership change, seeds each arc's copy queue by scanning its old owners'
+  keys, then streams keys — in key order, so the copy sequence depends on the
+  keys alone — in bounded :meth:`~KeyMigrator.step` batches interleaved with
+  live traffic.  An arc whose queue drains is **cut over** atomically (one
+  state flip) and the copies on owners that left its preference list are
   retired.  A key counts as copied only once at least one *live* new-ring
   replica is confirmed to hold it, so killing the joining shard mid-migration
   at ``replication_factor >= 2`` degrades to hinted handoff instead of data
-  loss.  A key is given up as lost only when every one of its old owners has
+  loss.  An arc is given up as lost only when every one of its old owners has
   left the cluster, which only a recovery's membership change does: a planned
   scale-out or scale-in keeps the leaving shard instantiated until its last
   arc cuts over, so it stalls instead of losing keys.
@@ -51,7 +51,6 @@ from repro.core.errors import ConfigurationError, ShardUnavailableError
 from repro.core.hashing import KeyLike, ring_position
 from repro.service.cluster import ClusterService, imbalance_factor
 from repro.service.router import RING_SPACE, HandoffStats, ShardRouter
-from repro.workloads.workload import OpKind
 
 #: Consecutive zero-progress steps after which
 #: :meth:`KeyMigrator.run_to_completion` gives up on a stalled migration.
@@ -66,13 +65,13 @@ class ArcState(Enum):
     DONE = "done"
 
 
-@dataclass
+@dataclass(eq=False)  # each arc is its own object: sets of arcs hash by identity
 class MigrationArc:
     """One contiguous key-range arc whose preference list is changing.
 
     ``start`` is exclusive and ``end`` inclusive, matching the router's arc
-    convention; an arc may wrap through 0.  ``keys`` is every catalogued key
-    hashing into the arc (kept current by :meth:`MigrationState.note_write`),
+    convention; an arc may wrap through 0.  ``keys`` is every key its old
+    owners' scans found (kept current by :meth:`MigrationState.note_write`),
     ``pending`` the subset still awaiting a confirmed copy.  The fields after
     the replica lists are the arc's progress, which only the migration moves.
     """
@@ -82,6 +81,7 @@ class MigrationArc:
     old_replicas: Tuple[str, ...]
     new_replicas: Tuple[str, ...]
     state: ArcState = field(default=ArcState.PENDING, init=False)
+    seeded: bool = field(default=False, init=False)
     keys: Set[bytes] = field(default_factory=set, init=False)
     pending: Set[bytes] = field(default_factory=set, init=False)
     copied: int = field(default=0, init=False)
@@ -198,14 +198,10 @@ class MigrationState:
         arc = self.arcs[index]
         return arc if arc.contains(position) else None
 
-    def replicas_for(self, key: KeyLike, kind: OpKind) -> Tuple[str, ...]:
-        """The shards one operation on ``key`` must consult right now.
-
-        ``kind`` is part of the placement interface but unused: during the
-        double-read window reads and writes deliberately see the *same* union
-        placement (reads so they never miss, writes so the new owners stay
-        current for the cut-over).
-        """
+    def replicas_for(self, key: KeyLike) -> Tuple[str, ...]:
+        """The shards an operation on ``key`` must consult right now; reads and
+        writes see the same placement (in the double-read window reads so they
+        never miss, writes so the new owners stay current for the cut-over)."""
         arc = self.arc_for_hash(ring_position(key))
         if arc is None:
             return self._router.preference_list(key, self._replication_factor)
@@ -259,7 +255,7 @@ class KeyMigrator:
 
     One migration at a time: :meth:`start_add` / :meth:`start_remove` /
     :meth:`start_recovery` snapshot the old ring, apply the membership change,
-    seed the arc queues from the cluster's key catalog and install the
+    seed the arc queues by scanning the old owners and install the
     :class:`MigrationState` overlay.
     :meth:`step` then copies a bounded batch of keys (call it from the traffic
     loop to interleave with requests), cutting arcs over as their queues
@@ -292,25 +288,31 @@ class KeyMigrator:
         self.max_active_arcs = max_active_arcs
         #: Reports of completed migrations, in completion order.
         self.reports: List[MigrationReport] = []
-        #: Consecutive steps that confirmed zero keys while some were blocked.
-        self.stalled_steps = 0
-        #: Copies the current (or last) migration wrote, per new owner.
-        self.keys_gained: Dict[str, int] = {}
-        #: Seeded keys the current (or last) migration found no value for:
-        #: every old owner had left the cluster (the key is dropped from its
-        #: queue), or each one that answered missed it (nothing to move, so
-        #: the key also counts as copied).
-        self.keys_lost = 0
         self._state: Optional[MigrationState] = None
-        self._direction = ""
-        self._subject = ""
-        self._moved_fraction = 0.0
+        self._begin("", "", 0.0, 0.0)
+
+    def _begin(self, direction: str, subject: str, moved: float, started_ms: float) -> None:
+        """Zero the progress counters (the public ones outlive the migration)."""
+        self._direction = direction
+        self._subject = subject
+        self._moved_fraction = moved
         self._steps = 0
         self._blocked_retries = 0
         self._keys_copied = 0
         self._keys_retired = 0
         self._keys_seeded = 0
-        self._started_ms = 0.0
+        self._started_ms = started_ms
+        #: Consecutive steps that confirmed zero keys while some were blocked.
+        self.stalled_steps = 0
+        #: Copies the migration wrote, per new owner.
+        self.keys_gained: Dict[str, int] = {}
+        #: Seeded keys the migration found no value for: each old owner that
+        #: answered missed it (deleted or evicted since the scan; nothing to
+        #: move, so the key also counts as copied).
+        self.keys_lost = 0
+        #: Share of the key space the migration lost: arcs none of whose old
+        #: owners is left in the cluster to scan.
+        self.lost_fraction = 0.0
 
     @property
     def active(self) -> bool:
@@ -326,10 +328,6 @@ class KeyMigrator:
         """Preconditions plus an independent copy of the current (old) ring."""
         if self.cluster.migration is not None:
             raise ConfigurationError("a key migration is already in flight")
-        if self.cluster.tracked_keys is None:
-            raise ConfigurationError(
-                "KeyMigrator needs the cluster's key catalog (track_keys=True)"
-            )
         router = self.cluster.router
         return ShardRouter(router.shard_ids, virtual_nodes=router.virtual_nodes)
 
@@ -390,38 +388,47 @@ class KeyMigrator:
     ) -> None:
         cluster = self.cluster
         arcs = changed_arcs(old_router, cluster.router, cluster.replication_factor)
-        state = MigrationState(arcs, cluster.router, cluster.replication_factor)
-        seeded = 0
-        for key in cluster.tracked_keys:
-            arc = state.arc_for_hash(ring_position(key))
-            if arc is not None:
-                arc.keys.add(key)
-                arc.pending.add(key)
-                seeded += 1
-        self._state = state
-        self._direction = direction
-        self._subject = subject
-        self._moved_fraction = moved_fraction
-        self._steps = 0
-        self._blocked_retries = 0
-        self._keys_copied = 0
-        self._keys_retired = 0
-        self._keys_seeded = seeded
-        self.keys_gained = {}
-        self.keys_lost = 0
-        self.stalled_steps = 0
-        self._started_ms = cluster.clock.now_ms
+        state = self._state = MigrationState(arcs, cluster.router, cluster.replication_factor)
+        self._begin(direction, subject, moved_fraction, cluster.clock.now_ms)
+        for arc in arcs:
+            if cluster.shards.keys().isdisjoint(arc.old_replicas):
+                arc.seeded = True  # no old owner is left to scan: nothing will arrive
+                self.lost_fraction += arc.fraction
+        self._scan(state)
         cluster.migration = state
         cluster.events.record(
             "migration_started",
             direction=direction,
             shard=subject,
             arcs=len(arcs),
-            keys=seeded,
+            keys=self._keys_seeded,
             moved_fraction=moved_fraction,
         )
         if cluster.telemetry is not None:
             cluster.telemetry.counter("migrations_started").inc()
+
+    def _scan(self, state: MigrationState) -> None:
+        """Seed the waiting arcs from one key scan per live old owner.
+
+        A scan seeds every arc its shard is an old owner of, with the keys
+        hashing into it.  An owner that is down or fails its scan (one shard
+        error) leaves its arcs to the others; one none answered for waits.
+        """
+        cluster = self.cluster
+        waiting = {shard for arc in state.arcs if not arc.seeded for shard in arc.old_replicas}
+        for shard_id in sorted(waiting):
+            keys = cluster._shard_op(shard_id, "live_keys") if cluster.is_live(shard_id) else None
+            if keys is None:
+                continue
+            owned = {arc for arc in state.arcs if shard_id in arc.old_replicas}
+            for arc in owned:
+                arc.seeded = True
+            for key in keys:
+                arc = state.arc_for_hash(ring_position(key))
+                if arc in owned and arc.state is not ArcState.DONE and key not in arc.keys:
+                    arc.keys.add(key)
+                    arc.pending.add(key)
+                    self._keys_seeded += 1
 
     # -- Driving the migration ----------------------------------------------------------
 
@@ -431,21 +438,21 @@ class KeyMigrator:
         Each migrating arc's queue is drained smallest key first.  Keys whose
         copy cannot be confirmed (no reachable old replica, or no live
         new-ring replica to hold the value) stay queued for the next step
-        rather than dropped — unless every old owner has left the cluster, in
-        which case the key is lost; an arc cuts over the moment its queue
-        drains; the migration completes — and on scale-in decommissions the
-        leaving shard — once every arc is done.
+        rather than dropped; an arc cuts over the moment its queue drains;
+        the migration completes — and on scale-in decommissions the leaving
+        shard — once every arc is done.  An arc no old owner's key scan has
+        answered for yet counts as blocked.
         """
         state = self._require_active()
         budget = self.batch_size if budget is None else budget
         if budget <= 0:
             raise ConfigurationError("budget must be positive")
         self._steps += 1
+        self._scan(state)
         self._promote_arcs(state)
-        shards = self.cluster.shards
         attempts = 0
         copied = 0
-        blocked = 0
+        blocked = sum(1 for arc in state.arcs if not arc.seeded)
         for arc in state.arcs:
             if arc.state is not ArcState.MIGRATING:
                 continue
@@ -455,9 +462,6 @@ class KeyMigrator:
                     arc.pending.discard(key)
                     arc.copied += 1
                     copied += 1
-                elif shards.keys().isdisjoint(arc.old_replicas):
-                    arc.pending.discard(key)
-                    self.keys_lost += 1
                 else:
                     blocked += 1
             if not arc.pending:
@@ -493,7 +497,7 @@ class KeyMigrator:
         for arc in state.arcs:
             if active >= self.max_active_arcs:
                 break
-            if arc.state is ArcState.PENDING:
+            if arc.state is ArcState.PENDING and arc.seeded:
                 arc.state = ArcState.MIGRATING
                 active += 1
 
@@ -641,8 +645,7 @@ class KeyMigrator:
         cluster.migration = None
         self._state = None
         if self._direction == "scale-out":
-            cluster.router.remove_shard(self._subject)
-            cluster.decommission_shard(self._subject)
+            cluster.remove_shard(self._subject)
         else:
             cluster.router.add_shard(self._subject)
         cluster.events.record(

@@ -16,15 +16,15 @@ one copy fewer than ``replication_factor`` demands.  The
    the arcs whose list changed are exactly those that contained a dead shard,
    and each gains the next distinct successors.
 3. **Re-replicate** — the removal is a migration like any scale-in
-   (:mod:`repro.service.rebalance`): each changed arc is streamed from its
-   surviving old owners to the shards that newly joined its preference list,
-   with hinted handoff for a new owner that cannot take its copy.
+   (:mod:`repro.service.rebalance`): each changed arc is seeded by scanning
+   its surviving old owners and streamed to the shards that newly joined its
+   preference list, with hinted handoff for a new owner that cannot take it.
 
 Progress and outcome are captured in a :class:`RecoveryReport` and surfaced
-through :meth:`~repro.service.cluster.ClusterStats.health`.  A key is *lost*
-only when no surviving replica holds it — impossible for keys written with
-``replication_factor >= 2`` unless that many replicas died at once, and the
-condition ``keys_lost == 0`` is exactly what ``benchmarks/bench_failover.py``
+through :meth:`~repro.service.cluster.ClusterStats.health`.  No one lists
+the keys of an arc whose replicas all died, so that loss is reported as key
+space, ``lost_fraction`` — zero with ``replication_factor >= 2`` unless that
+many replicas died at once, the condition ``benchmarks/bench_failover.py``
 asserts.
 """
 
@@ -53,17 +53,16 @@ class RecoveryReport:
     #: clocks, :attr:`ClockEnsemble.busy_ms` delta) — nonzero even when the
     #: re-replication ran entirely on shards behind the cluster-time frontier.
     work_ms: float = 0.0
-    #: Tracked keys examined for membership in a dead shard's replica set.
-    keys_scanned: int = 0
-    #: Keys whose preference list contained a failed shard.
+    #: Keys the surviving old owners' scans found in the changed arcs.
     keys_affected: int = 0
     #: Affected keys whose replication was restored on the survivors.
     keys_re_replicated: int = 0
     #: Individual (key, shard) copies written while re-replicating.
     copies_written: int = 0
-    #: Affected keys no surviving replica returned a value for (0 whenever
-    #: the replication factor exceeded the number of simultaneous failures).
+    #: Affected keys no surviving replica returned a value for.
     keys_lost: int = 0
+    #: Share of the key space whose replicas all failed, so no scan found it.
+    lost_fraction: float = 0.0
     #: Exact ring handoff recorded when each failed shard was removed.
     handoffs: List[HandoffStats] = field(default_factory=list)
     #: Keys each surviving shard gained during re-replication.
@@ -71,8 +70,8 @@ class RecoveryReport:
 
     @property
     def complete(self) -> bool:
-        """Whether every affected key kept at least one copy."""
-        return self.keys_lost == 0
+        """Whether every affected key and every arc kept at least one copy."""
+        return self.keys_lost == 0 and self.lost_fraction == 0
 
 
 class RecoveryCoordinator:
@@ -114,9 +113,9 @@ class RecoveryCoordinator:
         started_busy_ms = cluster.clock.busy_ms
         if failed:
             report.handoffs = migrator.start_recovery(failed)
-            report.keys_scanned = len(cluster.tracked_keys)
             report.keys_affected = migrator.run_to_completion().keys_seeded
             report.keys_lost = migrator.keys_lost
+            report.lost_fraction = migrator.lost_fraction
             report.keys_re_replicated = report.keys_affected - report.keys_lost
             report.keys_gained = dict(migrator.keys_gained)
             report.copies_written = sum(report.keys_gained.values())
@@ -165,5 +164,6 @@ class RecoveryCoordinator:
                 keys_re_replicated=report.keys_re_replicated,
                 copies_written=report.copies_written,
                 keys_lost=report.keys_lost,
+                lost_fraction=report.lost_fraction,
                 duration_ms=report.duration_ms,
             )

@@ -12,6 +12,8 @@ whichever side of a process boundary it lives on:
 ``lookup`` / ``insert`` / ``update`` / ``delete``
     the :class:`~repro.workloads.runner.HashIndex` operations, for directed
     one-shard work (hint replay, read repair, migration);
+``live_keys()``
+    every key the shard still owes, the scan a migration seeds its queues from;
 ``counters()``, ``telemetry_registry()``, ``recovery_report``
     reporting;
 ``inject_fault(mode, fault_kwargs)``, ``heal()``, ``close()``
@@ -131,6 +133,15 @@ class LocalShard:
         hedge window is ignored)."""
         operations, self._pending = self._pending, None
         return apply_batch(self, 0.0, operations)
+
+    def live_keys(self) -> List[bytes]:
+        """Every key a lookup would find, sorted: the buffers and the FIFO
+        window's incarnations (one sequential flash read each, counted in
+        ``flash_reads``), lazy deletes applied; refused by the fault gate."""
+        self.clam._check_available()
+        pages = sum(h.num_pages for t in self.clam.bufferhash.tables for h in t.incarnation_handles)
+        self.clam.stats.flash_reads += pages
+        return sorted(self.clam.bufferhash.snapshot_items())
 
     def telemetry_registry(self) -> Optional[MetricsRegistry]:
         return self.clam.telemetry

@@ -49,7 +49,8 @@ Frame types:
     clock_ms, busy_ms)`` and :func:`decode_batch_response` ``(payload)``.
 ``CONTROL_REQUEST`` / ``CONTROL_RESPONSE``
     Low-rate management traffic (counters, telemetry snapshots, fault
-    injection, clean shutdown) as a JSON object — none of it is hot-path.
+    injection, a migration's key scan, clean shutdown) as a JSON object —
+    none of it is hot-path.
 
 Error codes map worker-side exceptions back onto the service layer's typed
 errors: ``ERR_DEVICE_FAILED`` re-raises as

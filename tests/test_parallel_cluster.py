@@ -333,9 +333,7 @@ class TestTelemetryAndLifecycle:
         """Regression: the load signal was read off ``shard.telemetry``,
         which a worker proxy never had, so a parallel cluster looked idle.
         It is each worker's operation counters now, telemetry on or off."""
-        with ParallelClusterService(
-            num_shards=2, config=cluster_config, track_keys=True
-        ) as cluster:
+        with ParallelClusterService(num_shards=2, config=cluster_config) as cluster:
             migrator = KeyMigrator(cluster)
             config = AutoscaleConfig(evaluate_every=1, cooldown=0, hot_shard_threshold=1.01)
             policy = AutoscalePolicy(cluster, migrator, config)

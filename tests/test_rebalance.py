@@ -1,11 +1,12 @@
 """Tests for online elastic rebalancing (service.rebalance).
 
-Covers the exact migration-arc computation, the KeyMigrator lifecycle for
-scale-out and scale-in (including the atomic cut-over and copy retirement),
-the double-read window's equivalence with a quiesced cluster (property
-test), the kill-the-joining-shard drill at RF=2, abort semantics, the
-membership freeze while a migration is in flight, the autoscale policy and
-the TrafficSimulator's scale-out/scale-in schedule actions.
+Covers the exact migration-arc computation, the seed scan of the old owners,
+the KeyMigrator lifecycle for scale-out and scale-in (including the atomic
+cut-over and copy retirement), the double-read window's equivalence with a
+quiesced cluster (property test), the kill-the-joining-shard drill at RF=2,
+abort semantics, the membership freeze while a migration is in flight, the
+autoscale policy and the TrafficSimulator's scale-out/scale-in schedule
+actions.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError, ShardUnavailableError
-from repro.core.hashing import RING_SEED, hash_key
+from repro.core.hashing import RING_SEED, hash_key, ring_position
 from repro.service import (
     ArcState,
     AutoscaleConfig,
@@ -29,13 +30,13 @@ from repro.service import (
 )
 from repro.service.router import ShardRouter
 from repro.workloads import fingerprint_for
+from repro.workloads.workload import Operation, OpKind
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def populated_cluster(num_shards=4, replication_factor=2, keys=250, **kwargs):
     kwargs.setdefault("virtual_nodes", 16)
-    kwargs.setdefault("track_keys", True)
     cluster = ClusterService(
         num_shards=num_shards, replication_factor=replication_factor, **kwargs
     )
@@ -50,7 +51,6 @@ def telemetry_cluster(num_shards=3, **kwargs):
         num_shards=num_shards,
         replication_factor=2,
         virtual_nodes=16,
-        track_keys=True,
         config=CLAMConfig.scaled(telemetry_enabled=True),
         **kwargs,
     )
@@ -160,6 +160,118 @@ class TestScaleOut:
         cluster.add_shard()  # membership thaws once the migration drains
 
 
+class TestSeedScan:
+    """A migration seeds its copy queues from the old owners' own contents."""
+
+    def test_scan_seeds_exactly_what_the_old_owners_owe(self):
+        # A 96-item FIFO window per shard, far smaller than the flood below.
+        config = CLAMConfig.scaled(
+            num_super_tables=2, buffer_capacity_items=16, incarnations_per_table=2
+        )
+        cluster = ClusterService(num_shards=2, virtual_nodes=16, config=config)
+
+        def keys(namespace, count):
+            return [fingerprint_for(i, namespace=namespace) for i in range(count)]
+
+        evicted, deleted, reinserted, live = (
+            keys(name, 40) for name in (b"evicted", b"deleted", b"reinserted", b"live")
+        )
+        for key in evicted + keys(b"flood", 600) + deleted + live:
+            cluster.insert(key, b"v")
+        for key in deleted:
+            cluster.delete(key)  # on flash by now: a lazy delete-list entry
+        for key in reinserted:
+            cluster.insert(key, b"old")
+            cluster.delete(key)
+            cluster.insert(key, b"new")
+        assert not any(cluster.lookup(key).found for key in evicted)
+        migrator = KeyMigrator(cluster)
+        migrator.start_add()
+        state = cluster.migration
+        seeded = set().union(*(arc.keys for arc in state.arcs))
+
+        def moving(group):
+            inside = {key for key in group if state.arc_for_hash(ring_position(key))}
+            assert inside, "no key of the group lies in a moving arc"
+            return inside
+
+        assert not moving(evicted) & seeded
+        assert not moving(deleted) & seeded
+        assert moving(reinserted) <= seeded
+        assert moving(live) <= seeded
+        migrator.run_to_completion()
+        assert all(cluster.lookup(key).value == b"new" for key in reinserted)
+
+    def test_old_owner_crashed_at_install_is_covered_by_its_partner(self):
+        cluster, inserted = populated_cluster()
+        cluster.fail_shard("shard-1")  # crashed, not yet detected
+        migrator = KeyMigrator(cluster)
+        migrator.start_add()
+        assert cluster.shard_errors == {"shard-1": 1}
+        state = cluster.migration
+        assert all(arc.seeded for arc in state.arcs)
+        owed = {key for key in inserted if state.arc_for_hash(ring_position(key))}
+        victims = {
+            key for key in owed if "shard-1" in state.arc_for_hash(ring_position(key)).old_replicas
+        }
+        assert victims  # the crashed owner had arcs to move
+        assert owed <= set().union(*(arc.keys for arc in state.arcs))
+        migrator.run_to_completion()
+        assert all(cluster.lookup(key).found for key in inserted)
+
+    def test_scan_charges_the_shard_clock_and_flash_reads(self):
+        config = CLAMConfig.scaled(
+            num_super_tables=2, buffer_capacity_items=16, incarnations_per_table=4
+        )
+        cluster = ClusterService(num_shards=1, config=config)
+        for i in range(100):
+            cluster.insert(fingerprint_for(i, namespace=b"scan"), b"v")
+        shard = cluster.shards["shard-0"]
+        clock, counters = shard.clock.now_ms, shard.counters()
+        assert len(shard.live_keys()) == 100
+        after = shard.counters()
+        assert shard.clock.now_ms > clock
+        assert after["flash_reads"] > counters["flash_reads"]
+        assert after["device_read_ops"] > counters["device_read_ops"]
+
+    def test_write_applied_by_a_failing_batch_still_moves(self):
+        """A write a pending arc's old owners applied reaches its copy queue
+        even when the batch ends in ShardUnavailableError: the executor hands
+        the applied results over with the error."""
+        cluster, _ = populated_cluster()
+        migrator = KeyMigrator(cluster)
+        joining = migrator.start_add()
+        state = cluster.migration
+
+        def placement(key):
+            return set(state.replicas_for(key))
+
+        good_key = next(
+            key
+            for key in (fingerprint_for(i, namespace=b"moving") for i in range(5_000))
+            if (arc := state.arc_for_hash(ring_position(key))) is not None
+            and arc.state is ArcState.PENDING
+            and joining in arc.new_replicas
+        )
+        bad_key = next(
+            key
+            for key in (fingerprint_for(i, namespace=b"doomed") for i in range(5_000))
+            if not placement(key) & placement(good_key)
+        )
+        doomed = placement(bad_key)
+        for shard_id in doomed:
+            cluster.fail_shard(shard_id)  # crashed, not yet detected
+        with pytest.raises(ShardUnavailableError) as raised:
+            cluster.execute_batch(
+                [Operation(OpKind.INSERT, good_key, b"v"), Operation(OpKind.LOOKUP, bad_key)]
+            )
+        assert raised.value.partial_results[0] is not None
+        for shard_id in doomed:
+            cluster.heal_shard(shard_id)
+        migrator.run_to_completion()
+        assert cluster.shards[joining].lookup(good_key).value == b"v"
+
+
 class TestScaleIn:
     def test_scale_in_drains_then_decommissions(self):
         cluster, inserted = populated_cluster(num_shards=5)
@@ -197,12 +309,8 @@ class TestDoubleReadWindow:
         quiesced one.
         """
         keys = [fingerprint_for(i, namespace=b"prop-%d" % seed) for i in range(80)]
-        moving = ClusterService(
-            num_shards=3, replication_factor=2, virtual_nodes=8, track_keys=True
-        )
-        quiesced = ClusterService(
-            num_shards=3, replication_factor=2, virtual_nodes=8, track_keys=True
-        )
+        moving = ClusterService(num_shards=3, replication_factor=2, virtual_nodes=8)
+        quiesced = ClusterService(num_shards=3, replication_factor=2, virtual_nodes=8)
         for cluster in (moving, quiesced):
             for index, key in enumerate(keys):
                 cluster.insert(key, b"v-%d" % index)

@@ -13,9 +13,11 @@ sub-batch, batches that end in ``ShardUnavailableError`` (their
 — and digests, phase by phase, every result record, every
 :class:`~repro.service.batch.BatchResult` field, the event log, each shard
 clock, the merged counters and the replication bookkeeping.  ``GOLDEN`` was
-generated with the implementation of PR 18 (commit ``38c7086``; ``python
-tests/test_service_golden.py`` prints a fresh table) and must only ever be
-regenerated by a change that *means* to alter simulated behaviour.
+generated at commit ``b51fb6c`` once the parent's key catalog left the
+digest; seeding migrations from the shards' own key scans then moved only the
+``migration`` phases and ``reached`` (``python tests/test_service_golden.py``
+prints a fresh table).  It must only ever be regenerated by a change that
+*means* to alter simulated behaviour.
 """
 
 from __future__ import annotations
@@ -129,7 +131,6 @@ class _Recorder:
             sorted(cluster.shard_errors.items()),
             sorted((shard_id, sorted(keys)) for shard_id, keys in cluster._hints.items()),
         )  # fmt: skip
-        self.line("K", sorted(cluster.tracked_keys))
         self.phases[name] = self._digest.hexdigest()[:24]
         self._digest = hashlib.sha256()
 
@@ -228,7 +229,6 @@ def run_case(
         virtual_nodes=8,
         replication_factor=replication_factor,
         failure_threshold=failure_threshold,
-        track_keys=True,
     ) as cluster:
         return _run_script(cluster, replication_factor)
 
@@ -341,14 +341,14 @@ CASES = {
 # fmt: off
 GOLDEN = {
     'rf1': {
-        'single': '1222ddc3f08e5ff08b1c4ea2',
-        'mixed': 'b8ff2e86349b940e2ef5ebc0',
-        'repeats': '7c0ce1698320bb03bc39cad9',
-        'crash': '02390279c3a797984484a7c1',
-        'healed': 'e569726fc51a880112e88720',
-        'io-errors': '4f8fa3811ad5bb15a8e0fc62',
-        'unavailable': 'd7020760a90f3ee5ca8e3d17',
-        'migration': 'f5bf00277eaa1e1133129c68',
+        'single': '953fb055582ed083dbfeba68',
+        'mixed': '892967e64a8d310299e0221f',
+        'repeats': '18e46391ff0e2275a95c2ba7',
+        'crash': 'c36ad93efa241846fa2b728e',
+        'healed': 'c1b2e230690f3181406f2505',
+        'io-errors': '000a5f3352e6faa635b6bb66',
+        'unavailable': '8933151808edec6d40820b6b',
+        'migration': 'b7307dbfcec1f54fb2ddd3d8',
         'reached': {
             'batches': 1183, 'unavailable': 33, 'partial_results': 319, 'failed_shards': 0,
             'retried': 0, 'truncated': 0, 'read_repairs': 0, 'hinted_handoffs': 0,
@@ -356,48 +356,48 @@ GOLDEN = {
         },
     },
     'rf2': {
-        'single': '6a77ecbf497ce0fde97124e3',
-        'mixed': '5a11fdde835e48e5b75f8053',
-        'repeats': 'f089bcce41bb429ea75271f0',
-        'crash': 'fd24edc34611ee47cd37318d',
-        'healed': 'ca7e1b76d89d55b3848776ab',
-        'io-errors': '518e341b88fdf11ed6534d23',
-        'unavailable': '1611077f3f84bf582586d1c8',
-        'migration': 'a6ae306bab1ff345ada9a434',
+        'single': '79b0a009a0a658d1f76c41b1',
+        'mixed': 'b94a49a9a39e07407271cd67',
+        'repeats': 'd23dc5c5dbb89fc5c151d246',
+        'crash': '8454db56c737cf301ba25c2e',
+        'healed': 'bbb2d8a3281d0dd1f34e920c',
+        'io-errors': '4591c73f7d24db4b0d91d03c',
+        'unavailable': 'ce0bdb10c9449c739f807a5a',
+        'migration': '1db27dbef988d363a3975cb3',
         'reached': {
-            'batches': 1263, 'unavailable': 7, 'partial_results': 2, 'failed_shards': 8,
-            'retried': 113, 'truncated': 7, 'read_repairs': 41, 'hinted_handoffs': 288,
-            'migration_steps': 31, 'shards_marked_down': 11, 'flushes': 229, 'evictions': 149,
+            'batches': 1233, 'unavailable': 7, 'partial_results': 2, 'failed_shards': 9,
+            'retried': 113, 'truncated': 7, 'read_repairs': 36, 'hinted_handoffs': 288,
+            'migration_steps': 21, 'shards_marked_down': 11, 'flushes': 197, 'evictions': 117,
         },
     },
     'rf3': {
-        'single': 'd105c0ee7e522e297f6087e0',
-        'mixed': 'fd4f8db1f5368f6d3ffcb808',
-        'repeats': '53a417121738c44cd510c1db',
-        'crash': '33c882b0dc91fe852d6dc7fb',
-        'healed': '41e36bfab748b15872c90aaf',
-        'io-errors': 'a58a2ad8df40439d6a27ef94',
-        'unavailable': '75ecfbf6fbe61c1dfd6ebefa',
-        'migration': 'c73f15153c8d18dbe1c105fb',
+        'single': '29b41b235fd5f14266efa4f2',
+        'mixed': '163e5b66c0e58552602b21ab',
+        'repeats': 'd0d076e7bd0300f966c01d03',
+        'crash': 'ba7a757f67c2e70110a249b2',
+        'healed': 'db401ec48bae320cd4725546',
+        'io-errors': '9094bbd5588c268d32a41fd0',
+        'unavailable': '3e54e71663f768af70309eb7',
+        'migration': 'be490f6c78f5619380911441',
         'reached': {
-            'batches': 1273, 'unavailable': 6, 'partial_results': 60, 'failed_shards': 9,
-            'retried': 79, 'truncated': 8, 'read_repairs': 83, 'hinted_handoffs': 748,
-            'migration_steps': 34, 'shards_marked_down': 13, 'flushes': 315, 'evictions': 235,
+            'batches': 1231, 'unavailable': 6, 'partial_results': 60, 'failed_shards': 10,
+            'retried': 80, 'truncated': 8, 'read_repairs': 68, 'hinted_handoffs': 748,
+            'migration_steps': 20, 'shards_marked_down': 13, 'flushes': 266, 'evictions': 186,
         },
     },
     'rf2/threshold-2': {
-        'single': '6a77ecbf497ce0fde97124e3',
-        'mixed': '5a11fdde835e48e5b75f8053',
-        'repeats': 'f089bcce41bb429ea75271f0',
-        'crash': '92057c6078aa1999ccd9affa',
-        'healed': 'fca386da844e86a187d25b69',
-        'io-errors': '41f707c76a5c82405a33bc77',
-        'unavailable': '5a43bc92c84de9c3e2dbddfb',
-        'migration': '10fe1d0ece5f3f203120a425',
+        'single': '79b0a009a0a658d1f76c41b1',
+        'mixed': 'b94a49a9a39e07407271cd67',
+        'repeats': 'd23dc5c5dbb89fc5c151d246',
+        'crash': '103c7d2aae0b7944a4ef8c70',
+        'healed': '86eaacbce679b5313a78ac44',
+        'io-errors': '58faf60324d84890fc80641f',
+        'unavailable': '84de20d4a242031ad15211b0',
+        'migration': 'a64dc781ac5c6b15b722e2a8',
         'reached': {
-            'batches': 1263, 'unavailable': 7, 'partial_results': 2, 'failed_shards': 11,
-            'retried': 161, 'truncated': 10, 'read_repairs': 40, 'hinted_handoffs': 193,
-            'migration_steps': 31, 'shards_marked_down': 7, 'flushes': 229, 'evictions': 149,
+            'batches': 1233, 'unavailable': 7, 'partial_results': 2, 'failed_shards': 12,
+            'retried': 161, 'truncated': 10, 'read_repairs': 35, 'hinted_handoffs': 193,
+            'migration_steps': 21, 'shards_marked_down': 7, 'flushes': 197, 'evictions': 117,
         },
     },
 }

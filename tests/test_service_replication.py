@@ -37,11 +37,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ClusterService(num_shards=2, failure_threshold=0)
 
-    def test_key_tracking_defaults(self):
-        assert ClusterService(num_shards=2).tracked_keys is None
-        assert ClusterService(num_shards=2, replication_factor=2).tracked_keys == frozenset()
-        assert ClusterService(num_shards=2, track_keys=True).tracked_keys == frozenset()
-
 
 class TestReplicatedWrites:
     def test_insert_lands_on_every_replica(self):
@@ -64,23 +59,13 @@ class TestReplicatedWrites:
             assert not cluster.shards[shard_id].lookup(key).found
         assert not cluster.lookup(key).found
 
-    def test_tracked_keys_follow_inserts_and_deletes(self):
-        cluster = make_cluster()
-        keys = sample_keys(10)
-        for key in keys:
-            cluster.insert(key, b"v")
-        assert len(cluster.tracked_keys) == 10
-        cluster.delete(keys[0])
-        assert len(cluster.tracked_keys) == 9
-
-    def test_batch_writes_also_replicate_and_track(self):
+    def test_batch_writes_also_replicate(self):
         cluster = make_cluster()
         keys = sample_keys(100, namespace=b"batched")
         batch = cluster.execute_batch(
             [Operation(OpKind.INSERT, key, b"v") for key in keys]
         )
         assert all(result is not None for result in batch.results)
-        assert len(cluster.tracked_keys) == 100
         for key in keys:
             for shard_id in cluster.replicas_for(key):
                 assert cluster.shards[shard_id].lookup(key).found
@@ -322,30 +307,3 @@ class TestHintedHandoff:
         cluster.execute_batch([Operation(OpKind.INSERT, key, b"v1")])
         cluster.heal_shard(secondary)
         assert cluster.shards[secondary].lookup(key).value == b"v1"
-
-    def test_applied_writes_are_tracked_even_when_the_batch_fails(self):
-        from repro.core.hashing import key_data
-
-        cluster = make_cluster()
-        bad_key = fingerprint_for(0, namespace=b"doomed-lookup")
-        doomed = set(cluster.replicas_for(bad_key))
-        for shard_id in doomed:
-            cluster.fail_shard(shard_id)  # crashed, not yet detected
-        good_key = next(
-            fingerprint_for(i, namespace=b"survivor")
-            for i in range(5000)
-            if not set(cluster.replicas_for(fingerprint_for(i, namespace=b"survivor")))
-            & doomed
-        )
-        with pytest.raises(ShardUnavailableError):
-            cluster.execute_batch(
-                [
-                    Operation(OpKind.INSERT, good_key, b"v"),
-                    Operation(OpKind.LOOKUP, bad_key),
-                ]
-            )
-        # The applied insert reached both shards and the key catalog, so a
-        # later recovery still knows about it.
-        assert key_data(good_key) in cluster.tracked_keys
-        for shard_id in cluster.replicas_for(good_key):
-            assert cluster.shards[shard_id].lookup(good_key).found
