@@ -21,6 +21,10 @@ contract end to end:
   old owners confirm every key; the dead shard accumulates hinted
   handoffs), every key must remain readable, and healing the shard must
   replay its backlog.
+* **Scale-out on worker processes** — the same kind of migration on a
+  3-worker :class:`ParallelClusterService`, counting the frames it sends: a
+  step moves its keys in one sub-batch per shard, so the count grows with the
+  steps, not the keys (one round trip per key cost 1,830 frames here).
 
 ``--quick`` runs a reduced workload, writes ``BENCH_rebalance_quick.json``
 and ratchets it against the committed ``BENCH_rebalance.json`` through the
@@ -31,6 +35,7 @@ the ratchet CLI as well).
 from __future__ import annotations
 
 import argparse
+import time
 
 from benchmarks.common import (
     add_telemetry_arg,
@@ -47,6 +52,7 @@ from repro.service import (
     ClusterService,
     FailureEvent,
     KeyMigrator,
+    ParallelClusterService,
     TrafficSimulator,
     TrafficSpec,
 )
@@ -91,6 +97,11 @@ AUTOSCALE = AutoscaleConfig(
 
 DRILL_KEYS = 400
 DRILL_STEPS_BEFORE_KILL = 2
+
+#: The worker-process scale-out: the same in quick and full runs.
+PARALLEL_WORKERS = 3
+PARALLEL_KEYS = 1_200
+PARALLEL_BATCH_SIZE = 48
 
 
 def build_cluster(num_shards: int = NUM_SHARDS, telemetry: bool = True) -> ClusterService:
@@ -204,7 +215,38 @@ def run_kill_joining_drill():
     }
 
 
-def check_invariants(churn, autoscale, drill, snapshot) -> None:
+def run_parallel_scale_out():
+    """Scale a worker-process cluster out by one shard; count the frames."""
+    keys = [fingerprint_for(number, namespace=b"parallel") for number in range(PARALLEL_KEYS)]
+    with ParallelClusterService(
+        num_shards=PARALLEL_WORKERS,
+        config=standard_config(),
+        replication_factor=REPLICATION_FACTOR,
+        virtual_nodes=VIRTUAL_NODES,
+    ) as cluster:
+        cluster.insert_batch([(key, b"parallel-value") for key in keys])
+        before = {shard_id: shard._seq for shard_id, shard in cluster.shards.items()}
+        migrator = KeyMigrator(cluster, batch_size=PARALLEL_BATCH_SIZE)
+        started = time.perf_counter()
+        migrator.start_add()
+        report = migrator.run_to_completion()
+        wall_s = time.perf_counter() - started
+        frames = sum(
+            shard._seq - before.get(shard_id, 0) for shard_id, shard in cluster.shards.items()
+        )
+        lost = sum(not result.found for result in cluster.lookup_batch(keys))
+    return {
+        "workers": PARALLEL_WORKERS,
+        "seeded_keys": PARALLEL_KEYS,
+        "batch_size": PARALLEL_BATCH_SIZE,
+        "worker_frames": frames,
+        "keys_copied": report.keys_copied,
+        "lost_keys": lost,
+        "migration_wall_s": round(wall_s, 4),
+    }
+
+
+def check_invariants(churn, autoscale, drill, parallel, snapshot) -> None:
     """The elasticity contract this benchmark exists to enforce."""
     # Zero lost keys and bounded availability dip through the whole churn.
     assert churn["lost_keys"] == 0, churn
@@ -221,6 +263,9 @@ def check_invariants(churn, autoscale, drill, snapshot) -> None:
     assert drill["lost_keys_after_heal"] == 0, drill
     assert drill["hints_backlog"] > 0, drill
     assert drill["hinted_handoffs_replayed"] >= drill["hints_backlog"], drill
+    # Sub-batched maintenance: a few frames per step, no key lost.
+    assert parallel["lost_keys"] == 0, parallel
+    assert parallel["worker_frames"] <= 250, parallel
     # Event ordering: every migration runs started → cut-overs → done, and
     # the event log's sequence numbers are monotone.
     kinds = [event["kind"] for event in snapshot["events"]]
@@ -233,7 +278,7 @@ def check_invariants(churn, autoscale, drill, snapshot) -> None:
     assert seqs == sorted(seqs), seqs
 
 
-def emit_json(quick, churn, autoscale, drill, telemetry):
+def emit_json(quick, churn, autoscale, drill, parallel, telemetry):
     embedded, log_counts = without_event_log(telemetry)
     path = write_bench_json(
         "rebalance",
@@ -254,6 +299,7 @@ def emit_json(quick, churn, autoscale, drill, telemetry):
             "churn": churn,
             "autoscale": autoscale,
             "kill_joining_drill": drill,
+            "parallel_scale_out": parallel,
             "event_counts": log_counts,
         },
         quick=quick,
@@ -262,7 +308,7 @@ def emit_json(quick, churn, autoscale, drill, telemetry):
     print(f"wrote {path}")
 
 
-def print_outcomes(churn, autoscale, drill) -> None:
+def print_outcomes(churn, autoscale, drill, parallel) -> None:
     print_table(
         "Elastic rebalancing: 4→6→3 shard churn under live Zipf traffic",
         ["phase", "availability", "lost keys", "migrations", "keys copied", "final shards"],
@@ -290,6 +336,14 @@ def print_outcomes(churn, autoscale, drill) -> None:
                 drill["migration_completed"],
                 "-",
                 "-",
+            ),
+            (
+                f"worker scale-out ({parallel['worker_frames']} frames)",
+                1.0,
+                parallel["lost_keys"],
+                1,
+                parallel["keys_copied"],
+                parallel["workers"] + 1,
             ),
         ],
     )
@@ -331,13 +385,15 @@ def main() -> None:
         (d.action, d.shard, d.at_request) for d in untraced.autoscale_decisions
     ], "the autoscaler decided differently with telemetry off"
     drill = run_kill_joining_drill()
-    print_outcomes(churn, autoscale, drill)
-    check_invariants(churn, autoscale, drill, cluster.telemetry_snapshot())
+    parallel = run_parallel_scale_out()
+    print_outcomes(churn, autoscale, drill, parallel)
+    check_invariants(churn, autoscale, drill, parallel, cluster.telemetry_snapshot())
     emit_json(
         args.quick,
         churn,
         autoscale,
         drill,
+        parallel,
         telemetry=cluster.telemetry_snapshot(include_buckets=False),
     )
     dump_telemetry(args.telemetry_out, cluster.telemetry_snapshot())

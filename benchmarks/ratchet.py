@@ -226,6 +226,11 @@ REGISTRY: Dict[str, RatchetSpec] = {
             # Every migration must have been a genuine online move, streamed
             # in bounded steps interleaved with the traffic loop.
             Metric("churn.migration_steps", "min-value", 1),
+            # The worker-process scale-out sends a sub-batch per shard a step
+            # touches; one round trip per key took 1,830 frames.
+            Metric("parallel_scale_out.worker_frames", "max-value", 250),
+            Metric("parallel_scale_out.lost_keys", "max-value", 0),
+            Metric("parallel_scale_out.lost_keys", "exact"),
         ),
     ),
     "recovery": RatchetSpec(

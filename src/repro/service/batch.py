@@ -19,8 +19,9 @@ touched shard rather than one per chunk, and the branch's wait is the
 serial sum.
 
 Shards are reached through the interface of :mod:`repro.service.shard`
-only, so the same scatter/gather loop drives in-process shards and worker
-processes.
+only, and by sub-batches only — the cluster's own maintenance included
+(:meth:`BatchExecutor.execute_directed`) — so the same scatter/gather drives
+in-process shards and worker processes.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ DEFAULT_DISPATCH_OVERHEAD_MS = 0.02
 
 #: Simulated front-end cost of routing a single key (one ring lookup).
 DEFAULT_ROUTING_COST_MS = 0.0002
+
+#: Charged per operation of a directed sub-batch: a stand-alone operation's.
+DIRECTED_OP_MS = DEFAULT_DISPATCH_OVERHEAD_MS + DEFAULT_ROUTING_COST_MS
 
 #: Bound once: a member read off the enum class resolves through its
 #: metaclass, and the routing and gather loops compare kinds once per key.
@@ -186,8 +190,8 @@ class _Run:
         self.placement: List[_Placement] = []
         #: Units the round left behind, in the order it did.
         self.again: List[_Retry] = []
-        #: ``(shard, key, value)`` read repairs owed once the round is in.
-        self.repairs: List[Tuple[str, KeyDigest, bytes]] = []
+        #: Read repairs owed once the round is in, per stale shard.
+        self.repairs: Dict[str, List[Tuple[OpKind, KeyDigest, bytes]]] = {}
 
 
 class BatchExecutor:
@@ -206,8 +210,9 @@ class BatchExecutor:
       a hinted-handoff entry (``cluster._record_hint``).
     * A **lookup** is answered by the first live replica that hits, in
       preference order.  Earlier live replicas that missed are repaired — the
-      value is re-inserted once the round's answers are all in — and counted
-      in ``cluster.read_repairs``.  A miss is returned (the first replica's
+      value is re-inserted once the round's answers are all in, one directed
+      insert sub-batch per repaired shard — and counted in
+      ``cluster.read_repairs``.  A miss is returned (the first replica's
       record) only when every live replica missed.  With one replica, and on
       a clean hit, no extra probe is made.  Repair work is charged to the
       repaired shard's clock but not to the batch's makespan.  (A read-through
@@ -229,6 +234,10 @@ class BatchExecutor:
     behind — a miss with another replica to try, a shard that failed or
     truncated its answer, a fired hedge — with the values it would have
     accumulated by then, and later rounds carry it beside the position.
+
+    Work aimed at named shards — hint replay, read repair, migration — takes
+    the same ``send_batch`` / ``recv_batch`` path (:meth:`execute_directed`,
+    :meth:`first_copies`); the cluster never calls a shard's per-op methods.
 
     Parameters
     ----------
@@ -274,10 +283,6 @@ class BatchExecutor:
                 f"(placement {replicas!r}, down {self.cluster.down_shard_ids!r})"
             )
         return live
-
-    def execute(self, operations: Iterable[Operation]) -> BatchResult:
-        """Execute ``operations`` as one batch and return the breakdown."""
-        return self.execute_columns(*batch_columns(operations))
 
     def execute_columns(
         self, kinds: Sequence[OpKind], keys: Sequence[KeyLike], values: Sequence[bytes]
@@ -360,12 +365,12 @@ class BatchExecutor:
         execute concurrently and a round's wall-clock cost is the slowest
         shard, not the sum (an in-process shard runs its sub-batch when its
         answer is gathered).  Read repairs wait until the whole round is in:
-        a repair is a directed operation on a shard that may still have this
+        a repair is a directed sub-batch to a shard that may still have this
         round's frame in flight.
         """
         shards = self.cluster.shards
         kinds, keys, values = run.kinds, run.keys, run.values
-        run.again, run.repairs = [], []
+        run.again, run.repairs = [], {}
         in_flight = []
         for shard_id, sub_batch in groups.items():
             positions, retries = sub_batch
@@ -409,8 +414,78 @@ class BatchExecutor:
                         if completed is not None:
                             span.attributes["operations_completed"] = completed
                     tracer.end(span, shard.clock)
-        for shard_id, key, value in run.repairs:
-            self.cluster._read_repair(shard_id, key, value)
+        if run.repairs:
+            for results in self.execute_directed(run.repairs).values():
+                self.cluster.read_repairs += len(results)
+
+    def execute_directed(
+        self, sub_batches: Dict[str, List[Tuple[OpKind, KeyLike, bytes]]]
+    ) -> Dict[str, List[object]]:
+        """Run ``{shard_id: [(kind, key, value), ...]}``: every sub-batch is
+        sent before any answer is read, charged :data:`DIRECTED_OP_MS` per
+        operation.  Returns ``{shard_id: results}`` for the sub-batches that
+        completed.  A shard that fails — raises, or cuts its answer short —
+        counts one error and is left out: what it ran is not trusted, since a
+        device failing mid-flush drops the writes its buffer held."""
+        cluster = self.cluster
+        done: Dict[str, List[object]] = {}
+        sent = []
+        for shard_id, operations in sub_batches.items():
+            if not operations:
+                continue
+            try:
+                cluster.shards[shard_id].send_batch(operations, len(operations) * DIRECTED_OP_MS)
+            except DeviceFailedError:
+                cluster.record_shard_error(shard_id)
+                continue
+            sent.append(shard_id)
+        for shard_id in sent:
+            try:
+                results, error_code, message, _ = cluster.shards[shard_id].recv_batch()
+            except DeviceFailedError:
+                error_code, message = wire.ERR_DEVICE_FAILED, ""
+            if error_code == wire.ERR_UNEXPECTED:
+                raise WireProtocolError(f"shard {shard_id}: {message}")
+            if error_code == wire.ERR_NONE:
+                done[shard_id] = results
+            else:
+                cluster.record_shard_error(shard_id)
+        return done
+
+    def first_copies(
+        self, candidates: Dict[bytes, Sequence[str]]
+    ) -> Dict[bytes, Tuple[Optional[bytes], str]]:
+        """The replica walk under hint replay and migration: each round looks
+        every key still walking up on its next live candidate (one
+        :meth:`execute_directed` sub-batch per shard); a hit ends the walk, a
+        miss or a failure moves it on.  Returns ``{key: (value, shard_id)}``,
+        the first value found and its shard, or ``None`` and the first shard
+        that missed; keys no candidate answered for are left out."""
+        is_live = self.cluster.is_live
+        walks = {key: iter(shard_ids) for key, shard_ids in candidates.items()}
+        found: Dict[bytes, Tuple[Optional[bytes], str]] = {}
+        while walks:
+            asked: Dict[str, List[bytes]] = {}
+            for key, walk in walks.items():
+                shard_id = next((s for s in walk if is_live(s)), None)
+                if shard_id is not None:
+                    asked.setdefault(shard_id, []).append(key)
+            lookups = {s: [(_LOOKUP, key, b"") for key in keys] for s, keys in asked.items()}
+            answers = self.execute_directed(lookups)
+            walking: Set[bytes] = set()
+            for shard_id, keys in asked.items():
+                results = answers.get(shard_id)
+                if results is None:
+                    walking.update(keys)
+                    continue
+                for key, result in zip(keys, results):
+                    if result.value is not None:
+                        found[key] = (result.value, shard_id)
+                    else:
+                        found.setdefault(key, (None, shard_id))
+                        walking.add(key)
+            walks = {key: walk for key, walk in walks.items() if key in walking}
+        return found
 
     def _gather(self, shard_id: str, shard, sub_batch: _SubBatch, stats, run: _Run) -> int:
         """Fold one shard's answer into the batch; returns how many units ran."""
@@ -441,7 +516,8 @@ class BatchExecutor:
                     hits += 1
                     results[index] = result
                     for stale in retry.missed if retry is not None else ():
-                        run.repairs.append((stale, run.keys[index], result.value))
+                        repair = (_INSERT, run.keys[index], result.value)
+                        run.repairs.setdefault(stale, []).append(repair)
                     continue
                 if results[index] is None:
                     results[index] = result

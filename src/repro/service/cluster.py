@@ -9,7 +9,9 @@ cluster unchanged.  Keys are placed by a consistent-hash
 :class:`~repro.service.router.ShardRouter`; every client read and write — a
 single operation is a batch of one — goes through the
 :class:`~repro.service.batch.BatchExecutor`, which reaches each shard through
-the interface of :mod:`repro.service.shard`; cluster time is the
+the interface of :mod:`repro.service.shard`, and so does the cluster's own
+maintenance (hint replay, read repair, migration) as directed per-shard
+sub-batches; cluster time is the
 :class:`~repro.flashsim.clock.ClockEnsemble` view over the shard clocks
 (parallel shards: elapsed time is the slowest member).
 
@@ -48,13 +50,7 @@ from repro.core.errors import (
 from repro.core.hashing import KeyLike, key_data
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.flashsim.clock import ClockEnsemble
-from repro.service.batch import (
-    DEFAULT_DISPATCH_OVERHEAD_MS,
-    DEFAULT_ROUTING_COST_MS,
-    BatchExecutor,
-    BatchResult,
-    batch_columns,
-)
+from repro.service.batch import BatchExecutor, BatchResult, batch_columns
 from repro.service.router import HandoffStats, ShardRouter
 from repro.service.shard import LocalShard
 from repro.telemetry import trace as _trace
@@ -279,11 +275,9 @@ class ClusterService:
         self.hinted_handoffs = 0
         self.recoveries = 0
         #: In-flight :class:`~repro.service.rebalance.MigrationState`, installed
-        #: by a :class:`~repro.service.rebalance.KeyMigrator` while an online
-        #: scale-out/scale-in is moving key-range arcs.  While set, the
-        #: executor places every read/write by its ``replicas_for`` so arcs
-        #: being moved are double-read (old owners first) and dual-written;
-        #: ``None`` costs one attribute check per batch.
+        #: by a :class:`~repro.service.rebalance.KeyMigrator` while key-range
+        #: arcs move; while set, every operation is placed by its
+        #: ``replicas_for`` (:meth:`replicas_for`).
         self.migration = None
         #: Most recent :class:`~repro.service.recovery.RecoveryReport`.
         self.last_recovery = None
@@ -389,12 +383,10 @@ class ClusterService:
         """Clear faults and error state; the shard resumes serving.
 
         A healed shard kept its data but missed every write and delete issued
-        while it was unavailable.  Those are replayed here from the hinted-
-        handoff log before the shard rejoins: each hinted key's current value
-        is read from the live replicas and installed (or, if the key was
-        deleted meanwhile, deleted) on the healed shard, so it comes back
-        neither missing recent keys nor serving stale values.  Read-repair
-        on the lookup path remains as a second line of defence.
+        while it was unavailable; :meth:`_replay_hints_for` replays those from
+        the hinted-handoff log first, so it comes back neither missing recent
+        keys nor serving stale values.  Read-repair remains a second line of
+        defence.
         """
         if shard_id not in self.shards:
             raise ConfigurationError(f"shard {shard_id!r} not present")
@@ -406,15 +398,30 @@ class ClusterService:
         self._replay_hints_for(shard_id)
 
     def _replay_hints_for(self, shard_id: str) -> int:
-        """Replay the hinted-handoff log onto a shard that just rejoined.
-
-        Shared by :meth:`heal_shard`, :meth:`reopen_shard` and the parallel
-        cluster's worker restart; returns how many hints were replayed.
-        """
-        replayed_before = self.hinted_handoffs
+        """Replay the hinted-handoff log onto a shard that just rejoined
+        (:meth:`heal_shard`, :meth:`reopen_shard`, a worker restart); returns
+        how many hints were replayed.  Each key's state is what the other
+        replicas of its current placement (:meth:`replicas_for`) say now: a
+        value is installed, a miss they agree on is the missed delete — one
+        write sub-batch, in key order.  A key the placement no longer puts on
+        the shard is dropped; one no replica answered for stays hinted, and
+        so does every key when the shard fails the sub-batch."""
+        others = {}
         for key in sorted(self._hints.pop(shard_id, ())):
-            self._replay_hint(shard_id, key)
-        replayed = self.hinted_handoffs - replayed_before
+            replicas = self.replicas_for(key)
+            if shard_id in replicas:
+                others[key] = [other for other in replicas if other != shard_id]
+        copies = self.executor.first_copies(others)
+        writes = [
+            (OpKind.DELETE, key, b"") if value is None else (OpKind.INSERT, key, value)
+            for key, (value, _) in sorted(copies.items())
+        ]
+        replayed = len(self.executor.execute_directed({shard_id: writes}).get(shard_id, ()))
+        self.hinted_handoffs += replayed
+        kept = {key for key in others if key not in copies}
+        kept.update(key for _, key, _ in writes[replayed:])
+        if kept:
+            self._hints[shard_id] = kept
         if replayed:
             self.events.record("hinted_handoff_replay", shard=shard_id, keys_replayed=replayed)
         return replayed
@@ -428,8 +435,8 @@ class ClusterService:
         this shard (with ``replication_factor >= 2`` the other replicas still
         hold them and read-repair restores this copy lazily).  Writes the
         shard missed *while marked down* are then replayed from the hinted-
-        handoff log, exactly as :meth:`heal_shard` does, and the shard
-        rejoins the ring without any re-replication sweep.
+        handoff log as one write sub-batch, exactly as :meth:`heal_shard`
+        does, and the shard rejoins the ring without any re-replication sweep.
 
         Returns the shard's :class:`~repro.core.recovery.CrashRecoveryReport`.
         """
@@ -464,31 +471,6 @@ class ClusterService:
         if shard_id in self.shards:
             self._hints.setdefault(shard_id, set()).add(key_data(key))
 
-    def _replay_hint(self, shard_id: str, key: bytes) -> None:
-        """Bring one hinted key on a healed shard up to date.
-
-        The authoritative state is whatever the other live replicas say right
-        now: a found value is installed on the healed shard (overwriting any
-        stale version it kept), a unanimous miss means the key was deleted
-        while the shard was down, so the missed delete is applied.  If no
-        other replica can answer, the hint is retained for the next heal.
-        """
-        replicas = self.router.preference_list(key, self.replication_factor)
-        if shard_id not in replicas:
-            return  # the ring changed; the healed shard no longer hosts this key
-        answered, value = self._first_live_copy(
-            key, [other_id for other_id in replicas if other_id != shard_id]
-        )
-        if value is not None:
-            if self._shard_op(shard_id, "insert", key, value) is not None:
-                self.hinted_handoffs += 1
-        elif answered:
-            # Every live replica misses: apply the delete this shard missed.
-            if self._shard_op(shard_id, "delete", key) is not None:
-                self.hinted_handoffs += 1
-        else:
-            self._hints.setdefault(shard_id, set()).add(key)
-
     # -- HashIndex interface ------------------------------------------------------------
 
     def shard_for(self, key: KeyLike) -> str:
@@ -496,54 +478,12 @@ class ClusterService:
         return self.router.route(key)
 
     def replicas_for(self, key: KeyLike) -> Tuple[str, ...]:
-        """The key's full preference list (length ``replication_factor``)."""
+        """The shards an operation on ``key`` uses right now: its preference
+        list, or — while a migration moves its arc — the placement
+        ``migration.replicas_for`` answers with."""
+        if self.migration is not None:
+            return self.migration.replicas_for(key)
         return self.router.preference_list(key, self.replication_factor)
-
-    def _shard_op(self, shard_id: str, op_name: str, *args):
-        """One *directed* operation against one shard; None if the shard fails.
-
-        The primitive under hint replay, read repair and migration (recovery
-        and key scans included) — work aimed at a specific shard rather than at a key's replicas
-        (client reads and writes go through :meth:`execute_batch`).  Charges
-        one dispatch + routing overhead to the shard's clock and folds any
-        :class:`DeviceFailedError` into the error counters.
-        """
-        shard = self.shards[shard_id]
-        shard.clock.advance(DEFAULT_DISPATCH_OVERHEAD_MS + DEFAULT_ROUTING_COST_MS)
-        try:
-            return getattr(shard, op_name)(*args)
-        except DeviceFailedError:
-            self.record_shard_error(shard_id)
-            return None
-
-    def _first_live_copy(
-        self, key: KeyLike, shard_ids: Iterable[str]
-    ) -> Tuple[bool, Optional[bytes]]:
-        """Ask ``shard_ids`` in order for ``key``: ``(answered, value)``.
-
-        The replica walk under hint replay and migration: down
-        shards are skipped, one that fails mid-lookup is counted and skipped,
-        and the walk stops at the first copy found.  ``answered`` tells a
-        miss every asked shard agreed on from nobody having replied at all.
-        """
-        answered = False
-        for shard_id in shard_ids:
-            if not self.is_live(shard_id):
-                continue
-            result = self._shard_op(shard_id, "lookup", key)
-            if result is None:
-                continue
-            if result.found:
-                return True, result.value
-            answered = True
-        return answered, None
-
-    def _read_repair(self, shard_id: str, key: KeyLike, value: bytes) -> bool:
-        """Re-insert a value on a replica found to be missing it."""
-        repaired = self._shard_op(shard_id, "insert", key, value) is not None
-        if repaired:
-            self.read_repairs += 1
-        return repaired
 
     def _one(self, kind: OpKind, key: KeyLike, value: bytes = b""):
         """A single operation is a batch of one: same replica semantics, same

@@ -318,11 +318,10 @@ class RemoteShard:
     """Parent-side proxy for one shard worker process.
 
     Implements the shard interface of :mod:`repro.service.shard` over the
-    wire: batches as one frame each way (the ``HashIndex`` methods are
-    one-operation batch frames, so they share that path and its clock
-    policy), everything else as control frames.  On top of the interface it
-    exposes what only a process has: ``pid``, ``alive``, ``kill()``,
-    ``cpu_seconds()``.
+    wire: batches as one frame each way (the ``HashIndex`` methods, kept for
+    inspection, are one-operation batch frames), everything else as control
+    frames.  On top of the interface it exposes what only a process has:
+    ``pid``, ``alive``, ``kill()``, ``cpu_seconds()``.
 
     Transport failures (EOF, broken pipe) mark the proxy dead and raise
     :class:`~repro.core.errors.WorkerDiedError` so callers handle a dead

@@ -23,15 +23,16 @@ replica sets: scale-out, scale-in and failure recovery
   membership change, seeds each arc's copy queue by scanning its old owners'
   keys, then streams keys — in key order, so the copy sequence depends on the
   keys alone — in bounded :meth:`~KeyMigrator.step` batches interleaved with
-  live traffic.  An arc whose queue drains is **cut over** atomically (one
-  state flip) and the copies on owners that left its preference list are
-  retired.  A key counts as copied only once at least one *live* new-ring
-  replica is confirmed to hold it, so killing the joining shard mid-migration
-  at ``replication_factor >= 2`` degrades to hinted handoff instead of data
-  loss.  An arc is given up as lost only when every one of its old owners has
-  left the cluster, which only a recovery's membership change does: a planned
-  scale-out or scale-in keeps the leaving shard instantiated until its last
-  arc cuts over, so it stalls instead of losing keys.
+  live traffic, each a sub-batch per shard it touches.  An arc whose queue
+  drains is **cut over** atomically (one state flip) and the copies on owners
+  that left its preference list are retired.  A key counts as copied only
+  once at least one *live* new-ring replica is confirmed to hold it, so
+  killing the joining shard mid-migration at ``replication_factor >= 2``
+  degrades to hinted handoff instead of data loss.  An arc is given up as
+  lost only when every one of its old owners has left the cluster, which only
+  a recovery's membership change does: a planned scale-out or scale-in keeps
+  the leaving shard instantiated until its last arc cuts over, so it stalls
+  instead of losing keys.
 * :class:`AutoscalePolicy` layers elasticity on top: driven by per-shard
   operation deltas (the hot-shard signal), read off each shard's always-on
   counters, it starts a scale-out or scale-in migration during a
@@ -43,14 +44,17 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.errors import ConfigurationError, ShardUnavailableError
+from repro.core.errors import ConfigurationError, DeviceFailedError, ShardUnavailableError
 from repro.core.hashing import KeyLike, ring_position
+from repro.service.batch import DIRECTED_OP_MS
 from repro.service.cluster import ClusterService, imbalance_factor
 from repro.service.router import RING_SPACE, HandoffStats, ShardRouter
+from repro.workloads.workload import OpKind
 
 #: Consecutive zero-progress steps after which
 #: :meth:`KeyMigrator.run_to_completion` gives up on a stalled migration.
@@ -85,7 +89,6 @@ class MigrationArc:
     keys: Set[bytes] = field(default_factory=set, init=False)
     pending: Set[bytes] = field(default_factory=set, init=False)
     copied: int = field(default=0, init=False)
-    retired: int = field(default=0, init=False)
 
     @property
     def length(self) -> int:
@@ -259,9 +262,10 @@ class KeyMigrator:
     :class:`MigrationState` overlay.
     :meth:`step` then copies a bounded batch of keys (call it from the traffic
     loop to interleave with requests), cutting arcs over as their queues
-    drain; :meth:`run_to_completion` drains everything, raising once
-    :data:`STALL_LIMIT` consecutive steps made no progress because no live
-    replica was left to copy from or confirm on.
+    drain — in one sub-batch per shard it reads, writes or retires from,
+    however many keys it moves.  :meth:`run_to_completion` drains everything,
+    raising once :data:`STALL_LIMIT` consecutive steps made no progress
+    because no live replica was left to copy from or confirm on.
 
     Parameters
     ----------
@@ -417,8 +421,14 @@ class KeyMigrator:
         cluster = self.cluster
         waiting = {shard for arc in state.arcs if not arc.seeded for shard in arc.old_replicas}
         for shard_id in sorted(waiting):
-            keys = cluster._shard_op(shard_id, "live_keys") if cluster.is_live(shard_id) else None
-            if keys is None:
+            if not cluster.is_live(shard_id):
+                continue
+            shard = cluster.shards[shard_id]
+            shard.clock.advance(DIRECTED_OP_MS)
+            try:
+                keys = shard.live_keys()
+            except DeviceFailedError:
+                cluster.record_shard_error(shard_id)
                 continue
             owned = {arc for arc in state.arcs if shard_id in arc.old_replicas}
             for arc in owned:
@@ -435,13 +445,13 @@ class KeyMigrator:
     def step(self, budget: Optional[int] = None) -> int:
         """Attempt up to ``budget`` key copies; returns the keys confirmed.
 
-        Each migrating arc's queue is drained smallest key first.  Keys whose
-        copy cannot be confirmed (no reachable old replica, or no live
-        new-ring replica to hold the value) stay queued for the next step
-        rather than dropped; an arc cuts over the moment its queue drains;
-        the migration completes — and on scale-in decommissions the leaving
-        shard — once every arc is done.  An arc no old owner's key scan has
-        answered for yet counts as blocked.
+        Each migrating arc's queue is drained smallest key first, the step's
+        keys together (:meth:`_copy`).  Keys whose copy cannot be confirmed
+        (no reachable old replica, or no live new-ring replica to hold the
+        value) stay queued for the next step rather than dropped; an arc
+        whose queue drains cuts over; the migration completes — and on
+        scale-in decommissions the leaving shard — once every arc is done.
+        An arc no old owner's key scan has answered for yet counts as blocked.
         """
         state = self._require_active()
         budget = self.batch_size if budget is None else budget
@@ -450,24 +460,23 @@ class KeyMigrator:
         self._steps += 1
         self._scan(state)
         self._promote_arcs(state)
-        attempts = 0
-        copied = 0
-        blocked = sum(1 for arc in state.arcs if not arc.seeded)
+        visited: List[MigrationArc] = []
+        batch: List[Tuple[MigrationArc, bytes]] = []
         for arc in state.arcs:
             if arc.state is not ArcState.MIGRATING:
                 continue
-            for key in heapq.nsmallest(budget - attempts, arc.pending):
-                attempts += 1
-                if self._copy_key(arc, key):
-                    arc.pending.discard(key)
-                    arc.copied += 1
-                    copied += 1
-                else:
-                    blocked += 1
-            if not arc.pending:
-                self._cut_over(arc)
-            if attempts >= budget:
+            visited.append(arc)
+            batch.extend((arc, key) for key in heapq.nsmallest(budget - len(batch), arc.pending))
+            if len(batch) >= budget:
                 break
+        safe = self._copy(batch)
+        for arc, key in batch:
+            if key in safe:
+                arc.pending.discard(key)
+                arc.copied += 1
+        copied = len(safe)
+        blocked = sum(1 for arc in state.arcs if not arc.seeded) + len(batch) - copied
+        self._cut_over([arc for arc in visited if not arc.pending])
         self._keys_copied += copied
         self._blocked_retries += blocked
         if copied == 0 and blocked > 0:
@@ -501,86 +510,103 @@ class KeyMigrator:
                 arc.state = ArcState.MIGRATING
                 active += 1
 
-    def _copy_key(self, arc: MigrationArc, key: bytes) -> bool:
-        """Copy one key to the arc's new owners; True once its copy is safe.
+    def _copy(self, batch: List[Tuple[MigrationArc, bytes]]) -> Set[bytes]:
+        """Copy a step's keys to their arcs' new owners; returns those now safe.
 
         Reads old-first (the authoritative side), writes every new owner not
-        already holding the key, and falls back to confirming — and repairing
-        if needed — a surviving old owner that stays in the new preference
-        list.  Unreachable new owners get hinted-handoff entries, so a joining
-        shard killed mid-migration catches up on heal instead of losing keys.
+        already holding a key, and for a key no new owner took confirms — and
+        repairs if needed — a surviving old owner that stays in the new
+        preference list (prefix stability at ``replication_factor >= 2``).  A
+        new owner that is down, or fails its sub-batch, is hinted for its keys,
+        so a joining shard killed mid-migration catches up on heal instead of
+        losing keys.
         """
-        cluster = self.cluster
-        answered, value = cluster._first_live_copy(key, arc.old_replicas)
-        if not answered:
-            return False
-        if value is None:
-            # Deleted while queued (or never fully replicated): nothing to move.
-            arc.keys.discard(key)
-            self.keys_lost += 1
-            return True
-        placed = False
-        for target in arc.new_replicas:
-            if target in arc.old_replicas:
+        cluster, executor = self.cluster, self.cluster.executor
+        copies = executor.first_copies({key: arc.old_replicas for arc, key in batch})
+        safe: Set[bytes] = set()
+        moving: Dict[bytes, Tuple[MigrationArc, bytes]] = {}
+        writes: Dict[str, List[Tuple[OpKind, bytes, bytes]]] = {}
+        for arc, key in batch:
+            if key not in copies:
+                continue  # no old owner answered: blocked
+            value = copies[key][0]
+            if value is None:  # deleted while queued: nothing to move
+                arc.keys.discard(key)
+                self.keys_lost += 1
+                safe.add(key)
                 continue
-            if (
-                cluster.is_live(target)
-                and cluster._shard_op(target, "insert", key, value) is not None
-            ):
-                placed = True
-                self.keys_gained[target] = self.keys_gained.get(target, 0) + 1
+            moving[key] = (arc, value)
+            for target in arc.new_replicas:
+                if target not in arc.old_replicas:
+                    writes.setdefault(target, []).append((OpKind.INSERT, key, value))
+        done = executor.execute_directed({t: w for t, w in writes.items() if cluster.is_live(t)})
+        for target, operations in writes.items():
+            if target in done:
+                self.keys_gained[target] = self.keys_gained.get(target, 0) + len(operations)
+                safe.update(key for _, key, _ in operations)
             else:
-                cluster._record_hint(target, key)
-        if not placed:
-            # Every genuinely-new owner is unreachable.  The key is still safe
-            # if a surviving old owner remains in the new preference list (the
-            # prefix-stability guarantee at replication_factor >= 2): verify —
-            # and repair — that copy before counting the key as confirmed.
-            for survivor in arc.new_replicas:
-                if survivor not in arc.old_replicas or not cluster.is_live(survivor):
-                    continue
-                result = cluster._shard_op(survivor, "lookup", key)
-                if result is None:
-                    continue
-                if result.found:
-                    placed = True
-                    break
-                if cluster._read_repair(survivor, key, value):
-                    placed = True
-                    break
-        return placed
+                for _, key, _ in operations:
+                    cluster._record_hint(target, key)
+        survivors = {
+            key: [shard_id for shard_id in arc.new_replicas if shard_id in arc.old_replicas]
+            for key, (arc, _) in moving.items()
+            if key not in safe
+        }
+        repairs: Dict[str, List[Tuple[OpKind, bytes, bytes]]] = {}
+        for key, (value, shard_id) in executor.first_copies(survivors).items():
+            if value is not None:
+                safe.add(key)
+            else:
+                repairs.setdefault(shard_id, []).append((OpKind.INSERT, key, moving[key][1]))
+        for shard_id, results in executor.execute_directed(repairs).items():
+            cluster.read_repairs += len(results)
+            safe.update(key for _, key, _ in repairs[shard_id])
+        return safe
 
-    def _cut_over(self, arc: MigrationArc) -> None:
-        """Atomically retire one drained arc.
+    def _cut_over(self, arcs: List[MigrationArc]) -> None:
+        """Atomically retire drained arcs.
 
         The state flip is the atomic step: from the next operation on, keys in
-        the arc route to the new owners only.  Copies on owners that left the
-        preference list are then deleted (a scale-in's leaving shard is
-        skipped — it is decommissioned wholesale at completion).
+        an arc route to the new owners only.  Copies on owners that left the
+        preference list are then deleted, one sub-batch per retiring owner (a
+        scale-in's leaving shard is skipped — it is decommissioned wholesale
+        at completion).
         """
-        cluster = self.cluster
-        arc.state = ArcState.DONE
-        retiring = tuple(
-            shard_id
+        for arc in arcs:
+            arc.state = ArcState.DONE
+        retired = self._delete_keys(
+            (arc, shard_id)
+            for arc in arcs
             for shard_id in arc.old_replicas
             if shard_id not in arc.new_replicas and shard_id != self._subject
         )
-        for key in sorted(arc.keys):
-            for shard_id in retiring:
-                if not cluster.is_live(shard_id):
-                    continue
-                if cluster._shard_op(shard_id, "delete", key) is not None:
-                    arc.retired += 1
-        self._keys_retired += arc.retired
-        cluster.events.record(
-            "arc_cut_over",
-            shard=self._subject,
-            arc_start=f"{arc.start:016x}",
-            arc_end=f"{arc.end:016x}",
-            keys=len(arc.keys),
-            copied=arc.copied,
-            retired=arc.retired,
-        )
+        for arc in arcs:
+            self._keys_retired += retired[arc]
+            self.cluster.events.record(
+                "arc_cut_over",
+                shard=self._subject,
+                arc_start=f"{arc.start:016x}",
+                arc_end=f"{arc.end:016x}",
+                keys=len(arc.keys),
+                copied=arc.copied,
+                retired=retired[arc],
+            )
+
+    def _delete_keys(self, copies: Iterable[Tuple[MigrationArc, str]]) -> Counter:
+        """Delete each arc's keys from the live shard paired with it, one
+        sub-batch per shard; counts the deletes that ran per arc."""
+        cluster = self.cluster
+        deletes: Dict[str, List[Tuple[OpKind, bytes, bytes]]] = {}
+        owners: Dict[str, List[MigrationArc]] = {}
+        for arc, shard_id in copies:
+            if cluster.is_live(shard_id):
+                keys = sorted(arc.keys)
+                deletes.setdefault(shard_id, []).extend((OpKind.DELETE, key, b"") for key in keys)
+                owners.setdefault(shard_id, []).extend([arc] * len(keys))
+        ran: Counter = Counter()
+        for shard_id in cluster.executor.execute_directed(deletes):
+            ran.update(owners[shard_id])
+        return ran
 
     def _complete(self) -> MigrationReport:
         cluster = self.cluster
@@ -634,14 +660,12 @@ class KeyMigrator:
                 "retired); drain the migration with run_to_completion instead"
             )
         cluster = self.cluster
-        scrubbed = 0
-        for arc in state.arcs:
-            for key in sorted(arc.keys):
-                for target in arc.new_replicas:
-                    if target in arc.old_replicas or not cluster.is_live(target):
-                        continue
-                    if cluster._shard_op(target, "delete", key) is not None:
-                        scrubbed += 1
+        scrubbed = self._delete_keys(
+            (arc, target)
+            for arc in state.arcs
+            for target in arc.new_replicas
+            if target not in arc.old_replicas
+        )
         cluster.migration = None
         self._state = None
         if self._direction == "scale-out":
@@ -652,7 +676,7 @@ class KeyMigrator:
             "migration_aborted",
             direction=self._direction,
             shard=self._subject,
-            keys_scrubbed=scrubbed,
+            keys_scrubbed=sum(scrubbed.values()),
         )
 
 

@@ -8,10 +8,11 @@ whichever side of a process boundary it lives on:
     the shard's time line, advanced by dispatch overheads and device work;
 ``send_batch(operations, extra_advance_ms)`` / ``recv_batch(probe_timeout_ms)``
     the scatter and gather halves of one sub-batch, the latter returning
-    ``(results, error_code, message, busy_ms)``;
+    ``(results, error_code, message, busy_ms)`` — the only way the cluster
+    reads or writes a shard, client batches and its own maintenance alike;
 ``lookup`` / ``insert`` / ``update`` / ``delete``
-    the :class:`~repro.workloads.runner.HashIndex` operations, for directed
-    one-shard work (hint replay, read repair, migration);
+    the :class:`~repro.workloads.runner.HashIndex` operations as
+    one-operation batches, kept for inspecting a single shard;
 ``live_keys()``
     every key the shard still owes, the scan a migration seeds its queues from;
 ``counters()``, ``telemetry_registry()``, ``recovery_report``

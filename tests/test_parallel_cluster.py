@@ -116,9 +116,9 @@ class TestBitIdenticalParity:
 
 
     def test_remote_shard_single_ops_answer_what_a_local_shard_does(self, cluster_config):
-        """Directed one-shard operations (hint replay, recovery, migration)
-        take keys of any supported type on both sides of the process
-        boundary and mean the same key by them."""
+        """A shard's one-operation methods, kept for inspection, take keys of
+        any supported type on both sides of the process boundary and mean the
+        same key by them."""
         keys = [5, 0x0102, "abc", memoryview(b"mv-key"), bytearray(b"ba-key"), b"plain"]
         local = LocalShard("shard-0", cluster_config, "intel-ssd")
         with ParallelClusterService(num_shards=1, config=cluster_config) as parallel:
@@ -262,6 +262,51 @@ class TestWorkerFailure:
             ParallelClusterService(
                 num_shards=2, config=cluster_config, storage="no-such-profile"
             )
+
+
+class TestMaintenanceFrames:
+    """The cluster's own maintenance reaches a worker one sub-batch frame per
+    shard, not one round trip per key (frames = the change in each
+    RemoteShard's sequence number)."""
+
+    @staticmethod
+    def sequence_numbers(cluster):
+        return {shard_id: shard._seq for shard_id, shard in cluster.shards.items()}
+
+    def frames_since(self, cluster, before):
+        after = self.sequence_numbers(cluster)
+        return sum(seq - before.get(shard_id, 0) for shard_id, seq in after.items())
+
+    @staticmethod
+    def populated(keys):
+        cluster = ParallelClusterService(
+            num_shards=3, replication_factor=2, virtual_nodes=16, config=CLAMConfig.scaled()
+        )
+        cluster.insert_batch([(key, b"v1") for key in keys])
+        return cluster
+
+    def test_scale_out_sends_a_bounded_number_of_frames(self):
+        keys = [b"frames-%d" % i for i in range(1_200)]
+        with self.populated(keys) as cluster:
+            before = self.sequence_numbers(cluster)
+            migrator = KeyMigrator(cluster, batch_size=48)
+            migrator.start_add()
+            report = migrator.run_to_completion()
+            assert report.keys_copied > 500
+            assert self.frames_since(cluster, before) <= 250  # one round trip per key: ~1,900
+            assert all(cluster.lookup(key).value == b"v1" for key in keys)
+
+    def test_heal_sends_a_bounded_number_of_frames(self):
+        keys = [b"frames-%d" % i for i in range(400)]
+        with self.populated(keys) as cluster:
+            cluster.fail_shard("shard-1")
+            cluster.insert_batch([(key, b"v2") for key in keys])
+            hinted = len(cluster._hints["shard-1"])
+            assert hinted > 150
+            before = self.sequence_numbers(cluster)
+            cluster.heal_shard("shard-1")
+            assert cluster.hinted_handoffs == hinted
+            assert self.frames_since(cluster, before) <= 10  # per key: 2 x hints + 1
 
 
 class TestPersistentWorkers:

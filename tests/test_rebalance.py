@@ -35,12 +35,14 @@ from repro.workloads.workload import Operation, OpKind
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
-def populated_cluster(num_shards=4, replication_factor=2, keys=250, **kwargs):
+def populated_cluster(
+    num_shards=4, replication_factor=2, keys=250, namespace=b"rebalance", **kwargs
+):
     kwargs.setdefault("virtual_nodes", 16)
     cluster = ClusterService(
         num_shards=num_shards, replication_factor=replication_factor, **kwargs
     )
-    inserted = [fingerprint_for(i, namespace=b"rebalance") for i in range(keys)]
+    inserted = [fingerprint_for(i, namespace=namespace) for i in range(keys)]
     for key in inserted:
         cluster.insert(key, b"value-" + key[:6])
     return cluster, inserted
@@ -134,7 +136,7 @@ class TestScaleOut:
         for key in inserted[:50]:
             replicas = cluster.replicas_for(key)
             for shard_id in cluster.shard_ids:
-                found = cluster._shard_op(shard_id, "lookup", key).found
+                found = cluster.shards[shard_id].lookup(key).found
                 assert found == (shard_id in replicas), (key, shard_id)
 
     def test_migration_events_in_causal_order(self):
@@ -372,6 +374,55 @@ class TestKillJoiningShard:
         # With no replica to confirm on, draining must refuse to cut over.
         with pytest.raises(ShardUnavailableError, match="stalled"):
             migrator.run_to_completion()
+
+    def test_rf1_keys_of_a_failed_copy_sub_batch_stay_pending_and_hinted(self):
+        """The joining shard's device fails part-way through a step's insert
+        sub-batch (a flush hits an I/O error).  At RF=1 no survivor can vouch
+        for the keys, so every key of that sub-batch stays queued and hinted —
+        a failed flush drops the writes it had buffered — and nothing is lost
+        once the shard heals."""
+        config = CLAMConfig.scaled(
+            num_super_tables=1, buffer_capacity_items=16, incarnations_per_table=16
+        )
+        cluster = ClusterService(
+            num_shards=3, replication_factor=1, virtual_nodes=16, config=config
+        )
+        keys = [fingerprint_for(i, namespace=b"copy-cut") for i in range(150)]
+        cluster.insert_batch([(key, b"v") for key in keys])
+        migrator = KeyMigrator(cluster, batch_size=48)
+        joining = migrator.start_add()
+        cluster.fail_shard(joining, "io-errors", error_rate=1.0)
+        assert migrator.step() == 0
+        state = cluster.migration
+        assert 0 < cluster.shards[joining].counters()["inserts"] < 48  # failed part-way
+        assert cluster.shard_errors == {joining: 1}
+        hinted = cluster._hints[joining]
+        assert len(hinted) > 16
+        assert all(key in state.arc_for_hash(ring_position(key)).pending for key in hinted)
+        cluster.heal_shard(joining)
+        migrator.run_to_completion()
+        assert all(cluster.lookup(key).value == b"v" for key in keys)
+
+
+class TestHealDuringMigration:
+    def test_hints_replay_against_the_placement_the_migration_routes_by(self):
+        """A heal while arcs are pending replays each hint from the key's
+        current placement (its old owners), not from the new ring's preference
+        list, whose joining shard holds no copy yet."""
+        cluster, keys = populated_cluster(keys=300, namespace=b"heal-mig")
+        cluster.fail_shard("shard-1")
+        cluster.insert_batch([(key, b"v2") for key in keys])
+        hinted = set(cluster._hints["shard-1"])
+        KeyMigrator(cluster, batch_size=8, max_active_arcs=1).start_add()
+        cluster.heal_shard("shard-1")
+        assert cluster.hinted_handoffs == len(hinted)
+        served = [key for key in sorted(hinted) if "shard-1" in cluster.replicas_for(key)]
+        assert served == sorted(hinted)
+        assert all(cluster.shards["shard-1"].lookup(key).value == b"v2" for key in served)
+        # With the other old owner gone, the healed copy is what answers.
+        (partner,) = (s for s in cluster.replicas_for(served[0]) if s != "shard-1")
+        cluster.fail_shard(partner)
+        assert cluster.lookup(served[0]).value == b"v2"
 
 
 class TestAbort:

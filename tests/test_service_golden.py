@@ -13,11 +13,12 @@ sub-batch, batches that end in ``ShardUnavailableError`` (their
 — and digests, phase by phase, every result record, every
 :class:`~repro.service.batch.BatchResult` field, the event log, each shard
 clock, the merged counters and the replication bookkeeping.  ``GOLDEN`` was
-generated at commit ``b51fb6c`` once the parent's key catalog left the
-digest; seeding migrations from the shards' own key scans then moved only the
-``migration`` phases and ``reached`` (``python tests/test_service_golden.py``
-prints a fresh table).  It must only ever be regenerated by a change that
-*means* to alter simulated behaviour.
+generated at commit ``c2b37ca``; sending hint replay, read repair and
+migration as per-shard sub-batches then moved every phase with maintenance in
+it (one charge per sub-batch, each shard's operations regrouped) and, through
+the hint replay reading a migration's placement, ``reached``
+(``python tests/test_service_golden.py`` prints a fresh table).  It must only
+ever be regenerated by a change that *means* to alter simulated behaviour.
 """
 
 from __future__ import annotations
@@ -348,7 +349,7 @@ GOLDEN = {
         'healed': 'c1b2e230690f3181406f2505',
         'io-errors': '000a5f3352e6faa635b6bb66',
         'unavailable': '8933151808edec6d40820b6b',
-        'migration': 'b7307dbfcec1f54fb2ddd3d8',
+        'migration': '8965bb27bb935c162913e800',
         'reached': {
             'batches': 1183, 'unavailable': 33, 'partial_results': 319, 'failed_shards': 0,
             'retried': 0, 'truncated': 0, 'read_repairs': 0, 'hinted_handoffs': 0,
@@ -360,13 +361,13 @@ GOLDEN = {
         'mixed': 'b94a49a9a39e07407271cd67',
         'repeats': 'd23dc5c5dbb89fc5c151d246',
         'crash': '8454db56c737cf301ba25c2e',
-        'healed': 'bbb2d8a3281d0dd1f34e920c',
-        'io-errors': '4591c73f7d24db4b0d91d03c',
-        'unavailable': 'ce0bdb10c9449c739f807a5a',
-        'migration': '1db27dbef988d363a3975cb3',
+        'healed': 'fef24fb571b2505d416aa02e',
+        'io-errors': '857ecb0219c9d3c1da36d36d',
+        'unavailable': '065645ec21de1e5e1d31f627',
+        'migration': '9a8441b3109bbe95f064e9d6',
         'reached': {
             'batches': 1233, 'unavailable': 7, 'partial_results': 2, 'failed_shards': 9,
-            'retried': 113, 'truncated': 7, 'read_repairs': 36, 'hinted_handoffs': 288,
+            'retried': 113, 'truncated': 7, 'read_repairs': 31, 'hinted_handoffs': 289,
             'migration_steps': 21, 'shards_marked_down': 11, 'flushes': 197, 'evictions': 117,
         },
     },
@@ -375,13 +376,13 @@ GOLDEN = {
         'mixed': '163e5b66c0e58552602b21ab',
         'repeats': 'd0d076e7bd0300f966c01d03',
         'crash': 'ba7a757f67c2e70110a249b2',
-        'healed': 'db401ec48bae320cd4725546',
-        'io-errors': '9094bbd5588c268d32a41fd0',
-        'unavailable': '3e54e71663f768af70309eb7',
-        'migration': 'be490f6c78f5619380911441',
+        'healed': '5b9ab6fd3a9f5837bee0f437',
+        'io-errors': '5b2a638e3e32d436be811f7f',
+        'unavailable': '867ee2e9fe10a6f719274629',
+        'migration': '7e7f4b2582c9d606694fba0f',
         'reached': {
             'batches': 1231, 'unavailable': 6, 'partial_results': 60, 'failed_shards': 10,
-            'retried': 80, 'truncated': 8, 'read_repairs': 68, 'hinted_handoffs': 748,
+            'retried': 80, 'truncated': 8, 'read_repairs': 68, 'hinted_handoffs': 752,
             'migration_steps': 20, 'shards_marked_down': 13, 'flushes': 266, 'evictions': 186,
         },
     },
@@ -390,13 +391,13 @@ GOLDEN = {
         'mixed': 'b94a49a9a39e07407271cd67',
         'repeats': 'd23dc5c5dbb89fc5c151d246',
         'crash': '103c7d2aae0b7944a4ef8c70',
-        'healed': '86eaacbce679b5313a78ac44',
-        'io-errors': '58faf60324d84890fc80641f',
-        'unavailable': '84de20d4a242031ad15211b0',
-        'migration': 'a64dc781ac5c6b15b722e2a8',
+        'healed': 'acf392d37164dc6c4c81fb50',
+        'io-errors': 'fd9cabd57f4b25e221363c5d',
+        'unavailable': '846605354faf8629015ec670',
+        'migration': 'e99aa8438b0d2a286ced3ac6',
         'reached': {
             'batches': 1233, 'unavailable': 7, 'partial_results': 2, 'failed_shards': 12,
-            'retried': 161, 'truncated': 10, 'read_repairs': 35, 'hinted_handoffs': 193,
+            'retried': 161, 'truncated': 10, 'read_repairs': 30, 'hinted_handoffs': 194,
             'migration_steps': 21, 'shards_marked_down': 7, 'flushes': 197, 'evictions': 117,
         },
     },

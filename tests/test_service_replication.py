@@ -3,8 +3,10 @@ typed unavailability errors and shard health tracking."""
 
 import pytest
 
+from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError, ShardUnavailableError
 from repro.service import ClusterService
+from repro.service.shard import LocalShard
 from repro.workloads import fingerprint_for
 from repro.workloads.workload import Operation, OpKind
 
@@ -307,3 +309,56 @@ class TestHintedHandoff:
         cluster.execute_batch([Operation(OpKind.INSERT, key, b"v1")])
         cluster.heal_shard(secondary)
         assert cluster.shards[secondary].lookup(key).value == b"v1"
+
+
+class TestTruncatedDirectedSubBatches:
+    """A shard whose device fails part-way through a directed sub-batch (a
+    flush hits an I/O error) counts one error for it, and nothing the
+    sub-batch ran is trusted: a failed flush drops the writes it buffered."""
+
+    SMALL = CLAMConfig.scaled(
+        num_super_tables=1, buffer_capacity_items=16, incarnations_per_table=16
+    )
+
+    def test_a_failed_hint_replay_keeps_every_hint(self):
+        cluster = make_cluster(num_shards=3, virtual_nodes=16, config=self.SMALL)
+        keys = sample_keys(120, namespace=b"replay-cut")
+        cluster.insert_batch([(key, b"v1") for key in keys])
+        cluster.fail_shard("shard-1")
+        cluster.insert_batch([(key, b"v2") for key in keys])
+        hinted = set(cluster._hints["shard-1"])
+        shard = cluster.shards["shard-1"]
+        inserts = shard.counters()["inserts"]
+
+        def heal_into_io_errors():  # the device fails again as it rejoins
+            LocalShard.heal(shard)
+            shard.inject_fault("io-errors", {"error_rate": 1.0})
+
+        shard.heal = heal_into_io_errors
+        cluster.heal_shard("shard-1")
+        assert 0 < shard.counters()["inserts"] - inserts < len(hinted)  # failed part-way
+        assert cluster.shard_errors == {"shard-1": 1}
+        assert cluster.hinted_handoffs == 0
+        assert cluster._hints["shard-1"] == hinted
+        del shard.heal
+        cluster.heal_shard("shard-1")
+        assert "shard-1" not in cluster._hints
+        assert all(shard.lookup(key).value == b"v2" for key in hinted)
+        assert all(cluster.lookup(key).value == b"v2" for key in keys)
+
+    def test_a_failed_repair_sub_batch_counts_one_error(self):
+        cluster = make_cluster(num_shards=2, virtual_nodes=16, config=self.SMALL)
+        keys = sample_keys(60, namespace=b"repair-cut")
+        cluster.fail_shard("shard-1")
+        cluster.insert_batch([(key, b"v") for key in keys])
+        cluster._hints.clear()  # lost hints: only read repair can restore shard-1
+        cluster.heal_shard("shard-1")
+        cluster.fail_shard("shard-1", "io-errors", error_rate=1.0)
+        owed = sum(cluster.shard_for(key) == "shard-1" for key in keys)
+        assert owed > 16  # more repairs than shard-1's buffer holds
+        assert all(result.value == b"v" for result in cluster.lookup_batch(keys))
+        assert 0 < cluster.shards["shard-1"].counters()["inserts"] < owed  # failed part-way
+        assert cluster.shard_errors == {"shard-1": 1}
+        assert cluster.read_repairs == 0
+        cluster.heal_shard("shard-1")
+        assert all(cluster.lookup(key).value == b"v" for key in keys)
