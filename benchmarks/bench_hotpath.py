@@ -31,6 +31,16 @@ device model) and counts how often key bytes are walked:
   keys in the worker's digest cache, so exactly 0).  ``benchmarks/ratchet.py``
   holds a floor of 1.5 on the first and the second exactly.
 
+* ``digest_memory`` — DRAM a cached key costs, in two readings of warm
+  digests (six CLAM words hashed, one Bloom probe of the standard geometry
+  made): ``warm_digest_bytes``, the ``sys.getsizeof`` sum of what one digest
+  owns (:func:`digest_owned`: itself and what it reaches, not its class and
+  not its key bytes), and ``bytes_per_cached_key``, tracemalloc's bytes per
+  key over :data:`DIGEST_MEMORY_KEYS` 20-byte keys brought into the digest
+  cache (digest, words, cache entry; the key bytes existed before).  Same
+  sizes in ``--quick`` and full runs; ``benchmarks/ratchet.py`` holds the
+  first exactly and both under a ceiling.
+
 * ``hash_calls_per_op`` — traversals of the key bytes per operation, by
   layer, counted with :func:`repro.core.hashing.count_hash_calls`: a cold key
   is digested once and walked exactly once (one fused traversal yields all
@@ -90,6 +100,7 @@ import gc
 import random
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from statistics import median
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -104,10 +115,12 @@ from benchmarks.common import (
 )
 from benchmarks.ratchet import assert_fraction
 from repro.core import CLAM, CLAMConfig, supertable
+from repro.core.bloom import BloomFilter
 from repro.core.buffer import Buffer
 from repro.core.hashing import (
     CLAM_SEEDS,
     KeyDigest,
+    as_digest,
     clam_words,
     clear_digest_cache,
     count_hash_calls,
@@ -131,11 +144,11 @@ QUICK = {"hot_keys": 1500, "steady_keys": 6000, "steady_ops": 6000, "flush_keys"
 #: Ceilings on the mean Python frames of ``call_budget``'s outcome classes (in
 #: the comment, what each read at ``604ebec``, before the budget was first set).
 CALL_BUDGET = {
-    "lookup_one_read": 19,  # 31
-    "lookup_two_reads": 26,  # 43.1
+    "lookup_one_read": 18,  # 31
+    "lookup_two_reads": 25,  # 43.1
     "lookup_buffer_hit": 9,  # 12
-    "lookup_cold_miss": 16,  # 21
-    "insert": 14,  # 15.0
+    "lookup_cold_miss": 15,  # 21
+    "insert": 13,  # 15.0
     "insert_flush": 196,  # 1,863
 }
 
@@ -162,6 +175,14 @@ PASS_SECONDS = 0.2
 #: (quick and full alike: the eviction cost being guarded grows with the
 #: capacity, not with the run length).
 OVERFLOW_FACTOR = 3
+
+#: ``digest_memory``: warm keys whose traced bytes are averaged (fewer than
+#: the digest cache holds, so every one stays cached).
+DIGEST_MEMORY_KEYS = 40_000
+
+#: Ceiling on ``digest_memory.warm_digest_bytes`` (564 with a tuple of words
+#: and a memo of 11 Bloom positions; six words in one array read 208).
+WARM_DIGEST_BYTES_CEILING = 220
 
 #: Absolute anchors for the trajectory, recorded once with the FULL workloads
 #: (single 24,000-operation timed loops) and never re-measured; what each is
@@ -559,6 +580,52 @@ def run_hash_once() -> Dict[str, float]:
     }
 
 
+def digest_owned(digest: KeyDigest) -> List[object]:
+    """The digest and every object reachable from it, except its class (and
+    the class's namespace: shared, not owned) and its key bytes (the key's
+    own cost, paid with or without a digest)."""
+    seen, stack, owned = {id(digest), id(digest.data)}, [digest], [digest]
+    while stack:
+        for referent in gc.get_referents(stack.pop()):
+            if isinstance(referent, type) or id(referent) in seen:
+                continue
+            seen.add(id(referent))
+            stack.append(referent)
+            owned.append(referent)
+    return owned
+
+
+def run_digest_memory() -> Dict[str, float]:
+    """DRAM per cached key: what one warm digest owns, and tracemalloc's
+    bytes per key over :data:`DIGEST_MEMORY_KEYS` keys brought into the
+    digest cache and warmed as a CLAM lookup warms them (the six CLAM words,
+    then one probe of a Bloom filter of the standard geometry)."""
+    buffer = standard_clam().bufferhash.tables[0].buffer
+    bloom = BloomFilter(buffer.bloom_bits, buffer.bloom_hashes)
+    keys = [fingerprint_for(i) for i in range(DIGEST_MEMORY_KEYS)]
+    clear_digest_cache()
+    assert digest_cache_info()["capacity"] >= len(keys), "every key must stay cached"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key in keys:
+            as_digest(key).clam_words()
+            _ = key in bloom
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    warm = as_digest(keys[-1])
+    warm_bytes = sum(sys.getsizeof(referent) for referent in digest_owned(warm))
+    clear_digest_cache()
+    return {
+        "keys": len(keys),
+        "bloom_geometry": [buffer.bloom_hashes, buffer.bloom_bits],
+        "warm_digest_bytes": warm_bytes,
+        "bytes_per_cached_key": round(traced / len(keys), 1),
+    }
+
+
 def run_steady_state(sizes: Dict[str, int]) -> float:
     """Ops/sec of a lookup/update mix against a flash-resident steady state."""
     clear_digest_cache()
@@ -696,6 +763,12 @@ def report(results: Dict, sizes: Dict[str, int], json_path: Optional[str]) -> No
         f"{hash_once['wire_first_traversals_per_op']:.2f} then "
         f"{hash_once['wire_repeat_traversals_per_op']:.2f} keys per operation"
     )
+    memory = results["digest_memory"]
+    print(
+        f"digest memory ({memory['keys']} warm 20-byte keys): one digest owns "
+        f"{memory['warm_digest_bytes']} B; the digest cache traces "
+        f"{memory['bytes_per_cached_key']:.1f} B per cached key"
+    )
     ablation = results["telemetry_ablation"]
     print(
         f"telemetry ablation (hotpath, medians of {ablation['passes']} interleaved passes): "
@@ -758,6 +831,9 @@ def check_invariants(results: Dict) -> None:
     assert results["hash_once"]["wire_first_traversals_per_op"] == 1.0
     assert results["hash_once"]["wire_repeat_traversals_per_op"] == 0.0
     assert results["hash_once"]["cold_key_fused_speedup"] >= 1.5
+    # DRAM per cached key: six words in one array, no memo of Bloom positions.
+    memory = results["digest_memory"]
+    assert memory["warm_digest_bytes"] <= WARM_DIGEST_BYTES_CEILING, memory
     # The per-operation budgets: a helper call or a per-key object that creeps
     # back onto a CLAM operation's path shows here as a whole number.
     budget = results["call_budget"]
@@ -814,6 +890,7 @@ def run_bench(
         "hash_calls_per_op": measure_hash_calls(),
         "cache_overflow": run_cache_overflow(),
         "hash_once": run_hash_once(),
+        "digest_memory": run_digest_memory(),
         "telemetry_ablation": ablation,
     }
     report(results, sizes, json_path)

@@ -185,6 +185,14 @@ REGISTRY: Dict[str, RatchetSpec] = {
             Metric("hash_once.cold_key_fused_speedup", "min-value", 1.5),
             Metric("hash_once.wire_repeat_traversals_per_op", "exact"),
             Metric("hash_once.wire_repeat_traversals_per_op", "max-value", 0),
+            # DRAM per cached key (same sizes in quick and full runs): the
+            # bytes one warm digest owns are exact, and neither reading may
+            # grow back towards a tuple of words plus a memo of positions
+            # (564 and 539.5 B); tracemalloc's per-key bytes move by a few
+            # bytes with the dict's growth, so theirs is a ceiling only.
+            Metric("digest_memory.warm_digest_bytes", "exact"),
+            Metric("digest_memory.warm_digest_bytes", "max-value", 220),
+            Metric("digest_memory.bytes_per_cached_key", "max-value", 250),
             # Exact sys.setprofile counts of one seeded script (same in quick
             # and full runs): the committed mean Python frames per CLAM
             # operation of each outcome class is a ceiling, and the blocks

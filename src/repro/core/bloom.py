@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List
 
-from repro.core.hashing import KeyDigest, KeyLike, as_digest
+from repro.core.hashing import BLOOM_H1_WORD, BLOOM_H2_WORD, KeyDigest, KeyLike, as_digest
+from repro.core.hashing import walks_bloom_positions
 
 
 def optimal_num_hashes(bits_per_item: float) -> int:
@@ -28,9 +29,10 @@ _SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in 
 class BloomFilter:
     """A fixed-size Bloom filter over arbitrary keys.
 
-    A key's bit positions are its digest's Kirsch-Mitzenmacher positions for
-    this filter's geometry (:meth:`~repro.core.hashing.KeyDigest.bloom_positions`),
-    so every filter of one geometry a key meets shares one computation.
+    ``add`` and ``in`` walk a key's Kirsch-Mitzenmacher positions from its
+    two Bloom words when :func:`~repro.core.hashing.walks_bloom_positions`
+    (a miss stops at its first clear bit; nothing is kept on the digest),
+    and ask ``digest.bloom_positions`` for a list otherwise.
 
     The bit array is a mutable ``bytearray`` (padded to whole 64-bit words),
     so ``add`` flips bits in place in O(1) per hash instead of rebuilding an
@@ -40,7 +42,7 @@ class BloomFilter:
     ``bytearray`` clone.
     """
 
-    __slots__ = ("num_bits", "num_hashes", "_bits", "_count")
+    __slots__ = ("num_bits", "num_hashes", "_bits", "_count", "_low")
 
     def __init__(self, num_bits: int, num_hashes: int) -> None:
         if num_bits <= 0:
@@ -53,6 +55,8 @@ class BloomFilter:
         # buffer as 64-bit words; bits >= num_bits are never set.
         self._bits = bytearray(((num_bits + 63) // 64) * 8)
         self._count = 0
+        # The mask a key's positions are walked with; 0: listed instead.
+        self._low = num_bits - 1 if walks_bloom_positions(num_bits) else 0
 
     @classmethod
     def for_capacity(cls, capacity: int, bits_per_item: float = 16.0) -> "BloomFilter":
@@ -70,14 +74,23 @@ class BloomFilter:
     def bit_positions(self, key: KeyLike) -> list[int]:
         """The bit indices this key maps to."""
         digest = key if type(key) is KeyDigest else as_digest(key)
-        return list(digest.bloom_positions(self.num_hashes, self.num_bits))
+        return digest.bloom_positions(self.num_hashes, self.num_bits)
 
     def add(self, key: KeyLike) -> None:
         """Insert a key into the filter."""
         bits = self._bits
         digest = key if type(key) is KeyDigest else as_digest(key)
-        for position in digest.bloom_positions(self.num_hashes, self.num_bits):
-            bits[position >> 3] |= 1 << (position & 7)
+        low = self._low
+        if low:
+            words = digest.words or digest.clam_words()
+            position = words[BLOOM_H1_WORD] & low
+            step = (words[BLOOM_H2_WORD] | 1) & low
+            for _ in range(self.num_hashes):
+                bits[position >> 3] |= 1 << (position & 7)
+                position = (position + step) & low
+        else:
+            for position in digest.bloom_positions(self.num_hashes, self.num_bits):
+                bits[position >> 3] |= 1 << (position & 7)
         self._count += 1
 
     def update(self, keys: Iterable[KeyLike]) -> None:
@@ -88,6 +101,16 @@ class BloomFilter:
     def __contains__(self, key: KeyLike) -> bool:
         bits = self._bits
         digest = key if type(key) is KeyDigest else as_digest(key)
+        low = self._low
+        if low:
+            words = digest.words or digest.clam_words()
+            position = words[BLOOM_H1_WORD] & low
+            step = (words[BLOOM_H2_WORD] | 1) & low
+            for _ in range(self.num_hashes):
+                if not bits[position >> 3] & (1 << (position & 7)):
+                    return False
+                position = (position + step) & low
+            return True
         for position in digest.bloom_positions(self.num_hashes, self.num_bits):
             if not bits[position >> 3] & (1 << (position & 7)):
                 return False

@@ -16,9 +16,9 @@ position (:data:`RING_SEED`).  This module is the only one that knows how key
 bytes become those words.  Every public boundary and every stand-alone data
 structure normalises the key it is handed with one line — ``key if type(key)
 is KeyDigest else as_digest(key)`` — and below that line a key *is* a
-:class:`KeyDigest`: layers index ``digest.words``, ask for
-``digest.bloom_positions(...)`` or call :func:`ring_position`, and never see
-a seed.  "Hash once" is literal: the first layer of a CLAM that needs any of
+:class:`KeyDigest`: layers index ``digest.words`` (a Bloom filter walks a
+key's positions from two of them) or call :func:`ring_position`, and never
+see a seed.  "Hash once" is literal: the first layer of a CLAM that needs any of
 the six CLAM words gets all six from **one traversal** of the key bytes
 (:func:`clam_words`: FNV-1a's ``v = ((v ^ byte) * prime) mod 2^64`` runs
 lane-wise on one Python integer, one 128-bit lane per seed, so a byte costs
@@ -31,22 +31,22 @@ definitions of every derived value (tests compare the pipeline against them)
 and the hash of things that are not CLAM keys, such as a router's virtual
 nodes.
 
-A :class:`KeyDigest` is flat: the key bytes, the tuple of six CLAM words
-(``words``, indexed by :data:`PARTITION_WORD` ... :data:`PAGE_WORD`), the
-ring word, and the Kirsch-Mitzenmacher Bloom positions of the one filter
-geometry the key last met, packed in an ``array``.  Values that are one
-modulo away from a word (the partition, the cuckoo bucket pair, the
-incarnation page) are not memoised: the per-operation layers of
-:mod:`repro.core` index ``words`` and reduce it themselves.  A cached digest
-owns no ``dict`` and no ``list`` — about 0.5 KB fully warmed (11 Bloom
-positions), where the dict-per-memo layout it replaces took 1.4 KB — which is
-what lets a FIFO-bounded digest cache (:func:`as_digest`, O(1) per eviction) hold one
-digest per recently used key in *every* process: the cache reuses digests
-across operations on the same key (a lookup is usually followed by an insert
-of the same fingerprint), and a shard worker interns the keys it decodes from
-the wire in it (:func:`repro.service.wire.decode_batch_request`), so a key is
-hashed once per residency in a process's cache, not once per operation that
-crosses a process boundary.  Only the canonical bytes cross it: shipping
+A :class:`KeyDigest` is flat: the key bytes, the six CLAM words in one
+``array('Q')`` (``words``, indexed by :data:`PARTITION_WORD` ...
+:data:`PAGE_WORD`) and the ring word.  Nothing one modulo or one walk away
+from a word is memoised: the layers of :mod:`repro.core` reduce ``words``
+themselves (partition, cuckoo buckets, incarnation page), and a Bloom filter
+walks a key's positions from its two Bloom words, stopping a miss at its
+first zero bit.  A cached key costs about 233 B of DRAM with its cache entry
+(540 B with a tuple of words and a memo of positions, 1.4 KB with a dict per
+memo), which is what lets a FIFO-bounded digest cache (:func:`as_digest`,
+O(1) per eviction) hold one digest per recently used key in *every* process:
+the cache reuses digests across operations on the same key (a lookup is
+usually followed by an insert of the same fingerprint), and a shard worker
+interns the keys it decodes from the wire in it
+(:func:`repro.service.wire.decode_batch_request`), so a key is hashed once
+per residency in a process's cache, not once per operation that crosses a
+process boundary.  Only the canonical bytes cross it: shipping
 memoised words would cost a packing pass to save the receiver one traversal.
 
 For measurement, :func:`count_hash_calls` records every traversal of a key's
@@ -58,13 +58,11 @@ that a cold CLAM operation walks its key exactly once and a warm one never.
 
 from __future__ import annotations
 
-import struct
 import sys
 from array import array
 from collections import deque
 from contextlib import contextmanager
-from functools import lru_cache
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Union
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -270,16 +268,18 @@ _LANE_OFFSETS = sum(
 #: ``_LANE_BYTES[b]`` is byte ``b`` repeated in every lane.
 _LANE_BYTES = [byte * _LANE_ONES for byte in range(256)]
 _LANE_STATE_SIZE = _LANE_BITS * len(CLAM_SEEDS) // 8
-_unpack_lanes = struct.Struct("<" + "Q8x" * len(CLAM_SEEDS)).unpack
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
-def clam_words(data: bytes) -> Tuple[int, ...]:
+def clam_words(data: bytes) -> "array[int]":
     """``fnv1a_64(data, seed)`` for every seed of :data:`CLAM_SEEDS`, in one
-    traversal of ``data``.
+    traversal of ``data``, as an ``array('Q')`` of six words.
 
     Each step of :func:`fnv1a_64` — xor a byte in, multiply, reduce modulo
     2^64, and the shifts and multiplications of the finaliser — is applied to
-    all six states at once, as one operation on a 768-bit integer.
+    all six states at once, as one operation on a 768-bit integer.  The words
+    are the low halves of the lanes, read straight out of the state's bytes:
+    48 contiguous bytes, not six integer objects.
     """
     if _counting:
         counts = _active_log.by_seed
@@ -297,35 +297,26 @@ def clam_words(data: bytes) -> Tuple[int, ...]:
     state ^= (state >> 33) & mask
     state = (state * 0xC4CEB9FE1A85EC53) & mask
     state ^= (state >> 33) & mask
-    return _unpack_lanes(state.to_bytes(_LANE_STATE_SIZE, "little"))
+    # Every other little-endian item is a lane's (zero) high half.
+    words = array("Q", state.to_bytes(_LANE_STATE_SIZE, "little"))[::2]
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
 
 
 _CLAM_WORD_INDEX = {seed: index for index, seed in enumerate(CLAM_SEEDS)}
 
 
-@lru_cache(maxsize=64)
-def _position_lanes(count: int, modulus: int) -> Optional[Tuple[int, int, int, int, str]]:
-    """What :meth:`KeyDigest.bloom_positions` needs to compute ``count``
-    positions modulo a power of two in one integer expression.
+def walks_bloom_positions(modulus: int) -> bool:
+    """Whether a filter of ``modulus`` bits walks a key's Bloom positions from
+    its words instead of asking :meth:`KeyDigest.bloom_positions`.
 
-    ``(ones, ramp, mask, size, typecode)``: lane ``i`` of ``ones`` is 1, of
-    ``ramp`` is ``i`` and of ``mask`` is ``modulus - 1``, in lanes the width
-    of an ``array(typecode)`` item, ``size`` bytes in all.  The narrowest
-    lane that ``count * modulus`` fits is chosen, so no ``h1 + i * h2`` (each
-    term below ``modulus``) carries into its neighbour; ``None`` when even 64
-    bits are too few.
-    """
-    for typecode in "HIQ":
-        bits = 8 * array(typecode).itemsize
-        if count * modulus <= 1 << bits:
-            break
-    else:
-        return None
-    ones = ramp = 0
-    for i in range(count):
-        ones |= 1 << bits * i
-        ramp |= i << bits * i
-    return ones, ramp, (modulus - 1) * ones, count * bits // 8, typecode
+    With ``low = modulus - 1``, the walk starts at ``words[BLOOM_H1_WORD] &
+    low`` and adds ``step = (words[BLOOM_H2_WORD] | 1) & low`` per probe,
+    masked by ``low``.  That equals :func:`double_hashes` only for a power of
+    two up to 2^64, where reducing modulo 2^64 and then modulo ``modulus``
+    keeps just the low bits of ``h1 + i * h2``."""
+    return modulus & (modulus - 1) == 0 and 0 < modulus <= 1 << 64
 
 
 class KeyDigest:
@@ -336,50 +327,39 @@ class KeyDigest:
     :data:`KeyLike`, accepted anywhere a key is).  What it memoises:
 
     ``words``
-        the six CLAM words in :data:`CLAM_SEEDS` order, or ``None`` until
-        the first CLAM layer asks; filled all at once by one
-        :func:`clam_words` traversal.  The per-operation layers of
+        the six CLAM words in :data:`CLAM_SEEDS` order, one ``array('Q')``,
+        or ``None`` until the first CLAM layer asks; filled all at once by
+        one :func:`clam_words` traversal.  The per-operation layers of
         :mod:`repro.core` read ``digest.words or digest.clam_words()`` and
         index it (:data:`PARTITION_WORD` ... :data:`PAGE_WORD`), which keeps
         a warm key's operation free of hashing call frames.
     ``ring``
         the consistent-hash ring word, from its own :func:`fnv1a_64` pass:
         all a process that only routes ever computes.
-    one Bloom geometry
-        the Kirsch-Mitzenmacher positions for the ``(count, modulus)`` the
-        key last met (every filter of one CLAM shares a geometry), packed in
-        an ``array``.
     any other seed
         in a dict that exists only once one was asked for (the baselines
         and ablations).
+
+    Bloom positions are not kept: a power-of-two filter walks them from
+    ``words`` in its own probe loop (:func:`walks_bloom_positions`), and
+    :meth:`bloom_positions` computes them afresh for any other geometry.
 
     Every derived value is bit-identical to calling :func:`hash_key` /
     :func:`double_hashes` on the raw key with the same arguments; the class
     changes only how often the bytes are traversed, never what is computed.
     """
 
-    __slots__ = (
-        "data",
-        "words",
-        "ring",
-        "_bloom_count",
-        "_bloom_modulus",
-        "_bloom_positions",
-        "_other",
-    )
+    __slots__ = ("data", "words", "ring", "_other")
 
     def __init__(self, key: "KeyLike") -> None:
         self.data = key if type(key) is bytes else to_key_bytes(key)
-        self.words: Optional[Tuple[int, ...]] = None
+        self.words: Optional["array[int]"] = None
         self.ring: Optional[int] = None
-        self._bloom_count = 0
-        self._bloom_modulus = 0
-        self._bloom_positions: Optional[Sequence[int]] = None
         self._other: Optional[Dict[int, int]] = None
         if _counting:
             _active_log.digest_builds += 1
 
-    def clam_words(self) -> Tuple[int, ...]:
+    def clam_words(self) -> "array[int]":
         """The six CLAM words, hashing the key (once, for all six) if needed."""
         words = self.words
         if words is None:
@@ -401,36 +381,16 @@ class KeyDigest:
             value = other[seed] = fnv1a_64(self.data, seed)
         return value
 
-    def bloom_positions(self, count: int, modulus: int) -> Sequence[int]:
-        """Kirsch-Mitzenmacher positions, memoised for the last geometry asked.
+    def bloom_positions(self, count: int, modulus: int) -> List[int]:
+        """Kirsch-Mitzenmacher positions, a new list on every call.
 
-        Equal to :func:`double_hashes` of the key bytes, element for element.
-        The result is the digest's own memo: read it, do not change it.
+        Equal to :func:`double_hashes` of the key bytes, element for element,
+        for any modulus; only the words they are computed from are memoised.
         """
-        if modulus == self._bloom_modulus and count == self._bloom_count:
-            return self._bloom_positions
         words = self.words or self.clam_words()
         h1 = words[BLOOM_H1_WORD]
         h2 = words[BLOOM_H2_WORD] | 1  # odd: coprime with 2^k moduli
-        lanes = _position_lanes(count, modulus) if modulus & (modulus - 1) == 0 else None
-        if lanes is not None:
-            # ``x mod 2^64 mod 2^k`` only has the low k bits of x, and those
-            # depend only on the low k bits of h1 and h2: lane i of the sum
-            # below holds ``h1 + i * h2`` — every position from one multiply
-            # each, and in the bytes an array of the lane's width reads.
-            ones, ramp, mask, size, typecode = lanes
-            low = modulus - 1
-            packed = (h1 & low) * ones + (h2 & low) * ramp & mask
-            positions = array(typecode, packed.to_bytes(size, "little"))
-            if sys.byteorder == "big":
-                positions.byteswap()
-        else:
-            values = [((h1 + i * h2) & _MASK64) % modulus for i in range(count)]
-            positions = array("H" if modulus <= 0x10000 else "Q", values)
-        self._bloom_count = count
-        self._bloom_modulus = modulus
-        self._bloom_positions = positions
-        return positions
+        return [((h1 + i * h2) & _MASK64) % modulus for i in range(count)]
 
     def memoised(self) -> Dict[int, int]:
         """Seed -> digest for every seed this handle has hashed so far; a
@@ -561,17 +521,16 @@ def double_hashes(key: KeyLike, count: int, modulus: int) -> List[int]:
     (:data:`BLOOM_SEED_H1` / :data:`BLOOM_SEED_H2`) combine linearly to
     simulate ``count`` independent hash functions, which is what Bloom
     filters need.  On raw bytes this is the reference definition of a key's
-    Bloom positions; the filters themselves read
-    :meth:`KeyDigest.bloom_positions`, which computes the positions for one
-    filter geometry once and shares them with every filter of that geometry
-    the key meets (and is what a :class:`KeyDigest` passed here answers from).
+    Bloom positions; a :class:`KeyDigest` passed here answers from its
+    memoised words (:meth:`KeyDigest.bloom_positions`), and the filters walk
+    the same positions from those words (:func:`walks_bloom_positions`).
     """
     if count <= 0:
         raise ValueError("count must be positive")
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     if type(key) is KeyDigest:
-        return list(key.bloom_positions(count, modulus))
+        return key.bloom_positions(count, modulus)
     data = key if type(key) is bytes else to_key_bytes(key)
     h1 = fnv1a_64(data, seed=BLOOM_SEED_H1)
     h2 = fnv1a_64(data, seed=BLOOM_SEED_H2) | 1  # odd: coprime with 2^k moduli

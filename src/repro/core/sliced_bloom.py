@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.bloom import BloomFilter
-from repro.core.hashing import KeyDigest, KeyLike, as_digest
+from repro.core.hashing import BLOOM_H1_WORD, BLOOM_H2_WORD, KeyDigest, KeyLike, as_digest
+from repro.core.hashing import walks_bloom_positions
 
 #: ``w``, the spare columns appended to every slice so vacated columns can be
 #: cleared lazily in word-sized batches.
@@ -52,6 +53,8 @@ class BitSlicedBloomArray:
         self.num_hashes = num_hashes
         self.max_incarnations = max_incarnations
         self.total_columns = max_incarnations + SPARE_BITS
+        # The mask a key's positions are walked with; 0: listed instead.
+        self._low = num_bits - 1 if walks_bloom_positions(num_bits) else 0
 
         # One integer per bit position; bit j of _slices[i] is bit i of the
         # Bloom filter whose incarnation occupies column j.
@@ -141,16 +144,28 @@ class BitSlicedBloomArray:
     # -- Lookup --------------------------------------------------------------------
 
     def candidates(self, key: KeyLike) -> List[object]:
-        """Incarnation identifiers that may contain ``key``, newest first."""
+        """Incarnation identifiers that may contain ``key``, newest first; the
+        probe stops at the first slice that leaves no column standing."""
         if not self._window:
             return []
         digest = key if type(key) is KeyDigest else as_digest(key)
         slices = self._slices
         combined = self._live_mask
-        for position in digest.bloom_positions(self.num_hashes, self.num_bits):
-            combined &= slices[position]
-            if combined == 0:
-                return []
+        low = self._low
+        if low:
+            words = digest.words or digest.clam_words()
+            position = words[BLOOM_H1_WORD] & low
+            step = (words[BLOOM_H2_WORD] | 1) & low
+            for _ in range(self.num_hashes):
+                combined &= slices[position]
+                if combined == 0:
+                    return []
+                position = (position + step) & low
+        else:
+            for position in digest.bloom_positions(self.num_hashes, self.num_bits):
+                combined &= slices[position]
+                if combined == 0:
+                    return []
         if not combined & (combined - 1):  # one column survived
             return [self._owner_of[combined]]
         # Newest-first so the caller sees the most recent value for a key.  A

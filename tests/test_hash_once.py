@@ -23,11 +23,13 @@ here:
 from __future__ import annotations
 
 import functools
-import gc
 import struct
+import sys
+from array import array
 
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.bench_hotpath import WARM_DIGEST_BYTES_CEILING, digest_owned
 from repro.core import CLAM, CLAMConfig, build_pages, search_page
 from repro.core.bloom import BloomFilter
 from repro.core.cuckoo import CuckooHashTable
@@ -136,6 +138,53 @@ class TestEquivalence:
         added = BloomFilter(num_bits, num_hashes)
         added.add(data)
         assert added.to_bytes() == exact.to_bytes()
+
+    @settings(max_examples=60)
+    @given(
+        stored=st.lists(st.lists(_KEY_BYTES, max_size=12), min_size=1, max_size=3),
+        probes=st.lists(_KEY_BYTES, max_size=12),
+        num_bits=st.one_of(
+            st.integers(min_value=0, max_value=12).map(lambda k: 1 << k),  # walked
+            st.integers(min_value=1, max_value=3000),  # mostly not
+        ),
+        num_hashes=st.integers(min_value=1, max_value=11),
+    )
+    def test_filters_answer_as_filters_built_from_double_hashes(
+        self, stored, probes, num_bits, num_hashes
+    ):
+        """``add``, ``in`` and the bit-sliced ``candidates`` — walked for a
+        power of two, listed otherwise — give the answers of filters whose
+        bits are set and tested at the reference positions."""
+
+        def reference_bits(keys) -> bytes:
+            bits = bytearray(BloomFilter(num_bits, num_hashes).to_bytes())  # empty
+            for key in keys:
+                for position in double_hashes(key, num_hashes, num_bits):
+                    bits[position >> 3] |= 1 << (position & 7)
+            return bytes(bits)
+
+        def reference_in(bits: bytes, key) -> bool:
+            return all(
+                bits[position >> 3] >> (position & 7) & 1
+                for position in double_hashes(key, num_hashes, num_bits)
+            )
+
+        clear_digest_cache()
+        sliced = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=len(stored))
+        references = []
+        for incarnation, keys in enumerate(stored):
+            bloom = BloomFilter(num_bits, num_hashes)
+            bloom.update(keys)
+            references.append(reference_bits(keys))
+            assert bloom.to_bytes() == references[-1]
+            sliced.append_filter(bloom, incarnation)
+        for key in [key for keys in stored for key in keys] + probes:
+            answers = [reference_in(bits, key) for bits in references]
+            for form in (key, KeyDigest(key)):
+                frozen = [BloomFilter.from_bytes(num_bits, num_hashes, bits) for bits in references]
+                assert [form in bloom for bloom in frozen] == answers
+                expected = [i for i in reversed(range(len(stored))) if answers[i]]
+                assert sliced.candidates(form) == expected
 
     @given(
         items=st.dictionaries(_KEY_BYTES, st.binary(max_size=8), min_size=1, max_size=12),
@@ -349,7 +398,8 @@ class TestProcessBoundary:
 class TestMemoryShape:
     def test_warm_digest_references_no_dict_or_list(self):
         """The digest cache holds one digest per recently used key in every
-        process; a per-digest dict or list is what made that cost 1 KB a key."""
+        process; a per-digest dict or list is what made that cost 1 KB a key,
+        and a tuple of six words plus a memo of Bloom positions 0.5 KB."""
         clear_digest_cache()
         clam = CLAM(_config(), storage="intel-ssd")
         keys = [b"shape-%04d" % i for i in range(400)]
@@ -362,14 +412,13 @@ class TestMemoryShape:
             digest = as_digest(key)
             assert digest.words is not None
             assert len(digest.bloom_positions(*self._geometry(clam))) > 0
-            seen, stack = set(), [digest]
-            while stack:
-                for referent in gc.get_referents(stack.pop()):
-                    if isinstance(referent, type) or id(referent) in seen:
-                        continue  # the class (and its namespace) is shared, not owned
-                    assert not isinstance(referent, (dict, list)), type(referent)
-                    seen.add(id(referent))
-                    stack.append(referent)
+            owned = digest_owned(digest)
+            for referent in owned:
+                assert not isinstance(referent, (dict, list)), type(referent)
+            # No Bloom positions stay behind: the one array is the six words.
+            arrays = [referent for referent in owned if isinstance(referent, array)]
+            assert arrays == [digest.words] and len(digest.words) == 6
+            assert sum(sys.getsizeof(referent) for referent in owned) <= WARM_DIGEST_BYTES_CEILING
         clear_digest_cache()
 
     @staticmethod

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.hashing import (
+    BLOOM_H1_WORD,
+    BLOOM_H2_WORD,
     BLOOM_SEED_H1,
     BLOOM_SEED_H2,
     CLAM_SEEDS,
@@ -27,6 +29,7 @@ from repro.core.hashing import (
     key_data,
     set_digest_cache_capacity,
     to_key_bytes,
+    walks_bloom_positions,
 )
 
 #: The per-layer seeds whose derived values define the on-flash layout.
@@ -39,6 +42,20 @@ LAYOUT_SEEDS = (
     PAGE_SEED,
     RING_SEED,
 )
+
+
+def _walked_positions(digest, count, modulus):
+    """The probe walk of the filters' loops, as a list: start at
+    ``h1 & low`` and step by ``(h2 | 1) & low``."""
+    low = modulus - 1
+    words = digest.clam_words()
+    position = words[BLOOM_H1_WORD] & low
+    step = (words[BLOOM_H2_WORD] | 1) & low
+    positions = []
+    for _ in range(count):
+        positions.append(position)
+        position = (position + step) & low
+    return positions
 
 
 class TestToKeyBytes:
@@ -170,9 +187,10 @@ class TestKeyDigest:
     @given(st.binary(min_size=1, max_size=32), st.integers(1, 12), st.integers(8, 4096))
     def test_bloom_positions_equal_double_hashes(self, data, count, modulus):
         digest = KeyDigest(data)
-        assert list(digest.bloom_positions(count, modulus)) == double_hashes(data, count, modulus)
-        # Memoised: the same object answers repeated queries.
-        assert digest.bloom_positions(count, modulus) is digest.bloom_positions(count, modulus)
+        first = digest.bloom_positions(count, modulus)
+        assert first == double_hashes(data, count, modulus)
+        # Not memoised: every call computes a new list from the two words.
+        assert digest.bloom_positions(count, modulus) is not first
 
     @given(st.binary(min_size=1, max_size=32), st.integers(2, 1 << 20))
     def test_derived_moduli_equal_direct_implementation(self, data, modulus):
@@ -185,7 +203,9 @@ class TestKeyDigest:
     def test_fused_traversal_equals_six_single_seed_passes(self, data):
         """The lane-packed traversal is FNV-1a + fmix64 for all six seeds at
         once: every word equals the single-seed reference, at any length."""
-        assert clam_words(data) == tuple(fnv1a_64(data, seed) for seed in CLAM_SEEDS)
+        words = clam_words(data)
+        assert words.typecode == "Q"
+        assert list(words) == [fnv1a_64(data, seed) for seed in CLAM_SEEDS]
 
     @given(
         st.binary(min_size=1, max_size=32),
@@ -201,34 +221,48 @@ class TestKeyDigest:
         positions = KeyDigest(data).bloom_positions(count, modulus)
         assert list(positions) == double_hashes(data, count, modulus)
 
-    def test_power_of_two_positions_in_every_lane_width(self):
-        """Positions modulo 2^k come out of one lane-packed expression; the
-        lane is the narrowest array item ``count * modulus`` fits, so each
-        width, the carry-free edge of each, and the fallback past 64 bits are
-        named here with the item type they must produce."""
-        expected_typecodes = {
-            (1, 1): "H", (1, 2): "H", (32, 2): "H", (1, 1 << 16): "H", (11, 1 << 11): "H",
-            (32, 1 << 11): "H",  # 2^16 exactly: the last carry-free fit of 16 bits
-            (2, 1 << 16): "I", (32, 1 << 16): "I", (32, 1 << 17): "I", (32, 1 << 27): "I",
-            (32, 1 << 28): "Q", (1, 1 << 40): "Q", (32, 1 << 59): "Q", (1, 1 << 64): "Q",
-            # No lane holds these without a carry: computed position by position.
-            (32, 1 << 60): "Q", (2, 1 << 64): "Q", (3, 1 << 66): "Q",
-        }  # fmt: skip
+    def test_power_of_two_positions_are_walked_up_to_two_to_the_64(self):
+        """A filter walks positions modulo 2^k from ``h1 & low`` in steps of
+        ``(h2 | 1) & low``; that is the reference only while the reduction
+        modulo 2^64 is a mask of the modulus, so 2^64 is the last walked
+        modulus and 2^65, 2^66 are computed by the reference formula."""
+        walked = [
+            (1, 1), (1, 2), (32, 2), (1, 1 << 16), (11, 1 << 11), (32, 1 << 11),
+            (2, 1 << 16), (32, 1 << 16), (32, 1 << 17), (32, 1 << 27), (32, 1 << 28),
+            (1, 1 << 40), (32, 1 << 59), (32, 1 << 60), (1, 1 << 64), (2, 1 << 64),
+            (11, 1 << 64),
+        ]  # fmt: skip
+        not_walked = [(2, 1 << 65), (3, 1 << 66), (11, 1 << 66), (11, 1 << 80), (11, 3 << 10)]
         keys = [b"", b"k", b"golden-key", bytes(range(256))]
         keys += [fingerprint.to_bytes(20, "big") for fingerprint in (1, 2**159 + 12345, 2**160 - 1)]
-        for (count, modulus), typecode in expected_typecodes.items():
+        keys += [b"walk-%d" % i for i in range(200)]
+        for count, modulus in walked:
+            assert walks_bloom_positions(modulus), modulus
             for key in keys:
-                positions = KeyDigest(key).bloom_positions(count, modulus)
-                assert positions.typecode == typecode, (count, modulus)
-                assert list(positions) == double_hashes(key, count, modulus), (count, modulus)
+                expected = double_hashes(key, count, modulus)
+                assert KeyDigest(key).bloom_positions(count, modulus) == expected
+                assert _walked_positions(KeyDigest(key), count, modulus) == expected
+        for count, modulus in not_walked:
+            assert not walks_bloom_positions(modulus), modulus
+            disagreed = 0
+            for key in keys:
+                expected = double_hashes(key, count, modulus)
+                assert KeyDigest(key).bloom_positions(count, modulus) == expected
+                disagreed += _walked_positions(KeyDigest(key), count, modulus) != expected
+            assert disagreed > 0, (count, modulus)  # a walk here would have been wrong
+        for modulus in (0, 3, 12, 1000, (1 << 64) - 1, (1 << 64) + 1):
+            assert not walks_bloom_positions(modulus), modulus
 
-    def test_one_bloom_geometry_is_memoised_at_a_time(self):
+    def test_no_bloom_geometry_is_memoised(self):
         digest = KeyDigest(b"two-geometries")
         first = digest.bloom_positions(7, 512)
-        assert digest.bloom_positions(7, 512) is first
+        assert first == double_hashes(b"two-geometries", 7, 512)
         other = digest.bloom_positions(7, 1024)
-        assert list(other) == double_hashes(b"two-geometries", 7, 1024)
-        assert list(digest.bloom_positions(7, 512)) == list(first)
+        assert other == double_hashes(b"two-geometries", 7, 1024)
+        again = digest.bloom_positions(7, 512)
+        assert again == first and again is not first
+        # Only the words are kept: nothing but the CLAM seeds is memoised.
+        assert sorted(digest.memoised()) == sorted(CLAM_SEEDS)
 
     def test_digest_is_accepted_as_a_key(self):
         digest = KeyDigest(b"some-key")
