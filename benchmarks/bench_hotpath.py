@@ -16,8 +16,9 @@ device model) and counts how often key bytes are walked:
   end-to-end number, bounded by flash-page simulation.
 
 * ``cache_overflow`` — the hotpath loop over three times as many distinct
-  keys as the cross-operation digest cache holds, so two thirds of the keys
-  evict a cached digest.  Same sizes in ``--quick`` and full runs; what is
+  keys as the cross-operation digest cache holds while the loop's CLAM is
+  alive (its retention, 24,576), so two thirds of the keys evict a cached
+  digest.  Same sizes in ``--quick`` and full runs; what is
   kept are two same-run ratios that ``benchmarks/ratchet.py`` holds — the
   loop's rate over the ``hotpath`` rate, and its evicting part over its
   cache-filling part.  A digest-cache eviction that costs more than O(1)
@@ -37,9 +38,16 @@ device model) and counts how often key bytes are walked:
   owns (:func:`digest_owned`: itself and what it reaches, not its class and
   not its key bytes), and ``bytes_per_cached_key``, tracemalloc's bytes per
   key over :data:`DIGEST_MEMORY_KEYS` 20-byte keys brought into the digest
-  cache (digest, words, cache entry; the key bytes existed before).  Same
-  sizes in ``--quick`` and full runs; ``benchmarks/ratchet.py`` holds the
-  first exactly and both under a ceiling.
+  cache with no index alive (digest, words, cache entry; the key bytes
+  existed before).  Same sizes in ``--quick`` and full runs;
+  ``benchmarks/ratchet.py`` holds the first exactly and both under a ceiling.
+
+* ``index_memory`` — DRAM per indexed key of the standard CLAM with its FIFO
+  window full (:func:`run_index_memory`): tracemalloc's bytes per key it
+  holds, in three tags — the digest cache, the simulated flash media (not
+  DRAM in the paper's model) and index DRAM.  Same sizes in ``--quick`` and
+  full runs; ``benchmarks/ratchet.py`` holds the total and the index-DRAM tag
+  under ceilings.
 
 * ``hash_calls_per_op`` — traversals of the key bytes per operation, by
   layer, counted with :func:`repro.core.hashing.count_hash_calls`: a cold key
@@ -177,8 +185,12 @@ PASS_SECONDS = 0.2
 OVERFLOW_FACTOR = 3
 
 #: ``digest_memory``: warm keys whose traced bytes are averaged (fewer than
-#: the digest cache holds, so every one stays cached).
+#: the digest cache holds with no index alive, so every one stays cached).
 DIGEST_MEMORY_KEYS = 40_000
+
+#: ``index_memory`` tags after the digest cache's: path fragments of the files
+#: whose allocations are simulated flash media (page images, device maps).
+FLASH_MEDIA_FILES = ("repro/flashsim/", "repro/core/incarnation.py")
 
 #: Ceiling on ``digest_memory.warm_digest_bytes`` (564 with a tuple of words
 #: and a memo of 11 Bloom positions; six words in one array read 208).
@@ -512,8 +524,9 @@ def run_cache_overflow() -> Dict[str, float]:
     """
     hotpath = max(run_hotpath(FULL, [hotpath_clam()])[0] for _ in range(3))
     clear_digest_cache()
-    capacity = digest_cache_info()["capacity"]
+    gc.collect()  # the hotpath arms' CLAMs no longer hold the cache open
     clam = hotpath_clam()
+    capacity = digest_cache_info()["capacity"]
     keys = [b"coldkey-%08d" % i for i in range(OVERFLOW_FACTOR * capacity)]
     filling_seconds = sweep_seconds(clam, keys[:capacity])
     evicting_seconds = sweep_seconds(clam, keys[capacity:])
@@ -604,8 +617,8 @@ def run_digest_memory() -> Dict[str, float]:
     bloom = BloomFilter(buffer.bloom_bits, buffer.bloom_hashes)
     keys = [fingerprint_for(i) for i in range(DIGEST_MEMORY_KEYS)]
     clear_digest_cache()
-    assert digest_cache_info()["capacity"] >= len(keys), "every key must stay cached"
     gc.collect()
+    assert digest_cache_info()["capacity"] >= len(keys), "every key must stay cached"
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -623,6 +636,49 @@ def run_digest_memory() -> Dict[str, float]:
         "bloom_geometry": [buffer.bloom_hashes, buffer.bloom_bits],
         "warm_digest_bytes": warm_bytes,
         "bytes_per_cached_key": round(traced / len(keys), 1),
+    }
+
+
+def run_index_memory() -> Dict[str, float]:
+    """DRAM per indexed key: the standard CLAM (the end-to-end benchmark's)
+    takes new 20-byte keys, made as they go in, until every super table's FIFO
+    window is full, and tracemalloc's live bytes are read per key it holds.
+
+    The digest-cache tag is what :func:`clear_digest_cache` frees (the digests
+    and the keys only they kept alive); the rest is split by the file that
+    allocated it into simulated flash media (:data:`FLASH_MEDIA_FILES`) and
+    index DRAM (Bloom filters, buffers and the keys in them, incarnation
+    metadata)."""
+    clear_digest_cache()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        clam = standard_clam()
+        tables, window = clam.bufferhash.tables, clam.bufferhash.incarnations_per_table
+        number = 0
+        while min(table.incarnation_count for table in tables) < window:
+            clam.insert(fingerprint_for(number, namespace=b"index"), VALUE)
+            number += 1
+        gc.collect()
+        total = tracemalloc.get_traced_memory()[0]
+        clear_digest_cache()
+        gc.collect()
+        index = tracemalloc.get_traced_memory()[0]
+        flash_media = sum(
+            stat.size
+            for stat in tracemalloc.take_snapshot().statistics("filename")
+            if any(part in stat.traceback[0].filename for part in FLASH_MEDIA_FILES)
+        )
+    finally:
+        tracemalloc.stop()
+    keys = len(clam.bufferhash.snapshot_items())
+    return {
+        "indexed_keys": keys,
+        "digest_cache_capacity": digest_cache_info()["capacity"],
+        "bytes_per_indexed_key": round(total / keys, 1),
+        "digest_cache_bytes": round((total - index) / keys, 1),
+        "flash_media_bytes": round(flash_media / keys, 1),
+        "index_dram_bytes": round((index - flash_media) / keys, 1),
     }
 
 
@@ -769,6 +825,13 @@ def report(results: Dict, sizes: Dict[str, int], json_path: Optional[str]) -> No
         f"{memory['warm_digest_bytes']} B; the digest cache traces "
         f"{memory['bytes_per_cached_key']:.1f} B per cached key"
     )
+    index = results["index_memory"]
+    print(
+        f"index memory (standard CLAM, FIFO window full, {index['indexed_keys']} keys, digest "
+        f"cache {index['digest_cache_capacity']}): {index['bytes_per_indexed_key']:.1f} B per "
+        f"indexed key = digest cache {index['digest_cache_bytes']:.1f} + simulated flash media "
+        f"{index['flash_media_bytes']:.1f} + index DRAM {index['index_dram_bytes']:.1f}"
+    )
     ablation = results["telemetry_ablation"]
     print(
         f"telemetry ablation (hotpath, medians of {ablation['passes']} interleaved passes): "
@@ -891,6 +954,7 @@ def run_bench(
         "cache_overflow": run_cache_overflow(),
         "hash_once": run_hash_once(),
         "digest_memory": run_digest_memory(),
+        "index_memory": run_index_memory(),
         "telemetry_ablation": ablation,
     }
     report(results, sizes, json_path)

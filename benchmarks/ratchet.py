@@ -168,7 +168,8 @@ REGISTRY: Dict[str, RatchetSpec] = {
         committed="hotpath",
         metrics=(
             # Same-run ratios of the cold-key loop (3 x the digest cache's
-            # capacity in distinct keys), so runner speed cancels out.  An
+            # capacity in distinct keys; the capacity, exact, is what the
+            # loop's CLAM retains: 24,576), so runner speed cancels out.  An
             # eviction that is not O(1) (popping the first key of a plain dict
             # cost ~30 us at the default capacity) halves both.  The evicting
             # part over the cache-filling part of the loop stays within 0.8-1.05
@@ -193,6 +194,11 @@ REGISTRY: Dict[str, RatchetSpec] = {
             Metric("digest_memory.warm_digest_bytes", "exact"),
             Metric("digest_memory.warm_digest_bytes", "max-value", 220),
             Metric("digest_memory.bytes_per_cached_key", "max-value", 250),
+            # DRAM per key the standard CLAM holds with its FIFO window full
+            # (361 B at the first reading, 36 of it index DRAM): neither may
+            # grow, whatever the split between the tags.
+            Metric("index_memory.bytes_per_indexed_key", "max-value", 375),
+            Metric("index_memory.index_dram_bytes", "max-value", 40),
             # Exact sys.setprofile counts of one seeded script (same in quick
             # and full runs): the committed mean Python frames per CLAM
             # operation of each outcome class is a ceiling, and the blocks

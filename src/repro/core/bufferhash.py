@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError
 from repro.core.eviction import EvictionPolicy, make_policy
-from repro.core.hashing import PARTITION_WORD, KeyDigest, KeyLike, as_digest
+from repro.core.hashing import PARTITION_WORD, KeyDigest, KeyLike, as_digest, hold_digest_cache
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.core.storage import (
     IncarnationStore,
@@ -100,6 +100,8 @@ class BufferHash:
             )
             for index in range(config.num_super_tables)
         ]
+        # Digests of keys beyond the buffers and the FIFO window save this index nothing.
+        hold_digest_cache(self, config.total_items_capacity(self.incarnations_per_table))
 
     # -- Construction helpers ---------------------------------------------------------
 

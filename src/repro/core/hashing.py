@@ -7,58 +7,44 @@ per-purpose seeds, which is cheap, has good avalanche behaviour for the short
 fingerprint-style keys the paper targets (32-64 bit hashes of content chunks)
 and needs no dependencies.
 
-BufferHash derives *several* values from one key: the super-table partition
-(:data:`PARTITION_SEED`), the two cuckoo buckets (:data:`CUCKOO_SEED_FIRST` /
-:data:`CUCKOO_SEED_SECOND`), the two Kirsch-Mitzenmacher Bloom base hashes
-(:data:`BLOOM_SEED_H1` / :data:`BLOOM_SEED_H2`), the incarnation page
-(:data:`PAGE_SEED`) and, in the service layer, the consistent-hash ring
-position (:data:`RING_SEED`).  This module is the only one that knows how key
-bytes become those words.  Every public boundary and every stand-alone data
-structure normalises the key it is handed with one line — ``key if type(key)
-is KeyDigest else as_digest(key)`` — and below that line a key *is* a
-:class:`KeyDigest`: layers index ``digest.words`` (a Bloom filter walks a
-key's positions from two of them) or call :func:`ring_position`, and never
-see a seed.  "Hash once" is literal: the first layer of a CLAM that needs any of
-the six CLAM words gets all six from **one traversal** of the key bytes
-(:func:`clam_words`: FNV-1a's ``v = ((v ^ byte) * prime) mod 2^64`` runs
-lane-wise on one Python integer, one 128-bit lane per seed, so a byte costs
-one ``xor``/``mul``/``and`` for all six seeds) — **bit-identical** to six
-:func:`fnv1a_64` calls, which is what fixes the on-flash layout.  The ring
-word is all a routing parent ever needs, so it keeps its own single-seed
-pass, as do the baseline and ablation seeds.  :func:`fnv1a_64`,
-:func:`hash_key` and :func:`double_hashes` on raw bytes are the reference
-definitions of every derived value (tests compare the pipeline against them)
-and the hash of things that are not CLAM keys, such as a router's virtual
-nodes.
+BufferHash derives *several* values from one key: the super-table partition,
+the two cuckoo buckets, the two Kirsch-Mitzenmacher Bloom base hashes, the
+incarnation page and, in the service layer, the consistent-hash ring position
+(one seed each, :data:`PARTITION_SEED` ... :data:`RING_SEED`).  This module is
+the only one that knows how key bytes become those words.  Every public
+boundary and every stand-alone data structure normalises the key it is handed
+with one line — ``key if type(key) is KeyDigest else as_digest(key)`` — and
+below that line a key *is* a :class:`KeyDigest`: layers index ``digest.words``
+or call :func:`ring_position`, and never see a seed.  "Hash once" is literal:
+the first layer of a CLAM that needs any of the six CLAM words gets all six
+from **one traversal** of the key bytes (:func:`clam_words` runs FNV-1a
+lane-wise on one Python integer) — **bit-identical** to six :func:`fnv1a_64`
+calls, which is what fixes the on-flash layout.  The ring word, all a routing
+parent needs, keeps its own single-seed pass, as do the baseline and ablation
+seeds.  :func:`fnv1a_64`, :func:`hash_key` and :func:`double_hashes` on raw
+bytes are the reference definitions of every derived value (tests compare the
+pipeline against them) and the hash of things that are not CLAM keys, such as
+a router's virtual nodes.
 
-A :class:`KeyDigest` is flat: the key bytes, the six CLAM words in one
-``array('Q')`` (``words``, indexed by :data:`PARTITION_WORD` ...
-:data:`PAGE_WORD`) and the ring word.  Nothing one modulo or one walk away
-from a word is memoised: the layers of :mod:`repro.core` reduce ``words``
-themselves (partition, cuckoo buckets, incarnation page), and a Bloom filter
-walks a key's positions from its two Bloom words, stopping a miss at its
-first zero bit.  A cached key costs about 233 B of DRAM with its cache entry
-(540 B with a tuple of words and a memo of positions, 1.4 KB with a dict per
-memo), which is what lets a FIFO-bounded digest cache (:func:`as_digest`,
-O(1) per eviction) hold one digest per recently used key in *every* process:
-the cache reuses digests across operations on the same key (a lookup is
-usually followed by an insert of the same fingerprint), and a shard worker
-interns the keys it decodes from the wire in it
-(:func:`repro.service.wire.decode_batch_request`), so a key is hashed once
-per residency in a process's cache, not once per operation that crosses a
-process boundary.  Only the canonical bytes cross it: shipping
-memoised words would cost a packing pass to save the receiver one traversal.
+A cached :class:`KeyDigest` costs about 233 B of DRAM.  The FIFO digest cache
+(:func:`as_digest`) reuses digests across operations on the same key, and a
+shard worker interns the keys it decodes from the wire in it
+(:func:`repro.service.wire.decode_batch_request`), so a key is hashed once per
+residency in a process's cache, not once per operation that crosses a process
+boundary; only the canonical bytes cross it.  The cache holds what the live
+indexes of its process retain: its capacity is ``min(65,536, their retention
+summed)``, and 65,536 while none is alive (:func:`hold_digest_cache`).
 
 For measurement, :func:`count_hash_calls` records every traversal of a key's
-bytes — a single-seed :func:`fnv1a_64` pass under its seed, a fused
-:func:`clam_words` traversal once under :data:`CLAM_WORDS_SEED` — and every
-digest construction, so tests and ``benchmarks/bench_hotpath.py`` can assert
+bytes and every digest construction, so tests and ``bench_hotpath`` can assert
 that a cold CLAM operation walks its key exactly once and a warm one never.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
+import weakref
 from array import array
 from collections import deque
 from contextlib import contextmanager
@@ -138,14 +124,10 @@ def to_key_bytes(key: "KeyLike") -> bytes:
     (so distinct integers map to distinct byte strings) and a
     :class:`KeyDigest` contributes the bytes it was built from.
 
-    .. note:: **Cross-type collisions are intentional.**  The canonical
-       encodings of different key *types* share one byte space, so the int
-       ``0x41`` and the bytes ``b"A"`` (and the str ``"A"``) all canonicalise
-       to ``b"A"`` and are the *same key*.  BufferHash indexes content
-       fingerprints, which arrive as raw bytes of a fixed width; the integer
-       encoding exists so tests and examples can use small ints conveniently,
-       not to provide a type-tagged key space.  Callers that index both raw
-       bytes and their integer forms must disambiguate them before hashing
+    .. note:: **Cross-type collisions are intentional.**  The int ``0x41``, the
+       bytes ``b"A"`` and the str ``"A"`` are the *same key*: BufferHash
+       indexes fixed-width content fingerprints, and the integer encoding is
+       a convenience for tests and examples, not a type-tagged key space
        (``tests/test_hashing.py`` freezes this behaviour).
     """
     if isinstance(key, (bytes, bytearray, memoryview)):
@@ -206,11 +188,8 @@ class HashCallLog:
 
 @contextmanager
 def count_hash_calls() -> Iterator[HashCallLog]:
-    """Record every key-byte traversal (by seed) and digest build in a block.
-
-    Nested use is not supported; the counter adds one branch to the hash hot
-    path, so it stays disabled outside the ``with`` block.
-    """
+    """Record every key-byte traversal (by seed) and digest build in a block
+    (not nested; outside one the hash hot path pays one branch)."""
     global _counting, _active_log
     log = HashCallLog()
     previous = (_counting, _active_log)
@@ -228,15 +207,11 @@ def fnv1a_64(data: bytes, seed: int = 0) -> int:
     :func:`clam_words` (the same arithmetic for six seeds at once) are the
     only functions that traverse the full key bytes.
 
-    The finalising mix (MurmurHash3 fmix64, inlined below — one call frame
-    per pass matters when keys are hashed millions of times) spreads entropy
-    into every bit.  Plain FNV-1a has the property that the low ``k`` bits of
-    the output depend only on the low bits of the state, so two FNV variants
-    with different seeds stay correlated modulo powers of two; BufferHash
-    takes *several* independent moduli of a key's hashes (super-table
-    partition, cuckoo buckets, Bloom positions, incarnation page), and
-    without the finaliser conditioning on one of them (e.g. all keys of one
-    super table) would badly skew the others.
+    The finalising mix (MurmurHash3 fmix64, inlined: one call frame per pass
+    matters) spreads entropy into every bit.  Without it the low ``k`` bits of
+    FNV-1a depend only on the low bits of the state, so differently seeded
+    variants stay correlated modulo powers of two, and conditioning on one of
+    BufferHash's moduli (e.g. all keys of one super table) would skew the others.
     """
     if _counting:
         counts = _active_log.by_seed
@@ -341,12 +316,9 @@ class KeyDigest:
         and ablations).
 
     Bloom positions are not kept: a power-of-two filter walks them from
-    ``words`` in its own probe loop (:func:`walks_bloom_positions`), and
-    :meth:`bloom_positions` computes them afresh for any other geometry.
-
-    Every derived value is bit-identical to calling :func:`hash_key` /
-    :func:`double_hashes` on the raw key with the same arguments; the class
-    changes only how often the bytes are traversed, never what is computed.
+    ``words`` (:func:`walks_bloom_positions`), and :meth:`bloom_positions`
+    computes them afresh.  Every derived value is bit-identical to
+    :func:`hash_key` / :func:`double_hashes` on the raw key.
     """
 
     __slots__ = ("data", "words", "ring", "_other")
@@ -411,22 +383,20 @@ KeyLike = Union[bytes, bytearray, memoryview, str, int, KeyDigest]
 
 # -- Cross-operation digest cache ---------------------------------------------------
 #
-# Fingerprint workloads touch the same keys repeatedly (a dedup lookup is
-# followed by an insert of the same fingerprint; WAN-opt caches re-query hot
-# chunks), so digests are also reused *across* operations through a small
-# FIFO-bounded cache.  The cache is value-pure — a digest depends only on the
-# key bytes — so hits can never change behaviour, only skip recomputation.
-#
-# Eviction is FIFO by first insertion and O(1): ``_DIGEST_RING`` holds the
-# cached keys oldest-first beside the map.  (Popping the first key of the
-# dict itself — ``next(iter(cache))`` — rescans the tombstones that earlier
-# evictions left at the head of its entry table: ~30 us per eviction at the
-# default capacity, paid on every new key once the cache is full.)  The two
-# structures always hold the same keys; only the functions below touch them.
-
+# Value-pure — a digest depends only on the key bytes — so a hit can never
+# change behaviour, only skip recomputation.  Eviction is FIFO by first
+# insertion and O(1): ``_DIGEST_RING`` holds the cached keys oldest-first
+# beside the map (popping the dict's first key instead rescans the tombstones
+# earlier evictions left at the head of its entry table, ~30 us at 65,536
+# entries).  The two always hold the same keys; only the functions below touch
+# them.
 _DIGEST_CACHE: Dict[bytes, KeyDigest] = {}
 _DIGEST_RING: Deque[bytes] = deque()
-_digest_cache_capacity = 1 << 16
+#: The capacity while no index is alive, and the most it ever is.
+_DIGEST_CACHE_CEILING = 1 << 16
+_digest_cache_capacity = _DIGEST_CACHE_CEILING
+#: What each live index retains, by hold (:func:`hold_digest_cache`).
+_HOLDS: Dict[object, int] = {}
 
 
 def as_digest(key: KeyLike) -> KeyDigest:
@@ -460,18 +430,45 @@ def clear_digest_cache() -> None:
     _DIGEST_RING.clear()
 
 
-def set_digest_cache_capacity(capacity: int) -> None:
-    """Bound the cross-operation digest cache (0 disables and empties it).
+def hold_digest_cache(owner: object, items: int) -> None:
+    """Count the ``items`` the index ``owner`` retains towards the cache's
+    capacity until ``owner`` is collected."""
+    if items < 0:
+        raise ValueError("items must be non-negative")
+    hold = object()
+    _HOLDS[hold] = items
+    weakref.finalize(owner, _fit_digest_cache, hold).atexit = False
+    _fit_digest_cache()
 
-    Shrinking evicts oldest-first, one O(1) pop per removed entry.
-    """
-    global _digest_cache_capacity
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
-    _digest_cache_capacity = capacity
+
+def drop_digest_cache_holds() -> None:
+    """Forget every hold: a forked shard worker serves none of the indexes it
+    inherited from its parent."""
+    _HOLDS.clear()
+    _fit_digest_cache()
+
+
+def _fit_digest_cache(released: object = None) -> None:
+    """Set the capacity from the holds left once ``released`` is dropped.
+    Shrinking evicts oldest-first, then rebuilds the map: a dict never gives
+    its table back on ``del``."""
+    global _DIGEST_CACHE, _digest_cache_capacity
+    _HOLDS.pop(released, None)
+    held = sum(_HOLDS.values()) if _HOLDS else _DIGEST_CACHE_CEILING
+    capacity = _digest_cache_capacity = min(_DIGEST_CACHE_CEILING, held)
     ring = _DIGEST_RING
-    while len(ring) > capacity:
-        del _DIGEST_CACHE[ring.popleft()]
+    if len(ring) <= capacity:
+        return
+    # A finalizer the collector ran here could release a hold and re-enter.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while len(ring) > capacity:
+            del _DIGEST_CACHE[ring.popleft()]
+        _DIGEST_CACHE = {data: _DIGEST_CACHE[data] for data in ring}
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def digest_cache_info() -> Dict[str, int]:
@@ -517,13 +514,10 @@ def hash_key(key: KeyLike, seed: int = 0) -> int:
 def double_hashes(key: KeyLike, count: int, modulus: int) -> List[int]:
     """``count`` hash values in ``[0, modulus)`` via double hashing.
 
-    Classic Kirsch-Mitzenmacher construction: two independent base hashes
-    (:data:`BLOOM_SEED_H1` / :data:`BLOOM_SEED_H2`) combine linearly to
-    simulate ``count`` independent hash functions, which is what Bloom
-    filters need.  On raw bytes this is the reference definition of a key's
-    Bloom positions; a :class:`KeyDigest` passed here answers from its
-    memoised words (:meth:`KeyDigest.bloom_positions`), and the filters walk
-    the same positions from those words (:func:`walks_bloom_positions`).
+    Kirsch-Mitzenmacher: two base hashes (:data:`BLOOM_SEED_H1` /
+    :data:`BLOOM_SEED_H2`) combine linearly into ``count`` hash functions.  On
+    raw bytes this is the reference definition of a key's Bloom positions; a
+    :class:`KeyDigest` answers from its words (:meth:`KeyDigest.bloom_positions`).
     """
     if count <= 0:
         raise ValueError("count must be positive")

@@ -64,6 +64,7 @@ from repro.core.errors import (
     WorkerDiedError,
     WorkerStalledError,
 )
+from repro.core.hashing import digest_cache_info, drop_digest_cache_holds, hold_digest_cache
 from repro.core.recovery import CrashRecoveryReport
 from repro.service import wire
 from repro.service.chaos import ChaosSchedule, ChaosTransport, derive_seed
@@ -235,7 +236,8 @@ def _worker_main(conn: socket.socket, shard_id: str, *spec) -> None:
     Genuine socket errors exit with :data:`WORKER_EXIT_SOCKET_ERROR` instead
     of masquerading as a clean parent hang-up.
     """
-    _trace.ACTIVE = None  # the parent's tracer must not leak across the fork
+    _trace.ACTIVE = None  # the parent's tracer and indexes must not leak across the fork
+    drop_digest_cache_holds()
     shard: Optional[LocalShard] = None
     exit_code = 0
     try:
@@ -245,12 +247,10 @@ def _worker_main(conn: socket.socket, shard_id: str, *spec) -> None:
             hello = {"ok": False, "error": f"{type(error).__name__}: {error}"}
             wire.send_frame(conn, wire.FRAME_CONTROL_RESPONSE, wire.encode_control(hello))
             return
-        wire.send_frame(
-            conn,
-            wire.FRAME_CONTROL_RESPONSE,
-            # A reopened persistent CLAM has charged its recovery scan already.
-            wire.encode_control({"ok": True, "pid": os.getpid(), "clock": shard.clock.now_ms}),
-        )
+        # A reopened persistent CLAM has charged its recovery scan already.
+        hello = {"ok": True, "pid": os.getpid(), "clock": shard.clock.now_ms}
+        hello["digest_cache"] = digest_cache_info()["capacity"]  # what its CLAM retains
+        wire.send_frame(conn, wire.FRAME_CONTROL_RESPONSE, wire.encode_control(hello))
         while True:
             try:
                 frame_type, seq, payload = wire.recv_frame(conn)
@@ -370,9 +370,9 @@ class RemoteShard:
         self._closed = False
         self._seq = 0
         self._inflight: Optional[Tuple[int, int, bytes]] = None
-        self._spawn()
+        hold_digest_cache(self, self._spawn())  # routes what the worker's CLAM retains
 
-    def _spawn(self) -> None:
+    def _spawn(self) -> int:
         parent_sock, child_sock = socket.socketpair()
         self.process = self._ctx.Process(
             target=_worker_main,
@@ -383,10 +383,6 @@ class RemoteShard:
         self.process.start()
         child_sock.close()
         self._sock = parent_sock
-        self._dead = False
-        self._closed = False
-        self._seq = 0
-        self._inflight = None
         hello = wire.decode_control(self._recv_plain(wire.FRAME_CONTROL_RESPONSE))
         if not hello.get("ok"):
             self.process.join(timeout=10.0)
@@ -394,6 +390,7 @@ class RemoteShard:
                 f"worker for shard {self.shard_id!r} failed to start: {hello.get('error')}"
             )
         self.clock.sync(hello["clock"])
+        return hello["digest_cache"]
 
     # -- Liveness ----------------------------------------------------------------------
 

@@ -18,11 +18,16 @@ here:
    the wire through its own digest cache, so a key is hashed once per
    residency there, not once per operation received.
 5. **Memory shape** — a fully warmed digest owns no ``dict`` and no ``list``.
+6. **Capacity follows the indexes** — the digest cache holds as many digests
+   as the live indexes of its process retain keys (65,536 at most, and while
+   none is alive), and a repeat inside an index's retention is never
+   re-hashed.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import struct
 import sys
 from array import array
@@ -30,7 +35,7 @@ from array import array
 from hypothesis import given, settings, strategies as st
 
 from benchmarks.bench_hotpath import WARM_DIGEST_BYTES_CEILING, digest_owned
-from repro.core import CLAM, CLAMConfig, build_pages, search_page
+from repro.core import CLAM, CLAMConfig, DurableCLAM, build_pages, hashing, search_page
 from repro.core.bloom import BloomFilter
 from repro.core.cuckoo import CuckooHashTable
 from repro.core.hashing import (
@@ -44,13 +49,13 @@ from repro.core.hashing import (
     count_hash_calls,
     digest_cache_info,
     double_hashes,
+    drop_digest_cache_holds,
     fnv1a_64,
-    set_digest_cache_capacity,
 )
 from repro.core.incarnation import page_index_for_key
 from repro.core.results import ServedFrom
 from repro.core.sliced_bloom import BitSlicedBloomArray
-from repro.service import ClusterService, wire
+from repro.service import ClusterService, ParallelClusterService, wire
 from repro.service.shard import apply_batch
 from repro.workloads.workload import Operation, OpKind
 
@@ -322,10 +327,11 @@ class TestProcessBoundary:
 
     def setup_method(self):
         clear_digest_cache()
+        gc.collect()
+        drop_digest_cache_holds()  # the worker CLAM is the one live index
 
     def teardown_method(self):
         clear_digest_cache()
-        set_digest_cache_capacity(1 << 16)
 
     @staticmethod
     def _worker_clam() -> CLAM:
@@ -365,10 +371,13 @@ class TestProcessBoundary:
         assert warm.total == 0  # six passes per operation when every decode built a fresh digest
         assert warm.digest_builds == 0
 
-        # Evicted in between: hashed again, once, to the same values.
+        # Evicted in between: hashed again, once, to the same values.  The
+        # cache holds what the worker CLAM retains (4 x 32 x 5), so that many
+        # new keys push every one of these out.
         words_before = {key: as_digest(key).words for key in keys}
-        set_digest_cache_capacity(8)
-        for i in range(8):
+        retention = digest_cache_info()["capacity"]
+        assert retention == clam.config.total_items_capacity(4) == 640
+        for i in range(retention):
             as_digest(b"evictor-%d" % i)
         with count_hash_calls() as evicted:
             third = self._serve(clam, frame)
@@ -425,3 +434,91 @@ class TestMemoryShape:
     def _geometry(clam: CLAM):
         buffer = clam.bufferhash.tables[0].buffer
         return buffer.bloom_hashes, buffer.bloom_bits
+
+
+def _e2e_config() -> CLAMConfig:
+    """The end-to-end benchmark's CLAM: 16 x 128-item buffers x 8 incarnations."""
+    return CLAMConfig.scaled(
+        num_super_tables=16, buffer_capacity_items=128, incarnations_per_table=8
+    )
+
+
+class TestCacheFollowsIndexes:
+    """The digest cache's capacity is ``min(65,536, what the live indexes
+    retain)``: one e2e CLAM retains 16 x 128 x (8 + 1) = 18,432 keys."""
+
+    RETENTION = 18_432
+
+    def setup_method(self):
+        clear_digest_cache()
+        gc.collect()
+        drop_digest_cache_holds()  # indexes other tests keep alive hold nothing here
+
+    def teardown_method(self):
+        self.setup_method()
+
+    @staticmethod
+    def _capacity() -> int:
+        return digest_cache_info()["capacity"]
+
+    def test_no_index_alive_reads_the_ceiling(self):
+        assert self._capacity() == 1 << 16
+        clam = CLAM(_e2e_config(), storage="intel-ssd")
+        assert self._capacity() == self.RETENTION
+        del clam
+        gc.collect()
+        assert self._capacity() == 1 << 16
+
+    def test_live_clams_add_up_and_release_when_collected(self):
+        first = CLAM(_e2e_config(), storage="intel-ssd")
+        assert self._capacity() == self.RETENTION
+        second = CLAM(_e2e_config(), storage="intel-ssd")
+        assert self._capacity() == 2 * self.RETENTION
+        del second
+        gc.collect()
+        assert self._capacity() == self.RETENTION
+        assert first.lookup(b"still-serving").value is None
+
+    def test_durable_clam_counts_like_a_clam(self, tmp_path):
+        clam = DurableCLAM(tmp_path / "held.clam", _e2e_config())
+        try:
+            assert self._capacity() == self.RETENTION
+        finally:
+            clam.close()
+
+    def test_routing_parent_covers_its_workers(self):
+        cluster = ParallelClusterService(num_shards=2, config=_e2e_config(), storage="intel-ssd")
+        try:
+            assert self._capacity() == 2 * self.RETENTION
+        finally:
+            cluster.close()
+
+    def test_shrinking_evicts_oldest_first_and_rebuilds_the_map(self):
+        keys = [b"full-%05d" % i for i in range(1 << 16)]
+        digests = [as_digest(key) for key in keys]
+        assert digest_cache_info() == {"size": 1 << 16, "capacity": 1 << 16}
+        map_bytes = sys.getsizeof(hashing._DIGEST_CACHE)
+        clam = CLAM(_e2e_config(), storage="intel-ssd")
+        assert digest_cache_info() == {"size": self.RETENTION, "capacity": self.RETENTION}
+        assert sys.getsizeof(hashing._DIGEST_CACHE) < map_bytes / 2
+        kept = len(keys) - self.RETENTION
+        assert as_digest(keys[kept]) is digests[kept]  # the newest stay
+        assert as_digest(keys[-1]) is digests[-1]
+        assert as_digest(keys[kept - 1]) is not digests[kept - 1]  # the oldest left
+        del clam
+
+    def test_repeats_within_retention_are_not_rehashed(self):
+        """A stream of more distinct keys than the CLAM retains, each looked up
+        again 4,096 keys later (inside the retention): every key is walked
+        once, though the cache is 3.5 times smaller than 65,536."""
+        clam = CLAM(_e2e_config(), storage="intel-ssd")
+        distance = 4096
+        keys = [b"stream-%06d" % i for i in range(self.RETENTION + 2 * distance)]
+        with count_hash_calls() as log:
+            for index, key in enumerate(keys):
+                clam.insert(key, b"v")
+                if index >= distance:
+                    assert clam.lookup(keys[index - distance]).value == b"v"
+        assert self._capacity() * 3.5 < 1 << 16
+        assert digest_cache_info()["size"] == self._capacity()  # the cache overflowed
+        assert log.total == log.digest_builds == len(keys)

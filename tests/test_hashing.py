@@ -1,5 +1,6 @@
 """Tests for the deterministic hashing helpers and the KeyDigest pipeline."""
 
+import gc
 import time
 
 import pytest
@@ -24,10 +25,11 @@ from repro.core.hashing import (
     count_hash_calls,
     digest_cache_info,
     double_hashes,
+    drop_digest_cache_holds,
     fnv1a_64,
     hash_key,
+    hold_digest_cache,
     key_data,
-    set_digest_cache_capacity,
     to_key_bytes,
     walks_bloom_positions,
 )
@@ -338,14 +340,29 @@ class TestGoldenValues:
         assert fnv1a_64(b"", 7) == 0x6478982A988B81B4
 
 
+class _Index:
+    """Stands in for an index: an object whose life bounds a hold."""
+
+
+def _hold(items: int) -> _Index:
+    """An index that retains ``items`` keys, alive while the caller keeps it."""
+    index = _Index()
+    hold_digest_cache(index, items)
+    return index
+
+
 class TestDigestCache:
+    """The FIFO cache itself; its capacity is set here the one way there is,
+    by what live indexes hold (``tests/test_hash_once.py`` holds it with real
+    ones)."""
+
     def setup_method(self):
         clear_digest_cache()
-        set_digest_cache_capacity(1 << 16)
+        gc.collect()
+        drop_digest_cache_holds()
 
     def teardown_method(self):
-        clear_digest_cache()
-        set_digest_cache_capacity(1 << 16)
+        self.setup_method()
 
     def test_cache_returns_same_digest_object(self):
         first = as_digest(b"cache-key")
@@ -360,7 +377,7 @@ class TestDigestCache:
         assert as_digest(b"A") is as_digest("A") is as_digest(0x41)
 
     def test_capacity_is_bounded_fifo(self):
-        set_digest_cache_capacity(4)
+        index = _hold(4)
         digests = [as_digest(b"bound-%d" % i) for i in range(8)]
         info = digest_cache_info()
         assert info["size"] <= 4
@@ -368,15 +385,22 @@ class TestDigestCache:
         assert as_digest(b"bound-0") is not digests[0]
         # Newest entry survived.
         assert as_digest(b"bound-7") is digests[7]
+        del index
+        gc.collect()
+        assert digest_cache_info()["capacity"] == 1 << 16  # released with its owner
 
     def test_zero_capacity_disables_caching(self):
-        set_digest_cache_capacity(0)
+        index = _hold(0)
+        assert digest_cache_info()["capacity"] == 0
         assert as_digest(b"k") is not as_digest(b"k")
         assert digest_cache_info()["size"] == 0
+        del index
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            set_digest_cache_capacity(-1)
+            hold_digest_cache(_Index(), -1)
+        assert digest_cache_info()["capacity"] == 1 << 16  # nothing was held
+        assert digest_cache_info()["capacity"] == 1 << 16
 
     def test_clear(self):
         as_digest(b"x")
@@ -384,7 +408,7 @@ class TestDigestCache:
         assert digest_cache_info()["size"] == 0
 
     def test_eviction_is_fifo_by_first_insertion(self):
-        set_digest_cache_capacity(4)
+        index = _hold(4)
         first = [as_digest(b"fifo-%d" % i) for i in range(4)]
         assert as_digest(b"fifo-0") is first[0]  # a hit must not refresh its position
         as_digest(b"fifo-4")  # full: the oldest-inserted key (fifo-0) leaves
@@ -399,10 +423,12 @@ class TestDigestCache:
         assert again.bloom_positions(7, 1024) == first[0].bloom_positions(7, 1024)
         assert as_digest(b"fifo-2") is first[2]
         assert as_digest(b"fifo-1") is not first[1]
+        assert digest_cache_info()["capacity"] == 4
+        del index
 
     def test_shrinking_keeps_the_newest_entries(self):
         digests = [as_digest(b"shrink-%d" % i) for i in range(10)]
-        set_digest_cache_capacity(3)
+        index = _hold(3)
         assert digest_cache_info() == {"size": 3, "capacity": 3}
         for i in (7, 8, 9):
             assert as_digest(b"shrink-%d" % i) is digests[i]
@@ -410,28 +436,40 @@ class TestDigestCache:
         assert digest_cache_info()["size"] == 3
         assert as_digest(b"shrink-8") is digests[8]
         assert as_digest(b"shrink-9") is digests[9]
+        second = _hold(2)  # two live indexes: the capacity grows to their sum
+        assert digest_cache_info() == {"size": 3, "capacity": 5}
+        del index  # one index left: shrinks again, oldest-first
+        assert digest_cache_info() == {"size": 2, "capacity": 2}
+        assert as_digest(b"shrink-9") is digests[9]
+        assert as_digest(b"shrink-new").data == b"shrink-new"
+        del second
 
     def test_zero_capacity_empties_the_cache(self):
         kept = as_digest(b"kept")
-        set_digest_cache_capacity(0)
+        index = _hold(0)
         assert digest_cache_info() == {"size": 0, "capacity": 0}
         assert as_digest(b"kept") is not kept
         assert digest_cache_info()["size"] == 0
+        del index
 
     def test_cache_refills_to_capacity_after_clear_and_after_resize(self):
         """Eviction order and membership are one state: whatever emptied or
         shrank the cache, the next ``capacity`` distinct keys all stay."""
-        set_digest_cache_capacity(8)
+        index = _hold(8)
         for i in range(20):
             as_digest(b"churn-%d" % i)
         clear_digest_cache()
         refill = [as_digest(b"refill-%d" % i) for i in range(8)]
         assert digest_cache_info()["size"] == 8
         assert all(as_digest(b"refill-%d" % i) is refill[i] for i in range(8))
-        set_digest_cache_capacity(0)
-        set_digest_cache_capacity(4)
+        del index
+        index = _hold(0)
+        assert digest_cache_info() == {"size": 0, "capacity": 0}
+        del index
+        index = _hold(4)
         again = [as_digest(b"again-%d" % i) for i in range(4)]
         assert all(as_digest(b"again-%d" % i) is again[i] for i in range(4))
+        del index
 
     def test_eviction_cost_does_not_grow_with_capacity(self):
         """An evicting ``as_digest`` costs the same at the default capacity as
@@ -440,8 +478,8 @@ class TestDigestCache:
         (which rescans the tombstones at the head of its entry table)."""
 
         def evicting_call_seconds(capacity: int) -> float:
-            set_digest_cache_capacity(capacity)
             clear_digest_cache()
+            index = _hold(capacity)
             for i in range(capacity):
                 as_digest(b"fill-%d" % i)
             best = float("inf")
@@ -454,6 +492,7 @@ class TestDigestCache:
                     as_digest(key)
                 best = min(best, (time.perf_counter() - started) / len(keys))
             assert digest_cache_info()["size"] == capacity
+            del index
             return best
 
         small = evicting_call_seconds(256)

@@ -20,7 +20,7 @@ import random
 import pytest
 
 from repro.core import CLAM, CLAMConfig
-from repro.core.hashing import clear_digest_cache, count_hash_calls
+from repro.core.hashing import clear_digest_cache, count_hash_calls, hold_digest_cache
 from repro.core.results import ServedFrom
 from repro.telemetry.trace import Tracer, tracing
 
@@ -207,17 +207,25 @@ def test_stream_reaches_every_branch_it_claims():
         assert golden["overflow_probes"] > 0
 
 
+class _StreamIndex:
+    """An object whose life bounds a digest-cache hold."""
+
+
 @pytest.mark.parametrize("policy", ["fifo", "lru", "update"])
 def test_stream_walks_each_key_once_under_every_eviction_policy(policy):
     """There is one key pipeline: whatever an operation sets off — a flush, a
     cuckoo displacement, LRU re-insertion, the partial-discard scan of an
     evicted incarnation and the cascade it can start — nothing below the API
-    boundary hashes key bytes on its own.  The stream's keys all fit the
-    digest cache, so each is digested once and walked once."""
+    boundary hashes key bytes on its own.  A stand-in index that retains the
+    stream's keys keeps them all in the digest cache (the CLAM alone retains
+    fewer), so each is digested once and walked once."""
     distinct = len({key for _kind, key, _value in _stream(6_000, _SEED)})
     clear_digest_cache()
+    keeper = _StreamIndex()
+    hold_digest_cache(keeper, distinct)
     with count_hash_calls() as log:
         run_case("intel-ssd", 6_000, eviction_policy_name=policy)
+    del keeper
     assert log.digest_builds == distinct
     assert log.total == log.digest_builds
     assert log.by_layer() == {"clam_words": distinct}
