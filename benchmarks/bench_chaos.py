@@ -1,6 +1,6 @@
 """Chaos drill for the hardened RPC plane: faults in, no acknowledged loss out.
 
-The process-per-shard cluster claims its RPC plane survives gray network
+The worker-process cluster claims its RPC plane survives gray network
 failures: per-request deadlines, bounded idempotent retries, hedged reads at
 RF>=2, CRC-checked frames and a per-shard circuit breaker.  This benchmark
 drives those claims end to end under :class:`~repro.service.chaos.
@@ -14,8 +14,7 @@ ChaosTransport` fault injection and freezes them into ratchetable numbers:
 * **Stall drill** — one worker frozen with SIGSTOP.  Batched lookups must
   hedge around it inside the hedge window *without* marking it down (slow is
   not dead); single-key reads must then trip the deadline, open the circuit,
-  fail over, and the supervisor restart must rejoin the shard with zero
-  lost keys.
+  fail over, and reopening the shard must rejoin it with zero lost keys.
 * **Parity** — with chaos disabled, the exact deadline/retry/hedging
   configuration must reproduce the in-process cluster bit for bit (results,
   merged counters, ensemble clocks) and emit **no** RPC-resilience events:
@@ -43,7 +42,7 @@ from benchmarks.common import (
 )
 from benchmarks.ratchet import REGISTRY, check_spec
 from repro.core.errors import DeviceFailedError, ShardUnavailableError
-from repro.service import ChaosSchedule, ClusterService, ParallelClusterService
+from repro.service import ChaosSchedule, ClusterService, WorkerProcesses
 from repro.telemetry.schema import validate_snapshot
 from repro.workloads.keygen import fingerprint_for
 from repro.workloads.workload import Operation, OpKind
@@ -75,15 +74,17 @@ STALL_KEYS = 120
 PARITY_OPS = 240
 
 
-def build_cluster(telemetry: bool = False, hedge: bool = False) -> ParallelClusterService:
-    return ParallelClusterService(
+def build_cluster(telemetry: bool = False, hedge: bool = False) -> ClusterService:
+    return ClusterService(
         num_shards=SHARDS,
         config=standard_config(telemetry_enabled=telemetry),
         replication_factor=RF,
-        request_deadline_ms=DEADLINE_MS,
-        retry_limit=RETRY_LIMIT,
-        retry_backoff_ms=BACKOFF_MS,
-        hedge_delay_ms=HEDGE_MS if hedge else None,
+        workers=WorkerProcesses(
+            request_deadline_ms=DEADLINE_MS,
+            retry_limit=RETRY_LIMIT,
+            retry_backoff_ms=BACKOFF_MS,
+            hedge_delay_ms=HEDGE_MS if hedge else None,
+        ),
     )
 
 
@@ -134,7 +135,7 @@ def run_chaos_drill():
         # still be readable — the zero-lost-acked-writes contract.
         cluster.clear_chaos()
         for shard_id in sorted(cluster.down_shard_ids):
-            cluster.restart_worker(shard_id)
+            cluster.reopen_shard(shard_id)
         lost = sum(
             1
             for key in acked
@@ -189,7 +190,7 @@ def run_stall_drill():
         finally:
             os.kill(cluster.shards[victim].pid, signal.SIGCONT)
         counts = event_counts(cluster)
-        cluster.restart_worker(victim)
+        cluster.reopen_shard(victim)
         lost = sum(1 for key in keys if not cluster.lookup(key).found)
     finally:
         cluster.close()

@@ -1,9 +1,9 @@
-"""Process-per-shard parallel cluster: multi-core scaling + parity + kill drill.
+"""Worker-process cluster: multi-core scaling + parity + kill drill.
 
-The in-process :class:`ClusterService` is deterministic but single-core; the
-:class:`ParallelClusterService` puts every shard's CLAM in its own worker
-process behind the length-prefixed wire protocol.  This benchmark enforces
-the deployment's three contracts end to end:
+The in-process :class:`ClusterService` is deterministic but single-core;
+``ClusterService(workers=WorkerProcesses())`` puts every shard's CLAM in its
+own worker process behind the length-prefixed wire protocol.  This benchmark
+enforces that backend's three contracts end to end:
 
 * **Scaling** — the Zipf and WAN-optimizer-style batched workloads at 1, 2
   and 4 worker processes.  Every row says what it measured.  Observed:
@@ -27,8 +27,8 @@ the deployment's three contracts end to end:
   must produce exactly equal result records, merged counters and ensemble
   clock readings.
 * **Kill drill** — SIGKILL a worker at RF=2 under acknowledged writes: zero
-  lost keys while down, supervisor detection, a clean ``restart_worker``
-  rejoin with hint replay, zero lost keys after restart.
+  lost keys while down, supervisor detection, a clean ``reopen_shard``
+  rejoin with hint replay, zero lost keys after the restart.
 
 ``--quick`` shrinks the scaling workloads (parity and drill run at full,
 fixed sizes — they are the machine-invariant ratchet surface), writes
@@ -50,7 +50,7 @@ from benchmarks.common import (
     write_bench_json,
 )
 from benchmarks.ratchet import REGISTRY, check_spec
-from repro.service import ClusterService, ParallelClusterService
+from repro.service import ClusterService, WorkerProcesses
 from repro.telemetry.schema import validate_snapshot
 from repro.workloads.keygen import ZipfKeyGenerator, fingerprint_for
 from repro.workloads.workload import Operation, OpKind
@@ -77,10 +77,11 @@ DRILL_RF = 2
 
 
 def build_parallel(num_shards: int, replication_factor: int = 1, telemetry: bool = False):
-    return ParallelClusterService(
+    return ClusterService(
         num_shards=num_shards,
         config=standard_config(telemetry_enabled=telemetry),
         replication_factor=replication_factor,
+        workers=WorkerProcesses(),
     )
 
 
@@ -249,7 +250,7 @@ def run_kill_drill():
         # Writes issued while the worker is down become hinted handoffs …
         for key in keys[: DRILL_KEYS // 4]:
             cluster.insert(key, b"while-down")
-        report = cluster.restart_worker(victim)
+        report = cluster.reopen_shard(victim)
         # … replayed on restart, so the rejoined worker serves current data.
         lost_after_restart = sum(
             1 for key in keys if not cluster.lookup(key).found
@@ -267,7 +268,7 @@ def run_kill_drill():
             "events_seen": int(
                 "worker_killed" in event_kinds
                 and "worker_died" in event_kinds
-                and "worker_restarted" in event_kinds
+                and "crash_recovery_started" in event_kinds
             ),
         }
     finally:

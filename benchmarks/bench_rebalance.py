@@ -22,9 +22,10 @@ contract end to end:
   handoffs), every key must remain readable, and healing the shard must
   replay its backlog.
 * **Scale-out on worker processes** — the same kind of migration on a
-  3-worker :class:`ParallelClusterService`, counting the frames it sends: a
-  step moves its keys in one sub-batch per shard, so the count grows with the
-  steps, not the keys (one round trip per key cost 1,830 frames here).
+  3-worker ``ClusterService(workers=WorkerProcesses())``, counting the frames
+  it sends: a step moves its keys in one sub-batch per shard, so the count
+  grows with the steps, not the keys (one round trip per key cost 1,830
+  frames here).
 
 ``--quick`` runs a reduced workload, writes ``BENCH_rebalance_quick.json``
 and ratchets it against the committed ``BENCH_rebalance.json`` through the
@@ -52,9 +53,9 @@ from repro.service import (
     ClusterService,
     FailureEvent,
     KeyMigrator,
-    ParallelClusterService,
     TrafficSimulator,
     TrafficSpec,
+    WorkerProcesses,
 )
 from repro.workloads.keygen import fingerprint_for
 
@@ -218,11 +219,12 @@ def run_kill_joining_drill():
 def run_parallel_scale_out():
     """Scale a worker-process cluster out by one shard; count the frames."""
     keys = [fingerprint_for(number, namespace=b"parallel") for number in range(PARALLEL_KEYS)]
-    with ParallelClusterService(
+    with ClusterService(
         num_shards=PARALLEL_WORKERS,
         config=standard_config(),
         replication_factor=REPLICATION_FACTOR,
         virtual_nodes=VIRTUAL_NODES,
+        workers=WorkerProcesses(),
     ) as cluster:
         cluster.insert_batch([(key, b"parallel-value") for key in keys])
         before = {shard_id: shard._seq for shard_id, shard in cluster.shards.items()}

@@ -48,8 +48,8 @@ from repro.service.batch import (
     ShardBatchStats,
 )
 from repro.service.chaos import CHAOS_FAULTS, ChaosSchedule, ChaosTransport, derive_seed
-from repro.service.cluster import ClusterService, ClusterStats
-from repro.service.parallel import ParallelClusterService, RemoteShard
+from repro.service.cluster import ClusterService, ClusterStats, ParallelClusterService
+from repro.service.parallel import RemoteShard, WorkerProcesses
 from repro.service.rebalance import (
     ArcState,
     AutoscaleConfig,
@@ -83,6 +83,7 @@ __all__ = [
     "ParallelClusterService",
     "LocalShard",
     "RemoteShard",
+    "WorkerProcesses",
     "CHAOS_FAULTS",
     "ChaosSchedule",
     "ChaosTransport",

@@ -31,7 +31,6 @@ from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import (
-    ConfigurationError,
     DeviceFailedError,
     ShardUnavailableError,
     WireProtocolError,
@@ -253,12 +252,11 @@ class BatchExecutor:
         discarded by sequence number.  Only sub-batches whose every lookup
         has such a replica are hedged.  A one-operation batch always takes the
         full deadline path, which is what detects a stalled worker.  In-process
-        shards never stall, so the window only matters to worker processes.
+        shards never stall, so the cluster passes the window of its
+        :class:`~repro.service.parallel.WorkerProcesses` (which validates it).
     """
 
     def __init__(self, cluster, hedge_delay_ms: Optional[float] = None) -> None:
-        if hedge_delay_ms is not None and hedge_delay_ms <= 0:
-            raise ConfigurationError("hedge_delay_ms must be positive (or None to disable)")
         self.cluster = cluster
         self.hedge_delay_ms = hedge_delay_ms
 

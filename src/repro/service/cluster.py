@@ -36,6 +36,7 @@ imbalance factor) and the fleet's failure/recovery health
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -51,6 +52,8 @@ from repro.core.hashing import KeyLike, key_data
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.flashsim.clock import ClockEnsemble
 from repro.service.batch import BatchExecutor, BatchResult, batch_columns
+from repro.service.chaos import ChaosSchedule, ChaosTransport, derive_seed
+from repro.service.parallel import RemoteShard, WorkerProcesses
 from repro.service.router import HandoffStats, ShardRouter
 from repro.service.shard import LocalShard
 from repro.telemetry import trace as _trace
@@ -205,11 +208,13 @@ class ClusterService:
     failure_threshold:
         :class:`~repro.core.errors.DeviceFailedError` count at which a shard
         is marked down and routed around.
+    workers:
+        ``None`` (the default) runs every shard in process; a
+        :class:`~repro.service.parallel.WorkerProcesses` runs each in a worker
+        process under that RPC policy, with bit-identical results, and enables
+        the worker methods below.  Always ``close()`` such a cluster: only a
+        clean close checkpoints persistent workers.
     """
-
-    #: Hedged-read window handed to the executor.  Only the process-per-shard
-    #: deployment sets it: an in-process shard's answer never stalls.
-    hedge_delay_ms: Optional[float] = None
 
     def __init__(
         self,
@@ -220,6 +225,7 @@ class ClusterService:
         replication_factor: int = 1,
         failure_threshold: int = 1,
         data_dir: Optional[str] = None,
+        workers: Optional[WorkerProcesses] = None,
     ) -> None:
         if num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
@@ -248,6 +254,9 @@ class ClusterService:
         self.data_dir = data_dir
         self.replication_factor = replication_factor
         self.failure_threshold = failure_threshold
+        self.workers = workers
+        # The chaos plane under every worker socket: (schedule, base seed).
+        self._chaos: Optional[Tuple[ChaosSchedule, int]] = None
         #: Shard id -> shard, each satisfying :mod:`repro.service.shard`.
         self.shards: Dict[str, LocalShard] = {}
         self.clock = ClockEnsemble()
@@ -290,7 +299,8 @@ class ClusterService:
         for name in names:
             self._build_shard(name)
         self.router = ShardRouter(names, virtual_nodes=virtual_nodes)
-        self.executor = BatchExecutor(self, hedge_delay_ms=self.hedge_delay_ms)
+        hedge_delay_ms = workers.hedge_delay_ms if workers is not None else None
+        self.executor = BatchExecutor(self, hedge_delay_ms=hedge_delay_ms)
         self.stats = ClusterStats(self.shards, service=self)
 
     def shard_path(self, shard_id: str) -> str:
@@ -299,20 +309,19 @@ class ClusterService:
             raise ConfigurationError("cluster has no data_dir (not persistent storage)")
         return os.path.join(self.data_dir, f"{shard_id}.clam")
 
-    def _make_shard(self, shard_id: str) -> LocalShard:
-        """How a shard is built — the one thing a deployment overrides (the
-        process-per-shard cluster returns a worker proxy instead)."""
-        return LocalShard(shard_id, *self._shard_spec(shard_id))
-
-    def _shard_spec(self, shard_id: str) -> tuple:
-        """What a :class:`LocalShard` is built from, here or in a worker."""
-        data_path = self.shard_path(shard_id) if self.storage == "persistent" else None
-        return (self.config, self.storage, data_path)
-
     def _build_shard(self, shard_id: str) -> LocalShard:
+        """Build one shard from its spec, in process or in a worker."""
         if shard_id in self.shards:
             raise ConfigurationError(f"shard {shard_id!r} already exists")
-        shard = self._make_shard(shard_id)
+        data_path = self.shard_path(shard_id) if self.storage == "persistent" else None
+        spec = (self.config, self.storage, data_path)
+        if self.workers is None:
+            shard = LocalShard(shard_id, *spec)
+        else:
+            on_event = functools.partial(self._record_rpc_event, shard=shard_id)
+            shard = RemoteShard(shard_id, self.workers, *spec, on_event)
+            if self._chaos is not None:
+                self._wrap_with_chaos(shard_id, shard)
         self.shards[shard_id] = shard
         self.clock.add(shard.clock)
         return shard
@@ -399,7 +408,7 @@ class ClusterService:
 
     def _replay_hints_for(self, shard_id: str) -> int:
         """Replay the hinted-handoff log onto a shard that just rejoined
-        (:meth:`heal_shard`, :meth:`reopen_shard`, a worker restart); returns
+        (:meth:`heal_shard`, :meth:`reopen_shard`); returns
         how many hints were replayed.  Each key's state is what the other
         replicas of its current placement (:meth:`replicas_for`) say now: a
         value is installed, a miss they agree on is the missed delete — one
@@ -426,43 +435,41 @@ class ClusterService:
             self.events.record("hinted_handoff_replay", shard=shard_id, keys_replayed=replayed)
         return replayed
 
-    def reopen_shard(self, shard_id: str) -> CrashRecoveryReport:
-        """Reopen a power-cut persistent shard from its backing file.
+    def reopen_shard(self, shard_id: str) -> Optional[CrashRecoveryReport]:
+        """Replace one shard's instance with a fresh one built from its spec.
 
-        The dead :class:`~repro.core.recovery.DurableCLAM` is released and a
-        fresh one opened on the same file, which runs the CLAM crash-recovery
-        scan: acknowledged writes come back; DRAM-buffered ones are lost on
-        this shard (with ``replication_factor >= 2`` the other replicas still
-        hold them and read-repair restores this copy lazily).  Writes the
-        shard missed *while marked down* are then replayed from the hinted-
-        handoff log as one write sub-batch, exactly as :meth:`heal_shard`
-        does, and the shard rejoins the ring without any re-replication sweep.
+        The old instance is retired without waiting on it: a worker is
+        SIGKILLed (a stalled one cannot hold the reopen up), an in-process
+        shard closed (releasing a persistent shard's mapping; a dead device
+        is not flushed).  A persistent shard reopens its backing file and runs
+        the CLAM crash-recovery scan: acknowledged writes come back,
+        DRAM-buffered ones are lost.  A volatile shard comes back empty.  With
+        ``replication_factor >= 2`` the other replicas still hold what it lost
+        and read-repair restores it lazily; writes it missed *while marked
+        down* are replayed from the hinted-handoff log as :meth:`heal_shard`
+        does, and it rejoins the ring without a re-replication sweep.
 
-        Returns the shard's :class:`~repro.core.recovery.CrashRecoveryReport`.
+        Returns a persistent shard's
+        :class:`~repro.core.recovery.CrashRecoveryReport`, ``None`` for a
+        volatile one.
         """
-        if self.storage != "persistent":
-            raise ConfigurationError(
-                'reopen_shard needs storage="persistent"; '
-                f"this cluster uses {self.storage!r}"
-            )
         if shard_id not in self.shards:
             raise ConfigurationError(f"shard {shard_id!r} not present")
         self.events.record("crash_recovery_started", shard=shard_id)
-        # close() releases the mapping; it skips flushing on a dead device.
-        self._retire_shard(shard_id, lambda old: old.close())
+        self._retire_shard(shard_id, LocalShard.close if self.workers is None else RemoteShard.kill)
         report = self._build_shard(shard_id).recovery_report
-        assert isinstance(report, CrashRecoveryReport)  # the file existed
-        self.events.record(
-            "crash_recovery_completed",
-            shard=shard_id,
-            clean_shutdown=report.clean_shutdown,
-            pages_scanned=report.pages_scanned,
-            entries_rebuilt=report.entries_rebuilt,
-            incarnations_from_checkpoint=report.incarnations_from_checkpoint,
-            log_records_replayed=report.log_records_replayed,
-            torn_pages_discarded=report.torn_pages_discarded,
-            recovery_io_ms=report.recovery_io_ms,
-        )
+        if report is not None:
+            self.events.record(
+                "crash_recovery_completed",
+                shard=shard_id,
+                clean_shutdown=report.clean_shutdown,
+                pages_scanned=report.pages_scanned,
+                entries_rebuilt=report.entries_rebuilt,
+                incarnations_from_checkpoint=report.incarnations_from_checkpoint,
+                log_records_replayed=report.log_records_replayed,
+                torn_pages_discarded=report.torn_pages_discarded,
+                recovery_io_ms=report.recovery_io_ms,
+            )
         self._replay_hints_for(shard_id)
         return report
 
@@ -676,6 +683,94 @@ class ClusterService:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
+    # -- Worker processes ---------------------------------------------------------------
+
+    def _worker_shards(self, operation: str) -> Dict[str, RemoteShard]:
+        """The shards, for an ``operation`` only worker processes support."""
+        if self.workers is None:
+            raise ConfigurationError(
+                f"{operation} needs worker processes: build the cluster with "
+                "workers=WorkerProcesses(...)"
+            )
+        return self.shards
+
+    def _wrap_with_chaos(self, shard_id: str, shard: RemoteShard) -> None:
+        schedule, base_seed = self._chaos
+
+        def on_inject(fault: str, direction: str, frame: int) -> None:
+            self._record_rpc_event(
+                "chaos_injected", shard=shard_id, fault=fault, direction=direction, frame=frame
+            )
+
+        seed = derive_seed(base_seed, shard_id)
+        shard._sock = ChaosTransport(shard._sock, schedule, seed=seed, on_inject=on_inject)
+
+    def install_chaos(self, schedule: ChaosSchedule, seed: int = 0) -> None:
+        """Slide a :class:`~repro.service.chaos.ChaosTransport` under every
+        worker socket (and under every future replacement worker's, until
+        :meth:`clear_chaos`).  Per-shard seeds derive deterministically from
+        ``seed``, so one integer replays one cluster-wide fault history.
+        """
+        shards = self._worker_shards("install_chaos")
+        self._chaos = (schedule, seed)
+        for shard_id, shard in shards.items():
+            if shard._sock is not None and not isinstance(shard._sock, ChaosTransport):
+                self._wrap_with_chaos(shard_id, shard)
+
+    def clear_chaos(self) -> None:
+        """Remove every chaos wrapper (buffered, un-faulted bytes included —
+        frames swallowed by a hang stay lost, exactly like a real outage)."""
+        shards = self._worker_shards("clear_chaos")
+        self._chaos = None
+        for shard in shards.values():
+            if isinstance(shard._sock, ChaosTransport):
+                shard._sock = shard._sock.raw
+
+    def check_workers(self) -> List[str]:
+        """Mark every dead-but-not-yet-down worker's shard down (a
+        ``worker_died`` event, then :meth:`record_shard_error` until routing
+        avoids it); returns those shard ids.  Without it, the next frame to a
+        dead worker raises :class:`~repro.core.errors.WorkerDiedError`, which
+        feeds the same counters through the executor."""
+        died: List[str] = []
+        for shard_id, shard in self._worker_shards("check_workers").items():
+            if shard.alive or shard._closed or shard_id in self._down:
+                continue
+            exitcode = shard.process.exitcode if shard.process is not None else None
+            self.events.record("worker_died", shard=shard_id, pid=shard.pid, exitcode=exitcode)
+            while shard_id not in self._down:
+                self.record_shard_error(shard_id)
+            died.append(shard_id)
+        return died
+
+    def kill_worker(self, shard_id: str) -> None:
+        """SIGKILL one shard's worker, the crash drill: detection and recovery
+        go through :meth:`check_workers` (or the next frame) and
+        :meth:`reopen_shard`."""
+        shard = self._worker_shards("kill_worker").get(shard_id)
+        if shard is None:
+            raise ConfigurationError(f"shard {shard_id!r} not present")
+        pid = shard.pid
+        shard.kill()
+        self.events.record("worker_killed", shard=shard_id, pid=pid)
+
+    def worker_pids(self) -> Dict[str, Optional[int]]:
+        """Current worker process id per shard."""
+        shards = self._worker_shards("worker_pids")
+        return {shard_id: shard.pid for shard_id, shard in shards.items()}
+
+    def worker_cpu_seconds(self) -> Dict[str, float]:
+        """CPU seconds each live worker has consumed (benchmark accounting)."""
+        cpu: Dict[str, float] = {}
+        for shard_id, shard in self._worker_shards("worker_cpu_seconds").items():
+            if not shard.alive:
+                continue
+            try:
+                cpu[shard_id] = shard.cpu_seconds()
+            except DeviceFailedError:
+                continue
+        return cpu
+
     # -- Reporting ----------------------------------------------------------------------
 
     def telemetry_snapshot(self, include_buckets: bool = True, tracer=None) -> Dict[str, object]:
@@ -723,7 +818,8 @@ class ClusterService:
         ``rpc_retry`` / ``hedge_fired`` / ``worker_stalled``): logged to the
         EventLog and counted per shard.  Counters are created lazily, so a
         fault-free run registers nothing — keeping the chaos-off telemetry
-        snapshot of a process-per-shard cluster bit-identical to this one's.
+        snapshot of a worker-process cluster bit-identical to an in-process
+        one's.
         """
         self.events.record(kind, shard=shard, **attributes)
         if self.telemetry is not None:
@@ -776,3 +872,11 @@ class ClusterService:
             "clock_skew_ms": self.clock.skew_ms,
         }
         return summary
+
+
+class ParallelClusterService(ClusterService):
+    """``ClusterService(workers=WorkerProcesses())``, under the name the
+    end-to-end benchmark harness builds its worker-process index with."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, workers=WorkerProcesses(), **kwargs)

@@ -1,49 +1,34 @@
-"""Process-per-shard deployment of the cluster service.
+"""The worker-process shard backend of the cluster service.
 
 Everything else in this repository runs in one Python thread over simulated
-clocks — correct and deterministic, but capped at one core no matter how many
-shards the cluster has.  :class:`ParallelClusterService` is the escape hatch:
-each shard's CLAM (or :class:`~repro.core.recovery.DurableCLAM` when
-``storage="persistent"``) runs in its **own worker process** behind the
-length-prefixed binary protocol of :mod:`repro.service.wire`, and the batch
-executor's per-shard fanout becomes a true scatter/gather — every worker
-chews on its sub-batch concurrently while the parent waits.
+clocks — deterministic, but capped at one core however many shards there are.
+``ClusterService(workers=WorkerProcesses(...))`` runs each shard's CLAM (a
+:class:`~repro.core.recovery.DurableCLAM` when ``storage="persistent"``) in
+its **own forked worker process** behind the binary protocol of
+:mod:`repro.service.wire`, so the batch executor's per-shard fanout becomes a
+true scatter/gather.  This module is that backend: :class:`WorkerProcesses`,
+the RPC policy, and :class:`RemoteShard`, the parent-side proxy the cluster
+builds in place of a :class:`~repro.service.shard.LocalShard`.
 
-The bit-identical results contract
-----------------------------------
-The in-process :class:`~repro.service.cluster.ClusterService` stays the
-default deterministic test path.  The parallel deployment runs the same
-cluster code and the same :class:`~repro.service.batch.BatchExecutor` —
-only *how a shard is built* differs: a :class:`RemoteShard` proxy instead of
-a :class:`~repro.service.shard.LocalShard`.  Each worker is itself a
-``LocalShard`` served by the shared :func:`~repro.service.shard.apply_batch`
-loop on the same kind of private
-:class:`~repro.flashsim.clock.SimulationClock`, advanced by exactly the
-amounts an in-process shard's would be (the parent mirrors each worker clock
-and ships accrued advances inside batch frames).
-Operation results, per-shard counters and simulated clocks are therefore
-**bit-identical** between the two modes; ``tests/test_parallel_cluster.py``
-enforces the contract and ``benchmarks/bench_parallel_cluster.py`` ratchets
-it in CI.
+Both backends run the same cluster code and
+:class:`~repro.service.batch.BatchExecutor`; only *where a shard runs*
+differs.  A worker is itself a ``LocalShard`` built from the same spec and
+served by :func:`~repro.service.shard.apply_batch` on its own
+:class:`~repro.flashsim.clock.SimulationClock`, advanced by exactly what an
+in-process shard's would be (the parent mirrors each worker clock and ships
+accrued advances inside batch frames), so results, counters and simulated
+clocks are **bit-identical** (``tests/test_parallel_cluster.py``,
+``benchmarks/bench_parallel_cluster.py``).
 
-Failure model
--------------
 A worker that dies (killed, OOM, crashed interpreter) surfaces as
-:class:`~repro.core.errors.WorkerDiedError` — a
-:class:`~repro.core.errors.DeviceFailedError` subclass — at the next frame,
-so every existing layer treats it like a crash-stopped device: the batch
-executor fails the sub-batch over to the next live replica, the cluster's
-error counters mark the shard down, missed writes become hinted handoffs,
-and with ``replication_factor >= 2`` no acknowledged write is lost.  The
-supervisor half (:meth:`ParallelClusterService.check_workers` /
-:meth:`~ParallelClusterService.restart_worker`) detects dead workers, feeds
-them into that same health machinery and respawns them; a persistent shard's
-replacement worker reopens the backing file and runs CLAM crash recovery.
-
-Workers are forked, not spawned: sockets and configs are inherited instead
-of pickled, and a fork start is ~10x cheaper.  This is a
-POSIX-only deployment mode — the deterministic in-process cluster remains
-the portable default.
+:class:`~repro.core.errors.WorkerDiedError`, a
+:class:`~repro.core.errors.DeviceFailedError`, at the next frame, so every
+layer treats it as a crash-stopped device: replica failover, down-marking,
+hinted handoff, and no acknowledged write lost at ``replication_factor >= 2``.
+The cluster's ``check_workers`` feeds dead workers into that machinery and
+``reopen_shard`` replaces one; a persistent replacement reopens its file and
+runs CLAM crash recovery.  Workers are forked (sockets and configs are
+inherited, not pickled), so this backend is POSIX-only.
 """
 
 from __future__ import annotations
@@ -53,6 +38,7 @@ import os
 import socket
 import sys
 import time
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import CLAMConfig
@@ -67,8 +53,6 @@ from repro.core.errors import (
 from repro.core.hashing import digest_cache_info, drop_digest_cache_holds, hold_digest_cache
 from repro.core.recovery import CrashRecoveryReport
 from repro.service import wire
-from repro.service.chaos import ChaosSchedule, ChaosTransport, derive_seed
-from repro.service.cluster import ClusterService
 from repro.service.shard import BatchAnswer, LocalShard, apply_batch
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
@@ -79,8 +63,8 @@ __all__ = [
     "DEFAULT_RETRY_BACKOFF_CAP_MS",
     "DEFAULT_RETRY_BACKOFF_MS",
     "DEFAULT_RETRY_LIMIT",
-    "ParallelClusterService",
     "RemoteShard",
+    "WorkerProcesses",
 ]
 
 #: Per-request deadline: how long the parent waits for one worker response
@@ -102,6 +86,33 @@ DEFAULT_RETRY_BACKOFF_CAP_MS = 50.0
 #: a desynchronised wire stream, and an unexpected socket error.
 WORKER_EXIT_DESYNC = 2
 WORKER_EXIT_SOCKET_ERROR = 3
+
+
+@dataclass(frozen=True)
+class WorkerProcesses:
+    """The worker-process backend of a cluster and its RPC policy.
+
+    Passed as ``ClusterService(workers=WorkerProcesses(...))``: every shard
+    then runs in a forked worker behind a :class:`RemoteShard`.  Each request
+    gets ``request_deadline_ms``; a timed-out or corrupted response is resent
+    up to ``retry_limit`` times, ``retry_backoff_ms`` apart (doubling, capped
+    at :data:`DEFAULT_RETRY_BACKOFF_CAP_MS`); ``hedge_delay_ms``, when set, is
+    the executor's hedged-read window (see
+    :class:`~repro.service.batch.BatchExecutor`).
+    """
+
+    request_deadline_ms: float = DEFAULT_REQUEST_DEADLINE_MS
+    retry_limit: int = DEFAULT_RETRY_LIMIT
+    retry_backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS
+    hedge_delay_ms: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.request_deadline_ms <= 0:
+            raise ConfigurationError("request_deadline_ms must be positive")
+        if self.retry_limit < 0:
+            raise ConfigurationError("retry_limit must be non-negative")
+        if self.hedge_delay_ms is not None and self.hedge_delay_ms <= 0:
+            raise ConfigurationError("hedge_delay_ms must be positive (or None to disable)")
 
 
 class _MirrorClock:
@@ -219,8 +230,8 @@ def _send_fatal(conn: socket.socket, error: Exception) -> None:
 def _worker_main(conn: socket.socket, shard_id: str, *spec) -> None:
     """Entry point of one shard worker: a :class:`LocalShard` behind a socket.
 
-    ``spec`` is the cluster's ``_shard_spec``, so the worker builds exactly
-    the shard the in-process deployment would.
+    ``spec`` is the ``(config, storage, data_path)`` the cluster builds an
+    in-process shard from, so the worker builds exactly that shard.
 
     The worker owns a private simulated clock and a (forked) copy of the
     config; nothing is shared with the parent except the socket.  The loop
@@ -326,43 +337,37 @@ class RemoteShard:
     Transport failures (EOF, broken pipe) mark the proxy dead and raise
     :class:`~repro.core.errors.WorkerDiedError` so callers handle a dead
     worker exactly like a crash-stopped device.  Gray failures are bounded
-    too: every request carries a deadline (``request_deadline_ms``) enforced
-    with socket timeouts, a timed-out or CRC-corrupted response is retried
-    up to ``retry_limit`` times with capped exponential backoff (the resend
-    reuses the request's sequence number, so a late answer to an earlier
-    attempt is discarded rather than mis-matched), and once retries are
-    exhausted the proxy opens its circuit — marks itself dead and raises
+    by the ``workers`` policy: every request carries its deadline (socket
+    timeouts), a timed-out or CRC-corrupted response is resent with the same
+    sequence number (a late answer to an earlier attempt is discarded, never
+    mis-matched) up to ``retry_limit`` times, and then the proxy opens its
+    circuit — marks itself dead and raises
     :class:`~repro.core.errors.WorkerStalledError` — so a hung worker feeds
-    the exact same supervisor/replication machinery as a dead one.
+    the same supervisor/replication machinery as a dead one.  ``on_event(kind,
+    **attributes)`` reports ``rpc_timeout`` / ``rpc_retry`` /
+    ``worker_stalled`` to the cluster's event log and counters.
     """
 
     def __init__(
         self,
         shard_id: str,
-        ctx,
+        workers: WorkerProcesses,
         config: CLAMConfig,
         storage: str,
-        data_path: Optional[str] = None,
-        request_deadline_ms: float = DEFAULT_REQUEST_DEADLINE_MS,
-        retry_limit: int = DEFAULT_RETRY_LIMIT,
-        retry_backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS,
-        on_event: Optional[Callable[..., None]] = None,
+        data_path: Optional[str],
+        on_event: Callable[..., None],
     ) -> None:
-        if request_deadline_ms <= 0:
-            raise ConfigurationError("request_deadline_ms must be positive")
-        if retry_limit < 0:
-            raise ConfigurationError("retry_limit must be non-negative")
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            raise ConfigurationError(
+                "this platform cannot fork; build the cluster with in-process shards"
+            ) from None
         self.shard_id = shard_id
-        self.request_deadline_ms = float(request_deadline_ms)
-        self.retry_limit = int(retry_limit)
-        self.retry_backoff_ms = float(retry_backoff_ms)
-        #: RPC-resilience event hook: ``on_event(kind, **attributes)`` fires
-        #: for ``rpc_timeout`` / ``rpc_retry`` / ``worker_stalled``.  The
-        #: cluster wires it to its EventLog and per-shard counters.
+        self.workers = workers
         self.on_event = on_event
         self.clock = _MirrorClock()
-        self._ctx = ctx
-        #: What the worker builds its :class:`LocalShard` from (every respawn).
+        #: What the worker builds its :class:`LocalShard` from.
         self._spec = (config, storage, data_path)
         self._sock: Optional[socket.socket] = None
         self.process = None
@@ -415,10 +420,6 @@ class RemoteShard:
         return WorkerDiedError(
             f"worker for shard {self.shard_id!r} died ({action}: {type(error).__name__}: {error})"
         )
-
-    def _event(self, kind: str, **attributes) -> None:
-        if self.on_event is not None:
-            self.on_event(kind, **attributes)
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -526,15 +527,16 @@ class RemoteShard:
         corruption), both :class:`~repro.core.errors.DeviceFailedError`
         subclasses feeding replica failover and hinted handoff.
         """
-        timeout_s = self.request_deadline_ms / 1000.0 if timeout_s is None else timeout_s
-        attempts = self.retry_limit + 1 if attempts is None else attempts
-        backoff_s = self.retry_backoff_ms / 1000.0
+        workers = self.workers
+        timeout_s = workers.request_deadline_ms / 1000.0 if timeout_s is None else timeout_s
+        attempts = workers.retry_limit + 1 if attempts is None else attempts
+        backoff_s = workers.retry_backoff_ms / 1000.0
         cap_s = DEFAULT_RETRY_BACKOFF_CAP_MS / 1000.0
         last_error: Optional[Exception] = None
         reason = ""
         for attempt in range(attempts):
             if attempt:
-                self._event("rpc_retry", attempt=attempt, reason=reason)
+                self.on_event("rpc_retry", attempt=attempt, reason=reason)
                 time.sleep(backoff_s)
                 backoff_s = min(backoff_s * 2.0, cap_s)
                 self._send(frame_type, payload, seq)
@@ -542,11 +544,11 @@ class RemoteShard:
                 return self._recv_matching(expected_type, seq, timeout_s)
             except TimeoutError as error:
                 last_error, reason = error, "timeout"
-                self._event("rpc_timeout", attempt=attempt)
+                self.on_event("rpc_timeout", attempt=attempt)
             except wire.CorruptFrameError as error:
                 last_error, reason = error, "corrupt"
         self._dead = True  # circuit open: no more frames until a restart
-        self._event("worker_stalled", reason=reason, attempts=attempts)
+        self.on_event("worker_stalled", reason=reason, attempts=attempts)
         if reason == "corrupt":
             raise WorkerDiedError(
                 f"worker for shard {self.shard_id!r} returned corrupt frames "
@@ -691,21 +693,17 @@ class RemoteShard:
             self.process.kill()
             self.process.join(timeout=10.0)
 
-    def shutdown(self, timeout_s: float = 10.0) -> None:
+    def close(self, timeout_s: float = 10.0) -> None:
         """Cleanly stop the worker (idempotent), escalating on a hang.
 
-        A live worker is asked to close over the wire — a persistent CLAM
-        flushes and checkpoints before the ack — then reaped; a dead one is
-        just reaped.  Every stage is bounded by ``timeout_s``: the close
-        exchange runs under it as a single-attempt deadline (a wedged worker
-        surfaces as :class:`~repro.core.errors.WorkerStalledError` instead
-        of blocking forever), and if ``process.join`` then expires the worker
-        is SIGKILLed and reaped — a hung worker can never stall
-        ``ParallelClusterService.close()`` past its budget.  Raises
-        :class:`~repro.core.errors.WireProtocolError` when the worker reports
-        its close failed, or the stall/death error when the exchange could
-        not complete (in every case after the socket is closed and the
-        process reaped, so nothing leaks either way).
+        A live worker is asked to close over the wire (a persistent CLAM
+        flushes and checkpoints before the ack), then reaped.  Each stage is
+        bounded by ``timeout_s``: the exchange is one attempt under that
+        deadline, and a worker still alive after the join is SIGKILLed.
+        Raises :class:`~repro.core.errors.WireProtocolError` when the worker
+        reports its close failed, or the stall/death error when the exchange
+        could not complete — always after the socket is closed and the
+        process reaped, so nothing leaks.
         """
         if self._closed:
             return
@@ -740,179 +738,3 @@ class RemoteShard:
                     self.process.join()
         if failure is not None:
             raise failure
-
-    def close(self) -> None:
-        """Alias for :meth:`shutdown` (the shard-interface name)."""
-        self.shutdown()
-
-
-# -- The process-per-shard cluster --------------------------------------------------
-
-
-class ParallelClusterService(ClusterService):
-    """:class:`~repro.service.cluster.ClusterService` with one process per shard.
-
-    Same constructor, same interface, same results (see the module docstring
-    for the contract); additionally exposes the supervisor surface —
-    :meth:`check_workers`, :meth:`restart_worker`, :meth:`kill_worker` — and
-    per-worker CPU accounting for the scaling benchmark.  Always ``close()``
-    it (or use it as a context manager): worker processes are daemonic, so
-    they die with the parent, but only a clean close checkpoints persistent
-    shards.
-    """
-
-    def __init__(
-        self,
-        *args,
-        request_deadline_ms: float = DEFAULT_REQUEST_DEADLINE_MS,
-        retry_limit: int = DEFAULT_RETRY_LIMIT,
-        retry_backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS,
-        hedge_delay_ms: Optional[float] = None,
-        **kwargs,
-    ) -> None:
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            raise ConfigurationError(
-                "this platform cannot fork; use the in-process ClusterService"
-            ) from None
-        # RPC-resilience knobs, consumed while super().__init__ builds the
-        # shards and the executor, so they must be set first.
-        self.request_deadline_ms = float(request_deadline_ms)
-        self.retry_limit = int(retry_limit)
-        self.retry_backoff_ms = float(retry_backoff_ms)
-        self.hedge_delay_ms = hedge_delay_ms
-        self._chaos: Optional[Tuple[ChaosSchedule, int]] = None
-        super().__init__(*args, **kwargs)
-
-    def _make_shard(self, shard_id: str) -> RemoteShard:
-        def on_event(kind: str, **attributes) -> None:
-            self._record_rpc_event(kind, shard=shard_id, **attributes)
-
-        shard = RemoteShard(
-            shard_id,
-            self._ctx,
-            *self._shard_spec(shard_id),
-            request_deadline_ms=self.request_deadline_ms,
-            retry_limit=self.retry_limit,
-            retry_backoff_ms=self.retry_backoff_ms,
-            on_event=on_event,
-        )
-        if self._chaos is not None:
-            self._wrap_with_chaos(shard_id, shard)
-        return shard
-
-    # -- Chaos injection ---------------------------------------------------------------
-
-    def _wrap_with_chaos(self, shard_id: str, shard: RemoteShard) -> None:
-        schedule, base_seed = self._chaos
-
-        def on_inject(fault: str, direction: str, frame: int) -> None:
-            self._record_rpc_event(
-                "chaos_injected", shard=shard_id, fault=fault, direction=direction, frame=frame
-            )
-
-        shard._sock = ChaosTransport(
-            shard._sock,
-            schedule,
-            seed=derive_seed(base_seed, shard_id),
-            on_inject=on_inject,
-        )
-
-    def install_chaos(self, schedule: ChaosSchedule, seed: int = 0) -> None:
-        """Slide a :class:`~repro.service.chaos.ChaosTransport` under every
-        worker socket (and under every future replacement worker's, until
-        :meth:`clear_chaos`).  Per-shard seeds derive deterministically from
-        ``seed``, so one integer replays one cluster-wide fault history.
-        """
-        self._chaos = (schedule, seed)
-        for shard_id, shard in self.shards.items():
-            if shard._sock is not None and not isinstance(shard._sock, ChaosTransport):
-                self._wrap_with_chaos(shard_id, shard)
-
-    def clear_chaos(self) -> None:
-        """Remove every chaos wrapper (buffered, un-faulted bytes included —
-        frames swallowed by a hang stay lost, exactly like a real outage)."""
-        self._chaos = None
-        for shard in self.shards.values():
-            if isinstance(shard._sock, ChaosTransport):
-                shard._sock = shard._sock.raw
-
-    # -- Supervisor --------------------------------------------------------------------
-
-    def check_workers(self) -> List[str]:
-        """Detect dead workers and feed them into the health machinery.
-
-        Every dead-but-not-yet-down worker is recorded as a ``worker_died``
-        event and pushed through :meth:`record_shard_error` until the shard
-        is marked down (so routing immediately avoids it).  Returns the
-        newly-detected shard ids.  Callers run this periodically — or rely on
-        the lazy path: any frame to a dead worker raises
-        :class:`~repro.core.errors.WorkerDiedError`, which feeds the same
-        counters through the executor's failure hooks.
-        """
-        died: List[str] = []
-        for shard_id, shard in self.shards.items():
-            if shard.alive or shard._closed or shard_id in self._down:
-                continue
-            exitcode = shard.process.exitcode if shard.process is not None else None
-            self.events.record("worker_died", shard=shard_id, pid=shard.pid, exitcode=exitcode)
-            while shard_id not in self._down:
-                self.record_shard_error(shard_id)
-            died.append(shard_id)
-        return died
-
-    def kill_worker(self, shard_id: str) -> None:
-        """SIGKILL one shard's worker (the crash drill used by tests/benches).
-
-        Only injects the failure — detection and recovery go through the
-        normal machinery (:meth:`check_workers` or the next frame's
-        :class:`~repro.core.errors.WorkerDiedError`).
-        """
-        shard = self.shards.get(shard_id)
-        if shard is None:
-            raise ConfigurationError(f"shard {shard_id!r} not present")
-        pid = shard.pid
-        shard.kill()
-        self.events.record("worker_killed", shard=shard_id, pid=pid)
-
-    def restart_worker(self, shard_id: str) -> Optional[CrashRecoveryReport]:
-        """Respawn the worker for one shard and rejoin it to the cluster.
-
-        A persistent shard's replacement worker reopens the backing file and
-        runs CLAM crash recovery (the report is returned); a volatile shard
-        comes back empty and relies on ``replication_factor >= 2`` —
-        read-repair and the hinted-handoff replay below restore its keys
-        lazily, exactly like :meth:`heal_shard` after a device crash.
-        """
-        if shard_id not in self.shards:
-            raise ConfigurationError(f"shard {shard_id!r} not present")
-        self._retire_shard(shard_id, RemoteShard.kill)
-        replacement = self._build_shard(shard_id)
-        report = replacement.recovery_report if self.storage == "persistent" else None
-        self.events.record(
-            "worker_restarted",
-            shard=shard_id,
-            pid=replacement.pid,
-            crash_recovered=bool(report is not None and not report.clean_shutdown),
-        )
-        self._replay_hints_for(shard_id)
-        return report
-
-    # -- Accounting --------------------------------------------------------------------
-
-    def worker_pids(self) -> Dict[str, Optional[int]]:
-        """Current worker process id per shard."""
-        return {shard_id: shard.pid for shard_id, shard in self.shards.items()}
-
-    def worker_cpu_seconds(self) -> Dict[str, float]:
-        """CPU seconds each live worker has consumed (benchmark accounting)."""
-        cpu: Dict[str, float] = {}
-        for shard_id, shard in self.shards.items():
-            if not shard.alive:
-                continue
-            try:
-                cpu[shard_id] = shard.cpu_seconds()
-            except DeviceFailedError:
-                continue
-        return cpu

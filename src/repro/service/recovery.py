@@ -31,7 +31,7 @@ asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.recovery import CrashRecoveryReport
 from repro.service.cluster import ClusterService
@@ -124,7 +124,7 @@ class RecoveryCoordinator:
         self._log(report)
         return report
 
-    def reopen_and_rejoin(self) -> Dict[str, CrashRecoveryReport]:
+    def reopen_and_rejoin(self) -> Dict[str, Optional[CrashRecoveryReport]]:
         """Recover power-cut persistent shards *in place* instead of removing them.
 
         The cheap path for a cluster on ``storage="persistent"``: a shard
@@ -136,19 +136,20 @@ class RecoveryCoordinator:
         from the hinted-handoff log.  Replication of DRAM-buffered writes lost
         in the cut is restored lazily by read-repair.
 
-        Returns each shard's :class:`~repro.core.recovery.CrashRecoveryReport`.
+        Returns each shard's :class:`~repro.core.recovery.CrashRecoveryReport`
+        (``None`` for a volatile shard, which comes back empty: see
+        :meth:`~repro.service.cluster.ClusterService.reopen_shard`).
         """
         cluster = self.cluster
-        reports: Dict[str, CrashRecoveryReport] = {}
-        for shard_id in self.detect():
-            reports[shard_id] = cluster.reopen_shard(shard_id)
+        reports = {shard_id: cluster.reopen_shard(shard_id) for shard_id in self.detect()}
         if reports:
+            recovered = [report for report in reports.values() if report is not None]
             cluster.recoveries += 1
             cluster.events.record(
                 "reopen_rejoin",
                 shards=list(reports),
-                entries_rebuilt=sum(r.entries_rebuilt for r in reports.values()),
-                log_records_replayed=sum(r.log_records_replayed for r in reports.values()),
+                entries_rebuilt=sum(r.entries_rebuilt for r in recovered),
+                log_records_replayed=sum(r.log_records_replayed for r in recovered),
             )
         return reports
 

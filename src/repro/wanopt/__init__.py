@@ -2,8 +2,8 @@
 
 A WAN optimizer suppresses redundant bytes from network transfers:
 
-* the **connection manager** accumulates incoming bytes into objects and cuts
-  them into content-defined chunks (Rabin-Karp fingerprinting);
+* the **chunker** cuts each object into content-defined chunks (Rabin-Karp
+  fingerprinting);
 * the **compression engine** looks each chunk's SHA-1 fingerprint up in a
   large hash table (the CLAM, or a Berkeley-DB-style baseline), replaces
   chunks seen before with small references, stores new chunks in an on-disk
@@ -16,7 +16,6 @@ paper's university packet traces (see DESIGN.md, substitutions table).
 """
 
 from repro.wanopt.chunking import RabinChunker, ChunkBoundary
-from repro.wanopt.connection import ConnectionManager
 from repro.wanopt.fingerprint import Chunk, fingerprint_bytes, chunk_from_bytes
 from repro.wanopt.cache import ContentCache
 from repro.wanopt.network import Link, TransmissionResult
@@ -50,7 +49,6 @@ from repro.wanopt.traces import (
 __all__ = [
     "RabinChunker",
     "ChunkBoundary",
-    "ConnectionManager",
     "Chunk",
     "fingerprint_bytes",
     "chunk_from_bytes",

@@ -8,14 +8,13 @@ Three layers under test:
 * **RemoteShard resilience** — per-request deadlines, bounded idempotent
   retries with the same sequence number, stale-frame discard, the worker's
   fatal dying-words frame on a desynchronised stream, and bounded
-  ``shutdown`` escalation for a frozen worker.
+  ``close`` escalation for a frozen worker.
 * **Cluster behaviour under chaos** — hedged reads reroute without marking a
   slow shard dead, a hung shard feeds the supervisor machinery, and a
   randomized chaos run at RF=2 loses zero acknowledged writes while the
   chaos-off configuration stays bit-identical to the in-process cluster.
 """
 
-import multiprocessing
 import os
 import random
 import signal
@@ -37,11 +36,7 @@ from repro.core.errors import (
 from repro.service import wire
 from repro.service.chaos import CHAOS_FAULTS, ChaosSchedule, ChaosTransport, derive_seed
 from repro.service.cluster import ClusterService
-from repro.service.parallel import (
-    WORKER_EXIT_DESYNC,
-    ParallelClusterService,
-    RemoteShard,
-)
+from repro.service.parallel import WORKER_EXIT_DESYNC, RemoteShard, WorkerProcesses
 from repro.workloads.workload import Operation, OpKind
 
 
@@ -50,11 +45,6 @@ def cluster_config() -> CLAMConfig:
     return CLAMConfig.scaled(
         num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
     )
-
-
-@pytest.fixture
-def fork_ctx():
-    return multiprocessing.get_context("fork")
 
 
 def chaos_pair(schedule, seed=0, on_inject=None, wrap="receiver"):
@@ -286,12 +276,15 @@ class TestChaosTransport:
 class _ShardHarness:
     """One directly-built RemoteShard plus its captured RPC events."""
 
-    def __init__(self, ctx, config, **kwargs):
+    def __init__(self, config, **policy):
         self.events = []
         self.shard = RemoteShard(
-            "shard-t", ctx, config, "dram",
+            "shard-t",
+            WorkerProcesses(**policy),
+            config,
+            "dram",
+            None,
             on_event=lambda kind, **attrs: self.events.append((kind, attrs)),
-            **kwargs,
         )
 
     def kinds(self):
@@ -307,10 +300,43 @@ class _ShardHarness:
         self.shard.kill()
 
 
+class TestWorkerProcesses:
+    """The RPC policy validates itself once, where it is built."""
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ({"request_deadline_ms": 0}, "request_deadline_ms must be positive"),
+            ({"request_deadline_ms": -5.0}, "request_deadline_ms must be positive"),
+            ({"retry_limit": -1}, "retry_limit must be non-negative"),
+            ({"hedge_delay_ms": 0.0}, "hedge_delay_ms must be positive"),
+        ],
+    )
+    def test_invalid_policy_is_rejected(self, policy, message):
+        with pytest.raises(ConfigurationError, match=message):
+            WorkerProcesses(**policy)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cluster: cluster.install_chaos(ChaosSchedule()),
+            lambda cluster: cluster.clear_chaos(),
+            lambda cluster: cluster.check_workers(),
+            lambda cluster: cluster.kill_worker("shard-0"),
+            lambda cluster: cluster.worker_pids(),
+            lambda cluster: cluster.worker_cpu_seconds(),
+        ],
+    )
+    def test_worker_methods_refuse_an_in_process_cluster(self, cluster_config, call):
+        cluster = ClusterService(num_shards=2, config=cluster_config)
+        with pytest.raises(ConfigurationError, match="workers=WorkerProcesses"):
+            call(cluster)
+
+
 class TestRemoteShardResilience:
-    def test_dropped_request_is_retried_with_same_seq(self, fork_ctx, cluster_config):
+    def test_dropped_request_is_retried_with_same_seq(self, cluster_config):
         harness = _ShardHarness(
-            fork_ctx, cluster_config,
+            cluster_config,
             request_deadline_ms=200, retry_limit=2, retry_backoff_ms=1.0,
         )
         try:
@@ -325,9 +351,9 @@ class TestRemoteShardResilience:
         finally:
             harness.close()
 
-    def test_corrupt_response_is_retried(self, fork_ctx, cluster_config):
+    def test_corrupt_response_is_retried(self, cluster_config):
         harness = _ShardHarness(
-            fork_ctx, cluster_config,
+            cluster_config,
             request_deadline_ms=500, retry_limit=2, retry_backoff_ms=1.0,
         )
         try:
@@ -341,8 +367,8 @@ class TestRemoteShardResilience:
         finally:
             harness.close()
 
-    def test_duplicate_response_is_discarded_by_seq(self, fork_ctx, cluster_config):
-        harness = _ShardHarness(fork_ctx, cluster_config)
+    def test_duplicate_response_is_discarded_by_seq(self, cluster_config):
+        harness = _ShardHarness(cluster_config)
         try:
             shard = harness.shard
             shard.insert(b"key", b"value")
@@ -355,9 +381,9 @@ class TestRemoteShardResilience:
         finally:
             harness.close()
 
-    def test_stalled_worker_opens_circuit_within_deadline(self, fork_ctx, cluster_config):
+    def test_stalled_worker_opens_circuit_within_deadline(self, cluster_config):
         harness = _ShardHarness(
-            fork_ctx, cluster_config,
+            cluster_config,
             request_deadline_ms=150, retry_limit=1, retry_backoff_ms=1.0,
         )
         try:
@@ -377,9 +403,9 @@ class TestRemoteShardResilience:
         finally:
             harness.close()
 
-    def test_shutdown_escalates_to_sigkill_for_frozen_worker(self, fork_ctx, cluster_config):
+    def test_shutdown_escalates_to_sigkill_for_frozen_worker(self, cluster_config):
         """Satellite: a worker frozen mid-frame cannot stall shutdown."""
-        harness = _ShardHarness(fork_ctx, cluster_config)
+        harness = _ShardHarness(cluster_config)
         try:
             shard = harness.shard
             # Leave the worker blocked mid-frame: a length prefix promising
@@ -388,18 +414,18 @@ class TestRemoteShardResilience:
             os.kill(shard.pid, signal.SIGSTOP)
             started = time.monotonic()
             with pytest.raises(DeviceFailedError):
-                shard.shutdown(timeout_s=0.5)
+                shard.close(timeout_s=0.5)
             elapsed = time.monotonic() - started
             assert elapsed < 10.0, f"shutdown must stay bounded, took {elapsed:.1f}s"
             assert not shard.process.is_alive()
             assert shard.process.exitcode == -signal.SIGKILL
-            shard.shutdown()  # idempotent after the escalation
+            shard.close()  # idempotent after the escalation
         finally:
             harness.close()
 
-    def test_desynced_stream_gets_fatal_frame_and_typed_exit(self, fork_ctx, cluster_config):
+    def test_desynced_stream_gets_fatal_frame_and_typed_exit(self, cluster_config):
         """Satellite: the worker names its error before dying on desync."""
-        harness = _ShardHarness(fork_ctx, cluster_config)
+        harness = _ShardHarness(cluster_config)
         try:
             shard = harness.shard
             # An oversized length prefix desynchronises the stream beyond
@@ -415,8 +441,8 @@ class TestRemoteShardResilience:
         finally:
             harness.close()
 
-    def test_worker_survives_a_crc_corrupt_request(self, fork_ctx, cluster_config):
-        harness = _ShardHarness(fork_ctx, cluster_config)
+    def test_worker_survives_a_crc_corrupt_request(self, cluster_config):
+        harness = _ShardHarness(cluster_config)
         try:
             shard = harness.shard
             payload = wire.encode_control({"op": "ping"})
@@ -455,13 +481,11 @@ class TestClusterChaos:
             num_shards=4, config=cluster_config, replication_factor=2
         )
         expected = drive(reference)
-        with ParallelClusterService(
+        with ClusterService(
             num_shards=4,
             config=cluster_config,
             replication_factor=2,
-            request_deadline_ms=5_000,
-            retry_limit=2,
-            hedge_delay_ms=100.0,
+            workers=WorkerProcesses(request_deadline_ms=5_000, retry_limit=2, hedge_delay_ms=100.0),
         ) as cluster:
             actual = drive(cluster)
             assert actual == expected
@@ -473,12 +497,11 @@ class TestClusterChaos:
             assert rpc_kinds.isdisjoint(cluster.events.kinds())
 
     def test_hedged_read_reroutes_without_marking_shard_down(self, cluster_config):
-        with ParallelClusterService(
+        with ClusterService(
             num_shards=4,
             config=cluster_config,
             replication_factor=2,
-            request_deadline_ms=10_000,
-            hedge_delay_ms=60.0,
+            workers=WorkerProcesses(request_deadline_ms=10_000, hedge_delay_ms=60.0),
         ) as cluster:
             keys = [b"hedge-%d" % i for i in range(40)]
             for key in keys:
@@ -502,13 +525,11 @@ class TestClusterChaos:
             assert result.found and result.value == b"val-" + keys[0]
 
     def test_hung_transport_feeds_supervisor_machinery(self, cluster_config):
-        with ParallelClusterService(
+        with ClusterService(
             num_shards=4,
             config=cluster_config,
             replication_factor=2,
-            request_deadline_ms=150,
-            retry_limit=1,
-            retry_backoff_ms=1.0,
+            workers=WorkerProcesses(request_deadline_ms=150, retry_limit=1, retry_backoff_ms=1.0),
         ) as cluster:
             key = b"hang-target"
             cluster.insert(key, b"precious")
@@ -525,8 +546,8 @@ class TestClusterChaos:
             for kind in ("chaos_injected", "rpc_timeout", "rpc_retry", "worker_stalled"):
                 assert kind in kinds, f"missing {kind} in {kinds}"
             assert victim in cluster.down_shard_ids
-            # The supervisor restart path brings the shard back clean.
-            cluster.restart_worker(victim)
+            # Reopening the shard (a fresh worker) brings it back clean.
+            cluster.reopen_shard(victim)
             assert victim not in cluster.down_shard_ids
             assert cluster.lookup(key).found
 
@@ -541,13 +562,11 @@ class TestClusterChaos:
             delay_rate=0.05,
             delay_ms=2.0,
         )
-        with ParallelClusterService(
+        with ClusterService(
             num_shards=4,
             config=cluster_config,
             replication_factor=2,
-            request_deadline_ms=120,
-            retry_limit=3,
-            retry_backoff_ms=2.0,
+            workers=WorkerProcesses(request_deadline_ms=120, retry_limit=3, retry_backoff_ms=2.0),
         ) as cluster:
             cluster.install_chaos(schedule, seed=2026)
             keys = [b"chaos-%d" % i for i in range(120)]
@@ -562,7 +581,7 @@ class TestClusterChaos:
             assert cluster.events.events("chaos_injected"), "chaos must actually fire"
             cluster.clear_chaos()
             for shard_id in sorted(cluster.down_shard_ids):
-                cluster.restart_worker(shard_id)
+                cluster.reopen_shard(shard_id)
             for key in acked:
                 result = cluster.lookup(key)
                 assert result.found and result.value == b"val-" + key, (
@@ -570,8 +589,8 @@ class TestClusterChaos:
                 )
 
     def test_install_chaos_covers_replacement_workers(self, cluster_config):
-        with ParallelClusterService(
-            num_shards=2, config=cluster_config, replication_factor=2
+        with ClusterService(
+            num_shards=2, config=cluster_config, replication_factor=2, workers=WorkerProcesses()
         ) as cluster:
             cluster.install_chaos(ChaosSchedule(), seed=5)
             assert all(
@@ -579,7 +598,7 @@ class TestClusterChaos:
             )
             cluster.kill_worker("shard-0")
             cluster.check_workers()
-            cluster.restart_worker("shard-0")
+            cluster.reopen_shard("shard-0")
             assert isinstance(cluster.shards["shard-0"]._sock, ChaosTransport)
             cluster.clear_chaos()
             assert not any(

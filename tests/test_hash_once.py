@@ -55,7 +55,7 @@ from repro.core.hashing import (
 from repro.core.incarnation import page_index_for_key
 from repro.core.results import ServedFrom
 from repro.core.sliced_bloom import BitSlicedBloomArray
-from repro.service import ClusterService, ParallelClusterService, wire
+from repro.service import ClusterService, WorkerProcesses, wire
 from repro.service.shard import apply_batch
 from repro.workloads.workload import Operation, OpKind
 
@@ -487,7 +487,7 @@ class TestCacheFollowsIndexes:
             clam.close()
 
     def test_routing_parent_covers_its_workers(self):
-        cluster = ParallelClusterService(num_shards=2, config=_e2e_config(), storage="intel-ssd")
+        cluster = ClusterService(num_shards=2, config=_e2e_config(), workers=WorkerProcesses())
         try:
             assert self._capacity() == 2 * self.RETENTION
         finally:

@@ -1,15 +1,21 @@
-"""Tests for the process-per-shard cluster (repro.service.parallel).
+"""Tests for the worker-process shard backend (repro.service.parallel).
 
 The two contracts under test:
 
-* **Bit-identical results** — the parallel deployment must produce exactly
-  the result records, merged counters and ensemble clock readings of the
-  in-process :class:`ClusterService` on the same operation stream.
+* **Bit-identical results** — ``ClusterService(workers=WorkerProcesses())``
+  must produce exactly the result records, merged counters and ensemble clock
+  readings of the in-process :class:`ClusterService` on the same operation
+  stream.
 * **Worker death is a device failure** — killing a worker behaves like a
   crash-stopped device: typed errors, replica failover, hinted handoff,
-  supervisor detection, restart with crash recovery, and zero lost
+  supervisor detection, reopening with crash recovery, and zero lost
   acknowledged writes at ``replication_factor >= 2``.
 """
+
+import os
+import signal
+import time
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +33,9 @@ from repro.service import (
     AutoscalePolicy,
     ClusterService,
     KeyMigrator,
-    ParallelClusterService,
+    RecoveryCoordinator,
+    RemoteShard,
+    WorkerProcesses,
 )
 from repro.service.shard import LocalShard
 from repro.telemetry.schema import validate_snapshot
@@ -87,7 +95,8 @@ class TestBitIdenticalParity:
         )
         expected, expected_batch = drive_mixed(reference)
 
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=4, config=cluster_config, replication_factor=replication_factor
         ) as parallel:
             actual, actual_batch = drive_mixed(parallel)
@@ -104,7 +113,9 @@ class TestBitIdenticalParity:
 
     def test_hash_once_digests_cross_the_wire(self, cluster_config):
         """Routing digests are serialised with the key, not recomputed."""
-        with ParallelClusterService(num_shards=4, config=cluster_config) as parallel:
+        with ClusterService(
+            num_shards=4, config=cluster_config, workers=WorkerProcesses()
+        ) as parallel:
             reference = ClusterService(num_shards=4, config=cluster_config)
             keys = [b"fp-%d" % i for i in range(64)]
             parallel.insert_batch([(k, b"v") for k in keys])
@@ -121,7 +132,9 @@ class TestBitIdenticalParity:
         same key by them."""
         keys = [5, 0x0102, "abc", memoryview(b"mv-key"), bytearray(b"ba-key"), b"plain"]
         local = LocalShard("shard-0", cluster_config, "intel-ssd")
-        with ParallelClusterService(num_shards=1, config=cluster_config) as parallel:
+        with ClusterService(
+            num_shards=1, config=cluster_config, workers=WorkerProcesses()
+        ) as parallel:
             (remote,) = parallel.shards.values()
             for shard in (local, remote):
                 for key in keys:
@@ -136,14 +149,15 @@ class TestBitIdenticalParity:
 
 
     def test_a_worker_builds_its_shard_from_the_in_process_spec(self, cluster_config):
-        """A worker and the in-process cluster build one :class:`LocalShard`
-        from one ``_shard_spec``: the worker's, reached over the wire,
-        reports the counters the in-process one does."""
-        spec = ClusterService(num_shards=1, config=cluster_config)._shard_spec("shard-0")
-        in_process = LocalShard("shard-0", *spec)
-        with ParallelClusterService(num_shards=1, config=cluster_config) as parallel:
+        """One constructor builds the same :class:`LocalShard` in process and
+        in a worker: the worker's, reached over the wire, reports the
+        counters the in-process one does."""
+        (in_process,) = ClusterService(num_shards=1, config=cluster_config).shards.values()
+        with ClusterService(
+            num_shards=1, config=cluster_config, workers=WorkerProcesses()
+        ) as parallel:
             (in_worker,) = parallel.shards.values()
-            assert in_worker._spec == spec
+            assert isinstance(in_process, LocalShard) and isinstance(in_worker, RemoteShard)
             for shard in (in_process, in_worker):
                 shard.insert(b"key", b"value")
                 shard.lookup(b"key")
@@ -152,7 +166,9 @@ class TestBitIdenticalParity:
 
 class TestWorkerFailure:
     def test_dead_worker_raises_worker_died_on_next_frame(self, cluster_config):
-        with ParallelClusterService(num_shards=2, config=cluster_config) as cluster:
+        with ClusterService(
+            num_shards=2, config=cluster_config, workers=WorkerProcesses()
+        ) as cluster:
             shard_id = cluster.shard_for(b"key")
             shard = cluster.shards[shard_id]
             cluster.kill_worker(shard_id)
@@ -164,7 +180,8 @@ class TestWorkerFailure:
             assert issubclass(WorkerDiedError, DeviceFailedError)
 
     def test_kill_at_rf2_loses_no_acknowledged_write(self, cluster_config):
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=4, config=cluster_config, replication_factor=2
         ) as cluster:
             keys = [b"key-%d" % i for i in range(240)]
@@ -181,7 +198,9 @@ class TestWorkerFailure:
             assert victim in cluster.down_shard_ids
 
     def test_kill_at_rf1_raises_typed_shard_unavailable(self, cluster_config):
-        with ParallelClusterService(num_shards=2, config=cluster_config) as cluster:
+        with ClusterService(
+            num_shards=2, config=cluster_config, workers=WorkerProcesses()
+        ) as cluster:
             cluster.insert(b"key", b"value")
             victim = cluster.shard_for(b"key")
             cluster.kill_worker(victim)
@@ -193,7 +212,8 @@ class TestWorkerFailure:
                 cluster.lookup(b"key")
 
     def test_supervisor_detects_death_without_traffic(self, cluster_config):
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=3, config=cluster_config, replication_factor=2
         ) as cluster:
             cluster.insert(b"key", b"value")
@@ -209,7 +229,8 @@ class TestWorkerFailure:
             assert cluster.check_workers() == []  # already marked down
 
     def test_restart_rejoins_and_replays_hints(self, cluster_config):
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=3, config=cluster_config, replication_factor=2
         ) as cluster:
             keys = [b"key-%d" % i for i in range(120)]
@@ -224,7 +245,7 @@ class TestWorkerFailure:
             assert missed, "victim should replicate some keys"
             for key in missed:
                 cluster.insert(key, b"new-" + key)
-            report = cluster.restart_worker(victim)
+            report = cluster.reopen_shard(victim)
             assert report is None  # volatile storage: no crash recovery
             assert victim not in cluster.down_shard_ids
             assert cluster.shards[victim].alive
@@ -235,11 +256,13 @@ class TestWorkerFailure:
                 result = replacement.lookup(key)
                 assert result.found and result.value == b"new-" + key
             kinds = [event.kind for event in cluster.events]
-            assert "worker_restarted" in kinds and "hinted_handoff_replay" in kinds
+            assert "crash_recovery_started" in kinds and "hinted_handoff_replay" in kinds
+            assert "crash_recovery_completed" not in kinds  # recorded only with a report
 
     def test_injected_device_fault_crosses_the_wire(self, cluster_config):
         """fail_shard/heal_shard relay fault injection into the worker."""
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=3, config=cluster_config, replication_factor=2
         ) as cluster:
             cluster.insert(b"key", b"value")
@@ -253,13 +276,16 @@ class TestWorkerFailure:
             assert cluster.lookup(b"key").found
 
     def test_unknown_fault_mode_rejected_across_the_wire(self, cluster_config):
-        with ParallelClusterService(num_shards=2, config=cluster_config) as cluster:
+        with ClusterService(
+            num_shards=2, config=cluster_config, workers=WorkerProcesses()
+        ) as cluster:
             with pytest.raises(ConfigurationError, match="unknown fault mode"):
                 cluster.fail_shard("shard-0", mode="meteor-strike")
 
     def test_worker_build_failure_surfaces_as_configuration_error(self, cluster_config):
         with pytest.raises(ConfigurationError, match="failed to start"):
-            ParallelClusterService(
+            ClusterService(
+                workers=WorkerProcesses(),
                 num_shards=2, config=cluster_config, storage="no-such-profile"
             )
 
@@ -279,7 +305,8 @@ class TestMaintenanceFrames:
 
     @staticmethod
     def populated(keys):
-        cluster = ParallelClusterService(
+        cluster = ClusterService(
+            workers=WorkerProcesses(),
             num_shards=3, replication_factor=2, virtual_nodes=16, config=CLAMConfig.scaled()
         )
         cluster.insert_batch([(key, b"v1") for key in keys])
@@ -312,7 +339,8 @@ class TestMaintenanceFrames:
 class TestPersistentWorkers:
     def test_clean_close_and_reopen(self, cluster_config, tmp_path):
         data_dir = str(tmp_path / "cluster")
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=2,
             config=cluster_config,
             storage="persistent",
@@ -321,7 +349,8 @@ class TestPersistentWorkers:
         ) as cluster:
             for i in range(80):
                 cluster.insert(b"pkey-%d" % i, b"pval-%d" % i)
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=2,
             config=cluster_config,
             storage="persistent",
@@ -334,7 +363,8 @@ class TestPersistentWorkers:
 
     def test_sigkill_runs_crash_recovery_on_restart(self, cluster_config, tmp_path):
         data_dir = str(tmp_path / "cluster")
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=2,
             config=cluster_config,
             storage="persistent",
@@ -346,7 +376,7 @@ class TestPersistentWorkers:
                 cluster.insert(key, b"payload-" + key)
             victim = cluster.shard_for(keys[0])
             cluster.kill_worker(victim)  # SIGKILL: no flush, no checkpoint
-            report = cluster.restart_worker(victim)
+            report = cluster.reopen_shard(victim)
             assert report is not None and not report.clean_shutdown
             assert report.pages_scanned > 0
             # RF=2: anything the dead worker's DRAM buffer lost is read-
@@ -356,10 +386,44 @@ class TestPersistentWorkers:
                 assert result.found and result.value == b"payload-" + key
 
 
+    def test_reopening_a_stalled_worker_does_not_wait_on_it(self, cluster_config, tmp_path):
+        """Regression: reopening retired a SIGSTOPped worker through its clean
+        close, which waited out the 10 s shutdown budget before killing it.
+        The worker is killed instead, and recovery runs from its file."""
+        with ClusterService(
+            num_shards=3,
+            config=cluster_config,
+            storage="persistent",
+            data_dir=str(tmp_path / "cluster"),
+            replication_factor=2,
+            workers=WorkerProcesses(request_deadline_ms=200, retry_limit=0),
+        ) as cluster:
+            keys = [b"stall-%d" % i for i in range(120)]
+            for key in keys:
+                cluster.insert(key, b"v-" + key)
+            victim = cluster.shard_for(keys[0])
+            os.kill(cluster.shards[victim].pid, signal.SIGSTOP)
+            for key in keys:  # traffic until the stalled shard is marked down
+                if victim in cluster.down_shard_ids:
+                    break
+                cluster.lookup(key)
+            assert victim in cluster.down_shard_ids
+            started = time.monotonic()
+            reports = RecoveryCoordinator(cluster).reopen_and_rejoin()
+            elapsed = time.monotonic() - started
+            assert elapsed < 2.0, f"reopen waited on the stalled worker for {elapsed:.2f} s"
+            assert list(reports) == [victim] and not reports[victim].clean_shutdown
+            assert victim not in cluster.down_shard_ids and cluster.shards[victim].alive
+            for key in keys:
+                assert cluster.lookup(key).value == b"v-" + key
+
+
 class TestTelemetryAndLifecycle:
     def test_snapshot_merges_worker_registries_and_validates(self, telemetry_config):
         reference = ClusterService(num_shards=3, config=telemetry_config)
-        with ParallelClusterService(num_shards=3, config=telemetry_config) as cluster:
+        with ClusterService(
+            num_shards=3, config=telemetry_config, workers=WorkerProcesses()
+        ) as cluster:
             for target in (reference, cluster):
                 for i in range(90):
                     target.insert(b"key-%d" % i, b"val")
@@ -378,7 +442,9 @@ class TestTelemetryAndLifecycle:
         """Regression: the load signal was read off ``shard.telemetry``,
         which a worker proxy never had, so a parallel cluster looked idle.
         It is each worker's operation counters now, telemetry on or off."""
-        with ParallelClusterService(num_shards=2, config=cluster_config) as cluster:
+        with ClusterService(
+            num_shards=2, config=cluster_config, workers=WorkerProcesses()
+        ) as cluster:
             migrator = KeyMigrator(cluster)
             config = AutoscaleConfig(evaluate_every=1, cooldown=0, hot_shard_threshold=1.01)
             policy = AutoscalePolicy(cluster, migrator, config)
@@ -396,7 +462,8 @@ class TestTelemetryAndLifecycle:
             assert len(cluster.shards) == 3
 
     def test_stats_skip_dead_workers(self, cluster_config):
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=3, config=cluster_config, replication_factor=2
         ) as cluster:
             cluster.insert_batch([(b"key-%d" % i, b"val") for i in range(30)])
@@ -410,7 +477,8 @@ class TestTelemetryAndLifecycle:
             assert summary["shards"] == 3.0
 
     def test_snapshot_skips_dead_workers(self, telemetry_config):
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=3, config=telemetry_config, replication_factor=2
         ) as cluster:
             cluster.insert(b"key", b"value")
@@ -420,7 +488,7 @@ class TestTelemetryAndLifecycle:
             assert "shard-1" not in snapshot["per_shard"]
 
     def test_close_is_idempotent(self, cluster_config):
-        cluster = ParallelClusterService(num_shards=2, config=cluster_config)
+        cluster = ClusterService(num_shards=2, config=cluster_config, workers=WorkerProcesses())
         cluster.insert(b"key", b"value")
         cluster.close()
         cluster.close()
@@ -429,7 +497,8 @@ class TestTelemetryAndLifecycle:
             assert shard.process.exitcode == 0
 
     def test_close_reaps_killed_workers(self, cluster_config):
-        cluster = ParallelClusterService(
+        cluster = ClusterService(
+            workers=WorkerProcesses(),
             num_shards=3, config=cluster_config, replication_factor=2
         )
         cluster.kill_worker("shard-0")
@@ -438,7 +507,8 @@ class TestTelemetryAndLifecycle:
             assert not shard.process.is_alive()
 
     def test_remove_shard_shuts_worker_down(self, cluster_config):
-        with ParallelClusterService(
+        with ClusterService(
+            workers=WorkerProcesses(),
             num_shards=3, config=cluster_config
         ) as cluster:
             shard = cluster.shards["shard-2"]
@@ -451,7 +521,9 @@ class TestTelemetryAndLifecycle:
             assert cluster.lookup(b"key").found
 
     def test_add_shard_spawns_worker(self, cluster_config):
-        with ParallelClusterService(num_shards=2, config=cluster_config) as cluster:
+        with ClusterService(
+            num_shards=2, config=cluster_config, workers=WorkerProcesses()
+        ) as cluster:
             cluster.add_shard("shard-extra")
             assert cluster.shards["shard-extra"].alive
             cluster.insert(b"key", b"value")
@@ -489,3 +561,26 @@ class TestClusterCloseSafety:
         victim.close = original_close
         cluster.close()  # idempotent once the failure is gone
         assert victim.closed
+
+
+def test_the_kept_constructor_gets_no_new_callers():
+    """``ParallelClusterService`` is ``ClusterService(workers=WorkerProcesses())``
+    kept under the name the end-to-end benchmark harness builds: outside
+    ``benchmarks/e2e/``, only its definition and the package export name it."""
+    root = Path(__file__).resolve().parent.parent
+    this_file = Path(__file__).resolve()
+    paths = [root / "README.md"]
+    for tree in ("src", "benchmarks", "examples", "tools", "tests", ".github"):
+        paths.extend(path for path in (root / tree).rglob("*") if path.is_file())
+    mentions = {}
+    for path in paths:
+        relative = path.relative_to(root).as_posix()
+        if relative.startswith("benchmarks/e2e/") or path.resolve() == this_file:
+            continue
+        try:
+            count = path.read_text().count("ParallelClusterService")
+        except UnicodeDecodeError:
+            continue
+        if count:
+            mentions[relative] = count
+    assert mentions == {"src/repro/service/cluster.py": 1, "src/repro/service/__init__.py": 2}

@@ -6,7 +6,7 @@ from benchmarks.common import count_calls
 from repro.core import CLAMConfig
 from repro.core.hashing import clear_digest_cache
 from repro.core.results import DeleteResult, InsertResult, LookupResult
-from repro.service import ClusterService, ParallelClusterService
+from repro.service import ClusterService, WorkerProcesses
 from repro.service import batch as batch_module
 from repro.service.shard import apply_batch
 from repro.workloads import (
@@ -19,11 +19,11 @@ from repro.workloads import (
 )
 
 
-def small_cluster(deployment=ClusterService, **overrides):
+def small_cluster(**overrides):
     config = CLAMConfig.scaled(
         num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
     )
-    return deployment(num_shards=4, config=config, **overrides)
+    return ClusterService(num_shards=4, config=config, **overrides)
 
 
 def probes(cluster):
@@ -104,20 +104,18 @@ class TestReplicaSemantics:
     """What a replicated read returns (the BatchExecutor docstring), tested
     where it is implemented: once, for every entry point and deployment."""
 
-    @pytest.mark.parametrize("deployment", [ClusterService, ParallelClusterService])
-    def test_lookup_batch_reads_through_and_repairs(self, deployment):
+    @pytest.mark.parametrize(
+        "workers", [None, WorkerProcesses()], ids=["ClusterService", "WorkerProcesses"]
+    )
+    def test_lookup_batch_reads_through_and_repairs(self, workers):
         """Regression: batches used to return the first replica's miss."""
-        with small_cluster(deployment, replication_factor=2) as cluster:
+        with small_cluster(replication_factor=2, workers=workers) as cluster:
             keys = [fingerprint_for(i, namespace=b"read-through") for i in range(120)]
             cluster.insert_batch([(key, b"v-" + key) for key in keys])
             primary = cluster.shard_for(keys[0])
             dropped = [key for key in keys if cluster.shard_for(key) == primary]
-            # Lose the primary's copies behind the cluster's back.
-            if deployment is ClusterService:
-                for key in dropped:
-                    cluster.shards[primary].delete(key)
-            else:
-                cluster.restart_worker(primary)  # a volatile shard comes back empty
+            # Lose the primary's copies: a reopened volatile shard comes back empty.
+            cluster.reopen_shard(primary)
             assert not any(cluster.shards[primary].lookup(key).found for key in dropped)
 
             results = cluster.lookup_batch(keys)

@@ -36,7 +36,7 @@ import pytest
 from repro.core.config import CLAMConfig
 from repro.core.errors import ShardUnavailableError
 from repro.core.results import DeleteResult, InsertResult, LookupResult
-from repro.service import ClusterService, KeyMigrator, ParallelClusterService
+from repro.service import ClusterService, KeyMigrator, WorkerProcesses
 from repro.workloads.workload import Operation, OpKind
 
 _SEED = 0x5E41CE
@@ -214,9 +214,7 @@ def _traffic(cluster, keys: _Keys, recorder: _Recorder, rounds: int) -> None:
             recorder.batch(cluster.last_batch)
 
 
-def run_case(
-    replication_factor: int, failure_threshold: int = 1, deployment=ClusterService
-) -> dict:
+def run_case(replication_factor: int, failure_threshold: int = 1, workers=None) -> dict:
     """Drive the whole script through one cluster; one digest per phase."""
     config = CLAMConfig.scaled(
         num_super_tables=4,
@@ -224,12 +222,13 @@ def run_case(
         incarnations_per_table=4,
         bloom_bits_per_entry=4.0,
     )
-    with deployment(
+    with ClusterService(
         num_shards=4,
         config=config,
         virtual_nodes=8,
         replication_factor=replication_factor,
         failure_threshold=failure_threshold,
+        workers=workers,
     ) as cluster:
         return _run_script(cluster, replication_factor)
 
@@ -414,7 +413,7 @@ def test_service_outcomes_are_bit_identical(case):
 def test_worker_processes_reproduce_the_same_golden(case):
     """The in-process <-> process parity contract, against the frozen values
     rather than against the other deployment."""
-    assert run_case(*CASES[case], deployment=ParallelClusterService) == GOLDEN[case]
+    assert run_case(*CASES[case], workers=WorkerProcesses()) == GOLDEN[case]
 
 
 def test_migration_order_does_not_follow_the_string_hash_seed():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError, ShardUnavailableError
-from repro.service import ClusterService, ParallelClusterService, RecoveryCoordinator
+from repro.service import ClusterService, RecoveryCoordinator, WorkerProcesses
 from repro.workloads import fingerprint_for
 
 
@@ -197,12 +197,7 @@ def crash_shard(cluster, shard_id):
         cluster.record_shard_error(shard_id)
 
 
-def kill_shard(cluster, shard_id):
-    cluster.kill_worker(shard_id)
-    assert cluster.check_workers() == [shard_id]
-
-
-def recover_after_restart(deployment, data_dir, crash, keys):
+def recover_after_restart(data_dir, keys, workers=None):
     """Write, restart the parent, crash ``shard-0``, recover, crash ``shard-1``.
 
     Returns the recovery report and how many acked keys still read back.
@@ -213,14 +208,15 @@ def recover_after_restart(deployment, data_dir, crash, keys):
         config=RESTART_CONFIG,
         storage="persistent",
         data_dir=str(data_dir),
+        workers=workers,
     )
     inserted = [fingerprint_for(i, namespace=b"restart") for i in range(keys)]
-    with deployment(**spec) as cluster:
+    with ClusterService(**spec) as cluster:
         cluster.insert_batch([(key, b"v-" + key[:4]) for key in inserted])
-    with deployment(**spec) as cluster:
-        crash(cluster, "shard-0")
+    with ClusterService(**spec) as cluster:
+        crash_shard(cluster, "shard-0")
         report = RecoveryCoordinator(cluster).recover()
-        crash(cluster, "shard-1")
+        crash_shard(cluster, "shard-1")
         readable = sum(cluster.lookup(key).value == b"v-" + key[:4] for key in inserted)
     return report, readable
 
@@ -230,20 +226,41 @@ class TestParentRestart:
     restarted and remembers no keys still re-replicates every one of them."""
 
     def test_recovery_after_a_parent_restart_re_replicates(self, tmp_path):
-        report, readable = recover_after_restart(ClusterService, tmp_path, crash_shard, 300)
+        report, readable = recover_after_restart(tmp_path, 300)
         assert report.keys_affected > 0
         assert report.keys_lost == 0 and report.complete
         assert readable == 300
 
     def test_worker_processes_recover_alike_after_a_restart(self, tmp_path):
         keys = 120
-        expected, readable = recover_after_restart(
-            ClusterService, tmp_path / "inproc", crash_shard, keys
-        )
+        expected, readable = recover_after_restart(tmp_path / "inproc", keys)
         assert readable == keys
-        report, readable = recover_after_restart(
-            ParallelClusterService, tmp_path / "workers", kill_shard, keys
-        )
+        report, readable = recover_after_restart(tmp_path / "workers", keys, WorkerProcesses())
         assert readable == keys
         assert report.keys_affected > 0
         assert report == expected
+
+
+class TestReopenShard:
+    def test_a_volatile_shard_reopens_empty_replays_hints_and_rejoins(self):
+        """An in-process volatile shard is reopened as a worker is: it comes
+        back empty, the writes it missed while down are replayed from its
+        hints, and it serves again with no report to return."""
+        cluster, inserted = populated_cluster()
+        crash_and_detect(cluster, "shard-1")
+        missed = [fingerprint_for(i, namespace=b"while-down") for i in range(100)]
+        for key in missed:
+            cluster.insert(key, b"missed")
+        hinted = [key for key in missed if "shard-1" in cluster.replicas_for(key)]
+        assert hinted
+        assert cluster.reopen_shard("shard-1") is None
+        assert cluster.is_live("shard-1") and cluster.shard_errors == {}
+        assert cluster.hinted_handoffs == len(hinted)
+        shard = cluster.shards["shard-1"]
+        assert all(shard.lookup(key).value == b"missed" for key in hinted)
+        assert not any(shard.lookup(key).found for key in inserted)
+        kinds = cluster.events.kinds()
+        assert "crash_recovery_started" in kinds and "hinted_handoff_replay" in kinds
+        assert "crash_recovery_completed" not in kinds
+        for key in inserted:
+            assert cluster.lookup(key).value == b"value-" + key[:6]

@@ -27,6 +27,15 @@ def second(payload, start):
     return word, "second"
 """
 
+#: A class with members that nothing outside it names.
+PLANTED_CLASS = """
+class Planted:
+    LIMIT = 3
+
+    def first(self):
+        return self.LIMIT
+"""
+
 
 @pytest.fixture(scope="module")
 def result() -> surface.Scan:
@@ -58,13 +67,20 @@ def test_settable_values_are_counted_by_kind(result):
 
 
 def test_members_of_an_allowed_class_are_covered_by_its_entry(result, ledger):
+    """A planted class nothing references, allowed by one entry for the class."""
+    planted = list(surface._definitions("planted", "planted.py", ast.parse(PLANTED_CLASS)))
+    result = result._replace(
+        definitions=result.definitions + planted, unreferenced=result.unreferenced + planted
+    )
+    ledger["allowed"]["planted.Planted"] = "why"
+    assert surface.violations(result, ledger) == []
     members = [
         definition
         for definition in result.unreferenced
-        if definition.qualname.startswith("repro.wanopt.connection.ConnectionManager.")
+        if definition.qualname.startswith("planted.Planted.")
     ]
     assert members
-    del ledger["allowed"]["repro.wanopt.connection.ConnectionManager"]
+    del ledger["allowed"]["planted.Planted"]
     found = surface.violations(result, ledger)
     assert len(found) == 1 + len(members)
     assert all("is reached by tests only" in line for line in found)

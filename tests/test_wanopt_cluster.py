@@ -404,45 +404,6 @@ class TestByteExactReconstruction:
         assert topology.receiver.objects_checked == len(objects)
 
 
-class TestConnectionManagerFeeds:
-    def test_per_branch_connection_managers_with_disjoint_object_ids(self):
-        """Real byte streams through per-branch connection managers: each CM
-        gets a disjoint ``object_id_start`` range, the shared content dedups
-        across branches, and everything reassembles byte-exactly."""
-        import random
-
-        from repro.wanopt import ConnectionManager, RabinChunker
-
-        topology = MultiBranchTopology(
-            num_branches=2, num_shards=2, replication_factor=2, config=small_config()
-        )
-        rng = random.Random(3)
-        shared_prefix = rng.randbytes(24 * 1024)  # content every branch carries
-        streams = []
-        for branch_index, branch in enumerate(topology.branches):
-            manager = ConnectionManager(
-                branch.clock,
-                chunker=RabinChunker(average_size=1024),
-                object_id_start=branch_index * 1_000_000,
-            )
-            objects = []
-            for connection in range(3):
-                payload = shared_prefix + rng.randbytes(8 * 1024)
-                manager.receive((branch_index, connection), payload)
-                objects.extend(manager.flush((branch_index, connection)))
-            streams.append(objects)
-
-        result = MultiBranchThroughputTest(topology).run(streams)
-        object_ids = [obj.object_id for stream in streams for obj in stream]
-        assert len(set(object_ids)) == len(object_ids)
-        assert all(obj.object_id >= 1_000_000 for obj in streams[1])
-        assert all(obj.object_id < 1_000_000 for obj in streams[0])
-        # The shared prefix dedups across branches, byte-exactly.
-        assert result.cross_branch_matched > 0
-        assert result.objects_reconstructed_exactly == result.objects_total
-        assert result.chunks_lost == 0
-
-
 class TestTopologyHarness:
     def test_single_branch_single_shard_matches_classic_optimizer(self):
         """Aggregate improvement degenerates to the single-box Scenario 1."""
