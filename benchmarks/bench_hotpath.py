@@ -42,12 +42,15 @@ device model) and counts how often key bytes are walked:
   existed before).  Same sizes in ``--quick`` and full runs;
   ``benchmarks/ratchet.py`` holds the first exactly and both under a ceiling.
 
-* ``index_memory`` — DRAM per indexed key of the standard CLAM with its FIFO
-  window full (:func:`run_index_memory`): tracemalloc's bytes per key it
-  holds, in three tags — the digest cache, the simulated flash media (not
-  DRAM in the paper's model) and index DRAM.  Same sizes in ``--quick`` and
-  full runs; ``benchmarks/ratchet.py`` holds the total and the index-DRAM tag
-  under ceilings.
+* ``index_memory`` — DRAM per indexed key of the standard CLAM
+  (:func:`run_index_memory`), read twice: with its FIFO windows first full
+  and in steady state, once every window has turned over
+  :data:`STEADY_STATE_LAPS` times.  Each reading is tracemalloc's bytes per
+  key it holds, in three tags — the digest cache, the simulated flash media
+  (not DRAM in the paper's model) and index DRAM, with the bit-sliced Bloom
+  arrays' part of the last.  Same sizes in ``--quick`` and full runs;
+  ``benchmarks/ratchet.py`` holds the totals, the window-full index-DRAM tag
+  and the steady-state media under ceilings.
 
 * ``hash_calls_per_op`` — traversals of the key bytes per operation, by
   layer, counted with :func:`repro.core.hashing.count_hash_calls`: a cold key
@@ -191,6 +194,12 @@ DIGEST_MEMORY_KEYS = 40_000
 #: ``index_memory`` tags after the digest cache's: path fragments of the files
 #: whose allocations are simulated flash media (page images, device maps).
 FLASH_MEDIA_FILES = ("repro/flashsim/", "repro/core/incarnation.py")
+
+#: The file whose allocations are the bit-sliced Bloom arrays (one int per slice).
+SLICED_BLOOM_FILE = "repro/core/sliced_bloom.py"
+
+#: ``index_memory``'s steady-state reading: FIFO-window turnovers of every super table.
+STEADY_STATE_LAPS = 4
 
 #: Ceiling on ``digest_memory.warm_digest_bytes`` (564 with a tuple of words
 #: and a memo of 11 Bloom positions; six words in one array read 208).
@@ -641,44 +650,71 @@ def run_digest_memory() -> Dict[str, float]:
 
 def run_index_memory() -> Dict[str, float]:
     """DRAM per indexed key: the standard CLAM (the end-to-end benchmark's)
-    takes new 20-byte keys, made as they go in, until every super table's FIFO
-    window is full, and tracemalloc's live bytes are read per key it holds.
-
-    The digest-cache tag is what :func:`clear_digest_cache` frees (the digests
-    and the keys only they kept alive); the rest is split by the file that
-    allocated it into simulated flash media (:data:`FLASH_MEDIA_FILES`) and
-    index DRAM (Bloom filters, buffers and the keys in them, incarnation
-    metadata)."""
+    takes new 20-byte keys, made as they go in, and tracemalloc's live bytes
+    are read per key it holds (:func:`traced_per_indexed_key`) when every
+    super table's FIFO window is first full, and again once every window has
+    turned over :data:`STEADY_STATE_LAPS` times (the ``steady_state`` reading:
+    what a long run holds, released incarnations long gone)."""
     clear_digest_cache()
     gc.collect()
     tracemalloc.start()
     try:
         clam = standard_clam()
-        tables, window = clam.bufferhash.tables, clam.bufferhash.incarnations_per_table
-        number = 0
-        while min(table.incarnation_count for table in tables) < window:
-            clam.insert(fingerprint_for(number, namespace=b"index"), VALUE)
-            number += 1
-        gc.collect()
-        total = tracemalloc.get_traced_memory()[0]
-        clear_digest_cache()
-        gc.collect()
-        index = tracemalloc.get_traced_memory()[0]
-        flash_media = sum(
-            stat.size
-            for stat in tracemalloc.take_snapshot().statistics("filename")
-            if any(part in stat.traceback[0].filename for part in FLASH_MEDIA_FILES)
-        )
+        number = turn_windows(clam, 0)
+        window_full = traced_per_indexed_key(clam)
+        number = turn_windows(clam, STEADY_STATE_LAPS, number)
+        steady = traced_per_indexed_key(clam)
     finally:
         tracemalloc.stop()
+    return {
+        "digest_cache_capacity": digest_cache_info()["capacity"],
+        **window_full,
+        "steady_state": {"laps": STEADY_STATE_LAPS, "inserted_keys": number, **steady},
+    }
+
+
+def turn_windows(clam: CLAM, laps: int, number: int = 0) -> int:
+    """Insert new keys, numbered from ``number``, until every super table's
+    FIFO window is full and has turned over ``laps`` times; returns the next
+    key number."""
+    tables, window = clam.bufferhash.tables, clam.bufferhash.incarnations_per_table
+    while (
+        min(table.incarnation_count for table in tables) < window
+        or min(table.eviction_count for table in tables) < laps * window
+    ):
+        clam.insert(fingerprint_for(number, namespace=b"index"), VALUE)
+        number += 1
+    return number
+
+
+def traced_per_indexed_key(clam: CLAM) -> Dict[str, float]:
+    """tracemalloc's live bytes per key ``clam`` holds, by tag.
+
+    The digest-cache tag is what :func:`clear_digest_cache` frees (the digests
+    and the keys only they kept alive); the rest is split by the file that
+    allocated it into simulated flash media (:data:`FLASH_MEDIA_FILES`) and
+    index DRAM (Bloom filters, buffers and the keys in them, incarnation
+    metadata), of which ``sliced_bloom_bytes`` is :data:`SLICED_BLOOM_FILE`'s."""
+    gc.collect()
+    total = tracemalloc.get_traced_memory()[0]
+    clear_digest_cache()
+    gc.collect()
+    index = tracemalloc.get_traced_memory()[0]
+    by_file = tracemalloc.take_snapshot().statistics("filename")
+    flash_media = sum(
+        stat.size
+        for stat in by_file
+        if any(part in stat.traceback[0].filename for part in FLASH_MEDIA_FILES)
+    )
+    sliced = sum(stat.size for stat in by_file if SLICED_BLOOM_FILE in stat.traceback[0].filename)
     keys = len(clam.bufferhash.snapshot_items())
     return {
         "indexed_keys": keys,
-        "digest_cache_capacity": digest_cache_info()["capacity"],
         "bytes_per_indexed_key": round(total / keys, 1),
         "digest_cache_bytes": round((total - index) / keys, 1),
         "flash_media_bytes": round(flash_media / keys, 1),
         "index_dram_bytes": round((index - flash_media) / keys, 1),
+        "sliced_bloom_bytes": round(sliced / keys, 1),
     }
 
 
@@ -826,12 +862,16 @@ def report(results: Dict, sizes: Dict[str, int], json_path: Optional[str]) -> No
         f"{memory['bytes_per_cached_key']:.1f} B per cached key"
     )
     index = results["index_memory"]
-    print(
-        f"index memory (standard CLAM, FIFO window full, {index['indexed_keys']} keys, digest "
-        f"cache {index['digest_cache_capacity']}): {index['bytes_per_indexed_key']:.1f} B per "
-        f"indexed key = digest cache {index['digest_cache_bytes']:.1f} + simulated flash media "
-        f"{index['flash_media_bytes']:.1f} + index DRAM {index['index_dram_bytes']:.1f}"
-    )
+    steady = index["steady_state"]
+    for name, row in (("FIFO window full", index), (f"{steady['laps']} window laps", steady)):
+        print(
+            f"index memory (standard CLAM, {name}, {row['indexed_keys']} keys, digest cache "
+            f"{index['digest_cache_capacity']}): {row['bytes_per_indexed_key']:.1f} B per "
+            f"indexed key = digest cache {row['digest_cache_bytes']:.1f} + simulated flash "
+            f"media {row['flash_media_bytes']:.1f} + index DRAM {row['index_dram_bytes']:.1f} "
+            f"(bit-sliced Bloom {row['sliced_bloom_bytes']:.1f}, "
+            f"{row['sliced_bloom_bytes'] / row['index_dram_bytes']:.0%} of it)"
+        )
     ablation = results["telemetry_ablation"]
     print(
         f"telemetry ablation (hotpath, medians of {ablation['passes']} interleaved passes): "

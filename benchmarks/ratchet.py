@@ -199,6 +199,12 @@ REGISTRY: Dict[str, RatchetSpec] = {
             # grow, whatever the split between the tags.
             Metric("index_memory.bytes_per_indexed_key", "max-value", 375),
             Metric("index_memory.index_dram_bytes", "max-value", 40),
+            # The same CLAM in steady state, every FIFO window turned over four
+            # times: the simulated media follow the live incarnations (45 B per
+            # key; 201.6 while released pages were kept), and the total may
+            # grow by at most 5 % over its first reading (485.6 B).
+            Metric("index_memory.steady_state.flash_media_bytes", "max-value", 50),
+            Metric("index_memory.steady_state.bytes_per_indexed_key", "max-value", 509.9),
             # Exact sys.setprofile counts of one seeded script (same in quick
             # and full runs): the committed mean Python frames per CLAM
             # operation of each outcome class is a ceiling, and the blocks

@@ -57,10 +57,9 @@ class IncarnationStore(abc.ABC):
         return self.device.read_range(address, num_pages)
 
     def release(self, address: int, num_pages: int) -> None:
-        """Mark an incarnation's space as reclaimable.
-
-        Nothing to do for layouts that overwrite fixed slots in place.
-        """
+        """Give an incarnation's space back: nothing reads it again.  A log
+        reuses it and ``discard``s its pages, so the simulated media hold only
+        live incarnations; fixed slots are overwritten in place."""
 
 
 class CircularLogAllocator:
@@ -179,7 +178,9 @@ class WholeDeviceLogStore(IncarnationStore):
         return address, latency
 
     def release(self, address: int, num_pages: int) -> None:
-        self._log.release(address)
+        released = self._log.release(address)
+        if released is not None:
+            self.device.discard(address, released)
 
 
 class MultiDeviceLogStore(IncarnationStore):

@@ -123,14 +123,6 @@ class StorageDevice(abc.ABC):
     def _load_page(self, page_index: int) -> bytes:
         return self._pages.get(page_index, b"")
 
-    def _is_sequential(self, page_index: int) -> bool:
-        """Heuristic sequentiality detection based on the previous access."""
-        previous = self._last_accessed_page
-        self._last_accessed_page = page_index
-        if previous is None:
-            return False
-        return page_index == previous + 1
-
     # -- Power-loss handling ---------------------------------------------------
 
     def _power_cut(self, units: int, kind: str) -> Optional[int]:
@@ -235,10 +227,10 @@ class StorageDevice(abc.ABC):
         pattern.
         """
         self._check_page(page_index)
+        previous = self._last_accessed_page
+        self._last_accessed_page = page_index
         if sequential is None:
-            sequential = self._is_sequential(page_index)
-        else:
-            self._last_accessed_page = page_index
+            sequential = previous is not None and page_index == previous + 1
         latency = self.faults.check(self._write_latency(self._page_size, sequential))
         if self._power_cut(1, "write") is not None:
             self._apply_torn_write(page_index, bytes(data))
@@ -290,6 +282,20 @@ class StorageDevice(abc.ABC):
             self._store_page(start_page + offset, data)
         self._last_accessed_page = start_page + len(pages) - 1
         return latency
+
+    def discard(self, start_page: int, num_pages: int) -> None:
+        """Drop the payloads of ``num_pages`` pages from ``start_page`` (TRIM).
+
+        They read back as the erased image ``b""`` until written again.  It
+        is free: the clock, the statistics, the fault gate and an armed
+        power-cut countdown are untouched.
+        """
+        if num_pages <= 0:
+            raise ValueError("num_pages must be positive")
+        self._check_page(start_page)
+        self._check_page(start_page + num_pages - 1)
+        for page in range(start_page, start_page + num_pages):
+            self._pages.pop(page, None)
 
     # -- Fault injection -------------------------------------------------------
 
@@ -368,8 +374,8 @@ class OverwritingPageLog:
         return address, latency, evicted
 
     def forget(self, address: int) -> None:
-        """Drop the live region at ``address`` (the caller holds a newer copy of it)."""
-        del self._live[address]
+        """Drop and discard the live region at ``address`` (the caller holds a newer copy)."""
+        self.device.discard(address, self._live.pop(address)[0])
 
     def read(self, address: int) -> tuple[bytes, float]:
         """Read a live region back; ``KeyError`` when none starts at ``address``."""

@@ -335,14 +335,9 @@ class PersistentFlashDevice(_NandDevice):
     # -- StorageDevice payload hooks -------------------------------------------
 
     def _store_page(self, page_index: int, data: bytes) -> None:
-        if len(data) > self.geometry.page_size:
-            raise ValueError(
-                f"payload of {len(data)} bytes exceeds page size "
-                f"{self.geometry.page_size}"
-            )
-        data = bytes(data)
+        super()._store_page(page_index, data)
+        data = self._pages[page_index]
         self._write_frame(page_index, _STATUS_WRITTEN, data, zlib.crc32(data))
-        self._pages[page_index] = data
         self._states[page_index] = PageState.VALID
 
     def _load_page(self, page_index: int) -> bytes:
@@ -355,6 +350,13 @@ class PersistentFlashDevice(_NandDevice):
             f"page {page_index} on device {self.name!r} is {state.value} "
             "(power-loss damage; recovery must discard it)"
         )
+
+    def discard(self, start_page: int, num_pages: int) -> None:
+        # Only the decoded caches go; the frames stay on the media, and the
+        # next read of a page decodes its frame again.
+        super().discard(start_page, num_pages)
+        for page in range(start_page, start_page + num_pages):
+            self._states.pop(page, None)
 
     # -- Power-loss side effects -----------------------------------------------
 

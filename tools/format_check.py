@@ -42,6 +42,7 @@ EXTRA_PATHS = (
     "tests/test_latency.py",
     "tests/test_service_simulator.py",
     "tests/test_supertable.py",
+    "tests/test_discard.py",
     "benchmarks/common.py",
     "benchmarks/bench_hotpath.py",
     "src/repro/baselines/disk_hash.py",
