@@ -60,7 +60,6 @@ def ops_per_second_from_latency(latency_ms: float) -> float:
 
 def cost_efficiency_table(
     measured_latencies_ms: Dict[str, float],
-    pricing: Optional[Dict[str, DevicePricing]] = None,
     fixed_ops_per_second: Optional[Dict[str, float]] = None,
 ) -> List[CostEfficiencyEntry]:
     """Build the ops/s/$ comparison table.
@@ -68,34 +67,32 @@ def cost_efficiency_table(
     Parameters
     ----------
     measured_latencies_ms:
-        Mapping from pricing key to a measured mean per-operation latency.
-    pricing:
-        Device price list; defaults to :data:`PAPER_PRICING`.
+        Mapping from a :data:`PAPER_PRICING` key to a measured mean
+        per-operation latency.
     fixed_ops_per_second:
         Platforms whose throughput is a device specification rather than a
         measured latency (e.g. the RamSan's 300K IOPS).
     """
-    pricing = pricing if pricing is not None else PAPER_PRICING
     entries: List[CostEfficiencyEntry] = []
     for key, latency_ms in measured_latencies_ms.items():
-        if key not in pricing:
+        if key not in PAPER_PRICING:
             raise KeyError(f"no pricing entry for {key!r}")
         entries.append(
             CostEfficiencyEntry(
-                platform=pricing[key].name,
+                platform=PAPER_PRICING[key].name,
                 ops_per_second=ops_per_second_from_latency(latency_ms),
-                cost_dollars=pricing[key].cost_dollars,
+                cost_dollars=PAPER_PRICING[key].cost_dollars,
             )
         )
     if fixed_ops_per_second:
         for key, ops in fixed_ops_per_second.items():
-            if key not in pricing:
+            if key not in PAPER_PRICING:
                 raise KeyError(f"no pricing entry for {key!r}")
             entries.append(
                 CostEfficiencyEntry(
-                    platform=pricing[key].name,
+                    platform=PAPER_PRICING[key].name,
                     ops_per_second=ops,
-                    cost_dollars=pricing[key].cost_dollars,
+                    cost_dollars=PAPER_PRICING[key].cost_dollars,
                 )
             )
     entries.sort(key=lambda entry: entry.ops_per_second_per_dollar, reverse=True)

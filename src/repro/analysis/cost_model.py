@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,6 @@ def sweep_lookup_overhead(
     params: FlashCostParameters,
     flash_bytes: float,
     bloom_sizes_bytes: list[float],
-    buffer_bytes: Optional[float] = None,
     entry_size_bytes: float = 32.0,
 ) -> list[dict]:
     """Convenience sweep used by the Figure 3 benchmark.
@@ -239,8 +237,7 @@ def sweep_lookup_overhead(
     The paper's Figure 3 uses an effective entry size of 32 bytes (16-byte
     entries at 50 % hash-table utilisation).
     """
-    if buffer_bytes is None:
-        buffer_bytes = optimal_buffer_bytes_analytical(flash_bytes, entry_size_bytes)
+    buffer_bytes = optimal_buffer_bytes_analytical(flash_bytes, entry_size_bytes)
     rows = []
     for bloom_bytes in bloom_sizes_bytes:
         rows.append(

@@ -3,7 +3,9 @@
 A super table keeps one Bloom filter per on-flash incarnation (§5.1 of the
 paper).  The filter is built while items are inserted into the in-memory
 buffer; when the buffer is flushed, the filter becomes the signature of the
-new incarnation and is retained in DRAM until that incarnation is evicted.
+new incarnation and is transposed into the super table's bit-sliced array
+(:mod:`repro.core.sliced_bloom`), which holds it until that incarnation is
+evicted.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ class BloomFilter:
     The bit array is a mutable ``bytearray`` (padded to whole 64-bit words),
     so ``add`` flips bits in place in O(1) per hash instead of rebuilding an
     immutable big-int of ``num_bits`` size on every set bit, and
-    ``fill_fraction`` popcounts the array a word at a time.  ``copy`` — used
-    when the filter is frozen alongside a flushed incarnation — is a single
-    ``bytearray`` clone.
+    ``fill_fraction`` popcounts the array a word at a time.
     """
 
     __slots__ = ("num_bits", "num_hashes", "_bits", "_count", "_low")
@@ -137,18 +137,6 @@ class BloomFilter:
         """Fraction of bits set, popcounted a 64-bit word at a time."""
         ones = sum(word.bit_count() for word in memoryview(self._bits).cast("Q"))
         return ones / self.num_bits
-
-    def clear(self) -> None:
-        """Reset the filter to empty."""
-        self._bits = bytearray(len(self._bits))
-        self._count = 0
-
-    def copy(self) -> "BloomFilter":
-        """An independent copy (used when freezing the buffer's filter)."""
-        clone = type(self)(self.num_bits, self.num_hashes)
-        clone._bits = bytearray(self._bits)
-        clone._count = self._count
-        return clone
 
     def to_bytes(self) -> bytes:
         """The raw bit array (checkpoint serialisation)."""

@@ -71,10 +71,11 @@ class Buffer:
         return True
 
     def drain(self) -> Tuple[Dict[bytes, bytes], BloomFilter]:
-        """Return the buffer contents and frozen Bloom filter, then reset.
+        """Return the buffer contents and its Bloom filter, then start empty.
 
-        Called by the super table when it flushes the buffer to flash.
+        Called by the super table when it flushes the buffer to flash; the
+        filter goes with the items and a new one takes its place.
         """
-        frozen = self._bloom.copy()
-        self._bloom.clear()
+        frozen = self._bloom
+        self._bloom = BloomFilter(self.bloom_bits, self.bloom_hashes)
         return self._table.drain(), frozen

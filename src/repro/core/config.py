@@ -74,7 +74,10 @@ class CLAMConfig:
     bloom_bits_per_entry:
         DRAM bits spent per entry in each incarnation's Bloom filter.
     use_buffering / use_bloom_filters / use_bit_slicing:
-        Ablation switches for §7.3.1.
+        Ablation switches for §7.3.1.  ``use_bit_slicing=False`` models one
+        Bloom filter per incarnation: the bit-sliced array, the filters' only
+        store, still names the candidates (the same ones, newest first), so
+        the switch changes only the DRAM query cost charged per lookup.
     telemetry_enabled:
         When True the CLAM owns a :class:`~repro.telemetry.MetricsRegistry`
         recording per-operation latency histograms and operation counters

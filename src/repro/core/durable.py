@@ -322,7 +322,7 @@ def serialize_checkpoint(store: DurableLogStore, tables: List[SuperTable]) -> by
             writer.u64(handle.address)
             writer.u32(handle.num_pages)
             writer.u32(handle.item_count)
-            bloom = table.filter_for(handle.incarnation_id)
+            bloom = table.filter_for(handle)
             writer.u32(bloom.num_bits)
             writer.u16(bloom.num_hashes)
             writer.u32(bloom.item_count)

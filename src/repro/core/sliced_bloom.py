@@ -1,4 +1,4 @@
-"""Bit-sliced, sliding-window organisation of per-incarnation Bloom filters.
+"""Bit-sliced organisation of per-incarnation Bloom filters: their only store.
 
 Section 5.1.3 of the paper: instead of storing the ``k`` per-incarnation
 Bloom filters of a super table as ``k`` separate ``m``-bit arrays, store them
@@ -8,10 +8,20 @@ addressed by the key's hash functions and ANDs them; the 1-bits of the result
 identify the incarnations that may contain the key — one pass over ``h``
 machine words instead of ``h * k`` scattered bit probes.
 
-Eviction uses the sliding-window trick: each slice carries ``w`` spare bits,
-the active window of ``k`` bits simply shifts on eviction, and vacated bits
-are cleared lazily a whole word at a time, so eviction does not touch all
-``m`` slices.
+The columns are a fixed ring of exactly ``k``: eviction clears the oldest
+column in one pass over the slices, and the next append reuses it.  The
+paper instead gives every slice ``w`` spare bits, shifts the window on
+eviction and clears vacated columns lazily, a machine word at a time.  Here a
+slice is a Python int, not a machine word: spare columns climbing to ``k + w``
+bits push every slice out of CPython's small-int cache, so each slice became
+an int object of its own (78 of the 98 B of index DRAM per key of the
+standard CLAM in steady state), while a slice of ``k <= 8`` bits is always a
+cached int.  The eager clear is one list comprehension over the slices, about
+30 us per eviction at ``m = 2,048`` on one core of a Xeon guest.
+
+A checkpoint still needs each incarnation's filter as a plain bit array:
+:meth:`BitSlicedBloomArray.filter_for` rebuilds it from its column, with the
+``item_count`` kept beside the column.
 """
 
 from __future__ import annotations
@@ -22,10 +32,6 @@ from repro.core.bloom import BloomFilter
 from repro.core.hashing import BLOOM_H1_WORD, BLOOM_H2_WORD, KeyDigest, KeyLike, as_digest
 from repro.core.hashing import walks_bloom_positions
 
-#: ``w``, the spare columns appended to every slice so vacated columns can be
-#: cleared lazily in word-sized batches.
-SPARE_BITS = 64
-
 
 class BitSlicedBloomArray:
     """Bloom filters for the incarnations of one super table, stored bit-sliced.
@@ -35,11 +41,11 @@ class BitSlicedBloomArray:
     num_bits:
         Bits per incarnation filter (``m``).
     num_hashes:
-        Hash functions per filter (``h``); must match the per-incarnation
-        :class:`~repro.core.bloom.BloomFilter` configuration so both
-        organisations give identical answers.
+        Hash functions per filter (``h``); must match the
+        :class:`~repro.core.bloom.BloomFilter` configuration of the filters
+        appended, so a query answers as those filters would.
     max_incarnations:
-        Window size ``k`` — the number of live incarnations.
+        Window size ``k`` — the number of live incarnations and of columns.
     """
 
     def __init__(self, num_bits: int, num_hashes: int, max_incarnations: int) -> None:
@@ -52,7 +58,6 @@ class BitSlicedBloomArray:
         self.num_bits = num_bits
         self.num_hashes = num_hashes
         self.max_incarnations = max_incarnations
-        self.total_columns = max_incarnations + SPARE_BITS
         # The mask a key's positions are walked with; 0: listed instead.
         self._low = num_bits - 1 if walks_bloom_positions(num_bits) else 0
 
@@ -67,12 +72,10 @@ class BitSlicedBloomArray:
         # leaves one column standing (the usual hit) names its owner without
         # the walk.
         self._owner_of: Dict[int, object] = {}
-        # OR of the live columns' bits, maintained incrementally so lookups
-        # do not rebuild it per query.
-        self._live_mask = 0
+        # The ring's next column: the live columns are the ones just before it.
         self._next_column = 0
-        self._vacated_columns: List[int] = []
-        self.lazy_clear_batches = 0
+        # Keys added to each column's filter (its checkpointed item_count).
+        self._item_counts: List[int] = [0] * max_incarnations
 
     # -- Window management -------------------------------------------------------
 
@@ -89,57 +92,49 @@ class BitSlicedBloomArray:
             raise RuntimeError(
                 "sliced array is full; evict the oldest incarnation before appending"
             )
-        column = self._allocate_column()
+        # Evictions take the oldest column, so the one after the newest is free.
+        column = self._next_column
+        self._next_column = (column + 1) % self.max_incarnations
         column_bit = 1 << column
         slices = self._slices
         # Walk only the set bits of the source filter.
         for position in bloom.set_bits():
             slices[position] |= column_bit
+        self._item_counts[column] = bloom.item_count
         self._window = ((column_bit, incarnation_id),) + self._window
         self._owner_of[column_bit] = incarnation_id
-        self._live_mask |= column_bit
 
     def evict_oldest(self) -> Optional[object]:
-        """Slide the window past the oldest incarnation; returns its identifier."""
+        """Clear the oldest incarnation's column; returns its identifier."""
         if not self._window:
             return None
         column_bit, owner = self._window[-1]
         self._window = self._window[:-1]
         del self._owner_of[column_bit]
-        self._live_mask &= ~column_bit
-        # The paper's lazy clearing: vacated columns keep their stale bits
-        # until a whole word's worth has accumulated, then are cleared at once.
-        self._vacated_columns.append(column_bit.bit_length() - 1)
-        if len(self._vacated_columns) >= SPARE_BITS:
-            self._clear_vacated()
+        keep = ~column_bit
+        # Written back in place: the list keeps its exact size, where a new
+        # one built by the comprehension would carry its growth slack.
+        slices = self._slices
+        slices[:] = [slice_bits & keep for slice_bits in slices]
         return owner
 
-    def _allocate_column(self) -> int:
-        """Next free column, wrapping around the (k + w)-bit slice width."""
-        for _ in range(self.total_columns):
-            column = self._next_column
-            self._next_column = (self._next_column + 1) % self.total_columns
-            if not self._live_mask >> column & 1 and column not in self._vacated_columns:
-                return column
-        # All columns either live or awaiting lazy clearing: force a clear.
-        self._clear_vacated()
-        column = self._next_column
-        self._next_column = (self._next_column + 1) % self.total_columns
-        return column
+    def filter_for(self, incarnation_id: object) -> BloomFilter:
+        """The Bloom filter of one live incarnation, rebuilt from its column.
 
-    def _clear_vacated(self) -> None:
-        """Clear all vacated columns across every slice in one batch."""
-        if not self._vacated_columns:
-            return
-        mask = 0
-        for column in self._vacated_columns:
-            mask |= 1 << column
-        keep = ~mask
-        for index, slice_bits in enumerate(self._slices):
-            if slice_bits & mask:
-                self._slices[index] = slice_bits & keep
-        self._vacated_columns.clear()
-        self.lazy_clear_batches += 1
+        Equal to the filter appended for it, bit array and ``item_count``
+        (checkpoint serialisation; never on the per-operation path).
+        """
+        for column_bit, owner in self._window:
+            if owner == incarnation_id:
+                break
+        else:
+            raise KeyError(incarnation_id)
+        bits = bytearray(((self.num_bits + 63) // 64) * 8)
+        for position, slice_bits in enumerate(self._slices):
+            if slice_bits & column_bit:
+                bits[position >> 3] |= 1 << (position & 7)
+        item_count = self._item_counts[column_bit.bit_length() - 1]
+        return BloomFilter.from_bytes(self.num_bits, self.num_hashes, bytes(bits), item_count)
 
     # -- Lookup --------------------------------------------------------------------
 
@@ -150,7 +145,8 @@ class BitSlicedBloomArray:
             return []
         digest = key if type(key) is KeyDigest else as_digest(key)
         slices = self._slices
-        combined = self._live_mask
+        # Every set bit belongs to a live column: eviction cleared the rest.
+        combined = -1
         low = self._low
         if low:
             words = digest.words or digest.clam_words()

@@ -4,10 +4,13 @@ The super table is where all of BufferHash's mechanisms meet:
 
 * inserts go to the in-memory :class:`~repro.core.buffer.Buffer`; when it
   fills, its contents are written sequentially to flash as a new incarnation
-  and its Bloom filter is frozen in DRAM;
-* lookups check the buffer, then consult the Bloom filters (either one per
-  incarnation or the bit-sliced sliding-window array) and read at most one
-  flash page per candidate incarnation, newest first;
+  and its Bloom filter becomes a column of the bit-sliced array
+  (:class:`~repro.core.sliced_bloom.BitSlicedBloomArray`, the only copy of
+  every incarnation's filter);
+* lookups check the buffer, then ask that array for the candidate
+  incarnations and read at most one flash page per candidate, newest first.
+  ``use_bit_slicing=False`` (one filter per incarnation) asks the same array
+  for the same candidates and changes only the DRAM cost charged;
 * updates are lazy (a new value simply shadows older ones) and deletes go to
   an in-memory delete list;
 * evictions operate on whole incarnations through an
@@ -84,8 +87,8 @@ class SuperTable:
         self.eviction_policy = eviction_policy if eviction_policy is not None else FIFOEviction()
         self.use_bloom_filters = use_bloom_filters
         self.use_bit_slicing = use_bit_slicing
-        # The standard organisation, decided once: lookup queries the sliced
-        # array itself; the two ablations go through _candidate_incarnations.
+        # The standard organisation, decided once: lookup charges the sliced
+        # query itself; the two ablations go through _candidate_incarnations.
         self._query_sliced = use_bloom_filters and use_bit_slicing
 
         self.buffer = Buffer(
@@ -95,10 +98,8 @@ class SuperTable:
         )
         # Incarnations ordered oldest -> newest.
         self._incarnations: List[IncarnationHandle] = []
-        # Per-incarnation Bloom filters (same order as _incarnations).
-        self._filters: Dict[int, BloomFilter] = {}
-        # The same filters bit-sliced; each column is owned by its handle, so
-        # a query yields candidate handles directly.
+        # Their Bloom filters, bit-sliced; each column is owned by its handle,
+        # so a query yields candidate handles directly.
         self._sliced = BitSlicedBloomArray(
             num_bits=self.buffer.bloom_bits,
             num_hashes=self.buffer.bloom_hashes,
@@ -125,21 +126,16 @@ class SuperTable:
         """Incarnations that may hold ``key`` (newest first) and the DRAM cost,
         for the two ablations: no Bloom filters, or one filter per incarnation.
 
-        Every Bloom probe below reads the digest's memoised positions, however
-        many incarnations there are.
+        One filter per incarnation answers exactly as the sliced array does,
+        so the array names the candidates; only the charged cost differs.
         """
         if not self._incarnations:
             return [], 0.0
         if not self.use_bloom_filters:
             # Ablation: every incarnation is a candidate, newest first.
             return list(reversed(self._incarnations)), 0.0
-        candidates = [
-            handle
-            for handle in reversed(self._incarnations)
-            if key in self._filters[handle.incarnation_id]
-        ]
         cost = self.memory_cost.bloom_query_cost(len(self._incarnations), bit_sliced=False)
-        return candidates, cost
+        return self._sliced.candidates(key), cost
 
     # -- Lookup -----------------------------------------------------------------------
 
@@ -348,7 +344,6 @@ class SuperTable:
         if frozen_filter is None:
             frozen_filter = BloomFilter(self.buffer.bloom_bits, self.buffer.bloom_hashes)
             frozen_filter.update(items.keys())
-        self._filters[handle.incarnation_id] = frozen_filter
         self._sliced.append_filter(frozen_filter, handle)
         return latency, len(pages)
 
@@ -382,7 +377,6 @@ class SuperTable:
             for key in items:
                 if key in self._delete_list and not self._superseded(key, handle):
                     self._delete_list.discard(key)
-        self._filters.pop(handle.incarnation_id, None)
         self._sliced.evict_oldest()
         self.store.release(handle.address, handle.num_pages)
         return retained, latency, flash_reads
@@ -392,18 +386,15 @@ class SuperTable:
 
         Uses only in-memory state (buffer + Bloom filters), as the paper
         specifies; Bloom false positives can very occasionally discard a live
-        item, which footnote 2 of §5.1.2 explicitly accepts.
+        item, which footnote 2 of §5.1.2 explicitly accepts.  The evicted
+        incarnation's column is still live while its items are judged, so a
+        newer copy is a newest candidate newer than it.
         """
         digest = as_digest(key)
         if self.buffer.get(digest) is not None:
             return True
-        for handle in self._incarnations:
-            if handle.incarnation_id <= evicted.incarnation_id:
-                continue
-            bloom = self._filters.get(handle.incarnation_id)
-            if bloom is not None and digest in bloom:
-                return True
-        return False
+        candidates = self._sliced.candidates(digest)
+        return bool(candidates) and candidates[0].incarnation_id > evicted.incarnation_id
 
     # -- Crash recovery (used by repro.core.durable / repro.core.recovery) ------------------
 
@@ -417,9 +408,10 @@ class SuperTable:
         """Identifier the next flushed incarnation will receive."""
         return self._next_incarnation_id
 
-    def filter_for(self, incarnation_id: int) -> BloomFilter:
-        """The Bloom filter of one live incarnation (checkpoint serialisation)."""
-        return self._filters[incarnation_id]
+    def filter_for(self, handle: IncarnationHandle) -> BloomFilter:
+        """The Bloom filter of one live incarnation, rebuilt from its column
+        (checkpoint serialisation)."""
+        return self._sliced.filter_for(handle)
 
     def delete_list_snapshot(self) -> Tuple[bytes, ...]:
         """Current lazy-delete entries (checkpoint serialisation)."""
@@ -456,7 +448,6 @@ class SuperTable:
                 f"cannot restore more than max_incarnations={self.max_incarnations}"
             )
         self._incarnations.append(handle)
-        self._filters[handle.incarnation_id] = bloom
         self._sliced.append_filter(bloom, handle)
         self._next_incarnation_id = max(self._next_incarnation_id, handle.incarnation_id + 1)
 

@@ -488,11 +488,11 @@ class KeyMigrator:
             self._complete()
         return copied
 
-    def run_to_completion(self, budget: Optional[int] = None) -> MigrationReport:
+    def run_to_completion(self) -> MigrationReport:
         """Step until the migration completes; raise if it stalls."""
         self._require_active()
         while self.cluster.migration is not None:
-            self.step(budget)
+            self.step()
             if self.stalled_steps >= STALL_LIMIT:
                 raise ShardUnavailableError(
                     f"migration of {self._subject!r} stalled: {self.stalled_steps} "

@@ -55,10 +55,10 @@ class EventLog:
         self._events: List[Event] = []
         self._next_seq = 0
 
-    def record(self, kind: str, clock=None, **attributes) -> Event:
-        """Append an event, stamped from ``clock`` (or the default clock)."""
-        source = clock if clock is not None else self._clock
-        time_ms = source.now_ms if source is not None else 0.0
+    def record(self, kind: str, **attributes) -> Event:
+        """Append an event, stamped from the log's clock."""
+        clock = self._clock
+        time_ms = clock.now_ms if clock is not None else 0.0
         event = Event(self._next_seq, time_ms, kind, dict(attributes))
         self._next_seq += 1
         self._events.append(event)

@@ -257,13 +257,6 @@ def _prometheus_name(name: str) -> str:
     return cleaned
 
 
-def _format_labels(labels: Optional[Dict[str, str]]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{key}="{value}"' for key, value in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
 class MetricsRegistry:
     """Named counters, gauges and histograms with get-or-create accessors."""
 
@@ -342,36 +335,29 @@ class MetricsRegistry:
             },
         }
 
-    def to_prometheus(
-        self, prefix: str = "repro", labels: Optional[Dict[str, str]] = None
-    ) -> str:
+    def to_prometheus(self, prefix: str = "repro") -> str:
         """Prometheus text exposition format (for process-per-shard scraping).
 
         Histograms use the standard cumulative ``_bucket{le=...}`` encoding so
         a real Prometheus server could compute the same quantiles we report.
         """
-        label_text = _format_labels(labels)
         lines: List[str] = []
         for name, counter in sorted(self._counters.items()):
             metric = f"{prefix}_{_prometheus_name(name)}"
             lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric}{label_text} {counter.value:g}")
+            lines.append(f"{metric} {counter.value:g}")
         for name, gauge in sorted(self._gauges.items()):
             metric = f"{prefix}_{_prometheus_name(name)}"
             lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric}{label_text} {gauge.value:g}")
+            lines.append(f"{metric} {gauge.value:g}")
         for name, histogram in sorted(self._histograms.items()):
             metric = f"{prefix}_{_prometheus_name(name)}"
             lines.append(f"# TYPE {metric} histogram")
             cumulative = 0
             for edge, bucket_count in zip(histogram.boundaries, histogram.counts):
                 cumulative += bucket_count
-                bucket_labels = dict(labels or {})
-                bucket_labels["le"] = f"{edge:g}"
-                lines.append(f"{metric}_bucket{_format_labels(bucket_labels)} {cumulative}")
-            bucket_labels = dict(labels or {})
-            bucket_labels["le"] = "+Inf"
-            lines.append(f"{metric}_bucket{_format_labels(bucket_labels)} {histogram.count}")
-            lines.append(f"{metric}_sum{label_text} {histogram.sum:g}")
-            lines.append(f"{metric}_count{label_text} {histogram.count}")
+                lines.append(f'{metric}_bucket{{le="{edge:g}"}} {cumulative}')
+            lines.append(f'{metric}_bucket{{le="+Inf"}} {histogram.count}')
+            lines.append(f"{metric}_sum {histogram.sum:g}")
+            lines.append(f"{metric}_count {histogram.count}")
         return "\n".join(lines) + "\n"

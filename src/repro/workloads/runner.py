@@ -45,21 +45,16 @@ class BatchHashIndex(HashIndex, Protocol):
         ...
 
 
-def apply_operation(index: HashIndex, operation: Operation, key=None):
+def apply_operation(index: HashIndex, operation: Operation):
     """Dispatch one workload operation to ``index`` and return its result record.
 
-    The dispatch switch shared by the sequential runner and the service
-    layer's batch executor.  Accounting switches (``_record`` here, the
-    gather loop of :mod:`repro.service.batch`) fold results into different
-    report shapes and must also learn about any future operation kind.
-
-    ``key`` lets a caller that already canonicalised the operation's key —
-    e.g. the batch executor, which hashed it to route the sub-batch — pass
-    the resulting :class:`~repro.core.hashing.KeyDigest` through so the index
-    does not hash the key bytes a second time.
+    The sequential runner's dispatch switch; the service layer's batch path
+    has its own (``repro.service.shard.apply_batch``).  Accounting switches
+    (``_record`` here, the gather loop of :mod:`repro.service.batch`) fold
+    results into different report shapes, and every one of these switches
+    must learn about any future operation kind.
     """
-    if key is None:
-        key = operation.key
+    key = operation.key
     if operation.kind is OpKind.LOOKUP:
         return index.lookup(key)
     if operation.kind is OpKind.INSERT:
@@ -179,7 +174,6 @@ class WorkloadRunner:
         self,
         operations: Iterable[Operation],
         batch_size: int = 64,
-        max_operations: Optional[int] = None,
         before_batch: Optional[Callable[[int, List[Operation]], None]] = None,
     ) -> RunReport:
         """Execute ``operations`` in fixed-size batches via ``execute_batch``.
@@ -204,9 +198,7 @@ class WorkloadRunner:
         start_ms = self.clock.now_ms if self.clock is not None else 0.0
         pending: List[Operation] = []
         batch_index = 0
-        for index, operation in enumerate(operations):
-            if max_operations is not None and index >= max_operations:
-                break
+        for operation in operations:
             pending.append(operation)
             if len(pending) >= batch_size:
                 self._flush_batch(execute_batch, pending, report, before_batch, batch_index)

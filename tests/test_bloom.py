@@ -40,21 +40,6 @@ class TestBloomFilter:
         bloom.add(b"b")
         assert bloom.item_count == 2
 
-    def test_clear(self):
-        bloom = BloomFilter.for_capacity(10)
-        bloom.add(b"a")
-        bloom.clear()
-        assert b"a" not in bloom
-        assert bloom.item_count == 0
-
-    def test_copy_is_independent(self):
-        bloom = BloomFilter.for_capacity(10)
-        bloom.add(b"a")
-        clone = bloom.copy()
-        bloom.add(b"b")
-        assert b"a" in clone
-        assert b"b" not in clone or clone.item_count == 1  # copy did not gain new items
-
     def test_fill_fraction_grows(self):
         bloom = BloomFilter.for_capacity(100)
         before = bloom.fill_fraction()
@@ -117,12 +102,3 @@ class TestBitsetStorage:
         assert plain._bits == via_digest._bits
         assert all(KeyDigest(key) in plain for key in keys)
         assert all(key in via_digest for key in keys)
-
-    def test_copy_after_clear_round_trip(self):
-        bloom = BloomFilter(num_bits=128, num_hashes=3)
-        bloom.add(b"a")
-        clone = bloom.copy()
-        bloom.clear()
-        assert b"a" in clone
-        assert b"a" not in bloom
-        assert len(bloom._bits) == len(clone._bits)

@@ -1,10 +1,9 @@
-"""Tests for the bit-sliced sliding-window Bloom filter array (§5.1.3)."""
+"""Tests for the bit-sliced ring of per-incarnation Bloom filters (§5.1.3)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BitSlicedBloomArray, BloomFilter
-from repro.core.sliced_bloom import SPARE_BITS
 
 
 def _filter_with(keys, num_bits=256, num_hashes=4):
@@ -68,18 +67,42 @@ class TestBitSlicedBloomArray:
         with pytest.raises(ValueError):
             sliced.append_filter(BloomFilter(128, 2), 0)
 
-    def test_window_wraps_and_lazily_clears(self):
-        """Cycling far more incarnations than the window holds must stay correct."""
-        sliced = BitSlicedBloomArray(num_bits=512, num_hashes=4, max_incarnations=4)
-        for generation in range(SPARE_BITS + 40):
-            if sliced.live_count >= 4:
+    def test_ring_of_k_columns_survives_many_generations(self):
+        """Cycling far more incarnations than the window holds stays correct,
+        and every slice stays within the ring's ``k`` columns."""
+        k = 4
+        sliced = BitSlicedBloomArray(num_bits=512, num_hashes=4, max_incarnations=k)
+        for generation in range(200):
+            if sliced.live_count >= k:
                 sliced.evict_oldest()
             keys = [b"gen%d-%d" % (generation, i) for i in range(20)]
             sliced.append_filter(_filter_with(keys, num_bits=512, num_hashes=4), generation)
             # Every live generation must still be discoverable.
-            for live_generation in range(max(0, generation - 3), generation + 1):
-                assert live_generation in sliced.candidates(b"gen%d-0" % live_generation)
-        assert sliced.lazy_clear_batches > 0
+            for live_generation in range(max(0, generation - k + 1), generation + 1):
+                for i in range(20):
+                    key = b"gen%d-%d" % (live_generation, i)
+                    assert live_generation in sliced.candidates(key)
+            assert all(0 <= slice_bits < 2**k for slice_bits in sliced._slices)
+
+    @pytest.mark.parametrize("num_bits, num_hashes", [(512, 5), (300, 3)])
+    def test_filter_rebuilt_from_its_column_equals_the_appended_one(self, num_bits, num_hashes):
+        """Across ring wraps (so a reused column was cleared), and for a filter
+        whose bit array is padded past ``num_bits``."""
+        sliced = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=3)
+        appended = {}
+        for generation in range(7):
+            if sliced.live_count >= 3:
+                del appended[sliced.evict_oldest()]
+            # Duplicate adds count: item_count is the filter's, not the keys'.
+            keys = [b"g%d-%d" % (generation, i % 25) for i in range(30 + generation)]
+            appended[generation] = _filter_with(keys, num_bits, num_hashes)
+            sliced.append_filter(appended[generation], generation)
+            for live, bloom in appended.items():
+                rebuilt = sliced.filter_for(live)
+                assert rebuilt.to_bytes() == bloom.to_bytes()
+                assert rebuilt.item_count == bloom.item_count
+        with pytest.raises(KeyError):
+            sliced.filter_for(0)
 
     def test_agrees_with_individual_filters(self):
         """The sliced organisation must return exactly the incarnations whose
