@@ -155,11 +155,11 @@ QUICK = {"hot_keys": 1500, "steady_keys": 6000, "steady_ops": 6000, "flush_keys"
 #: Ceilings on the mean Python frames of ``call_budget``'s outcome classes (in
 #: the comment, what each read at ``604ebec``, before the budget was first set).
 CALL_BUDGET = {
-    "lookup_one_read": 18,  # 31
-    "lookup_two_reads": 25,  # 43.1
-    "lookup_buffer_hit": 9,  # 12
-    "lookup_cold_miss": 15,  # 21
-    "insert": 13,  # 15.0
+    "lookup_one_read": 10,  # 31
+    "lookup_two_reads": 13,  # 43.1
+    "lookup_buffer_hit": 7,  # 12
+    "lookup_cold_miss": 11,  # 21
+    "insert": 10,  # 15.0
     "insert_flush": 196,  # 1,863
 }
 
@@ -323,7 +323,7 @@ def measure_call_budget() -> Dict[str, Dict[str, float]]:
     (``lookup_cold_miss``: the digest is built, the Bloom filters say no).
     The lookups start right after a flush, so the first few find the SSD's
     clean pool still refilling and take :meth:`SSD._read_latency`'s full route
-    — ``lookup_one_read_pool_refilling``, three frames dearer, shown so that
+    — ``lookup_one_read_pool_refilling``, four frames dearer, shown so that
     route stays in sight; the budget is on the steady state.
 
     Per class: ``samples``, the mean ``python_frames`` and ``c_calls`` (exact

@@ -149,11 +149,10 @@ class BufferHash:
 
     # -- Partitioning -------------------------------------------------------------------
 
-    # The paper's first k1 hash bits pick the super table.  A digest handed
-    # down by :class:`~repro.core.clam.CLAM` or the service router passes
+    # The paper's first k1 hash bits pick the super table.  A digest passes
     # through and, once warm, partitions from its words; anything else becomes
-    # a (cached) digest here, and every layer below reuses it.  Each operation
-    # partitions in its own frame.
+    # a (cached) digest here, and every layer below reuses it.
+    # :class:`~repro.core.clam.CLAM` lookups and inserts use this line inline.
 
     def table_for(self, key: KeyLike) -> SuperTable:
         """The super table owning ``key``."""
@@ -166,9 +165,7 @@ class BufferHash:
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a key."""
         key = key if type(key) is KeyDigest else as_digest(key)
-        tables = self.tables
-        table = tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
-        return table.insert(key, bytes(value))
+        return self.table_for(key).insert(key, bytes(value))
 
     def update(self, key: KeyLike, value: bytes) -> InsertResult:
         """Lazy update (alias of insert)."""
@@ -177,16 +174,12 @@ class BufferHash:
     def lookup(self, key: KeyLike) -> LookupResult:
         """Return the most recent value for a key."""
         key = key if type(key) is KeyDigest else as_digest(key)
-        tables = self.tables
-        table = tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
-        return table.lookup(key)
+        return self.table_for(key).lookup(key)
 
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete a key lazily."""
         key = key if type(key) is KeyDigest else as_digest(key)
-        tables = self.tables
-        table = tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
-        return table.delete(key)
+        return self.table_for(key).delete(key)
 
     def get(self, key: KeyLike) -> Optional[bytes]:
         """Convenience accessor returning just the value (or ``None``)."""

@@ -22,7 +22,7 @@ from repro.core.bufferhash import BufferHash
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError, DeviceFailedError
 from repro.core.eviction import EvictionPolicy
-from repro.core.hashing import UNBUFFERED_PAGE_SEED, KeyDigest, KeyLike, as_digest
+from repro.core.hashing import PARTITION_WORD, UNBUFFERED_PAGE_SEED, KeyDigest, KeyLike, as_digest
 from repro.core.results import (
     DeleteResult,
     InsertResult,
@@ -155,16 +155,9 @@ class CLAM:
                 self._unbuffered_bloom = BloomFilter.for_capacity(
                     max(1024, total_items), bits_per_item=self.config.bloom_bits_per_entry
                 )
-        # The index behind the hash-table API, chosen once: BufferHash, or
-        # the unbuffered ablation's handlers below.
-        if self.bufferhash is not None:
-            self._index_insert = self.bufferhash.insert
-            self._index_lookup = self.bufferhash.lookup
-            self._index_delete = self.bufferhash.delete
-        else:
-            self._index_insert = self._unbuffered_insert
-            self._index_lookup = self._unbuffered_lookup
-            self._index_delete = self._unbuffered_delete
+        # The super tables each operation picks from, as BufferHash would;
+        # None in the unbuffered ablation, whose handlers are below.
+        self._tables = self.bufferhash.tables if self.bufferhash is not None else None
 
     # -- Hash-table API -----------------------------------------------------------------
 
@@ -188,6 +181,7 @@ class CLAM:
     # :class:`~repro.core.hashing.KeyDigest` here at the public API boundary,
     # with the line every boundary uses; each layer below — partitioning,
     # cuckoo buffer, Bloom filters, incarnation pages — reads that digest.
+    # Lookups and inserts pick the super table with BufferHash.table_for's line.
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a (key, value) pair."""
@@ -196,13 +190,16 @@ class CLAM:
                 self._check_available()
         key = key if type(key) is KeyDigest else as_digest(key)
         tracer = _trace.ACTIVE
-        if tracer is None:
-            result = self._index_insert(key, value)
-        else:
-            span = tracer.begin("clam.insert", self.clock)
-            try:
-                result = self._index_insert(key, value)
-            finally:
+        span = None if tracer is None else tracer.begin("clam.insert", self.clock)
+        tables = self._tables
+        try:
+            if tables is None:
+                result = self._unbuffered_insert(key, value)
+            else:
+                table = tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
+                result = table.insert(key, bytes(value))
+        finally:
+            if span is not None:
                 tracer.end(span, self.clock)
         self.stats.record_insert(result)
         if self._tel_insert is not None:
@@ -221,14 +218,18 @@ class CLAM:
                 self._check_available()
         key = key if type(key) is KeyDigest else as_digest(key)
         tracer = _trace.ACTIVE
-        if tracer is None:
-            result = self._index_lookup(key)
-        else:
-            span = tracer.begin("clam.lookup", self.clock)
-            try:
-                result = self._index_lookup(key)
-            finally:
+        span = None if tracer is None else tracer.begin("clam.lookup", self.clock)
+        tables = self._tables
+        try:
+            if tables is None:
+                result = self._unbuffered_lookup(key)
+            else:
+                table = tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
+                result = table.lookup(key)
+        finally:
+            if span is not None:
                 tracer.end(span, self.clock)
+        if span is not None:
             span.attributes["served_from"] = result.served_from.value
         self.stats.record_lookup(result)
         if self._tel_lookup is not None:
@@ -242,7 +243,8 @@ class CLAM:
             if device.faults.mode is not _HEALTHY:
                 self._check_available()
         key = key if type(key) is KeyDigest else as_digest(key)
-        result = self._index_delete(key)
+        bufferhash = self.bufferhash
+        result = self._unbuffered_delete(key) if bufferhash is None else bufferhash.delete(key)
         self.stats.deletes += 1
         if self._tel_ops is not None:
             self._tel_ops.inc()

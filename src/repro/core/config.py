@@ -41,6 +41,12 @@ class MemoryCostModel:
     #: Deserialising and scanning one flash page image after it has been read.
     page_scan_ms: float = 0.002
 
+    def __post_init__(self) -> None:
+        # SuperTable charges these to the clock in place, unchecked there.
+        for name, cost in vars(self).items():
+            if not 0.0 <= cost < math.inf:
+                raise ConfigurationError(f"{name} must be finite and non-negative, not {cost!r}")
+
     def bloom_query_cost(self, num_incarnations: int, bit_sliced: bool) -> float:
         """Cost of deciding which incarnations may hold a key."""
         if num_incarnations <= 0:

@@ -17,8 +17,8 @@ of its :class:`~repro.flashsim.persistent.FlashLayout`:
     incarnation id, a device-wide monotone sequence number, page count)
     followed by the incarnation's data pages, all written as a single
     streaming write.  The address handed back to the super table points at
-    the first *data* page, so the lookup path's ``read_page(address,
-    offset)`` arithmetic is identical to the in-memory stores'.  Space is
+    the first *data* page, so a lookup reads device page ``address +
+    offset`` exactly as on the in-memory stores.  Space is
     reclaimed circularly; blocks whose pages are all released get erased,
     which both models real flash housekeeping and makes interrupted erases a
     reachable power-loss state.

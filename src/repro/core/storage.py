@@ -36,7 +36,7 @@ class IncarnationStore(abc.ABC):
     """Writes incarnation page images to a device and reads them back.
 
     Reads are served from ``self.device``; a layout that spans several
-    devices overrides the two read methods.
+    devices overrides :meth:`page_device` and :meth:`read_incarnation`.
     """
 
     @abc.abstractmethod
@@ -48,9 +48,10 @@ class IncarnationStore(abc.ABC):
         shared by every super table ignores the owner; the others place by it.
         """
 
-    def read_page(self, address: int, page_offset: int) -> Tuple[bytes, float]:
-        """Read one page of a previously written incarnation."""
-        return self.device.read_page(address + page_offset)
+    def page_device(self, owner_id: int) -> Tuple[StorageDevice, int]:
+        """``(device, base)`` of super table ``owner_id``'s incarnations: page
+        ``p`` of the one at ``address`` is that device's page ``address - base + p``."""
+        return self.device, 0
 
     def read_incarnation(self, address: int, num_pages: int) -> Tuple[List[bytes], float]:
         """Read all pages of an incarnation (used by partial-discard eviction)."""
@@ -213,9 +214,9 @@ class MultiDeviceLogStore(IncarnationStore):
         address, latency = self._stores[index].write_incarnation(owner_id, pages)
         return index * self._stride + address, latency
 
-    def read_page(self, address: int, page_offset: int) -> Tuple[bytes, float]:
-        index, local = divmod(address, self._stride)
-        return self._stores[index].read_page(local, page_offset)
+    def page_device(self, owner_id: int) -> Tuple[StorageDevice, int]:
+        index = owner_id % len(self._stores)
+        return self.devices[index], index * self._stride
 
     def read_incarnation(self, address: int, num_pages: int) -> Tuple[List[bytes], float]:
         index, local = divmod(address, self._stride)

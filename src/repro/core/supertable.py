@@ -79,6 +79,8 @@ class SuperTable:
             raise ConfigurationError("pages_per_incarnation must be positive")
         self.table_id = table_id
         self.store = store
+        # Where lookups read this table's pages, decided once by the layout.
+        self._page_device, self._page_base = store.page_device(table_id)
         self.clock = clock
         self.max_incarnations = max_incarnations
         self.page_size = page_size
@@ -142,10 +144,11 @@ class SuperTable:
     def lookup(self, key: KeyLike) -> LookupResult:
         """Find the most recent value for ``key`` (bytes or a KeyDigest).
 
-        Every DRAM-side step charges the clock as it happens (delete list,
-        buffer probe, Bloom query, one page scan per page read), so simulated
-        time interleaves with the device's own charges exactly as the steps
-        do; ``latency`` accumulates the same amounts in the same order.
+        Every DRAM-side step charges the clock in place as it happens (delete
+        list, buffer probe, Bloom query, one page scan per page read; see
+        :mod:`repro.flashsim.clock`), so simulated time interleaves with the
+        device's own charges exactly as the steps do; ``latency`` accumulates
+        the same amounts in the same order.
         Results are built positionally — ``(key, value, latency_ms,
         served_from, flash_reads, incarnations_checked,
         false_positive_reads)`` — which costs half of what seven keyword
@@ -154,12 +157,12 @@ class SuperTable:
         key = key if type(key) is KeyDigest else as_digest(key)
         data = key.data
         cost = self.memory_cost
-        advance = self.clock.advance
+        clock = self.clock
         latency = cost.delete_list_probe_ms
-        advance(latency)
+        clock._now_ms += latency
         if data in self._delete_list:
             return LookupResult(data, None, latency, _DELETED)
-        advance(cost.buffer_op_ms)
+        clock._now_ms += cost.buffer_op_ms
         latency += cost.buffer_op_ms
         value = self.buffer.get(key)
         if value is not None:
@@ -171,16 +174,16 @@ class SuperTable:
             bloom_cost = cost.bloom_sliced_query_ms if self._incarnations else 0.0
         else:
             candidates, bloom_cost = self._candidate_incarnations(key)
-        advance(bloom_cost)
+        clock._now_ms += bloom_cost
         latency += bloom_cost
         flash_reads = 0
         false_positive_reads = 0
-        read_page = self.store.read_page
+        read_page = self._page_device.read_page
         for handle in candidates:
             num_pages = handle.num_pages
             page = (key.words or key.clam_words())[PAGE_WORD] % num_pages
-            address = handle.address
-            image, flash_latency = read_page(address, page)
+            address = handle.address - self._page_base
+            image, flash_latency = read_page(address + page)
             reads = 1
             value, overflowed = search_page(image, data)
             if value is None and overflowed:
@@ -188,7 +191,7 @@ class SuperTable:
                 # flags (wrapping) until the key turns up or a page says
                 # nothing went further.
                 for probe in range(1, num_pages):
-                    image, read_latency = read_page(address, (page + probe) % num_pages)
+                    image, read_latency = read_page(address + (page + probe) % num_pages)
                     flash_latency += read_latency
                     reads += 1
                     value, overflowed = search_page(image, data)
@@ -197,7 +200,7 @@ class SuperTable:
             flash_reads += reads
             latency += flash_latency
             scan_cost = cost.page_scan_ms * reads
-            advance(scan_cost)
+            clock._now_ms += scan_cost
             latency += scan_cost
             if value is not None:
                 result = LookupResult(
@@ -224,7 +227,7 @@ class SuperTable:
         data = key.data
         cost = self.memory_cost
         latency = cost.buffer_op_ms + cost.bloom_update_ms
-        self.clock.advance(latency)
+        self.clock._now_ms += latency  # in place (see lookup)
         self._delete_list.discard(data)
         if self.buffer.put(key, value):
             return InsertResult(data, latency)

@@ -4,9 +4,18 @@ All device latencies are expressed in *simulated milliseconds*.  A single
 :class:`SimulationClock` instance is shared by every device participating in
 an experiment so that, e.g., a WAN optimizer can interleave network
 serialisation delay with index I/O delay on one time line.
+
+A charge must be finite and non-negative.  :meth:`SimulationClock.advance`
+checks it for any caller.  ``SuperTable.lookup`` / ``insert`` (whose costs a
+:class:`~repro.core.config.MemoryCostModel` checks when built) and
+``StorageDevice.read_page`` (which checks each latency inline) add to
+``_now_ms`` in place instead, to save the call: the very addition ``advance``
+makes, in the same order, so every reading keeps its bits.
 """
 
 from __future__ import annotations
+
+_INF = float("inf")
 
 
 class SimulationClock:
@@ -20,8 +29,8 @@ class SimulationClock:
     __slots__ = ("_now_ms",)
 
     def __init__(self, start_ms: float = 0.0) -> None:
-        if start_ms < 0:
-            raise ValueError("start_ms must be non-negative")
+        if not 0.0 <= start_ms < _INF:
+            raise ValueError(f"start_ms must be finite and non-negative, not {start_ms!r}")
         self._now_ms = float(start_ms)
 
     @property
@@ -37,17 +46,17 @@ class SimulationClock:
     def advance(self, delta_ms: float) -> float:
         """Advance the clock by ``delta_ms`` milliseconds and return the new time.
 
-        Negative increments are rejected: simulated time never flows backwards.
+        Negative, NaN and infinite increments are rejected: time never flows backwards.
         """
-        if delta_ms < 0:
-            raise ValueError(f"cannot advance clock by negative amount {delta_ms!r}")
+        if not 0.0 <= delta_ms < _INF:
+            raise ValueError(f"cannot advance clock by {delta_ms!r}: not finite and non-negative")
         self._now_ms += delta_ms
         return self._now_ms
 
     def reset(self, to_ms: float = 0.0) -> None:
         """Reset the clock, typically between independent experiment runs."""
-        if to_ms < 0:
-            raise ValueError("to_ms must be non-negative")
+        if not 0.0 <= to_ms < _INF:
+            raise ValueError(f"to_ms must be finite and non-negative, not {to_ms!r}")
         self._now_ms = float(to_ms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -25,6 +25,7 @@ from repro.telemetry import trace as _trace
 _HEALTHY = FaultMode.HEALTHY
 _READ = IOKind.READ
 _WRITE = IOKind.WRITE
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,10 @@ class StorageDevice(abc.ABC):
         # read back as empty bytes, mirroring an erased device.
         self._pages: dict[int, bytes] = {}
         self._last_accessed_page: Optional[int] = None
+        # read_page inlines the base _load_page only, and takes a page read's
+        # (random, sequential) latency from here while a subclass sets it.
+        self._inline_load = type(self)._load_page is StorageDevice._load_page
+        self._steady_read_costs: Optional[tuple] = None
 
     # -- Payload handling ------------------------------------------------------
 
@@ -186,10 +191,10 @@ class StorageDevice(abc.ABC):
         """Read one page; returns ``(payload, latency_ms)``.
 
         One page read is the unit of work of a CLAM lookup, so the bounds
-        check, the sequentiality heuristic, the healthy / no-countdown fast
-        paths of the fault gate and, while no tracer listens, the accounting
-        (:meth:`_record`'s, over the same totals) are done inline; the slow
-        paths go through the helpers every operation uses.
+        check, the sequentiality heuristic, a steady latency, the healthy /
+        no-countdown fast paths of the fault gate, ``clock.advance``'s check,
+        the base :meth:`_load_page` and, while no tracer listens, the accounting
+        (:meth:`_record`'s) are done inline; slow paths use the shared helpers.
         """
         if not 0 <= page_index < self._total_pages:
             self._check_page(page_index)
@@ -197,10 +202,13 @@ class StorageDevice(abc.ABC):
         self._last_accessed_page = page_index
         sequential = previous is not None and page_index == previous + 1
         page_size = self._page_size
-        latency = self._read_latency(page_size, sequential)
+        steady = self._steady_read_costs
+        latency = steady[sequential] if steady else self._read_latency(page_size, sequential)
         faults = self.faults
         if faults.mode is not _HEALTHY:
             latency = faults.check(latency)
+        if not 0.0 <= latency < _INF:
+            raise ValueError(f"read latency {latency!r} on {self.name!r} is not finite and >= 0")
         if faults._power_countdown is not None and faults.consume_io_units(1, "read") is not None:
             raise PowerLossError(
                 f"power lost during read of page {page_index} on device {self.name!r}"
@@ -208,7 +216,7 @@ class StorageDevice(abc.ABC):
         if _trace.ACTIVE is not None:
             self._record(_READ, page_size, latency, sequential)
         else:
-            self.clock.advance(latency)
+            self.clock._now_ms += latency
             totals = self._read_totals
             totals.ops += 1
             totals.nbytes += page_size
@@ -217,6 +225,8 @@ class StorageDevice(abc.ABC):
                 totals.max_latency_ms = latency
             if sequential:
                 totals.sequential += 1
+        if self._inline_load:
+            return self._pages.get(page_index, b""), latency
         return self._load_page(page_index), latency
 
     def write_page(self, page_index: int, data: bytes, sequential: Optional[bool] = None) -> float:

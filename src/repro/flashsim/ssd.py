@@ -144,6 +144,7 @@ class SSD(StorageDevice):
         self._page_read_costs = tuple(
             cost.cost(self._page_size) for cost in (model.random_read, model.sequential_read)
         )
+        self._update_gc_mode()
 
     # -- Clean-pool bookkeeping --------------------------------------------------
 
@@ -177,12 +178,20 @@ class SSD(StorageDevice):
         return 0.0
 
     def _update_gc_mode(self) -> None:
-        """Enter GC mode below the low watermark; leave above the high watermark."""
+        """Enter GC mode below the low watermark; leave above the high watermark.
+
+        Sets read_page's steady costs too, for a full pool out of GC mode: a
+        read replenishing it changes nothing (the next write stamps
+        _last_replenish_ms itself), and only a write, which ends here, drains it.
+        """
         fraction = self._clean_credit_bytes / self._pool_bytes
         if not self._gc_mode and fraction <= self.profile.gc_read_threshold_fraction:
             self._gc_mode = True
         elif self._gc_mode and fraction >= self._gc_high_watermark_fraction:
             self._gc_mode = False
+        full = self._clean_credit_bytes == self._pool_bytes  # so out of GC mode, just set
+        overridden = type(self)._read_latency is not SSD._read_latency  # then always asked
+        self._steady_read_costs = self._page_read_costs if full and not overridden else None
 
     @property
     def in_gc_mode(self) -> bool:
@@ -200,13 +209,8 @@ class SSD(StorageDevice):
     # -- Latency hooks -----------------------------------------------------------
 
     def _read_latency(self, nbytes: int, sequential: bool) -> float:
-        # With the pool full and the drive out of GC mode (a CLAM's reads
-        # between flushes) both calls change nothing: min(pool, pool + x) is
-        # the pool, full is above both watermarks, and the next write
-        # replenishes full to full and stamps _last_replenish_ms itself.
-        if self._gc_mode or self._clean_credit_bytes != self._pool_bytes:
-            self._replenish_credit()
-            self._update_gc_mode()
+        self._replenish_credit()
+        self._update_gc_mode()
         if nbytes == self._page_size:
             base = self._page_read_costs[sequential]
         else:

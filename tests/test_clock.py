@@ -64,6 +64,23 @@ class TestSimulationClock:
         with pytest.raises(ValueError):
             SimulationClock().reset(to_ms=-5.0)
 
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf"), float("-inf")])
+    def test_advance_refuses_an_amount_that_is_not_finite(self, amount):
+        # ``nan < 0`` is False: a sign test alone lets NaN through.
+        clock = SimulationClock(start_ms=1.0)
+        with pytest.raises(ValueError):
+            clock.advance(amount)
+        assert clock.now_ms == 1.0
+
+    @pytest.mark.parametrize("time_ms", [float("nan"), float("inf")])
+    def test_start_and_reset_refuse_a_time_that_is_not_finite(self, time_ms):
+        with pytest.raises(ValueError):
+            SimulationClock(start_ms=time_ms)
+        clock = SimulationClock(start_ms=1.0)
+        with pytest.raises(ValueError):
+            clock.reset(time_ms)
+        assert clock.now_ms == 1.0
+
 
 class TestClockEnsemble:
     def test_empty_ensemble_reads_zero(self):

@@ -29,6 +29,13 @@ class TestMemoryCostModel:
     def test_zero_incarnations_cost_nothing(self):
         assert MemoryCostModel().bloom_query_cost(0, bit_sliced=False) == 0.0
 
+    @pytest.mark.parametrize("cost", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", sorted(vars(MemoryCostModel())))
+    def test_a_cost_that_is_negative_or_not_finite_is_refused(self, name, cost):
+        # A super table charges these to the clock without a check of its own.
+        with pytest.raises(ConfigurationError, match=name):
+            MemoryCostModel(**{name: cost})
+
 
 class TestCLAMConfig:
     def test_defaults_are_valid(self):

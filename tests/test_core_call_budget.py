@@ -66,19 +66,20 @@ class TestCallBudget:
         assert reached["lookup_one_read_pool_refilling"] >= 1
 
     def test_a_read_while_the_clean_pool_refills_takes_the_full_route(self, budget):
-        # _replenish_credit, clock.now_ms and _update_gc_mode: the three frames
-        # SSD._read_latency skips only when they would change nothing.
+        # SSD._read_latency, then _replenish_credit, clock.now_ms and
+        # _update_gc_mode: the four frames read_page skips (taking the SSD's
+        # steady page cost) only when they would change nothing.
         refilling = budget["lookup_one_read_pool_refilling"]
         assert refilling["python_frames_min"] == refilling["python_frames_max"]
-        assert refilling["python_frames_max"] == budget["lookup_one_read"]["python_frames_max"] + 3
+        assert refilling["python_frames_max"] == budget["lookup_one_read"]["python_frames_max"] + 4
 
-    def test_a_second_page_read_costs_at_most_seven_frames(self, budget):
-        # store.read_page, device.read_page, _read_latency, clock.advance,
-        # _load_page, search_page — and one more page-scan charge when the
-        # second read is a second candidate rather than an overflow probe.
+    def test_a_second_page_read_costs_two_frames(self, budget):
+        # device.read_page and search_page, whether the second read is a
+        # second candidate or an overflow probe: the clock charges, the
+        # steady latency and the payload lookup are inline.
         one, two = budget["lookup_one_read"], budget["lookup_two_reads"]
-        assert two["python_frames_min"] - one["python_frames_max"] == 6
-        assert two["python_frames_max"] - one["python_frames_max"] == 7
+        assert two["python_frames_min"] - one["python_frames_max"] == 2
+        assert two["python_frames_max"] - one["python_frames_max"] == 2
 
     def test_a_kept_lookup_result_allocates_three_blocks(self, budget):
         # No __dict__: four blocks each would be a thousand over the ceiling.

@@ -75,6 +75,17 @@ class TestStorageDeviceBehaviour:
         individual = sum(ssd_b.write_page(100 + 2 * i, p) for i, p in enumerate(pages))
         assert batched < individual
 
+    def test_a_read_latency_that_is_not_finite_is_refused_before_it_is_charged(self):
+        class BrokenSSD(SSD):
+            def _read_latency(self, nbytes, sequential):
+                return float("nan")
+
+        device = BrokenSSD(clock=SimulationClock())
+        with pytest.raises(ValueError, match="not finite"):
+            device.read_page(0)
+        assert device.clock.now_ms == 0.0
+        assert device.stats.count(IOKind.READ) == 0
+
     def test_sequential_reads_detected(self, intel_ssd):
         intel_ssd.write_range(0, [b"a", b"b", b"c"])
         intel_ssd.read_page(0)

@@ -157,8 +157,8 @@ def test_released_regions_read_erased_until_reused(layout, seed):
                 expected[address + offset] = image
             live.append((address, len(images)))
         if step % 8 == 0:
-            assert {page: store.read_page(page, 0)[0] for page in expected} == expected
-    assert {page: store.read_page(page, 0)[0] for page in expected} == expected
+            assert {page: store.read_incarnation(page, 1)[0][0] for page in expected} == expected
+    assert {page: store.read_incarnation(page, 1)[0][0] for page in expected} == expected
     assert reused, "no released page was written again: the sequence never wrapped"
 
 

@@ -15,13 +15,17 @@ regenerated by a change that *means* to alter simulated behaviour.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import os
 import random
+import tempfile
 
 import pytest
 
-from repro.core import CLAM, CLAMConfig
+from repro.core import CLAM, CLAMConfig, DurableCLAM
 from repro.core.hashing import clear_digest_cache, count_hash_calls, hold_digest_cache
 from repro.core.results import ServedFrom
+from repro.flashsim.device import DeviceGeometry
 from repro.telemetry.trace import Tracer, tracing
 
 _OPERATIONS = 20_000
@@ -63,20 +67,16 @@ def _stream(operations: int, seed: int):
             yield "lookup", key, None
 
 
-def run_case(storage: str, operations: int = _OPERATIONS, **overrides) -> dict:
-    """Drive one CLAM through the stream; digest everything it reports."""
-    config = CLAMConfig.scaled(
-        num_super_tables=4,
-        buffer_capacity_items=32,
-        incarnations_per_table=4,
-        bloom_bits_per_entry=4.0,
-        **overrides,
-    )
-    clam = CLAM(config, storage=storage)
-    records = hashlib.sha256()
+#: The persistent device of the ``durable`` case: 2 MiB, 1 KiB pages.
+_DURABLE_GEOMETRY = DeviceGeometry(page_size=1024, pages_per_block=64, num_blocks=32)
+
+
+def _drive(clam, operations, records) -> tuple:
+    """Run ``operations`` on ``clam``, digesting every result into ``records``;
+    returns ``(false positive reads, overflow probes)``."""
     false_positives = 0
     overflow_probes = 0
-    for kind, key, value in _stream(operations, _SEED):
+    for kind, key, value in operations:
         if kind == "lookup":
             result = clam.lookup(key)
             false_positives += result.false_positive_reads
@@ -105,11 +105,46 @@ def run_case(storage: str, operations: int = _OPERATIONS, **overrides) -> dict:
                 result.incarnations_tried,
             )
         records.update(line.encode())
-    counters = clam.counters()
+    return false_positives, overflow_probes
+
+
+def run_case(storage, operations: int = _OPERATIONS, **overrides) -> dict:
+    """Drive one CLAM through the stream; digest everything it reports.
+
+    ``storage`` is what :class:`CLAM` takes (a profile name or a list of
+    them), or ``"durable"``: a :class:`DurableCLAM` on a file that is closed
+    halfway through the stream and reopened, so its second half reads pages
+    the reopened device decodes from the file.  Its clock and counters are
+    the reopened CLAM's.
+    """
+    config = CLAMConfig.scaled(
+        num_super_tables=4,
+        buffer_capacity_items=32,
+        incarnations_per_table=4,
+        bloom_bits_per_entry=4.0,
+        **overrides,
+    )
+    records = hashlib.sha256()
+    stream = _stream(operations, _SEED)
+    if storage == "durable":
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "golden.clam")
+            with DurableCLAM(path, config=config, geometry=_DURABLE_GEOMETRY) as clam:
+                first = _drive(clam, itertools.islice(stream, operations // 2), records)
+            with DurableCLAM(path) as clam:
+                second = _drive(clam, stream, records)
+                counters = clam.counters()
+                clock = clam.clock.now_ms
+        false_positives, overflow_probes = (a + b for a, b in zip(first, second))
+    else:
+        clam = CLAM(config, storage=storage)
+        false_positives, overflow_probes = _drive(clam, stream, records)
+        counters = clam.counters()
+        clock = clam.clock.now_ms
     counter_text = "|".join(f"{name}={float(counters[name]).hex()}" for name in sorted(counters))
     return {
         "records": records.hexdigest()[:32],
-        "clock": clam.clock.now_ms.hex(),
+        "clock": clock.hex(),
         "counters": hashlib.sha256(counter_text.encode()).hexdigest()[:32],
         "flushes": int(counters["flushes"]),
         "evictions": int(counters["evictions"]),
@@ -132,6 +167,9 @@ CASES = {
     "intel-ssd/lru": ("intel-ssd", 6_000, {"eviction_policy_name": "lru"}),
     "intel-ssd/update-eviction": ("intel-ssd", 6_000, {"eviction_policy_name": "update"}),
     "intel-ssd/telemetry": ("intel-ssd", 6_000, {"telemetry_enabled": True}),
+    # The store layouts that read from a device other than a single in-memory one.
+    "two-intel-ssds": (["intel-ssd", "intel-ssd"], 6_000, {}),
+    "durable": ("durable", 6_000, {}),
 }
 
 _FIELDS = (
@@ -186,6 +224,15 @@ GOLDEN = {
         "3246c48118b524b726f1f25989f28045", "0x1.749b958106554p+8", "3d3174ec6cffc2f065fc20a4bef40cb5",
         61, 45, 2407, 898, 91,
     ),
+    # Recorded at 47e4140, before the page-read path stopped going through the store.
+    "two-intel-ssds": _golden(
+        "43632ca138d0797f5f34675e4ff5d66e", "0x1.7120b43958407p+8", "1508b6117e57373451f6eb253035b761",
+        61, 45, 2407, 898, 91,
+    ),
+    "durable": _golden(
+        "3d53d546a596b2d86c65080503e465b6", "0x1.e0751f212d800p+6", "6811bcf33814ccc094bce94608ec01b0",
+        32, 32, 1223, 726, 12,
+    ),
 }
 # fmt: on
 
@@ -229,6 +276,16 @@ def test_stream_walks_each_key_once_under_every_eviction_policy(policy):
     assert log.digest_builds == distinct
     assert log.total == log.digest_builds
     assert log.by_layer() == {"clam_words": distinct}
+
+
+@pytest.mark.parametrize("storage", ["intel-ssd", "durable"])
+def test_a_tracer_changes_no_simulated_outcome(storage):
+    """One script with a tracer listening and without: every result record,
+    counter and clock reading is the same (the traced path charges what the
+    untraced one does, in the same order)."""
+    with tracing(Tracer()):
+        traced = run_case(storage, 3_000)
+    assert traced == run_case(storage, 3_000)
 
 
 def traced_span_digest(operations: int = 3_000) -> tuple:

@@ -17,8 +17,10 @@ class TestMultiDeviceLogStore:
         store = MultiDeviceLogStore(devices)
         address_a, _ = store.write_incarnation(0, [b"on-device-0"])
         address_b, _ = store.write_incarnation(1, [b"on-device-1"])
-        assert store.read_page(address_a, 0)[0] == b"on-device-0"
-        assert store.read_page(address_b, 0)[0] == b"on-device-1"
+        for owner, address, image in ((0, address_a, b"on-device-0"), (1, address_b, b"on-device-1")):
+            device, base = store.page_device(owner)
+            assert device is devices[owner]
+            assert device.read_page(address - base)[0] == image
 
     def test_owners_map_to_distinct_devices(self):
         devices, _clock = _two_ssds()
@@ -36,7 +38,7 @@ class TestMultiDeviceLogStore:
         store.release(address, 2)
         # Releasing must not break subsequent writes or reads on that device.
         new_address, _ = store.write_incarnation(0, [b"z"])
-        assert store.read_page(new_address, 0)[0] == b"z"
+        assert store.read_incarnation(new_address, 1)[0] == [b"z"]
 
     def test_requires_shared_clock(self):
         ssd_a = SSD(clock=SimulationClock())

@@ -33,7 +33,7 @@ class TestLogStoreSkipsLiveRegions:
             address, _ = store.write_incarnation(0, [b"churn-%d" % i] * pages_per_incarnation)
             previous = (address, pages_per_incarnation)
         assert store.wrap_count >= 1
-        assert store.read_page(keeper_address, 0)[0] == b"keeper"
+        assert store.read_incarnation(keeper_address, 1)[0] == [b"keeper"]
 
 
 class TestRequiredPages:

@@ -181,8 +181,9 @@ def _drive_both(profile, seed, length):
     "profile", [INTEL_SSD_PROFILE, TRANSCEND_SSD_PROFILE], ids=lambda profile: profile.name
 )
 def test_read_shortcut_is_indistinguishable_from_replenishing_before_every_read(profile):
-    """``SSD._read_latency`` skips ``_replenish_credit`` + ``_update_gc_mode``
-    when the clean pool is full and the drive is out of GC mode.  Every
+    """``read_page`` skips ``_read_latency`` (``_replenish_credit`` +
+    ``_update_gc_mode``) when the clean pool is full and the drive is out of
+    GC mode, taking the SSD's steady page cost.  Every
     latency, stall count, pool fraction, GC-mode reading and clock reading of
     seeded I/O streams equals, bit for bit, that of a device which never
     skips — and the streams provably visit both routes on both sides of GC."""
@@ -203,6 +204,22 @@ def test_read_shortcut_is_indistinguishable_from_replenishing_before_every_read(
     assert reach["gc_entered"] >= 1 and reach["gc_left"] >= 1, reach
     assert reach["read_in_gc_mode"] >= 1, reach
     assert reach["read_after_draining_write"] >= 1, reach
+
+
+def test_only_the_class_that_computes_the_steady_page_costs_hands_them_to_read_page():
+    """``read_page`` takes an SSD's page cost without asking ``_read_latency``
+    while the pool is full and out of GC mode; a subclass with a read route
+    of its own (the reference above) is asked on every read."""
+    fast, reference = SSD(), ReplenishingSSD()
+    assert fast._steady_read_costs == fast._page_read_costs
+    assert reference._steady_read_costs is None
+    profile = fast.profile
+    drain = profile.clean_pool_bytes // int(512 * profile.random_write_amplification) + 50
+    for page in range(drain):  # random writes: the pool drains, GC mode starts
+        fast.write_page((page * 37) % fast.geometry.total_pages, b"x", sequential=False)
+    assert fast.in_gc_mode and fast._steady_read_costs is None
+    fast.clock.advance(60_000.0)  # idle: background GC refills the pool
+    assert not fast.in_gc_mode and fast._steady_read_costs == fast._page_read_costs
 
 
 def test_gc_low_watermark_must_sit_below_the_high_one():

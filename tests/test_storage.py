@@ -33,8 +33,7 @@ class TestWholeDeviceLogStore:
         store = WholeDeviceLogStore(intel_ssd)
         address, latency = store.write_incarnation(0, [b"page-0", b"page-1"])
         assert latency > 0
-        assert store.read_page(address, 0)[0] == b"page-0"
-        assert store.read_page(address, 1)[0] == b"page-1"
+        assert store.read_incarnation(address, 2)[0] == [b"page-0", b"page-1"]
 
     def test_incarnations_append_sequentially(self, intel_ssd):
         store = WholeDeviceLogStore(intel_ssd)
@@ -103,8 +102,7 @@ class TestPartitionedChipStore:
         store = PartitionedChipStore(_small_chip(), num_partitions=4, pages_per_incarnation=4)
         address, latency = store.write_incarnation(0, [b"a", b"b"])
         assert latency > 0
-        assert store.read_page(address, 0)[0] == b"a"
-        assert store.read_page(address, 1)[0] == b"b"
+        assert store.read_incarnation(address, 2)[0] == [b"a", b"b"]
 
     def test_partition_wraps_with_erase(self):
         store = PartitionedChipStore(_small_chip(), num_partitions=4, pages_per_incarnation=4)
@@ -116,8 +114,8 @@ class TestPartitionedChipStore:
         store = PartitionedChipStore(_small_chip(), num_partitions=2, pages_per_incarnation=4)
         address_a, _ = store.write_incarnation(0, [b"owner-a"])
         address_b, _ = store.write_incarnation(1, [b"owner-b"])
-        assert store.read_page(address_a, 0)[0] == b"owner-a"
-        assert store.read_page(address_b, 0)[0] == b"owner-b"
+        assert store.read_incarnation(address_a, 1)[0] == [b"owner-a"]
+        assert store.read_incarnation(address_b, 1)[0] == [b"owner-b"]
 
     def test_too_many_owners_rejected(self):
         store = PartitionedChipStore(_small_chip(), num_partitions=2, pages_per_incarnation=4)
@@ -183,9 +181,11 @@ def test_every_layout_honours_the_store_interface(layout_store):
     first_address, latency = store.write_incarnation(0, first)
     second_address, _latency = store.write_incarnation(1, second)
     assert latency > 0
-    # Two owners never alias: each incarnation reads back whole after both writes.
-    for address, pages in ((first_address, first), (second_address, second)):
-        assert [store.read_page(address, offset)[0] for offset in range(3)] == pages
+    # Two owners never alias: each incarnation reads back whole after both
+    # writes, page by page from the device its owner's lookups read.
+    for owner, address, pages in ((0, first_address, first), (1, second_address, second)):
+        device, base = store.page_device(owner)
+        assert [device.read_page(address - base + offset)[0] for offset in range(3)] == pages
         assert store.read_incarnation(address, 3)[0] == pages
     with pytest.raises(ConfigurationError):
         store.write_incarnation(0, [b"x"] * oversize)

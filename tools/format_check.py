@@ -39,6 +39,7 @@ EXTRA_PATHS = (
     "tests/test_bloom.py",
     "tests/test_buffer.py",
     "tests/test_clock.py",
+    "tests/test_core_call_budget.py",
     "tests/test_latency.py",
     "tests/test_service_simulator.py",
     "tests/test_supertable.py",
@@ -48,8 +49,11 @@ EXTRA_PATHS = (
     "src/repro/baselines/disk_hash.py",
     "src/repro/baselines/dram_hash.py",
     "src/repro/core/clam.py",
+    "src/repro/core/storage.py",
+    "src/repro/core/supertable.py",
     "src/repro/core/recovery.py",
     "src/repro/core/results.py",
+    "src/repro/flashsim/clock.py",
     "src/repro/flashsim/device.py",
     "src/repro/flashsim/disk.py",
     "src/repro/flashsim/flash_chip.py",
