@@ -11,7 +11,7 @@ stream.
 from __future__ import annotations
 
 from benchmarks.common import print_table, standard_config
-from repro.core import BufferHash
+from repro.core import CLAM
 from repro.core.storage import PartitionedDeviceStore
 from repro.flashsim import SSD, SimulationClock
 
@@ -19,8 +19,7 @@ NUM_INSERTS = 20_000
 
 
 def _run(layout: str):
-    clock = SimulationClock()
-    ssd = SSD(clock=clock)
+    ssd = SSD(clock=SimulationClock())
     config = standard_config()
     store = None
     if layout == "per-partition":
@@ -29,18 +28,18 @@ def _run(layout: str):
             num_partitions=config.num_super_tables,
             pages_per_incarnation=config.pages_per_incarnation(ssd.geometry.page_size) * 2,
         )
-    bufferhash = BufferHash(config, device=ssd, clock=clock, store=store)
+    clam = CLAM(config, storage=ssd, store=store)
     total_latency = 0.0
     worst = 0.0
     for i in range(NUM_INSERTS):
-        result = bufferhash.insert(b"layout-key-%d" % i, b"v")
+        result = clam.insert(b"layout-key-%d" % i, b"v")
         total_latency += result.latency_ms
         worst = max(worst, result.latency_ms)
     return {
         "mean_insert_ms": total_latency / NUM_INSERTS,
         "worst_insert_ms": worst,
         "gc_stalls": ssd.gc_stall_count,
-        "flushes": bufferhash.total_flushes,
+        "flushes": clam.total_flushes,
     }
 
 
@@ -58,8 +57,8 @@ def test_ablation_ssd_layout(benchmark):
         "Ablation (§5.2): SSD layout for incarnation writes",
         ["layout", "insert mean (ms)", "insert worst (ms)", "GC stalls", "flushes"],
         [
-            (name, data["mean_insert_ms"], data["worst_insert_ms"], data["gc_stalls"], data["flushes"])
-            for name, data in results.items()
+            (name, row["mean_insert_ms"], row["worst_insert_ms"], row["gc_stalls"], row["flushes"])
+            for name, row in results.items()
         ],
     )
 

@@ -50,7 +50,7 @@ def run_figure8():
         clam, report = _run(storage)
         results[storage] = {
             "report": report,
-            "cascade_histogram": clam.bufferhash.cascade_histogram(),
+            "cascade_histogram": clam.cascade_histogram(),
         }
     return results
 

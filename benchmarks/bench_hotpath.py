@@ -267,7 +267,7 @@ def run_hotpath(sizes: Dict[str, int], clams: Sequence[CLAM]) -> List[float]:
     for clam in clams:
         for key in keys:  # cold fill, not timed
             clam.insert(key, VALUE)
-        assert clam.bufferhash.total_flushes == 0, "hotpath workload must stay in DRAM"
+        assert clam.total_flushes == 0, "hotpath workload must stay in DRAM"
     seconds = [0.0] * len(clams)
     sweeps = 0
     while min(seconds) < PASS_SECONDS:
@@ -499,14 +499,14 @@ def run_flush(sizes: Dict[str, int]) -> Dict[str, float]:
         for key in keys:
             clam.insert(key, VALUE)
     clear_digest_cache()
-    flushes = clam.bufferhash.total_flushes
+    flushes = clam.total_flushes
     total = spent.pop("flush")
     shares = {f"{stage}_share": round(seconds / total, 3) for stage, seconds in spent.items()}
     shares["other_share"] = round(1.0 - sum(spent.values()) / total, 3)
     return {
         "keys": len(keys),
         "flushes": flushes,
-        "live_incarnations": clam.bufferhash.total_incarnations,
+        "live_incarnations": clam.total_incarnations,
         "us_per_flush": round(total / flushes * 1e6, 1),
         **shares,
     }
@@ -622,7 +622,7 @@ def run_digest_memory() -> Dict[str, float]:
     bytes per key over :data:`DIGEST_MEMORY_KEYS` keys brought into the
     digest cache and warmed as a CLAM lookup warms them (the six CLAM words,
     then one probe of a Bloom filter of the standard geometry)."""
-    buffer = standard_clam().bufferhash.tables[0].buffer
+    buffer = standard_clam().tables[0].buffer
     bloom = BloomFilter(buffer.bloom_bits, buffer.bloom_hashes)
     keys = [fingerprint_for(i) for i in range(DIGEST_MEMORY_KEYS)]
     clear_digest_cache()
@@ -677,7 +677,7 @@ def turn_windows(clam: CLAM, laps: int, number: int = 0) -> int:
     """Insert new keys, numbered from ``number``, until every super table's
     FIFO window is full and has turned over ``laps`` times; returns the next
     key number."""
-    tables, window = clam.bufferhash.tables, clam.bufferhash.incarnations_per_table
+    tables, window = clam.tables, clam.incarnations_per_table
     while (
         min(table.incarnation_count for table in tables) < window
         or min(table.eviction_count for table in tables) < laps * window
@@ -707,7 +707,7 @@ def traced_per_indexed_key(clam: CLAM) -> Dict[str, float]:
         if any(part in stat.traceback[0].filename for part in FLASH_MEDIA_FILES)
     )
     sliced = sum(stat.size for stat in by_file if SLICED_BLOOM_FILE in stat.traceback[0].filename)
-    keys = len(clam.bufferhash.snapshot_items())
+    keys = len(clam.snapshot_items())
     return {
         "indexed_keys": keys,
         "bytes_per_indexed_key": round(total / keys, 1),

@@ -116,7 +116,7 @@ def acknowledged_items(clam):
     """
     device = clam.persistent_device
     acked = {}
-    for table in clam.bufferhash.tables:
+    for table in clam.tables:
         deleted = set(table.delete_list_snapshot())
         for handle in table.incarnation_handles:
             for offset in range(handle.num_pages):

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Eviction policies in action (§5.1.2 / §7.4 of the paper).
 
-BufferHash evicts whole incarnations.  The default FIFO policy discards the
-oldest incarnation outright; LRU re-inserts items on use so hot keys migrate
-to newer incarnations; update-based and priority-based policies scan the
-evicted incarnation and retain the entries that are still wanted, at the cost
-of extra flash reads and occasional cascaded evictions.
+A CLAM evicts whole incarnations, as the paper's BufferHash does.  The
+default FIFO policy discards the oldest incarnation outright; LRU re-inserts
+items on use so hot keys migrate to newer incarnations; update-based and
+priority-based policies scan the evicted incarnation and retain the entries
+that are still wanted, at the cost of extra flash reads and occasional
+cascaded evictions.
 
 Run with::
 
@@ -37,7 +38,7 @@ def fifo_demo() -> None:
     newest_found = sum(1 for key in keys[-200:] if clam.lookup(key).found)
     print(f"oldest 200 keys still present: {oldest_found}")
     print(f"newest 200 keys still present: {newest_found}")
-    print(f"evictions performed: {clam.bufferhash.total_evictions}")
+    print(f"evictions performed: {clam.total_evictions}")
     print()
 
 
@@ -74,7 +75,7 @@ def update_demo() -> None:
     print(f"stable keys surviving: {sum(1 for k in stable if clam.lookup(k).found)}/20")
     print(f"latest volatile value correct: "
           f"{clam.lookup(volatile[0]).value == b'round-14'}")
-    histogram = clam.bufferhash.cascade_histogram()
+    histogram = clam.cascade_histogram()
     cascaded = sum(count for tried, count in histogram.items() if tried > 1)
     print(f"flushes with cascaded evictions: {cascaded} of {sum(histogram.values())}")
     print(f"mean insert latency: {clam.stats.mean_insert_latency_ms:.4f} ms "

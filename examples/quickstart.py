@@ -74,19 +74,19 @@ def steady_state_comparison() -> None:
 
 
 def inspecting_internals() -> None:
-    """Peek at the BufferHash internals the CLAM is built on."""
-    print("=== BufferHash internals ===")
+    """Peek at the BufferHash structure inside the CLAM: super tables,
+    buffer flushes, flash incarnations and their FIFO eviction."""
+    print("=== Inside the CLAM: the BufferHash structure ===")
     clam = CLAM(
         CLAMConfig.scaled(num_super_tables=4, buffer_capacity_items=64, incarnations_per_table=4),
         storage="transcend-ssd",
     )
     for i in range(2_000):
         clam.insert(b"key-%d" % i, b"value-%d" % i)
-    bufferhash = clam.bufferhash
-    print(f"super tables:      {len(bufferhash.tables)}")
-    print(f"buffer flushes:    {bufferhash.total_flushes}")
-    print(f"incarnations live: {bufferhash.total_incarnations}")
-    print(f"evictions:         {bufferhash.total_evictions}")
+    print(f"super tables:      {len(clam.tables)}")
+    print(f"buffer flushes:    {clam.total_flushes}")
+    print(f"incarnations live: {clam.total_incarnations}")
+    print(f"evictions:         {clam.total_evictions}")
     print(f"summary:           {clam.describe()}")
     print()
 

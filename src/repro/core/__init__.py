@@ -1,4 +1,4 @@
-"""BufferHash and CLAM: the paper's primary contribution.
+"""The CLAM and its BufferHash data structure: the paper's primary contribution.
 
 Quick start::
 
@@ -12,7 +12,6 @@ Quick start::
 """
 
 from repro.core.bloom import BloomFilter, optimal_num_hashes
-from repro.core.bufferhash import BufferHash
 from repro.core.buffer import Buffer
 from repro.core.clam import CLAM, build_device, STORAGE_PROFILES
 from repro.core.config import CLAMConfig, MemoryCostModel
@@ -77,7 +76,6 @@ from repro.core.supertable import SuperTable
 __all__ = [
     "BloomFilter",
     "optimal_num_hashes",
-    "BufferHash",
     "Buffer",
     "CLAM",
     "build_device",

@@ -1,16 +1,22 @@
-"""The CLAM facade: a cheap-and-large CAM built from DRAM plus flash.
+"""The CLAM: a cheap-and-large CAM built from DRAM plus flash.
 
-A :class:`CLAM` wires together a storage device (Intel-like SSD,
-Transcend-like SSD, magnetic disk or raw flash chip), a
-:class:`~repro.core.bufferhash.BufferHash` configured from a
-:class:`~repro.core.config.CLAMConfig`, and per-operation statistics.  It is
-the object applications (the WAN optimizer, the deduplication index, the
-content-name directory) interact with.
+A :class:`CLAM` is the paper's BufferHash data structure (§5) behind a
+hash-table API.  Each key hashes to one of ``config.num_super_tables`` super
+tables (:class:`~repro.core.supertable.SuperTable`: a DRAM buffer, its flash
+incarnations and their Bloom filters); the remaining hash bits address the
+key within that super table.  Partitioning keeps every buffer small (ideally
+one flash block), so flushes are short, lookups rarely wait behind them and
+evictions stay cheap (§5.2).  Incarnations live on one storage device
+(Intel-like SSD, Transcend-like SSD, magnetic disk or raw flash chip) or on
+several SSDs, placed by an :class:`~repro.core.storage.IncarnationStore`.
+The CLAM keeps per-operation statistics and is the object applications (the
+WAN optimizer, the deduplication index, the content-name directory) interact
+with.
 
 For the §7.3.1 ablations, a CLAM can also be built with ``use_buffering=False``
-in its configuration: inserts then bypass BufferHash entirely and issue one
-random page write each, exactly the "conventional hash table on flash"
-behaviour the paper compares against.
+in its configuration: it then has no super tables, and each insert issues one
+random page write, exactly the "conventional hash table on flash" behaviour
+the paper compares against.
 """
 
 from __future__ import annotations
@@ -18,11 +24,17 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.bloom import BloomFilter
-from repro.core.bufferhash import BufferHash
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError, DeviceFailedError
-from repro.core.eviction import EvictionPolicy
-from repro.core.hashing import PARTITION_WORD, UNBUFFERED_PAGE_SEED, KeyDigest, KeyLike, as_digest
+from repro.core.eviction import EvictionPolicy, make_policy
+from repro.core.hashing import (
+    PARTITION_WORD,
+    UNBUFFERED_PAGE_SEED,
+    KeyDigest,
+    KeyLike,
+    as_digest,
+    hold_digest_cache,
+)
 from repro.core.results import (
     DeleteResult,
     InsertResult,
@@ -30,6 +42,13 @@ from repro.core.results import (
     OperationStats,
     ServedFrom,
 )
+from repro.core.storage import (
+    IncarnationStore,
+    MultiDeviceLogStore,
+    PartitionedChipStore,
+    WholeDeviceLogStore,
+)
+from repro.core.supertable import SuperTable
 from repro.flashsim.clock import SimulationClock
 from repro.flashsim.device import StorageDevice
 from repro.telemetry import trace as _trace
@@ -75,15 +94,22 @@ class CLAM:
     config:
         Structural parameters; defaults to :meth:`CLAMConfig.scaled`.
     storage:
-        Either a profile name (``"intel-ssd"``, ``"transcend-ssd"``,
-        ``"disk"``, ``"flash-chip"``, ``"dram"``) or an already constructed
-        :class:`~repro.flashsim.device.StorageDevice`.
+        A profile name (``"intel-ssd"``, ``"transcend-ssd"``, ``"disk"``,
+        ``"flash-chip"``, ``"dram"``), an already constructed
+        :class:`~repro.flashsim.device.StorageDevice`, or a list of either to
+        spread the super tables across (§5.2's multi-SSD deployment).
     clock:
-        Simulation clock; when omitted the device's clock is used (or a new
-        one is created).
+        Simulation clock shared by every device; when omitted, the first
+        device object's clock is used (or a new one is created).  Named
+        devices are built on it, and a device object on another clock is
+        refused.
     eviction_policy:
         Optional explicit policy instance (e.g. a configured
-        :class:`~repro.core.eviction.PriorityBasedEviction`).
+        :class:`~repro.core.eviction.PriorityBasedEviction`); when omitted it
+        is built from ``config.eviction_policy_name``.
+    store:
+        Optional pre-built :class:`~repro.core.storage.IncarnationStore`,
+        overriding the layout chosen from the devices.
     """
 
     def __init__(
@@ -92,40 +118,29 @@ class CLAM:
         storage: Union[str, StorageDevice, list, tuple] = "intel-ssd",
         clock: Optional[SimulationClock] = None,
         eviction_policy: Optional[EvictionPolicy] = None,
-        store=None,
+        store: Optional[IncarnationStore] = None,
     ) -> None:
-        self.config = config if config is not None else CLAMConfig.scaled()
-        if isinstance(storage, (list, tuple)):
-            # Multiple SSDs: super tables are distributed across them (§5.2).
-            if not storage:
-                raise ConfigurationError("storage list must not be empty")
-            self.clock = clock if clock is not None else SimulationClock()
-            self.devices = []
-            for member in storage:
-                if isinstance(member, StorageDevice):
-                    if member.clock is not self.clock and clock is not None:
-                        raise ConfigurationError("all devices must share the explicit clock")
-                    self.clock = member.clock
-                    self.devices.append(member)
-                else:
-                    self.devices.append(build_device(member, clock=self.clock))
-            self.device = self.devices[0]
-        elif isinstance(storage, StorageDevice):
-            self.device = storage
-            self.devices = [storage]
-            if clock is not None and clock is not storage.clock:
-                raise ConfigurationError("explicit clock must match the device clock")
-            self.clock = storage.clock
-        else:
-            self.clock = clock if clock is not None else SimulationClock()
-            self.device = build_device(storage, clock=self.clock)
-            self.devices = [self.device]
+        self.config = config = config if config is not None else CLAMConfig.scaled()
+        members = list(storage) if isinstance(storage, (list, tuple)) else [storage]
+        if not members:
+            raise ConfigurationError("storage list must not be empty")
+        if clock is None:
+            owned = [member.clock for member in members if isinstance(member, StorageDevice)]
+            clock = owned[0] if owned else SimulationClock()
+        self.clock = clock
+        self.devices: List[StorageDevice] = [
+            member if isinstance(member, StorageDevice) else build_device(member, clock=clock)
+            for member in members
+        ]
+        if any(device.clock is not clock for device in self.devices):
+            raise ConfigurationError("a CLAM and all its devices must share one clock")
+        self.device = self.devices[0]
         self.stats = OperationStats()
 
         # Telemetry: the histogram/counter objects are resolved once here so
         # the per-operation cost is a single cached ``is None`` check when
         # disabled and one ``observe``/``inc`` call when enabled.
-        if self.config.telemetry_enabled:
+        if config.telemetry_enabled:
             self.telemetry: Optional[MetricsRegistry] = MetricsRegistry()
             self._tel_lookup = self.telemetry.histogram("lookup_latency_ms")
             self._tel_insert = self.telemetry.histogram("insert_latency_ms")
@@ -138,26 +153,72 @@ class CLAM:
 
         self._unbuffered_data: Dict[bytes, bytes] = {}
         self._unbuffered_bloom: Optional[BloomFilter] = None
-        if self.config.use_buffering:
-            self.bufferhash: Optional[BufferHash] = BufferHash(
-                config=self.config,
-                device=self.devices if len(self.devices) > 1 else self.device,
-                clock=self.clock,
-                eviction_policy=eviction_policy,
-                store=store,
-            )
-        else:
-            self.bufferhash = None
-            if self.config.use_bloom_filters:
-                total_items = self.config.total_items_capacity(
-                    self.config.incarnations_per_table or 16
-                )
+        #: The super tables each operation picks from; none in the unbuffered
+        #: ablation, whose handlers are below.
+        self.tables: List[SuperTable] = []
+        #: Incarnations each super table keeps (k): configured, or the most
+        #: the devices hold; 0 in the unbuffered ablation.
+        self.incarnations_per_table = 0
+        if not config.use_buffering:
+            if config.use_bloom_filters:
+                total_items = config.total_items_capacity(config.incarnations_per_table or 16)
                 self._unbuffered_bloom = BloomFilter.for_capacity(
-                    max(1024, total_items), bits_per_item=self.config.bloom_bits_per_entry
+                    max(1024, total_items), bits_per_item=config.bloom_bits_per_entry
                 )
-        # The super tables each operation picks from, as BufferHash would;
-        # None in the unbuffered ablation, whose handlers are below.
-        self._tables = self.bufferhash.tables if self.bufferhash is not None else None
+            return
+
+        geometry = self.device.geometry
+        page_size = config.page_size_bytes or geometry.page_size
+        if page_size > geometry.block_size:
+            raise ConfigurationError("page_size cannot exceed the device block size")
+        pages = config.pages_per_incarnation(page_size)
+        if store is None and len(self.devices) > 1:
+            store = MultiDeviceLogStore(self.devices)
+        elif store is None and isinstance(self.device, FlashChip):
+            # On raw chips incarnation slots are rounded up to whole blocks.
+            pages = -(-pages // geometry.pages_per_block) * geometry.pages_per_block
+            store = PartitionedChipStore(self.device, config.num_super_tables, pages)
+        elif store is None:
+            store = WholeDeviceLogStore(self.device)
+
+        capacity_pages = sum(device.geometry.total_pages for device in self.devices)
+        max_per_table = capacity_pages // pages // config.num_super_tables
+        if max_per_table < 1:
+            raise ConfigurationError(
+                "device too small: cannot hold one incarnation per super table "
+                f"(pages={capacity_pages}, pages_per_incarnation={pages}, "
+                f"super_tables={config.num_super_tables})"
+            )
+        configured = config.incarnations_per_table
+        if configured is not None and configured > max_per_table:
+            raise ConfigurationError(
+                f"incarnations_per_table={configured} exceeds device capacity "
+                f"(max {max_per_table} per super table)"
+            )
+        self.incarnations_per_table = max_per_table if configured is None else configured
+
+        if eviction_policy is None:
+            eviction_policy = make_policy(config.eviction_policy_name)
+        self.tables = [
+            SuperTable(
+                table_id=index,
+                store=store,
+                clock=clock,
+                buffer_capacity_items=config.buffer_capacity_items,
+                buffer_slots=config.buffer_slots,
+                max_incarnations=self.incarnations_per_table,
+                page_size=page_size,
+                pages_per_incarnation=pages,
+                bloom_bits=config.bloom_bits_per_incarnation(),
+                memory_cost=config.memory_cost,
+                eviction_policy=eviction_policy,
+                use_bloom_filters=config.use_bloom_filters,
+                use_bit_slicing=config.use_bit_slicing,
+            )
+            for index in range(config.num_super_tables)
+        ]
+        # Digests of keys beyond the buffers and the FIFO window save this index nothing.
+        hold_digest_cache(self, config.total_items_capacity(self.incarnations_per_table))
 
     # -- Hash-table API -----------------------------------------------------------------
 
@@ -181,7 +242,14 @@ class CLAM:
     # :class:`~repro.core.hashing.KeyDigest` here at the public API boundary,
     # with the line every boundary uses; each layer below — partitioning,
     # cuckoo buffer, Bloom filters, incarnation pages — reads that digest.
-    # Lookups and inserts pick the super table with BufferHash.table_for's line.
+    # The paper's first k1 hash bits pick the super table: lookups and inserts
+    # use table_for's line inline, a frame less on the hot path.
+
+    def table_for(self, key: KeyLike) -> SuperTable:
+        """The super table owning ``key``."""
+        key = key if type(key) is KeyDigest else as_digest(key)
+        tables = self.tables
+        return tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a (key, value) pair."""
@@ -191,9 +259,9 @@ class CLAM:
         key = key if type(key) is KeyDigest else as_digest(key)
         tracer = _trace.ACTIVE
         span = None if tracer is None else tracer.begin("clam.insert", self.clock)
-        tables = self._tables
+        tables = self.tables
         try:
-            if tables is None:
+            if not tables:
                 result = self._unbuffered_insert(key, value)
             else:
                 table = tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
@@ -219,9 +287,9 @@ class CLAM:
         key = key if type(key) is KeyDigest else as_digest(key)
         tracer = _trace.ACTIVE
         span = None if tracer is None else tracer.begin("clam.lookup", self.clock)
-        tables = self._tables
+        tables = self.tables
         try:
-            if tables is None:
+            if not tables:
                 result = self._unbuffered_lookup(key)
             else:
                 table = tables[(key.words or key.clam_words())[PARTITION_WORD] % len(tables)]
@@ -243,8 +311,7 @@ class CLAM:
             if device.faults.mode is not _HEALTHY:
                 self._check_available()
         key = key if type(key) is KeyDigest else as_digest(key)
-        bufferhash = self.bufferhash
-        result = self._unbuffered_delete(key) if bufferhash is None else bufferhash.delete(key)
+        result = self.table_for(key).delete(key) if self.tables else self._unbuffered_delete(key)
         self.stats.deletes += 1
         if self._tel_ops is not None:
             self._tel_ops.inc()
@@ -321,6 +388,38 @@ class CLAM:
         removed = self._unbuffered_data.pop(data, None) is not None
         return DeleteResult(key=data, latency_ms=memory_cost, removed_from_buffer=removed)
 
+    # -- Aggregate state ------------------------------------------------------------------
+
+    @property
+    def total_incarnations(self) -> int:
+        """Live incarnations across every super table."""
+        return sum(table.incarnation_count for table in self.tables)
+
+    @property
+    def total_flushes(self) -> int:
+        """Buffer flushes performed so far."""
+        return sum(table.flush_count for table in self.tables)
+
+    @property
+    def total_evictions(self) -> int:
+        """Incarnation evictions performed so far."""
+        return sum(table.eviction_count for table in self.tables)
+
+    def cascade_histogram(self) -> Dict[int, int]:
+        """Histogram of incarnations tried per flush (Figure 8b)."""
+        merged: Dict[int, int] = {}
+        for table in self.tables:
+            for tried, count in table.cascade_histogram.items():
+                merged[tried] = merged.get(tried, 0) + count
+        return merged
+
+    def snapshot_items(self) -> Dict[bytes, bytes]:
+        """All live items across every super table (see :meth:`SuperTable.snapshot_items`)."""
+        merged: Dict[bytes, bytes] = {}
+        for table in self.tables:
+            merged.update(table.snapshot_items())
+        return merged
+
     # -- Reporting -----------------------------------------------------------------------
 
     def throughput_ops_per_second(self) -> float:
@@ -341,7 +440,7 @@ class CLAM:
         """
         summary = self.stats.counters()
         summary["clock_ms"] = self.clock.now_ms
-        summary.update(self._bufferhash_counters())
+        summary.update(self._table_counters())
         for kind in IOKind:
             ops = sum(device.stats.count(kind) for device in self.devices)
             nbytes = sum(device.stats.bytes_moved(kind) for device in self.devices)
@@ -363,15 +462,15 @@ class CLAM:
             "lookup_success_rate": self.stats.lookup_success_rate,
             "throughput_ops_per_s": self.throughput_ops_per_second(),
         }
-        summary.update(self._bufferhash_counters())
+        summary.update(self._table_counters())
         return summary
 
-    def _bufferhash_counters(self) -> Dict[str, float]:
-        """BufferHash aggregate counters (empty in unbuffered ablation mode)."""
-        if self.bufferhash is None:
+    def _table_counters(self) -> Dict[str, float]:
+        """Super-table aggregate counters (empty in unbuffered ablation mode)."""
+        if not self.tables:
             return {}
         return {
-            "flushes": float(self.bufferhash.total_flushes),
-            "evictions": float(self.bufferhash.total_evictions),
-            "incarnations": float(self.bufferhash.total_incarnations),
+            "flushes": float(self.total_flushes),
+            "evictions": float(self.total_evictions),
+            "incarnations": float(self.total_incarnations),
         }

@@ -13,7 +13,7 @@ class CapacityError(BufferHashError):
 
 
 class ConfigurationError(BufferHashError):
-    """Raised when a CLAM or BufferHash configuration is inconsistent
+    """Raised when a CLAM configuration is inconsistent
     (e.g. buffer larger than a flash partition, zero incarnations)."""
 
 

@@ -62,7 +62,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # registry below maps each seed to the layer that owns it; instrumentation
 # reports hash-call counts per layer through it.
 
-#: Super-table partition index (``BufferHash.table_for``).
+#: Super-table partition index (``CLAM.table_for``).
 PARTITION_SEED = 0x9A27
 #: First cuckoo bucket of the in-memory buffer.
 CUCKOO_SEED_FIRST = 0xA11CE
@@ -404,7 +404,7 @@ def as_digest(key: KeyLike) -> KeyDigest:
 
     The one way a key that is not yet a digest becomes one.  Boundaries test
     ``type(key) is KeyDigest`` inline before calling, so a digest handed down
-    (service router -> CLAM -> BufferHash -> super table) costs no call; that
+    (service router -> CLAM -> super table) costs no call; that
     a digest passes through unchanged here too keeps the function total.  A
     cache hit does not refresh the entry's position: the oldest-inserted key
     leaves first.

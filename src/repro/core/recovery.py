@@ -294,8 +294,7 @@ class DurableCLAM(CLAM):
         from_checkpoint = 0
         delete_entries = 0
         tables_restored = 0
-        assert self.bufferhash is not None  # guaranteed by the constructor
-        for table in self.bufferhash.tables:
+        for table in self.tables:
             table_state = checkpoint_tables.get(table.table_id)
             candidates: List[
                 Tuple[int, Optional[Tuple[IncarnationHandle, BloomFilter]], Optional[_LogRecord]]
@@ -491,10 +490,9 @@ class DurableCLAM(CLAM):
         self, checkpoint: Optional[CheckpointState], accepted: List[_LogRecord]
     ) -> None:
         """Rebuild the log store's allocator state from the restored tables."""
-        assert self.bufferhash is not None
         live: Dict[int, int] = {}
         owner_ids: Dict[int, int] = {}
-        for table in self.bufferhash.tables:
+        for table in self.tables:
             for handle in table.incarnation_handles:
                 live[handle.address - 1] = handle.num_pages + 1
             owner_ids[table.table_id] = table.next_incarnation_id
@@ -516,8 +514,7 @@ class DurableCLAM(CLAM):
 
     def checkpoint(self, clean: bool = False) -> int:
         """Write a checkpoint now; returns its sequence number."""
-        assert self.bufferhash is not None
-        payload = serialize_checkpoint(self.log_store, self.bufferhash.tables)
+        payload = serialize_checkpoint(self.log_store, self.tables)
         sequence, _latency = self.checkpoints.write(payload, clean=clean)
         self._flushes_since_checkpoint = 0
         self.events.record("checkpoint_written", sequence=sequence, payload_bytes=len(payload))
@@ -539,9 +536,8 @@ class DurableCLAM(CLAM):
         After this returns, every previously buffered insert is acknowledged
         (it lives in an on-flash incarnation and will survive a power cut).
         """
-        assert self.bufferhash is not None
         flushed = 0
-        for table in self.bufferhash.tables:
+        for table in self.tables:
             if len(table.buffer):
                 table.flush()
                 flushed += 1

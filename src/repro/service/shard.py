@@ -140,9 +140,9 @@ class LocalShard:
         window's incarnations (one sequential flash read each, counted in
         ``flash_reads``), lazy deletes applied; refused by the fault gate."""
         self.clam._check_available()
-        pages = sum(h.num_pages for t in self.clam.bufferhash.tables for h in t.incarnation_handles)
+        pages = sum(h.num_pages for t in self.clam.tables for h in t.incarnation_handles)
         self.clam.stats.flash_reads += pages
-        return sorted(self.clam.bufferhash.snapshot_items())
+        return sorted(self.clam.snapshot_items())
 
     def telemetry_registry(self) -> Optional[MetricsRegistry]:
         return self.clam.telemetry

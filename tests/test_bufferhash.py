@@ -1,95 +1,92 @@
-"""Tests for the partitioned BufferHash."""
+"""Tests for the paper's partitioned BufferHash structure, driven through CLAM:
+partitioning, the hash-table operations, the FIFO window and its counters, and
+how the structure is laid out on a device."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BufferHash, CLAMConfig, ConfigurationError
+from repro.core import CLAM, CLAMConfig, ConfigurationError, PartitionedChipStore
 from repro.flashsim import FlashChip, SSD, SimulationClock
 from repro.flashsim.device import DeviceGeometry
 from repro.flashsim.flash_chip import FlashChipProfile, GENERIC_FLASH_CHIP_PROFILE
 
 
-def _bufferhash(num_super_tables=4, buffer_capacity=16, incarnations=4, device=None):
-    clock = SimulationClock()
-    if device is None:
-        device = SSD(clock=clock)
-    else:
-        clock = device.clock
+def _clam(num_super_tables=4, buffer_capacity=16, incarnations=4):
     config = CLAMConfig.scaled(
         num_super_tables=num_super_tables,
         buffer_capacity_items=buffer_capacity,
         incarnations_per_table=incarnations,
     )
-    return BufferHash(config=config, device=device, clock=clock)
+    return CLAM(config, storage=SSD(clock=SimulationClock()))
 
 
 class TestPartitioning:
     def test_keys_spread_across_super_tables(self):
-        bufferhash = _bufferhash(num_super_tables=8)
-        owners = {bufferhash.table_for(b"key-%d" % i).table_id for i in range(500)}
+        clam = _clam(num_super_tables=8)
+        owners = {clam.table_for(b"key-%d" % i).table_id for i in range(500)}
         assert len(owners) == 8
 
     def test_same_key_always_same_table(self):
-        bufferhash = _bufferhash()
-        assert bufferhash.table_for(b"stable").table_id == bufferhash.table_for(b"stable").table_id
+        clam = _clam()
+        assert clam.table_for(b"stable").table_id == clam.table_for(b"stable").table_id
 
     def test_each_table_created(self):
-        bufferhash = _bufferhash(num_super_tables=6)
-        assert len(bufferhash.tables) == 6
+        clam = _clam(num_super_tables=6)
+        assert len(clam.tables) == 6
 
 
 class TestOperations:
     def test_insert_lookup_round_trip(self):
-        bufferhash = _bufferhash()
-        bufferhash.insert(b"key", b"value")
-        assert bufferhash.lookup(b"key").value == b"value"
-        assert bufferhash.get(b"key") == b"value"
-        assert b"key" in bufferhash
+        clam = _clam()
+        clam.insert(b"key", b"value")
+        assert clam.lookup(b"key").value == b"value"
+        assert clam.get(b"key") == b"value"
+        assert b"key" in clam
 
     def test_accepts_string_and_int_keys(self):
-        bufferhash = _bufferhash()
-        bufferhash.insert("string-key", b"1")
-        bufferhash.insert(1234, b"2")
-        assert bufferhash.get("string-key") == b"1"
-        assert bufferhash.get(1234) == b"2"
+        clam = _clam()
+        clam.insert("string-key", b"1")
+        clam.insert(1234, b"2")
+        assert clam.get("string-key") == b"1"
+        assert clam.get(1234) == b"2"
 
     def test_delete(self):
-        bufferhash = _bufferhash()
-        bufferhash.insert(b"key", b"value")
-        bufferhash.delete(b"key")
-        assert not bufferhash.lookup(b"key").found
+        clam = _clam()
+        clam.insert(b"key", b"value")
+        clam.delete(b"key")
+        assert not clam.lookup(b"key").found
 
     def test_update_returns_latest(self):
-        bufferhash = _bufferhash()
-        bufferhash.insert(b"key", b"v1")
+        clam = _clam()
+        clam.insert(b"key", b"v1")
         for i in range(100):
-            bufferhash.insert(b"filler-%d" % i, b"x")
-        bufferhash.update(b"key", b"v2")
-        assert bufferhash.get(b"key") == b"v2"
+            clam.insert(b"filler-%d" % i, b"x")
+        clam.update(b"key", b"v2")
+        assert clam.get(b"key") == b"v2"
 
     def test_recent_keys_all_retained(self):
-        bufferhash = _bufferhash(num_super_tables=4, buffer_capacity=16, incarnations=4)
+        clam = _clam(num_super_tables=4, buffer_capacity=16, incarnations=4)
         keys = [b"key-%d" % i for i in range(2000)]
         for key in keys:
-            bufferhash.insert(key, b"v" + key)
+            clam.insert(key, b"v" + key)
         # The most recent |buffer| keys are guaranteed to be retained.
         recent = 4 * 16
-        assert all(bufferhash.lookup(key).found for key in keys[-recent:])
+        assert all(clam.lookup(key).found for key in keys[-recent:])
 
     def test_aggregate_counters(self):
-        bufferhash = _bufferhash(buffer_capacity=8)
+        clam = _clam(buffer_capacity=8)
         for i in range(200):
-            bufferhash.insert(b"key-%d" % i, b"v")
-        assert bufferhash.total_flushes > 0
-        assert bufferhash.total_incarnations > 0
-        assert bufferhash.total_evictions >= 0
-        assert sum(bufferhash.cascade_histogram().values()) == bufferhash.total_flushes
+            clam.insert(b"key-%d" % i, b"v")
+        assert clam.total_flushes > 0
+        assert clam.total_incarnations > 0
+        assert clam.total_evictions >= 0
+        assert sum(clam.cascade_histogram().values()) == clam.total_flushes
 
     def test_snapshot_items_contains_recent_inserts(self):
-        bufferhash = _bufferhash()
-        bufferhash.insert(b"a", b"1")
-        bufferhash.insert(b"b", b"2")
-        snapshot = bufferhash.snapshot_items()
+        clam = _clam()
+        clam.insert(b"a", b"1")
+        clam.insert(b"b", b"2")
+        snapshot = clam.snapshot_items()
         assert snapshot[b"a"] == b"1"
         assert snapshot[b"b"] == b"2"
 
@@ -103,54 +100,55 @@ class TestOperations:
     )
     def test_property_matches_dict_within_retention(self, pairs):
         """As long as fewer distinct keys than the retention capacity are live,
-        BufferHash behaves exactly like a dict."""
-        bufferhash = _bufferhash(num_super_tables=2, buffer_capacity=32, incarnations=8)
+        the structure behaves exactly like a dict."""
+        clam = _clam(num_super_tables=2, buffer_capacity=32, incarnations=8)
         model = {}
         for key, value in pairs:
-            bufferhash.insert(key, value)
+            clam.insert(key, value)
             model[key] = value
         for key, value in model.items():
-            assert bufferhash.get(key) == value
+            assert clam.get(key) == value
 
 
 class TestDeviceIntegration:
     def test_runs_on_flash_chip_with_partitioned_store(self):
-        clock = SimulationClock()
         profile = FlashChipProfile(
             name="test-chip",
             geometry=DeviceGeometry(page_size=512, pages_per_block=8, num_blocks=256),
             cost_model=GENERIC_FLASH_CHIP_PROFILE.cost_model,
         )
-        chip = FlashChip(profile=profile, clock=clock)
+        chip = FlashChip(profile=profile, clock=SimulationClock())
         config = CLAMConfig.scaled(
             num_super_tables=4, buffer_capacity_items=16, incarnations_per_table=2
         )
-        bufferhash = BufferHash(config=config, device=chip, clock=clock)
+        clam = CLAM(config, storage=chip)
+        # One partition per super table, its slots rounded up to whole blocks.
+        store = clam.tables[0].store
+        assert isinstance(store, PartitionedChipStore)
+        assert all(table.store is store for table in clam.tables)
+        assert store.pages_per_incarnation % chip.geometry.pages_per_block == 0
+        assert store.pages_per_incarnation >= config.pages_per_incarnation(512)
         keys = [b"chip-key-%d" % i for i in range(200)]
         for key in keys:
-            bufferhash.insert(key, b"v" + key)
+            clam.insert(key, b"v" + key)
         recent = 4 * 16
-        assert all(bufferhash.lookup(key).found for key in keys[-recent:])
+        assert all(clam.lookup(key).found for key in keys[-recent:])
 
     def test_too_small_device_rejected(self):
-        clock = SimulationClock()
-        tiny = SSD(clock=clock)
+        tiny = SSD(clock=SimulationClock())
         config = CLAMConfig.scaled(
             num_super_tables=4, buffer_capacity_items=16, incarnations_per_table=10_000_000
         )
         with pytest.raises(ConfigurationError):
-            BufferHash(config=config, device=tiny, clock=clock)
+            CLAM(config, storage=tiny)
 
     def test_incarnations_derived_from_device_when_unspecified(self):
-        clock = SimulationClock()
-        ssd = SSD(clock=clock)
+        ssd = SSD(clock=SimulationClock())
         config = CLAMConfig.scaled(
             num_super_tables=4, buffer_capacity_items=16, incarnations_per_table=None
         )
-        bufferhash = BufferHash(config=config, device=ssd, clock=clock)
-        assert bufferhash.incarnations_per_table >= 1
-
-    def test_mismatched_clock_rejected(self):
-        ssd = SSD(clock=SimulationClock())
-        with pytest.raises(ConfigurationError):
-            BufferHash(config=CLAMConfig.scaled(), device=ssd, clock=SimulationClock())
+        clam = CLAM(config, storage=ssd)
+        pages = config.pages_per_incarnation(ssd.geometry.page_size)
+        derived = ssd.geometry.total_pages // pages // 4
+        assert clam.incarnations_per_table == derived >= 1
+        assert all(table.max_incarnations == derived for table in clam.tables)

@@ -46,11 +46,6 @@ class TestCLAMBasics:
         assert clam.get(b"key") == b"value"
         assert clam.device is device
 
-    def test_mismatched_clock_rejected(self, small_config):
-        device = SSD(clock=SimulationClock())
-        with pytest.raises(ConfigurationError):
-            CLAM(small_config, storage=device, clock=SimulationClock())
-
     def test_stats_recorded(self, small_clam):
         for i in range(50):
             small_clam.insert(b"key-%d" % i, b"v")
@@ -74,6 +69,54 @@ class TestCLAMBasics:
         for i in range(100):
             small_clam.insert(b"key-%d" % i, b"v")
         assert small_clam.throughput_ops_per_second() > 0
+
+
+def _ssd():
+    return SSD(clock=SimulationClock())
+
+
+class TestDeviceResolution:
+    """One clock for every device: the explicit one, else the first device
+    object's, else a new one; named devices are built on it."""
+
+    @pytest.mark.parametrize(
+        "storage, clock, message",
+        [
+            (lambda: [], None, "must not be empty"),
+            (lambda: (), None, "must not be empty"),
+            (lambda: _ssd(), SimulationClock, "share one clock"),
+            (lambda: [_ssd()], SimulationClock, "share one clock"),
+            (lambda: [_ssd(), _ssd()], None, "share one clock"),
+            (lambda: ["intel-ssd", _ssd(), _ssd()], None, "share one clock"),
+            (lambda: ["intel-ssd", _ssd()], SimulationClock, "share one clock"),
+        ],
+        ids=[
+            "empty-list",
+            "empty-tuple",
+            "explicit-clock-not-the-devices",
+            "explicit-clock-not-the-listed-devices",
+            "two-devices-two-clocks",
+            "named-then-two-clocks",
+            "named-then-device-explicit-clock",
+        ],
+    )
+    def test_refused(self, small_config, storage, clock, message):
+        with pytest.raises(ConfigurationError, match=message):
+            CLAM(small_config, storage=storage(), clock=clock() if clock else None)
+
+    @pytest.mark.parametrize("named_first", [False, True], ids=["device-first", "named-first"])
+    def test_a_device_list_shares_one_clock_in_either_order(self, small_config, named_first):
+        ssd = _ssd()
+        clam = CLAM(small_config, storage=["intel-ssd", ssd] if named_first else [ssd, "intel-ssd"])
+        assert clam.clock is ssd.clock
+        assert len(clam.devices) == 2 and ssd in clam.devices
+        assert all(device.clock is ssd.clock for device in clam.devices)
+
+    def test_named_devices_are_built_on_the_explicit_clock(self, small_config):
+        clock = SimulationClock()
+        clam = CLAM(small_config, storage=["intel-ssd", "transcend-ssd"], clock=clock)
+        assert clam.clock is clock
+        assert all(device.clock is clock for device in clam.devices)
 
 
 class TestCLAMOnDifferentMedia:
@@ -112,6 +155,9 @@ class TestAblationModes:
         assert clam.get(b"key") == b"value"
         clam.delete(b"key")
         assert clam.get(b"key") is None
+        # No super tables, so no super-table counters beside the per-operation ones.
+        assert not {"flushes", "evictions", "incarnations"} & set(clam.describe())
+        assert "incarnations" not in clam.counters()
 
     def test_unbuffered_bloom_filter_short_circuits_misses(self):
         with_filter = CLAM(CLAMConfig.scaled(use_buffering=False), storage="intel-ssd")

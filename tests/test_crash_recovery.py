@@ -99,7 +99,7 @@ def acknowledged_items(clam):
     """
     device = clam.persistent_device
     acked = {}
-    for table in clam.bufferhash.tables:
+    for table in clam.tables:
         deleted = set(table.delete_list_snapshot())
         for handle in table.incarnation_handles:
             for offset in range(handle.num_pages):
@@ -194,7 +194,7 @@ class TestDurableCLAM:
             clam.insert(key(i), value(i))
         buffered = {
             key_data(k)
-            for table in clam.bufferhash.tables
+            for table in clam.tables
             for k in table.buffer.items()
         }
         assert buffered  # some writes were still DRAM-only

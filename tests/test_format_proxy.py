@@ -24,6 +24,12 @@ def test_the_allowlist_is_read_from_the_ci_workflow():
     assert format_check.line_length_limit() == 100
 
 
+def test_every_extra_path_is_listed_once_and_exists():
+    paths = format_check.EXTRA_PATHS
+    assert sorted(path for path in set(paths) if paths.count(path) > 1) == []
+    assert [path for path in paths if not (format_check.REPO_ROOT / path).exists()] == []
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -77,11 +77,11 @@ def _both_forms(data: bytes):
 
 
 @functools.lru_cache(maxsize=None)
-def _bufferhash(num_super_tables: int):
+def _clam(num_super_tables: int):
     config = CLAMConfig.scaled(
         num_super_tables=num_super_tables, buffer_capacity_items=8, incarnations_per_table=2
     )
-    return CLAM(config, storage="dram").bufferhash
+    return CLAM(config, storage="dram")
 
 
 class TestEquivalence:
@@ -93,7 +93,7 @@ class TestEquivalence:
     def test_partition(self, data, num_super_tables):
         expected = fnv1a_64(data, PARTITION_SEED) % num_super_tables
         for key in _both_forms(data):
-            assert _bufferhash(num_super_tables).table_for(key).table_id == expected
+            assert _clam(num_super_tables).table_for(key).table_id == expected
 
     @given(data=_KEY_BYTES, num_slots=st.integers(min_value=1, max_value=200))
     def test_cuckoo_bucket_pair(self, data, num_slots):
@@ -223,7 +223,7 @@ class TestEquivalence:
                 result = clam.lookup(key)
                 if result.served_from is not ServedFrom.INCARNATION or result.false_positive_reads:
                     continue
-                handles = clam.bufferhash.table_for(data).incarnation_handles
+                handles = clam.table_for(data).incarnation_handles
                 ((address, num_pages),) = {
                     (h.address, h.num_pages)
                     for h in handles
@@ -289,7 +289,7 @@ class TestHashOnceCounting:
         the key is still walked once, for every word and every filter."""
         clam = self._flash_resident_clam(bit_slicing=False)
         probe = b"cnt-0042"
-        table = clam.bufferhash.table_for(probe)
+        table = clam.table_for(probe)
         assert table.incarnation_count > 1  # the probe sees several filters
 
         clear_digest_cache()
@@ -419,7 +419,7 @@ class TestMemoryShape:
         for key in keys:
             clam.lookup(key)
             clam.insert(key, b"v")
-        assert clam.bufferhash.total_flushes > 0
+        assert clam.total_flushes > 0
         assert digest_cache_info()["size"] == len(keys)
         for key in (keys[0], keys[-1]):
             digest = as_digest(key)
@@ -436,7 +436,7 @@ class TestMemoryShape:
 
     @staticmethod
     def _geometry(clam: CLAM):
-        buffer = clam.bufferhash.tables[0].buffer
+        buffer = clam.tables[0].buffer
         return buffer.bloom_hashes, buffer.bloom_bits
 
 

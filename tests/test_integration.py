@@ -118,7 +118,7 @@ class TestEvictionUnderSustainedLoad:
             assert result.value == b"value-%d" % i
         # Far-older keys have been evicted.
         assert not clam.lookup(b"cycle-key-0").found
-        assert clam.bufferhash.total_evictions > 0
+        assert clam.total_evictions > 0
 
     def test_update_heavy_load_with_update_based_eviction(self):
         config = CLAMConfig.scaled(

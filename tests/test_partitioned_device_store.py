@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BufferHash, CLAMConfig, ConfigurationError, PartitionedDeviceStore
+from repro.core import CLAM, CLAMConfig, ConfigurationError, PartitionedDeviceStore
 from repro.flashsim import SSD, SimulationClock
 
 
@@ -54,10 +54,9 @@ class TestPartitionedDeviceStore:
         with pytest.raises(ConfigurationError):
             PartitionedDeviceStore(ssd, 1, ssd.geometry.total_pages + 1)
 
-    def test_bufferhash_correct_on_partitioned_layout(self):
+    def test_clam_correct_on_partitioned_layout(self):
         """The layout is slower but must remain functionally correct."""
-        clock = SimulationClock()
-        ssd = SSD(clock=clock)
+        ssd = SSD(clock=SimulationClock())
         config = CLAMConfig.scaled(
             num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
         )
@@ -66,12 +65,13 @@ class TestPartitionedDeviceStore:
             num_partitions=config.num_super_tables,
             pages_per_incarnation=config.pages_per_incarnation(ssd.geometry.page_size) * 2,
         )
-        bufferhash = BufferHash(config, device=ssd, clock=clock, store=store)
+        clam = CLAM(config, storage=ssd, store=store)
+        assert all(table.store is store for table in clam.tables)
         keys = [b"pk-%d" % i for i in range(1_000)]
         for key in keys:
-            bufferhash.insert(key, b"v" + key)
+            clam.insert(key, b"v" + key)
         guaranteed = config.num_super_tables * config.buffer_capacity_items
-        assert all(bufferhash.lookup(key).found for key in keys[-guaranteed:])
+        assert all(clam.lookup(key).found for key in keys[-guaranteed:])
 
     def test_whole_log_cheaper_than_partitioned_on_ssd(self):
         """The §5.2 claim the ablation benchmark quantifies."""
@@ -80,8 +80,7 @@ class TestPartitionedDeviceStore:
         )
 
         def mean_insert(use_partitioned):
-            clock = SimulationClock()
-            ssd = SSD(clock=clock)
+            ssd = SSD(clock=SimulationClock())
             store = None
             if use_partitioned:
                 store = PartitionedDeviceStore(
@@ -89,11 +88,11 @@ class TestPartitionedDeviceStore:
                     num_partitions=config.num_super_tables,
                     pages_per_incarnation=config.pages_per_incarnation(ssd.geometry.page_size) * 2,
                 )
-            bufferhash = BufferHash(config, device=ssd, clock=clock, store=store)
+            clam = CLAM(config, storage=ssd, store=store)
             total = 0.0
             count = 5_000
             for i in range(count):
-                total += bufferhash.insert(b"cmp-%d" % i, b"v").latency_ms
+                total += clam.insert(b"cmp-%d" % i, b"v").latency_ms
             return total / count
 
         assert mean_insert(use_partitioned=False) < mean_insert(use_partitioned=True)

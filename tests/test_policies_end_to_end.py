@@ -30,11 +30,10 @@ class TestFIFOThroughCLAM:
         keys = [b"order-%d" % i for i in range(3_000)]
         for key in keys:
             clam.insert(key, b"v")
-        bufferhash = clam.bufferhash
         # Group keys by super table and check the found/evicted split is a prefix.
         by_table = {}
         for index, key in enumerate(keys):
-            by_table.setdefault(bufferhash.table_for(key).table_id, []).append(key)
+            by_table.setdefault(clam.table_for(key).table_id, []).append(key)
         for table_keys in by_table.values():
             found_flags = [clam.lookup(key).found for key in table_keys]
             first_found = found_flags.index(True) if True in found_flags else len(found_flags)

@@ -184,7 +184,7 @@ class TestReplicaSemantics:
 
         def contents(cluster):
             return {
-                shard_id: shard.clam.bufferhash.snapshot_items()
+                shard_id: shard.clam.snapshot_items()
                 for shard_id, shard in cluster.shards.items()
             }
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core import (
     CLAM,
-    BufferHash,
     CLAMConfig,
     ConfigurationError,
     DurableCLAM,
@@ -106,7 +105,9 @@ class TestPartitionedChipStore:
 
     def test_partition_wraps_with_erase(self):
         store = PartitionedChipStore(_small_chip(), num_partitions=4, pages_per_incarnation=4)
-        addresses = [store.write_incarnation(0, _pages(4))[0] for _ in range(store.slots_per_partition * 2)]
+        addresses = [
+            store.write_incarnation(0, _pages(4))[0] for _ in range(store.slots_per_partition * 2)
+        ]
         # After wrapping, addresses repeat within the owner's partition.
         assert addresses[0] == addresses[store.slots_per_partition]
 
@@ -210,35 +211,31 @@ def test_placement_golden(layout, tmp_path):
         num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
     )
     if layout == "per-partition-ssd":
-        clock = SimulationClock()
-        ssd = SSD(clock=clock)
+        ssd = SSD(clock=SimulationClock())
         slot_pages = 2 * config.pages_per_incarnation(ssd.geometry.page_size)
         store = PartitionedDeviceStore(ssd, config.num_super_tables, slot_pages)
-        index = bufferhash = BufferHash(config, device=ssd, clock=clock, store=store)
-        devices = [ssd]
+        index = CLAM(config, storage=ssd, store=store)
+    elif layout == "durable":
+        index = DurableCLAM(tmp_path / "golden.clam", config)
+    elif layout == "two-intel-ssds":
+        index = CLAM(config, storage=["intel-ssd", "intel-ssd"])
     else:
-        if layout == "durable":
-            index = DurableCLAM(tmp_path / "golden.clam", config)
-        elif layout == "two-intel-ssds":
-            index = CLAM(config, storage=["intel-ssd", "intel-ssd"])
-        else:
-            index = CLAM(config, storage=layout)
-        bufferhash, clock, devices = index.bufferhash, index.clock, index.devices
+        index = CLAM(config, storage=layout)
     try:
         for i in range(3_000):
             key = b"placement-%d" % i
             index.insert(key, b"v" + key)
         handles = [
             (table.table_id, handle.address, handle.num_pages)
-            for table in bufferhash.tables
+            for table in index.tables
             for handle in table.incarnation_handles
         ]
         assert (
             hashlib.sha1(repr(handles).encode()).hexdigest()[:16],
             sum(address for _table, address, _pages in handles),
-            repr(clock.now_ms),
-            sum(device.stats.count(IOKind.WRITE) for device in devices),
-            sum(device.stats.count(IOKind.ERASE) for device in devices),
+            repr(index.clock.now_ms),
+            sum(device.stats.count(IOKind.WRITE) for device in index.devices),
+            sum(device.stats.count(IOKind.ERASE) for device in index.devices),
         ) == PLACEMENT_GOLDENS[layout]
     finally:
         if layout == "durable":

@@ -44,6 +44,12 @@ EXTRA_PATHS = (
     "tests/test_service_simulator.py",
     "tests/test_supertable.py",
     "tests/test_discard.py",
+    "tests/test_bufferhash.py",
+    "tests/test_partitioned_device_store.py",
+    "tests/test_storage.py",
+    "tests/test_multi_device.py",
+    "tests/test_hash_once.py",
+    "tests/test_policies_end_to_end.py",
     "benchmarks/common.py",
     "benchmarks/bench_hotpath.py",
     "src/repro/baselines/disk_hash.py",
@@ -70,10 +76,8 @@ EXTRA_PATHS = (
     "src/repro/core/__init__.py",
     "src/repro/core/bloom.py",
     "src/repro/core/buffer.py",
-    "src/repro/core/supertable.py",
     "src/repro/dedup/merge.py",
     "src/repro/flashsim/__init__.py",
-    "src/repro/flashsim/clock.py",
     "src/repro/flashsim/latency.py",
     "src/repro/flashsim/stats.py",
     "src/repro/workloads/__init__.py",
