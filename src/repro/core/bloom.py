@@ -1,17 +1,16 @@
 """Plain Bloom filter, one per incarnation.
 
 A super table keeps one Bloom filter per on-flash incarnation (§5.1 of the
-paper).  The filter is built while items are inserted into the in-memory
-buffer; when the buffer is flushed, the filter becomes the signature of the
-new incarnation and is transposed into the super table's bit-sliced array
-(:mod:`repro.core.sliced_bloom`), which holds it until that incarnation is
-evicted.
+paper).  The paper builds it while items are inserted into the buffer; here
+the flush writes it once, into the super table's bit-sliced array
+(:mod:`repro.core.sliced_bloom`), its only store.  This class is one filter's
+plain bit array: a checkpoint's, and the unbuffered ablation's one filter.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.core.hashing import BLOOM_H1_WORD, BLOOM_H2_WORD, KeyDigest, KeyLike, as_digest
 from repro.core.hashing import walks_bloom_positions
@@ -22,10 +21,6 @@ def optimal_num_hashes(bits_per_item: float) -> int:
     if bits_per_item <= 0:
         raise ValueError("bits_per_item must be positive")
     return max(1, round(bits_per_item * math.log(2)))
-
-
-#: The set bits of every byte value, lowest first.
-_SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
 
 
 class BloomFilter:
@@ -115,23 +110,6 @@ class BloomFilter:
             if not bits[position >> 3] & (1 << (position & 7)):
                 return False
         return True
-
-    def set_bits(self) -> List[int]:
-        """Indices of set bits in increasing order.
-
-        The bit-sliced array (:mod:`repro.core.sliced_bloom`) transposes a
-        frozen filter through this, so it never reads the bit storage itself.
-        A byte's bits come from a 256-entry table: a flushed filter is half
-        full, and a generator resumed once per set bit was a third of a flush.
-        """
-        positions: List[int] = []
-        append = positions.append
-        for byte_index, byte in enumerate(self._bits):
-            if byte:
-                base = byte_index << 3
-                for bit in _SET_BITS[byte]:
-                    append(base + bit)
-        return positions
 
     def fill_fraction(self) -> float:
         """Fraction of bits set, popcounted a 64-bit word at a time."""

@@ -1,16 +1,17 @@
 """In-memory buffer of a super table.
 
-The buffer is a small cuckoo hash table plus the Bloom filter that will be
-frozen as the next incarnation's signature.  All newly inserted values land
-here; the super table flushes the buffer to flash when it reaches its
+The buffer is a small cuckoo hash table that keeps, besides its items, what
+decides the next incarnation's Bloom filter; the flush writes that filter
+once, into the super table's bit-sliced array.  All newly inserted values
+land here; the super table flushes the buffer to flash when it reaches its
 configured capacity (§5.1, "Buffer").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.bloom import BloomFilter, optimal_num_hashes
+from repro.core.bloom import optimal_num_hashes
 from repro.core.cuckoo import CuckooHashTable
 from repro.core.errors import CapacityError
 from repro.core.hashing import KeyDigest, KeyLike, as_digest
@@ -19,12 +20,11 @@ from repro.core.hashing import KeyDigest, KeyLike, as_digest
 class Buffer:
     """Bounded in-memory staging area for one super table.
 
-    ``get(key)`` returns the value stored for ``key`` (or ``None``) and
-    ``delete(key)`` removes it, returning whether it was present (its Bloom
-    bits stay set; they only cause a harmless false positive).  Both are the
-    cuckoo table's own bound methods — the buffer adds nothing to them, and a
-    buffer probe sits on every lookup — so they are bound in ``__init__``
-    rather than wrapped.
+    ``get(key)`` is the cuckoo table's own bound method — the buffer adds
+    nothing to it, and a buffer probe sits on every lookup.  The filter a drain
+    decides (``bloom_bits`` by ``bloom_hashes``) holds every key put since the
+    last drain, those :meth:`delete` removed included (a harmless false
+    positive), and counts every successful put, an update again.
     """
 
     def __init__(self, capacity_items: int, num_slots: int, bloom_bits: int) -> None:
@@ -37,9 +37,10 @@ class Buffer:
         self.bloom_bits = bloom_bits
         self.bloom_hashes = optimal_num_hashes(bloom_bits / max(1, capacity_items))
         self._table = CuckooHashTable(num_slots)
-        self._bloom = BloomFilter(bloom_bits, self.bloom_hashes)
         self.get = self._table.get
-        self.delete = self._table.delete
+        # Since the last drain: successful puts, and the words of keys delete removed.
+        self._puts = 0
+        self._deleted: List[Sequence[int]] = []
 
     # -- Introspection ------------------------------------------------------------
 
@@ -67,15 +68,22 @@ class Buffer:
             table.put(key, value)
         except CapacityError:
             return False
-        self._bloom.add(key)
+        self._puts += 1
         return True
 
-    def drain(self) -> Tuple[Dict[bytes, bytes], BloomFilter]:
-        """Return the buffer contents and its Bloom filter, then start empty.
+    def delete(self, key: KeyLike) -> bool:
+        """Remove ``key``; returns whether it was present."""
+        key = key if type(key) is KeyDigest else as_digest(key)
+        if not self._table.delete(key):
+            return False
+        self._deleted.append(key.words)  # filled by the table's probe
+        return True
 
-        Called by the super table when it flushes the buffer to flash; the
-        filter goes with the items and a new one takes its place.
-        """
-        frozen = self._bloom
-        self._bloom = BloomFilter(self.bloom_bits, self.bloom_hashes)
-        return self._table.drain(), frozen
+    def drain(self) -> Tuple[Dict[bytes, bytes], List[Sequence[int]], int]:
+        """Empty the buffer; returns ``(items, key_words, item_count)``, where
+        ``key_words`` lists each item's CLAM words in the items' order and
+        then those of every key :meth:`delete` removed since the last drain."""
+        items, key_words = self._table.drain()
+        key_words += self._deleted
+        item_count, self._puts, self._deleted = self._puts, 0, []
+        return items, key_words, item_count

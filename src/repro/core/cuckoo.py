@@ -12,7 +12,7 @@ that the same as "full" and triggers a flush.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import CapacityError
 from repro.core.hashing import (
@@ -23,8 +23,8 @@ from repro.core.hashing import (
     as_digest,
 )
 
-# An occupied slot is a two-element list ``[key, value]`` (updated in place
-# on overwrite); an empty slot is ``None``.
+# An occupied slot is a three-element list ``[key, value, words]`` (the key's
+# CLAM words; the value updated in place on overwrite); an empty slot is ``None``.
 _Slot = Optional[list]
 
 
@@ -33,8 +33,9 @@ class CuckooHashTable:
 
     Every operation resolves its key to a :class:`~repro.core.hashing.KeyDigest`
     (handed in, or looked up in the digest cache) and takes the bucket pair
-    from the digest's words; entries store, and :meth:`items` yields, the
-    canonical key bytes.
+    from the digest's words.  An entry keeps the key bytes, which :meth:`get`
+    compares, and the words (128 B, where the whole digest is 192), which a
+    displacement rehomes it by and :meth:`drain` hands to the flush.
     """
 
     #: Slots per bucket (standard bucketised cuckoo hashing).
@@ -54,9 +55,7 @@ class CuckooHashTable:
 
     # -- Hashing ---------------------------------------------------------------
 
-    def _buckets_for(self, digest: KeyDigest) -> Tuple[int, int]:
-        # Warm keys answer from the digest's words without a call.
-        words = digest.words or digest.clam_words()
+    def _buckets_for(self, words: Sequence[int]) -> Tuple[int, int]:
         num_buckets = self.num_buckets
         first = words[CUCKOO_FIRST_WORD] % num_buckets
         second = words[CUCKOO_SECOND_WORD] % num_buckets
@@ -116,7 +115,8 @@ class CuckooHashTable:
         """
         digest = key if type(key) is KeyDigest else as_digest(key)
         data = digest.data
-        first, second = self._buckets_for(digest)
+        words = digest.words or digest.clam_words()
+        first, second = self._buckets_for(words)
         buckets = self._buckets
         # In-place update if the key already exists.
         for bucket_index in (first, second):
@@ -128,13 +128,13 @@ class CuckooHashTable:
         for bucket_index in (first, second):
             bucket = buckets[bucket_index]
             if None in bucket:
-                bucket[bucket.index(None)] = [data, value]
+                bucket[bucket.index(None)] = [data, value, words]
                 self._size += 1
                 return
         # Both buckets full: displace entries along a bounded path.  Every
         # write is recorded as (bucket, slot, previous occupant) so the whole
         # chain can be undone if it never terminates.
-        carried = [data, value]
+        carried = [data, value, words]
         bucket_index = first
         history: List[Tuple[int, int, _Slot]] = []
         for step in range(self.MAX_DISPLACEMENTS):
@@ -148,9 +148,7 @@ class CuckooHashTable:
             history.append((bucket_index, victim_slot, victim))
             bucket[victim_slot] = carried
             carried = victim  # not None: the bucket was full
-            # The victim was inserted a moment ago (buffers are small), so
-            # its digest is almost always still cached: no re-hash.
-            alt_first, alt_second = self._buckets_for(as_digest(carried[0]))
+            alt_first, alt_second = self._buckets_for(carried[2])
             bucket_index = alt_second if bucket_index == alt_first else alt_first
         for bucket_idx, slot_idx, previous in reversed(history):
             buckets[bucket_idx][slot_idx] = previous
@@ -163,7 +161,7 @@ class CuckooHashTable:
         """Remove ``key``; returns whether it was present."""
         digest = key if type(key) is KeyDigest else as_digest(key)
         data = digest.data
-        for bucket_index in self._buckets_for(digest):
+        for bucket_index in self._buckets_for(digest.words or digest.clam_words()):
             bucket = self._buckets[bucket_index]
             for slot, entry in enumerate(bucket):
                 if entry is not None and entry[0] == data:
@@ -172,15 +170,18 @@ class CuckooHashTable:
                     return True
         return False
 
-    def drain(self) -> Dict[bytes, bytes]:
+    def drain(self) -> Tuple[Dict[bytes, bytes], List[Sequence[int]]]:
         """Remove every entry, emptying the slots where they stand; returns the
-        entries in :meth:`items` (bucket) order.  This is the buffer's flush."""
+        entries in :meth:`items` (bucket) order and their keys' words in the
+        same order.  This is the buffer's flush."""
         drained: Dict[bytes, bytes] = {}
+        key_words: List[Sequence[int]] = []
         empty = [None] * self.SLOTS_PER_BUCKET
         for bucket in self._buckets:
             for entry in bucket:
                 if entry is not None:
                     drained[entry[0]] = entry[1]
+                    key_words.append(entry[2])
             bucket[:] = empty
         self._size = 0
-        return drained
+        return drained, key_words

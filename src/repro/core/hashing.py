@@ -48,7 +48,7 @@ import weakref
 from array import array
 from collections import deque
 from contextlib import contextmanager
-from typing import Deque, Dict, Iterator, List, Optional, Union
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Union
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -359,10 +359,7 @@ class KeyDigest:
         Equal to :func:`double_hashes` of the key bytes, element for element,
         for any modulus; only the words they are computed from are memoised.
         """
-        words = self.words or self.clam_words()
-        h1 = words[BLOOM_H1_WORD]
-        h2 = words[BLOOM_H2_WORD] | 1  # odd: coprime with 2^k moduli
-        return [((h1 + i * h2) & _MASK64) % modulus for i in range(count)]
+        return bloom_positions(self.words or self.clam_words(), count, modulus)
 
     def memoised(self) -> Dict[int, int]:
         """Seed -> digest for every seed this handle has hashed so far; a
@@ -379,6 +376,13 @@ class KeyDigest:
 
 
 KeyLike = Union[bytes, bytearray, memoryview, str, int, KeyDigest]
+
+
+def bloom_positions(words: Sequence[int], count: int, modulus: int) -> List[int]:
+    """The Kirsch-Mitzenmacher positions of the key whose CLAM words these are."""
+    h1 = words[BLOOM_H1_WORD]
+    h2 = words[BLOOM_H2_WORD] | 1  # odd: coprime with 2^k moduli
+    return [((h1 + i * h2) & _MASK64) % modulus for i in range(count)]
 
 
 # -- Cross-operation digest cache ---------------------------------------------------

@@ -50,10 +50,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NoReturn, Optional, Tuple
+from typing import Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.core.errors import KeyTooLargeError, PageFormatError
-from repro.core.hashing import PAGE_SEED, PAGE_WORD, KeyLike, as_digest, hash_key
+from repro.core.hashing import PAGE_SEED, PAGE_WORD, KeyLike, hash_key
 
 #: The page image layout this module writes and reads (see the module docstring).
 PAGE_FORMAT = 2
@@ -110,7 +110,9 @@ def required_pages(items: Dict[bytes, bytes], page_size: int, fill_factor: float
     return max(1, math.ceil(total / usable_per_page))
 
 
-def build_pages(items: Dict[bytes, bytes], num_pages: int, page_size: int) -> List[bytes]:
+def build_pages(
+    items: Dict[bytes, bytes], key_words: Sequence[Sequence[int]], num_pages: int, page_size: int
+) -> List[bytes]:
     """Serialise ``items`` into ``num_pages`` page images of at most ``page_size`` bytes.
 
     Keys are placed on their hash-assigned page; when a page is full the
@@ -118,14 +120,17 @@ def build_pages(items: Dict[bytes, bytes], num_pages: int, page_size: int) -> Li
     page that pushed entries onward has its overflow flag set so lookups know
     to continue.
 
-    Each key's page word is read from the digest cache: flushed keys were
-    inserted a buffer's worth of operations ago, so their digests are almost
-    always still cached with every word filled, and the flush hashes nothing.
+    ``key_words[i]`` are the CLAM words of the ``i``-th key of ``items``
+    (entries past the last item are not read): a flush hands over the ones
+    its buffer kept, so each key's page word is read without a lookup or a
+    hash.
     """
     if num_pages <= 0:
         raise ValueError("num_pages must be positive")
     if page_size <= _PAGE_HEADER.size + _ENTRY_HEADER.size:
         raise ValueError("page_size too small to hold any entry")
+    if len(key_words) < len(items):
+        raise ValueError("every item needs its words")
 
     # Each entry is sized once and grouped under its home page as ``(lengths,
     # key, value, size)``; ``lengths`` is the entry's ``<HH`` pair as the one
@@ -133,7 +138,7 @@ def build_pages(items: Dict[bytes, bytes], num_pages: int, page_size: int) -> Li
     page_capacity = page_size - _PAGE_HEADER.size
     header_size = _ENTRY_HEADER.size
     buckets: List[List[Tuple[int, bytes, bytes, int]]] = [[] for _ in range(num_pages)]
-    for key, value in items.items():
+    for (key, value), words in zip(items.items(), key_words):
         key_len = len(key)
         value_len = len(value)
         size = header_size + key_len + value_len
@@ -141,9 +146,7 @@ def build_pages(items: Dict[bytes, bytes], num_pages: int, page_size: int) -> Li
             raise KeyTooLargeError(f"entry of {size} bytes cannot fit in a {page_size}-byte page")
         if key_len | value_len > 0xFFFF:
             raise KeyTooLargeError("keys and values must fit in 16-bit length fields")
-        digest = as_digest(key)
-        page_hash = (digest.words or digest.clam_words())[PAGE_WORD]
-        buckets[page_hash % num_pages].append((key_len | value_len << 16, key, value, size))
+        buckets[words[PAGE_WORD] % num_pages].append((key_len | value_len << 16, key, value, size))
 
     # Assign entries to physical pages, home page by home page, with
     # wrap-around overflow.  A page collects its entries flat — lengths, key,

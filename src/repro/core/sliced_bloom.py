@@ -19,6 +19,10 @@ standard CLAM in steady state), while a slice of ``k <= 8`` bits is always a
 cached int.  The eager clear is one list comprehension over the slices, about
 30 us per eviction at ``m = 2,048`` on one core of a Xeon guest.
 
+The paper builds each filter while its buffer fills, a per-insert walk into a
+filter no lookup reads; here a flush writes its column once
+(:meth:`~BitSlicedBloomArray.append_keys`, from the words the buffer kept).
+
 A checkpoint still needs each incarnation's filter as a plain bit array:
 :meth:`BitSlicedBloomArray.filter_for` rebuilds it from its column, with the
 ``item_count`` kept beside the column.
@@ -26,11 +30,11 @@ A checkpoint still needs each incarnation's filter as a plain bit array:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bloom import BloomFilter
 from repro.core.hashing import BLOOM_H1_WORD, BLOOM_H2_WORD, KeyDigest, KeyLike, as_digest
-from repro.core.hashing import walks_bloom_positions
+from repro.core.hashing import bloom_positions, walks_bloom_positions
 
 
 class BitSlicedBloomArray:
@@ -84,25 +88,53 @@ class BitSlicedBloomArray:
         """Number of incarnations currently represented."""
         return len(self._window)
 
-    def append_filter(self, bloom: BloomFilter, incarnation_id: object) -> None:
-        """Install the (frozen) buffer filter as the newest incarnation's filter."""
-        if bloom.num_bits != self.num_bits or bloom.num_hashes != self.num_hashes:
-            raise ValueError("Bloom filter geometry does not match the sliced array")
+    def _take_column(self, item_count: int, incarnation_id: object) -> int:
+        """The ring's next column, given to the newest incarnation, as a bit."""
         if len(self._window) >= self.max_incarnations:
-            raise RuntimeError(
-                "sliced array is full; evict the oldest incarnation before appending"
-            )
+            raise RuntimeError("sliced array is full; evict the oldest incarnation first")
         # Evictions take the oldest column, so the one after the newest is free.
         column = self._next_column
         self._next_column = (column + 1) % self.max_incarnations
         column_bit = 1 << column
-        slices = self._slices
-        # Walk only the set bits of the source filter.
-        for position in bloom.set_bits():
-            slices[position] |= column_bit
-        self._item_counts[column] = bloom.item_count
+        self._item_counts[column] = item_count
         self._window = ((column_bit, incarnation_id),) + self._window
         self._owner_of[column_bit] = incarnation_id
+        return column_bit
+
+    def append_keys(
+        self, key_words: List[Sequence[int]], item_count: int, incarnation_id: object
+    ) -> None:
+        """The flush's column writer: the newest incarnation's filter holds the
+        Bloom positions of every key whose CLAM words ``key_words`` lists
+        (walked as :meth:`candidates` walks them) and counts ``item_count``
+        keys (an update counts again)."""
+        column_bit = self._take_column(item_count, incarnation_id)
+        slices = self._slices
+        num_hashes = self.num_hashes
+        low = self._low
+        if low:
+            for words in key_words:
+                start = words[BLOOM_H1_WORD] & low
+                step = (words[BLOOM_H2_WORD] | 1) & low
+                # candidates' walk, with range doing the additions.
+                for position in range(start, start + num_hashes * step, step):
+                    slices[position & low] |= column_bit
+        else:
+            for words in key_words:
+                for position in bloom_positions(words, num_hashes, self.num_bits):
+                    slices[position] |= column_bit
+
+    def append_filter(self, bloom: BloomFilter, incarnation_id: object) -> None:
+        """Install a filter held as a bit array (a checkpoint's, or one rebuilt
+        from a replayed log record) as the newest incarnation's."""
+        if bloom.num_bits != self.num_bits or bloom.num_hashes != self.num_hashes:
+            raise ValueError("Bloom filter geometry does not match the sliced array")
+        column_bit = self._take_column(bloom.item_count, incarnation_id)
+        bits = bloom.to_bytes()
+        slices = self._slices
+        for position in range(self.num_bits):
+            if bits[position >> 3] >> (position & 7) & 1:
+                slices[position] |= column_bit
 
     def evict_oldest(self) -> Optional[object]:
         """Clear the oldest incarnation's column; returns its identifier."""

@@ -2,11 +2,12 @@
 
 The super table is where all of BufferHash's mechanisms meet:
 
-* inserts go to the in-memory :class:`~repro.core.buffer.Buffer`; when it
-  fills, its contents are written sequentially to flash as a new incarnation
-  and its Bloom filter becomes a column of the bit-sliced array
-  (:class:`~repro.core.sliced_bloom.BitSlicedBloomArray`, the only copy of
-  every incarnation's filter);
+* inserts go to the in-memory :class:`~repro.core.buffer.Buffer`, which
+  does no Bloom work; when it fills, its contents are written sequentially
+  to flash as a new incarnation, and that incarnation's Bloom filter is
+  written once, from the CLAM words the buffer kept, into its column of the
+  bit-sliced array (:class:`~repro.core.sliced_bloom.BitSlicedBloomArray`,
+  the only copy of every incarnation's filter);
 * lookups check the buffer, then ask that array for the candidate
   incarnations and read at most one flash page per candidate, newest first.
   ``use_bit_slicing=False`` (one filter per incarnation) asks the same array
@@ -20,7 +21,7 @@ The super table is where all of BufferHash's mechanisms meet:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bloom import BloomFilter
 from repro.core.buffer import Buffer
@@ -232,9 +233,12 @@ class SuperTable:
         if self.buffer.put(key, value):
             return InsertResult(data, latency)
         flush_result = self.flush()
+        if not self.buffer.put(key, value):
+            # The retained items the flush put back left no room: flush again,
+            # writing all it retains, and the emptied buffer takes the key.
+            self._flush(flush_result, put_back=False)
+            self.buffer.put(key, value)
         latency += flush_result.latency_ms
-        if not self.buffer.put(key, value):  # pragma: no cover - flush always makes room
-            raise ConfigurationError("buffer rejected an insert immediately after flush")
         return InsertResult(
             key=data,
             latency_ms=latency,
@@ -274,12 +278,16 @@ class SuperTable:
         themselves fill the buffer and force another flush/eviction round,
         until something can be discarded or every incarnation has been tried
         (at which point the oldest incarnation is fully discarded, as §7.4
-        describes).
+        describes).  Fewer go back into the buffer, and any it refuses are
+        written as the next incarnation: a retained item is never dropped.
+        Each new incarnation's Bloom column is written here, once.
         """
-        result = FlushResult()
-        items, frozen_filter = self.buffer.drain()
-        pending: Optional[Dict[bytes, bytes]] = items
-        pending_filter: Optional[BloomFilter] = frozen_filter
+        return self._flush(FlushResult(), put_back=True)
+
+    def _flush(self, result: FlushResult, put_back: bool) -> FlushResult:
+        """:meth:`flush`, adding to ``result``; ``put_back=False`` writes
+        every retained item, leaving the buffer empty."""
+        pending, key_words, item_count = self.buffer.drain()
         incarnations_tried = 0
 
         while pending is not None:
@@ -293,31 +301,30 @@ class SuperTable:
                 result.flash_reads += evict_reads
                 result.forced_full_discard = result.forced_full_discard or force_full
 
-            write_latency, pages_written = self._write_incarnation(pending, pending_filter)
+            write_latency, pages_written = self._write_incarnation(pending, key_words, item_count)
             result.latency_ms += write_latency
             result.flash_writes += pages_written
             result.incarnations_written += 1
+            result.items_retained += len(retained)
 
-            if retained and len(retained) >= self.buffer.capacity_items:
-                # Cascade: the retained items fill the buffer outright, so they
-                # become the next incarnation to write.
-                pending = retained
-                pending_filter = None
-                result.items_retained += len(retained)
-            else:
+            if put_back and len(retained) < self.buffer.capacity_items:
+                refused: Dict[bytes, bytes] = {}
                 reinsert_cost = 0.0
+                cost = self.memory_cost
                 for key, value in retained.items():
-                    self.buffer.put(key, value)
-                    reinsert_cost += (
-                        self.memory_cost.buffer_op_ms + self.memory_cost.bloom_update_ms
-                    )
+                    if not self.buffer.put(key, value):
+                        refused[key] = value
+                    reinsert_cost += cost.buffer_op_ms + cost.bloom_update_ms
                 if reinsert_cost:
                     self.clock.advance(reinsert_cost)
                     result.latency_ms += reinsert_cost
-                result.items_retained += len(retained)
-                pending = None
+                retained = refused
+            pending = retained or None
+            if retained:  # a cascade: what is still retained is the next incarnation
+                key_words = [as_digest(key).clam_words() for key in retained]
+                item_count = len(retained)
 
-        result.incarnations_tried = incarnations_tried
+        result.incarnations_tried += incarnations_tried
         self.flush_count += 1
         self.cascade_histogram[incarnations_tried] = (
             self.cascade_histogram.get(incarnations_tried, 0) + 1
@@ -325,14 +332,15 @@ class SuperTable:
         return result
 
     def _write_incarnation(
-        self, items: Dict[bytes, bytes], frozen_filter: Optional[BloomFilter]
+        self, items: Dict[bytes, bytes], key_words: List[Sequence[int]], item_count: int
     ) -> Tuple[float, int]:
-        """Serialise ``items`` and append them to flash as a new incarnation."""
+        """Serialise ``items`` and append them to flash as a new incarnation
+        whose filter holds ``key_words`` (see :meth:`Buffer.drain`)."""
         # The nominal incarnation size assumes the configuration's estimated
         # entry size; when actual entries are larger (long keys or values),
         # grow this incarnation rather than failing the flush.
         num_pages = max(self.pages_per_incarnation, required_pages(items, self.page_size))
-        pages = build_pages(items, num_pages, self.page_size)
+        pages = build_pages(items, key_words, num_pages, self.page_size)
         # Every layout is told which super table flushed: the partitioned and
         # multi-SSD ones place by it, the durable log stamps it on the record.
         address, latency = self.store.write_incarnation(self.table_id, pages)
@@ -344,10 +352,7 @@ class SuperTable:
         )
         self._next_incarnation_id += 1
         self._incarnations.append(handle)
-        if frozen_filter is None:
-            frozen_filter = BloomFilter(self.buffer.bloom_bits, self.buffer.bloom_hashes)
-            frozen_filter.update(items.keys())
-        self._sliced.append_filter(frozen_filter, handle)
+        self._sliced.append_keys(key_words, item_count, handle)
         return latency, len(pages)
 
     def _evict_oldest(self, force_full_discard: bool) -> Tuple[Dict[bytes, bytes], float, int]:

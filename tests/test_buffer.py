@@ -3,10 +3,23 @@
 import pytest
 
 from repro.core.buffer import Buffer
+from repro.core.hashing import as_digest
+from repro.core.sliced_bloom import BitSlicedBloomArray
 
 
 def _buffer(capacity=16, slots=32, bloom_bits=256):
     return Buffer(capacity_items=capacity, num_slots=slots, bloom_bits=bloom_bits)
+
+
+def _filter_written_from(buffer, key_words, item_count):
+    """The filter a flush writes from what the buffer handed over."""
+    sliced = BitSlicedBloomArray(buffer.bloom_bits, buffer.bloom_hashes, max_incarnations=1)
+    sliced.append_keys(key_words, item_count, "incarnation")
+    return sliced.filter_for("incarnation")
+
+
+def _words_of(*keys):
+    return [as_digest(key).clam_words() for key in keys]
 
 
 class TestBuffer:
@@ -34,11 +47,11 @@ class TestBuffer:
         assert buffer.put(b"k0", b"updated") is True
         assert buffer.get(b"k0") == b"updated"
 
-    def test_bloom_filter_tracks_inserted_keys(self):
+    def test_drained_words_track_inserted_keys(self):
         buffer = _buffer()
         buffer.put(b"key", b"value")
-        _items, frozen = buffer.drain()
-        assert b"key" in frozen
+        _items, key_words, item_count = buffer.drain()
+        assert b"key" in _filter_written_from(buffer, key_words, item_count)
 
     def test_delete(self):
         buffer = _buffer()
@@ -46,21 +59,48 @@ class TestBuffer:
         assert buffer.delete(b"key") is True
         assert buffer.get(b"key") is None
 
-    def test_drain_returns_items_and_frozen_filter(self):
+    def test_drain_returns_items_their_words_and_the_put_count(self):
         buffer = _buffer(capacity=8)
         for i in range(5):
             buffer.put(b"k%d" % i, b"v%d" % i)
-        items, frozen = buffer.drain()
+        items, key_words, item_count = buffer.drain()
         assert items == {b"k%d" % i: b"v%d" % i for i in range(5)}
+        assert key_words == _words_of(*items)
+        assert item_count == 5
+        frozen = _filter_written_from(buffer, key_words, item_count)
         assert all(b"k%d" % i in frozen for i in range(5))
-        # After draining, the buffer is empty and its live filter reset.
+        # After draining, the buffer is empty and what decides the next filter reset.
         assert len(buffer) == 0
-        assert b"k0" not in buffer.drain()[1]
+        assert buffer.drain() == ({}, [], 0)
 
     def test_drain_of_empty_buffer(self):
-        items, frozen = _buffer().drain()
+        items, key_words, item_count = _buffer().drain()
         assert items == {}
-        assert frozen.item_count == 0
+        assert key_words == []
+        assert item_count == 0
+
+    def test_a_deleted_key_stays_in_the_filter(self):
+        # Its bits were set when it was put; they only cause a harmless false
+        # positive, and the filter must not depend on the order of events.
+        buffer = _buffer()
+        buffer.put(b"kept", b"1")
+        buffer.put(b"gone", b"2")
+        assert buffer.delete(b"gone") is True
+        assert buffer.delete(b"gone") is False
+        assert buffer.delete(b"never") is False
+        items, key_words, item_count = buffer.drain()
+        assert items == {b"kept": b"1"}
+        assert key_words == _words_of(b"kept", b"gone")
+        assert item_count == 2
+
+    def test_every_successful_put_counts_and_a_refused_one_does_not(self):
+        buffer = _buffer(capacity=2)
+        assert buffer.put(b"a", b"1") and buffer.put(b"a", b"2") and buffer.put(b"b", b"3")
+        assert buffer.put(b"c", b"4") is False  # full
+        items, key_words, item_count = buffer.drain()
+        assert items == {b"a": b"2", b"b": b"3"}
+        assert key_words == _words_of(*items)
+        assert item_count == 3
 
     def test_len_counts_items(self):
         buffer = _buffer()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CapacityError, CuckooHashTable
+from repro.core.hashing import KeyDigest, clear_digest_cache, count_hash_calls
 
 
 class TestCuckooBasics:
@@ -52,6 +53,22 @@ class TestCuckooBasics:
         assert len(table) == 0
         assert table.get(b"key") is None
 
+    def test_drain_hands_over_each_entry_with_the_words_it_was_put_with(self):
+        table = CuckooHashTable(64)
+        put = {}
+        for i in range(20):
+            digest = KeyDigest(b"k%d" % i)
+            put[digest.data] = digest
+            table.put(digest, b"v%d" % i)
+        table.put(b"k3", b"updated")
+        items, key_words = table.drain()
+        expected = {b"k%d" % i: b"v%d" % i for i in range(20)}
+        expected[b"k3"] = b"updated"
+        assert items == expected
+        assert all(words is put[key].words for key, words in zip(items, key_words))
+        assert len(key_words) == len(items)
+        assert len(table) == 0 and table.drain() == ({}, [])
+
     def test_load_factor(self):
         table = CuckooHashTable(64)
         for i in range(16):
@@ -83,6 +100,20 @@ class TestCuckooCapacity:
         # Everything successfully inserted before the failure must still be intact.
         for key, value in stored.items():
             assert table.get(key) == value
+
+    def test_displacement_rehomes_an_entry_by_its_carried_words(self):
+        # Digests the cache has never held: re-deriving one would build it anew.
+        digests = [KeyDigest(b"displaced-%d" % i) for i in range(64)]
+        for digest in digests:
+            digest.clam_words()
+        clear_digest_cache()
+        table = CuckooHashTable(16)
+        with count_hash_calls() as log:
+            # Only a displacement path that ran its full length raises this.
+            with pytest.raises(CapacityError):
+                for digest in digests:
+                    table.put(digest, digest.data)
+        assert log.total == 0 and log.digest_builds == 0
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -20,6 +20,11 @@ ENTRY_HEADER = struct.Struct("<HH")  # key length, value length — both formats
 OVERFLOW, UNIFORM, COLUMNAR = 0x01, 0x02, 0x80
 
 
+def _build(items, *args, **kwargs):
+    """``build_pages`` handed each key's CLAM words, as a flush hands them over."""
+    return build_pages(items, [as_digest(key).clam_words() for key in items], *args, **kwargs)
+
+
 class TestPageIndexForKey:
     def test_deterministic_and_in_range(self):
         for i in range(100):
@@ -35,7 +40,7 @@ class TestPageIndexForKey:
 class TestBuildAndSearchPages:
     def test_round_trip_every_key_found_on_its_probe_path(self):
         items = {b"key-%d" % i: b"value-%d" % i for i in range(100)}
-        pages = build_pages(items, num_pages=8, page_size=512)
+        pages = _build(items, num_pages=8, page_size=512)
         assert len(pages) == 8
         for key, value in items.items():
             found = self._probe(pages, key)
@@ -56,23 +61,23 @@ class TestBuildAndSearchPages:
 
     def test_absent_key_not_found(self):
         items = {b"key-%d" % i: b"v" for i in range(50)}
-        pages = build_pages(items, num_pages=8, page_size=512)
+        pages = _build(items, num_pages=8, page_size=512)
         assert self._probe(pages, b"absent") is None
 
     def test_pages_respect_size_limit(self):
         items = {b"key-%d" % i: b"v" * 20 for i in range(200)}
-        pages = build_pages(items, num_pages=16, page_size=512)
+        pages = _build(items, num_pages=16, page_size=512)
         assert all(len(page) <= 512 for page in pages)
 
     def test_empty_items_produce_empty_pages(self):
-        pages = build_pages({}, num_pages=4, page_size=256)
+        pages = _build({}, num_pages=4, page_size=256)
         assert len(pages) == 4
         assert all(list(iter_page_entries(page)) == [] for page in pages)
 
     def test_overflow_flag_set_when_bucket_spills(self):
         # Force spilling by using a single tiny page size and many items.
         items = {b"key-%d" % i: b"v" * 30 for i in range(40)}
-        pages = build_pages(items, num_pages=8, page_size=256)
+        pages = _build(items, num_pages=8, page_size=256)
         assert any(page_overflowed(page) for page in pages)
         # And despite spilling, everything remains findable.
         for key, value in items.items():
@@ -80,22 +85,30 @@ class TestBuildAndSearchPages:
 
     def test_item_too_large_for_page_rejected(self):
         with pytest.raises(KeyTooLargeError):
-            build_pages({b"k": b"v" * 1024}, num_pages=4, page_size=256)
+            _build({b"k": b"v" * 1024}, num_pages=4, page_size=256)
 
     def test_items_exceeding_total_capacity_rejected(self):
         items = {b"key-%d" % i: b"v" * 100 for i in range(100)}
         with pytest.raises(KeyTooLargeError):
-            build_pages(items, num_pages=2, page_size=256)
+            _build(items, num_pages=2, page_size=256)
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
-            build_pages({b"k": b"v"}, num_pages=0, page_size=256)
+            _build({b"k": b"v"}, num_pages=0, page_size=256)
         with pytest.raises(ValueError):
-            build_pages({b"k": b"v"}, num_pages=4, page_size=4)
+            _build({b"k": b"v"}, num_pages=4, page_size=4)
+
+    def test_an_item_without_its_words_rejected(self):
+        items = {b"a": b"1", b"b": b"2"}
+        with pytest.raises(ValueError, match="words"):
+            build_pages(items, [as_digest(b"a").clam_words()], num_pages=1, page_size=256)
+        # Words past the last item (a buffer's deleted keys) are not read.
+        extra = [as_digest(key).clam_words() for key in (b"a", b"b", b"gone")]
+        assert build_pages(items, extra, 1, 256) == _build(items, 1, 256)
 
     def test_iter_page_entries_round_trip(self):
         items = {b"alpha": b"1", b"beta": b"22", b"gamma": b"333"}
-        pages = build_pages(items, num_pages=1, page_size=512)
+        pages = _build(items, num_pages=1, page_size=512)
         assert dict(iter_page_entries(pages[0])) == items
 
     def test_search_empty_page(self):
@@ -108,7 +121,7 @@ class TestBuildAndSearchPages:
         neighbours can spell a third key across their seam: the match must
         start on a cell boundary to count."""
         items = {b"aabb": b"one", b"aaxx": b"two", b"bbaa": b"six"}
-        (page,) = build_pages(items, num_pages=1, page_size=256)
+        (page,) = _build(items, num_pages=1, page_size=256)
         assert page[2] == COLUMNAR | UNIFORM
         keys_start = 3 + 4 * len(items)
         assert page[keys_start : keys_start + 12] == b"aabbaaxxbbaa"  # insertion order
@@ -117,7 +130,7 @@ class TestBuildAndSearchPages:
         assert search_page(page, b"bbaa") == (b"six", False)
         # Without its entry, b"bbaa" exists only across the seam: a miss.
         del items[b"bbaa"]
-        (page,) = build_pages(items, num_pages=1, page_size=256)
+        (page,) = _build(items, num_pages=1, page_size=256)
         assert page.find(b"bbaa", 3 + 4 * len(items)) > 0
         assert search_page(page, b"bbaa") == (None, False)
         # A prefix, a suffix and an over-long superstring of stored keys miss.
@@ -125,13 +138,13 @@ class TestBuildAndSearchPages:
             assert search_page(page, absent) == (None, False)
 
     def test_the_empty_key_and_empty_values(self):
-        alone = build_pages({b"": b"nothing"}, num_pages=1, page_size=64)[0]
+        alone = _build({b"": b"nothing"}, num_pages=1, page_size=64)[0]
         assert alone[2] == COLUMNAR | UNIFORM
         assert search_page(alone, b"") == (b"nothing", False)
         assert search_page(alone, b"x") == (None, False)
-        both_empty = build_pages({b"": b""}, num_pages=1, page_size=64)[0]
+        both_empty = _build({b"": b""}, num_pages=1, page_size=64)[0]
         assert search_page(both_empty, b"") == (b"", False)
-        mixed = build_pages({b"ab": b"", b"": b"v", b"abc": b""}, num_pages=1, page_size=64)[0]
+        mixed = _build({b"ab": b"", b"": b"v", b"abc": b""}, num_pages=1, page_size=64)[0]
         assert mixed[2] == COLUMNAR
         assert search_page(mixed, b"") == (b"v", False)
         assert search_page(mixed, b"ab") == (b"", False)
@@ -193,7 +206,7 @@ class TestBuildAndSearchPages:
             num_pages = max(1, round(total / (page_size - 3) / rng.uniform(0.3, 0.95)))
         reached["cases"] += 1
         try:
-            pages = build_pages(items, num_pages=num_pages, page_size=page_size)
+            pages = _build(items, num_pages=num_pages, page_size=page_size)
         except KeyTooLargeError:
             reached["rejected"] += 1
             return
@@ -362,10 +375,10 @@ class TestFormatTwoMovesNothingSimulated:
                 row_wise = _reference_build_pages(items, num_pages, page_size, _encode_page_v1)
             except KeyTooLargeError as error:
                 with pytest.raises(KeyTooLargeError, match=str(error)[:30]):
-                    build_pages(items, num_pages, page_size)
+                    _build(items, num_pages, page_size)
                 rejected += 1
                 continue
-            columnar = build_pages(items, num_pages, page_size)
+            columnar = _build(items, num_pages, page_size)
             assert len(columnar) == len(row_wise) == num_pages
             for old, new in zip(row_wise, columnar):
                 entries, overflowed = _decode_page_v1(old)
@@ -391,10 +404,10 @@ class TestFormatTwoMovesNothingSimulated:
 @pytest.mark.parametrize("warm", [False, True])
 class TestBuildPagesMatchesReference:
     """The one-pass ``build_pages``, which reads each key's page word from the
-    digest cache, writes the images the three-pass one does by hashing raw
-    bytes — whether the cache has never met the keys (``warm=False``) or
-    already holds their digests with every word filled, as it does for a
-    buffer flushed in production (``warm=True``)."""
+    words handed with it, writes the images the three-pass one does by
+    hashing raw bytes — whether the digest cache has never met the keys
+    (``warm=False``) or already holds their digests with every word filled
+    (``warm=True``)."""
 
     def _outcome(self, build, *args):
         try:
@@ -407,7 +420,7 @@ class TestBuildPagesMatchesReference:
         if warm:
             for key in items:
                 as_digest(key).clam_words()
-        return self._outcome(build_pages, items, num_pages, page_size)
+        return self._outcome(_build, items, num_pages, page_size)
 
     def test_random_item_sets_including_wrap_around_overflow(self, warm):
         wrapped = spilled = rejected = 0

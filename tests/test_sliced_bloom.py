@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BitSlicedBloomArray, BloomFilter
+from repro.core.hashing import as_digest
 
 
 def _filter_with(keys, num_bits=256, num_hashes=4):
@@ -104,6 +105,30 @@ class TestBitSlicedBloomArray:
         with pytest.raises(KeyError):
             sliced.filter_for(0)
 
+    @pytest.mark.parametrize("num_bits, num_hashes", [(512, 5), (300, 3)])
+    def test_a_column_written_from_words_equals_the_filter_of_those_keys(
+        self, num_bits, num_hashes
+    ):
+        """The flush's column writer walks each key's positions as a filter of
+        the same geometry sets them (power-of-two ``m``) or lists them (any
+        other ``m``), across ring wraps, and keeps the ``item_count`` it is
+        given beside the column."""
+        sliced = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=3)
+        appended = {}
+        for generation in range(7):
+            if sliced.live_count >= 3:
+                del appended[sliced.evict_oldest()]
+            keys = [b"g%d-%d" % (generation, i % 25) for i in range(30 + generation)]
+            appended[generation] = _filter_with(keys, num_bits, num_hashes)
+            key_words = [as_digest(key).clam_words() for key in keys]
+            sliced.append_keys(key_words, len(keys), generation)
+            for live, bloom in appended.items():
+                rebuilt = sliced.filter_for(live)
+                assert rebuilt.to_bytes() == bloom.to_bytes()
+                assert rebuilt.item_count == bloom.item_count
+        with pytest.raises(RuntimeError):
+            sliced.append_keys([], 0, "one too many")
+
     def test_agrees_with_individual_filters(self):
         """The sliced organisation must return exactly the incarnations whose
         individual Bloom filter matches (same bits, same hashes)."""
@@ -114,7 +139,8 @@ class TestBitSlicedBloomArray:
             bloom = _filter_with(keys, num_bits=512, num_hashes=5)
             filters.append((incarnation, bloom))
             sliced.append_filter(bloom, incarnation)
-        probe_keys = [b"i%d-%d" % (i % 6, i) for i in range(200)] + [b"absent-%d" % i for i in range(200)]
+        probe_keys = [b"i%d-%d" % (i % 6, i) for i in range(200)]
+        probe_keys += [b"absent-%d" % i for i in range(200)]
         for key in probe_keys:
             expected = {identifier for identifier, bloom in filters if key in bloom}
             assert set(sliced.candidates(key)) == expected

@@ -1,7 +1,12 @@
 """Tests for a single super table (buffer + incarnations + Bloom filters)."""
 
+import random
+
+import pytest
 
 from repro.core import (
+    CLAM,
+    CLAMConfig,
     LRUEviction,
     MemoryCostModel,
     PriorityBasedEviction,
@@ -19,6 +24,7 @@ def _super_table(
     eviction_policy=None,
     use_bloom_filters=True,
     use_bit_slicing=True,
+    buffer_slots=None,
 ):
     clock = SimulationClock()
     ssd = SSD(clock=clock)
@@ -28,7 +34,7 @@ def _super_table(
         store=store,
         clock=clock,
         buffer_capacity_items=buffer_capacity,
-        buffer_slots=buffer_capacity * 2,
+        buffer_slots=buffer_slots or buffer_capacity * 2,
         max_incarnations=max_incarnations,
         page_size=ssd.geometry.page_size,
         pages_per_incarnation=2,
@@ -226,3 +232,68 @@ class TestEvictionPolicies:
         snapshot = table.snapshot_items()
         assert keys[0] in snapshot or table.incarnation_count < 3  # retained unless evicted
         assert keys[-1] not in snapshot
+
+
+class TestARefilledBuffer:
+    """Update-based eviction at high buffer utilisation: an eviction retains
+    nearly a buffer's worth, and putting it back can leave no room."""
+
+    @pytest.mark.parametrize("utilization", [1.0, 0.9])
+    def test_the_insert_that_flushed_always_lands(self, utilization):
+        config = CLAMConfig.scaled(
+            num_super_tables=2,
+            buffer_capacity_items=32,
+            incarnations_per_table=4,
+            eviction_policy_name="update",
+            buffer_utilization=utilization,
+        )
+        clam = CLAM(config)
+        rng = random.Random(0)
+        hot = [b"hot-%04d" % i for i in range(300)]
+        fresh = 0
+        for i in range(2000):
+            if rng.random() < 0.5:
+                key = rng.choice(hot)
+            else:
+                key, fresh = b"fresh-%06d" % fresh, fresh + 1
+            clam.insert(key, b"v%d" % i)
+            assert clam.lookup(key).value == b"v%d" % i
+
+    def test_a_retained_item_the_buffer_refuses_is_written(self):
+        table = _super_table(
+            buffer_capacity=32,
+            max_incarnations=4,
+            eviction_policy=UpdateBasedEviction(),
+            buffer_slots=32,
+        )
+        refused = {}
+        in_flush = []
+        put, flush = table.buffer.put, table.flush
+
+        def recording_put(key, value):
+            accepted = put(key, value)
+            if in_flush and not accepted:
+                refused[bytes(key)] = value
+            return accepted
+
+        def recording_flush():
+            in_flush.append(True)
+            try:
+                return flush()
+            finally:
+                in_flush.pop()
+
+        table.buffer.put = recording_put
+        table.flush = recording_flush
+        rng = random.Random(0)
+        hot = [b"hot-%04d" % i for i in range(150)]
+        reached = 0
+        for i in range(3000):
+            key = rng.choice(hot) if rng.random() < 0.5 else b"fresh-%06d" % i
+            table.insert(key, b"v%d" % i)
+            refused.pop(key, None)  # the insert's own key lands after, with its new value
+            for retained_key, value in refused.items():
+                assert table.lookup(retained_key).value == value, (i, retained_key)
+            reached += len(refused)
+            refused.clear()
+        assert reached > 0

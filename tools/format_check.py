@@ -50,6 +50,9 @@ EXTRA_PATHS = (
     "tests/test_multi_device.py",
     "tests/test_hash_once.py",
     "tests/test_policies_end_to_end.py",
+    "tests/test_cuckoo.py",
+    "tests/test_sliced_bloom.py",
+    "tests/test_flush_filter.py",
     "benchmarks/common.py",
     "benchmarks/bench_hotpath.py",
     "src/repro/baselines/disk_hash.py",
@@ -59,6 +62,9 @@ EXTRA_PATHS = (
     "src/repro/core/supertable.py",
     "src/repro/core/recovery.py",
     "src/repro/core/results.py",
+    "src/repro/core/cuckoo.py",
+    "src/repro/core/sliced_bloom.py",
+    "src/repro/core/incarnation.py",
     "src/repro/flashsim/clock.py",
     "src/repro/flashsim/device.py",
     "src/repro/flashsim/disk.py",
