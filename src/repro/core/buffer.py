@@ -62,7 +62,8 @@ class Buffer:
         """
         key = key if type(key) is KeyDigest else as_digest(key)
         table = self._table
-        if len(table) >= self.capacity_items and table.get(key) is None:
+        entries = table.entries
+        if len(entries) >= self.capacity_items and key.data not in entries:
             return False
         try:
             table.put(key, value)

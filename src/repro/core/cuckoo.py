@@ -8,6 +8,14 @@ per key, four slots per bucket — which sustains load factors well above the
 scaled-down experiments.  If an insertion's displacement path exceeds a bound
 the table restores its previous state and reports failure; the buffer treats
 that the same as "full" and triggers a flush.
+
+Beside the buckets the table keeps a map from key bytes to the slot's entry
+(the very list the bucket holds), so a probe — on every lookup, and almost
+always a miss — is one hash lookup, not a walk over eight slots.  The buckets
+stay because they, not the map, decide when a put is refused (a full pair of
+buckets, a displacement path that cycles) and the order :meth:`drain` hands
+the entries over in: that is when a buffer flushes and the bytes of every
+page it writes.
 """
 
 from __future__ import annotations
@@ -32,9 +40,10 @@ class CuckooHashTable:
     """Fixed-capacity cuckoo hash table mapping ``bytes`` keys to ``bytes`` values.
 
     Every operation resolves its key to a :class:`~repro.core.hashing.KeyDigest`
-    (handed in, or looked up in the digest cache) and takes the bucket pair
-    from the digest's words.  An entry keeps the key bytes, which :meth:`get`
-    compares, and the words (128 B, where the whole digest is 192), which a
+    (handed in, or looked up in the digest cache); :meth:`get` and the update
+    check probe :attr:`entries` by the key bytes, and a placement takes the
+    bucket pair from the digest's words.  An entry keeps the key bytes, the
+    value and the words (128 B, where the whole digest is 192), which a
     displacement rehomes it by and :meth:`drain` hands to the flush.
     """
 
@@ -51,7 +60,9 @@ class CuckooHashTable:
         self._buckets: List[List[_Slot]] = [
             [None] * self.SLOTS_PER_BUCKET for _ in range(self.num_buckets)
         ]
-        self._size = 0
+        #: Key bytes -> the entry list its slot holds, for exactly the placed
+        #: entries (a displacement moves the list, so the map never changes).
+        self.entries: Dict[bytes, list] = {}
 
     # -- Hashing ---------------------------------------------------------------
 
@@ -66,28 +77,18 @@ class CuckooHashTable:
     # -- Read operations ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._size
+        return len(self.entries)
 
     def __contains__(self, key: KeyLike) -> bool:
         return self.get(key) is not None
 
     def get(self, key: KeyLike) -> Optional[bytes]:
         """Value stored for ``key``, or ``None`` if absent."""
-        digest = key if type(key) is KeyDigest else as_digest(key)
-        data = digest.data
-        # _buckets_for, unrolled: a first-bucket hit never computes the second.
-        words = digest.words or digest.clam_words()
-        num_buckets = self.num_buckets
-        first = words[CUCKOO_FIRST_WORD] % num_buckets
-        for entry in self._buckets[first]:
-            if entry is not None and entry[0] == data:
-                return entry[1]
-        second = words[CUCKOO_SECOND_WORD] % num_buckets
-        if second == first:
-            second = (second + 1) % num_buckets
-        for entry in self._buckets[second]:
-            if entry is not None and entry[0] == data:
-                return entry[1]
+        data = key.data if type(key) is KeyDigest else as_digest(key).data
+        entries = self.entries
+        # ``in`` and a subscript, not entries.get: no C call on a lookup.
+        if data in entries:
+            return entries[data][1]
         return None
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
@@ -99,7 +100,7 @@ class CuckooHashTable:
 
     def load_factor(self) -> float:
         """Fraction of slots occupied."""
-        return self._size / self.num_slots
+        return len(self.entries) / self.num_slots
 
     # -- Write operations ---------------------------------------------------------
 
@@ -115,33 +116,34 @@ class CuckooHashTable:
         """
         digest = key if type(key) is KeyDigest else as_digest(key)
         data = digest.data
+        entries = self.entries
+        # In-place update if the key already exists.
+        if data in entries:
+            entries[data][1] = value
+            return
         words = digest.words or digest.clam_words()
         first, second = self._buckets_for(words)
         buckets = self._buckets
-        # In-place update if the key already exists.
-        for bucket_index in (first, second):
-            for entry in buckets[bucket_index]:
-                if entry is not None and entry[0] == data:
-                    entry[1] = value
-                    return
+        entry = [data, value, words]
         # Plain insertion into a bucket with a free slot.
         for bucket_index in (first, second):
             bucket = buckets[bucket_index]
             if None in bucket:
-                bucket[bucket.index(None)] = [data, value, words]
-                self._size += 1
+                bucket[bucket.index(None)] = entry
+                entries[data] = entry
                 return
         # Both buckets full: displace entries along a bounded path.  Every
         # write is recorded as (bucket, slot, previous occupant) so the whole
-        # chain can be undone if it never terminates.
-        carried = [data, value, words]
+        # chain can be undone if it never terminates; the new entry enters the
+        # map only once it is placed, so an undone chain leaves the map as is.
+        carried = entry
         bucket_index = first
         history: List[Tuple[int, int, _Slot]] = []
         for step in range(self.MAX_DISPLACEMENTS):
             bucket = buckets[bucket_index]
             if None in bucket:
                 bucket[bucket.index(None)] = carried
-                self._size += 1
+                entries[data] = entry
                 return
             victim_slot = step % self.SLOTS_PER_BUCKET
             victim = bucket[victim_slot]
@@ -160,15 +162,17 @@ class CuckooHashTable:
     def delete(self, key: KeyLike) -> bool:
         """Remove ``key``; returns whether it was present."""
         digest = key if type(key) is KeyDigest else as_digest(key)
-        data = digest.data
-        for bucket_index in self._buckets_for(digest.words or digest.clam_words()):
+        words = digest.words or digest.clam_words()
+        entries = self.entries
+        if digest.data not in entries:
+            return False
+        entry = entries.pop(digest.data)
+        for bucket_index in self._buckets_for(words):
             bucket = self._buckets[bucket_index]
-            for slot, entry in enumerate(bucket):
-                if entry is not None and entry[0] == data:
+            for slot, occupant in enumerate(bucket):
+                if occupant is entry:
                     bucket[slot] = None
-                    self._size -= 1
-                    return True
-        return False
+        return True
 
     def drain(self) -> Tuple[Dict[bytes, bytes], List[Sequence[int]]]:
         """Remove every entry, emptying the slots where they stand; returns the
@@ -183,5 +187,5 @@ class CuckooHashTable:
                     drained[entry[0]] = entry[1]
                     key_words.append(entry[2])
             bucket[:] = empty
-        self._size = 0
+        self.entries = {}
         return drained, key_words

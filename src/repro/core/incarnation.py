@@ -174,10 +174,11 @@ def build_pages(
             page_columns[target] += entry
             page_space[target] -= entry_size
 
-    pages: List[bytes] = []
+    # Written by index, not appended: one C call fewer per page.
+    pages: List[bytes] = [b""] * num_pages
     pack_header = _PAGE_HEADER.pack
     join = b"".join
-    for columns, spilled in zip(page_columns, overflowed):
+    for page, (columns, spilled) in enumerate(zip(page_columns, overflowed)):
         lengths = columns[0::4]
         count = len(lengths)
         flags = _COLUMNAR | spilled
@@ -190,7 +191,7 @@ def build_pages(
         image = pack_header(count, flags) + length_column + keys + join(columns[2::4])
         if len(image) > page_size:  # pragma: no cover - guarded by space accounting
             raise KeyTooLargeError("serialised page exceeded page_size")
-        pages.append(image)
+        pages[page] = image
     return pages
 
 

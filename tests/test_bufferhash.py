@@ -5,7 +5,7 @@ how the structure is laid out on a device."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CLAM, CLAMConfig, ConfigurationError, PartitionedChipStore
+from repro.core import CLAM, CLAMConfig, ConfigurationError, PartitionedChipStore, ServedFrom
 from repro.flashsim import FlashChip, SSD, SimulationClock
 from repro.flashsim.device import DeviceGeometry
 from repro.flashsim.flash_chip import FlashChipProfile, GENERIC_FLASH_CHIP_PROFILE
@@ -152,3 +152,23 @@ class TestDeviceIntegration:
         derived = ssd.geometry.total_pages // pages // 4
         assert clam.incarnations_per_table == derived >= 1
         assert all(table.max_incarnations == derived for table in clam.tables)
+
+    def test_a_derived_window_of_many_columns_inserts_and_looks_up(self):
+        """A device-derived ``k`` runs to hundreds of thousands of Bloom
+        columns; the slices hold only the columns the ring has reached."""
+        config = CLAMConfig.scaled(
+            num_super_tables=4, buffer_capacity_items=16, incarnations_per_table=None
+        )
+        clam = CLAM(config, storage=SSD(clock=SimulationClock()))
+        assert clam.incarnations_per_table > 64
+        keys = [b"derived-%d" % i for i in range(400)]
+        for key in keys:
+            clam.insert(key, key[::-1])
+        assert clam.total_flushes >= 16 and clam.total_evictions == 0
+        for key in keys:
+            result = clam.lookup(key)
+            assert result.value == key[::-1]
+        assert sum(clam.lookup(key).served_from is ServedFrom.INCARNATION for key in keys) > 300
+        assert not clam.lookup(b"derived-absent").found
+        slabs = [table._sliced for table in clam.tables]
+        assert all(len(sliced._slices) == 8 * sliced.num_bits for sliced in slabs)

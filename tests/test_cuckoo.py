@@ -1,5 +1,7 @@
 """Tests for the bucketised cuckoo hash table used by buffers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -149,3 +151,65 @@ class TestCuckooCapacity:
         assert table.get(victim) is None
         for key in keys[1:]:
             assert table.get(key) == key
+
+
+def _assert_map_mirrors_buckets(table, model):
+    """The key map holds exactly the entry lists the buckets hold, and they
+    hold what the dict model does."""
+    placed = {}
+    for bucket in table._buckets:
+        for entry in bucket:
+            if entry is not None:
+                assert entry[0] not in placed
+                placed[entry[0]] = entry
+    assert table.entries.keys() == placed.keys()
+    assert all(table.entries[key] is entry for key, entry in placed.items())
+    assert {key: entry[1] for key, entry in placed.items()} == model
+    assert len(table) == len(model)
+
+
+class TestCuckooKeyMap:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_map_mirrors_the_buckets_through_every_operation(self, seed):
+        """A seeded differential run against a dict: puts of new keys (into a
+        small table, so displacements run and cycles are refused), updates,
+        deletes of present and absent keys, and drains."""
+        rng = random.Random(seed)
+        table = CuckooHashTable(16)
+        model = {}
+        counts = dict.fromkeys(("displaced", "refused", "updated", "deleted", "drained"), 0)
+        for step in range(3000):
+            roll = rng.random()
+            if roll < 0.55:
+                key = b"new-%d-%d" % (seed, step)
+                before = {index: list(bucket) for index, bucket in enumerate(table._buckets)}
+                try:
+                    table.put(key, b"v%d" % step)
+                except CapacityError:
+                    counts["refused"] += 1
+                    assert table.get(key) is None
+                    assert all(table._buckets[index] == slots for index, slots in before.items())
+                else:
+                    model[key] = b"v%d" % step
+                    moved = sum(
+                        table._buckets[index] != slots for index, slots in before.items()
+                    )
+                    counts["displaced"] += moved > 1
+            elif roll < 0.7 and model:
+                key = rng.choice(sorted(model))
+                table.put(key, b"u%d" % step)
+                model[key] = b"u%d" % step
+                counts["updated"] += 1
+            elif roll < 0.85:
+                key = rng.choice(sorted(model)) if model and rng.random() < 0.8 else b"absent"
+                assert table.delete(key) is (key in model)
+                counts["deleted"] += model.pop(key, None) is not None
+            elif roll < 0.9:
+                items, key_words = table.drain()
+                assert items == model and len(key_words) == len(items)
+                model = {}
+                counts["drained"] += 1
+            _assert_map_mirrors_buckets(table, model)
+            for key, value in model.items():
+                assert table.get(key) == value
+        assert all(counts.values()), counts

@@ -7,6 +7,15 @@ from repro.core import BitSlicedBloomArray, BloomFilter
 from repro.core.hashing import as_digest
 
 
+#: Window sizes ``k``: one byte per slice up to 8 columns, then 2, 4 and 8
+#: bytes read as native ints, and more than 64 columns read an int at a time.
+WINDOWS = (1, 3, 8, 9, 16, 17, 64, 65, 70)
+#: Filter shapes ``(m, h)``: a power-of-two ``m`` (positions walked, the
+#: column written as one slice per key, folded from an odd and an even number
+#: of tiles) and another ``m`` (positions listed).
+GEOMETRIES = ((512, 5), (256, 4), (300, 3))
+
+
 def _filter_with(keys, num_bits=256, num_hashes=4):
     bloom = BloomFilter(num_bits, num_hashes)
     bloom.update(keys)
@@ -68,44 +77,41 @@ class TestBitSlicedBloomArray:
         with pytest.raises(ValueError):
             sliced.append_filter(BloomFilter(128, 2), 0)
 
-    def test_ring_of_k_columns_survives_many_generations(self):
+    @pytest.mark.parametrize("k", WINDOWS)
+    @pytest.mark.parametrize("num_bits, num_hashes", GEOMETRIES)
+    def test_ring_of_k_columns_survives_many_generations(self, k, num_bits, num_hashes):
         """Cycling far more incarnations than the window holds stays correct,
-        and every slice stays within the ring's ``k`` columns."""
-        k = 4
-        sliced = BitSlicedBloomArray(num_bits=512, num_hashes=4, max_incarnations=k)
-        for generation in range(200):
-            if sliced.live_count >= k:
-                sliced.evict_oldest()
-            keys = [b"gen%d-%d" % (generation, i) for i in range(20)]
-            sliced.append_filter(_filter_with(keys, num_bits=512, num_hashes=4), generation)
-            # Every live generation must still be discoverable.
-            for live_generation in range(max(0, generation - k + 1), generation + 1):
-                for i in range(20):
-                    key = b"gen%d-%d" % (live_generation, i)
-                    assert live_generation in sliced.candidates(key)
-            assert all(0 <= slice_bits < 2**k for slice_bits in sliced._slices)
-
-    @pytest.mark.parametrize("num_bits, num_hashes", [(512, 5), (300, 3)])
-    def test_filter_rebuilt_from_its_column_equals_the_appended_one(self, num_bits, num_hashes):
-        """Across ring wraps (so a reused column was cleared), and for a filter
-        whose bit array is padded past ``num_bits``."""
-        sliced = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=3)
+        every slice stays within the ring's ``k`` columns, and the filter
+        rebuilt from a column (a reused one past the first lap) equals the one
+        written, by either writer, ``item_count`` included."""
+        sliced = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=k)
         appended = {}
-        for generation in range(7):
-            if sliced.live_count >= 3:
-                del appended[sliced.evict_oldest()]
-            # Duplicate adds count: item_count is the filter's, not the keys'.
-            keys = [b"g%d-%d" % (generation, i % 25) for i in range(30 + generation)]
+        for generation in range(max(40, k + 12)):
+            if sliced.live_count >= k:
+                evicted = sliced.evict_oldest()
+                assert evicted == generation - k
+                del appended[evicted]
+            # 20-31 adds of 20 distinct keys: item_count is the filter's, not
+            # the keys'.
+            keys = [b"gen%d-%d" % (generation, i % 20) for i in range(20 + generation % 12)]
             appended[generation] = _filter_with(keys, num_bits, num_hashes)
-            sliced.append_filter(appended[generation], generation)
+            if generation % 2:
+                sliced.append_filter(appended[generation], generation)
+            else:
+                words = [as_digest(key).clam_words() for key in keys]
+                sliced.append_keys(words, len(keys), generation)
+            # Every live generation must still be discoverable, and rebuild.
             for live, bloom in appended.items():
+                for i in range(20):
+                    assert live in sliced.candidates(b"gen%d-%d" % (live, i))
                 rebuilt = sliced.filter_for(live)
                 assert rebuilt.to_bytes() == bloom.to_bytes()
                 assert rebuilt.item_count == bloom.item_count
+            assert all(0 <= sliced._view[position] < 2**k for position in range(num_bits))
         with pytest.raises(KeyError):
             sliced.filter_for(0)
 
-    @pytest.mark.parametrize("num_bits, num_hashes", [(512, 5), (300, 3)])
+    @pytest.mark.parametrize("num_bits, num_hashes", GEOMETRIES)
     def test_a_column_written_from_words_equals_the_filter_of_those_keys(
         self, num_bits, num_hashes
     ):
@@ -129,21 +135,26 @@ class TestBitSlicedBloomArray:
         with pytest.raises(RuntimeError):
             sliced.append_keys([], 0, "one too many")
 
-    def test_agrees_with_individual_filters(self):
+    @pytest.mark.parametrize("k", WINDOWS)
+    @pytest.mark.parametrize("num_bits, num_hashes", GEOMETRIES)
+    def test_agrees_with_individual_filters(self, k, num_bits, num_hashes):
         """The sliced organisation must return exactly the incarnations whose
-        individual Bloom filter matches (same bits, same hashes)."""
-        filters = []
-        sliced = BitSlicedBloomArray(num_bits=512, num_hashes=5, max_incarnations=6)
-        for incarnation in range(6):
-            keys = [b"i%d-%d" % (incarnation, i) for i in range(40)]
-            bloom = _filter_with(keys, num_bits=512, num_hashes=5)
-            filters.append((incarnation, bloom))
-            sliced.append_filter(bloom, incarnation)
-        probe_keys = [b"i%d-%d" % (i % 6, i) for i in range(200)]
-        probe_keys += [b"absent-%d" % i for i in range(200)]
+        individual Bloom filter matches (same bits, same hashes), newest first,
+        with the ring wrapped once so some columns were cleared and reused."""
+        filters = {}
+        sliced = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=k)
+        for incarnation in range(k + k // 2 + 1):
+            if sliced.live_count >= k:
+                del filters[sliced.evict_oldest()]
+            keys = [b"i%d-%d" % (incarnation, i) for i in range(12)]
+            filters[incarnation] = _filter_with(keys, num_bits, num_hashes)
+            words = [as_digest(key).clam_words() for key in keys]
+            sliced.append_keys(words, len(keys), incarnation)
+        probe_keys = [b"i%d-%d" % (i % (2 * k), i % 12) for i in range(120)]
+        probe_keys += [b"absent-%d" % i for i in range(120)]
         for key in probe_keys:
-            expected = {identifier for identifier, bloom in filters if key in bloom}
-            assert set(sliced.candidates(key)) == expected
+            expected = [identifier for identifier, bloom in filters.items() if key in bloom]
+            assert sliced.candidates(key) == expected[::-1]
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=30, unique=True))
