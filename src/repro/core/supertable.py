@@ -422,8 +422,9 @@ class SuperTable:
         return self._sliced.filter_for(handle)
 
     def delete_list_snapshot(self) -> Tuple[bytes, ...]:
-        """Current lazy-delete entries (checkpoint serialisation)."""
-        return tuple(self._delete_list)
+        """Current lazy-delete entries, sorted (checkpoint serialisation: the
+        bytes then follow the CLAM's state, not the hash seed)."""
+        return tuple(sorted(self._delete_list))
 
     def advance_incarnation_counter(self, next_id: int) -> None:
         """Ensure future incarnation ids start at ``next_id`` or later.

@@ -53,6 +53,7 @@ EXTRA_PATHS = (
     "tests/test_cuckoo.py",
     "tests/test_sliced_bloom.py",
     "tests/test_flush_filter.py",
+    "tests/test_checkpoint_golden.py",
     "benchmarks/common.py",
     "benchmarks/bench_hotpath.py",
     "src/repro/baselines/disk_hash.py",
