@@ -127,7 +127,6 @@ from benchmarks.common import (
 )
 from benchmarks.ratchet import assert_fraction
 from repro.core import CLAM, CLAMConfig, supertable
-from repro.core.bloom import BloomFilter
 from repro.core.buffer import Buffer
 from repro.core.hashing import (
     CLAM_SEEDS,
@@ -627,9 +626,10 @@ def run_digest_memory() -> Dict[str, float]:
     """DRAM per cached key: what one warm digest owns, and tracemalloc's
     bytes per key over :data:`DIGEST_MEMORY_KEYS` keys brought into the
     digest cache and warmed as a CLAM lookup warms them (the six CLAM words,
-    then one probe of a Bloom filter of the standard geometry)."""
+    then one probe of an empty Bloom column of the standard geometry)."""
     buffer = standard_clam().tables[0].buffer
-    bloom = BloomFilter(buffer.bloom_bits, buffer.bloom_hashes)
+    bloom = BitSlicedBloomArray(buffer.bloom_bits, buffer.bloom_hashes, max_incarnations=1)
+    bloom.append_keys([], 0, "empty")
     keys = [fingerprint_for(i) for i in range(DIGEST_MEMORY_KEYS)]
     clear_digest_cache()
     gc.collect()
@@ -639,7 +639,7 @@ def run_digest_memory() -> Dict[str, float]:
         before = tracemalloc.get_traced_memory()[0]
         for key in keys:
             as_digest(key).clam_words()
-            _ = key in bloom
+            bloom.candidates(key)
         traced = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -11,8 +11,7 @@ Quick start::
     print(result.latency_ms, "simulated ms")
 """
 
-from repro.core.bloom import BloomFilter, optimal_num_hashes
-from repro.core.buffer import Buffer
+from repro.core.buffer import Buffer, optimal_num_hashes
 from repro.core.clam import CLAM, build_device, STORAGE_PROFILES
 from repro.core.config import CLAMConfig, MemoryCostModel
 from repro.core.cuckoo import CuckooHashTable
@@ -74,7 +73,6 @@ from repro.core.storage import (
 from repro.core.supertable import SuperTable
 
 __all__ = [
-    "BloomFilter",
     "optimal_num_hashes",
     "Buffer",
     "CLAM",

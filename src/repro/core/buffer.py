@@ -9,12 +9,19 @@ configured capacity (§5.1, "Buffer").
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.bloom import optimal_num_hashes
 from repro.core.cuckoo import CuckooHashTable
 from repro.core.errors import CapacityError
 from repro.core.hashing import KeyDigest, KeyLike, as_digest
+
+
+def optimal_num_hashes(bits_per_item: float) -> int:
+    """Number of hash functions minimising false positives: ``m/n * ln 2``."""
+    if bits_per_item <= 0:
+        raise ValueError("bits_per_item must be positive")
+    return max(1, round(bits_per_item * math.log(2)))
 
 
 class Buffer:

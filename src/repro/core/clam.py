@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.bloom import BloomFilter
+from repro.core.buffer import optimal_num_hashes
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError, DeviceFailedError
 from repro.core.eviction import EvictionPolicy, make_policy
@@ -152,7 +152,10 @@ class CLAM:
             self._tel_ops = None
 
         self._unbuffered_data: Dict[bytes, bytes] = {}
-        self._unbuffered_bloom: Optional[BloomFilter] = None
+        # The unbuffered ablation's one Bloom filter, a plain bit array, and its
+        # (hashes, bits).
+        self._unbuffered_bloom: Optional[bytearray] = None
+        self._unbuffered_shape = (0, 0)
         #: The super tables each operation picks from; none in the unbuffered
         #: ablation, whose handlers are below.
         self.tables: List[SuperTable] = []
@@ -162,9 +165,9 @@ class CLAM:
         if not config.use_buffering:
             if config.use_bloom_filters:
                 total_items = config.total_items_capacity(config.incarnations_per_table or 16)
-                self._unbuffered_bloom = BloomFilter.for_capacity(
-                    max(1024, total_items), bits_per_item=config.bloom_bits_per_entry
-                )
+                num_bits = max(8, int(max(1024, total_items) * config.bloom_bits_per_entry))
+                self._unbuffered_shape = (optimal_num_hashes(config.bloom_bits_per_entry), num_bits)
+                self._unbuffered_bloom = bytearray((num_bits + 7) // 8)
             return
 
         geometry = self.device.geometry
@@ -353,8 +356,10 @@ class CLAM:
         self.clock.advance(memory_cost)
         latency = memory_cost + self.device.write_page(page, data[: self.device.geometry.page_size])
         self._unbuffered_data[data] = bytes(value)
-        if self._unbuffered_bloom is not None:
-            self._unbuffered_bloom.add(key)
+        bloom = self._unbuffered_bloom
+        if bloom is not None:
+            for position in key.bloom_positions(*self._unbuffered_shape):
+                bloom[position >> 3] |= 1 << (position & 7)
         return InsertResult(key=data, latency_ms=latency, flash_writes=1)
 
     def _unbuffered_lookup(self, key: KeyDigest) -> LookupResult:
@@ -363,7 +368,11 @@ class CLAM:
         self.clock.advance(memory_cost)
         latency = memory_cost
         flash_reads = 0
-        if self._unbuffered_bloom is not None and key not in self._unbuffered_bloom:
+        bloom = self._unbuffered_bloom
+        if bloom is not None and not all(
+            bloom[position >> 3] >> (position & 7) & 1
+            for position in key.bloom_positions(*self._unbuffered_shape)
+        ):
             return LookupResult(
                 key=data, value=None, latency_ms=latency, served_from=ServedFrom.MISSING
             )

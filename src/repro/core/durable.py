@@ -25,8 +25,9 @@ of its :class:`~repro.flashsim.persistent.FlashLayout`:
 
 ``checkpoint``
     Two ping-pong slots of serialised DRAM state (per-table incarnation
-    handles with their Bloom filter bits, delete lists, id counters, log-head
-    position), written by :meth:`~repro.core.recovery.DurableCLAM.checkpoint`.
+    handles, each with its Bloom column as a plain bit array; sorted delete
+    lists; id counters; log-head position), written by
+    :meth:`~repro.core.recovery.DurableCLAM.checkpoint`.
     Recovery restores the newest intact checkpoint and replays only the log
     records with a higher sequence number — the checkpoint+suffix path — or
     cold-rebuilds from the whole log when no checkpoint survives.  Alternating
@@ -46,10 +47,10 @@ import struct
 import zlib
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.bloom import BloomFilter
 from repro.core.config import CLAMConfig, MemoryCostModel
 from repro.core.errors import ConfigurationError, TornPageError
 from repro.core.incarnation import PAGE_FORMAT, IncarnationHandle
+from repro.core.sliced_bloom import column_size
 from repro.core.storage import CircularLogAllocator, IncarnationStore
 from repro.core.supertable import SuperTable
 from repro.flashsim.persistent import FlashPartition, PageState, PersistentFlashDevice
@@ -322,11 +323,11 @@ def serialize_checkpoint(store: DurableLogStore, tables: List[SuperTable]) -> by
             writer.u64(handle.address)
             writer.u32(handle.num_pages)
             writer.u32(handle.item_count)
-            bloom = table.filter_for(handle)
-            writer.u32(bloom.num_bits)
-            writer.u16(bloom.num_hashes)
-            writer.u32(bloom.item_count)
-            writer.blob(bloom.to_bytes())
+            bits, bloom_items = table.column_bytes(handle)
+            writer.u32(table.buffer.bloom_bits)
+            writer.u16(table.buffer.bloom_hashes)
+            writer.u32(bloom_items)
+            writer.blob(bits)
     return writer.getvalue()
 
 
@@ -337,7 +338,9 @@ class CheckpointTableState:
     table_id: int
     next_incarnation_id: int
     delete_list: Tuple[bytes, ...]
-    incarnations: Tuple[Tuple[IncarnationHandle, BloomFilter], ...]
+    #: ``(handle, num_bits, num_hashes, item_count, bits)`` per incarnation:
+    #: its Bloom filter as a plain bit array.
+    incarnations: Tuple[Tuple[IncarnationHandle, int, int, int, bytes], ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -382,14 +385,15 @@ def deserialize_checkpoint(sequence: int, clean: bool, payload: bytes) -> Checkp
             num_hashes = reader.u16()
             bloom_items = reader.u32()
             bits = reader.blob()
+            if len(bits) != column_size(num_bits):
+                raise ValueError("checkpointed Bloom column does not match num_bits")
             handle = IncarnationHandle(
                 incarnation_id=incarnation_id,
                 address=address,
                 num_pages=num_pages,
                 item_count=item_count,
             )
-            bloom = BloomFilter.from_bytes(num_bits, num_hashes, bits, bloom_items)
-            incarnations.append((handle, bloom))
+            incarnations.append((handle, num_bits, num_hashes, bloom_items, bits))
         tables.append(
             CheckpointTableState(
                 table_id=table_id,

@@ -20,15 +20,19 @@ Recovery procedure, on opening an existing device file:
 1. **Repair interrupted erases** — any block with erased-dirty pages (power
    failed mid-erase) is erased again before use.
 2. **Restore the newest intact checkpoint**, if any: per-table incarnation
-   handles with their serialised Bloom filter bits, delete lists and id
-   counters come back without touching any data page.  Each checkpointed
-   incarnation is verified against the media (header page must still carry
-   the matching record, no page torn or overwritten) before it is trusted.
+   handles with their Bloom columns (plain bit arrays, put back with
+   ``append_column``), delete lists and id counters come back without
+   touching any data page.  Each checkpointed incarnation is verified against
+   the media (header page must still carry the matching record, no page torn
+   or overwritten) before it is trusted.
 3. **Replay the log suffix** — records with a sequence number the checkpoint
    has not seen.  Overlapping claims on the same pages are resolved newest
    sequence first; records with torn tails (the flush the power cut
-   interrupted) are discarded.  Surviving records are re-indexed by reading
-   their pages and rebuilding their Bloom filters, oldest first per table.
+   interrupted) are discarded.  Surviving records are re-indexed oldest first
+   per table: their pages are read, and the flush's writer (``append_keys``)
+   puts the page keys' words in their Bloom columns.  That filter is narrower
+   than the flush's (no key deleted from the buffer, no update counted
+   twice): the same answers, possibly other charged costs.
 4. **Trim** each table to its ``max_incarnations`` newest incarnations (an
    eviction that happened after the last checkpoint must not resurrect extra
    incarnations past the configured window).
@@ -46,7 +50,6 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.bloom import BloomFilter
 from repro.core.clam import CLAM
 from repro.core.config import CLAMConfig
 from repro.core.durable import (
@@ -61,6 +64,7 @@ from repro.core.durable import (
     write_superblock,
 )
 from repro.core.errors import ConfigurationError
+from repro.core.hashing import as_digest
 from repro.core.incarnation import IncarnationHandle, iter_page_entries
 from repro.core.results import InsertResult
 from repro.core.supertable import SuperTable
@@ -296,15 +300,14 @@ class DurableCLAM(CLAM):
         tables_restored = 0
         for table in self.tables:
             table_state = checkpoint_tables.get(table.table_id)
-            candidates: List[
-                Tuple[int, Optional[Tuple[IncarnationHandle, BloomFilter]], Optional[_LogRecord]]
-            ] = []
+            candidates: List[Tuple[int, Optional[tuple], Optional[_LogRecord]]] = []
             if table_state is not None:
-                for handle, bloom in table_state.incarnations:
+                for restored in table_state.incarnations:
+                    handle = restored[0]
                     if not self._checkpoint_handle_intact(table.table_id, handle, claimed):
                         stale_records += 1
                         continue
-                    candidates.append((handle.incarnation_id, (handle, bloom), None))
+                    candidates.append((handle.incarnation_id, restored, None))
             for record in suffix_by_owner.get(table.table_id, ()):
                 candidates.append((record.incarnation_id, None, record))
             candidates.sort(key=lambda entry: entry[0])
@@ -467,7 +470,7 @@ class DurableCLAM(CLAM):
         )
 
     def _replay_record(self, table: SuperTable, record: _LogRecord) -> int:
-        """Re-index one log record: read its pages, rebuild its Bloom filter."""
+        """Re-index one log record: read its pages, write its Bloom column."""
         pages, _latency = self.persistent_device.read_range(
             record.data_address, record.num_pages
         )
@@ -475,15 +478,17 @@ class DurableCLAM(CLAM):
         for image in pages:
             for key, value in iter_page_entries(image):
                 items[key] = value
-        bloom = BloomFilter(table.buffer.bloom_bits, table.buffer.bloom_hashes)
-        bloom.update(items.keys())
         handle = IncarnationHandle(
             incarnation_id=record.incarnation_id,
             address=record.data_address,
             num_pages=record.num_pages,
             item_count=len(items),
         )
-        table.restore_incarnation(handle, bloom)
+        buffer = table.buffer
+        key_words = [as_digest(key).clam_words() for key in items]
+        table.restore_incarnation(
+            handle, buffer.bloom_bits, buffer.bloom_hashes, len(items), key_words
+        )
         return len(items)
 
     def _restore_store_state(

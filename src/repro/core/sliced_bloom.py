@@ -27,9 +27,12 @@ The paper builds each filter while its buffer fills, a per-insert walk into a
 filter no lookup reads; here a flush writes its column once
 (:meth:`~BitSlicedBloomArray.append_keys`, from the words the buffer kept).
 
-A checkpoint still needs each incarnation's filter as a plain bit array:
-:meth:`BitSlicedBloomArray.filter_for` rebuilds it from its column, with the
-``item_count`` kept beside the column.
+Log replay writes a column the same way, from the words of the keys on the
+incarnation's pages.  A checkpoint carries a column as a plain bit array (bit
+``i`` is bit ``i % 8`` of byte ``i // 8``, padded to whole 64-bit words):
+:meth:`~BitSlicedBloomArray.column_bytes` reads it out, with the
+``item_count`` kept beside the column, and
+:meth:`~BitSlicedBloomArray.append_column` puts it back.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bloom import BloomFilter
 from repro.core.hashing import BLOOM_H1_WORD, BLOOM_H2_WORD, KeyDigest, KeyLike, as_digest
 from repro.core.hashing import bloom_positions, walks_bloom_positions
 
@@ -45,6 +47,11 @@ from repro.core.hashing import bloom_positions, walks_bloom_positions
 _CLEAR = [bytes(value & ~(1 << bit) for value in range(256)) for bit in range(8)]
 #: ``memoryview.cast`` formats of the native unsigned ints of 2, 4 and 8 bytes.
 _NATIVE_FORMATS = {2: "H", 4: "I", 8: "Q"}
+
+
+def column_size(num_bits: int) -> int:
+    """Bytes of a column of ``num_bits`` bits as a plain bit array."""
+    return (num_bits + 63) // 64 * 8
 
 
 class _WideSlices:
@@ -67,9 +74,8 @@ class BitSlicedBloomArray:
     num_bits:
         Bits per incarnation filter (``m``).
     num_hashes:
-        Hash functions per filter (``h``); must match the
-        :class:`~repro.core.bloom.BloomFilter` configuration of the filters
-        appended, so a query answers as those filters would.
+        Hash functions per filter (``h``): the positions of a key that a
+        column writer sets and a query tests.
     max_incarnations:
         Window size ``k`` — the number of live incarnations and of columns.
     """
@@ -89,8 +95,11 @@ class BitSlicedBloomArray:
 
         # m slices of _width bytes; bit j of slice i, as read through _view,
         # is bit i of the filter of the incarnation that occupies column j.
+        # Beside them, the keys added to each column's filter (its checkpointed
+        # item_count): one count per column the slices hold, grown with them.
         self._slices = bytearray()
         self._width = 0
+        self._item_counts: List[int] = []
         self._widen(min(max_incarnations, 64))
         # (column bit, caller-supplied incarnation identifier) of the live
         # incarnations, newest first: a query walks it as it is.  The window is
@@ -102,8 +111,6 @@ class BitSlicedBloomArray:
         self._owner_of: Dict[int, object] = {}
         # The ring's next column: the live columns are the ones just before it.
         self._next_column = 0
-        # Keys added to each column's filter (its checkpointed item_count).
-        self._item_counts: List[int] = [0] * max_incarnations
 
     # -- Window management -------------------------------------------------------
 
@@ -124,6 +131,7 @@ class BitSlicedBloomArray:
         for byte in range(old_width):
             slices[shift + byte :: width] = old[byte::old_width]
         self._slices, self._width = slices, width
+        self._item_counts += [0] * (8 * width - len(self._item_counts))
         if width == 1:
             self._view: Sequence[int] = slices
         elif width <= 8:
@@ -190,16 +198,15 @@ class BitSlicedBloomArray:
             bits |= bits >> (tiles * tile * 8)
         slices[:] = (bits & ((1 << (tile * 8)) - 1)).to_bytes(tile, "little")
 
-    def append_filter(self, bloom: BloomFilter, incarnation_id: object) -> None:
-        """Install a filter held as a bit array (a checkpoint's, or one rebuilt
-        from a replayed log record) as the newest incarnation's."""
-        if bloom.num_bits != self.num_bits or bloom.num_hashes != self.num_hashes:
-            raise ValueError("Bloom filter geometry does not match the sliced array")
-        column = self._take_column(bloom.item_count, incarnation_id)
+    def append_column(self, bits: bytes, item_count: int, incarnation_id: object) -> None:
+        """Install a column held as a plain bit array (a checkpoint's, as
+        :meth:`column_bytes` gave it) as the newest incarnation's filter."""
+        if len(bits) != column_size(self.num_bits):
+            raise ValueError(f"{len(bits)} bytes do not hold a column of num_bits={self.num_bits}")
+        column = self._take_column(item_count, incarnation_id)
         width = self._width
         offset = self._byte_of(column)
         mark = 1 << (column & 7)
-        bits = bloom.to_bytes()
         slices = self._slices
         for position in range(self.num_bits):
             if bits[position >> 3] >> (position & 7) & 1:
@@ -220,24 +227,21 @@ class BitSlicedBloomArray:
         slices[offset::width] = slices[offset::width].translate(_CLEAR[column & 7])
         return owner
 
-    def filter_for(self, incarnation_id: object) -> BloomFilter:
-        """The Bloom filter of one live incarnation, rebuilt from its column.
-
-        Equal to the filter appended for it, bit array and ``item_count``
-        (checkpoint serialisation; never on the per-operation path).
-        """
+    def column_bytes(self, incarnation_id: object) -> Tuple[bytes, int]:
+        """One live incarnation's filter as a plain bit array, and its
+        ``item_count``: what was appended for it (checkpoint serialisation;
+        never on the per-operation path)."""
         for column_bit, owner in self._window:
             if owner == incarnation_id:
                 break
         else:
             raise KeyError(incarnation_id)
-        bits = bytearray(((self.num_bits + 63) // 64) * 8)
+        bits = bytearray(column_size(self.num_bits))
         view = self._view
         for position in range(self.num_bits):
             if view[position] & column_bit:
                 bits[position >> 3] |= 1 << (position & 7)
-        item_count = self._item_counts[column_bit.bit_length() - 1]
-        return BloomFilter.from_bytes(self.num_bits, self.num_hashes, bytes(bits), item_count)
+        return bytes(bits), self._item_counts[column_bit.bit_length() - 1]
 
     # -- Lookup --------------------------------------------------------------------
 

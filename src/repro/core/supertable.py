@@ -7,7 +7,8 @@ The super table is where all of BufferHash's mechanisms meet:
   to flash as a new incarnation, and that incarnation's Bloom filter is
   written once, from the CLAM words the buffer kept, into its column of the
   bit-sliced array (:class:`~repro.core.sliced_bloom.BitSlicedBloomArray`,
-  the only copy of every incarnation's filter);
+  the only copy of every incarnation's filter; a checkpoint carries a column
+  as bytes, and recovery restores it from them or from its page keys' words);
 * lookups check the buffer, then ask that array for the candidate
   incarnations and read at most one flash page per candidate, newest first.
   ``use_bit_slicing=False`` (one filter per incarnation) asks the same array
@@ -21,9 +22,8 @@ The super table is where all of BufferHash's mechanisms meet:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.bloom import BloomFilter
 from repro.core.buffer import Buffer
 from repro.core.config import MemoryCostModel
 from repro.core.errors import ConfigurationError
@@ -416,10 +416,10 @@ class SuperTable:
         """Identifier the next flushed incarnation will receive."""
         return self._next_incarnation_id
 
-    def filter_for(self, handle: IncarnationHandle) -> BloomFilter:
-        """The Bloom filter of one live incarnation, rebuilt from its column
-        (checkpoint serialisation)."""
-        return self._sliced.filter_for(handle)
+    def column_bytes(self, handle: IncarnationHandle) -> Tuple[bytes, int]:
+        """One live incarnation's Bloom filter as a plain bit array, and its
+        ``item_count`` (checkpoint serialisation)."""
+        return self._sliced.column_bytes(handle)
 
     def delete_list_snapshot(self) -> Tuple[bytes, ...]:
         """Current lazy-delete entries, sorted (checkpoint serialisation: the
@@ -435,15 +435,24 @@ class SuperTable:
         """
         self._next_incarnation_id = max(self._next_incarnation_id, next_id)
 
-    def restore_incarnation(self, handle: IncarnationHandle, bloom: BloomFilter) -> None:
+    def restore_incarnation(
+        self,
+        handle: IncarnationHandle,
+        num_bits: int,
+        num_hashes: int,
+        item_count: int,
+        column: Union[bytes, List[Sequence[int]]],
+    ) -> None:
         """Re-register an on-flash incarnation after a crash or reopen.
 
         Must be called oldest-first per table (ascending ``incarnation_id``),
-        matching the order :meth:`flush` created them; ``bloom`` is the
-        incarnation's signature filter, either deserialised from a checkpoint
-        or rebuilt by re-reading the incarnation's pages.
+        matching the order :meth:`flush` created them.  ``column`` is the
+        incarnation's Bloom filter of ``num_bits`` by ``num_hashes`` counting
+        ``item_count`` keys: a checkpoint's plain bit array, or the CLAM words
+        of the keys on the incarnation's pages (log replay), which the flush's
+        writer puts in its column.
         """
-        if bloom.num_bits != self.buffer.bloom_bits or bloom.num_hashes != self.buffer.bloom_hashes:
+        if num_bits != self.buffer.bloom_bits or num_hashes != self.buffer.bloom_hashes:
             raise ConfigurationError(
                 "restored Bloom filter geometry does not match the configuration"
             )
@@ -456,8 +465,11 @@ class SuperTable:
             raise ConfigurationError(
                 f"cannot restore more than max_incarnations={self.max_incarnations}"
             )
+        if isinstance(column, bytes):
+            self._sliced.append_column(column, item_count, handle)
+        else:
+            self._sliced.append_keys(column, item_count, handle)
         self._incarnations.append(handle)
-        self._sliced.append_filter(bloom, handle)
         self._next_incarnation_id = max(self._next_incarnation_id, handle.incarnation_id + 1)
 
     def restore_delete_list(self, keys: Iterable[bytes]) -> None:

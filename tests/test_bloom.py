@@ -1,9 +1,13 @@
-"""Tests for the per-incarnation Bloom filter."""
+"""Tests for a Bloom filter as the CLAM keeps one: a column of the bit-sliced
+array, written from its keys' CLAM words (``append_keys``) and asked through
+``candidates``."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BloomFilter, optimal_num_hashes
+from bloom_reference import reference_column
+from repro.core import BitSlicedBloomArray, optimal_num_hashes
+from repro.core.hashing import KeyDigest, as_digest
 
 
 class TestHelpers:
@@ -17,94 +21,82 @@ class TestHelpers:
             optimal_num_hashes(0)
 
 
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter.for_capacity(100)
-        keys = [b"key-%d" % i for i in range(100)]
-        bloom.update(keys)
-        assert all(key in bloom for key in keys)
+def _column(keys, capacity, bits_per_item=16.0):
+    """A one-column array holding ``keys``, sized for ``capacity`` of them."""
+    num_bits = max(8, int(capacity * bits_per_item))
+    sliced = BitSlicedBloomArray(num_bits, optimal_num_hashes(bits_per_item), max_incarnations=1)
+    sliced.append_keys([as_digest(key).clam_words() for key in keys], len(keys), "column")
+    return sliced
 
-    def test_empty_filter_contains_nothing(self):
-        bloom = BloomFilter.for_capacity(10)
-        assert b"anything" not in bloom
+
+class TestBloomColumn:
+    def test_no_false_negatives(self):
+        keys = [b"key-%d" % i for i in range(100)]
+        sliced = _column(keys, 100)
+        assert all(sliced.candidates(key) == ["column"] for key in keys)
+
+    def test_empty_column_holds_nothing(self):
+        sliced = _column([], 10)
+        assert sliced.candidates(b"anything") == []
+        bits, item_count = sliced.column_bytes("column")
+        assert bits == bytes(len(bits)) and item_count == 0
 
     def test_false_positive_rate_is_low_when_properly_sized(self):
-        bloom = BloomFilter.for_capacity(500, bits_per_item=16)
-        bloom.update(b"member-%d" % i for i in range(500))
-        false_positives = sum(1 for i in range(5000) if b"absent-%d" % i in bloom)
+        sliced = _column([b"member-%d" % i for i in range(500)], 500, bits_per_item=16)
+        false_positives = sum(1 for i in range(5000) if sliced.candidates(b"absent-%d" % i))
         assert false_positives / 5000 < 0.01
 
-    def test_item_count(self):
-        bloom = BloomFilter.for_capacity(10)
-        bloom.add(b"a")
-        bloom.add(b"b")
-        assert bloom.item_count == 2
-
-    def test_fill_fraction_grows(self):
-        bloom = BloomFilter.for_capacity(100)
-        before = bloom.fill_fraction()
-        bloom.update(b"k-%d" % i for i in range(100))
-        assert bloom.fill_fraction() > before
+    def test_item_count_is_kept_beside_the_column(self):
+        sliced = BitSlicedBloomArray(num_bits=160, num_hashes=11, max_incarnations=1)
+        sliced.append_keys([as_digest(key).clam_words() for key in (b"a", b"b")], 2, "column")
+        assert sliced.column_bytes("column")[1] == 2
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
-            BloomFilter(num_bits=0, num_hashes=3)
+            BitSlicedBloomArray(num_bits=0, num_hashes=3, max_incarnations=1)
         with pytest.raises(ValueError):
-            BloomFilter(num_bits=8, num_hashes=0)
+            BitSlicedBloomArray(num_bits=8, num_hashes=0, max_incarnations=1)
         with pytest.raises(ValueError):
-            BloomFilter.for_capacity(0)
+            BitSlicedBloomArray(num_bits=8, num_hashes=3, max_incarnations=0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.binary(min_size=1, max_size=16), min_size=1, max_size=64, unique=True))
     def test_property_every_added_key_is_reported_present(self, keys):
-        bloom = BloomFilter.for_capacity(max(len(keys), 1))
-        bloom.update(keys)
-        assert all(key in bloom for key in keys)
+        sliced = _column(keys, max(len(keys), 1))
+        assert all(sliced.candidates(key) == ["column"] for key in keys)
 
 
-def _set_positions(bloom):
-    """Indices of the set bits of the filter's bit array, in increasing order."""
-    data = bloom.to_bytes()
-    return [bit for bit in range(8 * len(data)) if data[bit >> 3] >> (bit & 7) & 1]
+def _set_positions(bits):
+    """Indices of the set bits of a bit array, in increasing order."""
+    return [bit for bit in range(8 * len(bits)) if bits[bit >> 3] >> (bit & 7) & 1]
 
 
-class TestBitsetStorage:
-    """The bytearray bitset introduced by the hash-once/perf PR."""
+class TestColumnBytes:
+    """A column read out as a plain bit array (the checkpoint's form)."""
 
     def test_bytes_hold_exactly_the_added_positions(self):
-        bloom = BloomFilter(num_bits=256, num_hashes=4)
-        expected = set()
-        for i in range(20):
-            key = b"bit-%d" % i
-            expected.update(bloom.bit_positions(key))
-            bloom.add(key)
-        assert _set_positions(bloom) == sorted(expected)
+        keys = [b"bit-%d" % i for i in range(20)]
+        sliced = BitSlicedBloomArray(num_bits=256, num_hashes=4, max_incarnations=1)
+        sliced.append_keys([as_digest(key).clam_words() for key in keys], len(keys), 0)
+        bits, _item_count = sliced.column_bytes(0)
+        assert bits == reference_column(keys, 4, 256)
+        assert _set_positions(bits)  # the reference is not vacuous
 
-    def test_empty_filter_has_no_set_bits(self):
-        assert _set_positions(BloomFilter(64, 2)) == []
-
-    def test_fill_fraction_is_exact_popcount(self):
-        bloom = BloomFilter(num_bits=100, num_hashes=3)
-        bloom.update(b"fill-%d" % i for i in range(40))
-        ones = len(_set_positions(bloom))
-        assert bloom.fill_fraction() == ones / 100
-
-    def test_bit_storage_padded_to_whole_words(self):
+    def test_bit_array_padded_to_whole_words(self):
         for num_bits in (1, 7, 8, 63, 64, 65, 100):
-            bloom = BloomFilter(num_bits=num_bits, num_hashes=2)
-            assert len(bloom._bits) % 8 == 0
-            assert len(bloom._bits) * 8 >= num_bits
-            bloom.add(b"x")
-            assert all(pos < num_bits for pos in _set_positions(bloom))
+            sliced = BitSlicedBloomArray(num_bits, num_hashes=2, max_incarnations=1)
+            sliced.append_keys([as_digest(b"x").clam_words()], 1, 0)
+            bits, _item_count = sliced.column_bytes(0)
+            assert len(bits) % 8 == 0
+            assert len(bits) * 8 >= num_bits
+            assert _set_positions(bits) and all(pos < num_bits for pos in _set_positions(bits))
 
     def test_digest_keys_equal_byte_keys(self):
-        from repro.core.hashing import KeyDigest
-
-        plain = BloomFilter(num_bits=512, num_hashes=5)
-        via_digest = BloomFilter(num_bits=512, num_hashes=5)
         keys = [b"dk-%d" % i for i in range(50)]
-        plain.update(keys)
-        via_digest.update(KeyDigest(key) for key in keys)
-        assert plain._bits == via_digest._bits
-        assert all(KeyDigest(key) in plain for key in keys)
-        assert all(key in via_digest for key in keys)
+        plain = BitSlicedBloomArray(num_bits=512, num_hashes=5, max_incarnations=1)
+        via_digest = BitSlicedBloomArray(num_bits=512, num_hashes=5, max_incarnations=1)
+        plain.append_keys([as_digest(key).clam_words() for key in keys], 50, 0)
+        via_digest.append_keys([KeyDigest(key).clam_words() for key in keys], 50, 0)
+        assert plain.column_bytes(0) == via_digest.column_bytes(0)
+        assert all(plain.candidates(KeyDigest(key)) == [0] for key in keys)
+        assert all(via_digest.candidates(key) == [0] for key in keys)

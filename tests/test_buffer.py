@@ -2,6 +2,7 @@
 
 import pytest
 
+from bloom_reference import reference_column
 from repro.core.buffer import Buffer
 from repro.core.hashing import as_digest
 from repro.core.sliced_bloom import BitSlicedBloomArray
@@ -11,11 +12,16 @@ def _buffer(capacity=16, slots=32, bloom_bits=256):
     return Buffer(capacity_items=capacity, num_slots=slots, bloom_bits=bloom_bits)
 
 
-def _filter_written_from(buffer, key_words, item_count):
-    """The filter a flush writes from what the buffer handed over."""
+def _column_written_from(buffer, key_words, item_count):
+    """The column a flush writes from what the buffer handed over, as bytes."""
     sliced = BitSlicedBloomArray(buffer.bloom_bits, buffer.bloom_hashes, max_incarnations=1)
     sliced.append_keys(key_words, item_count, "incarnation")
-    return sliced.filter_for("incarnation")
+    return sliced.column_bytes("incarnation")
+
+
+def _reference(buffer, *keys):
+    """``column_bytes`` of the filter that holds ``keys``, one count each."""
+    return reference_column(keys, buffer.bloom_hashes, buffer.bloom_bits), len(keys)
 
 
 def _words_of(*keys):
@@ -51,7 +57,7 @@ class TestBuffer:
         buffer = _buffer()
         buffer.put(b"key", b"value")
         _items, key_words, item_count = buffer.drain()
-        assert b"key" in _filter_written_from(buffer, key_words, item_count)
+        assert _column_written_from(buffer, key_words, item_count) == _reference(buffer, b"key")
 
     def test_delete(self):
         buffer = _buffer()
@@ -67,8 +73,8 @@ class TestBuffer:
         assert items == {b"k%d" % i: b"v%d" % i for i in range(5)}
         assert key_words == _words_of(*items)
         assert item_count == 5
-        frozen = _filter_written_from(buffer, key_words, item_count)
-        assert all(b"k%d" % i in frozen for i in range(5))
+        written = _column_written_from(buffer, key_words, item_count)
+        assert written == _reference(buffer, *(b"k%d" % i for i in range(5)))
         # After draining, the buffer is empty and what decides the next filter reset.
         assert len(buffer) == 0
         assert buffer.drain() == ({}, [], 0)

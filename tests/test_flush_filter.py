@@ -6,34 +6,35 @@ array.  Before that, ``Buffer.put`` added every key it accepted to a
 per-buffer ``BloomFilter`` and ``drain`` handed that filter over; a cascade
 (retained items written as the next incarnation) built one from the items.
 These tests replay seeded streams of puts, updates, buffer deletes and
-refused puts — a full buffer and a cuckoo path that cycled — into such a
-reference filter, fed exactly what ``Buffer.put`` used to add, and compare
-every flushed incarnation's filter with it: bit array and ``item_count``.
+refused puts — a full buffer and a cuckoo path that cycled — into a record of
+the keys ``Buffer.put`` used to add, and compare every flushed incarnation's
+column with the reference filter of those keys (:mod:`bloom_reference`): bit
+array and ``item_count``.
 """
 
 import random
 
 import pytest
 
+from bloom_reference import reference_column
 from repro.core import MemoryCostModel, UpdateBasedEviction, WholeDeviceLogStore
-from repro.core.bloom import BloomFilter
 from repro.core.incarnation import iter_page_entries
 from repro.core.supertable import SuperTable
 from repro.flashsim import SSD, SimulationClock
 
 
 class ReferenceFilters:
-    """What the buffer's own ``BloomFilter`` held, kept beside one table.
+    """What the buffer's own filter held, kept beside one table.
 
     Wraps the table's ``buffer.put`` and ``buffer.drain`` on the instance:
-    every accepted put adds its key to the live reference, and a drain files
-    it under the id of the incarnation the flush writes next.
+    every accepted put adds its key to the live list, and a drain files the
+    list under the id of the incarnation the flush writes next.
     """
 
     def __init__(self, table: SuperTable) -> None:
         buffer = table.buffer
-        self.geometry = (buffer.bloom_bits, buffer.bloom_hashes)
-        self.live = BloomFilter(*self.geometry)
+        self.geometry = (buffer.bloom_hashes, buffer.bloom_bits)
+        self.live = []
         self.by_incarnation = {}
         self.refused = {"full": 0, "cycle": 0}
         put, drain = buffer.put, buffer.drain
@@ -42,25 +43,27 @@ class ReferenceFilters:
             full = len(buffer) >= buffer.capacity_items and buffer.get(key) is None
             accepted = put(key, value)
             if accepted:
-                self.live.add(key)
+                self.live.append(key)
             else:
                 self.refused["full" if full else "cycle"] += 1
             return accepted
 
         def recording_drain():
-            self.by_incarnation[table.next_incarnation_id] = self.live
-            self.live = BloomFilter(*self.geometry)
+            self.by_incarnation[table.next_incarnation_id] = self.column(self.live)
+            self.live = []
             return drain()
 
         buffer.put = recording_put
         buffer.drain = recording_drain
 
-    def cascade_filter(self, table: SuperTable, handle) -> BloomFilter:
+    def column(self, keys):
+        """``column_bytes`` of a filter that added ``keys``, one count each."""
+        return reference_column(keys, *self.geometry), len(keys)
+
+    def cascade_filter(self, table: SuperTable, handle):
         """The filter the cascade built: one over the incarnation's items."""
         pages, _latency = table.store.read_incarnation(handle.address, handle.num_pages)
-        bloom = BloomFilter(*self.geometry)
-        bloom.update(key for image in pages for key, _value in iter_page_entries(image))
-        return bloom
+        return self.column([key for image in pages for key, _value in iter_page_entries(image)])
 
 
 def _table(capacity, bloom_bits, max_incarnations):
@@ -118,9 +121,7 @@ def test_every_flushed_filter_equals_the_reference(capacity, bloom_bits, operati
                 reached["cascaded"] += 1
             else:
                 reached["drained"] += 1
-            written = table.filter_for(handle)
-            assert written.to_bytes() == expected.to_bytes(), (step, handle)
-            assert written.item_count == expected.item_count, (step, handle)
+            assert table.column_bytes(handle) == expected, (step, handle)
     # The streams reach every case they are meant to.
     assert min(reached.values()) > 0, reached
     assert min(reference.refused.values()) > 0, reference.refused

@@ -35,8 +35,8 @@ from array import array
 from hypothesis import given, settings, strategies as st
 
 from benchmarks.bench_hotpath import WARM_DIGEST_BYTES_CEILING, digest_owned
+from bloom_reference import reference_column, reference_holds
 from repro.core import CLAM, CLAMConfig, DurableCLAM, build_pages, hashing, search_page
-from repro.core.bloom import BloomFilter
 from repro.core.cuckoo import CuckooHashTable
 from repro.core.hashing import (
     CUCKOO_SEED_FIRST,
@@ -116,33 +116,34 @@ class TestEquivalence:
         num_hashes=st.integers(min_value=1, max_value=8),
     )
     def test_bloom_positions(self, data, num_bits, num_hashes):
-        """A filter holding exactly the reference bits accepts the key; one
-        holding every bit but a single reference bit rejects it — so each
-        position a filter (plain or bit-sliced) probes is a reference one."""
+        """A column holding exactly the reference bits names its owner; one
+        holding every bit but a single reference bit names none — so each
+        position the bit-sliced query probes is a reference one — and the
+        flush's column writer sets exactly the reference bits."""
         expected = double_hashes(data, num_hashes, num_bits)
         assert all(0 <= position < num_bits for position in expected)
 
-        def filter_with(positions) -> BloomFilter:
-            bits = bytearray(BloomFilter(num_bits, num_hashes).to_bytes())  # empty
+        def column_with(positions) -> bytes:
+            bits = bytearray((num_bits + 63) // 64 * 8)  # empty, in whole words
             for position in positions:
                 bits[position >> 3] |= 1 << (position & 7)
-            return BloomFilter.from_bytes(num_bits, num_hashes, bytes(bits))
+            return bytes(bits)
 
-        def candidates(bloom, key):
+        def candidates(bits, key):
             sliced = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=2)
-            sliced.append_filter(bloom, "owner")
+            sliced.append_column(bits, 0, "owner")
             return sliced.candidates(key)
 
-        exact = filter_with(expected)
-        holed = [filter_with(set(range(num_bits)) - {position}) for position in set(expected)]
+        exact = column_with(expected)
+        holed = [column_with(set(range(num_bits)) - {position}) for position in set(expected)]
         for key in _both_forms(data):
-            assert BloomFilter(num_bits, num_hashes).bit_positions(key) == expected
-            assert key in exact and candidates(exact, key) == ["owner"]
-            for bloom in holed:
-                assert key not in bloom and candidates(bloom, key) == []
-        added = BloomFilter(num_bits, num_hashes)
-        added.add(data)
-        assert added.to_bytes() == exact.to_bytes()
+            assert double_hashes(key, num_hashes, num_bits) == expected
+            assert candidates(exact, key) == ["owner"]
+            for bits in holed:
+                assert candidates(bits, key) == []
+        added = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=1)
+        added.append_keys([as_digest(data).clam_words()], 1, "owner")
+        assert added.column_bytes("owner") == (exact, 1)
 
     @settings(max_examples=60)
     @given(
@@ -157,38 +158,22 @@ class TestEquivalence:
     def test_filters_answer_as_filters_built_from_double_hashes(
         self, stored, probes, num_bits, num_hashes
     ):
-        """``add``, ``in`` and the bit-sliced ``candidates`` — walked for a
-        power of two, listed otherwise — give the answers of filters whose
-        bits are set and tested at the reference positions."""
-
-        def reference_bits(keys) -> bytes:
-            bits = bytearray(BloomFilter(num_bits, num_hashes).to_bytes())  # empty
-            for key in keys:
-                for position in double_hashes(key, num_hashes, num_bits):
-                    bits[position >> 3] |= 1 << (position & 7)
-            return bytes(bits)
-
-        def reference_in(bits: bytes, key) -> bool:
-            return all(
-                bits[position >> 3] >> (position & 7) & 1
-                for position in double_hashes(key, num_hashes, num_bits)
-            )
-
+        """The flush's column writer ``append_keys`` and the bit-sliced
+        ``candidates`` — walked for a power of two, listed otherwise — give
+        the bits and the answers of filters whose bits are set and tested at
+        the reference positions."""
         clear_digest_cache()
         sliced = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=len(stored))
         references = []
         for incarnation, keys in enumerate(stored):
-            bloom = BloomFilter(num_bits, num_hashes)
-            bloom.update(keys)
-            references.append(reference_bits(keys))
-            assert bloom.to_bytes() == references[-1]
-            sliced.append_filter(bloom, incarnation)
+            references.append(reference_column(keys, num_hashes, num_bits))
+            words = [as_digest(key).clam_words() for key in keys]
+            sliced.append_keys(words, len(keys), incarnation)
+            assert sliced.column_bytes(incarnation) == (references[-1], len(keys))
         for key in [key for keys in stored for key in keys] + probes:
-            answers = [reference_in(bits, key) for bits in references]
+            answers = [reference_holds(bits, key, num_hashes, num_bits) for bits in references]
+            expected = [i for i in reversed(range(len(stored))) if answers[i]]
             for form in (key, KeyDigest(key)):
-                frozen = [BloomFilter.from_bytes(num_bits, num_hashes, bits) for bits in references]
-                assert [form in bloom for bloom in frozen] == answers
-                expected = [i for i in reversed(range(len(stored))) if answers[i]]
                 assert sliced.candidates(form) == expected
 
     @given(

@@ -54,6 +54,8 @@ EXTRA_PATHS = (
     "tests/test_sliced_bloom.py",
     "tests/test_flush_filter.py",
     "tests/test_checkpoint_golden.py",
+    "tests/bloom_reference.py",
+    "tests/test_crash_recovery.py",
     "benchmarks/common.py",
     "benchmarks/bench_hotpath.py",
     "src/repro/baselines/disk_hash.py",
@@ -81,7 +83,6 @@ EXTRA_PATHS = (
     "src/repro/analysis/tuning.py",
     "src/repro/baselines/__init__.py",
     "src/repro/core/__init__.py",
-    "src/repro/core/bloom.py",
     "src/repro/core/buffer.py",
     "src/repro/dedup/merge.py",
     "src/repro/flashsim/__init__.py",
