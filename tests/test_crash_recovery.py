@@ -63,6 +63,22 @@ PARENT_SUPERBLOCK_JSON = (
 )
 
 
+#: The superblock payload of ``CFG`` as written by builds whose configuration
+#: still carried the simulated DRAM costs (``memory_cost``), the buffer's fill
+#: limit (``buffer_utilization``) and ``page_size_bytes``: page_format 2, so
+#: its incarnation pages are read, and each of the three keys holds the only
+#: value those builds ever wrote for it.
+PAGE_FORMAT_2_SUPERBLOCK_JSON = (
+    b'{"bloom_bits_per_entry":16.0,"buffer_capacity_items":8,"buffer_utilization":0.5,'
+    b'"checkpoint_interval_flushes":4,"entry_size_bytes":16,"eviction_policy_name":"fifo",'
+    b'"incarnations_per_table":2,"memory_cost":{"bloom_probe_per_incarnation_ms":0.0004,'
+    b'"bloom_sliced_query_ms":0.002,"bloom_update_ms":0.0005,"buffer_op_ms":0.004,'
+    b'"delete_list_probe_ms":0.0002,"page_scan_ms":0.002},"num_super_tables":2,'
+    b'"page_format":2,"page_size_bytes":null,"telemetry_enabled":false,'
+    b'"use_bit_slicing":true,"use_bloom_filters":true,"use_buffering":true}'
+)
+
+
 def key(i):
     return b"key-%04d" % i
 
@@ -309,6 +325,21 @@ class TestDurableCLAM:
         self._device_with_superblock(path, stamped)  # the stamp itself is what opens
         with DurableCLAM(path, geometry=GEOM) as clam:
             assert clam.config == CFG
+
+    def test_superblock_carrying_the_cost_model_and_buffer_fill_opens(self, tmp_path):
+        written, stamped = tmp_path / "written.clam", tmp_path / "stamped.clam"
+        _clam, error = run_workload(written)
+        assert error is None
+        shutil.copyfile(written, stamped)
+        self._device_with_superblock(stamped, PAGE_FORMAT_2_SUPERBLOCK_JSON)
+        probes = [key(i) for i in range(N_OPS + 20)]
+        with DurableCLAM(written, geometry=GEOM) as fresh, DurableCLAM(
+            stamped, geometry=GEOM
+        ) as reopened:
+            assert reopened.config == CFG
+            answers = [(fresh.lookup(k).value, reopened.lookup(k).value) for k in probes]
+        assert all(mine == theirs for mine, theirs in answers)
+        assert sum(mine is not None for mine, _theirs in answers) > 20
 
     def test_superblock_records_no_rehash_switch(self, tmp_path):
         path = tmp_path / "new.clam"
