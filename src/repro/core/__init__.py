@@ -13,7 +13,7 @@ Quick start::
 
 from repro.core.buffer import Buffer, optimal_num_hashes
 from repro.core.clam import CLAM, build_device, STORAGE_PROFILES
-from repro.core.config import CLAMConfig, MemoryCostModel
+from repro.core.config import CLAMConfig
 from repro.core.cuckoo import CuckooHashTable
 from repro.core.durable import (
     CheckpointRegion,
@@ -79,7 +79,6 @@ __all__ = [
     "build_device",
     "STORAGE_PROFILES",
     "CLAMConfig",
-    "MemoryCostModel",
     "CuckooHashTable",
     "CheckpointRegion",
     "CheckpointState",

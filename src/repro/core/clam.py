@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.buffer import optimal_num_hashes
-from repro.core.config import CLAMConfig
+from repro.core.config import BUFFER_OP_MS, CLAMConfig
 from repro.core.errors import ConfigurationError, DeviceFailedError
 from repro.core.eviction import EvictionPolicy, make_policy
 from repro.core.hashing import (
@@ -171,9 +171,7 @@ class CLAM:
             return
 
         geometry = self.device.geometry
-        page_size = config.page_size_bytes or geometry.page_size
-        if page_size > geometry.block_size:
-            raise ConfigurationError("page_size cannot exceed the device block size")
+        page_size = geometry.page_size
         pages = config.pages_per_incarnation(page_size)
         if store is None and len(self.devices) > 1:
             store = MultiDeviceLogStore(self.devices)
@@ -213,7 +211,6 @@ class CLAM:
                 page_size=page_size,
                 pages_per_incarnation=pages,
                 bloom_bits=config.bloom_bits_per_incarnation(),
-                memory_cost=config.memory_cost,
                 eviction_policy=eviction_policy,
                 use_bloom_filters=config.use_bloom_filters,
                 use_bit_slicing=config.use_bit_slicing,
@@ -352,9 +349,9 @@ class CLAM:
     def _unbuffered_insert(self, key: KeyDigest, value: bytes) -> InsertResult:
         data = key.data
         page = self._unbuffered_page_for(key)
-        memory_cost = self.config.memory_cost.buffer_op_ms
-        self.clock.advance(memory_cost)
-        latency = memory_cost + self.device.write_page(page, data[: self.device.geometry.page_size])
+        self.clock.advance(BUFFER_OP_MS)
+        write_latency = self.device.write_page(page, data[: self.device.geometry.page_size])
+        latency = BUFFER_OP_MS + write_latency
         self._unbuffered_data[data] = bytes(value)
         bloom = self._unbuffered_bloom
         if bloom is not None:
@@ -364,9 +361,8 @@ class CLAM:
 
     def _unbuffered_lookup(self, key: KeyDigest) -> LookupResult:
         data = key.data
-        memory_cost = self.config.memory_cost.buffer_op_ms
-        self.clock.advance(memory_cost)
-        latency = memory_cost
+        self.clock.advance(BUFFER_OP_MS)
+        latency = BUFFER_OP_MS
         flash_reads = 0
         bloom = self._unbuffered_bloom
         if bloom is not None and not all(
@@ -392,10 +388,9 @@ class CLAM:
 
     def _unbuffered_delete(self, key: KeyDigest) -> DeleteResult:
         data = key.data
-        memory_cost = self.config.memory_cost.buffer_op_ms
-        self.clock.advance(memory_cost)
+        self.clock.advance(BUFFER_OP_MS)
         removed = self._unbuffered_data.pop(data, None) is not None
-        return DeleteResult(key=data, latency_ms=memory_cost, removed_from_buffer=removed)
+        return DeleteResult(key=data, latency_ms=BUFFER_OP_MS, removed_from_buffer=removed)
 
     # -- Aggregate state ------------------------------------------------------------------
 

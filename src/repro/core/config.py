@@ -1,12 +1,14 @@
-"""Configuration objects for BufferHash and CLAMs.
+"""Configuration of BufferHash and CLAMs.
 
 Two concerns live here:
 
-* :class:`MemoryCostModel` — the (small, constant) simulated cost of the
-  DRAM-side work each operation performs: probing the cuckoo buffer,
-  updating or querying Bloom filters, maintaining the delete list.  These
-  costs are what make in-memory hits fast (≈ 0.005-0.02 ms, matching §7.2.1)
-  and what the bit-slicing optimisation of §5.1.3 reduces.
+* The module constants ending in ``_MS`` — the (small, constant) simulated
+  cost of the DRAM-side work each operation performs: probing the cuckoo
+  buffer, updating or querying Bloom filters, maintaining the delete list.
+  These costs are what make in-memory hits fast (≈ 0.005-0.02 ms, matching
+  §7.2.1) and what the bit-slicing optimisation of §5.1.3 reduces.  With
+  them sits :data:`BUFFER_UTILIZATION`, the fill limit of a buffer's cuckoo
+  table (§5.1).
 * :class:`CLAMConfig` — the structural parameters of a CLAM: how the key
   space is partitioned into super tables, how large each buffer is, how many
   incarnations each super table keeps, and how much memory Bloom filters get.
@@ -18,42 +20,27 @@ Two concerns live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.errors import ConfigurationError
 
+#: Simulated latency (ms) of one cuckoo-buffer probe or insert.
+BUFFER_OP_MS = 0.004
+#: Updating the buffer's Bloom filter on insert.
+BLOOM_UPDATE_MS = 0.0005
+#: Probing one incarnation's Bloom filter (naive, per-incarnation organisation).
+BLOOM_PROBE_PER_INCARNATION_MS = 0.0004
+#: One bit-sliced query across all incarnations of a super table.
+BLOOM_SLICED_QUERY_MS = 0.002
+#: Checking the in-memory delete list.
+DELETE_LIST_PROBE_MS = 0.0002
+#: Deserialising and scanning one flash page image after it has been read.
+PAGE_SCAN_MS = 0.002
 
-@dataclass(frozen=True)
-class MemoryCostModel:
-    """Simulated latency (ms) of DRAM-resident work per hash operation."""
-
-    #: One cuckoo-buffer probe or insert.
-    buffer_op_ms: float = 0.004
-    #: Updating the buffer's Bloom filter on insert.
-    bloom_update_ms: float = 0.0005
-    #: Probing one incarnation's Bloom filter (naive, per-incarnation organisation).
-    bloom_probe_per_incarnation_ms: float = 0.0004
-    #: One bit-sliced query across all incarnations of a super table.
-    bloom_sliced_query_ms: float = 0.002
-    #: Checking the in-memory delete list.
-    delete_list_probe_ms: float = 0.0002
-    #: Deserialising and scanning one flash page image after it has been read.
-    page_scan_ms: float = 0.002
-
-    def __post_init__(self) -> None:
-        # SuperTable charges these to the clock in place, unchecked there.
-        for name, cost in vars(self).items():
-            if not 0.0 <= cost < math.inf:
-                raise ConfigurationError(f"{name} must be finite and non-negative, not {cost!r}")
-
-    def bloom_query_cost(self, num_incarnations: int, bit_sliced: bool) -> float:
-        """Cost of deciding which incarnations may hold a key."""
-        if num_incarnations <= 0:
-            return 0.0
-        if bit_sliced:
-            return self.bloom_sliced_query_ms
-        return self.bloom_probe_per_incarnation_ms * num_incarnations
+#: Fraction of cuckoo slots a buffer fills before it is flushed: the paper
+#: limits it to 0.5 to keep cuckoo insertion cheap (§5.1).
+BUFFER_UTILIZATION = 0.5
 
 
 @dataclass(frozen=True)
@@ -66,17 +53,11 @@ class CLAMConfig:
         Number of key-space partitions (``2^k1`` in the paper).
     buffer_capacity_items:
         Items a buffer accepts before it is flushed to flash.
-    buffer_utilization:
-        Fraction of cuckoo slots the buffer is allowed to fill (the paper
-        limits this to 0.5 to keep cuckoo insertion cheap); slot count is
-        ``buffer_capacity_items / buffer_utilization``.
     entry_size_bytes:
         Average space one hash entry takes (paper: 16 bytes).
     incarnations_per_table:
         ``k`` — incarnations retained per super table; ``None`` derives the
         largest value the target device can hold.
-    page_size_bytes:
-        Size of one incarnation page (defaults to the device page/sector size).
     bloom_bits_per_entry:
         DRAM bits spent per entry in each incarnation's Bloom filter.
     use_buffering / use_bloom_filters / use_bit_slicing:
@@ -104,10 +85,8 @@ class CLAMConfig:
 
     num_super_tables: int = 16
     buffer_capacity_items: int = 256
-    buffer_utilization: float = 0.5
     entry_size_bytes: int = 16
     incarnations_per_table: Optional[int] = 16
-    page_size_bytes: Optional[int] = None
     bloom_bits_per_entry: float = 16.0
     use_buffering: bool = True
     use_bloom_filters: bool = True
@@ -115,15 +94,12 @@ class CLAMConfig:
     telemetry_enabled: bool = False
     eviction_policy_name: str = "fifo"
     checkpoint_interval_flushes: Optional[int] = None
-    memory_cost: MemoryCostModel = field(default_factory=MemoryCostModel)
 
     def __post_init__(self) -> None:
         if self.num_super_tables <= 0:
             raise ConfigurationError("num_super_tables must be positive")
         if self.buffer_capacity_items <= 0:
             raise ConfigurationError("buffer_capacity_items must be positive")
-        if not 0.0 < self.buffer_utilization <= 1.0:
-            raise ConfigurationError("buffer_utilization must be in (0, 1]")
         if self.entry_size_bytes <= 0:
             raise ConfigurationError("entry_size_bytes must be positive")
         if self.incarnations_per_table is not None and self.incarnations_per_table <= 0:
@@ -141,8 +117,8 @@ class CLAMConfig:
 
     @property
     def buffer_slots(self) -> int:
-        """Cuckoo slots per buffer."""
-        return max(2, int(math.ceil(self.buffer_capacity_items / self.buffer_utilization)))
+        """Cuckoo slots per buffer: ``buffer_capacity_items / BUFFER_UTILIZATION``."""
+        return max(2, int(math.ceil(self.buffer_capacity_items / BUFFER_UTILIZATION)))
 
     @property
     def buffer_bytes(self) -> int:
@@ -187,7 +163,6 @@ class CLAMConfig:
         return cls(
             num_super_tables=16_384,
             buffer_capacity_items=4_096,
-            buffer_utilization=0.5,
             entry_size_bytes=16,
             incarnations_per_table=16,
             bloom_bits_per_entry=16.0,

@@ -47,7 +47,8 @@ import struct
 import zlib
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import CLAMConfig, MemoryCostModel
+from repro.core import config as core_config
+from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError, TornPageError
 from repro.core.incarnation import PAGE_FORMAT, IncarnationHandle
 from repro.core.sliced_bloom import column_size
@@ -69,6 +70,23 @@ RECORD_HEADER = struct.Struct("<8sIIQI")
 #: Checkpoint header: magic, sequence number, payload length, payload CRC32,
 #: clean-shutdown flag.
 CHECKPOINT_HEADER = struct.Struct("<8sQIIB")
+
+#: Superblock keys of configuration fields that became constants of
+#: :mod:`repro.core.config`, each with the value it takes there (``None``: the
+#: device's page): older files carry them, and one holding another value was
+#: written by a CLAM this build cannot reproduce.
+RETIRED_SUPERBLOCK_FIELDS = {
+    "buffer_utilization": core_config.BUFFER_UTILIZATION,
+    "page_size_bytes": None,
+    "memory_cost": {
+        "bloom_probe_per_incarnation_ms": core_config.BLOOM_PROBE_PER_INCARNATION_MS,
+        "bloom_sliced_query_ms": core_config.BLOOM_SLICED_QUERY_MS,
+        "bloom_update_ms": core_config.BLOOM_UPDATE_MS,
+        "buffer_op_ms": core_config.BUFFER_OP_MS,
+        "delete_list_probe_ms": core_config.DELETE_LIST_PROBE_MS,
+        "page_scan_ms": core_config.PAGE_SCAN_MS,
+    },
+}
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -114,8 +132,13 @@ def read_superblock(device: PersistentFlashDevice) -> Tuple[CLAMConfig, float]:
             f"device {device.name!r} holds incarnation pages in page_format "
             f"{page_format}; this build reads and writes page_format {PAGE_FORMAT} only"
         )
-    memory_cost = MemoryCostModel(**fields.pop("memory_cost"))
-    return CLAMConfig(memory_cost=memory_cost, **fields), latency
+    for name, constant in RETIRED_SUPERBLOCK_FIELDS.items():
+        if fields.pop(name, constant) != constant:
+            raise ConfigurationError(
+                f"device {device.name!r} was written with a {name} other than "
+                f"{constant!r}, which this build no longer sets"
+            )
+    return CLAMConfig(**fields), latency
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,9 @@ class OperationStats:
     insert_latency_max_ms: float = 0.0
     deletes: int = 0
     flushes: int = 0
-    evictions: int = 0
     flash_reads: int = 0
     flash_writes: int = 0
     false_positive_reads: int = 0
-    reinsert_latency_total_ms: float = 0.0
 
     def record_lookup(self, result: LookupResult) -> None:
         self.lookups += 1
@@ -156,7 +154,6 @@ class OperationStats:
             "insert_latency_max_ms": self.insert_latency_max_ms,
             "deletes": float(self.deletes),
             "flushes": float(self.flushes),
-            "evictions": float(self.evictions),
             "flash_reads": float(self.flash_reads),
             "flash_writes": float(self.flash_writes),
             "false_positive_reads": float(self.false_positive_reads),

@@ -45,6 +45,10 @@ from repro.core.hashing import bloom_positions, walks_bloom_positions
 
 #: ``bytes.translate`` tables: ``_CLEAR[b]`` clears bit ``b`` of every byte.
 _CLEAR = [bytes(value & ~(1 << bit) for value in range(256)) for bit in range(8)]
+#: ``_DIGIT[b]`` maps a byte to ASCII ``1`` if its bit ``b`` is set, else ``0``;
+#: ``_MARK[b]`` maps ASCII ``1`` back to a byte with only bit ``b`` set.
+_DIGIT = [bytes(0x31 if value >> bit & 1 else 0x30 for value in range(256)) for bit in range(8)]
+_MARK = [bytes(1 << bit if value == 0x31 else 0 for value in range(256)) for bit in range(8)]
 #: ``memoryview.cast`` formats of the native unsigned ints of 2, 4 and 8 bytes.
 _NATIVE_FORMATS = {2: "H", 4: "I", 8: "Q"}
 
@@ -204,13 +208,16 @@ class BitSlicedBloomArray:
         if len(bits) != column_size(self.num_bits):
             raise ValueError(f"{len(bits)} bytes do not hold a column of num_bits={self.num_bits}")
         column = self._take_column(item_count, incarnation_id)
+        num_bits = self.num_bits
+        # Digit i of the reversed binary string is bit i, marked in slice i.
+        value = int.from_bytes(bits, "little") & ((1 << num_bits) - 1)
+        digits = format(value, f"0{num_bits}b")[::-1].encode("ascii")
+        marks = int.from_bytes(digits.translate(_MARK[column & 7]), "little")
         width = self._width
         offset = self._byte_of(column)
-        mark = 1 << (column & 7)
         slices = self._slices
-        for position in range(self.num_bits):
-            if bits[position >> 3] >> (position & 7) & 1:
-                slices[position * width + offset] |= mark
+        held = int.from_bytes(slices[offset::width], "little")
+        slices[offset::width] = (held | marks).to_bytes(num_bits, "little")
 
     def evict_oldest(self) -> Optional[object]:
         """Clear the oldest incarnation's column; returns its identifier."""
@@ -236,12 +243,11 @@ class BitSlicedBloomArray:
                 break
         else:
             raise KeyError(incarnation_id)
-        bits = bytearray(column_size(self.num_bits))
-        view = self._view
-        for position in range(self.num_bits):
-            if view[position] & column_bit:
-                bits[position >> 3] |= 1 << (position & 7)
-        return bytes(bits), self._item_counts[column_bit.bit_length() - 1]
+        column = column_bit.bit_length() - 1
+        # Slice i's byte as ASCII digit i: reversed, the column as one int.
+        digits = self._slices[self._byte_of(column) :: self._width].translate(_DIGIT[column & 7])
+        bits = int(digits[::-1], 2).to_bytes(column_size(self.num_bits), "little")
+        return bits, self._item_counts[column]
 
     # -- Lookup --------------------------------------------------------------------
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.buffer import Buffer
-from repro.core.config import MemoryCostModel
+from repro.core.config import BLOOM_PROBE_PER_INCARNATION_MS, BLOOM_SLICED_QUERY_MS
+from repro.core.config import BLOOM_UPDATE_MS, BUFFER_OP_MS, DELETE_LIST_PROBE_MS, PAGE_SCAN_MS
 from repro.core.errors import ConfigurationError
 from repro.core.eviction import EvictionContext, EvictionPolicy, FIFOEviction
 from repro.core.hashing import PAGE_WORD, KeyDigest, KeyLike, as_digest
@@ -69,7 +70,6 @@ class SuperTable:
         page_size: int,
         pages_per_incarnation: int,
         bloom_bits: int,
-        memory_cost: Optional[MemoryCostModel] = None,
         eviction_policy: Optional[EvictionPolicy] = None,
         use_bloom_filters: bool = True,
         use_bit_slicing: bool = True,
@@ -86,7 +86,6 @@ class SuperTable:
         self.max_incarnations = max_incarnations
         self.page_size = page_size
         self.pages_per_incarnation = pages_per_incarnation
-        self.memory_cost = memory_cost if memory_cost is not None else MemoryCostModel()
         self.eviction_policy = eviction_policy if eviction_policy is not None else FIFOEviction()
         self.use_bloom_filters = use_bloom_filters
         self.use_bit_slicing = use_bit_slicing
@@ -137,7 +136,7 @@ class SuperTable:
         if not self.use_bloom_filters:
             # Ablation: every incarnation is a candidate, newest first.
             return list(reversed(self._incarnations)), 0.0
-        cost = self.memory_cost.bloom_query_cost(len(self._incarnations), bit_sliced=False)
+        cost = BLOOM_PROBE_PER_INCARNATION_MS * len(self._incarnations)
         return self._sliced.candidates(key), cost
 
     # -- Lookup -----------------------------------------------------------------------
@@ -157,22 +156,20 @@ class SuperTable:
         """
         key = key if type(key) is KeyDigest else as_digest(key)
         data = key.data
-        cost = self.memory_cost
         clock = self.clock
-        latency = cost.delete_list_probe_ms
+        latency = DELETE_LIST_PROBE_MS
         clock._now_ms += latency
         if data in self._delete_list:
             return LookupResult(data, None, latency, _DELETED)
-        clock._now_ms += cost.buffer_op_ms
-        latency += cost.buffer_op_ms
+        clock._now_ms += BUFFER_OP_MS
+        latency += BUFFER_OP_MS
         value = self.buffer.get(key)
         if value is not None:
             return LookupResult(data, value, latency, _BUFFER)
 
         if self._query_sliced:
-            # bloom_query_cost(n, bit_sliced=True), without the call.
             candidates = self._sliced.candidates(key)
-            bloom_cost = cost.bloom_sliced_query_ms if self._incarnations else 0.0
+            bloom_cost = BLOOM_SLICED_QUERY_MS if self._incarnations else 0.0
         else:
             candidates, bloom_cost = self._candidate_incarnations(key)
         clock._now_ms += bloom_cost
@@ -200,7 +197,7 @@ class SuperTable:
                         break
             flash_reads += reads
             latency += flash_latency
-            scan_cost = cost.page_scan_ms * reads
+            scan_cost = PAGE_SCAN_MS * reads
             clock._now_ms += scan_cost
             latency += scan_cost
             if value is not None:
@@ -226,8 +223,7 @@ class SuperTable:
         """Insert or (lazily) update ``key`` (bytes or a KeyDigest)."""
         key = key if type(key) is KeyDigest else as_digest(key)
         data = key.data
-        cost = self.memory_cost
-        latency = cost.buffer_op_ms + cost.bloom_update_ms
+        latency = BUFFER_OP_MS + BLOOM_UPDATE_MS
         self.clock._now_ms += latency  # in place (see lookup)
         self._delete_list.discard(data)
         if self.buffer.put(key, value):
@@ -257,7 +253,7 @@ class SuperTable:
         """Delete ``key`` lazily via the in-memory delete list."""
         key = key if type(key) is KeyDigest else as_digest(key)
         data = key.data
-        latency = self.memory_cost.buffer_op_ms + self.memory_cost.delete_list_probe_ms
+        latency = BUFFER_OP_MS + DELETE_LIST_PROBE_MS
         self.clock.advance(latency)
         removed = self.buffer.delete(key)
         # Older copies may still exist on flash, so the delete list entry is
@@ -310,11 +306,10 @@ class SuperTable:
             if put_back and len(retained) < self.buffer.capacity_items:
                 refused: Dict[bytes, bytes] = {}
                 reinsert_cost = 0.0
-                cost = self.memory_cost
                 for key, value in retained.items():
                     if not self.buffer.put(key, value):
                         refused[key] = value
-                    reinsert_cost += cost.buffer_op_ms + cost.bloom_update_ms
+                    reinsert_cost += BUFFER_OP_MS + BLOOM_UPDATE_MS
                 if reinsert_cost:
                     self.clock.advance(reinsert_cost)
                     result.latency_ms += reinsert_cost
@@ -371,7 +366,7 @@ class SuperTable:
             for image in pages:
                 for key, value in iter_page_entries(image):
                     items[key] = value
-            scan_cost = self.memory_cost.page_scan_ms * len(pages)
+            scan_cost = PAGE_SCAN_MS * len(pages)
             self.clock.advance(scan_cost)
             latency += scan_cost
             context = EvictionContext(

@@ -6,8 +6,8 @@ an experiment so that, e.g., a WAN optimizer can interleave network
 serialisation delay with index I/O delay on one time line.
 
 A charge must be finite and non-negative.  :meth:`SimulationClock.advance`
-checks it for any caller.  ``SuperTable.lookup`` / ``insert`` (whose costs a
-:class:`~repro.core.config.MemoryCostModel` checks when built) and
+checks it for any caller.  ``SuperTable.lookup`` / ``insert`` (whose costs
+are fixed constants of :mod:`repro.core.config`) and
 ``StorageDevice.read_page`` (which checks each latency inline) add to
 ``_now_ms`` in place instead, to save the call: the very addition ``advance``
 makes, in the same order, so every reading keeps its bits.

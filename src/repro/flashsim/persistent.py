@@ -49,7 +49,6 @@ from repro.core.errors import TornPageError
 from repro.flashsim.clock import SimulationClock
 from repro.flashsim.device import DeviceGeometry
 from repro.flashsim.flash_chip import GENERIC_FLASH_CHIP_PROFILE, _NandDevice
-from repro.flashsim.latency import LinearCostModel
 
 #: File magic: "RFLASH" + format version 1 + a zero pad byte.
 FILE_MAGIC = b"RFLASH\x01\x00"
@@ -214,7 +213,6 @@ class PersistentFlashDevice(_NandDevice):
         geometry: Optional[DeviceGeometry] = None,
         clock: Optional[SimulationClock] = None,
         name: Optional[str] = None,
-        cost_model: Optional[LinearCostModel] = None,
     ) -> None:
         self.path = os.fspath(path)
         existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
@@ -229,7 +227,7 @@ class PersistentFlashDevice(_NandDevice):
         elif geometry is None:
             geometry = PERSISTENT_GEOMETRY
         super().__init__(
-            cost_model if cost_model is not None else GENERIC_FLASH_CHIP_PROFILE.cost_model,
+            GENERIC_FLASH_CHIP_PROFILE.cost_model,
             geometry=geometry,
             clock=clock,
             name=name or os.path.basename(self.path),

@@ -33,6 +33,11 @@ from repro.telemetry import trace as _trace
 from repro.wanopt.cache import ContentCache
 from repro.wanopt.traces import TraceObject
 
+#: Simulated CPU cost (ms) of computing one chunk's SHA-1 and Rabin boundaries:
+#: the paper emulates a "high-speed CM" by pre-computing these, so each chunk
+#: costs a small constant.
+FINGERPRINT_COST_MS = 0.002
+
 
 @runtime_checkable
 class FingerprintIndex(Protocol):
@@ -101,16 +106,13 @@ class CompressionEngine:
         approximated as zero (useful for index-only studies).
     reference_size:
         Bytes transmitted for a matched chunk (fingerprint + on-wire header).
-    fingerprint_cost_ms:
-        Simulated CPU cost of computing one chunk's SHA-1 + Rabin boundaries;
-        the paper emulates a "high-speed CM" by pre-computing these, so the
-        default is a small constant per chunk.
+
+    Each chunk's fingerprinting costs :data:`FINGERPRINT_COST_MS`.
     """
 
     index: FingerprintIndex
     content_cache: Optional[ContentCache] = None
     reference_size: int = 40
-    fingerprint_cost_ms: float = 0.002
     #: One record per processed object, in processing order.
     results: List[ObjectCompressionResult] = field(default_factory=list, init=False)
 
@@ -129,9 +131,9 @@ class CompressionEngine:
         advance = getattr(getattr(self.index, "clock", None), "advance", None)
         matched_flags: List[bool] = []
         for chunk in obj.chunks:
-            if advance is not None and self.fingerprint_cost_ms:
-                advance(self.fingerprint_cost_ms)
-            result.fingerprint_time_ms += self.fingerprint_cost_ms
+            if advance is not None:
+                advance(FINGERPRINT_COST_MS)
+            result.fingerprint_time_ms += FINGERPRINT_COST_MS
 
             lookup = self.index.lookup(chunk.fingerprint)
             result.lookup_time_ms += lookup.latency_ms
@@ -212,7 +214,7 @@ class CompressionEngine:
         tick = clock if clock is not None else index_clock
         advance = getattr(tick, "advance", None)
 
-        fingerprint_ms = self.fingerprint_cost_ms * len(chunks)
+        fingerprint_ms = FINGERPRINT_COST_MS * len(chunks)
         result.fingerprint_time_ms = fingerprint_ms
         if advance is not None and fingerprint_ms:
             advance(fingerprint_ms)

@@ -192,8 +192,8 @@ class MultiBranchTopology:
     with_content_cache:
         Keep the shared data-center content cache, a magnetic disk on the
         data-center clock; ``False`` drops it (index-only studies).
-    reference_size / fingerprint_cost_ms:
-        Per-branch engine knobs (see :class:`CompressionEngine`).
+    reference_size:
+        Per-branch engine knob (see :class:`CompressionEngine`).
     """
 
     def __init__(
@@ -207,7 +207,6 @@ class MultiBranchTopology:
         storage: str = "intel-ssd",
         with_content_cache: bool = True,
         reference_size: int = 40,
-        fingerprint_cost_ms: float = 0.002,
     ) -> None:
         if num_branches <= 0:
             raise ConfigurationError("num_branches must be positive")
@@ -236,7 +235,6 @@ class MultiBranchTopology:
                         index=index,
                         content_cache=self.content_cache,
                         reference_size=reference_size,
-                        fingerprint_cost_ms=fingerprint_cost_ms,
                     ),
                 )
             )

@@ -1,40 +1,15 @@
-"""Tests for CLAM configuration and the DRAM-side cost model."""
+"""Tests for CLAM configuration and the DRAM-side cost constants."""
 
 import pytest
 
-from repro.core import CLAMConfig, ConfigurationError, MemoryCostModel
+from repro.core import CLAMConfig, ConfigurationError
+from repro.core.config import BLOOM_PROBE_PER_INCARNATION_MS, BLOOM_SLICED_QUERY_MS
 
 
-class TestMemoryCostModel:
-    def test_bloom_query_cost_naive_scales_with_incarnations(self):
-        model = MemoryCostModel()
-        assert model.bloom_query_cost(16, bit_sliced=False) > model.bloom_query_cost(
-            4, bit_sliced=False
-        )
-
-    def test_bloom_query_cost_sliced_is_flat(self):
-        model = MemoryCostModel()
-        assert model.bloom_query_cost(16, bit_sliced=True) == model.bloom_query_cost(
-            4, bit_sliced=True
-        )
-
-    def test_bit_slicing_cheaper_at_many_incarnations(self):
-        """The point of §5.1.3: with many incarnations, one sliced query beats
-        probing every per-incarnation filter."""
-        model = MemoryCostModel()
-        assert model.bloom_query_cost(16, bit_sliced=True) < model.bloom_query_cost(
-            16, bit_sliced=False
-        )
-
-    def test_zero_incarnations_cost_nothing(self):
-        assert MemoryCostModel().bloom_query_cost(0, bit_sliced=False) == 0.0
-
-    @pytest.mark.parametrize("cost", [-1.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("name", sorted(vars(MemoryCostModel())))
-    def test_a_cost_that_is_negative_or_not_finite_is_refused(self, name, cost):
-        # A super table charges these to the clock without a check of its own.
-        with pytest.raises(ConfigurationError, match=name):
-            MemoryCostModel(**{name: cost})
+def test_bit_slicing_cheaper_at_many_incarnations():
+    """The point of §5.1.3: with 16 incarnations, one sliced query costs less
+    than probing every per-incarnation filter."""
+    assert BLOOM_SLICED_QUERY_MS < BLOOM_PROBE_PER_INCARNATION_MS * 16
 
 
 class TestCLAMConfig:
@@ -44,15 +19,15 @@ class TestCLAMConfig:
         assert config.buffer_slots >= config.buffer_capacity_items
 
     def test_buffer_slots_account_for_utilization(self):
-        config = CLAMConfig(buffer_capacity_items=100, buffer_utilization=0.5)
+        config = CLAMConfig(buffer_capacity_items=100)
         assert config.buffer_slots == 200
 
     def test_buffer_bytes(self):
-        config = CLAMConfig(buffer_capacity_items=100, buffer_utilization=0.5, entry_size_bytes=16)
+        config = CLAMConfig(buffer_capacity_items=100, entry_size_bytes=16)
         assert config.buffer_bytes == 200 * 16
 
     def test_pages_per_incarnation(self):
-        config = CLAMConfig(buffer_capacity_items=128, buffer_utilization=0.5, entry_size_bytes=16)
+        config = CLAMConfig(buffer_capacity_items=128, entry_size_bytes=16)
         assert config.pages_per_incarnation(512) == (256 * 16) // 512
 
     def test_pages_per_incarnation_rejects_bad_page_size(self):
@@ -76,8 +51,6 @@ class TestCLAMConfig:
         [
             {"num_super_tables": 0},
             {"buffer_capacity_items": 0},
-            {"buffer_utilization": 0.0},
-            {"buffer_utilization": 1.5},
             {"entry_size_bytes": 0},
             {"incarnations_per_table": 0},
             {"bloom_bits_per_entry": 0},
@@ -102,4 +75,3 @@ class TestCLAMConfig:
         config = CLAMConfig.scaled(num_super_tables=8, buffer_capacity_items=64)
         assert config.num_super_tables == 8
         assert config.buffer_capacity_items == 64
-        assert config.buffer_utilization == 0.5

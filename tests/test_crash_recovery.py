@@ -341,6 +341,27 @@ class TestDurableCLAM:
         assert all(mine == theirs for mine, theirs in answers)
         assert sum(mine is not None for mine, _theirs in answers) > 20
 
+    @pytest.mark.parametrize(
+        "held, stored, field",
+        [
+            (b'"buffer_utilization":0.5', b'"buffer_utilization":0.9', "buffer_utilization"),
+            (b'"page_size_bytes":null', b'"page_size_bytes":512', "page_size_bytes"),
+            (b'"buffer_op_ms":0.004', b'"buffer_op_ms":0.008', "memory_cost"),
+        ],
+    )
+    def test_superblock_carrying_a_retired_field_at_another_value_is_refused(
+        self, tmp_path, held, stored, field
+    ):
+        # The file was written by a CLAM whose buffers or costs this build
+        # cannot reproduce: refused by name at open, with or without a config.
+        path = tmp_path / "other.clam"
+        assert PAGE_FORMAT_2_SUPERBLOCK_JSON.count(held) == 1
+        self._device_with_superblock(path, PAGE_FORMAT_2_SUPERBLOCK_JSON.replace(held, stored))
+        with pytest.raises(ConfigurationError, match=field):
+            DurableCLAM(path, geometry=GEOM)
+        with pytest.raises(ConfigurationError, match=field):
+            DurableCLAM(path, config=CFG, geometry=GEOM)
+
     def test_superblock_records_no_rehash_switch(self, tmp_path):
         path = tmp_path / "new.clam"
         with DurableCLAM(path, config=CFG, geometry=GEOM) as clam:
@@ -348,6 +369,14 @@ class TestDurableCLAM:
             image = device.peek_page(device.layout.partition("superblock").start_page(GEOM))
         assert image.startswith(SUPERBLOCK_MAGIC + b'{"bloom_bits_per_entry"')
         assert b"use_hash_once" not in image
+
+    def test_superblock_records_no_retired_field(self, tmp_path):
+        path = tmp_path / "new.clam"
+        with DurableCLAM(path, config=CFG, geometry=GEOM) as clam:
+            device = clam.persistent_device
+            image = device.peek_page(device.layout.partition("superblock").start_page(GEOM))
+        for field in (b"buffer_utilization", b"page_size_bytes", b"memory_cost", b"_ms"):
+            assert field not in image
 
     def test_unbuffered_config_rejected(self, tmp_path):
         config = CLAMConfig(use_buffering=False)

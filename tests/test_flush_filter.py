@@ -17,7 +17,7 @@ import random
 import pytest
 
 from bloom_reference import reference_column
-from repro.core import MemoryCostModel, UpdateBasedEviction, WholeDeviceLogStore
+from repro.core import UpdateBasedEviction, WholeDeviceLogStore
 from repro.core.incarnation import iter_page_entries
 from repro.core.supertable import SuperTable
 from repro.flashsim import SSD, SimulationClock
@@ -79,7 +79,6 @@ def _table(capacity, bloom_bits, max_incarnations):
         page_size=ssd.geometry.page_size,
         pages_per_incarnation=max(2, capacity // 16),
         bloom_bits=bloom_bits,
-        memory_cost=MemoryCostModel(),
         eviction_policy=UpdateBasedEviction(),
     )
 

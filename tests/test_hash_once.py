@@ -189,10 +189,15 @@ class TestEquivalence:
 
     def test_incarnation_page_read(self):
         """A flash-served lookup reads the key's reference page first."""
-        clam = CLAM(_config(page_size_bytes=128), storage="intel-ssd")  # 8 pages an incarnation
-        keys = [b"page-%04d" % i for i in range(400)]
+        # 256 slots of 16 bytes on the SSD's 512-byte pages: 8 pages an incarnation.
+        config = CLAMConfig.scaled(
+            num_super_tables=4, buffer_capacity_items=128, incarnations_per_table=4
+        )
+        clam = CLAM(config, storage="intel-ssd")
+        keys = [b"page-%04d" % i for i in range(2000)]
         for key in keys:
             clam.insert(key, b"v")
+        assert {h.num_pages for t in clam.tables for h in t.incarnation_handles} == {8}
         device = clam.device
         reads = []
         read_page = device.read_page

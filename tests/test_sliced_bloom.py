@@ -137,6 +137,25 @@ class TestBitSlicedBloomArray:
         with pytest.raises(KeyError):
             sliced.column_bytes(0)
 
+    @pytest.mark.parametrize("k, width", [(8, 1), (16, 2), (64, 8), (70, 16)])
+    @pytest.mark.parametrize("num_bits, num_hashes", [(2048, 8), (300, 3)])
+    def test_columns_read_out_and_appended_again_rebuild_the_slab(
+        self, k, width, num_bits, num_hashes
+    ):
+        """Every column read out as bytes and appended, in the same order, to
+        a fresh array gives back the very slab and item counts, at slices of
+        1, 2, 8 and 16 bytes."""
+        source = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=k)
+        for column in range(k):
+            keys = [b"c%d-%d" % (column, i) for i in range(5 + column % 13)]
+            source.append_keys([as_digest(key).clam_words() for key in keys], len(keys), column)
+        rebuilt = BitSlicedBloomArray(num_bits, num_hashes, max_incarnations=k)
+        for column in range(k):
+            rebuilt.append_column(*source.column_bytes(column), column)
+        assert source._width == rebuilt._width == width
+        assert rebuilt._slices == source._slices
+        assert rebuilt._item_counts == source._item_counts
+
     @pytest.mark.parametrize("num_bits, num_hashes", GEOMETRIES)
     def test_a_column_written_from_words_equals_the_filter_of_those_keys(
         self, num_bits, num_hashes

@@ -8,7 +8,6 @@ from repro.core import (
     CLAM,
     CLAMConfig,
     LRUEviction,
-    MemoryCostModel,
     PriorityBasedEviction,
     ServedFrom,
     UpdateBasedEviction,
@@ -39,7 +38,6 @@ def _super_table(
         page_size=ssd.geometry.page_size,
         pages_per_incarnation=2,
         bloom_bits=buffer_capacity * 16,
-        memory_cost=MemoryCostModel(),
         eviction_policy=eviction_policy,
         use_bloom_filters=use_bloom_filters,
         use_bit_slicing=use_bit_slicing,
@@ -238,26 +236,49 @@ class TestARefilledBuffer:
     """Update-based eviction at high buffer utilisation: an eviction retains
     nearly a buffer's worth, and putting it back can leave no room."""
 
-    @pytest.mark.parametrize("utilization", [1.0, 0.9])
-    def test_the_insert_that_flushed_always_lands(self, utilization):
-        config = CLAMConfig.scaled(
-            num_super_tables=2,
-            buffer_capacity_items=32,
-            incarnations_per_table=4,
-            eviction_policy_name="update",
-            buffer_utilization=utilization,
+    @pytest.mark.parametrize("buffer_slots", [32, 36])
+    def test_the_insert_that_flushed_always_lands(self, buffer_slots):
+        """A buffer of 32 items in 32 or 36 cuckoo slots: the put-back refuses
+        retained items, and a put-back that leaves no room for the insert's
+        own key takes a second flush; the key lands either way."""
+        table = _super_table(
+            buffer_capacity=32,
+            max_incarnations=4,
+            eviction_policy=UpdateBasedEviction(),
+            buffer_slots=buffer_slots,
         )
-        clam = CLAM(config)
+        refusals = second_flushes = 0
+        in_flush = []
+        put, write_out = table.buffer.put, table._flush
+
+        def recording_put(key, value):
+            nonlocal refusals
+            accepted = put(key, value)
+            refusals += bool(in_flush) and not accepted
+            return accepted
+
+        def recording_flush(result, put_back):
+            nonlocal second_flushes
+            second_flushes += not put_back
+            in_flush.append(True)
+            try:
+                return write_out(result, put_back)
+            finally:
+                in_flush.pop()
+
+        table.buffer.put = recording_put
+        table._flush = recording_flush
         rng = random.Random(0)
         hot = [b"hot-%04d" % i for i in range(300)]
         fresh = 0
-        for i in range(2000):
+        for i in range(4000):
             if rng.random() < 0.5:
                 key = rng.choice(hot)
             else:
                 key, fresh = b"fresh-%06d" % fresh, fresh + 1
-            clam.insert(key, b"v%d" % i)
-            assert clam.lookup(key).value == b"v%d" % i
+            table.insert(key, b"v%d" % i)
+            assert table.lookup(key).value == b"v%d" % i
+        assert refusals > 0 and second_flushes > 0, (refusals, second_flushes)
 
     def test_a_retained_item_the_buffer_refuses_is_written(self):
         table = _super_table(

@@ -414,7 +414,7 @@ class TestTopologyHarness:
         clock = SimulationClock()
         clam = CLAM(small_config(), storage=SSD(clock=clock))
         classic = WANOptimizer(
-            engine=CompressionEngine(index=clam, fingerprint_cost_ms=0.002),
+            engine=CompressionEngine(index=clam),
             link=Link(bandwidth_mbps=100.0, clock=clock),
             clock=clock,
         )

@@ -56,6 +56,7 @@ EXTRA_PATHS = (
     "tests/test_checkpoint_golden.py",
     "tests/bloom_reference.py",
     "tests/test_crash_recovery.py",
+    "tests/test_config.py",
     "benchmarks/common.py",
     "benchmarks/bench_hotpath.py",
     "src/repro/baselines/disk_hash.py",
@@ -67,6 +68,8 @@ EXTRA_PATHS = (
     "src/repro/core/results.py",
     "src/repro/core/cuckoo.py",
     "src/repro/core/sliced_bloom.py",
+    "src/repro/core/config.py",
+    "src/repro/core/durable.py",
     "src/repro/core/incarnation.py",
     "src/repro/flashsim/clock.py",
     "src/repro/flashsim/device.py",
