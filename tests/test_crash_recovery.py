@@ -15,6 +15,7 @@ streaming incarnation writes (torn pages), inside block erases (interrupted
 erases), inside checkpoint writes and on reads.
 """
 
+import json
 import os
 import shutil
 
@@ -345,6 +346,8 @@ class TestDurableCLAM:
         "held, stored, field",
         [
             (b'"buffer_utilization":0.5', b'"buffer_utilization":0.9', "buffer_utilization"),
+            (b'"buffer_utilization":0.5', b'"buffer_utilization":0.0', "buffer_utilization"),
+            (b'"buffer_utilization":0.5', b'"buffer_utilization":1.5', "buffer_utilization"),
             (b'"page_size_bytes":null', b'"page_size_bytes":512', "page_size_bytes"),
             (b'"buffer_op_ms":0.004', b'"buffer_op_ms":0.008', "memory_cost"),
         ],
@@ -369,6 +372,23 @@ class TestDurableCLAM:
             image = device.peek_page(device.layout.partition("superblock").start_page(GEOM))
         assert image.startswith(SUPERBLOCK_MAGIC + b'{"bloom_bits_per_entry"')
         assert b"use_hash_once" not in image
+
+    @pytest.mark.parametrize("cost", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", sorted(json.loads(PAGE_FORMAT_2_SUPERBLOCK_JSON)["memory_cost"])
+    )
+    def test_superblock_carrying_a_cost_that_is_negative_or_not_finite_is_refused(
+        self, tmp_path, name, cost
+    ):
+        # A super table charges these costs to the clock unchecked; a file
+        # is the one way a value other than the constant could still arrive.
+        fields = json.loads(PAGE_FORMAT_2_SUPERBLOCK_JSON)
+        fields["memory_cost"][name] = cost
+        payload = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path = tmp_path / "other.clam"
+        self._device_with_superblock(path, payload)
+        with pytest.raises(ConfigurationError, match="memory_cost"):
+            DurableCLAM(path, geometry=GEOM)
 
     def test_superblock_records_no_retired_field(self, tmp_path):
         path = tmp_path / "new.clam"

@@ -13,6 +13,8 @@ from repro.core import (
     UpdateBasedEviction,
     WholeDeviceLogStore,
 )
+from repro.core.config import BLOOM_PROBE_PER_INCARNATION_MS, BLOOM_SLICED_QUERY_MS
+from repro.core.config import BUFFER_OP_MS, DELETE_LIST_PROBE_MS
 from repro.core.supertable import SuperTable
 from repro.flashsim import SSD, SimulationClock
 
@@ -186,6 +188,45 @@ class TestBloomFilterBehaviour:
         for i in range(40):
             key = b"no-%d" % i
             assert sliced.lookup(key).found == naive.lookup(key).found
+
+
+class TestBloomQueryCharge:
+    """What a miss no filter admits is charged (§5.1.3): delete list, buffer
+    probe, then one probe per incarnation without bit slicing or one flat
+    sliced query with it, and no Bloom charge while nothing is on flash."""
+
+    @staticmethod
+    def _miss_latency(incarnations, use_bit_slicing):
+        table = _super_table(
+            buffer_capacity=8, max_incarnations=16, use_bit_slicing=use_bit_slicing
+        )
+        _fill(table, 8 * incarnations + 1 if incarnations else 4)
+        assert table.incarnation_count == incarnations
+        misses = (table.lookup(b"absent-%d" % i) for i in range(1000))
+        return next(result.latency_ms for result in misses if result.flash_reads == 0)
+
+    @pytest.mark.parametrize("use_bit_slicing", [True, False])
+    def test_zero_incarnations_cost_nothing(self, use_bit_slicing):
+        latency = self._miss_latency(0, use_bit_slicing)
+        assert latency == DELETE_LIST_PROBE_MS + BUFFER_OP_MS
+
+    def test_per_incarnation_probes_scale_with_incarnations(self):
+        one = self._miss_latency(1, use_bit_slicing=False)
+        four = self._miss_latency(4, use_bit_slicing=False)
+        base = DELETE_LIST_PROBE_MS + BUFFER_OP_MS
+        assert one == base + BLOOM_PROBE_PER_INCARNATION_MS
+        assert four == base + BLOOM_PROBE_PER_INCARNATION_MS * 4
+        assert four > one
+
+    def test_the_sliced_query_is_flat(self):
+        one = self._miss_latency(1, use_bit_slicing=True)
+        four = self._miss_latency(4, use_bit_slicing=True)
+        assert one == four == DELETE_LIST_PROBE_MS + BUFFER_OP_MS + BLOOM_SLICED_QUERY_MS
+
+    def test_bit_slicing_cheaper_at_sixteen_incarnations(self):
+        sliced = self._miss_latency(16, use_bit_slicing=True)
+        naive = self._miss_latency(16, use_bit_slicing=False)
+        assert sliced < naive
 
 
 class TestEvictionPolicies:
