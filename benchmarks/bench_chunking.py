@@ -2,23 +2,18 @@
 
 The paper's evaluation pre-computes chunk boundaries and SHA-1 hashes (§8)
 because content-defined chunking is the CPU bottleneck of a WAN optimizer.
-PR 5 rewrote :class:`~repro.wanopt.chunking.RabinChunker` around a 256-entry
-outgoing-byte removal table, min-size skip-ahead and (when numpy is
-importable) a vectorised candidate scan, since PR 20 one cache-sized tile of
-window sums at a time — all bit-identical to the original per-byte loop,
-which is kept verbatim as ``reference_boundaries`` and measured here as the
-"before" side.
+:class:`~repro.wanopt.chunking.RabinChunker` computes candidate cuts with a
+numpy scan over one cache-sized tile of window sums at a time, bit-identical
+to the original per-byte loop, which is kept verbatim as
+``reference_boundaries`` — the "before" side measured here, and the path a
+chunker takes without numpy.
 
-Three measurements land in ``BENCH_chunking.json``:
+Two measurements land in ``BENCH_chunking.json``:
 
-* **MB/s per workload** — seeded payloads across average chunk sizes, each
-  chunked by the reference loop, the table-driven scalar path and (when
-  available) the vectorised path; the headline 64 KiB / 4 KiB-average
-  workload must show >= 10x with the vectorised path, and no row — from one
-  4 KiB object, smaller than a tile, to 4 MiB — may chunk slower vectorised
-  than scalar (``vectorized_over_scalar``, a same-run ratio);
-* **skip-ahead savings** — the fraction of bytes the optimized scan never
-  visits (``min_size - WINDOW`` dead bytes at the head of every chunk);
+* **MB/s per workload** — seeded payloads across average chunk sizes, from
+  one 4 KiB object, smaller than a tile, to 4 MiB, each chunked by the
+  reference loop and by ``boundaries()``; with numpy the headline 64 KiB /
+  4 KiB-average workload must show >= 10x;
 * **end-to-end objects/sec** — real payloads generated, chunked,
   SHA-1-fingerprinted and deduplicated through a
   :class:`~repro.wanopt.engine.CompressionEngine` on a CLAM index, i.e. the
@@ -31,7 +26,7 @@ result for the same workload shape (payload size, average size, seed, same
 execution path), the fresh optimized-over-reference *speedup* must not fall
 below 50 % of the committed one.  Ratcheting the speedup rather than the
 absolute MB/s keeps the check machine-invariant — a slower CI runner scales
-both sides equally, while a real regression in the optimized paths does not.
+both sides equally, while a real regression in the optimized path does not.
 """
 
 from __future__ import annotations
@@ -57,7 +52,7 @@ from repro.wanopt.traces import build_payload_objects
 
 #: (payload_kib, average_size) workloads; the first is the headline, the
 #: fifth the end-to-end benchmark's object shape, the last one object
-#: smaller than a tile of the vectorised scan.
+#: smaller than a tile of the scan.
 WORKLOADS = [
     (64, 4096),
     (64, 1024),
@@ -106,31 +101,16 @@ def measure_workload(payload_kib: int, average: int, reps: int, reference_reps: 
     boundaries = chunker.boundaries(data)
     reference = chunker.reference_boundaries(data)
     assert boundaries == reference, "optimized boundaries diverged from the reference"
-
-    skip = chunker.skip_per_chunk
-    skipped = sum(min(skip, boundary.length) for boundary in boundaries)
     row = {
         "payload_kib": payload_kib,
         "average_size": average,
         "seed": PAYLOAD_SEED,
         "chunks": len(boundaries),
-        "skip_ahead_byte_savings": skipped / len(data) if data else 0.0,
         "reference_mb_per_s": _best_rate(
             lambda: chunker.reference_boundaries(data), len(data), reference_reps
         ),
+        "optimized_mb_per_s": _best_rate(lambda: chunker.boundaries(data), len(data), reps),
     }
-    scalar = RabinChunker(average_size=average, vectorized=False)
-    row["scalar_mb_per_s"] = _best_rate(lambda: scalar.boundaries(data), len(data), reps)
-    row["scalar_speedup"] = row["scalar_mb_per_s"] / row["reference_mb_per_s"]
-    if HAVE_NUMPY:
-        vectorized = RabinChunker(average_size=average, vectorized=True)
-        vectorized.boundaries(data)  # build the shared power tables
-        row["vectorized_mb_per_s"] = _best_rate(
-            lambda: vectorized.boundaries(data), len(data), reps
-        )
-        row["vectorized_speedup"] = row["vectorized_mb_per_s"] / row["reference_mb_per_s"]
-        row["vectorized_over_scalar"] = row["vectorized_mb_per_s"] / row["scalar_mb_per_s"]
-    row["optimized_mb_per_s"] = row.get("vectorized_mb_per_s", row["scalar_mb_per_s"])
     row["optimized_speedup"] = row["optimized_mb_per_s"] / row["reference_mb_per_s"]
     return row
 
@@ -169,26 +149,27 @@ def apply_ratchet(rows) -> list:
     """Compare fresh optimized-over-reference speedups against the committed JSON.
 
     Only rows with the same workload shape *and* the same execution path
-    (vectorised or scalar) are comparable; a missing or foreign-shaped
-    committed file ratchets nothing.  The speedup ratio is machine-invariant
-    (both sides run on the same box in the same process), so a slower CI
-    runner cannot trip it — only a genuine regression in the optimized
-    paths relative to the frozen reference can.  The floor itself is
-    enforced by the shared :func:`benchmarks.ratchet.assert_fraction`
-    primitive.
+    (the tiled scan with numpy, the reference loop without) are comparable;
+    a missing or foreign-shaped committed file ratchets nothing.  The
+    speedup ratio is machine-invariant (both sides run on the same box in
+    the same process), so a slower CI runner cannot trip it — only a
+    genuine regression in the optimized path relative to the frozen
+    reference can.  The floor itself is enforced by the shared
+    :func:`benchmarks.ratchet.assert_fraction` primitive.
     """
     committed_path = REPO_ROOT / "BENCH_chunking.json"
     if not committed_path.exists():
         return []
     committed = json.loads(committed_path.read_text())
+    if committed.get("spec", {}).get("numpy_available") != HAVE_NUMPY:
+        return []
     by_shape = {
-        (row["payload_kib"], row["average_size"], row["seed"], "vectorized_mb_per_s" in row): row
+        (row["payload_kib"], row["average_size"], row["seed"]): row
         for row in committed.get("workloads", [])
     }
     checked = []
     for row in rows:
-        shape = (row["payload_kib"], row["average_size"], row["seed"], HAVE_NUMPY)
-        old = by_shape.get(shape)
+        old = by_shape.get((row["payload_kib"], row["average_size"], row["seed"]))
         if old is None:
             continue
         check = assert_fraction(
@@ -215,11 +196,6 @@ def check_invariants(payload) -> None:
     )
     if HAVE_NUMPY:
         assert headline["optimized_speedup"] >= 10.0, headline
-    # The pure-Python table-driven path must beat the reference everywhere,
-    # and the vectorised path the scalar one at every object size.
-    for row in payload["workloads"]:
-        assert row["scalar_speedup"] > 1.2, row
-        assert row.get("vectorized_over_scalar", 1.0) >= 1.0, row
     assert payload["end_to_end"]["dedup_hit_rate"] > 0.0, payload["end_to_end"]
 
 
@@ -243,28 +219,15 @@ def main() -> None:
 
     print_table(
         "Rabin chunking throughput (bit-identical boundaries, seeded payloads)",
-        [
-            "payload",
-            "avg",
-            "chunks",
-            "ref MB/s",
-            "scalar MB/s",
-            "opt MB/s",
-            "speedup",
-            "vec/scalar",
-            "skipped",
-        ],
+        ["payload", "avg", "chunks", "ref MB/s", "opt MB/s", "speedup"],
         [
             (
                 f"{row['payload_kib']} KiB",
                 row["average_size"],
                 row["chunks"],
                 row["reference_mb_per_s"],
-                row["scalar_mb_per_s"],
                 row["optimized_mb_per_s"],
                 f"{row['optimized_speedup']:.1f}x",
-                f"{row['vectorized_over_scalar']:.1f}x" if HAVE_NUMPY else "-",
-                f"{row['skip_ahead_byte_savings']:.1%}",
             )
             for row in rows
         ],
@@ -278,7 +241,7 @@ def main() -> None:
     if ratchet:
         print(f"ratchet: {len(ratchet)} workload(s) checked against the committed JSON")
     if not HAVE_NUMPY:
-        print("numpy unavailable: vectorised path skipped (scalar path measured)")
+        print("numpy unavailable: the tiled scan is skipped (the reference loop measured twice)")
 
     payload = {
         "spec": {

@@ -43,8 +43,8 @@ setup(
     install_requires=[],
     extras_require={
         "dev": ["pytest", "pytest-benchmark", "hypothesis", "numpy"],
-        # Optional accelerator for the vectorised Rabin chunker; the package
-        # works without it (the table-driven scalar path is pure stdlib).
+        # Optional accelerator for the Rabin chunker's tiled scan; the package
+        # works without it (the per-byte reference loop is pure stdlib).
         "fast": ["numpy"],
     },
     classifiers=[

@@ -368,17 +368,10 @@ class DurableCLAM(CLAM):
     def _repair_interrupted_erases(self) -> int:
         """Re-erase every block left erased-dirty by a mid-erase power cut."""
         device = self.persistent_device
-        geometry = device.geometry
-        repaired = 0
-        for block in range(geometry.num_blocks):
-            start = block * geometry.pages_per_block
-            if any(
-                device.page_state(page) is PageState.ERASED_DIRTY
-                for page in range(start, start + geometry.pages_per_block)
-            ):
-                device.erase_block(block)
-                repaired += 1
-        return repaired
+        blocks = device.erased_dirty_blocks()
+        for block in blocks:
+            device.erase_block(block)
+        return len(blocks)
 
     def _load_checkpoint(self) -> Optional[CheckpointState]:
         decoded = self.checkpoints.read_latest()

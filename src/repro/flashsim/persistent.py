@@ -149,10 +149,6 @@ class FlashLayout:
                 return part
         raise KeyError(f"no partition named {name!r}")
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.partitions)
-
     def validate(self, geometry: DeviceGeometry) -> None:
         """Check every partition fits on a device with ``geometry``."""
         for part in self.partitions:
@@ -317,6 +313,13 @@ class PersistentFlashDevice(_NandDevice):
             if state is PageState.VALID:
                 self._pages[page_index] = payload
         return state
+
+    def erased_dirty_blocks(self) -> list[int]:
+        """Blocks with an erased-dirty frame, found from the status bytes alone."""
+        pages = self.geometry.pages_per_block
+        statuses = self._mm[FILE_HEADER_SIZE : self._file_size : self._frame_stride]
+        starts = range(0, len(statuses), pages)
+        return [s // pages for s in starts if _STATUS_ERASED_DIRTY in statuses[s : s + pages]]
 
     def peek_page(self, page_index: int) -> Optional[bytes]:
         """Payload of a :attr:`PageState.VALID` page, else ``None``.

@@ -10,32 +10,25 @@ hash matches a target pattern modulo the average chunk size.
 
 The paper's evaluation pre-computes chunk boundaries and SHA-1 hashes (§8)
 because content-defined chunking is the CPU bottleneck of a WAN optimizer.
-This module makes the real-byte path affordable instead of dodging it; three
+This module makes the real-byte path affordable instead of dodging it; two
 implementations produce **bit-identical boundaries** (same polynomial, same
 residue rule, frozen by ``tests/test_chunking_golden.py``):
 
 * :meth:`RabinChunker.reference_boundaries` — the original per-byte pure
-  Python loop, kept verbatim as the frozen reference for golden and
-  property tests and as the "before" side of ``benchmarks/bench_chunking.py``;
-* the **table-driven scalar path** — a 256-entry outgoing-byte removal
-  table, all attribute lookups hoisted into locals, flat ``(start, end)``
-  tuples internally, and **min-size skip-ahead**: after each declared
-  boundary the scan jumps straight to ``start + min_size - WINDOW``, since
-  no earlier position can produce a boundary (the window resets at a cut, so
-  the hash at the first eligible position only depends on the preceding
-  ``WINDOW`` bytes).  At the default ``min = average/4`` this eliminates
-  roughly a quarter of all byte visits;
-* the **vectorised path** (used automatically when numpy is importable and
-  ``min_size >= WINDOW``) — inside a chunk, once the window is full, the
-  rolling hash at position ``p`` is simply the hash of ``data[p-W:p]``,
-  independent of where the chunk started.  So candidate cut points are
-  computed a cache-sized tile of positions at a time — per-byte terms
-  ``data[j]·B^(-j)``, their 48-wide window sums by doubling, one multiply
-  by ``B^(p-1)``, all mod ``P`` — with scratch that is O(tile) whatever the
-  object size, and boundary selection is a cheap walk over the sorted
-  candidate positions.  When ``min_size < WINDOW`` a boundary
-  may be declared while the window is still filling (the hash then depends
-  on the chunk start), so those configurations fall back to the scalar path.
+  Python loop, kept verbatim.  It is the frozen reference for golden and
+  property tests, the "before" side of ``benchmarks/bench_chunking.py``, and
+  the path every chunker takes when numpy is not importable or when
+  ``min_size < WINDOW``;
+* the **tiled scan** (numpy, ``min_size >= WINDOW``) — inside a chunk, once
+  the window is full, the rolling hash at position ``p`` is simply the hash
+  of ``data[p-W:p]``, independent of where the chunk started.  So candidate
+  cut points are computed a cache-sized tile of positions at a time —
+  per-byte terms ``data[j]·B^(-j)``, their 48-wide window sums by doubling,
+  one multiply by ``B^(p-1)``, all mod ``P`` — with scratch that is O(tile)
+  whatever the object size, and boundary selection is a cheap walk over the
+  sorted candidate positions.  When ``min_size < WINDOW`` a boundary may be
+  declared while the window is still filling (the hash then depends on the
+  chunk start), which a position-local scan cannot express.
 
 :meth:`RabinChunker.split` yields zero-copy ``memoryview`` slices; callers
 that need owned bytes (the public ``Chunk.payload`` edge) materialise them
@@ -47,31 +40,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-try:  # Optional acceleration: the scalar path is always available.
+try:  # Optional acceleration: the reference loop is always available.
     import numpy as _np
 except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
 
-#: Whether the vectorised path can run at all — the exact condition the
-#: chunker's auto-selection uses; tests and benchmarks gate on this instead
-#: of re-probing the import themselves.
+#: Whether the tiled scan can run at all; tests and benchmarks gate on this
+#: instead of re-probing the import themselves.
 HAVE_NUMPY = _np is not None
 
+#: Rolling-hash window width in bytes (the LBFS scheme's 48).
 _WINDOW_SIZE = 48
 _PRIME = 1_000_000_007
 _BASE = 257
 
 _LEADING_FACTOR = pow(_BASE, _WINDOW_SIZE - 1, _PRIME)
 
-#: ``_REMOVAL_TABLE[b] == (b * BASE^(WINDOW-1)) % PRIME`` — subtracting this
-#: from the rolling hash evicts outgoing byte ``b`` with one table lookup
-#: instead of a multiply-mod per byte.
-_REMOVAL_TABLE = tuple((b * _LEADING_FACTOR) % _PRIME for b in range(256))
-
 #: Modular inverse of the base: ``(BASE * _BASE_INVERSE) % PRIME == 1``.
 _BASE_INVERSE = pow(_BASE, _PRIME - 2, _PRIME)
 
-#: Window starts hashed per tile of the vectorised scan.  Measured (random
+#: Window starts hashed per tile of the scan.  Measured (random
 #: bytes, average 8,192, 512 KiB objects, 2.1 GHz Xeon with 4 MiB of L2,
 #: numpy 2.4): an array pass costs 0.2-0.4 ns/element while the scratch
 #: stays in cache against 0.6-1.0 streamed, and a numpy call 1.5-2 us, so
@@ -147,25 +135,13 @@ class RabinChunker:
     min_size / max_size:
         Hard bounds on chunk length; defaults are ``average_size / 4`` and
         ``average_size * 4`` (the paper uses 4-8 KB average chunks).
-    vectorized:
-        ``None`` (default) picks the numpy candidate-scan path when numpy is
-        importable and ``min_size >= WINDOW``; ``False`` forces the
-        table-driven scalar path; ``True`` demands the vectorised path and
-        raises when it cannot run (numpy missing, or ``min_size`` below the
-        rolling window — there the hash at an eligible position depends on
-        the chunk start, which a position-local scan cannot express).  All
-        paths produce bit-identical boundaries.
     """
-
-    #: Rolling-hash window width in bytes (the LBFS scheme's 48).
-    WINDOW_SIZE = _WINDOW_SIZE
 
     def __init__(
         self,
         average_size: int = 4096,
         min_size: int | None = None,
         max_size: int | None = None,
-        vectorized: bool | None = None,
     ) -> None:
         if average_size < 64:
             raise ValueError("average_size must be at least 64 bytes")
@@ -174,25 +150,8 @@ class RabinChunker:
         self.max_size = max_size if max_size is not None else average_size * 4
         if self.min_size <= 0 or self.min_size > self.max_size:
             raise ValueError("require 0 < min_size <= max_size")
-        if vectorized and _np is None:
-            raise ValueError("vectorized=True requires numpy, which is not importable")
-        if vectorized and self.min_size < _WINDOW_SIZE:
-            raise ValueError(
-                "vectorized=True requires min_size >= WINDOW_SIZE "
-                f"({_WINDOW_SIZE}); use vectorized=None for automatic fallback"
-            )
         self._boundary_residue = average_size - 1
         self._leading_factor = _LEADING_FACTOR
-        self._vectorized = (
-            vectorized
-            if vectorized is not None
-            else (_np is not None and self.min_size >= _WINDOW_SIZE)
-        )
-
-    @property
-    def skip_per_chunk(self) -> int:
-        """Bytes the scan skips (never hashes) at the head of each chunk."""
-        return max(0, self.min_size - _WINDOW_SIZE)
 
     # -- Public API -------------------------------------------------------------------
 
@@ -217,85 +176,9 @@ class RabinChunker:
         """Flat ``(start, end)`` tuples over a :func:`_byte_view`."""
         if len(data) == 0:
             return []
-        if self._vectorized:  # construction guarantees min_size >= WINDOW here
+        if _np is not None and self.min_size >= _WINDOW_SIZE:
             return self._boundaries_vectorized(data)
-        return self._boundaries_scalar(data)
-
-    def _boundaries_scalar(self, data) -> List[Tuple[int, int]]:
-        """Table-driven per-byte scan with min-size skip-ahead.
-
-        Bit-identical to :meth:`reference_boundaries`: same polynomial, same
-        residue rule, same forced cut at ``max_size``.  The window resets at
-        every cut, so the hash at the first eligible check position
-        (``start + min_size``) depends only on the ``WINDOW`` bytes before
-        it — positions before ``start + min_size - WINDOW`` need not be
-        visited at all.
-        """
-        length = len(data)
-        boundaries: List[Tuple[int, int]] = []
-        append = boundaries.append
-        # Hoist everything the inner loops touch into locals.
-        window, prime, base, table = _WINDOW_SIZE, _PRIME, _BASE, _REMOVAL_TABLE
-        min_size, max_size, average = self.min_size, self.max_size, self.average_size
-        residue = self._boundary_residue
-        power_of_two = average & (average - 1) == 0
-        mask = average - 1
-        skip = min_size - window if min_size > window else 0
-        start = 0
-        while start < length:
-            first_check = start + min_size
-            if first_check > length:
-                append((start, length))
-                break
-            rolling = 0
-            pos = start + skip
-            # Warm-up: hash up to the first position where a boundary could be
-            # declared (no checks can fire before chunk_length == min_size).
-            # The span is min(min_size, WINDOW) bytes, so the window never
-            # fills *before* the last warm-up byte — no eviction needed here.
-            for byte in data[pos:first_check]:
-                rolling = (rolling * base + byte) % prime
-            pos = first_check
-            window_fill = min(min_size, window)
-            limit = start + max_size
-            if limit > length:
-                limit = length
-            if (rolling & mask == residue) if power_of_two else (rolling % average == residue):
-                cut = pos
-            elif window_fill == window:
-                # Hot loop: full window, one table lookup + one mod per byte,
-                # iterating incoming/outgoing byte pairs without indexing.
-                incoming = data[pos:limit]
-                outgoing = data[pos - window : limit - window]
-                if power_of_two:
-                    for inc, out in zip(incoming, outgoing):
-                        rolling = ((rolling - table[out]) * base + inc) % prime
-                        pos += 1
-                        if rolling & mask == residue:
-                            break
-                else:
-                    for inc, out in zip(incoming, outgoing):
-                        rolling = ((rolling - table[out]) * base + inc) % prime
-                        pos += 1
-                        if rolling % average == residue:
-                            break
-                cut = pos
-            else:
-                # min_size < WINDOW: checks begin while the window still fills.
-                while pos < limit:
-                    byte = data[pos]
-                    if window_fill < window:
-                        rolling = (rolling * base + byte) % prime
-                        window_fill += 1
-                    else:
-                        rolling = ((rolling - table[data[pos - window]]) * base + byte) % prime
-                    pos += 1
-                    if rolling % average == residue:
-                        break
-                cut = pos
-            append((start, cut))
-            start = cut
-        return boundaries
+        return [(b.start, b.end) for b in self.reference_boundaries(data)]
 
     def _boundaries_vectorized(self, data, tile: int = _TILE) -> List[Tuple[int, int]]:
         """Candidate scan by 48-byte window sums in cache-sized tiles (numpy).
@@ -373,9 +256,9 @@ class RabinChunker:
 
     def reference_boundaries(self, data: bytes) -> List[ChunkBoundary]:
         """The original per-byte implementation, kept verbatim as the frozen
-        reference: golden and property tests prove the optimized paths emit
-        bit-identical boundaries, and ``benchmarks/bench_chunking.py`` uses it
-        as the "before" measurement."""
+        reference: golden and property tests prove the tiled scan emits
+        bit-identical boundaries, ``benchmarks/bench_chunking.py`` uses it as
+        the "before" measurement, and chunkers the scan cannot serve run it."""
         length = len(data)
         if length == 0:
             return []

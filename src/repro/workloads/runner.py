@@ -10,7 +10,7 @@ all the comparative experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Protocol
+from typing import Dict, Iterable, List, Optional, Protocol
 
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.workloads.metrics import LatencySummary, summarize_latencies
@@ -143,49 +143,27 @@ class WorkloadRunner:
         self.clock = clock if clock is not None else getattr(index, "clock", None)
 
     def run(
-        self,
-        operations: Iterable[Operation],
-        max_operations: Optional[int] = None,
-        before_operation: Optional[Callable[[int, Operation], None]] = None,
+        self, operations: Iterable[Operation], max_operations: Optional[int] = None
     ) -> RunReport:
-        """Execute ``operations`` in order and return a :class:`RunReport`.
-
-        ``before_operation(index, operation)`` is invoked just before each
-        dispatch — the failure-schedule hook point: a harness can kill, heal
-        or recover a shard of a cluster-backed index at an exact operation
-        count (see ``benchmarks/bench_failover.py`` and
-        :class:`repro.service.simulator.FailureEvent` for the batched
-        counterpart).
-        """
+        """Execute ``operations`` in order and return a :class:`RunReport`."""
         report = RunReport()
         start_ms = self.clock.now_ms if self.clock is not None else 0.0
         for index, operation in enumerate(operations):
             if max_operations is not None and index >= max_operations:
                 break
-            if before_operation is not None:
-                before_operation(index, operation)
             result = apply_operation(self.index, operation)
             _record(report, operation, result)
         if self.clock is not None:
             report.simulated_duration_ms = self.clock.now_ms - start_ms
         return report
 
-    def run_batched(
-        self,
-        operations: Iterable[Operation],
-        batch_size: int = 64,
-        before_batch: Optional[Callable[[int, List[Operation]], None]] = None,
-    ) -> RunReport:
+    def run_batched(self, operations: Iterable[Operation], batch_size: int = 64) -> RunReport:
         """Execute ``operations`` in fixed-size batches via ``execute_batch``.
 
         Requires the index to satisfy :class:`BatchHashIndex` (e.g. a
         :class:`repro.service.cluster.ClusterService`).  Per-operation results
         are folded into the same :class:`RunReport` shape as :meth:`run`, so
         sequential and batched executions of one workload compare directly.
-
-        ``before_batch(batch_index, operations)`` fires just before each
-        batch is dispatched — the batched failure-schedule hook point
-        (mirror of :meth:`run`'s ``before_operation``).
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -197,29 +175,19 @@ class WorkloadRunner:
         report = RunReport()
         start_ms = self.clock.now_ms if self.clock is not None else 0.0
         pending: List[Operation] = []
-        batch_index = 0
         for operation in operations:
             pending.append(operation)
             if len(pending) >= batch_size:
-                self._flush_batch(execute_batch, pending, report, before_batch, batch_index)
-                batch_index += 1
+                self._flush_batch(execute_batch, pending, report)
                 pending = []
         if pending:
-            self._flush_batch(execute_batch, pending, report, before_batch, batch_index)
+            self._flush_batch(execute_batch, pending, report)
         if self.clock is not None:
             report.simulated_duration_ms = self.clock.now_ms - start_ms
         return report
 
     @staticmethod
-    def _flush_batch(
-        execute_batch,
-        pending: List[Operation],
-        report: RunReport,
-        before_batch: Optional[Callable[[int, List[Operation]], None]] = None,
-        batch_index: int = 0,
-    ) -> None:
-        if before_batch is not None:
-            before_batch(batch_index, pending)
+    def _flush_batch(execute_batch, pending: List[Operation], report: RunReport) -> None:
         batch = execute_batch(pending)
         for operation, result in zip(pending, batch.results):
             _record(report, operation, result)

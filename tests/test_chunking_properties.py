@@ -13,11 +13,12 @@ the universally-true properties):
    the edit; the chunk sequence re-synchronises and the entire tail is
    byte-identical.  (This is the property that makes dedup survive edits —
    a fixed-offset chunker would shift every boundary.)
-4. **Optimized/naive equivalence** — the table-driven skip-ahead scalar
-   path and the vectorised candidate-scan path emit boundaries
-   **bit-identical** to the frozen per-byte reference implementation, on
-   arbitrary inputs and across min/avg/max shapes (including ``min_size``
-   below the rolling window and non-power-of-two averages).
+4. **Optimized/naive equivalence** — wherever the tiled numpy scan runs
+   (numpy importable, ``min_size`` at least the rolling window) it emits
+   boundaries **bit-identical** to the frozen per-byte reference
+   implementation, on arbitrary inputs and across min/avg/max shapes
+   (including non-power-of-two averages); below the window every chunker
+   runs the reference itself.
 
 The high-example-count variants are marked ``slow`` and run in the nightly /
 full CI job; the quick variants keep the default ``-m "not slow"`` lane
@@ -32,9 +33,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.wanopt import chunking
 from repro.wanopt.chunking import HAVE_NUMPY, RabinChunker
 
-CHUNKER_MODES = [False, True] if HAVE_NUMPY else [False]
+WINDOW = chunking._WINDOW_SIZE
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="the tiled scan needs numpy")
 
 #: Observed worst case over thousands of seeded random streams is 4 changed
 #: chunks; 12 leaves generous slack while still proving locality (a
@@ -162,27 +166,19 @@ def test_prefix_insertion_only_changes_chunks_near_the_edit(seed: int, average: 
 
 
 def assert_paths_match_reference(data: bytes, average: int, min_size: int, max_size: int) -> None:
-    reference = RabinChunker(
-        average_size=average, min_size=min_size, max_size=max_size
-    ).reference_boundaries(data)
-    for vectorized in CHUNKER_MODES:
-        if vectorized and min_size < RabinChunker.WINDOW_SIZE:
-            # Explicit vectorized=True is rejected below the window; the
-            # auto fallback for that regime is the scalar path, covered by
-            # the vectorized=False iteration.
-            continue
-        chunker = RabinChunker(
-            average_size=average,
-            min_size=min_size,
-            max_size=max_size,
-            vectorized=vectorized,
-        )
-        assert chunker.boundaries(data) == reference, (
-            f"vectorized={vectorized} diverged from the reference "
-            f"(avg={average}, min={min_size}, max={max_size}, n={len(data)})"
-        )
+    """The tiled scan equals the reference wherever it runs; below the
+    window ``boundaries`` is the reference itself, so there is nothing to
+    compare."""
+    if min_size < WINDOW:
+        return
+    chunker = RabinChunker(average_size=average, min_size=min_size, max_size=max_size)
+    assert chunker.boundaries(data) == chunker.reference_boundaries(data), (
+        "the tiled scan diverged from the reference "
+        f"(avg={average}, min={min_size}, max={max_size}, n={len(data)})"
+    )
 
 
+@needs_numpy
 @given(
     data=st.binary(max_size=20_000),
     average=st.sampled_from([64, 100, 256, 1024, 4096]),
@@ -193,6 +189,7 @@ def test_optimized_paths_match_reference_on_arbitrary_bytes(data: bytes, average
     assert_paths_match_reference(data, average, chunker.min_size, chunker.max_size)
 
 
+@needs_numpy
 @given(
     data=st.binary(max_size=12_000),
     average=st.sampled_from([64, 256, 1000, 1024]),
@@ -204,7 +201,7 @@ def test_optimized_paths_match_reference_across_min_sizes(data: bytes, average: 
     assert_paths_match_reference(data, average, min_size, max_size)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the vectorised path needs numpy")
+@needs_numpy
 @given(
     seed=st.integers(0, 2**32 - 1),
     size=st.integers(48, 20_000),
@@ -218,12 +215,13 @@ def test_tiled_scan_matches_reference_at_any_tile_size(seed, size, average, tile
     Seeded streams, not ``st.binary``: hypothesis keeps arbitrary byte
     strings far shorter than one rolling window."""
     data = random.Random(seed).randbytes(size)
-    chunker = RabinChunker(average_size=average, min_size=RabinChunker.WINDOW_SIZE)
+    chunker = RabinChunker(average_size=average, min_size=WINDOW)
     reference = [(b.start, b.end) for b in chunker.reference_boundaries(data)]
     assert chunker._boundaries_vectorized(data, tile) == reference
 
 
 @pytest.mark.slow
+@needs_numpy
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=300, **COMMON)
 def test_optimized_paths_match_reference_on_seeded_random_streams(seed: int):

@@ -148,9 +148,16 @@ class TestPowerLossSemantics:
             assert dev.page_state(page) is PageState.ERASED_DIRTY
         with pytest.raises(TornPageError):
             dev.read_page(5)
+        # A torn page is not erased-dirty; the status bytes name block 1 only.
+        dev.faults.crash_after_n_ios(1)
+        with pytest.raises(PowerLossError):
+            dev.write_page(9, b"payload")
+        dev.faults.heal()
+        assert dev.erased_dirty_blocks() == [1]
         # Re-erasing completes the interrupted operation.
         dev.erase_block(1)
         assert all(dev.page_state(p) is PageState.ERASED for p in range(4, 8))
+        assert dev.erased_dirty_blocks() == []
         dev.close()
 
     def test_write_range_cut_leaves_durable_prefix_untouched_suffix(self, tmp_path):
@@ -223,7 +230,7 @@ class TestLifecycle:
 class TestFlashLayout:
     def test_default_layout_covers_device_without_overlap(self):
         layout = FlashLayout.default(GEOM)
-        assert layout.names == ("superblock", "checkpoint", "log")
+        assert [p.name for p in layout.partitions] == ["superblock", "checkpoint", "log"]
         layout.validate(GEOM)
         covered = sum(p.num_blocks for p in layout.partitions)
         assert covered == GEOM.num_blocks

@@ -150,55 +150,12 @@ class TestWorkloadRunner:
         assert report.insert_summary().count == 100
 
 
-class TestRunnerHooks:
-    """The failure-schedule hook points on the workload runner."""
+class TestRunnerFailover:
+    """A cluster-backed index losing a shard between runs of one workload."""
 
-    def make_index(self):
-        return DRAMHashIndex()
-
-    def test_before_operation_fires_in_order(self):
-        operations = build_mixed_workload(WorkloadSpec(num_keys=50, seed=3))
-        seen = []
-        WorkloadRunner(self.make_index()).run(
-            operations,
-            before_operation=lambda index, op: seen.append((index, op.kind)),
-        )
-        assert [index for index, _kind in seen] == list(range(len(operations)))
-        assert [kind for _index, kind in seen] == [op.kind for op in operations]
-
-    def test_before_operation_respects_max_operations(self):
-        operations = build_mixed_workload(WorkloadSpec(num_keys=50, seed=3))
-        seen = []
-        WorkloadRunner(self.make_index()).run(
-            operations,
-            max_operations=7,
-            before_operation=lambda index, op: seen.append(index),
-        )
-        assert seen == list(range(7))
-
-    def test_before_batch_fires_per_batch(self):
-        from repro.core import CLAMConfig
-        from repro.service import ClusterService
-
-        config = CLAMConfig.scaled(
-            num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
-        )
-        cluster = ClusterService(num_shards=2, config=config)
-        operations = build_mixed_workload(WorkloadSpec(num_keys=100, seed=5))
-        batches = []
-        WorkloadRunner(cluster).run_batched(
-            operations,
-            batch_size=32,
-            before_batch=lambda index, ops: batches.append((index, len(ops))),
-        )
-        assert [index for index, _size in batches] == list(range(len(batches)))
-        assert sum(size for _index, size in batches) == len(operations)
-        assert all(size <= 32 for _index, size in batches)
-
-    def test_hook_can_kill_a_shard_mid_run(self):
-        """A hook crashing a shard mid-workload surfaces as failover, not as
-        an untyped crash (the bench_failover pattern in miniature)."""
-        from repro.core import CLAMConfig
+    def test_a_shard_killed_mid_workload_fails_over(self):
+        """A shard crashed between two batched runs surfaces as failover, not
+        as an untyped crash, and every operation is still reported."""
         from repro.service import ClusterService
 
         config = CLAMConfig.scaled(
@@ -206,12 +163,8 @@ class TestRunnerHooks:
         )
         cluster = ClusterService(num_shards=3, config=config, replication_factor=2)
         operations = build_update_workload(WorkloadSpec(num_keys=120, seed=9))
-
-        def killer(batch_index, _ops):
-            if batch_index == 2:
-                cluster.fail_shard("shard-1")
-
-        report = WorkloadRunner(cluster).run_batched(
-            operations, batch_size=16, before_batch=killer
-        )
-        assert report.operations == len(operations)
+        runner = WorkloadRunner(cluster)
+        before = runner.run_batched(operations[:32], batch_size=16)
+        cluster.fail_shard("shard-1")
+        after = runner.run_batched(operations[32:], batch_size=16)
+        assert before.operations + after.operations == len(operations)
