@@ -28,7 +28,7 @@ from repro.core.hashing import key_data
 from repro.core.incarnation import iter_page_entries
 from repro.flashsim.device import DeviceGeometry
 from repro.flashsim.faults import FaultMode
-from repro.flashsim.persistent import PersistentFlashDevice
+from repro.flashsim.persistent import PageState, PersistentFlashDevice
 from repro.service.cluster import ClusterService
 from repro.service.recovery import RecoveryCoordinator
 
@@ -224,6 +224,44 @@ class TestDurableCLAM:
             assert report.may_have_lost_buffered_writes
             for k in buffered:
                 assert not clam.lookup(k).found
+
+    def test_reopen_re_erases_exactly_the_erased_dirty_blocks(self, tmp_path):
+        path = tmp_path / "erase.clam"
+        with DurableCLAM(path, config=CFG, geometry=GEOM) as clam:
+            for i in range(30):
+                clam.insert(key(i), value(i))
+        device = PersistentFlashDevice(path, geometry=GEOM)
+        unused = [
+            block
+            for block in range(GEOM.num_blocks)
+            if all(
+                device.page_state(page) is PageState.ERASED
+                for page in range(
+                    block * GEOM.pages_per_block, (block + 1) * GEOM.pages_per_block
+                )
+            )
+        ]
+        cut = unused[-2:]
+        for block in cut:
+            device.faults.crash_after_n_ios(1)
+            with pytest.raises(PowerLossError):
+                device.erase_block(block)
+            device.faults.heal()
+        assert device.erased_dirty_blocks() == cut
+        device.close()
+        with DurableCLAM(path, geometry=GEOM) as clam:
+            assert clam.recovery_report.interrupted_erase_blocks == 2
+            assert clam.persistent_device.erased_dirty_blocks() == []
+            for block in cut:
+                start = block * GEOM.pages_per_block
+                assert all(
+                    clam.persistent_device.page_state(page) is PageState.ERASED
+                    for page in range(start, start + GEOM.pages_per_block)
+                )
+            for i in range(30):
+                assert clam.lookup(key(i)).value == value(i)
+        with DurableCLAM(path, geometry=GEOM) as clam:  # nothing left to repair
+            assert clam.recovery_report.interrupted_erase_blocks == 0
 
     def test_checkpoint_shortens_recovery_versus_cold_rebuild(self, tmp_path):
         # Deep incarnation chains so a cold rebuild has real work to do; the

@@ -198,6 +198,80 @@ class TestPowerLossSemantics:
         dev.close()
 
 
+def decoded_dirty_blocks(dev):
+    """Erased-dirty blocks found the slow way: decode every frame."""
+    return [
+        block
+        for block in range(GEOM.num_blocks)
+        if any(
+            dev.page_state(page) is PageState.ERASED_DIRTY
+            for page in range(block * GEOM.pages_per_block, (block + 1) * GEOM.pages_per_block)
+        )
+    ]
+
+
+def set_status_byte(path, page_index, status):
+    raw = bytearray(path.read_bytes())
+    raw[frame_offset(page_index)] = status
+    path.write_bytes(bytes(raw))
+
+
+class TestErasedDirtyScan:
+    """The status-byte scan names exactly the blocks frame decoding would."""
+
+    def test_fresh_written_and_torn_devices_have_no_dirty_blocks(self, tmp_path):
+        dev = make_device(tmp_path)
+        assert dev.erased_dirty_blocks() == []
+        dev.write_range(0, [b"a", b"b", b"c"])
+        dev.faults.crash_after_n_ios(1)
+        with pytest.raises(PowerLossError):
+            dev.write_page(13, b"torn")
+        dev.faults.heal()
+        assert dev.page_state(13) is PageState.TORN
+        assert dev.erased_dirty_blocks() == []
+        dev.close()
+
+    @pytest.mark.parametrize("block", [0, 3, GEOM.num_blocks - 1])
+    def test_scan_of_a_reopened_file_agrees_with_frame_decoding(self, tmp_path, block):
+        """First, middle and last block: the stride slice starts after the
+        file header and must reach the final frame."""
+        path = tmp_path / "dev.flash"
+        with PersistentFlashDevice(path, geometry=GEOM) as dev:
+            dev.write_page(block * GEOM.pages_per_block, b"doomed")
+            dev.faults.crash_after_n_ios(1)
+            with pytest.raises(PowerLossError):
+                dev.erase_block(block)
+        with PersistentFlashDevice(path) as dev:  # nothing decoded yet
+            assert dev.erased_dirty_blocks() == [block]
+            assert decoded_dirty_blocks(dev) == [block]
+
+    @pytest.mark.parametrize("page", [0, 22, GEOM.total_pages - 1])
+    def test_one_dirty_status_byte_marks_its_block_whatever_the_frame_holds(
+        self, tmp_path, page
+    ):
+        """Only the status byte decides: a written frame whose status alone
+        becomes 0x02 decodes as erased-dirty, so the scan must find it too,
+        in the device's first frame, mid-block and in its final frame."""
+        path = tmp_path / "dev.flash"
+        with PersistentFlashDevice(path, geometry=GEOM) as dev:
+            dev.write_page(page, b"length and crc of a written frame")
+        set_status_byte(path, page, 0x02)
+        block = page // GEOM.pages_per_block
+        with PersistentFlashDevice(path) as dev:
+            assert dev.erased_dirty_blocks() == [block]
+            assert decoded_dirty_blocks(dev) == [block]
+
+    @pytest.mark.parametrize("status", [0x00, 0x01, 0x03, 0xFF])
+    def test_other_status_bytes_never_mark_a_block_dirty(self, tmp_path, status):
+        path = tmp_path / "dev.flash"
+        with PersistentFlashDevice(path, geometry=GEOM) as dev:
+            dev.write_page(9, b"payload")
+        set_status_byte(path, 9, status)
+        with PersistentFlashDevice(path) as dev:
+            assert dev.erased_dirty_blocks() == []
+            assert decoded_dirty_blocks(dev) == []
+
+
 class TestLifecycle:
     def test_close_is_idempotent_and_context_manager_closes(self, tmp_path):
         with make_device(tmp_path) as dev:

@@ -149,6 +149,47 @@ class TestWorkloadRunner:
         assert report.lookup_summary().count == 100
         assert report.insert_summary().count == 100
 
+    def test_run_dispatches_operations_in_order(self):
+        calls = []
+
+        class RecordingIndex(DRAMHashIndex):
+            def lookup(self, key):
+                calls.append(OpKind.LOOKUP)
+                return super().lookup(key)
+
+            def insert(self, key, value):
+                calls.append(OpKind.INSERT)
+                return super().insert(key, value)
+
+        operations = build_mixed_workload(WorkloadSpec(num_keys=50, seed=3))
+        report = WorkloadRunner(RecordingIndex()).run(operations, max_operations=40)
+        assert calls == [op.kind for op in operations[:40]]
+        assert report.operations == 40
+
+    def test_run_batched_dispatches_fixed_size_batches(self):
+        from repro.service import ClusterService
+
+        config = CLAMConfig.scaled(
+            num_super_tables=4, buffer_capacity_items=32, incarnations_per_table=4
+        )
+        cluster = ClusterService(num_shards=2, config=config)
+        operations = build_mixed_workload(WorkloadSpec(num_keys=100, seed=5))
+        batches = []
+        execute_batch = cluster.execute_batch
+
+        def recording_execute_batch(pending):
+            batches.append(list(pending))
+            return execute_batch(pending)
+
+        cluster.execute_batch = recording_execute_batch
+        report = WorkloadRunner(cluster).run_batched(operations, batch_size=32)
+        assert [len(batch) for batch in batches[:-1]] == [32] * (len(batches) - 1)
+        assert 0 < len(batches[-1]) <= 32
+        assert [op for batch in batches for op in batch] == operations
+        assert report.operations == len(operations)
+        with pytest.raises(ValueError):
+            WorkloadRunner(cluster).run_batched(operations, batch_size=0)
+
 
 class TestRunnerFailover:
     """A cluster-backed index losing a shard between runs of one workload."""
