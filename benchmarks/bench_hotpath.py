@@ -161,7 +161,7 @@ CALL_BUDGET = {
     "lookup_two_reads": 13,  # 43.1
     "lookup_buffer_hit": 7,  # 12
     "lookup_cold_miss": 11,  # 21
-    "insert": 8,  # 15.0
+    "insert": 7,  # 15.0
     "insert_flush": 60,  # 1,863
 }
 

@@ -14,7 +14,6 @@ Quick start::
 from repro.core.buffer import Buffer, optimal_num_hashes
 from repro.core.clam import CLAM, build_device, STORAGE_PROFILES
 from repro.core.config import CLAMConfig
-from repro.core.cuckoo import CuckooHashTable
 from repro.core.durable import (
     CheckpointRegion,
     CheckpointState,
@@ -25,7 +24,6 @@ from repro.core.durable import (
 )
 from repro.core.errors import (
     BufferHashError,
-    CapacityError,
     ClusterCloseError,
     ConfigurationError,
     KeyTooLargeError,
@@ -79,7 +77,6 @@ __all__ = [
     "build_device",
     "STORAGE_PROFILES",
     "CLAMConfig",
-    "CuckooHashTable",
     "CheckpointRegion",
     "CheckpointState",
     "DurableLogStore",
@@ -87,7 +84,6 @@ __all__ = [
     "serialize_checkpoint",
     "write_superblock",
     "BufferHashError",
-    "CapacityError",
     "ClusterCloseError",
     "ConfigurationError",
     "KeyTooLargeError",

@@ -444,7 +444,8 @@ class CLAM:
         """
         summary = self.stats.counters()
         summary["clock_ms"] = self.clock.now_ms
-        summary.update(self._table_counters())
+        # Flushes are the super tables' count; the unbuffered ablation has none.
+        summary.update(self._table_counters() or {"flushes": 0.0})
         for kind in IOKind:
             ops = sum(device.stats.count(kind) for device in self.devices)
             nbytes = sum(device.stats.bytes_moved(kind) for device in self.devices)

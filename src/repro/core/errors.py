@@ -1,15 +1,14 @@
-"""Exception types raised by the BufferHash / CLAM core."""
+"""Exception types raised by the BufferHash / CLAM core.
+
+A full buffer is not among them: :meth:`repro.core.buffer.Buffer.put` refuses
+with ``False`` and the super table flushes.
+"""
 
 from __future__ import annotations
 
 
 class BufferHashError(Exception):
     """Base class for all BufferHash errors."""
-
-
-class CapacityError(BufferHashError):
-    """Raised when a component cannot accept more items (e.g. a full buffer
-    that could not be flushed, or a cuckoo table whose insertion path cycled)."""
 
 
 class ConfigurationError(BufferHashError):

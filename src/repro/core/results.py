@@ -97,7 +97,6 @@ class OperationStats:
     insert_latency_total_ms: float = 0.0
     insert_latency_max_ms: float = 0.0
     deletes: int = 0
-    flushes: int = 0
     flash_reads: int = 0
     flash_writes: int = 0
     false_positive_reads: int = 0
@@ -117,8 +116,6 @@ class OperationStats:
         self.insert_latency_total_ms += result.latency_ms
         if result.latency_ms > self.insert_latency_max_ms:
             self.insert_latency_max_ms = result.latency_ms
-        if result.flushed:
-            self.flushes += 1
         self.flash_writes += result.flash_writes
         self.flash_reads += result.flash_reads
 
@@ -153,7 +150,6 @@ class OperationStats:
             "insert_latency_total_ms": self.insert_latency_total_ms,
             "insert_latency_max_ms": self.insert_latency_max_ms,
             "deletes": float(self.deletes),
-            "flushes": float(self.flushes),
             "flash_reads": float(self.flash_reads),
             "flash_writes": float(self.flash_writes),
             "false_positive_reads": float(self.false_positive_reads),

@@ -2,9 +2,10 @@
 
 The super table is where all of BufferHash's mechanisms meet:
 
-* inserts go to the in-memory :class:`~repro.core.buffer.Buffer`, which
-  does no Bloom work; when it fills, its contents are written sequentially
-  to flash as a new incarnation, and that incarnation's Bloom filter is
+* inserts go to the in-memory :class:`~repro.core.buffer.Buffer`, one
+  bucketised cuckoo hash table that does no Bloom work; when it refuses a
+  put (full, or a displacement path that cycled), its contents are written
+  sequentially to flash as a new incarnation, and that incarnation's Bloom filter is
   written once, from the CLAM words the buffer kept, into its column of the
   bit-sliced array (:class:`~repro.core.sliced_bloom.BitSlicedBloomArray`,
   the only copy of every incarnation's filter; a checkpoint carries a column

@@ -288,8 +288,12 @@ class StorageDevice(abc.ABC):
                 f"(streaming write at page {start_page}) on device {self.name!r}"
             )
         self._record(_WRITE, nbytes, latency, sequential=True)
-        for offset, data in enumerate(pages):
-            self._store_page(start_page + offset, data)
+        # Footprint only: no payload to keep (``pages[0]`` spares a real write the ``any``).
+        if not pages[0] and type(self)._store_page is StorageDevice._store_page and not any(pages):
+            self.discard(start_page, len(pages))
+        else:
+            for offset, data in enumerate(pages):
+                self._store_page(start_page + offset, data)
         self._last_accessed_page = start_page + len(pages) - 1
         return latency
 
@@ -304,8 +308,10 @@ class StorageDevice(abc.ABC):
             raise ValueError("num_pages must be positive")
         self._check_page(start_page)
         self._check_page(start_page + num_pages - 1)
-        for page in range(start_page, start_page + num_pages):
-            self._pages.pop(page, None)
+        stored, span = self._pages, range(start_page, start_page + num_pages)
+        # Walk the fewer: the range, or the pages that hold a payload.
+        for page in span if num_pages <= len(stored) else [p for p in stored if p in span]:
+            stored.pop(page, None)
 
     # -- Fault injection -------------------------------------------------------
 
@@ -372,11 +378,11 @@ class OverwritingPageLog:
         address = self._head if self._head + len(images) <= geometry.total_pages else 0
         # Appends are contiguous from page 0 on every lap, so an older region
         # overlapping this write either starts inside it or was already
-        # dropped by the write just before.
-        evicted = []
-        for page in range(address, address + len(images)):
-            if page in self._live:
-                evicted.append(self._live.pop(page)[2])
+        # dropped by the write just before.  Walk the fewer: its pages or the live regions.
+        live, end = self._live, address + len(images)
+        starts = range(address, end) if len(images) <= len(live) else sorted(live)
+        overwritten = [start for start in starts if address <= start < end and start in live]
+        evicted = [live.pop(start)[2] for start in overwritten]
         latency = self.device.write_range(address, images)
         # The head moves only now: a write the device refused changed no address.
         self._head = address + len(images)

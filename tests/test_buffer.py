@@ -1,10 +1,13 @@
-"""Tests for the in-memory buffer of a super table."""
+"""Tests for the in-memory buffer of a super table: a bucketised cuckoo hash table."""
+
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bloom_reference import reference_column
 from repro.core.buffer import Buffer
-from repro.core.hashing import as_digest
+from repro.core.hashing import KeyDigest, as_digest, clear_digest_cache, count_hash_calls
 from repro.core.sliced_bloom import BitSlicedBloomArray
 
 
@@ -28,11 +31,26 @@ def _words_of(*keys):
     return [as_digest(key).clam_words() for key in keys]
 
 
+def _cuckoo(num_slots):
+    """A buffer whose capacity is all its slots, so the buckets alone refuse."""
+    return Buffer(capacity_items=num_slots, num_slots=num_slots, bloom_bits=256)
+
+
 class TestBuffer:
     def test_put_and_get(self):
         buffer = _buffer()
         assert buffer.put(b"key", b"value") is True
         assert buffer.get(b"key") == b"value"
+
+    def test_missing_key_returns_none(self):
+        assert _buffer().get(b"missing") is None
+
+    def test_update_in_place(self):
+        buffer = _buffer()
+        buffer.put(b"key", b"v1")
+        buffer.put(b"key", b"v2")
+        assert buffer.get(b"key") == b"v2"
+        assert len(buffer) == 1
 
     def test_is_full_at_capacity(self):
         buffer = _buffer(capacity=4)
@@ -64,6 +82,7 @@ class TestBuffer:
         buffer.put(b"key", b"value")
         assert buffer.delete(b"key") is True
         assert buffer.get(b"key") is None
+        assert len(buffer) == 0
 
     def test_drain_returns_items_their_words_and_the_put_count(self):
         buffer = _buffer(capacity=8)
@@ -77,6 +96,23 @@ class TestBuffer:
         assert written == _reference(buffer, *(b"k%d" % i for i in range(5)))
         # After draining, the buffer is empty and what decides the next filter reset.
         assert len(buffer) == 0
+        assert buffer.drain() == ({}, [], 0)
+
+    def test_drain_hands_over_each_entry_with_the_words_it_was_put_with(self):
+        buffer = _cuckoo(64)
+        put = {}
+        for i in range(20):
+            digest = KeyDigest(b"k%d" % i)
+            put[digest.data] = digest
+            buffer.put(digest, b"v%d" % i)
+        buffer.put(b"k3", b"updated")
+        items, key_words, _item_count = buffer.drain()
+        expected = {b"k%d" % i: b"v%d" % i for i in range(20)}
+        expected[b"k3"] = b"updated"
+        assert items == expected
+        assert all(words is put[key].words for key, words in zip(items, key_words))
+        assert len(key_words) == len(items)
+        assert len(buffer) == 0 and buffer.get(b"k3") is None
         assert buffer.drain() == ({}, [], 0)
 
     def test_drain_of_empty_buffer(self):
@@ -126,3 +162,163 @@ class TestBuffer:
             Buffer(capacity_items=0, num_slots=8, bloom_bits=64)
         with pytest.raises(ValueError):
             Buffer(capacity_items=16, num_slots=8, bloom_bits=64)
+
+
+class TestCuckooPlacement:
+    def test_sustains_paper_utilisation(self):
+        """The paper runs buffers at 50% utilisation; the buckets must
+        comfortably hold that (and more) without refusing a put."""
+        buffer = Buffer(capacity_items=200, num_slots=256, bloom_bits=256)
+        assert all(buffer.put(b"key-%d" % i, b"v") for i in range(200))  # ~78% load
+        assert len(buffer) == 200
+
+    def test_a_displacement_evicts_the_slot_its_step_names(self):
+        """Both buckets full: step 0 of the displacement path writes the new
+        entry over slot 0 of the key's first bucket (the victim slot is
+        ``step % 4``), and the victim moves to its other bucket."""
+        buffer = _cuckoo(16)
+        keys = [b"p%d" % i for i in range(400)]
+        pairs = {other: buffer._buckets_for(as_digest(other).clam_words()) for other in keys}
+        key = b"p0"
+        first, second = pairs.pop(key)
+        for bucket_index in (first, second):
+            home = [other for other, pair in pairs.items() if pair[0] == bucket_index]
+            for other in home[:4]:  # each lands in its first bucket, which has room
+                assert buffer.put(other, b"v") is True
+        assert None not in buffer._buckets[first] + buffer._buckets[second]
+        victim = buffer._buckets[first][0]
+        assert buffer.put(key, b"new") is True
+        assert buffer._buckets[first][0] is buffer.entries[key]
+        assert victim not in buffer._buckets[first]
+        assert buffer.entries[victim[0]] is victim and buffer.get(victim[0]) == b"v"
+
+    def test_a_cycled_path_is_refused_and_leaves_the_buffer_as_it_was(self):
+        """A refused displacement path is undone slot by slot, in reverse.  The
+        buffer is large enough that a path need not revisit the slot it
+        displaced last, so every history entry's restore shows."""
+        buffer = _cuckoo(256)
+        stored = {}
+        cycled = 0
+        for i in range(512):
+            key = b"z-%d" % i
+            before = [list(bucket) for bucket in buffer._buckets]
+            if buffer.put(key, b"v%d" % i):
+                stored[key] = b"v%d" % i
+                continue
+            cycled += len(buffer) < buffer.capacity_items  # the buckets refused, not capacity
+            assert buffer.get(key) is None
+            assert buffer._buckets == before
+        assert cycled
+        # Everything put is intact, in the map and the buckets.
+        for key, value in stored.items():
+            assert buffer.get(key) == value
+        assert buffer.drain()[0] == stored
+
+    def test_displacement_rehomes_an_entry_by_its_carried_words(self):
+        # Digests the cache has never held: re-deriving one would build it anew.
+        digests = [KeyDigest(b"displaced-%d" % i) for i in range(128)]
+        for digest in digests:
+            digest.clam_words()
+        clear_digest_cache()
+        buffer = _cuckoo(64)
+        cycled = 0
+        with count_hash_calls() as log:
+            for digest in digests:
+                # Only a displacement path that ran its full length refuses below capacity.
+                cycled += not buffer.put(digest, digest.data) and len(buffer) < 64
+        assert cycled and log.total == 0 and log.digest_builds == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.binary(min_size=1, max_size=12), st.binary(min_size=0, max_size=8)),
+            min_size=0,
+            max_size=120,
+        )
+    )
+    def test_property_matches_dict_model(self, pairs):
+        """The buffer behaves exactly like a dict for put/get, up to a refused
+        put (which leaves prior contents untouched)."""
+        buffer = _cuckoo(256)
+        model = {}
+        for key, value in pairs:
+            if not buffer.put(key, value):
+                break
+            model[key] = value
+        for key, value in model.items():
+            assert buffer.get(key) == value
+        assert len(buffer) == len(model)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=60, unique=True))
+    def test_property_delete_removes_only_target(self, keys):
+        buffer = _cuckoo(512)
+        for key in keys:
+            buffer.put(key, key)
+        victim = keys[0]
+        buffer.delete(victim)
+        assert buffer.get(victim) is None
+        for key in keys[1:]:
+            assert buffer.get(key) == key
+
+
+def _assert_map_mirrors_buckets(buffer, model):
+    """The key map holds exactly the entry lists the buckets hold, and they
+    hold what the dict model does."""
+    placed = {}
+    for bucket in buffer._buckets:
+        for entry in bucket:
+            if entry is not None:
+                assert entry[0] not in placed
+                placed[entry[0]] = entry
+    assert buffer.entries.keys() == placed.keys()
+    assert all(buffer.entries[key] is entry for key, entry in placed.items())
+    assert {key: entry[1] for key, entry in placed.items()} == model
+    assert len(buffer) == len(model)
+
+
+class TestCuckooKeyMap:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_map_mirrors_the_buckets_through_every_operation(self, seed):
+        """A seeded differential run against a dict: puts of new keys (into a
+        small buffer, so displacements run, cycles are refused and so are puts
+        at capacity), updates, deletes of present and absent keys, and drains."""
+        rng = random.Random(seed)
+        buffer = _cuckoo(32)
+        model = {}
+        puts = 0
+        counts = dict.fromkeys(("displaced", "cycled", "full", "updated", "deleted", "drained"), 0)
+        for step in range(3000):
+            roll = rng.random()
+            if roll < 0.55:
+                key = b"new-%d-%d" % (seed, step)
+                before = [list(bucket) for bucket in buffer._buckets]
+                if buffer.put(key, b"v%d" % step):
+                    model[key] = b"v%d" % step
+                    puts += 1
+                    moved = sum(bucket != slots for bucket, slots in zip(buffer._buckets, before))
+                    counts["displaced"] += moved > 1
+                else:
+                    counts["cycled" if len(buffer) < 32 else "full"] += 1
+                    assert buffer.get(key) is None
+                    assert buffer._buckets == before
+            elif roll < 0.7 and model:
+                key = rng.choice(sorted(model))
+                assert buffer.put(key, b"u%d" % step) is True
+                model[key] = b"u%d" % step
+                puts += 1
+                counts["updated"] += 1
+            elif roll < 0.85:
+                key = rng.choice(sorted(model)) if model and rng.random() < 0.8 else b"absent"
+                assert buffer.delete(key) is (key in model)
+                counts["deleted"] += model.pop(key, None) is not None
+            elif roll < 0.87:
+                items, key_words, item_count = buffer.drain()
+                assert items == model and item_count == puts
+                assert len(key_words) >= len(items)
+                model, puts = {}, 0
+                counts["drained"] += 1
+            _assert_map_mirrors_buckets(buffer, model)
+            for key, value in model.items():
+                assert buffer.get(key) == value
+        assert all(counts.values()), counts

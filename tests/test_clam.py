@@ -158,6 +158,7 @@ class TestAblationModes:
         # No super tables, so no super-table counters beside the per-operation ones.
         assert not {"flushes", "evictions", "incarnations"} & set(clam.describe())
         assert "incarnations" not in clam.counters()
+        assert clam.counters()["flushes"] == 0.0
 
     def test_unbuffered_bloom_filter_short_circuits_misses(self):
         with_filter = CLAM(CLAMConfig.scaled(use_buffering=False), storage="intel-ssd")

@@ -27,6 +27,7 @@ from repro.core.errors import DeviceFailedError, PowerLossError
 from repro.core.hashing import clear_digest_cache
 from repro.flashsim import INTEL_SSD_PROFILE, SSD, PersistentFlashDevice, SimulationClock
 from repro.flashsim.device import DeviceGeometry, OverwritingPageLog
+from repro.flashsim.stats import IOKind
 from repro.wanopt.cache import ContentCache
 
 
@@ -50,6 +51,19 @@ class TestDeviceDiscard:
         # A discarded page takes new data like any erased one.
         device.write_page(2, b"new")
         assert device.read_page(2)[0] == b"new"
+
+    def test_a_footprint_write_drops_the_payloads_it_lands_on(self):
+        device = _ssd()
+        device.write_range(0, _images(b"a", 6))
+        device.write_range(2, [b""] * 2)  # the range walk: fewer pages than payloads
+        pages, _latency = device.read_range(0, 6)
+        assert pages == [b"a-page-0", b"a-page-1", b"", b"", b"a-page-4", b"a-page-5"]
+        total = device.geometry.total_pages
+        device.write_range(0, [b""] * total)  # the payload walk: fewer payloads than pages
+        assert device.read_range(0, total)[0] == [b""] * total
+        # It is charged as the write it is.
+        assert device.stats.count(IOKind.WRITE) == 3
+        assert device.stats.bytes_moved(IOKind.WRITE) == (6 + 2 + total) * 512
 
     def test_discard_is_bounds_checked(self):
         device = _ssd()
@@ -173,6 +187,17 @@ class TestOverwritingPageLogForget:
         assert log.read(new)[0] == b"n" * 700
         with pytest.raises(KeyError):
             log.read(old)
+
+    def test_a_write_evicts_the_regions_starting_inside_it_in_page_order(self):
+        log = OverwritingPageLog(_ssd(num_blocks=1))  # 8 pages
+        for tag, pages in (("A", 6), ("B", 2), ("C", 2), ("D", 1)):
+            log.append(pages * 512, tag=tag)  # C wraps to page 0 and evicts A
+        # Live: B at 6, C at 0, D at 2, listed in that order; a 7-page write
+        # from page 0 lands on all three and walks the regions, not the pages.
+        address, _latency, evicted = log.append(7 * 512, tag="E")
+        assert address == 0 and evicted == ["C", "D", "B"]
+        assert log.append(512, tag="F")[2] == []  # page 7, the last free one
+        assert log.append(512, tag="G")[2] == ["E"]  # wraps; the page walk
 
     def test_content_cache_drops_a_superseded_copy(self):
         cache = ContentCache(_ssd())

@@ -37,7 +37,7 @@ from hypothesis import given, settings, strategies as st
 from benchmarks.bench_hotpath import WARM_DIGEST_BYTES_CEILING, digest_owned
 from bloom_reference import reference_column, reference_holds
 from repro.core import CLAM, CLAMConfig, DurableCLAM, build_pages, hashing, search_page
-from repro.core.cuckoo import CuckooHashTable
+from repro.core.buffer import Buffer
 from repro.core.hashing import (
     CUCKOO_SEED_FIRST,
     CUCKOO_SEED_SECOND,
@@ -97,13 +97,13 @@ class TestEquivalence:
 
     @given(data=_KEY_BYTES, num_slots=st.integers(min_value=1, max_value=200))
     def test_cuckoo_bucket_pair(self, data, num_slots):
-        num_buckets = CuckooHashTable(num_slots).num_buckets
+        num_buckets = Buffer(1, num_slots, bloom_bits=8).num_buckets
         first = fnv1a_64(data, CUCKOO_SEED_FIRST) % num_buckets
         second = fnv1a_64(data, CUCKOO_SEED_SECOND) % num_buckets
         if second == first:
             second = (second + 1) % num_buckets
         for key in _both_forms(data):
-            table = CuckooHashTable(num_slots)
+            table = Buffer(1, num_slots, bloom_bits=8)
             assert table._buckets_for(as_digest(key).clam_words()) == (first, second)
             table.put(key, b"v")  # an empty table takes the key in its first bucket
             assert [index for index, bucket in enumerate(table._buckets) if any(bucket)] == [first]

@@ -50,7 +50,6 @@ EXTRA_PATHS = (
     "tests/test_multi_device.py",
     "tests/test_hash_once.py",
     "tests/test_policies_end_to_end.py",
-    "tests/test_cuckoo.py",
     "tests/test_sliced_bloom.py",
     "tests/test_flush_filter.py",
     "tests/test_checkpoint_golden.py",
@@ -66,7 +65,6 @@ EXTRA_PATHS = (
     "src/repro/core/supertable.py",
     "src/repro/core/recovery.py",
     "src/repro/core/results.py",
-    "src/repro/core/cuckoo.py",
     "src/repro/core/sliced_bloom.py",
     "src/repro/core/config.py",
     "src/repro/core/durable.py",
