@@ -84,6 +84,36 @@ class TestBuffer:
         assert buffer.get(b"key") is None
         assert len(buffer) == 0
 
+    def test_delete_missing_returns_false_and_records_nothing(self):
+        buffer = _buffer()
+        assert buffer.delete(b"nope") is False
+        assert buffer.drain() == ({}, [], 0)
+
+    def test_a_delete_makes_room_under_the_capacity(self):
+        buffer = _buffer(capacity=4)
+        for i in range(4):
+            buffer.put(b"k%d" % i, b"v")
+        assert buffer.put(b"new", b"v") is False
+        assert buffer.delete(b"k1") is True
+        assert buffer.put(b"new", b"v") is True
+        assert buffer.get(b"new") == b"v" and buffer.get(b"k1") is None
+        assert len(buffer) == 4
+
+    def test_the_buffer_refills_after_a_drain(self):
+        buffer = _cuckoo(16)
+        first = {b"k%d" % i: b"a%d" % i for i in range(12)}
+        for key, value in first.items():
+            assert buffer.put(key, value) is True
+        assert buffer.drain()[0] == first
+        assert all(buffer.get(key) is None for key in first)
+        second = {key: b"b" + value for key, value in first.items()}
+        for key, value in second.items():
+            assert buffer.put(key, value) is True
+        items, key_words, item_count = buffer.drain()
+        assert items == second
+        assert key_words == _words_of(*items)
+        assert item_count == len(second)
+
     def test_drain_returns_items_their_words_and_the_put_count(self):
         buffer = _buffer(capacity=8)
         for i in range(5):
@@ -157,6 +187,21 @@ class TestBuffer:
         buffer.put(b"b", b"2")
         assert snapshot == {b"a": b"1"}
 
+    def test_items_returns_everything_in_drain_order(self):
+        buffer = _cuckoo(64)
+        expected = {b"k%d" % i: b"v%d" % i for i in range(20)}
+        for key, value in expected.items():
+            buffer.put(key, value)
+        snapshot = buffer.items()
+        assert snapshot == expected
+        assert list(snapshot) == list(buffer.drain()[0])
+
+    def test_bucket_count_rounds_the_slots_up_to_at_least_two(self):
+        assert Buffer(capacity_items=1, num_slots=1, bloom_bits=64).num_buckets == 2
+        assert Buffer(capacity_items=8, num_slots=8, bloom_bits=64).num_buckets == 2
+        assert Buffer(capacity_items=9, num_slots=9, bloom_bits=64).num_buckets == 3
+        assert Buffer(capacity_items=16, num_slots=16, bloom_bits=64).num_buckets == 4
+
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
             Buffer(capacity_items=0, num_slots=8, bloom_bits=64)
@@ -171,6 +216,22 @@ class TestCuckooPlacement:
         buffer = Buffer(capacity_items=200, num_slots=256, bloom_bits=256)
         assert all(buffer.put(b"key-%d" % i, b"v") for i in range(200))  # ~78% load
         assert len(buffer) == 200
+
+    def test_overflow_is_refused_and_preserves_contents(self):
+        buffer = _cuckoo(16)
+        stored = {}
+        for i in range(100):
+            key = b"z%d" % i
+            if not buffer.put(key, b"v%d" % i):
+                break
+            stored[key] = b"v%d" % i
+        else:
+            pytest.fail("a 16-slot buffer took 100 new keys")
+        # Everything inserted before the refusal is still intact.
+        assert len(buffer) == len(stored)
+        for key, value in stored.items():
+            assert buffer.get(key) == value
+        assert buffer.drain()[0] == stored
 
     def test_a_displacement_evicts_the_slot_its_step_names(self):
         """Both buckets full: step 0 of the displacement path writes the new
