@@ -8,12 +8,19 @@ to the original per-byte loop, which is kept verbatim as
 ``reference_boundaries`` — the "before" side measured here, and the path a
 chunker takes without numpy.
 
-Two measurements land in ``BENCH_chunking.json``:
+Three measurements land in ``BENCH_chunking.json``:
 
 * **MB/s per workload** — seeded payloads across average chunk sizes, from
   one 4 KiB object, smaller than a tile, to 4 MiB, each chunked by the
   reference loop and by ``boundaries()``; with numpy the headline 64 KiB /
-  4 KiB-average workload must show >= 10x;
+  4 KiB-average workload must show >= 10x.  Every rep runs on a fresh
+  chunker: a chunker caches the chunks it cut, so a second pass over the
+  same payload would time cache hits, not the scan;
+* **a repeated stream** — the end-to-end benchmark's payload shape (512 KiB
+  objects of eight 64 KiB blocks, five of them repeats, 8 KiB average
+  chunks) through one chunker, as a long-running branch office cuts it:
+  MB/s, the share of bytes its chunk cache served, and the same objects'
+  MB/s on a fresh chunker each, so the cache's gain is a same-run ratio;
 * **end-to-end objects/sec** — real payloads generated, chunked,
   SHA-1-fingerprinted and deduplicated through a
   :class:`~repro.wanopt.engine.CompressionEngine` on a CLAM index, i.e. the
@@ -46,6 +53,8 @@ from benchmarks.common import (
     standard_clam,
     write_bench_json,
 )
+from benchmarks.e2e.streams import WORKLOADS as E2E_WORKLOADS
+from benchmarks.e2e.streams import PayloadStream
 from benchmarks.ratchet import assert_fraction
 from repro.telemetry import build_snapshot
 from repro.wanopt.chunking import HAVE_NUMPY, RabinChunker
@@ -79,6 +88,13 @@ _END_TO_END_SNAPSHOT = None
 
 END_TO_END = dict(num_objects=12, object_size=96 * 1024, redundancy=0.5, seed=23)
 
+#: The repeated stream: the end-to-end benchmark's payload objects (512 KiB
+#: of eight 64 KiB blocks, five of them repeats; ``benchmarks/e2e/streams.py``)
+#: at its warm-up length, cut at its harness's 8 KiB average chunk size.
+REPEATED = dict(
+    workload="wan_payload_inproc", seed=1, average_size=8192, warm_objects=272, timed_objects=600
+)
+
 
 def _mb_per_s(nbytes: int, seconds: float) -> float:
     return nbytes / 1e6 / seconds if seconds > 0 else float("inf")
@@ -111,9 +127,44 @@ def measure_workload(payload_kib: int, average: int, reps: int, reference_reps: 
         "reference_mb_per_s": _best_rate(
             lambda: chunker.reference_boundaries(data), len(data), reference_reps
         ),
-        "optimized_mb_per_s": _best_rate(lambda: chunker.boundaries(data), len(data), reps),
+        "optimized_mb_per_s": _best_rate(
+            lambda: RabinChunker(average_size=average).boundaries(data), len(data), reps
+        ),
     }
     row["optimized_speedup"] = row["optimized_mb_per_s"] / row["reference_mb_per_s"]
+    return row
+
+
+def measure_repeated_stream(spec):
+    """One chunker over the repeated stream, against a fresh chunker per object."""
+    workload = next(w for w in E2E_WORKLOADS if w.name == spec["workload"])
+    objects = (data for _, data in PayloadStream(workload, spec["seed"]))
+    average = spec["average_size"]
+    chunker = RabinChunker(average_size=average)
+    for _ in range(spec["warm_objects"]):
+        chunker.boundaries(next(objects))
+    served_before = chunker.cache_hit_bytes
+    total_bytes = chunks = 0
+    one_chunker = fresh_chunkers = 0.0
+    for _ in range(spec["timed_objects"]):
+        data = next(objects)
+        started = time.perf_counter()
+        boundaries = chunker.boundaries(data)
+        middle = time.perf_counter()
+        cold = RabinChunker(average_size=average).boundaries(data)
+        one_chunker += middle - started
+        fresh_chunkers += time.perf_counter() - middle
+        assert boundaries == cold, "a cached cut diverged from the scan"
+        total_bytes += len(data)
+        chunks += len(boundaries)
+    row = {
+        **spec,
+        "chunks": chunks,
+        "mb_per_s": _mb_per_s(total_bytes, one_chunker),
+        "fresh_chunker_mb_per_s": _mb_per_s(total_bytes, fresh_chunkers),
+        "cache_share": (chunker.cache_hit_bytes - served_before) / total_bytes,
+    }
+    row["cache_speedup"] = row["mb_per_s"] / row["fresh_chunker_mb_per_s"]
     return row
 
 
@@ -200,6 +251,8 @@ def check_invariants(payload) -> None:
     if HAVE_NUMPY:
         assert headline["optimized_speedup"] >= 10.0, headline
     assert payload["end_to_end"]["dedup_hit_rate"] > 0.0, payload["end_to_end"]
+    repeated = payload["repeated_stream"]
+    assert (repeated["cache_share"] > 0.0) == HAVE_NUMPY, repeated
 
 
 def main() -> None:
@@ -209,14 +262,16 @@ def main() -> None:
     )
     add_telemetry_arg(parser)
     args = parser.parse_args()
-    global WORKLOADS, END_TO_END
+    global WORKLOADS, END_TO_END, REPEATED
     reps, reference_reps = (3, 1) if args.quick else (7, 3)
     if args.quick:
         WORKLOADS = [w for w in WORKLOADS if w[0] <= 64]
         END_TO_END = dict(END_TO_END, num_objects=6, object_size=64 * 1024)
+        REPEATED = dict(REPEATED, warm_objects=40, timed_objects=40)
 
     started = time.perf_counter()
     rows = [measure_workload(*workload, reps, reference_reps) for workload in WORKLOADS]
+    repeated = measure_repeated_stream(REPEATED)
     end_to_end = measure_end_to_end(telemetry=args.telemetry_out is not None)
     ratchet = apply_ratchet(rows) if args.quick else []
 
@@ -234,6 +289,12 @@ def main() -> None:
             )
             for row in rows
         ],
+    )
+    print(
+        f"repeated stream, one chunker: {repeated['mb_per_s']:.1f} MB/s, "
+        f"{repeated['cache_share']:.1%} of bytes from the chunk cache; "
+        f"a fresh chunker per object: {repeated['fresh_chunker_mb_per_s']:.1f} MB/s "
+        f"({repeated['cache_speedup']:.2f}x)"
     )
     print(
         f"end to end (chunk + SHA-1 + dedup on CLAM): "
@@ -255,6 +316,7 @@ def main() -> None:
             "quick": args.quick,
         },
         "workloads": rows,
+        "repeated_stream": repeated,
         "end_to_end": end_to_end,
         "ratchet": ratchet,
     }

@@ -173,7 +173,7 @@ def test_min_size_below_the_window_runs_the_reference(monkeypatch, min_size):
     def refuse(*_args):
         raise AssertionError("the tiled scan ran with min_size < WINDOW")
 
-    monkeypatch.setattr(RabinChunker, "_boundaries_vectorized", refuse)
+    monkeypatch.setattr(RabinChunker, "_walk_boundaries", refuse)
     chunker = RabinChunker(average_size=256, min_size=min_size)
     data = random.Random(111).randbytes(8 * 1024)
     assert chunker.boundaries(data) == chunker.reference_boundaries(data)

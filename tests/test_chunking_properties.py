@@ -212,12 +212,18 @@ def test_optimized_paths_match_reference_across_min_sizes(data: bytes, average: 
 def test_tiled_scan_matches_reference_at_any_tile_size(seed, size, average, tile):
     """Tiles far smaller than the shipped one put a seam every few windows,
     so first-in-tile, last-in-tile and straddling windows all carry cuts.
-    Seeded streams, not ``st.binary``: hypothesis keeps arbitrary byte
-    strings far shorter than one rolling window."""
-    data = random.Random(seed).randbytes(size)
+    The walk runs cold, then warm on the same bytes behind a new head: the
+    head's chunks are scanned, the rest come from the cache, and the scan
+    resumes past every run of hits.  Seeded streams, not ``st.binary``:
+    hypothesis keeps arbitrary byte strings far shorter than one rolling
+    window."""
+    rng = random.Random(seed)
+    data = rng.randbytes(size)
+    edited = rng.randbytes(rng.randint(1, 512)) + data
     chunker = RabinChunker(average_size=average, min_size=WINDOW)
-    reference = [(b.start, b.end) for b in chunker.reference_boundaries(data)]
-    assert chunker._boundaries_vectorized(data, tile) == reference
+    for payload in (data, edited):
+        reference = [(b.start, b.end) for b in chunker.reference_boundaries(payload)]
+        assert chunker._walk_boundaries(memoryview(payload), tile) == reference
 
 
 @pytest.mark.slow

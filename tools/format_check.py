@@ -56,6 +56,7 @@ EXTRA_PATHS = (
     "tests/bloom_reference.py",
     "tests/test_crash_recovery.py",
     "tests/test_config.py",
+    "tests/test_chunk_cache.py",
     "benchmarks/common.py",
     "benchmarks/bench_hotpath.py",
     "src/repro/baselines/disk_hash.py",
