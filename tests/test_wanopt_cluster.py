@@ -17,6 +17,8 @@ Covers the contracts the new :mod:`repro.wanopt.topology` layer must hold:
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import CLAM, CLAMConfig
@@ -562,3 +564,58 @@ class TestRealPayloadMode:
     def test_average_chunk_size_validation(self):
         with pytest.raises(ValueError):
             BranchTraceGenerator(real_payloads=True, average_chunk_size=32, **self.TRACE)
+
+
+class TestTraceDigest:
+    """Both trace modes pinned to digests of their whole streams.
+
+    Each digest covers every object id and every chunk's fingerprint, size
+    and payload bytes (descriptor chunks carry none), so any change in how
+    :meth:`BranchTraceGenerator.generate` consumes its RNG, sizes a block or
+    cuts a payload moves it.
+    """
+
+    TRACE = dict(
+        num_branches=2,
+        objects_per_branch=4,
+        mean_object_size=32 * 1024,
+        mean_chunk_size=4 * 1024,
+        shared_fraction=0.3,
+        local_redundancy=0.25,
+        shared_pool_size=40,
+    )
+
+    DIGESTS = {
+        (False, 7): (
+            "88f020dcd057ef36fb8abf9a7171b6577aafd1da187b9907ffb4f97b7314566b"
+        ),
+        (False, 47): (
+            "36ff0b6a37823a4b7ebab9ae9502f3b439ab14f909b4b0980fb028bd97703109"
+        ),
+        (True, 7): (
+            "8ea2daf04ca309dafc96c1ded2e3dd2fd7c9c67abcee6b3ee6b919bd1cc5353a"
+        ),
+        (True, 47): (
+            "ca87971dcc901619c56c62ce928483b808bdd0981248b2b1d8d315968f234ac8"
+        ),
+    }
+
+    @staticmethod
+    def stream_digest(streams) -> str:
+        digest = hashlib.sha256()
+        for stream in streams:
+            digest.update(b"stream %d" % len(stream))
+            for obj in stream:
+                digest.update(b"object %d %d" % (obj.object_id, obj.num_chunks))
+                for chunk in obj.chunks:
+                    digest.update(chunk.fingerprint)
+                    digest.update(b"%d" % chunk.size)
+                    digest.update(b"-" if chunk.raw is None else bytes(chunk.raw))
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("real_payloads,seed", sorted(DIGESTS))
+    def test_stream_digest(self, real_payloads, seed):
+        streams = BranchTraceGenerator(
+            real_payloads=real_payloads, seed=seed, **self.TRACE
+        ).generate()
+        assert self.stream_digest(streams) == self.DIGESTS[(real_payloads, seed)]
