@@ -71,9 +71,10 @@ def real_payload_pipeline() -> None:
     clam = CLAM(CLAMConfig.scaled(), storage=SSD(clock=clock))
     engine = CompressionEngine(index=clam, content_cache=ContentCache(MagneticDisk(clock=clock)))
     for obj in objects:
-        result = engine.process_object(obj)
+        result = engine.process_object_batched(obj)
         print(
-            f"object {obj.object_id}: {result.original_bytes:>6} B -> {result.compressed_bytes:>6} B "
+            f"object {obj.object_id}: "
+            f"{result.original_bytes:>6} B -> {result.compressed_bytes:>6} B "
             f"({result.chunks_matched}/{result.chunks_total} chunks matched, "
             f"processing {result.processing_time_ms:.2f} ms)"
         )

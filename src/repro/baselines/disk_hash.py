@@ -214,7 +214,7 @@ class ExternalHashIndex:
         return self.lookup(key).found
 
     def lookup_batch(self, keys: Iterable[KeyLike]) -> List[LookupResult]:
-        """Loop fallback for the batched half of ``FingerprintIndex``.
+        """Loop fallback: one of ``FingerprintIndex``'s two batched calls.
 
         BDB has no shards to fan a batch out to, so batched operations run
         sequentially against the one device; results match sequential calls.

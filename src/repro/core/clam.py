@@ -326,7 +326,7 @@ class CLAM:
 
     # -- Batched API ----------------------------------------------------------------------
     #
-    # Loop fallbacks satisfying the batch half of
+    # Loop fallbacks satisfying
     # :class:`repro.wanopt.engine.FingerprintIndex`: a single CLAM has no
     # shards to fan out to, so a batch is simply the operations in order on
     # the one device (results are exactly what sequential calls produce).

@@ -162,6 +162,14 @@ def _overlaps(span: Tuple[int, int], claimed: List[Tuple[int, int]]) -> bool:
     return any(start < c_end and c_start < end for c_start, c_end in claimed)
 
 
+def _read_record(device: PersistentFlashDevice, page: int) -> Optional[_LogRecord]:
+    """The record whose header is on ``page`` (read without charging), or ``None``."""
+    payload = device.peek_page(page)
+    if payload is None or len(payload) < RECORD_HEADER.size or not payload.startswith(RECORD_MAGIC):
+        return None
+    return _LogRecord(page, *RECORD_HEADER.unpack_from(payload, 0)[1:])
+
+
 class DurableCLAM(CLAM):
     """A CLAM persisted on a file-backed flash device, with crash recovery.
 
@@ -407,25 +415,9 @@ class DurableCLAM(CLAM):
                 continue
             if state is not PageState.VALID:
                 continue
-            payload = device.peek_page(page)
-            if payload is None or len(payload) < RECORD_HEADER.size:
-                continue
-            if not payload.startswith(RECORD_MAGIC):
-                continue
-            _magic, owner, incarnation_id, sequence, num_pages = RECORD_HEADER.unpack_from(
-                payload, 0
-            )
-            if num_pages <= 0 or page + 1 + num_pages > end:
-                continue
-            records.append(
-                _LogRecord(
-                    header_page=page,
-                    owner=owner,
-                    incarnation_id=incarnation_id,
-                    sequence=sequence,
-                    num_pages=num_pages,
-                )
-            )
+            record = _read_record(device, page)
+            if record is not None and record.num_pages > 0 and record.span[1] <= end:
+                records.append(record)
         return records, pages_scanned, torn_pages
 
     def _checkpoint_handle_intact(
@@ -445,17 +437,10 @@ class DurableCLAM(CLAM):
         span = (header_page, handle.address + handle.num_pages)
         if header_page < 0 or _overlaps(span, claimed):
             return False
-        payload = device.peek_page(header_page)
-        if payload is None or len(payload) < RECORD_HEADER.size:
+        record = _read_record(device, header_page)
+        if record is None or record.owner != table_id or record.num_pages != handle.num_pages:
             return False
-        if not payload.startswith(RECORD_MAGIC):
-            return False
-        _magic, owner, incarnation_id, _sequence, num_pages = RECORD_HEADER.unpack_from(
-            payload, 0
-        )
-        if owner != table_id or incarnation_id != handle.incarnation_id:
-            return False
-        if num_pages != handle.num_pages:
+        if record.incarnation_id != handle.incarnation_id:
             return False
         return all(
             device.page_state(page) is PageState.VALID

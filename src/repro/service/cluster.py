@@ -553,7 +553,7 @@ class ClusterService:
     def lookup_batch(self, keys: Iterable[KeyLike]) -> List[LookupResult]:
         """Look every key up in one batch fanned out across the shards.
 
-        The batched half of :class:`repro.wanopt.engine.FingerprintIndex`:
+        One of the two calls of :class:`repro.wanopt.engine.FingerprintIndex`:
         operations are grouped into per-shard sub-batches by the
         :class:`~repro.service.batch.BatchExecutor` (one dispatch per shard,
         replica failover included) and the per-key results come back in

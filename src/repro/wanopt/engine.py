@@ -2,8 +2,8 @@
 
 For each arriving object the engine:
 
-1. looks every chunk fingerprint up in the fingerprint index (CLAM or a
-   baseline index);
+1. looks each distinct chunk fingerprint up in the fingerprint index (CLAM
+   or a baseline index);
 2. replaces chunks whose fingerprints match with small references
    (``reference_size`` bytes each on the wire);
 3. appends new chunks to the on-disk content cache and inserts their
@@ -13,14 +13,13 @@ The engine reports, per object, the original and compressed sizes and how
 much simulated time was spent in index lookups, index inserts and cache
 writes — the quantities behind Figures 9 and 10.
 
-Two execution modes are offered.  :meth:`CompressionEngine.process_object`
-issues one index operation per chunk, matching the paper's single-box CE.
-:meth:`CompressionEngine.process_object_batched` instead makes **one lookup
-round trip for the whole object and one insert round trip for its new
-chunks**, the traffic pattern of the multi-branch deployment
-(:mod:`repro.wanopt.topology`) where the fingerprint index is a remote,
-sharded :class:`~repro.service.cluster.ClusterService`; both modes produce
-identical compression decisions (compressed bytes, matched chunks).
+Every engine makes **one lookup round trip for the whole object and one
+insert round trip for its new chunks**
+(:meth:`CompressionEngine.process_object_batched`).  The single-box optimizer
+(:mod:`repro.wanopt.optimizer`) and each branch office of the multi-branch
+deployment (:mod:`repro.wanopt.topology`), where the fingerprint index is a
+remote, sharded :class:`~repro.service.cluster.ClusterService`, run the same
+two round trips; only the clocks they are charged to differ.
 """
 
 from __future__ import annotations
@@ -43,20 +42,15 @@ FINGERPRINT_COST_MS = 0.002
 class FingerprintIndex(Protocol):
     """Anything usable as the CE's fingerprint hash table.
 
-    Implementations must offer single-operation ``lookup``/``insert`` plus
-    the batched counterparts ``lookup_batch``/``insert_batch`` the
-    per-object round-trip path uses.  :class:`repro.core.clam.CLAM` and the
-    BDB-style :class:`repro.baselines.disk_hash.ExternalHashIndex` implement
-    the batch as a local loop; :class:`repro.service.cluster.ClusterService`
-    fans it out across shard sub-batches through its
+    The engine calls only the two batched operations, one per round trip.
+    :class:`repro.core.clam.CLAM` and the BDB-style
+    :class:`repro.baselines.disk_hash.ExternalHashIndex` implement a batch as
+    a local loop; :class:`repro.service.cluster.ClusterService` fans it out
+    across shard sub-batches through its
     :class:`~repro.service.batch.BatchExecutor`.  The protocol is
     ``runtime_checkable`` and every implementation is held to it by
     ``tests/test_fingerprint_index_conformance.py``.
     """
-
-    def lookup(self, key) -> LookupResult: ...
-
-    def insert(self, key, value) -> InsertResult: ...
 
     def lookup_batch(self, keys: Sequence) -> List[LookupResult]: ...
 
@@ -116,61 +110,16 @@ class CompressionEngine:
     #: One record per processed object, in processing order.
     results: List[ObjectCompressionResult] = field(default_factory=list, init=False)
 
-    def process_object(self, obj: TraceObject) -> ObjectCompressionResult:
-        """Compress one object and update the index/cache (one op per chunk)."""
-        result = ObjectCompressionResult(
-            object_id=obj.object_id,
-            original_bytes=obj.size_bytes,
-            compressed_bytes=0,
-            chunks_total=obj.num_chunks,
-            chunks_matched=0,
-        )
-        # A ClockEnsemble (cluster index) satisfies now_ms but is read-only;
-        # CPU time then has nowhere sensible to go and is accounted only in
-        # the result record (the batched path lets callers pass a clock).
-        advance = getattr(getattr(self.index, "clock", None), "advance", None)
-        matched_flags: List[bool] = []
-        for chunk in obj.chunks:
-            if advance is not None:
-                advance(FINGERPRINT_COST_MS)
-            result.fingerprint_time_ms += FINGERPRINT_COST_MS
-
-            lookup = self.index.lookup(chunk.fingerprint)
-            result.lookup_time_ms += lookup.latency_ms
-            if lookup.found:
-                result.chunks_matched += 1
-                result.compressed_bytes += min(self.reference_size, chunk.size)
-                matched_flags.append(True)
-                continue
-
-            matched_flags.append(False)
-            result.compressed_bytes += chunk.size
-            cache_address = 0
-            if self.content_cache is not None:
-                cache_address, cache_latency = self.content_cache.store(
-                    chunk.fingerprint, chunk.size, chunk.raw
-                )
-                result.cache_write_time_ms += cache_latency
-            insert = self.index.insert(
-                chunk.fingerprint, cache_address.to_bytes(8, "big")
-            )
-            result.insert_time_ms += insert.latency_ms
-        result.matched_flags = tuple(matched_flags)
-        self.results.append(result)
-        return result
-
     def process_object_batched(self, obj: TraceObject, clock=None) -> ObjectCompressionResult:
         """Compress one object with one lookup and one insert round trip.
 
         Every distinct chunk fingerprint of the object is looked up in a
         single :meth:`FingerprintIndex.lookup_batch` call, and the new
         chunks' fingerprints are installed with a single
-        :meth:`FingerprintIndex.insert_batch` call — the per-object
-        round-trip model of a branch office talking to a remote data-center
-        index.  Compression decisions are identical to
-        :meth:`process_object`: a chunk repeated *within* the object matches
-        from its second occurrence on, exactly as the sequential path's
-        insert-then-lookup interleaving produces.
+        :meth:`FingerprintIndex.insert_batch` call.  A chunk is sent as a
+        reference exactly when its fingerprint was seen before: found by the
+        lookup, or sent as a literal earlier in this object, so a chunk
+        repeated *within* the object matches from its second occurrence on.
 
         ``clock`` is the caller's (branch-side) clock.  When it differs from
         the clock a resource already advanced — a remote index on its own

@@ -129,35 +129,17 @@ class WANOptimizer:
         Like real WAN optimizers (and the paper's testbed), the compression
         engine and the link work as a pipeline: object ``i+1`` is fingerprinted
         and deduplicated while object ``i`` is still being transmitted.  The
-        simulation clock is driven by the compression engine (its index and
-        cache I/O); the link is modelled as a second resource whose busy time
-        overlaps engine time, so the total transfer time is the larger of the
-        two plus any residual.
+        simulation clock is driven by the compression engine (its two index
+        round trips per object and its cache I/O); the link is modelled as a
+        second resource whose busy time overlaps engine time, so the total
+        transfer time is the larger of the two plus any residual.
         """
-        start_ms = self.clock.now_ms
-        processing_ms = 0.0
-        transmit_ms = 0.0
-        total_original = 0
-        total_compressed = 0
-        self.link.start_idle()
+        run = _LinkPipeline(self.clock, self.link)
         for obj in objects:
             before = self.clock.now_ms
-            result = self.engine.process_object(obj)
-            processing_ms += self.clock.now_ms - before
-            transmit_ms += self.link.send_overlapped(result.compressed_bytes)
-            total_original += result.original_bytes
-            total_compressed += result.compressed_bytes
-        time_with = max(self.clock.now_ms, self.link.drained_at_ms) - start_ms
-        time_without = self.link.serialization_delay_ms(total_original)
-        return ThroughputTestResult(
-            link_mbps=self.link.bandwidth_mbps,
-            total_original_bytes=total_original,
-            total_compressed_bytes=total_compressed,
-            time_without_optimizer_ms=time_without,
-            time_with_optimizer_ms=time_with,
-            processing_time_ms=processing_ms,
-            transmit_time_ms=transmit_ms,
-        )
+            result = self.engine.process_object_batched(obj, clock=self.clock)
+            run.send(before, result.original_bytes, result.compressed_bytes)
+        return run.result()
 
     # -- Scenario 2: acceleration under high load ------------------------------------------
 
@@ -172,7 +154,7 @@ class WANOptimizer:
             # previous object has been fully handled (single pipeline).
             if self.clock.now_ms < arrival_ms:
                 self.clock.advance(arrival_ms - self.clock.now_ms)
-            compression = self.engine.process_object(obj)
+            compression = self.engine.process_object_batched(obj, clock=self.clock)
             self.link.transmit(compression.compressed_bytes)
             result.objects.append(
                 ObjectTimeline(
@@ -192,29 +174,15 @@ class WANOptimizer:
 
 
 @dataclass(frozen=True)
-class BranchThroughputResult:
+class BranchThroughputResult(ThroughputTestResult):
     """One branch office's Scenario-1 outcome inside a multi-branch run."""
 
     branch_id: str
-    link_mbps: float
     objects: int
     pass_through_objects: int
-    total_original_bytes: int
-    total_compressed_bytes: int
-    time_without_optimizer_ms: float
-    time_with_optimizer_ms: float
-    processing_time_ms: float
-    transmit_time_ms: float
     chunks_total: int
     chunks_matched: int
     cross_branch_matched: int
-
-    @property
-    def effective_bandwidth_improvement(self) -> float:
-        """time(raw at link speed) / time(optimized) — Figure 9's metric."""
-        if self.time_with_optimizer_ms <= 0:
-            return float("inf")
-        return self.time_without_optimizer_ms / self.time_with_optimizer_ms
 
     @property
     def dedup_hit_rate(self) -> float:
@@ -336,30 +304,61 @@ class MultiBranchThroughputTest:
         return result
 
 
-class _BranchAccumulator:
-    """Per-branch pipeline state while a multi-branch run is in flight."""
+class _LinkPipeline:
+    """Scenario 1's engine-and-link accounting on one clock and link.
 
-    def __init__(self, branch: BranchOffice, objects: Sequence[TraceObject]) -> None:
-        self.branch = branch
-        self.objects = objects
-        self.start_ms = branch.clock.now_ms
+    The engine runs on ``clock``; each object it finishes is queued on the
+    link at once (:meth:`Link.send_overlapped`), so the run ends when both
+    the engine and the link are done.
+    """
+
+    def __init__(self, clock: SimulationClock, link: Link) -> None:
+        self.clock = clock
+        self.link = link
+        self.start_ms = clock.now_ms
         self.processing_ms = 0.0
         self.transmit_ms = 0.0
         self.total_original = 0
         self.total_compressed = 0
+        link.start_idle()
+
+    def send(self, before_ms: float, original_bytes: int, wire_bytes: int) -> None:
+        """Account one object the engine started at ``before_ms`` and finished now."""
+        self.processing_ms += self.clock.now_ms - before_ms
+        self.total_original += original_bytes
+        self.total_compressed += wire_bytes
+        self.transmit_ms += self.link.send_overlapped(wire_bytes)
+
+    def result(self, result_type=ThroughputTestResult, **fields):
+        """The run so far as a ``result_type``, which may take extra ``fields``."""
+        link = self.link
+        return result_type(
+            link_mbps=link.bandwidth_mbps,
+            total_original_bytes=self.total_original,
+            total_compressed_bytes=self.total_compressed,
+            time_without_optimizer_ms=link.serialization_delay_ms(self.total_original),
+            time_with_optimizer_ms=max(self.clock.now_ms, link.drained_at_ms) - self.start_ms,
+            processing_time_ms=self.processing_ms,
+            transmit_time_ms=self.transmit_ms,
+            **fields,
+        )
+
+
+class _BranchAccumulator(_LinkPipeline):
+    """Per-branch pipeline state while a multi-branch run is in flight."""
+
+    def __init__(self, branch: BranchOffice, objects: Sequence[TraceObject]) -> None:
+        super().__init__(branch.clock, branch.link)
+        self.branch = branch
+        self.objects = objects
         self.chunks_total = 0
         self.chunks_matched = 0
         self.cross_branch_matched = 0
         self.pass_through = 0
-        branch.link.start_idle()
 
     def process(self, topology: MultiBranchTopology, obj: TraceObject) -> None:
-        branch = self.branch
-        before = branch.clock.now_ms
-        outcome = topology.process_branch_object(branch, obj)
-        self.processing_ms += branch.clock.now_ms - before
-        self.total_original += obj.size_bytes
-        self.total_compressed += outcome.wire_bytes
+        before = self.clock.now_ms
+        outcome = topology.process_branch_object(self.branch, obj)
         self.chunks_total += obj.num_chunks
         self.cross_branch_matched += outcome.cross_branch_matched
         if outcome.pass_through:
@@ -367,22 +366,14 @@ class _BranchAccumulator:
         else:
             self.chunks_matched += outcome.result.chunks_matched
         # Compressed or raw, the object goes out as the engine moves on.
-        self.transmit_ms += branch.link.send_overlapped(outcome.wire_bytes)
+        self.send(before, obj.size_bytes, outcome.wire_bytes)
 
     def finish(self) -> BranchThroughputResult:
-        branch = self.branch
-        finish_ms = max(branch.clock.now_ms, branch.link.drained_at_ms)
-        return BranchThroughputResult(
-            branch_id=branch.branch_id,
-            link_mbps=branch.link.bandwidth_mbps,
+        return self.result(
+            BranchThroughputResult,
+            branch_id=self.branch.branch_id,
             objects=len(self.objects),
             pass_through_objects=self.pass_through,
-            total_original_bytes=self.total_original,
-            total_compressed_bytes=self.total_compressed,
-            time_without_optimizer_ms=branch.link.serialization_delay_ms(self.total_original),
-            time_with_optimizer_ms=finish_ms - self.start_ms,
-            processing_time_ms=self.processing_ms,
-            transmit_time_ms=self.transmit_ms,
             chunks_total=self.chunks_total,
             chunks_matched=self.chunks_matched,
             cross_branch_matched=self.cross_branch_matched,

@@ -17,8 +17,9 @@ that exercise the actual Rabin chunker end to end.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.wanopt.chunking import RabinChunker
@@ -74,7 +75,6 @@ class SyntheticTraceGenerator:
     mean_chunk_size: int = 8 * 1024
     locality_window: int = 20_000
     seed: int = 7
-    _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.redundancy < 1.0:
@@ -85,38 +85,27 @@ class SyntheticTraceGenerator:
             raise ValueError("sizes must be positive")
         if self.locality_window <= 0:
             raise ValueError("locality_window must be positive")
-        self._rng = random.Random(self.seed)
-
-    def _object_size(self) -> int:
-        low = self.mean_object_size // 4
-        high = self.mean_object_size * 4
-        # Log-uniform between low and high.
-        import math
-
-        log_low, log_high = math.log(low), math.log(high)
-        return int(math.exp(self._rng.uniform(log_low, log_high)))
-
-    def _chunk_size(self) -> int:
-        low = max(256, self.mean_chunk_size // 2)
-        high = self.mean_chunk_size * 2
-        return self._rng.randint(low, high)
 
     def generate(self) -> List[TraceObject]:
-        """Produce the full object trace."""
+        """Produce the full object trace (the same one on every call)."""
+        rng = random.Random(self.seed)
+        # Object sizes are log-uniform between a quarter of and four times the mean.
+        log_low = math.log(self.mean_object_size // 4)
+        log_high = math.log(self.mean_object_size * 4)
+        low = max(256, self.mean_chunk_size // 2)
         objects: List[TraceObject] = []
         seen_chunks: List[Chunk] = []
         next_chunk_id = 0
         for object_id in range(self.num_objects):
-            target_size = self._object_size()
+            target_size = int(math.exp(rng.uniform(log_low, log_high)))
             chunks: List[Chunk] = []
             accumulated = 0
             while accumulated < target_size:
-                reuse = seen_chunks and self._rng.random() < self.redundancy
-                if reuse:
+                if seen_chunks and rng.random() < self.redundancy:
                     window_start = max(0, len(seen_chunks) - self.locality_window)
-                    chunk = seen_chunks[self._rng.randrange(window_start, len(seen_chunks))]
+                    chunk = seen_chunks[rng.randrange(window_start, len(seen_chunks))]
                 else:
-                    size = self._chunk_size()
+                    size = rng.randint(low, self.mean_chunk_size * 2)
                     fingerprint = fingerprint_bytes(
                         b"trace-%d-chunk-%d" % (self.seed, next_chunk_id)
                     )
@@ -156,20 +145,18 @@ class BranchTraceGenerator:
     with (b) content repeating that branch's own recent history and (c)
     fresh, branch-unique content.
 
-    Two modes share one redundancy model:
-
-    * **descriptor mode** (default) emits synthetic ``(fingerprint, size)``
-      chunk descriptors without materialising bytes — the paper's §8
-      pre-computed-chunks simplification, cheap at any scale;
-    * **real-payload mode** (``real_payloads=True``) materialises the same
-      draw sequence as actual bytes: each draw becomes a byte block (shared
-      pool blocks are bit-identical across branches), blocks are joined into
-      the object payload, and the payload is cut by the optimized
-      :class:`~repro.wanopt.chunking.RabinChunker` and SHA-1-fingerprinted
-      for real — the full content pipeline, end to end.  Chunk-level dedup
-      then *emerges* from repeated byte ranges rather than being asserted by
-      construction, so measured hit rates sit slightly below descriptor
-      mode's (chunks straddling a block edge mix repeated and fresh bytes).
+    One draw loop serves both modes: each draw picks a shared pool block, a
+    repeat of this branch's history or fresh content, and the RNG is consumed
+    the same way in both.  By default (the paper's §8 pre-computed-chunks
+    simplification, cheap at any scale) a draw is a synthetic
+    ``(fingerprint, size)`` chunk descriptor.  With ``real_payloads=True`` it
+    is a byte block instead (shared pool blocks are bit-identical across
+    branches), and each object's blocks are joined and cut by the optimized
+    :class:`~repro.wanopt.chunking.RabinChunker` and SHA-1-fingerprinted for
+    real.  Chunk-level dedup then *emerges* from repeated byte ranges rather
+    than being asserted by construction, so measured hit rates sit slightly
+    below descriptor mode's (chunks straddling a block edge mix repeated and
+    fresh bytes).
 
     Parameters
     ----------
@@ -258,58 +245,17 @@ class BranchTraceGenerator:
         return payload
 
     def generate(self) -> List[List[TraceObject]]:
-        """One object stream per branch, ``generate()[b]`` for branch ``b``."""
-        if self.real_payloads:
-            return self._generate_real()
-        streams: List[List[TraceObject]] = []
-        for branch in range(self.num_branches):
-            rng = random.Random(self.seed * 1_000_003 + branch)
-            local_chunks: List[Chunk] = []
-            next_local_id = 0
-            objects: List[TraceObject] = []
-            for index in range(self.objects_per_branch):
-                target = int(
-                    self.mean_object_size
-                    * (0.5 + rng.random())  # spread sizes around the mean
-                )
-                chunks: List[Chunk] = []
-                accumulated = 0
-                while accumulated < target:
-                    draw = rng.random()
-                    if draw < self.shared_fraction:
-                        chunk = self._pool_chunk(rng.randrange(self.shared_pool_size))
-                    elif draw < self.shared_fraction + self.local_redundancy and local_chunks:
-                        chunk = local_chunks[rng.randrange(len(local_chunks))]
-                    else:
-                        low = max(256, self.mean_chunk_size // 2)
-                        size = rng.randint(low, self.mean_chunk_size * 2)
-                        fingerprint = fingerprint_bytes(
-                            b"wanopt-branch-%d-%d-%d" % (self.seed, branch, next_local_id)
-                        )
-                        next_local_id += 1
-                        chunk = Chunk(fingerprint=fingerprint, size=size)
-                    local_chunks.append(chunk)
-                    chunks.append(chunk)
-                    accumulated += chunk.size
-                objects.append(
-                    TraceObject(
-                        object_id=branch * self.objects_per_branch + index,
-                        chunks=tuple(chunks),
-                    )
-                )
-            streams.append(objects)
-        return streams
+        """One object stream per branch, ``generate()[b]`` for branch ``b``.
 
-    def _generate_real(self) -> List[List[TraceObject]]:
-        """Real-payload mode: the same draw model, materialised as bytes.
-
-        Every draw that descriptor mode turns into a synthetic chunk becomes
-        a byte block here (shared pool / branch-local repeat / fresh random
-        bytes); the blocks are joined into one payload per object — the only
-        full copy the pipeline makes — and the payload is cut by the
-        optimized Rabin chunker into zero-copy ``memoryview`` chunks with
-        real SHA-1 fingerprints.
+        Every draw is a pool block, a repeat of one of this branch's earlier
+        draws, or fresh content: a :class:`Chunk` descriptor, or in
+        real-payload mode a byte block.  A real-payload object joins its
+        blocks into one payload (the only full copy the pipeline makes) and
+        cuts it with the Rabin chunker into zero-copy ``memoryview`` chunks
+        with real SHA-1 fingerprints.
         """
+        real = self.real_payloads
+        pool = self._pool_payload if real else self._pool_chunk
         chunker = RabinChunker(
             average_size=(
                 self.average_chunk_size
@@ -317,36 +263,42 @@ class BranchTraceGenerator:
                 else max(64, self.mean_chunk_size // 8)
             )
         )
+        low = max(256, self.mean_chunk_size // 2)
         streams: List[List[TraceObject]] = []
         for branch in range(self.num_branches):
             rng = random.Random(self.seed * 1_000_003 + branch)
-            local_blocks: List[bytes] = []
+            history: list = []
+            next_local_id = 0
             objects: List[TraceObject] = []
             for index in range(self.objects_per_branch):
+                # Spread sizes around the mean.
                 target = int(self.mean_object_size * (0.5 + rng.random()))
-                blocks: List[bytes] = []
+                draws: list = []
                 accumulated = 0
                 while accumulated < target:
                     draw = rng.random()
                     if draw < self.shared_fraction:
-                        block = self._pool_payload(rng.randrange(self.shared_pool_size))
-                    elif draw < self.shared_fraction + self.local_redundancy and local_blocks:
-                        block = local_blocks[rng.randrange(len(local_blocks))]
+                        piece = pool(rng.randrange(self.shared_pool_size))
+                    elif draw < self.shared_fraction + self.local_redundancy and history:
+                        piece = history[rng.randrange(len(history))]
+                    elif real:
+                        piece = rng.randbytes(rng.randint(low, self.mean_chunk_size * 2))
                     else:
-                        low = max(256, self.mean_chunk_size // 2)
-                        block = rng.randbytes(rng.randint(low, self.mean_chunk_size * 2))
-                    local_blocks.append(block)
-                    blocks.append(block)
-                    accumulated += len(block)
-                payload = b"".join(blocks)
-                chunks = tuple(
-                    Chunk(fingerprint=fingerprint_bytes(piece), size=len(piece), payload=piece)
-                    for piece in chunker.split(payload)
-                )
+                        size = rng.randint(low, self.mean_chunk_size * 2)
+                        fingerprint = fingerprint_bytes(
+                            b"wanopt-branch-%d-%d-%d" % (self.seed, branch, next_local_id)
+                        )
+                        next_local_id += 1
+                        piece = Chunk(fingerprint=fingerprint, size=size)
+                    history.append(piece)
+                    draws.append(piece)
+                    accumulated += len(piece) if real else piece.size
+                if real:
+                    draws = [chunk_from_bytes(piece) for piece in chunker.split(b"".join(draws))]
                 objects.append(
                     TraceObject(
                         object_id=branch * self.objects_per_branch + index,
-                        chunks=tuple(chunks),
+                        chunks=tuple(draws),
                     )
                 )
             streams.append(objects)

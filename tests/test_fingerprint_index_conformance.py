@@ -2,9 +2,10 @@
 
 The compression engine accepts *anything* satisfying the protocol — a single
 CLAM, the BDB-style external hash baseline, or a sharded, replicated
-:class:`~repro.service.cluster.ClusterService`.  These tests hold every
-implementation to the same contract, so the protocol methods are genuinely
-exercised rather than living as unexamined ``Protocol`` stubs:
+:class:`~repro.service.cluster.ClusterService`.  The protocol is the two
+batched calls the engine makes; these tests hold every implementation to
+them, and to agreement with the single-operation ``lookup``/``insert`` all of
+them also offer:
 
 * structural conformance (``isinstance`` against the runtime-checkable
   protocol);

@@ -86,12 +86,17 @@ class TestRealPayloadWanPipeline:
 
     def test_content_cache_can_reconstruct_chunks(self):
         clock = SimulationClock()
-        clam = CLAM(CLAMConfig.scaled(num_super_tables=4, buffer_capacity_items=64), storage=SSD(clock=clock))
+        clam = CLAM(
+            CLAMConfig.scaled(num_super_tables=4, buffer_capacity_items=64),
+            storage=SSD(clock=clock),
+        )
         cache = ContentCache(MagneticDisk(clock=clock))
         engine = CompressionEngine(index=clam, content_cache=cache)
-        objects = build_payload_objects(num_objects=2, object_size=16 * 1024, redundancy=0.0, seed=9)
+        objects = build_payload_objects(
+            num_objects=2, object_size=16 * 1024, redundancy=0.0, seed=9
+        )
         for obj in objects:
-            engine.process_object(obj)
+            engine.process_object_batched(obj)
         # Every unique chunk is retrievable from the cache byte-for-byte.
         for obj in objects:
             for chunk in obj.chunks:

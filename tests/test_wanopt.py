@@ -63,6 +63,16 @@ class TestSyntheticTraces:
         second = SyntheticTraceGenerator(num_objects=5, seed=6).generate()
         assert [o.chunks for o in first] == [o.chunks for o in second]
 
+    def test_repeated_calls_return_the_same_trace(self):
+        generator = SyntheticTraceGenerator(num_objects=5, seed=3)
+        first = generator.generate()
+        assert first[0].size_bytes == 256_601
+        assert [o.chunks for o in generator.generate()] == [o.chunks for o in first]
+        # With no argument the generator measures the trace callers get.
+        assert generator.measured_redundancy() == generator.measured_redundancy(
+            generator.generate()
+        )
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             SyntheticTraceGenerator(redundancy=1.0)
@@ -145,11 +155,14 @@ class TestLink:
 class TestCompressionEngine:
     def test_duplicate_chunks_are_compressed_away(self):
         clock = SimulationClock()
-        clam = CLAM(CLAMConfig.scaled(num_super_tables=4, buffer_capacity_items=64), storage=SSD(clock=clock))
+        clam = CLAM(
+            CLAMConfig.scaled(num_super_tables=4, buffer_capacity_items=64),
+            storage=SSD(clock=clock),
+        )
         engine = CompressionEngine(index=clam)
         objects = SyntheticTraceGenerator(redundancy=0.5, num_objects=40, seed=21).generate()
         for obj in objects:
-            engine.process_object(obj)
+            engine.process_object_batched(obj)
         assert engine.total_compressed_bytes < engine.total_original_bytes
         # With ~50% redundant bytes the overall ratio should approach 2.
         assert engine.overall_compression_ratio == pytest.approx(2.0, rel=0.25)
@@ -160,7 +173,7 @@ class TestCompressionEngine:
         engine = CompressionEngine(index=clam)
         objects = SyntheticTraceGenerator(redundancy=0.0, num_objects=5, seed=22).generate()
         for obj in objects:
-            result = engine.process_object(obj)
+            result = engine.process_object_batched(obj)
             assert result.chunks_matched == 0
             assert result.compressed_bytes == result.original_bytes
 
@@ -170,7 +183,7 @@ class TestCompressionEngine:
         cache = ContentCache(MagneticDisk(clock=clock))
         engine = CompressionEngine(index=clam, content_cache=cache)
         obj = SyntheticTraceGenerator(redundancy=0.0, num_objects=1, seed=23).generate()[0]
-        result = engine.process_object(obj)
+        result = engine.process_object_batched(obj)
         assert result.lookup_time_ms > 0
         assert result.insert_time_ms > 0
         assert result.cache_write_time_ms > 0
@@ -191,7 +204,10 @@ class TestWANOptimizerScenarios:
         fast_link, objects_fast = _clam_optimizer(link_mbps=2000.0, redundancy=0.5, num_objects=20)
         slow_result = slow_link.run_throughput_test(objects)
         fast_result = fast_link.run_throughput_test(objects_fast)
-        assert fast_result.effective_bandwidth_improvement < slow_result.effective_bandwidth_improvement
+        assert (
+            fast_result.effective_bandwidth_improvement
+            < slow_result.effective_bandwidth_improvement
+        )
 
     def test_clam_outperforms_bdb_at_moderate_link_speed(self):
         """The Figure 9 headline: at ~100 Mbps a CLAM-backed optimizer still
@@ -207,11 +223,18 @@ class TestWANOptimizerScenarios:
         link = Link(bandwidth_mbps=100.0, clock=clock)
         bdb_optimizer = WANOptimizer(engine=engine, link=link, clock=clock)
         bdb_objects = SyntheticTraceGenerator(
-            redundancy=0.5, num_objects=25, mean_object_size=64 * 1024, mean_chunk_size=8 * 1024, seed=13
+            redundancy=0.5,
+            num_objects=25,
+            mean_object_size=64 * 1024,
+            mean_chunk_size=8 * 1024,
+            seed=13,
         ).generate()
         bdb_result = bdb_optimizer.run_throughput_test(bdb_objects)
 
-        assert clam_result.effective_bandwidth_improvement > bdb_result.effective_bandwidth_improvement
+        assert (
+            clam_result.effective_bandwidth_improvement
+            > bdb_result.effective_bandwidth_improvement
+        )
         assert clam_result.effective_bandwidth_improvement > 1.2
         assert bdb_result.effective_bandwidth_improvement < 1.0
 

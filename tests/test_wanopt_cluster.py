@@ -4,8 +4,9 @@ Covers the contracts the new :mod:`repro.wanopt.topology` layer must hold:
 
 * **Equivalence** — compression decisions (compressed bytes, chunks matched,
   per-object outcomes) are bit-identical whether the fingerprint index is a
-  single CLAM or a 1-shard RF=1 :class:`ClusterService`, and whether the
-  engine runs sequentially or with per-object batched round trips.
+  single CLAM or a 1-shard RF=1 :class:`ClusterService`, and every index
+  kind follows the model: a chunk is sent as a reference iff its fingerprint
+  appeared earlier in the stream.
 * **Monotonicity** — sharing one cluster index across branches never lowers
   any branch's dedup hit rate relative to private per-branch indexes.
 * **Fault tolerance** — a shard killed mid-stream at RF=2 is failed over
@@ -21,6 +22,7 @@ import hashlib
 
 import pytest
 
+from repro.baselines import ExternalHashIndex
 from repro.core import CLAM, CLAMConfig
 from repro.core.errors import ConfigurationError
 from repro.service import ClusterService, FailureEvent, TrafficSimulator, TrafficSpec
@@ -73,31 +75,46 @@ class TestSingleClamClusterEquivalence:
             assert compression_signature(clam_result) == compression_signature(cluster_result)
         assert clam_engine.total_compressed_bytes == cluster_engine.total_compressed_bytes
 
-    def test_sequential_and_batched_decisions_identical(self):
-        objects = self._trace()
-        sequential = CompressionEngine(
-            index=CLAM(small_config(), storage=SSD(clock=SimulationClock()))
-        )
-        batched = CompressionEngine(
-            index=CLAM(small_config(), storage=SSD(clock=SimulationClock()))
-        )
-        for obj in objects:
-            seq_result = sequential.process_object(obj)
-            bat_result = batched.process_object_batched(obj)
-            assert compression_signature(seq_result) == compression_signature(bat_result)
+    def _assert_first_sight_model(self, index):
+        """A chunk is sent as a reference iff its fingerprint appeared earlier
+        in the stream, whichever object (this one included) it appeared in."""
+        engine = CompressionEngine(index=index)
+        seen: set = set()
+        repeats_within_an_object = 0
+        for obj in self._trace():
+            result = engine.process_object_batched(obj)
+            expected = []
+            for chunk in obj.chunks:
+                expected.append(chunk.fingerprint in seen)
+                seen.add(chunk.fingerprint)
+            repeats_within_an_object += obj.num_chunks - len({c.fingerprint for c in obj.chunks})
+            assert result.matched_flags == tuple(expected)
+            assert result.chunks_matched == sum(expected)
+            assert result.compressed_bytes == sum(
+                min(engine.reference_size, chunk.size) if matched else chunk.size
+                for chunk, matched in zip(obj.chunks, expected)
+            )
+        assert 0 < engine.total_compressed_bytes < engine.total_original_bytes
+        assert repeats_within_an_object > 0
 
-    def test_cluster_sequential_matches_cluster_batched(self):
-        objects = self._trace()
-        sequential = CompressionEngine(
-            index=ClusterService(num_shards=1, config=small_config())
+    def test_never_evicting_clam_follows_the_first_sight_model(self):
+        # Small buffers flush to flash, so lookups are answered from both
+        # tiers; 64 incarnations per table are more than the trace fills.
+        clam = CLAM(
+            CLAMConfig.scaled(
+                num_super_tables=4, buffer_capacity_items=16, incarnations_per_table=64
+            ),
+            storage=SSD(clock=SimulationClock()),
         )
-        batched = CompressionEngine(
-            index=ClusterService(num_shards=1, config=small_config())
-        )
-        for obj in objects:
-            seq_result = sequential.process_object(obj)
-            bat_result = batched.process_object_batched(obj)
-            assert compression_signature(seq_result) == compression_signature(bat_result)
+        self._assert_first_sight_model(clam)
+        assert clam.total_flushes > 0
+        assert clam.total_evictions == 0
+
+    def test_bdb_baseline_follows_the_first_sight_model(self):
+        self._assert_first_sight_model(ExternalHashIndex(SSD(clock=SimulationClock())))
+
+    def test_one_shard_cluster_follows_the_first_sight_model(self):
+        self._assert_first_sight_model(ClusterService(num_shards=1, config=small_config()))
 
 
 class TestCrossBranchDedupMonotonicity:

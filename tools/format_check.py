@@ -57,6 +57,9 @@ EXTRA_PATHS = (
     "tests/test_crash_recovery.py",
     "tests/test_config.py",
     "tests/test_chunk_cache.py",
+    "tests/test_wanopt.py",
+    "tests/test_integration.py",
+    "tests/test_fingerprint_index_conformance.py",
     "benchmarks/common.py",
     "benchmarks/bench_hotpath.py",
     "src/repro/baselines/disk_hash.py",
@@ -79,6 +82,7 @@ EXTRA_PATHS = (
     "src/repro/wanopt/engine.py",
     "src/repro/wanopt/network.py",
     "src/repro/wanopt/optimizer.py",
+    "src/repro/wanopt/traces.py",
     "src/repro/dedup/store.py",
     "src/repro/__init__.py",
     "src/repro/analysis/cost_efficiency.py",
