@@ -7,7 +7,9 @@ Each rule below had two bodies at ``38d90af`` — the overwriting page log
 has one now.  Every literal here was recorded by running this file at
 ``38d90af`` (``python tests/test_rules_golden.py`` prints a fresh table), so a
 pass says the single definition places, times and fails exactly as both old
-bodies did.  Regenerate only at the parent of a change that *means* to move a
+bodies did; the single-box throughput literals were re-recorded once since,
+when the single-box engine's timing moved on purpose (see
+``THROUGHPUT_GOLDENS``).  Regenerate only at the parent of a change that *means* to move a
 simulated address, latency or clock.
 """
 
