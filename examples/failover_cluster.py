@@ -40,8 +40,8 @@ def replica_placement() -> ClusterService:
     key = fingerprint_for(0)
     replicas = cluster.replicas_for(key)
     print(f"key 0 preference list: {replicas} (primary first)")
-    for shard_id in replicas:
-        held = cluster.shards[shard_id].lookup(key).found
+    for shard_id in replicas:  # ask each replica's CLAM directly
+        held = cluster.shards[shard_id].clam.lookup(key).found
         print(f"  {shard_id} holds a copy: {held}")
     print()
     return cluster
@@ -91,7 +91,7 @@ def recover(cluster: ClusterService, victim: str) -> None:
         1
         for i in range(1_000)
         if all(
-            cluster.shards[s].lookup(fingerprint_for(i)).found
+            cluster.shards[s].clam.lookup(fingerprint_for(i)).found
             for s in cluster.replicas_for(fingerprint_for(i))
         )
     )
@@ -111,13 +111,13 @@ def transient_failure_and_read_repair() -> None:
     cluster.lookup(fingerprint_for(0, namespace=b"detect"))  # trip the error counter
     cluster.insert(key, b"written-during-outage")  # lands on the survivor only
     cluster.heal_shard(primary)
-    print(f"{primary} healed; has the key: {cluster.shards[primary].lookup(key).found}")
+    print(f"{primary} healed; has the key: {cluster.shards[primary].clam.lookup(key).found}")
     hit = cluster.lookup(key)
     print(
         f"cluster lookup: found={hit.found}; read-repairs performed: "
         f"{cluster.read_repairs}"
     )
-    print(f"{primary} now has the key: {cluster.shards[primary].lookup(key).found}")
+    print(f"{primary} now has the key: {cluster.shards[primary].clam.lookup(key).found}")
     print()
 
 

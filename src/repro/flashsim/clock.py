@@ -21,27 +21,20 @@ _INF = float("inf")
 class SimulationClock:
     """A monotonically advancing clock measured in simulated milliseconds.
 
-    The clock only ever moves forward.  Devices call :meth:`advance` with the
+    The clock starts at 0 and only ever moves forward.  Devices call :meth:`advance` with the
     latency of each I/O; applications may also advance it directly to model
     computation or network transmission time.
     """
 
     __slots__ = ("_now_ms",)
 
-    def __init__(self, start_ms: float = 0.0) -> None:
-        if not 0.0 <= start_ms < _INF:
-            raise ValueError(f"start_ms must be finite and non-negative, not {start_ms!r}")
-        self._now_ms = float(start_ms)
+    def __init__(self) -> None:
+        self._now_ms = 0.0
 
     @property
     def now_ms(self) -> float:
         """Current simulated time in milliseconds."""
         return self._now_ms
-
-    @property
-    def now_s(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now_ms / 1000.0
 
     def advance(self, delta_ms: float) -> float:
         """Advance the clock by ``delta_ms`` milliseconds and return the new time.
@@ -52,12 +45,6 @@ class SimulationClock:
             raise ValueError(f"cannot advance clock by {delta_ms!r}: not finite and non-negative")
         self._now_ms += delta_ms
         return self._now_ms
-
-    def reset(self, to_ms: float = 0.0) -> None:
-        """Reset the clock, typically between independent experiment runs."""
-        if not 0.0 <= to_ms < _INF:
-            raise ValueError(f"to_ms must be finite and non-negative, not {to_ms!r}")
-        self._now_ms = float(to_ms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimulationClock(now_ms={self._now_ms:.3f})"
@@ -70,7 +57,7 @@ class ClockEnsemble:
     clock; the shards operate *in parallel*, so the cluster-level notion of
     elapsed time is the slowest member (``now_ms`` is the max), while the total
     work performed is the sum of member times (``busy_ms``).  The ensemble
-    satisfies the same ``now_ms``/``now_s`` reading interface as a single
+    satisfies the same ``now_ms`` reading interface as a single
     clock, which lets :class:`repro.workloads.runner.WorkloadRunner` report a
     simulated duration for a whole cluster unchanged.
 
@@ -94,11 +81,6 @@ class ClockEnsemble:
             + [clock.now_ms for clock in self._clocks]
             + [clock.now_ms for clock in self._retired]
         )
-
-    @property
-    def now_s(self) -> float:
-        """Cluster time in seconds."""
-        return self.now_ms / 1000.0
 
     @property
     def busy_ms(self) -> float:

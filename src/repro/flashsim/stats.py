@@ -47,8 +47,7 @@ class IOStats:
     The aggregates are one slotted :class:`KindTotals` per kind, never
     replaced: a device binds the record of its page reads at construction and
     folds each read into it in its own frame (five per-kind dicts cost ten
-    ``dict.get``/set per I/O, two calls down).  ``op_counts`` and
-    ``sequential_counts`` are read-only dict views of the records.
+    ``dict.get``/set per I/O, two calls down).
     """
 
     totals: Dict[IOKind, KindTotals] = field(
@@ -65,17 +64,6 @@ class IOStats:
             totals.max_latency_ms = latency_ms
         if sequential:
             totals.sequential += 1
-
-    # -- Per-kind views ----------------------------------------------------------
-
-    def _view(self, name: str, shown: str = "ops") -> dict:
-        """``{kind: total}`` over the kinds with something to show, as the dict
-        this replaced held it: any operation, or for the maximum a positive
-        latency and for the sequential count a sequential operation."""
-        return {k: getattr(t, name) for k, t in self.totals.items() if getattr(t, shown)}
-
-    op_counts = property(lambda self: self._view("ops"))
-    sequential_counts = property(lambda self: self._view("sequential", "sequential"))
 
     # -- Convenience accessors -------------------------------------------------
 
@@ -105,14 +93,6 @@ class IOStats:
     def max_latency_ms(self, kind: IOKind) -> float:
         """Worst observed latency of operations of ``kind``."""
         return self.totals[kind].max_latency_ms
-
-    def reset(self) -> None:
-        """Forget all recorded operations.
-
-        Zeroes the per-kind records in place: devices hold them bound.
-        """
-        for totals in self.totals.values():
-            totals.__init__()
 
     def snapshot(self) -> Dict[str, float]:
         """A flat dictionary summary, convenient for printing bench tables."""

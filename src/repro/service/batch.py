@@ -54,7 +54,7 @@ DIRECTED_OP_MS = DEFAULT_DISPATCH_OVERHEAD_MS + DEFAULT_ROUTING_COST_MS
 
 #: Bound once: a member read off the enum class resolves through its
 #: metaclass, and the routing and gather loops compare kinds once per key.
-_LOOKUP, _INSERT, _DELETE = OpKind.LOOKUP, OpKind.INSERT, OpKind.DELETE
+_LOOKUP, _INSERT = OpKind.LOOKUP, OpKind.INSERT
 
 
 @dataclass
@@ -64,15 +64,10 @@ class ShardBatchStats:
     shard_id: str
     operations: int = 0
     lookups: int = 0
-    inserts: int = 0
-    updates: int = 0
-    deletes: int = 0
     lookup_hits: int = 0
     busy_ms: float = 0.0
     dispatch_ms: float = 0.0
     routing_ms: float = 0.0
-    flash_reads: int = 0
-    flash_writes: int = 0
 
     @property
     def total_ms(self) -> float:
@@ -504,12 +499,10 @@ class BatchExecutor:
         if error_code == wire.ERR_UNEXPECTED:
             raise WireProtocolError(f"shard {shard_id}: {message}")
         kinds, placement, results, again = run.kinds, run.placement, run.batch.results, run.again
-        lookups = hits = inserts = updates = deletes = flash_reads = flash_writes = 0
+        lookups = hits = 0
         for index, retry, result in zip(positions, retries or _NO_RETRIES, answers):
-            kind = kinds[index]
-            if kind is _LOOKUP:
+            if kinds[index] is _LOOKUP:
                 lookups += 1
-                flash_reads += result.flash_reads
                 if result.value is not None:
                     hits += 1
                     results[index] = result
@@ -528,15 +521,6 @@ class BatchExecutor:
                     if len(retry.attempted) < len(placement[index].replicas):
                         again.append(retry)
                 continue
-            if kind is _DELETE:
-                deletes += 1
-            else:
-                if kind is _INSERT:
-                    inserts += 1
-                else:
-                    updates += 1
-                flash_reads += result.flash_reads
-                flash_writes += result.flash_writes
             # A replica's record stands in for a failed primary's.
             primary = placement[index].primary == shard_id if retry is None else retry.primary
             if primary or results[index] is None:
@@ -544,8 +528,6 @@ class BatchExecutor:
         stats.busy_ms = busy_ms
         stats.operations = len(answers)
         stats.lookups, stats.lookup_hits = lookups, hits
-        stats.inserts, stats.updates, stats.deletes = inserts, updates, deletes
-        stats.flash_reads, stats.flash_writes = flash_reads, flash_writes
         if error_code == wire.ERR_DEVICE_FAILED or len(answers) < len(positions):
             self._leave_behind(shard_id, sub_batch, len(answers), run, shard_failed=True)
         self._merge_shard_stats(run.batch, stats)

@@ -167,7 +167,7 @@ class ChaosTransport:
 
     Duck-types the small socket surface :class:`~repro.service.parallel.
     RemoteShard` uses — ``sendall``/``recv``/``settimeout``/``gettimeout``/
-    ``close``/``fileno`` — so it can be slid under an existing proxy (and
+    ``close`` — so it can be slid under an existing proxy (and
     slid back out) without the proxy noticing.  See the module docstring for
     the fault taxonomy; determinism comes from one ``random.Random(seed)``
     consuming exactly one draw per unscripted frame.
@@ -200,10 +200,6 @@ class ChaosTransport:
     def injected_faults(self) -> int:
         """How many faults this transport has injected so far."""
         return self._injected
-
-    @property
-    def hung(self) -> bool:
-        return self._hung
 
     def heal(self) -> None:
         """Un-wedge a hung transport (frames swallowed while hung stay lost)."""
@@ -352,9 +348,6 @@ class ChaosTransport:
 
     def gettimeout(self) -> Optional[float]:
         return self.raw.gettimeout()
-
-    def fileno(self) -> int:
-        return self.raw.fileno()
 
     def close(self) -> None:
         self.raw.close()

@@ -72,6 +72,19 @@ def imbalance_factor(loads: Iterable[float]) -> float:
     return max(loads) / (total / len(loads))
 
 
+def hot_shards(loads: Dict[str, float], threshold: float) -> List[str]:
+    """Shards whose load exceeds ``threshold`` times the mean load, sorted.
+
+    An idle fleet (mean load 0 or less) has no hot shard.
+    """
+    if not loads:
+        return []
+    mean = sum(loads.values()) / len(loads)
+    if mean <= 0:
+        return []
+    return sorted(shard_id for shard_id, load in loads.items() if load > threshold * mean)
+
+
 class ClusterStats:
     """Merged statistics over every shard of a :class:`ClusterService`."""
 
@@ -655,7 +668,7 @@ class ClusterService:
         if self.migration is not None:
             raise ConfigurationError(
                 f"{operation} rejected: cluster membership is frozen while a "
-                "key migration is in flight (drain or abort it first)"
+                "key migration is in flight (drain it first)"
             )
 
     def close(self) -> None:

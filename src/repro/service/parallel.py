@@ -139,10 +139,6 @@ class _MirrorClock:
     def now_ms(self) -> float:
         return self._now_ms + self._pending_ms
 
-    @property
-    def now_s(self) -> float:
-        return self.now_ms / 1000.0
-
     def advance(self, delta_ms: float) -> float:
         if delta_ms < 0:
             raise ValueError(f"cannot advance clock by negative amount {delta_ms!r}")
@@ -169,7 +165,7 @@ def _handle_batch(shard: LocalShard, payload: bytes) -> bytes:
     """Execute one batch frame against the worker's shard."""
     advance_ms, operations = wire.decode_batch_request(payload)
     try:
-        results, error_code, message, busy_ms = apply_batch(shard, advance_ms, operations)
+        results, error_code, message, busy_ms = apply_batch(shard.clam, advance_ms, operations)
     except Exception as error:  # surfaced to the parent as a typed code
         results, error_code, busy_ms = [], wire.ERR_UNEXPECTED, 0.0
         message = f"{type(error).__name__}: {error}"
@@ -329,10 +325,10 @@ class RemoteShard:
     """Parent-side proxy for one shard worker process.
 
     Implements the shard interface of :mod:`repro.service.shard` over the
-    wire: batches as one frame each way (the ``HashIndex`` methods, kept for
-    inspection, are one-operation batch frames), everything else as control
-    frames.  On top of the interface it exposes what only a process has:
-    ``pid``, ``alive``, ``kill()``, ``cpu_seconds()``.
+    wire: batches as one frame each way, everything else as control frames.
+    On top of the interface it exposes what only a process has: ``pid``,
+    ``alive``, ``kill()``, ``cpu_seconds()``, and ``lookup(key)``, one lookup
+    as its own one-operation round trip (the cost of a single frame exchange).
 
     Transport failures (EOF, broken pipe) mark the proxy dead and raise
     :class:`~repro.core.errors.WorkerDiedError` so callers handle a dead
@@ -608,25 +604,12 @@ class RemoteShard:
         self.clock.sync(clock_ms)
         return results, error_code, message, busy_ms
 
-    def _one(self, kind: OpKind, key, value: bytes):
-        self.send_batch([(kind, key, value)])
+    def lookup(self, key):
+        """One lookup as a one-operation batch frame each way."""
+        self.send_batch([(OpKind.LOOKUP, key, b"")])
         results, error_code, message, _busy_ms = self.recv_batch()
         wire.raise_for_code(error_code, f"shard {self.shard_id}: {message}")
         return results[0]
-
-    # -- HashIndex interface -----------------------------------------------------------
-
-    def lookup(self, key):
-        return self._one(OpKind.LOOKUP, key, b"")
-
-    def insert(self, key, value):
-        return self._one(OpKind.INSERT, key, value)
-
-    def update(self, key, value):
-        return self._one(OpKind.UPDATE, key, value)
-
-    def delete(self, key):
-        return self._one(OpKind.DELETE, key, b"")
 
     def live_keys(self) -> List[bytes]:
         """The worker's key scan: one control request, clocked like a batch."""

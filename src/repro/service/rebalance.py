@@ -52,7 +52,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.core.errors import ConfigurationError, DeviceFailedError, ShardUnavailableError
 from repro.core.hashing import KeyLike, ring_position
 from repro.service.batch import DIRECTED_OP_MS
-from repro.service.cluster import ClusterService, imbalance_factor
+from repro.service.cluster import ClusterService, hot_shards, imbalance_factor
 from repro.service.router import RING_SPACE, HandoffStats, ShardRouter
 from repro.workloads.workload import OpKind
 
@@ -641,44 +641,6 @@ class KeyMigrator:
         self.reports.append(report)
         return report
 
-    def abort(self) -> None:
-        """Undo an in-flight migration that has not cut any arc over yet.
-
-        Scrubs the copies already streamed to the new owners (so an aborted
-        scale-out cannot resurrect deleted keys later), restores the old ring
-        and, for a scale-out, decommissions the half-joined shard.  Once an
-        arc has cut over its old copies are gone — the migration can only be
-        drained forward from there.  A recovery is never undone: its shards
-        have already left the cluster.
-        """
-        state = self._require_active()
-        if self._direction == "recovery":
-            raise ConfigurationError("cannot abort a recovery; drain it with run_to_completion")
-        if any(arc.state is ArcState.DONE for arc in state.arcs):
-            raise ConfigurationError(
-                "cannot abort: an arc already cut over (its old copies are "
-                "retired); drain the migration with run_to_completion instead"
-            )
-        cluster = self.cluster
-        scrubbed = self._delete_keys(
-            (arc, target)
-            for arc in state.arcs
-            for target in arc.new_replicas
-            if target not in arc.old_replicas
-        )
-        cluster.migration = None
-        self._state = None
-        if self._direction == "scale-out":
-            cluster.remove_shard(self._subject)
-        else:
-            cluster.router.add_shard(self._subject)
-        cluster.events.record(
-            "migration_aborted",
-            direction=self._direction,
-            shard=self._subject,
-            keys_scrubbed=sum(scrubbed.values()),
-        )
-
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
@@ -775,16 +737,9 @@ class AutoscalePolicy:
         live_loads = {
             shard_id: load for shard_id, load in loads.items() if self.cluster.is_live(shard_id)
         }
-        if not live_loads:
+        if sum(live_loads.values()) <= 0:  # idle since the last evaluation
             return None
-        mean = sum(live_loads.values()) / len(live_loads)
-        if mean <= 0:
-            return None
-        hot = sorted(
-            shard_id
-            for shard_id, load in live_loads.items()
-            if load > config.hot_shard_threshold * mean
-        )
+        hot = hot_shards(live_loads, config.hot_shard_threshold)
         num_shards = len(self.cluster.router)
         decision: Optional[AutoscaleDecision] = None
         if hot and num_shards < config.max_shards:

@@ -68,11 +68,6 @@ class RecoveryReport:
     #: Keys each surviving shard gained during re-replication.
     keys_gained: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def complete(self) -> bool:
-        """Whether every affected key and every arc kept at least one copy."""
-        return self.keys_lost == 0 and self.lost_fraction == 0
-
 
 class RecoveryCoordinator:
     """Detects failed shards and restores replication on the survivors.

@@ -10,9 +10,6 @@ whichever side of a process boundary it lives on:
     the scatter and gather halves of one sub-batch, the latter returning
     ``(results, error_code, message, busy_ms)`` — the only way the cluster
     reads or writes a shard, client batches and its own maintenance alike;
-``lookup`` / ``insert`` / ``update`` / ``delete``
-    the :class:`~repro.workloads.runner.HashIndex` operations as
-    one-operation batches, kept for inspecting a single shard;
 ``live_keys()``
     every key the shard still owes, the scan a migration seeds its queues from;
 ``counters()``, ``telemetry_registry()``, ``recovery_report``
@@ -50,9 +47,9 @@ BatchAnswer = Tuple[List[object], int, str, float]
 
 
 def apply_batch(
-    index, advance_ms: float, operations: Sequence[Tuple[OpKind, object, bytes]]
+    clam: CLAM, advance_ms: float, operations: Sequence[Tuple[OpKind, object, bytes]]
 ) -> BatchAnswer:
-    """Run ``(kind, key, value)`` triples against one shard, in order.
+    """Run ``(kind, key, value)`` triples against one shard's CLAM, in order.
 
     ``advance_ms`` (dispatch and routing overhead accrued by the caller) is
     charged to the shard's clock first.  A
@@ -60,25 +57,27 @@ def apply_batch(
     reported as ``wire.ERR_DEVICE_FAILED`` with the results so far; anything
     else is a bug and propagates.
     """
-    clock = index.clock
+    clock = clam.clock
     if advance_ms:
         clock.advance(advance_ms)
     started_ms = clock.now_ms
     results: List[object] = []
     error_code = wire.ERR_NONE
     message = ""
-    # Bound once: a member read off the enum class resolves through its metaclass.
-    lookup, insert, update, delete = OpKind.LOOKUP, OpKind.INSERT, OpKind.UPDATE, OpKind.DELETE
+    # Bound once per batch: a member read off the enum class resolves through
+    # its metaclass, and a method read off the CLAM builds a bound method.
+    LOOKUP, INSERT, UPDATE, DELETE = OpKind.LOOKUP, OpKind.INSERT, OpKind.UPDATE, OpKind.DELETE
+    lookup, insert, update, delete = clam.lookup, clam.insert, clam.update, clam.delete
     try:
         for kind, key, value in operations:
-            if kind is lookup:
-                results.append(index.lookup(key))
-            elif kind is insert:
-                results.append(index.insert(key, value))
-            elif kind is update:
-                results.append(index.update(key, value))
-            elif kind is delete:
-                results.append(index.delete(key))
+            if kind is LOOKUP:
+                results.append(lookup(key))
+            elif kind is INSERT:
+                results.append(insert(key, value))
+            elif kind is UPDATE:
+                results.append(update(key, value))
+            elif kind is DELETE:
+                results.append(delete(key))
             else:
                 raise ValueError(f"unknown operation kind {kind!r}")
     except DeviceFailedError as error:
@@ -90,8 +89,7 @@ def apply_batch(
 class LocalShard:
     """An in-process shard: the interface above around one CLAM.
 
-    The four hash operations are the CLAM's own bound methods.  A sub-batch
-    runs when its answer is gathered, not when it is sent, so the executor's
+    A sub-batch runs when its answer is gathered, not when it is sent, so the executor's
     ``shard.batch`` span encloses the CLAM and device spans of its operations.
     """
 
@@ -116,10 +114,6 @@ class LocalShard:
             self.clam = CLAM(config, storage=storage, clock=SimulationClock())
         self.shard_id = shard_id
         self.clock = self.clam.clock
-        self.lookup = self.clam.lookup
-        self.insert = self.clam.insert
-        self.update = self.clam.update
-        self.delete = self.clam.delete
         self.counters = self.clam.counters
         self._pending: Optional[Sequence[Tuple[OpKind, object, bytes]]] = None
 
@@ -133,7 +127,7 @@ class LocalShard:
         """Run the pending sub-batch (a local answer never stalls, so the
         hedge window is ignored)."""
         operations, self._pending = self._pending, None
-        return apply_batch(self, 0.0, operations)
+        return apply_batch(self.clam, 0.0, operations)
 
     def live_keys(self) -> List[bytes]:
         """Every key a lookup would find, sorted: the buffers and the FIFO

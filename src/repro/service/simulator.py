@@ -10,10 +10,10 @@ models M such clients over one :class:`~repro.service.cluster.ClusterService`:
   and therefore a few hot shards — dominate, exactly the skew that makes
   load balancing interesting.
 * Clients submit fixed-size batches; each batch's simulated completion time
-  (the :class:`~repro.service.batch.BatchResult` makespan plus think time)
-  advances that client's private timeline.  The client with the earliest
-  timeline goes next, so submission interleaving emerges from the latencies
-  themselves rather than a fixed round-robin.
+  (the :class:`~repro.service.batch.BatchResult` makespan) advances that
+  client's private timeline, where its next request starts.  The client with
+  the earliest timeline goes next, so submission interleaving emerges from
+  the latencies themselves rather than a fixed round-robin.
 * The report aggregates per-client and per-shard load, end-to-end request
   latency percentiles, and flags **hot shards** whose share of operations
   exceeds ``hot_shard_threshold`` times the mean.
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError, ShardUnavailableError
-from repro.service.cluster import ClusterService, imbalance_factor
+from repro.service.cluster import ClusterService, hot_shards, imbalance_factor
 from repro.service.rebalance import AutoscaleDecision, AutoscalePolicy, KeyMigrator, MigrationReport
 from repro.service.recovery import RecoveryCoordinator, RecoveryReport
 from repro.workloads.keygen import ZipfKeyGenerator, fingerprint_for
@@ -71,8 +71,6 @@ class TrafficSpec:
         Distinct keys the Zipf generator draws from.
     zipf_skew:
         Zipf exponent; higher values concentrate traffic on fewer keys.
-    think_time_ms:
-        Simulated client-side pause between a response and the next request.
     hot_shard_threshold:
         A shard is flagged hot when its operation share exceeds this multiple
         of the mean per-shard share.
@@ -87,7 +85,6 @@ class TrafficSpec:
     update_fraction: float = 0.1
     key_space: int = 5_000
     zipf_skew: float = 1.1
-    think_time_ms: float = 0.0
     hot_shard_threshold: float = 1.5
     seed: int = 42
 
@@ -108,8 +105,6 @@ class TrafficSpec:
             raise ValueError("key_space must be positive")
         if self.zipf_skew <= 0:
             raise ValueError("zipf_skew must be positive")
-        if self.think_time_ms < 0:
-            raise ValueError("think_time_ms must be non-negative")
         if self.hot_shard_threshold < 1.0:
             raise ValueError("hot_shard_threshold must be at least 1")
 
@@ -455,10 +450,7 @@ class TrafficSimulator:
                     report.lookup_hits += stats.lookup_hits
             remaining[client_id] -= 1
             if remaining[client_id] > 0:
-                heapq.heappush(
-                    ready,
-                    (client_report.finish_time_ms + spec.think_time_ms, client_id),
-                )
+                heapq.heappush(ready, (client_report.finish_time_ms, client_id))
 
         fire_due_events(pending, math.inf, fire, report)
 
@@ -484,12 +476,4 @@ class TrafficSimulator:
             shard_id: operations - baseline.get(shard_id, 0.0)
             for shard_id, operations in self.cluster.stats.operations_per_shard().items()
         }
-        if not loads:
-            return []
-        mean = sum(loads.values()) / len(loads)
-        if mean == 0:
-            return []
-        threshold = self.spec.hot_shard_threshold * mean
-        return sorted(
-            shard_id for shard_id, operations in loads.items() if operations > threshold
-        )
+        return hot_shards(loads, self.spec.hot_shard_threshold)

@@ -3,8 +3,8 @@
 Three coordinated pieces, all running on the simulated clock:
 
 * :mod:`repro.telemetry.registry` — counters, gauges and mergeable
-  fixed-bucket latency histograms (:class:`MetricsRegistry`), with JSON and
-  Prometheus-text exporters.  Enabled per shard via
+  fixed-bucket latency histograms (:class:`MetricsRegistry`), with a JSON
+  snapshot exporter.  Enabled per shard via
   ``CLAMConfig(telemetry_enabled=True)``; the hot path is untouched when
   disabled.
 * :mod:`repro.telemetry.trace` — span tracing (:class:`Tracer`) threaded

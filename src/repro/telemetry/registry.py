@@ -5,8 +5,7 @@ per-operation I/O counts (Figures 4-7, Table 2).  This module is the
 substrate those numbers flow through: every shard owns a
 :class:`MetricsRegistry`, histograms over the simulated clock's millisecond
 time base are **mergeable** across shards (bucket-wise addition over a shared
-set of boundaries), and the whole registry exports as a JSON snapshot or a
-Prometheus text dump.
+set of boundaries), and the whole registry exports as a JSON snapshot.
 
 Design constraints, in order:
 
@@ -29,7 +28,6 @@ Design constraints, in order:
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -249,14 +247,6 @@ class LatencyHistogram:
         return data
 
 
-def _prometheus_name(name: str) -> str:
-    """Sanitise a metric name into the Prometheus charset."""
-    cleaned = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-    if cleaned and cleaned[0].isdigit():
-        cleaned = "_" + cleaned
-    return cleaned
-
-
 class MetricsRegistry:
     """Named counters, gauges and histograms with get-or-create accessors."""
 
@@ -334,30 +324,3 @@ class MetricsRegistry:
                 for name, h in sorted(self._histograms.items())
             },
         }
-
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """Prometheus text exposition format (for process-per-shard scraping).
-
-        Histograms use the standard cumulative ``_bucket{le=...}`` encoding so
-        a real Prometheus server could compute the same quantiles we report.
-        """
-        lines: List[str] = []
-        for name, counter in sorted(self._counters.items()):
-            metric = f"{prefix}_{_prometheus_name(name)}"
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {counter.value:g}")
-        for name, gauge in sorted(self._gauges.items()):
-            metric = f"{prefix}_{_prometheus_name(name)}"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {gauge.value:g}")
-        for name, histogram in sorted(self._histograms.items()):
-            metric = f"{prefix}_{_prometheus_name(name)}"
-            lines.append(f"# TYPE {metric} histogram")
-            cumulative = 0
-            for edge, bucket_count in zip(histogram.boundaries, histogram.counts):
-                cumulative += bucket_count
-                lines.append(f'{metric}_bucket{{le="{edge:g}"}} {cumulative}')
-            lines.append(f'{metric}_bucket{{le="+Inf"}} {histogram.count}')
-            lines.append(f"{metric}_sum {histogram.sum:g}")
-            lines.append(f"{metric}_count {histogram.count}")
-        return "\n".join(lines) + "\n"

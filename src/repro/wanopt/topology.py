@@ -121,10 +121,6 @@ class DedupReceiver:
         self.chunks_checked = 0
         self.chunks_lost = 0
 
-    def holds(self, fingerprint: bytes) -> bool:
-        """Whether a literal copy of this chunk has arrived."""
-        return fingerprint in self._store
-
     def receive(
         self, obj: TraceObject, result: Optional[ObjectCompressionResult]
     ) -> Tuple[bool, int]:

@@ -81,8 +81,10 @@ class SyntheticTraceGenerator:
             raise ValueError("redundancy must be in [0, 1)")
         if self.num_objects <= 0:
             raise ValueError("num_objects must be positive")
-        if self.mean_object_size <= 0 or self.mean_chunk_size <= 0:
-            raise ValueError("sizes must be positive")
+        if self.mean_object_size < 4:  # a quarter of it must be a positive size
+            raise ValueError("mean_object_size must be at least 4")
+        if self.mean_chunk_size < 128:  # twice it must reach the 256-byte floor
+            raise ValueError("mean_chunk_size must be at least 128")
         if self.locality_window <= 0:
             raise ValueError("locality_window must be positive")
 
@@ -202,8 +204,8 @@ class BranchTraceGenerator:
     def __post_init__(self) -> None:
         if self.num_branches <= 0 or self.objects_per_branch <= 0:
             raise ValueError("num_branches and objects_per_branch must be positive")
-        if self.mean_object_size <= 0 or self.mean_chunk_size <= 0:
-            raise ValueError("sizes must be positive")
+        if self.mean_object_size <= 0 or self.mean_chunk_size < 128:  # chunks are >= 256 B
+            raise ValueError("mean_object_size must be positive, mean_chunk_size at least 128")
         if not 0.0 <= self.shared_fraction <= 1.0:
             raise ValueError("shared_fraction must be in [0, 1]")
         if not 0.0 <= self.local_redundancy <= 1.0:

@@ -30,7 +30,6 @@ from repro.workloads.workload import (
 )
 from repro.workloads.metrics import LatencySummary, summarize_latencies, cdf_points, ccdf_points
 from repro.workloads.runner import (
-    BatchHashIndex,
     HashIndex,
     RunReport,
     WorkloadRunner,
@@ -55,6 +54,5 @@ __all__ = [
     "RunReport",
     "WorkloadRunner",
     "HashIndex",
-    "BatchHashIndex",
     "apply_operation",
 ]

@@ -7,7 +7,6 @@ raw per-operation latency samples into exactly those forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -66,7 +65,8 @@ def cdf_points(samples: Sequence[float], num_points: int = 50) -> List[Tuple[flo
 
 def ccdf_points(samples: Sequence[float], num_points: int = 50) -> List[Tuple[float, float]]:
     """(latency, complementary cumulative fraction) pairs (Figure 8a)."""
-    return [(latency, max(0.0, 1.0 - fraction)) for latency, fraction in cdf_points(samples, num_points)]
+    points = cdf_points(samples, num_points)
+    return [(latency, max(0.0, 1.0 - fraction)) for latency, fraction in points]
 
 
 def fraction_at_or_below(samples: Sequence[float], threshold_ms: float) -> float:
@@ -74,11 +74,3 @@ def fraction_at_or_below(samples: Sequence[float], threshold_ms: float) -> float
     if not samples:
         raise ValueError("cannot evaluate an empty sample set")
     return sum(1 for value in samples if value <= threshold_ms) / len(samples)
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean, used for summarising improvement factors across objects."""
-    data = [value for value in values if value > 0]
-    if not data:
-        raise ValueError("geometric_mean requires at least one positive value")
-    return math.exp(sum(math.log(value) for value in data) / len(data))

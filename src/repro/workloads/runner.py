@@ -33,18 +33,6 @@ class HashIndex(Protocol):
         ...
 
 
-class BatchHashIndex(HashIndex, Protocol):
-    """A hash index that can additionally execute grouped batches.
-
-    :class:`repro.service.cluster.ClusterService` is the canonical
-    implementation; ``execute_batch`` returns an object exposing ``results``
-    (per-operation result records in submission order).
-    """
-
-    def execute_batch(self, operations):  # pragma: no cover - protocol
-        ...
-
-
 def apply_operation(index: HashIndex, operation: Operation):
     """Dispatch one workload operation to ``index`` and return its result record.
 
@@ -160,7 +148,8 @@ class WorkloadRunner:
     def run_batched(self, operations: Iterable[Operation], batch_size: int = 64) -> RunReport:
         """Execute ``operations`` in fixed-size batches via ``execute_batch``.
 
-        Requires the index to satisfy :class:`BatchHashIndex` (e.g. a
+        Requires an index with ``execute_batch`` returning an object whose
+        ``results`` are in submission order (e.g. a
         :class:`repro.service.cluster.ClusterService`).  Per-operation results
         are folded into the same :class:`RunReport` shape as :meth:`run`, so
         sequential and batched executions of one workload compare directly.

@@ -16,6 +16,19 @@ from repro.flashsim import (
     TRANSCEND_SSD_PROFILE,
 )
 from repro.flashsim.device import DeviceGeometry
+from repro.service import wire
+from repro.workloads.workload import OpKind
+
+
+def shard_op(shard, kind: OpKind, key, value: bytes = b""):
+    """One operation on one shard of a cluster, sent the way the cluster
+    sends it: a one-operation sub-batch through ``send_batch`` /
+    ``recv_batch``.  A device failure the shard reports raises
+    :class:`~repro.core.errors.DeviceFailedError`."""
+    shard.send_batch([(kind, key, value)])
+    results, error_code, message, _busy_ms = shard.recv_batch()
+    wire.raise_for_code(error_code, f"shard {shard.shard_id}: {message}")
+    return results[0]
 
 
 @pytest.fixture

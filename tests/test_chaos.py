@@ -25,6 +25,7 @@ import zlib
 
 import pytest
 
+from conftest import shard_op
 from repro.core import CLAMConfig
 from repro.core.errors import (
     ConfigurationError,
@@ -193,7 +194,8 @@ class TestChaosTransport:
             wire.send_frame(sender, wire.FRAME_CONTROL_REQUEST, b"lost", seq=1)
             with pytest.raises(socket.timeout):
                 wire.recv_frame(transport)
-            assert transport.hung
+            with pytest.raises(socket.timeout):  # still wedged, unlike a drop
+                wire.recv_frame(transport)
             transport.heal()
             # The wedged frame stays lost (exactly like a real outage); a
             # resend goes through.
@@ -208,11 +210,12 @@ class TestChaosTransport:
         try:
             receiver.settimeout(0.05)
             wire.send_frame(transport, wire.FRAME_CONTROL_REQUEST, b"gone", seq=1)
-            assert transport.hung
+            # Still wedged, unlike a drop: the next frame is swallowed too.
+            wire.send_frame(transport, wire.FRAME_CONTROL_REQUEST, b"gone too", seq=2)
             with pytest.raises(TimeoutError):
                 wire.recv_frame(receiver)
             transport.heal()
-            wire.send_frame(transport, wire.FRAME_CONTROL_REQUEST, b"back", seq=2)
+            wire.send_frame(transport, wire.FRAME_CONTROL_REQUEST, b"back", seq=3)
             assert wire.recv_frame(receiver)[2] == b"back"
         finally:
             receiver.close()
@@ -341,9 +344,9 @@ class TestRemoteShardResilience:
         )
         try:
             shard = harness.shard
-            shard.insert(b"key", b"value")
+            shard_op(shard, OpKind.INSERT, b"key", b"value")
             shard._sock = ChaosTransport(shard._sock, ChaosSchedule(script={0: "drop"}))
-            result = shard.lookup(b"key")
+            result = shard_op(shard, OpKind.LOOKUP, b"key")
             assert result.found and result.value == b"value"
             assert "rpc_timeout" in harness.kinds()
             assert "rpc_retry" in harness.kinds()
@@ -358,10 +361,10 @@ class TestRemoteShardResilience:
         )
         try:
             shard = harness.shard
-            shard.insert(b"key", b"value")
+            shard_op(shard, OpKind.INSERT, b"key", b"value")
             # Frame 0 is the request send, frame 1 the corrupted response.
             shard._sock = ChaosTransport(shard._sock, ChaosSchedule(script={1: "corrupt"}))
-            result = shard.lookup(b"key")
+            result = shard_op(shard, OpKind.LOOKUP, b"key")
             assert result.found and result.value == b"value"
             assert ("rpc_retry", {"attempt": 1, "reason": "corrupt"}) in harness.events
         finally:
@@ -371,12 +374,12 @@ class TestRemoteShardResilience:
         harness = _ShardHarness(cluster_config)
         try:
             shard = harness.shard
-            shard.insert(b"key", b"value")
+            shard_op(shard, OpKind.INSERT, b"key", b"value")
             shard._sock = ChaosTransport(shard._sock, ChaosSchedule(script={1: "duplicate"}))
-            assert shard.lookup(b"key").value == b"value"
+            assert shard_op(shard, OpKind.LOOKUP, b"key").value == b"value"
             # The stale duplicate sits in the receive buffer; the next
             # exchange must skip it by sequence number, not mis-match it.
-            assert shard.lookup(b"key").value == b"value"
+            assert shard_op(shard, OpKind.LOOKUP, b"key").value == b"value"
             assert harness.events == []  # discard is silent, not a retry
         finally:
             harness.close()
@@ -388,11 +391,11 @@ class TestRemoteShardResilience:
         )
         try:
             shard = harness.shard
-            shard.insert(b"key", b"value")
+            shard_op(shard, OpKind.INSERT, b"key", b"value")
             os.kill(shard.pid, signal.SIGSTOP)
             started = time.monotonic()
             with pytest.raises(WorkerStalledError):
-                shard.lookup(b"key")
+                shard_op(shard, OpKind.LOOKUP, b"key")
             elapsed = time.monotonic() - started
             assert elapsed < 5.0, f"deadline+retry should bound the stall, took {elapsed:.1f}s"
             assert not shard.alive  # circuit open until the supervisor restarts it

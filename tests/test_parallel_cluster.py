@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import shard_op
 from repro.core import CLAMConfig
 from repro.core.errors import (
     ClusterCloseError,
@@ -127,9 +128,8 @@ class TestBitIdenticalParity:
 
 
     def test_remote_shard_single_ops_answer_what_a_local_shard_does(self, cluster_config):
-        """A shard's one-operation methods, kept for inspection, take keys of
-        any supported type on both sides of the process boundary and mean the
-        same key by them."""
+        """One-operation sub-batches take keys of any supported type on both
+        sides of the process boundary and mean the same key by them."""
         keys = [5, 0x0102, "abc", memoryview(b"mv-key"), bytearray(b"ba-key"), b"plain"]
         local = LocalShard("shard-0", cluster_config, "intel-ssd")
         with ClusterService(
@@ -138,14 +138,14 @@ class TestBitIdenticalParity:
             (remote,) = parallel.shards.values()
             for shard in (local, remote):
                 for key in keys:
-                    shard.insert(key, b"value-of-%r" % to_key_bytes(key))
+                    shard_op(shard, OpKind.INSERT, key, b"value-of-%r" % to_key_bytes(key))
             for key in keys:
-                got, want = remote.lookup(key), local.lookup(key)
-                assert got == want
+                got = shard_op(remote, OpKind.LOOKUP, key)
+                assert got == shard_op(local, OpKind.LOOKUP, key)
                 assert got.key == to_key_bytes(key)
                 assert got.value == b"value-of-%r" % to_key_bytes(key)
-            assert remote.delete(keys[0]) == local.delete(keys[0])
-            assert remote.lookup(keys[0]) == local.lookup(keys[0])
+            for kind in (OpKind.DELETE, OpKind.LOOKUP):
+                assert shard_op(remote, kind, keys[0]) == shard_op(local, kind, keys[0])
 
 
     def test_a_worker_builds_its_shard_from_the_in_process_spec(self, cluster_config):
@@ -159,8 +159,8 @@ class TestBitIdenticalParity:
             (in_worker,) = parallel.shards.values()
             assert isinstance(in_process, LocalShard) and isinstance(in_worker, RemoteShard)
             for shard in (in_process, in_worker):
-                shard.insert(b"key", b"value")
-                shard.lookup(b"key")
+                shard_op(shard, OpKind.INSERT, b"key", b"value")
+                shard_op(shard, OpKind.LOOKUP, b"key")
             assert in_worker.counters() == in_process.counters()
 
 
@@ -174,7 +174,7 @@ class TestWorkerFailure:
             cluster.kill_worker(shard_id)
             assert not shard.alive
             with pytest.raises(WorkerDiedError):
-                shard.lookup(b"key")
+                shard_op(shard, OpKind.LOOKUP, b"key")
             # WorkerDiedError *is* a DeviceFailedError: the whole failure
             # machinery treats it like a crashed device.
             assert issubclass(WorkerDiedError, DeviceFailedError)
@@ -253,7 +253,7 @@ class TestWorkerFailure:
             # The replacement answers with the post-crash values directly.
             replacement = cluster.shards[victim]
             for key in missed:
-                result = replacement.lookup(key)
+                result = shard_op(replacement, OpKind.LOOKUP, key)
                 assert result.found and result.value == b"new-" + key
             kinds = [event.kind for event in cluster.events]
             assert "crash_recovery_started" in kinds and "hinted_handoff_replay" in kinds

@@ -4,7 +4,7 @@ Covers the exact migration-arc computation, the seed scan of the old owners,
 the KeyMigrator lifecycle for scale-out and scale-in (including the atomic
 cut-over and copy retirement), the double-read window's equivalence with a
 quiesced cluster (property test), the kill-the-joining-shard drill at RF=2,
-abort semantics, the membership freeze while a migration is in flight, the
+the membership freeze while a migration is in flight, the
 autoscale policy and the TrafficSimulator's scale-out/scale-in schedule
 actions.
 """
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import shard_op
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError, ShardUnavailableError
 from repro.core.hashing import RING_SEED, hash_key, ring_position
@@ -136,7 +137,7 @@ class TestScaleOut:
         for key in inserted[:50]:
             replicas = cluster.replicas_for(key)
             for shard_id in cluster.shard_ids:
-                found = cluster.shards[shard_id].lookup(key).found
+                found = shard_op(cluster.shards[shard_id], OpKind.LOOKUP, key).found
                 assert found == (shard_id in replicas), (key, shard_id)
 
     def test_migration_events_in_causal_order(self):
@@ -271,7 +272,7 @@ class TestSeedScan:
         for shard_id in doomed:
             cluster.heal_shard(shard_id)
         migrator.run_to_completion()
-        assert cluster.shards[joining].lookup(good_key).value == b"v"
+        assert shard_op(cluster.shards[joining], OpKind.LOOKUP, good_key).value == b"v"
 
 
 class TestScaleIn:
@@ -418,52 +419,13 @@ class TestHealDuringMigration:
         assert cluster.hinted_handoffs == len(hinted)
         served = [key for key in sorted(hinted) if "shard-1" in cluster.replicas_for(key)]
         assert served == sorted(hinted)
-        assert all(cluster.shards["shard-1"].lookup(key).value == b"v2" for key in served)
+        assert all(
+            shard_op(cluster.shards["shard-1"], OpKind.LOOKUP, key).value == b"v2" for key in served
+        )
         # With the other old owner gone, the healed copy is what answers.
         (partner,) = (s for s in cluster.replicas_for(served[0]) if s != "shard-1")
         cluster.fail_shard(partner)
         assert cluster.lookup(served[0]).value == b"v2"
-
-
-class TestAbort:
-    def test_abort_restores_old_ring_and_scrubs_copies(self):
-        cluster, inserted = populated_cluster()
-        before = cluster.shard_ids
-        migrator = KeyMigrator(cluster, batch_size=1, max_active_arcs=1)
-        joining = migrator.start_add()
-        # Copy a few keys without letting any arc drain: an arc only cuts
-        # over when its queue empties, so stop while the active arc still
-        # has more than one pending key.
-        state = cluster.migration
-        for _ in range(3):
-            active = next(arc for arc in state.arcs if arc.state is not ArcState.DONE)
-            if len(active.pending) <= 1:
-                break
-            migrator.step()
-        assert not any(arc.state is ArcState.DONE for arc in state.arcs)
-        migrator.abort()
-        assert cluster.migration is None
-        assert cluster.shard_ids == before
-        assert joining not in cluster.shards
-        for key in inserted:
-            assert cluster.lookup(key).found
-        assert "migration_aborted" in event_kinds(cluster)
-        # Fully aborted: direct membership changes work again.
-        cluster.add_shard()
-
-    def test_abort_after_cut_over_is_refused(self):
-        cluster, _ = populated_cluster()
-        migrator = KeyMigrator(cluster, batch_size=1, max_active_arcs=1)
-        migrator.start_add()
-        state = cluster.migration
-        while cluster.migration is not None and not any(
-            arc.state is ArcState.DONE for arc in state.arcs
-        ):
-            migrator.step()
-        assert cluster.migration is not None, "first arc should not be the only arc"
-        with pytest.raises(ConfigurationError, match="cut over"):
-            migrator.abort()
-        migrator.run_to_completion()
 
 
 class TestAutoscale:

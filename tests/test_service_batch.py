@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import shard_op
 from benchmarks.common import count_calls
 from repro.core import CLAMConfig
 from repro.core.hashing import clear_digest_cache
@@ -116,12 +117,16 @@ class TestReplicaSemantics:
             dropped = [key for key in keys if cluster.shard_for(key) == primary]
             # Lose the primary's copies: a reopened volatile shard comes back empty.
             cluster.reopen_shard(primary)
-            assert not any(cluster.shards[primary].lookup(key).found for key in dropped)
+            assert not any(
+                shard_op(cluster.shards[primary], OpKind.LOOKUP, key).found for key in dropped
+            )
 
             results = cluster.lookup_batch(keys)
             assert [result.value for result in results] == [b"v-" + key for key in keys]
             assert cluster.read_repairs == len(dropped)
-            assert all(cluster.shards[primary].lookup(key).found for key in dropped)
+            assert all(
+                shard_op(cluster.shards[primary], OpKind.LOOKUP, key).found for key in dropped
+            )
             # Repaired: the next pass is clean hits, one probe per key.
             before = probes(cluster)
             assert all(result.found for result in cluster.lookup_batch(keys))
@@ -156,12 +161,12 @@ class TestReplicaSemantics:
         key = fingerprint_for(7, namespace=b"third-replica")
         first, second, third = cluster.replicas_for(key)
         cluster.insert(key, b"v")
-        cluster.shards[first].delete(key)
-        cluster.shards[second].delete(key)
+        shard_op(cluster.shards[first], OpKind.DELETE, key)
+        shard_op(cluster.shards[second], OpKind.DELETE, key)
         assert cluster.lookup(key).value == b"v"  # served by the third replica
         assert cluster.read_repairs == 2
-        assert cluster.shards[first].lookup(key).found
-        assert cluster.shards[second].lookup(key).found
+        assert shard_op(cluster.shards[first], OpKind.LOOKUP, key).found
+        assert shard_op(cluster.shards[second], OpKind.LOOKUP, key).found
 
     def test_single_and_batch_lookups_repair_alike(self):
         """One key at a time and one ``lookup_batch`` over the same divergence:
@@ -179,7 +184,7 @@ class TestReplicaSemantics:
                 replicas = cluster.replicas_for(key)
                 # First replica, second replica, every replica, or none.
                 for shard_id in (replicas[:1], replicas[1:2], replicas, ())[i % 4]:
-                    cluster.shards[shard_id].delete(key)
+                    shard_op(cluster.shards[shard_id], OpKind.DELETE, key)
             return cluster
 
         def contents(cluster):

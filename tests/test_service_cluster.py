@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import shard_op
 from repro.core import CLAM, CLAMConfig
 from repro.core.errors import ConfigurationError, ShardUnavailableError
 from repro.service import ClusterService
@@ -63,7 +64,7 @@ class TestHashIndexInterface:
             records = []
             for position, op in enumerate(stream):
                 if position == 60:  # silent divergence on this lookup's primary
-                    cluster.shards[cluster.shard_for(op.key)].delete(op.key)
+                    shard_op(cluster.shards[cluster.shard_for(op.key)], OpKind.DELETE, op.key)
                 if position == 120:
                     cluster.fail_shard("shard-1")  # crashed, detected by the traffic
                 try:

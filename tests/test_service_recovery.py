@@ -2,10 +2,11 @@
 
 import pytest
 
+from conftest import shard_op
 from repro.core.config import CLAMConfig
-from repro.core.errors import ConfigurationError, ShardUnavailableError
+from repro.core.errors import ShardUnavailableError
 from repro.service import ClusterService, RecoveryCoordinator, WorkerProcesses
-from repro.workloads import fingerprint_for
+from repro.workloads import OpKind, fingerprint_for
 
 
 def populated_cluster(num_shards=4, replication_factor=2, keys=300, **kwargs):
@@ -45,8 +46,7 @@ class TestDetection:
         coordinator = RecoveryCoordinator(cluster)
         report = coordinator.recover()
         assert report.failed_shards == ()
-        assert report.keys_affected == 0 and report.lost_fraction == 0
-        assert report.complete
+        assert report.keys_affected == report.keys_lost == 0 and report.lost_fraction == 0
         assert cluster.num_shards == 4
 
 
@@ -66,7 +66,7 @@ class TestRecovery:
             replicas = cluster.replicas_for(key)
             assert len(replicas) == 2
             for shard_id in replicas:
-                assert cluster.shards[shard_id].lookup(key).found
+                assert shard_op(cluster.shards[shard_id], OpKind.LOOKUP, key).found
 
     def test_report_accounting_matches_the_ring(self):
         cluster, keys = populated_cluster()
@@ -81,7 +81,7 @@ class TestRecovery:
         assert report.keys_affected == expected_affected
         assert report.copies_written == sum(report.keys_gained.values())
         assert report.work_ms > 0
-        assert report.complete
+        assert report.keys_lost == 0
         (handoff,) = report.handoffs
         assert handoff.removed == (victim,)
         assert 0 < handoff.moved_fraction < 1
@@ -97,7 +97,6 @@ class TestRecovery:
         (handoff,) = report.handoffs
         assert report.lost_fraction == pytest.approx(handoff.moved_fraction)
         assert report.lost_fraction > 0
-        assert not report.complete
         assert report.keys_affected == report.keys_re_replicated == 0
 
     def test_recovery_updates_cluster_counters_and_health(self):
@@ -125,7 +124,7 @@ class TestRecovery:
         for key in keys:
             assert cluster.lookup(key).found
             for shard_id in cluster.replicas_for(key):
-                assert cluster.shards[shard_id].lookup(key).found
+                assert shard_op(cluster.shards[shard_id], OpKind.LOOKUP, key).found
 
     def test_new_owner_that_cannot_take_its_copy_is_hinted(self):
         """A new owner still in the live view whose copy writes fail catches
@@ -148,7 +147,7 @@ class TestRecovery:
         hosted = [key for key in keys if "shard-2" in cluster.replicas_for(key)]
         assert hosted
         for key in hosted:
-            assert cluster.shards["shard-2"].lookup(key).found
+            assert shard_op(cluster.shards["shard-2"], OpKind.LOOKUP, key).found
 
     def test_a_stalled_pass_is_drained_not_aborted(self):
         """A survivor that stops answering mid-pass (still instantiated, so its
@@ -162,14 +161,12 @@ class TestRecovery:
         coordinator = RecoveryCoordinator(cluster)
         with pytest.raises(ShardUnavailableError):
             coordinator.recover()
-        with pytest.raises(ConfigurationError):
-            coordinator.migrator.abort()
         cluster.heal_shard("shard-2")
         coordinator.migrator.run_to_completion()
         assert coordinator.migrator.keys_lost == 0
         for key in keys:
             for shard_id in cluster.replicas_for(key):
-                assert cluster.shards[shard_id].lookup(key).found
+                assert shard_op(cluster.shards[shard_id], OpKind.LOOKUP, key).found
 
     def test_recovered_cluster_keeps_serving_writes(self):
         cluster, _ = populated_cluster()
@@ -181,7 +178,7 @@ class TestRecovery:
         for key in fresh:
             assert cluster.lookup(key).value == b"new"
             for shard_id in cluster.replicas_for(key):
-                assert cluster.shards[shard_id].lookup(key).found
+                assert shard_op(cluster.shards[shard_id], OpKind.LOOKUP, key).found
 
 
 #: Reading (x) of the ROADMAP: a persistent RF=2 cluster whose parent process
@@ -228,7 +225,7 @@ class TestParentRestart:
     def test_recovery_after_a_parent_restart_re_replicates(self, tmp_path):
         report, readable = recover_after_restart(tmp_path, 300)
         assert report.keys_affected > 0
-        assert report.keys_lost == 0 and report.complete
+        assert report.keys_lost == 0 and report.lost_fraction == 0
         assert readable == 300
 
     def test_worker_processes_recover_alike_after_a_restart(self, tmp_path):
@@ -257,8 +254,8 @@ class TestReopenShard:
         assert cluster.is_live("shard-1") and cluster.shard_errors == {}
         assert cluster.hinted_handoffs == len(hinted)
         shard = cluster.shards["shard-1"]
-        assert all(shard.lookup(key).value == b"missed" for key in hinted)
-        assert not any(shard.lookup(key).found for key in inserted)
+        assert all(shard_op(shard, OpKind.LOOKUP, key).value == b"missed" for key in hinted)
+        assert not any(shard_op(shard, OpKind.LOOKUP, key).found for key in inserted)
         kinds = cluster.events.kinds()
         assert "crash_recovery_started" in kinds and "hinted_handoff_replay" in kinds
         assert "crash_recovery_completed" not in kinds

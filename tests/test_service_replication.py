@@ -3,6 +3,7 @@ typed unavailability errors and shard health tracking."""
 
 import pytest
 
+from conftest import shard_op
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError, ShardUnavailableError
 from repro.service import ClusterService
@@ -50,7 +51,7 @@ class TestReplicatedWrites:
             replicas = cluster.replicas_for(key)
             assert len(replicas) == 2
             for shard_id in replicas:
-                assert cluster.shards[shard_id].lookup(key).found, (key, shard_id)
+                assert shard_op(cluster.shards[shard_id], OpKind.LOOKUP, key).found, (key, shard_id)
 
     def test_delete_removes_every_replica(self):
         cluster = make_cluster()
@@ -58,7 +59,7 @@ class TestReplicatedWrites:
         cluster.insert(key, b"v")
         cluster.delete(key)
         for shard_id in cluster.replicas_for(key):
-            assert not cluster.shards[shard_id].lookup(key).found
+            assert not shard_op(cluster.shards[shard_id], OpKind.LOOKUP, key).found
         assert not cluster.lookup(key).found
 
     def test_batch_writes_also_replicate(self):
@@ -70,7 +71,7 @@ class TestReplicatedWrites:
         assert all(result is not None for result in batch.results)
         for key in keys:
             for shard_id in cluster.replicas_for(key):
-                assert cluster.shards[shard_id].lookup(key).found
+                assert shard_op(cluster.shards[shard_id], OpKind.LOOKUP, key).found
 
     def test_rf1_matches_single_copy_semantics(self):
         cluster = ClusterService(num_shards=4, replication_factor=1)
@@ -82,8 +83,8 @@ class TestReplicatedWrites:
             assert only == cluster.shard_for(key)
             holders = [
                 shard_id
-                for shard_id, clam in cluster.shards.items()
-                if clam.lookup(key).found
+                for shard_id, shard in cluster.shards.items()
+                if shard_op(shard, OpKind.LOOKUP, key).found
             ]
             assert holders == [only]
 
@@ -168,12 +169,12 @@ class TestReadRepair:
         key = sample_keys(1, namespace=b"repair")[0]
         primary = cluster.replicas_for(key)[0]
         cluster.insert(key, b"fresh-value")
-        cluster.shards[primary].delete(key)  # silent divergence
-        assert not cluster.shards[primary].lookup(key).found
+        shard_op(cluster.shards[primary], OpKind.DELETE, key)  # silent divergence
+        assert not shard_op(cluster.shards[primary], OpKind.LOOKUP, key).found
         result = cluster.lookup(key)
         assert result.found and result.value == b"fresh-value"
         assert cluster.read_repairs == 1
-        assert cluster.shards[primary].lookup(key).found
+        assert shard_op(cluster.shards[primary], OpKind.LOOKUP, key).found
 
     def test_no_repair_on_clean_miss(self):
         cluster = make_cluster()
@@ -261,7 +262,7 @@ class TestHintedHandoff:
         cluster.heal_shard(secondary)
         # Lookups would be served by the primary and never probe the healed
         # replica — the hint replay must have backfilled it directly.
-        assert cluster.shards[secondary].lookup(key).value == b"v1"
+        assert shard_op(cluster.shards[secondary], OpKind.LOOKUP, key).value == b"v1"
         assert cluster.hinted_handoffs == 1
 
     def test_sequential_nonoverlapping_failures_lose_nothing(self):
@@ -287,7 +288,7 @@ class TestHintedHandoff:
         cluster.record_shard_error(primary)
         cluster.update(key, b"v2")  # survivor only
         cluster.heal_shard(primary)
-        assert cluster.shards[primary].lookup(key).value == b"v2"
+        assert shard_op(cluster.shards[primary], OpKind.LOOKUP, key).value == b"v2"
         assert cluster.lookup(key).value == b"v2"
 
     def test_heal_applies_a_missed_delete(self):
@@ -298,7 +299,7 @@ class TestHintedHandoff:
         cluster.record_shard_error(primary)
         cluster.delete(key)
         cluster.heal_shard(primary)
-        assert not cluster.shards[primary].lookup(key).found
+        assert not shard_op(cluster.shards[primary], OpKind.LOOKUP, key).found
         assert not cluster.lookup(key).found  # no resurrection
 
     def test_batch_writes_record_hints_too(self):
@@ -308,7 +309,7 @@ class TestHintedHandoff:
         cluster.record_shard_error(secondary)
         cluster.execute_batch([Operation(OpKind.INSERT, key, b"v1")])
         cluster.heal_shard(secondary)
-        assert cluster.shards[secondary].lookup(key).value == b"v1"
+        assert shard_op(cluster.shards[secondary], OpKind.LOOKUP, key).value == b"v1"
 
 
 class TestTruncatedDirectedSubBatches:
@@ -343,7 +344,7 @@ class TestTruncatedDirectedSubBatches:
         del shard.heal
         cluster.heal_shard("shard-1")
         assert "shard-1" not in cluster._hints
-        assert all(shard.lookup(key).value == b"v2" for key in hinted)
+        assert all(shard_op(shard, OpKind.LOOKUP, key).value == b"v2" for key in hinted)
         assert all(cluster.lookup(key).value == b"v2" for key in keys)
 
     def test_a_failed_repair_sub_batch_counts_one_error(self):

@@ -32,8 +32,6 @@ class TestTrafficSpec:
         with pytest.raises(ValueError):
             TrafficSpec(lookup_fraction=0.8, update_fraction=0.3)
         with pytest.raises(ValueError):
-            TrafficSpec(think_time_ms=-1)
-        with pytest.raises(ValueError):
             TrafficSpec(hot_shard_threshold=0.5)
 
 
@@ -78,13 +76,6 @@ class TestSimulatorRun:
         report = simulator.run()
         assert report.lookups > 0
         assert report.lookup_success_rate > 0.5
-
-    def test_think_time_stretches_duration(self):
-        fast = TrafficSimulator(make_cluster(), small_spec()).run()
-        slow = TrafficSimulator(make_cluster(), small_spec(think_time_ms=5.0)).run()
-        assert slow.duration_ms > fast.duration_ms
-        # Think time keeps clients idle; op counts stay identical.
-        assert slow.operations == fast.operations
 
     def test_latency_summary(self):
         report = TrafficSimulator(make_cluster(), small_spec()).run()

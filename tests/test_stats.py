@@ -44,14 +44,7 @@ class TestIOStats:
         stats = IOStats()
         _add(stats, sequential=True)
         _add(stats, sequential=False)
-        assert stats.sequential_counts[IOKind.READ] == 1
-
-    def test_reset(self):
-        stats = IOStats()
-        _add(stats)
-        stats.reset()
-        assert stats.count() == 0
-        assert stats == IOStats()
+        assert stats.totals[IOKind.READ].sequential == 1
 
     def test_snapshot_keys(self):
         stats = IOStats()
@@ -98,8 +91,6 @@ class TestDeviceAccounting:
         observed, _spans = _traced_drive(traced)
         assert _drive(quiet) == observed
         assert quiet.stats.snapshot() == traced.stats.snapshot()
-        for name in ("op_counts", "sequential_counts"):
-            assert getattr(quiet.stats, name) == getattr(traced.stats, name)
         assert quiet.stats.totals == traced.stats.totals
         assert quiet.clock.now_ms == traced.clock.now_ms
 
@@ -138,25 +129,10 @@ class TestDeviceAccounting:
         reads = [span for span in spans if span.name == "device.read"]
         assert sum(span.attributes["nbytes"] == 512 for span in reads) == 7
 
-    def test_a_read_after_reset_is_counted(self):
-        """The device folds page reads into a totals record it bound at
-        construction; ``reset`` must zero that record, not replace it."""
-        device = SSD()
-        device.write_page(3, b"x")
-        device.read_page(3)
-        device.stats.reset()
-        assert device.stats.count() == 0 and device.stats.op_counts == {}
-        assert device.stats.snapshot()["read_max_ms"] == 0.0
-        _payload, latency = device.read_page(3)
-        assert device.stats.count(IOKind.READ) == 1
-        assert device.stats.bytes_moved(IOKind.READ) == 512
-        assert device.stats.total_latency_ms(IOKind.READ) == latency
-        assert device.stats.op_counts == {IOKind.READ: 1}
-
-    def test_dict_views_hold_what_the_per_kind_dicts_held(self):
-        """``op_counts``, ``sequential_counts`` and the per-kind byte and latency
-        accessors against the five dicts the old ``add`` maintained, rebuilt
-        here from the tracer's device spans."""
+    def test_per_kind_totals_hold_what_the_per_kind_dicts_held(self):
+        """The per-kind count, sequential count, byte and latency totals against
+        the five dicts the old ``add`` maintained, rebuilt here from the
+        tracer's device spans."""
         chip, ssd = FlashChip(), SSD()
         tracers = {chip: Tracer(), ssd: Tracer()}
         with tracing(tracers[chip]):
@@ -184,14 +160,14 @@ class TestDeviceAccounting:
                     maxima[kind] = latency
                 if span.attributes["sequential"]:
                     sequential[kind] = sequential.get(kind, 0) + 1
-            assert device.stats.op_counts == counts
-            assert device.stats.sequential_counts == sequential
             for kind in IOKind:
+                assert device.stats.count(kind) == counts.get(kind, 0)
+                assert device.stats.totals[kind].sequential == sequential.get(kind, 0)
                 assert device.stats.bytes_moved(kind) == nbytes.get(kind, 0)
                 assert device.stats.total_latency_ms(kind) == pytest.approx(totals.get(kind, 0.0))
                 assert device.stats.max_latency_ms(kind) == pytest.approx(maxima.get(kind, 0.0))
-        assert list(ssd.stats.op_counts) == [IOKind.READ]
-        assert ssd.stats.sequential_counts == {}
+        assert [kind for kind in IOKind if ssd.stats.count(kind)] == [IOKind.READ]
+        assert ssd.stats.totals[IOKind.READ].sequential == 0
 
     def test_stats_compare_by_value(self):
         one, other = SSD(), SSD()

@@ -3,12 +3,14 @@
 Code in ``src/`` that only tests reach and settable values only tests set must
 be deleted or given a reason in the ledger, every settable value is listed by
 name, forks are folded or given a reason, and no package may grow past its
-committed line count.
+committed line count.  The reference rule is checked on small trees written
+for each case: a name counts as used only when other code reads it.
 """
 
 from __future__ import annotations
 
 import ast
+import textwrap
 
 import pytest
 
@@ -96,7 +98,7 @@ def test_members_of_an_allowed_class_are_covered_by_its_entry(result, ledger):
         ("src_lines", "repro.dedup", None, "repro.dedup has"),
         ("settable", "repro.core.clam.CLAM(config=)", None, "is a new settable value"),
         ("settable", "repro.core.clam.CLAM(gone=)", "listed", "is gone"),
-        ("kept", "repro.flashsim.clock.SimulationClock(start_ms=)", None, "set by tests only"),
+        ("kept", "repro.wanopt.chunking.RabinChunker(min_size=)", None, "set by tests only"),
         ("kept", "repro.core.clam.CLAM(config=)", "why", "is set now, or gone"),
         ("forks", "planted", None, "fold the bodies into one"),
         ("forks", "repro.core.clam.CLAM.get = repro.core.clam.CLAM.lookup", "why", "is gone"),
@@ -118,3 +120,70 @@ def test_each_rule_bites(result, ledger, section, name, value, message):
         ledger[section][name] = value
     found = surface.violations(result, ledger)
     assert len(found) == 1 and message in found[0], found
+
+
+#: The module every reference case plants ``used`` and ``target`` in.
+PLANTED_MODULE = '''
+"""``target`` named in a module docstring."""
+
+__all__ = ["target", "used"]
+
+
+def target(depth):
+    """``target`` named in its own docstring."""
+    # target, named in a comment
+    return target(depth - 1) if depth else 0
+
+
+def used():
+    return 1
+'''
+
+
+def _unreferenced(tmp_path, caller: str, readme: str = "") -> set:
+    """The unreferenced names of a tree holding :data:`PLANTED_MODULE` and
+    ``caller`` as a tool script."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from repro.planted import target, used\n")
+    (package / "planted.py").write_text(PLANTED_MODULE)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "caller.py").write_text(textwrap.dedent(caller))
+    (tmp_path / "README.md").write_text(readme)
+    return {definition.qualname for definition in surface.scan(tmp_path).unreferenced}
+
+
+def test_a_name_mentioned_only_in_prose_is_unreferenced(tmp_path):
+    """Docstrings, comments and README mention ``target``; no code reads it."""
+    caller = '''
+        """Calls ``target`` in prose only."""
+        from repro.planted import used  # and target, in a comment
+
+        used()
+    '''
+    found = _unreferenced(tmp_path, caller, readme="Call `target(3)` to recurse.\n")
+    assert found == {"repro.planted.target"}
+
+
+def test_a_name_listed_only_in_all_is_unreferenced(tmp_path):
+    """Both names sit in ``__all__`` and in the package's re-export."""
+    assert _unreferenced(tmp_path, "from repro.planted import used\n") == {
+        "repro.planted.target"
+    }
+
+
+def test_a_name_used_only_inside_its_own_body_is_unreferenced(tmp_path):
+    """``target`` calls itself; nothing else does."""
+    found = _unreferenced(tmp_path, "import repro.planted\n\nrepro.planted.used()\n")
+    assert found == {"repro.planted.target"}
+
+
+def test_a_string_that_is_exactly_the_name_is_a_reference(tmp_path):
+    """``getattr(module, "target")`` reads ``target``; a longer string does not."""
+    caller = '''
+        import repro.planted as planted
+
+        getattr(planted, "target")(2)
+        print("used()")
+    '''
+    assert _unreferenced(tmp_path, caller) == {"repro.planted.used"}

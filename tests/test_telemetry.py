@@ -175,21 +175,15 @@ class TestRegistry:
         assert merged.counter("operations").value == 15
         assert merged.histogram("lat").count == 2
 
-    def test_prometheus_exposition(self):
+    def test_snapshot_round_trips_with_buckets(self):
         registry = MetricsRegistry()
         registry.counter("requests").inc(3)
         registry.histogram("lat").observe(0.5)
-        text = registry.to_prometheus(prefix="repro")
-        assert "repro_requests 3" in text
-        assert 'repro_lat_bucket{le="+Inf"} 1' in text
-        assert "repro_lat_count 1" in text
-        # Buckets are cumulative: every le line is monotonically nondecreasing.
-        counts = [
-            int(line.rsplit(" ", 1)[1])
-            for line in text.splitlines()
-            if line.startswith("repro_lat_bucket")
-        ]
-        assert counts == sorted(counts)
+        snapshot = registry.snapshot(include_buckets=True)
+        assert snapshot["counters"] == {"requests": 3}
+        assert sum(snapshot["histograms"]["lat"]["bucket_counts"]) == 1
+        restored = MetricsRegistry.from_snapshot(snapshot)
+        assert restored.snapshot(include_buckets=True) == snapshot
 
 
 class TestEventLog:
@@ -287,7 +281,7 @@ class TestTracer:
         def exploding_insert(key, value):
             raise ValueError("buggy shard")
 
-        cluster.shards[owner].insert = exploding_insert
+        cluster.shards[owner].clam.insert = exploding_insert
         with tracing(Tracer()) as tracer:
             with pytest.raises(ValueError, match="buggy shard"):
                 cluster.execute_batch([Operation(OpKind.INSERT, b"key", b"value")])

@@ -73,6 +73,20 @@ class TestSyntheticTraces:
             generator.generate()
         )
 
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_an_object_size_generate_cannot_draw_is_refused(self, size):
+        with pytest.raises(ValueError, match="mean_object_size"):
+            SyntheticTraceGenerator(mean_object_size=size)
+
+    @pytest.mark.parametrize("size", [0, 1, 127])
+    def test_a_chunk_size_generate_cannot_draw_is_refused(self, size):
+        with pytest.raises(ValueError, match="mean_chunk_size"):
+            SyntheticTraceGenerator(mean_chunk_size=size)
+
+    def test_the_smallest_accepted_sizes_generate(self):
+        generator = SyntheticTraceGenerator(num_objects=3, mean_object_size=4, mean_chunk_size=128)
+        assert all(obj.num_chunks > 0 for obj in generator.generate())
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             SyntheticTraceGenerator(redundancy=1.0)

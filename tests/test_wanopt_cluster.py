@@ -582,6 +582,14 @@ class TestRealPayloadMode:
         with pytest.raises(ValueError):
             BranchTraceGenerator(real_payloads=True, average_chunk_size=32, **self.TRACE)
 
+    @pytest.mark.parametrize("real_payloads", [False, True])
+    def test_a_chunk_size_generate_cannot_draw_is_refused(self, real_payloads):
+        """Chunks are drawn from [max(256, mean // 2), 2 * mean]: empty below 128."""
+        trace = {**self.TRACE, "mean_chunk_size": 127, "real_payloads": real_payloads}
+        with pytest.raises(ValueError, match="mean_chunk_size"):
+            BranchTraceGenerator(**trace)
+        BranchTraceGenerator(**{**trace, "mean_chunk_size": 128}).generate()
+
 
 class TestTraceDigest:
     """Both trace modes pinned to digests of their whole streams.

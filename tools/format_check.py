@@ -96,6 +96,16 @@ EXTRA_PATHS = (
     "src/repro/flashsim/stats.py",
     "src/repro/workloads/__init__.py",
     "src/repro/workloads/keygen.py",
+    "src/repro/workloads/metrics.py",
+    "src/repro/workloads/runner.py",
+    "src/repro/telemetry/__init__.py",
+    "src/repro/telemetry/registry.py",
+    "tools/surface.py",
+    "tests/conftest.py",
+    "tests/test_metrics.py",
+    "tests/test_stats.py",
+    "tests/test_surface.py",
+    "tests/test_telemetry.py",
     "setup.py",
 )
 

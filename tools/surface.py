@@ -2,8 +2,8 @@
 """Surface ledger: settable values, forks, the ``src/`` code only tests reach, ``src/`` lines.
 
 The *corpus* is every ``.py`` file under ``src/``, ``benchmarks/``,
-``examples/`` and ``tools/``; the unreferenced count reads ``README.md`` too.
-``tests/`` is left out on purpose, so what only tests use shows up.
+``examples/`` and ``tools/``. ``tests/`` is left out on purpose, so what only
+tests use shows up.
 
 Settable values
     A settable value is one of:
@@ -38,17 +38,21 @@ Forks
     constant is blanked. Attribute names and other constants are kept.
 
 Unreferenced definitions
-    A definition is *unreferenced* when its identifier occurs, as a whole word,
-    nowhere in the corpus except at definition sites. A package ``__init__``'s
-    docstring, imports and ``__all__`` are left out: a re-export is not a use.
-    Each file is split into words once, by one regular expression, so a name
-    mentioned in a string or a comment counts as used; the ledger errs towards
-    keeping code. Definitions are the top-level ``def`` / ``class`` /
+    A definition is *unreferenced* when no identifier token of its name occurs
+    in the corpus outside the line spans of the definitions of that name.
+    Identifier tokens are ``ast.Name`` ids, ``ast.Attribute`` attribute names,
+    call keywords, the parts of import aliases, and string constants that are
+    exactly an identifier (``getattr(obj, "name")``, field names). Comments,
+    docstrings (string statements) and ``README.md`` are not tokens, nor is
+    anything inside an ``__all__`` assignment, nor a package ``__init__``'s
+    imports: a mention or a re-export is not a use. The line span of a
+    definition is its whole statement, so a name used only inside its own body
+    is unreferenced. Definitions are the top-level ``def`` / ``class`` /
     assignment targets of each module under ``src/repro`` (inside top-level
     ``if`` / ``try`` blocks too) and the members of each top-level class.
     Dunder names are protocol, not surface, and are skipped. A name is
-    matched, not a binding: a method is referenced when any code mentions any
-    attribute of that name.
+    matched, not a binding: a method is referenced when any code outside the
+    bodies of that name reads any attribute of that name.
 
 ``SURFACE.json`` holds the committed state: ``src_lines`` (a ceiling per
 package), ``settable`` (every settable value, by name), ``kept`` (unset value
@@ -58,26 +62,23 @@ members of an allowed class are covered by the class's entry).
 :func:`violations` is the ratchet ``tests/test_surface.py`` runs in tier-1.
 
 Usage: ``python tools/surface.py`` prints the ledger and exits 1 on any
-violation.
+violation. :func:`scan` takes another repository root, so a test can scan a
+small tree of its own.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-import re
 import sys
 from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 LEDGER_PATH = REPO_ROOT / "SURFACE.json"
 REFERENCE_TREES = ("src", "benchmarks", "examples", "tools")
-README = REPO_ROOT / "README.md"
 
-_WORD = re.compile(r"[A-Za-z_]\w*")
 #: A ``*args`` argument reaches every position.
 _EVERY_POSITION = sys.maxsize
 
@@ -86,6 +87,8 @@ class Definition(NamedTuple):
     qualname: str
     path: str
     line: int
+    #: Last line of the defining statement.
+    end: int
 
     @property
     def identifier(self) -> str:
@@ -109,8 +112,8 @@ class _Constructor(NamedTuple):
     defaulted: List[str]
 
 
-def _module_name(path: Path) -> str:
-    parts = path.relative_to(PACKAGE_ROOT.parent).with_suffix("").parts
+def _module_name(path: Path, source_root: Path) -> str:
+    parts = path.relative_to(source_root).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -126,9 +129,9 @@ def _flatten(body: List[ast.stmt]) -> Iterator[ast.stmt]:
             yield node
 
 
-def _bound_names(node: ast.stmt) -> Iterator[Tuple[str, int]]:
+def _bound_names(node: ast.stmt) -> Iterator[str]:
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        yield node.name, node.lineno
+        yield node.name
         return
     if isinstance(node, ast.Assign):
         targets = node.targets
@@ -139,28 +142,59 @@ def _bound_names(node: ast.stmt) -> Iterator[Tuple[str, int]]:
     for target in targets:
         for name in ast.walk(target):
             if isinstance(name, ast.Name):
-                yield name.id, name.lineno
+                yield name.id
 
 
 def _definitions(module: str, path: str, tree: ast.Module) -> Iterator[Definition]:
     for node in _flatten(tree.body):
-        for name, line in _bound_names(node):
+        for name in _bound_names(node):
             if name.startswith("__"):
                 continue
-            yield Definition(f"{module}.{name}", path, line)
+            yield Definition(f"{module}.{name}", path, node.lineno, node.end_lineno)
             if isinstance(node, ast.ClassDef):
                 for member in _flatten(node.body):
-                    for member_name, member_line in _bound_names(member):
+                    for member_name in _bound_names(member):
                         if not member_name.startswith("__"):
                             qualname = f"{module}.{name}.{member_name}"
-                            yield Definition(qualname, path, member_line)
+                            yield Definition(qualname, path, member.lineno, member.end_lineno)
 
 
-def _is_reexport(node: ast.stmt) -> bool:
-    """A package ``__init__``'s docstring, imports and ``__all__``."""
+def _is_all(node: ast.AST) -> bool:
+    """An assignment to ``__all__``."""
     if isinstance(node, ast.Assign):
-        return [ast.unparse(target) for target in node.targets] == ["__all__"]
-    return isinstance(node, (ast.Import, ast.ImportFrom, ast.Expr))
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(getattr(target, "id", "") == "__all__" for target in targets)
+
+
+def _tokens(tree: ast.Module, package_init: bool) -> Iterator[Tuple[str, int]]:
+    """``(identifier, line)`` for every identifier token of ``tree``: names,
+    attribute names, keywords, import alias parts and identifier-only strings.
+    Docstrings, ``__all__`` and (in a package ``__init__``) imports are skipped."""
+    stack: List[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
+        elif isinstance(node, ast.keyword):
+            if node.arg:
+                yield node.arg, node.lineno
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                yield part, node.lineno
+        elif isinstance(node, ast.Constant):
+            if isinstance(node.value, str) and node.value.isidentifier():
+                yield node.value, node.lineno
+        elif isinstance(node, ast.Expr) and _literal(node.value):
+            continue
+        elif _is_all(node) or package_init and isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
 
 
 # -- Settable values -------------------------------------------------------------------
@@ -375,35 +409,50 @@ def _forks(modules: Dict[str, ast.Module]) -> List[str]:
 # -- The scan and the ratchet -----------------------------------------------------------
 
 
-def scan() -> Scan:
-    """Everything the ledger counts, read off the tree."""
+def _unreferenced(
+    definitions: List[Definition], corpus: Dict[str, ast.Module], inits: Set[str]
+) -> List[Definition]:
+    """The definitions no identifier token outside their name's definitions reads."""
+    spans: Dict[str, Dict[str, List[Tuple[int, int]]]] = {}
+    for definition in definitions:
+        by_path = spans.setdefault(definition.identifier, {})
+        by_path.setdefault(definition.path, []).append((definition.line, definition.end))
+    referenced: Set[str] = set()
+    for path, tree in corpus.items():
+        for name, line in _tokens(tree, path in inits):
+            if name in referenced or name not in spans:
+                continue
+            if not any(first <= line <= last for first, last in spans[name].get(path, ())):
+                referenced.add(name)
+    return [d for d in definitions if d.identifier not in referenced]
+
+
+def scan(root: Path = REPO_ROOT) -> Scan:
+    """Everything the ledger counts, read off the tree at ``root``."""
+    source_root = root / "src"
+    package_root = source_root / "repro"
     definitions: List[Definition] = []
-    words: Counter = Counter()
     src_lines: Dict[str, int] = {}
     modules: Dict[str, ast.Module] = {}
     corpus: Dict[str, ast.Module] = {}
+    inits: Set[str] = set()
     for tree_name in REFERENCE_TREES:
-        for path in sorted((REPO_ROOT / tree_name).rglob("*.py")):
+        for path in sorted((root / tree_name).rglob("*.py")):
             text = path.read_text()
-            relative = str(path.relative_to(REPO_ROOT))
+            relative = str(path.relative_to(root))
             tree = corpus[relative] = ast.parse(text, relative)
-            if PACKAGE_ROOT in path.parents:
-                module = _module_name(path)
+            if package_root in path.parents:
+                module = _module_name(path, source_root)
                 modules[module] = tree
                 definitions.extend(_definitions(module, relative, tree))
                 package = ".".join(module.split(".")[:2])
                 src_lines[package] = src_lines.get(package, 0) + text.count("\n")
                 if path.name == "__init__.py":
-                    kept = [node for node in tree.body if not _is_reexport(node)]
-                    text = "\n".join(ast.get_source_segment(text, node) for node in kept)
-            words.update(_WORD.findall(text))
-    words.update(_WORD.findall(README.read_text()))
-    sites = Counter(definition.identifier for definition in definitions)
-    unreferenced = [d for d in definitions if words[d.identifier] <= sites[d.identifier]]
+                    inits.add(relative)
     settable, unset = _settable(modules, corpus)
     return Scan(
         definitions,
-        unreferenced,
+        _unreferenced(definitions, corpus, inits),
         settable,
         unset,
         _forks(modules),
