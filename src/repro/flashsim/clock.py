@@ -21,9 +21,9 @@ _INF = float("inf")
 class SimulationClock:
     """A monotonically advancing clock measured in simulated milliseconds.
 
-    The clock starts at 0 and only ever moves forward.  Devices call :meth:`advance` with the
-    latency of each I/O; applications may also advance it directly to model
-    computation or network transmission time.
+    The clock starts at 0 and only ever moves forward.  Devices call
+    :meth:`advance` with the latency of each I/O; applications may also
+    advance it directly to model computation or network transmission time.
     """
 
     __slots__ = ("_now_ms",)

@@ -89,8 +89,8 @@ def apply_batch(
 class LocalShard:
     """An in-process shard: the interface above around one CLAM.
 
-    A sub-batch runs when its answer is gathered, not when it is sent, so the executor's
-    ``shard.batch`` span encloses the CLAM and device spans of its operations.
+    A sub-batch runs when its answer is gathered, not when it is sent, so the
+    executor's ``shard.batch`` span encloses its operations' CLAM and device spans.
     """
 
     def __init__(

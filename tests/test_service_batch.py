@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import shard_op
 from benchmarks.common import count_calls
+from conftest import shard_op
 from repro.core import CLAMConfig
 from repro.core.hashing import clear_digest_cache
 from repro.core.results import DeleteResult, InsertResult, LookupResult
