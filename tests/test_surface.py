@@ -154,9 +154,10 @@ def _unreferenced(tmp_path, caller: str, readme: str = "") -> set:
 
 
 def test_a_name_mentioned_only_in_prose_is_unreferenced(tmp_path):
-    """Docstrings, comments and README mention ``target``; no code reads it."""
+    """Docstrings (one of them exactly the name), comments and README mention
+    ``target``; no code reads it."""
     caller = '''
-        """Calls ``target`` in prose only."""
+        """target"""
         from repro.planted import used  # and target, in a comment
 
         used()
