@@ -6,6 +6,7 @@ from conftest import shard_op
 from repro.core import CLAM, CLAMConfig
 from repro.core.errors import ConfigurationError, ShardUnavailableError
 from repro.service import ClusterService
+from repro.service.cluster import hot_shards
 from repro.workloads import (
     Operation,
     OpKind,
@@ -184,6 +185,26 @@ class TestClusterStats:
         assert summary["inserts"] == 100.0
         assert summary["lookup_success_rate"] == 1.0
         assert summary["throughput_ops_per_s"] > 0
+
+
+class TestHotShards:
+    """The one hot-shard rule the simulator and the autoscaler share: a shard
+    is hot when its load exceeds ``threshold`` times the mean load."""
+
+    def test_a_shard_above_threshold_times_mean_is_hot(self):
+        # mean 4.0, so the bar is 6.0
+        assert hot_shards({"a": 10.0, "b": 1.0, "c": 1.0}, threshold=1.5) == ["a"]
+
+    def test_a_load_exactly_at_the_bar_is_not_hot(self):
+        # mean 2.0, bar 3.0: the rule is strictly greater
+        assert hot_shards({"a": 3.0, "b": 1.0}, threshold=1.5) == []
+
+    @pytest.mark.parametrize("loads", [{}, {"a": 0.0, "b": 0.0}], ids=["empty", "idle"])
+    def test_an_empty_or_idle_fleet_has_no_hot_shard(self, loads):
+        assert hot_shards(loads, threshold=0.5) == []
+
+    def test_hot_shards_come_back_sorted(self):
+        assert hot_shards({"z": 9.0, "m": 0.0, "a": 9.0}, threshold=1.0) == ["a", "z"]
 
 
 class TestMembership:
