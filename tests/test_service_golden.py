@@ -44,6 +44,12 @@ from repro.workloads.workload import Operation, OpKind
 
 _SEED = 0x5E41CE
 _BATCH_SIZES = (1, 2, 3, 7, 16, 33, 64, 120, 200)
+#: The :class:`~repro.service.rebalance.MigrationReport` fields the ``"M"``
+#: line spells out.
+_REPORT_FIELDS = (
+    "direction", "subject", "arcs", "moved_fraction", "keys_seeded", "keys_copied",
+    "keys_retired", "steps", "blocked_retries", "duration_ms",
+)  # fmt: skip
 
 
 def _hex(value) -> str:
@@ -315,7 +321,11 @@ def _run_script(cluster: ClusterService, replication_factor: int) -> dict:
         recorder.line("M", migrator.step(), cluster.migration is not None)
         steps += 1
         assert steps < 400
-    recorder.line("M", steps, migrator.reports[-1])
+    # The report's repr as it read when GOLDEN was recorded: the same ten
+    # fields, so fields a report gains later do not move the digest.
+    report = migrator.reports[-1]
+    fields = ", ".join(f"{name}={getattr(report, name)!r}" for name in _REPORT_FIELDS)
+    recorder.line("M", steps, f"MigrationReport({fields})")
     _traffic(cluster, keys, recorder, rounds=2)
     recorder.end_phase("migration")
     combined = cluster.stats.combined()

@@ -261,3 +261,54 @@ class TestReopenShard:
         assert "crash_recovery_completed" not in kinds
         for key in inserted:
             assert cluster.lookup(key).value == b"value-" + key[:6]
+
+
+#: One seeded RF=2 drill (300 keys on 4 shards, ``shard-1`` crashed), as
+#: recorded before the recovery pass became a ``KeyMigrator`` method; both
+#: backends produce it bit for bit.
+PINNED_DRILL = {
+    "keys_affected": 151,
+    "keys_re_replicated": 151,
+    "copies_written": 151,
+    "keys_lost": 0,
+    "lost_fraction": 0.0,
+    "work_ms": 7.474700000000023,
+    "duration_ms": 2.5951000000000057,
+}
+PINNED_EVENT = {
+    "shards": ["shard-1"],
+    "keys_re_replicated": 151,
+    "copies_written": 151,
+    "keys_lost": 0,
+    "lost_fraction": 0.0,
+    "duration_ms": 2.5951000000000057,
+}
+PINNED_HEALTH = {
+    "replication_factor": 2,
+    "live_shards": ["shard-0", "shard-2", "shard-3"],
+    "down_shards": [],
+    "shard_errors": {},
+    "read_repairs": 0,
+    "hinted_handoffs": 0,
+    "recoveries": 1,
+    "keys_re_replicated": 151,
+    "last_recovery_ms": 2.5951000000000057,
+    "shards_ever_down": ["shard-1"],
+    "healed_shards": [],
+    "shards_never_failed": ["shard-0", "shard-2", "shard-3"],
+}
+
+
+@pytest.mark.parametrize("workers", [None, WorkerProcesses()], ids=["in-process", "workers"])
+def test_a_seeded_drill_reports_its_pinned_numbers(workers):
+    cluster, _ = populated_cluster(workers=workers)
+    try:
+        crash_and_detect(cluster, "shard-1")
+        report = RecoveryCoordinator(cluster).recover()
+        numbers = {name: getattr(report, name) for name in PINNED_DRILL}
+        assert numbers == PINNED_DRILL
+        (event,) = cluster.events.events("recovery")
+        assert event.attributes == PINNED_EVENT
+        assert cluster.stats.health() == PINNED_HEALTH
+    finally:
+        cluster.close()
