@@ -3,7 +3,7 @@
 Beyond the paper: the replicated service layer (``repro.service``) places
 every key on a preference list of N shards, fails over reads and writes to
 surviving replicas, and re-replicates a dead shard's key ranges along the
-router's exact handoff arcs (:mod:`repro.service.recovery`).  This benchmark
+router's exact handoff arcs (``KeyMigrator.recover``).  This benchmark
 runs the same deterministic closed-loop Zipf workload twice — once without
 replication (RF=1) and once with RF=2 — and, mid-run, crash-stops one shard
 via the device-level fault injector, then schedules a recovery pass a few
@@ -107,7 +107,7 @@ def run_failover(replication_factor: int):
         "lost_keys": lost,
         "recovery_duration_ms": recovery.duration_ms if recovery else 0.0,
         "recovery_work_ms": recovery.work_ms if recovery else 0.0,
-        "recovery_keys_affected": recovery.keys_affected if recovery else 0,
+        "recovery_keys_affected": recovery.keys_seeded if recovery else 0,
         "recovery_keys_re_replicated": recovery.keys_re_replicated if recovery else 0,
         "recovery_copies_written": recovery.copies_written if recovery else 0,
         "recovery_keys_lost": recovery.keys_lost if recovery else 0,

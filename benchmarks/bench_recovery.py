@@ -48,7 +48,7 @@ from repro.core.errors import DeviceFailedError
 from repro.core.incarnation import iter_page_entries
 from repro.flashsim.device import DeviceGeometry
 from repro.service.cluster import ClusterService
-from repro.service.recovery import RecoveryCoordinator
+from repro.service.rebalance import KeyMigrator
 
 SEED = 1020
 GEOM = DeviceGeometry(page_size=2048, pages_per_block=16, num_blocks=48)
@@ -253,7 +253,7 @@ def run_cluster_reopen(workdir):
             cluster.insert(key(i), value(i))
         written += 80
 
-        reports = RecoveryCoordinator(cluster).reopen_and_rejoin()
+        reports = cluster.reopen_and_rejoin()
         report = reports[victim]
         lost = sum(1 for i in range(written) if cluster.get(key(i)) != value(i))
         assert lost == 0, f"{lost} keys lost cluster-wide after reopen"
@@ -294,15 +294,15 @@ def run_parent_restart(workdir):
     with ClusterService(**spec) as cluster:
         cluster.fail_shard("shard-0")
         cluster.record_shard_error("shard-0")  # detected: one error marks it down
-        report = RecoveryCoordinator(cluster).recover()
+        report = KeyMigrator(cluster).recover()
         cluster.fail_shard("shard-1")
         cluster.record_shard_error("shard-1")
         unreadable = sum(1 for i in range(RESTART_KEYS) if cluster.get(key(i)) != value(i))
-    assert report.keys_affected > 0, "recovery found nothing to re-replicate"
+    assert report.keys_seeded > 0, "recovery found nothing to re-replicate"
     assert unreadable == 0, f"{unreadable} acked keys unreadable after the second crash"
     return {
         "keys_written": RESTART_KEYS,
-        "keys_affected": report.keys_affected,
+        "keys_affected": report.keys_seeded,
         "keys_lost": report.keys_lost,
         "lost_fraction": report.lost_fraction,
         "unreadable_after_second_crash": unreadable,

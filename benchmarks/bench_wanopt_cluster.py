@@ -281,7 +281,7 @@ def failure_drill():
     """Kill/heal drill at RF=2, traced and telemetry-audited end to end.
 
     Act one is the original crash-stop: ``shard-1`` dies mid-transfer and a
-    scheduled :class:`RecoveryCoordinator` pass re-replicates its ranges and
+    scheduled recovery (``KeyMigrator.recover``) re-replicates its ranges and
     removes it from the ring.  Act two downs a *second* shard and then heals
     it in place (hinted writes replayed) — so the run's event log replays
     the full kill → detect → recover → kill → heal sequence in order, and

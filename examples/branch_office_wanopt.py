@@ -13,8 +13,9 @@ data-center :class:`~repro.service.cluster.ClusterService` with one batched
 round trip per object, so a chunk uploaded by one branch is a reference for
 every other branch.  Mid-run a shard is crash-stopped: requests fail over
 along the preference lists (availability stays 1.0 at RF=2), a scheduled
-recovery re-replicates the dead shard's keys, and the far side verifies
-every object reassembles byte-exactly.
+recovery (a ``KeyMigrator`` migration the topology runs to completion when
+the event fires) re-replicates the dead shard's keys, and the far side
+verifies every object reassembles byte-exactly.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def main() -> None:
     )
     report = result.recovery_reports[0]
     print(
-        f"recovery: removed {report.failed_shards}, re-replicated "
+        f"recovery: removed {report.subject}, re-replicated "
         f"{report.keys_re_replicated} keys ({report.keys_lost} lost)"
     )
     health = topology.cluster.stats.health()

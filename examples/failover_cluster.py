@@ -8,15 +8,16 @@ Run with::
 Demonstrates the fault-tolerance layer of ``repro.service``: replica
 placement on the router's preference lists, device-level fault injection
 (:mod:`repro.flashsim.faults`), reads and writes failing over to surviving
-replicas, read-repair backfilling a healed shard, and the
-:class:`~repro.service.recovery.RecoveryCoordinator` re-replicating a dead
-shard's key ranges along the exact handoff arcs.
+replicas, read-repair backfilling a healed shard, and
+:meth:`~repro.service.rebalance.KeyMigrator.recover` re-replicating a dead
+shard's key ranges along the exact handoff arcs, as a migration reported in a
+:class:`~repro.service.rebalance.MigrationReport`.
 """
 
 from __future__ import annotations
 
 from repro.core import CLAMConfig
-from repro.service import ClusterService, RecoveryCoordinator
+from repro.service import ClusterService, KeyMigrator
 from repro.workloads import fingerprint_for
 
 
@@ -67,25 +68,23 @@ def crash_and_failover(cluster: ClusterService) -> str:
 def recover(cluster: ClusterService, victim: str) -> None:
     """Recovery removes the dead shard and restores full replication."""
     print("=== Recovery ===")
-    coordinator = RecoveryCoordinator(cluster)
-    print(f"detected failed shards: {coordinator.detect()}")
-    report = coordinator.recover()
+    print(f"detected failed shards: {cluster.down_shard_ids}")
+    report = KeyMigrator(cluster).recover()
     print(
         "re-replicated %d of %d affected keys (%d copies, %d lost, %.1f%% of the key"
         " space with no surviving owner) in %.2f ms of work"
         % (
             report.keys_re_replicated,
-            report.keys_affected,
+            report.keys_seeded,
             report.copies_written,
             report.keys_lost,
             100 * report.lost_fraction,
             report.work_ms,
         )
     )
-    handoff = report.handoffs[0]
     print(
-        "%s's arcs (%.1f%% of the key space) handed to: %s"
-        % (victim, 100 * handoff.moved_fraction, sorted(handoff.gained_fraction))
+        "%s's arcs (%.1f%% of the key space) copied to: %s"
+        % (victim, 100 * report.moved_fraction, sorted(report.keys_gained))
     )
     full = sum(
         1

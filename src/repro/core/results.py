@@ -71,10 +71,7 @@ class FlushResult:
     """Outcome of flushing a buffer to flash."""
 
     latency_ms: float = 0.0
-    incarnations_written: int = 0
-    incarnations_evicted: int = 0
     incarnations_tried: int = 0
-    items_retained: int = 0
     flash_writes: int = 0
     flash_reads: int = 0
     forced_full_discard: bool = False

@@ -293,7 +293,6 @@ class SuperTable:
                 force_full = incarnations_tried >= self.max_incarnations
                 retained, evict_latency, evict_reads = self._evict_oldest(force_full)
                 incarnations_tried += 1
-                result.incarnations_evicted += 1
                 result.latency_ms += evict_latency
                 result.flash_reads += evict_reads
                 result.forced_full_discard = result.forced_full_discard or force_full
@@ -301,8 +300,6 @@ class SuperTable:
             write_latency, pages_written = self._write_incarnation(pending, key_words, item_count)
             result.latency_ms += write_latency
             result.flash_writes += pages_written
-            result.incarnations_written += 1
-            result.items_retained += len(retained)
 
             if put_back and len(retained) < self.buffer.capacity_items:
                 refused: Dict[bytes, bytes] = {}

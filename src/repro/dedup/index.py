@@ -20,7 +20,6 @@ from repro.wanopt.fingerprint import Chunk
 class DedupStats:
     """Counters describing one ingest run."""
 
-    chunks_seen: int = 0
     chunks_stored: int = 0
     duplicates_suppressed: int = 0
     bytes_seen: int = 0
@@ -46,7 +45,6 @@ class DedupIndex:
 
     def ingest_chunk(self, chunk: Chunk) -> Tuple[bool, float]:
         """Process one chunk; returns ``(was_duplicate, latency_ms)``."""
-        self.stats.chunks_seen += 1
         self.stats.bytes_seen += chunk.size
         lookup: LookupResult = self.index.lookup(chunk.fingerprint)
         latency = lookup.latency_ms

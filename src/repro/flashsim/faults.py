@@ -28,8 +28,8 @@ is a no-op; a faulted one can
 The injector is the mechanism underneath shard failure in the service layer:
 :meth:`repro.service.cluster.ClusterService.fail_shard` crashes a shard's
 devices, the replicated read/write paths observe the resulting
-``DeviceFailedError``\\ s, and the
-:class:`~repro.service.recovery.RecoveryCoordinator` re-replicates what the
+``DeviceFailedError``\\ s, and
+:meth:`~repro.service.rebalance.KeyMigrator.recover` re-replicates what the
 dead shard owned.  Everything is deterministic under seed control, so failure
 experiments replay exactly.
 """

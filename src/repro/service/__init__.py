@@ -9,10 +9,10 @@ closed-loop traffic simulator drives it with M skewed clients.
 
 With ``replication_factor=N`` the cluster survives shard failures: writes
 fan out to each key's N-shard preference list, reads fail over (with
-read-repair) to surviving replicas, and a
-:class:`~repro.service.recovery.RecoveryCoordinator` re-replicates a dead
-shard's key ranges onto the survivors through the same :class:`KeyMigrator`
-that moves arcs for a scale-out or scale-in.
+read-repair) to surviving replicas, and :meth:`KeyMigrator.recover`
+re-replicates a dead shard's key ranges onto the survivors as the same kind
+of migration that moves arcs for a scale-out or scale-in, reported in the same
+:class:`MigrationReport`.
 The cluster also scales *online*: a :class:`KeyMigrator` streams the exact
 key-range arcs a membership change moves while traffic continues (double-read
 during the move, atomic per-arc cut-over), and an :class:`AutoscalePolicy`
@@ -61,7 +61,6 @@ from repro.service.rebalance import (
     MigrationState,
     changed_arcs,
 )
-from repro.service.recovery import RecoveryCoordinator, RecoveryReport
 from repro.service.router import RING_SPACE, HandoffStats, ShardRouter
 from repro.service.shard import LocalShard
 from repro.service.simulator import (
@@ -96,8 +95,6 @@ __all__ = [
     "TrafficReport",
     "ClientReport",
     "FailureEvent",
-    "RecoveryCoordinator",
-    "RecoveryReport",
     "KeyMigrator",
     "MigrationState",
     "MigrationArc",

@@ -22,10 +22,11 @@ by the first live replica that hits, with read-repair of those that missed
 (the executor's docstring states the replica semantics), shards that throw
 :class:`~repro.core.errors.DeviceFailedError` (see
 :mod:`repro.flashsim.faults`) are marked down after ``failure_threshold``
-errors and routed around, and the
-:class:`~repro.service.recovery.RecoveryCoordinator` takes dead shards out of
+errors and routed around, and
+:meth:`~repro.service.rebalance.KeyMigrator.recover` takes dead shards out of
 the cluster and re-replicates what they owned onto the survivors, as a
-:class:`~repro.service.rebalance.KeyMigrator` migration.
+migration like any other (:meth:`ClusterService.reopen_and_rejoin` instead
+reopens them in place).
 
 :class:`ClusterStats` merges the cheap per-instance counters
 (:meth:`repro.core.clam.CLAM.counters`) across the fleet: flash/DRAM I/O,
@@ -217,7 +218,7 @@ class ClusterService:
         (:meth:`ShardRouter.preference_list`).  With 1 (the default) the
         cluster behaves exactly like the pre-replication service; with N>=2 a
         shard can crash without losing keys (see
-        :mod:`repro.service.recovery`).
+        :meth:`~repro.service.rebalance.KeyMigrator.recover`).
     failure_threshold:
         :class:`~repro.core.errors.DeviceFailedError` count at which a shard
         is marked down and routed around.
@@ -301,7 +302,8 @@ class ClusterService:
         #: arcs move; while set, every operation is placed by its
         #: ``replicas_for`` (:meth:`replicas_for`).
         self.migration = None
-        #: Most recent :class:`~repro.service.recovery.RecoveryReport`.
+        #: Report of the most recent recovery
+        #: (:meth:`~repro.service.rebalance.KeyMigrator.recover`).
         self.last_recovery = None
         #: Most recent :class:`~repro.service.batch.BatchResult` produced by
         #: :meth:`execute_batch` (and therefore by :meth:`lookup_batch` /
@@ -486,6 +488,34 @@ class ClusterService:
         self._replay_hints_for(shard_id)
         return report
 
+    def reopen_and_rejoin(self) -> Dict[str, Optional[CrashRecoveryReport]]:
+        """Reopen every shard marked down in place instead of removing it.
+
+        The cheap path for a cluster on ``storage="persistent"``: a shard
+        that lost power still has every acknowledged write on its backing
+        file, so instead of taking it off the ring and re-replicating its
+        whole key range (:meth:`~repro.service.rebalance.KeyMigrator.recover`),
+        each down shard is reopened by :meth:`reopen_shard` — running the
+        CLAM crash-recovery scan — and rejoins at its old ring position, with
+        only the writes it missed while down replayed from the hinted-handoff
+        log.  Replication of DRAM-buffered writes lost in the cut is restored
+        lazily by read-repair.
+
+        Returns each shard's :class:`~repro.core.recovery.CrashRecoveryReport`
+        (``None`` for a volatile shard, which comes back empty).
+        """
+        reports = {shard_id: self.reopen_shard(shard_id) for shard_id in self.down_shard_ids}
+        if reports:
+            recovered = [report for report in reports.values() if report is not None]
+            self.recoveries += 1
+            self.events.record(
+                "reopen_rejoin",
+                shards=list(reports),
+                entries_rebuilt=sum(r.entries_rebuilt for r in recovered),
+                log_records_replayed=sum(r.log_records_replayed for r in recovered),
+            )
+        return reports
+
     def _record_hint(self, shard_id: str, key: KeyLike) -> None:
         """Remember that ``shard_id`` missed a write/delete for ``key``."""
         if shard_id in self.shards:
@@ -627,7 +657,7 @@ class ClusterService:
         """Decommission a shard and return the key-range handoff it causes.
 
         Used both for planned decommissions and by
-        :meth:`repro.service.rebalance.KeyMigrator.start_recovery` to take a
+        :meth:`repro.service.rebalance.KeyMigrator.recover` to take a
         dead shard out before re-replicating its key ranges.  For a
         *graceful* decommission that streams the shard's data off first, use
         :meth:`repro.service.rebalance.KeyMigrator.start_remove` instead.

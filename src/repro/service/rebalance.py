@@ -4,7 +4,7 @@ The rebalancing layer turns a membership change — a shard joining or leaving
 the ring, or dead shards leaving the cluster — into a *migration* the cluster
 can perform while it keeps serving.  It is the one way keys move between
 replica sets: scale-out, scale-in and failure recovery
-(:class:`~repro.service.recovery.RecoveryCoordinator`) all stream arcs here.
+(:meth:`KeyMigrator.recover`) all stream arcs here.
 
 * :func:`changed_arcs` computes the **exact** set of key-range arcs whose
   preference list changes between two rings.  Preference lists are piecewise
@@ -13,7 +13,8 @@ replica sets: scale-out, scale-in and failure recovery
   ring at the union of both rings' boundary points and comparing the lists at
   each segment's inclusive end covers the whole key space with no sampling.
 * :class:`MigrationState` is the placement overlay installed on
-  :attr:`ClusterService.migration` while arcs move.  A **pending** arc still
+  :attr:`ClusterService.migration` while arcs move, and the only holder of the
+  migration's progress, so any migrator can drive it.  A **pending** arc still
   routes to its old owners; a **migrating** arc routes every read and write to
   the *union* of old and new owners, old owners first — the double-read window
   that keeps lookups hitting the authoritative copy and the write forwarding
@@ -32,7 +33,8 @@ replica sets: scale-out, scale-in and failure recovery
   lost only when every one of its old owners has left the cluster, which only
   a recovery's membership change does: a planned scale-out or scale-in keeps
   the leaving shard instantiated until its last arc cuts over, so it stalls
-  instead of losing keys.
+  instead of losing keys.  A recovery reports in a :class:`MigrationReport`
+  like any other migration.
 * :class:`AutoscalePolicy` layers elasticity on top: driven by per-shard
   operation deltas (the hot-shard signal), read off each shard's always-on
   counters, it starts a scale-out or scale-in migration during a
@@ -47,13 +49,13 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.errors import ConfigurationError, DeviceFailedError, ShardUnavailableError
 from repro.core.hashing import KeyLike, ring_position
 from repro.service.batch import DIRECTED_OP_MS
 from repro.service.cluster import ClusterService, hot_shards, imbalance_factor
-from repro.service.router import RING_SPACE, HandoffStats, ShardRouter
+from repro.service.router import RING_SPACE, ShardRouter
 from repro.workloads.workload import OpKind
 
 #: Consecutive zero-progress steps after which
@@ -166,12 +168,14 @@ def changed_arcs(
 
 
 class MigrationState:
-    """Placement overlay consulted by every cluster operation while arcs move.
+    """One migration in flight: the placement overlay and the progress.
 
     Installed on :attr:`ClusterService.migration` by a :class:`KeyMigrator`
     *after* the ring has been mutated, so ``router`` here is already the new
     ring: keys outside any arc (and keys in done arcs) route normally, while
-    pending/migrating arcs override placement per :class:`ArcState`.
+    pending/migrating arcs override placement per :class:`ArcState`.  The
+    counters are the migration's own, so any migrator can step it; the
+    ``started_*`` readings are the cluster clock's before the membership change.
     """
 
     def __init__(
@@ -179,11 +183,35 @@ class MigrationState:
         arcs: List[MigrationArc],
         router: ShardRouter,
         replication_factor: int,
+        direction: str,
+        subject: str,
+        moved_fraction: float,
+        started_ms: float,
+        started_busy_ms: float,
     ) -> None:
         self.arcs = sorted(arcs, key=lambda arc: arc.end)
         self._ends = [arc.end for arc in self.arcs]
         self._router = router
         self._replication_factor = replication_factor
+        self.direction = direction
+        self.subject = subject
+        self.moved_fraction = moved_fraction
+        self.started_ms = started_ms
+        self.started_busy_ms = started_busy_ms
+        self.steps = 0
+        self.blocked_retries = 0
+        self.keys_seeded = 0
+        self.keys_copied = 0
+        self.keys_retired = 0
+        #: Consecutive steps that confirmed zero keys while some were blocked.
+        self.stalled_steps = 0
+        #: Copies written, per new owner.
+        self.keys_gained: Dict[str, int] = {}
+        #: Seeded keys each old owner that answered missed (deleted or evicted
+        #: since the scan; nothing to move, so the key also counts as copied).
+        self.keys_lost = 0
+        #: Share of the key space none of whose old owners is left to scan.
+        self.lost_fraction = 0.0
 
     def arc_for_hash(self, position: int) -> Optional[MigrationArc]:
         """The arc containing a ring position, or None if no arc covers it.
@@ -239,25 +267,51 @@ class MigrationState:
 
 @dataclass(frozen=True)
 class MigrationReport:
-    """Outcome of one completed migration."""
+    """Outcome of one completed migration, a recovery's included.
+
+    A recovery's ``subject`` is its failed shards joined by commas, and its
+    ``keys_seeded`` the keys the survivors' scans found in the changed arcs.
+    A recovery with no shard down moved nothing and reports zeros.
+    """
 
     direction: str
     subject: str
-    arcs: int
-    moved_fraction: float
-    keys_seeded: int
-    keys_copied: int
-    keys_retired: int
-    steps: int
-    blocked_retries: int
-    duration_ms: float
+    arcs: int = 0
+    moved_fraction: float = 0.0
+    keys_seeded: int = 0
+    keys_copied: int = 0
+    keys_retired: int = 0
+    steps: int = 0
+    blocked_retries: int = 0
+    #: Cluster time from the membership change to the last cut-over.
+    duration_ms: float = 0.0
+    #: Copies written, per new owner.
+    keys_gained: Dict[str, int] = field(default_factory=dict)
+    #: Seeded keys no old owner that answered still held.
+    keys_lost: int = 0
+    #: Share of the key space whose old owners had all left the cluster, so
+    #: no scan found its keys (a recovery's loss at ``replication_factor=1``).
+    lost_fraction: float = 0.0
+    #: Simulated shard-side work (:attr:`ClockEnsemble.busy_ms` delta) —
+    #: nonzero even when the shards worked behind the cluster-time frontier.
+    work_ms: float = 0.0
+
+    @property
+    def keys_re_replicated(self) -> int:
+        """Seeded keys now held by their new preference lists."""
+        return self.keys_seeded - self.keys_lost
+
+    @property
+    def copies_written(self) -> int:
+        """Individual (key, shard) copies the migration wrote."""
+        return sum(self.keys_gained.values())
 
 
 class KeyMigrator:
     """Streams a membership change's key-range arcs while traffic continues.
 
     One migration at a time: :meth:`start_add` / :meth:`start_remove` /
-    :meth:`start_recovery` snapshot the old ring, apply the membership change,
+    :meth:`recover` snapshot the old ring, apply the membership change,
     seed the arc queues by scanning the old owners and install the
     :class:`MigrationState` overlay.
     :meth:`step` then copies a bounded batch of keys (call it from the traffic
@@ -265,7 +319,10 @@ class KeyMigrator:
     drain — in one sub-batch per shard it reads, writes or retires from,
     however many keys it moves.  :meth:`run_to_completion` drains everything,
     raising once :data:`STALL_LIMIT` consecutive steps made no progress
-    because no live replica was left to copy from or confirm on.
+    because no live replica was left to copy from or confirm on.  Both act
+    on whatever migration ``cluster.migration`` holds, whichever migrator
+    started it; a migrator keeps only its settings and the reports of the
+    migrations it completed.
 
     Parameters
     ----------
@@ -290,50 +347,18 @@ class KeyMigrator:
         self.cluster = cluster
         self.batch_size = batch_size
         self.max_active_arcs = max_active_arcs
-        #: Reports of completed migrations, in completion order.
+        #: Reports of the migrations this migrator completed, in order.
         self.reports: List[MigrationReport] = []
-        self._state: Optional[MigrationState] = None
-        self._begin("", "", 0.0, 0.0)
 
-    def _begin(self, direction: str, subject: str, moved: float, started_ms: float) -> None:
-        """Zero the progress counters (the public ones outlive the migration)."""
-        self._direction = direction
-        self._subject = subject
-        self._moved_fraction = moved
-        self._steps = 0
-        self._blocked_retries = 0
-        self._keys_copied = 0
-        self._keys_retired = 0
-        self._keys_seeded = 0
-        self._started_ms = started_ms
-        #: Consecutive steps that confirmed zero keys while some were blocked.
-        self.stalled_steps = 0
-        #: Copies the migration wrote, per new owner.
-        self.keys_gained: Dict[str, int] = {}
-        #: Seeded keys the migration found no value for: each old owner that
-        #: answered missed it (deleted or evicted since the scan; nothing to
-        #: move, so the key also counts as copied).
-        self.keys_lost = 0
-        #: Share of the key space the migration lost: arcs none of whose old
-        #: owners is left in the cluster to scan.
-        self.lost_fraction = 0.0
-
-    @property
-    def active(self) -> bool:
-        """Whether this migrator currently owns an in-flight migration."""
-        return self._state is not None and self.cluster.migration is self._state
-
-    def _require_active(self) -> MigrationState:
-        if not self.active:
-            raise ConfigurationError("no key migration in flight")
-        return self._state
-
-    def _snapshot_router(self) -> ShardRouter:
-        """Preconditions plus an independent copy of the current (old) ring."""
-        if self.cluster.migration is not None:
+    def _snapshot(self) -> Tuple[ShardRouter, Tuple[float, float]]:
+        """Preconditions, an independent copy of the current (old) ring and
+        the cluster clock's ``(now_ms, busy_ms)`` before the change."""
+        cluster = self.cluster
+        if cluster.migration is not None:
             raise ConfigurationError("a key migration is already in flight")
-        router = self.cluster.router
-        return ShardRouter(router.shard_ids, virtual_nodes=router.virtual_nodes)
+        router = cluster.router
+        started = (cluster.clock.now_ms, cluster.clock.busy_ms)
+        return ShardRouter(router.shard_ids, virtual_nodes=router.virtual_nodes), started
 
     # -- Starting a migration -----------------------------------------------------------
 
@@ -342,10 +367,10 @@ class KeyMigrator:
 
         Returns the joining shard's id (auto-named when not given).
         """
-        old_router = self._snapshot_router()
+        old_router, started = self._snapshot()
         handoff = self.cluster.add_shard(shard_id)
         subject = handoff.added[0]
-        self._install("scale-out", subject, old_router, handoff.moved_fraction)
+        self._install("scale-out", subject, old_router, handoff.moved_fraction, started)
         return subject
 
     def start_remove(self, shard_id: str) -> str:
@@ -355,7 +380,7 @@ class KeyMigrator:
         owner through the double-read window — until the last of its arcs
         cuts over, at which point it is decommissioned.
         """
-        old_router = self._snapshot_router()
+        old_router, started = self._snapshot()
         router = self.cluster.router
         if shard_id not in router:
             raise ConfigurationError(f"shard {shard_id!r} not present")
@@ -365,39 +390,60 @@ class KeyMigrator:
                 f"replication_factor={self.cluster.replication_factor}"
             )
         handoff = router.remove_shard(shard_id)
-        self._install("scale-in", shard_id, old_router, handoff.moved_fraction)
+        self._install("scale-in", shard_id, old_router, handoff.moved_fraction, started)
         return shard_id
 
-    def start_recovery(self, shard_ids: Sequence[str]) -> List[HandoffStats]:
-        """Take dead shards out of the cluster and start re-replicating their arcs.
+    def recover(self) -> MigrationReport:
+        """Take the shards marked down out of the cluster and re-replicate their arcs.
 
-        One membership change: every shard leaves the ring and
+        One membership change: every down shard leaves the ring and
         ``cluster.shards`` (:meth:`ClusterService.remove_shard`) before any
         key moves, so each changed arc is streamed from its surviving old
-        owners, and a key none of them is left to answer for is lost.
-        Returns each removal's handoff.
+        owners, and an arc none of them is left to answer for is lost.  The
+        migration runs to completion here; a survivor that stops answering
+        stalls it (:class:`ShardUnavailableError`) with the migration still
+        installed, for any migrator to finish once that shard heals.
+
+        Returns the report, which is also the cluster's ``last_recovery``.
         """
-        old_router = self._snapshot_router()
-        handoffs = [self.cluster.remove_shard(shard_id) for shard_id in shard_ids]
-        moved = sum(handoff.moved_fraction for handoff in handoffs)
-        self._install("recovery", ",".join(shard_ids), old_router, moved)
-        return handoffs
+        cluster = self.cluster
+        failed = cluster.down_shard_ids
+        report = MigrationReport("recovery", "")
+        if failed:
+            old_router, started = self._snapshot()
+            moved = sum(cluster.remove_shard(shard_id).moved_fraction for shard_id in failed)
+            self._install("recovery", ",".join(failed), old_router, moved, started)
+            report = self.run_to_completion()
+            cluster.recoveries += 1
+            cluster.events.record(
+                "recovery",
+                shards=list(failed),
+                keys_re_replicated=report.keys_re_replicated,
+                copies_written=report.copies_written,
+                keys_lost=report.keys_lost,
+                lost_fraction=report.lost_fraction,
+                duration_ms=report.duration_ms,
+            )
+        cluster.last_recovery = report
+        return report
 
     def _install(
         self,
         direction: str,
         subject: str,
         old_router: ShardRouter,
-        moved_fraction: float,
+        moved: float,
+        started: Tuple[float, float],
     ) -> None:
         cluster = self.cluster
         arcs = changed_arcs(old_router, cluster.router, cluster.replication_factor)
-        state = self._state = MigrationState(arcs, cluster.router, cluster.replication_factor)
-        self._begin(direction, subject, moved_fraction, cluster.clock.now_ms)
+        state = MigrationState(
+            arcs, cluster.router, cluster.replication_factor, direction, subject, moved, *started
+        )
         for arc in arcs:
             if cluster.shards.keys().isdisjoint(arc.old_replicas):
                 arc.seeded = True  # no old owner is left to scan: nothing will arrive
-                self.lost_fraction += arc.fraction
+                state.lost_fraction += arc.fraction
         self._scan(state)
         cluster.migration = state
         cluster.events.record(
@@ -405,8 +451,8 @@ class KeyMigrator:
             direction=direction,
             shard=subject,
             arcs=len(arcs),
-            keys=self._keys_seeded,
-            moved_fraction=moved_fraction,
+            keys=state.keys_seeded,
+            moved_fraction=moved,
         )
         if cluster.telemetry is not None:
             cluster.telemetry.counter("migrations_started").inc()
@@ -438,7 +484,7 @@ class KeyMigrator:
                 if arc in owned and arc.state is not ArcState.DONE and key not in arc.keys:
                     arc.keys.add(key)
                     arc.pending.add(key)
-                    self._keys_seeded += 1
+                    state.keys_seeded += 1
 
     # -- Driving the migration ----------------------------------------------------------
 
@@ -453,11 +499,13 @@ class KeyMigrator:
         scale-in decommissions the leaving shard — once every arc is done.
         An arc no old owner's key scan has answered for yet counts as blocked.
         """
-        state = self._require_active()
+        state = self.cluster.migration
+        if state is None:
+            raise ConfigurationError("no key migration in flight")
         budget = self.batch_size if budget is None else budget
         if budget <= 0:
             raise ConfigurationError("budget must be positive")
-        self._steps += 1
+        state.steps += 1
         self._scan(state)
         self._promote_arcs(state)
         visited: List[MigrationArc] = []
@@ -469,33 +517,35 @@ class KeyMigrator:
             batch.extend((arc, key) for key in heapq.nsmallest(budget - len(batch), arc.pending))
             if len(batch) >= budget:
                 break
-        safe = self._copy(batch)
+        safe = self._copy(state, batch)
         for arc, key in batch:
             if key in safe:
                 arc.pending.discard(key)
                 arc.copied += 1
         copied = len(safe)
         blocked = sum(1 for arc in state.arcs if not arc.seeded) + len(batch) - copied
-        self._cut_over([arc for arc in visited if not arc.pending])
-        self._keys_copied += copied
-        self._blocked_retries += blocked
+        self._cut_over(state, [arc for arc in visited if not arc.pending])
+        state.keys_copied += copied
+        state.blocked_retries += blocked
         if copied == 0 and blocked > 0:
-            self.stalled_steps += 1
+            state.stalled_steps += 1
         elif copied > 0:
-            self.stalled_steps = 0
+            state.stalled_steps = 0
         self._promote_arcs(state)
         if all(arc.state is ArcState.DONE for arc in state.arcs):
-            self._complete()
+            self._complete(state)
         return copied
 
     def run_to_completion(self) -> MigrationReport:
-        """Step until the migration completes; raise if it stalls."""
-        self._require_active()
+        """Step the migration in flight until it completes; raise if it stalls."""
+        state = self.cluster.migration
+        if state is None:
+            raise ConfigurationError("no key migration in flight")
         while self.cluster.migration is not None:
             self.step()
-            if self.stalled_steps >= STALL_LIMIT:
+            if state.stalled_steps >= STALL_LIMIT:
                 raise ShardUnavailableError(
-                    f"migration of {self._subject!r} stalled: {self.stalled_steps} "
+                    f"migration of {state.subject!r} stalled: {state.stalled_steps} "
                     "consecutive steps with every pending key blocked (no live "
                     "replica to read from or confirm on)"
                 )
@@ -510,7 +560,7 @@ class KeyMigrator:
                 arc.state = ArcState.MIGRATING
                 active += 1
 
-    def _copy(self, batch: List[Tuple[MigrationArc, bytes]]) -> Set[bytes]:
+    def _copy(self, state: MigrationState, batch: List[Tuple[MigrationArc, bytes]]) -> Set[bytes]:
         """Copy a step's keys to their arcs' new owners; returns those now safe.
 
         Reads old-first (the authoritative side), writes every new owner not
@@ -532,7 +582,7 @@ class KeyMigrator:
             value = copies[key][0]
             if value is None:  # deleted while queued: nothing to move
                 arc.keys.discard(key)
-                self.keys_lost += 1
+                state.keys_lost += 1
                 safe.add(key)
                 continue
             moving[key] = (arc, value)
@@ -542,7 +592,7 @@ class KeyMigrator:
         done = executor.execute_directed({t: w for t, w in writes.items() if cluster.is_live(t)})
         for target, operations in writes.items():
             if target in done:
-                self.keys_gained[target] = self.keys_gained.get(target, 0) + len(operations)
+                state.keys_gained[target] = state.keys_gained.get(target, 0) + len(operations)
                 safe.update(key for _, key, _ in operations)
             else:
                 for _, key, _ in operations:
@@ -563,7 +613,7 @@ class KeyMigrator:
             safe.update(key for _, key, _ in repairs[shard_id])
         return safe
 
-    def _cut_over(self, arcs: List[MigrationArc]) -> None:
+    def _cut_over(self, state: MigrationState, arcs: List[MigrationArc]) -> None:
         """Atomically retire drained arcs.
 
         The state flip is the atomic step: from the next operation on, keys in
@@ -578,13 +628,13 @@ class KeyMigrator:
             (arc, shard_id)
             for arc in arcs
             for shard_id in arc.old_replicas
-            if shard_id not in arc.new_replicas and shard_id != self._subject
+            if shard_id not in arc.new_replicas and shard_id != state.subject
         )
         for arc in arcs:
-            self._keys_retired += retired[arc]
+            state.keys_retired += retired[arc]
             self.cluster.events.record(
                 "arc_cut_over",
-                shard=self._subject,
+                shard=state.subject,
                 arc_start=f"{arc.start:016x}",
                 arc_end=f"{arc.end:016x}",
                 keys=len(arc.keys),
@@ -608,23 +658,25 @@ class KeyMigrator:
             ran.update(owners[shard_id])
         return ran
 
-    def _complete(self) -> MigrationReport:
+    def _complete(self, state: MigrationState) -> None:
         cluster = self.cluster
-        state = self._state
         report = MigrationReport(
-            direction=self._direction,
-            subject=self._subject,
+            direction=state.direction,
+            subject=state.subject,
             arcs=len(state.arcs),
-            moved_fraction=self._moved_fraction,
-            keys_seeded=self._keys_seeded,
-            keys_copied=self._keys_copied,
-            keys_retired=self._keys_retired,
-            steps=self._steps,
-            blocked_retries=self._blocked_retries,
-            duration_ms=cluster.clock.now_ms - self._started_ms,
+            moved_fraction=state.moved_fraction,
+            keys_seeded=state.keys_seeded,
+            keys_copied=state.keys_copied,
+            keys_retired=state.keys_retired,
+            steps=state.steps,
+            blocked_retries=state.blocked_retries,
+            duration_ms=cluster.clock.now_ms - state.started_ms,
+            keys_gained=dict(state.keys_gained),
+            keys_lost=state.keys_lost,
+            lost_fraction=state.lost_fraction,
+            work_ms=cluster.clock.busy_ms - state.started_busy_ms,
         )
         cluster.migration = None
-        self._state = None
         if report.direction == "scale-in":
             cluster.decommission_shard(report.subject)
         cluster.events.record(
@@ -639,7 +691,6 @@ class KeyMigrator:
             cluster.telemetry.counter("migrations_completed").inc()
             cluster.telemetry.counter("migration_keys_copied").inc(report.keys_copied)
         self.reports.append(report)
-        return report
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ models M such clients over one :class:`~repro.service.cluster.ClusterService`:
 * A **failure schedule** (a sequence of :class:`FailureEvent`\\ s) can crash,
   heal or recover shards at chosen request counts, turning the simulator
   into a deterministic fault-injection harness: the report then also carries
-  the availability observed through the outage and any
-  :class:`~repro.service.recovery.RecoveryReport`\\ s produced by scheduled
-  recoveries.
+  the availability observed through the outage and the
+  :class:`~repro.service.rebalance.MigrationReport` of each recovery.
 
 Everything is deterministic given the spec's seed.
 """
@@ -39,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.errors import ConfigurationError, ShardUnavailableError
 from repro.service.cluster import ClusterService, hot_shards, imbalance_factor
 from repro.service.rebalance import AutoscaleDecision, AutoscalePolicy, KeyMigrator, MigrationReport
-from repro.service.recovery import RecoveryCoordinator, RecoveryReport
 from repro.workloads.keygen import ZipfKeyGenerator, fingerprint_for
 from repro.workloads.metrics import LatencySummary, summarize_latencies
 from repro.workloads.workload import Operation, OpKind
@@ -125,13 +123,14 @@ class FailureEvent:
     action:
         ``"fail"`` injects a fault into ``shard_id``'s devices
         (:meth:`ClusterService.fail_shard`), ``"heal"`` clears it
-        (:meth:`ClusterService.heal_shard`), ``"recover"`` runs a
-        :class:`~repro.service.recovery.RecoveryCoordinator` pass over
-        whatever shards the error counters have marked down, ``"scale-out"``
-        starts an online migration onto a joining shard and ``"scale-in"``
-        starts draining ``shard_id`` off the ring (both through the
-        simulator's :class:`~repro.service.rebalance.KeyMigrator`, stepped
-        between requests so the move overlaps live traffic).
+        (:meth:`ClusterService.heal_shard`), ``"recover"`` runs
+        :meth:`~repro.service.rebalance.KeyMigrator.recover` over whatever
+        shards the error counters have marked down, ``"scale-out"`` starts an
+        online migration onto a joining shard and ``"scale-in"`` starts
+        draining ``shard_id`` off the ring (both stepped between requests so
+        the move overlaps live traffic).  All three go through the
+        simulator's :class:`~repro.service.rebalance.KeyMigrator`, and each
+        first drains a migration still in flight.
     shard_id:
         Target shard (required for ``fail``/``heal``/``scale-in``; optional
         for ``scale-out``, which auto-names the joining shard; ignored by
@@ -159,17 +158,9 @@ class FailureEvent:
 def fire_failure_event(
     event: FailureEvent,
     cluster: ClusterService,
-    recovery: RecoveryCoordinator,
-    migrator: Optional[KeyMigrator] = None,
-) -> Optional[RecoveryReport]:
-    """Apply one scheduled event to ``cluster``; a ``recover`` returns its report.
-
-    A driver that steps no :class:`KeyMigrator` passes none, and a membership
-    event is then refused before anything is recorded, not run as a recovery pass.
-    """
-    scaling = event.action in ("scale-out", "scale-in")
-    if scaling and migrator is None:
-        raise ConfigurationError(f"no KeyMigrator here to perform a {event.action!r} event")
+    migrator: KeyMigrator,
+) -> Optional[MigrationReport]:
+    """Apply one scheduled event to ``cluster``; a ``recover`` returns its report."""
     cluster.events.record(
         "schedule_fired",
         action=event.action,
@@ -180,17 +171,17 @@ def fire_failure_event(
         cluster.fail_shard(event.shard_id, mode=event.mode)
     elif event.action == "heal":
         cluster.heal_shard(event.shard_id)
-    elif scaling:
+    else:
         # One membership change at a time: a still-running migration is
         # drained before the next scheduled one starts.
         if cluster.migration is not None:
             migrator.run_to_completion()
         if event.action == "scale-out":
             migrator.start_add(event.shard_id)
-        else:
+        elif event.action == "scale-in":
             migrator.start_remove(event.shard_id)
-    else:  # "recover"
-        return recovery.recover()
+        else:
+            return migrator.recover()
     return None
 
 
@@ -243,9 +234,10 @@ class TrafficReport:
     #: Schedule events that fired during the run, as (request_no, action, shard).
     fired_events: List[Tuple[int, str, Optional[str]]] = field(default_factory=list)
     #: Reports from scheduled ``recover`` events, in firing order.
-    recovery_reports: List[RecoveryReport] = field(default_factory=list)
-    #: Reports of migrations completed during the run (scheduled scale events
-    #: and autoscaler decisions alike), in completion order.
+    recovery_reports: List[MigrationReport] = field(default_factory=list)
+    #: Reports of the migrations the simulator's migrator has completed
+    #: (scheduled scale events, autoscaler decisions and recoveries alike),
+    #: in completion order.
     migrations: List[MigrationReport] = field(default_factory=list)
     #: Decisions the attached autoscale policy took during the run.
     autoscale_decisions: List[AutoscaleDecision] = field(default_factory=list)
@@ -340,13 +332,12 @@ class TrafficSimulator:
         self.cluster = cluster
         self.spec = spec if spec is not None else TrafficSpec()
         self.schedule = sorted(schedule or (), key=lambda event: event.at_request)
-        #: Coordinator shared by every scheduled ``recover`` event.
-        self.recovery = RecoveryCoordinator(cluster)
-        #: Migrator driving scheduled ``scale-out``/``scale-in`` events (and
-        #: any :class:`~repro.service.rebalance.AutoscalePolicy` decisions);
-        #: its :meth:`~repro.service.rebalance.KeyMigrator.step` is called
-        #: once per dispatched request while a migration is in flight, so the
-        #: move genuinely overlaps foreground traffic.
+        #: Migrator driving scheduled ``scale-out``/``scale-in``/``recover``
+        #: events (and any :class:`~repro.service.rebalance.AutoscalePolicy`
+        #: decisions); its :meth:`~repro.service.rebalance.KeyMigrator.step`
+        #: is called once per dispatched request while a migration is in
+        #: flight — whoever started it — so the move overlaps foreground
+        #: traffic.
         if migrator is None and autoscaler is not None:
             migrator = autoscaler.migrator
         self.migrator = migrator if migrator is not None else KeyMigrator(cluster)
@@ -403,8 +394,8 @@ class TrafficSimulator:
         issued = 0
         pending = deque(self.schedule)
 
-        def fire(event: FailureEvent) -> Optional[RecoveryReport]:
-            return fire_failure_event(event, self.cluster, self.recovery, self.migrator)
+        def fire(event: FailureEvent) -> Optional[MigrationReport]:
+            return fire_failure_event(event, self.cluster, self.migrator)
 
         while ready:
             fire_due_events(pending, issued, fire, report)

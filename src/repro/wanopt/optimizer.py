@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.flashsim.clock import SimulationClock
-from repro.service.recovery import RecoveryReport
+from repro.service.rebalance import MigrationReport
 from repro.service.simulator import FailureEvent, fire_due_events
 from repro.wanopt.engine import CompressionEngine
 from repro.wanopt.network import Link
@@ -211,7 +211,7 @@ class MultiBranchThroughputResult:
     #: Schedule events that fired, as (object_no, action, shard).
     fired_events: List[Tuple[int, str, Optional[str]]] = field(default_factory=list)
     #: Reports from scheduled ``recover`` events, in firing order.
-    recovery_reports: List[RecoveryReport] = field(default_factory=list)
+    recovery_reports: List[MigrationReport] = field(default_factory=list)
 
     @property
     def aggregate_bandwidth_improvement(self) -> float:

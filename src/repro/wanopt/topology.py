@@ -23,7 +23,8 @@ codebase into exactly that topology:
 
 Failure behaviour is first-class: :class:`~repro.service.simulator.FailureEvent`
 schedules crash, heal or recover shards mid-run (:meth:`MultiBranchTopology.
-fire_event`), reads and writes fail over along each key's preference list,
+fire_event`; a recovery is ``KeyMigrator.recover``, run to completion as it
+fires), reads and writes fail over along each key's preference list,
 and when no live replica remains the optimizer **degrades to pass-through** —
 the object crosses the wire uncompressed, never as unresolvable references.
 The :class:`DedupReceiver` models the far side and proves it: every
@@ -44,7 +45,7 @@ from repro.core.errors import ConfigurationError, ShardUnavailableError
 from repro.flashsim.clock import SimulationClock
 from repro.flashsim.disk import MagneticDisk
 from repro.service.cluster import ClusterService
-from repro.service.recovery import RecoveryCoordinator, RecoveryReport
+from repro.service.rebalance import KeyMigrator, MigrationReport
 from repro.service.simulator import FailureEvent, fire_failure_event
 from repro.telemetry import trace as _trace
 from repro.wanopt.cache import ContentCache
@@ -71,7 +72,6 @@ class BranchOffice:
     clock: SimulationClock
     link: Link
     engine: CompressionEngine
-    objects_processed: int = 0
     pass_through_objects: int = 0
 
 
@@ -236,10 +236,9 @@ class MultiBranchTopology:
             )
         #: Which branch first uploaded each fingerprint's literal bytes.
         self._first_uploader: Dict[bytes, str] = {}
-        #: Coordinator shared by every scheduled ``recover`` event; reached only
-        #: through :meth:`fire_event`, which refuses an index that is no cluster.
-        self._recovery = RecoveryCoordinator(index)
-        self.recovery_reports: List[RecoveryReport] = []
+        #: Runs every scheduled ``recover``; :meth:`fire_event` refuses an index that is no cluster.
+        self._migrator = KeyMigrator(index)
+        self.recovery_reports: List[MigrationReport] = []
         self.objects_total = 0
         self.objects_compressed = 0
         self.objects_pass_through = 0
@@ -257,15 +256,17 @@ class MultiBranchTopology:
             )
         return self.index
 
-    def fire_event(self, event: FailureEvent) -> Optional[RecoveryReport]:
+    def fire_event(self, event: FailureEvent) -> Optional[MigrationReport]:
         """Apply one scheduled fault action to the shared cluster.
 
-        :func:`~repro.service.simulator.fire_failure_event` without a migrator:
-        ``scale-out`` / ``scale-in`` are rejected, because they need a
-        :class:`~repro.service.rebalance.KeyMigrator` stepped between
-        requests, which only the traffic simulator drives.
+        :func:`~repro.service.simulator.fire_failure_event`, with
+        ``scale-out`` / ``scale-in`` refused before anything is recorded: a
+        scale migration is stepped between requests, which only the traffic
+        simulator does.
         """
-        report = fire_failure_event(event, self.cluster, self._recovery)
+        if event.action in ("scale-out", "scale-in"):
+            raise ConfigurationError(f"a topology performs no {event.action!r} events")
+        report = fire_failure_event(event, self.cluster, self._migrator)
         if report is not None:
             self.recovery_reports.append(report)
         return report
@@ -286,7 +287,6 @@ class MultiBranchTopology:
         verdict.
         """
         self.objects_total += 1
-        branch.objects_processed += 1
         tracer = _trace.ACTIVE
         span = (
             tracer.begin(

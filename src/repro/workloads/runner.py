@@ -61,7 +61,6 @@ class RunReport:
     operations: int = 0
     lookups: int = 0
     inserts: int = 0
-    updates: int = 0
     deletes: int = 0
     lookup_hits: int = 0
     lookup_latencies_ms: List[float] = field(default_factory=list)
@@ -195,7 +194,6 @@ def _record(report: RunReport, operation: Operation, result) -> None:
         report.inserts += 1
         report.insert_latencies_ms.append(result.latency_ms)
     elif operation.kind is OpKind.UPDATE:
-        report.updates += 1
         report.insert_latencies_ms.append(result.latency_ms)
     elif operation.kind is OpKind.DELETE:
         report.deletes += 1

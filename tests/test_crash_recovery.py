@@ -30,7 +30,6 @@ from repro.flashsim.device import DeviceGeometry
 from repro.flashsim.faults import FaultMode
 from repro.flashsim.persistent import PageState, PersistentFlashDevice
 from repro.service.cluster import ClusterService
-from repro.service.recovery import RecoveryCoordinator
 
 # Tiny geometry so the deterministic workload reaches wrap-around, releases
 # and erases within a few hundred I/O units.
@@ -575,7 +574,7 @@ class TestPersistentCluster:
                 service.insert(key(i), value(i))
             written += 50
 
-            reports = RecoveryCoordinator(service).reopen_and_rejoin()
+            reports = service.reopen_and_rejoin()
             assert victim in reports
             assert not reports[victim].clean_shutdown
             assert service.is_live(victim)

@@ -34,7 +34,6 @@ from repro.service import (
     AutoscalePolicy,
     ClusterService,
     KeyMigrator,
-    RecoveryCoordinator,
     RemoteShard,
     WorkerProcesses,
 )
@@ -409,7 +408,7 @@ class TestPersistentWorkers:
                 cluster.lookup(key)
             assert victim in cluster.down_shard_ids
             started = time.monotonic()
-            reports = RecoveryCoordinator(cluster).reopen_and_rejoin()
+            reports = cluster.reopen_and_rejoin()
             elapsed = time.monotonic() - started
             assert elapsed < 2.0, f"reopen waited on the stalled worker for {elapsed:.2f} s"
             assert list(reports) == [victim] and not reports[victim].clean_shutdown

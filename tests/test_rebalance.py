@@ -76,7 +76,7 @@ class TestChangedArcs:
         old = ShardRouter(old_ids, virtual_nodes=16)
         new = ShardRouter(new_ids, virtual_nodes=16)
         arcs = changed_arcs(old, new, 2)
-        state = MigrationState(arcs, new, 2)
+        state = MigrationState(arcs, new, 2, "scale-out", "s4", 0.0, 0.0, 0.0)
         for i in range(3_000):
             key = b"probe-%d" % i
             old_pref = old.preference_list(key, 2)

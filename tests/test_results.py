@@ -67,7 +67,7 @@ RECORDS = [
     LookupResult(b"k", b"v", 0.25, ServedFrom.INCARNATION, 2, 3, 1),
     InsertResult(b"k", 1.5, True, 1.25, 2, 16, 8),
     DeleteResult(b"k", 0.004, True),
-    FlushResult(2.5, 1, 1, 1, 7, 16, 16, True),
+    FlushResult(2.5, 1, 16, 16, True),
     OperationStats(lookups=3),
 ]
 

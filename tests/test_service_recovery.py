@@ -1,11 +1,17 @@
-"""Tests for failure detection and re-replication (service.recovery)."""
+"""Tests for failure detection and re-replication (``KeyMigrator.recover``)."""
 
 import pytest
 
 from conftest import shard_op
 from repro.core.config import CLAMConfig
 from repro.core.errors import ShardUnavailableError
-from repro.service import ClusterService, RecoveryCoordinator, WorkerProcesses
+from repro.service import (
+    ClusterService,
+    KeyMigrator,
+    TrafficSimulator,
+    TrafficSpec,
+    WorkerProcesses,
+)
 from repro.workloads import OpKind, fingerprint_for
 
 
@@ -33,32 +39,46 @@ def crash_and_detect(cluster, victim):
     assert victim in cluster.down_shard_ids
 
 
+def stalled_recovery():
+    """A 4-shard RF=2 cluster whose recovery of ``shard-1`` stalled: ``shard-2``
+    stops answering, under a threshold that keeps it in the live view."""
+    cluster, keys = populated_cluster(failure_threshold=1_000)
+    cluster.fail_shard("shard-1")
+    while "shard-1" not in cluster.down_shard_ids:
+        cluster.record_shard_error("shard-1")
+    cluster.fail_shard("shard-2")
+    with pytest.raises(ShardUnavailableError):
+        KeyMigrator(cluster).recover()
+    assert cluster.migration is not None
+    return cluster, keys
+
+
 class TestDetection:
     def test_detect_reports_shards_over_threshold(self):
         cluster, _ = populated_cluster()
-        coordinator = RecoveryCoordinator(cluster)
-        assert coordinator.detect() == ()
+        assert cluster.down_shard_ids == ()
         crash_and_detect(cluster, "shard-1")
-        assert coordinator.detect() == ("shard-1",)
+        assert cluster.down_shard_ids == ("shard-1",)
 
     def test_recover_with_nothing_down_is_a_no_op(self):
         cluster, _ = populated_cluster()
-        coordinator = RecoveryCoordinator(cluster)
-        report = coordinator.recover()
-        assert report.failed_shards == ()
-        assert report.keys_affected == report.keys_lost == 0 and report.lost_fraction == 0
+        migrator = KeyMigrator(cluster)
+        report = migrator.recover()
+        assert (report.direction, report.subject) == ("recovery", "")
+        assert report.keys_seeded == report.keys_lost == 0 and report.lost_fraction == 0
         assert cluster.num_shards == 4
+        assert migrator.reports == [] and cluster.events.events("migration_started") == []
 
 
 class TestRecovery:
     def test_no_key_lost_with_rf2(self):
         cluster, keys = populated_cluster()
         crash_and_detect(cluster, "shard-1")
-        report = RecoveryCoordinator(cluster).recover()
-        assert report.failed_shards == ("shard-1",)
+        report = KeyMigrator(cluster).recover()
+        assert report.subject == "shard-1"
         assert report.keys_lost == 0
-        assert report.keys_affected > 0
-        assert report.keys_re_replicated == report.keys_affected
+        assert report.keys_seeded > 0
+        assert report.keys_re_replicated == report.keys_seeded
         assert "shard-1" not in cluster.shards
         # Every key is readable and back at full replication on survivors.
         for key in keys:
@@ -76,15 +96,14 @@ class TestRecovery:
             1 for key in keys if victim in cluster.replicas_for(key)
         )
         crash_and_detect(cluster, victim)
-        report = RecoveryCoordinator(cluster).recover()
+        report = KeyMigrator(cluster).recover()
         assert report.lost_fraction == 0
-        assert report.keys_affected == expected_affected
+        assert report.keys_seeded == expected_affected
         assert report.copies_written == sum(report.keys_gained.values())
         assert report.work_ms > 0
         assert report.keys_lost == 0
-        (handoff,) = report.handoffs
-        assert handoff.removed == (victim,)
-        assert 0 < handoff.moved_fraction < 1
+        assert report.subject == victim
+        assert 0 < report.moved_fraction < 1
 
     def test_rf1_reports_lost_keys_instead_of_hiding_them(self):
         """Nobody is left to scan the victim's arcs: the report names their
@@ -93,20 +112,19 @@ class TestRecovery:
         victim = "shard-0"
         assert any(cluster.shard_for(key) == victim for key in keys)
         crash_and_detect(cluster, victim)
-        report = RecoveryCoordinator(cluster).recover()
-        (handoff,) = report.handoffs
-        assert report.lost_fraction == pytest.approx(handoff.moved_fraction)
+        report = KeyMigrator(cluster).recover()
+        assert report.lost_fraction == pytest.approx(report.moved_fraction)
         assert report.lost_fraction > 0
-        assert report.keys_affected == report.keys_re_replicated == 0
+        assert report.keys_seeded == report.keys_re_replicated == 0
 
     def test_recovery_updates_cluster_counters_and_health(self):
         cluster, _ = populated_cluster()
         crash_and_detect(cluster, "shard-3")
-        coordinator = RecoveryCoordinator(cluster)
-        report = coordinator.recover()
+        migrator = KeyMigrator(cluster)
+        report = migrator.recover()
         assert cluster.last_recovery is report
         assert cluster.recoveries == 1
-        assert coordinator.reports == [report]
+        assert migrator.reports == [report]
         health = cluster.stats.health()
         assert health["recoveries"] == 1
         assert health["keys_re_replicated"] == report.keys_re_replicated
@@ -118,8 +136,8 @@ class TestRecovery:
         )
         for victim in ("shard-1", "shard-4"):
             crash_and_detect(cluster, victim)
-        report = RecoveryCoordinator(cluster).recover()
-        assert set(report.failed_shards) == {"shard-1", "shard-4"}
+        report = KeyMigrator(cluster).recover()
+        assert report.subject == "shard-1,shard-4"
         assert report.keys_lost == 0
         for key in keys:
             assert cluster.lookup(key).found
@@ -139,8 +157,8 @@ class TestRecovery:
         while "shard-1" not in cluster.down_shard_ids:
             cluster.record_shard_error("shard-1")
         cluster.fail_shard("shard-2")
-        report = RecoveryCoordinator(cluster).recover()
-        assert report.failed_shards == ("shard-1",)
+        report = KeyMigrator(cluster).recover()
+        assert report.subject == "shard-1"
         assert report.keys_lost == 0
         assert "shard-2" in cluster.live_shard_ids and "shard-2" not in report.keys_gained
         cluster.heal_shard("shard-2")
@@ -151,27 +169,34 @@ class TestRecovery:
 
     def test_a_stalled_pass_is_drained_not_aborted(self):
         """A survivor that stops answering mid-pass (still instantiated, so its
-        keys are not lost) stalls the pass; once it heals, the coordinator's
-        migrator finishes the move."""
-        cluster, keys = populated_cluster(failure_threshold=1_000)
-        cluster.fail_shard("shard-1")
-        while "shard-1" not in cluster.down_shard_ids:
-            cluster.record_shard_error("shard-1")
-        cluster.fail_shard("shard-2")
-        coordinator = RecoveryCoordinator(cluster)
-        with pytest.raises(ShardUnavailableError):
-            coordinator.recover()
+        keys are not lost) stalls the pass with its migration installed; once
+        it heals, a migrator that did not start the migration finishes it."""
+        cluster, keys = stalled_recovery()
         cluster.heal_shard("shard-2")
-        coordinator.migrator.run_to_completion()
-        assert coordinator.migrator.keys_lost == 0
+        report = KeyMigrator(cluster).run_to_completion()
+        assert (report.direction, report.subject, report.keys_lost) == ("recovery", "shard-1", 0)
+        assert cluster.migration is None
         for key in keys:
             for shard_id in cluster.replicas_for(key):
                 assert shard_op(cluster.shards[shard_id], OpKind.LOOKUP, key).found
 
+    def test_a_traffic_run_finishes_a_stalled_recovery(self):
+        """The simulator's own migrator steps the migration the stalled pass
+        left installed, between requests, and drains it at the end."""
+        cluster, keys = stalled_recovery()
+        cluster.heal_shard("shard-2")
+        spec = TrafficSpec(num_clients=2, requests_per_client=10, batch_size=4, seed=5)
+        report = TrafficSimulator(cluster, spec).run()
+        assert report.requests == 20 and report.failed_requests == 0
+        assert [migration.direction for migration in report.migrations] == ["recovery"]
+        assert cluster.migration is None
+        for key in keys:
+            assert cluster.lookup(key).found
+
     def test_recovered_cluster_keeps_serving_writes(self):
         cluster, _ = populated_cluster()
         crash_and_detect(cluster, "shard-1")
-        RecoveryCoordinator(cluster).recover()
+        KeyMigrator(cluster).recover()
         fresh = [fingerprint_for(i, namespace=b"post-recovery") for i in range(100)]
         for key in fresh:
             cluster.insert(key, b"new")
@@ -212,7 +237,7 @@ def recover_after_restart(data_dir, keys, workers=None):
         cluster.insert_batch([(key, b"v-" + key[:4]) for key in inserted])
     with ClusterService(**spec) as cluster:
         crash_shard(cluster, "shard-0")
-        report = RecoveryCoordinator(cluster).recover()
+        report = KeyMigrator(cluster).recover()
         crash_shard(cluster, "shard-1")
         readable = sum(cluster.lookup(key).value == b"v-" + key[:4] for key in inserted)
     return report, readable
@@ -224,7 +249,7 @@ class TestParentRestart:
 
     def test_recovery_after_a_parent_restart_re_replicates(self, tmp_path):
         report, readable = recover_after_restart(tmp_path, 300)
-        assert report.keys_affected > 0
+        assert report.keys_seeded > 0
         assert report.keys_lost == 0 and report.lost_fraction == 0
         assert readable == 300
 
@@ -234,7 +259,7 @@ class TestParentRestart:
         assert readable == keys
         report, readable = recover_after_restart(tmp_path / "workers", keys, WorkerProcesses())
         assert readable == keys
-        assert report.keys_affected > 0
+        assert report.keys_seeded > 0
         assert report == expected
 
 
@@ -264,8 +289,8 @@ class TestReopenShard:
 
 
 #: One seeded RF=2 drill (300 keys on 4 shards, ``shard-1`` crashed), as
-#: recorded before the recovery pass became a ``KeyMigrator`` method; both
-#: backends produce it bit for bit.
+#: recorded before recovery became a ``KeyMigrator`` method (``keys_affected``
+#: is the report's ``keys_seeded``); both backends produce it bit for bit.
 PINNED_DRILL = {
     "keys_affected": 151,
     "keys_re_replicated": 151,
@@ -304,8 +329,16 @@ def test_a_seeded_drill_reports_its_pinned_numbers(workers):
     cluster, _ = populated_cluster(workers=workers)
     try:
         crash_and_detect(cluster, "shard-1")
-        report = RecoveryCoordinator(cluster).recover()
-        numbers = {name: getattr(report, name) for name in PINNED_DRILL}
+        report = KeyMigrator(cluster).recover()
+        numbers = {
+            "keys_affected": report.keys_seeded,
+            "keys_re_replicated": report.keys_re_replicated,
+            "copies_written": report.copies_written,
+            "keys_lost": report.keys_lost,
+            "lost_fraction": report.lost_fraction,
+            "work_ms": report.work_ms,
+            "duration_ms": report.duration_ms,
+        }
         assert numbers == PINNED_DRILL
         (event,) = cluster.events.events("recovery")
         assert event.attributes == PINNED_EVENT

@@ -266,7 +266,7 @@ class TestHintedHandoff:
         assert cluster.hinted_handoffs == 1
 
     def test_sequential_nonoverlapping_failures_lose_nothing(self):
-        from repro.service import RecoveryCoordinator
+        from repro.service import KeyMigrator
 
         cluster = make_cluster()
         key, primary, secondary = self.replica_pair(cluster)
@@ -276,7 +276,7 @@ class TestHintedHandoff:
         cluster.heal_shard(secondary)
         cluster.fail_shard(primary)
         cluster.record_shard_error(primary)
-        report = RecoveryCoordinator(cluster).recover()
+        report = KeyMigrator(cluster).recover()
         assert report.keys_lost == 0
         assert cluster.lookup(key).value == b"v1"
 

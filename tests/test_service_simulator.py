@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import CLAMConfig
 from repro.service import ClusterService, TrafficSimulator, TrafficSpec
+from repro.workloads import fingerprint_for
 
 
 def make_cluster(num_shards=4):
@@ -261,3 +262,33 @@ class TestFailureSchedule:
         assert [event[1] for event in report.fired_events] == ["fail", "recover"]
         assert len(report.recovery_reports) == 1
         assert "shard-0" not in cluster.shards  # the late recover still ran
+
+    def test_a_recover_event_drains_the_migration_in_flight(self):
+        """Like a scale event, a ``recover`` drains a still-running migration
+        before its own membership change: here a scale-out's."""
+        from repro.service import FailureEvent
+
+        config = CLAMConfig.scaled(
+            num_super_tables=4, buffer_capacity_items=64, incarnations_per_table=4
+        )
+        cluster = ClusterService(num_shards=4, config=config, replication_factor=2)
+        simulator = TrafficSimulator(
+            cluster,
+            small_spec(requests_per_client=20),
+            schedule=[
+                FailureEvent(at_request=10, action="scale-out"),
+                FailureEvent(at_request=12, action="fail", shard_id="shard-0"),
+                FailureEvent(at_request=14, action="recover"),
+            ],
+        )
+        simulator.warmup(300)
+        report = simulator.run()
+        assert [event[1] for event in report.fired_events] == ["scale-out", "fail", "recover"]
+        assert [m.direction for m in report.migrations] == ["scale-out", "recovery"]
+        (recovery,) = report.recovery_reports
+        assert recovery is report.migrations[1]
+        assert (recovery.subject, recovery.keys_lost, recovery.lost_fraction) == ("shard-0", 0, 0)
+        assert "shard-0" not in cluster.shards and "shard-4" in cluster.shards
+        assert report.availability == 1.0
+        for identifier in range(300):
+            assert cluster.lookup(fingerprint_for(identifier)).found

@@ -140,13 +140,25 @@ def used():
 '''
 
 
-def _unreferenced(tmp_path, caller: str, readme: str = "") -> set:
-    """The unreferenced names of a tree holding :data:`PLANTED_MODULE` and
-    ``caller`` as a tool script."""
+#: A record with two counters for the store-versus-read cases.
+PLANTED_RECORD = """
+from dataclasses import dataclass
+
+
+@dataclass
+class Tally:
+    bumped: int = 0
+    shown: int = 0
+"""
+
+
+def _unreferenced(tmp_path, caller: str, readme: str = "", module: str = PLANTED_MODULE) -> set:
+    """The unreferenced names of a tree holding ``module`` (by default
+    :data:`PLANTED_MODULE`) and ``caller`` as a tool script."""
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("from repro.planted import target, used\n")
-    (package / "planted.py").write_text(PLANTED_MODULE)
+    (package / "planted.py").write_text(module)
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "caller.py").write_text(textwrap.dedent(caller))
     (tmp_path / "README.md").write_text(readme)
@@ -188,3 +200,19 @@ def test_a_string_that_is_exactly_the_name_is_a_reference(tmp_path):
         print("used()")
     '''
     assert _unreferenced(tmp_path, caller) == {"repro.planted.used"}
+
+
+def test_a_field_that_is_only_stored_to_is_unreferenced(tmp_path):
+    """``bumped`` is only ``+=``'d: a store writes a field and is no use of it.
+    ``shown`` is stored to as well, and read once: that read is a use."""
+    caller = """
+        from repro.planted import Tally
+
+        tally = Tally()
+        tally.bumped += 1
+        tally.shown = 2
+        print(tally.shown)
+    """
+    assert _unreferenced(tmp_path, caller, module=PLANTED_RECORD) == {
+        "repro.planted.Tally.bumped"
+    }

@@ -215,7 +215,7 @@ class TestFaultInjection:
         assert "shard-1" not in topology.cluster.shard_ids
         assert len(result.recovery_reports) == 1
         report = result.recovery_reports[0]
-        assert report.failed_shards == ("shard-1",)
+        assert report.subject == "shard-1"
         assert report.keys_lost == 0
         assert report.keys_re_replicated > 0
 
@@ -259,7 +259,7 @@ class TestFaultInjection:
         assert result.objects_total == 20
         assert result.fired_events == [(5, "fail", "shard-1"), (20, "recover", None)]
         assert len(result.recovery_reports) == 1
-        assert result.recovery_reports[0].failed_shards == ("shard-1",)
+        assert result.recovery_reports[0].subject == "shard-1"
         assert result.recovery_reports[0].keys_lost == 0
         assert topology.recovery_reports == result.recovery_reports
         assert topology.cluster.down_shard_ids == ()

@@ -62,6 +62,7 @@ EXTRA_PATHS = (
     "tests/test_fingerprint_index_conformance.py",
     "benchmarks/common.py",
     "benchmarks/bench_hotpath.py",
+    "benchmarks/bench_recovery.py",
     "src/repro/baselines/disk_hash.py",
     "src/repro/baselines/dram_hash.py",
     "src/repro/core/clam.py",
@@ -84,6 +85,7 @@ EXTRA_PATHS = (
     "src/repro/wanopt/optimizer.py",
     "src/repro/wanopt/traces.py",
     "src/repro/dedup/store.py",
+    "src/repro/dedup/index.py",
     "src/repro/__init__.py",
     "src/repro/analysis/cost_efficiency.py",
     "src/repro/analysis/tuning.py",

@@ -40,19 +40,20 @@ Forks
 Unreferenced definitions
     A definition is *unreferenced* when no identifier token of its name occurs
     in the corpus outside the line spans of the definitions of that name.
-    Identifier tokens are ``ast.Name`` ids, ``ast.Attribute`` attribute names,
-    call keywords, the parts of import aliases, and string constants that are
-    exactly an identifier (``getattr(obj, "name")``, field names). Comments,
-    docstrings (string statements) and ``README.md`` are not tokens, nor is
-    anything inside an ``__all__`` assignment, nor a package ``__init__``'s
-    imports: a mention or a re-export is not a use. The line span of a
-    definition is its whole statement, so a name used only inside its own body
-    is unreferenced. Definitions are the top-level ``def`` / ``class`` /
-    assignment targets of each module under ``src/repro`` (inside top-level
+    Identifier tokens are ``ast.Name`` ids, the names of the attributes read (a
+    store, ``obj.name = ...`` or ``obj.name += 1``, writes an attribute and is
+    no use of it), call keywords, the parts of import aliases, and string
+    constants that are exactly an identifier (``getattr(obj, "name")``, field
+    names). Comments, docstrings (string statements) and ``README.md`` are not
+    tokens, nor is anything inside an ``__all__`` assignment, nor a package
+    ``__init__``'s imports: a mention or a re-export is not a use. The line
+    span of a definition is its whole statement, so a name used only inside its
+    own body is unreferenced. Definitions are the top-level ``def`` / ``class``
+    / assignment targets of each module under ``src/repro`` (inside top-level
     ``if`` / ``try`` blocks too) and the members of each top-level class.
-    Dunder names are protocol, not surface, and are skipped. A name is
-    matched, not a binding: a method is referenced when any code outside the
-    bodies of that name reads any attribute of that name.
+    Dunder names are protocol, not surface, and are skipped. A name is matched,
+    not a binding: a method is referenced when any code outside the bodies of
+    that name reads any attribute of that name.
 
 ``SURFACE.json`` holds the committed state: ``src_lines`` (a ceiling per
 package), ``settable`` (every settable value, by name), ``kept`` (unset value
@@ -172,7 +173,7 @@ def _is_all(node: ast.AST) -> bool:
 
 def _tokens(tree: ast.Module, package_init: bool) -> Iterator[Tuple[str, int]]:
     """``(identifier, line)`` for every identifier token of ``tree``: names,
-    attribute names, keywords, import alias parts and identifier-only strings.
+    attributes read, keywords, import alias parts and identifier-only strings.
     Docstrings, ``__all__`` and (in a package ``__init__``) imports are skipped."""
     stack: List[ast.AST] = [tree]
     while stack:
@@ -180,7 +181,8 @@ def _tokens(tree: ast.Module, package_init: bool) -> Iterator[Tuple[str, int]]:
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.end_lineno
+            if not isinstance(node.ctx, ast.Store):
+                yield node.attr, node.end_lineno
         elif isinstance(node, ast.keyword):
             if node.arg:
                 yield node.arg, node.lineno
