@@ -198,8 +198,8 @@ class ShardRouter:
         always :meth:`route`'s owner, and the list is a *prefix-stable chain*:
         removing one shard from the ring deletes that shard from the list and
         shifts the next distinct successor in — every other entry keeps its
-        position (the property :class:`~repro.service.recovery`'s exact
-        handoff reasoning relies on).
+        position (the property a recovery's exact handoff reasoning,
+        :meth:`~repro.service.rebalance.KeyMigrator.recover`, relies on).
 
         ``n`` is clamped to the number of shards, so a 2-shard ring answers a
         request for 3 replicas with both shards.
