@@ -161,9 +161,10 @@ def run_churn():
 def run_autoscale(telemetry: bool = True):
     """Policy-driven elasticity: the autoscaler must act on the Zipf skew."""
     cluster = build_cluster(num_shards=3, telemetry=telemetry)
-    migrator = KeyMigrator(cluster, batch_size=48)
-    policy = AutoscalePolicy(cluster, migrator, AUTOSCALE)
-    simulator = TrafficSimulator(cluster, SPEC, autoscaler=policy)
+    policy = AutoscalePolicy(cluster, AUTOSCALE)
+    simulator = TrafficSimulator(
+        cluster, SPEC, migrator=KeyMigrator(cluster, batch_size=48), autoscaler=policy
+    )
     simulator.warmup(WARMUP_KEYS)
     seeded = [fingerprint_for(identifier) for identifier in range(WARMUP_KEYS)]
     report = simulator.run()

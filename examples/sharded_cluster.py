@@ -7,15 +7,16 @@ Run with::
 
 Demonstrates the ``repro.service`` layer: a 4-shard cluster behind the
 familiar single-index API, batched execution amortising dispatch overhead,
-exact key-range handoff stats when shards join or leave, and a closed-loop
-multi-client traffic simulation with hot-shard detection.
+online shard joins and departures that move exactly the key ranges that
+change owner (with no key lost), and a closed-loop multi-client traffic
+simulation with hot-shard detection.
 """
 
 from __future__ import annotations
 
 from repro.core import CLAMConfig
-from repro.service import ClusterService, TrafficSimulator, TrafficSpec
-from repro.workloads import WorkloadRunner, WorkloadSpec, build_mixed_workload
+from repro.service import ClusterService, KeyMigrator, TrafficSimulator, TrafficSpec
+from repro.workloads import WorkloadRunner, WorkloadSpec, build_mixed_workload, fingerprint_for
 
 
 def config() -> CLAMConfig:
@@ -83,24 +84,28 @@ def batching_amortises_dispatch() -> None:
 
 
 def elastic_scaling() -> None:
-    """Consistent hashing keeps handoffs small when the fleet changes size."""
+    """Shards join and leave online: a KeyMigrator streams exactly the key
+    ranges that change owner, and consistent hashing keeps them small."""
     print("=== Adding and removing shards ===")
     cluster = ClusterService(num_shards=4, config=config())
-    handoff = cluster.add_shard()
+    keys = [fingerprint_for(i, namespace=b"elastic") for i in range(2_000)]
+    cluster.insert_batch([(key, b"value") for key in keys])
+    migrator = KeyMigrator(cluster)
+    joined = migrator.start_add()
+    added = migrator.run_to_completion()
     print(
-        "add shard-4:    %.1f%% of the key space moves (all gained by the new shard)"
-        % (100 * handoff.moved_fraction)
+        "add %s:    %.1f%% of the key space moves (all gained by the new shard), "
+        "%d keys copied" % (joined, 100 * added.moved_fraction, added.keys_copied)
     )
+    migrator.start_remove("shard-2")
+    removed = migrator.run_to_completion()
     print(
-        "                e.g. ~%d of 1M uniformly hashed keys"
-        % handoff.estimated_keys_moved(1_000_000)
+        "remove shard-2: %.1f%% moves to the survivors, %d keys copied"
+        % (100 * removed.moved_fraction, removed.keys_copied)
     )
-    handoff = cluster.remove_shard("shard-2")
-    print(
-        "remove shard-2: %.1f%% moves, redistributed to %s"
-        % (100 * handoff.moved_fraction, sorted(handoff.gained_fraction))
-    )
-    print(f"fleet is now: {', '.join(cluster.shard_ids)}")
+    lost = sum(1 for key in keys if not cluster.lookup(key).found)
+    assert lost == 0, lost
+    print(f"fleet is now: {', '.join(cluster.shard_ids)}; all {len(keys)} keys still found")
     print()
 
 

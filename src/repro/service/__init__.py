@@ -13,10 +13,11 @@ read-repair) to surviving replicas, and :meth:`KeyMigrator.recover`
 re-replicates a dead shard's key ranges onto the survivors as the same kind
 of migration that moves arcs for a scale-out or scale-in, reported in the same
 :class:`MigrationReport`.
-The cluster also scales *online*: a :class:`KeyMigrator` streams the exact
-key-range arcs a membership change moves while traffic continues (double-read
-during the move, atomic per-arc cut-over), and an :class:`AutoscalePolicy`
-can drive those migrations from each shard's live operation counts.
+The cluster also scales *online*: a :class:`KeyMigrator` — the only code
+that changes membership — streams the exact key-range arcs a membership change
+moves (:func:`changed_arcs`) while traffic continues (double-read during the
+move, atomic per-arc cut-over), and an :class:`AutoscalePolicy` can start
+those migrations from each shard's live operation counts.
 Faults are injected deterministically at the device layer
 (:mod:`repro.flashsim.faults`), either directly or on a request-count
 schedule (:class:`FailureEvent`) inside the traffic simulator.
@@ -61,7 +62,7 @@ from repro.service.rebalance import (
     MigrationState,
     changed_arcs,
 )
-from repro.service.router import RING_SPACE, HandoffStats, ShardRouter
+from repro.service.router import RING_SPACE, ShardRouter
 from repro.service.shard import LocalShard
 from repro.service.simulator import (
     ClientReport,
@@ -88,7 +89,6 @@ __all__ = [
     "ChaosTransport",
     "derive_seed",
     "ShardRouter",
-    "HandoffStats",
     "RING_SPACE",
     "TrafficSimulator",
     "TrafficSpec",

@@ -13,7 +13,10 @@ the interface of :mod:`repro.service.shard`, and so does the cluster's own
 maintenance (hint replay, read repair, migration) as directed per-shard
 sub-batches; cluster time is the
 :class:`~repro.flashsim.clock.ClockEnsemble` view over the shard clocks
-(parallel shards: elapsed time is the slowest member).
+(parallel shards: elapsed time is the slowest member).  The cluster never
+changes its own membership: a :class:`~repro.service.rebalance.KeyMigrator`
+builds a joining shard, moves the ring and streams the keys, and retires a
+leaving one through :meth:`ClusterService.decommission_shard`.
 
 With ``replication_factor=N`` the cluster tolerates shard failures: every
 write lands on the key's N-shard preference list
@@ -55,7 +58,7 @@ from repro.flashsim.clock import ClockEnsemble
 from repro.service.batch import BatchExecutor, BatchResult, batch_columns
 from repro.service.chaos import ChaosSchedule, ChaosTransport, derive_seed
 from repro.service.parallel import RemoteShard, WorkerProcesses
-from repro.service.router import HandoffStats, ShardRouter
+from repro.service.router import ShardRouter
 from repro.service.shard import LocalShard
 from repro.telemetry import trace as _trace
 from repro.telemetry.events import EventLog
@@ -89,10 +92,7 @@ def hot_shards(loads: Dict[str, float], threshold: float) -> List[str]:
 class ClusterStats:
     """Merged statistics over every shard of a :class:`ClusterService`."""
 
-    def __init__(
-        self, shards: Dict[str, LocalShard], service: Optional["ClusterService"] = None
-    ) -> None:
-        self._shards = shards
+    def __init__(self, service: "ClusterService") -> None:
         self._service = service
 
     def per_shard(self) -> Dict[str, Dict[str, float]]:
@@ -103,7 +103,7 @@ class ClusterStats:
         leaves out its registry.
         """
         snapshots: Dict[str, Dict[str, float]] = {}
-        for shard_id, shard in self._shards.items():
+        for shard_id, shard in self._service.shards.items():
             try:
                 snapshots[shard_id] = shard.counters()
             except DeviceFailedError:
@@ -148,15 +148,8 @@ class ClusterStats:
         return imbalance_factor(self.operations_per_shard(per_shard).values())
 
     def health(self) -> Dict[str, object]:
-        """Failure-handling view of the fleet: liveness, errors, recovery.
-
-        Requires the stats object to be attached to a :class:`ClusterService`
-        (the service constructs it that way); the merged counters above work
-        on a bare shard mapping too.
-        """
+        """Failure-handling view of the fleet: liveness, errors, recovery."""
         service = self._service
-        if service is None:
-            raise ConfigurationError("health() needs stats attached to a ClusterService")
         last = service.last_recovery
         # The event log is the ground truth for failure *history*: the live
         # sets above only describe the present, so a shard that went down and
@@ -316,7 +309,7 @@ class ClusterService:
         self.router = ShardRouter(names, virtual_nodes=virtual_nodes)
         hedge_delay_ms = workers.hedge_delay_ms if workers is not None else None
         self.executor = BatchExecutor(self, hedge_delay_ms=hedge_delay_ms)
-        self.stats = ClusterStats(self.shards, service=self)
+        self.stats = ClusterStats(self)
 
     def shard_path(self, shard_id: str) -> str:
         """Backing file of a persistent shard."""
@@ -633,49 +626,14 @@ class ClusterService:
         """Number of shards currently provisioned (live or down)."""
         return len(self.shards)
 
-    def add_shard(self, shard_id: Optional[str] = None) -> HandoffStats:
-        """Provision a new shard and return the key-range handoff it causes.
-
-        The handoff stats describe the fraction of the key space whose owner
-        changed (near ``1/(N+1)`` under consistent hashing).  No data moves:
-        keys in those arcs stay on their old shards until re-inserted.  To
-        join a shard *and* stream its key ranges onto it under live traffic,
-        use :meth:`repro.service.rebalance.KeyMigrator.start_add` instead.
-        """
-        self._check_membership_frozen("add_shard")
-        if shard_id is None:
-            index = len(self.shards)
-            while f"shard-{index}" in self.shards:
-                index += 1
-            shard_id = f"shard-{index}"
-        self._build_shard(shard_id)
-        handoff = self.router.add_shard(shard_id)
-        self.events.record("shard_added", shard=shard_id)
-        return handoff
-
-    def remove_shard(self, shard_id: str) -> HandoffStats:
-        """Decommission a shard and return the key-range handoff it causes.
-
-        Used both for planned decommissions and by
-        :meth:`repro.service.rebalance.KeyMigrator.recover` to take a
-        dead shard out before re-replicating its key ranges.  For a
-        *graceful* decommission that streams the shard's data off first, use
-        :meth:`repro.service.rebalance.KeyMigrator.start_remove` instead.
-        """
-        self._check_membership_frozen("remove_shard")
-        # The router validates presence and refuses to drop the last shard
-        # before mutating anything, so no duplicate guards are needed here.
-        handoff = self.router.remove_shard(shard_id)
-        self.decommission_shard(shard_id)
-        return handoff
-
     def decommission_shard(self, shard_id: str) -> None:
         """Retire a shard *instance* that is no longer on the ring.
 
-        The second half of :meth:`remove_shard`, split out so the online
-        rebalancer can take a shard off the ring first (routing new traffic
-        away) and release the instance only after its data has been streamed
-        to the new owners.
+        The second half of a removal:
+        :class:`~repro.service.rebalance.KeyMigrator` takes a shard off the
+        ring first (routing new traffic away) and releases the instance here
+        — after its data has been streamed to the new owners on scale-in, at
+        once for a dead shard on recovery.
         """
         if shard_id in self.router:
             raise ConfigurationError(
@@ -684,22 +642,6 @@ class ClusterService:
         self._retire_shard(shard_id, lambda shard: shard.close())
         self._hints.pop(shard_id, None)
         self.events.record("shard_removed", shard=shard_id)
-
-    def _check_membership_frozen(self, operation: str) -> None:
-        """Reject direct membership changes while a migration is in flight.
-
-        One membership change at a time: the migrator's arc bookkeeping is
-        computed against a fixed (old ring, new ring) pair, so a concurrent
-        ``add_shard``/``remove_shard`` would silently invalidate it.  The
-        migrator itself mutates the ring *before* installing
-        :attr:`migration` (and clears it before decommissioning), so its own
-        paths pass this check.
-        """
-        if self.migration is not None:
-            raise ConfigurationError(
-                f"{operation} rejected: cluster membership is frozen while a "
-                "key migration is in flight (drain it first)"
-            )
 
     def close(self) -> None:
         """Cleanly close every shard (flush, checkpoint, unmap when persistent).

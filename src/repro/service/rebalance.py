@@ -2,9 +2,10 @@
 
 The rebalancing layer turns a membership change — a shard joining or leaving
 the ring, or dead shards leaving the cluster — into a *migration* the cluster
-can perform while it keeps serving.  It is the one way keys move between
-replica sets: scale-out, scale-in and failure recovery
-(:meth:`KeyMigrator.recover`) all stream arcs here.
+can perform while it keeps serving.  It is the one way membership changes and
+keys move between replica sets: scale-out, scale-in and failure recovery
+(:meth:`KeyMigrator.recover`) all change the ring here, diff it with
+:func:`changed_arcs` and stream the arcs.
 
 * :func:`changed_arcs` computes the **exact** set of key-range arcs whose
   preference list changes between two rings.  Preference lists are piecewise
@@ -365,13 +366,21 @@ class KeyMigrator:
     def start_add(self, shard_id: Optional[str] = None) -> str:
         """Provision a shard and start streaming its arcs to it online.
 
-        Returns the joining shard's id (auto-named when not given).
+        Returns the joining shard's id: ``shard_id``, or when not given
+        ``shard-{N}`` for N shards, stepping past names already taken.
         """
         old_router, started = self._snapshot()
-        handoff = self.cluster.add_shard(shard_id)
-        subject = handoff.added[0]
-        self._install("scale-out", subject, old_router, handoff.moved_fraction, started)
-        return subject
+        cluster = self.cluster
+        if shard_id is None:
+            index = len(cluster.shards)
+            while f"shard-{index}" in cluster.shards:
+                index += 1
+            shard_id = f"shard-{index}"
+        cluster._build_shard(shard_id)
+        cluster.router.add_shard(shard_id)
+        cluster.events.record("shard_added", shard=shard_id)
+        self._install("scale-out", shard_id, old_router, started)
+        return shard_id
 
     def start_remove(self, shard_id: str) -> str:
         """Take a shard off the ring and start draining its data online.
@@ -389,41 +398,45 @@ class KeyMigrator:
                 f"removing {shard_id!r} would leave fewer shards than "
                 f"replication_factor={self.cluster.replication_factor}"
             )
-        handoff = router.remove_shard(shard_id)
-        self._install("scale-in", shard_id, old_router, handoff.moved_fraction, started)
+        router.remove_shard(shard_id)
+        self._install("scale-in", shard_id, old_router, started)
         return shard_id
 
     def recover(self) -> MigrationReport:
         """Take the shards marked down out of the cluster and re-replicate their arcs.
 
         One membership change: every down shard leaves the ring and
-        ``cluster.shards`` (:meth:`ClusterService.remove_shard`) before any
-        key moves, so each changed arc is streamed from its surviving old
+        ``cluster.shards`` (:meth:`ClusterService.decommission_shard`) before
+        any key moves, so each changed arc is streamed from its surviving old
         owners, and an arc none of them is left to answer for is lost.  The
         migration runs to completion here; a survivor that stops answering
         stalls it (:class:`ShardUnavailableError`) with the migration still
         installed, for any migrator to finish once that shard heals.
 
         Returns the report, which is also the cluster's ``last_recovery``.
+        With no shard down nothing changes: the report is all zeros and
+        ``last_recovery`` keeps the previous recovery's.
         """
         cluster = self.cluster
         failed = cluster.down_shard_ids
-        report = MigrationReport("recovery", "")
-        if failed:
-            old_router, started = self._snapshot()
-            moved = sum(cluster.remove_shard(shard_id).moved_fraction for shard_id in failed)
-            self._install("recovery", ",".join(failed), old_router, moved, started)
-            report = self.run_to_completion()
-            cluster.recoveries += 1
-            cluster.events.record(
-                "recovery",
-                shards=list(failed),
-                keys_re_replicated=report.keys_re_replicated,
-                copies_written=report.copies_written,
-                keys_lost=report.keys_lost,
-                lost_fraction=report.lost_fraction,
-                duration_ms=report.duration_ms,
-            )
+        if not failed:
+            return MigrationReport("recovery", "")
+        old_router, started = self._snapshot()
+        for shard_id in failed:
+            cluster.router.remove_shard(shard_id)
+            cluster.decommission_shard(shard_id)
+        self._install("recovery", ",".join(failed), old_router, started)
+        report = self.run_to_completion()
+        cluster.recoveries += 1
+        cluster.events.record(
+            "recovery",
+            shards=list(failed),
+            keys_re_replicated=report.keys_re_replicated,
+            copies_written=report.copies_written,
+            keys_lost=report.keys_lost,
+            lost_fraction=report.lost_fraction,
+            duration_ms=report.duration_ms,
+        )
         cluster.last_recovery = report
         return report
 
@@ -432,11 +445,17 @@ class KeyMigrator:
         direction: str,
         subject: str,
         old_router: ShardRouter,
-        moved: float,
         started: Tuple[float, float],
     ) -> None:
+        """Install the migration from ``old_router`` to the cluster's ring.
+        Its moved fraction is the key space whose primary changes: integer arc
+        lengths summed, divided once, each arc counted once."""
         cluster = self.cluster
         arcs = changed_arcs(old_router, cluster.router, cluster.replication_factor)
+        moved = (
+            sum(arc.length for arc in arcs if arc.old_replicas[0] != arc.new_replicas[0])
+            / RING_SPACE
+        )
         state = MigrationState(
             arcs, cluster.router, cluster.replication_factor, direction, subject, moved, *started
         )
@@ -745,18 +764,18 @@ class AutoscalePolicy:
     Reads the operations each shard has served
     (:meth:`ClusterStats.operations_per_shard`, deltas between evaluations —
     the same signal the simulator's hot-shard detector uses) and starts
-    migrations through a :class:`KeyMigrator`.  The counters are always on, so
-    the policy acts the same with telemetry on or off.
+    migrations with a fresh :class:`KeyMigrator`; whatever steps the
+    cluster's migrations (the :class:`TrafficSimulator`'s migrator) drives
+    them to completion.  The counters are always on, so the policy acts the
+    same with telemetry on or off.
     """
 
     def __init__(
         self,
         cluster: ClusterService,
-        migrator: KeyMigrator,
         config: Optional[AutoscaleConfig] = None,
     ) -> None:
         self.cluster = cluster
-        self.migrator = migrator
         self.config = config if config is not None else AutoscaleConfig()
         #: Decisions taken, in order.
         self.decisions: List[AutoscaleDecision] = []
@@ -794,7 +813,7 @@ class AutoscalePolicy:
         num_shards = len(self.cluster.router)
         decision: Optional[AutoscaleDecision] = None
         if hot and num_shards < config.max_shards:
-            subject = self.migrator.start_add()
+            subject = KeyMigrator(self.cluster).start_add()
             decision = AutoscaleDecision(
                 action="scale-out",
                 shard=subject,
@@ -806,7 +825,7 @@ class AutoscalePolicy:
             imbalance = imbalance_factor(live_loads.values())
             if imbalance <= config.scale_in_imbalance:
                 victim = min(live_loads, key=lambda shard_id: (live_loads[shard_id], shard_id))
-                self.migrator.start_remove(victim)
+                KeyMigrator(self.cluster).start_remove(victim)
                 decision = AutoscaleDecision(
                     action="scale-in",
                     shard=victim,

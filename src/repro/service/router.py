@@ -6,47 +6,23 @@ see :mod:`repro.core.hashing`) and routes each key to the shard owning the
 first ring point at or after the key's hash.  Virtual nodes smooth out the
 ownership imbalance inherent to a handful of physical shards.
 
-Adding or removing a shard produces a :class:`HandoffStats` record describing
-*exactly* which fraction of the key space changed owner — computed from the
-ring arcs themselves rather than by sampling keys — so rebalancing
-experiments can report the volume of data a migration would move.  Consistent
-hashing's monotonicity guarantee shows up directly in those stats: on
-``add_shard`` every moved arc is gained by the new shard; on ``remove_shard``
-every moved arc is lost by the departing one.
+The router only places points and moves no data.  A membership change goes
+through :class:`~repro.service.rebalance.KeyMigrator`, whose
+:func:`~repro.service.rebalance.changed_arcs` segments the old and new rings
+at their :meth:`~ShardRouter.boundary_points` to find *exactly* which key
+ranges change hands — and so which fraction of the key space moves.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.hashing import RING_SEED, KeyLike, fnv1a_64, ring_position, to_key_bytes
 
 #: Size of the hash ring (64-bit hash space).
 RING_SPACE = 1 << 64
-
-
-@dataclass(frozen=True)
-class HandoffStats:
-    """Exact key-space ownership change caused by one ring mutation.
-
-    Fractions are of the whole key space (0..1).  ``gained_fraction`` and
-    ``lost_fraction`` map shard id to the fraction of the space that shard
-    gained/lost; the two sides always balance (sum gained == sum lost ==
-    ``moved_fraction``).
-    """
-
-    added: Tuple[str, ...] = ()
-    removed: Tuple[str, ...] = ()
-    moved_fraction: float = 0.0
-    gained_fraction: Dict[str, float] = field(default_factory=dict)
-    lost_fraction: Dict[str, float] = field(default_factory=dict)
-
-    def estimated_keys_moved(self, total_keys: int) -> int:
-        """Keys a migration would move out of ``total_keys`` uniformly hashed keys."""
-        return round(self.moved_fraction * total_keys)
 
 
 def _ring_point(shard_id: str, vnode: int) -> int:
@@ -157,20 +133,12 @@ class ShardRouter:
     def ownership_fractions(self) -> Dict[str, float]:
         """Exact fraction of the key space each shard owns (sums to 1)."""
         fractions: Dict[str, float] = {shard_id: 0.0 for shard_id in self._shards}
-        for start, end, owner in self._arcs():
-            fractions[owner] += ((end - start) % RING_SPACE or RING_SPACE) / RING_SPACE
-        return fractions
-
-    def _arcs(self) -> List[Tuple[int, int, str]]:
-        """Ring arcs as (start_exclusive, end_inclusive, owner) triples."""
-        if not self._points:
-            return []
-        arcs = []
         previous = self._points[-1]
-        for point in self._points:
-            arcs.append((previous, point, self._owners[point]))
+        for point in self._points:  # arc (previous, point] belongs to point's owner
+            length = (point - previous) % RING_SPACE or RING_SPACE
+            fractions[self._owners[point]] += length / RING_SPACE
             previous = point
-        return arcs
+        return fractions
 
     # -- Routing ------------------------------------------------------------------------
 
@@ -227,65 +195,18 @@ class ShardRouter:
 
     # -- Membership changes -------------------------------------------------------------
 
-    def add_shard(self, shard_id: str) -> HandoffStats:
-        """Add a shard and report the exact ownership handoff it causes."""
+    def add_shard(self, shard_id: str) -> None:
+        """Put a shard's points on the ring."""
         if shard_id in self._shards:
             raise ConfigurationError(f"shard {shard_id!r} already present")
-        before = self._arcs()
         self._place_shard(shard_id)
         self._rebuild_index()
-        return self._diff(before, added=(shard_id,))
 
-    def remove_shard(self, shard_id: str) -> HandoffStats:
-        """Remove a shard and report the exact ownership handoff it causes."""
+    def remove_shard(self, shard_id: str) -> None:
+        """Take a shard's points off the ring."""
         if shard_id not in self._shards:
             raise ConfigurationError(f"shard {shard_id!r} not present")
         if len(self._shards) == 1:
             raise ConfigurationError("cannot remove the last shard")
-        before = self._arcs()
         self._shards.remove(shard_id)
         self._rebuild_owners()
-        return self._diff(before, removed=(shard_id,))
-
-    def _diff(
-        self,
-        before: Sequence[Tuple[int, int, str]],
-        added: Tuple[str, ...] = (),
-        removed: Tuple[str, ...] = (),
-    ) -> HandoffStats:
-        """Exact ownership diff between a previous arc set and the current ring."""
-
-        def owner_at(arcs: Sequence[Tuple[int, int, str]], ends: List[int], point: int) -> str:
-            # Arcs are (start_exclusive, end_inclusive, owner) with ends sorted;
-            # the owner of `point` is the arc whose inclusive end is the first
-            # ring point >= point.
-            position = bisect_left(ends, point)
-            if position == len(ends):
-                position = 0
-            return arcs[position][2]
-
-        after = self._arcs()
-        ends_before = [arc[1] for arc in before]
-        ends_after = [arc[1] for arc in after]
-        boundaries = sorted({arc[1] for arc in before} | {arc[1] for arc in after})
-        moved = 0
-        gained: Dict[str, int] = {}
-        lost: Dict[str, int] = {}
-        previous = boundaries[-1]
-        for point in boundaries:
-            length = (point - previous) % RING_SPACE or RING_SPACE
-            previous = point
-            old_owner = owner_at(before, ends_before, point)
-            new_owner = owner_at(after, ends_after, point)
-            if old_owner == new_owner:
-                continue
-            moved += length
-            gained[new_owner] = gained.get(new_owner, 0) + length
-            lost[old_owner] = lost.get(old_owner, 0) + length
-        return HandoffStats(
-            added=added,
-            removed=removed,
-            moved_fraction=moved / RING_SPACE,
-            gained_fraction={s: n / RING_SPACE for s, n in gained.items()},
-            lost_fraction={s: n / RING_SPACE for s, n in lost.items()},
-        )

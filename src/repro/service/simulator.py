@@ -333,21 +333,15 @@ class TrafficSimulator:
         self.spec = spec if spec is not None else TrafficSpec()
         self.schedule = sorted(schedule or (), key=lambda event: event.at_request)
         #: Migrator driving scheduled ``scale-out``/``scale-in``/``recover``
-        #: events (and any :class:`~repro.service.rebalance.AutoscalePolicy`
-        #: decisions); its :meth:`~repro.service.rebalance.KeyMigrator.step`
-        #: is called once per dispatched request while a migration is in
-        #: flight — whoever started it — so the move overlaps foreground
-        #: traffic.
-        if migrator is None and autoscaler is not None:
-            migrator = autoscaler.migrator
+        #: events; its :meth:`~repro.service.rebalance.KeyMigrator.step` is
+        #: called once per dispatched request while a migration is in flight
+        #: — whoever started it, an
+        #: :class:`~repro.service.rebalance.AutoscalePolicy` decision included
+        #: — so the move overlaps foreground traffic and its report lands in
+        #: this migrator's ``reports``.
         self.migrator = migrator if migrator is not None else KeyMigrator(cluster)
         #: Optional autoscale policy ticked on every dispatched request.
         self.autoscaler = autoscaler
-        if autoscaler is not None and autoscaler.migrator is not self.migrator:
-            raise ConfigurationError(
-                "the autoscaler and the simulator must share one KeyMigrator "
-                "(the simulator steps whatever migration the policy starts)"
-            )
 
     def warmup(self, num_keys: Optional[int] = None) -> int:
         """Pre-populate the cluster with the hottest Zipf keys.

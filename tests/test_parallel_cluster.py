@@ -446,7 +446,7 @@ class TestTelemetryAndLifecycle:
         ) as cluster:
             migrator = KeyMigrator(cluster)
             config = AutoscaleConfig(evaluate_every=1, cooldown=0, hot_shard_threshold=1.01)
-            policy = AutoscalePolicy(cluster, migrator, config)
+            policy = AutoscalePolicy(cluster, config)
             baseline = cluster.stats.operations_per_shard()
             assert sorted(baseline) == ["shard-0", "shard-1"]
             cluster.insert_batch([(b"key-%d" % i, b"val") for i in range(120)])
@@ -511,7 +511,9 @@ class TestTelemetryAndLifecycle:
             num_shards=3, config=cluster_config
         ) as cluster:
             shard = cluster.shards["shard-2"]
-            cluster.remove_shard("shard-2")
+            migrator = KeyMigrator(cluster)
+            migrator.start_remove("shard-2")
+            migrator.run_to_completion()
             assert "shard-2" not in cluster.shards
             assert not shard.process.is_alive()
             assert shard.process.exitcode == 0
@@ -523,7 +525,9 @@ class TestTelemetryAndLifecycle:
         with ClusterService(
             num_shards=2, config=cluster_config, workers=WorkerProcesses()
         ) as cluster:
-            cluster.add_shard("shard-extra")
+            migrator = KeyMigrator(cluster)
+            migrator.start_add("shard-extra")
+            migrator.run_to_completion()
             assert cluster.shards["shard-extra"].alive
             cluster.insert(b"key", b"value")
             assert cluster.lookup(b"key").found

@@ -4,7 +4,7 @@ Covers the exact migration-arc computation, the seed scan of the old owners,
 the KeyMigrator lifecycle for scale-out and scale-in (including the atomic
 cut-over and copy retirement), the double-read window's equivalence with a
 quiesced cluster (property test), the kill-the-joining-shard drill at RF=2,
-the membership freeze while a migration is in flight, the
+the one-migration-at-a-time rule, the
 autoscale policy and the TrafficSimulator's scale-out/scale-in schedule
 actions.
 """
@@ -87,14 +87,14 @@ class TestChangedArcs:
                 assert arc.old_replicas == old_pref
                 assert arc.new_replicas == new_pref
 
-    def test_moved_fraction_matches_router_handoff(self):
-        # At RF=1 a changed arc is exactly a changed owner, so the arc
-        # fractions must reproduce the router's own exact handoff stats.
+    def test_moved_fraction_matches_ownership(self):
+        # At RF=1 a changed arc is exactly a changed owner, so a join's arcs
+        # are exactly what the new shard owns on the new ring.
         old = ShardRouter([f"s{i}" for i in range(4)], virtual_nodes=16)
-        new = ShardRouter([f"s{i}" for i in range(4)], virtual_nodes=16)
-        handoff = new.add_shard("s4")
+        new = ShardRouter([f"s{i}" for i in range(5)], virtual_nodes=16)
         arcs = changed_arcs(old, new, 1)
-        assert sum(arc.fraction for arc in arcs) == pytest.approx(handoff.moved_fraction)
+        owned = new.ownership_fractions()["s4"]
+        assert sum(arc.fraction for arc in arcs) == pytest.approx(owned, rel=1e-12)
 
     def test_identical_rings_produce_no_arcs(self):
         router = ShardRouter(["a", "b", "c"], virtual_nodes=16)
@@ -153,14 +153,15 @@ class TestScaleOut:
         cluster, _ = populated_cluster(keys=60)
         migrator = KeyMigrator(cluster)
         migrator.start_add()
-        with pytest.raises(ConfigurationError, match="frozen"):
-            cluster.add_shard()
-        with pytest.raises(ConfigurationError, match="frozen"):
-            cluster.remove_shard("shard-0")
-        with pytest.raises(ConfigurationError, match="already in flight"):
-            migrator.start_add()
+        other = KeyMigrator(cluster)
+        cluster.record_shard_error("shard-0")  # something for recover() to do
+        for start in (other.start_add, lambda: other.start_remove("shard-1"), other.recover):
+            with pytest.raises(ConfigurationError, match="already in flight"):
+                start()
+        assert cluster.shard_ids == ("shard-0", "shard-1", "shard-2", "shard-3", "shard-4")
         migrator.run_to_completion()
-        cluster.add_shard()  # membership thaws once the migration drains
+        cluster.heal_shard("shard-0")
+        assert other.start_add() == "shard-5"  # membership thaws once the migration drains
 
 
 class TestSeedScan:
@@ -434,7 +435,6 @@ class TestAutoscale:
         migrator = KeyMigrator(cluster, batch_size=64)
         policy = AutoscalePolicy(
             cluster,
-            migrator,
             AutoscaleConfig(evaluate_every=1, cooldown=0, hot_shard_threshold=1.01),
         )
         hot = fingerprint_for(0, namespace=b"hot")
@@ -452,7 +452,6 @@ class TestAutoscale:
         migrator = KeyMigrator(cluster, batch_size=4)
         policy = AutoscalePolicy(
             cluster,
-            migrator,
             AutoscaleConfig(evaluate_every=1, cooldown=100, hot_shard_threshold=1.01),
         )
         hot = fingerprint_for(0, namespace=b"hot")
@@ -477,7 +476,6 @@ class TestAutoscale:
         migrator = KeyMigrator(cluster, batch_size=64)
         policy = AutoscalePolicy(
             cluster,
-            migrator,
             AutoscaleConfig(
                 evaluate_every=1,
                 cooldown=0,
@@ -520,10 +518,24 @@ class TestSimulatorIntegration:
         for key in inserted:
             assert cluster.lookup(key).found
 
-    def test_autoscaler_shares_the_simulators_migrator(self):
+    def test_autoscaler_migrations_complete_into_the_simulators_migrator(self):
+        # The policy starts a migration; the simulator's own migrator steps it
+        # to completion and keeps its report.
         cluster = telemetry_cluster()
-        policy = AutoscalePolicy(cluster, KeyMigrator(cluster))
-        simulator = TrafficSimulator(cluster, autoscaler=policy)
-        assert simulator.migrator is policy.migrator
-        with pytest.raises(ConfigurationError, match="share"):
-            TrafficSimulator(cluster, migrator=KeyMigrator(cluster), autoscaler=policy)
+        policy = AutoscalePolicy(
+            cluster, AutoscaleConfig(evaluate_every=10, cooldown=10_000, hot_shard_threshold=1.01)
+        )
+        migrator = KeyMigrator(cluster, batch_size=16)
+        simulator = TrafficSimulator(
+            cluster,
+            TrafficSpec(num_clients=2, requests_per_client=40, batch_size=4, key_space=200, seed=3),
+            migrator=migrator,
+            autoscaler=policy,
+        )
+        report = simulator.run()
+        (decision,) = report.autoscale_decisions
+        assert decision.action == "scale-out"
+        assert [(m.direction, m.subject) for m in migrator.reports] == [
+            ("scale-out", decision.shard)
+        ]
+        assert report.migrations == migrator.reports and cluster.migration is None

@@ -5,7 +5,7 @@ import pytest
 from conftest import shard_op
 from repro.core import CLAM, CLAMConfig
 from repro.core.errors import ConfigurationError, ShardUnavailableError
-from repro.service import ClusterService
+from repro.service import ClusterService, KeyMigrator
 from repro.service.cluster import hot_shards
 from repro.workloads import (
     Operation,
@@ -208,35 +208,53 @@ class TestHotShards:
 
 
 class TestMembership:
-    def test_add_shard_provisions_instance_and_reports_handoff(self, cluster):
-        handoff = cluster.add_shard()
+    """Membership changes only through a :class:`KeyMigrator` migration."""
+
+    @staticmethod
+    def populate(cluster, count=200):
+        keys = [fingerprint_for(i, namespace=b"membership") for i in range(count)]
+        cluster.insert_batch([(key, b"v") for key in keys])
+        return keys
+
+    def test_start_add_provisions_instance_and_moves_its_keys(self, cluster):
+        keys = self.populate(cluster)
+        migrator = KeyMigrator(cluster)
+        assert migrator.start_add() == "shard-4"
         assert cluster.num_shards == 5
         assert "shard-4" in cluster.shards
-        assert handoff.added == ("shard-4",)
-        assert 0 < handoff.moved_fraction < 1
-        # New shard serves immediately.
-        keys = [fingerprint_for(i, namespace=b"after-add") for i in range(400)]
-        owners = {cluster.shard_for(key) for key in keys}
-        assert "shard-4" in owners
-        for key in keys:
+        report = migrator.run_to_completion()
+        assert report.subject == "shard-4" and 0 < report.moved_fraction < 1
+        assert report.keys_copied > 0
+        # At RF=1 too, no key is lost and the new shard serves at once.
+        assert all(cluster.lookup(key).found for key in keys)
+        fresh = [fingerprint_for(i, namespace=b"after-add") for i in range(400)]
+        assert "shard-4" in {cluster.shard_for(key) for key in fresh}
+        for key in fresh:
             cluster.insert(key, b"v")
             assert cluster.get(key) == b"v"
 
-    def test_remove_shard_decommissions_instance(self, cluster):
-        handoff = cluster.remove_shard("shard-3")
+    def test_start_remove_decommissions_instance(self, cluster):
+        keys = self.populate(cluster)
+        migrator = KeyMigrator(cluster)
+        migrator.start_remove("shard-3")
+        migrator.run_to_completion()
         assert cluster.num_shards == 3
         assert "shard-3" not in cluster.shards
-        assert handoff.removed == ("shard-3",)
-        keys = [fingerprint_for(i, namespace=b"after-remove") for i in range(200)]
         assert all(cluster.shard_for(key) != "shard-3" for key in keys)
+        assert all(cluster.lookup(key).found for key in keys)
         assert len(cluster.clock) == 3
 
     def test_membership_errors(self, cluster):
         with pytest.raises(ConfigurationError):
             ClusterService(num_shards=0)
+        migrator = KeyMigrator(cluster)
+        with pytest.raises(ConfigurationError, match="already exists"):
+            migrator.start_add("shard-0")
         for shard_id in ("shard-1", "shard-2", "shard-3"):
-            cluster.remove_shard(shard_id)
+            migrator.start_remove(shard_id)
+            migrator.run_to_completion()
         with pytest.raises(ConfigurationError):
-            cluster.remove_shard("shard-0")
+            migrator.start_remove("shard-0")
         with pytest.raises(ConfigurationError):
-            cluster.remove_shard("never-existed")
+            migrator.start_remove("never-existed")
+        assert cluster.shard_ids == ("shard-0",) and cluster.migration is None

@@ -8,6 +8,7 @@ from repro.core.errors import ShardUnavailableError
 from repro.service import (
     ClusterService,
     KeyMigrator,
+    MigrationReport,
     TrafficSimulator,
     TrafficSpec,
     WorkerProcesses,
@@ -68,6 +69,17 @@ class TestDetection:
         assert report.keys_seeded == report.keys_lost == 0 and report.lost_fraction == 0
         assert cluster.num_shards == 4
         assert migrator.reports == [] and cluster.events.events("migration_started") == []
+
+    def test_recover_with_nothing_down_keeps_the_last_recovery(self):
+        cluster, _ = populated_cluster()
+        crash_and_detect(cluster, "shard-1")
+        migrator = KeyMigrator(cluster)
+        last = migrator.recover()
+        before = cluster.stats.health()
+        assert before["keys_re_replicated"] == last.keys_re_replicated > 0
+        assert migrator.recover() == MigrationReport("recovery", "")
+        assert cluster.last_recovery is last
+        assert cluster.stats.health() == before
 
 
 class TestRecovery:
@@ -134,11 +146,14 @@ class TestRecovery:
         cluster, keys = populated_cluster(
             num_shards=5, replication_factor=3, keys=200
         )
+        own = cluster.router.ownership_fractions()
         for victim in ("shard-1", "shard-4"):
             crash_and_detect(cluster, victim)
         report = KeyMigrator(cluster).recover()
         assert report.subject == "shard-1,shard-4"
         assert report.keys_lost == 0
+        # The share the dead shards owned, each arc counted once.
+        assert report.moved_fraction == pytest.approx(own["shard-1"] + own["shard-4"], rel=1e-12)
         for key in keys:
             assert cluster.lookup(key).found
             for shard_id in cluster.replicas_for(key):

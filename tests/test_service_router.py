@@ -1,4 +1,5 @@
-"""Tests for consistent-hash shard routing and handoff accounting."""
+"""Tests for consistent-hash shard routing and the ring diff
+(``changed_arcs``) a membership change hands off."""
 
 from bisect import bisect_left
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
-from repro.service import RING_SPACE, ShardRouter
+from repro.service import RING_SPACE, ShardRouter, changed_arcs
 from repro.workloads import fingerprint_for
 
 
@@ -111,52 +112,58 @@ class TestMembershipChanges:
             router.remove_shard("a")
 
 
-class TestHandoffStats:
-    def test_add_handoff_matches_new_ownership(self):
-        router = ShardRouter(["a", "b", "c", "d"])
-        handoff = router.add_shard("e")
-        assert handoff.added == ("e",)
-        assert handoff.removed == ()
+def handoff_arcs(old_ids, new_ids, virtual_nodes=64):
+    """The ring's one diff at RF=1: each arc whose owner changes."""
+    old = ShardRouter(old_ids, virtual_nodes=virtual_nodes)
+    new = ShardRouter(new_ids, virtual_nodes=virtual_nodes)
+    return changed_arcs(old, new, 1), new
+
+
+class TestHandoffArcs:
+    def test_add_arcs_all_gain_the_new_shard(self):
+        arcs, router = handoff_arcs(["a", "b", "c", "d"], ["a", "b", "c", "d", "e"])
         # Monotonicity: everything that moved was gained by the new shard.
-        assert set(handoff.gained_fraction) == {"e"}
-        assert handoff.gained_fraction["e"] == pytest.approx(handoff.moved_fraction)
-        assert sum(handoff.lost_fraction.values()) == pytest.approx(handoff.moved_fraction)
-        # The exact arc accounting matches the ring's post-change ownership.
-        assert router.ownership_fractions()["e"] == pytest.approx(handoff.moved_fraction)
+        assert {arc.new_replicas for arc in arcs} == {("e",)}
+        assert {arc.old_replicas[0] for arc in arcs} <= {"a", "b", "c", "d"}
+        # The arcs are exactly the new shard's share of the ring.
+        moved = sum(arc.length for arc in arcs) / RING_SPACE
+        assert router.ownership_fractions()["e"] == pytest.approx(moved, rel=1e-12)
 
     def test_add_moves_roughly_one_over_n_plus_one(self):
-        router = ShardRouter(["a", "b", "c", "d"], virtual_nodes=256)
-        handoff = router.add_shard("e")
-        assert 0.08 < handoff.moved_fraction < 0.35
+        arcs, _ = handoff_arcs(["a", "b", "c", "d"], ["a", "b", "c", "d", "e"], 256)
+        assert 0.08 < sum(arc.fraction for arc in arcs) < 0.35
 
-    def test_remove_handoff_mirrors_add(self):
-        router = ShardRouter(["a", "b", "c", "d"])
-        added = router.add_shard("e")
-        removed = router.remove_shard("e")
-        assert removed.removed == ("e",)
-        assert removed.moved_fraction == pytest.approx(added.moved_fraction)
-        assert set(removed.lost_fraction) == {"e"}
+    def test_remove_arcs_mirror_add(self):
+        added, _ = handoff_arcs(["a", "b", "c", "d"], ["a", "b", "c", "d", "e"])
+        removed, _ = handoff_arcs(["a", "b", "c", "d", "e"], ["a", "b", "c", "d"])
         # Arcs flow back to exactly the shards that lost them on add.
-        assert removed.gained_fraction.keys() == added.lost_fraction.keys()
-        for shard_id, fraction in removed.gained_fraction.items():
-            assert fraction == pytest.approx(added.lost_fraction[shard_id])
+        assert [(a.start, a.end, a.old_replicas, a.new_replicas) for a in removed] == [
+            (a.start, a.end, a.new_replicas, a.old_replicas) for a in added
+        ]
 
     def test_handoff_against_sampled_keys(self):
         """The exact arc fractions predict the observed key movement."""
         keys = sample_keys(8000)
-        router = ShardRouter(["a", "b", "c"], virtual_nodes=128)
-        before = router.route_many(keys)
-        handoff = router.add_shard("d")
+        before = ShardRouter(["a", "b", "c"], virtual_nodes=128).route_many(keys)
+        arcs, router = handoff_arcs(["a", "b", "c"], ["a", "b", "c", "d"], 128)
         after = router.route_many(keys)
         observed = sum(1 for old, new in zip(before, after) if old != new) / len(keys)
-        assert observed == pytest.approx(handoff.moved_fraction, abs=0.03)
+        assert observed == pytest.approx(sum(arc.fraction for arc in arcs), abs=0.03)
 
-    def test_estimated_keys_moved(self):
-        router = ShardRouter(["a", "b", "c"])
-        handoff = router.add_shard("d")
-        assert handoff.estimated_keys_moved(10_000) == round(
-            handoff.moved_fraction * 10_000
-        )
+    def test_remove_shard_arcs_match_new_owners(self):
+        """Every arc the victim lost is gained by a shard that now appears in
+        the preference lists of keys hashing into that arc."""
+        shards = ["a", "b", "c", "d", "e"]
+        keys = sample_keys(2000, namespace=b"arcs")
+        old = ShardRouter(shards, virtual_nodes=64)
+        owned_before = [key for key in keys if old.route(key) == "c"]
+        arcs, router = handoff_arcs(shards, ["a", "b", "d", "e"])
+        assert {arc.old_replicas for arc in arcs} == {("c",)}
+        gainers = {arc.new_replicas[0] for arc in arcs}
+        new_owners = {router.route(key) for key in owned_before}
+        assert new_owners <= gainers
+        moved = sum(arc.length for arc in arcs) / RING_SPACE
+        assert old.ownership_fractions()["c"] == pytest.approx(moved, rel=1e-12)
 
     def test_ring_space_constant(self):
         assert RING_SPACE == 1 << 64
@@ -243,21 +250,6 @@ class TestPreferenceList:
                     expected = tuple(s for s in old if s != victim)[:rf]
                     assert router.preference_list(key, rf) == expected
                 router.add_shard(victim)  # restore for the next rf round
-
-    def test_remove_shard_handoff_arcs_match_new_owners(self):
-        """Every arc the victim lost is gained by a shard that now appears in
-        the preference lists of keys hashing into that arc."""
-        router = ShardRouter(["a", "b", "c", "d", "e"], virtual_nodes=64)
-        keys = sample_keys(2000, namespace=b"arcs")
-        owned_before = [key for key in keys if router.route(key) == "c"]
-        handoff = router.remove_shard("c")
-        assert set(handoff.lost_fraction) == {"c"}
-        gainers = set(handoff.gained_fraction)
-        new_owners = {router.route(key) for key in owned_before}
-        assert new_owners <= gainers
-        assert sum(handoff.gained_fraction.values()) == pytest.approx(
-            handoff.moved_fraction
-        )
 
 
 def walked_preference(router: ShardRouter, position: int, n: int):

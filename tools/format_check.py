@@ -108,6 +108,10 @@ EXTRA_PATHS = (
     "tests/test_stats.py",
     "tests/test_surface.py",
     "tests/test_telemetry.py",
+    "tests/test_service_router.py",
+    "tests/test_examples.py",
+    "tests/test_moved_fraction_golden.py",
+    "examples/sharded_cluster.py",
     "setup.py",
 )
 
